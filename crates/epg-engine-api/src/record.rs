@@ -8,8 +8,8 @@
 //! so the event-construction closures (and everything only they read)
 //! are dead-code-eliminated: the instrumented kernels compile to the
 //! same machine code as before the telemetry layer existed. That is the
-//! acceptance bar — with the feature off, `cargo bench -p epg-bench`
-//! medians must not move.
+//! acceptance bar — with the feature off, the untraced `bench/`
+//! workloads must not move.
 //!
 //! The feature is resolved *here*, in `epg-engine-api`, so the five
 //! engine crates need no features of their own.

@@ -8,7 +8,8 @@
 //! no tolerance to hide behind. Δ-stepping may relax edges in a
 //! different order, so it gets a small absolute tolerance instead. All
 //! kernels are exercised across thread counts to catch scheduling
-//! sensitivity.
+//! sensitivity. A golden table pins the edges each kernel relaxes on the
+//! adversarial corpus: a noise-free counter, so a change is algorithmic.
 
 use epg_engine_api::{AlgorithmResult, SsspKernel};
 use epg_engine_gap::sssp::run_kernel;
@@ -41,6 +42,37 @@ fn distances(kernel: SsspKernel, g: &Csr, root: VertexId, pool: &ThreadPool) -> 
         panic!("{}: wrong result kind", kernel.name())
     };
     d
+}
+
+/// Edges relaxed from root 0 on each adversarial `test_corpus()` graph
+/// (seed 42, default Δ), as (family, delta, radix, bmssp).
+const EDGES_RELAXED: [(&str, u64, u64, u64); 5] = [
+    ("spfa_killer", 183, 180, 750),
+    ("wrong_dijkstra_killer", 1340, 140, 725),
+    ("grid_swirl", 528, 528, 2618),
+    ("almost_line", 231, 231, 971),
+    ("max_dense_zero", 1560, 1560, 8596),
+];
+
+#[test]
+fn adversarial_corpus_work_matches_the_golden_table() {
+    // One thread: Δ-stepping's relaxation count must not depend on scheduling.
+    let pool = ThreadPool::new(1);
+    let delta = GapConfig::default().delta;
+    let corpus = epg_generator::GraphSpec::test_corpus();
+    assert_eq!(EDGES_RELAXED.map(|row| row.0), epg_generator::GraphSpec::ADVERSARIAL_FAMILIES);
+    for (family, want_delta, want_radix, want_bmssp) in EDGES_RELAXED {
+        let spec = corpus.iter().find(|s| s.family() == family).expect("family in test corpus");
+        let g = Csr::from_edge_list(&spec.generate(42));
+        for (kernel, want) in [
+            (SsspKernel::DeltaStepping, want_delta),
+            (SsspKernel::RadixHeap, want_radix),
+            (SsspKernel::Bmssp, want_bmssp),
+        ] {
+            let got = run_kernel(kernel, &g, 0, &pool, delta).counters.edges_traversed;
+            assert_eq!(got, want, "{family} x {}: edges relaxed", kernel.name());
+        }
+    }
 }
 
 proptest! {

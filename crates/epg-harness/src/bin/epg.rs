@@ -8,13 +8,9 @@
 //! epg run   --sssp-kernel radix     # pick the GAP SSSP kernel (delta|radix|bmssp)
 //! epg all   --scale 14              # phases 2-5
 //! epg graphalytics --scale 12       # the comparator + HTML report
-//! epg bench --json [--quick]        # ingest pipeline medians -> BENCH_ingest.json
-//! epg bench --json --baseline BENCH_ingest.json [--gate]
-//!                                   # compare speedups vs a snapshot; --gate fails on regression
+//! epg granula --scale 12            # Granula-style operation charts, one BFS run per engine
 //! epg serve --scale 14 [--listen ADDR] [--landmarks N]
 //!                                   # resident-graph query service (stdio or TCP line protocol)
-//! epg serve-bench --json [--quick] [--check]
-//!                                   # naive-vs-served QPS + latency percentiles -> BENCH_serve.json
 //! epg trace summarize --input F     # summarize a *.trace.jsonl file
 //! epg lint [--json] [--strict]      # workspace static analysis (DESIGN.md §10-§11)
 //! epg lint --explain <rule-id>      # rationale + example + fix for one rule
@@ -41,14 +37,11 @@ struct Args {
     input: Option<PathBuf>,
     trial_budget_ms: Option<u64>,
     json: bool,
-    quick: bool,
     strict: bool,
-    gate: bool,
     baseline: Option<PathBuf>,
     explain: Option<String>,
     root: Option<PathBuf>,
     sssp_kernel: Option<epg_engine_api::SsspKernel>,
-    check: bool,
     landmarks: Option<usize>,
     listen: Option<String>,
 }
@@ -75,14 +68,11 @@ fn parse_args(argv: std::env::Args) -> Result<Args, String> {
         input: None,
         trial_budget_ms: None,
         json: false,
-        quick: false,
         strict: false,
-        gate: false,
         baseline: None,
         explain: None,
         root: None,
         sssp_kernel: None,
-        check: false,
         landmarks: None,
         listen: None,
     };
@@ -105,9 +95,7 @@ fn parse_args(argv: std::env::Args) -> Result<Args, String> {
             "--weighted" => a.weighted = true,
             "--unweighted" => a.weighted = false,
             "--json" => a.json = true,
-            "--quick" => a.quick = true,
             "--strict" => a.strict = true,
-            "--gate" => a.gate = true,
             "--baseline" => a.baseline = Some(PathBuf::from(val("--baseline")?)),
             "--explain" => a.explain = Some(val("--explain")?),
             "--root" => a.root = Some(PathBuf::from(val("--root")?)),
@@ -123,7 +111,6 @@ fn parse_args(argv: std::env::Args) -> Result<Args, String> {
                         )
                     })?);
             }
-            "--check" => a.check = true,
             "--landmarks" => {
                 a.landmarks =
                     Some(val("--landmarks")?.parse().map_err(|e| format!("--landmarks: {e}"))?)
@@ -145,46 +132,12 @@ fn parse_args(argv: std::env::Args) -> Result<Args, String> {
 }
 
 fn usage() -> String {
-    "usage: epg <setup|gen|run|all|graphalytics|granula|bench|serve|serve-bench|\
-     trace summarize|lint> \
+    "usage: epg <setup|gen|run|all|graphalytics|granula|serve|trace summarize|lint> \
      [--scale N] [--weighted|--unweighted] [--threads N] [--roots N|--all-roots] \
      [--seed N] [--out DIR] [--snap FILE] [--input FILE] [--trial-budget-ms N] \
-     [--json] [--quick] [--strict] [--gate] [--baseline FILE] [--explain RULE] [--root DIR] \
-     [--sssp-kernel delta|radix|bmssp] [--check] [--landmarks N] [--listen ADDR]"
+     [--json] [--strict] [--baseline FILE] [--explain RULE] [--root DIR] \
+     [--sssp-kernel delta|radix|bmssp] [--landmarks N] [--listen ADDR]"
         .to_string()
-}
-
-/// Parses the baseline snapshot, gates the candidate report against it,
-/// prints the outcome, and (with `--gate`) fails the run on regression.
-/// Shared by `epg bench` and `epg serve-bench` — both report schemas go
-/// through the same [`epg_harness::benchgate`] door.
-fn gate_against_baseline(
-    candidate_json: &str,
-    baseline_path: &std::path::Path,
-    hard_gate: bool,
-) -> Result<(), String> {
-    use epg_harness::benchgate;
-    let baseline_text = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read baseline {}: {e}", baseline_path.display()))?;
-    let baseline = benchgate::ParsedReport::from_json(&baseline_text)
-        .map_err(|e| format!("baseline {}: {e}", baseline_path.display()))?;
-    let candidate = benchgate::ParsedReport::from_json(candidate_json)
-        .map_err(|e| format!("candidate report: {e}"))?;
-    let outcome = benchgate::gate(&candidate, &baseline, benchgate::DEFAULT_TOLERANCE);
-    print!("{}", outcome.render());
-    // Without --gate this is a report-only comparison; with it, a
-    // regression fails the run (CI exit code).
-    if hard_gate && outcome.is_failure() {
-        return Err(format!("bench gate failed against {}", baseline_path.display()));
-    }
-    Ok(())
-}
-
-fn fmt_ms(v: Option<f64>) -> String {
-    match v {
-        Some(x) => format!("{x:.2}ms"),
-        None => "censored".to_string(),
-    }
 }
 
 fn dataset_for(args: &Args, pipeline: &Pipeline) -> Result<Dataset, String> {
@@ -212,8 +165,7 @@ fn main() -> ExitCode {
 fn real_main() -> Result<(), String> {
     let args = parse_args(std::env::args())?;
     if args.cmd == "lint" {
-        // Static analysis needs no pipeline state (and must not create the
-        // out directory); it prints its own report and owns the exit code:
+        // Static analysis prints its own report and owns the exit code:
         // 0 clean, 1 findings, 2 config error, 3 stale exceptions under
         // --strict (the facade passes run_lint's code through verbatim).
         if let Some(id) = &args.explain {
@@ -237,12 +189,14 @@ fn real_main() -> Result<(), String> {
         let root = args.root.clone().unwrap_or_else(epg_lint::workspace_root);
         std::process::exit(epg_lint::run_lint(&root, &opts));
     }
-    let pipeline = Pipeline::new(args.out.clone()).map_err(|e| e.to_string())?;
+    // Only the arms that write artefacts create the out directory.
+    let pipeline = || Pipeline::new(args.out.clone()).map_err(|e| e.to_string());
     match args.cmd.as_str() {
         "setup" => {
-            print!("{}", pipeline.setup_report());
+            print!("{}", Pipeline { out_dir: args.out.clone() }.setup_report());
         }
         "gen" => {
+            let pipeline = pipeline()?;
             let ds = dataset_for(&args, &pipeline)?;
             println!(
                 "homogenized '{}': {} vertices, {} edges (weighted: {}), 32 roots sampled",
@@ -255,6 +209,7 @@ fn real_main() -> Result<(), String> {
             print!("{}", epg_graph::analysis::GraphProfile::of(&ds.raw).to_text());
         }
         "run" | "all" => {
+            let pipeline = pipeline()?;
             let ds = dataset_for(&args, &pipeline)?;
             let mut cfg = ExperimentConfig {
                 threads: args.threads,
@@ -284,6 +239,7 @@ fn real_main() -> Result<(), String> {
         }
         "granula" => {
             // Granula-style operation charts for every engine on one BFS run.
+            let pipeline = pipeline()?;
             let ds = dataset_for(&args, &pipeline)?;
             let cfg = ExperimentConfig {
                 threads: args.threads,
@@ -299,6 +255,7 @@ fn real_main() -> Result<(), String> {
             }
         }
         "graphalytics" => {
+            let pipeline = pipeline()?;
             let ds = dataset_for(&args, &pipeline)?;
             let cells = graphalytics::run_graphalytics(
                 &graphalytics::GRAPHALYTICS_ENGINES,
@@ -323,42 +280,10 @@ fn real_main() -> Result<(), String> {
                 println!("wrote {}", path.display());
             }
         }
-        "bench" => {
-            use epg_harness::ingestbench;
-            if args.gate && args.baseline.is_none() {
-                return Err("--gate needs --baseline FILE (the committed snapshot)".to_string());
-            }
-            let mut cfg = if args.quick {
-                ingestbench::IngestBenchConfig::quick()
-            } else {
-                ingestbench::IngestBenchConfig::full()
-            };
-            cfg.seed = args.seed;
-            eprintln!(
-                "ingest bench: kronecker scale {} x{} edges, {} trials, threads {:?}...",
-                cfg.scale, cfg.edge_factor, cfg.trials, cfg.threads
-            );
-            let report = ingestbench::run_ingest_bench(&cfg);
-            for p in &report.phases {
-                let per: Vec<String> =
-                    p.per_thread.iter().map(|&(t, m)| format!("t={t}: {m:.5}s")).collect();
-                println!("{:<12} serial {:.5}s | {}", p.phase, p.serial_median_s, per.join(" | "));
-            }
-            let json = report.to_json();
-            if args.json {
-                ingestbench::validate_report_json(&json)
-                    .map_err(|e| format!("generated JSON failed validation: {e}"))?;
-                let path = args.out.join("BENCH_ingest.json");
-                std::fs::write(&path, &json).map_err(|e| e.to_string())?;
-                println!("wrote {}", path.display());
-            }
-            if let Some(baseline_path) = &args.baseline {
-                gate_against_baseline(&json, baseline_path, args.gate)?;
-            }
-        }
         "serve" => {
             use epg_engine_api::Engine as _;
             use std::sync::Arc;
+            let pipeline = pipeline()?;
             let ds = dataset_for(&args, &pipeline)?;
             let pool = Arc::new(epg_parallel::ThreadPool::new(args.threads));
             let mut engine = epg_engine_gap::GapEngine::new();
@@ -411,71 +336,6 @@ fn real_main() -> Result<(), String> {
                 )
                 .map_err(|e| e.to_string())?;
                 eprintln!("session over: {} request(s), {} answered", s.requests, s.answered);
-            }
-        }
-        "serve-bench" => {
-            use epg_harness::servebench;
-            if args.gate && args.baseline.is_none() {
-                return Err("--gate needs --baseline FILE (the committed snapshot)".to_string());
-            }
-            let mut cfg = if args.quick {
-                servebench::ServeBenchConfig::quick()
-            } else {
-                servebench::ServeBenchConfig::full()
-            };
-            cfg.seed = args.seed;
-            cfg.check = args.check;
-            if let Some(l) = args.landmarks {
-                cfg.landmarks = l;
-            }
-            eprintln!(
-                "serve bench: kronecker scale {} x{} edges, {} requests, {} clients, \
-                 {} hot sources{}...",
-                cfg.scale,
-                cfg.edge_factor,
-                cfg.requests,
-                cfg.clients,
-                cfg.source_pool,
-                if cfg.check { ", oracle check on" } else { "" }
-            );
-            let report = servebench::run_serve_bench(&cfg);
-            for m in [&report.naive, &report.served] {
-                println!(
-                    "{:<7} {:>8.1} qps | p50 {} p99 {} p999 {} | \
-                     exact {} batched {} cached {} landmark {}{}",
-                    m.mode,
-                    m.qps,
-                    fmt_ms(m.p50_ms),
-                    fmt_ms(m.p99_ms),
-                    fmt_ms(m.p999_ms),
-                    m.exact,
-                    m.batched,
-                    m.cached,
-                    m.landmark,
-                    match m.wrong_answers {
-                        Some(w) => format!(" | wrong {w}"),
-                        None => String::new(),
-                    }
-                );
-            }
-            println!("qps speedup (served / naive): {:.2}x", report.qps_speedup);
-            let json = report.to_json();
-            if args.json {
-                servebench::validate_report_json(&json)
-                    .map_err(|e| format!("generated JSON failed validation: {e}"))?;
-                let path = args.out.join("BENCH_serve.json");
-                std::fs::write(&path, &json).map_err(|e| e.to_string())?;
-                println!("wrote {}", path.display());
-            }
-            if let Some(baseline_path) = &args.baseline {
-                gate_against_baseline(&json, baseline_path, args.gate)?;
-            }
-            if args.check {
-                let wrong = report.naive.wrong_answers.unwrap_or(0)
-                    + report.served.wrong_answers.unwrap_or(0);
-                if wrong > 0 {
-                    return Err(format!("{wrong} answer(s) disagreed with the sequential oracles"));
-                }
             }
         }
         "trace" => match args.subcmd.as_deref() {

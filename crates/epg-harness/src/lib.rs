@@ -20,19 +20,16 @@
 //! HTML report (Table I, Table II, Fig. 7).
 
 #![warn(missing_docs)]
-pub mod benchgate;
 pub mod csvio;
 pub mod dataset;
 pub mod granula;
 pub mod graphalytics;
-pub mod ingestbench;
 pub mod logs;
 pub mod pipeline;
 pub mod plot;
 pub mod registry;
 pub mod report;
 pub mod runner;
-pub mod servebench;
 pub mod stats;
 pub mod supervise;
 pub mod tracefile;

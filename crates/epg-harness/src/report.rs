@@ -174,7 +174,7 @@ pub fn render(result: &ExperimentResult, ds: &Dataset, projected_threads: usize)
         }
         // Thread counts beyond the host's hardware threads measure
         // oversubscription, not scaling — say so instead of letting the
-        // speedup column mislead (see BENCH_ingest.json's per-entry stamp).
+        // speedup column mislead.
         let host = std::thread::available_parallelism().map_or(1, |n| n.get());
         let over: Vec<usize> = tcounts.iter().copied().filter(|&t| t > host).collect();
         if !over.is_empty() {

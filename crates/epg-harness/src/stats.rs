@@ -109,44 +109,6 @@ impl CensoredSummary {
     }
 }
 
-/// Tail latency percentiles over a right-censored sample — the serving
-/// layer's SLO numbers (`epg serve-bench`), under the same DNF
-/// discipline as [`CensoredSummary`]: a rejected or deadline-tripped
-/// request has no finite latency but still counts, entering the order
-/// statistics as +∞. A percentile whose interpolation touches the
-/// censored tail is `None` ("the p999 is a DNF"), never an average over
-/// only the survivors — dropping DNFs would report a *better* tail for
-/// a service that sheds more load, exactly backwards.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct Percentiles {
-    /// Total requests, answered + DNF.
-    pub n: usize,
-    /// Requests with no finite latency (rejected, deadline, failed).
-    pub dnf: usize,
-    /// Median latency; `None` when censored.
-    pub p50: Option<f64>,
-    /// 99th percentile; `None` when censored.
-    pub p99: Option<f64>,
-    /// 99.9th percentile; `None` when censored.
-    pub p999: Option<f64>,
-}
-
-impl Percentiles {
-    /// Builds the percentiles from completed latencies plus a DNF count.
-    pub fn of(completed: &[f64], dnf: usize) -> Percentiles {
-        let mut s = completed.to_vec();
-        s.sort_by(|a, b| a.total_cmp(b));
-        let n = s.len() + dnf;
-        Percentiles {
-            n,
-            dnf,
-            p50: censored_quantile_type7(&s, n, 0.5),
-            p99: censored_quantile_type7(&s, n, 0.99),
-            p999: censored_quantile_type7(&s, n, 0.999),
-        }
-    }
-}
-
 /// Type-7 quantile over the censored order statistics: `sorted` holds
 /// the finite observations, `n` the total count (the last `n -
 /// sorted.len()` order statistics are +∞). `None` when either
@@ -281,50 +243,6 @@ mod tests {
         // 2 completed + 2 DNF: h = 1.5 interpolates s[1]..s[2]; s[2] is ∞.
         let c = CensoredSummary::of(&[1.0, 2.0], 2);
         assert_eq!(c.median, None);
-    }
-
-    #[test]
-    fn percentiles_match_type7_when_nothing_is_censored() {
-        let latencies: Vec<f64> = (1..=1000).map(f64::from).collect();
-        let p = Percentiles::of(&latencies, 0);
-        assert_eq!((p.n, p.dnf), (1000, 0));
-        // R: quantile(1:1000, c(.5, .99, .999)) -> 500.5, 990.01, 999.001
-        assert!((p.p50.unwrap() - 500.5).abs() < 1e-9);
-        assert!((p.p99.unwrap() - 990.01).abs() < 1e-9);
-        assert!((p.p999.unwrap() - 999.001).abs() < 1e-9);
-    }
-
-    #[test]
-    fn a_thin_dnf_tail_censors_only_the_high_percentiles() {
-        // 995 completed + 5 DNF: the p50 and p99 interpolate inside the
-        // finite observations, the p999 touches the infinite tail.
-        let latencies: Vec<f64> = (1..=995).map(f64::from).collect();
-        let p = Percentiles::of(&latencies, 5);
-        assert_eq!(p.n, 1000);
-        assert!(p.p50.is_some());
-        assert!(p.p99.is_some());
-        assert_eq!(p.p999, None, "p999 is a DNF, not a survivor average");
-    }
-
-    #[test]
-    fn heavy_dnf_censors_everything_down_to_the_median() {
-        let p = Percentiles::of(&[1.0, 2.0], 8);
-        assert_eq!((p.p50, p.p99, p.p999), (None, None, None));
-        assert_eq!(p.dnf, 8);
-        // And the empty sample is all-None rather than a panic.
-        assert_eq!(Percentiles::of(&[], 0), Percentiles::default());
-    }
-
-    #[test]
-    fn percentiles_and_censored_summary_agree_on_the_median() {
-        let times = [4.0, 1.0, 3.0, 2.0];
-        for dnf in 0..4 {
-            assert_eq!(
-                Percentiles::of(&times, dnf).p50,
-                CensoredSummary::of(&times, dnf).median,
-                "dnf={dnf}"
-            );
-        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! `epg lint` facade: the exit-code contract, end to end.
+//! `epg lint` facade: the exit-code contract, end to end (and, at the
+//! bottom, which commands the `epg` binary accepts at all).
 //!
 //! The facade must pass `run_lint`'s code through verbatim — `0` clean,
 //! `1` findings, `2` configuration errors (unknown rule ids included),
@@ -107,4 +108,64 @@ fn explain_rejects_unknown_rules_with_the_id_list() {
     assert_eq!(exit_code(&out), 2);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("hot-loop-alloc"), "id list helps discovery:\n{stderr}");
+}
+
+/// Every command `epg` dispatches, as the usage string spells them.
+const COMMANDS: [&str; 9] =
+    ["setup", "gen", "run", "all", "graphalytics", "granula", "serve", "trace summarize", "lint"];
+
+#[test]
+fn an_unknown_command_leaves_no_out_directory() {
+    let out_dir = temp_root("cli-nosuch").join("x");
+    let out = epg(&["nosuch", "--out", out_dir.to_str().unwrap()]);
+    assert_eq!(exit_code(&out), 1);
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command: nosuch"));
+    assert!(!out_dir.exists(), "epg created {} for a command it rejected", out_dir.display());
+}
+
+#[test]
+fn retired_bench_commands_and_flags_are_rejected_with_usage() {
+    for (args, why) in [
+        (&["bench"][..], "unknown command: bench"),
+        (&["serve-bench"][..], "unknown command: serve-bench"),
+        (&["run", "--gate"][..], "unknown flag: --gate"),
+        (&["run", "--quick"][..], "unknown flag: --quick"),
+        (&["run", "--check"][..], "unknown flag: --check"),
+    ] {
+        let out = epg(args);
+        assert_eq!(exit_code(&out), 1, "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(why) && stderr.contains("usage: epg <"), "{args:?}:\n{stderr}");
+    }
+}
+
+#[test]
+fn usage_and_doc_header_list_exactly_the_commands_that_exist() {
+    let help = epg(&["help"]);
+    assert_eq!(exit_code(&help), 0);
+    let usage = String::from_utf8_lossy(&help.stdout);
+    let listed = usage.split_once('<').and_then(|(_, rest)| rest.split_once('>')).unwrap().0;
+    assert_eq!(listed.split('|').collect::<Vec<_>>(), COMMANDS);
+
+    // The module doc: each `//! epg <words> [flags] # gloss` line names a command.
+    let is_word = |w: &&str| w.starts_with(|c: char| c.is_ascii_lowercase());
+    let mut documented: Vec<String> = include_str!("../src/bin/epg.rs")
+        .lines()
+        .filter_map(|line| line.strip_prefix("//! epg "))
+        .map(|rest| rest.split_whitespace().take_while(is_word).collect::<Vec<_>>().join(" "))
+        .collect();
+    documented.dedup();
+    assert_eq!(documented, COMMANDS);
+
+    // And each one dispatches: a missing --snap file (or --input) is the
+    // error, never "unknown command".
+    let tmp = temp_root("cli-commands");
+    let (snap, out_dir) = (tmp.join("missing.snap"), tmp.join("out"));
+    for cmd in COMMANDS {
+        let mut args: Vec<&str> = cmd.split(' ').collect();
+        args.extend(["--snap", snap.to_str().unwrap(), "--out", out_dir.to_str().unwrap()]);
+        args.extend(["--root", tmp.to_str().unwrap()]); // `lint` analyses the empty tmp tree
+        let stderr = String::from_utf8_lossy(&epg(&args).stderr).into_owned();
+        assert!(!stderr.contains("unknown command"), "`epg {cmd}`:\n{stderr}");
+    }
 }

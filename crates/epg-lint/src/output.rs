@@ -1,8 +1,8 @@
 //! Machine-readable findings (`--json`, schema `epg-lint/v1`) and the
 //! committed-baseline mode (`--baseline <path>`).
 //!
-//! The JSON is hand-rolled in the same style as the harness's
-//! `ingestbench` report — the workspace vendors no serde. The baseline
+//! The JSON is hand-rolled, like `epg-trace`'s JSONL writer — the
+//! workspace vendors no serde. The baseline
 //! file is deliberately *not* JSON: it is the human output, one
 //! `file:line: [rule] message` finding per line, so `epg lint > lint.baseline`
 //! seeds it and `git diff` reviews it. A baseline entry matches a finding

@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 
 /// Serving knobs. [`ServeConfig::default`] is the full pipeline;
 /// [`ServeConfig::naive`] disables every amortization stage and is the
-/// baseline `epg serve-bench` compares against.
+/// reference the differential wall compares against.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ServeConfig {
     /// Source arrays the LRU cache holds (0 disables caching entirely).
