@@ -70,13 +70,7 @@ fn main() {
         e.config.alpha, e.config.beta, e.config.delta
     );
     let report = e.auto_tune(&pool, &ds.roots);
-    println!(
-        "tuned:    alpha={}, beta={}, delta={:.4}, sssp_kernel={}",
-        report.alpha,
-        report.beta,
-        report.delta,
-        report.sssp_kernel.name()
-    );
+    println!("tuned:    alpha={}, beta={}, delta={:.4}", report.alpha, report.beta, report.delta);
     println!("delta probes (delta, work cost):");
     for (d, c) in &report.delta_probes {
         println!("  {d:>12.4}  {c:>12}");
@@ -84,9 +78,5 @@ fn main() {
     println!("alpha/beta probes ((a,b), work cost):");
     for ((a, b), c) in &report.bfs_probes {
         println!("  ({a:>3},{b:>4})  {c:>12}");
-    }
-    println!("sssp kernel probes (kernel, work cost):");
-    for (k, c) in &report.kernel_probes {
-        println!("  {:>12}  {c:>12}", k.name());
     }
 }

@@ -31,7 +31,7 @@ pub use counters::{Counters, RegionRecord, Trace};
 #[cfg(feature = "fault-inject")]
 pub use fault::{FaultKind, FaultPlan, FaultyEngine};
 pub use query::QueryEngine;
-pub use record::{sum_counter_deltas, DeltaTracker, RecorderCtx, Tracer};
+pub use record::{sum_counter_deltas, Partial, RecorderCtx, RunLog};
 pub use result::{AlgorithmResult, RunOutput};
 pub use stopping::StoppingCriterion;
 // Re-exported so engine crates and tests use telemetry types without

@@ -15,7 +15,10 @@
 //! engine crates need no features of their own.
 
 use crate::counters::{Counters, Trace};
+use crate::result::{AlgorithmResult, RunOutput};
+use epg_parallel::{Schedule, ThreadPool};
 use epg_trace::{Dir, TraceEvent};
+use std::ops::ControlFlow;
 
 /// Borrowed recording capability handed to engines via
 /// [`crate::RunParams::recorder`].
@@ -80,12 +83,6 @@ impl<'a> RecorderCtx<'a> {
         }
     }
 
-    /// Emits a per-iteration event (frontier size + direction).
-    #[inline(always)]
-    pub fn iteration(&self, iter: u32, frontier: u64, dir: Dir) {
-        self.emit(|| TraceEvent::Iteration { iter, frontier, dir });
-    }
-
     /// Emits an allocation high-water mark.
     #[inline(always)]
     pub fn alloc_hwm(&self, label: &str, bytes: u64) {
@@ -99,19 +96,77 @@ impl std::fmt::Debug for RecorderCtx<'_> {
     }
 }
 
-/// A [`Trace`] builder that mirrors every region it records as a
-/// [`TraceEvent::Region`]. Engines that previously pushed onto a bare
-/// `Trace` switch to a `Tracer` and their region stream shows up in the
-/// telemetry for free, in the same order the machine model consumes it.
-pub struct Tracer<'a> {
-    trace: Trace,
-    rec: RecorderCtx<'a>,
+/// What one index range of a kernel step found, handed out of the parallel
+/// region through
+/// [`parallel_reduce_ranges`](epg_parallel::ThreadPool::parallel_reduce_ranges):
+/// `Partial::default` is its identity and [`Partial::merge`] its combine.
+#[derive(Debug)]
+pub struct Partial<T> {
+    /// What the range discovered (next-frontier vertices, bucket inserts,
+    /// per-partition gather maps, ...), in no particular order.
+    pub found: Vec<T>,
+    /// Edges the range examined.
+    pub edges: u64,
+    /// Largest single indivisible task in the range (the span bound).
+    pub max_degree: u64,
 }
 
-impl<'a> Tracer<'a> {
-    /// Empty tracer emitting through `rec`.
-    pub fn new(rec: RecorderCtx<'a>) -> Tracer<'a> {
-        Tracer { trace: Trace::default(), rec }
+impl<T> Default for Partial<T> {
+    fn default() -> Self {
+        Partial { found: Vec::new(), edges: 0, max_degree: 0 }
+    }
+}
+
+impl<T: Send> Partial<T> {
+    /// Reduces `map` over `0..n` into one `Partial` — one parallel region.
+    pub fn collect<M>(pool: &ThreadPool, n: usize, sched: Schedule, map: M) -> Partial<T>
+    where
+        M: Fn(usize, usize) -> Partial<T> + Sync,
+    {
+        pool.parallel_reduce_ranges(n, sched, Partial::default, map, Partial::merge)
+    }
+
+    /// Concatenates the finds, sums the edges, keeps the larger span.
+    pub fn merge(mut self, mut other: Partial<T>) -> Partial<T> {
+        self.found.append(&mut other.found);
+        self.edges += other.edges;
+        self.max_degree = self.max_degree.max(other.max_degree);
+        self
+    }
+}
+
+/// The run record of one kernel invocation: the work [`Counters`], the
+/// region [`Trace`], the counter-delta stream and the cancelled flag, kept
+/// in one place so that every kernel reports the same way. A kernel step
+/// bumps [`RunLog::counters`], records its regions with
+/// [`RunLog::parallel`] / [`RunLog::serial`] and closes with
+/// [`RunLog::iteration`]; the run closes with [`RunLog::finish`].
+///
+/// The recorder therefore sees, per step, `Region` events, then one
+/// `CountersDelta` (region `"iteration"`), then the `Iteration` event, and
+/// at the end one `"finalize"` delta — which makes *sum of deltas == final
+/// counters* hold by construction for every kernel. With the `trace`
+/// feature off every emission, the delta arithmetic included, compiles away.
+pub struct RunLog<'a> {
+    /// Aggregate work counters; kernels add to them directly.
+    pub counters: Counters,
+    trace: Trace,
+    rec: RecorderCtx<'a>,
+    /// `counters` as of the last flushed delta.
+    flushed: Counters,
+    cancelled: bool,
+}
+
+impl<'a> RunLog<'a> {
+    /// Empty record emitting through `rec`.
+    pub fn new(rec: RecorderCtx<'a>) -> RunLog<'a> {
+        RunLog {
+            counters: Counters::default(),
+            trace: Trace::default(),
+            rec,
+            flushed: Counters::default(),
+            cancelled: false,
+        }
     }
 
     /// Records a parallel region (span clamped to work, as
@@ -130,61 +185,59 @@ impl<'a> Tracer<'a> {
         self.rec.emit(|| TraceEvent::Region { work, span: work, bytes, parallel: false });
     }
 
-    /// The recording capability, for emitting non-region events.
-    pub fn recorder(&self) -> RecorderCtx<'a> {
-        self.rec
+    /// Closes one kernel step: flushes the counter delta, emits the
+    /// per-iteration event and polls the pool's cancel token. `Break`
+    /// means the token tripped — the step's loops may have abandoned
+    /// chunks, so the kernel must stop and [`RunLog::finish`] will mark
+    /// the output cancelled. Reporting and polling are one call so that no
+    /// loop can report progress without being reapable.
+    ///
+    /// What counts as an iteration (and `counters.iterations`) stays the
+    /// kernel's business; `iter` and `frontier` only label the event.
+    #[inline]
+    pub fn iteration(
+        &mut self,
+        pool: &ThreadPool,
+        iter: u32,
+        frontier: u64,
+        dir: Dir,
+    ) -> ControlFlow<()> {
+        self.flush("iteration");
+        self.rec.emit(|| TraceEvent::Iteration { iter, frontier, dir });
+        self.cancelled = self.cancelled || pool.is_cancelled();
+        if self.cancelled {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
     }
 
-    /// Finishes, yielding the accumulated [`Trace`] for `RunOutput`.
-    pub fn into_trace(self) -> Trace {
-        self.trace
-    }
-}
-
-/// Tracks the last-flushed [`Counters`] snapshot and emits the
-/// difference as a [`TraceEvent::CountersDelta`]. Engines flush once
-/// per iteration (region `"iteration"`) and once after their end-of-run
-/// adjustments (region `"finalize"`), which makes the invariant *sum of
-/// deltas == final counters* hold by construction — and any future
-/// counter bump outside a flushed region break the trace-equivalence
-/// test instead of silently skewing `epg-machine` projections.
-///
-/// Zero-sized (and `flush` empty) with the `trace` feature off.
-#[derive(Debug, Default)]
-pub struct DeltaTracker {
-    #[cfg(feature = "trace")]
-    last: Counters,
-}
-
-impl DeltaTracker {
-    /// Tracker with an all-zero baseline.
-    pub fn new() -> DeltaTracker {
-        DeltaTracker::default()
+    /// Flushes the kernel's end-of-run counter adjustments as the
+    /// `"finalize"` delta and builds the [`RunOutput`].
+    pub fn finish(mut self, result: AlgorithmResult) -> RunOutput {
+        self.flush("finalize");
+        RunOutput::new(result, self.counters, self.trace).cancelled(self.cancelled)
     }
 
     /// Emits `counters - <last flush>` attributed to `region`, then
     /// advances the baseline. Zero deltas are suppressed.
     #[inline(always)]
-    pub fn flush(&mut self, region: &str, counters: &Counters, rec: RecorderCtx<'_>) {
-        #[cfg(feature = "trace")]
-        {
-            let d = counters.delta_since(&self.last);
-            if d != Counters::default() {
-                rec.emit(|| TraceEvent::CountersDelta {
-                    region: region.to_string(),
-                    edges: d.edges_traversed,
-                    vertices: d.vertices_touched,
-                    bytes_read: d.bytes_read,
-                    bytes_written: d.bytes_written,
-                    iterations: d.iterations,
-                });
-            }
-            self.last = *counters;
+    fn flush(&mut self, region: &str) {
+        if !self.rec.is_enabled() {
+            return;
         }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = (region, counters, rec);
+        let d = self.counters.delta_since(&self.flushed);
+        if d != Counters::default() {
+            self.rec.emit(|| TraceEvent::CountersDelta {
+                region: region.to_string(),
+                edges: d.edges_traversed,
+                vertices: d.vertices_touched,
+                bytes_read: d.bytes_read,
+                bytes_written: d.bytes_written,
+                iterations: d.iterations,
+            });
         }
+        self.flushed = self.counters;
     }
 }
 
@@ -216,6 +269,7 @@ pub fn sum_counter_deltas(events: &[TraceEvent]) -> Counters {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use epg_parallel::CancelToken;
 
     #[test]
     fn none_ctx_is_inert_and_copy() {
@@ -224,16 +278,15 @@ mod tests {
         assert!(!ctx.is_enabled(), "none() must never be enabled");
         // The closure must not run when no recorder is attached.
         ctx2.emit(|| panic!("emit ran its closure with no recorder"));
-        ctx2.iteration(1, 10, Dir::Push);
         ctx2.alloc_hwm("x", 1);
     }
 
     #[test]
     fn tracer_builds_the_same_trace_as_before() {
-        let mut t = Tracer::new(RecorderCtx::none());
-        t.parallel(1000, 50, 8000);
-        t.serial(100, 800);
-        let trace = t.into_trace();
+        let mut log = RunLog::new(RecorderCtx::none());
+        log.parallel(1000, 50, 8000);
+        log.serial(100, 800);
+        let trace = log.finish(AlgorithmResult::Triangles(0)).trace;
         assert_eq!(trace.total_work(), 1100);
         assert_eq!(trace.sync_points(), 1);
         assert_eq!(trace.records[0].span, 50);
@@ -241,9 +294,30 @@ mod tests {
 
     #[test]
     fn delta_tracker_is_silent_without_recorder() {
-        let mut dt = DeltaTracker::new();
-        let c = Counters { edges_traversed: 5, ..Default::default() };
-        dt.flush("iteration", &c, RecorderCtx::none());
+        let pool = ThreadPool::new(1);
+        let mut log = RunLog::new(RecorderCtx::none());
+        log.counters.edges_traversed = 5;
+        assert!(log.iteration(&pool, 1, 1, Dir::Push).is_continue());
+        let out = log.finish(AlgorithmResult::Triangles(0));
+        assert_eq!(out.counters.edges_traversed, 5);
+        assert!(!out.cancelled);
+    }
+
+    #[test]
+    fn tripped_token_stops_the_run_with_partial_counters() {
+        let pool = ThreadPool::new(2);
+        let token = CancelToken::new();
+        pool.set_cancel_token(Some(token.clone()));
+        let mut log = RunLog::new(RecorderCtx::none());
+        log.counters.edges_traversed += 10;
+        assert!(log.iteration(&pool, 1, 4, Dir::Push).is_continue());
+        token.cancel();
+        log.counters.edges_traversed += 3;
+        assert!(log.iteration(&pool, 2, 4, Dir::Push).is_break(), "tripped token must stop");
+        pool.set_cancel_token(None);
+        let out = log.finish(AlgorithmResult::Triangles(0));
+        assert!(out.cancelled);
+        assert_eq!(out.counters.edges_traversed, 13, "partial work stays reported");
     }
 
     #[cfg(feature = "trace")]
@@ -251,38 +325,66 @@ mod tests {
         use super::*;
         use epg_trace::{RunRecorder, TraceEvent};
 
+        fn delta(region: &str, edges: u64, bytes_read: u64, iterations: u32) -> TraceEvent {
+            TraceEvent::CountersDelta {
+                region: region.into(),
+                edges,
+                vertices: 0,
+                bytes_read,
+                bytes_written: 0,
+                iterations,
+            }
+        }
+
         #[test]
         fn events_reach_the_recorder() {
+            // One step: Region, then the "iteration" delta, then the
+            // Iteration event; `finish` flushes what came after as
+            // "finalize".
+            let pool = ThreadPool::new(1);
             let rec = RunRecorder::new();
             let ctx = RecorderCtx::new(&rec);
             assert!(ctx.is_enabled());
-            ctx.iteration(2, 7, Dir::Pull);
-            let mut t = Tracer::new(ctx);
-            t.parallel(10, 2, 80);
+            let mut log = RunLog::new(ctx);
+            log.counters.edges_traversed += 10;
+            log.counters.iterations += 1;
+            log.parallel(10, 20, 80);
+            assert!(log.iteration(&pool, 2, 7, Dir::Pull).is_continue());
+            log.counters.bytes_read = 80;
+            let out = log.finish(AlgorithmResult::Triangles(0));
             assert_eq!(
                 rec.events(),
                 vec![
+                    TraceEvent::Region { work: 10, span: 10, bytes: 80, parallel: true },
+                    delta("iteration", 10, 0, 1),
                     TraceEvent::Iteration { iter: 2, frontier: 7, dir: Dir::Pull },
-                    TraceEvent::Region { work: 10, span: 2, bytes: 80, parallel: true },
+                    delta("finalize", 0, 80, 0),
                 ]
             );
+            assert_eq!(sum_counter_deltas(&rec.events()), out.counters);
         }
 
         #[test]
         fn delta_flushes_sum_to_the_final_counters() {
+            let pool = ThreadPool::new(1);
             let rec = RunRecorder::new();
-            let ctx = RecorderCtx::new(&rec);
-            let mut dt = DeltaTracker::new();
-            let mut c = Counters::default();
-            c.edges_traversed += 10;
-            c.bytes_read += 80;
-            dt.flush("iteration", &c, ctx);
-            c.edges_traversed += 5;
-            c.iterations = 2;
-            dt.flush("iteration", &c, ctx);
-            dt.flush("finalize", &c, ctx); // zero delta: suppressed
-            assert_eq!(sum_counter_deltas(&rec.events()), c);
-            assert_eq!(rec.len(), 2);
+            let mut log = RunLog::new(RecorderCtx::new(&rec));
+            log.counters.edges_traversed += 10;
+            log.counters.bytes_read += 80;
+            let _ = log.iteration(&pool, 1, 1, Dir::Push);
+            log.counters.edges_traversed += 5;
+            log.counters.iterations = 2;
+            let _ = log.iteration(&pool, 2, 1, Dir::Push);
+            // Nothing moved since the last step: the finalize delta is
+            // zero and suppressed.
+            let out = log.finish(AlgorithmResult::Triangles(0));
+            assert_eq!(sum_counter_deltas(&rec.events()), out.counters);
+            let deltas = rec
+                .events()
+                .iter()
+                .filter(|e| matches!(e, TraceEvent::CountersDelta { .. }))
+                .count();
+            assert_eq!(deltas, 2);
         }
     }
 }

@@ -6,25 +6,25 @@
 //! source (exact Brandes); `Some(k)` samples `k` sources and scales the
 //! estimate by `n / k`, as approximate BC implementations do.
 
-use epg_engine_api::{AlgorithmResult, Counters, RunOutput, Trace};
+use epg_engine_api::{AlgorithmResult, Dir, Partial, RunLog, RunOutput, RunParams};
 use epg_graph::{Csr, VertexId};
-use epg_parallel::{AtomicF64, DisjointWriter, Schedule, ThreadPool};
-use parking_lot::Mutex;
+use epg_parallel::{AtomicF64, Schedule};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, Ordering};
 
-/// Runs betweenness centrality over out-edges.
-pub fn betweenness(g: &Csr, pool: &ThreadPool, sources: Option<usize>, seed: u64) -> RunOutput {
+/// Runs betweenness centrality over out-edges, from every source or from
+/// `params.bc_sources` sources sampled with `seed`.
+pub fn betweenness(g: &Csr, params: &RunParams<'_>, seed: u64) -> RunOutput {
+    let pool = params.pool;
     let n = g.num_vertices();
-    let mut counters = Counters::default();
-    let mut trace = Trace::default();
+    let mut log = RunLog::new(params.recorder);
     let mut bc = vec![0.0f64; n];
     if n == 0 {
-        return RunOutput::new(AlgorithmResult::Centrality(bc), counters, trace);
+        return log.finish(AlgorithmResult::Centrality(bc));
     }
 
-    let source_list: Vec<VertexId> = match sources {
+    let source_list: Vec<VertexId> = match params.bc_sources {
         None => (0..n as VertexId).collect(),
         Some(k) => {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -36,20 +36,14 @@ pub fn betweenness(g: &Csr, pool: &ThreadPool, sources: Option<usize>, seed: u64
     // Per-source state, reused across sources.
     let sigma: Vec<AtomicF64> = (0..n).map(|_| AtomicF64::new(0.0)).collect();
     let dist: Vec<AtomicI64> = (0..n).map(|_| AtomicI64::new(-1)).collect();
-    let mut delta = vec![0.0f64; n];
+    let delta: Vec<AtomicF64> = (0..n).map(|_| AtomicF64::new(0.0)).collect();
 
     for &s in &source_list {
         pool.parallel_for(n, Schedule::Static { chunk: None }, |v| {
             sigma[v].store(0.0, Ordering::Relaxed);
             dist[v].store(-1, Ordering::Relaxed);
+            delta[v].store(0.0, Ordering::Relaxed);
         });
-        {
-            let dw = DisjointWriter::new(&mut delta);
-            // SAFETY: parallel_for hands each index v to exactly one worker.
-            pool.parallel_for(n, Schedule::Static { chunk: None }, |v| unsafe {
-                dw.write(v, 0.0);
-            });
-        }
         sigma[s as usize].store(1.0, Ordering::Relaxed);
         dist[s as usize].store(0, Ordering::Relaxed);
 
@@ -61,111 +55,100 @@ pub fn betweenness(g: &Csr, pool: &ThreadPool, sources: Option<usize>, seed: u64
                 levels.pop();
                 break;
             }
-            let scanned = AtomicU64::new(0);
-            let next: Mutex<Vec<VertexId>> = Mutex::new(Vec::with_capacity(frontier.len()));
-            pool.parallel_for_ranges(
-                frontier.len(),
-                Schedule::Guided { min_chunk: 16 },
-                |_tid, lo, hi| {
-                    let mut local = Vec::with_capacity(hi - lo);
-                    let mut sc = 0u64;
-                    for &u in &frontier[lo..hi] {
-                        let su = sigma[u as usize].load(Ordering::Relaxed);
-                        for &v in g.neighbors(u) {
-                            sc += 1;
-                            let dv = dist[v as usize].load(Ordering::Relaxed);
-                            if dv < 0
-                                && dist[v as usize]
-                                    .compare_exchange(
-                                        -1,
-                                        depth + 1,
-                                        Ordering::Relaxed,
-                                        Ordering::Relaxed,
-                                    )
-                                    .is_ok()
-                            {
-                                local.push(v);
-                            }
-                            if dist[v as usize].load(Ordering::Relaxed) == depth + 1 {
-                                sigma[v as usize].fetch_add(su, Ordering::Relaxed);
-                            }
+            let sched = Schedule::Guided { min_chunk: 16 };
+            let step = Partial::collect(pool, frontier.len(), sched, |lo, hi| {
+                let mut found = Vec::with_capacity(hi - lo);
+                let mut edges = 0u64;
+                for &u in &frontier[lo..hi] {
+                    let su = sigma[u as usize].load(Ordering::Relaxed);
+                    for &v in g.neighbors(u) {
+                        edges += 1;
+                        let dv = dist[v as usize].load(Ordering::Relaxed);
+                        if dv < 0
+                            && dist[v as usize]
+                                .compare_exchange(
+                                    -1,
+                                    depth + 1,
+                                    Ordering::Relaxed,
+                                    Ordering::Relaxed,
+                                )
+                                .is_ok()
+                        {
+                            found.push(v);
+                        }
+                        if dist[v as usize].load(Ordering::Relaxed) == depth + 1 {
+                            sigma[v as usize].fetch_add(su, Ordering::Relaxed);
                         }
                     }
-                    scanned.fetch_add(sc, Ordering::Relaxed);
-                    if !local.is_empty() {
-                        next.lock().append(&mut local);
-                    }
-                },
-            );
-            let scanned = scanned.load(Ordering::Relaxed);
-            counters.edges_traversed += scanned;
-            trace.parallel(scanned.max(1), 1, scanned * 12);
+                }
+                Partial { found, edges, max_degree: 0 }
+            });
+            log.counters.edges_traversed += step.edges;
+            log.parallel(step.edges.max(1), 1, step.edges * 12);
             depth += 1;
-            levels.push(next.into_inner());
+            levels.push(step.found);
         }
 
         // ---- backward phase: dependency accumulation per level ----
         for (d, level) in levels.iter().enumerate().rev() {
             let d = d as i64;
-            let scanned = AtomicU64::new(0);
-            {
-                // Writes touch only level-d vertices (disjoint per thread);
-                // reads touch only level-(d+1) vertices, finalized by the
-                // previous pass — no overlap, so the writer contract holds.
-                let dw = DisjointWriter::new(&mut delta);
-                pool.parallel_for_ranges(
-                    level.len(),
-                    Schedule::Guided { min_chunk: 16 },
-                    |_tid, lo, hi| {
-                        let mut sc = 0u64;
-                        for &w in &level[lo..hi] {
-                            let mut acc = 0.0;
-                            let sw = sigma[w as usize].load(Ordering::Relaxed);
-                            for &v in g.neighbors(w) {
-                                sc += 1;
-                                if dist[v as usize].load(Ordering::Relaxed) == d + 1 {
-                                    // SAFETY: v is at level d+1, already
-                                    // finalized; w is at level d, written
-                                    // only by this thread this pass.
-                                    let dv = unsafe { *dw.get_raw(v as usize) };
-                                    acc +=
-                                        sw / sigma[v as usize].load(Ordering::Relaxed) * (1.0 + dv);
-                                }
-                            }
-                            // SAFETY: w is owned by this thread's chunk of
-                            // the level-d frontier; no other worker writes it.
-                            unsafe { dw.write(w as usize, acc) };
+            // Writes touch only level-d vertices (one worker each); reads
+            // touch only level-(d+1) vertices, finalized by the previous
+            // pass. Atomic cells keep the shared reads sound.
+            let accumulate = |lo: usize, hi: usize| {
+                let mut scanned = 0u64;
+                for &w in &level[lo..hi] {
+                    let mut acc = 0.0;
+                    let sw = sigma[w as usize].load(Ordering::Relaxed);
+                    for &v in g.neighbors(w) {
+                        scanned += 1;
+                        if dist[v as usize].load(Ordering::Relaxed) == d + 1 {
+                            let dv = delta[v as usize].load(Ordering::Relaxed);
+                            acc += sw / sigma[v as usize].load(Ordering::Relaxed) * (1.0 + dv);
                         }
-                        scanned.fetch_add(sc, Ordering::Relaxed);
-                    },
-                );
-            }
-            let scanned = scanned.load(Ordering::Relaxed);
-            counters.edges_traversed += scanned;
-            trace.parallel(scanned.max(1), 1, scanned * 16);
+                    }
+                    delta[w as usize].store(acc, Ordering::Relaxed);
+                }
+                scanned
+            };
+            let sched = Schedule::Guided { min_chunk: 16 };
+            let scanned =
+                pool.parallel_reduce_ranges(level.len(), sched, || 0, accumulate, |a, b| a + b);
+            log.counters.edges_traversed += scanned;
+            log.parallel(scanned.max(1), 1, scanned * 16);
         }
-        for (v, &dv) in delta.iter().enumerate() {
+        for (v, dv) in delta.iter().enumerate() {
             if v as VertexId != s {
-                bc[v] += dv * scale;
+                bc[v] += dv.load(Ordering::Relaxed) * scale;
             }
         }
-        counters.iterations += 1;
-        counters.vertices_touched += n as u64;
+        log.counters.iterations += 1;
+        log.counters.vertices_touched += n as u64;
+        // One iteration per source: `frontier` is that source's depth.
+        if log.iteration(pool, log.counters.iterations, levels.len() as u64, Dir::Push).is_break() {
+            break;
+        }
     }
-    counters.bytes_read = counters.edges_traversed * 12;
-    counters.bytes_written = counters.vertices_touched * 8;
-    RunOutput::new(AlgorithmResult::Centrality(bc), counters, trace)
+    log.counters.bytes_read = log.counters.edges_traversed * 12;
+    log.counters.bytes_written = log.counters.vertices_touched * 8;
+    log.finish(AlgorithmResult::Centrality(bc))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use epg_graph::{oracle, EdgeList};
+    use epg_parallel::ThreadPool;
+
+    fn run(g: &Csr, pool: &ThreadPool, sources: Option<usize>, seed: u64) -> RunOutput {
+        let params = RunParams { bc_sources: sources, ..RunParams::new(pool, None) };
+        betweenness(g, &params, seed)
+    }
 
     fn exact(el: &EdgeList) -> Vec<f64> {
         let g = Csr::from_edge_list(el);
         let pool = ThreadPool::new(3);
-        let out = betweenness(&g, &pool, None, 0);
+        let out = run(&g, &pool, None, 0);
         let AlgorithmResult::Centrality(bc) = out.result else { panic!() };
         bc
     }
@@ -205,7 +188,7 @@ mod tests {
         let el = EdgeList::new(40, (1..40).map(|v| (0u32, v)).collect::<Vec<_>>()).symmetrized();
         let g = Csr::from_edge_list(&el);
         let pool = ThreadPool::new(2);
-        let out = betweenness(&g, &pool, Some(8), 3);
+        let out = run(&g, &pool, Some(8), 3);
         let AlgorithmResult::Centrality(bc) = out.result else { panic!() };
         assert!(bc[0] > 0.0);
         let hub = bc[0];
@@ -219,8 +202,8 @@ mod tests {
         let el = epg_generator::uniform::generate(60, 300, false, 1).symmetrized();
         let g = Csr::from_edge_list(&el);
         let pool = ThreadPool::new(2);
-        let a = betweenness(&g, &pool, Some(4), 9);
-        let b = betweenness(&g, &pool, Some(4), 9);
+        let a = run(&g, &pool, Some(4), 9);
+        let b = run(&g, &pool, Some(4), 9);
         assert_eq!(a.result, b.result);
     }
 }

@@ -9,26 +9,23 @@
 
 use crate::structures::{Bitmap, SlidingQueue};
 use crate::GapConfig;
-use epg_engine_api::{
-    AlgorithmResult, Counters, DeltaTracker, Dir, RecorderCtx, RunOutput, Tracer,
-};
+use epg_engine_api::{AlgorithmResult, Dir, Partial, RunLog, RunOutput, RunParams};
 use epg_graph::{Csr, VertexId, NO_VERTEX};
 use epg_parallel::{Schedule, ThreadPool};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 
-/// Runs direction-optimizing BFS from `root`. `g` holds out-edges, `gt`
-/// in-edges (identical for symmetric graphs). `rec` is the telemetry
-/// sink; per-step events carry the frontier size and whether the step
-/// ran push (top-down), pull (bottom-up), or was the hybrid switch.
+/// Runs direction-optimizing BFS from `params.root`. `g` holds out-edges,
+/// `gt` in-edges (identical for symmetric graphs). Per-step telemetry
+/// events carry the frontier size and whether the step ran push
+/// (top-down), pull (bottom-up), or was the hybrid switch.
 pub fn direction_optimizing_bfs(
     g: &Csr,
     gt: &Csr,
-    root: VertexId,
-    pool: &ThreadPool,
     cfg: &GapConfig,
-    rec: RecorderCtx<'_>,
+    params: &RunParams<'_>,
 ) -> RunOutput {
+    let (pool, rec) = (params.pool, params.recorder);
+    let root = params.root.expect("BFS needs a root");
     let n = g.num_vertices();
     let m = g.num_edges() as u64;
     let parent: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(NO_VERTEX)).collect();
@@ -41,20 +38,13 @@ pub fn direction_optimizing_bfs(
     queue.push(root);
     queue.slide_window();
 
-    let mut counters = Counters::default();
-    let mut trace = Tracer::new(rec);
-    let mut deltas = DeltaTracker::new();
+    let mut log = RunLog::new(rec);
     let mut depth = 0u32;
     let mut edges_to_check = m;
     let mut scout = g.out_degree(root) as u64;
     let mut bitmaps_reported = false;
-    let mut cancelled = false;
 
-    while !queue.window_is_empty() {
-        if pool.is_cancelled() {
-            cancelled = true;
-            break;
-        }
+    'run: while !queue.window_is_empty() {
         if cfg.direction_optimizing && scout > edges_to_check / cfg.alpha.max(1) {
             // ---- bottom-up phase ----
             let mut front = Bitmap::new(n);
@@ -74,25 +64,24 @@ pub fn direction_optimizing_bfs(
                 let (new_awake, scanned, max_scan) =
                     bottom_up_step(gt, &parent, &level, &front, &next, depth, pool);
                 awake = new_awake;
-                counters.edges_traversed += scanned;
-                counters.vertices_touched += awake;
+                log.counters.edges_traversed += scanned;
+                log.counters.vertices_touched += awake;
                 // Span is the largest *actual* per-vertex scan: bottom-up
                 // stops at the first frontier neighbor, so hubs rarely pay
                 // their full in-degree — the reason direction-optimized BFS
                 // keeps scaling (Fig. 5).
-                trace.parallel(scanned.max(1), max_scan.max(1), scanned * 8 + awake * 8);
-                deltas.flush("iteration", &counters, rec);
+                log.parallel(scanned.max(1), max_scan.max(1), scanned * 8 + awake * 8);
                 // The step that flipped the direction is the hybrid
                 // switch; subsequent bottom-up steps are plain pulls.
-                rec.iteration(depth, old_awake, if switched { Dir::Hybrid } else { Dir::Pull });
+                let dir = if switched { Dir::Hybrid } else { Dir::Pull };
+                if log.iteration(pool, depth, old_awake, dir).is_break() {
+                    break 'run;
+                }
                 switched = false;
                 front = next;
-                if awake == 0 || pool.is_cancelled() {
-                    break;
-                }
                 // GAP keeps going bottom-up while the frontier still grows
                 // or remains above n / β.
-                if !(awake >= old_awake || awake > n as u64 / cfg.beta.max(1)) {
+                if awake == 0 || !(awake >= old_awake || awake > n as u64 / cfg.beta.max(1)) {
                     break;
                 }
             }
@@ -104,32 +93,36 @@ pub fn direction_optimizing_bfs(
             // ---- top-down step ----
             depth += 1;
             let frontier = queue.window_len() as u64;
-            let (checked, new_scout, max_deg, discovered) =
-                top_down_step(g, &parent, &level, &mut queue, depth, pool);
-            counters.edges_traversed += checked;
-            counters.vertices_touched += discovered;
-            edges_to_check = edges_to_check.saturating_sub(checked);
+            let (step, new_scout) = top_down_step(g, &parent, &level, &mut queue, depth, pool);
+            let discovered = step.found.len() as u64;
+            log.counters.edges_traversed += step.edges;
+            log.counters.vertices_touched += discovered;
+            edges_to_check = edges_to_check.saturating_sub(step.edges);
             scout = new_scout;
-            trace.parallel(checked.max(1), max_deg.max(1), checked * 8 + discovered * 12);
-            deltas.flush("iteration", &counters, rec);
-            rec.iteration(depth, frontier, Dir::Push);
+            log.parallel(
+                step.edges.max(1),
+                step.max_degree.max(1),
+                step.edges * 8 + discovered * 12,
+            );
+            if log.iteration(pool, depth, frontier, Dir::Push).is_break() {
+                break;
+            }
             queue.slide_window();
         }
-        counters.iterations += 1;
+        log.counters.iterations += 1;
     }
 
-    counters.bytes_read = counters.edges_traversed * 8;
-    counters.bytes_written = counters.vertices_touched * 12;
-    deltas.flush("finalize", &counters, rec);
+    log.counters.bytes_read = log.counters.edges_traversed * 8;
+    log.counters.bytes_written = log.counters.vertices_touched * 12;
     parent[root as usize].store(NO_VERTEX, Ordering::Relaxed);
     let parent: Vec<VertexId> = parent.iter().map(|p| p.load(Ordering::Relaxed)).collect();
     let level: Vec<u32> = level.iter().map(|l| l.load(Ordering::Relaxed)).collect();
-    RunOutput::new(AlgorithmResult::BfsTree { parent, level }, counters, trace.into_trace())
-        .cancelled(cancelled)
+    log.finish(AlgorithmResult::BfsTree { parent, level })
 }
 
-/// One top-down step. Returns (edges checked, scout count = out-degrees of
-/// newly discovered vertices, max frontier degree, vertices discovered).
+/// One top-down step: claims the window's unvisited out-neighbors, pushes
+/// them onto the queue and returns them (with edges checked and max
+/// frontier degree) plus the scout count — their out-degrees summed.
 fn top_down_step(
     g: &Csr,
     parent: &[AtomicU32],
@@ -137,48 +130,37 @@ fn top_down_step(
     queue: &mut SlidingQueue,
     depth: u32,
     pool: &ThreadPool,
-) -> (u64, u64, u64, u64) {
-    let window = queue.window().to_vec();
-    let checked = AtomicU64::new(0);
-    let scout = AtomicU64::new(0);
-    let max_deg = AtomicU64::new(0);
-    let discovered: Mutex<Vec<VertexId>> = Mutex::new(Vec::new());
-    pool.parallel_for_ranges(window.len(), Schedule::Guided { min_chunk: 16 }, |_tid, lo, hi| {
-        let mut local: Vec<VertexId> = Vec::with_capacity(hi - lo);
-        let mut local_checked = 0u64;
-        let mut local_scout = 0u64;
-        let mut local_max = 0u64;
+) -> (Partial<VertexId>, u64) {
+    let window = queue.window();
+    let expand = |lo: usize, hi: usize| {
+        let mut found: Vec<VertexId> = Vec::with_capacity(hi - lo);
+        let (mut edges, mut scout, mut max_degree) = (0u64, 0u64, 0u64);
         for &u in &window[lo..hi] {
-            local_max = local_max.max(g.out_degree(u) as u64);
+            max_degree = max_degree.max(g.out_degree(u) as u64);
             for &v in g.neighbors(u) {
-                local_checked += 1;
+                edges += 1;
                 if parent[v as usize].load(Ordering::Relaxed) == NO_VERTEX
                     && parent[v as usize]
                         .compare_exchange(NO_VERTEX, u, Ordering::Relaxed, Ordering::Relaxed)
                         .is_ok()
                 {
                     level[v as usize].store(depth, Ordering::Relaxed);
-                    local_scout += g.out_degree(v) as u64;
-                    local.push(v);
+                    scout += g.out_degree(v) as u64;
+                    found.push(v);
                 }
             }
         }
-        checked.fetch_add(local_checked, Ordering::Relaxed);
-        scout.fetch_add(local_scout, Ordering::Relaxed);
-        max_deg.fetch_max(local_max, Ordering::Relaxed);
-        if !local.is_empty() {
-            discovered.lock().append(&mut local);
-        }
-    });
-    let discovered = discovered.into_inner();
-    let count = discovered.len() as u64;
-    queue.push_all(&discovered);
-    (
-        checked.load(Ordering::Relaxed),
-        scout.load(Ordering::Relaxed),
-        max_deg.load(Ordering::Relaxed),
-        count,
-    )
+        (Partial { found, edges, max_degree }, scout)
+    };
+    let (step, scout) = pool.parallel_reduce_ranges(
+        window.len(),
+        Schedule::Guided { min_chunk: 16 },
+        Default::default,
+        expand,
+        |a, b| (a.0.merge(b.0), a.1 + b.1),
+    );
+    queue.push_all(&step.found);
+    (step, scout)
 }
 
 /// One bottom-up step. Returns (vertices awakened, edges scanned, largest
@@ -192,14 +174,8 @@ fn bottom_up_step(
     depth: u32,
     pool: &ThreadPool,
 ) -> (u64, u64, u64) {
-    let n = gt.num_vertices();
-    let awake = AtomicU64::new(0);
-    let scanned = AtomicU64::new(0);
-    let max_scan = AtomicU64::new(0);
-    pool.parallel_for_ranges(n, Schedule::Guided { min_chunk: 64 }, |_tid, lo, hi| {
-        let mut local_awake = 0u64;
-        let mut local_scanned = 0u64;
-        let mut local_max = 0u64;
+    let scan = |lo: usize, hi: usize| {
+        let (mut awake, mut scanned, mut max_scan) = (0u64, 0u64, 0u64);
         for v in lo..hi {
             if parent[v].load(Ordering::Relaxed) != NO_VERTEX {
                 continue;
@@ -212,21 +188,21 @@ fn bottom_up_step(
                     parent[v].store(u, Ordering::Relaxed);
                     level[v].store(depth, Ordering::Relaxed);
                     next.set(v);
-                    local_awake += 1;
+                    awake += 1;
                     break;
                 }
             }
-            local_scanned += this_scan;
-            local_max = local_max.max(this_scan);
+            scanned += this_scan;
+            max_scan = max_scan.max(this_scan);
         }
-        awake.fetch_add(local_awake, Ordering::Relaxed);
-        scanned.fetch_add(local_scanned, Ordering::Relaxed);
-        max_scan.fetch_max(local_max, Ordering::Relaxed);
-    });
-    (
-        awake.load(Ordering::Relaxed),
-        scanned.load(Ordering::Relaxed),
-        max_scan.load(Ordering::Relaxed),
+        (awake, scanned, max_scan)
+    };
+    pool.parallel_reduce_ranges(
+        gt.num_vertices(),
+        Schedule::Guided { min_chunk: 64 },
+        || (0, 0, 0),
+        scan,
+        |a, b| (a.0 + b.0, a.1 + b.1, a.2.max(b.2)),
     )
 }
 
@@ -242,7 +218,7 @@ mod tests {
         let want = oracle::bfs(&g, root);
         for dir_opt in [false, true] {
             let cfg = GapConfig { direction_optimizing: dir_opt, ..Default::default() };
-            let out = direction_optimizing_bfs(&g, &gt, root, &pool, &cfg, RecorderCtx::none());
+            let out = direction_optimizing_bfs(&g, &gt, &cfg, &RunParams::new(&pool, Some(root)));
             let AlgorithmResult::BfsTree { parent, level } = out.result else { panic!() };
             assert_eq!(level, want.level, "dir_opt={dir_opt}");
             epg_graph::validate::validate_bfs_tree(&g, root, &parent).unwrap();
@@ -276,8 +252,8 @@ mod tests {
         let g = Csr::from_edge_list(&el);
         let gt = g.transpose();
         let pool = ThreadPool::new(2);
-        let out =
-            direction_optimizing_bfs(&g, &gt, 0, &pool, &GapConfig::default(), RecorderCtx::none());
+        let params = RunParams::new(&pool, Some(0));
+        let out = direction_optimizing_bfs(&g, &gt, &GapConfig::default(), &params);
         // Each BFS step records one region; a bottom-up phase may record
         // several steps under a single outer iteration.
         assert!(out.trace.records.len() as u32 >= out.counters.iterations);

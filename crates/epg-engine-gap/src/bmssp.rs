@@ -32,7 +32,7 @@
 //! the head slot; distances map back through the head.
 
 use crate::radix::dist_to_key;
-use epg_engine_api::{AlgorithmResult, Counters, RunOutput, Trace};
+use epg_engine_api::{AlgorithmResult, Dir, RunLog, RunOutput, RunParams};
 use epg_graph::{Csr, VertexId, Weight, INF_DIST};
 use epg_parallel::ThreadPool;
 use std::cmp::Reverse;
@@ -324,7 +324,7 @@ struct Ctx<'a> {
     stamp: u64,
     k: usize,
     t: usize,
-    counters: Counters,
+    log: RunLog<'a>,
     completed: u64,
     cancelled: bool,
     poll: u32,
@@ -338,14 +338,14 @@ impl Ctx<'_> {
         (dist_to_key(self.dist[v as usize]) << 32) | v as u64
     }
 
+    /// Counts a unit of work; every 1024th reports progress (the vertices
+    /// completed so far stand in for a frontier) and polls the token.
     #[inline]
     fn poll_cancel(&mut self) -> bool {
-        if self.cancelled {
-            return true;
-        }
         self.poll = self.poll.wrapping_add(1);
-        if self.poll & 1023 == 0 && self.pool.is_cancelled() {
-            self.cancelled = true;
+        if !self.cancelled && self.poll & 1023 == 0 {
+            let report = self.log.iteration(self.pool, self.poll >> 10, self.completed, Dir::Push);
+            self.cancelled = report.is_break();
         }
         self.cancelled
     }
@@ -362,7 +362,7 @@ impl Ctx<'_> {
     /// ties (see module docs) so the returned bound is a clean cut: every
     /// vertex reachable below it through `x` is complete.
     fn base_case(&mut self, b: u64, x: VertexId) -> (u64, Vec<VertexId>) {
-        self.counters.iterations = self.counters.iterations.saturating_add(1);
+        self.log.counters.iterations = self.log.counters.iterations.saturating_add(1);
         let g = self.g;
         let mut u0: Vec<VertexId> = Vec::new();
         let mut heap: BinaryHeap<Reverse<(u64, VertexId)>> = BinaryHeap::new();
@@ -389,7 +389,7 @@ impl Ctx<'_> {
             max_settled = kk;
             let du = self.dist[u as usize];
             for (v, w) in g.edges(u) {
-                self.counters.edges_traversed += 1;
+                self.log.counters.edges_traversed += 1;
                 let nd = du + w;
                 let dv = self.dist[v as usize];
                 if nd < dv {
@@ -430,7 +430,7 @@ impl Ctx<'_> {
             for &u in &frontier {
                 let du = self.dist[u as usize];
                 for (v, wt) in g.edges(u) {
-                    self.counters.edges_traversed += 1;
+                    self.log.counters.edges_traversed += 1;
                     let nd = du + wt;
                     let dv = self.dist[v as usize];
                     if nd < dv {
@@ -491,7 +491,7 @@ impl Ctx<'_> {
                 Some(&x) => self.base_case(b, x),
             };
         }
-        self.counters.iterations = self.counters.iterations.saturating_add(1);
+        self.log.counters.iterations = self.log.counters.iterations.saturating_add(1);
         let g = self.g;
         let (p, w) = self.find_pivots(b, &s);
         let m_cap = 1usize << ((l - 1) * self.t).min(MAX_SHIFT);
@@ -526,7 +526,7 @@ impl Ctx<'_> {
             for &u in &ui {
                 let du = self.dist[u as usize];
                 for (v, wt) in g.edges(u) {
-                    self.counters.edges_traversed += 1;
+                    self.log.counters.edges_traversed += 1;
                     let nd = du + wt;
                     let dv = self.dist[v as usize];
                     if nd < dv {
@@ -579,16 +579,17 @@ impl Ctx<'_> {
     }
 }
 
-/// Runs BMSSP from `root`. The pool is used for cooperative cancellation
+/// Runs BMSSP from `params.root`. The pool is used for cooperative cancellation
 /// polling only — the kernel is single-threaded and its trace records a
 /// serial region, like [`crate::radix::dijkstra_radix_heap`].
-pub fn bmssp_sssp(g: &Csr, root: VertexId, pool: &ThreadPool) -> RunOutput {
+pub fn bmssp_sssp(g: &Csr, params: &RunParams<'_>) -> RunOutput {
+    let pool = params.pool;
+    let root = params.root.expect("SSSP needs a root");
     let n = g.num_vertices();
-    let mut counters = Counters::default();
-    let mut trace = Trace::default();
+    let mut log = RunLog::new(params.recorder);
     if n == 0 {
-        trace.serial(1, 0);
-        return RunOutput::new(AlgorithmResult::Distances(Vec::new()), counters, trace);
+        log.serial(1, 0);
+        return log.finish(AlgorithmResult::Distances(Vec::new()));
     }
     let fg = build_graph(g);
     let np = fg.n;
@@ -611,7 +612,7 @@ pub fn bmssp_sssp(g: &Csr, root: VertexId, pool: &ThreadPool) -> RunOutput {
         stamp: 0,
         k,
         t,
-        counters: Counters::default(),
+        log,
         completed: 0,
         cancelled: false,
         poll: 0,
@@ -623,13 +624,14 @@ pub fn bmssp_sssp(g: &Csr, root: VertexId, pool: &ThreadPool) -> RunOutput {
         None => ctx.dist,
         Some(h) => (0..n).map(|v| ctx.dist[h[v] as usize]).collect(),
     };
-    counters = ctx.counters;
-    counters.vertices_touched = ctx.completed;
-    counters.bytes_read = counters.edges_traversed * 12;
-    counters.bytes_written = ctx.completed * 8;
-    counters.iterations = counters.iterations.max(1);
-    trace.serial(counters.edges_traversed.max(1), counters.bytes_read + ctx.completed * 8);
-    RunOutput::new(AlgorithmResult::Distances(out), counters, trace).cancelled(ctx.cancelled)
+    let mut log = ctx.log;
+    log.counters.vertices_touched = ctx.completed;
+    log.counters.bytes_read = log.counters.edges_traversed * 12;
+    log.counters.bytes_written = ctx.completed * 8;
+    log.counters.iterations = log.counters.iterations.max(1);
+    log.serial(log.counters.edges_traversed.max(1), log.counters.bytes_read + ctx.completed * 8);
+    let _ = log.iteration(pool, (ctx.poll >> 10) + 1, ctx.completed, Dir::Push);
+    log.finish(AlgorithmResult::Distances(out))
 }
 
 #[cfg(test)]
@@ -640,7 +642,7 @@ mod tests {
     fn assert_exact(el: &EdgeList, root: VertexId) {
         let g = Csr::from_edge_list(el);
         let pool = ThreadPool::new(2);
-        let out = bmssp_sssp(&g, root, &pool);
+        let out = bmssp_sssp(&g, &RunParams::new(&pool, Some(root)));
         let AlgorithmResult::Distances(d) = out.result else { panic!() };
         let want = oracle::dijkstra(&g, root);
         assert_eq!(d.len(), want.len());
@@ -703,7 +705,7 @@ mod tests {
         let el = EdgeList::weighted(5, vec![(0, 1)], vec![2.5]);
         let g = Csr::from_edge_list(&el);
         let pool = ThreadPool::new(1);
-        let out = bmssp_sssp(&g, 0, &pool);
+        let out = bmssp_sssp(&g, &RunParams::new(&pool, Some(0)));
         let AlgorithmResult::Distances(d) = out.result else { panic!() };
         assert_eq!(d[1], 2.5);
         assert!(d[2].is_infinite() && d[3].is_infinite() && d[4].is_infinite());
@@ -714,7 +716,7 @@ mod tests {
     fn empty_graph_is_fine() {
         let g = Csr::from_edge_list(&EdgeList::new(0, vec![]));
         let pool = ThreadPool::new(1);
-        let out = bmssp_sssp(&g, 0, &pool);
+        let out = bmssp_sssp(&g, &RunParams::new(&pool, Some(0)));
         let AlgorithmResult::Distances(d) = out.result else { panic!() };
         assert!(d.is_empty());
     }

@@ -36,6 +36,7 @@ pub use structures::{Bitmap, SlidingQueue};
 use epg_engine_api::{logfmt::LogStyle, Algorithm, Engine, EngineInfo, RunOutput, RunParams};
 use epg_graph::{ingest, Csr, EdgeList};
 use epg_parallel::ThreadPool;
+use std::borrow::Cow;
 use std::path::Path;
 
 /// How edge weights are stored (the GAP compile-time switch).
@@ -64,7 +65,7 @@ pub struct GapConfig {
     /// Weight storage.
     pub weight_repr: WeightRepr,
     /// Which SSSP kernel `run` dispatches to (raw-speed tier). The
-    /// default is the paper's Δ-stepping; `auto_tune` probes all three.
+    /// default is the paper's Δ-stepping.
     pub sssp_kernel: SsspKernel,
 }
 
@@ -166,12 +167,11 @@ impl Engine for GapEngine {
     }
 
     fn construct(&mut self, pool: &ThreadPool) {
-        let mut el = self.edge_list.as_ref().expect("no edge list loaded").clone();
+        // Only the integer cast mutates the weights, so only it pays a copy.
+        let mut el = Cow::Borrowed(self.edge_list.as_ref().expect("no edge list loaded"));
         if self.config.weight_repr == WeightRepr::Int {
-            if let Some(ws) = el.weights.as_mut() {
-                for w in ws.iter_mut() {
-                    *w = w.trunc();
-                }
+            for w in el.to_mut().weights.iter_mut().flatten() {
+                *w = w.trunc();
             }
         }
         // GAP builds CSR in parallel (histogram + prefix sum + scatter);
@@ -183,35 +183,36 @@ impl Engine for GapEngine {
 
     fn run(&mut self, algo: Algorithm, params: &RunParams<'_>) -> RunOutput {
         assert!(self.supports(algo), "GAP does not implement {algo:?}");
-        match algo {
-            Algorithm::Bfs => {
-                let root = params.root.expect("BFS needs a root");
-                bfs::direction_optimizing_bfs(
-                    self.csr(),
-                    self.csr_t(),
-                    root,
-                    params.pool,
-                    &self.config,
-                    params.recorder,
-                )
-            }
-            Algorithm::Sssp => {
-                let root = params.root.expect("SSSP needs a root");
-                // Unweighted graphs run with unit weights; a sub-unit Δ
-                // would only fragment the (integer) distance range into
-                // empty buckets, so hop-sized buckets are used instead.
-                let delta = if self.csr().is_weighted() { self.config.delta } else { 1.0 };
-                sssp::run_kernel(self.config.sssp_kernel, self.csr(), root, params.pool, delta)
-            }
-            Algorithm::PageRank => pr::pagerank(self.csr(), self.csr_t(), params),
-            Algorithm::Bc => bc::betweenness(self.csr(), params.pool, params.bc_sources, 0x6a0),
-            Algorithm::TriangleCount => tc::triangle_count(self.csr(), self.csr_t(), params.pool),
-            _ => unreachable!(),
-        }
+        dispatch(self.csr(), self.csr_t(), &self.config, algo, params)
     }
 
     fn log_style(&self) -> LogStyle {
         LogStyle::Gap
+    }
+}
+
+/// Runs `algo` on the CSR pair — the one kernel dispatch behind both
+/// [`GapEngine::run`] and [`GapQuery`]'s `query`.
+fn dispatch(
+    csr: &Csr,
+    csr_t: &Csr,
+    config: &GapConfig,
+    algo: Algorithm,
+    params: &RunParams<'_>,
+) -> RunOutput {
+    match algo {
+        Algorithm::Bfs => bfs::direction_optimizing_bfs(csr, csr_t, config, params),
+        Algorithm::Sssp => {
+            // Unweighted graphs run with unit weights; a sub-unit Δ
+            // would only fragment the (integer) distance range into
+            // empty buckets, so hop-sized buckets are used instead.
+            let delta = if csr.is_weighted() { config.delta } else { 1.0 };
+            sssp::dispatch_kernel(config.sssp_kernel, csr, delta, params)
+        }
+        Algorithm::PageRank => pr::pagerank(csr, csr_t, params),
+        Algorithm::Bc => bc::betweenness(csr, params, 0x6a0),
+        Algorithm::TriangleCount => tc::triangle_count(csr, csr_t, params),
+        _ => unreachable!("GAP does not implement {algo:?}"),
     }
 }
 

@@ -1,8 +1,6 @@
 //! Pull-mode PageRank with the homogenized L1 stopping criterion (§IV-A).
 
-use epg_engine_api::{
-    AlgorithmResult, Counters, DeltaTracker, Dir, RunOutput, RunParams, StoppingCriterion, Tracer,
-};
+use epg_engine_api::{AlgorithmResult, Dir, RunLog, RunOutput, RunParams, StoppingCriterion};
 use epg_graph::{Csr, VertexId};
 use epg_parallel::{DisjointWriter, Schedule};
 
@@ -17,15 +15,9 @@ pub fn pagerank(g: &Csr, gt: &Csr, params: &RunParams<'_>) -> RunOutput {
     let pool = params.pool;
     let rec = params.recorder;
     let stopping = params.stopping.unwrap_or(StoppingCriterion::paper_default());
-    let mut counters = Counters::default();
-    let mut trace = Tracer::new(rec);
-    let mut deltas = DeltaTracker::new();
+    let mut log = RunLog::new(rec);
     if n == 0 {
-        return RunOutput::new(
-            AlgorithmResult::Ranks { ranks: Vec::new(), iterations: 0 },
-            counters,
-            trace.into_trace(),
-        );
+        return log.finish(AlgorithmResult::Ranks { ranks: Vec::new(), iterations: 0 });
     }
     rec.alloc_hwm("gap.pr.rank+next", n as u64 * 16);
 
@@ -38,12 +30,7 @@ pub fn pagerank(g: &Csr, gt: &Csr, params: &RunParams<'_>) -> RunOutput {
     let max_in_deg = (0..n as VertexId).map(|v| gt.out_degree(v)).max().unwrap_or(0) as u64;
 
     let mut iterations = 0u32;
-    let mut cancelled = false;
     loop {
-        if pool.is_cancelled() {
-            cancelled = true;
-            break;
-        }
         iterations += 1;
         let sink_mass: f64 = sinks.iter().map(|&v| rank[v as usize]).sum::<f64>() / n as f64;
         {
@@ -77,24 +64,24 @@ pub fn pagerank(g: &Csr, gt: &Csr, params: &RunParams<'_>) -> RunOutput {
             |a, b| a + b,
         );
         std::mem::swap(&mut rank, &mut next);
-        counters.edges_traversed += m;
-        counters.vertices_touched += n as u64;
-        trace.parallel(m.max(1), max_in_deg.max(1), m * 12 + n as u64 * 16);
-        trace.parallel(n as u64, 1, n as u64 * 16); // convergence reductions
-        deltas.flush("iteration", &counters, rec);
-        // Pull-mode: every vertex is active every round.
-        rec.iteration(iterations, n as u64, Dir::Pull);
-        if stopping.is_converged(l1, changed) || iterations >= params.max_iterations {
+        log.counters.edges_traversed += m;
+        log.counters.vertices_touched += n as u64;
+        log.parallel(m.max(1), max_in_deg.max(1), m * 12 + n as u64 * 16);
+        log.parallel(n as u64, 1, n as u64 * 16); // convergence reductions
+                                                  // Pull-mode: every vertex is active every round.
+        let stop = log.iteration(pool, iterations, n as u64, Dir::Pull);
+        if stop.is_break()
+            || stopping.is_converged(l1, changed)
+            || iterations >= params.max_iterations
+        {
             break;
         }
     }
 
-    counters.iterations = iterations;
-    counters.bytes_read = counters.edges_traversed * 12;
-    counters.bytes_written = counters.vertices_touched * 8;
-    deltas.flush("finalize", &counters, rec);
-    RunOutput::new(AlgorithmResult::Ranks { ranks: rank, iterations }, counters, trace.into_trace())
-        .cancelled(cancelled)
+    log.counters.iterations = iterations;
+    log.counters.bytes_read = log.counters.edges_traversed * 12;
+    log.counters.bytes_written = log.counters.vertices_touched * 8;
+    log.finish(AlgorithmResult::Ranks { ranks: rank, iterations })
 }
 
 #[cfg(test)]

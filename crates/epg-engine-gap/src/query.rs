@@ -12,7 +12,7 @@
 //! for the duration of the run and restores the previous token even if
 //! the kernel unwinds.
 
-use crate::{bfs, pr, sssp, GapConfig, GapEngine};
+use crate::{dispatch, GapConfig, GapEngine};
 use epg_engine_api::{Algorithm, Engine, EngineInfo, QueryEngine, RunOutput, RunParams};
 use epg_graph::{Csr, VertexId};
 use epg_parallel::{CancelToken, ThreadPool};
@@ -91,26 +91,7 @@ impl QueryEngine for GapQuery {
             if let Some(token) = &params.cancel {
                 pool.set_cancel_token(Some(token.clone()));
             }
-            let out = match algo {
-                Algorithm::Bfs => {
-                    let root = params.root.expect("BFS needs a root");
-                    bfs::direction_optimizing_bfs(
-                        &self.csr,
-                        &self.csr_t,
-                        root,
-                        pool,
-                        &self.config,
-                        params.recorder,
-                    )
-                }
-                Algorithm::Sssp => {
-                    let root = params.root.expect("SSSP needs a root");
-                    let delta = if self.csr.is_weighted() { self.config.delta } else { 1.0 };
-                    sssp::run_kernel(self.config.sssp_kernel, &self.csr, root, pool, delta)
-                }
-                Algorithm::PageRank => pr::pagerank(&self.csr, &self.csr_t, params),
-                _ => unreachable!(),
-            };
+            let out = dispatch(&self.csr, &self.csr_t, &self.config, algo, params);
             drop(guard);
             out
         })

@@ -11,9 +11,8 @@
 //! are skipped by comparing the popped key against the vertex's current
 //! distance key, exactly like the lazy-deletion binary-heap oracle.
 
-use epg_engine_api::{AlgorithmResult, Counters, RunOutput, Trace};
+use epg_engine_api::{AlgorithmResult, Dir, RunLog, RunOutput, RunParams};
 use epg_graph::{Csr, VertexId, Weight, INF_DIST};
-use epg_parallel::ThreadPool;
 
 /// Order-preserving key mapping for non-negative distances: for
 /// `0.0 ≤ a ≤ b ≤ +∞`, `dist_to_key(a) ≤ dist_to_key(b)`, with equality
@@ -109,63 +108,65 @@ impl Default for RadixHeap {
     }
 }
 
-/// Sequential Dijkstra from `root` using the radix heap. Unweighted
+/// Sequential Dijkstra from `params.root` using the radix heap. Unweighted
 /// graphs behave as unit weights (`neighbors_weighted` yields 1.0). The
 /// pool is used only for cooperative cancellation polling — the kernel
 /// itself is single-threaded, and its trace records a serial region so
 /// the machine model does not credit it with parallel speedup.
-pub fn dijkstra_radix_heap(g: &Csr, root: VertexId, pool: &ThreadPool) -> RunOutput {
+pub fn dijkstra_radix_heap(g: &Csr, params: &RunParams<'_>) -> RunOutput {
+    let pool = params.pool;
+    let root = params.root.expect("SSSP needs a root");
     let n = g.num_vertices();
     let mut dist: Vec<Weight> = vec![INF_DIST; n];
-    let mut counters = Counters::default();
-    let mut trace = Trace::default();
-    let mut cancelled = false;
+    let mut log = RunLog::new(params.recorder);
     let mut settled = 0u64;
-
+    let mut heap = RadixHeap::new();
     if n > 0 {
         dist[root as usize] = 0.0;
-        let mut heap = RadixHeap::new();
         heap.push(dist_to_key(0.0), root);
-        let mut since_poll = 0u32;
-        while let Some((key, u)) = heap.pop() {
-            since_poll += 1;
-            if since_poll >= 1024 {
-                since_poll = 0;
-                if pool.is_cancelled() {
-                    cancelled = true;
-                    break;
-                }
-            }
-            let du = dist[u as usize];
-            // Stale entry: u was re-pushed with a smaller key after this
-            // entry was queued.
-            if key != dist_to_key(du) {
-                continue;
-            }
-            settled += 1;
-            for (v, w) in g.neighbors_weighted(u) {
-                counters.edges_traversed += 1;
-                let nd = du + w;
-                if nd < dist[v as usize] {
-                    dist[v as usize] = nd;
-                    heap.push(dist_to_key(nd), v);
-                }
+    }
+    // A sequential kernel has no rounds to report, so it reports (and
+    // polls) once per 1024 pops, with the heap size as the frontier.
+    let mut pops = 0u32;
+    while let Some((key, u)) = heap.pop() {
+        pops += 1;
+        if pops & 1023 == 0
+            && log.iteration(pool, pops >> 10, heap.len() as u64, Dir::Push).is_break()
+        {
+            break;
+        }
+        let du = dist[u as usize];
+        // Stale entry: u was re-pushed with a smaller key after this
+        // entry was queued.
+        if key != dist_to_key(du) {
+            continue;
+        }
+        settled += 1;
+        for (v, w) in g.neighbors_weighted(u) {
+            log.counters.edges_traversed += 1;
+            let nd = du + w;
+            if nd < dist[v as usize] {
+                dist[v as usize] = nd;
+                heap.push(dist_to_key(nd), v);
             }
         }
-        counters.iterations = (heap.redistributions as u32).max(1);
     }
-
-    counters.vertices_touched = settled;
-    counters.bytes_read = counters.edges_traversed * 12;
-    counters.bytes_written = settled * 8;
-    trace.serial(counters.edges_traversed.max(1), counters.bytes_read + settled * 8);
-    RunOutput::new(AlgorithmResult::Distances(dist), counters, trace).cancelled(cancelled)
+    if n > 0 {
+        log.counters.iterations = (heap.redistributions as u32).max(1);
+    }
+    log.counters.vertices_touched = settled;
+    log.counters.bytes_read = log.counters.edges_traversed * 12;
+    log.counters.bytes_written = settled * 8;
+    log.serial(log.counters.edges_traversed.max(1), log.counters.bytes_read + settled * 8);
+    let _ = log.iteration(pool, (pops >> 10) + 1, heap.len() as u64, Dir::Push);
+    log.finish(AlgorithmResult::Distances(dist))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use epg_graph::{oracle, EdgeList};
+    use epg_parallel::ThreadPool;
 
     #[test]
     fn key_mapping_is_order_preserving() {
@@ -242,7 +243,7 @@ mod tests {
         let el = epg_generator::uniform::generate(300, 2400, true, 13).symmetrized();
         let g = Csr::from_edge_list(&el);
         let pool = ThreadPool::new(2);
-        let out = dijkstra_radix_heap(&g, 4, &pool);
+        let out = dijkstra_radix_heap(&g, &RunParams::new(&pool, Some(4)));
         let AlgorithmResult::Distances(d) = out.result else { panic!() };
         let want = oracle::dijkstra(&g, 4);
         for v in 0..want.len() {
@@ -257,7 +258,7 @@ mod tests {
         let el = EdgeList::weighted(5, vec![(0, 1), (1, 2), (0, 2)], vec![0.0, 0.0, 0.5]);
         let g = Csr::from_edge_list(&el);
         let pool = ThreadPool::new(1);
-        let out = dijkstra_radix_heap(&g, 0, &pool);
+        let out = dijkstra_radix_heap(&g, &RunParams::new(&pool, Some(0)));
         let AlgorithmResult::Distances(d) = out.result else { panic!() };
         assert_eq!(d[0], 0.0);
         assert_eq!(d[1], 0.0);
@@ -269,7 +270,7 @@ mod tests {
     fn empty_graph_is_fine() {
         let g = Csr::from_edge_list(&EdgeList::new(0, vec![]));
         let pool = ThreadPool::new(1);
-        let out = dijkstra_radix_heap(&g, 0, &pool);
+        let out = dijkstra_radix_heap(&g, &RunParams::new(&pool, Some(0)));
         let AlgorithmResult::Distances(d) = out.result else { panic!() };
         assert!(d.is_empty());
     }

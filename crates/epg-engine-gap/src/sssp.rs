@@ -6,15 +6,12 @@
 //! atomic fetch-min on the distance array, exactly as GAP's OpenMP code
 //! does. Δ is a tunable (§V); the `ablation_delta` bench sweeps it.
 
-use epg_engine_api::{AlgorithmResult, Counters, RunOutput, SsspKernel, Trace};
+use epg_engine_api::{AlgorithmResult, Dir, Partial, RunLog, RunOutput, RunParams, SsspKernel};
 use epg_graph::{Csr, VertexId, Weight, INF_DIST};
 use epg_parallel::{AtomicF32, Schedule, ThreadPool};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
-/// Dispatches one SSSP run to the selected kernel of the raw-speed tier.
-/// `delta` only applies to Δ-stepping; the priority-queue kernels ignore
-/// it (they have no bucket width).
+/// [`dispatch_kernel`] with default run parameters (no telemetry sink).
 pub fn run_kernel(
     kernel: SsspKernel,
     g: &Csr,
@@ -22,92 +19,91 @@ pub fn run_kernel(
     pool: &ThreadPool,
     delta: f32,
 ) -> RunOutput {
+    dispatch_kernel(kernel, g, delta, &RunParams::new(pool, Some(root)))
+}
+
+/// Dispatches one SSSP run to the selected kernel of the raw-speed tier.
+/// `delta` only applies to Δ-stepping; the priority-queue kernels ignore
+/// it (they have no bucket width).
+pub fn dispatch_kernel(
+    kernel: SsspKernel,
+    g: &Csr,
+    delta: f32,
+    params: &RunParams<'_>,
+) -> RunOutput {
     match kernel {
-        SsspKernel::DeltaStepping => delta_stepping(g, root, pool, delta),
-        SsspKernel::RadixHeap => crate::radix::dijkstra_radix_heap(g, root, pool),
-        SsspKernel::Bmssp => crate::bmssp::bmssp_sssp(g, root, pool),
+        SsspKernel::DeltaStepping => delta_stepping(g, delta, params),
+        SsspKernel::RadixHeap => crate::radix::dijkstra_radix_heap(g, params),
+        SsspKernel::Bmssp => crate::bmssp::bmssp_sssp(g, params),
     }
 }
 
-/// Runs Δ-stepping from `root`. Unweighted graphs behave as unit weights.
-pub fn delta_stepping(g: &Csr, root: VertexId, pool: &ThreadPool, delta: f32) -> RunOutput {
+/// The bucket a tentative distance falls in.
+fn bucket_of(d: f32, delta: f32) -> usize {
+    (d / delta) as usize
+}
+
+/// Runs Δ-stepping from `params.root`. Unweighted graphs behave as unit
+/// weights.
+pub fn delta_stepping(g: &Csr, delta: f32, params: &RunParams<'_>) -> RunOutput {
     assert!(delta > 0.0, "delta must be positive");
+    let pool = params.pool;
+    let root = params.root.expect("SSSP needs a root");
     let n = g.num_vertices();
     let dist: Vec<AtomicF32> = (0..n).map(|_| AtomicF32::new(INF_DIST)).collect();
     dist[root as usize].store(0.0, Ordering::Relaxed);
 
-    let bucket_of = |d: f32| (d / delta) as usize;
     let mut buckets: Vec<Vec<VertexId>> = vec![Vec::new(); 64];
     buckets[0].push(root);
 
-    let mut counters = Counters::default();
-    let mut trace = Trace::default();
+    let mut log = RunLog::new(params.recorder);
     let mut settled_total = 0u64;
 
+    // Vertices settled in the current bucket (for the heavy pass).
+    let mut settled: Vec<VertexId> = Vec::new();
     let mut bi = 0usize;
-    let mut cancelled = false;
     while bi < buckets.len() {
-        if pool.is_cancelled() {
-            cancelled = true;
-            break;
-        }
         if buckets[bi].is_empty() {
             bi += 1;
             continue;
         }
-        // Vertices settled in this bucket (for the heavy pass).
-        let mut settled: Vec<VertexId> = Vec::new();
+        settled.clear();
         // ---- light-edge phase: iterate until the bucket stops refilling.
         while !buckets[bi].is_empty() {
             let frontier = std::mem::take(&mut buckets[bi]);
             settled.extend_from_slice(&frontier);
-            let inserts = relax_edges(
-                g,
-                &dist,
-                &frontier,
-                pool,
-                delta,
-                true,
-                bi,
-                bucket_of,
-                &mut counters,
-                &mut trace,
-            );
+            let inserts = relax_edges(g, &dist, &frontier, pool, delta, true, bi, &mut log);
             distribute(&mut buckets, inserts, bi);
         }
         // ---- heavy-edge phase over everything settled in this bucket.
         settled.sort_unstable();
         settled.dedup();
         // Drop stale entries whose distance migrated to a later bucket.
-        settled.retain(|&v| bucket_of(dist[v as usize].load(Ordering::Relaxed)) == bi);
+        settled.retain(|&v| bucket_of(dist[v as usize].load(Ordering::Relaxed), delta) == bi);
         settled_total += settled.len() as u64;
-        let inserts = relax_edges(
-            g,
-            &dist,
-            &settled,
-            pool,
-            delta,
-            false,
-            bi,
-            bucket_of,
-            &mut counters,
-            &mut trace,
-        );
-        distribute(&mut buckets, inserts, bi);
-        counters.iterations += 1;
+        if !settled.is_empty() {
+            let inserts = relax_edges(g, &dist, &settled, pool, delta, false, bi, &mut log);
+            distribute(&mut buckets, inserts, bi);
+        }
+        log.counters.iterations += 1;
+        // One iteration per bucket; its frontier is what the bucket settled.
+        let settled = settled.len() as u64;
+        if log.iteration(pool, log.counters.iterations, settled, Dir::Push).is_break() {
+            break;
+        }
         bi += 1;
     }
 
-    counters.vertices_touched = settled_total;
-    counters.bytes_read = counters.edges_traversed * 12;
-    counters.bytes_written = settled_total * 8;
+    log.counters.vertices_touched = settled_total;
+    log.counters.bytes_read = log.counters.edges_traversed * 12;
+    log.counters.bytes_written = settled_total * 8;
     let out: Vec<Weight> = dist.iter().map(|d| d.load(Ordering::Relaxed)).collect();
-    RunOutput::new(AlgorithmResult::Distances(out), counters, trace).cancelled(cancelled)
+    log.finish(AlgorithmResult::Distances(out))
 }
 
-/// Relaxes the light (`light == true`, w ≤ Δ) or heavy (w > Δ) edges of
-/// `frontier`, skipping stale frontier entries. Returns the (vertex,
-/// bucket) insertions discovered.
+/// Relaxes the light (`light == true`, w ≤ Δ) or heavy (w > Δ) edges of a
+/// non-empty `frontier`, skipping stale entries (those no longer in
+/// `current_bucket`). Returns the (vertex, bucket) insertions discovered.
 #[allow(clippy::too_many_arguments)]
 fn relax_edges(
     g: &Csr,
@@ -117,52 +113,38 @@ fn relax_edges(
     delta: f32,
     light: bool,
     current_bucket: usize,
-    bucket_of: impl Fn(f32) -> usize + Sync,
-    counters: &mut Counters,
-    trace: &mut Trace,
+    log: &mut RunLog<'_>,
 ) -> Vec<(VertexId, usize)> {
-    if frontier.is_empty() {
-        return Vec::new();
-    }
-    let relaxed = AtomicU64::new(0);
-    let max_deg = AtomicU64::new(0);
-    let inserts: Mutex<Vec<(VertexId, usize)>> = Mutex::new(Vec::new());
-    pool.parallel_for_ranges(frontier.len(), Schedule::Dynamic { chunk: 32 }, |_tid, lo, hi| {
-        let mut local: Vec<(VertexId, usize)> = Vec::with_capacity(hi - lo);
-        let mut local_relaxed = 0u64;
-        let mut local_max = 0u64;
+    let step = Partial::collect(pool, frontier.len(), Schedule::Dynamic { chunk: 32 }, |lo, hi| {
+        let mut found: Vec<(VertexId, usize)> = Vec::with_capacity(hi - lo);
+        let (mut edges, mut max_degree) = (0u64, 0u64);
         for &u in &frontier[lo..hi] {
             let du = dist[u as usize].load(Ordering::Relaxed);
             // Stale check: u may have been re-queued for an earlier bucket.
-            if bucket_of(du) != current_bucket {
+            if bucket_of(du, delta) != current_bucket {
                 continue;
             }
-            local_max = local_max.max(g.out_degree(u) as u64);
+            max_degree = max_degree.max(g.out_degree(u) as u64);
             for (v, w) in g.neighbors_weighted(u) {
                 if (w <= delta) != light {
                     continue;
                 }
-                local_relaxed += 1;
+                edges += 1;
                 let nd = du + w;
                 if dist[v as usize].fetch_min(nd, Ordering::Relaxed) {
-                    local.push((v, bucket_of(nd)));
+                    found.push((v, bucket_of(nd, delta)));
                 }
             }
         }
-        relaxed.fetch_add(local_relaxed, Ordering::Relaxed);
-        max_deg.fetch_max(local_max, Ordering::Relaxed);
-        if !local.is_empty() {
-            inserts.lock().append(&mut local);
-        }
+        Partial { found, edges, max_degree }
     });
-    let relaxed = relaxed.load(Ordering::Relaxed);
-    counters.edges_traversed += relaxed;
-    trace.parallel(
-        relaxed.max(frontier.len() as u64),
-        max_deg.load(Ordering::Relaxed).max(1),
-        relaxed * 12 + frontier.len() as u64 * 8,
+    log.counters.edges_traversed += step.edges;
+    log.parallel(
+        step.edges.max(frontier.len() as u64),
+        step.max_degree.max(1),
+        step.edges * 12 + frontier.len() as u64 * 8,
     );
-    inserts.into_inner()
+    step.found
 }
 
 /// Routes insertions into their buckets, growing the bucket array as
@@ -186,7 +168,7 @@ mod tests {
     fn check_against_dijkstra(el: &EdgeList, root: VertexId, delta: f32) {
         let g = Csr::from_edge_list(el);
         let pool = ThreadPool::new(4);
-        let out = delta_stepping(&g, root, &pool, delta);
+        let out = delta_stepping(&g, delta, &RunParams::new(&pool, Some(root)));
         let AlgorithmResult::Distances(d) = out.result else { panic!() };
         let want = oracle::dijkstra(&g, root);
         for v in 0..want.len() {
@@ -231,7 +213,7 @@ mod tests {
         let el = EdgeList::new(5, vec![(0, 1), (1, 2), (2, 3), (3, 4)]).symmetrized();
         let g = Csr::from_edge_list(&el);
         let pool = ThreadPool::new(2);
-        let out = delta_stepping(&g, 0, &pool, 0.5);
+        let out = delta_stepping(&g, 0.5, &RunParams::new(&pool, Some(0)));
         let AlgorithmResult::Distances(d) = out.result else { panic!() };
         assert_eq!(d, vec![0.0, 1.0, 2.0, 3.0, 4.0]);
     }
@@ -241,7 +223,7 @@ mod tests {
         let el = epg_generator::uniform::generate(100, 800, true, 2).symmetrized();
         let g = Csr::from_edge_list(&el);
         let pool = ThreadPool::new(2);
-        let out = delta_stepping(&g, 0, &pool, 0.5);
+        let out = delta_stepping(&g, 0.5, &RunParams::new(&pool, Some(0)));
         assert!(out.counters.edges_traversed > 0);
         assert!(out.counters.iterations > 0);
         assert!(out.trace.total_work() > 0);

@@ -4,16 +4,15 @@
 //! neighbors, and counts each triangle once by sorted intersection —
 //! work-efficient and embarrassingly parallel over vertices.
 
-use epg_engine_api::{AlgorithmResult, Counters, RunOutput, Trace};
+use epg_engine_api::{AlgorithmResult, Dir, RunLog, RunOutput, RunParams};
 use epg_graph::{Csr, VertexId};
-use epg_parallel::{DisjointWriter, Schedule, ThreadPool};
-use std::sync::atomic::{AtomicU64, Ordering};
+use epg_parallel::{DisjointWriter, Schedule};
 
 /// Counts triangles in the undirected simple version of the graph.
-pub fn triangle_count(g: &Csr, gt: &Csr, pool: &ThreadPool) -> RunOutput {
+pub fn triangle_count(g: &Csr, gt: &Csr, params: &RunParams<'_>) -> RunOutput {
+    let pool = params.pool;
     let n = g.num_vertices();
-    let mut counters = Counters::default();
-    let mut trace = Trace::default();
+    let mut log = RunLog::new(params.recorder);
 
     // Build higher-neighbor lists in parallel.
     let mut higher: Vec<Vec<VertexId>> = vec![Vec::new(); n];
@@ -37,41 +36,39 @@ pub fn triangle_count(g: &Csr, gt: &Csr, pool: &ThreadPool) -> RunOutput {
         });
     }
     let build_work: u64 = higher.iter().map(|h| h.len() as u64 + 1).sum();
-    trace.parallel(build_work.max(1), 1, build_work * 8);
+    log.parallel(build_work.max(1), 1, build_work * 8);
 
     // Count by intersection, dynamic schedule for degree skew.
-    let total = AtomicU64::new(0);
-    let work = AtomicU64::new(0);
-    let max_cost = AtomicU64::new(0);
-    {
-        let higher = &higher;
-        pool.parallel_for_ranges(n, Schedule::Dynamic { chunk: 32 }, |_tid, lo, hi| {
-            let mut local = 0u64;
-            let mut lw = 0u64;
-            let mut lm = 0u64;
-            for u in lo..hi {
-                let hu = &higher[u];
-                let mut cost = 0u64;
-                for &v in hu {
-                    cost += (hu.len() + higher[v as usize].len()) as u64;
-                    local += intersect(hu, &higher[v as usize]);
-                }
-                lw += cost;
-                lm = lm.max(cost);
+    let higher = &higher;
+    let count = |lo: usize, hi: usize| {
+        let (mut total, mut work, mut max_cost) = (0u64, 0u64, 0u64);
+        for u in lo..hi {
+            let hu = &higher[u];
+            let mut cost = 0u64;
+            for &v in hu {
+                cost += (hu.len() + higher[v as usize].len()) as u64;
+                total += intersect(hu, &higher[v as usize]);
             }
-            total.fetch_add(local, Ordering::Relaxed);
-            work.fetch_add(lw, Ordering::Relaxed);
-            max_cost.fetch_max(lm, Ordering::Relaxed);
-        });
-    }
-    let work = work.load(Ordering::Relaxed);
-    counters.edges_traversed = work + build_work;
-    counters.vertices_touched = n as u64;
-    counters.iterations = 1;
-    counters.bytes_read = work * 8;
-    counters.bytes_written = n as u64 * 8;
-    trace.parallel(work.max(1), max_cost.load(Ordering::Relaxed).max(1), work * 8);
-    RunOutput::new(AlgorithmResult::Triangles(total.load(Ordering::Relaxed)), counters, trace)
+            work += cost;
+            max_cost = max_cost.max(cost);
+        }
+        (total, work, max_cost)
+    };
+    let (total, work, max_cost) = pool.parallel_reduce_ranges(
+        n,
+        Schedule::Dynamic { chunk: 32 },
+        || (0, 0, 0),
+        count,
+        |a, b| (a.0 + b.0, a.1 + b.1, a.2.max(b.2)),
+    );
+    log.counters.edges_traversed = work + build_work;
+    log.counters.vertices_touched = n as u64;
+    log.counters.iterations = 1;
+    log.counters.bytes_read = work * 8;
+    log.counters.bytes_written = n as u64 * 8;
+    log.parallel(work.max(1), max_cost.max(1), work * 8);
+    let _ = log.iteration(pool, 1, n as u64, Dir::Pull);
+    log.finish(AlgorithmResult::Triangles(total))
 }
 
 fn intersect(a: &[VertexId], b: &[VertexId]) -> u64 {
@@ -94,12 +91,13 @@ fn intersect(a: &[VertexId], b: &[VertexId]) -> u64 {
 mod tests {
     use super::*;
     use epg_graph::{oracle, EdgeList};
+    use epg_parallel::ThreadPool;
 
     fn count(el: &EdgeList) -> u64 {
         let g = Csr::from_edge_list(el);
         let gt = g.transpose();
         let pool = ThreadPool::new(3);
-        let out = triangle_count(&g, &gt, &pool);
+        let out = triangle_count(&g, &gt, &RunParams::new(&pool, None));
         let AlgorithmResult::Triangles(t) = out.result else { panic!() };
         t
     }

@@ -22,14 +22,10 @@ pub struct TuneReport {
     pub alpha: u64,
     /// Chosen direction-switch β.
     pub beta: u64,
-    /// Chosen SSSP kernel (see [`SsspKernel`]).
-    pub sssp_kernel: SsspKernel,
     /// (candidate Δ, work cost) pairs probed (under Δ-stepping).
     pub delta_probes: Vec<(f32, u64)>,
     /// ((α, β), work cost) pairs probed.
     pub bfs_probes: Vec<((u64, u64), u64)>,
-    /// (kernel, work cost) pairs probed, one per [`SsspKernel::ALL`].
-    pub kernel_probes: Vec<(SsspKernel, u64)>,
 }
 
 /// Synchronization penalty charged per bucket/step during probing: extra
@@ -37,9 +33,9 @@ pub struct TuneReport {
 const ROUND_PENALTY: u64 = 2_000;
 
 impl GapEngine {
-    /// Probes Δ, (α, β) and the SSSP kernel on up to three of the given
-    /// roots and installs the best-scoring parameters. The graph must be
-    /// constructed.
+    /// Probes Δ and (α, β) on up to three of the given roots and installs
+    /// the best-scoring parameters; each probe compares like with like
+    /// (one kernel, one execution model). The graph must be constructed.
     pub fn auto_tune(&mut self, pool: &ThreadPool, roots: &[VertexId]) -> TuneReport {
         let probe_roots: Vec<VertexId> = roots.iter().copied().take(3).collect();
         assert!(!probe_roots.is_empty(), "need at least one probe root");
@@ -73,41 +69,6 @@ impl GapEngine {
         self.config.delta = best_delta.0;
         self.config.sssp_kernel = saved_kernel;
 
-        // ---- SSSP kernel, with the chosen Δ installed ----
-        // Work counters are deterministic but not comparable across
-        // execution models as-is: Δ-stepping spreads its edge work over
-        // the pool while the priority-queue kernels run serially, so
-        // parallel-region work is divided by the thread count (a perfect
-        // speedup assumption — optimistic, but deterministic) while the
-        // per-round barrier penalty stays whole.
-        let threads = pool.num_threads().max(1) as u64;
-        let mut kernel_probes = Vec::new();
-        let mut best_kernel = (self.config.sssp_kernel, u64::MAX);
-        for kernel in SsspKernel::ALL {
-            let saved = self.config.sssp_kernel;
-            self.config.sssp_kernel = kernel;
-            let mut cost = 0u64;
-            for &r in &probe_roots {
-                let out = self.run(Algorithm::Sssp, &RunParams::new(pool, Some(r)));
-                // The barrier penalty models per-round synchronization;
-                // the serial kernels have no barriers (their `iterations`
-                // count redistributions/recursions), so they are charged
-                // their full, undivided edge work instead.
-                cost += if kernel == SsspKernel::DeltaStepping {
-                    out.counters.edges_traversed.div_ceil(threads)
-                        + out.counters.iterations as u64 * ROUND_PENALTY
-                } else {
-                    out.counters.edges_traversed
-                };
-            }
-            kernel_probes.push((kernel, cost));
-            if cost < best_kernel.1 {
-                best_kernel = (kernel, cost);
-            }
-            self.config.sssp_kernel = saved;
-        }
-        self.config.sssp_kernel = best_kernel.0;
-
         // ---- (α, β) candidates around GAP's defaults ----
         let grid = [(4u64, 18u64), (15, 18), (15, 64), (64, 18), (64, 64)];
         let mut bfs_probes = Vec::new();
@@ -136,10 +97,8 @@ impl GapEngine {
             delta: self.config.delta,
             alpha: self.config.alpha,
             beta: self.config.beta,
-            sssp_kernel: self.config.sssp_kernel,
             delta_probes,
             bfs_probes,
-            kernel_probes,
         }
     }
 }
@@ -186,36 +145,7 @@ mod tests {
         assert!(tuned_cost <= default_cost, "tuned {tuned_cost} vs default {default_cost}");
         assert_eq!(report.delta_probes.len(), 6);
         assert_eq!(report.bfs_probes.len(), 5);
-        // One probe per kernel, in SsspKernel::ALL order — a new kernel
-        // variant without tuner coverage fails here.
-        let probed: Vec<SsspKernel> = report.kernel_probes.iter().map(|&(k, _)| k).collect();
-        assert_eq!(probed, SsspKernel::ALL.to_vec());
-        assert_eq!(report.sssp_kernel, e.config.sssp_kernel);
-    }
-
-    #[test]
-    fn kernel_selection_adapts_to_graph_shape() {
-        let pool = ThreadPool::new(4);
-        // A long near-line graph floods Δ-stepping with bucket rounds
-        // (each charged ROUND_PENALTY); the serial priority-queue kernels
-        // traverse each edge once. The tuner must move off Δ-stepping.
-        let line = epg_generator::adversarial::almost_line(4000, 50, 3);
-        let mut e = GapEngine::new();
-        e.load_edge_list(&line);
-        e.construct(&pool);
-        let report = e.auto_tune(&pool, &[0, 1, 2]);
-        assert_ne!(
-            report.sssp_kernel,
-            SsspKernel::DeltaStepping,
-            "probes: {:?}",
-            report.kernel_probes
-        );
-        // Selection is driven by deterministic counters: re-tuning a fresh
-        // engine reproduces the same report.
-        let mut e2 = GapEngine::new();
-        e2.load_edge_list(&line);
-        e2.construct(&pool);
-        assert_eq!(e2.auto_tune(&pool, &[0, 1, 2]), report);
+        assert_eq!(e.config.sssp_kernel, SsspKernel::default(), "the tuner leaves the kernel");
     }
 
     #[test]

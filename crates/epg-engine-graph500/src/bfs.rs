@@ -4,16 +4,15 @@
 //! vertices with compare-and-swap on the parent array. Scheduling is plain
 //! static worksharing, as in the reference's `#pragma omp parallel for`.
 
-use epg_engine_api::{
-    AlgorithmResult, Counters, DeltaTracker, Dir, RecorderCtx, RunOutput, Tracer,
-};
-use epg_graph::{Csr, VertexId, NO_VERTEX};
-use epg_parallel::{Schedule, ThreadPool};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use epg_engine_api::{AlgorithmResult, Dir, Partial, RunLog, RunOutput, RunParams};
+use epg_graph::{Csr, NO_VERTEX};
+use epg_parallel::Schedule;
+use std::sync::atomic::{AtomicU32, Ordering};
 
-/// Runs top-down BFS from `root`.
-pub fn top_down_bfs(g: &Csr, root: VertexId, pool: &ThreadPool, rec: RecorderCtx<'_>) -> RunOutput {
+/// Runs top-down BFS from `params.root`.
+pub fn top_down_bfs(g: &Csr, params: &RunParams<'_>) -> RunOutput {
+    let (pool, rec) = (params.pool, params.recorder);
+    let root = params.root.expect("BFS needs a root");
     let n = g.num_vertices();
     let parent: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(NO_VERTEX)).collect();
     let level: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(u32::MAX)).collect();
@@ -21,33 +20,20 @@ pub fn top_down_bfs(g: &Csr, root: VertexId, pool: &ThreadPool, rec: RecorderCtx
     level[root as usize].store(0, Ordering::Relaxed);
     rec.alloc_hwm("graph500.bfs.parent+level", n as u64 * 8);
 
-    let mut counters = Counters::default();
-    let mut trace = Tracer::new(rec);
-    let mut deltas = DeltaTracker::new();
+    let mut log = RunLog::new(rec);
     let mut frontier = vec![root];
     let mut depth = 0u32;
-    let mut cancelled = false;
 
     while !frontier.is_empty() {
-        if pool.is_cancelled() {
-            cancelled = true;
-            break;
-        }
         depth += 1;
-        let checked = AtomicU64::new(0);
-        let max_deg = AtomicU64::new(0);
-        let next: Mutex<Vec<VertexId>> = Mutex::new(Vec::with_capacity(frontier.len()));
-        pool.parallel_for_ranges(
-            frontier.len(),
-            Schedule::Static { chunk: None },
-            |_tid, lo, hi| {
-                let mut local: Vec<VertexId> = Vec::with_capacity(hi - lo);
-                let mut local_checked = 0u64;
-                let mut local_max = 0u64;
+        let step =
+            Partial::collect(pool, frontier.len(), Schedule::Static { chunk: None }, |lo, hi| {
+                let mut found = Vec::with_capacity(hi - lo);
+                let (mut edges, mut max_degree) = (0u64, 0u64);
                 for &u in &frontier[lo..hi] {
-                    local_max = local_max.max(g.out_degree(u) as u64);
+                    max_degree = max_degree.max(g.out_degree(u) as u64);
                     for &v in g.neighbors(u) {
-                        local_checked += 1;
+                        edges += 1;
                         if parent[v as usize].load(Ordering::Relaxed) == NO_VERTEX
                             && parent[v as usize]
                                 .compare_exchange(
@@ -59,58 +45,48 @@ pub fn top_down_bfs(g: &Csr, root: VertexId, pool: &ThreadPool, rec: RecorderCtx
                                 .is_ok()
                         {
                             level[v as usize].store(depth, Ordering::Relaxed);
-                            local.push(v);
+                            found.push(v);
                         }
                     }
                 }
-                checked.fetch_add(local_checked, Ordering::Relaxed);
-                max_deg.fetch_max(local_max, Ordering::Relaxed);
-                if !local.is_empty() {
-                    next.lock().append(&mut local);
-                }
-            },
+                Partial { found, edges, max_degree }
+            });
+        let next = step.found;
+        log.counters.edges_traversed += step.edges;
+        log.counters.vertices_touched += next.len() as u64;
+        log.counters.iterations += 1;
+        log.parallel(
+            step.edges.max(1),
+            step.max_degree.max(1),
+            step.edges * 8 + next.len() as u64 * 12,
         );
-        let checked = checked.load(Ordering::Relaxed);
-        let next = next.into_inner();
-        counters.edges_traversed += checked;
-        counters.vertices_touched += next.len() as u64;
-        counters.iterations += 1;
-        trace.parallel(
-            checked.max(1),
-            max_deg.load(Ordering::Relaxed).max(1),
-            checked * 8 + next.len() as u64 * 12,
-        );
-        deltas.flush("iteration", &counters, rec);
-        rec.iteration(depth, frontier.len() as u64, Dir::Push);
+        if log.iteration(pool, depth, frontier.len() as u64, Dir::Push).is_break() {
+            break;
+        }
         frontier = next;
     }
 
-    counters.bytes_read = counters.edges_traversed * 8;
-    counters.bytes_written = counters.vertices_touched * 12;
-    deltas.flush("finalize", &counters, rec);
+    log.counters.bytes_read = log.counters.edges_traversed * 8;
+    log.counters.bytes_written = log.counters.vertices_touched * 12;
     parent[root as usize].store(NO_VERTEX, Ordering::Relaxed);
-    RunOutput::new(
-        AlgorithmResult::BfsTree {
-            parent: parent.iter().map(|p| p.load(Ordering::Relaxed)).collect(),
-            level: level.iter().map(|l| l.load(Ordering::Relaxed)).collect(),
-        },
-        counters,
-        trace.into_trace(),
-    )
-    .cancelled(cancelled)
+    log.finish(AlgorithmResult::BfsTree {
+        parent: parent.iter().map(|p| p.load(Ordering::Relaxed)).collect(),
+        level: level.iter().map(|l| l.load(Ordering::Relaxed)).collect(),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use epg_graph::{oracle, EdgeList};
+    use epg_graph::{oracle, EdgeList, VertexId};
+    use epg_parallel::ThreadPool;
 
     #[test]
     fn matches_oracle_on_random_graph() {
         let el = epg_generator::uniform::generate(500, 3000, false, 13).symmetrized();
         let g = Csr::from_edge_list(&el);
         let pool = ThreadPool::new(4);
-        let out = top_down_bfs(&g, 3, &pool, RecorderCtx::none());
+        let out = top_down_bfs(&g, &RunParams::new(&pool, Some(3)));
         let AlgorithmResult::BfsTree { parent, level } = out.result else { panic!() };
         assert_eq!(level, oracle::bfs(&g, 3).level);
         epg_graph::validate::validate_bfs_tree(&g, 3, &parent).unwrap();
@@ -123,7 +99,7 @@ mod tests {
         let el = EdgeList::new(4, vec![(0, 1), (1, 2), (2, 3)]).symmetrized();
         let g = Csr::from_edge_list(&el);
         let pool = ThreadPool::new(1);
-        let out = top_down_bfs(&g, 0, &pool, RecorderCtx::none());
+        let out = top_down_bfs(&g, &RunParams::new(&pool, Some(0)));
         assert_eq!(out.counters.iterations, 4);
     }
 
@@ -133,7 +109,7 @@ mod tests {
         let el = epg_generator::uniform::generate(64, 512, false, 7).symmetrized();
         let g = Csr::from_edge_list(&el);
         let pool = ThreadPool::new(2);
-        let out = top_down_bfs(&g, 0, &pool, RecorderCtx::none());
+        let out = top_down_bfs(&g, &RunParams::new(&pool, Some(0)));
         let AlgorithmResult::BfsTree { level, .. } = out.result else { panic!() };
         let expect: u64 = (0..g.num_vertices())
             .filter(|&v| level[v] != u32::MAX)

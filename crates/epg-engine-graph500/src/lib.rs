@@ -105,11 +105,12 @@ impl Engine for Graph500Engine {
 
     fn run(&mut self, algo: Algorithm, params: &RunParams<'_>) -> RunOutput {
         assert!(self.supports(algo), "Graph500 implements only BFS");
-        let root = params.root.expect("BFS needs a root");
-        let out = bfs::top_down_bfs(self.csr(), root, params.pool, params.recorder);
+        let out = bfs::top_down_bfs(self.csr(), params);
         if self.config.validate {
-            let epg_engine_api::AlgorithmResult::BfsTree { parent, .. } = &out.result else {
-                unreachable!()
+            let (Some(root), epg_engine_api::AlgorithmResult::BfsTree { parent, .. }) =
+                (params.root, &out.result)
+            else {
+                unreachable!("top_down_bfs returns the tree of the root it was given")
             };
             validate::validate_bfs_tree(self.csr(), root, parent)
                 .expect("Graph500 BFS validation failed");

@@ -1,28 +1,23 @@
 //! Community-structure kernels: CDLP and WCC.
 
-use epg_engine_api::{AlgorithmResult, Counters, RunOutput, Trace};
+use epg_engine_api::{AlgorithmResult, Dir, RunLog, RunOutput, RunParams};
 use epg_graph::adjacency::PropertyGraph;
 use epg_graph::VertexId;
-use epg_parallel::{DisjointWriter, Schedule, ThreadPool};
+use epg_parallel::{DisjointWriter, Schedule};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Synchronous label propagation for `iterations` rounds, Graphalytics
 /// semantics: each vertex adopts the smallest among the most frequent
 /// labels of its in- and out-neighbors.
-pub fn cdlp(g: &PropertyGraph, pool: &ThreadPool, iterations: u32) -> RunOutput {
+pub fn cdlp(g: &PropertyGraph, params: &RunParams<'_>, iterations: u32) -> RunOutput {
+    let pool = params.pool;
     let n = g.num_vertices();
     let mut label: Vec<u64> = (0..n as u64).collect();
     let mut next: Vec<u64> = label.clone();
-    let mut counters = Counters::default();
-    let mut trace = Trace::default();
+    let mut log = RunLog::new(params.recorder);
     let m2 = (0..n as VertexId).map(|v| (g.out_degree(v) + g.in_degree(v)) as u64).sum::<u64>();
-    let mut cancelled = false;
-    for _ in 0..iterations {
-        if pool.is_cancelled() {
-            cancelled = true;
-            break;
-        }
+    for round in 0..iterations {
         {
             let writer = DisjointWriter::new(&mut next);
             let label_ref = &label;
@@ -49,88 +44,86 @@ pub fn cdlp(g: &PropertyGraph, pool: &ThreadPool, iterations: u32) -> RunOutput 
             });
         }
         std::mem::swap(&mut label, &mut next);
-        counters.iterations += 1;
-        counters.edges_traversed += m2;
-        counters.vertices_touched += n as u64;
-        trace.parallel(m2.max(1), 1, m2 * 16 + n as u64 * 16);
+        log.counters.iterations += 1;
+        log.counters.edges_traversed += m2;
+        log.counters.vertices_touched += n as u64;
+        log.parallel(m2.max(1), 1, m2 * 16 + n as u64 * 16);
+        if log.iteration(pool, round + 1, n as u64, Dir::Pull).is_break() {
+            break;
+        }
     }
-    counters.bytes_read = counters.edges_traversed * 16;
-    counters.bytes_written = counters.vertices_touched * 8;
-    RunOutput::new(AlgorithmResult::Labels(label), counters, trace).cancelled(cancelled)
+    log.counters.bytes_read = log.counters.edges_traversed * 16;
+    log.counters.bytes_written = log.counters.vertices_touched * 8;
+    log.finish(AlgorithmResult::Labels(label))
 }
 
 /// Weakly connected components by min-label propagation until fixpoint;
 /// converges to the smallest vertex id per component (both edge directions
 /// propagate).
-pub fn wcc(g: &PropertyGraph, pool: &ThreadPool) -> RunOutput {
+pub fn wcc(g: &PropertyGraph, params: &RunParams<'_>) -> RunOutput {
+    let pool = params.pool;
     let n = g.num_vertices();
     let comp: Vec<AtomicU64> = (0..n as u64).map(AtomicU64::new).collect();
-    let mut counters = Counters::default();
-    let mut trace = Trace::default();
+    let mut log = RunLog::new(params.recorder);
     let m2 = (0..n as VertexId).map(|v| (g.out_degree(v) + g.in_degree(v)) as u64).sum::<u64>();
-    let mut cancelled = false;
     loop {
-        if pool.is_cancelled() {
-            cancelled = true;
-            break;
-        }
-        let changed = AtomicUsize::new(0);
-        pool.parallel_for_ranges(n, Schedule::graphbig_default(), |_tid, lo, hi| {
-            let mut local_changed = 0usize;
-            for v in lo..hi {
-                let vid = v as VertexId;
-                let mut best = comp[v].load(Ordering::Relaxed);
-                for (u, _) in g.neighbors(vid) {
-                    best = best.min(comp[u as usize].load(Ordering::Relaxed));
-                }
-                for u in g.in_neighbors(vid) {
-                    best = best.min(comp[u as usize].load(Ordering::Relaxed));
-                }
-                // Monotone decrease: lock-free min store.
-                let mut cur = comp[v].load(Ordering::Relaxed);
-                while best < cur {
-                    match comp[v].compare_exchange_weak(
-                        cur,
-                        best,
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => {
-                            local_changed += 1;
-                            break;
+        let changed = pool.parallel_reduce_ranges(
+            n,
+            Schedule::graphbig_default(),
+            || 0usize,
+            |lo, hi| {
+                let mut changed = 0usize;
+                for v in lo..hi {
+                    let vid = v as VertexId;
+                    let mut best = comp[v].load(Ordering::Relaxed);
+                    for (u, _) in g.neighbors(vid) {
+                        best = best.min(comp[u as usize].load(Ordering::Relaxed));
+                    }
+                    for u in g.in_neighbors(vid) {
+                        best = best.min(comp[u as usize].load(Ordering::Relaxed));
+                    }
+                    // Monotone decrease: lock-free min store.
+                    let mut cur = comp[v].load(Ordering::Relaxed);
+                    while best < cur {
+                        match comp[v].compare_exchange_weak(
+                            cur,
+                            best,
+                            Ordering::Relaxed,
+                            Ordering::Relaxed,
+                        ) {
+                            Ok(_) => {
+                                changed += 1;
+                                break;
+                            }
+                            Err(actual) => cur = actual,
                         }
-                        Err(actual) => cur = actual,
                     }
                 }
-            }
-            if local_changed > 0 {
-                changed.fetch_add(local_changed, Ordering::Relaxed);
-            }
-        });
-        counters.iterations += 1;
-        counters.edges_traversed += m2;
-        counters.vertices_touched += n as u64;
-        trace.parallel(m2.max(1), 1, m2 * 16 + n as u64 * 8);
-        if changed.load(Ordering::Relaxed) == 0 {
+                changed
+            },
+            |a, b| a + b,
+        );
+        log.counters.iterations += 1;
+        log.counters.edges_traversed += m2;
+        log.counters.vertices_touched += n as u64;
+        log.parallel(m2.max(1), 1, m2 * 16 + n as u64 * 8);
+        let stop = log.iteration(pool, log.counters.iterations, n as u64, Dir::Pull);
+        if changed == 0 || stop.is_break() {
             break;
         }
     }
-    counters.bytes_read = counters.edges_traversed * 16;
-    counters.bytes_written = counters.vertices_touched * 8;
-    RunOutput::new(
-        AlgorithmResult::Components(
-            comp.iter().map(|c| c.load(Ordering::Relaxed) as VertexId).collect(),
-        ),
-        counters,
-        trace,
-    )
-    .cancelled(cancelled)
+    log.counters.bytes_read = log.counters.edges_traversed * 16;
+    log.counters.bytes_written = log.counters.vertices_touched * 8;
+    log.finish(AlgorithmResult::Components(
+        comp.iter().map(|c| c.load(Ordering::Relaxed) as VertexId).collect(),
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use epg_graph::{oracle, Csr, EdgeList};
+    use epg_parallel::ThreadPool;
 
     #[test]
     fn cdlp_two_triangles() {
@@ -138,7 +131,7 @@ mod tests {
             EdgeList::new(6, vec![(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]).symmetrized();
         let g = PropertyGraph::from_edge_list(&el);
         let pool = ThreadPool::new(2);
-        let out = cdlp(&g, &pool, 10);
+        let out = cdlp(&g, &RunParams::new(&pool, None), 10);
         let AlgorithmResult::Labels(l) = out.result else { panic!() };
         assert_eq!(l, oracle::cdlp(&Csr::from_edge_list(&el), 10));
     }
@@ -148,7 +141,7 @@ mod tests {
         let el = EdgeList::new(7, vec![(0, 1), (2, 1), (4, 3), (5, 6), (6, 5)]);
         let g = PropertyGraph::from_edge_list(&el);
         let pool = ThreadPool::new(3);
-        let out = wcc(&g, &pool);
+        let out = wcc(&g, &RunParams::new(&pool, None));
         let AlgorithmResult::Components(c) = out.result else { panic!() };
         assert_eq!(c, oracle::wcc(&Csr::from_edge_list(&el)));
     }
@@ -159,7 +152,7 @@ mod tests {
         let el = EdgeList::new(101, edges);
         let g = PropertyGraph::from_edge_list(&el);
         let pool = ThreadPool::new(2);
-        let out = wcc(&g, &pool);
+        let out = wcc(&g, &RunParams::new(&pool, None));
         let AlgorithmResult::Components(c) = out.result else { panic!() };
         assert!(c.iter().all(|&x| x == 0));
         assert!(out.counters.iterations > 1);

@@ -2,30 +2,25 @@
 //! workload) and triangle counting (its `TC` workload), vertex-centric
 //! over the openG property graph with dynamic scheduling.
 
-use epg_engine_api::{AlgorithmResult, Counters, RunOutput, Trace};
+use epg_engine_api::{AlgorithmResult, Dir, Partial, RunLog, RunOutput, RunParams};
 use epg_graph::adjacency::PropertyGraph;
 use epg_graph::VertexId;
-use epg_parallel::{AtomicF64, DisjointWriter, Schedule, ThreadPool};
-use parking_lot::Mutex;
+use epg_parallel::{AtomicF64, DisjointWriter, Schedule};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, Ordering};
 
-/// Brandes betweenness centrality; `sources = None` is exact.
-pub fn betweenness(
-    g: &PropertyGraph,
-    pool: &ThreadPool,
-    sources: Option<usize>,
-    seed: u64,
-) -> RunOutput {
+/// Brandes betweenness centrality; `params.bc_sources = None` is exact,
+/// `Some(k)` samples `k` sources with `seed`.
+pub fn betweenness(g: &PropertyGraph, params: &RunParams<'_>, seed: u64) -> RunOutput {
+    let pool = params.pool;
     let n = g.num_vertices();
-    let mut counters = Counters::default();
-    let mut trace = Trace::default();
+    let mut log = RunLog::new(params.recorder);
     let mut bc = vec![0.0f64; n];
     if n == 0 {
-        return RunOutput::new(AlgorithmResult::Centrality(bc), counters, trace);
+        return log.finish(AlgorithmResult::Centrality(bc));
     }
-    let source_list: Vec<VertexId> = match sources {
+    let source_list: Vec<VertexId> = match params.bc_sources {
         None => (0..n as VertexId).collect(),
         Some(k) => {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -36,17 +31,13 @@ pub fn betweenness(
 
     let sigma: Vec<AtomicF64> = (0..n).map(|_| AtomicF64::new(0.0)).collect();
     let dist: Vec<AtomicI64> = (0..n).map(|_| AtomicI64::new(-1)).collect();
-    let mut delta = vec![0.0f64; n];
+    let delta: Vec<AtomicF64> = (0..n).map(|_| AtomicF64::new(0.0)).collect();
     for &s in &source_list {
         pool.parallel_for(n, Schedule::graphbig_default(), |v| {
             sigma[v].store(0.0, Ordering::Relaxed);
             dist[v].store(-1, Ordering::Relaxed);
+            delta[v].store(0.0, Ordering::Relaxed);
         });
-        {
-            let dw = DisjointWriter::new(&mut delta);
-            // SAFETY: parallel_for hands each index v to exactly one worker.
-            pool.parallel_for(n, Schedule::graphbig_default(), |v| unsafe { dw.write(v, 0.0) });
-        }
         sigma[s as usize].store(1.0, Ordering::Relaxed);
         dist[s as usize].store(0, Ordering::Relaxed);
 
@@ -57,18 +48,14 @@ pub fn betweenness(
                 levels.pop();
                 break;
             }
-            let scanned = AtomicU64::new(0);
-            let next: Mutex<Vec<VertexId>> = Mutex::new(Vec::with_capacity(frontier.len()));
-            pool.parallel_for_ranges(
-                frontier.len(),
-                Schedule::graphbig_default(),
-                |_tid, lo, hi| {
-                    let mut local = Vec::with_capacity(hi - lo);
-                    let mut sc = 0u64;
+            let step =
+                Partial::collect(pool, frontier.len(), Schedule::graphbig_default(), |lo, hi| {
+                    let mut found = Vec::with_capacity(hi - lo);
+                    let mut edges = 0u64;
                     for &u in &frontier[lo..hi] {
                         let su = sigma[u as usize].load(Ordering::Relaxed);
                         for (v, _) in g.neighbors(u) {
-                            sc += 1;
+                            edges += 1;
                             if dist[v as usize].load(Ordering::Relaxed) < 0
                                 && dist[v as usize]
                                     .compare_exchange(
@@ -79,63 +66,61 @@ pub fn betweenness(
                                     )
                                     .is_ok()
                             {
-                                local.push(v);
+                                found.push(v);
                             }
                             if dist[v as usize].load(Ordering::Relaxed) == depth + 1 {
                                 sigma[v as usize].fetch_add(su, Ordering::Relaxed);
                             }
                         }
                     }
-                    scanned.fetch_add(sc, Ordering::Relaxed);
-                    if !local.is_empty() {
-                        next.lock().append(&mut local);
-                    }
-                },
-            );
-            counters.edges_traversed += scanned.load(Ordering::Relaxed);
-            trace.parallel(scanned.load(Ordering::Relaxed).max(1), 1, 1);
+                    Partial { found, edges, max_degree: 0 }
+                });
+            log.counters.edges_traversed += step.edges;
+            log.parallel(step.edges.max(1), 1, 1);
             depth += 1;
-            levels.push(next.into_inner());
+            levels.push(step.found);
         }
         for (d, level) in levels.iter().enumerate().rev() {
             let d = d as i64;
-            let dw = DisjointWriter::new(&mut delta);
+            // Writes touch only level-d vertices (one worker each); reads
+            // touch only level-(d+1) vertices, finalized by the previous
+            // pass. Atomic cells keep the shared reads sound.
             pool.parallel_for_ranges(level.len(), Schedule::graphbig_default(), |_tid, lo, hi| {
                 for &w in &level[lo..hi] {
                     let mut acc = 0.0;
                     let sw = sigma[w as usize].load(Ordering::Relaxed);
                     for (v, _) in g.neighbors(w) {
                         if dist[v as usize].load(Ordering::Relaxed) == d + 1 {
-                            // SAFETY: reads finalized level d+1; writes own
-                            // level-d vertex only.
-                            let dv = unsafe { *dw.get_raw(v as usize) };
+                            let dv = delta[v as usize].load(Ordering::Relaxed);
                             acc += sw / sigma[v as usize].load(Ordering::Relaxed) * (1.0 + dv);
                         }
                     }
-                    // SAFETY: w belongs to this worker's slice of the
-                    // level-d frontier; no other worker writes it.
-                    unsafe { dw.write(w as usize, acc) };
+                    delta[w as usize].store(acc, Ordering::Relaxed);
                 }
             });
         }
-        for (v, &dv) in delta.iter().enumerate() {
+        for (v, dv) in delta.iter().enumerate() {
             if v as VertexId != s {
-                bc[v] += dv * scale;
+                bc[v] += dv.load(Ordering::Relaxed) * scale;
             }
         }
-        counters.iterations += 1;
+        log.counters.iterations += 1;
+        // One iteration per source: `frontier` is that source's depth.
+        if log.iteration(pool, log.counters.iterations, levels.len() as u64, Dir::Push).is_break() {
+            break;
+        }
     }
-    counters.vertices_touched = n as u64 * source_list.len() as u64;
-    counters.bytes_read = counters.edges_traversed * 16;
-    counters.bytes_written = counters.vertices_touched * 8;
-    RunOutput::new(AlgorithmResult::Centrality(bc), counters, trace)
+    log.counters.vertices_touched = n as u64 * source_list.len() as u64;
+    log.counters.bytes_read = log.counters.edges_traversed * 16;
+    log.counters.bytes_written = log.counters.vertices_touched * 8;
+    log.finish(AlgorithmResult::Centrality(bc))
 }
 
 /// Triangle counting by ordered neighbor intersection.
-pub fn triangle_count(g: &PropertyGraph, pool: &ThreadPool) -> RunOutput {
+pub fn triangle_count(g: &PropertyGraph, params: &RunParams<'_>) -> RunOutput {
+    let pool = params.pool;
     let n = g.num_vertices();
-    let mut counters = Counters::default();
-    let mut trace = Trace::default();
+    let mut log = RunLog::new(params.recorder);
     let mut higher: Vec<Vec<VertexId>> = vec![Vec::new(); n];
     {
         let w = DisjointWriter::new(&mut higher);
@@ -155,31 +140,31 @@ pub fn triangle_count(g: &PropertyGraph, pool: &ThreadPool) -> RunOutput {
             }
         });
     }
-    let total = AtomicU64::new(0);
-    let work = AtomicU64::new(0);
-    {
-        let higher = &higher;
-        pool.parallel_for_ranges(n, Schedule::Dynamic { chunk: 32 }, |_tid, lo, hi| {
-            let mut local = 0u64;
-            let mut lw = 0u64;
+    let higher = &higher;
+    let (total, work) = pool.parallel_reduce_ranges(
+        n,
+        Schedule::Dynamic { chunk: 32 },
+        || (0u64, 0u64),
+        |lo, hi| {
+            let (mut total, mut work) = (0u64, 0u64);
             for u in lo..hi {
                 let hu = &higher[u];
                 for &v in hu {
-                    lw += (hu.len() + higher[v as usize].len()) as u64;
-                    local += intersect(hu, &higher[v as usize]);
+                    work += (hu.len() + higher[v as usize].len()) as u64;
+                    total += intersect(hu, &higher[v as usize]);
                 }
             }
-            total.fetch_add(local, Ordering::Relaxed);
-            work.fetch_add(lw, Ordering::Relaxed);
-        });
-    }
-    let work = work.load(Ordering::Relaxed);
-    counters.edges_traversed = work;
-    counters.vertices_touched = n as u64;
-    counters.iterations = 1;
-    counters.bytes_read = work * 8;
-    trace.parallel(work.max(1), 1, work * 8);
-    RunOutput::new(AlgorithmResult::Triangles(total.load(Ordering::Relaxed)), counters, trace)
+            (total, work)
+        },
+        |a, b| (a.0 + b.0, a.1 + b.1),
+    );
+    log.counters.edges_traversed = work;
+    log.counters.vertices_touched = n as u64;
+    log.counters.iterations = 1;
+    log.counters.bytes_read = work * 8;
+    log.parallel(work.max(1), 1, work * 8);
+    let _ = log.iteration(pool, 1, n as u64, Dir::Pull);
+    log.finish(AlgorithmResult::Triangles(total))
 }
 
 fn intersect(a: &[VertexId], b: &[VertexId]) -> u64 {
@@ -202,13 +187,14 @@ fn intersect(a: &[VertexId], b: &[VertexId]) -> u64 {
 mod tests {
     use super::*;
     use epg_graph::{oracle, Csr};
+    use epg_parallel::ThreadPool;
 
     #[test]
     fn bc_matches_oracle() {
         let el = epg_generator::uniform::generate(90, 500, false, 6).symmetrized().deduplicated();
         let g = PropertyGraph::from_edge_list(&el);
         let pool = ThreadPool::new(3);
-        let out = betweenness(&g, &pool, None, 0);
+        let out = betweenness(&g, &RunParams::new(&pool, None), 0);
         let AlgorithmResult::Centrality(bc) = out.result else { panic!() };
         let want = oracle::betweenness(&Csr::from_edge_list(&el));
         for v in 0..want.len() {
@@ -221,7 +207,7 @@ mod tests {
         let el = epg_generator::uniform::generate(120, 1500, false, 8);
         let g = PropertyGraph::from_edge_list(&el);
         let pool = ThreadPool::new(2);
-        let out = triangle_count(&g, &pool);
+        let out = triangle_count(&g, &RunParams::new(&pool, None));
         let AlgorithmResult::Triangles(t) = out.result else { panic!() };
         assert_eq!(t, oracle::triangle_count(&Csr::from_edge_list(&el)));
     }

@@ -101,24 +101,14 @@ impl Engine for GraphBigEngine {
     fn run(&mut self, algo: Algorithm, params: &RunParams<'_>) -> RunOutput {
         let g = self.graph();
         match algo {
-            Algorithm::Bfs => traversal::bfs(
-                g,
-                params.root.expect("BFS needs a root"),
-                params.pool,
-                params.recorder,
-            ),
-            Algorithm::Sssp => traversal::sssp(
-                g,
-                params.root.expect("SSSP needs a root"),
-                params.pool,
-                params.recorder,
-            ),
+            Algorithm::Bfs => traversal::bfs(g, params),
+            Algorithm::Sssp => traversal::sssp(g, params),
             Algorithm::PageRank => ranking::pagerank(g, params),
-            Algorithm::Cdlp => community::cdlp(g, params.pool, 10),
-            Algorithm::Wcc => community::wcc(g, params.pool),
-            Algorithm::Lcc => topology::lcc(g, params.pool),
-            Algorithm::Bc => extensions::betweenness(g, params.pool, params.bc_sources, 0x6b16),
-            Algorithm::TriangleCount => extensions::triangle_count(g, params.pool),
+            Algorithm::Cdlp => community::cdlp(g, params, 10),
+            Algorithm::Wcc => community::wcc(g, params),
+            Algorithm::Lcc => topology::lcc(g, params),
+            Algorithm::Bc => extensions::betweenness(g, params, 0x6b16),
+            Algorithm::TriangleCount => extensions::triangle_count(g, params),
         }
     }
 

@@ -1,12 +1,9 @@
 //! openG-style PageRank.
 
-use epg_engine_api::{
-    AlgorithmResult, Counters, DeltaTracker, Dir, RunOutput, RunParams, StoppingCriterion, Tracer,
-};
+use epg_engine_api::{AlgorithmResult, Dir, RunLog, RunOutput, RunParams, StoppingCriterion};
 use epg_graph::adjacency::PropertyGraph;
 use epg_graph::VertexId;
 use epg_parallel::{DisjointWriter, Schedule};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 const DAMPING: f64 = 0.85;
 
@@ -17,15 +14,9 @@ pub fn pagerank(g: &PropertyGraph, params: &RunParams<'_>) -> RunOutput {
     let pool = params.pool;
     let rec = params.recorder;
     let stopping = params.stopping.unwrap_or(StoppingCriterion::paper_default());
-    let mut counters = Counters::default();
-    let mut trace = Tracer::new(rec);
-    let mut deltas = DeltaTracker::new();
+    let mut log = RunLog::new(rec);
     if n == 0 {
-        return RunOutput::new(
-            AlgorithmResult::Ranks { ranks: Vec::new(), iterations: 0 },
-            counters,
-            trace.into_trace(),
-        );
+        return log.finish(AlgorithmResult::Ranks { ranks: Vec::new(), iterations: 0 });
     }
     rec.alloc_hwm("graphbig.pr.rank+next", n as u64 * 16);
     let out_deg: Vec<u32> = (0..n as VertexId).map(|v| g.out_degree(v) as u32).collect();
@@ -35,12 +26,7 @@ pub fn pagerank(g: &PropertyGraph, params: &RunParams<'_>) -> RunOutput {
     let mut rank = vec![1.0 / n as f64; n];
     let mut next = vec![0.0f64; n];
     let mut iterations = 0u32;
-    let mut cancelled = false;
     loop {
-        if pool.is_cancelled() {
-            cancelled = true;
-            break;
-        }
         iterations += 1;
         let sink_mass: f64 = sinks.iter().map(|&v| rank[v as usize]).sum::<f64>() / n as f64;
         {
@@ -62,32 +48,31 @@ pub fn pagerank(g: &PropertyGraph, params: &RunParams<'_>) -> RunOutput {
         let l1 = pool.parallel_sum_f64(n, Schedule::graphbig_default(), |v| {
             (rank_ref[v] - next_ref[v]).abs()
         });
-        let changed = AtomicU64::new(0);
-        pool.parallel_for(n, Schedule::graphbig_default(), |v| {
-            if (rank_ref[v] as f32) != (next_ref[v] as f32) {
-                changed.fetch_add(1, Ordering::Relaxed);
-            }
-        });
+        let changed = pool.parallel_reduce(
+            n,
+            Schedule::graphbig_default(),
+            || 0u64,
+            |acc, v| *acc += ((rank_ref[v] as f32) != (next_ref[v] as f32)) as u64,
+            |a, b| a + b,
+        );
         std::mem::swap(&mut rank, &mut next);
-        counters.edges_traversed += m;
-        counters.vertices_touched += n as u64;
-        trace.parallel(m.max(1), 1, m * 16 + n as u64 * 24);
-        trace.parallel(n as u64, 1, n as u64 * 16);
-        deltas.flush("iteration", &counters, rec);
+        log.counters.edges_traversed += m;
+        log.counters.vertices_touched += n as u64;
+        log.parallel(m.max(1), 1, m * 16 + n as u64 * 24);
+        log.parallel(n as u64, 1, n as u64 * 16);
         // Pull-mode: every vertex is active every round.
-        rec.iteration(iterations, n as u64, Dir::Pull);
-        if stopping.is_converged(l1, changed.load(Ordering::Relaxed))
+        let stop = log.iteration(pool, iterations, n as u64, Dir::Pull);
+        if stop.is_break()
+            || stopping.is_converged(l1, changed)
             || iterations >= params.max_iterations
         {
             break;
         }
     }
-    counters.iterations = iterations;
-    counters.bytes_read = counters.edges_traversed * 16;
-    counters.bytes_written = counters.vertices_touched * 8;
-    deltas.flush("finalize", &counters, rec);
-    RunOutput::new(AlgorithmResult::Ranks { ranks: rank, iterations }, counters, trace.into_trace())
-        .cancelled(cancelled)
+    log.counters.iterations = iterations;
+    log.counters.bytes_read = log.counters.edges_traversed * 16;
+    log.counters.bytes_written = log.counters.vertices_touched * 8;
+    log.finish(AlgorithmResult::Ranks { ranks: rank, iterations })
 }
 
 #[cfg(test)]

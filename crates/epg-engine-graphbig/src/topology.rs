@@ -2,19 +2,18 @@
 //! runtimes on the dense dota-league graph — neighborhood intersection is
 //! quadratic in degree, and dota's average degree is 824).
 
-use epg_engine_api::{AlgorithmResult, Counters, RunOutput, Trace};
+use epg_engine_api::{AlgorithmResult, Dir, RunLog, RunOutput, RunParams};
 use epg_graph::adjacency::PropertyGraph;
 use epg_graph::VertexId;
-use epg_parallel::{DisjointWriter, Schedule, ThreadPool};
-use std::sync::atomic::{AtomicU64, Ordering};
+use epg_parallel::{DisjointWriter, Schedule};
 
 /// Computes the Graphalytics local clustering coefficient per vertex:
 /// over the undirected neighborhood `N(v)`, the fraction of *directed*
 /// edges present among neighbors out of `d(d-1)`.
-pub fn lcc(g: &PropertyGraph, pool: &ThreadPool) -> RunOutput {
+pub fn lcc(g: &PropertyGraph, params: &RunParams<'_>) -> RunOutput {
+    let pool = params.pool;
     let n = g.num_vertices();
-    let mut counters = Counters::default();
-    let mut trace = Trace::default();
+    let mut log = RunLog::new(params.recorder);
 
     // Pass 1 (parallel): sorted, deduplicated out-lists and undirected
     // neighborhoods. Using per-range local buffers then writing into the
@@ -46,51 +45,54 @@ pub fn lcc(g: &PropertyGraph, pool: &ThreadPool) -> RunOutput {
         });
     }
     let prep_work: u64 = (0..n).map(|v| nbrs[v].len() as u64 + 1).sum();
-    trace.parallel(prep_work.max(1), 1, prep_work * 8);
+    log.parallel(prep_work.max(1), 1, prep_work * 8);
 
     // Pass 2 (parallel, dynamic — degree skew makes this highly irregular):
     // count directed edges among each neighborhood.
     let mut out = vec![0.0f64; n];
-    let intersections = AtomicU64::new(0);
-    let max_cost = AtomicU64::new(0);
-    {
+    let (work, max_cost) = {
         let writer = DisjointWriter::new(&mut out);
         let out_sorted = &out_sorted;
         let nbrs = &nbrs;
-        pool.parallel_for_ranges(n, Schedule::Dynamic { chunk: 16 }, |_tid, lo, hi| {
-            let mut local_inter = 0u64;
-            let mut local_max = 0u64;
-            for v in lo..hi {
-                let nb = &nbrs[v];
-                let d = nb.len();
-                if d < 2 {
-                    continue;
+        pool.parallel_reduce_ranges(
+            n,
+            Schedule::Dynamic { chunk: 16 },
+            || (0u64, 0u64),
+            |lo, hi| {
+                let (mut work, mut max_cost) = (0u64, 0u64);
+                for v in lo..hi {
+                    let nb = &nbrs[v];
+                    let d = nb.len();
+                    if d < 2 {
+                        continue;
+                    }
+                    let mut tri = 0u64;
+                    let mut cost = 0u64;
+                    for &u in nb {
+                        let a = &out_sorted[u as usize];
+                        cost += (a.len() + d) as u64;
+                        tri += sorted_intersection_count(a, nb, u);
+                    }
+                    work += cost;
+                    max_cost = max_cost.max(cost);
+                    // SAFETY: dynamic chunks are disjoint — single writer per
+                    // index per region, `v < n`.
+                    unsafe { writer.write_unchecked(v, tri as f64 / (d as f64 * (d - 1) as f64)) };
                 }
-                let mut tri = 0u64;
-                let mut cost = 0u64;
-                for &u in nb {
-                    let a = &out_sorted[u as usize];
-                    cost += (a.len() + d) as u64;
-                    tri += sorted_intersection_count(a, nb, u);
-                }
-                local_inter += cost;
-                local_max = local_max.max(cost);
-                // SAFETY: dynamic chunks are disjoint — single writer per
-                // index per region, `v < n`.
-                unsafe { writer.write_unchecked(v, tri as f64 / (d as f64 * (d - 1) as f64)) };
-            }
-            intersections.fetch_add(local_inter, Ordering::Relaxed);
-            max_cost.fetch_max(local_max, Ordering::Relaxed);
-        });
-    }
-    let work = intersections.load(Ordering::Relaxed);
-    counters.edges_traversed = work;
-    counters.vertices_touched = n as u64;
-    counters.iterations = 1;
-    counters.bytes_read = work * 8;
-    counters.bytes_written = n as u64 * 8;
-    trace.parallel(work.max(1), max_cost.load(Ordering::Relaxed).max(1), work * 8);
-    RunOutput::new(AlgorithmResult::Coefficients(out), counters, trace)
+                (work, max_cost)
+            },
+            |a, b| (a.0 + b.0, a.1.max(b.1)),
+        )
+    };
+    log.counters.edges_traversed = work;
+    log.counters.vertices_touched = n as u64;
+    log.counters.iterations = 1;
+    log.counters.bytes_read = work * 8;
+    log.counters.bytes_written = n as u64 * 8;
+    log.parallel(work.max(1), max_cost.max(1), work * 8);
+    // One pass over every vertex; the poll makes the run reapable.
+    let _ = log.iteration(pool, 1, n as u64, Dir::Pull);
+    log.finish(AlgorithmResult::Coefficients(out))
 }
 
 /// Counts `|a ∩ b|` over sorted slices, skipping `exclude` in `a` (a
@@ -119,11 +121,12 @@ fn sorted_intersection_count(a: &[VertexId], b: &[VertexId], exclude: VertexId) 
 mod tests {
     use super::*;
     use epg_graph::{oracle, Csr, EdgeList};
+    use epg_parallel::ThreadPool;
 
     fn check(el: &EdgeList) {
         let g = PropertyGraph::from_edge_list(el);
         let pool = ThreadPool::new(3);
-        let out = lcc(&g, &pool);
+        let out = lcc(&g, &RunParams::new(&pool, None));
         let AlgorithmResult::Coefficients(c) = out.result else { panic!() };
         let want = oracle::lcc(&Csr::from_edge_list(el));
         for v in 0..want.len() {
@@ -157,8 +160,11 @@ mod tests {
         let sparse = epg_generator::uniform::generate(200, 800, false, 1);
         let dense = epg_generator::uniform::generate(200, 8000, false, 1);
         let pool = ThreadPool::new(2);
-        let ws = lcc(&PropertyGraph::from_edge_list(&sparse), &pool).counters.edges_traversed;
-        let wd = lcc(&PropertyGraph::from_edge_list(&dense), &pool).counters.edges_traversed;
+        let work = |el| {
+            let g = PropertyGraph::from_edge_list(el);
+            lcc(&g, &RunParams::new(&pool, None)).counters.edges_traversed
+        };
+        let (ws, wd) = (work(&sparse), work(&dense));
         assert!(wd > 20 * ws, "dense work {wd} vs sparse {ws}");
     }
 }

@@ -1,22 +1,16 @@
 //! openG-style traversal kernels: BFS and SSSP.
 
-use epg_engine_api::{
-    AlgorithmResult, Counters, DeltaTracker, Dir, RecorderCtx, RunOutput, Tracer,
-};
+use epg_engine_api::{AlgorithmResult, Dir, Partial, RunLog, RunOutput, RunParams};
 use epg_graph::adjacency::PropertyGraph;
-use epg_graph::{VertexId, INF_DIST, NO_VERTEX};
-use epg_parallel::{AtomicF32, Schedule, ThreadPool};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use epg_graph::{INF_DIST, NO_VERTEX};
+use epg_parallel::{AtomicF32, Schedule};
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Level-synchronous top-down BFS over the property graph, dynamic
 /// scheduling (openG's `bfs` kernel).
-pub fn bfs(
-    g: &PropertyGraph,
-    root: VertexId,
-    pool: &ThreadPool,
-    rec: RecorderCtx<'_>,
-) -> RunOutput {
+pub fn bfs(g: &PropertyGraph, params: &RunParams<'_>) -> RunOutput {
+    let (pool, rec) = (params.pool, params.recorder);
+    let root = params.root.expect("BFS needs a root");
     let n = g.num_vertices();
     let parent: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(NO_VERTEX)).collect();
     let level: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(u32::MAX)).collect();
@@ -24,156 +18,118 @@ pub fn bfs(
     level[root as usize].store(0, Ordering::Relaxed);
     rec.alloc_hwm("graphbig.bfs.parent+level", n as u64 * 8);
 
-    let mut counters = Counters::default();
-    let mut trace = Tracer::new(rec);
-    let mut deltas = DeltaTracker::new();
+    let mut log = RunLog::new(rec);
     let mut frontier = vec![root];
     let mut depth = 0u32;
-    let mut bfs_cancelled = false;
     while !frontier.is_empty() {
-        if pool.is_cancelled() {
-            bfs_cancelled = true;
-            break;
-        }
         depth += 1;
-        let checked = AtomicU64::new(0);
-        let max_deg = AtomicU64::new(0);
-        let next: Mutex<Vec<VertexId>> = Mutex::new(Vec::with_capacity(frontier.len()));
-        pool.parallel_for_ranges(frontier.len(), Schedule::graphbig_default(), |_tid, lo, hi| {
-            let mut local = Vec::with_capacity(hi - lo);
-            let mut c = 0u64;
-            let mut md = 0u64;
-            for &u in &frontier[lo..hi] {
-                md = md.max(g.out_degree(u) as u64);
-                for (v, _) in g.neighbors(u) {
-                    c += 1;
-                    if parent[v as usize].load(Ordering::Relaxed) == NO_VERTEX
-                        && parent[v as usize]
-                            .compare_exchange(NO_VERTEX, u, Ordering::Relaxed, Ordering::Relaxed)
-                            .is_ok()
-                    {
-                        level[v as usize].store(depth, Ordering::Relaxed);
-                        local.push(v);
+        let step =
+            Partial::collect(pool, frontier.len(), Schedule::graphbig_default(), |lo, hi| {
+                let mut found = Vec::with_capacity(hi - lo);
+                let (mut edges, mut max_degree) = (0u64, 0u64);
+                for &u in &frontier[lo..hi] {
+                    max_degree = max_degree.max(g.out_degree(u) as u64);
+                    for (v, _) in g.neighbors(u) {
+                        edges += 1;
+                        if parent[v as usize].load(Ordering::Relaxed) == NO_VERTEX
+                            && parent[v as usize]
+                                .compare_exchange(
+                                    NO_VERTEX,
+                                    u,
+                                    Ordering::Relaxed,
+                                    Ordering::Relaxed,
+                                )
+                                .is_ok()
+                        {
+                            level[v as usize].store(depth, Ordering::Relaxed);
+                            found.push(v);
+                        }
                     }
                 }
-            }
-            checked.fetch_add(c, Ordering::Relaxed);
-            max_deg.fetch_max(md, Ordering::Relaxed);
-            if !local.is_empty() {
-                next.lock().append(&mut local);
-            }
-        });
-        let checked = checked.load(Ordering::Relaxed);
+                Partial { found, edges, max_degree }
+            });
         let scanned = frontier.len() as u64;
-        frontier = next.into_inner();
-        counters.edges_traversed += checked;
-        counters.vertices_touched += frontier.len() as u64;
-        counters.iterations += 1;
+        frontier = step.found;
+        log.counters.edges_traversed += step.edges;
+        log.counters.vertices_touched += frontier.len() as u64;
+        log.counters.iterations += 1;
         // The property-graph layout costs an extra pointer dereference per
         // vertex object relative to CSR — reflected in the bytes estimate.
-        trace.parallel(
-            checked.max(1),
-            max_deg.load(Ordering::Relaxed).max(1),
-            checked * 16 + frontier.len() as u64 * 24,
+        log.parallel(
+            step.edges.max(1),
+            step.max_degree.max(1),
+            step.edges * 16 + frontier.len() as u64 * 24,
         );
-        deltas.flush("iteration", &counters, rec);
-        rec.iteration(depth, scanned, Dir::Push);
+        if log.iteration(pool, depth, scanned, Dir::Push).is_break() {
+            break;
+        }
     }
-    counters.bytes_read = counters.edges_traversed * 16;
-    counters.bytes_written = counters.vertices_touched * 24;
-    deltas.flush("finalize", &counters, rec);
+    log.counters.bytes_read = log.counters.edges_traversed * 16;
+    log.counters.bytes_written = log.counters.vertices_touched * 24;
     parent[root as usize].store(NO_VERTEX, Ordering::Relaxed);
-    RunOutput::new(
-        AlgorithmResult::BfsTree {
-            parent: parent.iter().map(|p| p.load(Ordering::Relaxed)).collect(),
-            level: level.iter().map(|l| l.load(Ordering::Relaxed)).collect(),
-        },
-        counters,
-        trace.into_trace(),
-    )
-    .cancelled(bfs_cancelled)
+    log.finish(AlgorithmResult::BfsTree {
+        parent: parent.iter().map(|p| p.load(Ordering::Relaxed)).collect(),
+        level: level.iter().map(|l| l.load(Ordering::Relaxed)).collect(),
+    })
 }
 
 /// Frontier-based Bellman-Ford SSSP (openG's `sssp` kernel): no Δ buckets,
 /// just repeated relaxation of an active set — simpler and slower than
 /// GAP's Δ-stepping, which is the architectural contrast the paper draws.
-pub fn sssp(
-    g: &PropertyGraph,
-    root: VertexId,
-    pool: &ThreadPool,
-    rec: RecorderCtx<'_>,
-) -> RunOutput {
+pub fn sssp(g: &PropertyGraph, params: &RunParams<'_>) -> RunOutput {
+    let (pool, rec) = (params.pool, params.recorder);
+    let root = params.root.expect("SSSP needs a root");
     let n = g.num_vertices();
     let dist: Vec<AtomicF32> = (0..n).map(|_| AtomicF32::new(INF_DIST)).collect();
     dist[root as usize].store(0.0, Ordering::Relaxed);
     rec.alloc_hwm("graphbig.sssp.dist", n as u64 * 4);
 
-    let mut counters = Counters::default();
-    let mut trace = Tracer::new(rec);
-    let mut deltas = DeltaTracker::new();
+    let mut log = RunLog::new(rec);
     let mut round = 0u32;
     let mut active = vec![root];
-    let mut sssp_cancelled = false;
     while !active.is_empty() {
-        if pool.is_cancelled() {
-            sssp_cancelled = true;
-            break;
-        }
         round += 1;
-        let relaxed = AtomicU64::new(0);
-        let max_deg = AtomicU64::new(0);
-        let next: Mutex<Vec<VertexId>> = Mutex::new(Vec::with_capacity(active.len()));
-        pool.parallel_for_ranges(active.len(), Schedule::graphbig_default(), |_tid, lo, hi| {
-            let mut local = Vec::with_capacity(hi - lo);
-            let mut r = 0u64;
-            let mut md = 0u64;
+        let step = Partial::collect(pool, active.len(), Schedule::graphbig_default(), |lo, hi| {
+            let mut found = Vec::with_capacity(hi - lo);
+            let (mut edges, mut max_degree) = (0u64, 0u64);
             for &u in &active[lo..hi] {
                 let du = dist[u as usize].load(Ordering::Relaxed);
-                md = md.max(g.out_degree(u) as u64);
+                max_degree = max_degree.max(g.out_degree(u) as u64);
                 for (v, w) in g.neighbors(u) {
-                    r += 1;
+                    edges += 1;
                     if dist[v as usize].fetch_min(du + w, Ordering::Relaxed) {
-                        local.push(v);
+                        found.push(v);
                     }
                 }
             }
-            relaxed.fetch_add(r, Ordering::Relaxed);
-            max_deg.fetch_max(md, Ordering::Relaxed);
-            if !local.is_empty() {
-                next.lock().append(&mut local);
-            }
+            Partial { found, edges, max_degree }
         });
-        let mut next = next.into_inner();
+        let mut next = step.found;
         next.sort_unstable();
         next.dedup();
-        let relaxed = relaxed.load(Ordering::Relaxed);
-        counters.edges_traversed += relaxed;
-        counters.vertices_touched += next.len() as u64;
-        counters.iterations += 1;
-        trace.parallel(
-            relaxed.max(1),
-            max_deg.load(Ordering::Relaxed).max(1),
-            relaxed * 20 + next.len() as u64 * 8,
+        log.counters.edges_traversed += step.edges;
+        log.counters.vertices_touched += next.len() as u64;
+        log.counters.iterations += 1;
+        log.parallel(
+            step.edges.max(1),
+            step.max_degree.max(1),
+            step.edges * 20 + next.len() as u64 * 8,
         );
-        deltas.flush("iteration", &counters, rec);
-        rec.iteration(round, active.len() as u64, Dir::Push);
+        if log.iteration(pool, round, active.len() as u64, Dir::Push).is_break() {
+            break;
+        }
         active = next;
     }
-    counters.bytes_read = counters.edges_traversed * 20;
-    counters.bytes_written = counters.vertices_touched * 8;
-    deltas.flush("finalize", &counters, rec);
-    RunOutput::new(
-        AlgorithmResult::Distances(dist.iter().map(|d| d.load(Ordering::Relaxed)).collect()),
-        counters,
-        trace.into_trace(),
-    )
-    .cancelled(sssp_cancelled)
+    log.counters.bytes_read = log.counters.edges_traversed * 20;
+    log.counters.bytes_written = log.counters.vertices_touched * 8;
+    log.finish(AlgorithmResult::Distances(dist.iter().map(|d| d.load(Ordering::Relaxed)).collect()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use epg_graph::{oracle, Csr, EdgeList};
+    use epg_graph::{oracle, Csr, EdgeList, VertexId};
+    use epg_parallel::ThreadPool;
 
     #[test]
     fn bellman_ford_converges_with_negative_free_weights() {
@@ -181,7 +137,7 @@ mod tests {
             EdgeList::weighted(4, vec![(0, 1), (0, 2), (2, 1), (1, 3)], vec![10.0, 1.0, 2.0, 1.0]);
         let g = PropertyGraph::from_edge_list(&el);
         let pool = ThreadPool::new(2);
-        let out = sssp(&g, 0, &pool, RecorderCtx::none());
+        let out = sssp(&g, &RunParams::new(&pool, Some(0)));
         let AlgorithmResult::Distances(d) = out.result else { panic!() };
         assert_eq!(d[1], 3.0);
         assert_eq!(d[3], 4.0);
@@ -194,7 +150,7 @@ mod tests {
         let el = EdgeList::new(51, edges);
         let g = PropertyGraph::from_edge_list(&el);
         let pool = ThreadPool::new(1);
-        let out = sssp(&g, 0, &pool, RecorderCtx::none());
+        let out = sssp(&g, &RunParams::new(&pool, Some(0)));
         assert!(out.counters.iterations >= 50);
     }
 
@@ -203,7 +159,7 @@ mod tests {
         let el = EdgeList::new(5, vec![(0, 1), (3, 4)]);
         let g = PropertyGraph::from_edge_list(&el);
         let pool = ThreadPool::new(2);
-        let out = bfs(&g, 0, &pool, RecorderCtx::none());
+        let out = bfs(&g, &RunParams::new(&pool, Some(0)));
         let AlgorithmResult::BfsTree { level, .. } = out.result else { panic!() };
         assert_eq!(level[1], 1);
         assert_eq!(level[3], u32::MAX);
@@ -224,7 +180,7 @@ mod tests {
         let csr = Csr::from_edge_list(&el);
         let pool = ThreadPool::new(4);
         let root = epg_graph::degree::sample_roots(&el, 1, 1)[0];
-        let out = bfs(&g, root, &pool, RecorderCtx::none());
+        let out = bfs(&g, &RunParams::new(&pool, Some(root)));
         let AlgorithmResult::BfsTree { level, .. } = out.result else { panic!() };
         assert_eq!(level, oracle::bfs(&csr, root).level);
     }

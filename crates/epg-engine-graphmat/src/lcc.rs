@@ -3,15 +3,14 @@
 //! sequence of matrix products; the dominant cost — per-wedge intersection
 //! work — is identical).
 
-use epg_engine_api::{AlgorithmResult, Counters, RunOutput, Trace};
+use epg_engine_api::{AlgorithmResult, Dir, RunLog, RunOutput, RunParams};
 use epg_graph::{Dcsc, VertexId};
-use epg_parallel::{DisjointWriter, Schedule, ThreadPool};
-use std::sync::atomic::{AtomicU64, Ordering};
+use epg_parallel::{DisjointWriter, Schedule};
 
 /// Computes the Graphalytics local clustering coefficient per vertex.
-pub fn lcc(a: &Dcsc, at: &Dcsc, n: usize, pool: &ThreadPool) -> RunOutput {
-    let mut counters = Counters::default();
-    let mut trace = Trace::default();
+pub fn lcc(a: &Dcsc, at: &Dcsc, n: usize, params: &RunParams<'_>) -> RunOutput {
+    let pool = params.pool;
+    let mut log = RunLog::new(params.recorder);
 
     // Phase 1: undirected neighborhoods (columns of A merged with Aᵀ).
     let mut nbrs: Vec<Vec<VertexId>> = vec![Vec::new(); n];
@@ -31,48 +30,49 @@ pub fn lcc(a: &Dcsc, at: &Dcsc, n: usize, pool: &ThreadPool) -> RunOutput {
         });
     }
     let prep: u64 = nbrs.iter().map(|x| x.len() as u64 + 1).sum();
-    trace.parallel(prep.max(1), 1, prep * 8);
+    log.parallel(prep.max(1), 1, prep * 8);
 
     // Phase 2: wedge closure counting by sorted intersection.
     let mut out = vec![0.0f64; n];
-    let work = AtomicU64::new(0);
-    let max_cost = AtomicU64::new(0);
-    {
-        let w = DisjointWriter::new(&mut out);
-        let nbrs = &nbrs;
-        pool.parallel_for_ranges(n, Schedule::Dynamic { chunk: 16 }, |_tid, lo, hi| {
-            let mut local_work = 0u64;
-            let mut local_max = 0u64;
-            for v in lo..hi {
-                let nb = &nbrs[v];
-                let d = nb.len();
-                if d < 2 {
-                    continue;
-                }
-                let mut tri = 0u64;
-                let mut cost = 0u64;
-                for &u in nb {
-                    let outs = a.column(u);
-                    cost += (outs.len() + d) as u64;
-                    tri += intersect_count(outs, nb, u);
-                }
-                local_work += cost;
-                local_max = local_max.max(cost);
-                // SAFETY: one writer per index.
-                unsafe { w.write(v, tri as f64 / (d as f64 * (d - 1) as f64)) };
+    let w = DisjointWriter::new(&mut out);
+    let nbrs = &nbrs;
+    let close_wedges = |lo: usize, hi: usize| {
+        let (mut work, mut max_cost) = (0u64, 0u64);
+        for v in lo..hi {
+            let nb = &nbrs[v];
+            let d = nb.len();
+            if d < 2 {
+                continue;
             }
-            work.fetch_add(local_work, Ordering::Relaxed);
-            max_cost.fetch_max(local_max, Ordering::Relaxed);
-        });
-    }
-    let work = work.load(Ordering::Relaxed);
-    counters.edges_traversed = work;
-    counters.vertices_touched = n as u64;
-    counters.iterations = 1;
-    counters.bytes_read = work * 8;
-    counters.bytes_written = n as u64 * 8;
-    trace.parallel(work.max(1), max_cost.load(Ordering::Relaxed).max(1), work * 8);
-    RunOutput::new(AlgorithmResult::Coefficients(out), counters, trace)
+            let mut tri = 0u64;
+            let mut cost = 0u64;
+            for &u in nb {
+                let outs = a.column(u);
+                cost += (outs.len() + d) as u64;
+                tri += intersect_count(outs, nb, u);
+            }
+            work += cost;
+            max_cost = max_cost.max(cost);
+            // SAFETY: one writer per index.
+            unsafe { w.write(v, tri as f64 / (d as f64 * (d - 1) as f64)) };
+        }
+        (work, max_cost)
+    };
+    let (work, max_cost) = pool.parallel_reduce_ranges(
+        n,
+        Schedule::Dynamic { chunk: 16 },
+        || (0, 0),
+        close_wedges,
+        |x, y| (x.0 + y.0, x.1.max(y.1)),
+    );
+    log.counters.edges_traversed = work;
+    log.counters.vertices_touched = n as u64;
+    log.counters.iterations = 1;
+    log.counters.bytes_read = work * 8;
+    log.counters.bytes_written = n as u64 * 8;
+    log.parallel(work.max(1), max_cost.max(1), work * 8);
+    let _ = log.iteration(pool, 1, n as u64, Dir::Pull);
+    log.finish(AlgorithmResult::Coefficients(out))
 }
 
 fn intersect_count(a: &[VertexId], b: &[VertexId], exclude: VertexId) -> u64 {
@@ -99,6 +99,7 @@ fn intersect_count(a: &[VertexId], b: &[VertexId], exclude: VertexId) -> u64 {
 mod tests {
     use super::*;
     use epg_graph::{oracle, Csr, EdgeList};
+    use epg_parallel::ThreadPool;
 
     #[test]
     fn triangle_is_one() {
@@ -106,7 +107,7 @@ mod tests {
         let a = Dcsc::from_edge_list(&el);
         let at = a.transpose();
         let pool = ThreadPool::new(2);
-        let out = lcc(&a, &at, 3, &pool);
+        let out = lcc(&a, &at, 3, &RunParams::new(&pool, None));
         let AlgorithmResult::Coefficients(c) = out.result else { panic!() };
         assert!(c.iter().all(|&x| (x - 1.0).abs() < 1e-12));
     }
@@ -117,7 +118,7 @@ mod tests {
         let a = Dcsc::from_edge_list(&el);
         let at = a.transpose();
         let pool = ThreadPool::new(3);
-        let out = lcc(&a, &at, el.num_vertices, &pool);
+        let out = lcc(&a, &at, el.num_vertices, &RunParams::new(&pool, None));
         let AlgorithmResult::Coefficients(c) = out.result else { panic!() };
         let want = oracle::lcc(&Csr::from_edge_list(&el));
         for v in 0..want.len() {
@@ -129,9 +130,9 @@ mod tests {
 /// Global triangle count (§V extension): GraphMat's TC program — the same
 /// ordered-intersection structure as LCC restricted to higher-numbered
 /// neighborhoods, counting each triangle once.
-pub fn triangle_count(a: &Dcsc, at: &Dcsc, n: usize, pool: &ThreadPool) -> RunOutput {
-    let mut counters = Counters::default();
-    let mut trace = Trace::default();
+pub fn triangle_count(a: &Dcsc, at: &Dcsc, n: usize, params: &RunParams<'_>) -> RunOutput {
+    let pool = params.pool;
+    let mut log = RunLog::new(params.recorder);
     let mut higher: Vec<Vec<VertexId>> = vec![Vec::new(); n];
     {
         let w = DisjointWriter::new(&mut higher);
@@ -152,39 +153,37 @@ pub fn triangle_count(a: &Dcsc, at: &Dcsc, n: usize, pool: &ThreadPool) -> RunOu
             }
         });
     }
-    let total = AtomicU64::new(0);
-    let work = AtomicU64::new(0);
-    {
-        let higher = &higher;
-        pool.parallel_for_ranges(n, Schedule::Dynamic { chunk: 32 }, |_tid, lo, hi| {
-            let mut local = 0u64;
-            let mut lw = 0u64;
-            for u in lo..hi {
-                let hu = &higher[u];
-                for &v in hu {
-                    lw += (hu.len() + higher[v as usize].len()) as u64;
-                    local += intersect_count(hu, &higher[v as usize], VertexId::MAX);
-                }
+    let higher = &higher;
+    let count = |lo: usize, hi: usize| {
+        let (mut total, mut work) = (0u64, 0u64);
+        for u in lo..hi {
+            let hu = &higher[u];
+            for &v in hu {
+                work += (hu.len() + higher[v as usize].len()) as u64;
+                total += intersect_count(hu, &higher[v as usize], VertexId::MAX);
             }
-            total.fetch_add(local, Ordering::Relaxed);
-            work.fetch_add(lw, Ordering::Relaxed);
-        });
-    }
-    let work = work.load(Ordering::Relaxed);
-    counters.edges_traversed = work;
-    counters.vertices_touched = n as u64;
-    counters.iterations = 1;
-    counters.bytes_read = work * 8;
-    trace.parallel(work.max(1), 1, work * 8);
+        }
+        (total, work)
+    };
+    let sched = Schedule::Dynamic { chunk: 32 };
+    let (total, work) =
+        pool.parallel_reduce_ranges(n, sched, || (0, 0), count, |x, y| (x.0 + y.0, x.1 + y.1));
+    log.counters.edges_traversed = work;
+    log.counters.vertices_touched = n as u64;
+    log.counters.iterations = 1;
+    log.counters.bytes_read = work * 8;
+    log.parallel(work.max(1), 1, work * 8);
     // The final global reduction is a (tiny) serial step in GraphMat.
-    trace.serial(1, 8);
-    RunOutput::new(AlgorithmResult::Triangles(total.load(Ordering::Relaxed)), counters, trace)
+    log.serial(1, 8);
+    let _ = log.iteration(pool, 1, n as u64, Dir::Pull);
+    log.finish(AlgorithmResult::Triangles(total))
 }
 
 #[cfg(test)]
 mod tc_tests {
     use super::*;
     use epg_graph::{oracle, Csr};
+    use epg_parallel::ThreadPool;
 
     #[test]
     fn tc_matches_oracle() {
@@ -192,7 +191,7 @@ mod tc_tests {
         let a = Dcsc::from_edge_list(&el);
         let at = a.transpose();
         let pool = ThreadPool::new(3);
-        let out = triangle_count(&a, &at, el.num_vertices, &pool);
+        let out = triangle_count(&a, &at, el.num_vertices, &RunParams::new(&pool, None));
         let AlgorithmResult::Triangles(t) = out.result else { panic!() };
         assert_eq!(t, oracle::triangle_count(&Csr::from_edge_list(&el)));
     }

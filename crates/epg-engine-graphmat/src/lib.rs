@@ -108,28 +108,15 @@ impl Engine for GraphMatEngine {
 
     fn run(&mut self, algo: Algorithm, params: &RunParams<'_>) -> RunOutput {
         let (a, at) = (self.matrix(), self.matrix_t());
+        let n = self.num_vertices;
         match algo {
-            Algorithm::Bfs => programs::bfs(
-                a,
-                self.num_vertices,
-                params.root.expect("BFS needs a root"),
-                params.pool,
-                params.recorder,
-            ),
-            Algorithm::Sssp => programs::sssp(
-                a,
-                self.num_vertices,
-                params.root.expect("SSSP needs a root"),
-                params.pool,
-                params.recorder,
-            ),
-            Algorithm::PageRank => programs::pagerank(a, at, self.num_vertices, params),
-            Algorithm::Cdlp => {
-                programs::cdlp(a, at, self.num_vertices, params.pool, 10, params.recorder)
-            }
-            Algorithm::Wcc => programs::wcc(a, at, self.num_vertices, params.pool, params.recorder),
-            Algorithm::Lcc => lcc::lcc(a, at, self.num_vertices, params.pool),
-            Algorithm::TriangleCount => lcc::triangle_count(a, at, self.num_vertices, params.pool),
+            Algorithm::Bfs => programs::bfs(a, n, params),
+            Algorithm::Sssp => programs::sssp(a, n, params),
+            Algorithm::PageRank => programs::pagerank(a, at, n, params),
+            Algorithm::Cdlp => programs::cdlp(a, at, n, params, 10),
+            Algorithm::Wcc => programs::wcc(a, at, n, params),
+            Algorithm::Lcc => lcc::lcc(a, at, n, params),
+            Algorithm::TriangleCount => lcc::triangle_count(a, at, n, params),
             Algorithm::Bc => unreachable!(),
         }
     }

@@ -2,21 +2,20 @@
 
 use crate::program::GraphProgram;
 use crate::spmv::{run_iteration, SpmvStats};
-use epg_engine_api::{
-    AlgorithmResult, Counters, DeltaTracker, Dir, RecorderCtx, RunOutput, RunParams,
-    StoppingCriterion, Tracer,
-};
+use epg_engine_api::{AlgorithmResult, Dir, RunLog, RunOutput, RunParams, StoppingCriterion};
 use epg_graph::{Dcsc, VertexId, Weight, INF_DIST, NO_VERTEX};
-use epg_parallel::{DisjointWriter, Schedule, ThreadPool};
+use epg_parallel::{DisjointWriter, Schedule};
 
-fn charge(counters: &mut Counters, trace: &mut Tracer<'_>, stats: &SpmvStats) {
-    counters.edges_traversed += stats.edges;
-    counters.vertices_touched += stats.touched;
-    trace.parallel(stats.edges.max(1), stats.max_column.max(1), stats.edges * 12);
+/// Books one SpMSpV iteration: its work, its two regions, one iteration.
+fn charge(log: &mut RunLog<'_>, stats: &SpmvStats) {
+    log.counters.edges_traversed += stats.edges;
+    log.counters.vertices_touched += stats.touched;
+    log.counters.iterations += 1;
+    log.parallel(stats.edges.max(1), stats.max_column.max(1), stats.edges * 12);
     // The accumulator merge is the serial portion of GraphMat's backend —
     // the constant overhead the paper attributes to "the sparse matrix
     // operations" on small inputs.
-    trace.serial(stats.touched.max(1), stats.touched * 16);
+    log.serial(stats.touched.max(1), stats.touched * 16);
 }
 
 // ---------------------------------------------------------------- BFS ----
@@ -56,50 +55,32 @@ impl GraphProgram for BfsProgram {
 }
 
 /// BFS as iterated sparse matrix-vector products.
-pub fn bfs(
-    a: &Dcsc,
-    n: usize,
-    root: VertexId,
-    pool: &ThreadPool,
-    rec: RecorderCtx<'_>,
-) -> RunOutput {
+pub fn bfs(a: &Dcsc, n: usize, params: &RunParams<'_>) -> RunOutput {
+    let (pool, rec) = (params.pool, params.recorder);
+    let root = params.root.expect("BFS needs a root");
     let mut values = vec![BfsValue { parent: NO_VERTEX, level: u32::MAX }; n];
     values[root as usize].level = 0;
     let mut active = vec![root];
-    let mut counters = Counters::default();
-    let mut trace = Tracer::new(rec);
-    let mut deltas = DeltaTracker::new();
+    let mut log = RunLog::new(rec);
     let mut depth = 0;
-    let mut cancelled = false;
     rec.alloc_hwm("graphmat.bfs.values", n as u64 * 8);
     while !active.is_empty() {
-        if pool.is_cancelled() {
-            cancelled = true;
-            break;
-        }
         depth += 1;
-        let frontier = active.len() as u64;
         let prog = BfsProgram { depth };
         let (next, stats) = run_iteration(&prog, &[a], &active, &mut values, pool);
-        charge(&mut counters, &mut trace, &stats);
-        counters.iterations += 1;
-        deltas.flush("iteration", &counters, rec);
+        charge(&mut log, &stats);
         // SpMSpV pushes along out-edge columns of the active set.
-        rec.iteration(depth, frontier, Dir::Push);
+        if log.iteration(pool, depth, active.len() as u64, Dir::Push).is_break() {
+            break;
+        }
         active = next;
     }
-    counters.bytes_read = counters.edges_traversed * 12;
-    counters.bytes_written = counters.vertices_touched * 8;
-    deltas.flush("finalize", &counters, rec);
-    RunOutput::new(
-        AlgorithmResult::BfsTree {
-            parent: values.iter().map(|v| v.parent).collect(),
-            level: values.iter().map(|v| v.level).collect(),
-        },
-        counters,
-        trace.into_trace(),
-    )
-    .cancelled(cancelled)
+    log.counters.bytes_read = log.counters.edges_traversed * 12;
+    log.counters.bytes_written = log.counters.vertices_touched * 8;
+    log.finish(AlgorithmResult::BfsTree {
+        parent: values.iter().map(|v| v.parent).collect(),
+        level: values.iter().map(|v| v.level).collect(),
+    })
 }
 
 // --------------------------------------------------------------- SSSP ----
@@ -130,41 +111,27 @@ impl GraphProgram for SsspProgram {
 }
 
 /// SSSP as iterated min-plus SpMSpV (Bellman-Ford over the semiring).
-pub fn sssp(
-    a: &Dcsc,
-    n: usize,
-    root: VertexId,
-    pool: &ThreadPool,
-    rec: RecorderCtx<'_>,
-) -> RunOutput {
+pub fn sssp(a: &Dcsc, n: usize, params: &RunParams<'_>) -> RunOutput {
+    let (pool, rec) = (params.pool, params.recorder);
+    let root = params.root.expect("SSSP needs a root");
     let mut dist = vec![INF_DIST; n];
     dist[root as usize] = 0.0;
     let mut active = vec![root];
-    let mut counters = Counters::default();
-    let mut trace = Tracer::new(rec);
-    let mut deltas = DeltaTracker::new();
+    let mut log = RunLog::new(rec);
     let mut round = 0u32;
-    let mut cancelled = false;
     rec.alloc_hwm("graphmat.sssp.dist", n as u64 * 4);
     while !active.is_empty() {
-        if pool.is_cancelled() {
-            cancelled = true;
+        round += 1;
+        let (next, stats) = run_iteration(&SsspProgram, &[a], &active, &mut dist, pool);
+        charge(&mut log, &stats);
+        if log.iteration(pool, round, active.len() as u64, Dir::Push).is_break() {
             break;
         }
-        round += 1;
-        let frontier = active.len() as u64;
-        let (next, stats) = run_iteration(&SsspProgram, &[a], &active, &mut dist, pool);
-        charge(&mut counters, &mut trace, &stats);
-        counters.iterations += 1;
-        deltas.flush("iteration", &counters, rec);
-        rec.iteration(round, frontier, Dir::Push);
         active = next;
     }
-    counters.bytes_read = counters.edges_traversed * 12;
-    counters.bytes_written = counters.vertices_touched * 4;
-    deltas.flush("finalize", &counters, rec);
-    RunOutput::new(AlgorithmResult::Distances(dist), counters, trace.into_trace())
-        .cancelled(cancelled)
+    log.counters.bytes_read = log.counters.edges_traversed * 12;
+    log.counters.bytes_written = log.counters.vertices_touched * 4;
+    log.finish(AlgorithmResult::Distances(dist))
 }
 
 // ----------------------------------------------------------- PageRank ----
@@ -182,15 +149,9 @@ pub fn pagerank(a: &Dcsc, at: &Dcsc, n: usize, params: &RunParams<'_>) -> RunOut
     let rec = params.recorder;
     // GraphMat's native criterion is NoChange (∞-norm at f32 granularity).
     let stopping = params.stopping.unwrap_or(StoppingCriterion::NoChange);
-    let mut counters = Counters::default();
-    let mut trace = Tracer::new(rec);
-    let mut deltas = DeltaTracker::new();
+    let mut log = RunLog::new(rec);
     if n == 0 {
-        return RunOutput::new(
-            AlgorithmResult::Ranks { ranks: Vec::new(), iterations: 0 },
-            counters,
-            trace.into_trace(),
-        );
+        return log.finish(AlgorithmResult::Ranks { ranks: Vec::new(), iterations: 0 });
     }
     rec.alloc_hwm("graphmat.pr.rank+next+contrib", n as u64 * 24);
 
@@ -199,7 +160,7 @@ pub fn pagerank(a: &Dcsc, at: &Dcsc, n: usize, params: &RunParams<'_>) -> RunOut
     for (i, &c) in a.col_ids.iter().enumerate() {
         out_deg[c as usize] = (a.col_ptr[i + 1] - a.col_ptr[i]) as u32;
     }
-    trace.serial(a.num_nonempty_cols() as u64, a.num_nonempty_cols() as u64 * 8);
+    log.serial(a.num_nonempty_cols() as u64, a.num_nonempty_cols() as u64 * 8);
 
     // Algorithm 2: compute PageRank.
     let base = (1.0 - DAMPING) / n as f64;
@@ -211,12 +172,7 @@ pub fn pagerank(a: &Dcsc, at: &Dcsc, n: usize, params: &RunParams<'_>) -> RunOut
         (0..at.num_nonempty_cols()).map(|i| at.col_ptr[i + 1] - at.col_ptr[i]).max().unwrap_or(0)
             as u64;
     let mut iterations = 0u32;
-    let mut cancelled = false;
     loop {
-        if pool.is_cancelled() {
-            cancelled = true;
-            break;
-        }
         iterations += 1;
         let sink_mass = {
             let (rank_ref, deg_ref) = (&rank, &out_deg);
@@ -276,23 +232,23 @@ pub fn pagerank(a: &Dcsc, at: &Dcsc, n: usize, params: &RunParams<'_>) -> RunOut
             |x, y| x + y,
         );
         std::mem::swap(&mut rank, &mut next);
-        counters.edges_traversed += m;
-        counters.vertices_touched += n as u64;
-        trace.parallel(m.max(1), max_col.max(1), m * 12 + n as u64 * 24);
-        trace.parallel(n as u64, 1, n as u64 * 16);
-        deltas.flush("iteration", &counters, rec);
+        log.counters.edges_traversed += m;
+        log.counters.vertices_touched += n as u64;
+        log.parallel(m.max(1), max_col.max(1), m * 12 + n as u64 * 24);
+        log.parallel(n as u64, 1, n as u64 * 16);
         // Dense SpMV over the pull matrix: every vertex is active.
-        rec.iteration(iterations, n as u64, Dir::Pull);
-        if stopping.is_converged(l1, changed) || iterations >= params.max_iterations {
+        let stop = log.iteration(pool, iterations, n as u64, Dir::Pull);
+        if stop.is_break()
+            || stopping.is_converged(l1, changed)
+            || iterations >= params.max_iterations
+        {
             break;
         }
     }
-    counters.iterations = iterations;
-    counters.bytes_read = counters.edges_traversed * 12;
-    counters.bytes_written = counters.vertices_touched * 8;
-    deltas.flush("finalize", &counters, rec);
-    RunOutput::new(AlgorithmResult::Ranks { ranks: rank, iterations }, counters, trace.into_trace())
-        .cancelled(cancelled)
+    log.counters.iterations = iterations;
+    log.counters.bytes_read = log.counters.edges_traversed * 12;
+    log.counters.bytes_written = log.counters.vertices_touched * 8;
+    log.finish(AlgorithmResult::Ranks { ranks: rank, iterations })
 }
 
 // --------------------------------------------------------------- CDLP ----
@@ -328,36 +284,21 @@ impl GraphProgram for CdlpProgram {
 
 /// CDLP: synchronous label propagation over both edge orientations for a
 /// fixed number of rounds (Graphalytics semantics).
-pub fn cdlp(
-    a: &Dcsc,
-    at: &Dcsc,
-    n: usize,
-    pool: &ThreadPool,
-    iterations: u32,
-    rec: RecorderCtx<'_>,
-) -> RunOutput {
+pub fn cdlp(a: &Dcsc, at: &Dcsc, n: usize, params: &RunParams<'_>, iterations: u32) -> RunOutput {
+    let pool = params.pool;
     let mut labels: Vec<u64> = (0..n as u64).collect();
     let all: Vec<VertexId> = (0..n as VertexId).collect();
-    let mut counters = Counters::default();
-    let mut trace = Tracer::new(rec);
-    let mut deltas = DeltaTracker::new();
-    let mut cancelled = false;
+    let mut log = RunLog::new(params.recorder);
     for round in 0..iterations {
-        if pool.is_cancelled() {
-            cancelled = true;
+        let (_, stats) = run_iteration(&CdlpProgram, &[a, at], &all, &mut labels, pool);
+        charge(&mut log, &stats);
+        if log.iteration(pool, round + 1, n as u64, Dir::Push).is_break() {
             break;
         }
-        let (_, stats) = run_iteration(&CdlpProgram, &[a, at], &all, &mut labels, pool);
-        charge(&mut counters, &mut trace, &stats);
-        counters.iterations += 1;
-        deltas.flush("iteration", &counters, rec);
-        rec.iteration(round + 1, n as u64, Dir::Push);
     }
-    counters.bytes_read = counters.edges_traversed * 16;
-    counters.bytes_written = counters.vertices_touched * 8;
-    deltas.flush("finalize", &counters, rec);
-    RunOutput::new(AlgorithmResult::Labels(labels), counters, trace.into_trace())
-        .cancelled(cancelled)
+    log.counters.bytes_read = log.counters.edges_traversed * 16;
+    log.counters.bytes_written = log.counters.vertices_touched * 8;
+    log.finish(AlgorithmResult::Labels(labels))
 }
 
 // ---------------------------------------------------------------- WCC ----
@@ -388,43 +329,31 @@ impl GraphProgram for WccProgram {
 }
 
 /// WCC: min-label propagation over both orientations until fixpoint.
-pub fn wcc(a: &Dcsc, at: &Dcsc, n: usize, pool: &ThreadPool, rec: RecorderCtx<'_>) -> RunOutput {
+pub fn wcc(a: &Dcsc, at: &Dcsc, n: usize, params: &RunParams<'_>) -> RunOutput {
+    let pool = params.pool;
     let mut comp: Vec<u64> = (0..n as u64).collect();
     let mut active: Vec<VertexId> = (0..n as VertexId).collect();
-    let mut counters = Counters::default();
-    let mut trace = Tracer::new(rec);
-    let mut deltas = DeltaTracker::new();
+    let mut log = RunLog::new(params.recorder);
     let mut round = 0u32;
-    let mut cancelled = false;
     while !active.is_empty() {
-        if pool.is_cancelled() {
-            cancelled = true;
+        round += 1;
+        let (next, stats) = run_iteration(&WccProgram, &[a, at], &active, &mut comp, pool);
+        charge(&mut log, &stats);
+        if log.iteration(pool, round, active.len() as u64, Dir::Push).is_break() {
             break;
         }
-        round += 1;
-        let frontier = active.len() as u64;
-        let (next, stats) = run_iteration(&WccProgram, &[a, at], &active, &mut comp, pool);
-        charge(&mut counters, &mut trace, &stats);
-        counters.iterations += 1;
-        deltas.flush("iteration", &counters, rec);
-        rec.iteration(round, frontier, Dir::Push);
         active = next;
     }
-    counters.bytes_read = counters.edges_traversed * 16;
-    counters.bytes_written = counters.vertices_touched * 8;
-    deltas.flush("finalize", &counters, rec);
-    RunOutput::new(
-        AlgorithmResult::Components(comp.into_iter().map(|c| c as VertexId).collect()),
-        counters,
-        trace.into_trace(),
-    )
-    .cancelled(cancelled)
+    log.counters.bytes_read = log.counters.edges_traversed * 16;
+    log.counters.bytes_written = log.counters.vertices_touched * 8;
+    log.finish(AlgorithmResult::Components(comp.into_iter().map(|c| c as VertexId).collect()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use epg_graph::EdgeList;
+    use epg_parallel::ThreadPool;
 
     #[test]
     fn bfs_parent_choice_is_min_sender() {
@@ -432,7 +361,7 @@ mod tests {
         let el = EdgeList::new(4, vec![(3, 0), (3, 1), (0, 2), (1, 2)]);
         let m = Dcsc::from_edge_list(&el);
         let pool = ThreadPool::new(4);
-        let out = bfs(&m, 4, 3, &pool, RecorderCtx::none());
+        let out = bfs(&m, 4, &RunParams::new(&pool, Some(3)));
         let AlgorithmResult::BfsTree { parent, level } = out.result else { panic!() };
         assert_eq!(level, vec![1, 1, 2, 0]);
         assert_eq!(parent[2], 0);
@@ -444,7 +373,7 @@ mod tests {
         let m = Dcsc::from_edge_list(&el);
         let mt = m.transpose();
         let pool = ThreadPool::new(2);
-        let out = wcc(&m, &mt, 6, &pool, RecorderCtx::none());
+        let out = wcc(&m, &mt, 6, &RunParams::new(&pool, None));
         let AlgorithmResult::Components(c) = out.result else { panic!() };
         assert_eq!(c, vec![0, 0, 0, 3, 3, 5]);
     }
@@ -466,7 +395,7 @@ mod tests {
         let m = Dcsc::from_edge_list(&el);
         let mt = m.transpose();
         let pool = ThreadPool::new(2);
-        let out = cdlp(&m, &mt, 4, &pool, 7, RecorderCtx::none());
+        let out = cdlp(&m, &mt, 4, &RunParams::new(&pool, None), 7);
         assert_eq!(out.counters.iterations, 7);
     }
 }

@@ -8,9 +8,9 @@
 //! constant overhead — visible in the paper's small-graph results (§IV-C).
 
 use crate::program::GraphProgram;
+use epg_engine_api::Partial;
 use epg_graph::{Dcsc, VertexId};
 use epg_parallel::{DisjointWriter, Schedule, ThreadPool};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 
 /// Work accounting for one iteration.
@@ -39,83 +39,70 @@ pub fn run_iteration<P: GraphProgram>(
     values: &mut [P::VertexValue],
     pool: &ThreadPool,
 ) -> (Vec<VertexId>, SpmvStats) {
-    // --- SEND + PROCESS + per-thread REDUCE ---
-    let partials: Mutex<Vec<(HashMap<VertexId, P::Accum>, u64, u64)>> = Mutex::new(Vec::new());
+    // --- SEND + PROCESS + per-range REDUCE ---
     let values_ref: &[P::VertexValue] = values;
-    pool.parallel_for_ranges(active.len(), Schedule::Guided { min_chunk: 8 }, |_tid, lo, hi| {
+    let sent = Partial::collect(pool, active.len(), Schedule::Guided { min_chunk: 8 }, |lo, hi| {
+        let mut found = Vec::with_capacity(1);
         let mut acc: HashMap<VertexId, P::Accum> = HashMap::new();
-        let mut edges = 0u64;
-        let mut max_col = 0u64;
+        let (mut edges, mut max_degree) = (0u64, 0u64);
         for &u in &active[lo..hi] {
             let msg = prog.send(u, &values_ref[u as usize]);
             for m in matrices {
                 let Ok(ci) = m.col_ids.binary_search(&u) else { continue };
                 let len = (m.col_ptr[ci + 1] - m.col_ptr[ci]) as u64;
                 edges += len;
-                max_col = max_col.max(len);
+                max_degree = max_degree.max(len);
                 for (dst, w) in m.col_entries(ci) {
-                    let contrib = prog.process(&msg, w, dst);
-                    match acc.remove(&dst) {
-                        Some(prev) => {
-                            acc.insert(dst, prog.reduce(prev, contrib));
-                        }
-                        None => {
-                            acc.insert(dst, contrib);
-                        }
-                    }
+                    reduce_into(prog, &mut acc, dst, prog.process(&msg, w, dst));
                 }
             }
         }
-        partials.lock().push((acc, edges, max_col));
+        found.push(acc);
+        Partial { found, edges, max_degree }
     });
 
-    // --- merge per-thread accumulators ---
-    let mut stats = SpmvStats::default();
+    // --- merge the per-range accumulators ---
     let mut merged: HashMap<VertexId, P::Accum> = HashMap::new();
-    for (acc, edges, max_col) in partials.into_inner() {
-        stats.edges += edges;
-        stats.max_column = stats.max_column.max(max_col);
-        for (dst, contrib) in acc {
-            match merged.remove(&dst) {
-                Some(prev) => {
-                    merged.insert(dst, prog.reduce(prev, contrib));
-                }
-                None => {
-                    merged.insert(dst, contrib);
-                }
-            }
-        }
+    for (dst, contrib) in sent.found.into_iter().flatten() {
+        reduce_into(prog, &mut merged, dst, contrib);
     }
-    stats.touched = merged.len() as u64;
+    let stats =
+        SpmvStats { edges: sent.edges, max_column: sent.max_degree, touched: merged.len() as u64 };
 
     // --- APPLY, parallel over touched destinations (unique per key) ---
     let entries: Vec<(VertexId, P::Accum)> = merged.into_iter().collect();
-    let next: Mutex<Vec<VertexId>> = Mutex::new(Vec::new());
-    {
-        let cell = DisjointWriter::new(values);
-        pool.parallel_for_ranges(
-            entries.len(),
-            Schedule::Static { chunk: None },
-            |_tid, lo, hi| {
-                let mut local = Vec::with_capacity(hi - lo);
-                for (v, acc) in &entries[lo..hi] {
-                    // SAFETY: keys are unique after the merge, so each index is
-                    // mutated by exactly one thread.
-                    let val = unsafe { cell.get_raw(*v as usize) };
-                    if prog.apply(acc.clone(), *v, val) {
-                        local.push(*v);
-                    }
+    let cell = DisjointWriter::new(values);
+    let applied =
+        Partial::collect(pool, entries.len(), Schedule::Static { chunk: None }, |lo, hi| {
+            let mut found = Vec::with_capacity(hi - lo);
+            for (v, acc) in &entries[lo..hi] {
+                // SAFETY: keys are unique after the merge, so each index is
+                // mutated by exactly one thread.
+                let val = unsafe { cell.get_raw(*v as usize) };
+                if prog.apply(acc.clone(), *v, val) {
+                    found.push(*v);
                 }
-                if !local.is_empty() {
-                    next.lock().append(&mut local);
-                }
-            },
-        );
-    }
-    let mut next = next.into_inner();
+            }
+            Partial { found, edges: 0, max_degree: 0 }
+        });
+    let mut next = applied.found;
     next.sort_unstable();
     next.dedup();
     (next, stats)
+}
+
+/// REDUCEs `contrib` into `acc[dst]` (or installs it as the first value).
+fn reduce_into<P: GraphProgram>(
+    prog: &P,
+    acc: &mut HashMap<VertexId, P::Accum>,
+    dst: VertexId,
+    contrib: P::Accum,
+) {
+    let merged = match acc.remove(&dst) {
+        Some(prev) => prog.reduce(prev, contrib),
+        None => contrib,
+    };
+    acc.insert(dst, merged);
 }
 
 #[cfg(test)]

@@ -14,10 +14,9 @@
 //!    activate neighbors.
 
 use crate::partition::PartitionedGraph;
-use epg_engine_api::{Counters, Trace};
+use epg_engine_api::{Partial, RunLog};
 use epg_graph::{VertexId, Weight};
 use epg_parallel::{DisjointWriter, Schedule, ThreadPool};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 
 /// Which incident edges a program's gather/scatter covers.
@@ -67,31 +66,29 @@ pub struct StepStats {
 
 /// Runs one synchronous GAS superstep over `active`, updating `data` in
 /// place and returning the next active set (sorted, deduplicated) plus
-/// step statistics. Work and sync costs are charged to `counters`/`trace`.
+/// step statistics. Work, sync costs and regions are booked on `log`.
 pub fn superstep<P: VertexProgram>(
     prog: &P,
     g: &PartitionedGraph,
     active: &[VertexId],
     data: &mut [P::Data],
     pool: &ThreadPool,
-    counters: &mut Counters,
-    trace: &mut Trace,
+    log: &mut RunLog<'_>,
 ) -> (Vec<VertexId>, StepStats) {
     let nparts = g.partitions.len();
+    let per_partition = Schedule::Dynamic { chunk: 1 };
 
     // ---- Gather (parallel over partitions) ----
     let mut edge_work = 0u64;
-    let mut max_partial = 0u64;
     let mut merged: HashMap<VertexId, P::Gather> = HashMap::new();
     if prog.gather_dir() != EdgeDir::None {
         let data_ref: &[P::Data] = data;
-        let partials: Mutex<Vec<(HashMap<VertexId, P::Gather>, u64, u64)>> = Mutex::new(Vec::new());
-        pool.parallel_for_ranges(nparts, Schedule::Dynamic { chunk: 1 }, |_tid, lo, hi| {
+        let gathered = Partial::collect(pool, nparts, per_partition, |lo, hi| {
+            let mut found = Vec::with_capacity(hi - lo);
+            let (mut edges, mut max_degree) = (0u64, 0u64);
             for pi in lo..hi {
                 let part = &g.partitions[pi];
                 let mut local: HashMap<VertexId, P::Gather> = HashMap::new();
-                let mut work = 0u64;
-                let mut maxv = 0u64;
                 for &v in active {
                     if !g.replicas[v as usize].contains(&(pi as u16)) {
                         continue;
@@ -123,104 +120,88 @@ pub fn superstep<P: VertexProgram>(
                             }
                         }
                     }
-                    work += vwork;
-                    maxv = maxv.max(vwork);
+                    edges += vwork;
+                    max_degree = max_degree.max(vwork);
                     if let Some(a) = acc {
                         local.insert(v, a);
                     }
                 }
-                partials.lock().push((local, work, maxv));
+                found.push(local);
             }
+            Partial { found, edges, max_degree }
         });
         // ---- Merge at masters (the replication synchronization) ----
-        for (local, work, maxv) in partials.into_inner() {
-            edge_work += work;
-            max_partial = max_partial.max(maxv);
-            for (v, acc) in local {
-                match merged.remove(&v) {
-                    Some(prev) => {
-                        merged.insert(v, prog.merge(prev, acc));
-                    }
-                    None => {
-                        merged.insert(v, acc);
-                    }
-                }
-            }
+        edge_work = gathered.edges;
+        for (v, acc) in gathered.found.into_iter().flatten() {
+            let acc = match merged.remove(&v) {
+                Some(prev) => prog.merge(prev, acc),
+                None => acc,
+            };
+            merged.insert(v, acc);
         }
-        trace.parallel(edge_work.max(1), max_partial.max(1), edge_work * 16);
-        trace.serial(merged.len() as u64 + 1, merged.len() as u64 * 16);
+        log.parallel(edge_work.max(1), gathered.max_degree.max(1), edge_work * 16);
+        log.serial(merged.len() as u64 + 1, merged.len() as u64 * 16);
     }
 
     // ---- Apply at masters (parallel over active) ----
-    let changed: Mutex<Vec<VertexId>> = Mutex::new(Vec::new());
-    {
-        let cell = DisjointWriter::new(data);
-        let merged_ref = &merged;
-        pool.parallel_for_ranges(active.len(), Schedule::Static { chunk: None }, |_tid, lo, hi| {
-            let mut local = Vec::with_capacity(hi - lo);
+    let cell = DisjointWriter::new(data);
+    let applied =
+        Partial::collect(pool, active.len(), Schedule::Static { chunk: None }, |lo, hi| {
+            let mut found = Vec::with_capacity(hi - lo);
             for &v in &active[lo..hi] {
                 // SAFETY: `active` is deduplicated, one thread per index.
                 let d = unsafe { cell.get_raw(v as usize) };
-                if prog.apply(v, d, merged_ref.get(&v).cloned()) {
-                    local.push(v);
+                if prog.apply(v, d, merged.get(&v).cloned()) {
+                    found.push(v);
                 }
             }
-            if !local.is_empty() {
-                changed.lock().append(&mut local);
-            }
+            Partial { found, edges: 0, max_degree: 0 }
         });
-    }
-    let mut changed = changed.into_inner();
+    let mut changed = applied.found;
     changed.sort_unstable();
 
     // ---- Sync to mirrors ----
     let sync_messages: u64 =
         changed.iter().map(|&v| g.replicas[v as usize].len().saturating_sub(1) as u64).sum();
-    counters.bytes_written += sync_messages * 16;
-    trace.serial(sync_messages.max(1), sync_messages * 16);
+    log.counters.bytes_written += sync_messages * 16;
+    log.serial(sync_messages.max(1), sync_messages * 16);
 
     // ---- Scatter (parallel over partitions) ----
     let mut next: Vec<VertexId> = Vec::new();
     let mut scatter_work = 0u64;
     if prog.scatter_dir() != EdgeDir::None && !changed.is_empty() {
-        let results: Mutex<(Vec<VertexId>, u64)> = Mutex::new((Vec::new(), 0));
-        let changed_ref = &changed;
-        pool.parallel_for_ranges(nparts, Schedule::Dynamic { chunk: 1 }, |_tid, lo, hi| {
-            for pi in lo..hi {
-                let part = &g.partitions[pi];
-                let mut local: Vec<VertexId> = Vec::with_capacity(changed_ref.len());
-                let mut work = 0u64;
-                let dir = prog.scatter_dir();
-                for &v in changed_ref {
+        let scattered = Partial::collect(pool, nparts, per_partition, |lo, hi| {
+            let mut found: Vec<VertexId> = Vec::with_capacity(changed.len());
+            let mut edges = 0u64;
+            let dir = prog.scatter_dir();
+            for part in &g.partitions[lo..hi] {
+                for &v in &changed {
                     if dir == EdgeDir::Out || dir == EdgeDir::Both {
                         if let Some(outs) = part.out_edges.get(&v) {
-                            work += outs.len() as u64;
-                            local.extend(outs.iter().map(|&(d, _)| d));
+                            edges += outs.len() as u64;
+                            found.extend(outs.iter().map(|&(d, _)| d));
                         }
                     }
                     if dir == EdgeDir::In || dir == EdgeDir::Both {
                         if let Some(ins) = part.in_edges.get(&v) {
-                            work += ins.len() as u64;
-                            local.extend(ins.iter().map(|&(s, _)| s));
+                            edges += ins.len() as u64;
+                            found.extend(ins.iter().map(|&(s, _)| s));
                         }
                     }
                 }
-                let mut guard = results.lock();
-                guard.0.append(&mut local);
-                guard.1 += work;
             }
+            Partial { found, edges, max_degree: 0 }
         });
-        let (mut collected, work) = results.into_inner();
-        scatter_work = work;
-        collected.sort_unstable();
-        collected.dedup();
-        next = collected;
-        trace.parallel(scatter_work.max(1), 1, scatter_work * 8);
+        scatter_work = scattered.edges;
+        next = scattered.found;
+        next.sort_unstable();
+        next.dedup();
+        log.parallel(scatter_work.max(1), 1, scatter_work * 8);
     }
 
-    counters.edges_traversed += edge_work + scatter_work;
-    counters.vertices_touched += active.len() as u64;
-    counters.iterations += 1;
+    log.counters.edges_traversed += edge_work + scatter_work;
+    log.counters.vertices_touched += active.len() as u64;
+    log.counters.iterations += 1;
 
     (next, StepStats { changed, edge_work, sync_messages })
 }
@@ -228,6 +209,7 @@ pub fn superstep<P: VertexProgram>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use epg_engine_api::RecorderCtx;
     use epg_graph::EdgeList;
 
     /// Min-distance program (SSSP step).
@@ -264,16 +246,15 @@ mod tests {
         let g = PartitionedGraph::build(&el, 2);
         let pool = ThreadPool::new(2);
         let mut dist = vec![0.0f32, f32::INFINITY, f32::INFINITY, f32::INFINITY];
-        let mut c = Counters::default();
-        let mut t = Trace::default();
+        let mut log = RunLog::new(RecorderCtx::none());
         // Activate 1 and 3 (the root's out-neighbors, as a scatter would).
-        let (next, stats) = superstep(&MinDist, &g, &[1, 3], &mut dist, &pool, &mut c, &mut t);
+        let (next, stats) = superstep(&MinDist, &g, &[1, 3], &mut dist, &pool, &mut log);
         assert_eq!(dist[1], 1.0);
         assert_eq!(dist[3], 5.0);
         assert_eq!(stats.changed, vec![1, 3]);
         // 1 changed -> activates its out-neighbor 2.
         assert_eq!(next, vec![2]);
-        assert!(c.edges_traversed > 0);
+        assert!(log.counters.edges_traversed > 0);
     }
 
     #[test]
@@ -284,8 +265,7 @@ mod tests {
         let n = el.num_vertices;
         let mut dist = vec![f32::INFINITY; n];
         dist[0] = 0.0;
-        let mut c = Counters::default();
-        let mut t = Trace::default();
+        let mut log = RunLog::new(RecorderCtx::none());
         // Seed with the root's out-neighbors: applying at the root itself
         // changes nothing (no gather can improve distance 0), so the engine
         // signals its neighbors first.
@@ -299,7 +279,7 @@ mod tests {
         let mut rounds = 0;
         while !active.is_empty() && rounds < 10_000 {
             rounds += 1;
-            let (next, _) = superstep(&MinDist, &g, &active, &mut dist, &pool, &mut c, &mut t);
+            let (next, _) = superstep(&MinDist, &g, &active, &mut dist, &pool, &mut log);
             active = next;
         }
         let csr = epg_graph::Csr::from_edge_list(&el);
@@ -321,10 +301,9 @@ mod tests {
         let pool = ThreadPool::new(2);
         let mut dist = vec![f32::INFINITY; 64];
         dist[1] = 0.0;
-        let mut c = Counters::default();
-        let mut t = Trace::default();
+        let mut log = RunLog::new(RecorderCtx::none());
         // Hub 0 gathers from vertex 1 and changes; it has many mirrors.
-        let (_, stats) = superstep(&MinDist, &g, &[0], &mut dist, &pool, &mut c, &mut t);
+        let (_, stats) = superstep(&MinDist, &g, &[0], &mut dist, &pool, &mut log);
         assert_eq!(stats.changed, vec![0]);
         assert_eq!(
             stats.sync_messages,

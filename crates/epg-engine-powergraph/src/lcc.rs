@@ -5,30 +5,26 @@
 //! cost again), then count closures by set intersection.
 
 use crate::partition::PartitionedGraph;
-use epg_engine_api::{AlgorithmResult, Counters, RunOutput, Trace};
+use epg_engine_api::{AlgorithmResult, Dir, Partial, RunLog, RunOutput, RunParams};
 use epg_graph::VertexId;
-use epg_parallel::{DisjointWriter, Schedule, ThreadPool};
-use parking_lot::Mutex;
+use epg_parallel::{DisjointWriter, Schedule};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Computes per-vertex local clustering coefficients.
-pub fn lcc(g: &PartitionedGraph, pool: &ThreadPool) -> RunOutput {
+pub fn lcc(g: &PartitionedGraph, params: &RunParams<'_>) -> RunOutput {
+    let pool = params.pool;
     let n = g.num_vertices;
-    let mut counters = Counters::default();
-    let mut trace = Trace::default();
+    let mut log = RunLog::new(params.recorder);
 
     // Pass 1: per-partition neighbor sets, merged per vertex at masters.
-    let partials: Mutex<Vec<(HashMap<VertexId, (Vec<VertexId>, Vec<VertexId>)>, u64)>> =
-        Mutex::new(Vec::new());
-    pool.parallel_for_ranges(g.partitions.len(), Schedule::Dynamic { chunk: 1 }, |_t, lo, hi| {
-        for pi in lo..hi {
-            let part = &g.partitions[pi];
+    let gathered = Partial::collect(pool, g.partitions.len(), PER_PARTITION, |lo, hi| {
+        let mut found = Vec::with_capacity(hi - lo);
+        let mut edges = 0u64;
+        for part in &g.partitions[lo..hi] {
             // (undirected neighborhood, out-neighbors) per local vertex.
             let mut local: HashMap<VertexId, (Vec<VertexId>, Vec<VertexId>)> = HashMap::new();
-            let mut work = 0u64;
             for (&u, outs) in &part.out_edges {
-                work += outs.len() as u64;
+                edges += outs.len() as u64;
                 let e = local.entry(u).or_default();
                 for &(v, _) in outs {
                     e.0.push(v);
@@ -36,24 +32,22 @@ pub fn lcc(g: &PartitionedGraph, pool: &ThreadPool) -> RunOutput {
                 }
             }
             for (&v, ins) in &part.in_edges {
-                work += ins.len() as u64;
+                edges += ins.len() as u64;
                 let e = local.entry(v).or_default();
                 for &(u, _) in ins {
                     e.0.push(u);
                 }
             }
-            partials.lock().push((local, work));
+            found.push(local);
         }
+        Partial { found, edges, max_degree: 0 }
     });
     let mut nbrs: Vec<Vec<VertexId>> = vec![Vec::new(); n];
     let mut outs: Vec<Vec<VertexId>> = vec![Vec::new(); n];
-    let mut gather_work = 0u64;
-    for (local, work) in partials.into_inner() {
-        gather_work += work;
-        for (v, (nb, ob)) in local {
-            nbrs[v as usize].extend(nb);
-            outs[v as usize].extend(ob);
-        }
+    let gather_work = gathered.edges;
+    for (v, (nb, ob)) in gathered.found.into_iter().flatten() {
+        nbrs[v as usize].extend(nb);
+        outs[v as usize].extend(ob);
     }
     // Finalize sets (sort/dedup/exclude self) in parallel; each index is
     // owned by exactly one thread, so in-place mutation through the writer
@@ -79,49 +73,58 @@ pub fn lcc(g: &PartitionedGraph, pool: &ThreadPool) -> RunOutput {
             }
         });
     }
-    trace.parallel(gather_work.max(1), 1, gather_work * 16);
-    trace.serial(n as u64, n as u64 * 8);
+    log.parallel(gather_work.max(1), 1, gather_work * 16);
+    log.serial(n as u64, n as u64 * 8);
+    log.counters.edges_traversed = gather_work;
+    log.counters.iterations = 1;
+    // Two supersteps, two reports. A tripped token needs no early exit:
+    // the pool abandons the second pass's chunks and its report says so.
+    let _ = log.iteration(pool, 1, n as u64, Dir::Push);
 
     // Pass 2: closure counting by intersection, parallel over vertices.
     let mut out = vec![0.0f64; n];
-    let work = AtomicU64::new(0);
-    let max_cost = AtomicU64::new(0);
-    {
-        let w = DisjointWriter::new(&mut out);
-        let (nbrs, outs) = (&nbrs, &outs);
-        pool.parallel_for_ranges(n, Schedule::Dynamic { chunk: 16 }, |_t, lo, hi| {
-            let mut lw = 0u64;
-            let mut lm = 0u64;
-            for v in lo..hi {
-                let nb = &nbrs[v];
-                let d = nb.len();
-                if d < 2 {
-                    continue;
-                }
-                let mut tri = 0u64;
-                let mut cost = 0u64;
-                for &u in nb {
-                    cost += (outs[u as usize].len() + d) as u64;
-                    tri += intersect(&outs[u as usize], nb);
-                }
-                lw += cost;
-                lm = lm.max(cost);
-                // SAFETY: one writer per index.
-                unsafe { w.write(v, tri as f64 / (d as f64 * (d - 1) as f64)) };
+    let w = DisjointWriter::new(&mut out);
+    let (nbrs, outs) = (&nbrs, &outs);
+    let close_wedges = |lo: usize, hi: usize| {
+        let (mut work, mut max_cost) = (0u64, 0u64);
+        for v in lo..hi {
+            let nb = &nbrs[v];
+            let d = nb.len();
+            if d < 2 {
+                continue;
             }
-            work.fetch_add(lw, Ordering::Relaxed);
-            max_cost.fetch_max(lm, Ordering::Relaxed);
-        });
-    }
-    let work = work.load(Ordering::Relaxed);
-    counters.edges_traversed = gather_work + work;
-    counters.vertices_touched = n as u64;
-    counters.iterations = 2; // two supersteps
-    counters.bytes_read = work * 8;
-    counters.bytes_written = n as u64 * 8;
-    trace.parallel(work.max(1), max_cost.load(Ordering::Relaxed).max(1), work * 8);
-    RunOutput::new(AlgorithmResult::Coefficients(out), counters, trace)
+            let mut tri = 0u64;
+            let mut cost = 0u64;
+            for &u in nb {
+                cost += (outs[u as usize].len() + d) as u64;
+                tri += intersect(&outs[u as usize], nb);
+            }
+            work += cost;
+            max_cost = max_cost.max(cost);
+            // SAFETY: one writer per index.
+            unsafe { w.write(v, tri as f64 / (d as f64 * (d - 1) as f64)) };
+        }
+        (work, max_cost)
+    };
+    let (work, max_cost) = pool.parallel_reduce_ranges(
+        n,
+        Schedule::Dynamic { chunk: 16 },
+        || (0, 0),
+        close_wedges,
+        |a, b| (a.0 + b.0, a.1.max(b.1)),
+    );
+    log.counters.edges_traversed += work;
+    log.counters.vertices_touched = n as u64;
+    log.counters.iterations = 2; // two supersteps
+    log.counters.bytes_read = work * 8;
+    log.counters.bytes_written = n as u64 * 8;
+    log.parallel(work.max(1), max_cost.max(1), work * 8);
+    let _ = log.iteration(pool, 2, n as u64, Dir::Pull);
+    log.finish(AlgorithmResult::Coefficients(out))
 }
+
+/// One partition per chunk: partitions are few and uneven.
+const PER_PARTITION: Schedule = Schedule::Dynamic { chunk: 1 };
 
 fn intersect(a: &[VertexId], b: &[VertexId]) -> u64 {
     let (mut i, mut j, mut c) = (0, 0, 0u64);
@@ -143,13 +146,14 @@ fn intersect(a: &[VertexId], b: &[VertexId]) -> u64 {
 mod tests {
     use super::*;
     use epg_graph::{oracle, Csr, EdgeList};
+    use epg_parallel::ThreadPool;
 
     #[test]
     fn matches_oracle_on_random_directed_graph() {
         let el = epg_generator::uniform::generate(70, 500, false, 17).deduplicated();
         let g = PartitionedGraph::build(&el, 4);
         let pool = ThreadPool::new(3);
-        let out = lcc(&g, &pool);
+        let out = lcc(&g, &RunParams::new(&pool, None));
         let AlgorithmResult::Coefficients(c) = out.result else { panic!() };
         let want = oracle::lcc(&Csr::from_edge_list(&el));
         for v in 0..want.len() {
@@ -162,7 +166,7 @@ mod tests {
         let el = EdgeList::new(3, vec![(0, 1), (1, 2), (2, 0)]).symmetrized();
         let g = PartitionedGraph::build(&el, 3);
         let pool = ThreadPool::new(2);
-        let out = lcc(&g, &pool);
+        let out = lcc(&g, &RunParams::new(&pool, None));
         let AlgorithmResult::Coefficients(c) = out.result else { panic!() };
         assert!(c.iter().all(|&x| (x - 1.0).abs() < 1e-12), "{c:?}");
     }
@@ -171,35 +175,32 @@ mod tests {
 /// Global triangle count (§V extension): the PowerGraph
 /// `undirected_triangle_count` toolkit — gather per-partition neighbor
 /// sets, merge at masters, then count by ordered intersection.
-pub fn triangle_count(g: &PartitionedGraph, pool: &ThreadPool) -> RunOutput {
+pub fn triangle_count(g: &PartitionedGraph, params: &RunParams<'_>) -> RunOutput {
+    let pool = params.pool;
     let n = g.num_vertices;
-    let mut counters = Counters::default();
-    let mut trace = Trace::default();
+    let mut log = RunLog::new(params.recorder);
     // Phase 1: merged undirected neighbor sets (replication cost charged).
-    let partials: Mutex<Vec<(HashMap<VertexId, Vec<VertexId>>, u64)>> = Mutex::new(Vec::new());
-    pool.parallel_for_ranges(g.partitions.len(), Schedule::Dynamic { chunk: 1 }, |_t, lo, hi| {
-        for pi in lo..hi {
-            let part = &g.partitions[pi];
+    let gathered = Partial::collect(pool, g.partitions.len(), PER_PARTITION, |lo, hi| {
+        let mut found = Vec::with_capacity(hi - lo);
+        let mut edges = 0u64;
+        for part in &g.partitions[lo..hi] {
             let mut local: HashMap<VertexId, Vec<VertexId>> = HashMap::new();
-            let mut work = 0u64;
             for (&u, outs) in &part.out_edges {
-                work += outs.len() as u64;
+                edges += outs.len() as u64;
                 local.entry(u).or_default().extend(outs.iter().map(|&(v, _)| v));
             }
             for (&v, ins) in &part.in_edges {
-                work += ins.len() as u64;
+                edges += ins.len() as u64;
                 local.entry(v).or_default().extend(ins.iter().map(|&(u, _)| u));
             }
-            partials.lock().push((local, work));
+            found.push(local);
         }
+        Partial { found, edges, max_degree: 0 }
     });
     let mut higher: Vec<Vec<VertexId>> = vec![Vec::new(); n];
-    let mut gather_work = 0u64;
-    for (local, work) in partials.into_inner() {
-        gather_work += work;
-        for (v, nb) in local {
-            higher[v as usize].extend(nb);
-        }
+    let gather_work = gathered.edges;
+    for (v, nb) in gathered.found.into_iter().flatten() {
+        higher[v as usize].extend(nb);
     }
     {
         let w = DisjointWriter::new(&mut higher);
@@ -216,48 +217,49 @@ pub fn triangle_count(g: &PartitionedGraph, pool: &ThreadPool) -> RunOutput {
             }
         });
     }
-    trace.parallel(gather_work.max(1), 1, gather_work * 16);
-    trace.serial(n as u64, n as u64 * 8);
+    log.parallel(gather_work.max(1), 1, gather_work * 16);
+    log.serial(n as u64, n as u64 * 8);
+    log.counters.edges_traversed = gather_work;
+    log.counters.iterations = 1;
+    let _ = log.iteration(pool, 1, n as u64, Dir::Push);
 
     // Phase 2: count.
-    let total = AtomicU64::new(0);
-    let work = AtomicU64::new(0);
-    {
-        let higher = &higher;
-        pool.parallel_for_ranges(n, Schedule::Dynamic { chunk: 32 }, |_t, lo, hi| {
-            let mut local = 0u64;
-            let mut lw = 0u64;
-            for u in lo..hi {
-                let hu = &higher[u];
-                for &v in hu {
-                    lw += (hu.len() + higher[v as usize].len()) as u64;
-                    local += intersect(hu, &higher[v as usize]);
-                }
+    let higher = &higher;
+    let count = |lo: usize, hi: usize| {
+        let (mut total, mut work) = (0u64, 0u64);
+        for u in lo..hi {
+            let hu = &higher[u];
+            for &v in hu {
+                work += (hu.len() + higher[v as usize].len()) as u64;
+                total += intersect(hu, &higher[v as usize]);
             }
-            total.fetch_add(local, Ordering::Relaxed);
-            work.fetch_add(lw, Ordering::Relaxed);
-        });
-    }
-    let work = work.load(Ordering::Relaxed);
-    counters.edges_traversed = gather_work + work;
-    counters.vertices_touched = n as u64;
-    counters.iterations = 2;
-    counters.bytes_read = work * 8;
-    trace.parallel(work.max(1), 1, work * 8);
-    RunOutput::new(AlgorithmResult::Triangles(total.load(Ordering::Relaxed)), counters, trace)
+        }
+        (total, work)
+    };
+    let sched = Schedule::Dynamic { chunk: 32 };
+    let (total, work) =
+        pool.parallel_reduce_ranges(n, sched, || (0, 0), count, |a, b| (a.0 + b.0, a.1 + b.1));
+    log.counters.edges_traversed += work;
+    log.counters.vertices_touched = n as u64;
+    log.counters.iterations = 2;
+    log.counters.bytes_read = work * 8;
+    log.parallel(work.max(1), 1, work * 8);
+    let _ = log.iteration(pool, 2, n as u64, Dir::Pull);
+    log.finish(AlgorithmResult::Triangles(total))
 }
 
 #[cfg(test)]
 mod tc_tests {
     use super::*;
     use epg_graph::{oracle, Csr};
+    use epg_parallel::ThreadPool;
 
     #[test]
     fn tc_matches_oracle_across_partitions() {
         let el = epg_generator::uniform::generate(140, 1800, false, 15);
         let g = PartitionedGraph::build(&el, 6);
         let pool = ThreadPool::new(3);
-        let out = triangle_count(&g, &pool);
+        let out = triangle_count(&g, &RunParams::new(&pool, None));
         let AlgorithmResult::Triangles(t) = out.result else { panic!() };
         assert_eq!(t, oracle::triangle_count(&Csr::from_edge_list(&el)));
     }

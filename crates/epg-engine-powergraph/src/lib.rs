@@ -126,17 +126,12 @@ impl Engine for PowerGraphEngine {
         assert!(self.supports(algo), "PowerGraph provides no {algo:?} toolkit");
         let g = self.graph();
         match algo {
-            Algorithm::Sssp => programs::sssp(
-                g,
-                params.root.expect("SSSP needs a root"),
-                params.pool,
-                params.recorder,
-            ),
+            Algorithm::Sssp => programs::sssp(g, params),
             Algorithm::PageRank => programs::pagerank(g, params),
-            Algorithm::Cdlp => programs::cdlp(g, params.pool, 10, params.recorder),
-            Algorithm::Wcc => programs::wcc(g, params.pool, params.recorder),
-            Algorithm::Lcc => lcc::lcc(g, params.pool),
-            Algorithm::TriangleCount => lcc::triangle_count(g, params.pool),
+            Algorithm::Cdlp => programs::cdlp(g, params, 10),
+            Algorithm::Wcc => programs::wcc(g, params),
+            Algorithm::Lcc => lcc::lcc(g, params),
+            Algorithm::TriangleCount => lcc::triangle_count(g, params),
             Algorithm::Bfs | Algorithm::Bc => unreachable!(),
         }
     }

@@ -4,21 +4,11 @@
 //! provide an reference implementation of BFS in its toolkits" (§III-D),
 //! which is why PowerGraph is absent from Figs. 2, 5, 6 and the BFS panel
 //! of Fig. 8.
-//!
-//! Telemetry: the driver loops here emit per-superstep `Iteration` and
-//! `CountersDelta` events. [`superstep`] itself still records into a plain
-//! [`Trace`], so PowerGraph's cost-model regions are *not* mirrored as
-//! `Region` events — the per-iteration counter deltas carry the same
-//! information at superstep granularity.
 
 use crate::gas::{superstep, EdgeDir, VertexProgram};
 use crate::partition::PartitionedGraph;
-use epg_engine_api::{
-    AlgorithmResult, Counters, DeltaTracker, Dir, RecorderCtx, RunOutput, RunParams,
-    StoppingCriterion, Trace,
-};
+use epg_engine_api::{AlgorithmResult, Dir, RunLog, RunOutput, RunParams, StoppingCriterion};
 use epg_graph::{VertexId, Weight, INF_DIST};
-use epg_parallel::ThreadPool;
 
 // --------------------------------------------------------------- SSSP ----
 
@@ -52,18 +42,13 @@ impl VertexProgram for SsspProgram {
 
 /// SSSP: gather-min over in-edges, scatter-activate over out-edges, until
 /// no vertex changes.
-pub fn sssp(
-    g: &PartitionedGraph,
-    root: VertexId,
-    pool: &ThreadPool,
-    rec: RecorderCtx<'_>,
-) -> RunOutput {
+pub fn sssp(g: &PartitionedGraph, params: &RunParams<'_>) -> RunOutput {
+    let (pool, rec) = (params.pool, params.recorder);
+    let root = params.root.expect("SSSP needs a root");
     let n = g.num_vertices;
     let mut dist = vec![INF_DIST; n];
     dist[root as usize] = 0.0;
-    let mut counters = Counters::default();
-    let mut trace = Trace::default();
-    let mut deltas = DeltaTracker::new();
+    let mut log = RunLog::new(rec);
     rec.alloc_hwm("powergraph.sssp.dist", n as u64 * 4);
     // Signal the root's out-neighbors, as the toolkit's init scatter does.
     let mut active: Vec<VertexId> = g
@@ -74,24 +59,17 @@ pub fn sssp(
     active.sort_unstable();
     active.dedup();
     let mut round = 0u32;
-    let mut cancelled = false;
     while !active.is_empty() {
-        if pool.is_cancelled() {
-            cancelled = true;
+        round += 1;
+        let (next, _) = superstep(&SsspProgram, g, &active, &mut dist, pool, &mut log);
+        // Activation-driven superstep: the active set pushes work forward.
+        if log.iteration(pool, round, active.len() as u64, Dir::Push).is_break() {
             break;
         }
-        round += 1;
-        let frontier = active.len() as u64;
-        let (next, _) =
-            superstep(&SsspProgram, g, &active, &mut dist, pool, &mut counters, &mut trace);
-        deltas.flush("iteration", &counters, rec);
-        // Activation-driven superstep: the active set pushes work forward.
-        rec.iteration(round, frontier, Dir::Push);
         active = next;
     }
-    counters.bytes_read = counters.edges_traversed * 16;
-    deltas.flush("finalize", &counters, rec);
-    RunOutput::new(AlgorithmResult::Distances(dist), counters, trace).cancelled(cancelled)
+    log.counters.bytes_read = log.counters.edges_traversed * 16;
+    log.finish(AlgorithmResult::Distances(dist))
 }
 
 // ----------------------------------------------------------- PageRank ----
@@ -140,15 +118,9 @@ pub fn pagerank(g: &PartitionedGraph, params: &RunParams<'_>) -> RunOutput {
     let pool = params.pool;
     let rec = params.recorder;
     let stopping = params.stopping.unwrap_or(StoppingCriterion::paper_default());
-    let mut counters = Counters::default();
-    let mut trace = Trace::default();
-    let mut deltas = DeltaTracker::new();
+    let mut log = RunLog::new(rec);
     if n == 0 {
-        return RunOutput::new(
-            AlgorithmResult::Ranks { ranks: Vec::new(), iterations: 0 },
-            counters,
-            trace,
-        );
+        return log.finish(AlgorithmResult::Ranks { ranks: Vec::new(), iterations: 0 });
     }
     rec.alloc_hwm("powergraph.pr.data", n as u64 * 16);
     let mut out_deg = vec![0u32; n];
@@ -162,15 +134,10 @@ pub fn pagerank(g: &PartitionedGraph, params: &RunParams<'_>) -> RunOutput {
     let all: Vec<VertexId> = (0..n as VertexId).collect();
     let base = (1.0 - DAMPING) / n as f64;
     let mut iterations = 0u32;
-    let mut cancelled = false;
     // Prev-rank snapshot for the L1 convergence delta, reused across
     // iterations so the timed loop never reallocates it.
     let mut prev = vec![0.0f64; n];
     loop {
-        if pool.is_cancelled() {
-            cancelled = true;
-            break;
-        }
         iterations += 1;
         let sink_mass: f64 =
             data.iter().filter(|d| d.out_deg == 0).map(|d| d.rank).sum::<f64>() / n as f64;
@@ -178,25 +145,20 @@ pub fn pagerank(g: &PartitionedGraph, params: &RunParams<'_>) -> RunOutput {
             *p = d.rank;
         }
         let prog = PrProgram { base, sink_mass };
-        let (_, stats) = superstep(&prog, g, &all, &mut data, pool, &mut counters, &mut trace);
+        let (_, stats) = superstep(&prog, g, &all, &mut data, pool, &mut log);
         let l1: f64 = data.iter().zip(&prev).map(|(d, &p)| (d.rank - p).abs()).sum();
-        deltas.flush("iteration", &counters, rec);
         // Gather over in-edges with every vertex active: a pull round.
-        rec.iteration(iterations, n as u64, Dir::Pull);
-        if stopping.is_converged(l1, stats.changed.len() as u64)
+        let stop = log.iteration(pool, iterations, n as u64, Dir::Pull);
+        if stop.is_break()
+            || stopping.is_converged(l1, stats.changed.len() as u64)
             || iterations >= params.max_iterations
         {
             break;
         }
     }
-    counters.bytes_read = counters.edges_traversed * 16;
-    deltas.flush("finalize", &counters, rec);
-    RunOutput::new(
-        AlgorithmResult::Ranks { ranks: data.iter().map(|d| d.rank).collect(), iterations },
-        counters,
-        trace,
-    )
-    .cancelled(cancelled)
+    log.counters.bytes_read = log.counters.edges_traversed * 16;
+    let ranks = data.iter().map(|d| d.rank).collect();
+    log.finish(AlgorithmResult::Ranks { ranks, iterations })
 }
 
 // --------------------------------------------------------------- CDLP ----
@@ -237,32 +199,21 @@ impl VertexProgram for CdlpProgram {
 
 /// CDLP: fixed-round synchronous label propagation (Graphalytics
 /// semantics, both edge directions).
-pub fn cdlp(
-    g: &PartitionedGraph,
-    pool: &ThreadPool,
-    iterations: u32,
-    rec: RecorderCtx<'_>,
-) -> RunOutput {
+pub fn cdlp(g: &PartitionedGraph, params: &RunParams<'_>, iterations: u32) -> RunOutput {
+    let (pool, rec) = (params.pool, params.recorder);
     let n = g.num_vertices;
     let mut labels: Vec<u64> = (0..n as u64).collect();
     let all: Vec<VertexId> = (0..n as VertexId).collect();
-    let mut counters = Counters::default();
-    let mut trace = Trace::default();
-    let mut deltas = DeltaTracker::new();
+    let mut log = RunLog::new(rec);
     rec.alloc_hwm("powergraph.cdlp.labels", n as u64 * 8);
-    let mut cancelled = false;
     for round in 0..iterations {
-        if pool.is_cancelled() {
-            cancelled = true;
+        let _ = superstep(&CdlpProgram, g, &all, &mut labels, pool, &mut log);
+        if log.iteration(pool, round + 1, n as u64, Dir::Push).is_break() {
             break;
         }
-        let _ = superstep(&CdlpProgram, g, &all, &mut labels, pool, &mut counters, &mut trace);
-        deltas.flush("iteration", &counters, rec);
-        rec.iteration(round + 1, n as u64, Dir::Push);
     }
-    counters.bytes_read = counters.edges_traversed * 16;
-    deltas.flush("finalize", &counters, rec);
-    RunOutput::new(AlgorithmResult::Labels(labels), counters, trace).cancelled(cancelled)
+    log.counters.bytes_read = log.counters.edges_traversed * 16;
+    log.finish(AlgorithmResult::Labels(labels))
 }
 
 // ---------------------------------------------------------------- WCC ----
@@ -296,43 +247,31 @@ impl VertexProgram for WccProgram {
 }
 
 /// WCC: min-label GAS until fixpoint.
-pub fn wcc(g: &PartitionedGraph, pool: &ThreadPool, rec: RecorderCtx<'_>) -> RunOutput {
+pub fn wcc(g: &PartitionedGraph, params: &RunParams<'_>) -> RunOutput {
+    let (pool, rec) = (params.pool, params.recorder);
     let n = g.num_vertices;
     let mut comp: Vec<u64> = (0..n as u64).collect();
     let mut active: Vec<VertexId> = (0..n as VertexId).collect();
-    let mut counters = Counters::default();
-    let mut trace = Trace::default();
-    let mut deltas = DeltaTracker::new();
+    let mut log = RunLog::new(rec);
     let mut round = 0u32;
-    let mut cancelled = false;
     rec.alloc_hwm("powergraph.wcc.comp", n as u64 * 8);
     while !active.is_empty() {
-        if pool.is_cancelled() {
-            cancelled = true;
+        round += 1;
+        let (next, _) = superstep(&WccProgram, g, &active, &mut comp, pool, &mut log);
+        if log.iteration(pool, round, active.len() as u64, Dir::Push).is_break() {
             break;
         }
-        round += 1;
-        let frontier = active.len() as u64;
-        let (next, _) =
-            superstep(&WccProgram, g, &active, &mut comp, pool, &mut counters, &mut trace);
-        deltas.flush("iteration", &counters, rec);
-        rec.iteration(round, frontier, Dir::Push);
         active = next;
     }
-    counters.bytes_read = counters.edges_traversed * 16;
-    deltas.flush("finalize", &counters, rec);
-    RunOutput::new(
-        AlgorithmResult::Components(comp.into_iter().map(|c| c as VertexId).collect()),
-        counters,
-        trace,
-    )
-    .cancelled(cancelled)
+    log.counters.bytes_read = log.counters.edges_traversed * 16;
+    log.finish(AlgorithmResult::Components(comp.into_iter().map(|c| c as VertexId).collect()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use epg_graph::{oracle, Csr, EdgeList};
+    use epg_parallel::ThreadPool;
 
     fn graph(seed: u64) -> EdgeList {
         epg_generator::uniform::generate(150, 1000, true, seed).symmetrized().deduplicated()
@@ -343,7 +282,7 @@ mod tests {
         let el = graph(1);
         let g = PartitionedGraph::build(&el, 4);
         let pool = ThreadPool::new(3);
-        let out = sssp(&g, 2, &pool, RecorderCtx::none());
+        let out = sssp(&g, &RunParams::new(&pool, Some(2)));
         let AlgorithmResult::Distances(d) = out.result else { panic!() };
         let want = oracle::dijkstra(&Csr::from_edge_list(&el), 2);
         for v in 0..want.len() {
@@ -374,7 +313,7 @@ mod tests {
         let el = graph(3);
         let g = PartitionedGraph::build(&el, 4);
         let pool = ThreadPool::new(2);
-        let out = cdlp(&g, &pool, 10, RecorderCtx::none());
+        let out = cdlp(&g, &RunParams::new(&pool, None), 10);
         let AlgorithmResult::Labels(l) = out.result else { panic!() };
         assert_eq!(l, oracle::cdlp(&Csr::from_edge_list(&el), 10));
     }
@@ -384,7 +323,7 @@ mod tests {
         let el = epg_generator::uniform::generate(200, 260, false, 4);
         let g = PartitionedGraph::build(&el, 4);
         let pool = ThreadPool::new(3);
-        let out = wcc(&g, &pool, RecorderCtx::none());
+        let out = wcc(&g, &RunParams::new(&pool, None));
         let AlgorithmResult::Components(c) = out.result else { panic!() };
         assert_eq!(c, oracle::wcc(&Csr::from_edge_list(&el)));
     }
@@ -394,7 +333,7 @@ mod tests {
         let el = EdgeList::weighted(3, vec![(1, 2)], vec![1.0]);
         let g = PartitionedGraph::build(&el, 2);
         let pool = ThreadPool::new(1);
-        let out = sssp(&g, 0, &pool, RecorderCtx::none());
+        let out = sssp(&g, &RunParams::new(&pool, Some(0)));
         let AlgorithmResult::Distances(d) = out.result else { panic!() };
         assert_eq!(d[0], 0.0);
         assert!(d[1].is_infinite() && d[2].is_infinite());

@@ -38,7 +38,6 @@ struct Args {
     trial_budget_ms: Option<u64>,
     json: bool,
     strict: bool,
-    baseline: Option<PathBuf>,
     explain: Option<String>,
     root: Option<PathBuf>,
     sssp_kernel: Option<epg_engine_api::SsspKernel>,
@@ -69,7 +68,6 @@ fn parse_args(argv: std::env::Args) -> Result<Args, String> {
         trial_budget_ms: None,
         json: false,
         strict: false,
-        baseline: None,
         explain: None,
         root: None,
         sssp_kernel: None,
@@ -96,7 +94,6 @@ fn parse_args(argv: std::env::Args) -> Result<Args, String> {
             "--unweighted" => a.weighted = false,
             "--json" => a.json = true,
             "--strict" => a.strict = true,
-            "--baseline" => a.baseline = Some(PathBuf::from(val("--baseline")?)),
             "--explain" => a.explain = Some(val("--explain")?),
             "--root" => a.root = Some(PathBuf::from(val("--root")?)),
             "--sssp-kernel" => {
@@ -135,7 +132,7 @@ fn usage() -> String {
     "usage: epg <setup|gen|run|all|graphalytics|granula|serve|trace summarize|lint> \
      [--scale N] [--weighted|--unweighted] [--threads N] [--roots N|--all-roots] \
      [--seed N] [--out DIR] [--snap FILE] [--input FILE] [--trial-budget-ms N] \
-     [--json] [--strict] [--baseline FILE] [--explain RULE] [--root DIR] \
+     [--json] [--strict] [--explain RULE] [--root DIR] \
      [--sssp-kernel delta|radix|bmssp] [--landmarks N] [--listen ADDR]"
         .to_string()
 }
@@ -181,11 +178,7 @@ fn real_main() -> Result<(), String> {
                 }
             }
         }
-        let opts = epg_lint::LintOptions {
-            json: args.json,
-            strict: args.strict,
-            baseline: args.baseline.clone(),
-        };
+        let opts = epg_lint::LintOptions { json: args.json, strict: args.strict };
         let root = args.root.clone().unwrap_or_else(epg_lint::workspace_root);
         std::process::exit(epg_lint::run_lint(&root, &opts));
     }

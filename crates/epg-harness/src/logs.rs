@@ -3,10 +3,11 @@
 //! The original framework gets its numbers by "parsing log files (for
 //! execution time)" with Bash/AWK (§III, §III-E). Each system logs in its
 //! own dialect ([`epg_engine_api::logfmt::LogStyle`]); the harness writes
-//! those dialects from its measured phase times and the parser reads them
-//! back — so the CSV genuinely flows through the same log-scraping step
-//! the paper describes (including surviving the chatter lines real logs
-//! contain).
+//! those dialect logs from its measured phase times *beside* the CSV — the
+//! CSV itself comes straight from the measured records, not from the logs.
+//! The parser is the reverse direction, exercised by the round-trip tests
+//! (`Pipeline::reparse_logs` and the proptests), which pin that the logs
+//! carry the same numbers and survive the chatter lines real logs contain.
 
 use epg_engine_api::logfmt::LogStyle;
 use epg_engine_api::Phase;

@@ -137,19 +137,6 @@ pub const CATALOG: &[RuleDoc] = &[
               (`*w.get_raw(v) = …`) are recognized and not flagged.",
     },
     RuleDoc {
-        id: "cancellation-coverage",
-        family: "concurrency",
-        rationale: "Every engine iteration loop (marked by its `rec.iteration(…)` telemetry \
-                    call) must poll `is_cancelled()`, or a trial past its time budget cannot \
-                    unwind cooperatively and the DNF accounting under-reports the engine's \
-                    true cost.",
-        example: "while !frontier.is_empty() {\n    relax_edges(…);\n    rec.iteration(n);\n}  \
-                  // no poll site",
-        fix: "Poll at the top of the loop: `if pool.is_cancelled() { outcome = \
-              Cancelled; break; }`. Loops without a `rec.iteration` call are untimed and out \
-              of scope.",
-    },
-    RuleDoc {
         id: "atomic-ordering",
         family: "concurrency",
         rationale: "Extends `cas-ordering` to the sites it cannot see: `SeqCst` inside hot \
@@ -287,7 +274,6 @@ mod tests {
             "timing-discipline",
             "panic-discipline",
             crate::flow::RULE_CAPTURE,
-            crate::flow::RULE_CANCEL,
             crate::flow::RULE_ORDERING,
             crate::flow::RULE_ALLOC,
             crate::locking::RULE_LOCK_CYCLE,

@@ -5,18 +5,15 @@
 //! the parallel invariants *dynamically and by convention*; this module is
 //! their static twin. It walks identifier def/use inside the two span
 //! kinds the model extracts — engine **iteration loops** (the per-round
-//! loop every engine reports through `rec.iteration(…)`) and **worker
-//! closures** (arguments to the `epg-parallel` entry points) — and proves
-//! four invariants at lint time:
+//! loop every engine closes with `log.iteration(…)`, which also polls the
+//! cancel token) and **worker closures** (arguments to the `epg-parallel`
+//! entry points) — and proves three invariants at lint time:
 //!
 //! * `shared-mutable-capture` — a worker closure may mutate shared state
 //!   only through an API (`DisjointWriter`, atomics, locks). A *direct*
 //!   assignment (`=`, `+=`, …) whose left-hand place is rooted at a
 //!   captured identifier is a data race the borrow checker cannot see
 //!   through the pool's `unsafe` job pointer.
-//! * `cancellation-coverage` — every iteration loop must contain a
-//!   reachable `is_cancelled()` poll site, so a trial past its budget can
-//!   unwind cooperatively (the paper's DNF rows depend on it).
 //! * `atomic-ordering` — extends the `cas-ordering` line rule with the
 //!   sites it cannot see: `SeqCst` in hot loop bodies (and anywhere in the
 //!   `epg-parallel` substrate, which must audit every use), and `Relaxed`
@@ -44,9 +41,6 @@ use crate::scan::{find_word_from, has_word};
 
 /// Stable rule id: direct mutation of captured state in a worker closure.
 pub const RULE_CAPTURE: &str = "shared-mutable-capture";
-
-/// Stable rule id: iteration loop without an `is_cancelled()` poll site.
-pub const RULE_CANCEL: &str = "cancellation-coverage";
 
 /// Stable rule id: over- or under-strong atomic orderings on hot paths.
 pub const RULE_ORDERING: &str = "atomic-ordering";
@@ -87,27 +81,18 @@ pub fn check(ws: &Workspace, out: &mut Vec<Finding>) {
             check_capture(f, out);
             check_ordering(f, &c.name, out);
             if engine {
-                check_cancellation(f, out);
                 check_alloc(f, out);
             }
         }
     }
 }
 
-/// The file's engine iteration loops: loop spans containing a
-/// `rec.iteration(…)` telemetry call. PR 2 wired that call into every
-/// engine's per-round loop, so the token doubles as the marker for "the
-/// loop the cancellation contract covers".
-pub fn iteration_loops(f: &FileModel) -> Vec<(usize, usize)> {
-    let marks = f.token_lines(".iteration(");
-    f.loops.iter().copied().filter(|&(s, e)| marks.iter().any(|&l| s <= l && l <= e)).collect()
-}
-
 /// Timed spans of an engine file: iteration loops, loops that directly
 /// invoke an `epg-parallel` entry point, and every worker-closure
-/// argument span. (A loop that delegates its parallel work to a helper is
-/// still covered through its `rec.iteration` marker; the helper's own
-/// worker spans are covered directly.)
+/// argument span. An iteration loop is a loop containing a `.iteration(`
+/// call — `RunLog::iteration`, the one way a kernel reports a round — so a
+/// loop that delegates its parallel work to a helper is still covered
+/// through that marker; the helper's own worker spans are covered directly.
 pub(crate) fn hot_spans(f: &FileModel) -> Vec<(usize, usize)> {
     let marks = f.token_lines(".iteration(");
     let par_lines = f.par_entry_lines();
@@ -122,26 +107,6 @@ pub(crate) fn hot_spans(f: &FileModel) -> Vec<(usize, usize)> {
     spans.sort_unstable();
     spans.dedup();
     spans
-}
-
-fn check_cancellation(f: &FileModel, out: &mut Vec<Finding>) {
-    let polls = f.token_lines("is_cancelled");
-    for (s, e) in iteration_loops(f) {
-        if f.in_test(s) {
-            continue;
-        }
-        if !polls.iter().any(|&l| s <= l && l <= e) {
-            out.push(Finding {
-                file: f.path.clone(),
-                line: s,
-                rule: RULE_CANCEL,
-                message: "engine iteration loop reports `rec.iteration(…)` but contains no \
-                          `is_cancelled()` poll site; a trial past its budget cannot unwind \
-                          cooperatively — poll the token at the top of every per-round loop"
-                    .to_string(),
-            });
-        }
-    }
 }
 
 fn check_ordering(f: &FileModel, crate_name: &str, out: &mut Vec<Finding>) {
@@ -623,19 +588,13 @@ mod tests {
         findings.iter().map(|f| f.rule).collect()
     }
 
-    // --- cancellation-coverage -------------------------------------------
-
-    #[test]
-    fn iteration_loop_without_poll_is_flagged() {
-        let src = "fn run(rec: &mut R) {\n    let mut n = 3;\n    while n > 0 {\n        n -= 1;\n        rec.iteration(n as u64);\n    }\n}\n";
-        let f = run(krate("epg-engine-gap", "pr.rs", src));
-        assert_eq!(rules_of(&f), [RULE_CANCEL]);
-        assert_eq!(f[0].line, 3);
-    }
+    // --- iteration loops --------------------------------------------------
 
     #[test]
     fn iteration_loop_with_poll_passes() {
-        let src = "fn run(pool: &P, rec: &mut R) {\n    let mut n = 3;\n    while n > 0 {\n        if pool.is_cancelled() {\n            break;\n        }\n        n -= 1;\n        rec.iteration(n as u64);\n    }\n}\n";
+        // `RunLog::iteration` reports the round and polls the token in one
+        // call: the canonical kernel loop needs no separate poll site.
+        let src = "fn run(pool: &P, log: &mut L) {\n    let mut n = 3;\n    while n > 0 {\n        n -= 1;\n        if log.iteration(pool, n, 0, d).is_break() {\n            break;\n        }\n    }\n}\n";
         assert!(run(krate("epg-engine-gap", "pr.rs", src)).is_empty());
     }
 
@@ -643,12 +602,6 @@ mod tests {
     fn loops_without_iteration_marker_are_not_checked() {
         let src = "fn setup(xs: &[u32]) -> u32 {\n    let mut s = 0;\n    for x in xs {\n        s += x;\n    }\n    s\n}\n";
         assert!(run(krate("epg-engine-gap", "pr.rs", src)).is_empty());
-    }
-
-    #[test]
-    fn non_engine_crates_are_out_of_cancellation_scope() {
-        let src = "fn drain(rec: &mut R) {\n    loop {\n        rec.iteration(0);\n        break;\n    }\n}\n";
-        assert!(run(krate("epg-harness", "runner.rs", src)).is_empty());
     }
 
     // --- shared-mutable-capture ------------------------------------------

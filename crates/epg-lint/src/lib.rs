@@ -11,7 +11,7 @@
 //!   `layering` ([`arch`]), `phase-purity` and `timing-discipline`
 //!   ([`phases`]), `panic-discipline` ([`panics`]), the `concurrency`
 //!   dataflow family ([`flow`]) — `shared-mutable-capture`,
-//!   `cancellation-coverage`, `atomic-ordering`, `hot-loop-alloc` — and
+//!   `atomic-ordering`, `hot-loop-alloc` — and
 //!   the `locking` family ([`locking`]) — `lock-order-cycle`,
 //!   `blocking-while-locked`, `condvar-wait-loop`, `guard-across-span` —
 //!   over an intra-crate call graph ([`callgraph`]) that also upgrades
@@ -31,8 +31,8 @@
 //! the same as any other bug.
 //!
 //! Audited exceptions live in `epg-lint.toml` at the workspace root — see
-//! [`allowlist`] for the format and staleness rules. Grandfathered
-//! findings can be carried in a baseline file — see [`output`].
+//! [`allowlist`] for the format and staleness rules; it is the one
+//! exception mechanism.
 
 #![warn(missing_docs)]
 
@@ -50,7 +50,6 @@ pub mod rules;
 pub mod scan;
 
 pub use allowlist::Allow;
-pub use output::BaselineEntry;
 pub use rules::Finding;
 
 use std::path::{Path, PathBuf};
@@ -90,7 +89,7 @@ pub fn rust_files(root: &Path) -> Vec<PathBuf> {
     files
 }
 
-/// The outcome of a full workspace lint, before any baseline is applied.
+/// The outcome of a full workspace lint.
 #[derive(Debug)]
 pub struct LintReport {
     /// Findings surviving the allowlist, sorted by file/line/rule, one
@@ -212,19 +211,16 @@ fn model_line_text(ws: &model::Workspace, f: &Finding) -> String {
 pub struct LintOptions {
     /// Emit the `epg-lint/v1` JSON report instead of human lines.
     pub json: bool,
-    /// Fail (exit 1) on stale allowlist/baseline entries even when no
-    /// findings survive — CI runs with this on so exceptions cannot rot.
+    /// Fail (exit 3) on stale allowlist entries even when no findings
+    /// survive — CI runs with this on so exceptions cannot rot.
     pub strict: bool,
-    /// Optional committed baseline of grandfathered findings (human
-    /// finding lines, matched on file/line/rule).
-    pub baseline: Option<PathBuf>,
 }
 
 /// Runs the full lint over `root` and prints the report to stdout.
 ///
 /// Returns the process exit code: `0` clean, `1` findings survive, `2`
-/// configuration errors (bad root, malformed allowlist or baseline), `3`
-/// no findings but stale allowlist/baseline entries exist under
+/// configuration errors (bad root, malformed allowlist), `3`
+/// no findings but stale allowlist entries exist under
 /// [`LintOptions::strict`]. The distinct stale code lets CI and scripts
 /// tell "the code regressed" from "an exception rotted" without parsing
 /// output.
@@ -240,30 +236,10 @@ pub fn run_lint(root: &Path, opts: &LintOptions) -> i32 {
             return 2;
         }
     };
-    let baseline = match &opts.baseline {
-        None => Vec::new(),
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(text) => text,
-                Err(err) => {
-                    eprintln!("epg-lint: {}: {err}", path.display());
-                    return 2;
-                }
-            };
-            match output::parse_baseline(&text) {
-                Ok(baseline) => baseline,
-                Err(err) => {
-                    eprintln!("epg-lint: {err}");
-                    return 2;
-                }
-            }
-        }
-    };
-    let (findings, stale_baseline) = output::apply_baseline(report.findings, &baseline);
-    let stale_allows = report.stale_allows;
+    let (findings, stale_allows) = (report.findings, report.stale_allows);
 
     if opts.json {
-        print!("{}", output::to_json(&findings, &stale_allows, &stale_baseline));
+        print!("{}", output::to_json(&findings, &stale_allows));
     } else {
         for f in &findings {
             println!("{f}");
@@ -277,17 +253,14 @@ pub fn run_lint(root: &Path, opts: &LintOptions) -> i32 {
                 a.rule
             );
         }
-        for b in &stale_baseline {
-            println!("baseline: stale entry `{b}` matches nothing; regenerate the baseline");
-        }
-        if findings.is_empty() && stale_allows.is_empty() && stale_baseline.is_empty() {
+        if findings.is_empty() && stale_allows.is_empty() {
             println!("epg-lint: clean ({})", root.display());
         } else if !findings.is_empty() {
             eprintln!("epg-lint: {} finding(s)", findings.len());
         }
     }
 
-    let strict_stale = opts.strict && (!stale_allows.is_empty() || !stale_baseline.is_empty());
+    let strict_stale = opts.strict && !stale_allows.is_empty();
     if !findings.is_empty() {
         1
     } else if strict_stale {

@@ -5,11 +5,12 @@
 //! (`1` findings, `2` config error, `3` stale exceptions under
 //! `--strict`). `--explain <rule-id>` prints the rule catalog entry.
 //!
-//! Usage: `epg-lint [root] [--json] [--strict] [--baseline <path>]
-//! [--explain <rule-id>]`
+//! Usage: `epg-lint [root] [--json] [--strict] [--explain <rule-id>]`
 
 use epg_lint::LintOptions;
 use std::path::PathBuf;
+
+const USAGE: &str = "usage: epg-lint [root] [--json] [--strict] [--explain <rule-id>]";
 
 fn main() {
     let mut root: Option<PathBuf> = None;
@@ -19,13 +20,6 @@ fn main() {
         match arg.as_str() {
             "--json" => opts.json = true,
             "--strict" => opts.strict = true,
-            "--baseline" => match args.next() {
-                Some(path) => opts.baseline = Some(PathBuf::from(path)),
-                None => {
-                    eprintln!("epg-lint: --baseline needs a path");
-                    std::process::exit(2);
-                }
-            },
             "--explain" => match args.next() {
                 Some(id) => std::process::exit(explain(&id)),
                 None => {
@@ -35,17 +29,14 @@ fn main() {
                 }
             },
             "--help" | "-h" => {
-                println!(
-                    "usage: epg-lint [root] [--json] [--strict] [--baseline <path>] \
-                     [--explain <rule-id>]"
-                );
+                println!("{USAGE}");
                 return;
             }
             other if !other.starts_with('-') && root.is_none() => {
                 root = Some(PathBuf::from(other));
             }
             other => {
-                eprintln!("epg-lint: unknown argument {other}");
+                eprintln!("epg-lint: unknown argument {other}\n{USAGE}");
                 std::process::exit(2);
             }
         }

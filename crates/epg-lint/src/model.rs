@@ -541,12 +541,16 @@ fn parse_loops(code: &Code) -> Vec<(usize, usize)> {
 }
 
 /// The `epg-parallel` entry points whose closure arguments are worker
-/// code. Token-level: a call to any method with one of these names counts.
+/// code (plus `Partial::collect`, epg-engine-api's fixed-shape form of
+/// `parallel_reduce_ranges`). Token-level: a call to any method with one
+/// of these names counts.
 pub(crate) const PAR_ENTRY_POINTS: &[&str] = &[
     ".region(",
     ".parallel_for(",
     ".parallel_for_ranges(",
     ".parallel_reduce(",
+    ".parallel_reduce_ranges(",
+    "Partial::collect(",
     ".parallel_sum_f64(",
     ".parallel_any(",
     ".parallel_max_f64(",
@@ -1097,6 +1101,19 @@ mod tests {
         assert_eq!(f.par_calls, vec![(2, 4)]);
         assert!(f.in_loop_or_worker(3));
         assert!(!f.in_loop_or_worker(5));
+    }
+
+    #[test]
+    fn reduce_entry_points_are_worker_spans_too() {
+        // The step protocol's way out of a region: closures passed to
+        // `parallel_reduce_ranges` and to `Partial::collect` (its
+        // `(found, edges, max_degree)` form) are worker code.
+        let src = "fn f(pool: &ThreadPool) {\n    let a = pool.parallel_reduce_ranges(n, s, id, |lo, hi| {\n        work(lo, hi)\n    }, add);\n    let b = Partial::collect(pool, n, s, |lo, hi| {\n        expand(lo, hi)\n    });\n    plain();\n}\n";
+        let f = file(src);
+        assert_eq!(f.par_calls, vec![(2, 4), (5, 7)]);
+        assert_eq!(f.par_entry_lines(), vec![2, 5]);
+        assert!(f.in_loop_or_worker(3) && f.in_loop_or_worker(6));
+        assert!(!f.in_loop_or_worker(8));
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! Concurrency-rule seeds: exactly one violation per PR 6 rule id,
+//! Concurrency-rule seeds: exactly one violation per concurrency rule id,
 //! pinned to stable line numbers by the golden test. Never compiled.
 
-/// A deliberately racy kernel the dataflow pass must catch four ways:
-/// no poll site in the iteration loop, `SeqCst` inside it, a per-round
-/// `collect`, and a direct write to captured state from a worker.
+/// A deliberately racy kernel the dataflow pass must catch three ways:
+/// `SeqCst` inside the iteration loop, a per-round `collect`, and a
+/// direct write to captured state from a worker.
 pub fn racy_kernel(pool: &ThreadPool, rec: &mut Recorder, flag: &AtomicU32, out: &mut [u32]) {
     let mut rounds = 3usize;
     while rounds > 0 {

@@ -41,8 +41,6 @@ pub struct ServeConfig {
     pub request_budget: Option<Duration>,
     /// Attach same-source requests to an in-flight traversal.
     pub batching: bool,
-    /// Keep finished source arrays for later requests.
-    pub caching: bool,
 }
 
 impl Default for ServeConfig {
@@ -53,7 +51,6 @@ impl Default for ServeConfig {
             max_pending: 1024,
             request_budget: None,
             batching: true,
-            caching: true,
         }
     }
 }
@@ -61,13 +58,7 @@ impl Default for ServeConfig {
 impl ServeConfig {
     /// The unamortized baseline: every request runs its own traversal.
     pub fn naive() -> ServeConfig {
-        ServeConfig {
-            cache_capacity: 0,
-            landmarks: 0,
-            batching: false,
-            caching: false,
-            ..ServeConfig::default()
-        }
+        ServeConfig { cache_capacity: 0, landmarks: 0, batching: false, ..ServeConfig::default() }
     }
 }
 
@@ -374,13 +365,8 @@ impl ServeService {
         }
 
         let key = q.source_key();
-        if self.config.caching {
-            if let Some(arr) = self.cache.lookup(&key) {
-                return Ok(Answer {
-                    value: arr.value_at(q.lookup_vertex()),
-                    path: AnswerPath::Cached,
-                });
-            }
+        if let Some(arr) = self.cache.lookup(&key) {
+            return Ok(Answer { value: arr.value_at(q.lookup_vertex()), path: AnswerPath::Cached });
         }
 
         if !self.config.batching {
@@ -391,9 +377,7 @@ impl ServeService {
                 key.source,
                 self.config.request_budget,
             )?;
-            if self.config.caching {
-                self.cache.insert(key, Arc::clone(&arr));
-            }
+            self.cache.insert(key, Arc::clone(&arr));
             return Ok(Answer { value: arr.value_at(q.lookup_vertex()), path: AnswerPath::Exact });
         }
 
@@ -414,9 +398,7 @@ impl ServeService {
                     self.config.request_budget,
                 ) {
                     Ok(arr) => {
-                        if self.config.caching {
-                            self.cache.insert(key, Arc::clone(&arr));
-                        }
+                        self.cache.insert(key, Arc::clone(&arr));
                         guard.publish(Ok(Arc::clone(&arr)));
                         Ok(Answer {
                             value: arr.value_at(q.lookup_vertex()),
@@ -589,7 +571,8 @@ mod tests {
 
     #[test]
     fn concurrent_same_source_queries_batch_onto_one_traversal() {
-        let (engine, svc) = service(16, ServeConfig { caching: false, ..ServeConfig::default() });
+        let (engine, svc) =
+            service(16, ServeConfig { cache_capacity: 0, ..ServeConfig::default() });
         engine.close_gate();
         let mut answers = Vec::new();
         std::thread::scope(|s| {

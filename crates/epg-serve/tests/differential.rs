@@ -91,7 +91,7 @@ fn batched_answers_match_the_oracle() {
     // way, so the loop only decides when batching was *exercised*.
     let el = kron(9, true);
     let g = Csr::from_edge_list(&el);
-    let svc = service_on(&el, 1, ServeConfig { caching: false, ..ServeConfig::default() });
+    let svc = service_on(&el, 1, ServeConfig { cache_capacity: 0, ..ServeConfig::default() });
     let root = epg_graph::degree::sample_roots(&el, 1, 11)[0];
     let want = f64::from(oracle::dijkstra(&g, root)[40]);
     for _ in 0..50 {

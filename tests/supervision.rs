@@ -168,6 +168,32 @@ fn wrong_result_injection_is_caught_by_a_verifier() {
     assert_eq!(report.attempts, 2, "first attempt corrupted, retry clean");
 }
 
+#[test]
+fn over_budget_betweenness_stops_at_the_next_source() {
+    // No injected fault: exact Brandes BC (one iteration per source) under
+    // a budget far below its runtime. Its per-source loop has no poll of
+    // its own — `RunLog::iteration` is the poll — so the trial must come
+    // back `Timeout` having stopped early, not having spun through every
+    // remaining source with the pool abandoning each one's chunks.
+    let spec = GraphSpec::Kronecker { scale: 11, edge_factor: 8, weighted: false };
+    let ds = Dataset::from_spec(&spec, 9);
+    let sources = ds.edges_for(EngineKind::Gap).num_vertices as u32;
+    let pool = ThreadPool::new(2);
+    let mut engine = EngineKind::Gap.create();
+    engine.load_edge_list(ds.edges_for(EngineKind::Gap));
+    engine.construct(&pool);
+    let cfg =
+        SupervisorConfig { trial_budget: Some(Duration::from_millis(10)), ..Default::default() };
+    let params = RunParams::new(&pool, None);
+    let report = supervise_trial(&pool, &cfg, || engine.run(Algorithm::Bc, &params), None);
+    assert_eq!(report.outcome, TrialOutcome::Timeout);
+    let out = report.output.expect("a timeout keeps the partial output");
+    assert!(out.cancelled, "the kernel itself must notice the tripped budget");
+    let done = out.counters.iterations;
+    assert!(0 < done && done < sources, "{done} of {sources} sources ran under a 10 ms budget");
+    assert!(out.counters.edges_traversed > 0, "partial counters survive the timeout");
+}
+
 #[cfg(feature = "trace")]
 #[test]
 fn trial_outcome_reaches_the_trace_stream() {

@@ -1,15 +1,18 @@
 //! Trace/counters equivalence: the per-region `CountersDelta` stream an
 //! engine emits must sum back to exactly the `Counters` aggregate it
-//! returns in its `RunOutput`. Engines flush deltas with a
-//! `DeltaTracker`, so a counter bump outside a flushed region (a future
-//! regression this suite exists to catch) shows up here as a mismatch
-//! instead of silently skewing `epg-machine` replay projections.
+//! returns in its `RunOutput`. Every kernel reports through one `RunLog`,
+//! so the invariant holds by construction — this suite runs every kernel
+//! of every engine to pin that none reports any other way (a kernel that
+//! bypassed the log would emit nothing, or bump a counter the log never
+//! flushed, and fail here instead of silently skewing `epg-machine`
+//! replay projections).
 //!
 //! The whole file is gated on the `trace` feature — without it there is
 //! no recorder to attach and the suite is intentionally empty.
 #![cfg(feature = "trace")]
 
 use epg::engine_api::sum_counter_deltas;
+use epg::harness::registry::engines_supporting;
 use epg::prelude::*;
 use epg::trace::Recorder;
 use std::sync::Arc;
@@ -18,48 +21,40 @@ fn dataset() -> Dataset {
     Dataset::from_spec(&GraphSpec::Kronecker { scale: 7, edge_factor: 8, weighted: true }, 91)
 }
 
-/// Engine×algorithm pairs covering every engine at least once, with both
-/// frontier-driven (BFS) and all-active (PageRank) shapes represented.
-fn pairs() -> Vec<(EngineKind, Algorithm)> {
-    vec![
-        (EngineKind::Gap, Algorithm::Bfs),
-        (EngineKind::Graph500, Algorithm::Bfs),
-        (EngineKind::GraphBig, Algorithm::Bfs),
-        (EngineKind::GraphMat, Algorithm::Bfs),
-        (EngineKind::PowerGraph, Algorithm::PageRank),
-    ]
-}
-
 #[test]
-fn counters_equal_sum_of_trace_deltas_on_every_engine() {
+fn counters_equal_sum_of_trace_deltas_on_every_kernel() {
     let ds = dataset();
     let pool = ThreadPool::new(2);
-    for (kind, algo) in pairs() {
-        let mut e = kind.create();
-        e.load_edge_list(ds.edges_for(kind));
-        e.construct(&pool);
+    for algo in Algorithm::ALL {
+        for kind in engines_supporting(algo) {
+            // GAP's SSSP is a tier of three kernels; everything else is one.
+            let gap_sssp = kind == EngineKind::Gap && algo == Algorithm::Sssp;
+            let kernels = if gap_sssp { SsspKernel::ALL.map(Some).to_vec() } else { vec![None] };
+            for kernel in kernels {
+                let what = format!("{} {algo:?} {kernel:?}", kind.name());
+                let mut e = kind.create_with_sssp_kernel(kernel);
+                e.load_edge_list(ds.edges_for(kind));
+                e.construct(&pool);
 
-        let rec = RunRecorder::new();
-        let root = (algo == Algorithm::Bfs).then(|| ds.roots[0]);
-        let mut params = RunParams::new(&pool, root);
-        params.recorder = RecorderCtx::new(&rec);
-        let out = e.run(algo, &params);
+                let rec = RunRecorder::new();
+                let mut params = RunParams::new(&pool, algo.is_rooted().then(|| ds.roots[0]));
+                params.bc_sources = Some(4);
+                params.recorder = RecorderCtx::new(&rec);
+                let out = e.run(algo, &params);
 
-        let events = rec.events();
-        assert!(
-            events.iter().any(|ev| matches!(ev, TraceEvent::Iteration { .. })),
-            "{} {:?}: no per-iteration events recorded",
-            kind.name(),
-            algo
-        );
-        assert_eq!(
-            sum_counter_deltas(&events),
-            out.counters,
-            "{} {:?}: trace deltas do not sum to the reported counters",
-            kind.name(),
-            algo
-        );
-        assert_eq!(rec.dropped(), 0, "{} {:?}: ring buffer overflowed", kind.name(), algo);
+                let events = rec.events();
+                assert!(
+                    events.iter().any(|ev| matches!(ev, TraceEvent::Iteration { .. })),
+                    "{what}: no per-iteration events recorded"
+                );
+                assert_eq!(
+                    sum_counter_deltas(&events),
+                    out.counters,
+                    "{what}: trace deltas do not sum to the reported counters"
+                );
+                assert_eq!(rec.dropped(), 0, "{what}: ring buffer overflowed");
+            }
+        }
     }
 }
 
