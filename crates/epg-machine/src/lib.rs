@@ -43,6 +43,12 @@ pub struct MachineSpec {
     /// Bandwidth one thread can drive on its own, bytes/second.
     pub per_thread_bandwidth: f64,
     /// Barrier cost at `n` threads: `barrier_base_s * ln(n)` (zero at 1).
+    /// At the Haswell value of 4 µs that is 2.8 µs for 2 threads. The
+    /// runtime it stands for measured `epg-parallel.region_us` ≈ 39 µs on
+    /// the 2-vCPU build host while `ThreadPool::region` parked after every
+    /// region, and 0.5–1.6 µs since it spins before parking: model and
+    /// runtime now agree to within an order of magnitude, where they used
+    /// to be 15× apart.
     pub barrier_base_s: f64,
     /// CPU package idle power (both sockets), watts. Matches the paper's
     /// sleep(10) baseline of ~25 W package power.

@@ -28,7 +28,6 @@
 
 #![warn(missing_docs)]
 mod atomics;
-mod barrier;
 mod cancel;
 mod check;
 mod pool;
@@ -38,7 +37,6 @@ mod schedule;
 mod writer;
 
 pub use atomics::{atomic_min_u32, AtomicF32, AtomicF64};
-pub use barrier::SenseBarrier;
 pub use cancel::CancelToken;
 pub use check::current_worker_id;
 pub use pool::{PoolStats, ThreadPool};

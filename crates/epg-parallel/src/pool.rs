@@ -1,10 +1,19 @@
 //! The persistent fork-join thread pool.
 //!
 //! A parallel region publishes one job — a `Fn(usize)` invoked once per
-//! thread with that thread's id — to `nthreads - 1` parked workers; the
-//! calling thread participates as thread 0. The caller blocks until every
-//! worker finishes, which is what makes handing workers a borrowed closure
-//! sound (see safety note on [`ThreadPool::region`]).
+//! thread with that thread's id — to `nthreads - 1` waiting workers; the
+//! calling thread participates as thread 0. The caller does not return
+//! until every worker finishes, which is what makes handing workers a
+//! borrowed closure sound (see safety note on [`ThreadPool::region`]).
+//!
+//! Waiting is spin-then-park in both directions, as in the OpenMP
+//! runtimes the modeled systems ran on: a worker between regions spins on
+//! a mirror of the generation counter for [`SPIN_BUDGET`] before it parks
+//! on `work_cv`, and the dispatcher spins on a mirror of the finished
+//! generation before it parks on `done_cv`, so back-to-back regions (one
+//! per BFS level) cost no syscall. The state mutex stays the single source
+//! of truth; a publisher notifies a condvar only when the waiter has
+//! registered itself as parked under that mutex.
 
 use crate::cancel::CancelToken;
 use crate::check;
@@ -13,6 +22,13 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+/// How long a waiter spins before it parks: about two futex round trips
+/// on the build host, so a wait that would have been shorter than the
+/// park/wake it replaces never reaches the kernel. A time, not an
+/// iteration count — `PAUSE` latency varies tenfold across CPUs.
+const SPIN_BUDGET: Duration = Duration::from_micros(100);
 
 /// Raw pointer to the caller's region closure. Valid for the duration of
 /// one generation: the dispatching thread keeps the closure alive until all
@@ -39,6 +55,11 @@ struct State {
     /// on the dispatching thread after the join barrier.
     panic: Option<Box<dyn std::any::Any + Send>>,
     shutdown: bool,
+    /// Workers parked on `work_cv`; the dispatcher notifies only if > 0.
+    sleepers: usize,
+    /// The dispatcher is parked on `done_cv`; the last worker out
+    /// notifies only if set.
+    caller_parked: bool,
 }
 
 struct Inner {
@@ -46,9 +67,21 @@ struct Inner {
     state: Mutex<State>,
     work_cv: Condvar,
     done_cv: Condvar,
+    /// Mirror of `State::gen` for spinning workers: stored (`Release`)
+    /// under the state mutex, read (`Acquire`) without it.
+    gen_word: AtomicU64,
+    /// Mirror of `State::done_gen` for the spinning dispatcher. Observing
+    /// a generation here is the join barrier: every worker's writes
+    /// precede the last worker's `Release` store through the state mutex.
+    done_word: AtomicU64,
+    /// [`SPIN_BUDGET`], or zero when the pool has more threads than the
+    /// host has CPUs: a spinning waiter would then hold the CPU the
+    /// thread it waits for needs.
+    spin_budget: Duration,
     regions: AtomicU64,
     chunks: AtomicU64,
     data_rmw: AtomicU64,
+    parks: AtomicU64,
     /// Dispatch gate for concurrent clients: see [`ThreadPool::exclusive`].
     dispatch_gate: Mutex<()>,
     /// Cooperative-cancellation token for the trial currently using this
@@ -61,8 +94,9 @@ struct Inner {
     #[cfg(feature = "trace")]
     recorder: Mutex<Option<Arc<dyn epg_trace::Recorder>>>,
     /// Per-worker busy nanoseconds of the current generation; read by
-    /// the dispatcher after the join barrier (the state mutex orders
-    /// the stores before the read).
+    /// the dispatcher after the join barrier (the `Release`/`Acquire`
+    /// pair on `done_word`, or the state mutex when the dispatcher
+    /// parked, orders the stores before the read).
     #[cfg(feature = "trace")]
     busy_ns: Vec<AtomicU64>,
 }
@@ -83,6 +117,12 @@ pub struct PoolStats {
     /// none — tests pin that claim by snapshotting [`ThreadPool::stats`]
     /// around a call and asserting a zero delta.
     pub data_rmw: u64,
+    /// Waits, by a worker for the next region or by the dispatcher for the
+    /// join, that outlasted the spin budget and parked on a condvar. A
+    /// level-synchronous kernel in steady state adds none; a region that
+    /// follows an idle gap, or any region of an oversubscribed pool, pays
+    /// a wake-up for each.
+    pub parks: u64,
 }
 
 /// An OpenMP-like thread pool. See the crate docs for an example.
@@ -96,6 +136,7 @@ impl ThreadPool {
     /// counts as one). `nthreads` must be at least 1.
     pub fn new(nthreads: usize) -> ThreadPool {
         assert!(nthreads >= 1, "a pool needs at least one thread");
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
         let inner = Arc::new(Inner {
             nthreads,
             state: Mutex::new(State {
@@ -106,12 +147,18 @@ impl ThreadPool {
                 region_id: 0,
                 panic: None,
                 shutdown: false,
+                sleepers: 0,
+                caller_parked: false,
             }),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
+            gen_word: AtomicU64::new(0),
+            done_word: AtomicU64::new(0),
+            spin_budget: if nthreads <= cpus { SPIN_BUDGET } else { Duration::ZERO },
             regions: AtomicU64::new(0),
             chunks: AtomicU64::new(0),
             data_rmw: AtomicU64::new(0),
+            parks: AtomicU64::new(0),
             dispatch_gate: Mutex::new(()),
             cancel: Mutex::new(None),
             cancel_active: AtomicBool::new(false),
@@ -239,7 +286,7 @@ impl ThreadPool {
                 wide as *const _,
             )
         });
-        let gen = {
+        let (gen, wake) = {
             let mut st = self.inner.state.lock();
             debug_assert_eq!(st.remaining, 0, "region dispatched while busy");
             st.gen += 1;
@@ -249,12 +296,18 @@ impl ThreadPool {
             // A payload from a generation whose dispatcher unwound before
             // collecting it must not leak into this one.
             st.panic = None;
-            st.gen
+            self.inner.gen_word.store(st.gen, Ordering::Release);
+            (st.gen, st.sleepers > 0)
         };
-        // Notify after unlocking: workers re-check `st.gen` under the
-        // lock, so the wakeup cannot be lost, and woken threads do not
-        // stall on the state mutex this thread would still hold.
-        self.inner.work_cv.notify_all();
+        // Notify after unlocking, and only when a worker is parked: a
+        // worker registers in `sleepers` and re-checks `st.gen` under the
+        // lock this thread just held, so it either saw the new generation
+        // or is counted here — the wakeup cannot be lost — and woken
+        // threads do not stall on the state mutex this thread would still
+        // hold.
+        if wake {
+            self.inner.work_cv.notify_all();
+        }
         {
             // Waits for the join barrier even if `f(0)` unwinds: dropping
             // `f` while a worker still holds `ptr` would be use-after-free.
@@ -389,6 +442,7 @@ impl ThreadPool {
             regions: self.inner.regions.load(Ordering::Relaxed),
             chunks: self.inner.chunks.load(Ordering::Relaxed),
             data_rmw: self.inner.data_rmw.load(Ordering::Relaxed),
+            parks: self.inner.parks.load(Ordering::Relaxed),
         }
     }
 
@@ -412,10 +466,43 @@ struct JoinGuard<'p> {
 
 impl Drop for JoinGuard<'_> {
     fn drop(&mut self) {
-        let mut st = self.inner.state.lock();
-        while st.done_gen != self.gen {
-            self.inner.done_cv.wait(&mut st);
+        let inner = self.inner;
+        if inner.spin_until(|| inner.done_word.load(Ordering::Acquire) == self.gen) {
+            return;
         }
+        let mut st = inner.state.lock();
+        if st.done_gen != self.gen {
+            inner.parks.fetch_add(1, Ordering::Relaxed);
+            // Set under the lock the last worker takes to check out: it
+            // either finds the flag or has already advanced `done_gen`.
+            st.caller_parked = true;
+            while st.done_gen != self.gen {
+                inner.done_cv.wait(&mut st);
+            }
+            st.caller_parked = false;
+        }
+    }
+}
+
+impl Inner {
+    /// Polls `ready` for up to the spin budget; `false` means the caller
+    /// must take the state mutex and park. The clock read bounds the
+    /// wait, it measures nothing.
+    fn spin_until(&self, ready: impl Fn() -> bool) -> bool {
+        if ready() {
+            return true;
+        }
+        if self.spin_budget.is_zero() {
+            return false;
+        }
+        let start = Instant::now();
+        while start.elapsed() < self.spin_budget {
+            std::hint::spin_loop();
+            if ready() {
+                return true;
+            }
+        }
+        false
     }
 }
 
@@ -435,10 +522,18 @@ impl Drop for ThreadPool {
 fn worker_loop(inner: &Inner, tid: usize) {
     let mut seen = 0u64;
     loop {
+        inner.spin_until(|| inner.gen_word.load(Ordering::Acquire) != seen);
         let (job, gen, region_id) = {
             let mut st = inner.state.lock();
-            while !st.shutdown && st.gen == seen {
-                inner.work_cv.wait(&mut st);
+            if !st.shutdown && st.gen == seen {
+                inner.parks.fetch_add(1, Ordering::Relaxed);
+                // Counted under the lock the dispatcher takes to publish:
+                // it either sees this sleeper or has already bumped `gen`.
+                st.sleepers += 1;
+                while !st.shutdown && st.gen == seen {
+                    inner.work_cv.wait(&mut st);
+                }
+                st.sleepers -= 1;
             }
             if st.shutdown {
                 return;
@@ -468,9 +563,11 @@ fn worker_loop(inner: &Inner, tid: usize) {
         if last_out {
             st.done_gen = gen;
             st.job = None;
+            inner.done_word.store(gen, Ordering::Release);
         }
+        let wake = last_out && st.caller_parked;
         drop(st);
-        if last_out {
+        if wake {
             inner.done_cv.notify_all();
         }
     }
@@ -794,6 +891,89 @@ mod tests {
         assert!(r.is_err());
         // The gate must be free again for the next caller.
         pool.exclusive(|p| p.parallel_for(10, Schedule::Static { chunk: None }, |_| {}));
+    }
+
+    /// Runs `regions` empty-bodied regions, asserting after each that every
+    /// tid ran it exactly once, with `between` called after every region.
+    fn run_counted_regions(pool: &ThreadPool, regions: usize, mut between: impl FnMut()) {
+        let ran: Vec<AtomicUsize> = (0..pool.num_threads()).map(|_| AtomicUsize::new(0)).collect();
+        for k in 1..=regions {
+            pool.region(|tid| {
+                ran[tid].fetch_add(1, Ordering::Relaxed);
+            });
+            for (tid, r) in ran.iter().enumerate() {
+                assert_eq!(r.load(Ordering::Relaxed), k, "tid {tid} in region {k}");
+            }
+            between();
+        }
+    }
+
+    #[test]
+    fn no_wakeup_is_lost_between_spinning_and_parking() {
+        // The dispatcher pauses 0–250 µs between regions, straddling the
+        // spin budget: the next generation meets workers mid-spin, about
+        // to register as sleepers, and parked. A lost wake-up hangs here.
+        let regions = if cfg!(miri) { 200 } else { 20_000 };
+        for nthreads in [2, 3] {
+            let pool = ThreadPool::new(nthreads);
+            let mut rng = 0x9E37_79B9_7F4A_7C15_u64 + nthreads as u64;
+            run_counted_regions(&pool, regions, || {
+                rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let pause = Duration::from_nanos((rng >> 33) % 250_000);
+                let start = Instant::now();
+                while start.elapsed() < pause {
+                    std::hint::spin_loop();
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn idle_workers_park_and_the_next_region_wakes_them() {
+        let pool = ThreadPool::new(3);
+        for round in 1..=3 {
+            // Left alone, every worker runs out of budget and registers as
+            // a sleeper; the region must then notify, or it never returns.
+            let start = Instant::now();
+            while pool.inner.state.lock().sleepers != 2 {
+                assert!(start.elapsed() < Duration::from_secs(60), "workers never parked");
+                std::thread::yield_now();
+            }
+            assert!(pool.stats().parks >= 2 * round);
+            run_counted_regions(&pool, 1, || {});
+        }
+    }
+
+    #[test]
+    fn oversubscribed_pool_parks_instead_of_spinning() {
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(ThreadPool::new(cpus).inner.spin_budget, SPIN_BUDGET);
+        assert_eq!(ThreadPool::new(cpus + 1).inner.spin_budget, Duration::ZERO);
+        let pool = ThreadPool::new(4 * cpus);
+        assert_eq!(pool.inner.spin_budget, Duration::ZERO);
+        const REGIONS: usize = 2_000;
+        let parks_before = pool.stats().parks;
+        let start = Instant::now();
+        run_counted_regions(&pool, REGIONS, || {});
+        assert!(start.elapsed() < Duration::from_secs(120), "took {:?}", start.elapsed());
+        // With no budget a wait that finds nothing to do parks at once:
+        // the dispatcher outruns 4 threads per CPU to the join, and each
+        // worker gets back to the mutex before the next generation.
+        let parks = pool.stats().parks - parks_before;
+        assert!(parks >= REGIONS as u64, "{parks} parks in {REGIONS} regions");
+    }
+
+    #[test]
+    fn dropping_a_pool_joins_spinning_workers() {
+        let start = Instant::now();
+        for _ in 0..100 {
+            let pool = ThreadPool::new(2);
+            pool.region(|_| {});
+            // The worker is inside its spin budget (or parked, when this
+            // host oversubscribes two threads); shutdown must reach it.
+            drop(pool);
+        }
+        assert!(start.elapsed() < Duration::from_secs(30), "took {:?}", start.elapsed());
     }
 
     #[test]

@@ -150,3 +150,32 @@ fn snap_files_with_gaps_in_id_space_work_end_to_end() {
     assert!(!result.run_times(EngineKind::Gap, Algorithm::Bfs).is_empty());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn two_pools_sharing_the_cpus_finish_interleaved_runs() {
+    // Each pool fits the host on its own, so its waiters spin between
+    // regions; together the two oversubscribe it, and a spinning waiter of
+    // one pool holds a CPU the other's worker needs. The spin is bounded,
+    // so both dispatchers get through a high-diameter BFS (one region per
+    // level) on each of two engines, with the oracle's levels.
+    let ds = Dataset::from_spec(&GraphSpec::GridSwirl { width: 48 }, 11);
+    let csr = Csr::from_edge_list(&ds.symmetric);
+    let nthreads = std::thread::available_parallelism().map_or(1, |n| n.get()).min(4);
+    std::thread::scope(|s| {
+        for kind in [EngineKind::Gap, EngineKind::Graph500] {
+            let (ds, csr) = (&ds, &csr);
+            s.spawn(move || {
+                let pool = ThreadPool::new(nthreads);
+                let mut engine = kind.create();
+                engine.load_edge_list(ds.edges_for(kind));
+                engine.construct(&pool);
+                for &root in ds.roots.iter().take(4) {
+                    let out = engine.run(Algorithm::Bfs, &RunParams::new(&pool, Some(root)));
+                    let AlgorithmResult::BfsTree { level, .. } = out.result else { panic!() };
+                    let want = epg::graph::oracle::bfs(csr, root).level;
+                    assert_eq!(level, want, "{} from {root}", kind.name());
+                }
+            });
+        }
+    });
+}
