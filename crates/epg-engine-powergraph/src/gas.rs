@@ -12,12 +12,21 @@
 //!    (charged as memory/communication traffic in the trace);
 //! 5. **Scatter** — partitions scan the local edges of changed vertices and
 //!    activate neighbors.
+//!
+//! The step's buffers are dense: each partition emits one list of
+//! `(position in the active set, partial)`, the master folds those lists
+//! **in partition order** into one slot per active vertex (so a float
+//! merge does not depend on which worker finished first), apply takes its
+//! slot, and scatter marks activations in one bitmap over the vertices.
 
-use crate::partition::PartitionedGraph;
+use crate::partition::{Partition, PartitionedGraph};
 use epg_engine_api::{Partial, RunLog};
 use epg_graph::{VertexId, Weight};
 use epg_parallel::{DisjointWriter, Schedule, ThreadPool};
-use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// A stored edge: (global id of the far end, weight).
+type Edge = (VertexId, Weight);
 
 /// Which incident edges a program's gather/scatter covers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,9 +73,20 @@ pub struct StepStats {
     pub sync_messages: u64,
 }
 
-/// Runs one synchronous GAS superstep over `active`, updating `data` in
-/// place and returning the next active set (sorted, deduplicated) plus
-/// step statistics. Work, sync costs and regions are booked on `log`.
+/// The local (in-edges, out-edges) of local vertex `l` that `dir` covers;
+/// the side it does not cover comes back empty.
+fn covered(part: &Partition, l: usize, dir: EdgeDir) -> (&[Edge], &[Edge]) {
+    let ins: &[Edge] =
+        if dir == EdgeDir::Out || dir == EdgeDir::None { &[] } else { part.in_edges(l) };
+    let outs: &[Edge] =
+        if dir == EdgeDir::In || dir == EdgeDir::None { &[] } else { part.out_edges(l) };
+    (ins, outs)
+}
+
+/// Runs one synchronous GAS superstep over `active` (deduplicated),
+/// updating `data` in place and returning the next active set (sorted,
+/// deduplicated) plus step statistics. Work, sync costs and regions are
+/// booked on `log`.
 pub fn superstep<P: VertexProgram>(
     prog: &P,
     g: &PartitionedGraph,
@@ -79,79 +99,75 @@ pub fn superstep<P: VertexProgram>(
     let per_partition = Schedule::Dynamic { chunk: 1 };
 
     // ---- Gather (parallel over partitions) ----
+    // One slot per active vertex, indexed by its position in `active`.
     let mut edge_work = 0u64;
-    let mut merged: HashMap<VertexId, P::Gather> = HashMap::new();
-    if prog.gather_dir() != EdgeDir::None {
+    let mut merged: Vec<Option<P::Gather>> = vec![None; active.len()];
+    let dir = prog.gather_dir();
+    if dir != EdgeDir::None {
         let data_ref: &[P::Data] = data;
         let gathered = Partial::collect(pool, nparts, per_partition, |lo, hi| {
             let mut found = Vec::with_capacity(hi - lo);
             let (mut edges, mut max_degree) = (0u64, 0u64);
             for pi in lo..hi {
                 let part = &g.partitions[pi];
-                let mut local: HashMap<VertexId, P::Gather> = HashMap::new();
-                for &v in active {
-                    if !g.replicas[v as usize].contains(&(pi as u16)) {
-                        continue;
-                    }
+                // This replica set's partials: (index into `active`, value).
+                let mut local: Vec<(u32, P::Gather)> =
+                    Vec::with_capacity(part.vertices().len().min(active.len()));
+                for (ai, &v) in active.iter().enumerate() {
+                    let Some(l) = g.local_id(v, pi) else { continue };
+                    let (ins, outs) = covered(part, l, dir);
                     let mut acc: Option<P::Gather> = None;
-                    let mut vwork = 0u64;
-                    let dir = prog.gather_dir();
-                    if dir == EdgeDir::In || dir == EdgeDir::Both {
-                        if let Some(ins) = part.in_edges.get(&v) {
-                            for &(src, w) in ins {
-                                vwork += 1;
-                                let gval = prog.gather(v, &data_ref[src as usize], w);
-                                acc = Some(match acc {
-                                    Some(a) => prog.merge(a, gval),
-                                    None => gval,
-                                });
-                            }
-                        }
+                    for &(other, w) in ins.iter().chain(outs) {
+                        let gval = prog.gather(v, &data_ref[other as usize], w);
+                        acc = Some(match acc {
+                            Some(a) => prog.merge(a, gval),
+                            None => gval,
+                        });
                     }
-                    if dir == EdgeDir::Out || dir == EdgeDir::Both {
-                        if let Some(outs) = part.out_edges.get(&v) {
-                            for &(dst, w) in outs {
-                                vwork += 1;
-                                let gval = prog.gather(v, &data_ref[dst as usize], w);
-                                acc = Some(match acc {
-                                    Some(a) => prog.merge(a, gval),
-                                    None => gval,
-                                });
-                            }
-                        }
-                    }
+                    let vwork = (ins.len() + outs.len()) as u64;
                     edges += vwork;
                     max_degree = max_degree.max(vwork);
                     if let Some(a) = acc {
-                        local.insert(v, a);
+                        local.push((ai as u32, a));
                     }
                 }
-                found.push(local);
+                found.push((pi, local));
             }
             Partial { found, edges, max_degree }
         });
         // ---- Merge at masters (the replication synchronization) ----
+        // Partials arrive in worker-completion order; folding them in
+        // partition order makes a float merge independent of the schedule.
         edge_work = gathered.edges;
-        for (v, acc) in gathered.found.into_iter().flatten() {
-            let acc = match merged.remove(&v) {
+        let mut partials = gathered.found;
+        partials.sort_unstable_by_key(|&(pi, _)| pi);
+        let mut nmerged = 0u64;
+        for (ai, acc) in partials.into_iter().flat_map(|(_, local)| local) {
+            let slot = &mut merged[ai as usize];
+            *slot = Some(match slot.take() {
                 Some(prev) => prog.merge(prev, acc),
-                None => acc,
-            };
-            merged.insert(v, acc);
+                None => {
+                    nmerged += 1;
+                    acc
+                }
+            });
         }
         log.parallel(edge_work.max(1), gathered.max_degree.max(1), edge_work * 16);
-        log.serial(merged.len() as u64 + 1, merged.len() as u64 * 16);
+        log.serial(nmerged + 1, nmerged * 16);
     }
 
     // ---- Apply at masters (parallel over active) ----
     let cell = DisjointWriter::new(data);
+    let slots = DisjointWriter::new(&mut merged);
     let applied =
         Partial::collect(pool, active.len(), Schedule::Static { chunk: None }, |lo, hi| {
             let mut found = Vec::with_capacity(hi - lo);
-            for &v in &active[lo..hi] {
-                // SAFETY: `active` is deduplicated, one thread per index.
-                let d = unsafe { cell.get_raw(v as usize) };
-                if prog.apply(v, d, merged.get(&v).cloned()) {
+            for ai in lo..hi {
+                let v = active[ai];
+                // SAFETY: one thread per index of `active`, which is
+                // deduplicated, so `ai` and `v` are each touched once.
+                let (d, acc) = unsafe { (cell.get_raw(v as usize), slots.get_raw(ai).take()) };
+                if prog.apply(v, d, acc) {
                     found.push(v);
                 }
             }
@@ -167,37 +183,48 @@ pub fn superstep<P: VertexProgram>(
     log.serial(sync_messages.max(1), sync_messages * 16);
 
     // ---- Scatter (parallel over partitions) ----
-    let mut next: Vec<VertexId> = Vec::new();
-    let mut scatter_work = 0u64;
-    if prog.scatter_dir() != EdgeDir::None && !changed.is_empty() {
-        let scattered = Partial::collect(pool, nparts, per_partition, |lo, hi| {
-            let mut found: Vec<VertexId> = Vec::with_capacity(changed.len());
+    let dir = prog.scatter_dir();
+    let (next, scatter_work) = if dir != EdgeDir::None && !changed.is_empty() {
+        // Activations from every partition land in one bitmap over the
+        // vertices; reading it back yields them sorted and deduplicated.
+        let activated: Vec<AtomicU64> =
+            (0..g.num_vertices.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
+        let activate = |u: VertexId| {
+            let (word, bit) = (&activated[u as usize / 64], 1u64 << (u % 64));
+            // Relaxed: the bits publish nothing, and the region's join
+            // orders them before the read-back. Hubs are signalled many
+            // times over; the load spares them the repeated RMW.
+            if word.load(Ordering::Relaxed) & bit == 0 {
+                word.fetch_or(bit, Ordering::Relaxed);
+            }
+        };
+        let scatter = |lo: usize, hi: usize| {
             let mut edges = 0u64;
-            let dir = prog.scatter_dir();
-            for part in &g.partitions[lo..hi] {
+            for pi in lo..hi {
+                let part = &g.partitions[pi];
                 for &v in &changed {
-                    if dir == EdgeDir::Out || dir == EdgeDir::Both {
-                        if let Some(outs) = part.out_edges.get(&v) {
-                            edges += outs.len() as u64;
-                            found.extend(outs.iter().map(|&(d, _)| d));
-                        }
-                    }
-                    if dir == EdgeDir::In || dir == EdgeDir::Both {
-                        if let Some(ins) = part.in_edges.get(&v) {
-                            edges += ins.len() as u64;
-                            found.extend(ins.iter().map(|&(s, _)| s));
-                        }
-                    }
+                    let Some(l) = g.local_id(v, pi) else { continue };
+                    let (ins, outs) = covered(part, l, dir);
+                    edges += (outs.len() + ins.len()) as u64;
+                    ins.iter().chain(outs).for_each(|&(u, _)| activate(u));
                 }
             }
-            Partial { found, edges, max_degree: 0 }
-        });
-        scatter_work = scattered.edges;
-        next = scattered.found;
-        next.sort_unstable();
-        next.dedup();
-        log.parallel(scatter_work.max(1), 1, scatter_work * 8);
-    }
+            edges
+        };
+        let work = pool.parallel_reduce_ranges(nparts, per_partition, || 0, scatter, |a, b| a + b);
+        let mut next: Vec<VertexId> = Vec::new();
+        for (wi, word) in activated.into_iter().enumerate() {
+            let mut bits = word.into_inner();
+            while bits != 0 {
+                next.push((wi * 64) as VertexId + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
+        log.parallel(work.max(1), 1, work * 8);
+        (next, work)
+    } else {
+        (Vec::new(), 0)
+    };
 
     log.counters.edges_traversed += edge_work + scatter_work;
     log.counters.vertices_touched += active.len() as u64;
@@ -211,6 +238,7 @@ mod tests {
     use super::*;
     use epg_engine_api::RecorderCtx;
     use epg_graph::EdgeList;
+    use proptest::prelude::*;
 
     /// Min-distance program (SSSP step).
     struct MinDist;
@@ -237,6 +265,186 @@ mod tests {
         }
         fn scatter_dir(&self) -> EdgeDir {
             EdgeDir::Out
+        }
+    }
+
+    /// Min-label program over both directions (WCC step).
+    struct MinLabel;
+    impl VertexProgram for MinLabel {
+        type Data = u64;
+        type Gather = u64;
+        fn gather_dir(&self) -> EdgeDir {
+            EdgeDir::Both
+        }
+        fn gather(&self, _v: VertexId, other: &u64, _w: Weight) -> u64 {
+            *other
+        }
+        fn merge(&self, a: u64, b: u64) -> u64 {
+            a.min(b)
+        }
+        fn apply(&self, _v: VertexId, data: &mut u64, acc: Option<u64>) -> bool {
+            match acc {
+                Some(a) if a < *data => {
+                    *data = a;
+                    true
+                }
+                _ => false,
+            }
+        }
+        fn scatter_dir(&self) -> EdgeDir {
+            EdgeDir::Both
+        }
+    }
+
+    /// Integer sum over out-edges, activating along in-edges: the two
+    /// directions the other programs leave uncovered.
+    struct IntSum;
+    impl VertexProgram for IntSum {
+        type Data = u64;
+        type Gather = u64;
+        fn gather_dir(&self) -> EdgeDir {
+            EdgeDir::Out
+        }
+        fn gather(&self, v: VertexId, other: &u64, w: Weight) -> u64 {
+            other.wrapping_mul(w as u64).wrapping_add(v as u64)
+        }
+        fn merge(&self, a: u64, b: u64) -> u64 {
+            a.wrapping_add(b)
+        }
+        fn apply(&self, _v: VertexId, data: &mut u64, acc: Option<u64>) -> bool {
+            let new = acc.unwrap_or(7);
+            let changed = new % 3 != *data % 3;
+            *data = new;
+            changed
+        }
+        fn scatter_dir(&self) -> EdgeDir {
+            EdgeDir::In
+        }
+    }
+
+    /// What a superstep returns and leaves behind.
+    #[derive(Debug, PartialEq)]
+    struct Outcome<D> {
+        data: Vec<D>,
+        next: Vec<VertexId>,
+        changed: Vec<VertexId>,
+        edge_work: u64,
+        sync_messages: u64,
+    }
+
+    /// One GAS superstep straight off the edge list — no partitions, no
+    /// threads; only the sync count needs the replica table. Valid for
+    /// programs whose merge is exactly associative and commutative.
+    fn reference_step<P: VertexProgram>(
+        prog: &P,
+        el: &EdgeList,
+        replicas: &[Vec<u16>],
+        active: &[VertexId],
+        data: &[P::Data],
+    ) -> Outcome<P::Data> {
+        let covers = |dir: EdgeDir, side: EdgeDir| dir == side || dir == EdgeDir::Both;
+        let mut is_active = vec![false; el.num_vertices];
+        active.iter().for_each(|&v| is_active[v as usize] = true);
+        let mut acc: Vec<Option<P::Gather>> = vec![None; el.num_vertices];
+        let mut edge_work = 0;
+        let mut gather = |v: VertexId, other: VertexId, w: Weight| {
+            let gval = prog.gather(v, &data[other as usize], w);
+            let slot = &mut acc[v as usize];
+            *slot = Some(match slot.take() {
+                Some(a) => prog.merge(a, gval),
+                None => gval,
+            });
+            edge_work += 1;
+        };
+        for (u, v, w) in el.iter() {
+            if covers(prog.gather_dir(), EdgeDir::In) && is_active[v as usize] {
+                gather(v, u, w);
+            }
+            if covers(prog.gather_dir(), EdgeDir::Out) && is_active[u as usize] {
+                gather(u, v, w);
+            }
+        }
+        let mut data = data.to_vec();
+        let mut is_changed = vec![false; el.num_vertices];
+        for &v in active {
+            is_changed[v as usize] = prog.apply(v, &mut data[v as usize], acc[v as usize].take());
+        }
+        let changed: Vec<VertexId> =
+            (0..el.num_vertices as VertexId).filter(|&v| is_changed[v as usize]).collect();
+        let sync_messages =
+            changed.iter().map(|&v| replicas[v as usize].len().saturating_sub(1) as u64).sum();
+        let mut next = Vec::new();
+        for &(u, v) in &el.edges {
+            if covers(prog.scatter_dir(), EdgeDir::Out) && is_changed[u as usize] {
+                next.push(v);
+            }
+            if covers(prog.scatter_dir(), EdgeDir::In) && is_changed[v as usize] {
+                next.push(u);
+            }
+        }
+        next.sort_unstable();
+        next.dedup();
+        Outcome { data, next, changed, edge_work, sync_messages }
+    }
+
+    fn engine_step<P: VertexProgram>(
+        prog: &P,
+        g: &PartitionedGraph,
+        active: &[VertexId],
+        data: &[P::Data],
+        pool: &ThreadPool,
+    ) -> Outcome<P::Data> {
+        let mut data = data.to_vec();
+        let mut log = RunLog::new(RecorderCtx::none());
+        let (next, stats) = superstep(prog, g, active, &mut data, pool, &mut log);
+        let StepStats { changed, edge_work, sync_messages } = stats;
+        Outcome { data, next, changed, edge_work, sync_messages }
+    }
+
+    /// A small weighted multigraph (self-loops and parallel edges
+    /// included; integer weights, so sums are exact) plus two bytes of
+    /// randomness per vertex: its initial value and whether it is active.
+    fn arb_case() -> impl Strategy<Value = (EdgeList, Vec<(u8, bool)>)> {
+        (1usize..=40).prop_flat_map(|n| {
+            let edge = ((0..n as VertexId, 0..n as VertexId), 1u8..10);
+            let edges = proptest::collection::vec(edge, 0..200).prop_map(move |ews| {
+                let (edges, weights): (Vec<_>, Vec<_>) =
+                    ews.into_iter().map(|(e, w)| (e, w as f32)).unzip();
+                EdgeList::weighted(n, edges, weights)
+            });
+            (edges, proptest::collection::vec((0u8..=255, 0u8..2), n..=n))
+                .prop_map(|(el, per)| (el, per.into_iter().map(|(x, a)| (x, a == 1)).collect()))
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn superstep_matches_a_partition_free_sequential_step((el, per) in arb_case()) {
+            let pool = ThreadPool::new(3);
+            let n = el.num_vertices as VertexId;
+            let sparse: Vec<VertexId> = (0..n).filter(|&v| per[v as usize].1).collect();
+            let all: Vec<VertexId> = (0..n).collect();
+            // A third of the distances start unreached.
+            let dist: Vec<f32> =
+                per.iter().map(|&(x, _)| if x % 3 == 0 { f32::INFINITY } else { x as f32 }).collect();
+            let labels: Vec<u64> = per.iter().map(|&(x, _)| x as u64 % 16).collect();
+            for p in [1, 3, 8, 64] {
+                let g = PartitionedGraph::build(&el, p);
+                for active in [&sparse, &all] {
+                    prop_assert_eq!(
+                        engine_step(&MinDist, &g, active, &dist, &pool),
+                        reference_step(&MinDist, &el, &g.replicas, active, &dist)
+                    );
+                    prop_assert_eq!(
+                        engine_step(&MinLabel, &g, active, &labels, &pool),
+                        reference_step(&MinLabel, &el, &g.replicas, active, &labels)
+                    );
+                    prop_assert_eq!(
+                        engine_step(&IntSum, &g, active, &labels, &pool),
+                        reference_step(&IntSum, &el, &g.replicas, active, &labels)
+                    );
+                }
+            }
         }
     }
 
@@ -269,13 +477,7 @@ mod tests {
         // Seed with the root's out-neighbors: applying at the root itself
         // changes nothing (no gather can improve distance 0), so the engine
         // signals its neighbors first.
-        let mut active: Vec<VertexId> = g
-            .partitions
-            .iter()
-            .flat_map(|p| p.out_edges.get(&0).into_iter().flatten().map(|&(d, _)| d))
-            .collect();
-        active.sort_unstable();
-        active.dedup();
+        let mut active = g.out_neighbors(0);
         let mut rounds = 0;
         while !active.is_empty() && rounds < 10_000 {
             rounds += 1;

@@ -8,7 +8,6 @@ use crate::partition::PartitionedGraph;
 use epg_engine_api::{AlgorithmResult, Dir, Partial, RunLog, RunOutput, RunParams};
 use epg_graph::VertexId;
 use epg_parallel::{DisjointWriter, Schedule};
-use std::collections::HashMap;
 
 /// Computes per-vertex local clustering coefficients.
 pub fn lcc(g: &PartitionedGraph, params: &RunParams<'_>) -> RunOutput {
@@ -16,39 +15,15 @@ pub fn lcc(g: &PartitionedGraph, params: &RunParams<'_>) -> RunOutput {
     let n = g.num_vertices;
     let mut log = RunLog::new(params.recorder);
 
-    // Pass 1: per-partition neighbor sets, merged per vertex at masters.
-    let gathered = Partial::collect(pool, g.partitions.len(), PER_PARTITION, |lo, hi| {
-        let mut found = Vec::with_capacity(hi - lo);
-        let mut edges = 0u64;
-        for part in &g.partitions[lo..hi] {
-            // (undirected neighborhood, out-neighbors) per local vertex.
-            let mut local: HashMap<VertexId, (Vec<VertexId>, Vec<VertexId>)> = HashMap::new();
-            for (&u, outs) in &part.out_edges {
-                edges += outs.len() as u64;
-                let e = local.entry(u).or_default();
-                for &(v, _) in outs {
-                    e.0.push(v);
-                    e.1.push(v);
-                }
-            }
-            for (&v, ins) in &part.in_edges {
-                edges += ins.len() as u64;
-                let e = local.entry(v).or_default();
-                for &(u, _) in ins {
-                    e.0.push(u);
-                }
-            }
-            found.push(local);
-        }
-        Partial { found, edges, max_degree: 0 }
-    });
+    // Pass 1: per-partition neighbor sets, merged per vertex at masters
+    // into the undirected neighborhood and the out-neighbors.
     let mut nbrs: Vec<Vec<VertexId>> = vec![Vec::new(); n];
     let mut outs: Vec<Vec<VertexId>> = vec![Vec::new(); n];
-    let gather_work = gathered.edges;
-    for (v, (nb, ob)) in gathered.found.into_iter().flatten() {
-        nbrs[v as usize].extend(nb);
-        outs[v as usize].extend(ob);
-    }
+    let gather_work = gather_neighbors(g, params, |v, ob, ib| {
+        nbrs[v as usize].extend_from_slice(ob);
+        nbrs[v as usize].extend_from_slice(ib);
+        outs[v as usize].extend_from_slice(ob);
+    });
     // Finalize sets (sort/dedup/exclude self) in parallel; each index is
     // owned by exactly one thread, so in-place mutation through the writer
     // is race-free.
@@ -123,6 +98,44 @@ pub fn lcc(g: &PartitionedGraph, params: &RunParams<'_>) -> RunOutput {
     log.finish(AlgorithmResult::Coefficients(out))
 }
 
+/// Pass 1 of both toolkits, one parallel region: every partition copies
+/// its local vertices' neighbor ids out of its CSR/CSC into one flat
+/// partial (local-id order; per vertex its out-neighbors, then its
+/// in-neighbors), and the masters then hand each vertex's share of every
+/// partial to `merge(v, out_neighbors, in_neighbors)`. Returns the edges
+/// read.
+fn gather_neighbors(
+    g: &PartitionedGraph,
+    params: &RunParams<'_>,
+    mut merge: impl FnMut(VertexId, &[VertexId], &[VertexId]),
+) -> u64 {
+    let gathered = Partial::collect(params.pool, g.partitions.len(), PER_PARTITION, |lo, hi| {
+        let mut found = Vec::with_capacity(hi - lo);
+        let mut edges = 0u64;
+        for pi in lo..hi {
+            let part = &g.partitions[pi];
+            let mut nb: Vec<VertexId> = Vec::with_capacity(2 * part.num_edges());
+            for l in 0..part.vertices().len() {
+                nb.extend(part.out_edges(l).iter().chain(part.in_edges(l)).map(|&(u, _)| u));
+            }
+            edges += nb.len() as u64;
+            found.push((pi, nb));
+        }
+        Partial { found, edges, max_degree: 0 }
+    });
+    for (pi, nb) in &gathered.found {
+        let part = &g.partitions[*pi];
+        let mut rest = nb.as_slice();
+        for (l, &v) in part.vertices().iter().enumerate() {
+            let (ob, tail) = rest.split_at(part.out_edges(l).len());
+            let (ib, tail) = tail.split_at(part.in_edges(l).len());
+            merge(v, ob, ib);
+            rest = tail;
+        }
+    }
+    gathered.edges
+}
+
 /// One partition per chunk: partitions are few and uneven.
 const PER_PARTITION: Schedule = Schedule::Dynamic { chunk: 1 };
 
@@ -180,28 +193,11 @@ pub fn triangle_count(g: &PartitionedGraph, params: &RunParams<'_>) -> RunOutput
     let n = g.num_vertices;
     let mut log = RunLog::new(params.recorder);
     // Phase 1: merged undirected neighbor sets (replication cost charged).
-    let gathered = Partial::collect(pool, g.partitions.len(), PER_PARTITION, |lo, hi| {
-        let mut found = Vec::with_capacity(hi - lo);
-        let mut edges = 0u64;
-        for part in &g.partitions[lo..hi] {
-            let mut local: HashMap<VertexId, Vec<VertexId>> = HashMap::new();
-            for (&u, outs) in &part.out_edges {
-                edges += outs.len() as u64;
-                local.entry(u).or_default().extend(outs.iter().map(|&(v, _)| v));
-            }
-            for (&v, ins) in &part.in_edges {
-                edges += ins.len() as u64;
-                local.entry(v).or_default().extend(ins.iter().map(|&(u, _)| u));
-            }
-            found.push(local);
-        }
-        Partial { found, edges, max_degree: 0 }
-    });
     let mut higher: Vec<Vec<VertexId>> = vec![Vec::new(); n];
-    let gather_work = gathered.edges;
-    for (v, nb) in gathered.found.into_iter().flatten() {
-        higher[v as usize].extend(nb);
-    }
+    let gather_work = gather_neighbors(g, params, |v, ob, ib| {
+        higher[v as usize].extend_from_slice(ob);
+        higher[v as usize].extend_from_slice(ib);
+    });
     {
         let w = DisjointWriter::new(&mut higher);
         pool.parallel_for_ranges(n, Schedule::Guided { min_chunk: 64 }, |_t, lo, hi| {

@@ -11,19 +11,121 @@
 //! We implement the greedy oblivious heuristic: place an edge in a
 //! partition that already hosts both endpoints, else one endpoint (the
 //! least-loaded such), else the least-loaded partition overall.
+//!
+//! Each partition stores its edges the way PowerGraph's `local_graph`
+//! does: the replicas it hosts get dense *local ids* (ascending global id),
+//! and the edges sit in a CSR (by local source) and a CSC (by local
+//! destination) over them. Both are filled by a stable counting sort, so
+//! the adjacency of every `(partition, vertex)` is in input-edge order.
+//! [`PartitionedGraph::local_id`] maps a global id to a partition's local
+//! id in O(1).
 
 use epg_graph::{EdgeList, VertexId, Weight};
-use std::collections::HashMap;
 
-/// One partition's slice of the graph.
-#[derive(Clone, Debug, Default)]
+/// Adjacency lists over one partition's local ids, CSR-style: the list of
+/// local vertex `l` is `adj[off[l]..off[l + 1]]`. Neighbors are stored by
+/// *global* id, because vertex data is.
+#[derive(Clone, Debug)]
+struct Adjacency {
+    off: Vec<usize>,
+    adj: Vec<(VertexId, Weight)>,
+}
+
+impl Adjacency {
+    #[inline]
+    fn of(&self, l: usize) -> &[(VertexId, Weight)] {
+        &self.adj[self.off[l]..self.off[l + 1]]
+    }
+
+    /// Stable counting sort of `entries` — (partition, local vertex,
+    /// (neighbor, weight)) in input order — into one `Adjacency` per
+    /// partition: count, prefix-sum, then place, so every list keeps input
+    /// order. `nlocal[pi]` is partition `pi`'s number of local vertices.
+    fn group<I>(nlocal: &[usize], entries: impl Fn() -> I) -> Vec<Adjacency>
+    where
+        I: Iterator<Item = (usize, usize, (VertexId, Weight))>,
+    {
+        let mut off: Vec<Vec<usize>> = nlocal.iter().map(|&nl| vec![0; nl + 1]).collect();
+        for (pi, l, _) in entries() {
+            off[pi][l + 1] += 1;
+        }
+        for o in &mut off {
+            for l in 1..o.len() {
+                o[l] += o[l - 1];
+            }
+        }
+        let mut adj: Vec<Vec<(VertexId, Weight)>> =
+            off.iter().map(|o| vec![(0, 0.0); o[o.len() - 1]]).collect();
+        let mut cursor = off.clone();
+        for (pi, l, entry) in entries() {
+            adj[pi][cursor[pi][l]] = entry;
+            cursor[pi][l] += 1;
+        }
+        off.into_iter().zip(adj).map(|(off, adj)| Adjacency { off, adj }).collect()
+    }
+}
+
+/// One partition's slice of the graph: a CSR and a CSC over local ids.
+#[derive(Clone, Debug)]
 pub struct Partition {
-    /// Local out-adjacency: global src -> [(global dst, weight)].
-    pub out_edges: HashMap<VertexId, Vec<(VertexId, Weight)>>,
-    /// Local in-adjacency: global dst -> [(global src, weight)].
-    pub in_edges: HashMap<VertexId, Vec<(VertexId, Weight)>>,
+    /// Global id of each local vertex, ascending; the index is the local id.
+    vertices: Vec<VertexId>,
+    /// (global dst, weight) by local src.
+    outs: Adjacency,
+    /// (global src, weight) by local dst.
+    ins: Adjacency,
+}
+
+impl Partition {
+    /// The replicas hosted here, ascending by global id; a vertex's
+    /// position is its local id.
+    #[inline]
+    pub fn vertices(&self) -> &[VertexId] {
+        &self.vertices
+    }
+
+    /// Local out-edges of local vertex `l`: (global dst, weight), in input
+    /// order.
+    #[inline]
+    pub fn out_edges(&self, l: usize) -> &[(VertexId, Weight)] {
+        self.outs.of(l)
+    }
+
+    /// Local in-edges of local vertex `l`: (global src, weight), in input
+    /// order.
+    #[inline]
+    pub fn in_edges(&self, l: usize) -> &[(VertexId, Weight)] {
+        self.ins.of(l)
+    }
+
     /// Number of edges assigned here.
-    pub num_edges: usize,
+    #[inline]
+    pub fn num_edges(&self) -> usize {
+        self.outs.adj.len()
+    }
+}
+
+/// Global id -> local id, per partition: the partitions hosting `v` are the
+/// set bits of `presence[v]`, and `lvid[off[v] + k]` is `v`'s local id in
+/// the `k`-th of them.
+#[derive(Clone, Debug)]
+struct LocalIds {
+    presence: Vec<u64>,
+    off: Vec<usize>,
+    lvid: Vec<u32>,
+}
+
+impl LocalIds {
+    #[inline]
+    fn get(&self, v: VertexId, pi: usize) -> Option<usize> {
+        let bits = self.presence[v as usize];
+        let bit = 1u64 << pi;
+        if bits & bit == 0 {
+            return None;
+        }
+        let rank = (bits & (bit - 1)).count_ones() as usize;
+        Some(self.lvid[self.off[v as usize] + rank] as usize)
+    }
 }
 
 /// The partitioned graph.
@@ -40,6 +142,65 @@ pub struct PartitionedGraph {
     /// For each vertex, the master partition (meaningless for isolated
     /// vertices, which have no replicas).
     pub master: Vec<u16>,
+    ids: LocalIds,
+}
+
+/// Greedy oblivious placement: the partition of every edge (by input
+/// index) and, per vertex, the bitset of partitions hosting it.
+fn place(el: &EdgeList, p: usize) -> (Vec<u8>, Vec<u64>) {
+    // Bitsets of partitions per vertex (p <= 64 supported; the paper
+    // runs a single node, so partition counts stay small).
+    assert!(p <= 64, "at most 64 partitions supported");
+    let mut presence: Vec<u64> = vec![0; el.num_vertices];
+    let mut edge_part: Vec<u8> = Vec::with_capacity(el.num_edges());
+    let mut load = vec![0usize; p];
+
+    // Capacity bound: without it the greedy rule degenerates (every
+    // edge of a connected graph chases its neighbors into one
+    // partition). Real implementations balance with a load cap.
+    let all_mask: u64 = if p == 64 { u64::MAX } else { (1u64 << p) - 1 };
+    // Tight slack: a loose cap lets the neighbor-affinity preference
+    // fill partitions to the brim in discovery order and starve the
+    // last one; a few edges of headroom keeps loads within a constant
+    // of perfectly balanced while still honoring affinity.
+    let capacity = el.num_edges().div_ceil(p) + 8;
+    // Partitions still under the cap; a bit clears when its load gets there.
+    let mut under_cap = all_mask;
+    for &(u, v) in &el.edges {
+        let pu = presence[u as usize];
+        let pv = presence[v as usize];
+        let both = pu & pv & under_cap;
+        let either = (pu | pv) & under_cap;
+        let candidates: u64 = if both != 0 {
+            both
+        } else if either != 0 {
+            either
+        } else if under_cap != 0 {
+            under_cap
+        } else {
+            all_mask
+        };
+        // Least-loaded among candidates.
+        let mut best = usize::MAX;
+        let mut best_load = usize::MAX;
+        let mut bits = candidates;
+        while bits != 0 {
+            let i = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            if load[i] < best_load {
+                best_load = load[i];
+                best = i;
+            }
+        }
+        edge_part.push(best as u8);
+        load[best] += 1;
+        if load[best] >= capacity {
+            under_cap &= !(1u64 << best);
+        }
+        presence[u as usize] |= 1 << best;
+        presence[v as usize] |= 1 << best;
+    }
+    (edge_part, presence)
 }
 
 impl PartitionedGraph {
@@ -48,57 +209,7 @@ impl PartitionedGraph {
         assert!(num_partitions >= 1, "need at least one partition");
         let n = el.num_vertices;
         let p = num_partitions;
-        let mut partitions = vec![Partition::default(); p];
-        // Bitsets of partitions per vertex (p <= 64 supported; the paper
-        // runs a single node, so partition counts stay small).
-        assert!(p <= 64, "at most 64 partitions supported");
-        let mut presence: Vec<u64> = vec![0; n];
-
-        // Capacity bound: without it the greedy rule degenerates (every
-        // edge of a connected graph chases its neighbors into one
-        // partition). Real implementations balance with a load cap.
-        let all_mask: u64 = if p == 64 { u64::MAX } else { (1u64 << p) - 1 };
-        // Tight slack: a loose cap lets the neighbor-affinity preference
-        // fill partitions to the brim in discovery order and starve the
-        // last one; a few edges of headroom keeps loads within a constant
-        // of perfectly balanced while still honoring affinity.
-        let capacity = el.num_edges().div_ceil(p) + 8;
-        for (u, v, w) in el.iter() {
-            let pu = presence[u as usize];
-            let pv = presence[v as usize];
-            let under_cap: u64 = (0..p)
-                .filter(|&i| partitions[i].num_edges < capacity)
-                .fold(0u64, |acc, i| acc | (1 << i));
-            let both = pu & pv & under_cap;
-            let either = (pu | pv) & under_cap;
-            let candidates: u64 = if both != 0 {
-                both
-            } else if either != 0 {
-                either
-            } else if under_cap != 0 {
-                under_cap
-            } else {
-                all_mask
-            };
-            // Least-loaded among candidates.
-            let mut best = usize::MAX;
-            let mut best_load = usize::MAX;
-            let mut bits = candidates;
-            while bits != 0 {
-                let i = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if partitions[i].num_edges < best_load {
-                    best_load = partitions[i].num_edges;
-                    best = i;
-                }
-            }
-            let part = &mut partitions[best];
-            part.out_edges.entry(u).or_default().push((v, w));
-            part.in_edges.entry(v).or_default().push((u, w));
-            part.num_edges += 1;
-            presence[u as usize] |= 1 << best;
-            presence[v as usize] |= 1 << best;
-        }
+        let (edge_part, presence) = place(el, p);
 
         let replicas: Vec<Vec<u16>> = presence
             .iter()
@@ -118,13 +229,77 @@ impl PartitionedGraph {
             .enumerate()
             .map(|(v, reps)| if reps.is_empty() { 0 } else { reps[(v * 2654435761) % reps.len()] })
             .collect();
+
+        // Local ids: scanning vertices in ascending order hands each
+        // partition its replicas ascending too.
+        let mut vertices: Vec<Vec<VertexId>> = vec![Vec::new(); p];
+        let mut off = Vec::with_capacity(n + 1);
+        let mut lvid: Vec<u32> = Vec::with_capacity(replicas.iter().map(Vec::len).sum());
+        for (v, reps) in replicas.iter().enumerate() {
+            off.push(lvid.len());
+            for &pi in reps {
+                let hosted = &mut vertices[pi as usize];
+                lvid.push(hosted.len() as u32);
+                hosted.push(v as VertexId);
+            }
+        }
+        off.push(lvid.len());
+        let ids = LocalIds { presence, off, lvid };
+
+        // Every edge's partition and the local ids of its ends there; the
+        // CSR groups the edges by local src, the CSC by local dst.
+        let ends: Vec<(u8, u32, u32)> = el
+            .edges
+            .iter()
+            .zip(&edge_part)
+            .map(|(&(u, v), &pi)| {
+                let host = |x| ids.get(x, pi as usize).expect("an edge's partition hosts its ends");
+                (pi, host(u) as u32, host(v) as u32)
+            })
+            .collect();
+        let nlocal: Vec<usize> = vertices.iter().map(Vec::len).collect();
+        let edges = || el.iter().zip(&ends);
+        let outs = Adjacency::group(&nlocal, || {
+            edges().map(|((_, v, w), &(pi, lu, _))| (pi as usize, lu as usize, (v, w)))
+        });
+        let ins = Adjacency::group(&nlocal, || {
+            edges().map(|((u, _, w), &(pi, _, lv))| (pi as usize, lv as usize, (u, w)))
+        });
+        let partitions = vertices
+            .into_iter()
+            .zip(outs.into_iter().zip(ins))
+            .map(|(vertices, (outs, ins))| Partition { vertices, outs, ins })
+            .collect();
         PartitionedGraph {
             num_vertices: n,
             num_edges: el.num_edges(),
             partitions,
             replicas,
             master,
+            ids,
         }
+    }
+
+    /// Local id of `v` in partition `pi` (its index in that partition's
+    /// [`Partition::vertices`]), or `None` when `pi` hosts no replica of it.
+    #[inline]
+    pub fn local_id(&self, v: VertexId, pi: usize) -> Option<usize> {
+        self.ids.get(v, pi)
+    }
+
+    /// `v`'s out-neighbors across all partitions, sorted and deduplicated —
+    /// the set a root signals before the first superstep.
+    pub fn out_neighbors(&self, v: VertexId) -> Vec<VertexId> {
+        let mut out: Vec<VertexId> = self.replicas[v as usize]
+            .iter()
+            .flat_map(|&pi| {
+                let l = self.ids.get(v, pi as usize).expect("a replica has a local id");
+                self.partitions[pi as usize].out_edges(l).iter().map(|&(d, _)| d)
+            })
+            .collect();
+        out.sort_unstable();
+        out.dedup();
+        out
     }
 
     /// Average number of replicas per non-isolated vertex — PowerGraph's
@@ -157,21 +332,24 @@ mod tests {
         epg_generator::uniform::generate(100, 1200, true, 3).symmetrized().deduplicated()
     }
 
+    /// Every `(src, dst, weight)` a partition holds, read through its CSR.
+    fn out_triples(part: &Partition) -> Vec<(VertexId, VertexId, u32)> {
+        let mut got = Vec::new();
+        for (l, &u) in part.vertices().iter().enumerate() {
+            got.extend(part.out_edges(l).iter().map(|&(v, w)| (u, v, w.to_bits())));
+        }
+        got
+    }
+
     #[test]
     fn every_edge_lands_in_exactly_one_partition() {
         let el = sample();
         let pg = PartitionedGraph::build(&el, 8);
-        let total: usize = pg.partitions.iter().map(|p| p.num_edges).sum();
+        let total: usize = pg.partitions.iter().map(|p| p.num_edges()).sum();
         assert_eq!(total, el.num_edges());
         // Recover the multiset of edges.
-        let mut got: Vec<(VertexId, VertexId, u32)> = Vec::new();
-        for part in &pg.partitions {
-            for (&u, outs) in &part.out_edges {
-                for &(v, w) in outs {
-                    got.push((u, v, w.to_bits()));
-                }
-            }
-        }
+        let mut got: Vec<(VertexId, VertexId, u32)> =
+            pg.partitions.iter().flat_map(out_triples).collect();
         let mut want: Vec<(VertexId, VertexId, u32)> =
             el.iter().map(|(u, v, w)| (u, v, w.to_bits())).collect();
         got.sort_unstable();
@@ -184,10 +362,11 @@ mod tests {
         let el = sample();
         let pg = PartitionedGraph::build(&el, 4);
         for part in &pg.partitions {
-            let outs: usize = part.out_edges.values().map(Vec::len).sum();
-            let ins: usize = part.in_edges.values().map(Vec::len).sum();
+            let locals = 0..part.vertices().len();
+            let outs: usize = locals.clone().map(|l| part.out_edges(l).len()).sum();
+            let ins: usize = locals.map(|l| part.in_edges(l).len()).sum();
             assert_eq!(outs, ins);
-            assert_eq!(outs, part.num_edges);
+            assert_eq!(outs, part.num_edges());
         }
     }
 
@@ -196,7 +375,7 @@ mod tests {
         let el = sample();
         let pg = PartitionedGraph::build(&el, 8);
         for (pi, part) in pg.partitions.iter().enumerate() {
-            for &u in part.out_edges.keys().chain(part.in_edges.keys()) {
+            for &u in part.vertices() {
                 assert!(
                     pg.replicas[u as usize].contains(&(pi as u16)),
                     "vertex {u} present in partition {pi} but not registered"
@@ -241,9 +420,128 @@ mod tests {
     fn load_is_roughly_balanced() {
         let el = sample();
         let pg = PartitionedGraph::build(&el, 8);
-        let loads: Vec<usize> = pg.partitions.iter().map(|p| p.num_edges).collect();
+        let loads: Vec<usize> = pg.partitions.iter().map(|p| p.num_edges()).collect();
         let max = *loads.iter().max().unwrap();
         let min = *loads.iter().min().unwrap();
         assert!(max <= min * 3 + 16, "imbalanced: {loads:?}");
+    }
+
+    /// Greedy placement is pinned to what the hash-map layout produced:
+    /// loads, mirror count and an FNV-1a fingerprint of edge index ->
+    /// partition, on a raw (duplicates and self-loops kept) uniform graph.
+    #[test]
+    fn placement_is_pinned() {
+        let el = epg_generator::uniform::generate(100, 1200, true, 3);
+        let pins: [(usize, &[usize], u64, u64); 3] = [
+            (1, &[1200], 0, 0x74b4429a2fdd70e5),
+            (4, &[300, 301, 299, 300], 171, 0x04848d0ed8e819cc),
+            (8, &[151, 150, 150, 151, 150, 149, 149, 150], 277, 0x89bf115da63c6c93),
+        ];
+        for (p, loads, mirrors, fingerprint) in pins {
+            let (edge_part, _) = place(&el, p);
+            let fp = edge_part
+                .iter()
+                .fold(0xcbf29ce484222325u64, |h, &b| (h ^ b as u64).wrapping_mul(0x100000001b3));
+            assert_eq!(fp, fingerprint, "p = {p}");
+            let pg = PartitionedGraph::build(&el, p);
+            let got: Vec<usize> = pg.partitions.iter().map(|p| p.num_edges()).collect();
+            assert_eq!(got, loads, "p = {p}");
+            assert_eq!(pg.num_mirrors(), mirrors, "p = {p}");
+        }
+    }
+
+    /// The layout's invariants on one graph: local ids index `vertices`
+    /// exactly for the replicas, and each `(partition, vertex)` adjacency
+    /// is that partition's share of the input, in input order.
+    fn check_layout(el: &EdgeList, p: usize) {
+        let pg = PartitionedGraph::build(el, p);
+        assert_eq!(pg.partitions.len(), p);
+        for v in 0..el.num_vertices as VertexId {
+            for pi in 0..p {
+                let part = &pg.partitions[pi];
+                match pg.local_id(v, pi) {
+                    Some(l) => {
+                        assert!(pg.replicas[v as usize].contains(&(pi as u16)));
+                        assert_eq!(part.vertices()[l], v);
+                    }
+                    None => {
+                        assert!(!pg.replicas[v as usize].contains(&(pi as u16)));
+                        assert!(!part.vertices().contains(&v));
+                    }
+                }
+            }
+        }
+        let (edge_part, _) = place(el, p);
+        let n = el.num_vertices;
+        let mut want_out = vec![vec![Vec::new(); n]; p];
+        let mut want_in = vec![vec![Vec::new(); n]; p];
+        for ((u, v, w), &pi) in el.iter().zip(&edge_part) {
+            want_out[pi as usize][u as usize].push((v, w));
+            want_in[pi as usize][v as usize].push((u, w));
+        }
+        for (pi, part) in pg.partitions.iter().enumerate() {
+            assert!(part.vertices().windows(2).all(|w| w[0] < w[1]), "local ids ascend");
+            for v in 0..n {
+                let (outs, ins): (&[_], &[_]) = match pg.local_id(v as VertexId, pi) {
+                    Some(l) => (part.out_edges(l), part.in_edges(l)),
+                    None => (&[], &[]),
+                };
+                assert_eq!(outs, want_out[pi][v], "out-edges of {v} in partition {pi}");
+                assert_eq!(ins, want_in[pi][v], "in-edges of {v} in partition {pi}");
+            }
+        }
+    }
+
+    #[test]
+    fn layout_invariants_hold() {
+        // Raw generator output: parallel edges and self-loops included.
+        let el = epg_generator::uniform::generate(100, 1200, true, 3);
+        for p in [1, 3, 8, 64] {
+            check_layout(&el, p);
+        }
+        check_layout(&sample(), 8);
+    }
+
+    #[test]
+    fn sixty_four_partitions_use_the_top_bit() {
+        // Disjoint edges have no affinity: least-loaded placement spreads
+        // them over all 64 partitions.
+        let el = EdgeList::new(1280, (0..640u32).map(|i| (2 * i, 2 * i + 1)).collect());
+        let pg = PartitionedGraph::build(&el, 64);
+        assert!(pg.partitions.iter().all(|p| p.num_edges() == 10));
+        check_layout(&el, 64);
+        // A star big enough to fill 63 partitions to the cap cuts its hub
+        // 64 ways; the hub's rank in partition 63 counts all 63 bits below.
+        let el = EdgeList::new(40_001, (1..40_001u32).map(|v| (0, v)).collect());
+        let pg = PartitionedGraph::build(&el, 64);
+        assert_eq!(pg.replicas[0].len(), 64);
+        let l = pg.local_id(0, 63).expect("hub hosted by the last partition");
+        assert_eq!(pg.partitions[63].vertices()[l], 0);
+        assert_eq!(pg.partitions[63].out_edges(l).len(), pg.partitions[63].num_edges());
+        assert!(pg.partitions[63].num_edges() > 0);
+    }
+
+    #[test]
+    fn more_partitions_than_edges_leaves_some_empty() {
+        let el = EdgeList::weighted(5, vec![(0, 1), (1, 2), (3, 3)], vec![1.0, 2.0, 3.0]);
+        let pg = PartitionedGraph::build(&el, 8);
+        assert!(pg.partitions.iter().any(|p| p.vertices().is_empty() && p.num_edges() == 0));
+        assert_eq!(pg.partitions.iter().map(|p| p.num_edges()).sum::<usize>(), 3);
+        check_layout(&el, 8);
+    }
+
+    #[test]
+    fn edgeless_and_empty_graphs_build() {
+        for n in [0usize, 5] {
+            let el = EdgeList::new(n, Vec::new());
+            let pg = PartitionedGraph::build(&el, 4);
+            assert_eq!(pg.num_vertices, n);
+            assert_eq!(pg.replication_factor(), 0.0);
+            assert_eq!(pg.num_mirrors(), 0);
+            assert!(pg.partitions.iter().all(|p| p.vertices().is_empty() && p.num_edges() == 0));
+            assert!((0..n as VertexId).all(|v| pg.local_id(v, 0).is_none()));
+            assert!((0..n as VertexId).all(|v| pg.out_neighbors(v).is_empty()));
+            check_layout(&el, 4);
+        }
     }
 }

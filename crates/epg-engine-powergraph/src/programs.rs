@@ -51,13 +51,7 @@ pub fn sssp(g: &PartitionedGraph, params: &RunParams<'_>) -> RunOutput {
     let mut log = RunLog::new(rec);
     rec.alloc_hwm("powergraph.sssp.dist", n as u64 * 4);
     // Signal the root's out-neighbors, as the toolkit's init scatter does.
-    let mut active: Vec<VertexId> = g
-        .partitions
-        .iter()
-        .flat_map(|p| p.out_edges.get(&root).into_iter().flatten().map(|&(d, _)| d))
-        .collect();
-    active.sort_unstable();
-    active.dedup();
+    let mut active = g.out_neighbors(root);
     let mut round = 0u32;
     while !active.is_empty() {
         round += 1;
@@ -125,8 +119,8 @@ pub fn pagerank(g: &PartitionedGraph, params: &RunParams<'_>) -> RunOutput {
     rec.alloc_hwm("powergraph.pr.data", n as u64 * 16);
     let mut out_deg = vec![0u32; n];
     for p in &g.partitions {
-        for (&u, outs) in &p.out_edges {
-            out_deg[u as usize] += outs.len() as u32;
+        for (l, &u) in p.vertices().iter().enumerate() {
+            out_deg[u as usize] += p.out_edges(l).len() as u32;
         }
     }
     let mut data: Vec<PrData> =
@@ -305,6 +299,42 @@ mod tests {
         let (want, _) = oracle::pagerank(&Csr::from_edge_list(&el), 6e-8, 300);
         for v in 0..want.len() {
             assert!((ranks[v] - want[v]).abs() < 1e-5, "vertex {v}");
+        }
+    }
+
+    #[test]
+    fn pagerank_ranks_are_bit_identical_across_thread_counts() {
+        // Partials reach the master in worker-completion order; the merge
+        // must not let that order into the f64 sums.
+        let cfg = epg_generator::kronecker::KroneckerConfig { scale: 9, ..Default::default() };
+        let el = epg_generator::kronecker::generate(&cfg, 5).symmetrized().deduplicated();
+        let g = PartitionedGraph::build(&el, 8);
+        let run = |threads: usize| {
+            let pool = ThreadPool::new(threads);
+            let out = pagerank(&g, &RunParams::new(&pool, None));
+            let AlgorithmResult::Ranks { ranks, iterations } = out.result else { panic!() };
+            (ranks.iter().map(|r| r.to_bits()).collect::<Vec<u64>>(), iterations)
+        };
+        let want = run(1);
+        for threads in [1, 2, 3, 1, 2, 3] {
+            assert_eq!(run(threads), want, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn toolkits_run_on_edgeless_and_empty_graphs() {
+        let pool = ThreadPool::new(2);
+        for n in [0usize, 4] {
+            let g = PartitionedGraph::build(&EdgeList::new(n, Vec::new()), 4);
+            let params = RunParams::new(&pool, None);
+            let AlgorithmResult::Ranks { ranks, .. } = pagerank(&g, &params).result else {
+                panic!()
+            };
+            assert_eq!(ranks.len(), n);
+            let AlgorithmResult::Components(c) = wcc(&g, &params).result else { panic!() };
+            assert_eq!(c, (0..n as VertexId).collect::<Vec<_>>());
+            let AlgorithmResult::Labels(l) = cdlp(&g, &params, 3).result else { panic!() };
+            assert_eq!(l, (0..n as u64).collect::<Vec<_>>());
         }
     }
 
