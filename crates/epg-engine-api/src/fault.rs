@@ -1,4 +1,4 @@
-//! Deterministic fault injection (the `fault-inject` cargo feature).
+//! Deterministic fault injection.
 //!
 //! Exists to make the harness's trial supervisor testable: a
 //! [`FaultyEngine`] wraps any [`Engine`] and, at chosen trial indices,
@@ -7,9 +7,7 @@
 //! complete in a reasonable time" rows), and a silently wrong result.
 //! Faults are planned up front ([`FaultPlan`]), either explicitly or
 //! from a seed, so every supervision test is reproducible bit-for-bit.
-//!
-//! The whole module is compiled only with the feature on; production
-//! builds carry none of it.
+//! An engine nobody wraps pays nothing for it.
 
 use crate::logfmt::LogStyle;
 use crate::{Algorithm, AlgorithmResult, Engine, EngineInfo, RunOutput, RunParams};

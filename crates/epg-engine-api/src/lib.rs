@@ -19,7 +19,6 @@
 
 #![warn(missing_docs)]
 pub mod counters;
-#[cfg(feature = "fault-inject")]
 pub mod fault;
 pub mod logfmt;
 pub mod query;
@@ -28,7 +27,6 @@ pub mod result;
 pub mod stopping;
 
 pub use counters::{Counters, RegionRecord, Trace};
-#[cfg(feature = "fault-inject")]
 pub use fault::{FaultKind, FaultPlan, FaultyEngine};
 pub use query::QueryEngine;
 pub use record::{sum_counter_deltas, Partial, RecorderCtx, RunLog};
@@ -36,7 +34,7 @@ pub use result::{AlgorithmResult, RunOutput};
 pub use stopping::StoppingCriterion;
 // Re-exported so engine crates and tests use telemetry types without
 // depending on epg-trace themselves.
-pub use epg_trace::{Dir, NullRecorder, Recorder, RunRecorder, TraceEvent};
+pub use epg_trace::{Dir, Recorder, RunRecorder, TraceEvent};
 
 use epg_graph::{EdgeList, VertexId};
 use epg_parallel::{CancelToken, ThreadPool};
@@ -217,9 +215,8 @@ pub struct RunParams<'a> {
     /// every vertex; `Some(k)` samples `k` sources and scales (GAP-style
     /// approximate BC).
     pub bc_sources: Option<usize>,
-    /// Telemetry sink. Defaults to [`RecorderCtx::none`]; a no-op unless
-    /// the `trace` cargo feature is enabled *and* a recorder is attached
-    /// (see the `record` module).
+    /// Telemetry sink. Defaults to [`RecorderCtx::none`], which makes
+    /// every emission a no-op (see the `record` module).
     pub recorder: RecorderCtx<'a>,
     /// Per-request cancellation budget for reentrant query adapters
     /// ([`QueryEngine`]): when set, the adapter attaches it to the pool

@@ -1,85 +1,51 @@
-//! The zero-cost recording shim.
+//! The recording capability and the run record.
 //!
 //! Engines never talk to a recorder directly — they carry a
-//! [`RecorderCtx`], a `Copy` capability that is a reference to a
-//! [`Recorder`] when the `trace` cargo feature is on and a zero-sized
-//! phantom when it is off. Every emission goes through
-//! [`RecorderCtx::emit`], whose body is empty in the off configuration,
-//! so the event-construction closures (and everything only they read)
-//! are dead-code-eliminated: the instrumented kernels compile to the
-//! same machine code as before the telemetry layer existed. That is the
-//! acceptance bar — with the feature off, the untraced `bench/`
-//! workloads must not move.
-//!
-//! The feature is resolved *here*, in `epg-engine-api`, so the five
-//! engine crates need no features of their own.
+//! [`RecorderCtx`], a `Copy` capability over an optional [`Recorder`].
+//! Every emission goes through [`RecorderCtx::emit`], which builds the
+//! event only when a recorder is attached: an untraced run pays one
+//! branch per emission site (per kernel step, never per edge) and
+//! allocates nothing.
 
 use crate::counters::{Counters, Trace};
 use crate::result::{AlgorithmResult, RunOutput};
 use epg_parallel::{Schedule, ThreadPool};
-use epg_trace::{Dir, TraceEvent};
+use epg_trace::{Dir, Recorder, TraceEvent};
 use std::ops::ControlFlow;
 
 /// Borrowed recording capability handed to engines via
 /// [`crate::RunParams::recorder`].
 ///
-/// The ISSUE sketched `&mut dyn Recorder`; the shim deliberately uses
-/// `&dyn Recorder` (with `Recorder: Send + Sync` providing interior
-/// mutability) because pool workers record [`TraceEvent::WorkerSpan`]s
-/// from their own threads while the engine records from the dispatcher
-/// — a `&mut` borrow could not be shared with the pool.
+/// It holds `&dyn Recorder`, not `&mut`: pool workers record
+/// [`TraceEvent::WorkerSpan`]s from their own threads while the engine
+/// records from the dispatcher, so the sink is shared (`Recorder: Send +
+/// Sync` provides the interior mutability).
 #[derive(Clone, Copy)]
-pub struct RecorderCtx<'a> {
-    #[cfg(feature = "trace")]
-    inner: Option<&'a dyn epg_trace::Recorder>,
-    #[cfg(not(feature = "trace"))]
-    _ghost: core::marker::PhantomData<&'a ()>,
-}
+pub struct RecorderCtx<'a>(Option<&'a dyn Recorder>);
 
 impl<'a> RecorderCtx<'a> {
     /// The inert context: every emission is a no-op.
     pub fn none() -> RecorderCtx<'a> {
-        RecorderCtx {
-            #[cfg(feature = "trace")]
-            inner: None,
-            #[cfg(not(feature = "trace"))]
-            _ghost: core::marker::PhantomData,
-        }
+        RecorderCtx(None)
     }
 
-    /// Context recording into `rec` (only constructible with the
-    /// `trace` feature on — without it there is nothing to hold).
-    #[cfg(feature = "trace")]
-    pub fn new(rec: &'a dyn epg_trace::Recorder) -> RecorderCtx<'a> {
-        RecorderCtx { inner: Some(rec) }
+    /// Context recording into `rec`.
+    pub fn new(rec: &'a dyn Recorder) -> RecorderCtx<'a> {
+        RecorderCtx(Some(rec))
     }
 
-    /// Whether events reach a recorder. Always `false` with the
-    /// feature off.
+    /// Whether events reach a recorder.
     #[inline(always)]
     pub fn is_enabled(&self) -> bool {
-        #[cfg(feature = "trace")]
-        {
-            self.inner.is_some()
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            false
-        }
+        self.0.is_some()
     }
 
     /// Records the event `make` builds. `make` runs only when a
-    /// recorder is attached; with the feature off the whole call —
-    /// closure included — compiles away.
+    /// recorder is attached.
     #[inline(always)]
     pub fn emit<F: FnOnce() -> TraceEvent>(&self, make: F) {
-        #[cfg(feature = "trace")]
-        if let Some(rec) = self.inner {
+        if let Some(rec) = self.0 {
             rec.record(make());
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = make;
         }
     }
 
@@ -145,8 +111,8 @@ impl<T: Send> Partial<T> {
 /// The recorder therefore sees, per step, `Region` events, then one
 /// `CountersDelta` (region `"iteration"`), then the `Iteration` event, and
 /// at the end one `"finalize"` delta — which makes *sum of deltas == final
-/// counters* hold by construction for every kernel. With the `trace`
-/// feature off every emission, the delta arithmetic included, compiles away.
+/// counters* hold by construction for every kernel. With no recorder
+/// attached the delta arithmetic is skipped.
 pub struct RunLog<'a> {
     /// Aggregate work counters; kernels add to them directly.
     pub counters: Counters,
@@ -320,7 +286,6 @@ mod tests {
         assert_eq!(out.counters.edges_traversed, 13, "partial work stays reported");
     }
 
-    #[cfg(feature = "trace")]
     mod live {
         use super::*;
         use epg_trace::{RunRecorder, TraceEvent};

@@ -11,18 +11,13 @@
 use crate::dataset::Dataset;
 use crate::registry::EngineKind;
 use crate::supervise::{supervise_trial, QuarantineBook, SupervisorConfig, TrialOutcome};
+use crate::tracefile::{Capture, TraceBundle};
 use crate::{csvio, logs};
-use epg_engine_api::{Algorithm, Phase, RunOutput, RunParams, SsspKernel};
+use epg_engine_api::{Algorithm, FaultPlan, FaultyEngine, Phase, RunOutput, RunParams, SsspKernel};
 use epg_graph::VertexId;
 use epg_parallel::ThreadPool;
-use std::io::Write;
 use std::path::PathBuf;
 use std::time::Instant;
-
-#[cfg(feature = "trace")]
-use epg_engine_api::{Recorder, RecorderCtx, RunRecorder, TraceEvent};
-#[cfg(feature = "trace")]
-use std::sync::Arc;
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -49,9 +44,9 @@ pub struct ExperimentConfig {
     /// (currently GAP). `None` keeps each engine's paper default.
     pub sssp_kernel: Option<SsspKernel>,
     /// Deterministic fault plans, keyed by engine: the engine is wrapped
-    /// in a [`epg_engine_api::FaultyEngine`] decorator before running.
-    #[cfg(feature = "fault-inject")]
-    pub fault_plans: Vec<(EngineKind, epg_engine_api::FaultPlan)>,
+    /// in a [`FaultyEngine`] decorator before running. Empty outside the
+    /// supervision tests.
+    pub fault_plans: Vec<(EngineKind, FaultPlan)>,
 }
 
 impl ExperimentConfig {
@@ -67,7 +62,6 @@ impl ExperimentConfig {
             work_dir: None,
             supervisor: SupervisorConfig::default(),
             sssp_kernel: None,
-            #[cfg(feature = "fault-inject")]
             fault_plans: Vec::new(),
         }
     }
@@ -107,6 +101,26 @@ pub struct RunRecord {
     pub kernel: Option<SsspKernel>,
 }
 
+impl RunRecord {
+    /// A completed, zero-second, algorithm-less row of `phase`: what every
+    /// row starts from, so each site spells out only what it measured.
+    pub fn new(engine: EngineKind, dataset: &str, threads: usize, phase: Phase) -> RunRecord {
+        RunRecord {
+            engine,
+            dataset: dataset.to_string(),
+            algorithm: None,
+            threads,
+            phase,
+            root: None,
+            trial: 0,
+            seconds: 0.0,
+            iterations: None,
+            outcome: TrialOutcome::Ok,
+            kernel: None,
+        }
+    }
+}
+
 /// A kernel invocation's full output, kept for the machine model.
 pub struct RunInfo {
     /// Engine.
@@ -121,29 +135,13 @@ pub struct RunInfo {
     pub output: RunOutput,
 }
 
-/// Structured telemetry captured for one engine/algorithm pair (first
-/// root, first trial) when the `trace` feature is enabled.
-pub struct TraceBundle {
-    /// Engine.
-    pub engine: EngineKind,
-    /// Algorithm.
-    pub algorithm: Algorithm,
-    /// Dataset name.
-    pub dataset: String,
-    /// The recorded event stream (phase spans, iterations, regions,
-    /// counter deltas, worker spans, allocation high-water marks).
-    pub events: Vec<epg_engine_api::TraceEvent>,
-    /// Events lost to the recorder's ring-buffer cap (oldest dropped).
-    pub dropped: u64,
-}
-
 /// Everything an experiment produces.
 pub struct ExperimentResult {
     /// Flat timing records (phase 4 rows).
     pub records: Vec<RunRecord>,
     /// Full outputs for trace-based analysis.
     pub runs: Vec<RunInfo>,
-    /// Telemetry bundles; always empty without the `trace` feature.
+    /// Telemetry of the first observation of each engine × algorithm pair.
     pub traces: Vec<TraceBundle>,
 }
 
@@ -281,8 +279,7 @@ pub fn run_experiment(cfg: &ExperimentConfig, ds: &Dataset) -> ExperimentResult 
     let mut records = Vec::new();
     let mut runs = Vec::new();
     let mut quarantine = QuarantineBook::new();
-    #[cfg_attr(not(feature = "trace"), allow(unused_mut))]
-    let mut traces: Vec<TraceBundle> = Vec::new();
+    let mut traces = Vec::new();
 
     // Homogenized files, if the file path is requested.
     let file_dir = cfg.use_files.then(|| {
@@ -290,17 +287,18 @@ pub fn run_experiment(cfg: &ExperimentConfig, ds: &Dataset) -> ExperimentResult 
         ds.write_files_parallel(&dir, &pool).expect("failed to write homogenized files");
         dir
     });
+    let log_dir = file_dir.as_ref().map(|dir| {
+        let logs = dir.join("logs");
+        std::fs::create_dir_all(&logs).ok();
+        logs
+    });
 
     for &kind in &cfg.engines {
-        #[cfg_attr(not(feature = "fault-inject"), allow(unused_mut))]
         let mut engine = kind.create_with_sssp_kernel(cfg.sssp_kernel);
-        // The kernel label is only meaningful where the knob is threaded
-        // through (GAP's raw-speed tier).
-        let kernel_label = (kind == EngineKind::Gap).then(|| cfg.sssp_kernel.unwrap_or_default());
-        #[cfg(feature = "fault-inject")]
         if let Some((_, plan)) = cfg.fault_plans.iter().find(|(k, _)| *k == kind) {
-            engine = Box::new(epg_engine_api::FaultyEngine::new(engine, plan.clone()));
+            engine = Box::new(FaultyEngine::new(engine, plan.clone()));
         }
+        let row = |phase| RunRecord::new(kind, &ds.name, cfg.threads, phase);
         // ---- Phase 1: read input ----
         let t0 = Instant::now();
         if let Some(dir) = &file_dir {
@@ -311,38 +309,14 @@ pub fn run_experiment(cfg: &ExperimentConfig, ds: &Dataset) -> ExperimentResult 
             engine.load_edge_list(ds.edges_for(kind));
         }
         let read_s = t0.elapsed().as_secs_f64();
-        records.push(RunRecord {
-            engine: kind,
-            dataset: ds.name.clone(),
-            algorithm: None,
-            threads: cfg.threads,
-            phase: Phase::ReadFile,
-            root: None,
-            trial: 0,
-            seconds: read_s,
-            iterations: None,
-            outcome: TrialOutcome::Ok,
-            kernel: None,
-        });
+        records.push(RunRecord { seconds: read_s, ..row(Phase::ReadFile) });
 
         // ---- Phase 2: construct (recorded only when separable) ----
         let t0 = Instant::now();
         engine.construct(&pool);
         let construct_s = t0.elapsed().as_secs_f64();
         if engine.separable_construction() {
-            records.push(RunRecord {
-                engine: kind,
-                dataset: ds.name.clone(),
-                algorithm: None,
-                threads: cfg.threads,
-                phase: Phase::Construct,
-                root: None,
-                trial: 0,
-                seconds: construct_s,
-                iterations: None,
-                outcome: TrialOutcome::Ok,
-                kernel: None,
-            });
+            records.push(RunRecord { seconds: construct_s, ..row(Phase::Construct) });
         } else {
             // Fused engines build during the read. In file-based runs that
             // happens inside load_file; in in-memory runs the build work
@@ -353,6 +327,11 @@ pub fn run_experiment(cfg: &ExperimentConfig, ds: &Dataset) -> ExperimentResult 
             {
                 read_row.seconds += construct_s;
             }
+        }
+        // The phases a trace and a dialect log open with.
+        let mut setup = vec![logs::LogEntry { phase: Phase::ReadFile, seconds: read_s }];
+        if engine.separable_construction() {
+            setup.push(logs::LogEntry { phase: Phase::Construct, seconds: construct_s });
         }
 
         // ---- Phase 3: run kernels ----
@@ -379,125 +358,63 @@ pub fn run_experiment(cfg: &ExperimentConfig, ds: &Dataset) -> ExperimentResult 
             };
             let mut log_text = String::new();
             let cell = format!("{}/{}", kind.name(), algo.abbrev());
+            let file_stem = format!("{}_{}_{}", kind.name(), algo.abbrev(), ds.name);
+            // The kernel label is only meaningful where the knob is threaded
+            // through (SSSP on GAP's raw-speed tier).
+            let kernel = (kind == EngineKind::Gap && algo == Algorithm::Sssp)
+                .then(|| cfg.sssp_kernel.unwrap_or_default());
             for (ri, &root) in reps.iter().enumerate() {
                 for trial in 0..cfg.trials {
+                    let run_row = || RunRecord {
+                        algorithm: Some(algo),
+                        root,
+                        trial,
+                        kernel,
+                        ..row(Phase::Run)
+                    };
                     // A cell that failed `quarantine_after` trials in a
                     // row is never scheduled again: the remaining reps
                     // become explicit Quarantined DNF rows (zero cost).
                     if quarantine.is_quarantined(&cell, cfg.supervisor.quarantine_after) {
-                        records.push(RunRecord {
-                            engine: kind,
-                            dataset: ds.name.clone(),
-                            algorithm: Some(algo),
-                            threads: cfg.threads,
-                            phase: Phase::Run,
-                            root,
-                            trial,
-                            seconds: 0.0,
-                            iterations: None,
-                            outcome: TrialOutcome::Quarantined,
-                            kernel: (algo == Algorithm::Sssp).then_some(kernel_label).flatten(),
-                        });
+                        records.push(RunRecord { outcome: TrialOutcome::Quarantined, ..run_row() });
                         continue;
                     }
-                    // Record telemetry for the first observation of each
-                    // engine×algorithm pair only: attaching the recorder to
-                    // the pool has measurable cost, and one run per pair is
-                    // what the summarizer and the machine-model replay need.
-                    #[cfg(feature = "trace")]
-                    let tracer = (ri == 0 && trial == 0).then(|| {
-                        let rec = Arc::new(RunRecorder::new());
-                        // Read/construct happened before any recorder
-                        // existed; reconstruct their spans from the wall
-                        // clocks so the trace shows all three phases.
-                        let mut at = 0u64;
-                        rec.record(TraceEvent::PhaseStart { phase: "read".into(), at_ns: at });
-                        at += (read_s * 1e9) as u64;
-                        rec.record(TraceEvent::PhaseEnd { phase: "read".into(), at_ns: at });
-                        if engine.separable_construction() {
-                            rec.record(TraceEvent::PhaseStart {
-                                phase: "construct".into(),
-                                at_ns: at,
-                            });
-                            at += (construct_s * 1e9) as u64;
-                            rec.record(TraceEvent::PhaseEnd {
-                                phase: "construct".into(),
-                                at_ns: at,
-                            });
-                        }
-                        rec.record(TraceEvent::PhaseStart { phase: "run".into(), at_ns: at });
-                        pool.set_recorder(Some(rec.clone() as Arc<dyn Recorder>));
-                        (rec, at)
-                    });
-                    let params = RunParams::new(&pool, root);
-                    #[cfg(feature = "trace")]
-                    let params = {
-                        let mut p = params;
-                        if let Some((rec, _)) = &tracer {
-                            p.recorder = RecorderCtx::new(&**rec);
-                        }
-                        p
-                    };
+                    // Telemetry is captured for the first observation of
+                    // each engine × algorithm pair only: a recorder on the
+                    // pool costs a few percent on many-level runs, and one
+                    // run per pair is what the summarizer and the
+                    // machine-model replay need.
+                    let first = ri == 0 && trial == 0;
+                    let capture = first.then(|| Capture::start(&pool, &setup));
+                    let mut params = RunParams::new(&pool, root);
+                    if let Some(capture) = &capture {
+                        params.recorder = capture.ctx();
+                    }
                     let report =
                         supervise_trial(&pool, &cfg.supervisor, || engine.run(algo, &params), None);
                     quarantine.record(&cell, report.outcome);
                     let secs = report.seconds;
-                    #[cfg(feature = "trace")]
-                    if let Some((rec, at)) = tracer {
-                        pool.set_recorder(None);
-                        rec.record(TraceEvent::PhaseEnd {
-                            phase: "run".into(),
-                            at_ns: at + (secs * 1e9) as u64,
-                        });
-                        rec.record(TraceEvent::TrialOutcome {
-                            outcome: report.outcome.label().into(),
-                            attempts: report.attempts,
-                        });
-                        if let Some(dir) = &file_dir {
-                            let log_dir = dir.join("logs");
-                            std::fs::create_dir_all(&log_dir).ok();
-                            let path = log_dir.join(format!(
-                                "{}_{}_{}.trace.jsonl",
-                                kind.name(),
-                                algo.abbrev(),
-                                ds.name
-                            ));
-                            if let Ok(mut f) = std::fs::File::create(path) {
-                                let _ = f.write_all(rec.to_jsonl().as_bytes());
-                            }
-                        }
-                        traces.push(TraceBundle {
-                            engine: kind,
-                            algorithm: algo,
-                            dataset: ds.name.clone(),
-                            events: rec.events(),
-                            dropped: rec.dropped(),
-                        });
+                    if let Some(capture) = capture {
+                        let jsonl =
+                            log_dir.as_ref().map(|d| d.join(format!("{file_stem}.trace.jsonl")));
+                        traces.push(capture.finish(
+                            &report,
+                            kind,
+                            algo,
+                            &ds.name,
+                            jsonl.as_deref(),
+                        ));
                     }
                     let iterations = report.output.as_ref().and_then(|o| o.result.iterations());
                     records.push(RunRecord {
-                        engine: kind,
-                        dataset: ds.name.clone(),
-                        algorithm: Some(algo),
-                        threads: cfg.threads,
-                        phase: Phase::Run,
-                        root,
-                        trial,
                         seconds: secs,
                         iterations,
                         outcome: report.outcome,
-                        kernel: (algo == Algorithm::Sssp).then_some(kernel_label).flatten(),
+                        ..run_row()
                     });
-                    if ri == 0 && trial == 0 {
+                    if first {
                         // Emit this engine's log dialect for the parse phase.
-                        let mut entries =
-                            vec![logs::LogEntry { phase: Phase::ReadFile, seconds: read_s }];
-                        if engine.separable_construction() {
-                            entries.push(logs::LogEntry {
-                                phase: Phase::Construct,
-                                seconds: construct_s,
-                            });
-                        }
+                        let mut entries = setup.clone();
                         entries.push(logs::LogEntry { phase: Phase::Run, seconds: secs });
                         log_text = logs::render_log(
                             engine.log_style(),
@@ -521,14 +438,8 @@ pub fn run_experiment(cfg: &ExperimentConfig, ds: &Dataset) -> ExperimentResult 
                     }
                 }
             }
-            if let Some(dir) = &file_dir {
-                let log_dir = dir.join("logs");
-                std::fs::create_dir_all(&log_dir).ok();
-                let path =
-                    log_dir.join(format!("{}_{}_{}.log", kind.name(), algo.abbrev(), ds.name));
-                if let Ok(mut f) = std::fs::File::create(path) {
-                    let _ = f.write_all(log_text.as_bytes());
-                }
+            if let Some(dir) = &log_dir {
+                std::fs::write(dir.join(format!("{file_stem}.log")), log_text).ok();
             }
         }
     }
@@ -638,9 +549,10 @@ mod tests {
     }
 }
 
-#[cfg(all(test, feature = "trace"))]
+#[cfg(test)]
 mod trace_tests {
     use super::*;
+    use epg_engine_api::TraceEvent;
     use epg_generator::GraphSpec;
 
     #[test]

@@ -1,26 +1,124 @@
-//! Phase 4 for telemetry: summarizing `*.trace.jsonl` files.
+//! Run telemetry files: capturing `*.trace.jsonl` and summarizing it.
 //!
-//! The runner (with the `trace` feature) drops one JSONL event stream per
-//! engine×algorithm pair next to the dialect logs. [`summarize`] is the
-//! pure renderer behind `epg trace summarize --input FILE`: it parses the
-//! stream with the same chatter-tolerant parser the log pipeline uses and
-//! prints phase timings, the per-iteration push/pull story, worker
-//! utilization, counter totals, and allocation high-water marks.
-//!
-//! Parsing and rendering are unconditional — summarize works on any
-//! checked-in trace file even in a build without the `trace` feature.
+//! The runner captures the first observation of every engine × algorithm
+//! pair ([`Capture`]) and drops its JSONL event stream next to the dialect
+//! logs. [`summarize`] is the pure renderer behind `epg trace summarize
+//! --input FILE`: it parses the stream with the same chatter-tolerant
+//! parser the log pipeline uses and prints phase timings, the
+//! per-iteration push/pull story, worker utilization, counter totals, and
+//! allocation high-water marks.
 
-use epg_engine_api::sum_counter_deltas;
+use crate::logs::LogEntry;
+use crate::registry::EngineKind;
+use crate::supervise::TrialReport;
+use epg_engine_api::{sum_counter_deltas, Algorithm, Phase, Recorder, RecorderCtx, RunRecorder};
+use epg_parallel::ThreadPool;
 use epg_trace::{jsonl, TraceEvent};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::path::Path;
+use std::sync::Arc;
+
+/// Structured telemetry of one engine/algorithm pair (first root, first
+/// trial).
+pub struct TraceBundle {
+    /// Engine.
+    pub engine: EngineKind,
+    /// Algorithm.
+    pub algorithm: Algorithm,
+    /// Dataset name.
+    pub dataset: String,
+    /// The recorded event stream (phase spans, iterations, regions,
+    /// counter deltas, worker spans, allocation high-water marks).
+    pub events: Vec<TraceEvent>,
+    /// Events lost to the recorder's ring-buffer cap (oldest dropped).
+    pub dropped: u64,
+}
+
+/// One trial being recorded: open from [`Capture::start`] (recorder
+/// attached to the pool, run phase open) to [`Capture::finish`].
+pub(crate) struct Capture<'p> {
+    pool: &'p ThreadPool,
+    rec: Arc<RunRecorder>,
+    /// Where the run phase opened on the trace's clock.
+    run_start_ns: u64,
+}
+
+impl<'p> Capture<'p> {
+    /// Opens a capture for a trial about to run on `pool`. The `setup`
+    /// phases (read, construct) happened before any recorder existed;
+    /// their spans are reconstructed from the wall clocks so the trace
+    /// shows all three phases.
+    pub(crate) fn start(pool: &'p ThreadPool, setup: &[LogEntry]) -> Capture<'p> {
+        let rec = Arc::new(RunRecorder::new());
+        let mut at_ns = 0u64;
+        for entry in setup {
+            let phase = match entry.phase {
+                Phase::ReadFile => "read",
+                other => other.label(),
+            };
+            rec.record(TraceEvent::PhaseStart { phase: phase.into(), at_ns });
+            at_ns += (entry.seconds * 1e9) as u64;
+            rec.record(TraceEvent::PhaseEnd { phase: phase.into(), at_ns });
+        }
+        rec.record(TraceEvent::PhaseStart { phase: "run".into(), at_ns });
+        pool.set_recorder(Some(rec.clone()));
+        Capture { pool, rec, run_start_ns: at_ns }
+    }
+
+    /// The capability the trial's `RunParams` carry.
+    pub(crate) fn ctx(&self) -> RecorderCtx<'_> {
+        RecorderCtx::new(&*self.rec)
+    }
+
+    /// Detaches from the pool, closes the run phase with the supervisor's
+    /// verdict, flushes the stream to `jsonl` (file-based runs) and hands
+    /// it over.
+    pub(crate) fn finish(
+        self,
+        report: &TrialReport,
+        engine: EngineKind,
+        algorithm: Algorithm,
+        dataset: &str,
+        jsonl: Option<&Path>,
+    ) -> TraceBundle {
+        self.pool.set_recorder(None);
+        self.rec.record(TraceEvent::PhaseEnd {
+            phase: "run".into(),
+            at_ns: self.run_start_ns + (report.seconds * 1e9) as u64,
+        });
+        self.rec.record(TraceEvent::TrialOutcome {
+            outcome: report.outcome.label().into(),
+            attempts: report.attempts,
+        });
+        if let Some(path) = jsonl {
+            self.rec.write_jsonl(path).ok();
+        }
+        TraceBundle {
+            engine,
+            algorithm,
+            dataset: dataset.to_string(),
+            events: self.rec.events(),
+            dropped: self.rec.dropped(),
+        }
+    }
+}
 
 /// Renders a human-readable summary of one JSONL trace stream.
 ///
 /// Deterministic for a given input (workers and allocation labels are
 /// sorted), so the output is suitable for golden-file tests.
 pub fn summarize(input: &str) -> String {
-    let parsed = jsonl::parse_jsonl(input);
+    let mut parsed = jsonl::parse_jsonl(input);
+    // The truncation marker is about the stream, not one of its events.
+    let mut dropped = 0u64;
+    parsed.events.retain(|ev| match ev {
+        TraceEvent::Dropped { events } => {
+            dropped += events;
+            false
+        }
+        _ => true,
+    });
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -28,6 +126,13 @@ pub fn summarize(input: &str) -> String {
         parsed.events.len(),
         parsed.skipped
     );
+    if dropped > 0 {
+        let _ = writeln!(
+            out,
+            "TRUNCATED: {dropped} oldest events dropped (the recorder's ring overflowed); \
+             every section below covers the surviving tail only"
+        );
+    }
 
     // ---- phases: match each end to the most recent unmatched start ----
     let mut open: Vec<(&str, u64)> = Vec::new();
@@ -208,6 +313,21 @@ mod tests {
         assert!(text.contains("90.0"));
         assert!(text.contains("parent"));
         assert!(text.contains("1024"));
+    }
+
+    #[test]
+    fn an_overflowed_recorder_is_summarized_as_truncated() {
+        let full = epg_trace::jsonl::parse_jsonl(&sample_trace()).events;
+        let rec = RunRecorder::with_capacity(4);
+        for ev in &full {
+            epg_trace::Recorder::record(&rec, ev.clone());
+        }
+        let text = summarize(&rec.to_jsonl());
+        assert!(text.contains("trace summary: 4 events, 0 unparseable"), "{text}");
+        assert!(text.contains("TRUNCATED: 6 oldest events dropped"), "{text}");
+        // The per-iteration delta went with the head: only "finalize" is left.
+        assert!(text.contains("counter totals: edges=0 vertices=0 bytes_read=1200"), "{text}");
+        assert!(!summarize(&sample_trace()).contains("TRUNCATED"));
     }
 
     #[test]

@@ -39,6 +39,10 @@ pub struct Replay {
     pub finalize: Counters,
     /// Regions recorded outside any iteration (e.g. preprocessing).
     pub leftover: Trace,
+    /// Events the recorder's ring evicted before the stream was written
+    /// (its `Dropped` marker). Non-zero means the oldest iterations are
+    /// missing, so a projection summed over `iterations` is a lower bound.
+    pub dropped: u64,
 }
 
 fn add_delta(into: &mut Counters, ev: &TraceEvent) {
@@ -87,6 +91,7 @@ pub fn group_iterations(events: &[TraceEvent]) -> Replay {
                     delta: std::mem::take(&mut delta),
                 });
             }
+            TraceEvent::Dropped { events } => replay.dropped += events,
             // Structural / diagnostic events: not part of any iteration.
             TraceEvent::PhaseStart { .. }
             | TraceEvent::PhaseEnd { .. }
@@ -171,6 +176,17 @@ mod tests {
         assert!(!r.iterations[1].trace.records[1].parallel);
         assert_eq!(r.finalize.bytes_read, 40_000);
         assert!(r.leftover.records.is_empty());
+    }
+
+    #[test]
+    fn a_truncated_stream_says_how_much_is_missing() {
+        assert_eq!(group_iterations(&stream()).dropped, 0);
+        // The ring evicted the first iteration's five events.
+        let mut tail = vec![TraceEvent::Dropped { events: 5 }];
+        tail.extend_from_slice(&stream()[5..]);
+        let r = group_iterations(&tail);
+        assert_eq!(r.dropped, 5);
+        assert_eq!(r.iterations.len(), 1, "only the surviving tail is replayed");
     }
 
     #[test]

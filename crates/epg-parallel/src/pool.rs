@@ -17,6 +17,7 @@
 
 use crate::cancel::CancelToken;
 use crate::check;
+use epg_trace::{Recorder, TraceEvent};
 use parking_lot::{Condvar, Mutex};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -60,6 +61,11 @@ struct State {
     /// The dispatcher is parked on `done_cv`; the last worker out
     /// notifies only if set.
     caller_parked: bool,
+    /// The dispatcher found a recorder for the current generation, so
+    /// workers time their call and store it in `Inner::busy_ns`. Workers
+    /// read it with the job, which makes a region traced by every worker
+    /// or by none however `set_recorder` races with it.
+    traced: bool,
 }
 
 struct Inner {
@@ -91,13 +97,18 @@ struct Inner {
     /// in the hot chunk loops is a single relaxed load.
     cancel_active: AtomicBool,
     /// Telemetry sink for per-worker busy/idle spans.
-    #[cfg(feature = "trace")]
-    recorder: Mutex<Option<Arc<dyn epg_trace::Recorder>>>,
-    /// Per-worker busy nanoseconds of the current generation; read by
-    /// the dispatcher after the join barrier (the `Release`/`Acquire`
-    /// pair on `done_word`, or the state mutex when the dispatcher
-    /// parked, orders the stores before the read).
-    #[cfg(feature = "trace")]
+    recorder: Mutex<Option<Arc<dyn Recorder>>>,
+    /// Fast-path gate, as `cancel_active` (stored `Release` under the
+    /// slot's mutex, read `Acquire` without it): `false` means no
+    /// recorder is attached, and a region pays one atomic load for the
+    /// telemetry layer — no lock, no `Arc` clone, no clock read. It only
+    /// says whether looking in `recorder` is worthwhile; the slot decides.
+    recorder_active: AtomicBool,
+    /// Per-worker busy nanoseconds of the current generation, written
+    /// only in a traced one; read by the dispatcher after the join
+    /// barrier (the `Release`/`Acquire` pair on `done_word`, or the state
+    /// mutex when the dispatcher parked, orders the stores before the
+    /// read).
     busy_ns: Vec<AtomicU64>,
 }
 
@@ -149,6 +160,7 @@ impl ThreadPool {
                 shutdown: false,
                 sleepers: 0,
                 caller_parked: false,
+                traced: false,
             }),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
@@ -162,9 +174,8 @@ impl ThreadPool {
             dispatch_gate: Mutex::new(()),
             cancel: Mutex::new(None),
             cancel_active: AtomicBool::new(false),
-            #[cfg(feature = "trace")]
             recorder: Mutex::new(None),
-            #[cfg(feature = "trace")]
+            recorder_active: AtomicBool::new(false),
             busy_ns: (0..nthreads).map(|_| AtomicU64::new(0)).collect(),
         });
         let handles = (1..nthreads)
@@ -187,10 +198,21 @@ impl ThreadPool {
     /// Attaches (`Some`) or detaches (`None`) a telemetry sink. While
     /// attached, every region emits one `WorkerSpan` event per worker
     /// with its busy time and the idle remainder of the region's wall
-    /// clock. Only present with the `trace` feature.
-    #[cfg(feature = "trace")]
-    pub fn set_recorder(&self, rec: Option<Arc<dyn epg_trace::Recorder>>) {
-        *self.inner.recorder.lock() = rec;
+    /// clock. Safe to call while another thread dispatches regions: a
+    /// region records all of its workers or none.
+    pub fn set_recorder(&self, rec: Option<Arc<dyn Recorder>>) {
+        let mut slot = self.inner.recorder.lock();
+        self.inner.recorder_active.store(rec.is_some(), Ordering::Release);
+        *slot = rec;
+    }
+
+    /// The attached recorder, if any; one atomic load when none is.
+    #[inline]
+    fn recorder(&self) -> Option<Arc<dyn Recorder>> {
+        if !self.inner.recorder_active.load(Ordering::Acquire) {
+            return None;
+        }
+        self.inner.recorder.lock().clone()
     }
 
     /// Attaches (`Some`) or detaches (`None`) a cooperative-cancellation
@@ -254,18 +276,14 @@ impl ThreadPool {
     pub fn region<F: Fn(usize) + Sync>(&self, f: F) {
         self.inner.regions.fetch_add(1, Ordering::Relaxed);
         let region_id = check::next_region_id();
-        #[cfg(feature = "trace")]
-        let rec: Option<Arc<dyn epg_trace::Recorder>> = self.inner.recorder.lock().clone();
-        #[cfg(feature = "trace")]
-        let wall_start = std::time::Instant::now();
+        let rec = self.recorder().map(|rec| (rec, Instant::now()));
         if self.inner.nthreads == 1 {
             {
                 let _scope = check::enter_region(region_id, 0);
                 f(0);
             }
-            #[cfg(feature = "trace")]
-            if let Some(rec) = &rec {
-                rec.record(epg_trace::TraceEvent::WorkerSpan {
+            if let Some((rec, wall_start)) = &rec {
+                rec.record(TraceEvent::WorkerSpan {
                     region: region_id as u64,
                     worker: 0,
                     busy_ns: wall_start.elapsed().as_nanos() as u64,
@@ -293,6 +311,7 @@ impl ThreadPool {
             st.remaining = self.inner.nthreads - 1;
             st.job = Some(ptr);
             st.region_id = region_id;
+            st.traced = rec.is_some();
             // A payload from a generation whose dispatcher unwound before
             // collecting it must not leak into this one.
             st.panic = None;
@@ -313,20 +332,15 @@ impl ThreadPool {
             // `f` while a worker still holds `ptr` would be use-after-free.
             let _join = JoinGuard { inner: &self.inner, gen };
             let _scope = check::enter_region(region_id, 0);
-            #[cfg(feature = "trace")]
-            let t0 = std::time::Instant::now();
-            f(0);
-            #[cfg(feature = "trace")]
-            self.inner.busy_ns[0].store(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            self.inner.timed(rec.is_some(), 0, || f(0));
         }
-        #[cfg(feature = "trace")]
-        if let Some(rec) = &rec {
+        if let Some((rec, wall_start)) = &rec {
             // The join barrier has passed: every worker stored its busy
             // time before decrementing `remaining` under the state lock.
             let wall = wall_start.elapsed().as_nanos() as u64;
             for (tid, slot) in self.inner.busy_ns.iter().enumerate() {
                 let busy = slot.load(Ordering::Relaxed).min(wall);
-                rec.record(epg_trace::TraceEvent::WorkerSpan {
+                rec.record(TraceEvent::WorkerSpan {
                     region: region_id as u64,
                     worker: tid as u32,
                     busy_ns: busy,
@@ -485,6 +499,19 @@ impl Drop for JoinGuard<'_> {
 }
 
 impl Inner {
+    /// Runs thread `tid`'s share of a region; in a traced region, also
+    /// stores how long it took in `busy_ns[tid]`.
+    #[inline]
+    fn timed<R>(&self, traced: bool, tid: usize, call: impl FnOnce() -> R) -> R {
+        if !traced {
+            return call();
+        }
+        let t0 = Instant::now();
+        let out = call();
+        self.busy_ns[tid].store(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        out
+    }
+
     /// Polls `ready` for up to the spin budget; `false` means the caller
     /// must take the state mutex and park. The clock read bounds the
     /// wait, it measures nothing.
@@ -523,7 +550,7 @@ fn worker_loop(inner: &Inner, tid: usize) {
     let mut seen = 0u64;
     loop {
         inner.spin_until(|| inner.gen_word.load(Ordering::Acquire) != seen);
-        let (job, gen, region_id) = {
+        let (job, gen, region_id, traced) = {
             let mut st = inner.state.lock();
             if !st.shutdown && st.gen == seen {
                 inner.parks.fetch_add(1, Ordering::Relaxed);
@@ -539,18 +566,15 @@ fn worker_loop(inner: &Inner, tid: usize) {
                 return;
             }
             seen = st.gen;
-            (st.job.expect("generation bumped without a job"), st.gen, st.region_id)
+            (st.job.expect("generation bumped without a job"), st.gen, st.region_id, st.traced)
         };
         let caught = {
             let _scope = check::enter_region(region_id, tid);
-            #[cfg(feature = "trace")]
-            let t0 = std::time::Instant::now();
-            // SAFETY: see `region` — the dispatcher keeps the closure alive
-            // until we decrement `remaining` below.
-            let caught = catch_unwind(AssertUnwindSafe(|| (unsafe { &*job.0 })(tid)));
-            #[cfg(feature = "trace")]
-            inner.busy_ns[tid].store(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            caught
+            inner.timed(traced, tid, || {
+                // SAFETY: see `region` — the dispatcher keeps the closure
+                // alive until we decrement `remaining` below.
+                catch_unwind(AssertUnwindSafe(|| (unsafe { &*job.0 })(tid)))
+            })
         };
         let mut st = inner.state.lock();
         if let Err(payload) = caught {
@@ -698,10 +722,8 @@ mod tests {
         assert_eq!(crate::current_worker_id(), None, "worker id leaked past the region");
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn worker_spans_cover_every_worker_once_per_region() {
-        use epg_trace::TraceEvent;
         for nthreads in [1, 3] {
             let pool = ThreadPool::new(nthreads);
             let rec = Arc::new(epg_trace::RunRecorder::new());
@@ -725,6 +747,51 @@ mod tests {
             workers.sort_unstable();
             assert_eq!(workers, (0..nthreads as u32).collect::<Vec<_>>());
             assert!(spans.iter().all(|s| s.0 == spans[0].0), "same region id");
+        }
+    }
+
+    #[test]
+    fn recorder_toggled_mid_run_records_whole_regions_or_nothing() {
+        // A second thread attaches and detaches the recorder as fast as it
+        // can while the dispatcher runs back-to-back regions: the gate is
+        // read outside every mutex, so a region may start on either side
+        // of a toggle, but it must still run every tid once (a lost
+        // wake-up hangs here) and record all of its workers or none.
+        let regions = if cfg!(miri) { 200 } else { 10_000 };
+        for nthreads in [1, 2, 3] {
+            let pool = ThreadPool::new(nthreads);
+            let rec = Arc::new(epg_trace::RunRecorder::new());
+            let done = AtomicBool::new(false);
+            // One region recorded for certain, whatever the scheduler does
+            // with the toggling thread afterwards.
+            pool.set_recorder(Some(rec.clone()));
+            run_counted_regions(&pool, 1, || {});
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    while !done.load(Ordering::Relaxed) {
+                        pool.set_recorder(None);
+                        pool.set_recorder(Some(rec.clone()));
+                    }
+                });
+                run_counted_regions(&pool, regions, || {});
+                done.store(true, Ordering::Relaxed);
+            });
+            assert_eq!(rec.dropped(), 0, "the ring must hold every span of the run");
+            let mut workers_of: std::collections::BTreeMap<u64, Vec<u32>> = Default::default();
+            for ev in rec.events() {
+                if let TraceEvent::WorkerSpan { region, worker, .. } = ev {
+                    workers_of.entry(region).or_default().push(worker);
+                }
+            }
+            assert!(!workers_of.is_empty(), "nothing recorded at {nthreads} threads");
+            for (region, mut workers) in workers_of {
+                workers.sort_unstable();
+                assert_eq!(
+                    workers,
+                    (0..nthreads as u32).collect::<Vec<_>>(),
+                    "region {region} recorded a partial set at {nthreads} threads"
+                );
+            }
         }
     }
 

@@ -122,13 +122,17 @@ pub fn render_event(ev: &TraceEvent) -> String {
             field_u64(&mut out, "latency_ns", *latency_ns);
             field_bool(&mut out, "ok", *ok);
         }
+        TraceEvent::Dropped { events } => {
+            push_json_string(&mut out, "dropped");
+            field_u64(&mut out, "events", *events);
+        }
     }
     out.push('}');
     out
 }
 
 /// Renders a whole event sequence as JSONL text.
-pub fn render_jsonl(events: &[TraceEvent]) -> String {
+pub fn render_jsonl<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> String {
     let mut out = String::new();
     for ev in events {
         out.push_str(&render_event(ev));
@@ -362,6 +366,7 @@ pub fn parse_line(line: &str) -> Option<TraceEvent> {
             latency_ns: get_u64(&fields, "latency_ns")?,
             ok: get_bool(&fields, "ok")?,
         }),
+        "dropped" => Some(TraceEvent::Dropped { events: get_u64(&fields, "events")? }),
         _ => None,
     }
 }
@@ -418,6 +423,7 @@ mod tests {
                 latency_ns: 48_000,
                 ok: true,
             },
+            TraceEvent::Dropped { events: 65_536 },
         ]
     }
 
@@ -452,7 +458,7 @@ mod tests {
         let text = render_jsonl(&all_kinds());
         let cut = text.len() - 17; // mid final line
         let parsed = parse_jsonl(&text[..cut]);
-        assert_eq!(parsed.events, all_kinds()[..8].to_vec());
+        assert_eq!(parsed.events, all_kinds()[..9].to_vec());
         assert_eq!(parsed.skipped, 1);
     }
 

@@ -9,9 +9,9 @@
 //! [`Recorder`] into an in-memory ring buffer ([`RunRecorder`]) and
 //! flushed as JSONL next to the harness's dialect logs.
 //!
-//! The crate is dependency-free and always compiled; whether engines emit
-//! events is decided by the `trace` cargo feature of `epg-engine-api`,
-//! which compiles its recording shim down to a no-op when disabled.
+//! The crate is dependency-free; engines and the thread pool emit events
+//! whenever a recorder is attached to the run, and skip the work when
+//! none is.
 //!
 //! [`Counters`-style]: TraceEvent::CountersDelta
 
@@ -120,7 +120,7 @@ pub enum TraceEvent {
         iterations: u32,
     },
     /// Busy/idle split of one worker over one pool region
-    /// (`epg-parallel` emits these under its `trace` feature).
+    /// (`epg-parallel` emits these while a recorder is attached to the pool).
     WorkerSpan {
         /// Pool region id (monotonic per pool).
         region: u64,
@@ -167,6 +167,15 @@ pub enum TraceEvent {
         /// rejections, deadline trips, and failures).
         ok: bool,
     },
+    /// The stream is truncated: the recorder's ring overflowed and evicted
+    /// its `events` oldest events before the stream was written. Never
+    /// recorded by an engine — [`RunRecorder::to_jsonl`] leads the file
+    /// with it, so whoever reads the file knows its totals cover the
+    /// surviving tail only.
+    Dropped {
+        /// Events evicted ([`RunRecorder::dropped`]).
+        events: u64,
+    },
 }
 
 /// Sink for [`TraceEvent`]s. `&self` receivers plus `Send + Sync` let
@@ -175,14 +184,6 @@ pub enum TraceEvent {
 pub trait Recorder: Send + Sync {
     /// Accepts one event.
     fn record(&self, ev: TraceEvent);
-}
-
-/// Discards every event. Useful as an explicit no-op sink.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    fn record(&self, _ev: TraceEvent) {}
 }
 
 /// Default [`RunRecorder`] capacity: enough for hundreds of iterations
@@ -254,15 +255,12 @@ impl RunRecorder {
         r.dropped = 0;
     }
 
-    /// Renders the buffered events as JSONL, one event per line.
+    /// Renders the buffered events as JSONL, one event per line, behind
+    /// a [`TraceEvent::Dropped`] line when the ring has evicted any.
     pub fn to_jsonl(&self) -> String {
         let r = self.lock();
-        let mut out = String::new();
-        for ev in &r.events {
-            out.push_str(&jsonl::render_event(ev));
-            out.push('\n');
-        }
-        out
+        let marker = (r.dropped > 0).then_some(TraceEvent::Dropped { events: r.dropped });
+        jsonl::render_jsonl(marker.iter().chain(&r.events))
     }
 
     /// Writes the JSONL rendering to `path`.
@@ -333,6 +331,10 @@ mod tests {
         assert_eq!(rec.dropped(), 2);
         let TraceEvent::Iteration { iter, .. } = evs[0] else { panic!() };
         assert_eq!(iter, 2, "oldest two were evicted");
+        // The file says so, and parses back to the marker plus the tail.
+        let parsed = jsonl::parse_jsonl(&rec.to_jsonl());
+        assert_eq!(parsed.events[0], TraceEvent::Dropped { events: 2 });
+        assert_eq!(parsed.events[1..], evs[..]);
     }
 
     #[test]

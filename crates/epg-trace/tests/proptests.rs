@@ -5,7 +5,7 @@
 //! mirroring the dialect-parser hardening in `epg-harness::logs`.
 
 use epg_trace::jsonl::{parse_jsonl, render_event, render_jsonl};
-use epg_trace::{Dir, TraceEvent};
+use epg_trace::{Dir, Recorder, RunRecorder, TraceEvent};
 use proptest::prelude::*;
 
 /// Printable-ASCII labels, including `"` and `\` so escaping is hit.
@@ -63,6 +63,7 @@ fn event() -> BoxedStrategy<TraceEvent> {
         (label(), label(), 0u64..=u64::MAX, prop_oneof![Just(true), Just(false)]).prop_map(
             |(algo, path, latency_ns, ok)| TraceEvent::Query { algo, path, latency_ns, ok }
         ),
+        (0u64..=u64::MAX).prop_map(|events| TraceEvent::Dropped { events }),
     ]
     .boxed()
 }
@@ -83,6 +84,26 @@ proptest! {
     fn roundtrip_is_identity(evs in events()) {
         let parsed = parse_jsonl(&render_jsonl(&evs));
         prop_assert_eq!(parsed.events, evs);
+        prop_assert_eq!(parsed.skipped, 0);
+    }
+
+    #[test]
+    fn overflowed_ring_writes_a_marker_and_its_tail(evs in events(), capacity in 1usize..32) {
+        // Whatever the ring evicted, the file says how much is missing and
+        // what follows the marker is exactly the surviving tail.
+        let rec = RunRecorder::with_capacity(capacity);
+        for ev in &evs {
+            rec.record(ev.clone());
+        }
+        let kept = evs.len().min(capacity);
+        let dropped = (evs.len() - kept) as u64;
+        let mut want: Vec<TraceEvent> = Vec::new();
+        if dropped > 0 {
+            want.push(TraceEvent::Dropped { events: dropped });
+        }
+        want.extend_from_slice(&evs[evs.len() - kept..]);
+        let parsed = parse_jsonl(&rec.to_jsonl());
+        prop_assert_eq!(parsed.events, want);
         prop_assert_eq!(parsed.skipped, 0);
     }
 

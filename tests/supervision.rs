@@ -1,10 +1,5 @@
-#![cfg(feature = "fault-inject")]
-
 //! Supervision-layer integration: deterministic injected faults flow
 //! through the runner and come out as classified, DNF-aware results.
-//!
-//! Runs only with `--features fault-inject`; the injection layer does not
-//! exist in default builds, so supervision costs nothing there.
 
 use epg::engine_api::{FaultKind, FaultPlan, FaultyEngine};
 use epg::harness::supervise::{supervise_trial, SupervisorConfig, TrialOutcome};
@@ -194,7 +189,6 @@ fn over_budget_betweenness_stops_at_the_next_source() {
     assert!(out.counters.edges_traversed > 0, "partial counters survive the timeout");
 }
 
-#[cfg(feature = "trace")]
 #[test]
 fn trial_outcome_reaches_the_trace_stream() {
     let ds = dataset();

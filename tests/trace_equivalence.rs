@@ -6,10 +6,6 @@
 //! bypassed the log would emit nothing, or bump a counter the log never
 //! flushed, and fail here instead of silently skewing `epg-machine`
 //! replay projections).
-//!
-//! The whole file is gated on the `trace` feature — without it there is
-//! no recorder to attach and the suite is intentionally empty.
-#![cfg(feature = "trace")]
 
 use epg::engine_api::sum_counter_deltas;
 use epg::harness::registry::engines_supporting;
