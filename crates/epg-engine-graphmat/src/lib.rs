@@ -226,6 +226,49 @@ mod tests {
         }
     }
 
+    /// `result`, `counters` and `trace` of the four SpMSpV programs.
+    fn spmspv_dump(el: &EdgeList, threads: usize, root: epg_graph::VertexId) -> String {
+        let pool = ThreadPool::new(threads);
+        let mut e = build(el, &pool);
+        [Algorithm::Bfs, Algorithm::Sssp, Algorithm::Wcc, Algorithm::Cdlp]
+            .map(|algo| {
+                let out = e.run(algo, &RunParams::new(&pool, Some(root)));
+                format!("{algo:?}: {:?}\n{:?}\n{:?}\n", out.result, out.counters, out.trace)
+            })
+            .concat()
+    }
+
+    #[test]
+    fn spmspv_programs_do_not_depend_on_the_thread_count() {
+        let cfg = epg_generator::kronecker::KroneckerConfig {
+            scale: 7,
+            weighted: true,
+            ..Default::default()
+        };
+        let raw = epg_generator::kronecker::generate(&cfg, 91);
+        for el in [raw.symmetrized().deduplicated(), raw] {
+            let one = spmspv_dump(&el, 1, 5);
+            assert_eq!(spmspv_dump(&el, 2, 5), one);
+            assert_eq!(spmspv_dump(&el, 3, 5), one);
+        }
+    }
+
+    #[test]
+    fn a_constructed_engine_answers_from_a_second_root() {
+        // Each run allocates its own accumulator: nothing of the first
+        // traversal may show in the second.
+        let el = random_graph(8);
+        let pool = ThreadPool::new(2);
+        let mut e = build(&el, &pool);
+        let g = Csr::from_edge_list(&el);
+        for root in [3, 200, 3] {
+            let out = e.run(Algorithm::Bfs, &RunParams::new(&pool, Some(root)));
+            let AlgorithmResult::BfsTree { parent, level } = out.result else { panic!() };
+            assert_eq!(level, oracle::bfs(&g, root).level);
+            epg_graph::validate::validate_bfs_tree(&g, root, &parent).unwrap();
+        }
+    }
+
     #[test]
     fn metadata_reflects_icc_requirement() {
         let e = GraphMatEngine::new();

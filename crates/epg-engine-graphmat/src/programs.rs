@@ -2,7 +2,9 @@
 
 use crate::program::GraphProgram;
 use crate::spmv::{run_iteration, SpmvStats};
-use epg_engine_api::{AlgorithmResult, Dir, RunLog, RunOutput, RunParams, StoppingCriterion};
+use epg_engine_api::{
+    AlgorithmResult, Dir, RecorderCtx, RunLog, RunOutput, RunParams, StoppingCriterion,
+};
 use epg_graph::{Dcsc, VertexId, Weight, INF_DIST, NO_VERTEX};
 use epg_parallel::{DisjointWriter, Schedule};
 
@@ -12,10 +14,24 @@ fn charge(log: &mut RunLog<'_>, stats: &SpmvStats) {
     log.counters.vertices_touched += stats.touched;
     log.counters.iterations += 1;
     log.parallel(stats.edges.max(1), stats.max_column.max(1), stats.edges * 12);
-    // The accumulator merge is the serial portion of GraphMat's backend —
-    // the constant overhead the paper attributes to "the sparse matrix
-    // operations" on small inputs.
+    // The serial portion of GraphMat's backend as the machine model sees
+    // it: sparse-vector bookkeeping in proportion to the destinations
+    // touched — the constant overhead the paper attributes to "the sparse
+    // matrix operations" on small inputs.
     log.serial(stats.touched.max(1), stats.touched * 16);
+}
+
+/// Allocates a run's dense accumulator — one REDUCE slot per vertex, which
+/// [`run_iteration`] fills and empties every iteration — and reports it
+/// together with the vertex values as the run's allocation high-water mark.
+fn accumulator<P: GraphProgram>(
+    rec: RecorderCtx<'_>,
+    label: &str,
+    n: usize,
+) -> Vec<Option<P::Accum>> {
+    let per_vertex = size_of::<P::VertexValue>() + size_of::<Option<P::Accum>>();
+    rec.alloc_hwm(label, (n * per_vertex) as u64);
+    vec![None; n]
 }
 
 // ---------------------------------------------------------------- BFS ----
@@ -63,11 +79,11 @@ pub fn bfs(a: &Dcsc, n: usize, params: &RunParams<'_>) -> RunOutput {
     let mut active = vec![root];
     let mut log = RunLog::new(rec);
     let mut depth = 0;
-    rec.alloc_hwm("graphmat.bfs.values", n as u64 * 8);
+    let mut acc = accumulator::<BfsProgram>(rec, "graphmat.bfs.values+accum", n);
     while !active.is_empty() {
         depth += 1;
         let prog = BfsProgram { depth };
-        let (next, stats) = run_iteration(&prog, &[a], &active, &mut values, pool);
+        let (next, stats) = run_iteration(&prog, &[a], &active, &mut values, &mut acc, pool);
         charge(&mut log, &stats);
         // SpMSpV pushes along out-edge columns of the active set.
         if log.iteration(pool, depth, active.len() as u64, Dir::Push).is_break() {
@@ -119,10 +135,10 @@ pub fn sssp(a: &Dcsc, n: usize, params: &RunParams<'_>) -> RunOutput {
     let mut active = vec![root];
     let mut log = RunLog::new(rec);
     let mut round = 0u32;
-    rec.alloc_hwm("graphmat.sssp.dist", n as u64 * 4);
+    let mut acc = accumulator::<SsspProgram>(rec, "graphmat.sssp.dist+accum", n);
     while !active.is_empty() {
         round += 1;
-        let (next, stats) = run_iteration(&SsspProgram, &[a], &active, &mut dist, pool);
+        let (next, stats) = run_iteration(&SsspProgram, &[a], &active, &mut dist, &mut acc, pool);
         charge(&mut log, &stats);
         if log.iteration(pool, round, active.len() as u64, Dir::Push).is_break() {
             break;
@@ -288,9 +304,10 @@ pub fn cdlp(a: &Dcsc, at: &Dcsc, n: usize, params: &RunParams<'_>, iterations: u
     let pool = params.pool;
     let mut labels: Vec<u64> = (0..n as u64).collect();
     let all: Vec<VertexId> = (0..n as VertexId).collect();
+    let mut acc = accumulator::<CdlpProgram>(params.recorder, "graphmat.cdlp.labels+accum", n);
     let mut log = RunLog::new(params.recorder);
     for round in 0..iterations {
-        let (_, stats) = run_iteration(&CdlpProgram, &[a, at], &all, &mut labels, pool);
+        let (_, stats) = run_iteration(&CdlpProgram, &[a, at], &all, &mut labels, &mut acc, pool);
         charge(&mut log, &stats);
         if log.iteration(pool, round + 1, n as u64, Dir::Push).is_break() {
             break;
@@ -333,11 +350,13 @@ pub fn wcc(a: &Dcsc, at: &Dcsc, n: usize, params: &RunParams<'_>) -> RunOutput {
     let pool = params.pool;
     let mut comp: Vec<u64> = (0..n as u64).collect();
     let mut active: Vec<VertexId> = (0..n as VertexId).collect();
+    let mut acc = accumulator::<WccProgram>(params.recorder, "graphmat.wcc.comp+accum", n);
     let mut log = RunLog::new(params.recorder);
     let mut round = 0u32;
     while !active.is_empty() {
         round += 1;
-        let (next, stats) = run_iteration(&WccProgram, &[a, at], &active, &mut comp, pool);
+        let (next, stats) =
+            run_iteration(&WccProgram, &[a, at], &active, &mut comp, &mut acc, pool);
         charge(&mut log, &stats);
         if log.iteration(pool, round, active.len() as u64, Dir::Push).is_break() {
             break;

@@ -68,11 +68,25 @@ impl Dcsc {
         self.col_ids.len()
     }
 
+    /// Index of vertex `src`'s column among the materialized ones, if it
+    /// has one. `col_ids` is ascending and distinct, so a column's index
+    /// never exceeds its id: the first probe lands at `min(src, len - 1)`
+    /// — a hit whenever every column up to `src` is materialized, as on
+    /// symmetrized graphs — and the binary search only runs below it.
+    pub fn col_index(&self, src: VertexId) -> Option<usize> {
+        let top = (src as usize).min(self.col_ids.len().checked_sub(1)?);
+        match self.col_ids[top].cmp(&src) {
+            std::cmp::Ordering::Equal => Some(top),
+            std::cmp::Ordering::Less => None,
+            std::cmp::Ordering::Greater => self.col_ids[..top].binary_search(&src).ok(),
+        }
+    }
+
     /// Iterates the nonzeros of the column for vertex `src`, if materialized.
     pub fn column(&self, src: VertexId) -> &[VertexId] {
-        match self.col_ids.binary_search(&src) {
-            Ok(i) => &self.row_ids[self.col_ptr[i]..self.col_ptr[i + 1]],
-            Err(_) => &[],
+        match self.col_index(src) {
+            Some(i) => &self.row_ids[self.col_ptr[i]..self.col_ptr[i + 1]],
+            None => &[],
         }
     }
 
@@ -158,6 +172,39 @@ mod tests {
         assert_eq!(m.column(4), &[0, 2, 5]);
         assert_eq!(m.column(1), &[] as &[VertexId]);
         assert_eq!(m.column(5), &[] as &[VertexId]);
+    }
+
+    #[test]
+    fn col_index_probes_at_the_id_then_searches_below() {
+        // Columns 2, 3, 7, 9 of a 12-vertex matrix: indices 0..4.
+        let el = EdgeList::new(12, vec![(2, 0), (3, 0), (7, 1), (9, 11), (9, 4)]);
+        let m = Dcsc::from_edge_list(&el);
+        assert_eq!(m.col_ids, vec![2, 3, 7, 9]);
+        for (i, &c) in m.col_ids.iter().enumerate() {
+            assert_eq!(m.col_index(c), Some(i), "stored column {c}");
+        }
+        assert_eq!(m.col_index(9), Some(3)); // last column, id >= len
+        assert_eq!(m.col_index(0), None); // below the stored ids
+        assert_eq!(m.col_index(1), None);
+        assert_eq!(m.col_index(5), None); // between, id >= len
+        assert_eq!(m.col_index(8), None);
+        assert_eq!(m.col_index(10), None); // above
+        assert_eq!(m.col_index(VertexId::MAX), None);
+        // Every column materialized: the first probe is the answer.
+        let full = Dcsc::from_edge_list(&EdgeList::new(3, vec![(0, 1), (1, 2), (2, 0)]));
+        assert_eq!(
+            (0..4).map(|v| full.col_index(v)).collect::<Vec<_>>(),
+            [Some(0), Some(1), Some(2), None]
+        );
+        // A hole below the id, inside the index range: columns 0, 2, 3.
+        let holed = Dcsc::from_edge_list(&EdgeList::new(4, vec![(0, 1), (2, 1), (3, 1)]));
+        assert_eq!(
+            (0..4).map(|v| holed.col_index(v)).collect::<Vec<_>>(),
+            [Some(0), None, Some(1), Some(2)]
+        );
+        let empty = Dcsc::from_edge_list(&EdgeList::new(4, vec![]));
+        assert_eq!(empty.col_index(0), None);
+        assert_eq!(empty.col_index(3), None);
     }
 
     #[test]

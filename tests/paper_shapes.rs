@@ -150,7 +150,15 @@ fn projected_scaling_shapes_match_figures_5_and_6() {
 
 /// Fig. 9 / Table III: the energy model reproduces "the fastest code is
 /// also the most energy efficient" — energy per root tracks kernel time
-/// across engines.
+/// across engines. Energy is average power × time. The all-parallel traces
+/// (GAP, Graph500, GraphBIG) draw the same ~141 W at 32 threads, so among
+/// them the time order is the energy order; GraphMat's serial sections
+/// idle 31 of the 32 threads (92 W here, 78 W when a loaded host slows
+/// them), so it can finish behind an engine and still use less energy.
+/// Every pair is therefore held to the time order except a slower GraphMat
+/// against an engine other than the fastest, and the claim that licenses
+/// the exception — Table III's "GraphMat draws the lowest power" — is
+/// asserted itself.
 #[test]
 fn energy_tracks_runtime_across_engines() {
     let ds = kron(10, false, 10);
@@ -161,17 +169,32 @@ fn energy_tracks_runtime_across_engines() {
     };
     let result = run_experiment(&cfg, &ds);
     let model = MachineModel::paper_machine();
-    let mut pairs = Vec::new();
+    let mut runs = Vec::new();
     for kind in [EngineKind::Gap, EngineKind::Graph500, EngineKind::GraphBig, EngineKind::GraphMat]
     {
         let run = result.runs.iter().find(|r| r.engine == kind).unwrap();
         let rate = model.calibrate_rate(&run.output.trace, run.seconds.max(1e-6));
         let rep = model.energy(&run.output.trace, rate, 32);
-        pairs.push((rep.duration_s, rep.total_j()));
+        runs.push((kind, rep.duration_s, rep.total_j()));
     }
-    pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
-    for w in pairs.windows(2) {
-        assert!(w[0].1 <= w[1].1 * 1.05, "faster run used more energy: {:?}", pairs);
+    runs.sort_by(|a, b| a.1.total_cmp(&b.1));
+    for (i, &(_, _, fast_j)) in runs.iter().enumerate() {
+        for &(slow, _, slow_j) in &runs[i + 1..] {
+            if slow == EngineKind::GraphMat && i > 0 {
+                continue;
+            }
+            assert!(fast_j <= slow_j * 1.05, "faster run used more energy: {runs:?}");
+        }
+    }
+    let watts = |kind| {
+        let &(_, s, j) = runs.iter().find(|r| r.0 == kind).unwrap();
+        j / s
+    };
+    for other in [EngineKind::Gap, EngineKind::Graph500, EngineKind::GraphBig] {
+        assert!(
+            watts(EngineKind::GraphMat) < watts(other),
+            "GraphMat should draw the lowest average power: {runs:?}"
+        );
     }
 }
 
