@@ -4,8 +4,33 @@
 //! structural properties of the returned parent tree. The Graph500 engine
 //! runs these after every root; integration tests run them against every
 //! engine's BFS output.
+//!
+//! # Algorithm
+//!
+//! [`validate_bfs_tree`] is linear in vertices plus edges:
+//!
+//! 1. **Levels** (serial, O(n)): every vertex with a parent walks up to the
+//!    first vertex whose level is known, through one reused path buffer,
+//!    and the path is labelled on the way back down.
+//! 2. **Edge scan** (O(m), the only part [`validate_bfs_tree_parallel`]
+//!    spreads over the pool): each edge `(u, v)` is checked against rules
+//!    4 and 5, and `v` is flagged when `parent[v] == u` — the tree edge
+//!    `parent[v] -> v` exists in the graph.
+//! 3. **Vertex pass** (serial, O(n)): a reached vertex whose flag is unset
+//!    has a phantom tree edge (rule 2); its level must be its parent's
+//!    plus one (rule 3).
+//!
+//! # Error precedence
+//!
+//! One input has one verdict, whichever driver and thread count produced
+//! it: [`ValidationError::BadRoot`]; else the `BrokenTree` of the lowest
+//! start vertex whose walk fails; else the `PhantomEdge` / `LevelSkew` of
+//! the lowest vertex; else the first `EdgeSpansLevels` / `Unreached` in
+//! ascending `(u, position in u's adjacency)`.
 
 use crate::{Csr, EdgeList, VertexId, Weight, INF_DIST, NO_VERTEX};
+use epg_parallel::{Schedule, ThreadPool};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A validation failure, identifying which spec rule was violated.
 #[derive(Clone, Debug, PartialEq)]
@@ -66,28 +91,102 @@ impl std::error::Error for ValidationError {}
 
 /// Validates a BFS parent array against the (assumed symmetric) graph,
 /// per the Graph500 Benchmark 1 validation rules. `parent[root]` must be
-/// `root` or `NO_VERTEX`.
+/// `root` or `NO_VERTEX`; an out-of-range `root` is a
+/// [`ValidationError::BadRoot`].
 pub fn validate_bfs_tree(
     g: &Csr,
     root: VertexId,
     parent: &[VertexId],
 ) -> Result<(), ValidationError> {
-    let n = g.num_vertices();
-    assert_eq!(parent.len(), n, "parent array length mismatch");
-    if parent[root as usize] != root && parent[root as usize] != NO_VERTEX {
-        return Err(ValidationError::BadRoot);
-    }
+    check_tree(g, root, parent, |scan| scan.range(0, g.num_vertices()))
+}
 
-    // Derive levels by walking up parents, with path lengths bounded by n
-    // (cycle detection). Memoized via level array.
+/// [`validate_bfs_tree`] with the edge scan spread over `pool`; the same
+/// verdict at every thread count. A cancel token that trips on the pool
+/// abandons ranges of the scan, so the verdict of a cancelled pool means
+/// nothing — callers running under a token check `pool.is_cancelled()`.
+pub fn validate_bfs_tree_parallel(
+    g: &Csr,
+    root: VertexId,
+    parent: &[VertexId],
+    pool: &ThreadPool,
+) -> Result<(), ValidationError> {
+    check_tree(g, root, parent, |scan| {
+        pool.parallel_reduce_ranges(
+            g.num_vertices(),
+            Schedule::Guided { min_chunk: 64 },
+            || None,
+            |lo, hi| scan.range(lo, hi),
+            // Ranges are disjoint in `u`, so the lowest `u` is the first
+            // fault of the serial scan.
+            |a, b| [a, b].into_iter().flatten().min_by_key(|&(u, _)| u),
+        )
+    })
+}
+
+/// The first rule-4/5 violation of an edge scan, with the source vertex of
+/// the offending edge (the reduction's key).
+type EdgeFault = Option<(VertexId, ValidationError)>;
+
+/// The per-range kernel both drivers run.
+struct EdgeScan<'a> {
+    g: &'a Csr,
+    parent: &'a [VertexId],
+    level: &'a [u32],
+    /// `in_graph[v]`: the scan met the edge `parent[v] -> v`.
+    in_graph: &'a [AtomicBool],
+}
+
+impl EdgeScan<'_> {
+    /// Scans the out-edges of `lo..hi`. Flags are marked for the whole
+    /// range even past its first fault: the vertex pass outranks it.
+    fn range(&self, lo: usize, hi: usize) -> EdgeFault {
+        let mut fault = None;
+        for u in lo as VertexId..hi as VertexId {
+            let lu = self.level[u as usize];
+            for &v in self.g.neighbors(u) {
+                if self.parent[v as usize] == u {
+                    // Relaxed: the flag publishes nothing but itself, and
+                    // the region join orders it before the vertex pass.
+                    self.in_graph[v as usize].store(true, Ordering::Relaxed);
+                }
+                if fault.is_some() {
+                    continue;
+                }
+                // Rule 4: graph edges connect vertices whose levels differ
+                // by <= 1, and (rule 5) never reached with unreached.
+                let lv = self.level[v as usize];
+                match (lu == u32::MAX, lv == u32::MAX) {
+                    (true, true) => {}
+                    (false, false) => {
+                        if lu.abs_diff(lv) > 1 {
+                            fault = Some((u, ValidationError::EdgeSpansLevels { src: u, dst: v }));
+                        }
+                    }
+                    _ => {
+                        let vertex = if lu == u32::MAX { u } else { v };
+                        fault = Some((u, ValidationError::Unreached { vertex }));
+                    }
+                }
+            }
+        }
+        fault
+    }
+}
+
+/// Derives levels by walking up parents to the first vertex with a known
+/// level. A walk longer than `n` has met a cycle.
+fn derive_levels(root: VertexId, parent: &[VertexId]) -> Result<Vec<u32>, ValidationError> {
+    let n = parent.len();
     let mut level = vec![u32::MAX; n];
     level[root as usize] = 0;
+    let mut path = Vec::new();
     for v0 in 0..n as VertexId {
         if parent[v0 as usize] == NO_VERTEX || level[v0 as usize] != u32::MAX {
             continue;
         }
-        // Walk up to a vertex with a known level.
-        let mut path = vec![v0];
+        path.clear();
+        path.push(v0);
         let mut v = v0;
         loop {
             let p = parent[v as usize];
@@ -109,6 +208,26 @@ pub fn validate_bfs_tree(
             level[u as usize] = l;
         }
     }
+    Ok(level)
+}
+
+/// The validation both drivers share; `drive` runs the edge scan over
+/// `0..n` its own way and returns the fault with the lowest source.
+fn check_tree(
+    g: &Csr,
+    root: VertexId,
+    parent: &[VertexId],
+    drive: impl FnOnce(&EdgeScan<'_>) -> EdgeFault,
+) -> Result<(), ValidationError> {
+    let n = g.num_vertices();
+    assert_eq!(parent.len(), n, "parent array length mismatch");
+    match parent.get(root as usize) {
+        Some(&p) if p == root || p == NO_VERTEX => {}
+        _ => return Err(ValidationError::BadRoot),
+    }
+    let level = derive_levels(root, parent)?;
+    let in_graph: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
+    let fault = drive(&EdgeScan { g, parent, level: &level, in_graph: &in_graph });
 
     // Rule 2 + 3: every tree edge exists and connects consecutive levels.
     for v in 0..n as VertexId {
@@ -116,45 +235,31 @@ pub fn validate_bfs_tree(
         if p == NO_VERTEX || v == root {
             continue;
         }
-        if !g.neighbors(p).contains(&v) {
+        if !in_graph[v as usize].load(Ordering::Relaxed) {
             return Err(ValidationError::PhantomEdge { vertex: v, parent: p });
         }
         if level[v as usize] != level[p as usize] + 1 {
             return Err(ValidationError::LevelSkew { vertex: v });
         }
     }
-
-    // Rule 4: graph edges connect vertices whose levels differ by <= 1,
-    // and never connect reached with unreached.
-    for u in 0..n as VertexId {
-        for &v in g.neighbors(u) {
-            let (lu, lv) = (level[u as usize], level[v as usize]);
-            match (lu == u32::MAX, lv == u32::MAX) {
-                (true, true) => {}
-                (false, false) => {
-                    if lu.abs_diff(lv) > 1 {
-                        return Err(ValidationError::EdgeSpansLevels { src: u, dst: v });
-                    }
-                }
-                _ => {
-                    return Err(ValidationError::Unreached {
-                        vertex: if lu == u32::MAX { u } else { v },
-                    })
-                }
-            }
-        }
-    }
-    Ok(())
+    fault.map_or(Ok(()), |(_, e)| Err(e))
 }
 
 /// Validates SSSP distances against relaxation optimality: `dist[root] == 0`
 /// and no edge can further relax any distance; reached/unreached must agree
-/// with graph connectivity from the root.
+/// with graph connectivity from the root. A `dist` of the wrong length or an
+/// out-of-range `root` is an `Err`.
 pub fn validate_sssp_distances(g: &Csr, root: VertexId, dist: &[Weight]) -> Result<(), String> {
-    if dist[root as usize] != 0.0 {
-        return Err(format!("dist[root] = {} != 0", dist[root as usize]));
+    let n = g.num_vertices();
+    if dist.len() != n {
+        return Err(format!("{} distances for {n} vertices", dist.len()));
     }
-    for u in 0..g.num_vertices() as VertexId {
+    match dist.get(root as usize) {
+        None => return Err(format!("root {root} out of range for {n} vertices")),
+        Some(&d) if d != 0.0 => return Err(format!("dist[root] = {d} != 0")),
+        Some(_) => {}
+    }
+    for u in 0..n as VertexId {
         if dist[u as usize] == INF_DIST {
             continue;
         }
@@ -259,6 +364,65 @@ mod tests {
         let mut bad = d.clone();
         bad[3] = 100.0;
         assert!(validate_sssp_distances(&g, 0, &bad).is_err());
+    }
+
+    #[test]
+    fn out_of_range_root_is_a_bad_root() {
+        let g = ring(4);
+        let r = oracle::bfs(&g, 0);
+        assert_eq!(validate_bfs_tree(&g, 4, &r.parent), Err(ValidationError::BadRoot));
+        assert_eq!(validate_bfs_tree(&g, NO_VERTEX, &r.parent), Err(ValidationError::BadRoot));
+    }
+
+    #[test]
+    fn empty_graph_has_no_valid_root() {
+        let g = Csr::from_edge_list(&EdgeList::new(0, Vec::new()));
+        assert_eq!(validate_bfs_tree(&g, 0, &[]), Err(ValidationError::BadRoot));
+        let pool = ThreadPool::new(2);
+        assert_eq!(validate_bfs_tree_parallel(&g, 0, &[], &pool), Err(ValidationError::BadRoot));
+    }
+
+    /// A hub whose adjacency lists its 2^15 leaves in scattered order: a
+    /// per-child search of the hub's list made this case quadratic.
+    #[test]
+    fn shuffled_star_validates_and_names_its_phantom_edge() {
+        const LEAVES: VertexId = 1 << 15;
+        // An odd multiplier permutes 0..2^15.
+        let edges: Vec<_> = (0..LEAVES).map(|i| (0, 1 + i * 40_503 % LEAVES)).collect();
+        let g = Csr::from_edge_list(&EdgeList::new(LEAVES as usize + 1, edges).symmetrized());
+        let pool = ThreadPool::new(3);
+        let mut parent = oracle::bfs(&g, 0).parent;
+        assert_eq!(validate_bfs_tree(&g, 0, &parent), Ok(()));
+        assert_eq!(validate_bfs_tree_parallel(&g, 0, &parent, &pool), Ok(()));
+        // Leaf 9 claims leaf 5 for a parent; leaves share no edge.
+        parent[9] = 5;
+        let phantom = Err(ValidationError::PhantomEdge { vertex: 9, parent: 5 });
+        assert_eq!(validate_bfs_tree(&g, 0, &parent), phantom);
+        assert_eq!(validate_bfs_tree_parallel(&g, 0, &parent, &pool), phantom);
+    }
+
+    #[test]
+    fn sssp_out_of_range_root_is_an_error() {
+        let g = ring(4);
+        let d = oracle::dijkstra(&g, 0);
+        assert!(validate_sssp_distances(&g, 4, &d).is_err());
+        let empty = Csr::from_edge_list(&EdgeList::new(0, Vec::new()));
+        assert!(validate_sssp_distances(&empty, 0, &[]).is_err());
+    }
+
+    #[test]
+    fn sssp_short_distance_array_is_an_error() {
+        let g = ring(4);
+        let d = oracle::dijkstra(&g, 0);
+        assert!(validate_sssp_distances(&g, 0, &d[..3]).is_err());
+    }
+
+    #[test]
+    fn sssp_long_distance_array_is_an_error() {
+        let g = ring(4);
+        let mut d = oracle::dijkstra(&g, 0);
+        d.push(0.0);
+        assert!(validate_sssp_distances(&g, 0, &d).is_err());
     }
 
     #[test]

@@ -467,3 +467,170 @@ proptest! {
         prop_assert!(fewer <= full, "{} > {}", fewer, full);
     }
 }
+
+// ---------------------------------------------------------------------------
+// BFS-tree validation: the linear-time validator and its pool driver must
+// return the verdict of the quadratic validator they replaced — same
+// variant, same vertex — for every tree, sound or corrupted.
+// ---------------------------------------------------------------------------
+
+use epg_graph::validate::ValidationError;
+use epg_graph::NO_VERTEX;
+
+/// The validator as it stood before the linear-time rewrite (a neighbour
+/// list search per tree edge, three serial passes), kept as the reference.
+/// Its one edit is the root range check, which the rewrite added: the
+/// original indexed `parent[root]` unchecked.
+fn reference_validate_bfs_tree(
+    g: &Csr,
+    root: VertexId,
+    parent: &[VertexId],
+) -> Result<(), ValidationError> {
+    let n = g.num_vertices();
+    assert_eq!(parent.len(), n, "parent array length mismatch");
+    if root as usize >= n {
+        return Err(ValidationError::BadRoot);
+    }
+    if parent[root as usize] != root && parent[root as usize] != NO_VERTEX {
+        return Err(ValidationError::BadRoot);
+    }
+
+    let mut level = vec![u32::MAX; n];
+    level[root as usize] = 0;
+    for v0 in 0..n as VertexId {
+        if parent[v0 as usize] == NO_VERTEX || level[v0 as usize] != u32::MAX {
+            continue;
+        }
+        let mut path = vec![v0];
+        let mut v = v0;
+        loop {
+            let p = parent[v as usize];
+            if p == NO_VERTEX || p as usize >= n {
+                return Err(ValidationError::BrokenTree { vertex: v });
+            }
+            if level[p as usize] != u32::MAX {
+                break;
+            }
+            if path.len() > n {
+                return Err(ValidationError::BrokenTree { vertex: v0 });
+            }
+            path.push(p);
+            v = p;
+        }
+        let mut l = level[parent[v as usize] as usize];
+        for &u in path.iter().rev() {
+            l += 1;
+            level[u as usize] = l;
+        }
+    }
+
+    for v in 0..n as VertexId {
+        let p = parent[v as usize];
+        if p == NO_VERTEX || v == root {
+            continue;
+        }
+        if !g.neighbors(p).contains(&v) {
+            return Err(ValidationError::PhantomEdge { vertex: v, parent: p });
+        }
+        if level[v as usize] != level[p as usize] + 1 {
+            return Err(ValidationError::LevelSkew { vertex: v });
+        }
+    }
+
+    for u in 0..n as VertexId {
+        for &v in g.neighbors(u) {
+            let (lu, lv) = (level[u as usize], level[v as usize]);
+            match (lu == u32::MAX, lv == u32::MAX) {
+                (true, true) => {}
+                (false, false) => {
+                    if lu.abs_diff(lv) > 1 {
+                        return Err(ValidationError::EdgeSpansLevels { src: u, dst: v });
+                    }
+                }
+                _ => {
+                    return Err(ValidationError::Unreached {
+                        vertex: if lu == u32::MAX { u } else { v },
+                    })
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// One way to damage a parent array; `a` and `b` pick vertices modulo `n`.
+#[derive(Clone, Copy, Debug)]
+enum Corruption {
+    Unreach(u32),
+    Reparent(u32, u32),
+    OutOfRange(u32, u32),
+    TwoCycle(u32, u32),
+    RootEntry(u32),
+}
+
+fn arb_corruption() -> impl Strategy<Value = Corruption> {
+    (0u8..5, 0u32..1000, 0u32..1000).prop_map(|(kind, a, b)| match kind {
+        0 => Corruption::Unreach(a),
+        1 => Corruption::Reparent(a, b),
+        2 => Corruption::OutOfRange(a, b),
+        3 => Corruption::TwoCycle(a, b),
+        _ => Corruption::RootEntry(b),
+    })
+}
+
+/// Strategy: a graph (directed or symmetrized, self-loops and multi-edges
+/// kept), a root, and the oracle's BFS tree from it with 0-3 corruptions
+/// applied. Half the graphs have 0..=40 vertices, where corruptions collide;
+/// half have enough for the pool driver's guided schedule (64-vertex floor)
+/// to split the edge scan into several ranges.
+fn arb_validation_case() -> impl Strategy<Value = (Csr, VertexId, Vec<VertexId>)> {
+    (
+        prop_oneof![0usize..=40, 65usize..=400],
+        proptest::collection::vec((0u32..1000, 0u32..1000), 0..1200),
+        0u8..2,
+        0u32..1000,
+        proptest::collection::vec(arb_corruption(), 0..=3),
+    )
+        .prop_map(|(n, picks, symmetrize, root, corruptions)| {
+            if n == 0 {
+                return (Csr::from_edge_list(&EdgeList::new(0, Vec::new())), root, Vec::new());
+            }
+            let m = n as u32;
+            let el = EdgeList::new(n, picks.into_iter().map(|(u, v)| (u % m, v % m)).collect());
+            let g = Csr::from_edge_list(&if symmetrize == 1 { el.symmetrized() } else { el });
+            let root = root % m;
+            let mut parent = oracle::bfs(&g, root).parent;
+            for c in corruptions {
+                match c {
+                    Corruption::Unreach(a) => parent[(a % m) as usize] = NO_VERTEX,
+                    Corruption::Reparent(a, b) => parent[(a % m) as usize] = b % m,
+                    Corruption::OutOfRange(a, b) => parent[(a % m) as usize] = m + b,
+                    Corruption::TwoCycle(a, b) => {
+                        parent[(a % m) as usize] = b % m;
+                        parent[(b % m) as usize] = a % m;
+                    }
+                    Corruption::RootEntry(b) => parent[root as usize] = b % m,
+                }
+            }
+            (g, root, parent)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn linear_validator_matches_the_quadratic_reference(case in arb_validation_case()) {
+        let (g, root, parent) = case;
+        let want = reference_validate_bfs_tree(&g, root, &parent);
+        prop_assert_eq!(&validate::validate_bfs_tree(&g, root, &parent), &want);
+        for threads in [1, 2, 3, 7] {
+            let pool = ThreadPool::new(threads);
+            prop_assert_eq!(
+                &validate::validate_bfs_tree_parallel(&g, root, &parent, &pool),
+                &want,
+                "{} threads", threads
+            );
+        }
+    }
+}

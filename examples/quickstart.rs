@@ -31,7 +31,7 @@ fn main() {
     for &root in ds.roots.iter().take(4) {
         let out = engine.run(Algorithm::Bfs, &RunParams::new(&pool, Some(root)));
         let AlgorithmResult::BfsTree { parent, level } = &out.result else { unreachable!() };
-        epg::graph::validate::validate_bfs_tree(&csr, root, parent)
+        epg::graph::validate::validate_bfs_tree_parallel(&csr, root, parent, &pool)
             .expect("BFS tree failed Graph500-style validation");
         let reached = level.iter().filter(|&&l| l != u32::MAX).count();
         println!(
