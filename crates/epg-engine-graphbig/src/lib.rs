@@ -3,10 +3,14 @@
 //! Models GraphBIG (Nai et al., SC'15), the IBM System G-derived benchmark
 //! suite built on the `openG` property-graph framework (§III-C item 3):
 //!
-//! - storage is a **vector of vertex objects**, each owning adjacency and
-//!   property records ([`epg_graph::adjacency::PropertyGraph`]) — more
-//!   pointer chasing and per-vertex overhead than the flat CSR engines,
-//!   which is part of why GraphBIG shows "the widest variation" (§IV-C);
+//! - storage is a **vector of vertex objects**, each owning linked
+//!   adjacency lists and an inline property record
+//!   ([`epg_graph::adjacency::PropertyGraph`]): every neighbour costs a
+//!   dependent load through the list's `next` link and every vertex a fat
+//!   record, which the flat CSR engines do not pay and which is part of why
+//!   GraphBIG shows "the widest variation" (§IV-C). Each vertex's list
+//!   cells sit together, as in a container the vertex owns — cell placement
+//!   is storage, not model, and is the same for out- and in-lists;
 //! - kernels are vertex-centric loops under **dynamic** OpenMP scheduling;
 //! - the input file is parsed and the graph built **simultaneously**, so
 //!   read and construction cannot be timed apart (§III-B) — the paper omits
@@ -21,6 +25,9 @@ mod extensions;
 mod ranking;
 mod topology;
 mod traversal;
+
+#[cfg(test)]
+mod build_parity;
 
 use epg_engine_api::{logfmt::LogStyle, Algorithm, Engine, EngineInfo, RunOutput, RunParams};
 use epg_graph::adjacency::PropertyGraph;
@@ -71,17 +78,13 @@ impl Engine for GraphBigEngine {
     }
 
     fn load_file(&mut self, path: &Path, pool: &ThreadPool) -> std::io::Result<()> {
-        // openG streams the text file into the structure in one pass. The
-        // text parse itself is the chunked zero-copy scanner; the insert
-        // loop stays serial because the property graph mutates shared
-        // per-vertex objects.
+        // openG builds the structure while it reads the file, so the build
+        // belongs to the load. The text parse is the chunked zero-copy
+        // scanner; the build is the property graph's own serial bulk build,
+        // the same one `construct` uses for a staged edge list.
         let el = ingest::read_snap_file_parallel(path, pool)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        let mut g = PropertyGraph::with_vertices(el.num_vertices);
-        for (u, v, w) in el.iter() {
-            g.add_edge(u, v, w);
-        }
-        self.graph = Some(g);
+        self.graph = Some(PropertyGraph::from_edge_list(&el));
         self.staged = None;
         Ok(())
     }

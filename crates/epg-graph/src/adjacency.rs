@@ -6,10 +6,18 @@
 //! graph can mutate dynamically. The pointer-chasing this causes is a real
 //! architectural property the paper's comparison exposes (GraphBIG's wide
 //! performance variation and its slow kernels at scale, §IV-C), so we
-//! reproduce it with arena-backed linked lists rather than aliasing CSR:
-//! per-vertex edge chains thread through shared arenas in global insertion
-//! order, so traversing one vertex's list hops around memory exactly the
-//! way a node-based `std::list` does.
+//! reproduce it with arena-backed linked lists rather than aliasing CSR.
+//!
+//! What is modelled is the list walk and the fat vertex record: every
+//! traversal follows `next` from the vertex's head, one dependent load per
+//! edge, and a vertex carries its list ends, degrees and properties inline.
+//! Where the cells sit is *not* part of the model. openG's vertex objects
+//! own their edge containers, so neither direction's list is scattered by
+//! the order edges arrived in: [`PropertyGraph::from_edge_list`] places each
+//! vertex's cells in one run of the arena, in list order, for out- and
+//! in-lists alike. [`PropertyGraph::add_edge`] is the dynamic-mutation path:
+//! it appends one cell at the arena's end and links it from the list's tail,
+//! before or after a bulk build, and never moves an existing cell.
 
 use crate::{EdgeList, VertexId, Weight};
 
@@ -33,7 +41,7 @@ pub struct VertexProperty {
 }
 
 /// One out-edge list node.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 struct EdgeCell {
     target: VertexId,
     weight: Weight,
@@ -41,14 +49,14 @@ struct EdgeCell {
 }
 
 /// One in-edge list node.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 struct InCell {
     source: VertexId,
     next: u32,
 }
 
 /// One vertex record: properties plus linked-list heads/tails.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct VertexRecord {
     out_head: u32,
     out_tail: u32,
@@ -75,7 +83,7 @@ impl Default for VertexRecord {
 }
 
 /// The property graph: a vector of vertex objects over edge arenas.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default)]
 pub struct PropertyGraph {
     /// All vertex records, indexed by `VertexId`.
     pub vertices: Vec<VertexRecord>,
@@ -93,12 +101,13 @@ impl PropertyGraph {
         }
     }
 
-    /// Inserts one directed edge. openG ingests edges one at a time while
-    /// streaming the input file — which is exactly why GraphBIG's file-read
-    /// and construction phases cannot be separated (§III-B). Insertion
-    /// order is preserved per vertex (appended at the list tail).
+    /// Inserts one directed edge: openG's dynamic-mutation path, usable on
+    /// an empty graph or after a bulk build. The new cells go at the arenas'
+    /// ends and are linked from the two lists' tails, so insertion order is
+    /// preserved per vertex and no existing cell moves.
     pub fn add_edge(&mut self, src: VertexId, dst: VertexId, w: Weight) {
-        let cell = self.out_arena.len() as u32;
+        // One edge is one cell in each arena, so both cells share an index.
+        let cell = cell_index(self.out_arena.len());
         self.out_arena.push(EdgeCell { target: dst, weight: w, next: NIL });
         let rec = &mut self.vertices[src as usize];
         if rec.out_tail == NIL {
@@ -109,7 +118,6 @@ impl PropertyGraph {
         rec.out_tail = cell;
         rec.out_degree += 1;
 
-        let cell = self.in_arena.len() as u32;
         self.in_arena.push(InCell { source: src, next: NIL });
         let rec = &mut self.vertices[dst as usize];
         if rec.in_tail == NIL {
@@ -121,14 +129,50 @@ impl PropertyGraph {
         rec.in_degree += 1;
     }
 
-    /// Builds from an edge list (used by tests and oracles; the GraphBIG
-    /// engine itself streams from its homogenized file).
+    /// Builds the graph from a whole edge list — what the GraphBIG engine
+    /// does with its parsed input file, which is why its file read and
+    /// construction cannot be timed apart (§III-B). A stable two-pass
+    /// counting build: degrees are counted into the vertex records and
+    /// prefix-summed into list heads, then every edge's two cells are placed
+    /// at their vertices' cursors. Each list is therefore one contiguous run
+    /// of its arena, in the same per-vertex order `add_edge` × m would give.
     pub fn from_edge_list(el: &EdgeList) -> PropertyGraph {
-        let mut g = PropertyGraph::with_vertices(el.num_vertices);
-        for (u, v, w) in el.iter() {
-            g.add_edge(u, v, w);
+        let m = el.num_edges();
+        cell_index(m); // the cursors below count up to `m`
+        let mut vertices = vec![VertexRecord::default(); el.num_vertices];
+        for &(u, v) in &el.edges {
+            vertices[u as usize].out_degree += 1;
+            vertices[v as usize].in_degree += 1;
         }
-        g
+        let (mut out_at, mut in_at) = (0, 0);
+        for rec in &mut vertices {
+            if rec.out_degree > 0 {
+                rec.out_head = out_at;
+                out_at += rec.out_degree;
+            }
+            if rec.in_degree > 0 {
+                rec.in_head = in_at;
+                in_at += rec.in_degree;
+            }
+        }
+        let mut out_arena = vec![EdgeCell { target: 0, weight: 0.0, next: NIL }; m];
+        let mut in_arena = vec![InCell { source: 0, next: NIL }; m];
+        // `tail` is the cursor: the last cell placed so far, NIL before the
+        // first — the same meaning `add_edge` gives it.
+        for (u, v, w) in el.iter() {
+            let rec = &mut vertices[u as usize];
+            let at = if rec.out_tail == NIL { rec.out_head } else { rec.out_tail + 1 };
+            let next = if at + 1 < rec.out_head + rec.out_degree { at + 1 } else { NIL };
+            out_arena[at as usize] = EdgeCell { target: v, weight: w, next };
+            rec.out_tail = at;
+
+            let rec = &mut vertices[v as usize];
+            let at = if rec.in_tail == NIL { rec.in_head } else { rec.in_tail + 1 };
+            let next = if at + 1 < rec.in_head + rec.in_degree { at + 1 } else { NIL };
+            in_arena[at as usize] = InCell { source: u, next };
+            rec.in_tail = at;
+        }
+        PropertyGraph { vertices, out_arena, in_arena }
     }
 
     /// Number of vertices.
@@ -179,21 +223,26 @@ impl PropertyGraph {
         })
     }
 
-    /// Resets every property record (each kernel run starts clean).
-    pub fn reset_properties(&mut self) {
-        for rec in &mut self.vertices {
-            rec.prop = VertexProperty::default();
-        }
-    }
-
-    /// Approximate resident size in bytes; noticeably larger than CSR for
-    /// the same graph (list nodes carry link fields), which feeds the
-    /// machine model's memory-traffic term.
+    /// Bytes held by the vertex records and both arenas; larger than a CSR
+    /// of the same graph because every cell carries a link and every vertex
+    /// its list ends and properties. A figure for tests and reports only.
     pub fn size_bytes(&self) -> usize {
         self.vertices.len() * std::mem::size_of::<VertexRecord>()
             + self.out_arena.len() * std::mem::size_of::<EdgeCell>()
             + self.in_arena.len() * std::mem::size_of::<InCell>()
     }
+}
+
+/// The index of the cell that follows `len` existing ones. Cell indices
+/// are `u32` and `u32::MAX` marks the end of a list, so an arena that would
+/// reach it is refused instead of aliasing the sentinel or wrapping.
+fn cell_index(len: usize) -> u32 {
+    assert!(
+        len < NIL as usize,
+        "PropertyGraph cannot index cell {len}: cell indices are u32 and must stay below the \
+         end-of-list sentinel u32::MAX ({NIL})"
+    );
+    len as u32
 }
 
 #[cfg(test)]
@@ -216,21 +265,114 @@ mod tests {
     fn insertion_order_preserved_per_vertex() {
         let mut g = PropertyGraph::with_vertices(4);
         g.add_edge(0, 3, 1.0);
-        g.add_edge(1, 2, 2.0); // interleaved: arenas are globally ordered
+        g.add_edge(1, 2, 2.0); // interleaved: `add_edge` appends in arrival order
         g.add_edge(0, 1, 3.0);
         g.add_edge(0, 2, 4.0);
         assert_eq!(g.neighbors(0).collect::<Vec<_>>(), vec![(3, 1.0), (1, 3.0), (2, 4.0)]);
         assert_eq!(g.neighbors(1).collect::<Vec<_>>(), vec![(2, 2.0)]);
     }
 
+    /// What a graph *is*, wherever its cells sit: every vertex's two list
+    /// walks.
+    type Lists = Vec<(Vec<(VertexId, Weight)>, Vec<VertexId>)>;
+
+    fn lists(g: &PropertyGraph) -> Lists {
+        (0..g.num_vertices() as VertexId)
+            .map(|v| (g.neighbors(v).collect(), g.in_neighbors(v).collect()))
+            .collect()
+    }
+
     #[test]
     fn incremental_insertion_matches_bulk() {
-        let el = EdgeList::new(3, vec![(0, 1), (2, 0)]);
+        // Arrival order interleaves the lists, so the two builds place their
+        // cells differently; they must hold the same lists.
+        let el = EdgeList::new(3, vec![(2, 1), (0, 1), (2, 0), (0, 2), (2, 1)]);
         let bulk = PropertyGraph::from_edge_list(&el);
         let mut inc = PropertyGraph::with_vertices(3);
-        inc.add_edge(0, 1, 1.0);
-        inc.add_edge(2, 0, 1.0);
-        assert_eq!(bulk, inc);
+        for (u, v, w) in el.iter() {
+            inc.add_edge(u, v, w);
+        }
+        assert_ne!(bulk.vertices[2].in_head, inc.vertices[2].in_head, "placements differ");
+        assert_eq!(lists(&bulk), lists(&inc));
+        assert_eq!(lists(&bulk)[2].0, vec![(1, 1.0), (0, 1.0), (1, 1.0)]);
+        assert_eq!(lists(&bulk)[1].1, vec![2, 0, 2]);
+    }
+
+    /// Every list is `head, head + 1, …, tail` in list order.
+    fn assert_runs_contiguous(g: &PropertyGraph) {
+        let out_next: Vec<u32> = g.out_arena.iter().map(|c| c.next).collect();
+        let in_next: Vec<u32> = g.in_arena.iter().map(|c| c.next).collect();
+        for (v, rec) in g.vertices.iter().enumerate() {
+            for (head, tail, degree, next) in [
+                (rec.out_head, rec.out_tail, rec.out_degree, &out_next),
+                (rec.in_head, rec.in_tail, rec.in_degree, &in_next),
+            ] {
+                if degree == 0 {
+                    assert_eq!((head, tail), (NIL, NIL), "vertex {v}: empty list");
+                    continue;
+                }
+                assert_eq!(head + degree - 1, tail, "vertex {v}: run length");
+                for at in head..tail {
+                    assert_eq!(next[at as usize], at + 1, "vertex {v}: cell {at}");
+                }
+                assert_eq!(next[tail as usize], NIL, "vertex {v}: last cell");
+            }
+        }
+    }
+
+    #[test]
+    fn bulk_build_lays_every_list_in_one_run() {
+        // A multigraph with duplicates, self-loops and isolated vertices, in
+        // an arrival order that interleaves every list.
+        let n = 23;
+        let mut x = 0x9e37_79b9_u32;
+        let mut step = || {
+            x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            (x >> 16) % 17 // vertices 17..23 stay isolated
+        };
+        let edges: Vec<_> = (0..400).map(|_| (step(), step())).collect();
+        assert!(edges.iter().any(|&(u, v)| u == v));
+        let g = PropertyGraph::from_edge_list(&EdgeList::new(n, edges));
+        assert_runs_contiguous(&g);
+        assert_eq!(g.num_edges(), 400);
+
+        assert_runs_contiguous(&PropertyGraph::from_edge_list(&EdgeList::new(0, vec![])));
+        assert_runs_contiguous(&PropertyGraph::from_edge_list(&EdgeList::new(5, vec![])));
+    }
+
+    #[test]
+    fn add_edge_after_bulk_links_from_the_tail_and_moves_nothing() {
+        let el = EdgeList::new(4, vec![(1, 0), (0, 2), (1, 2), (0, 1)]);
+        let mut g = PropertyGraph::from_edge_list(&el);
+        let before = g.clone();
+        g.add_edge(0, 2, 7.0);
+        assert_eq!(g.neighbors(0).collect::<Vec<_>>(), vec![(2, 1.0), (1, 1.0), (2, 7.0)]);
+        assert_eq!(g.in_neighbors(2).collect::<Vec<_>>(), vec![0, 1, 0]);
+        // The new cells are at the arenas' ends; every old cell is where it
+        // was, and only the two tails' links changed.
+        assert_eq!(g.vertices[0].out_tail, 4);
+        assert_eq!(g.vertices[2].in_tail, 4);
+        for at in 0..4 {
+            assert_eq!(g.out_arena[at].target, before.out_arena[at].target);
+            assert_eq!(g.in_arena[at].source, before.in_arena[at].source);
+        }
+        for v in [1, 3] {
+            assert!(g.neighbors(v).eq(before.neighbors(v)));
+            assert!(g.in_neighbors(v).eq(before.in_neighbors(v)));
+        }
+    }
+
+    #[test]
+    fn cell_index_stops_short_of_the_sentinel() {
+        // Stub lengths stand in for a four-billion-edge arena: this is the
+        // check `from_edge_list` makes on `m` and `add_edge` on each cell.
+        assert_eq!(cell_index(0), 0);
+        assert_eq!(cell_index(NIL as usize - 1), NIL - 1);
+        for len in [NIL as usize, usize::MAX] {
+            let err = std::panic::catch_unwind(|| cell_index(len)).unwrap_err();
+            let msg = err.downcast_ref::<String>().expect("formatted panic message");
+            assert!(msg.contains("u32::MAX") && msg.contains(&len.to_string()), "{msg}");
+        }
     }
 
     #[test]
@@ -240,16 +382,6 @@ mod tests {
         assert_eq!(g.out_degree(0), 2);
         assert_eq!(g.in_degree(0), 3);
         assert_eq!(g.in_neighbors(0).collect::<Vec<_>>(), vec![3, 4, 1]);
-    }
-
-    #[test]
-    fn reset_clears_properties() {
-        let mut g = PropertyGraph::from_edge_list(&EdgeList::new(2, vec![(0, 1)]));
-        g.vertices[0].prop.value = 42.0;
-        g.vertices[1].prop.active = true;
-        g.reset_properties();
-        assert_eq!(g.vertices[0].prop, VertexProperty::default());
-        assert_eq!(g.vertices[1].prop, VertexProperty::default());
     }
 
     #[test]

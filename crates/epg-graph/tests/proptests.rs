@@ -634,3 +634,80 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Property graph builds: the bulk counting build and edge-at-a-time insertion
+// place their list cells differently and must hold the same lists — every
+// vertex's out- and in-edges in arrival order. (That each bulk-built list is
+// one contiguous run is checked beside the private fields, in
+// `adjacency::tests`.)
+// ---------------------------------------------------------------------------
+
+use epg_graph::adjacency::PropertyGraph;
+use epg_graph::Weight;
+
+/// Strategy: a weighted multigraph dense in duplicates and self-loops (at
+/// most 12 connected vertices), with up to 3 isolated vertices on top;
+/// `n = 0` and `m = 0` both occur.
+fn arb_multigraph() -> impl Strategy<Value = EdgeList> {
+    let raw_edges = proptest::collection::vec(((0u32..1000, 0u32..1000), 0.01f32..10.0), 0..120);
+    (0u32..=12, 0usize..=3, raw_edges).prop_map(|(n, isolated, raw)| {
+        let (edges, weights) = match n {
+            0 => (Vec::new(), Vec::new()),
+            _ => raw.into_iter().map(|((u, v), w)| ((u % n, v % n), w)).unzip(),
+        };
+        EdgeList::weighted(n as usize + isolated, edges, weights)
+    })
+}
+
+/// `g` holds exactly `el`: per vertex, degrees and both list walks equal the
+/// edge list filtered in arrival order, weights included.
+fn assert_holds_lists_of(g: &PropertyGraph, el: &EdgeList) -> Result<(), TestCaseError> {
+    prop_assert_eq!(g.num_vertices(), el.num_vertices);
+    prop_assert_eq!(g.num_edges(), el.num_edges());
+    for x in 0..el.num_vertices as VertexId {
+        let out: Vec<(VertexId, Weight)> =
+            el.iter().filter(|&(u, _, _)| u == x).map(|(_, v, w)| (v, w)).collect();
+        let inn: Vec<VertexId> = el.iter().filter(|&(_, v, _)| v == x).map(|(u, _, _)| u).collect();
+        prop_assert_eq!(g.out_degree(x), out.len(), "out-degree of {}", x);
+        prop_assert_eq!(g.in_degree(x), inn.len(), "in-degree of {}", x);
+        prop_assert_eq!(g.neighbors(x).collect::<Vec<_>>(), out, "out-list of {}", x);
+        prop_assert_eq!(g.in_neighbors(x).collect::<Vec<_>>(), inn, "in-list of {}", x);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn property_graph_bulk_build_matches_insertion(el in arb_multigraph()) {
+        let bulk = PropertyGraph::from_edge_list(&el);
+        let mut inc = PropertyGraph::with_vertices(el.num_vertices);
+        for (u, v, w) in el.iter() {
+            inc.add_edge(u, v, w);
+        }
+        assert_holds_lists_of(&bulk, &el)?;
+        assert_holds_lists_of(&inc, &el)?;
+    }
+
+    #[test]
+    fn property_graph_insertion_after_bulk_build_appends_at_tails(
+        el in arb_multigraph(),
+        later in arb_multigraph(),
+    ) {
+        // Bulk-build `el`, then insert `later`'s edges (folded onto `el`'s
+        // vertices) one at a time: every list is `el`'s followed by
+        // `later`'s, so lists no later edge touches are unchanged.
+        let mut g = PropertyGraph::from_edge_list(&el);
+        let mut all = el.clone();
+        if let n @ 1.. = el.num_vertices as VertexId {
+            for (u, v, w) in later.iter() {
+                g.add_edge(u % n, v % n, w);
+                all.edges.push((u % n, v % n));
+                all.weights.as_mut().expect("weighted").push(w);
+            }
+        }
+        assert_holds_lists_of(&g, &all)?;
+    }
+}
