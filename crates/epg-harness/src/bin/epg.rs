@@ -9,6 +9,9 @@
 //! epg all   --scale 14              # phases 2-5
 //! epg graphalytics --scale 12       # the comparator + HTML report
 //! epg granula --scale 12            # Granula-style operation charts, one BFS run per engine
+//! epg reproduce <id>...|all [--full] # regenerate the paper's tables and figures, then judge its
+//!                                   # claims against them (ledger -> <out>/claims.md)
+//! epg reproduce --list              # the 17 artefact ids
 //! epg serve --scale 14 [--listen ADDR] [--landmarks N]
 //!                                   # resident-graph query service (stdio or TCP line protocol)
 //! epg trace summarize --input F     # summarize a *.trace.jsonl file
@@ -16,10 +19,10 @@
 //! epg lint --explain <rule-id>      # rationale + example + fix for one rule
 //! ```
 
-use epg_generator::GraphSpec;
-use epg_harness::dataset::Dataset;
+use epg_harness::dataset::{Dataset, PaperDatasets};
 use epg_harness::graphalytics;
 use epg_harness::pipeline::Pipeline;
+use epg_harness::reproduce;
 use epg_harness::runner::ExperimentConfig;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -27,7 +30,11 @@ use std::process::ExitCode;
 struct Args {
     cmd: String,
     subcmd: Option<String>,
-    scale: u32,
+    /// `reproduce`'s positional artefact ids.
+    ids: Vec<String>,
+    scale: Option<u32>,
+    full: bool,
+    list: bool,
     weighted: bool,
     threads: usize,
     roots: Option<usize>,
@@ -57,7 +64,10 @@ fn parse_args(argv: std::env::Args) -> Result<Args, String> {
     let mut a = Args {
         cmd,
         subcmd,
-        scale: 12,
+        ids: Vec::new(),
+        scale: None,
+        full: false,
+        list: false,
         weighted: true,
         threads: 1,
         roots: Some(8),
@@ -80,7 +90,12 @@ fn parse_args(argv: std::env::Args) -> Result<Args, String> {
             it.next().ok_or(format!("missing value for {name}"))
         };
         match flag.as_str() {
-            "--scale" => a.scale = val("--scale")?.parse().map_err(|e| format!("--scale: {e}"))?,
+            "--scale" => {
+                a.scale = Some(val("--scale")?.parse().map_err(|e| format!("--scale: {e}"))?)
+            }
+            "--full" => a.full = true,
+            "--list" => a.list = true,
+            id if a.cmd == "reproduce" && !id.starts_with("--") => a.ids.push(id.to_string()),
             "--threads" => {
                 a.threads = val("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?
             }
@@ -129,8 +144,8 @@ fn parse_args(argv: std::env::Args) -> Result<Args, String> {
 }
 
 fn usage() -> String {
-    "usage: epg <setup|gen|run|all|graphalytics|granula|serve|trace summarize|lint> \
-     [--scale N] [--weighted|--unweighted] [--threads N] [--roots N|--all-roots] \
+    "usage: epg <setup|gen|run|all|graphalytics|granula|reproduce|serve|trace summarize|lint> \
+     [<artefact>...|all] [--list] [--full] [--scale N] [--weighted|--unweighted] [--threads N] [--roots N|--all-roots] \
      [--seed N] [--out DIR] [--snap FILE] [--input FILE] [--trial-budget-ms N] \
      [--json] [--strict] [--explain RULE] [--root DIR] \
      [--sssp-kernel delta|radix|bmssp] [--landmarks N] [--listen ADDR]"
@@ -143,8 +158,7 @@ fn dataset_for(args: &Args, pipeline: &Pipeline) -> Result<Dataset, String> {
         ds.write_files(&pipeline.out_dir.join("datasets")).map_err(|e| e.to_string())?;
         Ok(ds)
     } else {
-        let spec =
-            GraphSpec::Kronecker { scale: args.scale, edge_factor: 16, weighted: args.weighted };
+        let spec = PaperDatasets::kronecker(args.scale.unwrap_or(12), args.weighted);
         pipeline.homogenize(&spec, args.seed).map_err(|e| e.to_string())
     }
 }
@@ -272,6 +286,23 @@ fn real_main() -> Result<(), String> {
                     .map_err(|e| e.to_string())?;
                 println!("wrote {}", path.display());
             }
+        }
+        "reproduce" if args.list => {
+            for artefact in &reproduce::ARTEFACTS {
+                println!("{}", artefact.id);
+            }
+        }
+        "reproduce" => {
+            let opts = reproduce::Options {
+                full: args.full,
+                scale: args.scale,
+                threads: args.threads,
+                roots: args.roots.unwrap_or(epg_harness::dataset::NUM_ROOTS),
+                seed: args.seed,
+                out_dir: args.out.clone(),
+            };
+            reproduce::run(&args.ids, &opts, &mut std::io::stdout().lock())
+                .map_err(|e| e.to_string())?;
         }
         "serve" => {
             use epg_engine_api::Engine as _;

@@ -184,12 +184,17 @@ enum Format {
     Binary,
 }
 
-/// The paper's standard workloads at a given scale divisor. `div = 1`
-/// reproduces the full paper sizes; the default regenerators use a divisor
-/// that fits CI-class machines (see DESIGN.md §4).
+/// The paper's standard workloads. `scale_div = 1` reproduces the
+/// original sizes; `epg reproduce` picks divisors that fit CI-class
+/// machines (`reproduce::Options` holds the size rule).
 pub struct PaperDatasets;
 
 impl PaperDatasets {
+    /// Vertices of the original cit-Patents graph.
+    pub const CIT_PATENTS_VERTICES: usize = 3_774_768;
+    /// Vertices of the original dota-league graph.
+    pub const DOTA_LEAGUE_VERTICES: usize = 61_670;
+
     /// Kronecker graph of the given scale (Figs. 2-4, Table II: scale 22;
     /// Figs. 5-6: scale 23).
     pub fn kronecker(scale: u32, weighted: bool) -> GraphSpec {
@@ -201,13 +206,13 @@ impl PaperDatasets {
         GraphSpec::CitPatents { scale_div }
     }
 
-    /// The dota-league stand-in (Table I, Fig. 8).
+    /// The dota-league stand-in (Table I, Fig. 8). Its defining trait is
+    /// density, so vertices shrink faster than degree (an eighth as fast)
+    /// and neither falls below 512 vertices of mean degree 48.
     pub fn dota_league(scale_div: u32) -> GraphSpec {
-        let full_v = 61_670usize;
-        let full_d = 824u32;
         GraphSpec::DotaLeague {
-            num_vertices: (full_v / scale_div as usize).max(64),
-            avg_degree: (full_d / scale_div).max(16),
+            num_vertices: (Self::DOTA_LEAGUE_VERTICES / scale_div as usize).max(512),
+            avg_degree: (824 / (scale_div / 8).max(1)).clamp(48, 824),
         }
     }
 }

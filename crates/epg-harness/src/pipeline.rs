@@ -170,7 +170,7 @@ impl Pipeline {
                 .map_or(0.0, |r| r.seconds);
             let phases =
                 [(Phase::ReadFile, read), (Phase::Construct, construct), (Phase::Run, run.seconds)];
-            let rate = model.calibrate_rate(&run.output.trace, run.seconds.max(1e-9));
+            let rate = run.calibrated_rate(&model);
             let chart =
                 crate::granula::OperationChart::build(&phases, &run.output.trace, &model, rate, 32);
             let path = granula_dir.join(format!("{}_{}.txt", kind.name(), run.algorithm.abbrev()));

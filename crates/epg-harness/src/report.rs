@@ -220,7 +220,7 @@ pub fn render(result: &ExperimentResult, ds: &Dataset, projected_threads: usize)
     let _ = writeln!(out, "|---|---|---|---|---|---|");
     for kind in EngineKind::ALL {
         let Some(run) = result.runs.iter().find(|r| r.engine == kind) else { continue };
-        let rate = model.calibrate_rate(&run.output.trace, run.seconds.max(1e-9));
+        let rate = run.calibrated_rate(&model);
         let rep = model.energy(&run.output.trace, rate, projected_threads);
         let sleep = model.sleep_baseline(rep.duration_s).total_j();
         let _ = writeln!(

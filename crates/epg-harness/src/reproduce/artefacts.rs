@@ -1,0 +1,864 @@
+//! What the rows of [`super::ARTEFACTS`] run: the one panel shape Figs. 2-4
+//! share, and the artefacts that are programs of their own.
+
+use super::claims::NOMINAL_RATE;
+use super::{mean, paper_ref, say, shape_row, sig3, Ctx, Panel, SecondPanel};
+use crate::dataset::Dataset;
+use crate::graphalytics::{self, Cell, GRAPHALYTICS_ENGINES, TABLE1_ALGOS};
+use crate::logs;
+use crate::plot::{bar_chart, boxplot, line_chart, Scale};
+use crate::registry::EngineKind;
+use crate::runner::{run_experiment, RunInfo};
+use crate::stats::Summary;
+use epg_engine_api::{Algorithm, AlgorithmResult, Engine, Phase, RunParams, StoppingCriterion};
+use epg_engine_gap::{GapConfig, GapEngine, WeightRepr};
+use epg_engine_powergraph::partition::PartitionedGraph;
+use epg_engine_powergraph::{PowerGraphConfig, PowerGraphEngine};
+use epg_graph::{Csr, VertexId};
+use epg_machine::rapl::{EnergyReport, PowerRapl};
+use epg_machine::MachineModel;
+use epg_parallel::{Schedule, ThreadPool};
+use std::fmt::Write as _;
+use std::io;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
+
+/// The thread count every per-root figure projects to (the paper's runs).
+const PROJECTED_THREADS: usize = 32;
+
+/// The thread counts of Figs. 5-6.
+const SCALING_THREADS: [usize; 8] = [1, 2, 4, 8, 16, 32, 64, 72];
+
+/// Loads `ds` into `engine` and builds its structure.
+fn construct(engine: &mut dyn Engine, kind: EngineKind, ds: &Dataset, pool: &ThreadPool) {
+    engine.load_edge_list(ds.edges_for(kind));
+    engine.construct(pool);
+}
+
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let t0 = Instant::now();
+    let value = f();
+    (value, t0.elapsed().as_secs_f64())
+}
+
+/// Figs. 2, 3 and 4: see [`Panel`].
+pub(super) fn kernel_panel(ctx: &mut Ctx, id: &str, panel: &Panel) -> io::Result<()> {
+    let (algo, abbrev) = (panel.algo, panel.algo.abbrev());
+    let ds = ctx.kron(22, 13, algo == Algorithm::Sssp)?;
+    let result = run_experiment(&ctx.experiment(&[algo], ctx.opts.roots), &ds);
+    let model = MachineModel::paper_machine();
+    // Every engine was asked; the ones without the algorithm or without a
+    // construction phase of their own show as zeros.
+    for kind in EngineKind::ALL {
+        ctx.fact("runs", kind.name(), result.run_times(kind, algo).len() as f64);
+        ctx.fact("construct_phases", kind.name(), result.construct_times(kind).len() as f64);
+    }
+
+    say!(ctx, "== left: {abbrev} time over {} roots, projected to 32 threads ==", ctx.opts.roots);
+    let mut groups = Vec::new();
+    for &kind in panel.engines {
+        let name = kind.name();
+        let runs: Vec<_> = result.runs.iter().filter(|r| r.engine == kind).collect();
+        let local = Summary::of(&result.run_times(kind, algo));
+        let projected: Vec<f64> =
+            runs.iter().map(|r| r.projected(&model, PROJECTED_THREADS).total_s).collect();
+        let projected = Summary::of(&projected);
+        say!(ctx, "{}", shape_row(name, (panel.paper_seconds)(name), projected.mean, "s/root"));
+        let (median, min, max, n, rsd) =
+            (local.median, local.min, local.max, local.n, local.relative_stddev());
+        say!(ctx, "    local: median {median:.5}s  [{min:.5}, {max:.5}]  n={n}  rsd={rsd:.4}");
+        groups.push((name.to_string(), projected));
+        ctx.fact("seconds", name, median);
+        ctx.fact("edges", name, runs[0].output.counters.edges_traversed as f64);
+        ctx.fact("serial_share", name, runs[0].output.trace.serial_fraction());
+    }
+    let title = format!("{abbrev} Time (projected, 32 threads)");
+    let file = format!("{id}_{}_time.svg", abbrev.to_lowercase());
+    ctx.write_artefact(&file, &boxplot(&title, "Time (seconds)", &groups, Scale::Log))?;
+
+    // Graph500's own headline statistic, where it ran.
+    let g500_times = result.run_times(EngineKind::Graph500, algo);
+    if !g500_times.is_empty() {
+        let edges = ds.raw.num_edges() as u64;
+        let teps = epg_engine_graph500::teps::TepsStats::from_times(edges, &g500_times);
+        let (hmean, min, max, runs) = (teps.harmonic_mean, teps.min, teps.max, teps.runs);
+        say!(ctx, "\nGraph500 TEPS (local): harmonic mean {hmean:.3e} (min {min:.3e}, max {max:.3e}, {runs} runs)");
+    }
+
+    match panel.second {
+        SecondPanel::Construction(paper) => {
+            say!(ctx, "\n== right: {abbrev} data structure construction ==");
+            let mut groups = Vec::new();
+            let mut fused = Vec::new();
+            for &kind in panel.engines {
+                let times = result.construct_times(kind);
+                if times.is_empty() {
+                    fused.push(kind.name());
+                    continue;
+                }
+                let paper = paper_ref::lookup(paper, kind.name());
+                say!(ctx, "{}", shape_row(kind.name(), paper, mean(&times), "s"));
+                groups.push((kind.name().to_string(), Summary::of(&times)));
+            }
+            let fused = fused.join(", ");
+            say!(ctx, "{fused}: omitted — construction fused with the file read (§III-B)");
+            let title = format!("{abbrev} Data Structure Construction");
+            let svg = boxplot(&title, "Time (seconds)", &groups, Scale::Log);
+            ctx.write_artefact(&format!("{id}_construction.svg"), &svg)?;
+        }
+        SecondPanel::Iterations(paper) => {
+            say!(ctx, "\n== right: {abbrev} iterations (native stopping criteria) ==");
+            let mut bars = Vec::new();
+            for &kind in panel.engines {
+                let iters: Vec<f64> =
+                    result.pr_iterations(kind).iter().map(|&i| i as f64).collect();
+                let paper = paper_ref::lookup(paper, kind.name());
+                say!(ctx, "{}", shape_row(kind.name(), paper, mean(&iters), "iters"));
+                bars.push((kind.name().to_string(), mean(&iters)));
+                ctx.fact("iterations", kind.name(), mean(&iters));
+            }
+            let svg = bar_chart(&format!("{abbrev} Iterations"), "Iterations", &bars);
+            ctx.write_artefact(&format!("{id}_{}_iterations.svg", abbrev.to_lowercase()), &svg)?;
+        }
+    }
+
+    say!(ctx, "\nwork behind the first root's run:");
+    for &kind in panel.engines {
+        let edges = ctx.facts.get(&format!("edges.{}", kind.name()));
+        say!(ctx, "  {:<10} {edges:>12} edges traversed", kind.name());
+    }
+    Ok(())
+}
+
+/// Runs the Graphalytics comparator on `ds` and records each cell that is
+/// not N/A as `reported.<ALGO>.<label>.<engine>`.
+fn graphalytics_cells(ctx: &mut Ctx, algos: &[Algorithm], ds: &Dataset, label: &str) -> Vec<Cell> {
+    let cells = graphalytics::run_graphalytics(&GRAPHALYTICS_ENGINES, algos, ds, ctx.opts.threads);
+    for c in &cells {
+        if let Some(seconds) = c.reported_seconds {
+            let of = format!("{}.{label}.{}", c.algorithm.abbrev(), c.engine.name());
+            ctx.fact("reported", &of, seconds);
+        }
+    }
+    cells
+}
+
+/// Prints one paper-layout row of Graphalytics times: a value or `N/A`.
+fn print_cells(
+    ctx: &mut Ctx,
+    values: impl Iterator<Item = Option<f64>>,
+    width: usize,
+    prec: usize,
+) -> io::Result<()> {
+    for v in values {
+        match v {
+            Some(x) => write!(ctx.out, "{x:>width$.prec$}")?,
+            None => write!(ctx.out, "{:>width$}", "N/A")?,
+        }
+    }
+    say!(ctx);
+    Ok(())
+}
+
+/// Table I. Paper setting: the real datasets, 32 threads, ONE run per
+/// cell. Default here: the stand-ins at 1/256.
+pub(super) fn table1(ctx: &mut Ctx) -> io::Result<()> {
+    let (cit, dota) = ctx.stand_ins(256)?;
+    let mut cells = graphalytics_cells(ctx, &TABLE1_ALGOS, &cit, "cit");
+    cells.extend(graphalytics_cells(ctx, &TABLE1_ALGOS, &dota, "dota"));
+
+    say!(ctx, "== Table I (ours): Graphalytics single-run times, seconds ==");
+    let names = [cit.name.clone(), dota.name.clone()];
+    say!(ctx, "{}", graphalytics::format_table(&cells, &GRAPHALYTICS_ENGINES, &names));
+
+    say!(ctx, "== Table I (paper, full-size datasets on 72T Haswell) ==");
+    say!(ctx, "system      dataset            BFS    CDLP      LCC     PR   SSSP    WCC");
+    for (sys, ds, vals) in paper_ref::TABLE1 {
+        write!(ctx.out, "{sys:<12}{ds:<14}")?;
+        print_cells(ctx, vals.into_iter(), 8, 1)?;
+    }
+
+    // The excerpt under Table I: each system's PageRank on dota-league,
+    // and GraphMat's own log for it.
+    for c in cells.iter().filter(|c| c.algorithm == Algorithm::PageRank && c.dataset == dota.name) {
+        let (reported, p) = (c.reported_seconds.expect("ran"), c.true_phases.expect("ran"));
+        // How much of the file read sits inside the reported number.
+        let read_share = ((reported - p.run_s - p.output_s) / p.read_s).max(0.0);
+        ctx.fact("read_share", c.engine.name(), read_share);
+        if c.engine != EngineKind::GraphMat {
+            continue;
+        }
+        say!(ctx, "\n== GraphMat log excerpt (ours), as below Table I ==");
+        let entries = [
+            logs::LogEntry { phase: Phase::ReadFile, seconds: p.read_s },
+            logs::LogEntry { phase: Phase::Construct, seconds: p.construct_s },
+            logs::LogEntry { phase: Phase::Run, seconds: p.run_s },
+            logs::LogEntry { phase: Phase::Output, seconds: p.output_s },
+        ];
+        let title = format!("PageRank on {}", dota.name);
+        let style = epg_engine_api::logfmt::LogStyle::GraphMat;
+        write!(ctx.out, "{}", logs::render_log(style, &title, &entries))?;
+        say!(
+            ctx,
+            "\nreported {reported:.4}s but {:.4}s of that is the file read: ignore it and\n\
+             GraphMat completes {:.1}x faster — the paper's fairness complaint.",
+            p.read_s,
+            reported / (reported - p.read_s).max(1e-9)
+        );
+    }
+    Ok(())
+}
+
+/// Table II. Paper setting: Kronecker scale 22, 32 threads, one run.
+pub(super) fn table2(ctx: &mut Ctx) -> io::Result<()> {
+    use Algorithm::{Bfs, Cdlp, Lcc, PageRank, Wcc};
+    use EngineKind::{GraphBig, GraphMat, PowerGraph};
+    let ds = ctx.kron(22, 12, false)?;
+    let cells = graphalytics_cells(ctx, &[Cdlp, PageRank, Lcc, Wcc, Bfs], &ds, "kron");
+
+    let header = "Graphalytics                  GraphMat  GraphBIG PowerGraph";
+    say!(ctx, "== Table II (ours): {}, seconds, one run ==\n{header}", ds.name);
+    for algo in [Cdlp, PageRank, Lcc, Wcc, Bfs] {
+        write!(ctx.out, "{:<28}", algo.name())?;
+        let time = |engine| {
+            let cell = cells.iter().find(|c| c.engine == engine && c.algorithm == algo);
+            cell.and_then(|c| c.reported_seconds)
+        };
+        print_cells(ctx, [GraphMat, GraphBig, PowerGraph].into_iter().map(time), 10, 3)?;
+    }
+    say!(ctx, "\n== Table II (paper, scale 22 on 72T Haswell) ==\n{header}");
+    for (name, gm, gb, pg) in paper_ref::TABLE2 {
+        say!(ctx, "{name:<28}{gm:>10.1}{gb:>10.1}{pg:>11.1}");
+    }
+    say!(
+        ctx,
+        "\nnote: PowerGraph BFS is N/A here: the stock toolkits provide no BFS\n\
+         (§III-D); Graphalytics bundles its own driver for the paper's Table II."
+    );
+    Ok(())
+}
+
+/// Fig. 1. Each cyan box of the paper's figure is one shell script of the
+/// original (one `epg` subcommand here); the green ellipses are generated
+/// files.
+pub(super) fn fig1(ctx: &mut Ctx) -> io::Result<()> {
+    // (x, y, label, gloss)
+    let boxes = [
+        (40.0, 60.0, "1. setup", "engine registry"),
+        (240.0, 60.0, "2. gen", "dataset homogenizer"),
+        (440.0, 60.0, "3. run", "experiment runner"),
+        (440.0, 220.0, "4. parse", "log -> CSV"),
+        (240.0, 220.0, "5. analyze", "stats + SVG plots"),
+    ];
+    let files = [
+        (340.0, 150.0, "*.snap / *.bin"),
+        (560.0, 150.0, "engine logs"),
+        (560.0, 300.0, "results.csv"),
+        (240.0, 320.0, "plots/*.svg"),
+        (80.0, 300.0, "summary.txt"),
+    ];
+    // Flow between consecutive phases.
+    let arrows = [
+        (190.0, 88.0, 240.0, 88.0),
+        (390.0, 88.0, 440.0, 88.0),
+        (515.0, 116.0, 515.0, 220.0),
+        (440.0, 248.0, 390.0, 248.0),
+    ];
+    let mut svg = String::from(
+        "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"720\" height=\"400\" \
+         font-family=\"sans-serif\" font-size=\"13\">\n\
+         <rect width=\"720\" height=\"400\" fill=\"white\"/>\n\
+         <text x=\"360\" y=\"28\" text-anchor=\"middle\" font-size=\"17\">\
+         easy-parallel-graph-rs pipeline (paper Fig. 1)</text>\n",
+    );
+    for (x, y, label, gloss) in boxes {
+        let (cx, y1, y2) = (x + 75.0, y + 24.0, y + 42.0);
+        let _ = write!(
+            svg,
+            "<rect x=\"{x}\" y=\"{y}\" width=\"150\" height=\"56\" rx=\"6\" \
+             fill=\"paleturquoise\" stroke=\"black\"/>\n\
+             <text x=\"{cx}\" y=\"{y1}\" text-anchor=\"middle\" font-weight=\"bold\">{label}</text>\n\
+             <text x=\"{cx}\" y=\"{y2}\" text-anchor=\"middle\" font-size=\"11\">{gloss}</text>\n",
+        );
+    }
+    for (x, y, label) in files {
+        let ty = y + 4.0;
+        let _ = write!(
+            svg,
+            "<ellipse cx=\"{x}\" cy=\"{y}\" rx=\"70\" ry=\"20\" fill=\"palegreen\" \
+             stroke=\"black\"/>\n\
+             <text x=\"{x}\" y=\"{ty}\" text-anchor=\"middle\" font-size=\"11\">{label}</text>\n",
+        );
+    }
+    svg.push_str(
+        "<defs><marker id=\"a\" markerWidth=\"8\" markerHeight=\"8\" refX=\"6\" refY=\"3\" \
+         orient=\"auto\"><path d=\"M0,0 L6,3 L0,6 z\"/></marker></defs>\n",
+    );
+    for (x1, y1, x2, y2) in arrows {
+        let _ = writeln!(
+            svg,
+            "<line x1=\"{x1}\" y1=\"{y1}\" x2=\"{x2}\" y2=\"{y2}\" stroke=\"black\" \
+             stroke-width=\"1.5\" marker-end=\"url(#a)\"/>"
+        );
+    }
+    svg.push_str("</svg>\n");
+    ctx.write_artefact("fig1_pipeline.svg", &svg)?;
+    say!(
+        ctx,
+        "Fig. 1 (pipeline overview) written. Each cyan box = one `epg` \
+         subcommand;\ngreen ellipses = generated files. See README \
+         'Architecture' for the crate map."
+    );
+    Ok(())
+}
+
+/// One row per engine of a Figs. 5-6 series, one column per thread count.
+fn scaling_table(
+    ctx: &mut Ctx,
+    title: &str,
+    series: &[(String, Vec<f64>)],
+    (width, prec): (usize, usize),
+) -> io::Result<()> {
+    say!(ctx, "\n== {title} ==");
+    write!(ctx.out, "{:<12}", "engine")?;
+    for n in SCALING_THREADS {
+        write!(ctx.out, "{n:>width$}")?;
+    }
+    say!(ctx);
+    for (name, values) in series {
+        write!(ctx.out, "{name:<12}")?;
+        for v in values {
+            write!(ctx.out, "{v:>width$.prec$}")?;
+        }
+        say!(ctx);
+    }
+    Ok(())
+}
+
+/// Figs. 5-6. Paper setting: Kronecker scale 23, 4 trials ("Because of
+/// timing considerations, only four trials were run"). Each engine runs
+/// locally on one root; the measured trace is projected onto the paper's
+/// Haswell by the machine model (DESIGN.md's substitution table — we do
+/// not own a 72-thread machine).
+pub(super) fn fig5_6(ctx: &mut Ctx) -> io::Result<()> {
+    use EngineKind::{Gap, Graph500, GraphBig, GraphMat};
+    let ds = ctx.kron(23, 14, false)?;
+    say!(ctx, "edges = {}", ds.symmetric.num_edges());
+    let mut cfg = ctx.experiment(&[Algorithm::Bfs], 1);
+    cfg.trials = 4;
+    let result = run_experiment(&cfg, &ds);
+    let model = MachineModel::paper_machine();
+    for kind in EngineKind::ALL {
+        let trials = result.runs.iter().filter(|r| r.engine == kind).count();
+        ctx.fact("trials", kind.name(), trials as f64);
+    }
+
+    let x_labels: Vec<String> = SCALING_THREADS.iter().map(|n| n.to_string()).collect();
+    let linear = SCALING_THREADS.iter().map(|&n| n as f64).collect();
+    let mut speedup_series = vec![("Linear".to_string(), linear)];
+    let mut eff_series = vec![("Ideal".to_string(), vec![1.0; SCALING_THREADS.len()])];
+    let mut absolute = Vec::new();
+    for kind in [GraphBig, Graph500, GraphMat, Gap] {
+        let name = kind.name();
+        let runs: Vec<_> = result.runs.iter().filter(|r| r.engine == kind).collect();
+        // Average the trials' traces by averaging their projections.
+        let mut speedups = vec![0.0f64; SCALING_THREADS.len()];
+        for run in &runs {
+            let rate = run.calibrated_rate(&model);
+            let curve = model.speedup_curve(&run.output.trace, rate, &SCALING_THREADS);
+            for (mean, (_, s)) in speedups.iter_mut().zip(curve) {
+                *mean += s / runs.len() as f64;
+            }
+        }
+        // The curve the projection-basis claims judge: the first trial's
+        // trace (they are identical) at the nominal rate.
+        let nominal = model.speedup_curve(&runs[0].output.trace, NOMINAL_RATE, &SCALING_THREADS);
+        let steps = nominal.windows(2).map(|w| w[1].1 / w[0].1);
+        ctx.fact("nominal_speedup72", name, nominal[nominal.len() - 1].1);
+        ctx.fact("nominal_speedup_floor", name, steps.fold(f64::INFINITY, f64::min));
+        ctx.fact("speedup72", name, speedups[speedups.len() - 1]);
+        let effs = speedups.iter().zip(SCALING_THREADS).map(|(s, n)| s / n as f64).collect();
+        let seconds = SCALING_THREADS.map(|n| runs[0].projected(&model, n).total_s).to_vec();
+        speedup_series.push((name.to_string(), speedups));
+        eff_series.push((name.to_string(), effs));
+        absolute.push((name.to_string(), seconds));
+    }
+
+    scaling_table(ctx, "Fig. 5: speedup T1/Tn", &speedup_series[1..], (8, 2))?;
+    let svg = line_chart("BFS Speedup", "Speedup", &x_labels, &speedup_series, Scale::Log);
+    ctx.write_artefact("fig5_bfs_speedup.svg", &svg)?;
+    scaling_table(ctx, "Fig. 6: parallel efficiency T1/(n*Tn)", &eff_series[1..], (8, 3))?;
+    let svg =
+        line_chart("BFS Parallel Efficiency", "T1/(n*Tn)", &x_labels, &eff_series, Scale::Linear);
+    ctx.write_artefact("fig6_bfs_efficiency.svg", &svg)?;
+    // Normalization hides that GAP does far less work; in absolute terms
+    // it stays fastest at every thread count.
+    scaling_table(ctx, "projected absolute BFS time (seconds)", &absolute, (11, 6))
+}
+
+/// Fig. 7: "Graphalytics outputs one HTML page per software package", for
+/// the real-world stand-ins (default 1/512) and the Kronecker graph.
+pub(super) fn fig7(ctx: &mut Ctx) -> io::Result<()> {
+    let (cit, dota) = ctx.stand_ins(512)?;
+    let datasets = [(cit, "cit"), (dota, "dota"), (ctx.kron(22, 11, false)?, "kron")];
+    let mut cells = Vec::new();
+    for (ds, label) in &datasets {
+        cells.extend(graphalytics_cells(ctx, &TABLE1_ALGOS, ds, label));
+    }
+    for system in GRAPHALYTICS_ENGINES {
+        let html = graphalytics::html_report(system, &cells);
+        ctx.write_artefact(&format!("fig7_graphalytics_{}.html", system.name()), &html)?;
+    }
+    say!(
+        ctx,
+        "wrote one HTML page per system (Fig. 7 shows GraphBIG's), covering\n\
+         {} datasets x {} algorithms, one run per cell.",
+        datasets.len(),
+        TABLE1_ALGOS.len()
+    );
+    Ok(())
+}
+
+/// Fig. 8: mean kernel times for {BFS, PageRank, SSSP} × {dota, Patents} ×
+/// {GAP, GraphBIG, GraphMat, PowerGraph}. Paper setting: the real
+/// datasets, 32 threads, 32 roots. Default here: the stand-ins at 1/256.
+pub(super) fn fig8(ctx: &mut Ctx) -> io::Result<()> {
+    use EngineKind::{Gap, GraphBig, GraphMat, PowerGraph};
+    const ENGINES: [EngineKind; 4] = [Gap, GraphBig, GraphMat, PowerGraph];
+    const PANELS: [Algorithm; 3] = [Algorithm::Bfs, Algorithm::PageRank, Algorithm::Sssp];
+    let (patents, dota) = ctx.stand_ins(256)?;
+    let mut cfg = ctx.experiment(&PANELS, ctx.opts.roots);
+    cfg.engines = ENGINES.to_vec();
+    let results =
+        [(run_experiment(&cfg, &dota), "dota"), (run_experiment(&cfg, &patents), "Patents")];
+    for (result, dataset) in &results {
+        let mut runs = result.runs.iter();
+        let run = runs
+            .find(|r| r.engine == GraphMat && r.algorithm == Algorithm::PageRank)
+            .expect("GraphMat runs PageRank");
+        ctx.fact(
+            "serial_share",
+            &format!("{dataset}.GraphMat"),
+            run.output.trace.serial_fraction(),
+        );
+    }
+
+    for algo in PANELS {
+        say!(ctx, "== Fig. 8 panel: {} (mean seconds) ==", algo.name());
+        say!(ctx, "system                dota       Patents");
+        let mut bars = Vec::new();
+        for engine in ENGINES {
+            write!(ctx.out, "{:<12}", engine.name())?;
+            for (result, dataset) in &results {
+                let times = result.run_times(engine, algo);
+                if times.is_empty() {
+                    write!(ctx.out, "{:>14}", "absent")?;
+                    continue;
+                }
+                write!(ctx.out, "{:>14.5}", mean(&times))?;
+                bars.push((format!("{}/{dataset}", engine.name()), mean(&times)));
+                let of = format!("{}.{dataset}.{}", algo.abbrev(), engine.name());
+                ctx.fact("seconds", &of, mean(&times));
+            }
+            say!(ctx);
+        }
+        let title = format!("{} (real-world stand-ins)", algo.abbrev());
+        let file = format!("fig8_{}.svg", algo.abbrev().to_lowercase());
+        ctx.write_artefact(&file, &bar_chart(&title, "Time (s)", &bars))?;
+        say!(ctx);
+    }
+    Ok(())
+}
+
+/// Fig. 9 + Table III: BFS per engine per root, the machine model
+/// calibrated from each measured run, the RAPL simulator integrated at 32
+/// target threads. Paper setting: Kronecker scale 22, 32 threads, 32
+/// roots, real RAPL MSRs via PAPI (DESIGN.md substitutions).
+pub(super) fn fig9_table3(ctx: &mut Ctx) -> io::Result<()> {
+    use EngineKind::{Gap, Graph500, GraphBig, GraphMat};
+    let ds = ctx.kron(22, 13, false)?;
+    let result = run_experiment(&ctx.experiment(&[Algorithm::Bfs], ctx.opts.roots), &ds);
+    let model = MachineModel::paper_machine();
+
+    let header = "engine          time (s)   power (W)    energy (J) sleep energy(J)    vs sleep";
+    say!(ctx, "== Table III (ours): per-root averages at 32 projected threads ==\n{header}");
+    let mut cpu_groups = Vec::new();
+    let mut ram_groups = Vec::new();
+    for kind in [Gap, Graph500, GraphBig, GraphMat] {
+        let name = kind.name();
+        let runs: Vec<_> = result.runs.iter().filter(|r| r.engine == kind).collect();
+        // Each root's trace through the paper's Fig. 10 API.
+        let energy_at = |rate: &dyn Fn(&RunInfo) -> f64| -> Vec<EnergyReport> {
+            let measure = |r: &&RunInfo| {
+                let mut rapl = PowerRapl::init(&model, rate(r), PROJECTED_THREADS);
+                rapl.start();
+                rapl.record(&r.output.trace);
+                rapl.end()
+            };
+            runs.iter().map(measure).collect()
+        };
+        let column = |reports: &[EnergyReport], f: &dyn Fn(&EnergyReport) -> f64| -> Vec<f64> {
+            reports.iter().map(f).collect()
+        };
+        // Printed: at the rate calibrated from each root's own wall time.
+        let reports = energy_at(&|r| r.calibrated_rate(&model));
+        let seconds = mean(&column(&reports, &|r| r.duration_s));
+        let energy = mean(&column(&reports, &|r| r.total_j()));
+        let sleep = mean(&column(&reports, &|r| model.sleep_baseline(r.duration_s).total_j()));
+        let (cpu_w, ram_w) =
+            (column(&reports, &|r| r.avg_cpu_w), column(&reports, &|r| r.avg_ram_w));
+        let (s, j, z, watts, vs) =
+            (sig3(seconds), sig3(energy), sig3(sleep), mean(&cpu_w), energy / sleep);
+        say!(ctx, "{name:<12}{s:>12}{watts:>12.2}{j:>14}{z:>16}{vs:>12.3}");
+        cpu_groups.push((name.to_string(), Summary::of(&cpu_w)));
+        ram_groups.push((name.to_string(), Summary::of(&ram_w)));
+        ctx.fact("seconds", name, seconds);
+        ctx.fact("joules", name, energy);
+        // Judged by the projection-basis claims: the same traces at the
+        // nominal rate, so the verdict does not move with the host.
+        let nominal = energy_at(&|_| NOMINAL_RATE);
+        let (s, j) = (column(&nominal, &|r| r.duration_s), column(&nominal, &|r| r.total_j()));
+        ctx.fact("nominal_seconds", name, mean(&s));
+        ctx.fact("nominal_joules", name, mean(&j));
+        ctx.fact("nominal_watts", name, mean(&j) / mean(&s));
+    }
+    say!(ctx, "\n== Table III (paper) ==\n{header}");
+    for (name, t, w, j, sj, inc) in paper_ref::TABLE3 {
+        say!(ctx, "{name:<12}{t:>12.5}{w:>12.2}{j:>14.3}{sj:>16.4}{inc:>12.3}");
+    }
+
+    say!(ctx, "\n== Fig. 9: average power per root (simulated RAPL) ==");
+    for (groups, paper, label) in
+        [(&cpu_groups, &paper_ref::FIG9_CPU_W, "CPU"), (&ram_groups, &paper_ref::FIG9_RAM_W, "RAM")]
+    {
+        say!(ctx, "{label} power:");
+        for (name, s) in groups {
+            say!(ctx, "  {}", shape_row(name, paper_ref::lookup(paper, name), s.median, "W"));
+        }
+    }
+    let sleep = model.sleep_baseline(10.0);
+    let (cpu, ram) = (sleep.avg_cpu_w, sleep.avg_ram_w);
+    say!(ctx, "sleep baseline: CPU {cpu:.1} W, RAM {ram:.1} W (paper baseline: unistd sleep(10))");
+    let y = "Average Power (Watts)";
+    let svg = boxplot("CPU Average Power During BFS", y, &cpu_groups, Scale::Linear);
+    ctx.write_artefact("fig9_cpu_power.svg", &svg)?;
+    let svg = boxplot("RAM Power During BFS", y, &ram_groups, Scale::Linear);
+    ctx.write_artefact("fig9_ram_power.svg", &svg)
+}
+
+/// Mean (edges traversed, iterations, seconds) of `algo` on a GAP engine
+/// configured by `cfg`, over the first `max_roots` roots of `ds` — averaged
+/// over the roots that ran, which are fewer than asked for when the
+/// dataset samples fewer.
+fn gap_root_means(
+    cfg: GapConfig,
+    algo: Algorithm,
+    ds: &Dataset,
+    pool: &ThreadPool,
+    max_roots: usize,
+) -> (u64, u32, f64) {
+    let mut engine = GapEngine::with_config(cfg);
+    construct(&mut engine, EngineKind::Gap, ds, pool);
+    let roots = &ds.roots[..max_roots.min(ds.roots.len())];
+    let ((edges, iterations), secs) = timed(|| {
+        roots.iter().fold((0u64, 0u32), |(edges, iterations), &root| {
+            let out = engine.run(algo, &RunParams::new(pool, Some(root)));
+            (edges + out.counters.edges_traversed, iterations + out.counters.iterations)
+        })
+    });
+    let n = roots.len().max(1);
+    (edges / n as u64, iterations / n as u32, secs / n as f64)
+}
+
+/// Small Δ approaches Dijkstra (many buckets, little parallelism per
+/// bucket); huge Δ approaches Bellman-Ford (one bucket, wasted
+/// relaxations). The sweet spot depends on the weight distribution.
+pub(super) fn ablation_delta(ctx: &mut Ctx) -> io::Result<()> {
+    let ds = ctx.kron(22, 13, true)?;
+    let pool = ThreadPool::new(ctx.opts.threads);
+    say!(ctx, "delta       edge relaxations       buckets    time (s)");
+    for delta in [0.01f32, 0.05, 0.1, 0.25, 0.5, 1.0, 4.0, 1000.0] {
+        let cfg = GapConfig { delta, ..Default::default() };
+        let (relaxed, buckets, secs) =
+            gap_root_means(cfg, Algorithm::Sssp, &ds, &pool, ctx.opts.roots);
+        say!(ctx, "{delta:<12}{relaxed:>16}{buckets:>14}{secs:>12.5}");
+    }
+    say!(
+        ctx,
+        "\nsmall delta => many buckets (serial bottleneck); huge delta => few\n\
+         buckets but re-relaxation waste. GAP ships delta tunable per graph (§V)."
+    );
+    Ok(())
+}
+
+/// §V: "Advances in parallel SSSP and BFS contain parameterizations (Δ for
+/// SSSP and α and β for BFS) which affects performance depending on graph
+/// structure. These are provided in GAP." §IV-C notes the paper ran the
+/// default α=15, β=18 untuned.
+pub(super) fn ablation_dobfs(ctx: &mut Ctx) -> io::Result<()> {
+    let ds = ctx.kron(22, 13, false)?;
+    let pool = ThreadPool::new(ctx.opts.threads);
+    let top_down = GapConfig { direction_optimizing: false, ..Default::default() };
+    let mut configs = vec![
+        ("top-down only".to_string(), top_down),
+        ("direction-optimizing (15,18)".to_string(), GapConfig::default()),
+    ];
+    for (alpha, beta) in [(1, 18), (4, 18), (64, 18), (15, 2), (15, 64), (256, 1024)] {
+        let cfg = GapConfig { alpha, beta, ..Default::default() };
+        configs.push((format!("alpha={alpha}, beta={beta}"), cfg));
+    }
+    say!(ctx, "configuration                edges traversed    time (s)     steps");
+    let mut edges_by_config = Vec::new();
+    for (label, cfg) in configs {
+        let (edges, steps, secs) = gap_root_means(cfg, Algorithm::Bfs, &ds, &pool, ctx.opts.roots);
+        say!(ctx, "{label:<28}{edges:>16}{secs:>12.5}{steps:>10}");
+        edges_by_config.push(edges);
+    }
+    say!(
+        ctx,
+        "\ndirection optimization cut traversed edges by {:.1}x on this graph\n\
+         (the mechanism behind GAP's Fig. 2 lead).",
+        edges_by_config[0] as f64 / edges_by_config[1] as f64
+    );
+    Ok(())
+}
+
+/// §IV-C attributes PowerGraph's dense-graph advantage to its partitioning
+/// and its overhead to replication: sweep the partition count on the
+/// sparse and the dense stand-in (default 1/512).
+pub(super) fn ablation_partitions(ctx: &mut Ctx) -> io::Result<()> {
+    let (sparse, dense) = ctx.stand_ins(512)?;
+    let pool = ThreadPool::new(ctx.opts.threads);
+    for (ds, density) in [(&sparse, "sparse"), (&dense, "dense")] {
+        say!(ctx, "== {} ==", ds.name);
+        say!(ctx, " partitions  repl factor      mirrors     SSSP edges    SSSP time");
+        for p in [1usize, 2, 4, 8, 16, 32] {
+            let pg = PartitionedGraph::build(&ds.symmetric, p);
+            let mut e = PowerGraphEngine::with_config(PowerGraphConfig { num_partitions: p });
+            construct(&mut e, EngineKind::PowerGraph, ds, &pool);
+            let params = RunParams::new(&pool, Some(ds.roots[0]));
+            let (out, secs) = timed(|| e.run(Algorithm::Sssp, &params));
+            let (rf, mirrors, edges) =
+                (pg.replication_factor(), pg.num_mirrors(), out.counters.edges_traversed);
+            say!(ctx, "{p:>11} {rf:>12.3} {mirrors:>12} {edges:>14} {secs:>12.5}");
+            ctx.fact("replication", &format!("{density}.{p}"), rf);
+        }
+        say!(ctx);
+    }
+    say!(
+        ctx,
+        "replication factor grows with partition count and graph density —\n\
+         every apply pays one sync message per mirror, which is the paper's\n\
+         'significant overhead' (§IV-C); but more partitions also spread the\n\
+         dense graph's hub work, which is why dota flatters PowerGraph."
+    );
+    Ok(())
+}
+
+/// The engines differ in their worksharing choices (GAP-style guided vs
+/// GraphBIG-style dynamic): a skew-sensitive kernel (per-vertex
+/// degree-weighted work on a Kronecker graph) under each schedule and
+/// chunk size, on a real pool of at least two threads.
+pub(super) fn ablation_sched(ctx: &mut Ctx) -> io::Result<()> {
+    let ds = ctx.kron(20, 12, false)?;
+    let g = Csr::from_edge_list(&ds.symmetric);
+    let pool = ThreadPool::new(ctx.opts.threads.max(2));
+    let schedules: [(&str, Schedule); 6] = [
+        ("static", Schedule::Static { chunk: None }),
+        ("static,64", Schedule::Static { chunk: Some(64) }),
+        ("dynamic,16", Schedule::Dynamic { chunk: 16 }),
+        ("dynamic,256", Schedule::Dynamic { chunk: 256 }),
+        ("guided,16", Schedule::Guided { min_chunk: 16 }),
+        ("guided,256", Schedule::Guided { min_chunk: 256 }),
+    ];
+    say!(ctx, "schedule          time (s)            checksum    chunks");
+    for (name, sched) in schedules {
+        let before = pool.stats().chunks;
+        let sum = AtomicU64::new(0);
+        let ((), secs) = timed(|| {
+            for _ in 0..3 {
+                pool.parallel_for_ranges(g.num_vertices(), sched, |_tid, lo, hi| {
+                    let mut local = 0u64;
+                    for v in lo..hi {
+                        for &t in g.neighbors(v as VertexId) {
+                            local = local.wrapping_add(t as u64).rotate_left(1);
+                        }
+                    }
+                    sum.fetch_add(local, Ordering::Relaxed);
+                });
+            }
+        });
+        let (secs, sum, chunks) =
+            (secs / 3.0, sum.load(Ordering::Relaxed), (pool.stats().chunks - before) / 3);
+        say!(ctx, "{name:<14}{secs:>12.5}  {sum:>18x}{chunks:>10}");
+    }
+    say!(
+        ctx,
+        "\nstatic splits leave the thread owning the hub range as a straggler;\n\
+         dynamic/guided rebalance at the cost of queue traffic — the tradeoff\n\
+         behind GAP's guided vs GraphBIG's dynamic defaults."
+    );
+    Ok(())
+}
+
+/// §IV-A's homogenization: the L1 threshold swept against GraphMat's
+/// native "no vertex changes" (∞-norm) criterion on every engine that
+/// runs PageRank — how much of Fig. 4's iteration gap is stopping rule.
+pub(super) fn ablation_stopping(ctx: &mut Ctx) -> io::Result<()> {
+    use EngineKind::{Gap, GraphBig, GraphMat, PowerGraph};
+    let ds = ctx.kron(22, 12, false)?;
+    let pool = ThreadPool::new(ctx.opts.threads);
+    let criteria: [(&str, Option<StoppingCriterion>); 6] = [
+        ("native", None),
+        ("L1 < 1e-4", Some(StoppingCriterion::L1Norm(1e-4))),
+        ("L1 < 1e-6", Some(StoppingCriterion::L1Norm(1e-6))),
+        ("L1 < 6e-8 (paper)", Some(StoppingCriterion::paper_default())),
+        ("L1 < 1e-10", Some(StoppingCriterion::L1Norm(1e-10))),
+        ("no-change", Some(StoppingCriterion::NoChange)),
+    ];
+    let mut engines = [Gap, GraphBig, GraphMat, PowerGraph].map(|kind| (kind, kind.create()));
+    write!(ctx.out, "{:<20}", "criterion")?;
+    for (kind, engine) in &mut engines {
+        construct(engine.as_mut(), *kind, &ds, &pool);
+        write!(ctx.out, "{:>12}", kind.name())?;
+    }
+    say!(ctx, "   (iterations)");
+    for (label, stopping) in criteria {
+        write!(ctx.out, "{label:<20}")?;
+        for (_, engine) in &mut engines {
+            let mut params = RunParams::new(&pool, None);
+            params.stopping = stopping;
+            let out = engine.run(Algorithm::PageRank, &params);
+            let iterations = out.result.iterations().expect("PageRank counts iterations");
+            write!(ctx.out, "{iterations:>12}")?;
+        }
+        say!(ctx);
+    }
+    say!(
+        ctx,
+        "\n'native' = each system's own rule: GraphMat iterates until no rank\n\
+         changes (its column jumps), the rest stop at L1 < 6e-8 — the exact\n\
+         inconsistency §IV-A homogenizes away."
+    );
+    Ok(())
+}
+
+/// §IV-A: "the GAP Benchmark Suite can be recompiled to store weights as
+/// integers or floating-point values. This may affect performance in
+/// addition to runtime behavior in cases where weights like 0.2 are cast
+/// to 0." Both effects: the SSSP result distortion and the timing.
+pub(super) fn ablation_weights(ctx: &mut Ctx) -> io::Result<()> {
+    // Kronecker weights are uniform (0,1]: truncation maps almost all to 0.
+    let ds = ctx.kron(22, 13, true)?;
+    let pool = ThreadPool::new(ctx.opts.threads);
+    let mut distances = Vec::new();
+    for (label, weight_repr) in
+        [("float (default)", WeightRepr::Float), ("int (truncated)", WeightRepr::Int)]
+    {
+        let mut e = GapEngine::with_config(GapConfig { weight_repr, ..Default::default() });
+        construct(&mut e, EngineKind::Gap, &ds, &pool);
+        let params = RunParams::new(&pool, Some(ds.roots[0]));
+        let (out, secs) = timed(|| e.run(Algorithm::Sssp, &params));
+        let AlgorithmResult::Distances(d) = out.result else { unreachable!("SSSP: distances") };
+        let finite: Vec<f64> = d.iter().filter(|x| x.is_finite()).map(|&x| x as f64).collect();
+        let (relaxed, mean_d) = (out.counters.edges_traversed, mean(&finite));
+        say!(
+            ctx,
+            "{label:<18} time {secs:.5}s, relaxations {relaxed}, mean finite distance {mean_d:.4}"
+        );
+        distances.push(d);
+    }
+    let (float_d, int_d) = (&distances[0], &distances[1]);
+    let changed = float_d
+        .iter()
+        .zip(int_d)
+        .filter(|(a, b)| (**a - **b).abs() > 1e-6 && (a.is_finite() || b.is_finite()))
+        .count();
+    let zeroed = int_d.iter().filter(|&&x| x == 0.0).count();
+    say!(
+        ctx,
+        "\ntruncation changed {changed} of {} distances; {zeroed} vertices now sit\n\
+         at distance 0 (uniform (0,1] weights all truncate to 0 — the paper's\n\
+         'weights like 0.2 are cast to 0' hazard, degenerating SSSP into a\n\
+         reachability sweep).",
+        float_d.len()
+    );
+    Ok(())
+}
+
+/// The three concrete items §V lists as future work: "algorithms like
+/// triangle counting and betweenness centrality are widely implemented
+/// but not supported by either Graphalytics nor easy-parallel-graph-*";
+/// "we plan to add some level of heuristic parameter tuning".
+pub(super) fn extensions(ctx: &mut Ctx) -> io::Result<()> {
+    let ds = ctx.kron(20, 12, true)?;
+    let pool = ThreadPool::new(ctx.opts.threads);
+
+    say!(ctx, "== Triangle counting (each triangle once) ==");
+    let mut counts = Vec::new();
+    for kind in EngineKind::ALL {
+        let mut e = kind.create();
+        if !e.supports(Algorithm::TriangleCount) {
+            say!(ctx, "{:<12} {:>12}", kind.name(), "N/A");
+            continue;
+        }
+        construct(e.as_mut(), kind, &ds, &pool);
+        let params = RunParams::new(&pool, None);
+        let (out, secs) = timed(|| e.run(Algorithm::TriangleCount, &params));
+        let AlgorithmResult::Triangles(t) = out.result else { unreachable!("TC: a count") };
+        say!(ctx, "{:<12} {t:>12} triangles in {secs:.4}s", kind.name());
+        ctx.fact("triangles", kind.name(), t as f64);
+        counts.push(t);
+    }
+    let agree = counts.windows(2).all(|w| w[0] == w[1]);
+    say!(ctx, "{}\n", if agree { "all supporting engines agree." } else { "ENGINES DISAGREE." });
+
+    say!(ctx, "== Betweenness centrality (sampled sources) ==");
+    for kind in [EngineKind::Gap, EngineKind::GraphBig] {
+        let mut e = kind.create();
+        construct(e.as_mut(), kind, &ds, &pool);
+        let mut params = RunParams::new(&pool, None);
+        params.bc_sources = Some(16);
+        let (out, secs) = timed(|| e.run(Algorithm::Bc, &params));
+        let AlgorithmResult::Centrality(bc) = out.result else { unreachable!("BC: scores") };
+        let mut top: Vec<(usize, f64)> = bc.iter().copied().enumerate().collect();
+        top.sort_by(|a, b| b.1.total_cmp(&a.1));
+        let top: Vec<_> = top.iter().take(3).map(|&(v, s)| (v, s.round())).collect();
+        say!(ctx, "{:<12} 16 sources in {secs:.4}s; top vertices: {top:?}", kind.name());
+    }
+
+    say!(ctx, "\n== GAP heuristic parameter tuning ==");
+    let mut e = GapEngine::new();
+    construct(&mut e, EngineKind::Gap, &ds, &pool);
+    let (alpha, beta, delta) = (e.config.alpha, e.config.beta, e.config.delta);
+    say!(ctx, "defaults: alpha={alpha}, beta={beta}, delta={delta}");
+    let report = e.auto_tune(&pool, &ds.roots);
+    say!(ctx, "tuned:    alpha={}, beta={}, delta={:.4}", report.alpha, report.beta, report.delta);
+    say!(ctx, "delta probes (delta, work cost):");
+    for (d, c) in &report.delta_probes {
+        say!(ctx, "  {d:>12.4}  {c:>12}");
+    }
+    say!(ctx, "alpha/beta probes ((a,b), work cost):");
+    for ((a, b), c) in &report.bfs_probes {
+        say!(ctx, "  ({a:>3},{b:>4})  {c:>12}");
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::dataset::PaperDatasets;
+
+    /// `ablation_delta` / `ablation_dobfs` used to divide by `--roots` even
+    /// when the dataset had fewer: `--roots 64` halved every average.
+    #[test]
+    fn root_means_divide_by_the_roots_that_ran() {
+        let ds = Dataset::from_spec(&PaperDatasets::kronecker(7, false), 3);
+        let pool = ThreadPool::new(1);
+        let means = |roots| gap_root_means(GapConfig::default(), Algorithm::Bfs, &ds, &pool, roots);
+        let (all, more_than_all) = (means(ds.roots.len()), means(2 * ds.roots.len()));
+        assert!(all.0 > 0 && all.1 > 0);
+        assert_eq!((all.0, all.1), (more_than_all.0, more_than_all.1));
+    }
+}

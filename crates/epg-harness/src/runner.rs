@@ -15,6 +15,7 @@ use crate::tracefile::{Capture, TraceBundle};
 use crate::{csvio, logs};
 use epg_engine_api::{Algorithm, FaultPlan, FaultyEngine, Phase, RunOutput, RunParams, SsspKernel};
 use epg_graph::VertexId;
+use epg_machine::{MachineModel, Projection};
 use epg_parallel::ThreadPool;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -133,6 +134,20 @@ pub struct RunInfo {
     pub seconds: f64,
     /// The engine's output (result + counters + trace).
     pub output: RunOutput,
+}
+
+impl RunInfo {
+    /// `model`'s per-thread work rate calibrated from this run's own
+    /// kernel seconds, so that one projected thread reproduces them.
+    pub fn calibrated_rate(&self, model: &MachineModel) -> f64 {
+        model.calibrate_rate(&self.output.trace, self.seconds.max(1e-9))
+    }
+
+    /// This run's trace projected onto `threads` threads of `model`'s
+    /// machine at [`Self::calibrated_rate`].
+    pub fn projected(&self, model: &MachineModel, threads: usize) -> Projection {
+        model.project(&self.output.trace, self.calibrated_rate(model), threads)
+    }
 }
 
 /// Everything an experiment produces.

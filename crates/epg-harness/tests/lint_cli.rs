@@ -110,8 +110,36 @@ fn explain_rejects_unknown_rules_with_the_id_list() {
 }
 
 /// Every command `epg` dispatches, as the usage string spells them.
-const COMMANDS: [&str; 9] =
-    ["setup", "gen", "run", "all", "graphalytics", "granula", "serve", "trace summarize", "lint"];
+const COMMANDS: [&str; 10] = [
+    "setup",
+    "gen",
+    "run",
+    "all",
+    "graphalytics",
+    "granula",
+    "reproduce",
+    "serve",
+    "trace summarize",
+    "lint",
+];
+
+#[test]
+fn reproduce_lists_its_17_ids_and_rejects_an_unknown_one_before_creating_anything() {
+    let list = epg(&["reproduce", "--list"]);
+    assert_eq!(exit_code(&list), 0);
+    let stdout = String::from_utf8_lossy(&list.stdout);
+    let ids: Vec<&str> = stdout.lines().collect();
+    assert_eq!(ids.len(), 17, "{stdout}");
+    assert!(ids.contains(&"fig9_table3") && ids.contains(&"ablation_weights"), "{stdout}");
+
+    let out_dir = temp_root("cli-reproduce").join("x");
+    let out = epg(&["reproduce", "fig2", "fig10", "--out", out_dir.to_str().unwrap()]);
+    assert_eq!(exit_code(&out), 1);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown artefact `fig10`"), "{stderr}");
+    assert!(ids.iter().all(|id| stderr.contains(id)), "the ids help discovery:\n{stderr}");
+    assert!(!out_dir.exists(), "epg created {} for an id it rejected", out_dir.display());
+}
 
 #[test]
 fn an_unknown_command_leaves_no_out_directory() {

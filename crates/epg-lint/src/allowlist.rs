@@ -11,9 +11,9 @@
 //! reason = "audited 2026-08: …"
 //!
 //! [[allow]]
-//! dir = "crates/epg-bench/"            # or a directory prefix scope
+//! dir = "crates/epg-foo/src/drivers/"  # or a directory prefix scope
 //! rule = "timing-discipline"
-//! reason = "bench drivers are measurement code"
+//! reason = "these drivers are measurement code"
 //! ```
 //!
 //! Exactly one of `file` (exact path) or `dir` (path prefix) scopes each

@@ -15,7 +15,6 @@
 //! 5  epg-serve
 //! 6  epg-harness
 //! 7  epg (facade)
-//! 8  epg-bench
 //! ```
 //!
 //! Checked twice: against the **declared DAG** (`[dependencies]` and
@@ -56,7 +55,6 @@ pub fn layer_of(name: &str) -> Option<u8> {
         "epg-serve" => 5,
         "epg-harness" => 6,
         "epg" => 7,
-        "epg-bench" => 8,
         _ => return None,
     })
 }

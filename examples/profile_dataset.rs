@@ -38,7 +38,7 @@ fn main() {
     let model = MachineModel::paper_machine();
     for kind in [EngineKind::Gap, EngineKind::GraphMat] {
         let run = result.runs.iter().find(|r| r.engine == kind).unwrap();
-        let rate = model.calibrate_rate(&run.output.trace, run.seconds.max(1e-9));
+        let rate = run.calibrated_rate(&model);
         let chart = OperationChart::build(
             &[(Phase::Run, run.seconds)],
             &run.output.trace,

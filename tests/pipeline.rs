@@ -121,7 +121,7 @@ fn machine_model_consumes_runner_traces() {
             .iter()
             .find(|r| r.engine == kind)
             .unwrap_or_else(|| panic!("no run for {}", kind.name()));
-        let rate = model.calibrate_rate(&run.output.trace, run.seconds.max(1e-6));
+        let rate = run.calibrated_rate(&model);
         let speedup = model.speedup_curve(&run.output.trace, rate, &[1, 2, 4, 8, 16, 32, 64, 72]);
         assert!((speedup[0].1 - 1.0).abs() < 1e-9);
         // Speedup stays positive and bounded.

@@ -43,7 +43,7 @@ fn granula_chart_accounts_for_run_time() {
     let model = MachineModel::paper_machine();
     for kind in [EngineKind::Gap, EngineKind::GraphMat] {
         let run = result.runs.iter().find(|r| r.engine == kind).unwrap();
-        let rate = model.calibrate_rate(&run.output.trace, run.seconds.max(1e-9));
+        let rate = run.calibrated_rate(&model);
         let chart = OperationChart::build(
             &[(Phase::Run, run.seconds)],
             &run.output.trace,
@@ -52,7 +52,7 @@ fn granula_chart_accounts_for_run_time() {
             32,
         );
         let nested: f64 = chart.rows.iter().filter(|r| r.depth == 1).map(|r| r.seconds).sum();
-        let projected = model.project(&run.output.trace, rate, 32).total_s;
+        let projected = run.projected(&model, 32).total_s;
         assert!((nested - projected).abs() < 1e-9, "{}", kind.name());
     }
     // GraphMat's chart shows serial overhead; GAP's does not.
@@ -124,7 +124,7 @@ fn power_sensors_agree_and_wattprof_adds_resolution() {
     let result = run_experiment(&cfg, &ds);
     let run = &result.runs[0];
     let model = MachineModel::paper_machine();
-    let rate = model.calibrate_rate(&run.output.trace, run.seconds.max(1e-9));
+    let rate = run.calibrated_rate(&model);
     let rapl = RaplSensor.measure(&model, &run.output.trace, rate, 32);
     let wp = WattProfSensor { sample_hz: 1e8 };
     let wp_rep = wp.measure(&model, &run.output.trace, rate, 32);
