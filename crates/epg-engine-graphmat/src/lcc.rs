@@ -104,9 +104,9 @@ mod tests {
     #[test]
     fn triangle_is_one() {
         let el = EdgeList::new(3, vec![(0, 1), (1, 2), (2, 0)]).symmetrized();
-        let a = Dcsc::from_edge_list(&el);
-        let at = a.transpose();
         let pool = ThreadPool::new(2);
+        let a = Dcsc::from_edge_list(&el, &pool);
+        let at = a.transpose(&pool);
         let out = lcc(&a, &at, 3, &RunParams::new(&pool, None));
         let AlgorithmResult::Coefficients(c) = out.result else { panic!() };
         assert!(c.iter().all(|&x| (x - 1.0).abs() < 1e-12));
@@ -115,9 +115,9 @@ mod tests {
     #[test]
     fn directed_graph_matches_oracle() {
         let el = epg_generator::uniform::generate(60, 500, false, 11).deduplicated();
-        let a = Dcsc::from_edge_list(&el);
-        let at = a.transpose();
         let pool = ThreadPool::new(3);
+        let a = Dcsc::from_edge_list(&el, &pool);
+        let at = a.transpose(&pool);
         let out = lcc(&a, &at, el.num_vertices, &RunParams::new(&pool, None));
         let AlgorithmResult::Coefficients(c) = out.result else { panic!() };
         let want = oracle::lcc(&Csr::from_edge_list(&el));
@@ -188,9 +188,9 @@ mod tc_tests {
     #[test]
     fn tc_matches_oracle() {
         let el = epg_generator::uniform::generate(130, 1700, false, 12);
-        let a = Dcsc::from_edge_list(&el);
-        let at = a.transpose();
         let pool = ThreadPool::new(3);
+        let a = Dcsc::from_edge_list(&el, &pool);
+        let at = a.transpose(&pool);
         let out = triangle_count(&a, &at, el.num_vertices, &RunParams::new(&pool, None));
         let AlgorithmResult::Triangles(t) = out.result else { panic!() };
         assert_eq!(t, oracle::triangle_count(&Csr::from_edge_list(&el)));

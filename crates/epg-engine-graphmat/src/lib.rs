@@ -99,10 +99,10 @@ impl Engine for GraphMatEngine {
         self.num_vertices = el.num_vertices;
     }
 
-    fn construct(&mut self, _pool: &ThreadPool) {
+    fn construct(&mut self, pool: &ThreadPool) {
         let el = self.edge_list.as_ref().expect("no edge list loaded");
-        let m = Dcsc::from_edge_list(el);
-        self.matrix_t = Some(m.transpose());
+        let m = Dcsc::from_edge_list(el, pool);
+        self.matrix_t = Some(m.transpose(pool));
         self.matrix = Some(m);
     }
 

@@ -378,8 +378,8 @@ mod tests {
     fn bfs_parent_choice_is_min_sender() {
         // Both 0 and 1 discover 2 in the same step: parent must be 0.
         let el = EdgeList::new(4, vec![(3, 0), (3, 1), (0, 2), (1, 2)]);
-        let m = Dcsc::from_edge_list(&el);
         let pool = ThreadPool::new(4);
+        let m = Dcsc::from_edge_list(&el, &pool);
         let out = bfs(&m, 4, &RunParams::new(&pool, Some(3)));
         let AlgorithmResult::BfsTree { parent, level } = out.result else { panic!() };
         assert_eq!(level, vec![1, 1, 2, 0]);
@@ -389,9 +389,9 @@ mod tests {
     #[test]
     fn wcc_active_set_shrinks_monotonically_to_empty() {
         let el = EdgeList::new(6, vec![(0, 1), (1, 2), (3, 4)]);
-        let m = Dcsc::from_edge_list(&el);
-        let mt = m.transpose();
         let pool = ThreadPool::new(2);
+        let m = Dcsc::from_edge_list(&el, &pool);
+        let mt = m.transpose(&pool);
         let out = wcc(&m, &mt, 6, &RunParams::new(&pool, None));
         let AlgorithmResult::Components(c) = out.result else { panic!() };
         assert_eq!(c, vec![0, 0, 0, 3, 3, 5]);
@@ -400,9 +400,9 @@ mod tests {
     #[test]
     fn pagerank_trace_includes_degree_pass() {
         let el = EdgeList::new(3, vec![(0, 1), (1, 2), (2, 0)]);
-        let m = Dcsc::from_edge_list(&el);
-        let mt = m.transpose();
         let pool = ThreadPool::new(1);
+        let m = Dcsc::from_edge_list(&el, &pool);
+        let mt = m.transpose(&pool);
         let out = pagerank(&m, &mt, 3, &RunParams::new(&pool, None));
         // First trace record is the serial degree-count pass.
         assert!(!out.trace.records[0].parallel);
@@ -411,9 +411,9 @@ mod tests {
     #[test]
     fn cdlp_runs_fixed_iterations() {
         let el = EdgeList::new(4, vec![(0, 1), (1, 0), (2, 3), (3, 2)]);
-        let m = Dcsc::from_edge_list(&el);
-        let mt = m.transpose();
         let pool = ThreadPool::new(2);
+        let m = Dcsc::from_edge_list(&el, &pool);
+        let mt = m.transpose(&pool);
         let out = cdlp(&m, &mt, 4, &RunParams::new(&pool, None), 7);
         assert_eq!(out.counters.iterations, 7);
     }

@@ -211,8 +211,8 @@ mod tests {
     #[test]
     fn one_iteration_relaxes_root_edges() {
         let el = EdgeList::weighted(4, vec![(0, 1), (0, 2), (2, 3)], vec![1.0, 4.0, 1.0]);
-        let m = Dcsc::from_edge_list(&el);
         let pool = ThreadPool::new(2);
+        let m = Dcsc::from_edge_list(&el, &pool);
         let mut dist = vec![f32::INFINITY; 4];
         dist[0] = 0.0;
         let (next, stats) = run_iteration(&MinPlus, &[&m], &[0], &mut dist, &mut [None; 4], &pool);
@@ -226,8 +226,8 @@ mod tests {
     fn iterating_to_fixpoint_gives_shortest_paths() {
         let el =
             EdgeList::weighted(4, vec![(0, 1), (1, 2), (0, 2), (2, 3)], vec![1.0, 1.0, 5.0, 1.0]);
-        let m = Dcsc::from_edge_list(&el);
         let pool = ThreadPool::new(3);
+        let m = Dcsc::from_edge_list(&el, &pool);
         let mut dist = vec![f32::INFINITY; 4];
         dist[0] = 0.0;
         let mut active = vec![0];
@@ -244,8 +244,8 @@ mod tests {
         // Two sources reach the same destination in one iteration; the
         // smaller must win regardless of thread interleaving.
         let el = EdgeList::weighted(3, vec![(0, 2), (1, 2)], vec![5.0, 3.0]);
-        let m = Dcsc::from_edge_list(&el);
         let pool = ThreadPool::new(4);
+        let m = Dcsc::from_edge_list(&el, &pool);
         let mut dist = vec![0.0, 0.0, f32::INFINITY];
         let (next, stats) =
             run_iteration(&MinPlus, &[&m], &[0, 1], &mut dist, &mut [None; 3], &pool);
@@ -257,9 +257,9 @@ mod tests {
     #[test]
     fn dual_matrix_pushes_both_directions() {
         let el = EdgeList::weighted(3, vec![(1, 0), (1, 2)], vec![1.0, 1.0]);
-        let m = Dcsc::from_edge_list(&el);
-        let mt = m.transpose();
         let pool = ThreadPool::new(2);
+        let m = Dcsc::from_edge_list(&el, &pool);
+        let mt = m.transpose(&pool);
         // Activate vertex 0; pushing along A alone reaches nothing (0 has
         // no out-edges), along [A, Aᵀ] it reaches 1.
         let mut dist = vec![0.0, f32::INFINITY, f32::INFINITY];
@@ -270,8 +270,8 @@ mod tests {
     #[test]
     fn empty_active_set_is_noop() {
         let el = EdgeList::new(2, vec![(0, 1)]);
-        let m = Dcsc::from_edge_list(&el);
         let pool = ThreadPool::new(1);
+        let m = Dcsc::from_edge_list(&el, &pool);
         let mut vals = vec![1.0f32, 2.0];
         let (next, stats) = run_iteration(&MinPlus, &[&m], &[], &mut vals, &mut [None; 2], &pool);
         assert!(next.is_empty());
@@ -408,8 +408,9 @@ mod tests {
 
         #[test]
         fn iteration_matches_a_sequential_reference_step((el, per) in arb_case()) {
-            let a = Dcsc::from_edge_list(&el);
-            let at = a.transpose();
+            let build = ThreadPool::new(2);
+            let a = Dcsc::from_edge_list(&el, &build);
+            let at = a.transpose(&build);
             let n = el.num_vertices as VertexId;
             let sparse: Vec<VertexId> = (0..n).filter(|&v| per[v as usize].1).collect();
             let all: Vec<VertexId> = (0..n).collect();

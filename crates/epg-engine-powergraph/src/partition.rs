@@ -15,17 +15,22 @@
 //! Each partition stores its edges the way PowerGraph's `local_graph`
 //! does: the replicas it hosts get dense *local ids* (ascending global id),
 //! and the edges sit in a CSR (by local source) and a CSC (by local
-//! destination) over them. Both are filled by a stable counting sort, so
-//! the adjacency of every `(partition, vertex)` is in input-edge order.
+//! destination) over them. Both are filled by `epg-graph`'s stable counting
+//! sort ([`group_by_key`]), keyed by partition then local id, so the
+//! adjacency of every `(partition, vertex)` is in input-edge order.
 //! [`PartitionedGraph::local_id`] maps a global id to a partition's local
 //! id in O(1).
 
+use epg_graph::csr::group_by_key;
 use epg_graph::{EdgeList, VertexId, Weight};
+use std::sync::Arc;
 
-/// Adjacency lists over one partition's local ids, CSR-style: the list of
-/// local vertex `l` is `adj[off[l]..off[l + 1]]`. Neighbors are stored by
-/// *global* id, because vertex data is.
-#[derive(Clone, Debug)]
+/// Adjacency lists of every partition's local vertices, CSR-style: a
+/// partition owns the keys from its `base` on, one per local id, and the
+/// list of key `k` is `adj[off[k]..off[k + 1]]` — so a partition's lists are
+/// one contiguous stretch. Neighbors are stored by *global* id, because
+/// vertex data is.
+#[derive(Debug)]
 struct Adjacency {
     off: Vec<usize>,
     adj: Vec<(VertexId, Weight)>,
@@ -33,35 +38,22 @@ struct Adjacency {
 
 impl Adjacency {
     #[inline]
-    fn of(&self, l: usize) -> &[(VertexId, Weight)] {
-        &self.adj[self.off[l]..self.off[l + 1]]
+    fn of(&self, k: usize) -> &[(VertexId, Weight)] {
+        &self.adj[self.off[k]..self.off[k + 1]]
     }
 
-    /// Stable counting sort of `entries` — (partition, local vertex,
-    /// (neighbor, weight)) in input order — into one `Adjacency` per
-    /// partition: count, prefix-sum, then place, so every list keeps input
-    /// order. `nlocal[pi]` is partition `pi`'s number of local vertices.
-    fn group<I>(nlocal: &[usize], entries: impl Fn() -> I) -> Vec<Adjacency>
-    where
-        I: Iterator<Item = (usize, usize, (VertexId, Weight))>,
-    {
-        let mut off: Vec<Vec<usize>> = nlocal.iter().map(|&nl| vec![0; nl + 1]).collect();
-        for (pi, l, _) in entries() {
-            off[pi][l + 1] += 1;
-        }
-        for o in &mut off {
-            for l in 1..o.len() {
-                o[l] += o[l - 1];
-            }
-        }
-        let mut adj: Vec<Vec<(VertexId, Weight)>> =
-            off.iter().map(|o| vec![(0, 0.0); o[o.len() - 1]]).collect();
-        let mut cursor = off.clone();
-        for (pi, l, entry) in entries() {
-            adj[pi][cursor[pi][l]] = entry;
-            cursor[pi][l] += 1;
-        }
-        off.into_iter().zip(adj).map(|(off, adj)| Adjacency { off, adj }).collect()
+    /// Groups the input edges by key with `epg-graph`'s stable counting
+    /// sort, so every list keeps input order: `keys` holds one key per
+    /// edge, `neighbors` yields that edge's (neighbor, weight).
+    fn group(
+        nkeys: usize,
+        keys: &[u32],
+        neighbors: impl Iterator<Item = (VertexId, Weight)>,
+    ) -> Arc<Self> {
+        let keys = keys.iter().map(|&k| k as usize);
+        let mut adj = vec![(0, 0.0); keys.len()];
+        let off = group_by_key(nkeys, keys.clone(), keys.zip(neighbors), |slot, e| adj[slot] = e);
+        Arc::new(Adjacency { off, adj })
     }
 }
 
@@ -70,10 +62,12 @@ impl Adjacency {
 pub struct Partition {
     /// Global id of each local vertex, ascending; the index is the local id.
     vertices: Vec<VertexId>,
+    /// Key of local vertex 0 in `outs` and `ins`.
+    base: usize,
     /// (global dst, weight) by local src.
-    outs: Adjacency,
+    outs: Arc<Adjacency>,
     /// (global src, weight) by local dst.
-    ins: Adjacency,
+    ins: Arc<Adjacency>,
 }
 
 impl Partition {
@@ -88,20 +82,21 @@ impl Partition {
     /// order.
     #[inline]
     pub fn out_edges(&self, l: usize) -> &[(VertexId, Weight)] {
-        self.outs.of(l)
+        self.outs.of(self.base + l)
     }
 
     /// Local in-edges of local vertex `l`: (global src, weight), in input
     /// order.
     #[inline]
     pub fn in_edges(&self, l: usize) -> &[(VertexId, Weight)] {
-        self.ins.of(l)
+        self.ins.of(self.base + l)
     }
 
     /// Number of edges assigned here.
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.outs.adj.len()
+        let off = &self.outs.off;
+        off[self.base + self.vertices.len()] - off[self.base]
     }
 }
 
@@ -246,30 +241,24 @@ impl PartitionedGraph {
         off.push(lvid.len());
         let ids = LocalIds { presence, off, lvid };
 
-        // Every edge's partition and the local ids of its ends there; the
-        // CSR groups the edges by local src, the CSC by local dst.
-        let ends: Vec<(u8, u32, u32)> = el
-            .edges
-            .iter()
-            .zip(&edge_part)
-            .map(|(&(u, v), &pi)| {
-                let host = |x| ids.get(x, pi as usize).expect("an edge's partition hosts its ends");
-                (pi, host(u) as u32, host(v) as u32)
-            })
-            .collect();
-        let nlocal: Vec<usize> = vertices.iter().map(Vec::len).collect();
-        let edges = || el.iter().zip(&ends);
-        let outs = Adjacency::group(&nlocal, || {
-            edges().map(|((_, v, w), &(pi, lu, _))| (pi as usize, lu as usize, (v, w)))
-        });
-        let ins = Adjacency::group(&nlocal, || {
-            edges().map(|((u, _, w), &(pi, _, lv))| (pi as usize, lv as usize, (u, w)))
-        });
-        let partitions = vertices
-            .into_iter()
-            .zip(outs.into_iter().zip(ins))
-            .map(|(vertices, (outs, ins))| Partition { vertices, outs, ins })
-            .collect();
+        // Every edge's ends as keys — its partition's base plus the local id
+        // there; the CSR groups the edges by src key, the CSC by dst key.
+        let mut base = vec![0usize; p + 1];
+        for (pi, hosted) in vertices.iter().enumerate() {
+            base[pi + 1] = base[pi] + hosted.len();
+        }
+        assert!(base[p] <= u32::MAX as usize, "keys are kept in 32 bits");
+        let key = |x, pi: u8| {
+            let pi = pi as usize;
+            (base[pi] + ids.get(x, pi).expect("an edge's partition hosts its ends")) as u32
+        };
+        let keys = el.edges.iter().zip(&edge_part).map(|(&(u, v), &pi)| (key(u, pi), key(v, pi)));
+        let (by_src, by_dst): (Vec<u32>, Vec<u32>) = keys.unzip();
+        let outs = Adjacency::group(base[p], &by_src, el.iter().map(|(_, v, w)| (v, w)));
+        let ins = Adjacency::group(base[p], &by_dst, el.iter().map(|(u, _, w)| (u, w)));
+        let part =
+            |(vertices, &base)| Partition { vertices, base, outs: outs.clone(), ins: ins.clone() };
+        let partitions = vertices.into_iter().zip(&base).map(part).collect();
         PartitionedGraph {
             num_vertices: n,
             num_edges: el.num_edges(),

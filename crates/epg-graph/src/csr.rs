@@ -4,8 +4,12 @@
 //! paper notes in §V) by Graph500, GAP, and GraphBIG. Construction uses the
 //! counting-sort scheme of the Graph500 reference code so that the engines'
 //! "data structure construction" phase does real, representative work.
+//! [`group_by_key`] is that scheme, once: CSR build and transpose here, and
+//! through them [`crate::Dcsc`] and [`EdgeList::deduplicated`]; PowerGraph's
+//! per-partition adjacency calls it directly.
 
 use crate::{EdgeList, VertexId, Weight};
+use epg_parallel::{DisjointWriter, ThreadPool};
 
 /// Compressed-sparse-row graph. Always stores out-edges; build the transpose
 /// for in-edges (pull-direction algorithms such as direction-optimizing BFS
@@ -20,30 +24,200 @@ pub struct Csr {
     pub weights: Option<Vec<Weight>>,
 }
 
+/// Fixed per-worker partition used by the two-pass kernels: worker `w` of
+/// `nworkers` owns `[w·B, (w+1)·B) ∩ [0, len)` with `B = ceil(len/nworkers)`.
+/// The split depends only on `len` and `nworkers` — never on scheduler
+/// state — which is what makes the parallel builds deterministic.
+fn worker_range(len: usize, w: usize, nworkers: usize) -> (usize, usize) {
+    let block = len.div_ceil(nworkers).max(1);
+    let lo = (w * block).min(len);
+    let hi = (lo + block).min(len);
+    (lo, hi)
+}
+
+/// Turns a worker-major count matrix (`counts[w*n + k]` = occurrences of
+/// key `k` counted by worker `w`) into the `offsets` array, and rewrites
+/// `counts` in place into per-(worker, key) write cursors: after this call,
+/// `counts[w*n + k]` is the first slot worker `w` may fill for key `k`, and
+/// the cursor ranges of successive workers for the same key are adjacent
+/// and in worker order.
+fn scan_count_matrix(counts: &mut [u64], n: usize, m: usize, pool: &ThreadPool) -> Vec<usize> {
+    let nworkers = pool.num_threads();
+    // Reduce worker rows into per-key totals, each worker owning a
+    // disjoint key range.
+    let mut deg = vec![0u64; n];
+    {
+        let counts_ref: &[u64] = counts;
+        let dw = DisjointWriter::new(&mut deg);
+        pool.region(|t| {
+            let (vlo, vhi) = worker_range(n, t, nworkers);
+            // SAFETY: key ranges are pairwise disjoint across workers.
+            let out = unsafe { dw.range_mut(vlo, vhi) };
+            for (k, v) in (vlo..vhi).enumerate() {
+                out[k] = (0..nworkers).map(|w| counts_ref[w * n + v]).sum();
+            }
+        });
+    }
+    let total = pool.exclusive_scan(&mut deg);
+    debug_assert_eq!(total as usize, m);
+    let mut offsets = Vec::with_capacity(n + 1);
+    offsets.extend(deg.iter().map(|&x| x as usize));
+    offsets.push(m);
+    // Scan each key's column down the worker rows so every (worker, key)
+    // pair gets its own disjoint slot range, laid out in worker order — the
+    // parallel scatter then reproduces the global item order exactly.
+    {
+        let deg_ref: &[u64] = &deg;
+        let cw = DisjointWriter::new(counts);
+        pool.region(|t| {
+            let (vlo, vhi) = worker_range(n, t, nworkers);
+            for v in vlo..vhi {
+                let mut run = deg_ref[v];
+                for w in 0..nworkers {
+                    // SAFETY: column `v` lies in this worker's disjoint
+                    // key range, so each index is touched once.
+                    let slot = unsafe { cw.get_raw(w * n + v) };
+                    let c = *slot;
+                    *slot = run;
+                    run += c;
+                }
+            }
+        });
+    }
+    offsets
+}
+
+/// Stable counting sort by a key in `0..nkeys` — count, prefix-sum, scatter:
+/// `items` yields `(key, payload)` in input order and `keys` those keys (in
+/// any order; counting wants nothing else). `place(slot, payload)` is called
+/// once per item, and slots `offsets[k]..offsets[k + 1]` of the returned
+/// array (length `nkeys + 1`) take key `k`'s items in input order.
+pub fn group_by_key<T>(
+    nkeys: usize,
+    keys: impl Iterator<Item = usize>,
+    items: impl Iterator<Item = (usize, T)>,
+    mut place: impl FnMut(usize, T),
+) -> Vec<usize> {
+    let mut cursor = vec![0usize; nkeys + 1];
+    keys.for_each(|k| cursor[k + 1] += 1);
+    for k in 0..nkeys {
+        cursor[k + 1] += cursor[k];
+    }
+    let offsets = cursor.clone();
+    items.for_each(|(k, payload)| {
+        place(cursor[k], payload);
+        cursor[k] += 1;
+    });
+    offsets
+}
+
+/// [`group_by_key`] on a pool of two or more threads (the GBBS scheme), with
+/// no shared atomics anywhere: `keys(lo, hi)` and `items(lo, hi)` cover the
+/// items `lo..hi` of `m`, each worker counts a fixed contiguous range into
+/// its own row of a count matrix, a scan turns the rows into disjoint
+/// cursors laid out in worker order, and the same ranges are scattered
+/// through them, `place` running concurrently — **exactly once for every
+/// slot in `0..m`**, which is what the callers' `DisjointWriter` writes rest
+/// on. The result is identical at every thread count, and to the serial
+/// routine.
+fn group_by_key_parallel<T, K: Iterator<Item = usize>, I: Iterator<Item = (usize, T)>>(
+    nkeys: usize,
+    m: usize,
+    pool: &ThreadPool,
+    keys: impl Fn(usize, usize) -> K + Sync,
+    items: impl Fn(usize, usize) -> I + Sync,
+    place: impl Fn(usize, T) + Sync,
+) -> Vec<usize> {
+    let nworkers = pool.num_threads();
+    // Pass 1: private histograms, one count-matrix row per worker.
+    let mut counts = vec![0u64; nworkers * nkeys];
+    {
+        let cw = DisjointWriter::new(&mut counts);
+        pool.region(|w| {
+            let (lo, hi) = worker_range(m, w, nworkers);
+            // SAFETY: row `w` of the count matrix belongs to worker `w`
+            // alone; rows are pairwise disjoint.
+            let row = unsafe { cw.range_mut(w * nkeys, (w + 1) * nkeys) };
+            keys(lo, hi).for_each(|k| row[k] += 1);
+        });
+    }
+    let offsets = scan_count_matrix(&mut counts, nkeys, m, pool);
+    // Pass 2: re-read the same fixed ranges; each (worker, key) pair fills
+    // its own precomputed slot range, and those ranges partition `0..m`.
+    {
+        let cw = DisjointWriter::new(&mut counts);
+        pool.region(|w| {
+            let (lo, hi) = worker_range(m, w, nworkers);
+            // SAFETY: cursor row `w` is private to worker `w`.
+            let row = unsafe { cw.range_mut(w * nkeys, (w + 1) * nkeys) };
+            items(lo, hi).for_each(|(k, payload)| {
+                place(row[k] as usize, payload);
+                row[k] += 1;
+            });
+        });
+    }
+    offsets
+}
+
 impl Csr {
+    /// The CSR that groups `m` edges by one end: `items(lo, hi)` yields
+    /// `(that end, (the other end, index))` for the edges `lo..hi`,
+    /// `keys(lo, hi)` the first of these alone, and an edge's weight is
+    /// `from[index]`. One worker scatters with plain stores, a pool through
+    /// `DisjointWriter`s.
+    fn grouped<K: Iterator<Item = usize>, I: Iterator<Item = (usize, (VertexId, usize))>>(
+        (n, m): (usize, usize),
+        from: Option<&[Weight]>,
+        pool: Option<&ThreadPool>,
+        keys: impl Fn(usize, usize) -> K + Sync,
+        items: impl Fn(usize, usize) -> I + Sync,
+    ) -> Csr {
+        let mut targets = vec![0 as VertexId; m];
+        let mut weights = from.map(|_| vec![0.0 as Weight; m]);
+        let offsets = if let Some(pool) = pool.filter(|p| p.num_threads() > 1 && m > 0) {
+            let tw = DisjointWriter::new(&mut targets);
+            let ww = weights.as_mut().map(|w| DisjointWriter::new(w.as_mut_slice()));
+            // SAFETY: `group_by_key_parallel` hands out every slot in `0..m`
+            // once: the callers' `keys` and `items` agree on every range.
+            group_by_key_parallel(n, m, pool, keys, items, |slot, (t, i)| unsafe {
+                tw.write_unchecked(slot, t);
+                if let (Some(ww), Some(from)) = (&ww, from) {
+                    ww.write_unchecked(slot, from[i]);
+                }
+            })
+        } else {
+            group_by_key(n, keys(0, m), items(0, m), |slot, (t, i)| {
+                targets[slot] = t;
+                if let (Some(ws), Some(from)) = (weights.as_mut(), from) {
+                    ws[slot] = from[i];
+                }
+            })
+        };
+        Csr { offsets, targets, weights }
+    }
+
     /// Builds a CSR from an edge list via counting sort. `O(V + E)`.
     pub fn from_edge_list(el: &EdgeList) -> Csr {
-        let n = el.num_vertices;
-        let mut counts = vec![0usize; n + 1];
-        for &(u, _) in &el.edges {
-            counts[u as usize + 1] += 1;
-        }
-        for v in 0..n {
-            counts[v + 1] += counts[v];
-        }
-        let offsets = counts.clone();
-        let mut targets = vec![0 as VertexId; el.edges.len()];
-        let mut weights = el.weights.as_ref().map(|_| vec![0.0 as Weight; el.edges.len()]);
-        let mut cursor = counts;
-        for (i, &(u, v)) in el.edges.iter().enumerate() {
-            let slot = cursor[u as usize];
-            cursor[u as usize] += 1;
-            targets[slot] = v;
-            if let Some(ws) = weights.as_mut() {
-                ws[slot] = el.weight(i);
-            }
-        }
-        Csr { offsets, targets, weights }
+        Csr::build(el, None)
+    }
+
+    /// [`Csr::from_edge_list`] on the pool: the two-pass build of
+    /// [`group_by_key`]. The output preserves the global edge order within
+    /// each adjacency list and is **byte-identical to the serial build at
+    /// every thread count** — no [`Csr::sort_adjacency`] pass is needed to
+    /// canonicalize.
+    pub fn from_edge_list_parallel(el: &EdgeList, pool: &ThreadPool) -> Csr {
+        Csr::build(el, Some(pool))
+    }
+
+    fn build(el: &EdgeList, pool: Option<&ThreadPool>) -> Csr {
+        Csr::grouped(
+            (el.num_vertices, el.edges.len()),
+            el.weights.as_deref(),
+            pool,
+            |lo, hi| el.edges[lo..hi].iter().map(|e| e.0 as usize),
+            |lo, hi| (lo..hi).zip(&el.edges[lo..hi]).map(|(i, &(u, v))| (u as usize, (v, i))),
+        )
     }
 
     /// Number of vertices.
@@ -82,66 +256,109 @@ impl Csr {
 
     /// Builds the transposed graph (in-edges become out-edges). `O(V + E)`.
     pub fn transpose(&self) -> Csr {
-        let n = self.num_vertices();
-        let mut counts = vec![0usize; n + 1];
-        for &t in &self.targets {
-            counts[t as usize + 1] += 1;
-        }
-        for v in 0..n {
-            counts[v + 1] += counts[v];
-        }
-        let offsets = counts.clone();
-        let mut targets = vec![0 as VertexId; self.targets.len()];
-        let mut weights = self.weights.as_ref().map(|_| vec![0.0 as Weight; self.targets.len()]);
-        let mut cursor = counts;
-        for u in 0..n as VertexId {
-            for i in self.offsets[u as usize]..self.offsets[u as usize + 1] {
-                let t = self.targets[i] as usize;
-                let slot = cursor[t];
-                cursor[t] += 1;
-                targets[slot] = u;
-                if let (Some(dst), Some(src)) = (weights.as_mut(), self.weights.as_ref()) {
-                    dst[slot] = src[i];
+        self.transposed(None)
+    }
+
+    /// [`Csr::transpose`] on the pool, **byte-identical to it at every
+    /// thread count**: both scatter edges in global edge-index order, so
+    /// each transposed adjacency list holds its sources ascending.
+    pub fn transpose_parallel(&self, pool: &ThreadPool) -> Csr {
+        self.transposed(Some(pool))
+    }
+
+    fn transposed(&self, pool: Option<&ThreadPool>) -> Csr {
+        let items = |lo: usize, hi: usize| {
+            // Source of edge `lo`: the last `u` with `offsets[u] <= lo`
+            // (well-defined since `offsets[0] = 0 <= lo`); later sources
+            // are read off the offsets as the range is walked.
+            let mut u = self.offsets.partition_point(|&o| o <= lo) - 1;
+            (lo..hi).zip(&self.targets[lo..hi]).map(move |(i, &t)| {
+                while self.offsets[u + 1] <= i {
+                    u += 1;
                 }
+                (t as usize, (u as VertexId, i))
+            })
+        };
+        let keys = |lo: usize, hi: usize| self.targets[lo..hi].iter().map(|&t| t as usize);
+        let dims = (self.num_vertices(), self.num_edges());
+        Csr::grouped(dims, self.weights.as_deref(), pool, keys, items)
+    }
+
+    /// Calls `f(v, targets of v, weights of v)` once per vertex. With a
+    /// pool, vertices are split at edge-balanced cuts (the fixed
+    /// `worker_range` rule over edge indices, rounded to vertex boundaries):
+    /// skewed degrees still balance by edges, and — like the construction
+    /// kernels — nothing depends on scheduler state or chunk claims.
+    fn for_each_row_mut(
+        &mut self,
+        pool: Option<&ThreadPool>,
+        f: impl Fn(usize, &mut [VertexId], Option<&mut [Weight]>) + Sync,
+    ) {
+        let n = self.num_vertices();
+        let m = self.num_edges();
+        let nworkers = pool.map_or(1, ThreadPool::num_threads);
+        // cuts[w]..cuts[w+1] is worker w's vertex range; cut points land on
+        // the vertex whose adjacency straddles each m/nworkers boundary.
+        let block = m.div_ceil(nworkers).max(1);
+        let mut cuts: Vec<usize> = (0..=nworkers)
+            .map(|w| self.offsets.partition_point(|&o| o < (w * block).min(m)))
+            .collect();
+        cuts[0] = 0;
+        cuts[nworkers] = n; // sweep zero-degree tail vertices into the last range
+        let Csr { offsets, targets, weights } = self;
+        let tw = DisjointWriter::new(targets.as_mut_slice());
+        let ww = weights.as_mut().map(|w| DisjointWriter::new(w.as_mut_slice()));
+        let rows = |t: usize| {
+            for v in cuts[t]..cuts[t + 1] {
+                let (lo, hi) = (offsets[v], offsets[v + 1]);
+                // SAFETY: per-vertex spans [lo, hi) are disjoint because the
+                // vertex cut ranges handed to workers are disjoint.
+                unsafe { f(v, tw.range_mut(lo, hi), ww.as_ref().map(|ww| ww.range_mut(lo, hi))) }
             }
+        };
+        match pool {
+            Some(pool) => pool.region(rows),
+            None => rows(0),
         }
-        Csr { offsets, targets, weights }
     }
 
     /// Sorts each adjacency list (weights permuted alongside). Sorted lists
     /// are required by the LCC intersection kernels.
     pub fn sort_adjacency(&mut self) {
-        let n = self.num_vertices();
-        for v in 0..n {
-            let lo = self.offsets[v];
-            let hi = self.offsets[v + 1];
-            if let Some(ws) = self.weights.as_mut() {
-                let mut pairs: Vec<(VertexId, Weight)> =
-                    self.targets[lo..hi].iter().copied().zip(ws[lo..hi].iter().copied()).collect();
-                pairs.sort_unstable_by_key(|&(t, w)| (t, w.to_bits()));
-                for (k, (t, w)) in pairs.into_iter().enumerate() {
-                    self.targets[lo + k] = t;
-                    ws[lo + k] = w;
-                }
-            } else {
-                self.targets[lo..hi].sort_unstable();
-            }
-        }
+        self.for_each_row_mut(None, sort_row);
+    }
+
+    /// [`Csr::sort_adjacency`] on the pool: each worker sorts its vertices'
+    /// disjoint `targets`/`weights` spans in place, to the same order.
+    pub fn sort_adjacency_parallel(&mut self, pool: &ThreadPool) {
+        self.for_each_row_mut(Some(pool), sort_row);
+    }
+
+    /// Makes every adjacency list strictly ascending — of parallel edges
+    /// the first in input order stays ([`EdgeList::deduplicated`]) or the
+    /// last ([`crate::Dcsc`]) — and returns how many entries of each list
+    /// remain, at its front.
+    pub(crate) fn squeeze_rows(
+        &mut self,
+        pool: Option<&ThreadPool>,
+        keep_last: bool,
+    ) -> Vec<usize> {
+        let mut kept = vec![0usize; self.num_vertices()];
+        let kw = DisjointWriter::new(&mut kept);
+        // SAFETY: `for_each_row_mut` visits every vertex once.
+        self.for_each_row_mut(pool, |v, ts, ws| unsafe {
+            kw.write_unchecked(v, squeeze_row(ts, ws, keep_last))
+        });
+        kept
     }
 
     /// Converts back to an edge list (in adjacency order).
     pub fn to_edge_list(&self) -> EdgeList {
-        let mut edges = Vec::with_capacity(self.num_edges());
-        let mut weights = self.weights.as_ref().map(|_| Vec::with_capacity(self.num_edges()));
-        for u in 0..self.num_vertices() as VertexId {
-            for (v, w) in self.neighbors_weighted(u) {
-                edges.push((u, v));
-                if let Some(ws) = weights.as_mut() {
-                    ws.push(w);
-                }
-            }
-        }
-        EdgeList { num_vertices: self.num_vertices(), edges, weights }
+        let n = self.num_vertices();
+        let edges = (0..n as VertexId)
+            .flat_map(|u| self.neighbors(u).iter().map(move |&v| (u, v)))
+            .collect();
+        EdgeList { num_vertices: n, edges, weights: self.weights.clone() }
     }
 
     /// Approximate resident size in bytes.
@@ -150,6 +367,50 @@ impl Csr {
             + self.targets.len() * std::mem::size_of::<VertexId>()
             + self.weights.as_ref().map_or(0, |w| w.len() * std::mem::size_of::<Weight>())
     }
+}
+
+/// One adjacency list into ascending order, ties between parallel edges
+/// broken by the weight's bit pattern.
+fn sort_row(_v: usize, ts: &mut [VertexId], ws: Option<&mut [Weight]>) {
+    let Some(ws) = ws else { return ts.sort_unstable() };
+    let mut pairs: Vec<(VertexId, Weight)> = ts.iter().copied().zip(ws.iter().copied()).collect();
+    pairs.sort_unstable_by_key(|&(t, w)| (t, w.to_bits()));
+    for (k, (t, w)) in pairs.into_iter().enumerate() {
+        ts[k] = t;
+        ws[k] = w;
+    }
+}
+
+/// One adjacency list for [`Csr::squeeze_rows`]; a list already strictly
+/// ascending — any list of a homogenized graph — is only read.
+fn squeeze_row(ts: &mut [VertexId], ws: Option<&mut [Weight]>, keep_last: bool) -> usize {
+    if ts.windows(2).all(|w| w[0] < w[1]) {
+        return ts.len();
+    }
+    let Some(ws) = ws else {
+        ts.sort_unstable();
+        let mut kept = 1;
+        for k in 1..ts.len() {
+            if ts[k] != ts[kept - 1] {
+                ts[kept] = ts[k];
+                kept += 1;
+            }
+        }
+        return kept;
+    };
+    let mut entries: Vec<(VertexId, Weight)> = ts.iter().copied().zip(ws.iter().copied()).collect();
+    entries.sort_by_key(|&(t, _)| t); // stable: parallel edges stay in input order
+    entries.dedup_by(|later, kept| {
+        if later.0 == kept.0 && keep_last {
+            kept.1 = later.1;
+        }
+        later.0 == kept.0
+    });
+    for (k, &(t, w)) in entries.iter().enumerate() {
+        ts[k] = t;
+        ws[k] = w;
+    }
+    entries.len()
 }
 
 #[cfg(test)]
@@ -237,294 +498,6 @@ mod tests {
     }
 }
 
-/// Fixed per-worker partition used by the two-pass kernels: worker `w` of
-/// `nworkers` owns `[w·B, (w+1)·B) ∩ [0, len)` with `B = ceil(len/nworkers)`.
-/// The split depends only on `len` and `nworkers` — never on scheduler
-/// state — which is what makes the parallel builds deterministic.
-fn worker_range(len: usize, w: usize, nworkers: usize) -> (usize, usize) {
-    let block = len.div_ceil(nworkers).max(1);
-    let lo = (w * block).min(len);
-    let hi = (lo + block).min(len);
-    (lo, hi)
-}
-
-impl Csr {
-    /// Turns a worker-major count matrix (`counts[w*n + v]` = occurrences of
-    /// vertex `v` counted by worker `w`) into the CSR `offsets` array, and
-    /// rewrites `counts` in place into per-(worker, vertex) write cursors:
-    /// after this call, `counts[w*n + v]` is the first slot worker `w` may
-    /// fill for vertex `v`, and the cursor ranges of successive workers for
-    /// the same vertex are adjacent and in worker order. Shared core of the
-    /// two-pass [`Csr::from_edge_list_parallel`] / [`Csr::transpose_parallel`].
-    fn scan_count_matrix(
-        counts: &mut [u64],
-        n: usize,
-        m: usize,
-        pool: &epg_parallel::ThreadPool,
-    ) -> Vec<usize> {
-        use epg_parallel::DisjointWriter;
-
-        let nworkers = pool.num_threads();
-        // Reduce worker rows into per-vertex degrees, each worker owning a
-        // disjoint vertex range.
-        let mut deg = vec![0u64; n];
-        {
-            let counts_ref: &[u64] = counts;
-            let dw = DisjointWriter::new(&mut deg);
-            pool.region(|t| {
-                let (vlo, vhi) = worker_range(n, t, nworkers);
-                // SAFETY: vertex ranges are pairwise disjoint across workers.
-                let out = unsafe { dw.range_mut(vlo, vhi) };
-                for (k, v) in (vlo..vhi).enumerate() {
-                    let mut s = 0u64;
-                    for w in 0..nworkers {
-                        s += counts_ref[w * n + v];
-                    }
-                    out[k] = s;
-                }
-            });
-        }
-        let total = pool.exclusive_scan(&mut deg);
-        debug_assert_eq!(total as usize, m);
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.extend(deg.iter().map(|&x| x as usize));
-        offsets.push(m);
-        // Scan each vertex's column down the worker rows so every
-        // (worker, vertex) pair gets its own disjoint slot range, laid out
-        // in worker order — the parallel scatter then reproduces the global
-        // edge order exactly.
-        {
-            let deg_ref: &[u64] = &deg;
-            let cw = DisjointWriter::new(counts);
-            pool.region(|t| {
-                let (vlo, vhi) = worker_range(n, t, nworkers);
-                for v in vlo..vhi {
-                    let mut run = deg_ref[v];
-                    for w in 0..nworkers {
-                        // SAFETY: column `v` lies in this worker's disjoint
-                        // vertex range, so each index is touched once.
-                        let slot = unsafe { cw.get_raw(w * n + v) };
-                        let c = *slot;
-                        *slot = run;
-                        run += c;
-                    }
-                }
-            });
-        }
-        offsets
-    }
-
-    /// Parallel CSR construction via a contention-free two-pass counting
-    /// build (the GBBS scheme): each worker histograms a fixed contiguous
-    /// edge range into its private count-matrix row, a parallel exclusive
-    /// scan turns the matrix into disjoint per-(worker, vertex) cursors, and
-    /// a second pass over the same ranges scatters through those cursors —
-    /// no shared atomics anywhere.
-    ///
-    /// Because the worker ranges are fixed (see [`worker_range`]) and cursor
-    /// ranges are laid out in worker order, the output preserves the global
-    /// edge order within each adjacency list and is **byte-identical to the
-    /// serial [`Csr::from_edge_list`] at every thread count** — no
-    /// [`Csr::sort_adjacency`] pass is needed to canonicalize.
-    pub fn from_edge_list_parallel(el: &EdgeList, pool: &epg_parallel::ThreadPool) -> Csr {
-        use epg_parallel::DisjointWriter;
-
-        let nworkers = pool.num_threads();
-        if nworkers == 1 {
-            // Serial fast path: one worker needs neither the count matrix
-            // nor the second read of the edge array.
-            return Csr::from_edge_list(el);
-        }
-        let n = el.num_vertices;
-        let m = el.edges.len();
-        if m == 0 {
-            return Csr {
-                offsets: vec![0; n + 1],
-                targets: Vec::new(),
-                weights: el.weights.as_ref().map(|_| Vec::new()),
-            };
-        }
-        // Pass 1: private degree histograms, one count-matrix row per worker.
-        let mut counts = vec![0u64; nworkers * n];
-        {
-            let edges = &el.edges;
-            let cw = DisjointWriter::new(&mut counts);
-            pool.region(|w| {
-                let (lo, hi) = worker_range(m, w, nworkers);
-                // SAFETY: row `w` of the count matrix belongs to worker `w`
-                // alone; rows are pairwise disjoint.
-                let row = unsafe { cw.range_mut(w * n, (w + 1) * n) };
-                for &(u, _) in &edges[lo..hi] {
-                    row[u as usize] += 1;
-                }
-            });
-        }
-        let offsets = Csr::scan_count_matrix(&mut counts, n, m, pool);
-        // Pass 2: re-read the same fixed ranges; each (worker, vertex) pair
-        // writes into its own precomputed slot range.
-        let mut targets = vec![0 as VertexId; m];
-        let mut weights = el.weights.as_ref().map(|_| vec![0.0 as Weight; m]);
-        {
-            let cw = DisjointWriter::new(&mut counts);
-            let tw = DisjointWriter::new(&mut targets);
-            let ww = weights.as_mut().map(|w| DisjointWriter::new(w.as_mut_slice()));
-            pool.region(|w| {
-                let (lo, hi) = worker_range(m, w, nworkers);
-                // SAFETY: cursor row `w` is private to worker `w`.
-                let row = unsafe { cw.range_mut(w * n, (w + 1) * n) };
-                for i in lo..hi {
-                    let (u, v) = el.edges[i];
-                    let slot = row[u as usize] as usize;
-                    row[u as usize] += 1;
-                    // SAFETY: cursor ranges partition `0..m`, so each slot
-                    // is handed out exactly once across all workers.
-                    unsafe {
-                        tw.write_unchecked(slot, v);
-                        if let Some(ww) = &ww {
-                            ww.write_unchecked(slot, el.weight(i));
-                        }
-                    }
-                }
-            });
-        }
-        Csr { offsets, targets, weights }
-    }
-
-    /// Parallel transpose with the same two-pass counting structure as
-    /// [`Csr::from_edge_list_parallel`], histogramming in-degrees over fixed
-    /// edge-index ranges. Deterministic and **byte-identical to the serial
-    /// [`Csr::transpose`] at every thread count**: both scatter edges in
-    /// global edge-index order, so each transposed adjacency list holds its
-    /// sources in first-occurrence order.
-    pub fn transpose_parallel(&self, pool: &epg_parallel::ThreadPool) -> Csr {
-        use epg_parallel::DisjointWriter;
-
-        let nworkers = pool.num_threads();
-        if nworkers == 1 {
-            return self.transpose();
-        }
-        let n = self.num_vertices();
-        let m = self.num_edges();
-        if m == 0 {
-            return Csr {
-                offsets: vec![0; n + 1],
-                targets: Vec::new(),
-                weights: self.weights.as_ref().map(|_| Vec::new()),
-            };
-        }
-        // Pass 1: private in-degree histograms over fixed edge ranges.
-        let mut counts = vec![0u64; nworkers * n];
-        {
-            let targets = &self.targets;
-            let cw = DisjointWriter::new(&mut counts);
-            pool.region(|w| {
-                let (lo, hi) = worker_range(m, w, nworkers);
-                // SAFETY: row `w` of the count matrix belongs to worker `w`
-                // alone; rows are pairwise disjoint.
-                let row = unsafe { cw.range_mut(w * n, (w + 1) * n) };
-                for &t in &targets[lo..hi] {
-                    row[t as usize] += 1;
-                }
-            });
-        }
-        let offsets = Csr::scan_count_matrix(&mut counts, n, m, pool);
-        // Pass 2: walk the same edge ranges, deriving each edge's source
-        // vertex from the CSR offsets as the range is traversed.
-        let mut targets = vec![0 as VertexId; m];
-        let mut weights = self.weights.as_ref().map(|_| vec![0.0 as Weight; m]);
-        {
-            let cw = DisjointWriter::new(&mut counts);
-            let tw = DisjointWriter::new(&mut targets);
-            let ww = weights.as_mut().map(|w| DisjointWriter::new(w.as_mut_slice()));
-            pool.region(|w| {
-                let (lo, hi) = worker_range(m, w, nworkers);
-                if lo >= hi {
-                    return;
-                }
-                // SAFETY: cursor row `w` is private to worker `w`.
-                let row = unsafe { cw.range_mut(w * n, (w + 1) * n) };
-                // Source of edge `lo`: the last `u` with `offsets[u] <= lo`
-                // (well-defined since `offsets[0] = 0 <= lo`).
-                let mut u = self.offsets.partition_point(|&o| o <= lo) - 1;
-                for i in lo..hi {
-                    while self.offsets[u + 1] <= i {
-                        u += 1;
-                    }
-                    let t = self.targets[i] as usize;
-                    let slot = row[t] as usize;
-                    row[t] += 1;
-                    // SAFETY: cursor ranges partition `0..m`, so each slot
-                    // is handed out exactly once across all workers.
-                    unsafe {
-                        tw.write_unchecked(slot, u as VertexId);
-                        if let Some(src) = self.weights.as_ref() {
-                            if let Some(ww) = &ww {
-                                ww.write_unchecked(slot, src[i]);
-                            }
-                        }
-                    }
-                }
-            });
-        }
-        Csr { offsets, targets, weights }
-    }
-
-    /// Parallel adjacency sort: vertices are split at edge-balanced cuts
-    /// (the same fixed [`worker_range`] rule over edge indices, rounded to
-    /// vertex boundaries) and each worker sorts its vertices' disjoint
-    /// `targets`/`weights` spans in place. Same canonical order as the
-    /// serial [`Csr::sort_adjacency`], and — like the construction kernels —
-    /// free of scheduler state and shared-counter chunk claims.
-    pub fn sort_adjacency_parallel(&mut self, pool: &epg_parallel::ThreadPool) {
-        use epg_parallel::DisjointWriter;
-
-        let nworkers = pool.num_threads();
-        if nworkers == 1 {
-            self.sort_adjacency();
-            return;
-        }
-        let n = self.num_vertices();
-        let m = self.num_edges();
-        // cuts[w]..cuts[w+1] is worker w's vertex range; cut points land on
-        // the vertex whose adjacency straddles each m/nworkers boundary, so
-        // skewed degree distributions still balance by edges, not vertices.
-        let block = m.div_ceil(nworkers).max(1);
-        let mut cuts = Vec::with_capacity(nworkers + 1);
-        for w in 0..=nworkers {
-            let target = (w * block).min(m);
-            cuts.push(self.offsets.partition_point(|&o| o < target));
-        }
-        cuts[0] = 0;
-        cuts[nworkers] = n; // sweep zero-degree tail vertices into the last range
-        let Csr { offsets, targets, weights } = self;
-        let tw = DisjointWriter::new(targets.as_mut_slice());
-        let ww = weights.as_mut().map(|w| DisjointWriter::new(w.as_mut_slice()));
-        let cuts_ref = &cuts;
-        pool.region(|t| {
-            for v in cuts_ref[t]..cuts_ref[t + 1] {
-                let (lo, hi) = (offsets[v], offsets[v + 1]);
-                // SAFETY: per-vertex spans [lo, hi) are disjoint because the
-                // vertex cut ranges handed to workers are disjoint.
-                unsafe {
-                    let ts = tw.range_mut(lo, hi);
-                    if let Some(ww) = &ww {
-                        let ws = ww.range_mut(lo, hi);
-                        let mut pairs: Vec<(VertexId, Weight)> =
-                            ts.iter().copied().zip(ws.iter().copied()).collect();
-                        pairs.sort_unstable_by_key(|&(t, w)| (t, w.to_bits()));
-                        for (k, (t, w)) in pairs.into_iter().enumerate() {
-                            ts[k] = t;
-                            ws[k] = w;
-                        }
-                    } else {
-                        ts.sort_unstable();
-                    }
-                }
-            }
-        });
-    }
-}
-
 #[cfg(test)]
 mod parallel_build_tests {
     use super::*;
@@ -581,6 +554,11 @@ mod parallel_build_tests {
         let g = Csr::from_edge_list_parallel(&el, &pool);
         let mut t = g.transpose_parallel(&pool);
         t.sort_adjacency_parallel(&pool);
+        // DCSC is the same kernels plus a compaction (the input repeats
+        // edges, so columns are sorted and shrunk too).
+        let m = crate::Dcsc::from_edge_list(&el, &pool);
+        assert!(m.nnz() < el.num_edges());
+        m.transpose(&pool);
         let after = pool.stats();
         assert!(after.regions > before.regions, "kernels must actually run in parallel regions");
         assert_eq!(
@@ -592,17 +570,24 @@ mod parallel_build_tests {
 
     #[test]
     fn two_pass_kernels_are_atomic_free_in_source() {
-        // Static pin: this file must not regain atomic RMW machinery. The
-        // needles are assembled at runtime so the test's own literals do not
-        // match themselves in the include_str! snapshot.
-        let src = include_str!("csr.rs");
+        // Static pin: this file, and the two built on its counting sort,
+        // must not regain atomic RMW machinery. The needles are assembled at
+        // runtime so the test's own literals do not match themselves in the
+        // include_str! snapshot.
+        let sources = [
+            ("csr.rs", include_str!("csr.rs")),
+            ("dcsc.rs", include_str!("dcsc.rs")),
+            ("edge_list.rs", include_str!("edge_list.rs")),
+        ];
         for needle in ["fetch§add", "fetch§sub", "compare§exchange", "Atomic§U64", "sync::§atomic"]
         {
             let needle = needle.replace('§', "");
-            assert!(
-                !src.contains(&needle),
-                "csr.rs contains `{needle}` — the two-pass kernels must stay atomic-free"
-            );
+            for (file, src) in sources {
+                assert!(
+                    !src.contains(&needle),
+                    "{file} contains `{needle}` — the two-pass kernels must stay atomic-free"
+                );
+            }
         }
     }
 

@@ -8,6 +8,7 @@
 //! `epg-engine-graphmat`.
 
 use crate::{Csr, EdgeList, VertexId, Weight};
+use epg_parallel::ThreadPool;
 
 /// A doubly-compressed sparse column matrix over `Weight`.
 ///
@@ -31,31 +32,39 @@ pub struct Dcsc {
 
 impl Dcsc {
     /// Builds a DCSC matrix whose entry `(dst, src)` holds each edge's
-    /// weight (1.0 when unweighted). Duplicate edges keep the last value.
-    pub fn from_edge_list(el: &EdgeList) -> Dcsc {
-        // Sort (src, dst) pairs: groups columns, orders rows within columns.
-        let mut triples: Vec<(VertexId, VertexId, Weight)> = el.iter().collect();
-        triples.sort_unstable_by_key(|&(u, v, _)| (u, v));
-        triples.dedup_by_key(|&mut (u, v, _)| (u, v));
+    /// weight (1.0 when unweighted). Duplicate edges keep the last value in
+    /// input order. The result does not depend on the pool's thread count.
+    pub fn from_edge_list(el: &EdgeList, pool: &ThreadPool) -> Dcsc {
+        Dcsc::compact(Csr::from_edge_list_parallel(el, pool), pool)
+    }
 
+    /// DCSC is CSR plus a compaction: every adjacency list of `g` becomes a
+    /// column — strictly ascending, a duplicate keeping its last value — and
+    /// the empty ones are dropped. `g`'s arrays are reused; entries move
+    /// only behind a column that lost duplicates.
+    fn compact(mut g: Csr, pool: &ThreadPool) -> Dcsc {
+        let dim = g.num_vertices();
+        let kept = g.squeeze_rows(Some(pool), true);
+        let Csr { offsets, targets: mut row_ids, weights: mut values } = g;
         let mut col_ids = Vec::new();
         let mut col_ptr = vec![0usize];
-        let mut row_ids = Vec::with_capacity(triples.len());
-        let mut values = Vec::with_capacity(triples.len());
-        for (u, v, w) in triples {
-            if col_ids.last() != Some(&u) {
-                if !col_ids.is_empty() {
-                    col_ptr.push(row_ids.len());
+        let mut at = 0;
+        for (c, &len) in kept.iter().enumerate().filter(|&(_, &len)| len > 0) {
+            let from = offsets[c];
+            if from != at {
+                row_ids.copy_within(from..from + len, at);
+                if let Some(vals) = values.as_mut() {
+                    vals.copy_within(from..from + len, at);
                 }
-                col_ids.push(u);
             }
-            row_ids.push(v);
-            values.push(w);
+            at += len;
+            col_ids.push(c as VertexId);
+            col_ptr.push(at);
         }
-        if !col_ids.is_empty() {
-            col_ptr.push(row_ids.len());
-        }
-        Dcsc { dim: el.num_vertices, col_ids, col_ptr, row_ids, values }
+        row_ids.truncate(at);
+        let mut values = values.unwrap_or_else(|| vec![1.0; at]);
+        values.truncate(at);
+        Dcsc { dim, col_ids, col_ptr, row_ids, values }
     }
 
     /// Number of stored nonzeros.
@@ -104,33 +113,24 @@ impl Dcsc {
             .flat_map(move |(i, &c)| self.col_entries(i).map(move |(r, v)| (r, c, v)))
     }
 
-    /// Builds the transpose (edges reversed).
-    pub fn transpose(&self) -> Dcsc {
-        let mut el = EdgeList {
-            num_vertices: self.dim,
-            edges: Vec::with_capacity(self.nnz()),
-            weights: Some(Vec::with_capacity(self.nnz())),
-        };
-        for (r, c, v) in self.triples() {
-            el.edges.push((r, c));
-            el.weights.as_mut().unwrap().push(v);
-        }
-        Dcsc::from_edge_list(&el)
+    /// Builds the transpose (edges reversed): a counting scatter of the
+    /// nonzeros by row, then the same compaction — columns ascend here, so
+    /// every transposed column arrives ascending and nothing is sorted.
+    pub fn transpose(&self, pool: &ThreadPool) -> Dcsc {
+        Dcsc::compact(self.to_csr().transpose_parallel(pool), pool)
     }
 
-    /// Converts to CSR over out-edges (column-major becomes row adjacency of
-    /// the *source*), for cross-representation tests.
+    /// Converts to CSR over out-edges (a column is the adjacency list of
+    /// its *source*): the offsets regain their entries for empty columns.
     pub fn to_csr(&self) -> Csr {
-        let mut el = EdgeList {
-            num_vertices: self.dim,
-            edges: Vec::with_capacity(self.nnz()),
-            weights: Some(Vec::with_capacity(self.nnz())),
-        };
-        for (r, c, v) in self.triples() {
-            el.edges.push((c, r));
-            el.weights.as_mut().unwrap().push(v);
+        let mut offsets = vec![0usize; self.dim + 1];
+        for (i, &c) in self.col_ids.iter().enumerate() {
+            offsets[c as usize + 1] = self.col_ptr[i + 1] - self.col_ptr[i];
         }
-        Csr::from_edge_list(&el)
+        for v in 0..self.dim {
+            offsets[v + 1] += offsets[v];
+        }
+        Csr { offsets, targets: self.row_ids.clone(), weights: Some(self.values.clone()) }
     }
 
     /// Approximate resident size in bytes. DCSC's advantage over CSR — no
@@ -147,6 +147,10 @@ impl Dcsc {
 mod tests {
     use super::*;
 
+    fn build(el: &EdgeList) -> Dcsc {
+        Dcsc::from_edge_list(el, &ThreadPool::new(2))
+    }
+
     fn sample() -> EdgeList {
         EdgeList::weighted(
             6,
@@ -157,7 +161,7 @@ mod tests {
 
     #[test]
     fn compresses_empty_columns() {
-        let m = Dcsc::from_edge_list(&sample());
+        let m = build(&sample());
         assert_eq!(m.dim, 6);
         assert_eq!(m.nnz(), 5);
         // Only vertices 0 and 4 have out-edges.
@@ -167,7 +171,7 @@ mod tests {
 
     #[test]
     fn column_lookup() {
-        let m = Dcsc::from_edge_list(&sample());
+        let m = build(&sample());
         assert_eq!(m.column(0), &[1, 3]);
         assert_eq!(m.column(4), &[0, 2, 5]);
         assert_eq!(m.column(1), &[] as &[VertexId]);
@@ -178,7 +182,7 @@ mod tests {
     fn col_index_probes_at_the_id_then_searches_below() {
         // Columns 2, 3, 7, 9 of a 12-vertex matrix: indices 0..4.
         let el = EdgeList::new(12, vec![(2, 0), (3, 0), (7, 1), (9, 11), (9, 4)]);
-        let m = Dcsc::from_edge_list(&el);
+        let m = build(&el);
         assert_eq!(m.col_ids, vec![2, 3, 7, 9]);
         for (i, &c) in m.col_ids.iter().enumerate() {
             assert_eq!(m.col_index(c), Some(i), "stored column {c}");
@@ -191,18 +195,18 @@ mod tests {
         assert_eq!(m.col_index(10), None); // above
         assert_eq!(m.col_index(VertexId::MAX), None);
         // Every column materialized: the first probe is the answer.
-        let full = Dcsc::from_edge_list(&EdgeList::new(3, vec![(0, 1), (1, 2), (2, 0)]));
+        let full = build(&EdgeList::new(3, vec![(0, 1), (1, 2), (2, 0)]));
         assert_eq!(
             (0..4).map(|v| full.col_index(v)).collect::<Vec<_>>(),
             [Some(0), Some(1), Some(2), None]
         );
         // A hole below the id, inside the index range: columns 0, 2, 3.
-        let holed = Dcsc::from_edge_list(&EdgeList::new(4, vec![(0, 1), (2, 1), (3, 1)]));
+        let holed = build(&EdgeList::new(4, vec![(0, 1), (2, 1), (3, 1)]));
         assert_eq!(
             (0..4).map(|v| holed.col_index(v)).collect::<Vec<_>>(),
             [Some(0), None, Some(1), Some(2)]
         );
-        let empty = Dcsc::from_edge_list(&EdgeList::new(4, vec![]));
+        let empty = build(&EdgeList::new(4, vec![]));
         assert_eq!(empty.col_index(0), None);
         assert_eq!(empty.col_index(3), None);
     }
@@ -210,7 +214,7 @@ mod tests {
     #[test]
     fn triples_roundtrip_via_csr() {
         let el = sample();
-        let m = Dcsc::from_edge_list(&el);
+        let m = build(&el);
         let csr = m.to_csr();
         let mut a: Vec<_> = el.iter().map(|(u, v, w)| (u, v, w.to_bits())).collect();
         let mut b: Vec<_> =
@@ -222,20 +226,22 @@ mod tests {
 
     #[test]
     fn transpose_involution() {
-        let m = Dcsc::from_edge_list(&sample());
-        assert_eq!(m.transpose().transpose(), m);
+        let pool = ThreadPool::new(2);
+        let m = Dcsc::from_edge_list(&sample(), &pool);
+        assert_eq!(m.transpose(&pool).transpose(&pool), m);
     }
 
     #[test]
     fn duplicate_edges_deduplicate() {
         let el = EdgeList::weighted(3, vec![(0, 1), (0, 1)], vec![1.0, 2.0]);
-        let m = Dcsc::from_edge_list(&el);
+        let m = build(&el);
         assert_eq!(m.nnz(), 1);
+        assert_eq!(m.values, vec![2.0], "the last value in input order is the one kept");
     }
 
     #[test]
     fn empty_matrix() {
-        let m = Dcsc::from_edge_list(&EdgeList::new(4, vec![]));
+        let m = build(&EdgeList::new(4, vec![]));
         assert_eq!(m.nnz(), 0);
         assert_eq!(m.num_nonempty_cols(), 0);
         assert_eq!(m.column(2), &[] as &[VertexId]);
@@ -243,7 +249,7 @@ mod tests {
 
     #[test]
     fn unweighted_values_are_one() {
-        let m = Dcsc::from_edge_list(&EdgeList::new(3, vec![(1, 2)]));
+        let m = build(&EdgeList::new(3, vec![(1, 2)]));
         assert_eq!(m.values, vec![1.0]);
     }
 }

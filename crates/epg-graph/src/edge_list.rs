@@ -5,7 +5,7 @@
 //! interchange format of the dataset homogenizer: generators produce an
 //! `EdgeList`, each engine constructs its own structure from it.
 
-use crate::{VertexId, Weight};
+use crate::{Csr, VertexId, Weight};
 
 /// An edge list with optional per-edge weights.
 ///
@@ -81,24 +81,60 @@ impl EdgeList {
         EdgeList { num_vertices: self.num_vertices, edges, weights }
     }
 
-    /// Removes duplicate edges and self-loops (keeping the first weight seen
-    /// for a duplicate). Used by homogenization for engines that require
-    /// simple graphs.
+    /// True if the list is what [`EdgeList::deduplicated`] returns: edges
+    /// strictly ascending by `(src, dst)` and no self-loop.
+    fn is_simple_sorted(&self) -> bool {
+        self.edges.iter().all(|&(u, v)| u != v) && self.edges.windows(2).all(|w| w[0] < w[1])
+    }
+
+    /// Removes duplicate edges and self-loops, leaving the edges ascending
+    /// by `(src, dst)`; a duplicate keeps the weight of its **first
+    /// occurrence in input order**. Used by homogenization for engines that
+    /// require simple graphs. A list already in that form costs a linear
+    /// check and a copy; any other, [`Csr`]'s counting build and a sort
+    /// inside each adjacency list — never a sort over the whole array.
     pub fn deduplicated(&self) -> EdgeList {
-        let mut order: Vec<u32> = (0..self.edges.len() as u32).collect();
-        order.sort_unstable_by_key(|&i| self.edges[i as usize]);
-        let mut edges = Vec::new();
-        let mut weights = self.weights.as_ref().map(|_| Vec::new());
-        let mut last: Option<(VertexId, VertexId)> = None;
-        for &i in &order {
-            let e = self.edges[i as usize];
-            if e.0 == e.1 || last == Some(e) {
-                continue;
+        if self.is_simple_sorted() {
+            return self.clone();
+        }
+        let mut g = Csr::from_edge_list(self);
+        let kept = g.squeeze_rows(None, false);
+        let mut edges = Vec::with_capacity(self.edges.len());
+        let mut weights = self.weights.as_ref().map(|_| Vec::with_capacity(self.edges.len()));
+        for (u, &len) in kept.iter().enumerate() {
+            for k in g.offsets[u]..g.offsets[u] + len {
+                if g.targets[k] != u as VertexId {
+                    edges.push((u as VertexId, g.targets[k]));
+                    if let (Some(ws), Some(from)) = (weights.as_mut(), g.weights.as_ref()) {
+                        ws.push(from[k]);
+                    }
+                }
             }
-            last = Some(e);
-            edges.push(e);
-            if let Some(ws) = weights.as_mut() {
-                ws.push(self.weight(i as usize));
+        }
+        EdgeList { num_vertices: self.num_vertices, edges, weights }
+    }
+
+    /// `self.symmetrized().deduplicated()` for a list `deduplicated`
+    /// returned (checked), without the doubled list or a sort: its transpose
+    /// ascends too, so every vertex's list is a two-way merge of its out-
+    /// and in-neighbors. Of `(u, v)` and `(v, u)` the first in input order is
+    /// the one with `src < dst`; the pair carries its weight both ways.
+    pub fn undirected(&self) -> EdgeList {
+        assert!(self.is_simple_sorted(), "undirected() takes the output of deduplicated()");
+        let outs = Csr::from_edge_list(self);
+        let ins = outs.transpose();
+        let mut edges = Vec::with_capacity(2 * self.edges.len());
+        let mut weights = self.weights.as_ref().map(|_| Vec::with_capacity(2 * self.edges.len()));
+        for u in 0..self.num_vertices as VertexId {
+            let mut fwd = outs.neighbors_weighted(u).peekable();
+            let mut rev = ins.neighbors_weighted(u).peekable();
+            while let Some(v) = [fwd.peek(), rev.peek()].into_iter().flatten().map(|e| e.0).min() {
+                let (fwd, rev) = (fwd.next_if(|e| e.0 == v), rev.next_if(|e| e.0 == v));
+                let first = if u < v { fwd.or(rev) } else { rev.or(fwd) };
+                edges.push((u, v));
+                if let Some(ws) = weights.as_mut() {
+                    ws.push(first.expect("v was at the head of one of the two").1);
+                }
             }
         }
         EdgeList { num_vertices: self.num_vertices, edges, weights }
@@ -177,9 +213,44 @@ mod tests {
         let d = el.deduplicated();
         assert_eq!(d.num_edges(), 3);
         assert!(!d.edges.contains(&(3, 3)));
-        // The (0,1) duplicate keeps the first weight in sorted-index order.
+        // The (0,1) duplicate keeps the weight of its first occurrence.
         let idx = d.edges.iter().position(|&e| e == (0, 1)).unwrap();
         assert_eq!(d.weight(idx), 0.5);
+    }
+
+    #[test]
+    fn dedup_of_a_simple_sorted_list_is_a_copy() {
+        let simple =
+            EdgeList::weighted(5, vec![(0, 1), (0, 4), (2, 1), (4, 3)], vec![1., 2., 3., 4.]);
+        assert_eq!(simple.deduplicated(), simple);
+        // One duplicate at the very end, and one self-loop, each take the
+        // general path and come out as the simple list again.
+        let with = |e: (VertexId, VertexId), w: Weight| {
+            let mut el = simple.clone();
+            el.edges.push(e);
+            el.weights.as_mut().unwrap().push(w);
+            el
+        };
+        for spoiled in [with((4, 3), 9.0), with((4, 4), 9.0)] {
+            assert_eq!(spoiled.deduplicated(), simple);
+        }
+        assert_eq!(EdgeList::new(3, vec![]).deduplicated(), EdgeList::new(3, vec![]));
+    }
+
+    #[test]
+    fn undirected_takes_the_weight_of_the_ascending_edge() {
+        // (0,2) and (2,0) both present: both directions carry (0,2)'s weight.
+        let el = EdgeList::weighted(3, vec![(0, 2), (1, 0), (2, 0)], vec![1.0, 2.0, 3.0]);
+        let und = el.undirected();
+        assert_eq!(und.edges, vec![(0, 1), (0, 2), (1, 0), (2, 0)]);
+        assert_eq!(und.weights, Some(vec![2.0, 1.0, 2.0, 1.0]));
+        assert_eq!(und, el.symmetrized().deduplicated());
+    }
+
+    #[test]
+    #[should_panic(expected = "takes the output of deduplicated")]
+    fn undirected_refuses_an_unsorted_list() {
+        let _ = EdgeList::new(3, vec![(1, 2), (0, 1)]).undirected();
     }
 
     #[test]

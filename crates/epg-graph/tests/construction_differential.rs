@@ -10,10 +10,17 @@
 //! and this suite sweeps it {1, 2, 4, 8} on every shape. Run with
 //! `--features epg-parallel/check-disjoint` to additionally verify that
 //! every scatter slot is written exactly once per region (CI does).
+//!
+//! The second half holds the two structures built *on* those kernels to
+//! their documented rules: `Dcsc` (a duplicate keeps its last value) and
+//! `EdgeList::deduplicated` (a duplicate keeps its first weight), each
+//! against a `BTreeMap` that states the rule and against the sort-based
+//! builder it replaced, kept here as a test-only reference.
 
-use epg_graph::{csr::Csr, EdgeList, VertexId};
+use epg_graph::{csr::Csr, Dcsc, EdgeList, VertexId, Weight};
 use epg_parallel::ThreadPool;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
@@ -215,5 +222,193 @@ proptest! {
             par.sort_adjacency_parallel(&pool);
             prop_assert_eq!(&par, &ser, "nthreads={}", nthreads);
         }
+    }
+}
+
+// ---- DCSC and deduplication against their stated rules ------------------
+
+/// Pool sizes for the structures with a rule to keep; byte-identity of the
+/// kernels underneath is swept to 8 above.
+const RULE_THREADS: [usize; 3] = [1, 2, 4];
+
+/// The documented DCSC: entry `(dst, src)`, a duplicate edge keeping the
+/// value inserted last, columns and rows ascending, empty columns absent.
+fn dcsc_by_rule(el: &EdgeList) -> Dcsc {
+    let mut last: BTreeMap<(VertexId, VertexId), Weight> = BTreeMap::new();
+    for (u, v, w) in el.iter() {
+        last.insert((u, v), w);
+    }
+    dcsc_of_sorted(el.num_vertices, last.into_iter().map(|((u, v), w)| (u, v, w)))
+}
+
+/// Lays `(src, dst, value)` triples, ascending and distinct, out as DCSC.
+fn dcsc_of_sorted(dim: usize, triples: impl Iterator<Item = (VertexId, VertexId, Weight)>) -> Dcsc {
+    let mut m = Dcsc { dim, col_ids: vec![], col_ptr: vec![0], row_ids: vec![], values: vec![] };
+    for (u, v, w) in triples {
+        if m.col_ids.last() != Some(&u) {
+            m.col_ids.push(u);
+            m.col_ptr.push(m.row_ids.len());
+        }
+        m.row_ids.push(v);
+        m.values.push(w);
+        *m.col_ptr.last_mut().unwrap() = m.row_ids.len();
+    }
+    m
+}
+
+/// The builder `Dcsc::from_edge_list` replaced: an unstable sort of whole
+/// triples, so which of two duplicates survives is arbitrary.
+fn dcsc_by_sort(el: &EdgeList) -> Dcsc {
+    let mut triples: Vec<(VertexId, VertexId, Weight)> = el.iter().collect();
+    triples.sort_unstable_by_key(|&(u, v, _)| (u, v));
+    triples.dedup_by_key(|&mut (u, v, _)| (u, v));
+    dcsc_of_sorted(el.num_vertices, triples.into_iter())
+}
+
+/// The documented deduplication: no self-loops, edges ascending, a
+/// duplicate keeping the weight inserted first.
+fn dedup_by_rule(el: &EdgeList) -> EdgeList {
+    let mut first: BTreeMap<(VertexId, VertexId), Weight> = BTreeMap::new();
+    for (u, v, w) in el.iter().filter(|&(u, v, _)| u != v) {
+        first.entry((u, v)).or_insert(w);
+    }
+    EdgeList {
+        num_vertices: el.num_vertices,
+        edges: first.keys().copied().collect(),
+        weights: el.weights.as_ref().map(|_| first.values().copied().collect()),
+    }
+}
+
+/// The `deduplicated` this suite's subject replaced: an unstable sort of a
+/// permutation, so a duplicate's surviving weight is arbitrary.
+fn dedup_by_sort(el: &EdgeList) -> EdgeList {
+    let mut order: Vec<u32> = (0..el.edges.len() as u32).collect();
+    order.sort_unstable_by_key(|&i| el.edges[i as usize]);
+    order.retain(|&i| el.edges[i as usize].0 != el.edges[i as usize].1);
+    order.dedup_by_key(|i| el.edges[*i as usize]);
+    EdgeList {
+        num_vertices: el.num_vertices,
+        edges: order.iter().map(|&i| el.edges[i as usize]).collect(),
+        weights: el.weights.as_ref().map(|ws| order.iter().map(|&i| ws[i as usize]).collect()),
+    }
+}
+
+/// True if no two copies of an edge carry different weights — the inputs
+/// on which the sort-based builders had one possible answer.
+fn duplicates_agree(el: &EdgeList) -> bool {
+    let mut seen: BTreeMap<(VertexId, VertexId), u32> = BTreeMap::new();
+    el.iter().all(|(u, v, w)| *seen.entry((u, v)).or_insert(w.to_bits()) == w.to_bits())
+}
+
+fn check_dcsc(el: &EdgeList, shape: &str) {
+    let want = dcsc_by_rule(el);
+    let want_t = dcsc_by_rule(&EdgeList {
+        num_vertices: el.num_vertices,
+        edges: want.triples().map(|(r, c, _)| (r, c)).collect(),
+        weights: Some(want.values.clone()),
+    });
+    for nthreads in RULE_THREADS {
+        let pool = ThreadPool::new(nthreads);
+        let ctx = format!("shape={shape} nthreads={nthreads}");
+        let got = Dcsc::from_edge_list(el, &pool);
+        assert_eq!(got, want, "from_edge_list: {ctx}");
+        let got_t = got.transpose(&pool);
+        assert_eq!(got_t, want_t, "transpose: {ctx}");
+        assert_eq!(got_t.transpose(&pool), want, "transpose twice: {ctx}");
+        if duplicates_agree(el) {
+            assert_eq!(got, dcsc_by_sort(el), "the sort-based builder: {ctx}");
+        }
+    }
+}
+
+fn check_dedup(el: &EdgeList, shape: &str) {
+    let got = el.deduplicated();
+    assert_eq!(got, dedup_by_rule(el), "deduplicated: shape={shape}");
+    if duplicates_agree(el) {
+        assert_eq!(got, dedup_by_sort(el), "the sort-based dedup: shape={shape}");
+    }
+    assert_eq!(got.deduplicated(), got, "deduplicated twice: shape={shape}");
+    // The undirected closure is the same rule applied to the doubled list.
+    assert_eq!(got.undirected(), dedup_by_rule(&got.symmetrized()), "undirected: shape={shape}");
+}
+
+#[test]
+fn dcsc_and_dedup_on_the_edge_shapes() {
+    for (shape, el) in [
+        ("zero-vertex", EdgeList::new(0, vec![])),
+        ("zero-edge", EdgeList::weighted(64, vec![], vec![])),
+        ("self-loops", weighted_from((0..300u32).map(|i| (i % 7, i % 7)).collect(), 7)),
+        // Columns 1..4 and 6.. empty, the tail of the id space isolated.
+        ("empty-columns", weighted_from(vec![(5, 0), (0, 5), (5, 2), (0, 5), (5, 0)], 4096)),
+        (
+            "one-duplicate-last",
+            EdgeList::weighted(3, vec![(0, 1), (1, 2), (1, 2)], vec![1., 2., 3.]),
+        ),
+        ("both-directions", EdgeList::weighted(3, vec![(2, 0), (0, 2), (0, 2)], vec![1., 2., 3.])),
+    ] {
+        check_dcsc(&el, shape);
+        check_dcsc(&el.unweighted(), shape);
+        check_dedup(&el, shape);
+        check_dedup(&el.unweighted(), shape);
+    }
+}
+
+#[test]
+fn unweighted_dedup_is_what_the_sort_gave_at_scale() {
+    // An R-MAT draw (scale 10, 16 edges a vertex; the generator crate sits
+    // above this one, and `dataset.rs` runs the same check on its graphs)
+    // and a 32 x 32 grid listed in both directions, twice.
+    let mut state = 7u64;
+    let mut bit = |p_one: u32| {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        ((state >> 33) as u32 % 100 < p_one) as VertexId
+    };
+    let rmat = (0..16 << 10)
+        .map(|_| (0..10).fold((0, 0), |(u, v), _| (u << 1 | bit(24), v << 1 | bit(43))))
+        .collect();
+    let at = |x: VertexId, y: VertexId| 32 * y + x;
+    let grid: Vec<_> = (0..32)
+        .flat_map(|y| {
+            (0..31).flat_map(move |x| [(at(x, y), at(x + 1, y)), (at(y, x), at(y, x + 1))])
+        })
+        .flat_map(|(a, b)| [(a, b), (b, a), (a, b)])
+        .collect();
+    for (shape, raw) in
+        [("rmat", EdgeList::new(1 << 10, rmat)), ("grid", EdgeList::new(1 << 10, grid))]
+    {
+        let simple = raw.deduplicated();
+        assert!(simple.num_edges() < raw.num_edges(), "{shape} has duplicates");
+        assert_eq!(simple, dedup_by_sort(&raw), "{shape}");
+        assert_eq!(simple.undirected(), dedup_by_sort(&simple.symmetrized()), "{shape}");
+        check_dcsc(&simple.undirected(), shape);
+    }
+}
+
+/// Multigraphs on few vertices of a larger id space: parallel edges with
+/// differing weights, self-loops, empty columns and an isolated tail.
+fn arb_multigraph() -> impl Strategy<Value = EdgeList> {
+    (1usize..=12, 0usize..=20).prop_flat_map(|(used, tail)| {
+        let id = 0..used as VertexId;
+        proptest::collection::vec(((id.clone(), id), 0u8..4), 0..120).prop_map(move |ews| {
+            let (edges, weights): (Vec<_>, Vec<_>) =
+                ews.into_iter().map(|(e, w)| (e, w as Weight + 0.5)).unzip();
+            EdgeList::weighted(used + tail, edges, weights)
+        })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn dcsc_keeps_the_last_duplicate(el in arb_multigraph()) {
+        check_dcsc(&el, "multigraph");
+        check_dcsc(&el.unweighted(), "multigraph-unweighted");
+    }
+
+    #[test]
+    fn dedup_keeps_the_first_duplicate(el in arb_multigraph()) {
+        check_dedup(&el, "multigraph");
+        check_dedup(&el.unweighted(), "multigraph-unweighted");
     }
 }

@@ -56,7 +56,7 @@ proptest! {
 
     #[test]
     fn dcsc_matches_csr_after_dedup(el in arb_weighted_graph()) {
-        let m = Dcsc::from_edge_list(&el);
+        let m = Dcsc::from_edge_list(&el, &epg_parallel::ThreadPool::new(2));
         // DCSC dedups (r,c); compare against deduped set of (src,dst).
         let mut expect: Vec<(VertexId, VertexId)> = el.edges.clone();
         expect.sort_unstable();

@@ -43,15 +43,14 @@ pub const NUM_ROOTS: usize = 32;
 impl Dataset {
     /// Generates and homogenizes a synthetic workload.
     pub fn from_spec(spec: &GraphSpec, seed: u64) -> Dataset {
-        let raw = spec.generate(seed).deduplicated();
-        Dataset::from_edge_list(spec.name(), raw, seed)
+        Dataset::from_edge_list(spec.name(), spec.generate(seed), seed)
     }
 
     /// Homogenizes an existing edge list (e.g. parsed from a SNAP file —
     /// "any network in the SNAP data format can be used", §III-B).
     pub fn from_edge_list(name: String, raw: EdgeList, seed: u64) -> Dataset {
         let raw = raw.deduplicated();
-        let symmetric = raw.symmetrized().deduplicated();
+        let symmetric = raw.undirected();
         let weighted = raw.is_weighted();
         let roots = degree::sample_roots(&symmetric, NUM_ROOTS, seed ^ 0x9e3779b97f4a7c15);
         Dataset { name, raw, symmetric, weighted, roots }
@@ -67,8 +66,7 @@ impl Dataset {
         seed: u64,
         pool: &epg_parallel::ThreadPool,
     ) -> Dataset {
-        let raw = spec.generate_parallel(seed, pool).deduplicated();
-        Dataset::from_edge_list(spec.name(), raw, seed)
+        Dataset::from_edge_list(spec.name(), spec.generate_parallel(seed, pool), seed)
     }
 
     /// Loads and homogenizes a SNAP text file from disk.
@@ -243,6 +241,55 @@ mod tests {
             assert!(set.contains(&(u, v)) && set.contains(&(v, u)));
         }
         assert!(ds.weighted);
+    }
+
+    #[test]
+    fn homogenized_weights_are_symmetric() {
+        // Every engine treats `symmetric` as undirected, so dist(a -> b)
+        // must equal dist(b -> a): w(u, v) == w(v, u) on every edge, also
+        // where the generator drew both directions with different weights.
+        let specs = [
+            GraphSpec::Kronecker { scale: 9, edge_factor: 16, weighted: true },
+            GraphSpec::Uniform { num_vertices: 300, num_edges: 6000, weighted: true },
+        ];
+        for spec in &specs {
+            for seed in [7, 11] {
+                let ds = Dataset::from_spec(spec, seed);
+                let weight: std::collections::HashMap<_, _> =
+                    ds.symmetric.iter().map(|(u, v, w)| ((u, v), w)).collect();
+                let raw: std::collections::HashMap<_, _> =
+                    ds.raw.iter().map(|(u, v, w)| ((u, v), w)).collect();
+                assert!(raw.keys().any(|&(u, v)| raw.contains_key(&(v, u))), "no two-way pair");
+                for (&(u, v), &w) in &weight {
+                    assert_eq!(weight[&(v, u)], w, "{} seed {seed}: ({u}, {v})", spec.name());
+                    // The pair carries the weight of its (min, max) edge
+                    // where the raw list has it, else of the only one.
+                    let (a, b) = (u.min(v), u.max(v));
+                    assert_eq!(w, *raw.get(&(a, b)).unwrap_or_else(|| &raw[&(b, a)]));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unweighted_datasets_are_what_the_sort_based_homogenizer_gave() {
+        // The homogenizer this one replaced: one unstable sort of the whole
+        // list per copy. Without weights it had a single possible answer.
+        fn sorted_simple(el: &EdgeList) -> EdgeList {
+            let mut edges = el.edges.clone();
+            edges.sort_unstable();
+            edges.dedup();
+            edges.retain(|&(u, v)| u != v);
+            EdgeList::new(el.num_vertices, edges)
+        }
+        let pool = epg_parallel::ThreadPool::new(2);
+        for spec in [PaperDatasets::kronecker(10, false), GraphSpec::GridSwirl { width: 32 }] {
+            let generated = spec.generate_parallel(7, &pool).unweighted();
+            let ds = Dataset::from_edge_list(spec.name(), generated.clone(), 7);
+            assert_eq!(ds.raw, sorted_simple(&generated), "{}", spec.name());
+            // The 32 roots are a function of `symmetric` and the seed alone.
+            assert_eq!(ds.symmetric, sorted_simple(&generated.symmetrized()), "{}", spec.name());
+        }
     }
 
     #[test]
