@@ -7,7 +7,9 @@
 //!
 //! - **Direction-optimizing BFS** (α = 15, β = 18 by default — the paper
 //!   explicitly notes it ran GAP untuned, §IV-C);
-//! - **Δ-stepping SSSP** with light/heavy edge separation;
+//! - **Δ-stepping SSSP** over thread-local bins, every out-edge of a popped
+//!   vertex relaxed by an atomic fetch-min (GAP's `sssp.cc`, before bucket
+//!   fusion);
 //! - pull-mode PageRank with the homogenized L1 stopping criterion.
 //!
 //! Like the real GAP, weights can be stored as floats (default) or cast to

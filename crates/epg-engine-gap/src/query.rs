@@ -179,20 +179,22 @@ mod tests {
 
     #[test]
     fn expired_budget_reports_cancelled() {
-        let el = kron(8, false);
+        let el = kron(8, true);
         let pool = ThreadPool::new(2);
         let q = query_on(&el, &pool);
         let root = epg_graph::degree::sample_roots(&el, 1, 3)[0];
-        let mut params = RunParams::new(&pool, Some(root));
-        let token = CancelToken::new();
-        token.cancel(); // already expired before dispatch
-        params.cancel = Some(token);
-        let out = q.query(Algorithm::Bfs, &params);
-        assert!(out.cancelled, "pre-tripped budget must surface as a cancelled run");
-        // The guard must have detached the request token again.
-        assert!(!pool.is_cancelled(), "request token leaked into the pool");
-        // And the engine still answers the next (unbudgeted) query.
-        let ok = q.query(Algorithm::Bfs, &RunParams::new(&pool, Some(root)));
-        assert!(!ok.cancelled);
+        for algo in [Algorithm::Bfs, Algorithm::Sssp] {
+            let mut params = RunParams::new(&pool, Some(root));
+            let token = CancelToken::new();
+            token.cancel(); // already expired before dispatch
+            params.cancel = Some(token);
+            let out = q.query(algo, &params);
+            assert!(out.cancelled, "{algo:?}: pre-tripped budget must surface as a cancelled run");
+            // The guard must have detached the request token again.
+            assert!(!pool.is_cancelled(), "{algo:?}: request token leaked into the pool");
+            // And the engine still answers the next (unbudgeted) query.
+            let ok = q.query(algo, &RunParams::new(&pool, Some(root)));
+            assert!(!ok.cancelled);
+        }
     }
 }

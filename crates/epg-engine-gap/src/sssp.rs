@@ -1,14 +1,18 @@
-//! Δ-stepping SSSP (Meyer & Sanders), GAP-style.
+//! Δ-stepping SSSP the way the GAP Benchmark Suite ships it (`sssp.cc`).
 //!
-//! Distances advance bucket by bucket (bucket width Δ). Within a bucket,
-//! *light* edges (weight ≤ Δ) are relaxed repeatedly until the bucket
-//! settles; *heavy* edges are relaxed once afterwards. Relaxation uses an
-//! atomic fetch-min on the distance array, exactly as GAP's OpenMP code
-//! does. Δ is a tunable (§V); the `ablation_delta` bench sweeps it.
+//! Distances advance bin by bin (bin width Δ). Every worker keeps its own
+//! bins; a step hands the shared frontier — the lowest non-empty bin of all
+//! workers — out in chunks, and a popped vertex that is not stale has
+//! *every* out-edge relaxed once by an atomic fetch-min on the distance
+//! array, the improved neighbour filed in the relaxing worker's bin. There
+//! is no light/heavy split and no bucket fusion (GAP gained that in 2020,
+//! after the paper). Δ is a tunable (§V); `epg reproduce extensions`
+//! sweeps it.
 
-use epg_engine_api::{AlgorithmResult, Dir, Partial, RunLog, RunOutput, RunParams, SsspKernel};
+use epg_engine_api::{AlgorithmResult, Dir, RunLog, RunOutput, RunParams, SsspKernel};
 use epg_graph::{Csr, VertexId, Weight, INF_DIST};
 use epg_parallel::{AtomicF32, Schedule, ThreadPool};
+use parking_lot::Mutex;
 use std::sync::atomic::Ordering;
 
 /// [`dispatch_kernel`] with default run parameters (no telemetry sink).
@@ -38,126 +42,116 @@ pub fn dispatch_kernel(
     }
 }
 
-/// The bucket a tentative distance falls in.
+/// The bin a tentative distance falls in.
 fn bucket_of(d: f32, delta: f32) -> usize {
     (d / delta) as usize
 }
 
+/// What one pool worker owns for the whole run, handed out by thread id.
+#[derive(Default)]
+struct Worker {
+    /// `bins[b]` holds the vertices this worker improved into bin `b`.
+    bins: Vec<Vec<VertexId>>,
+    /// Tallies of the step in flight; the dispatcher takes them at the join.
+    relaxed: u64,
+    edges: u64,
+    max_degree: u64,
+}
+
 /// Runs Δ-stepping from `params.root`. Unweighted graphs behave as unit
 /// weights.
+///
+/// One *iteration* is one shared-frontier round — one parallel region over
+/// the lowest non-empty bin — so a bin that refills itself takes several.
+/// `vertices_touched` counts the frontier entries that passed the stale
+/// check and `edges_traversed` their out-degrees: a vertex popped again
+/// after an improvement relaxes all its edges again.
 pub fn delta_stepping(g: &Csr, delta: f32, params: &RunParams<'_>) -> RunOutput {
+    let workers: Vec<Mutex<Worker>> =
+        (0..params.pool.num_threads()).map(|_| Mutex::default()).collect();
+    delta_stepping_with(g, delta, params, &workers)
+}
+
+/// [`delta_stepping`] over the caller's per-worker state, one per pool thread.
+fn delta_stepping_with(
+    g: &Csr,
+    delta: f32,
+    params: &RunParams<'_>,
+    workers: &[Mutex<Worker>],
+) -> RunOutput {
     assert!(delta > 0.0, "delta must be positive");
     let pool = params.pool;
     let root = params.root.expect("SSSP needs a root");
-    let n = g.num_vertices();
-    let dist: Vec<AtomicF32> = (0..n).map(|_| AtomicF32::new(INF_DIST)).collect();
+    let dist: Vec<AtomicF32> = (0..g.num_vertices()).map(|_| AtomicF32::new(INF_DIST)).collect();
     dist[root as usize].store(0.0, Ordering::Relaxed);
-
-    let mut buckets: Vec<Vec<VertexId>> = vec![Vec::new(); 64];
-    buckets[0].push(root);
+    params.recorder.alloc_hwm("gap.sssp.dist", 4 * dist.len() as u64);
 
     let mut log = RunLog::new(params.recorder);
-    let mut settled_total = 0u64;
-
-    // Vertices settled in the current bucket (for the heavy pass).
-    let mut settled: Vec<VertexId> = Vec::new();
-    let mut bi = 0usize;
-    while bi < buckets.len() {
-        if buckets[bi].is_empty() {
-            bi += 1;
-            continue;
-        }
-        settled.clear();
-        // ---- light-edge phase: iterate until the bucket stops refilling.
-        while !buckets[bi].is_empty() {
-            let frontier = std::mem::take(&mut buckets[bi]);
-            settled.extend_from_slice(&frontier);
-            let inserts = relax_edges(g, &dist, &frontier, pool, delta, true, bi, &mut log);
-            distribute(&mut buckets, inserts, bi);
-        }
-        // ---- heavy-edge phase over everything settled in this bucket.
-        settled.sort_unstable();
-        settled.dedup();
-        // Drop stale entries whose distance migrated to a later bucket.
-        settled.retain(|&v| bucket_of(dist[v as usize].load(Ordering::Relaxed), delta) == bi);
-        settled_total += settled.len() as u64;
-        if !settled.is_empty() {
-            let inserts = relax_edges(g, &dist, &settled, pool, delta, false, bi, &mut log);
-            distribute(&mut buckets, inserts, bi);
-        }
-        log.counters.iterations += 1;
-        // One iteration per bucket; its frontier is what the bucket settled.
-        let settled = settled.len() as u64;
-        if log.iteration(pool, log.counters.iterations, settled, Dir::Push).is_break() {
-            break;
-        }
-        bi += 1;
-    }
-
-    log.counters.vertices_touched = settled_total;
-    log.counters.bytes_read = log.counters.edges_traversed * 12;
-    log.counters.bytes_written = settled_total * 8;
-    let out: Vec<Weight> = dist.iter().map(|d| d.load(Ordering::Relaxed)).collect();
-    log.finish(AlgorithmResult::Distances(out))
-}
-
-/// Relaxes the light (`light == true`, w ≤ Δ) or heavy (w > Δ) edges of a
-/// non-empty `frontier`, skipping stale entries (those no longer in
-/// `current_bucket`). Returns the (vertex, bucket) insertions discovered.
-#[allow(clippy::too_many_arguments)]
-fn relax_edges(
-    g: &Csr,
-    dist: &[AtomicF32],
-    frontier: &[VertexId],
-    pool: &ThreadPool,
-    delta: f32,
-    light: bool,
-    current_bucket: usize,
-    log: &mut RunLog<'_>,
-) -> Vec<(VertexId, usize)> {
-    let step = Partial::collect(pool, frontier.len(), Schedule::Dynamic { chunk: 32 }, |lo, hi| {
-        let mut found: Vec<(VertexId, usize)> = Vec::with_capacity(hi - lo);
-        let (mut edges, mut max_degree) = (0u64, 0u64);
-        for &u in &frontier[lo..hi] {
-            let du = dist[u as usize].load(Ordering::Relaxed);
-            // Stale check: u may have been re-queued for an earlier bucket.
-            if bucket_of(du, delta) != current_bucket {
-                continue;
-            }
-            max_degree = max_degree.max(g.out_degree(u) as u64);
-            for (v, w) in g.neighbors_weighted(u) {
-                if (w <= delta) != light {
+    // Grown, not pre-sized to |E| as GAP does: same time, +5 MB resident.
+    let mut frontier = vec![root];
+    let mut current = 0usize;
+    loop {
+        pool.parallel_for_ranges(frontier.len(), Schedule::Dynamic { chunk: 64 }, |tid, lo, hi| {
+            // Only worker `tid` locks slot `tid` inside a region.
+            let mut w = workers[tid].lock();
+            for &u in &frontier[lo..hi] {
+                let du = dist[u as usize].load(Ordering::Relaxed);
+                // Stale: u was improved into, and relaxed from, an earlier
+                // bin. The same `bucket_of` that filed u decides — `du >=
+                // delta * current`, GAP's test, disagrees with it in f32.
+                if bucket_of(du, delta) < current {
                     continue;
                 }
-                edges += 1;
-                let nd = du + w;
-                if dist[v as usize].fetch_min(nd, Ordering::Relaxed) {
-                    found.push((v, bucket_of(nd, delta)));
+                let degree = g.out_degree(u) as u64;
+                w.relaxed += 1;
+                w.edges += degree;
+                w.max_degree = w.max_degree.max(degree);
+                for (v, wt) in g.neighbors_weighted(u) {
+                    let nd = du + wt;
+                    if dist[v as usize].fetch_min(nd, Ordering::Relaxed) {
+                        let b = bucket_of(nd, delta);
+                        if b >= w.bins.len() {
+                            w.bins.resize_with(b + 1, Vec::new);
+                        }
+                        w.bins[b].push(v);
+                    }
                 }
             }
+        });
+        // The join: fold the step's tallies and find the next bin to drain.
+        let (mut edges, mut max_degree, mut next) = (0u64, 1u64, None::<usize>);
+        for w in workers {
+            let mut w = w.lock();
+            log.counters.vertices_touched += std::mem::take(&mut w.relaxed);
+            edges += std::mem::take(&mut w.edges);
+            max_degree = max_degree.max(std::mem::take(&mut w.max_degree));
+            let first = (current..w.bins.len()).find(|&b| !w.bins[b].is_empty());
+            next = next.into_iter().chain(first).min();
         }
-        Partial { found, edges, max_degree }
-    });
-    log.counters.edges_traversed += step.edges;
-    log.parallel(
-        step.edges.max(frontier.len() as u64),
-        step.max_degree.max(1),
-        step.edges * 12 + frontier.len() as u64 * 8,
-    );
-    step.found
-}
-
-/// Routes insertions into their buckets, growing the bucket array as
-/// needed; entries for already-passed buckets go to the current bucket
-/// (they are deduplicated by the stale check).
-fn distribute(buckets: &mut Vec<Vec<VertexId>>, inserts: Vec<(VertexId, usize)>, current: usize) {
-    for (v, b) in inserts {
-        let b = b.max(current);
-        if b >= buckets.len() {
-            buckets.resize(b + 1, Vec::new());
+        let popped = frontier.len() as u64;
+        log.counters.edges_traversed += edges;
+        log.counters.iterations += 1;
+        log.parallel(edges.max(popped), max_degree, edges * 12 + popped * 8);
+        if log.iteration(pool, log.counters.iterations, popped, Dir::Push).is_break() {
+            break;
         }
-        buckets[b].push(v);
+        let Some(bin) = next else { break };
+        current = bin;
+        frontier.clear();
+        for w in workers {
+            if let Some(b) = w.lock().bins.get_mut(bin) {
+                frontier.append(b);
+            }
+        }
     }
+
+    let bins: usize =
+        workers.iter().map(|w| w.lock().bins.iter().map(Vec::capacity).sum::<usize>()).sum();
+    params.recorder.alloc_hwm("gap.sssp.bins", 4 * (frontier.capacity() + bins) as u64);
+    log.counters.bytes_read = log.counters.edges_traversed * 12;
+    log.counters.bytes_written = log.counters.vertices_touched * 8;
+    let out: Vec<Weight> = dist.iter().map(|d| d.load(Ordering::Relaxed)).collect();
+    log.finish(AlgorithmResult::Distances(out))
 }
 
 #[cfg(test)]
@@ -167,15 +161,22 @@ mod tests {
 
     fn check_against_dijkstra(el: &EdgeList, root: VertexId, delta: f32) {
         let g = Csr::from_edge_list(el);
-        let pool = ThreadPool::new(4);
-        let out = delta_stepping(&g, delta, &RunParams::new(&pool, Some(root)));
-        let AlgorithmResult::Distances(d) = out.result else { panic!() };
         let want = oracle::dijkstra(&g, root);
-        for v in 0..want.len() {
-            if want[v].is_infinite() {
-                assert!(d[v].is_infinite(), "vertex {v} should be unreachable");
-            } else {
-                assert!((d[v] - want[v]).abs() < 1e-3, "vertex {v}: {} vs {}", d[v], want[v]);
+        for threads in [1, 2, 4] {
+            let pool = ThreadPool::new(threads);
+            let out = delta_stepping(&g, delta, &RunParams::new(&pool, Some(root)));
+            let AlgorithmResult::Distances(d) = out.result else { panic!() };
+            for v in 0..want.len() {
+                if want[v].is_infinite() {
+                    assert!(d[v].is_infinite(), "t={threads}: vertex {v} should be unreachable");
+                } else {
+                    assert!(
+                        (d[v] - want[v]).abs() < 1e-3,
+                        "t={threads}: vertex {v}: {} vs {}",
+                        d[v],
+                        want[v]
+                    );
+                }
             }
         }
     }
@@ -190,7 +191,7 @@ mod tests {
 
     #[test]
     fn handles_heavy_only_paths() {
-        // All weights > delta: pure heavy-edge propagation.
+        // All weights > delta: every improvement lands in a later bin.
         let el =
             EdgeList::weighted(4, vec![(0, 1), (1, 2), (2, 3)], vec![5.0, 6.0, 7.0]).symmetrized();
         check_against_dijkstra(&el, 0, 1.0);
@@ -198,7 +199,7 @@ mod tests {
 
     #[test]
     fn handles_reinsertion_within_bucket() {
-        // Light edges that improve distances repeatedly inside one bucket.
+        // Short edges that improve distances repeatedly inside one bin.
         let el = EdgeList::weighted(
             5,
             vec![(0, 1), (1, 2), (2, 3), (0, 4), (4, 3)],
@@ -206,6 +207,54 @@ mod tests {
         )
         .symmetrized();
         check_against_dijkstra(&el, 0, 1.0);
+    }
+
+    #[test]
+    fn spfa_killer_is_not_cut_short_by_the_stale_check() {
+        // The case GAP's `dist[u] >= delta * bin` fails in f32: it drops
+        // live entries and the run stops short of the spine's end.
+        let corpus = epg_generator::GraphSpec::test_corpus();
+        let spec = corpus.iter().find(|s| s.family() == "spfa_killer").expect("family in corpus");
+        check_against_dijkstra(&spec.generate(42), 0, 0.05);
+    }
+
+    #[test]
+    fn distance_rounding_onto_a_bin_boundary_is_relaxed() {
+        // d sits one ulp under delta * k, yet d / delta rounds to k: d is
+        // filed in bin k, where comparing it with delta * k would drop it.
+        let delta = 0.05f32;
+        let (k, d) = (1..1000usize)
+            .map(|k| (k, f32::from_bits((delta * k as f32).to_bits() - 1)))
+            .find(|&(k, d)| (d / delta) as usize == k)
+            .expect("some multiple of delta rounds up");
+        assert!(d < delta * k as f32);
+        assert_eq!(bucket_of(d, delta), k);
+        let el = EdgeList::weighted(3, vec![(0, 1), (1, 2)], vec![d, 1.0]);
+        check_against_dijkstra(&el, 0, delta);
+    }
+
+    #[test]
+    fn bins_drain_and_counters_follow_the_pops() {
+        // 4-regular ring with hashed weights: whichever entries pass the
+        // stale check, the edges relaxed are four per pop.
+        let n = 300u32;
+        let edges: Vec<_> = (0..n).flat_map(|i| [(i, (i + 1) % n), (i, (i + 2) % n)]).collect();
+        let weights = (0..edges.len() as u32).map(|i| 0.01 + (i * 37 % 101) as f32 / 200.0);
+        let g = Csr::from_edge_list(
+            &EdgeList::weighted(n as usize, edges, weights.collect()).symmetrized(),
+        );
+        for threads in [1, 2, 4] {
+            let pool = ThreadPool::new(threads);
+            let workers: Vec<Mutex<Worker>> = (0..threads).map(|_| Mutex::default()).collect();
+            let out = delta_stepping_with(&g, 0.05, &RunParams::new(&pool, Some(0)), &workers);
+            assert!(out.counters.vertices_touched >= n as u64, "every vertex is popped");
+            assert_eq!(out.counters.edges_traversed, 4 * out.counters.vertices_touched);
+            for w in &workers {
+                let w = w.lock();
+                assert!(w.bins.iter().all(Vec::is_empty), "t={threads}: a bin kept entries");
+                assert_eq!((w.relaxed, w.edges, w.max_degree), (0, 0, 0), "tallies left behind");
+            }
+        }
     }
 
     #[test]

@@ -46,8 +46,17 @@ fn distances(kernel: SsspKernel, g: &Csr, root: VertexId, pool: &ThreadPool) -> 
 
 /// Edges relaxed from root 0 on each adversarial `test_corpus()` graph
 /// (seed 42, default Δ), as (family, delta, radix, bmssp).
+///
+/// Δ-stepping relaxes every out-edge of a vertex each time it is popped
+/// non-stale, so its column is Σ out-degree over pops, and a bin-granular
+/// stale check passes every copy of a vertex filed twice in one bin: the
+/// `spfa_killer` spine vertices whose direct edge and detour land less
+/// than Δ apart (180 + 32), and the `wrong_dijkstra_killer` hub, filed in
+/// its final bin 21 times with a fan of 60 (140 + 20 × 60). On
+/// `grid_swirl`, `almost_line` and `max_dense_zero` each vertex is popped
+/// once and the column is m, like radix's.
 const EDGES_RELAXED: [(&str, u64, u64, u64); 5] = [
-    ("spfa_killer", 183, 180, 750),
+    ("spfa_killer", 212, 180, 750),
     ("wrong_dijkstra_killer", 1340, 140, 725),
     ("grid_swirl", 528, 528, 2618),
     ("almost_line", 231, 231, 971),

@@ -47,6 +47,7 @@ impl AtomicF32 {
     }
 
     /// Atomically adds `v`, returning the previous value.
+    #[inline]
     pub fn fetch_add(&self, v: f32, order: Ordering) -> f32 {
         let mut cur = self.bits.load(Ordering::Relaxed);
         loop {
@@ -60,6 +61,7 @@ impl AtomicF32 {
 
     /// Atomically lowers the value to `min(self, v)`, returning whether the
     /// stored value decreased. This is the SSSP relaxation primitive.
+    #[inline]
     pub fn fetch_min(&self, v: f32, order: Ordering) -> bool {
         let mut cur = self.bits.load(Ordering::Relaxed);
         loop {
@@ -100,6 +102,7 @@ impl AtomicF64 {
     }
 
     /// Atomically adds `v`, returning the previous value.
+    #[inline]
     pub fn fetch_add(&self, v: f64, order: Ordering) -> f64 {
         let mut cur = self.bits.load(Ordering::Relaxed);
         loop {
@@ -114,6 +117,7 @@ impl AtomicF64 {
 
 /// Atomically lowers `a` to `min(a, v)`, returning whether it decreased.
 /// Used for label propagation (CDLP/WCC take the minimum label).
+#[inline]
 pub fn atomic_min_u32(a: &AtomicU32, v: u32, order: Ordering) -> bool {
     let mut cur = a.load(Ordering::Relaxed);
     loop {
