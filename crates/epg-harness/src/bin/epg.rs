@@ -15,8 +15,7 @@
 //! epg serve --scale 14 [--listen ADDR] [--landmarks N]
 //!                                   # resident-graph query service (stdio or TCP line protocol)
 //! epg trace summarize --input F     # summarize a *.trace.jsonl file
-//! epg lint [--json] [--strict]      # workspace static analysis (DESIGN.md §10-§11)
-//! epg lint --explain <rule-id>      # rationale + example + fix for one rule
+//! epg lint [--strict] [--root DIR]  # workspace static analysis (DESIGN.md §10-§11)
 //! ```
 
 use epg_harness::dataset::{Dataset, PaperDatasets};
@@ -43,9 +42,7 @@ struct Args {
     snap_file: Option<PathBuf>,
     input: Option<PathBuf>,
     trial_budget_ms: Option<u64>,
-    json: bool,
     strict: bool,
-    explain: Option<String>,
     root: Option<PathBuf>,
     sssp_kernel: Option<epg_engine_api::SsspKernel>,
     landmarks: Option<usize>,
@@ -76,9 +73,7 @@ fn parse_args(argv: std::env::Args) -> Result<Args, String> {
         snap_file: None,
         input: None,
         trial_budget_ms: None,
-        json: false,
         strict: false,
-        explain: None,
         root: None,
         sssp_kernel: None,
         landmarks: None,
@@ -107,9 +102,7 @@ fn parse_args(argv: std::env::Args) -> Result<Args, String> {
             "--out" => a.out = PathBuf::from(val("--out")?),
             "--weighted" => a.weighted = true,
             "--unweighted" => a.weighted = false,
-            "--json" => a.json = true,
             "--strict" => a.strict = true,
-            "--explain" => a.explain = Some(val("--explain")?),
             "--root" => a.root = Some(PathBuf::from(val("--root")?)),
             "--sssp-kernel" => {
                 let name = val("--sssp-kernel")?;
@@ -147,7 +140,7 @@ fn usage() -> String {
     "usage: epg <setup|gen|run|all|graphalytics|granula|reproduce|serve|trace summarize|lint> \
      [<artefact>...|all] [--list] [--full] [--scale N] [--weighted|--unweighted] [--threads N] [--roots N|--all-roots] \
      [--seed N] [--out DIR] [--snap FILE] [--input FILE] [--trial-budget-ms N] \
-     [--json] [--strict] [--explain RULE] [--root DIR] \
+     [--strict] [--root DIR] \
      [--sssp-kernel delta|radix|bmssp] [--landmarks N] [--listen ADDR]"
         .to_string()
 }
@@ -178,23 +171,9 @@ fn real_main() -> Result<(), String> {
     if args.cmd == "lint" {
         // Static analysis prints its own report and owns the exit code:
         // 0 clean, 1 findings, 2 config error, 3 stale exceptions under
-        // --strict (the facade passes run_lint's code through verbatim).
-        if let Some(id) = &args.explain {
-            match epg_lint::explain::lookup(id) {
-                Some(doc) => {
-                    print!("{}", epg_lint::explain::render(doc));
-                    std::process::exit(0);
-                }
-                None => {
-                    eprintln!("epg: unknown rule `{id}`");
-                    eprintln!("rules: {}", epg_lint::explain::rule_ids().join(", "));
-                    std::process::exit(2);
-                }
-            }
-        }
-        let opts = epg_lint::LintOptions { json: args.json, strict: args.strict };
+        // --strict (run_lint's code is passed through verbatim).
         let root = args.root.clone().unwrap_or_else(epg_lint::workspace_root);
-        std::process::exit(epg_lint::run_lint(&root, &opts));
+        std::process::exit(epg_lint::run_lint(&root, args.strict));
     }
     // Only the arms that write artefacts create the out directory.
     let pipeline = || Pipeline::new(args.out.clone()).map_err(|e| e.to_string());

@@ -21,6 +21,7 @@ use crate::registry::EngineKind;
 use epg_engine_api::{Algorithm, RunParams};
 use epg_parallel::ThreadPool;
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// The systems Graphalytics drives in the paper's tables.
@@ -92,8 +93,13 @@ pub fn run_graphalytics(
     ds: &Dataset,
     threads: usize,
 ) -> Vec<Cell> {
+    // Each call homogenizes into its own directory: concurrent calls (two
+    // tests, or a test beside `epg graphalytics`) must not overwrite each
+    // other's files between write and load.
+    static CALLS: AtomicU64 = AtomicU64::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("epg-graphalytics-{}-{call}", std::process::id()));
     let pool = ThreadPool::new(threads.max(1));
-    let dir = std::env::temp_dir().join("epg-graphalytics");
     ds.write_files(&dir).expect("failed to write homogenized files");
     let mut cells = Vec::new();
     for &kind in engines {
@@ -149,6 +155,7 @@ pub fn run_graphalytics(
             });
         }
     }
+    let _ = std::fs::remove_dir_all(&dir);
     cells
 }
 
@@ -317,6 +324,26 @@ mod tests {
             let expect_na = c.engine == EngineKind::PowerGraph && c.algorithm == Algorithm::Bfs;
             assert_eq!(c.reported_seconds.is_none(), expect_na, "{c:?}");
         }
+    }
+
+    #[test]
+    fn concurrent_calls_on_one_dataset_keep_their_own_files() {
+        let ds = tiny_weighted();
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..3 {
+                        let cells = run_graphalytics(&GRAPHALYTICS_ENGINES, &TABLE1_ALGOS, &ds, 1);
+                        assert_eq!(cells.len(), 18);
+                        // All but PowerGraph BFS carry a number.
+                        assert_eq!(
+                            cells.iter().filter(|c| c.reported_seconds.is_some()).count(),
+                            17
+                        );
+                    }
+                });
+            }
+        });
     }
 
     #[test]

@@ -37,7 +37,7 @@
 use crate::arch::{is_engine_crate, layer_of};
 use crate::model::{FileModel, Workspace};
 use crate::rules::Finding;
-use crate::scan::{find_word_from, has_word};
+use crate::scan::{find_word_from, has_word, is_ident_byte};
 
 /// Stable rule id: direct mutation of captured state in a worker closure.
 pub const RULE_CAPTURE: &str = "shared-mutable-capture";
@@ -553,10 +553,6 @@ pub(crate) fn last_ident(s: &str) -> Option<&str> {
 fn is_flag_name(name: &str) -> bool {
     let lower = name.to_ascii_lowercase();
     FLAG_FRAGMENTS.iter().any(|frag| lower.contains(frag))
-}
-
-fn is_ident_byte(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_'
 }
 
 #[cfg(test)]

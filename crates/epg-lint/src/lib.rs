@@ -1,16 +1,18 @@
 //! Workspace static analysis.
 //!
 //! A purpose-built analysis pass over the whole workspace — no `syn`, no
-//! external parsers — in two tiers:
+//! external parsers. [`lint_workspace`] walks the tree once and scans each
+//! `.rs` file once ([`scan`]); two kinds of rule read those scans:
 //!
-//! * **Line rules** ([`rules`]) over every `.rs` file: SAFETY comments on
-//!   `unsafe`, `unsafe impl Send/Sync` and raw-pointer struct fields
-//!   contained to `epg-parallel`, compare-exchange failure orderings no
-//!   stronger than their success orderings, and no `static mut`.
-//! * **Architectural rules** over a workspace model ([`model`]): crate-DAG
-//!   `layering` ([`arch`]), `phase-purity` and `timing-discipline`
-//!   ([`phases`]), `panic-discipline` ([`panics`]), the `concurrency`
-//!   dataflow family ([`flow`]) — `shared-mutable-capture`,
+//! * **Line rules** ([`rules`]) over every scanned file, member crate or
+//!   not: SAFETY comments on `unsafe`, `unsafe impl Send/Sync` and
+//!   raw-pointer struct fields contained to `epg-parallel`,
+//!   compare-exchange failure orderings no stronger than their success
+//!   orderings, and no `static mut`.
+//! * **Model families** over the member crates' workspace model
+//!   ([`model`]): crate-DAG `layering` ([`arch`]), `phase-purity` and
+//!   `timing-discipline` ([`phases`]), `panic-discipline` ([`panics`]), the
+//!   `concurrency` dataflow family ([`flow`]) — `shared-mutable-capture`,
 //!   `atomic-ordering`, `hot-loop-alloc` — and
 //!   the `locking` family ([`locking`]) — `lock-order-cycle`,
 //!   `blocking-while-locked`, `condvar-wait-loop`, `guard-across-span` —
@@ -25,10 +27,10 @@
 //!   neither race on captured state nor allocate, and no lock guard pins
 //!   a blocking operation or a wake boundary.
 //!
-//! Runs as a binary (`cargo run -p epg-lint`, nonzero exit on findings),
-//! as `epg lint` from the harness, and as a tier-1 test
-//! (`tests/workspace_clean.rs`), so policy regressions fail `cargo test`
-//! the same as any other bug.
+//! Runs as `epg lint [--strict] [--root DIR]` ([`run_lint`], nonzero exit
+//! on findings) and as a tier-1 test (`tests/workspace_clean.rs`), so
+//! policy regressions fail `cargo test` the same as any other bug.
+//! DESIGN.md's per-family tables are the rule catalog.
 //!
 //! Audited exceptions live in `epg-lint.toml` at the workspace root — see
 //! [`allowlist`] for the format and staleness rules; it is the one
@@ -39,11 +41,9 @@
 pub mod allowlist;
 pub mod arch;
 pub mod callgraph;
-pub mod explain;
 pub mod flow;
 pub mod locking;
 pub mod model;
-pub mod output;
 pub mod panics;
 pub mod phases;
 pub mod rules;
@@ -52,6 +52,7 @@ pub mod scan;
 pub use allowlist::Allow;
 pub use rules::Finding;
 
+use model::{Scanned, Workspace};
 use std::path::{Path, PathBuf};
 
 /// The workspace root, located relative to this crate's manifest.
@@ -99,79 +100,48 @@ pub struct LintReport {
     pub stale_allows: Vec<Allow>,
 }
 
-/// Lints every `.rs` file under `root` with the line rules only, applying
-/// `root/epg-lint.toml` when present. Returns surviving findings sorted by
-/// file and line. The fixture tests use this entry point; the binary and
-/// `epg lint` run [`lint_workspace`].
+/// Runs the full analysis — line rules over every `.rs` file under
+/// `root`, the model families over its member crates — applying
+/// `root/epg-lint.toml` with per-entry usage tracking.
 ///
 /// # Errors
 /// Returns a message when the allowlist is present but malformed — a broken
 /// allowlist must fail the run rather than silently allow everything (or
 /// nothing).
-pub fn lint_tree(root: &Path) -> Result<Vec<Finding>, String> {
-    let allows = read_allowlist(root)?;
-    let mut findings = Vec::new();
-    for path in rust_files(root) {
-        let Ok(src) = std::fs::read_to_string(&path) else { continue };
-        let rel = path.strip_prefix(root).unwrap_or(&path).to_string_lossy().replace('\\', "/");
-        let lines = scan::scan(&src);
-        for finding in rules::check_file(&rel, &lines) {
-            if allowlist::match_allow(&allows, &finding, &line_text(&lines, finding.line)).is_none()
-            {
-                findings.push(finding);
-            }
-        }
-    }
-    findings.sort_by(|a, b| a.file.cmp(&b.file).then(a.line.cmp(&b.line)));
-    Ok(findings)
-}
-
-/// Runs the full analysis — line rules plus the four architectural rule
-/// families over the workspace model — applying `root/epg-lint.toml` with
-/// per-entry usage tracking.
-///
-/// # Errors
-/// Returns a message when the allowlist is present but malformed.
 pub fn lint_workspace(root: &Path) -> Result<LintReport, String> {
     let allows = read_allowlist(root)?;
-    let mut raw: Vec<(Finding, String)> = Vec::new();
 
-    // Tier 1: line rules over every `.rs` in the tree.
-    for path in rust_files(root) {
-        let Ok(src) = std::fs::read_to_string(&path) else { continue };
-        let rel = path.strip_prefix(root).unwrap_or(&path).to_string_lossy().replace('\\', "/");
-        let lines = scan::scan(&src);
-        for finding in rules::check_file(&rel, &lines) {
-            let text = line_text(&lines, finding.line);
-            raw.push((finding, text));
-        }
-    }
+    // One walk, one scan per file.
+    let scanned: Vec<Scanned> = rust_files(root)
+        .iter()
+        .filter_map(|path| {
+            let src = std::fs::read_to_string(path).ok()?;
+            let rel = path.strip_prefix(root).unwrap_or(path).to_string_lossy().replace('\\', "/");
+            Some((rel, scan::scan(&src)))
+        })
+        .collect();
+    let mut raw: Vec<Finding> =
+        scanned.iter().flat_map(|(rel, lines)| rules::check_file(rel, lines)).collect();
 
-    // Tier 2: architectural rules over the workspace model.
-    let ws = model::Workspace::load(root);
-    let mut arch_findings = Vec::new();
-    arch::check(&ws, &mut arch_findings);
-    phases::check(&ws, &mut arch_findings);
-    panics::check(&ws, &mut arch_findings);
-    flow::check(&ws, &mut arch_findings);
-    locking::check(&ws, &mut arch_findings);
-    callgraph::check_transitive(&ws, &mut arch_findings);
-    for finding in arch_findings {
-        let text = model_line_text(&ws, &finding);
-        raw.push((finding, text));
-    }
+    // The member crates' file models take their scans; the rest stay in
+    // `others` for the allowlist's line lookup.
+    let (ws, others) = Workspace::load(root, scanned);
+    arch::check(&ws, &mut raw);
+    phases::check(&ws, &mut raw);
+    panics::check(&ws, &mut raw);
+    flow::check(&ws, &mut raw);
+    locking::check(&ws, &mut raw);
+    callgraph::check_transitive(&ws, &mut raw);
 
     // One finding per (file, line, rule): several tokens on one line
     // collapse to the first message.
-    raw.sort_by(|a, b| {
-        a.0.file.cmp(&b.0.file).then(a.0.line.cmp(&b.0.line)).then(a.0.rule.cmp(b.0.rule))
-    });
-    raw.dedup_by(|a, b| a.0.file == b.0.file && a.0.line == b.0.line && a.0.rule == b.0.rule);
+    raw.sort_by(|a, b| a.file.cmp(&b.file).then(a.line.cmp(&b.line)).then(a.rule.cmp(b.rule)));
+    raw.dedup_by(|a, b| a.file == b.file && a.line == b.line && a.rule == b.rule);
 
     let mut used = vec![false; allows.len()];
     let mut findings = Vec::new();
-    for (finding, text) in raw {
-        match allowlist::match_allow(&allows, &finding, &text) {
+    for finding in raw {
+        match allowlist::match_allow(&allows, &finding, &line_text(&ws, &others, &finding)) {
             Some(i) => used[i] = true,
             None => findings.push(finding),
         }
@@ -186,45 +156,30 @@ fn read_allowlist(root: &Path) -> Result<Vec<Allow>, String> {
     }
 }
 
-fn line_text(lines: &[scan::Line], line: usize) -> String {
-    lines.get(line - 1).map(|l| format!("{}{}", l.code, l.comment)).unwrap_or_default()
-}
-
-/// The raw text of the line a model-tier finding points at — a manifest
-/// line for declared-DAG findings, a source line otherwise.
-fn model_line_text(ws: &model::Workspace, f: &Finding) -> String {
-    for c in &ws.crates {
-        if c.manifest_path == f.file {
-            return c.manifest_lines.get(f.line - 1).cloned().unwrap_or_default();
-        }
-        for file in &c.files {
-            if file.path == f.file {
-                return line_text(&file.lines, f.line);
-            }
-        }
+/// The raw text of the line a finding points at — a manifest line for
+/// declared-DAG findings, a scanned source line otherwise.
+fn line_text(ws: &Workspace, others: &[Scanned], f: &Finding) -> String {
+    if let Some(c) = ws.crates.iter().find(|c| c.manifest_path == f.file) {
+        return c.manifest_lines.get(f.line - 1).cloned().unwrap_or_default();
     }
-    String::new()
-}
-
-/// Options shared by the `epg-lint` binary and the `epg lint` subcommand.
-#[derive(Debug, Default)]
-pub struct LintOptions {
-    /// Emit the `epg-lint/v1` JSON report instead of human lines.
-    pub json: bool,
-    /// Fail (exit 3) on stale allowlist entries even when no findings
-    /// survive — CI runs with this on so exceptions cannot rot.
-    pub strict: bool,
+    let members = ws.crates.iter().flat_map(|c| &c.files).map(|m| (&m.path, &m.lines));
+    let mut files = members.chain(others.iter().map(|(path, lines)| (path, lines)));
+    files
+        .find(|(path, _)| **path == f.file)
+        .and_then(|(_, lines)| lines.get(f.line - 1))
+        .map(|l| format!("{}{}", l.code, l.comment))
+        .unwrap_or_default()
 }
 
 /// Runs the full lint over `root` and prints the report to stdout.
 ///
 /// Returns the process exit code: `0` clean, `1` findings survive, `2`
-/// configuration errors (bad root, malformed allowlist), `3`
-/// no findings but stale allowlist entries exist under
-/// [`LintOptions::strict`]. The distinct stale code lets CI and scripts
+/// configuration errors (bad root, malformed allowlist), `3` no findings
+/// but stale allowlist entries exist under `strict` — CI runs with it on
+/// so exceptions cannot rot. The distinct stale code lets CI and scripts
 /// tell "the code regressed" from "an exception rotted" without parsing
 /// output.
-pub fn run_lint(root: &Path, opts: &LintOptions) -> i32 {
+pub fn run_lint(root: &Path, strict: bool) -> i32 {
     if !root.is_dir() {
         eprintln!("epg-lint: {}: not a directory", root.display());
         return 2;
@@ -238,32 +193,26 @@ pub fn run_lint(root: &Path, opts: &LintOptions) -> i32 {
     };
     let (findings, stale_allows) = (report.findings, report.stale_allows);
 
-    if opts.json {
-        print!("{}", output::to_json(&findings, &stale_allows));
-    } else {
-        for f in &findings {
-            println!("{f}");
-        }
-        for a in &stale_allows {
-            let scope =
-                if a.file.is_empty() { a.dir.clone().unwrap_or_default() } else { a.file.clone() };
-            println!(
-                "epg-lint.toml: stale [[allow]] entry ({scope}, rule {}) silences nothing; \
-                 delete it",
-                a.rule
-            );
-        }
-        if findings.is_empty() && stale_allows.is_empty() {
-            println!("epg-lint: clean ({})", root.display());
-        } else if !findings.is_empty() {
-            eprintln!("epg-lint: {} finding(s)", findings.len());
-        }
+    for f in &findings {
+        println!("{f}");
+    }
+    for a in &stale_allows {
+        let scope =
+            if a.file.is_empty() { a.dir.clone().unwrap_or_default() } else { a.file.clone() };
+        println!(
+            "epg-lint.toml: stale [[allow]] entry ({scope}, rule {}) silences nothing; delete it",
+            a.rule
+        );
+    }
+    if findings.is_empty() && stale_allows.is_empty() {
+        println!("epg-lint: clean ({})", root.display());
+    } else if !findings.is_empty() {
+        eprintln!("epg-lint: {} finding(s)", findings.len());
     }
 
-    let strict_stale = opts.strict && !stale_allows.is_empty();
     if !findings.is_empty() {
         1
-    } else if strict_stale {
+    } else if strict && !stale_allows.is_empty() {
         3
     } else {
         0

@@ -19,7 +19,7 @@
 //! string and char-literal contents, brace/paren matching over the code
 //! text cannot be derailed by delimiters inside literals.
 
-use crate::scan::{find_word_from, scan, Line};
+use crate::scan::{find_word_from, is_ident_byte, Line};
 use std::path::Path;
 
 /// The whole workspace: one entry per discovered member crate.
@@ -308,10 +308,6 @@ impl Code {
         }
         out
     }
-}
-
-fn is_ident_byte(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_'
 }
 
 /// Path tokens like `std::fs` must not match inside `my::std::fs` — treat
@@ -874,30 +870,56 @@ fn parse_impls(code: &Code) -> Vec<FnSpan> {
 // Manifest parsing and crate discovery
 // ---------------------------------------------------------------------------
 
+/// One scanned `.rs` file: workspace-relative path, `/`-separated, and
+/// the scanner's lines.
+pub type Scanned = (String, Vec<Line>);
+
 impl Workspace {
-    /// Discovers and models every member crate under `root`.
+    /// Discovers every member crate under `root` and models it from
+    /// `scanned`, the tree's files as `lint_workspace` scanned them once.
     ///
     /// Reads `root/Cargo.toml`: a `[workspace]` `members` list (literal
     /// paths and trailing-`/*` globs) yields one crate per member with a
     /// `Cargo.toml`; a bare `[package]` manifest yields the root itself
     /// as the only crate. A missing or memberless manifest yields an
-    /// empty model (the line rules still run — see `lint_workspace`).
-    pub fn load(root: &Path) -> Workspace {
+    /// empty model. Each scanned file moves into the model of the
+    /// innermost member crate holding it; the files outside every member
+    /// are returned as they came.
+    pub fn load(root: &Path, scanned: Vec<Scanned>) -> (Workspace, Vec<Scanned>) {
         let mut ws = Workspace::default();
-        let Ok(top) = std::fs::read_to_string(root.join("Cargo.toml")) else {
-            return ws;
-        };
-        let mut dirs = member_dirs(&top, root);
-        if dirs.is_empty() && top.contains("[package]") {
-            dirs.push(String::new()); // the root itself is the crate
-        }
-        for dir in dirs {
-            if let Some(c) = load_crate(root, &dir) {
-                ws.crates.push(c);
+        if let Ok(top) = std::fs::read_to_string(root.join("Cargo.toml")) {
+            let mut dirs = member_dirs(&top, root);
+            if dirs.is_empty() && top.contains("[package]") {
+                dirs.push(String::new()); // the root itself is the crate
             }
+            ws.crates = dirs.iter().filter_map(|dir| load_crate(root, dir)).collect();
         }
-        ws
+        let mut others = Vec::new();
+        for (path, lines) in scanned {
+            let owner = ws
+                .crates
+                .iter_mut()
+                .filter_map(|c| Some((crate_relative(&c.dir, &path)?.to_string(), c)))
+                .max_by_key(|(_, c)| c.dir.len());
+            let Some((rel_crate, c)) = owner else {
+                others.push((path, lines));
+                continue;
+            };
+            let test_role = ["tests/", "benches/", "examples/"]
+                .iter()
+                .any(|p| rel_crate.starts_with(p) || rel_crate.contains(&format!("/{p}")));
+            c.files.push(FileModel::build(path, lines, test_role));
+        }
+        (ws, others)
     }
+}
+
+/// `path` relative to the crate directory `dir`, when the file is inside it.
+fn crate_relative<'a>(dir: &str, path: &'a str) -> Option<&'a str> {
+    if dir.is_empty() {
+        return Some(path);
+    }
+    path.strip_prefix(dir)?.strip_prefix('/')
 }
 
 /// Expands the `[workspace] members = […]` list into crate directories
@@ -949,11 +971,9 @@ enum ManifestSection {
 }
 
 fn load_crate(root: &Path, dir: &str) -> Option<CrateModel> {
-    let crate_root = if dir.is_empty() { root.to_path_buf() } else { root.join(dir) };
-    let manifest_path_abs = crate_root.join("Cargo.toml");
-    let text = std::fs::read_to_string(&manifest_path_abs).ok()?;
     let manifest_path =
         if dir.is_empty() { "Cargo.toml".to_string() } else { format!("{dir}/Cargo.toml") };
+    let text = std::fs::read_to_string(root.join(&manifest_path)).ok()?;
 
     let mut name = String::new();
     let mut deps = Vec::new();
@@ -999,19 +1019,6 @@ fn load_crate(root: &Path, dir: &str) -> Option<CrateModel> {
     if name.is_empty() {
         return None;
     }
-
-    let mut files = Vec::new();
-    for path in crate::rust_files(&crate_root) {
-        let Ok(src) = std::fs::read_to_string(&path) else { continue };
-        let rel_crate = path.strip_prefix(&crate_root).unwrap_or(&path).to_string_lossy();
-        let rel_crate = rel_crate.replace('\\', "/");
-        let test_role = ["tests/", "benches/", "examples/"]
-            .iter()
-            .any(|p| rel_crate.starts_with(p) || rel_crate.contains(&format!("/{p}")));
-        let rel_ws = if dir.is_empty() { rel_crate.clone() } else { format!("{dir}/{rel_crate}") };
-        files.push(FileModel::build(rel_ws, scan(&src), test_role));
-    }
-
     Some(CrateModel {
         name,
         dir: dir.to_string(),
@@ -1019,13 +1026,14 @@ fn load_crate(root: &Path, dir: &str) -> Option<CrateModel> {
         manifest_lines: text.lines().map(str::to_string).collect(),
         deps,
         dev_deps,
-        files,
+        files: Vec::new(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scan::scan;
 
     fn file(src: &str) -> FileModel {
         FileModel::build("crates/epg-x/src/lib.rs".into(), scan(src), false)
@@ -1212,21 +1220,28 @@ mod tests {
         )
         .unwrap();
         std::fs::write(dir.join("crates/a/Cargo.toml"), "[package]\nname = \"a\"\n").unwrap();
-        std::fs::write(dir.join("crates/a/src/lib.rs"), "pub fn a() {}\n").unwrap();
         std::fs::write(
             dir.join("solo/Cargo.toml"),
             "[package]\nname = \"solo\"\n\n[dependencies]\na = { path = \"../crates/a\" }\n\n[dev-dependencies]\nproptest.workspace = true\n",
         )
         .unwrap();
-        std::fs::write(dir.join("solo/src/lib.rs"), "pub fn s() {}\n").unwrap();
-        let ws = Workspace::load(&dir);
+        let scanned: Vec<Scanned> =
+            ["crates/a/src/lib.rs", "examples/e.rs", "solo/src/lib.rs", "solo/tests/t.rs"]
+                .iter()
+                .map(|p| (p.to_string(), scan("pub fn f() {}\n")))
+                .collect();
+        let (ws, others) = Workspace::load(&dir, scanned);
         let names: Vec<&str> = ws.crates.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(names, ["a", "solo"]);
         let solo = &ws.crates[1];
         assert_eq!(solo.deps, vec![Dep { name: "a".into(), line: 5 }]);
         assert_eq!(solo.dev_deps, vec![Dep { name: "proptest".into(), line: 8 }]);
-        assert_eq!(solo.files.len(), 1);
-        assert_eq!(solo.files[0].path, "solo/src/lib.rs");
+        let files: Vec<(&str, bool)> =
+            solo.files.iter().map(|f| (f.path.as_str(), f.test_role)).collect();
+        assert_eq!(files, [("solo/src/lib.rs", false), ("solo/tests/t.rs", true)]);
+        assert_eq!(ws.crates[0].files.len(), 1);
+        let others: Vec<&str> = others.iter().map(|(p, _)| p.as_str()).collect();
+        assert_eq!(others, ["examples/e.rs"], "non-members come back for the line rules");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -229,7 +229,8 @@ pub fn find_word_from(text: &str, mut from: usize, word: &str) -> Option<usize> 
     None
 }
 
-fn is_ident_byte(b: u8) -> bool {
+/// Whether `b` can continue a Rust identifier (ASCII subset).
+pub(crate) fn is_ident_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
 }
 

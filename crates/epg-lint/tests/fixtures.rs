@@ -1,41 +1,29 @@
-//! The lint must flag every planted violation in `fixtures/` — with the
-//! right rule at the right `file:line` — and nothing else. This is the
-//! positive half of the acceptance criteria; `workspace_clean.rs` is the
-//! negative half.
+//! The lint must flag every planted line-rule violation in the mini
+//! fixture's `violations.rs` — with the right rule at the right
+//! `file:line` — and nothing else. That file sits outside every member
+//! crate, so it is read by the line rules only. This is the positive half
+//! of the acceptance criteria; `workspace_clean.rs` is the negative half.
 
 use std::path::Path;
 
 #[test]
 fn fixtures_trip_every_rule() {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
-    let findings = epg_lint::lint_tree(&dir).expect("no allowlist in fixtures");
-    let got: Vec<(String, usize, &str)> =
-        findings.iter().map(|f| (f.file.clone(), f.line, f.rule)).collect();
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/mini");
+    let report = epg_lint::lint_workspace(&root).expect("no allowlist in fixtures");
+    let got: Vec<(&str, usize, &str)> = report
+        .findings
+        .iter()
+        .filter(|f| f.file == "violations.rs")
+        .map(|f| (f.file.as_str(), f.line, f.rule))
+        .collect();
     let want = [
-        ("violations.rs".to_string(), 9, "static-mut"),
-        ("violations.rs".to_string(), 12, "raw-ptr-field"),
-        ("violations.rs".to_string(), 15, "raw-ptr-field"),
-        ("violations.rs".to_string(), 18, "safety-comment"),
-        ("violations.rs".to_string(), 18, "unsafe-impl"),
-        ("violations.rs".to_string(), 21, "safety-comment"),
-        ("violations.rs".to_string(), 25, "cas-ordering"),
+        ("violations.rs", 9, "static-mut"),
+        ("violations.rs", 12, "raw-ptr-field"),
+        ("violations.rs", 15, "raw-ptr-field"),
+        ("violations.rs", 18, "safety-comment"),
+        ("violations.rs", 18, "unsafe-impl"),
+        ("violations.rs", 21, "safety-comment"),
+        ("violations.rs", 25, "cas-ordering"),
     ];
-    let mut got_sorted = got.clone();
-    got_sorted.sort();
-    let mut want_sorted = want.to_vec();
-    want_sorted.sort();
-    assert_eq!(
-        got_sorted, want_sorted,
-        "findings diverge from the planted violations:\n{findings:#?}"
-    );
-}
-
-#[test]
-fn lint_tree_rejects_broken_allowlists() {
-    let dir = std::env::temp_dir().join("epg-lint-badallow-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(dir.join("epg-lint.toml"), "[[allow]]\nfile = \"x.rs\"\n").unwrap();
-    let err = epg_lint::lint_tree(&dir).unwrap_err();
-    assert!(err.contains("needs a rule") || err.contains("reason"), "{err}");
-    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(got, want, "findings diverge from the planted violations:\n{:#?}", report.findings);
 }

@@ -1,8 +1,8 @@
-// Deliberate violations of every epg-lint rule. This file is NOT compiled
-// (it sits outside src/ and the walker skips `fixtures` directories); the
-// integration test lints this directory explicitly and asserts each rule
-// fires with the right file:line.
-// Line numbers below are load-bearing — tests/fixtures.rs asserts them.
+// Deliberate violations of every epg-lint line rule. This file is NOT
+// compiled, and it sits at the mini workspace's root, outside any member
+// crate, so only the line rules read it; the model families' violations
+// live in the member crates beside it.
+// Line numbers below are load-bearing — tests/fixtures/mini_golden.txt pins them.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 

@@ -4,24 +4,34 @@
 //! seeded in `kernel.rs`, the four locking rules seeded in the
 //! `mini-serve` crate, and one *transitive* finding per upgraded family
 //! seeded in `transitive.rs` (violations a line-local pass cannot see)
-//! — at pinned `file:line` positions, and the `--json` rendering must
-//! match the committed golden report byte for byte.
+//! — at pinned `file:line` positions. With the line rules' planted
+//! `violations.rs` (`fixtures.rs`) that is every rule, and the printed
+//! report must match the committed golden lines byte for byte.
 //!
 //! The fixture also carries the negative cases: I/O inside
 //! `load_file` and a clock read inside the (fixture) `epg-harness`
 //! crate, both of which must stay silent.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-fn mini_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/mini")
+fn manifest_dir() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+}
+
+fn mini_report() -> epg_lint::LintReport {
+    epg_lint::lint_workspace(&manifest_dir().join("tests/fixtures/mini"))
+        .expect("mini fixture has no allowlist")
 }
 
 #[test]
 fn mini_workspace_trips_each_family_once() {
-    let report = epg_lint::lint_workspace(&mini_root()).expect("mini fixture has no allowlist");
-    let got: Vec<(String, usize, &str)> =
-        report.findings.iter().map(|f| (f.file.clone(), f.line, f.rule)).collect();
+    let report = mini_report();
+    let got: Vec<(String, usize, &str)> = report
+        .findings
+        .iter()
+        .filter(|f| f.file != "violations.rs")
+        .map(|f| (f.file.clone(), f.line, f.rule))
+        .collect();
     let want = [
         ("crates/epg-engine-alpha/Cargo.toml".to_string(), 8, "layering"),
         ("crates/epg-engine-alpha/src/kernel.rs".to_string(), 10, "atomic-ordering"),
@@ -49,30 +59,34 @@ fn mini_workspace_trips_each_family_once() {
 }
 
 #[test]
-fn mini_json_matches_golden() {
-    let report = epg_lint::lint_workspace(&mini_root()).expect("mini fixture has no allowlist");
-    let json = epg_lint::output::to_json(&report.findings, &report.stale_allows);
-    let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/mini_golden.json");
-    let golden = std::fs::read_to_string(&golden_path).expect("golden file committed");
+fn mini_report_matches_golden() {
+    let report = mini_report();
+    let printed: String = report.findings.iter().map(|f| format!("{f}\n")).collect();
+    let golden = std::fs::read_to_string(manifest_dir().join("tests/fixtures/mini_golden.txt"))
+        .expect("golden file committed");
     assert_eq!(
-        json, golden,
-        "JSON report drifted from the golden file; regenerate with \
-         `cargo run -p epg-lint -- crates/epg-lint/tests/fixtures/mini --json`"
+        printed, golden,
+        "the report drifted from the golden file; regenerate with \
+         `cargo run -p epg-harness --bin epg -- lint --root crates/epg-lint/tests/fixtures/mini \
+         > crates/epg-lint/tests/fixtures/mini_golden.txt`"
     );
 }
 
 #[test]
-fn retired_baseline_flag_is_refused_with_usage() {
-    // `epg-lint.toml` is the one exception mechanism; the `epg` half of
-    // this check lives in epg-harness's `lint_cli.rs`.
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_epg-lint"))
-        .args(["--baseline", "lint.baseline"])
-        .output()
-        .expect("spawn epg-lint");
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("unknown argument --baseline") && stderr.contains("usage: epg-lint"),
-        "{stderr}"
-    );
+fn design_md_catalogs_every_tripped_rule() {
+    // DESIGN.md's per-family tables are the rule catalog: every rule the
+    // fixture trips — all of them — has a `| `id` |` row there.
+    let design = std::fs::read_to_string(epg_lint::workspace_root().join("DESIGN.md"))
+        .expect("DESIGN.md at the workspace root");
+    let mut rules: Vec<&str> = Vec::new();
+    let report = mini_report();
+    for f in &report.findings {
+        if !rules.contains(&f.rule) {
+            rules.push(f.rule);
+        }
+    }
+    assert_eq!(rules.len(), 16, "the mini fixture trips every rule: {rules:?}");
+    let undocumented: Vec<&&str> =
+        rules.iter().filter(|id| !design.contains(&format!("| `{id}` |"))).collect();
+    assert!(undocumented.is_empty(), "rules without a DESIGN.md table row: {undocumented:?}");
 }

@@ -4,8 +4,8 @@
 //! must carry no stale entries. A new `unsafe` without a SAFETY comment,
 //! an engine reaching into the harness, an engine timing itself, a racy
 //! worker-closure capture, or a paid-off exception left in
-//! `epg-lint.toml` fails `cargo test` here, not just the standalone
-//! `cargo run -p epg-lint` pass.
+//! `epg-lint.toml` fails `cargo test` here, not just the `epg lint --strict`
+//! pass.
 
 #[test]
 fn workspace_is_lint_clean() {
