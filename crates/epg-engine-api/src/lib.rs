@@ -220,7 +220,8 @@ pub struct RunParams<'a> {
     pub recorder: RecorderCtx<'a>,
     /// Per-request cancellation budget for reentrant query adapters
     /// ([`QueryEngine`]): when set, the adapter attaches it to the pool
-    /// for the duration of this run (and restores the previous token
+    /// `ThreadPool::exclusive` hands it (a private lane on a 1-thread
+    /// pool) for the duration of this run (and restores the previous token
     /// afterwards), so a query past its SLO unwinds cooperatively.
     /// Batch trials leave it `None` — the supervisor in `epg-harness`
     /// manages the pool token itself for those.

@@ -9,9 +9,10 @@
 //!
 //! [`QueryEngine`] is that protocol. Adapters (e.g. the GAP engine's
 //! `into_query`) freeze a constructed engine's graph structure into an
-//! immutable shape and dispatch kernels through the pool's serialized
-//! [`epg_parallel::ThreadPool::exclusive`] entry, honoring the
-//! per-request [`crate::RunParams::cancel`] budget. The trait is
+//! immutable shape and dispatch kernels through the pool's
+//! [`epg_parallel::ThreadPool::exclusive`] entry — concurrent inline lanes
+//! on a 1-thread pool, one gated dispatcher at a time on a wider one —
+//! honoring the per-request [`crate::RunParams::cancel`] budget. The trait is
 //! object-safe on purpose: the serving layer stores `Arc<dyn
 //! QueryEngine>` and stays engine-agnostic.
 
@@ -21,8 +22,10 @@ use epg_graph::VertexId;
 /// A loaded, constructed, immutable graph engine that answers concurrent
 /// queries. Implementations must be safe to share across serving threads
 /// (`Send + Sync`), and `query` must be reentrant: any number of threads
-/// may call it simultaneously (adapters serialize actual kernel dispatch
-/// through the pool's `exclusive` gate internally).
+/// may call it simultaneously. Adapters run each kernel inside the pool's
+/// `exclusive` on the pool it hands out: a private lane per caller on a
+/// 1-thread pool, so traversals run concurrently, and the pool itself
+/// behind a gate on a wider one, so one traversal dispatches at a time.
 pub trait QueryEngine: Send + Sync {
     /// Static metadata of the underlying engine.
     fn info(&self) -> EngineInfo;

@@ -4,13 +4,16 @@
 //! into an immutable [`GapQuery`] that implements
 //! [`epg_engine_api::QueryEngine`]: point queries through `&self`, safe
 //! to call from many serving threads at once. Concurrency is handled by
-//! the substrate, not here — every kernel dispatch goes through the
-//! pool's serialized [`ThreadPool::exclusive`] gate, so exactly one
-//! traversal runs at a time while any number of clients may be blocked
-//! at the gate. Per-request SLO budgets ride in on
-//! [`RunParams::cancel`]: the adapter attaches the token to the pool
-//! for the duration of the run and restores the previous token even if
-//! the kernel unwinds.
+//! the substrate, not here — every kernel runs inside the pool's
+//! [`ThreadPool::exclusive`] on the pool it hands out. On a 1-thread pool
+//! that is the request's own inline lane, so concurrent traversals run at
+//! once over the shared CSR pair; on a wider pool it is the pool itself
+//! behind a gate, so one traversal dispatches at a time while the other
+//! clients wait. Per-request SLO budgets ride in on
+//! [`RunParams::cancel`]: the adapter attaches the token to the handed-out
+//! pool for the duration of the run and restores the previous token even
+//! if the kernel unwinds, so one client's deadline never reaches another
+//! client's traversal.
 
 use crate::{dispatch, GapConfig, GapEngine};
 use epg_engine_api::{Algorithm, Engine, EngineInfo, QueryEngine, RunOutput, RunParams};
@@ -91,7 +94,18 @@ impl QueryEngine for GapQuery {
             if let Some(token) = &params.cancel {
                 pool.set_cancel_token(Some(token.clone()));
             }
-            let out = dispatch(&self.csr, &self.csr_t, &self.config, algo, params);
+            // The same request, dispatched on the pool `exclusive` handed
+            // out (a lane of a 1-thread pool), where its token is attached.
+            let params = RunParams {
+                root: params.root,
+                pool,
+                stopping: params.stopping,
+                max_iterations: params.max_iterations,
+                bc_sources: params.bc_sources,
+                recorder: params.recorder,
+                cancel: params.cancel.clone(),
+            };
+            let out = dispatch(&self.csr, &self.csr_t, &self.config, algo, &params);
             drop(guard);
             out
         })
@@ -103,6 +117,7 @@ mod tests {
     use super::*;
     use epg_engine_api::AlgorithmResult;
     use epg_graph::{oracle, EdgeList};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Arc;
 
     fn kron(scale: u32, weighted: bool) -> EdgeList {
@@ -155,26 +170,92 @@ mod tests {
         // Many client threads fire BFS point queries at one shared
         // GapQuery; every returned level array must equal the sequential
         // oracle's. This is the reentrancy contract end to end: shared
-        // `&self`, serialized dispatch, no cross-request bleed.
+        // `&self`, gated dispatch on a 2-thread pool and concurrent inline
+        // lanes on a 1-thread one, no cross-request bleed.
         let el = kron(8, false);
-        let pool = ThreadPool::new(2);
-        let q = Arc::new(query_on(&el, &pool));
         let g = Csr::from_edge_list(&el);
         let roots = epg_graph::degree::sample_roots(&el, 4, 11);
+        for nthreads in [1, 2] {
+            let pool = ThreadPool::new(nthreads);
+            let q = Arc::new(query_on(&el, &pool));
+            std::thread::scope(|s| {
+                for &root in &roots {
+                    let q = Arc::clone(&q);
+                    let g = &g;
+                    let pool = &pool;
+                    s.spawn(move || {
+                        for _ in 0..3 {
+                            let out = q.query(Algorithm::Bfs, &RunParams::new(pool, Some(root)));
+                            let AlgorithmResult::BfsTree { level, .. } = out.result else {
+                                panic!()
+                            };
+                            assert_eq!(level, oracle::bfs(g, root).level, "root {root}");
+                        }
+                    });
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn one_clients_budget_never_cancels_anothers_traversal() {
+        // On a shared 1-thread pool each request runs on its own lane and
+        // its budget rides on that lane alone. Client A sends pre-expired
+        // budgets for as long as client B's unbudgeted traversals run:
+        // every A query comes back cancelled, no B query does, and B's
+        // answers are the oracle's.
+        let el = kron(8, true);
+        let g = Csr::from_edge_list(&el);
+        let pool = ThreadPool::new(1);
+        let q = query_on(&el, &pool);
+        let roots = epg_graph::degree::sample_roots(&el, 4, 5);
+        let want: Vec<(Vec<u32>, Vec<f32>)> =
+            roots.iter().map(|&r| (oracle::bfs(&g, r).level, oracle::dijkstra(&g, r))).collect();
+        let b_done = AtomicBool::new(false);
+        let (a_sent, a_ran_out) = (AtomicUsize::new(0), AtomicUsize::new(0));
         std::thread::scope(|s| {
-            for &root in &roots {
-                let q = Arc::clone(&q);
-                let g = &g;
-                let pool = &pool;
-                s.spawn(move || {
-                    for _ in 0..3 {
-                        let out = q.query(Algorithm::Bfs, &RunParams::new(pool, Some(root)));
-                        let AlgorithmResult::BfsTree { level, .. } = out.result else { panic!() };
-                        assert_eq!(level, oracle::bfs(g, root).level, "root {root}");
+            let a = s.spawn(|| {
+                while !b_done.load(Ordering::Relaxed) {
+                    let k = a_sent.load(Ordering::Relaxed);
+                    let algo = if k % 2 == 0 { Algorithm::Bfs } else { Algorithm::Sssp };
+                    let mut params = RunParams::new(&pool, Some(roots[k % roots.len()]));
+                    let token = CancelToken::new();
+                    token.cancel();
+                    params.cancel = Some(token);
+                    if !q.query(algo, &params).cancelled {
+                        a_ran_out.fetch_add(1, Ordering::Relaxed);
                     }
-                });
+                    a_sent.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+            let b = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                while a_sent.load(Ordering::Relaxed) == 0 && !a.is_finished() {
+                    std::thread::yield_now();
+                }
+                for _ in 0..10 {
+                    for (&root, (level, dist)) in roots.iter().zip(&want) {
+                        let bfs = q.query(Algorithm::Bfs, &RunParams::new(&pool, Some(root)));
+                        assert!(!bfs.cancelled, "B's BFS from {root} was cancelled");
+                        let AlgorithmResult::BfsTree { level: got, .. } = bfs.result else {
+                            panic!()
+                        };
+                        assert_eq!(&got, level, "BFS root {root}");
+                        let sssp = q.query(Algorithm::Sssp, &RunParams::new(&pool, Some(root)));
+                        assert!(!sssp.cancelled, "B's SSSP from {root} was cancelled");
+                        let AlgorithmResult::Distances(got) = sssp.result else { panic!() };
+                        assert_eq!(&got, dist, "SSSP root {root}");
+                    }
+                }
+            }));
+            // Stop A whether or not B passed, so a failure cannot hang.
+            b_done.store(true, Ordering::Relaxed);
+            if let Err(payload) = b {
+                std::panic::resume_unwind(payload);
             }
         });
+        assert!(a_sent.load(Ordering::Relaxed) > 0);
+        assert_eq!(a_ran_out.load(Ordering::Relaxed), 0, "an expired budget did not cancel");
+        assert!(!pool.is_cancelled(), "a request token leaked onto the shared pool");
     }
 
     #[test]

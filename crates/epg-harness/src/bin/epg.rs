@@ -81,6 +81,9 @@ fn parse_args(argv: std::env::Args) -> Result<Args, String> {
     };
     let mut it = argv.peekable();
     while let Some(flag) = it.next() {
+        if a.cmd == "lint" && !matches!(flag.as_str(), "--strict" | "--root") {
+            return Err(format!("unknown flag: {flag}\n{}", usage()));
+        }
         let mut val = |name: &str| -> Result<String, String> {
             it.next().ok_or(format!("missing value for {name}"))
         };
@@ -161,7 +164,13 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("epg: {e}");
-            ExitCode::FAILURE
+            // `lint` owns its exit codes, and 1 there means findings: a
+            // usage error is 2, its configuration-error code.
+            if std::env::args().nth(1).as_deref() == Some("lint") {
+                ExitCode::from(2)
+            } else {
+                ExitCode::FAILURE
+            }
         }
     }
 }

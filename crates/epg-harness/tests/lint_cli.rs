@@ -124,20 +124,38 @@ fn an_unknown_command_leaves_no_out_directory() {
 
 #[test]
 fn retired_bench_commands_and_flags_are_rejected_with_usage() {
-    for (args, why) in [
-        (&["bench"][..], "unknown command: bench"),
-        (&["serve-bench"][..], "unknown command: serve-bench"),
-        (&["run", "--gate"][..], "unknown flag: --gate"),
-        (&["run", "--quick"][..], "unknown flag: --quick"),
-        (&["run", "--check"][..], "unknown flag: --check"),
+    // Under `lint`, whose exit 1 means findings, a usage error is exit 2.
+    for (args, code, why) in [
+        (&["bench"][..], 1, "unknown command: bench"),
+        (&["serve-bench"][..], 1, "unknown command: serve-bench"),
+        (&["run", "--gate"][..], 1, "unknown flag: --gate"),
+        (&["run", "--quick"][..], 1, "unknown flag: --quick"),
+        (&["run", "--check"][..], 1, "unknown flag: --check"),
         // `epg-lint.toml` is the one exception list, the findings lines the
         // one report, and DESIGN.md's rule tables the one catalog.
-        (&["lint", "--baseline", "lint.baseline"][..], "unknown flag: --baseline"),
-        (&["lint", "--json"][..], "unknown flag: --json"),
-        (&["lint", "--explain", "x"][..], "unknown flag: --explain"),
+        (&["lint", "--baseline", "lint.baseline"][..], 2, "unknown flag: --baseline"),
+        (&["lint", "--json"][..], 2, "unknown flag: --json"),
+        (&["lint", "--explain", "x"][..], 2, "unknown flag: --explain"),
     ] {
         let out = epg(args);
-        assert_eq!(exit_code(&out), 1, "{args:?}");
+        assert_eq!(exit_code(&out), code, "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(why) && stderr.contains("usage: epg <"), "{args:?}:\n{stderr}");
+    }
+}
+
+#[test]
+fn lint_rejects_other_commands_flags_with_usage() {
+    // `lint` takes `--strict` and `--root` only; another command's flag is
+    // a usage error, not silently ignored.
+    for (args, why) in [
+        (&["lint", "--scale", "14"][..], "unknown flag: --scale"),
+        (&["lint", "--threads", "2", "--listen", "x"][..], "unknown flag: --threads"),
+        (&["lint", "--strict", "--out", "x"][..], "unknown flag: --out"),
+    ] {
+        let out = epg(args);
+        assert_eq!(exit_code(&out), 2, "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} ran the analysis");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(why) && stderr.contains("usage: epg <"), "{args:?}:\n{stderr}");
     }
@@ -162,13 +180,16 @@ fn usage_and_doc_header_list_exactly_the_commands_that_exist() {
     assert_eq!(documented, COMMANDS);
 
     // And each one dispatches: a missing --snap file (or --input) is the
-    // error, never "unknown command".
+    // error, never "unknown command"; `lint` analyses the empty tmp tree.
     let tmp = temp_root("cli-commands");
     let (snap, out_dir) = (tmp.join("missing.snap"), tmp.join("out"));
     for cmd in COMMANDS {
         let mut args: Vec<&str> = cmd.split(' ').collect();
-        args.extend(["--snap", snap.to_str().unwrap(), "--out", out_dir.to_str().unwrap()]);
-        args.extend(["--root", tmp.to_str().unwrap()]); // `lint` analyses the empty tmp tree
+        if cmd == "lint" {
+            args.extend(["--root", tmp.to_str().unwrap()]);
+        } else {
+            args.extend(["--snap", snap.to_str().unwrap(), "--out", out_dir.to_str().unwrap()]);
+        }
         let stderr = String::from_utf8_lossy(&epg(&args).stderr).into_owned();
         assert!(!stderr.contains("unknown command"), "`epg {cmd}`:\n{stderr}");
     }

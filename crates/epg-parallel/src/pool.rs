@@ -88,7 +88,8 @@ struct Inner {
     chunks: AtomicU64,
     data_rmw: AtomicU64,
     parks: AtomicU64,
-    /// Dispatch gate for concurrent clients: see [`ThreadPool::exclusive`].
+    /// Dispatch gate for concurrent clients of a pool with workers: see
+    /// [`ThreadPool::exclusive`].
     dispatch_gate: Mutex<()>,
     /// Cooperative-cancellation token for the trial currently using this
     /// pool; worksharing loops poll it at chunk boundaries.
@@ -148,6 +149,13 @@ impl ThreadPool {
     pub fn new(nthreads: usize) -> ThreadPool {
         assert!(nthreads >= 1, "a pool needs at least one thread");
         let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        ThreadPool::with_spin_budget(
+            nthreads,
+            if nthreads <= cpus { SPIN_BUDGET } else { Duration::ZERO },
+        )
+    }
+
+    fn with_spin_budget(nthreads: usize, spin_budget: Duration) -> ThreadPool {
         let inner = Arc::new(Inner {
             nthreads,
             state: Mutex::new(State {
@@ -166,7 +174,7 @@ impl ThreadPool {
             done_cv: Condvar::new(),
             gen_word: AtomicU64::new(0),
             done_word: AtomicU64::new(0),
-            spin_budget: if nthreads <= cpus { SPIN_BUDGET } else { Duration::ZERO },
+            spin_budget,
             regions: AtomicU64::new(0),
             chunks: AtomicU64::new(0),
             data_rmw: AtomicU64::new(0),
@@ -244,24 +252,40 @@ impl ThreadPool {
         self.cancel_token().is_some_and(|t| t.is_cancelled())
     }
 
-    /// Serialized dispatch entry for concurrent clients.
+    /// Dispatch entry for concurrent clients: runs `f` with a pool the
+    /// caller may dispatch on and attach a cancel token to.
     ///
     /// [`ThreadPool::region`] (and the worksharing loops built on it) is a
-    /// single-dispatcher protocol: exactly one thread may publish a
-    /// generation at a time (the `remaining == 0` debug assertion in
-    /// `region` enforces it). Batch trials satisfy that by construction —
-    /// the harness owns the pool for the duration of a trial. A resident
-    /// query service does not: many serving threads share one
-    /// `&ThreadPool`, and each request wants to dispatch a traversal.
-    /// `exclusive` is their entry point: it grants one caller dispatch
-    /// rights at a time, running `f` with the gate held and releasing it
-    /// on return or unwind.
+    /// single-dispatcher protocol on a pool with workers: exactly one
+    /// thread may publish a generation at a time (the `remaining == 0`
+    /// debug assertion in `region` enforces it). Batch trials satisfy that
+    /// by construction — the harness owns the pool for the duration of a
+    /// trial. A resident query service does not: many serving threads
+    /// share one `&ThreadPool`, and each request wants to dispatch a
+    /// traversal. How `exclusive` admits them depends on the width:
     ///
-    /// The gate is **not reentrant** — calling `exclusive` from inside
-    /// `f` deadlocks. Keep exactly one `exclusive` frame per request (the
-    /// reentrant query adapters over the engines take it; layers above
-    /// them must not).
+    /// - **More than one thread:** a gate admits one caller at a time and
+    ///   hands it this pool; `f` runs with the gate held, released on
+    ///   return or unwind.
+    /// - **One thread:** a region runs inline on its caller and publishes
+    ///   nothing, so there is nothing to serialize. Each caller gets its
+    ///   own *lane*, a fresh 1-thread pool with no workers, and concurrent
+    ///   callers run at once. A lane starts with this pool's recorder and
+    ///   cancel token as they are at entry; a token `f` attaches stays on
+    ///   the lane, so it never cancels another caller. When `f` returns
+    ///   or unwinds, the lane's counters are added to this pool's, so
+    ///   [`ThreadPool::stats`] counts every lane's regions and chunks.
+    ///
+    /// `f` must dispatch on the pool it is handed, not on `self`. The
+    /// gate is **not reentrant** — calling `exclusive` from inside `f`
+    /// deadlocks on a wider pool. Keep exactly one `exclusive` frame per
+    /// request (the reentrant query adapters over the engines take it;
+    /// layers above them must not).
     pub fn exclusive<R>(&self, f: impl FnOnce(&ThreadPool) -> R) -> R {
+        if self.inner.nthreads == 1 {
+            let lane = Lane::of(self);
+            return f(&lane.pool);
+        }
         let _gate = self.inner.dispatch_gate.lock();
         f(self)
     }
@@ -467,6 +491,39 @@ impl ThreadPool {
     /// pinned, testable claim — see [`PoolStats::data_rmw`].
     pub fn record_data_rmw(&self, n: u64) {
         self.inner.data_rmw.fetch_add(n, Ordering::Relaxed);
+    }
+}
+
+/// One caller's private inline lane on a 1-thread pool; see
+/// [`ThreadPool::exclusive`].
+struct Lane<'p> {
+    parent: &'p Inner,
+    pool: ThreadPool,
+}
+
+impl<'p> Lane<'p> {
+    fn of(parent: &'p ThreadPool) -> Lane<'p> {
+        // A 1-thread pool never waits, so its spin budget is moot; building
+        // it directly keeps `available_parallelism` (cgroup file reads on
+        // Linux) off the per-request path.
+        let pool = ThreadPool::with_spin_budget(1, Duration::ZERO);
+        pool.set_recorder(parent.recorder());
+        pool.set_cancel_token(parent.cancel_token());
+        Lane { parent: &parent.inner, pool }
+    }
+}
+
+impl Drop for Lane<'_> {
+    fn drop(&mut self) {
+        let (lane, parent) = (&self.pool.inner, self.parent);
+        for (from, to) in [
+            (&lane.regions, &parent.regions),
+            (&lane.chunks, &parent.chunks),
+            (&lane.data_rmw, &parent.data_rmw),
+            (&lane.parks, &parent.parks),
+        ] {
+            to.fetch_add(from.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
     }
 }
 
@@ -958,6 +1015,147 @@ mod tests {
         assert!(r.is_err());
         // The gate must be free again for the next caller.
         pool.exclusive(|p| p.parallel_for(10, Schedule::Static { chunk: None }, |_| {}));
+    }
+
+    /// A reusable rendezvous for `parties` threads whose wait gives up
+    /// after ten seconds: where `exclusive` admits one caller at a time,
+    /// the caller inside `f` times out and fails instead of hanging.
+    /// (`std`'s condvar: the wait needs a timeout.)
+    struct Meeting {
+        arrived: std::sync::Mutex<usize>,
+        cv: std::sync::Condvar,
+        parties: usize,
+    }
+
+    impl Meeting {
+        fn new(parties: usize) -> Meeting {
+            Meeting { arrived: Default::default(), cv: Default::default(), parties }
+        }
+
+        fn wait(&self) {
+            let mut arrived = self.arrived.lock().expect("no party panics holding the count");
+            *arrived += 1;
+            let all_here = arrived.div_ceil(self.parties) * self.parties;
+            self.cv.notify_all();
+            let (arrived, wait) = self
+                .cv
+                .wait_timeout_while(arrived, Duration::from_secs(10), |n| *n < all_here)
+                .expect("no party panics holding the count");
+            assert!(!wait.timed_out(), "{} of {all_here} arrivals: lanes never met", *arrived);
+        }
+    }
+
+    #[test]
+    fn concurrent_callers_of_a_one_thread_pool_run_on_their_own_lanes() {
+        let pool = ThreadPool::new(1);
+        let meeting = Meeting::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    pool.exclusive(|lane| {
+                        assert!(!std::ptr::eq(lane, &pool), "a caller got the shared pool");
+                        meeting.wait();
+                    });
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn lane_counters_add_up_exactly_in_the_parent() {
+        const LANES: usize = 4;
+        const LOOPS: u64 = 25;
+        let pool = ThreadPool::new(1);
+        pool.parallel_for(10, Schedule::Static { chunk: None }, |_| {});
+        let before = pool.stats();
+        let meeting = Meeting::new(LANES);
+        std::thread::scope(|s| {
+            for _ in 0..LANES {
+                s.spawn(|| {
+                    pool.exclusive(|lane| {
+                        meeting.wait();
+                        for _ in 0..LOOPS {
+                            lane.parallel_for(100, Schedule::Dynamic { chunk: 10 }, |_| {});
+                            lane.record_data_rmw(3);
+                        }
+                        // A lane counts its own work only.
+                        let own = lane.stats();
+                        assert_eq!((own.regions, own.chunks), (LOOPS, 10 * LOOPS));
+                    });
+                });
+            }
+        });
+        let after = pool.stats();
+        let lanes = LANES as u64;
+        assert_eq!(after.regions - before.regions, lanes * LOOPS);
+        assert_eq!(after.chunks - before.chunks, lanes * LOOPS * 10);
+        assert_eq!(after.data_rmw - before.data_rmw, lanes * LOOPS * 3);
+        assert_eq!(after.parks, before.parks, "an inline lane never parks");
+    }
+
+    #[test]
+    fn a_token_set_on_one_lane_stays_on_that_lane() {
+        let pool = ThreadPool::new(1);
+        let shared = crate::CancelToken::new();
+        pool.set_cancel_token(Some(shared.clone()));
+        let meeting = Meeting::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                pool.exclusive(|lane| {
+                    assert!(lane.cancel_token().is_some(), "a lane starts with the parent's token");
+                    let own = crate::CancelToken::new();
+                    own.cancel();
+                    lane.set_cancel_token(Some(own));
+                    assert!(lane.is_cancelled());
+                    meeting.wait(); // the token is set
+                    meeting.wait(); // the other lane has looked
+                });
+            });
+            s.spawn(|| {
+                pool.exclusive(|lane| {
+                    meeting.wait();
+                    assert!(!lane.is_cancelled(), "a concurrent lane saw another's token");
+                    assert!(!pool.is_cancelled(), "the parent saw a lane's token");
+                    meeting.wait();
+                });
+            });
+        });
+        assert!(!pool.is_cancelled());
+        // Tripping the parent's token reaches the next lane.
+        shared.cancel();
+        assert!(pool.exclusive(|lane| lane.is_cancelled()));
+    }
+
+    #[test]
+    fn lanes_record_their_worker_spans_on_the_parents_recorder() {
+        let pool = ThreadPool::new(1);
+        let rec = Arc::new(epg_trace::RunRecorder::new());
+        pool.set_recorder(Some(rec.clone()));
+        let meeting = Meeting::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    pool.exclusive(|lane| {
+                        meeting.wait();
+                        run_counted_regions(lane, 3, || {});
+                    });
+                });
+            }
+        });
+        pool.set_recorder(None);
+        pool.exclusive(|lane| run_counted_regions(lane, 1, || {}));
+        let mut regions: Vec<u64> = rec
+            .events()
+            .into_iter()
+            .filter_map(|ev| match ev {
+                TraceEvent::WorkerSpan { region, .. } => Some(region),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(regions.len(), 6, "one span per lane region, none after detach");
+        regions.sort_unstable();
+        regions.dedup();
+        assert_eq!(regions.len(), 6, "each lane region has its own id");
     }
 
     /// Runs `regions` empty-bodied regions, asserting after each that every

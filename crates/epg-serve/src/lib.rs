@@ -13,8 +13,11 @@
 //!             (bounded   (O(1)     (LRU of  (same-   (QueryEngine
 //!              queue,     exact     per-     source    through the
 //!              DNF-aware  estimates source    attach)   pool's
-//!              rejection) or fall   arrays)             exclusive
-//!                         through)                      gate)
+//!              rejection) or fall   arrays)             exclusive:
+//!                         through)                      a lane per
+//!                                                       request at 1
+//!                                                       thread, else
+//!                                                       one gate)
 //! ```
 //!
 //! * [`admission::Admission`] bounds the number of requests in flight;

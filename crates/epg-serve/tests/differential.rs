@@ -118,6 +118,44 @@ fn batched_answers_match_the_oracle() {
 }
 
 #[test]
+fn concurrent_mixed_traversals_on_a_one_thread_service_match_the_oracle() {
+    // A 1-thread service pool gives each in-flight request its own inline
+    // lane, so four clients' BFS and SSSP traversals run at once over the
+    // one resident graph. Caching off: every answer is a traversal (or a
+    // join onto one), and each must still be the oracle's.
+    const CLIENTS: usize = 4;
+    const PER_CLIENT: usize = 12;
+    let el = kron(9, true);
+    let g = Csr::from_edge_list(&el);
+    let svc = service_on(&el, 1, ServeConfig { cache_capacity: 0, ..ServeConfig::default() });
+    let roots = epg_graph::degree::sample_roots(&el, 6, 13);
+    let n = g.num_vertices();
+    std::thread::scope(|s| {
+        for c in 0..CLIENTS {
+            let (svc, g, roots) = (&svc, &g, &roots);
+            s.spawn(move || {
+                for i in 0..PER_CLIENT {
+                    let source = roots[(c + i) % roots.len()];
+                    let target = ((c * 131 + i * 37) % n) as u32;
+                    let q = if (c + i) % 2 == 0 {
+                        PointQuery::BfsDist { source, target }
+                    } else {
+                        PointQuery::SsspDist { source, target }
+                    };
+                    let a = svc.answer(&q).expect("answered");
+                    assert_eq!(a.value, oracle_value(g, &q), "client {c}, query {q:?}");
+                }
+            });
+        }
+    });
+    let s = svc.stats();
+    assert_eq!(s.submitted, (CLIENTS * PER_CLIENT) as u64);
+    assert_eq!(s.submitted, s.answered + s.rejected + s.dnf + s.failed);
+    assert_eq!(s.answered, s.submitted, "nothing was refused");
+    assert_eq!(s.answered, s.exact + s.batched, "nothing was cached");
+}
+
+#[test]
 fn landmark_answers_and_fallbacks_match_the_oracle() {
     let el = kron(9, true);
     let g = Csr::from_edge_list(&el);
