@@ -7,9 +7,9 @@
 //! per-worker split is a fixed function of `(len, nthreads)` (see
 //! `worker_range` in `csr.rs`), so there is no scheduler dimension left to
 //! vary. Thread count is the only knob that could perturb the partition,
-//! and this suite sweeps it {1, 2, 4, 8} on every shape. Run with
-//! `--features epg-parallel/check-disjoint` to additionally verify that
-//! every scatter slot is written exactly once per region (CI does).
+//! and this suite sweeps it {1, 2, 4, 8} on every shape. In a debug build
+//! `DisjointWriter`'s shadow table also verifies that every scatter slot is
+//! written exactly once per region.
 //!
 //! The second half holds the two structures built *on* those kernels to
 //! their documented rules: `Dcsc` (a duplicate keeps its last value) and

@@ -299,9 +299,8 @@ proptest! {
 // ---------------------------------------------------------------------------
 // Parallel ingest parity: the chunked zero-copy parser, parallel CSR
 // phases, and block generators must agree with their serial oracles for
-// every input and every chunk/thread count. These run under the
-// `check-disjoint` feature in CI, so the unsafe disjoint writes are also
-// dynamically race-checked here.
+// every input and every chunk/thread count. In a debug build the unsafe
+// disjoint writes are also dynamically race-checked here.
 // ---------------------------------------------------------------------------
 
 use epg_graph::ingest;

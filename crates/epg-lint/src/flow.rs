@@ -1,19 +1,16 @@
 //! The `concurrency` rule family: an intraprocedural dataflow pass over
 //! the token model ([`crate::model`]).
 //!
-//! PR 1's `check-disjoint` shadow table and PR 3's `CancelToken` enforce
-//! the parallel invariants *dynamically and by convention*; this module is
-//! their static twin. It walks identifier def/use inside the two span
-//! kinds the model extracts — engine **iteration loops** (the per-round
-//! loop every engine closes with `log.iteration(…)`, which also polls the
-//! cancel token) and **worker closures** (arguments to the `epg-parallel`
-//! entry points) — and proves three invariants at lint time:
+//! `DisjointWriter`'s debug-build shadow table and the `CancelToken`
+//! enforce the parallel invariants *dynamically and by convention*; this
+//! module is their static twin. It walks identifier def/use inside the two
+//! span kinds the model extracts — engine **iteration loops** (the
+//! per-round loop every engine closes with `log.iteration(…)`, which also
+//! polls the cancel token) and **worker closures** (arguments to the
+//! `epg-parallel` entry points) — and proves two invariants at lint time.
+//! (Direct assignment to captured state needs no rule: every pool entry
+//! point takes `F: Fn + Sync`, so `rustc` rejects it with E0594.)
 //!
-//! * `shared-mutable-capture` — a worker closure may mutate shared state
-//!   only through an API (`DisjointWriter`, atomics, locks). A *direct*
-//!   assignment (`=`, `+=`, …) whose left-hand place is rooted at a
-//!   captured identifier is a data race the borrow checker cannot see
-//!   through the pool's `unsafe` job pointer.
 //! * `atomic-ordering` — extends the `cas-ordering` line rule with the
 //!   sites it cannot see: `SeqCst` in hot loop bodies (and anywhere in the
 //!   `epg-parallel` substrate, which must audit every use), and `Relaxed`
@@ -26,21 +23,16 @@
 //!
 //! The def/use analysis is deliberately token-level and line-local, like
 //! the rest of the linter: **defs** are closure parameters, `let` pattern
-//! bindings, and `for` bindings inside the span; **uses** are assignment
-//! left-hand sides and grow-method receivers. Place expressions that pass
-//! through a call (`*writer.get_raw(v) = x`, `frontier.lock().append(…)`)
-//! are API-mediated by definition and out of scope here — the SAFETY and
-//! `unsafe`-containment line rules own those. Known blind spots: `<<=` and
-//! `>>=` compound assignments (lexically identical to `<=`/`>=` prefixes)
-//! and multi-line place chains; both are absent from the workspace idiom.
+//! bindings, and `for` bindings inside the span; **uses** are grow-method
+//! receivers. Place expressions that pass through a call
+//! (`frontier.lock().append(…)`) are API-mediated by definition and out of
+//! scope here. Known blind spot: multi-line place chains, absent from the
+//! workspace idiom.
 
 use crate::arch::{is_engine_crate, layer_of};
 use crate::model::{FileModel, Workspace};
 use crate::rules::Finding;
-use crate::scan::{find_word_from, has_word, is_ident_byte};
-
-/// Stable rule id: direct mutation of captured state in a worker closure.
-pub const RULE_CAPTURE: &str = "shared-mutable-capture";
+use crate::scan::{find_word_from, is_ident_byte};
 
 /// Stable rule id: over- or under-strong atomic orderings on hot paths.
 pub const RULE_ORDERING: &str = "atomic-ordering";
@@ -78,7 +70,6 @@ pub fn check(ws: &Workspace, out: &mut Vec<Finding>) {
             if f.test_role {
                 continue;
             }
-            check_capture(f, out);
             check_ordering(f, &c.name, out);
             if engine {
                 check_alloc(f, out);
@@ -167,35 +158,6 @@ fn check_ordering(f: &FileModel, crate_name: &str, out: &mut Vec<Finding>) {
                     });
                     break; // one finding per line
                 }
-            }
-        }
-    }
-}
-
-fn check_capture(f: &FileModel, out: &mut Vec<Finding>) {
-    for &(s, e) in &f.par_calls {
-        if f.in_test(s) {
-            continue;
-        }
-        let defs = defs_in_span(f, s, e);
-        for line in s..=e.min(f.lines.len()) {
-            let code = &f.lines[line - 1].code;
-            for op in assignments(code) {
-                let Some(base) = assigned_base(code, op) else { continue };
-                if defs.iter().any(|d| d == base) {
-                    continue;
-                }
-                out.push(Finding {
-                    file: f.path.clone(),
-                    line,
-                    rule: RULE_CAPTURE,
-                    message: format!(
-                        "worker closure assigns directly to captured `{base}`; concurrent \
-                         workers race on it — route shared writes through DisjointWriter, \
-                         atomics, or a per-worker buffer merged after the region"
-                    ),
-                });
-                break; // one finding per line
             }
         }
     }
@@ -295,60 +257,6 @@ fn defs_in_span(f: &FileModel, s: usize, e: usize) -> Vec<String> {
         for_bindings(code, &mut defs);
     }
     defs
-}
-
-/// Byte positions where an assignment operator starts (`=` of a plain
-/// assignment, or the first char of `+=`/`-=`/…). Comparison (`==`,
-/// `<=`, `>=`, `!=`), match arrows, and `..=` ranges are skipped; so are
-/// `<<=`/`>>=` (lexically `<=`-prefixed — a documented blind spot).
-fn assignments(code: &str) -> Vec<usize> {
-    let b = code.as_bytes();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < b.len() {
-        if b[i] != b'=' {
-            i += 1;
-            continue;
-        }
-        let next = b.get(i + 1).copied();
-        if next == Some(b'=') || next == Some(b'>') {
-            i += 2; // `==` or `=>`
-            continue;
-        }
-        let prev = if i > 0 { b[i - 1] } else { b' ' };
-        match prev {
-            b'=' | b'!' | b'<' | b'>' | b'.' => {} // comparisons, `..=`
-            b'+' | b'-' | b'*' | b'/' | b'%' | b'&' | b'|' | b'^' => out.push(i - 1),
-            _ => out.push(i),
-        }
-        i += 1;
-    }
-    out
-}
-
-/// The root identifier of the place assigned at operator position `op`,
-/// or `None` when the statement is a `let` binding, the place passes
-/// through a call (API-mediated), or no plain place precedes the `=`.
-fn assigned_base(code: &str, op: usize) -> Option<&str> {
-    let lhs = &code[..op];
-    // Statement start: after the last `;`/`{`/`}`/match-arrow.
-    let mut start = lhs.rfind([';', '{', '}']).map_or(0, |p| p + 1);
-    if let Some(p) = lhs.rfind("=>") {
-        start = start.max(p + 2);
-    }
-    let stmt = lhs[start..].trim();
-    if has_word(stmt, "let") {
-        return None; // a binding, already in the def set
-    }
-    if stmt.contains('(') {
-        return None; // `*writer.get_raw(v) = …`: API-mediated
-    }
-    let place = stmt.trim_start_matches(['*', '&', ' ']);
-    let base = first_ident(place)?;
-    if base.as_bytes().first().is_some_and(u8::is_ascii_uppercase) {
-        return None; // `Self::CONST`-shaped, not a runtime place
-    }
-    Some(base)
 }
 
 /// Extracts closure parameter bindings from one line. A `|` opens a
@@ -600,49 +508,6 @@ mod tests {
         assert!(run(krate("epg-engine-gap", "pr.rs", src)).is_empty());
     }
 
-    // --- shared-mutable-capture ------------------------------------------
-
-    #[test]
-    fn assignment_to_captured_place_is_flagged() {
-        let src = "fn kernel(pool: &P, out: &mut [u32]) {\n    pool.parallel_for(out.len(), s, |v| {\n        out[v] = 1;\n    });\n}\n";
-        let f = run(krate("epg-engine-gap", "bfs.rs", src));
-        assert_eq!(rules_of(&f), [RULE_CAPTURE]);
-        assert_eq!(f[0].line, 3);
-        assert!(f[0].message.contains("`out`"), "{}", f[0].message);
-    }
-
-    #[test]
-    fn compound_assignment_to_captured_is_flagged() {
-        let src = "fn kernel(pool: &P) {\n    let mut total = 0u64;\n    pool.parallel_for(8, s, |v| {\n        total += v as u64;\n    });\n}\n";
-        let f = run(krate("epg-engine-gap", "bfs.rs", src));
-        assert_eq!(rules_of(&f), [RULE_CAPTURE]);
-        assert!(f[0].message.contains("`total`"), "{}", f[0].message);
-    }
-
-    #[test]
-    fn assignment_to_closure_local_passes() {
-        let src = "fn kernel(pool: &P) {\n    pool.parallel_for(8, s, |v| {\n        let mut acc = 0;\n        acc = v + acc;\n        drop(acc);\n    });\n}\n";
-        assert!(run(krate("epg-engine-gap", "bfs.rs", src)).is_empty());
-    }
-
-    #[test]
-    fn writer_mediated_assignment_passes() {
-        let src = "fn kernel(pool: &P, w: &W) {\n    pool.parallel_for(8, s, |v| {\n        // SAFETY: disjoint by construction.\n        unsafe { *w.get_raw(v) = 1 };\n    });\n}\n";
-        assert!(run(krate("epg-engine-gap", "bfs.rs", src)).is_empty());
-    }
-
-    #[test]
-    fn closure_param_and_for_bindings_are_defs() {
-        let src = "fn kernel(pool: &P) {\n    pool.parallel_for_ranges(8, s, |w, lo, hi| {\n        for i in lo..hi {\n            let mut x = i;\n            x += w;\n            drop(x);\n        }\n    });\n}\n";
-        assert!(run(krate("epg-engine-gap", "bfs.rs", src)).is_empty());
-    }
-
-    #[test]
-    fn comparisons_and_match_arrows_are_not_assignments() {
-        let src = "fn kernel(pool: &P, d: &[u32]) {\n    pool.parallel_for(8, s, |v| {\n        if d[v] == 0 || d[v] <= 1 {\n            match v {\n                0 => {}\n                _ => {}\n            }\n        }\n    });\n}\n";
-        assert!(run(krate("epg-engine-gap", "bfs.rs", src)).is_empty());
-    }
-
     // --- atomic-ordering --------------------------------------------------
 
     #[test]
@@ -739,6 +604,16 @@ mod tests {
     }
 
     #[test]
+    fn closure_param_and_for_bindings_are_defs() {
+        // Growth of a closure parameter or a `for` binding is span-local;
+        // only the captured `seen` outlives the closure.
+        let src = "fn kernel(pool: &P, seen: &mut Vec<u32>) {\n    pool.parallel_for_ranges(8, s, |buf, lo, hi| {\n        for mut q in parts(lo, hi) {\n            buf.push(lo);\n            q.push(hi);\n        }\n        seen.push(hi);\n    });\n}\n";
+        let f = run(krate("epg-engine-gap", "bfs.rs", src));
+        assert_eq!(rules_of(&f), [RULE_ALLOC]);
+        assert_eq!(f[0].line, 7, "{f:?}");
+    }
+
+    #[test]
     fn lock_mediated_append_passes() {
         let src = "fn kernel(pool: &P, found: &Mutex<Vec<u32>>) {\n    pool.parallel_for(8, s, |v| {\n        found.lock().append(&mut Vec::from([v]));\n    });\n}\n";
         assert!(run(krate("epg-engine-gap", "bfs.rs", src)).is_empty());
@@ -751,18 +626,6 @@ mod tests {
     }
 
     // --- the dataflow substrate ------------------------------------------
-
-    #[test]
-    fn assignment_scanner_classifies_operators() {
-        assert_eq!(assignments("x = 1"), vec![2]);
-        assert_eq!(assignments("x += 1"), vec![2]);
-        assert_eq!(assignments("x |= m"), vec![2]);
-        assert!(assignments("a == b").is_empty());
-        assert!(assignments("a <= b && a >= c || a != d").is_empty());
-        assert!(assignments("0 => {}").is_empty());
-        assert!(assignments("for i in 0..=n {}").is_empty());
-        assert_eq!(assignments("a == b; c = d").len(), 1);
-    }
 
     #[test]
     fn place_chains_resolve_bases_and_calls() {

@@ -12,8 +12,8 @@
 //! * **Model families** over the member crates' workspace model
 //!   ([`model`]): crate-DAG `layering` ([`arch`]), `phase-purity` and
 //!   `timing-discipline` ([`phases`]), `panic-discipline` ([`panics`]), the
-//!   `concurrency` dataflow family ([`flow`]) — `shared-mutable-capture`,
-//!   `atomic-ordering`, `hot-loop-alloc` — and
+//!   `concurrency` dataflow family ([`flow`]) — `atomic-ordering`,
+//!   `hot-loop-alloc` — and
 //!   the `locking` family ([`locking`]) — `lock-order-cycle`,
 //!   `blocking-while-locked`, `condvar-wait-loop`, `guard-across-span` —
 //!   over an intra-crate call graph ([`callgraph`]) that also upgrades
@@ -24,8 +24,8 @@
 //!   engines are interchangeable behind `epg-engine-api`, file I/O stays
 //!   in the read phase, the harness owns the clock, engine hot paths fail
 //!   through the supervised `TrialOutcome` path, timed parallel regions
-//!   neither race on captured state nor allocate, and no lock guard pins
-//!   a blocking operation or a wake boundary.
+//!   do not allocate, and no lock guard pins a blocking operation or a
+//!   wake boundary.
 //!
 //! Runs as `epg lint [--strict] [--root DIR]` ([`run_lint`], nonzero exit
 //! on findings) and as a tier-1 test (`tests/workspace_clean.rs`), so

@@ -1,6 +1,6 @@
 //! The mini fixture workspace (`tests/fixtures/mini/`) must produce
 //! exactly one finding per architectural rule — layering, phase-purity,
-//! timing-discipline, panic-discipline, the three concurrency rules
+//! timing-discipline, panic-discipline, the two concurrency rules
 //! seeded in `kernel.rs`, the four locking rules seeded in the
 //! `mini-serve` crate, and one *transitive* finding per upgraded family
 //! seeded in `transitive.rs` (violations a line-local pass cannot see)
@@ -36,7 +36,6 @@ fn mini_workspace_trips_each_family_once() {
         ("crates/epg-engine-alpha/Cargo.toml".to_string(), 8, "layering"),
         ("crates/epg-engine-alpha/src/kernel.rs".to_string(), 10, "atomic-ordering"),
         ("crates/epg-engine-alpha/src/kernel.rs".to_string(), 11, "hot-loop-alloc"),
-        ("crates/epg-engine-alpha/src/kernel.rs".to_string(), 13, "shared-mutable-capture"),
         ("crates/epg-engine-alpha/src/lib.rs".to_string(), 12, "phase-purity"),
         ("crates/epg-engine-alpha/src/lib.rs".to_string(), 17, "timing-discipline"),
         ("crates/epg-engine-alpha/src/lib.rs".to_string(), 25, "panic-discipline"),
@@ -85,7 +84,7 @@ fn design_md_catalogs_every_tripped_rule() {
             rules.push(f.rule);
         }
     }
-    assert_eq!(rules.len(), 16, "the mini fixture trips every rule: {rules:?}");
+    assert_eq!(rules.len(), 15, "the mini fixture trips every rule: {rules:?}");
     let undocumented: Vec<&&str> =
         rules.iter().filter(|id| !design.contains(&format!("| `{id}` |"))).collect();
     assert!(undocumented.is_empty(), "rules without a DESIGN.md table row: {undocumented:?}");

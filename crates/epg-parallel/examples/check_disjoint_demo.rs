@@ -1,13 +1,14 @@
-//! Demonstrates the `check-disjoint` race detector end to end:
+//! Demonstrates the `DisjointWriter` race detector end to end:
 //!
 //! ```text
-//! cargo run -p epg-parallel --features check-disjoint --example check_disjoint_demo
+//! cargo run -p epg-parallel --example check_disjoint_demo
 //! ```
 //!
 //! A disjoint vertex-parallel write runs clean; an intentionally aliased
 //! one trips the shadow table, and the pool propagates the panic (naming
 //! both conflicting workers) back to the caller, where it is caught and
-//! printed here.
+//! printed here. The shadow table exists only in debug builds; with
+//! `--release` the aliased kernel runs unchecked.
 
 use epg_parallel::{DisjointWriter, Schedule, ThreadPool};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -35,7 +36,7 @@ fn main() {
         });
     }));
     match result {
-        Ok(()) => println!("aliased kernel: no overlap detected (build without check-disjoint?)"),
+        Ok(()) => println!("aliased kernel: no overlap detected (release build: no shadow table)"),
         Err(payload) => {
             let msg = payload
                 .downcast_ref::<String>()

@@ -3,11 +3,11 @@
 //! Every parallel region dispatched by a [`crate::ThreadPool`] gets a
 //! process-unique *region id*, and every thread executing inside one carries
 //! that id plus its stable worker id (0 for the dispatching thread,
-//! `1..nthreads` for pool workers) in thread-local state. The
-//! `check-disjoint` feature's shadow table in [`crate::DisjointWriter`]
-//! combines the two into a write tag: two different workers tagging the same
-//! index with the same region id is exactly an overlapping write within one
-//! `parallel_for` region.
+//! `1..nthreads` for pool workers) in thread-local state. In debug builds
+//! the shadow table in [`crate::DisjointWriter`] combines the two into a
+//! write tag: two different workers tagging the same index with the same
+//! region id is exactly an overlapping write within one `parallel_for`
+//! region.
 //!
 //! Region ids are allocated from one global counter rather than a single
 //! monotonically bumped epoch so that concurrently running pools (e.g. tests
@@ -39,7 +39,7 @@ pub(crate) fn next_region_id() -> u32 {
 
 /// The region id the calling thread is executing inside, or 0 when outside
 /// every parallel region.
-#[cfg_attr(not(feature = "check-disjoint"), allow(dead_code))]
+#[cfg_attr(not(debug_assertions), allow(dead_code))]
 pub(crate) fn current_region() -> u32 {
     CURRENT.with(|c| c.get().0)
 }

@@ -379,6 +379,23 @@ impl ThreadPool {
     }
 
     /// Worksharing loop over `0..n` (`#pragma omp parallel for`).
+    ///
+    /// The body is `Fn + Sync`, shared by every worker, so it cannot assign
+    /// to captured state; shared writes go through [`crate::DisjointWriter`],
+    /// atomics, or per-worker buffers:
+    ///
+    /// ```compile_fail,E0594
+    /// use epg_parallel::{Schedule, ThreadPool};
+    ///
+    /// let pool = ThreadPool::new(2);
+    /// let mut buf = vec![0usize; 8];
+    /// let out: &mut [usize] = &mut buf;
+    /// let mut total = 0usize;
+    /// pool.parallel_for(8, Schedule::Static { chunk: None }, |v| {
+    ///     out[v] = v;
+    ///     total += v;
+    /// });
+    /// ```
     pub fn parallel_for<F: Fn(usize) + Sync>(&self, n: usize, sched: super::Schedule, f: F) {
         self.parallel_for_ranges(n, sched, |_tid, lo, hi| {
             for i in lo..hi {

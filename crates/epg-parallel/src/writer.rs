@@ -6,16 +6,17 @@
 //! the one `unsafe` write behind a documented contract instead of scattering
 //! raw-pointer casts through every engine.
 //!
-//! With the `check-disjoint` feature the contract is *checked*, not just
-//! documented: the writer keeps a shadow table with one atomic tag per
-//! element recording which worker last wrote it and in which parallel
-//! region (see [`crate::check`]). A second worker writing the same index
-//! within the same region trips a panic naming both workers. Detection is
+//! In debug builds the contract is *checked*, not just documented: the
+//! writer keeps a shadow table with one atomic tag per element recording
+//! which worker last wrote it and in which parallel region (see
+//! [`crate::check`]). A second worker writing the same index within the
+//! same region trips a panic naming both workers. Detection is
 //! deterministic — the second `swap` always observes the first worker's tag
 //! — so an overlapping kernel fails every run, not just under unlucky
-//! interleavings.
+//! interleavings. Every `cargo test` therefore race-checks every write;
+//! release builds compile the table and the per-write swap out.
 
-#[cfg(feature = "check-disjoint")]
+#[cfg(debug_assertions)]
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Shared mutable access to a slice for loops that write disjoint indices.
@@ -25,7 +26,7 @@ pub struct DisjointWriter<'a, T> {
     /// One tag per element: `(region id << 32) | (worker id + 1)`, 0 when
     /// never written. Updated with a swap on every write so the second of
     /// two same-region writers always sees the first.
-    #[cfg(feature = "check-disjoint")]
+    #[cfg(debug_assertions)]
     shadow: Vec<AtomicU64>,
     _marker: std::marker::PhantomData<&'a mut [T]>,
 }
@@ -42,7 +43,7 @@ impl<'a, T> DisjointWriter<'a, T> {
         DisjointWriter {
             ptr: slice.as_mut_ptr(),
             len: slice.len(),
-            #[cfg(feature = "check-disjoint")]
+            #[cfg(debug_assertions)]
             shadow: (0..slice.len()).map(|_| AtomicU64::new(0)).collect(),
             _marker: std::marker::PhantomData,
         }
@@ -124,7 +125,7 @@ impl<'a, T> DisjointWriter<'a, T> {
     /// different worker already wrote it within the current parallel region.
     /// Outside any region (`region == 0`) the writer is reachable from one
     /// thread only, so nothing is recorded.
-    #[cfg(feature = "check-disjoint")]
+    #[cfg(debug_assertions)]
     fn record(&self, i: usize) {
         let region = crate::check::current_region();
         if region == 0 {
@@ -147,7 +148,7 @@ impl<'a, T> DisjointWriter<'a, T> {
         }
     }
 
-    #[cfg(not(feature = "check-disjoint"))]
+    #[cfg(not(debug_assertions))]
     #[inline(always)]
     fn record(&self, _i: usize) {}
 }

@@ -1,12 +1,12 @@
-//! Injection tests for the `check-disjoint` race detector: deliberately
+//! Injection tests for the `DisjointWriter` race detector: deliberately
 //! overlapping writes must trip a panic naming both conflicting workers,
 //! and the panic must propagate through the pool to the calling thread.
 //! Benign patterns (disjoint indices, repeat writes across *different*
 //! regions, writes outside any region) must stay silent.
 //!
-//! The whole file is compiled only with the feature:
-//! `cargo test -p epg-parallel --features check-disjoint`.
-#![cfg(feature = "check-disjoint")]
+//! The shadow table exists only in debug builds, so the whole file is
+//! compiled only there: plain `cargo test -p epg-parallel` runs it.
+#![cfg(debug_assertions)]
 
 use epg_parallel::{DisjointWriter, Schedule, ThreadPool};
 use std::panic::{catch_unwind, AssertUnwindSafe};
