@@ -1,9 +1,9 @@
 //! Result validation in the style of the Graph500 specification.
 //!
 //! Graph500 Benchmark 1 requires every BFS run to be validated against five
-//! structural properties of the returned parent tree. The Graph500 engine
-//! runs these after every root; integration tests run them against every
-//! engine's BFS output.
+//! structural properties of the returned parent tree, outside the timed
+//! kernel. The harness runs these on every engine's BFS output after the
+//! trial's clock stops; integration tests run them too.
 //!
 //! # Algorithm
 //!
@@ -11,7 +11,9 @@
 //!
 //! 1. **Levels** (serial, O(n)): every vertex with a parent walks up to the
 //!    first vertex whose level is known, through one reused path buffer,
-//!    and the path is labelled on the way back down.
+//!    and the path is labelled on the way back down. A level array the
+//!    search reported alongside its tree must equal these, vertex by
+//!    vertex (unreached is `u32::MAX` on both sides).
 //! 2. **Edge scan** (O(m), the only part [`validate_bfs_tree_parallel`]
 //!    spreads over the pool): each edge `(u, v)` is checked against rules
 //!    4 and 5, and `v` is flagged when `parent[v] == u` — the tree edge
@@ -24,7 +26,8 @@
 //!
 //! One input has one verdict, whichever driver and thread count produced
 //! it: [`ValidationError::BadRoot`]; else the `BrokenTree` of the lowest
-//! start vertex whose walk fails; else the `PhantomEdge` / `LevelSkew` of
+//! start vertex whose walk fails; else the `WrongLevel` of the lowest
+//! vertex, when a level array is given; else the `PhantomEdge` / `LevelSkew` of
 //! the lowest vertex; else the first `EdgeSpansLevels` / `Unreached` in
 //! ascending `(u, position in u's adjacency)`.
 
@@ -68,6 +71,16 @@ pub enum ValidationError {
     },
     /// The root's own entry is malformed.
     BadRoot,
+    /// The reported level of a vertex is not the one its parent chain
+    /// gives it.
+    WrongLevel {
+        /// First vertex whose reported level disagrees.
+        vertex: VertexId,
+        /// The level the search reported.
+        reported: u32,
+        /// The level the parent tree gives (`u32::MAX`: unreached).
+        derived: u32,
+    },
 }
 
 impl std::fmt::Display for ValidationError {
@@ -83,6 +96,9 @@ impl std::fmt::Display for ValidationError {
             }
             ValidationError::Unreached { vertex } => write!(f, "vertex {vertex} unreached"),
             ValidationError::BadRoot => write!(f, "root entry malformed"),
+            ValidationError::WrongLevel { vertex, reported, derived } => {
+                write!(f, "level[{vertex}] = {reported}, but the parent tree puts it at {derived}")
+            }
         }
     }
 }
@@ -98,20 +114,24 @@ pub fn validate_bfs_tree(
     root: VertexId,
     parent: &[VertexId],
 ) -> Result<(), ValidationError> {
-    check_tree(g, root, parent, |scan| scan.range(0, g.num_vertices()))
+    check_tree(g, root, parent, None, |scan| scan.range(0, g.num_vertices()))
 }
 
 /// [`validate_bfs_tree`] with the edge scan spread over `pool`; the same
-/// verdict at every thread count. A cancel token that trips on the pool
-/// abandons ranges of the scan, so the verdict of a cancelled pool means
-/// nothing — callers running under a token check `pool.is_cancelled()`.
+/// verdict at every thread count. When the search's `level` array is
+/// given, it must also equal the levels the parent tree implies
+/// ([`ValidationError::WrongLevel`]); it must then have one entry per
+/// vertex, like `parent`. A cancel token that trips on the pool abandons
+/// ranges of the scan, so the verdict of a cancelled pool means nothing —
+/// callers running under a token check `pool.is_cancelled()`.
 pub fn validate_bfs_tree_parallel(
     g: &Csr,
     root: VertexId,
     parent: &[VertexId],
+    level: Option<&[u32]>,
     pool: &ThreadPool,
 ) -> Result<(), ValidationError> {
-    check_tree(g, root, parent, |scan| {
+    check_tree(g, root, parent, level, |scan| {
         pool.parallel_reduce_ranges(
             g.num_vertices(),
             Schedule::Guided { min_chunk: 64 },
@@ -213,10 +233,12 @@ fn derive_levels(root: VertexId, parent: &[VertexId]) -> Result<Vec<u32>, Valida
 
 /// The validation both drivers share; `drive` runs the edge scan over
 /// `0..n` its own way and returns the fault with the lowest source.
+/// `reported`, when given, is compared with the derived levels.
 fn check_tree(
     g: &Csr,
     root: VertexId,
     parent: &[VertexId],
+    reported: Option<&[u32]>,
     drive: impl FnOnce(&EdgeScan<'_>) -> EdgeFault,
 ) -> Result<(), ValidationError> {
     let n = g.num_vertices();
@@ -226,6 +248,16 @@ fn check_tree(
         _ => return Err(ValidationError::BadRoot),
     }
     let level = derive_levels(root, parent)?;
+    if let Some(reported) = reported {
+        assert_eq!(reported.len(), n, "level array length mismatch");
+        if let Some(v) = (0..n).find(|&v| reported[v] != level[v]) {
+            return Err(ValidationError::WrongLevel {
+                vertex: v as VertexId,
+                reported: reported[v],
+                derived: level[v],
+            });
+        }
+    }
     let in_graph: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
     let fault = drive(&EdgeScan { g, parent, level: &level, in_graph: &in_graph });
 
@@ -245,11 +277,15 @@ fn check_tree(
     fault.map_or(Ok(()), |(_, e)| Err(e))
 }
 
-/// Validates SSSP distances against relaxation optimality: `dist[root] == 0`
-/// and no edge can further relax any distance; reached/unreached must agree
-/// with graph connectivity from the root. A `dist` of the wrong length or an
-/// out-of-range `root` is an `Err`.
+/// Validates SSSP distances for positive weights: `dist[root] == 0`; no
+/// edge can further relax any distance (no overestimate, and nothing
+/// reachable is left unreached); and every other reached vertex has an
+/// in-edge `(u, v, w)` with `dist[u] + w == dist[v]`, so each distance is
+/// the length of some path (no underestimate). Both comparisons allow 1e-4
+/// for differing f32 summation orders across engines. A `dist` of the
+/// wrong length or an out-of-range `root` is an `Err`.
 pub fn validate_sssp_distances(g: &Csr, root: VertexId, dist: &[Weight]) -> Result<(), String> {
+    const TOLERANCE: Weight = 1e-4;
     let n = g.num_vertices();
     if dist.len() != n {
         return Err(format!("{} distances for {n} vertices", dist.len()));
@@ -259,21 +295,34 @@ pub fn validate_sssp_distances(g: &Csr, root: VertexId, dist: &[Weight]) -> Resu
         Some(&d) if d != 0.0 => return Err(format!("dist[root] = {d} != 0")),
         Some(_) => {}
     }
+    // `tight[v]`: an edge into `v` has `dist[u] + w == dist[v]`.
+    let mut tight = vec![false; n];
+    tight[root as usize] = true;
     for u in 0..n as VertexId {
         if dist[u as usize] == INF_DIST {
             continue;
         }
         for (v, w) in g.neighbors_weighted(u) {
-            // Tolerance for differing f32 summation orders across engines.
-            if dist[v as usize] > dist[u as usize] + w + 1e-4 {
+            let via = dist[u as usize] + w;
+            if dist[v as usize] > via + TOLERANCE {
                 return Err(format!(
                     "edge ({u},{v},{w}) relaxes dist[{v}]: {} > {} + {w}",
                     dist[v as usize], dist[u as usize]
                 ));
             }
+            if dist[v as usize] >= via - TOLERANCE {
+                tight[v as usize] = true;
+            }
         }
     }
-    Ok(())
+    match (0..n).find(|&v| dist[v] != INF_DIST && !tight[v]) {
+        Some(v) => Err(format!(
+            "dist[{v}] = {} is shorter than every path: no edge (u,{v},w) has dist[u] + w = \
+             dist[{v}]",
+            dist[v]
+        )),
+        None => Ok(()),
+    }
 }
 
 /// Converts a parent array into the edge list of the BFS tree; useful for
@@ -367,6 +416,22 @@ mod tests {
     }
 
     #[test]
+    fn sssp_validation_rejects_underestimates() {
+        // A weighted path 0-1-2-3: all-zero distances relax nothing, but no
+        // path is that short.
+        let el =
+            EdgeList::weighted(4, vec![(0, 1), (1, 2), (2, 3)], vec![1.5, 2.0, 0.5]).symmetrized();
+        let g = Csr::from_edge_list(&el);
+        let err = validate_sssp_distances(&g, 0, &[0.0; 4]).unwrap_err();
+        assert!(err.contains("dist[1] = 0 is shorter than every path"), "{err}");
+        // One vertex short by more than the tolerance is caught too.
+        let mut d = oracle::dijkstra(&g, 0);
+        assert_eq!(d, [0.0, 1.5, 3.5, 4.0]);
+        d[3] -= 0.01;
+        assert!(validate_sssp_distances(&g, 0, &d).unwrap_err().contains("dist[3]"));
+    }
+
+    #[test]
     fn out_of_range_root_is_a_bad_root() {
         let g = ring(4);
         let r = oracle::bfs(&g, 0);
@@ -379,7 +444,32 @@ mod tests {
         let g = Csr::from_edge_list(&EdgeList::new(0, Vec::new()));
         assert_eq!(validate_bfs_tree(&g, 0, &[]), Err(ValidationError::BadRoot));
         let pool = ThreadPool::new(2);
-        assert_eq!(validate_bfs_tree_parallel(&g, 0, &[], &pool), Err(ValidationError::BadRoot));
+        let bad_root = Err(ValidationError::BadRoot);
+        assert_eq!(validate_bfs_tree_parallel(&g, 0, &[], None, &pool), bad_root);
+    }
+
+    #[test]
+    fn reported_levels_must_match_the_tree() {
+        let g = ring(6);
+        let pool = ThreadPool::new(2);
+        let r = oracle::bfs(&g, 0);
+        assert_eq!(validate_bfs_tree_parallel(&g, 0, &r.parent, Some(&r.level), &pool), Ok(()));
+        // The parent tree alone is valid; the levels beside it are not.
+        let mut level = r.level.clone();
+        level[0] += 1;
+        assert_eq!(
+            validate_bfs_tree_parallel(&g, 0, &r.parent, Some(&level), &pool),
+            Err(ValidationError::WrongLevel { vertex: 0, reported: 1, derived: 0 })
+        );
+        // An unreached vertex must be reported unreached.
+        let el = EdgeList::new(3, vec![(0, 1)]).symmetrized();
+        let g = Csr::from_edge_list(&el);
+        let r = oracle::bfs(&g, 0);
+        let mut level = r.level.clone();
+        level[2] = 0;
+        let err = validate_bfs_tree_parallel(&g, 0, &r.parent, Some(&level), &pool).unwrap_err();
+        assert_eq!(err, ValidationError::WrongLevel { vertex: 2, reported: 0, derived: u32::MAX });
+        assert!(err.to_string().starts_with("level[2] = 0, but the parent tree"), "{err}");
     }
 
     /// A hub whose adjacency lists its 2^15 leaves in scattered order: a
@@ -391,14 +481,14 @@ mod tests {
         let edges: Vec<_> = (0..LEAVES).map(|i| (0, 1 + i * 40_503 % LEAVES)).collect();
         let g = Csr::from_edge_list(&EdgeList::new(LEAVES as usize + 1, edges).symmetrized());
         let pool = ThreadPool::new(3);
-        let mut parent = oracle::bfs(&g, 0).parent;
+        let oracle::BfsResult { mut parent, level } = oracle::bfs(&g, 0);
         assert_eq!(validate_bfs_tree(&g, 0, &parent), Ok(()));
-        assert_eq!(validate_bfs_tree_parallel(&g, 0, &parent, &pool), Ok(()));
+        assert_eq!(validate_bfs_tree_parallel(&g, 0, &parent, Some(&level), &pool), Ok(()));
         // Leaf 9 claims leaf 5 for a parent; leaves share no edge.
         parent[9] = 5;
         let phantom = Err(ValidationError::PhantomEdge { vertex: 9, parent: 5 });
         assert_eq!(validate_bfs_tree(&g, 0, &parent), phantom);
-        assert_eq!(validate_bfs_tree_parallel(&g, 0, &parent, &pool), phantom);
+        assert_eq!(validate_bfs_tree_parallel(&g, 0, &parent, None, &pool), phantom);
     }
 
     #[test]

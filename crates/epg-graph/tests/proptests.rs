@@ -626,7 +626,7 @@ proptest! {
         for threads in [1, 2, 3, 7] {
             let pool = ThreadPool::new(threads);
             prop_assert_eq!(
-                &validate::validate_bfs_tree_parallel(&g, root, &parent, &pool),
+                &validate::validate_bfs_tree_parallel(&g, root, &parent, None, &pool),
                 &want,
                 "{} threads", threads
             );

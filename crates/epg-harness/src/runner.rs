@@ -7,14 +7,21 @@
 //! lacking. Rooted algorithms run once per sampled root (32 by default);
 //! PageRank "is simply run 32 times" (§III-B); the Graphalytics-only
 //! kernels run once.
+//!
+//! Every BFS and SSSP trial is verified ([`verify_output`]) after its clock
+//! stops, against one CSR of the symmetric graph built before any engine
+//! runs: results are checked on every engine, and no timer or trace holds
+//! the check.
 
 use crate::dataset::Dataset;
 use crate::registry::EngineKind;
-use crate::supervise::{supervise_trial, QuarantineBook, SupervisorConfig, TrialOutcome};
+use crate::supervise::{
+    supervise_trial, verify_output, QuarantineBook, SupervisorConfig, TrialOutcome,
+};
 use crate::tracefile::{Capture, TraceBundle};
 use crate::{csvio, logs};
 use epg_engine_api::{Algorithm, FaultPlan, FaultyEngine, Phase, RunOutput, RunParams, SsspKernel};
-use epg_graph::VertexId;
+use epg_graph::{Csr, VertexId};
 use epg_machine::{MachineModel, Projection};
 use epg_parallel::ThreadPool;
 use std::path::PathBuf;
@@ -295,6 +302,12 @@ pub fn run_experiment(cfg: &ExperimentConfig, ds: &Dataset) -> ExperimentResult 
     let mut runs = Vec::new();
     let mut quarantine = QuarantineBook::new();
     let mut traces = Vec::new();
+    // What verification checks against: every engine runs on these edges
+    // (Graph500 symmetrizes the raw list to the same ones).
+    let checked = Csr::from_edge_list_parallel(&ds.symmetric, &pool);
+    // A captured trial's check runs here instead of on `pool`, whose
+    // recorder would put the validator's regions in the trace.
+    let untraced = ThreadPool::new(1);
 
     // Homogenized files, if the file path is requested.
     let file_dir = cfg.use_files.then(|| {
@@ -405,8 +418,15 @@ pub fn run_experiment(cfg: &ExperimentConfig, ds: &Dataset) -> ExperimentResult 
                     if let Some(capture) = &capture {
                         params.recorder = capture.ctx();
                     }
-                    let report =
-                        supervise_trial(&pool, &cfg.supervisor, || engine.run(algo, &params), None);
+                    let check_pool = if capture.is_some() { &untraced } else { &pool };
+                    let verify =
+                        |out: &RunOutput| verify_output(&checked, algo, root, out, check_pool);
+                    let report = supervise_trial(
+                        &pool,
+                        &cfg.supervisor,
+                        || engine.run(algo, &params),
+                        Some(&verify),
+                    );
                     quarantine.record(&cell, report.outcome);
                     let secs = report.seconds;
                     if let Some(capture) = capture {

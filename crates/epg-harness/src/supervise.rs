@@ -11,8 +11,12 @@
 //!   with its partial counters intact (no watchdog thread, no `kill`);
 //! - **panic capture** — `catch_unwind` turns an engine panic into a
 //!   classified [`TrialOutcome::Panicked`] instead of aborting the sweep;
+//! - **result verification** — a completed output goes to a verifier
+//!   after the trial's clock has stopped; the runner's is
+//!   [`verify_output`], the Graph500 rules for BFS trees and a
+//!   shortest-path check for SSSP distances, on every engine;
 //! - **bounded retry** — transient failures (panics, wrong results caught
-//!   by a verifier) are retried with doubling backoff up to `max_retries`;
+//!   by the verifier) are retried with doubling backoff up to `max_retries`;
 //! - **quarantine** — the runner counts consecutive failures per
 //!   engine×algorithm cell through [`QuarantineBook`] and stops scheduling
 //!   a cell after `quarantine_after` in a row, recording the remaining
@@ -22,7 +26,8 @@
 //! blow it again, and the partial counters are themselves a result (the
 //! censored statistics in [`crate::stats`] know how to use them).
 
-use epg_engine_api::RunOutput;
+use epg_engine_api::{Algorithm, AlgorithmResult, RunOutput};
+use epg_graph::{validate, Csr, VertexId};
 use epg_parallel::{CancelToken, ThreadPool};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -116,9 +121,15 @@ pub struct TrialReport {
     pub error: Option<String>,
 }
 
+/// Accepts a completed output, or says why it is wrong.
+pub type Verifier<'a> = &'a dyn Fn(&RunOutput) -> Result<(), String>;
+
 /// Runs one trial under supervision. `run` is invoked up to
 /// `1 + cfg.max_retries` times; `verify`, when given, can reject a
-/// completed output as wrong (counted like a panic, i.e. retried).
+/// completed output as wrong with a reason (counted like a panic, i.e.
+/// retried; the reason lands in [`TrialReport::error`]). The attempt's
+/// `seconds` are taken before `verify` runs, and its cancel token is off
+/// the pool by then, so verification is never timed and never cancelled.
 ///
 /// The pool's cancel token is installed before each attempt and always
 /// cleared afterwards, including on unwind.
@@ -126,7 +137,7 @@ pub fn supervise_trial(
     pool: &ThreadPool,
     cfg: &SupervisorConfig,
     mut run: impl FnMut() -> RunOutput,
-    verify: Option<&dyn Fn(&RunOutput) -> bool>,
+    verify: Option<Verifier<'_>>,
 ) -> TrialReport {
     let mut backoff = cfg.backoff;
     let attempts_allowed = 1 + cfg.max_retries;
@@ -153,9 +164,9 @@ pub fn supervise_trial(
                         error: None,
                     };
                 }
-                match verify {
-                    Some(check) if !check(&out) => "result failed verification".to_string(),
-                    _ => {
+                match verify.map_or(Ok(()), |check| check(&out)) {
+                    Err(why) => format!("result failed verification: {why}"),
+                    Ok(()) => {
                         return TrialReport {
                             outcome: TrialOutcome::Ok,
                             seconds,
@@ -182,6 +193,43 @@ pub fn supervise_trial(
         }
     }
     unreachable!("loop always returns on its final attempt")
+}
+
+/// The runner's verifier: checks one completed output of `algo` from
+/// `root` against `g`, the symmetric graph every engine runs on. A BFS
+/// tree must pass the Graph500 rules and carry the levels its parents
+/// imply ([`validate::validate_bfs_tree_parallel`], its edge scan on
+/// `pool`); SSSP distances must pass [`validate::validate_sssp_distances`].
+/// Every other algorithm passes. A malformed output is an `Err`, never a
+/// panic.
+pub fn verify_output(
+    g: &Csr,
+    algo: Algorithm,
+    root: Option<VertexId>,
+    out: &RunOutput,
+    pool: &ThreadPool,
+) -> Result<(), String> {
+    let n = g.num_vertices();
+    match (algo, root, &out.result) {
+        (Algorithm::Bfs, Some(root), AlgorithmResult::BfsTree { parent, level }) => {
+            if parent.len() != n || level.len() != n {
+                return Err(format!(
+                    "{} parents and {} levels for {n} vertices",
+                    parent.len(),
+                    level.len()
+                ));
+            }
+            validate::validate_bfs_tree_parallel(g, root, parent, Some(level), pool)
+                .map_err(|e| e.to_string())
+        }
+        (Algorithm::Sssp, Some(root), AlgorithmResult::Distances(dist)) => {
+            validate::validate_sssp_distances(g, root, dist)
+        }
+        (Algorithm::Bfs | Algorithm::Sssp, ..) => {
+            Err(format!("{} from root {root:?}: result of the wrong kind", algo.abbrev()))
+        }
+        _ => Ok(()),
+    }
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -318,11 +366,45 @@ mod tests {
             backoff: Duration::from_micros(10),
             ..Default::default()
         };
-        let reject = |_: &RunOutput| false;
+        let reject = |_: &RunOutput| Err("seven is not a triangle count".to_string());
         let rep = supervise_trial(&pool, &cfg, ok_output, Some(&reject));
         assert_eq!(rep.outcome, TrialOutcome::Panicked);
         assert_eq!(rep.attempts, 2);
-        assert_eq!(rep.error.as_deref(), Some("result failed verification"));
+        assert_eq!(
+            rep.error.as_deref(),
+            Some("result failed verification: seven is not a triangle count")
+        );
+    }
+
+    #[test]
+    fn verify_output_checks_bfs_and_sssp_and_passes_the_rest() {
+        use epg_graph::{oracle, EdgeList};
+        let pool = ThreadPool::new(2);
+        let el = EdgeList::weighted(4, vec![(0, 1), (1, 2), (2, 3)], vec![1.0, 2.0, 0.5]);
+        let g = Csr::from_edge_list(&el.symmetrized());
+        let run = |result| RunOutput::new(result, Counters::default(), Trace::default());
+        let oracle::BfsResult { parent, mut level } = oracle::bfs(&g, 0);
+        let bfs = |parent: &Vec<u32>, level: &Vec<u32>| {
+            run(AlgorithmResult::BfsTree { parent: parent.clone(), level: level.clone() })
+        };
+        assert_eq!(
+            verify_output(&g, Algorithm::Bfs, Some(0), &bfs(&parent, &level), &pool),
+            Ok(())
+        );
+        level[3] = 2;
+        let err = verify_output(&g, Algorithm::Bfs, Some(0), &bfs(&parent, &level), &pool);
+        assert_eq!(err, Err("level[3] = 2, but the parent tree puts it at 3".to_string()));
+        let short = bfs(&parent, &level[..3].to_vec());
+        assert!(verify_output(&g, Algorithm::Bfs, Some(0), &short, &pool).is_err());
+
+        let dist = oracle::dijkstra(&g, 0);
+        let sssp = run(AlgorithmResult::Distances(dist));
+        assert_eq!(verify_output(&g, Algorithm::Sssp, Some(0), &sssp, &pool), Ok(()));
+        let zeros = run(AlgorithmResult::Distances(vec![0.0; 4]));
+        assert!(verify_output(&g, Algorithm::Sssp, Some(0), &zeros, &pool).is_err());
+        assert!(verify_output(&g, Algorithm::Bfs, Some(0), &sssp, &pool).is_err());
+        // Algorithms without a checker pass whatever they return.
+        assert_eq!(verify_output(&g, Algorithm::TriangleCount, None, &ok_output(), &pool), Ok(()));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! through the runner and come out as classified, DNF-aware results.
 
 use epg::engine_api::{FaultKind, FaultPlan, FaultyEngine};
-use epg::harness::supervise::{supervise_trial, SupervisorConfig, TrialOutcome};
+use epg::harness::supervise::{supervise_trial, verify_output, SupervisorConfig, TrialOutcome};
 use epg::prelude::*;
 use std::time::Duration;
 
@@ -137,9 +137,8 @@ fn seeded_plans_make_failures_reproducible() {
 
 #[test]
 fn wrong_result_injection_is_caught_by_a_verifier() {
-    // Exercised at the supervise_trial level, where an oracle is
-    // available: the corrupted first attempt is rejected and the retry
-    // (not faulted) passes verification.
+    // The runner's own verifier at the supervise_trial level: the corrupted
+    // first attempt is rejected and the retry (not faulted) passes.
     let ds = dataset();
     let pool = ThreadPool::new(2);
     let mut engine = FaultyEngine::new(
@@ -149,18 +148,88 @@ fn wrong_result_injection_is_caught_by_a_verifier() {
     engine.load_edge_list(ds.edges_for(EngineKind::Gap));
     engine.construct(&pool);
     let root = ds.roots[0];
-    let csr = Csr::from_edge_list(ds.edges_for(EngineKind::Gap));
-    let want = epg::graph::oracle::bfs(&csr, root).level;
-    let verify = |out: &RunOutput| match &out.result {
-        AlgorithmResult::BfsTree { level, .. } => *level == want,
-        _ => false,
-    };
+    let csr = Csr::from_edge_list(&ds.symmetric);
+    let verify = |out: &RunOutput| verify_output(&csr, Algorithm::Bfs, Some(root), out, &pool);
     let cfg = SupervisorConfig { backoff: Duration::from_micros(50), ..Default::default() };
     let params = RunParams::new(&pool, Some(root));
     let report =
         supervise_trial(&pool, &cfg, || engine.run(Algorithm::Bfs, &params), Some(&verify));
     assert_eq!(report.outcome, TrialOutcome::Ok);
     assert_eq!(report.attempts, 2, "first attempt corrupted, retry clean");
+}
+
+/// A plan that corrupts the result of every run-call.
+fn always_wrong() -> FaultPlan {
+    (0..64).fold(FaultPlan::new(), |plan, t| plan.with_fault(t, FaultKind::WrongResult))
+}
+
+#[test]
+fn wrong_results_fail_verification_on_every_engine() {
+    // Every engine × {BFS, SSSP} it supports. The injector bumps entry 0 of
+    // the result: a BFS level always changes, a distance only where the
+    // root reaches vertex 0 (an infinite one stays infinite).
+    let spec = GraphSpec::Kronecker { scale: 7, edge_factor: 8, weighted: true };
+    let ds = Dataset::from_spec(&spec, 9);
+    let csr = Csr::from_edge_list(&ds.symmetric);
+    let reaches_0 = |r: VertexId| epg::graph::oracle::bfs(&csr, r).level[0] != u32::MAX;
+    let pool = ThreadPool::new(2);
+    let mut covered = 0;
+    for kind in EngineKind::ALL {
+        for (algo, rule) in [
+            (Algorithm::Bfs, "but the parent tree puts it at"),
+            (Algorithm::Sssp, "relaxes dist[0]"),
+        ] {
+            if !kind.create().supports(algo) {
+                continue;
+            }
+            covered += 1;
+            let name = format!("{}/{}", kind.name(), algo.abbrev());
+            // Through the runner: each trial is verified, none is retried.
+            let mut cfg = ExperimentConfig {
+                engines: vec![kind],
+                algorithms: vec![algo],
+                max_roots: Some(4),
+                fault_plans: vec![(kind, always_wrong())],
+                ..ExperimentConfig::new()
+            };
+            cfg.supervisor.max_retries = 0;
+            cfg.supervisor.quarantine_after = 0;
+            let outcomes: Vec<TrialOutcome> = run_experiment(&cfg, &ds)
+                .records
+                .iter()
+                .filter(|r| r.phase == Phase::Run)
+                .map(|r| r.outcome)
+                .collect();
+            let want: Vec<TrialOutcome> = ds.roots[..4]
+                .iter()
+                .map(|&r| {
+                    let visible = algo == Algorithm::Bfs || reaches_0(r);
+                    if visible {
+                        TrialOutcome::Panicked
+                    } else {
+                        TrialOutcome::Ok
+                    }
+                })
+                .collect();
+            assert!(want.contains(&TrialOutcome::Panicked), "{name}: no visible corruption");
+            assert_eq!(outcomes, want, "{name}");
+            // The verifier's reason reaches the report and names the rule.
+            let root = ds.roots.iter().copied().find(|&r| r != 0 && reaches_0(r)).unwrap();
+            let mut engine = FaultyEngine::new(kind.create(), always_wrong());
+            engine.load_edge_list(ds.edges_for(kind));
+            engine.construct(&pool);
+            let params = RunParams::new(&pool, Some(root));
+            let verify = |out: &RunOutput| verify_output(&csr, algo, Some(root), out, &pool);
+            let strict = SupervisorConfig { max_retries: 0, ..Default::default() };
+            let report =
+                supervise_trial(&pool, &strict, || engine.run(algo, &params), Some(&verify));
+            assert_eq!(report.outcome, TrialOutcome::Panicked, "{name}");
+            let error = report.error.expect("a rejected trial says why");
+            assert!(error.starts_with("result failed verification: "), "{name}: {error}");
+            assert!(error.contains(rule), "{name}: {error}");
+        }
+    }
+    assert_eq!(covered, 8, "four BFS engines and four SSSP engines");
 }
 
 #[test]
