@@ -1,10 +1,24 @@
-//! Intra-crate call-graph construction, and the transitive upgrade of the
-//! `phase-purity` / `timing-discipline` / `panic-discipline` /
-//! `hot-loop-alloc` families through it.
+//! Intra-crate call graphs, the one reach query over them, and the rules
+//! that are rows of one table.
 //!
-//! The graph is built on the PR 5 token-level item model — no `syn`, no
-//! type inference — so resolution is deliberately conservative and
-//! documented (DESIGN.md §15):
+//! Five rules ask the same question — is a banned token in a region,
+//! directly or through calls? — so they are rows of [`ROWS`]: rule id,
+//! crate scope, token class, region, and two message templates.
+//! `phase-purity` (file I/O outside `load_file`), `timing-discipline`
+//! (clock reads outside the measurement owners), `panic-discipline`
+//! (aborts in engine loops and worker closures), the token half of
+//! `hot-loop-alloc` (allocation in timed spans), and
+//! `blocking-while-locked` (engine queries, file I/O and condvar waits
+//! under a held guard). One loop checks every row under one rule: **a
+//! token is reported once — at its own line when that line is in the
+//! row's region, otherwise at every timed call site (hot span) or
+//! held-guard line that reaches it**, with the call chain and the token's
+//! location in the message. Test-role files and `#[cfg(test)]`/`#[test]`
+//! spans are exempt throughout.
+//!
+//! The graph is built on the token-level item model — no `syn`, no type
+//! inference — so resolution is deliberately conservative and documented
+//! (DESIGN.md §15):
 //!
 //! * **Qualified calls** (`Type::name(…)`, `Self::name(…)`) resolve to
 //!   `fn name` items inside `impl Type` blocks of the same crate — the
@@ -29,12 +43,12 @@
 //! token-level answer, the second keeps ownership of findings in the
 //! crate that must fix them.
 
-use crate::arch::is_engine_crate;
-use crate::flow::{hot_spans, ALLOC_TOKENS, RULE_ALLOC};
+use crate::arch::{is_engine_crate, layer_of};
+use crate::flow::RULE_ALLOC;
+use crate::locking::{self, cv_wait_receiver, Held, Locks, RULE_BLOCKING};
 use crate::model::{CallKind, CrateModel, FileModel, Workspace};
-use crate::panics::{PANIC_TOKENS, RULE_PANIC};
-use crate::phases::{IO_TOKENS, RULE_PHASE, RULE_TIMING, TIME_TOKENS};
 use crate::rules::Finding;
+use std::collections::{HashMap, VecDeque};
 
 /// Method names too ambient to resolve by bare name: std collection,
 /// option/result, iterator, atomics, locks, and formatting vocabulary.
@@ -180,14 +194,21 @@ impl CallGraph {
                 nodes.push(CgNode { file: fi, name: s.name.clone(), start: s.start, end: s.end });
             }
         }
-        let mut edges: Vec<Vec<(usize, usize)>> = vec![Vec::new(); nodes.len()];
-        let g = CallGraph { nodes, edges: Vec::new() };
+        let mut g = CallGraph { nodes, edges: Vec::new() };
+        let mut by_name: HashMap<&str, Vec<usize>> = HashMap::new();
+        for (i, n) in g.nodes.iter().enumerate() {
+            by_name.entry(n.name.as_str()).or_default().push(i);
+        }
+        let mut edges: Vec<Vec<(usize, usize)>> = vec![Vec::new(); g.nodes.len()];
         for (fi, f) in c.files.iter().enumerate() {
             for call in &f.calls {
                 let Some(caller) = g.node_at(fi, call.line) else { continue };
-                for target in g.resolve(c, fi, call.line, &call.name, &call.kind) {
-                    if target == caller {
-                        continue; // direct recursion adds no reachability
+                let named = by_name.get(call.name.as_str()).map_or(&[][..], Vec::as_slice);
+                for &target in named {
+                    // Direct recursion adds no reachability.
+                    if target == caller || !resolves(c, &g.nodes[target], fi, call.line, &call.kind)
+                    {
+                        continue;
                     }
                     if !edges[caller].contains(&(target, call.line)) {
                         edges[caller].push((target, call.line));
@@ -195,71 +216,33 @@ impl CallGraph {
                 }
             }
         }
-        CallGraph { nodes: g.nodes, edges }
+        g.edges = edges;
+        g
     }
 
     /// The innermost `fn` node containing `line` of file `fi`.
     pub fn node_at(&self, fi: usize, line: usize) -> Option<usize> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.file == fi && n.start <= line && line <= n.end)
-            .min_by_key(|(_, n)| n.end - n.start)
-            .map(|(i, _)| i)
+        self.in_file(fi)
+            .filter(|&i| self.nodes[i].start <= line && line <= self.nodes[i].end)
+            .min_by_key(|&i| self.nodes[i].end - self.nodes[i].start)
     }
 
-    /// Call targets of one call site, per the header's resolution rules.
-    fn resolve(
+    /// The nodes of file `fi` (nodes are in file order).
+    fn in_file(&self, fi: usize) -> std::ops::Range<usize> {
+        self.nodes.partition_point(|n| n.file < fi)..self.nodes.partition_point(|n| n.file <= fi)
+    }
+
+    /// Breadth-first search over call edges from `starts`, stopping at the
+    /// first node `stop` accepts. Returns every visited node's parent in
+    /// the BFS tree (a start is its own parent, unvisited nodes are
+    /// `None`) and the node the search stopped at.
+    pub fn bfs(
         &self,
-        c: &CrateModel,
-        fi: usize,
-        line: usize,
-        name: &str,
-        kind: &CallKind,
-    ) -> Vec<usize> {
-        match kind {
-            CallKind::Qualified(q) => {
-                let ty = if q == "Self" {
-                    match enclosing_impl(&c.files[fi], line) {
-                        Some(t) => t.to_string(),
-                        None => return Vec::new(),
-                    }
-                } else {
-                    q.clone()
-                };
-                self.nodes
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, n)| {
-                        n.name == name
-                            && c.files[n.file]
-                                .impls
-                                .iter()
-                                .any(|i| i.name == ty && i.start <= n.start && n.end <= i.end)
-                    })
-                    .map(|(i, _)| i)
-                    .collect()
-            }
-            CallKind::Free | CallKind::Method => {
-                if name.len() < 3 || AMBIENT_METHODS.contains(&name) {
-                    return Vec::new();
-                }
-                self.nodes
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, n)| n.name == name)
-                    .map(|(i, _)| i)
-                    .collect()
-            }
-        }
-    }
-
-    /// BFS over call edges. Returns, for every reached node, its parent in
-    /// the BFS tree (a start node is its own parent). Unreached nodes are
-    /// `None`.
-    pub fn bfs_parents(&self, starts: &[usize]) -> Vec<Option<usize>> {
+        starts: &[usize],
+        stop: impl Fn(usize) -> bool,
+    ) -> (Vec<Option<usize>>, Option<usize>) {
         let mut parent: Vec<Option<usize>> = vec![None; self.nodes.len()];
-        let mut queue: std::collections::VecDeque<usize> = Default::default();
+        let mut queue = VecDeque::new();
         for &s in starts {
             if parent[s].is_none() {
                 parent[s] = Some(s);
@@ -267,6 +250,9 @@ impl CallGraph {
             }
         }
         while let Some(u) = queue.pop_front() {
+            if stop(u) {
+                return (parent, Some(u));
+            }
             for &(v, _) in &self.edges[u] {
                 if parent[v].is_none() {
                     parent[v] = Some(u);
@@ -274,7 +260,7 @@ impl CallGraph {
                 }
             }
         }
-        parent
+        (parent, None)
     }
 
     /// The call chain from a BFS start down to `node`, as fn names joined
@@ -291,6 +277,26 @@ impl CallGraph {
         }
         path.reverse();
         path.iter().map(|&i| self.nodes[i].name.as_str()).collect::<Vec<_>>().join(" → ")
+    }
+}
+
+/// Whether a call of `kind` on `line` of file `fi` reaches `target`, a
+/// fn of the called name, per the header's resolution rules.
+fn resolves(c: &CrateModel, target: &CgNode, fi: usize, line: usize, kind: &CallKind) -> bool {
+    match kind {
+        CallKind::Qualified(q) => {
+            let ty = if q == "Self" {
+                let Some(t) = enclosing_impl(&c.files[fi], line) else { return false };
+                t
+            } else {
+                q.as_str()
+            };
+            let within = |i: &crate::model::FnSpan| i.start <= target.start && target.end <= i.end;
+            c.files[target.file].impls.iter().any(|i| i.name == ty && within(i))
+        }
+        CallKind::Free | CallKind::Method => {
+            target.name.len() >= 3 && !AMBIENT_METHODS.contains(&target.name.as_str())
+        }
     }
 }
 
@@ -356,148 +362,292 @@ pub fn find_cycle(n: usize, edges: &[(usize, usize)]) -> Option<Vec<usize>> {
     None
 }
 
-/// One transitive rule family: the rule id it extends, the tokens that
-/// offend, and a predicate for token lines the *line-local* rule already
-/// reports (suppressed here so one defect yields one finding per site).
-struct Family {
-    rule: &'static str,
-    tokens: &'static [&'static str],
-    /// Why the reachable token is a problem, appended to the finding.
-    note: &'static str,
-    /// Whether a token at `line` of `f` is already covered line-locally.
-    covered: fn(&FileModel, usize) -> bool,
+/// Stable rule id: file I/O outside `load_file` in engine code.
+pub const RULE_PHASE: &str = "phase-purity";
+
+/// Stable rule id: wall-clock reads outside the measurement owners.
+pub const RULE_TIMING: &str = "timing-discipline";
+
+/// Stable rule id: aborts inside engine loops and worker closures.
+pub const RULE_PANIC: &str = "panic-discipline";
+
+/// File-I/O tokens: the read phase's vocabulary.
+const IO: &[&str] =
+    &["std::fs", "std::io", "File::open", "File::create", "BufReader", "BufWriter", "OpenOptions"];
+
+/// A condvar wait: a token only where its receiver is a named `Condvar`
+/// field of the crate.
+const CV_WAIT: &str = ".wait(";
+
+/// Crates that own measurement: the harness times runs, the trace crate
+/// stamps telemetry, and the serve layer stamps per-query latency (it is
+/// a timed I/O layer like the harness, not a measured engine).
+const TIMING_OWNERS: &[&str] = &["epg-harness", "epg-trace", "epg-serve"];
+
+/// Where a row reports a token at the token's own line. Any other token
+/// of the row is reported at the anchors that reach it: the lines holding
+/// a guard for `Guarded`, the call sites in timed spans otherwise.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Region {
+    /// Everywhere in scope.
+    Anywhere,
+    /// Outside `load_file`, the read phase the harness times separately.
+    OutsideLoadFile,
+    /// Inside an iteration loop or a worker closure.
+    LoopOrWorker,
+    /// Inside a timed span ([`FileModel::hot`]), outside `load_file`.
+    Timed,
+    /// Where a lock guard is held, except a condvar wait: the locking
+    /// family checks that against the one guard the wait releases.
+    Guarded,
 }
 
-const FAMILIES: &[Family] = &[
-    Family {
+/// One rule of the table.
+struct Row {
+    rule: &'static str,
+    /// The policy crates the rule applies to.
+    scope: fn(&str) -> bool,
+    /// The token class (grouped only to share [`IO`]).
+    tokens: &'static [&'static [&'static str]],
+    region: Region,
+    /// The finding at the token's own line, with `{tok}` and `{lock}`
+    /// filled in.
+    direct: &'static str,
+    /// The finding at an anchor reaching the token, with `{tok}`,
+    /// `{chain}`, `{at}` and `{lock}` filled in; `None` when the region is
+    /// everywhere.
+    through: Option<&'static str>,
+}
+
+/// The rules that ask "is token T in region R, directly or through
+/// calls?" (DESIGN.md §10, §11, §15).
+const ROWS: &[Row] = &[
+    Row {
         rule: RULE_PHASE,
-        tokens: IO_TOKENS,
-        note: "the timed algorithm phase re-enters the file-read phase through the call chain; \
-               load inputs before the timed region",
-        // Line-local phase-purity reports I/O outside `load_file`; the
-        // transitive hole is precisely I/O *inside* it, reached from a
-        // timed span.
-        covered: |f, line| !f.in_fn_named(line, "load_file"),
+        scope: |name| is_engine_crate(name) || name == "epg-engine-api",
+        tokens: &[IO],
+        region: Region::OutsideLoadFile,
+        direct: "`{tok}` in engine code outside `load_file`: file I/O is the read phase and must \
+                 never be reachable from the timed algorithm phase",
+        through: Some(
+            "`{tok}` is reachable from this timed span via `{chain}` ({at}): the timed algorithm \
+             phase re-enters the file-read phase through the call chain; load inputs before the \
+             timed region",
+        ),
     },
-    Family {
+    Row {
         rule: RULE_TIMING,
-        tokens: TIME_TOKENS,
-        // Clock reads in engine code are banned outright, so the token
-        // itself is always reported where it sits; the transitive finding
-        // adds the timed span that makes it a measurement bug.
-        note: "the helper reads the clock under a measured span; the harness owns the clock",
-        covered: |_, _| false,
+        scope: |name| !TIMING_OWNERS.contains(&name),
+        tokens: &[&["Instant::now", "SystemTime"]],
+        region: Region::Anywhere,
+        direct: "`{tok}` outside epg-harness/epg-trace/epg-serve: the harness owns the clock; \
+                 engines and substrate code must not self-time (designate audited timer modules \
+                 in epg-lint.toml)",
+        through: None,
     },
-    Family {
+    Row {
         rule: RULE_PANIC,
-        tokens: PANIC_TOKENS,
-        note: "a panic below a timed span aborts the trial exactly like an inline one — surface \
-               the failure through the supervised TrialOutcome path",
-        covered: |f, line| f.in_loop_or_worker(line),
+        scope: is_engine_crate,
+        tokens: &[&[".unwrap()", ".expect(", "panic!", "todo!", "unimplemented!"]],
+        region: Region::LoopOrWorker,
+        direct: "`{tok}` inside an engine worker closure or iteration loop; surface the failure \
+                 through the supervised TrialOutcome path instead of aborting the timed phase",
+        through: Some(
+            "`{tok}` is reachable from this timed span via `{chain}` ({at}): a panic below a \
+             timed span aborts the trial exactly like an inline one — surface the failure \
+             through the supervised TrialOutcome path",
+        ),
     },
-    Family {
+    Row {
         rule: RULE_ALLOC,
-        tokens: ALLOC_TOKENS,
-        note: "the helper allocates inside the measured region; hoist the buffer out or record a \
-               reasoned epg-lint.toml entry",
-        covered: |f, line| hot_spans(f).iter().any(|&(s, e)| s <= line && line <= e),
+        scope: is_engine_crate,
+        tokens: &[&["Vec::new()", "vec![", ".collect", "format!(", ".to_vec()"]],
+        region: Region::Timed,
+        direct: "`{tok}` allocates inside a timed engine loop or worker closure; hoist the buffer \
+                 out of the measured region (reuse scratch across iterations) or record a \
+                 reasoned epg-lint.toml entry",
+        through: Some(
+            "`{tok}` is reachable from this timed span via `{chain}` ({at}): the helper allocates \
+             inside the measured region; hoist the buffer out or record a reasoned epg-lint.toml \
+             entry",
+        ),
+    },
+    Row {
+        rule: RULE_BLOCKING,
+        scope: |_| true,
+        tokens: &[&[".query("], IO, &[CV_WAIT]],
+        region: Region::Guarded,
+        direct: "`{tok}` while the `{lock}` guard is held: the lock is pinned for the whole \
+                 blocking operation and every contender stalls behind it — compute first, then \
+                 take the lock to publish",
+        through: Some(
+            "`{tok}` is reachable via `{chain}` while the `{lock}` guard is held: the callee \
+             blocks with the lock still taken — compute first, then take the lock to publish",
+        ),
     },
 ];
 
-/// Runs the transitive upgrades over every engine crate: a call site
-/// inside a timed span (engine iteration loop or worker closure) whose
-/// callee — at any call depth within the crate — contains a family token
-/// is reported **at the call site**, with the call chain and the token's
-/// location in the message.
-pub fn check_transitive(ws: &Workspace, out: &mut Vec<Finding>) {
-    for c in &ws.crates {
-        if !is_engine_crate(&c.name) {
-            continue;
-        }
-        let g = CallGraph::build(c);
-        for (fi, f) in c.files.iter().enumerate() {
-            if f.test_role {
-                continue;
-            }
-            let hot = hot_spans(f);
-            let mut seen: Vec<(usize, &str)> = Vec::new(); // (line, rule)
-            for call in &f.calls {
-                if f.in_test(call.line) {
-                    continue;
-                }
-                if !hot.iter().any(|&(s, e)| s <= call.line && call.line <= e) {
-                    continue;
-                }
-                let Some(caller) = g.node_at(fi, call.line) else { continue };
-                let starts: Vec<usize> = g.edges[caller]
-                    .iter()
-                    .filter(|&&(_, l)| l == call.line)
-                    .map(|&(v, _)| v)
-                    .collect();
-                if starts.is_empty() {
-                    continue;
-                }
-                let parents = g.bfs_parents(&starts);
-                for fam in FAMILIES {
-                    if seen.contains(&(call.line, fam.rule)) {
-                        continue;
-                    }
-                    if let Some(find) = first_hit(c, &g, &parents, caller, fam, f, call.line) {
-                        seen.push((call.line, fam.rule));
-                        out.push(find);
-                    }
-                }
-            }
-        }
+/// Runs the call-graph rules over every policy crate on one graph per
+/// crate: the [`ROWS`] table, then the locking family.
+pub fn check(ws: &Workspace, out: &mut Vec<Finding>) {
+    let mut edges = Vec::new();
+    for c in ws.crates.iter().filter(|c| layer_of(&c.name).is_some()) {
+        let cx = CrateGraph::build(c);
+        out.extend(cx.rows().into_iter().map(|(finding, _, _)| finding));
+        locking::check_crate(&cx, out, &mut edges);
     }
+    locking::check_cycles(&edges, out);
 }
 
-/// First reachable family token under the BFS tree, as a finding anchored
-/// at the call site, or `None`.
-fn first_hit(
-    c: &CrateModel,
-    g: &CallGraph,
-    parents: &[Option<usize>],
-    caller: usize,
-    fam: &Family,
-    f: &FileModel,
-    call_line: usize,
-) -> Option<Finding> {
-    for (ni, node) in g.nodes.iter().enumerate() {
-        if parents[ni].is_none() || ni == caller {
-            continue;
-        }
-        let nf = &c.files[node.file];
-        if nf.test_role {
-            continue;
-        }
-        for tok in fam.tokens {
-            for line in nf.token_lines(tok) {
-                if line < node.start || line > node.end || nf.in_test(line) {
-                    continue;
+/// The table's findings for one crate, each with the path and line of the
+/// token it reports: the finding's own line, or a call site or guard line
+/// that reaches the token.
+pub fn row_reports(c: &CrateModel) -> Vec<(Finding, String, usize)> {
+    CrateGraph::build(c).rows()
+}
+
+/// One crate's call graph and the facts every graph rule reads, built
+/// once: its locks and, per row, which tokens are reported where they sit
+/// and each fn's first token that is not.
+pub(crate) struct CrateGraph<'a> {
+    pub(crate) c: &'a CrateModel,
+    pub(crate) g: CallGraph,
+    pub(crate) locks: Locks,
+    /// Per row, per file: the tokens reported where they sit, by line (a
+    /// line's first token in class order first).
+    here: Vec<Vec<Vec<(usize, &'static str)>>>,
+    /// Per row, per node: the first token in the node's span that is not
+    /// reported where it sits.
+    open: Vec<Vec<Option<(usize, &'static str)>>>,
+}
+
+/// The token a line answers to under a row: its word, file index and
+/// line, and the call chain to it (fn names joined with ` → `, empty when
+/// the token is on the line itself).
+struct Reached {
+    tok: &'static str,
+    file: usize,
+    line: usize,
+    chain: String,
+}
+
+impl<'a> CrateGraph<'a> {
+    fn build(c: &'a CrateModel) -> CrateGraph<'a> {
+        let (g, locks) = (CallGraph::build(c), Locks::build(c));
+        let mut cx = CrateGraph { c, g, locks, here: Vec::new(), open: Vec::new() };
+        for row in ROWS {
+            let mut here = vec![Vec::new(); c.files.len()];
+            let mut open: Vec<Option<(usize, &str)>> = vec![None; cx.g.nodes.len()];
+            for (fi, f) in c.files.iter().enumerate().filter(|_| cx.applies(row)) {
+                for &tok in row.tokens.iter().copied().flatten() {
+                    for line in f.token_lines(tok) {
+                        let named_cv = || cv_wait_receiver(f, line, &cx.locks.cvs).is_some();
+                        if f.in_test(line) || (tok == CV_WAIT && !named_cv()) {
+                            continue;
+                        }
+                        if cx.in_region(row, fi, line, tok) {
+                            here[fi].push((line, tok));
+                            continue;
+                        }
+                        for n in cx.g.in_file(fi) {
+                            let (node, first) = (&cx.g.nodes[n], open[n].map(|(l, _)| l));
+                            if node.start <= line
+                                && line <= node.end
+                                && first.is_none_or(|l| line < l)
+                            {
+                                open[n] = Some((line, tok));
+                            }
+                        }
+                    }
                 }
-                if (fam.covered)(nf, line) {
-                    continue;
-                }
-                return Some(Finding {
-                    file: f.path.clone(),
-                    line: call_line,
-                    rule: fam.rule,
-                    message: format!(
-                        "`{tok}` is reachable from this timed span via `{}` ({}:{line}): {}",
-                        g.chain_names(parents, ni),
-                        nf.path,
-                        fam.note
-                    ),
-                });
+                here[fi].sort_by_key(|&(line, _)| line);
             }
+            cx.here.push(here);
+            cx.open.push(open);
+        }
+        cx
+    }
+
+    /// Whether `row` applies to this crate (a lock rule needs a guard).
+    fn applies(&self, row: &Row) -> bool {
+        let guarded = || self.locks.guards.iter().any(|g| !g.is_empty());
+        (row.scope)(&self.c.name) && (row.region != Region::Guarded || guarded())
+    }
+
+    fn in_region(&self, row: &Row, fi: usize, line: usize, tok: &str) -> bool {
+        let f = &self.c.files[fi];
+        match row.region {
+            Region::Anywhere => true,
+            Region::OutsideLoadFile => !f.in_fn_named(line, "load_file"),
+            Region::LoopOrWorker => f.in_loop_or_worker(line),
+            Region::Timed => f.in_hot(line) && !f.in_fn_named(line, "load_file"),
+            Region::Guarded => tok != CV_WAIT && self.guard_at(fi, line).is_some(),
         }
     }
-    None
+
+    /// The first guard interval held at `line` of file `fi`.
+    fn guard_at(&self, fi: usize, line: usize) -> Option<&Held> {
+        self.locks.guards[fi].iter().find(|h| h.from <= line && line <= h.to)
+    }
+
+    /// The reach query: the token `line` of file `fi` answers to under
+    /// row `r`. That is a token on the line itself that is reported where
+    /// it sits (depth 0), else the first token reachable through the calls
+    /// made on the line — nearest callee first — that is not.
+    fn reach(&self, fi: usize, line: usize, r: usize) -> Option<Reached> {
+        if let Some(&(_, tok)) = self.here[r][fi].iter().find(|&&(l, _)| l == line) {
+            return Some(Reached { tok, file: fi, line, chain: String::new() });
+        }
+        let caller = self.g.node_at(fi, line)?;
+        let starts: Vec<usize> =
+            self.g.edges[caller].iter().filter(|&&(_, l)| l == line).map(|&(v, _)| v).collect();
+        let (parents, hit) = self.g.bfs(&starts, |n| n != caller && self.open[r][n].is_some());
+        let node = hit?;
+        let (line, tok) = self.open[r][node]?;
+        let chain = self.g.chain_names(&parents, node);
+        Some(Reached { tok, file: self.g.nodes[node].file, line, chain })
+    }
+
+    /// The table's one loop: every line holding a token reported where it
+    /// sits, and every anchor, answered by [`CrateGraph::reach`]. Each
+    /// finding comes with the path and line of the token it reports.
+    fn rows(&self) -> Vec<(Finding, String, usize)> {
+        let mut out = Vec::new();
+        for (r, row) in ROWS.iter().enumerate().filter(|(_, row)| self.applies(row)) {
+            for (fi, f) in self.c.files.iter().enumerate() {
+                let mut lines: Vec<usize> = self.here[r][fi].iter().map(|&(l, _)| l).collect();
+                let anchor = |l: usize| match row.region {
+                    Region::Guarded => self.guard_at(fi, l).is_some(),
+                    _ => f.in_hot(l),
+                };
+                if row.through.is_some() {
+                    let calls = f.calls.iter().map(|call| call.line);
+                    lines.extend(calls.filter(|&l| !f.in_test(l) && anchor(l)));
+                }
+                lines.sort_unstable();
+                lines.dedup();
+                for line in lines {
+                    let Some(hit) = self.reach(fi, line, r) else { continue };
+                    let through = row.through.filter(|_| !hit.chain.is_empty());
+                    let at = &self.c.files[hit.file].path;
+                    let lock = self.guard_at(fi, line).map(Held::lock).unwrap_or_default();
+                    let message = through
+                        .unwrap_or(row.direct)
+                        .replace("{tok}", hit.tok)
+                        .replace("{chain}", &hit.chain)
+                        .replace("{at}", &format!("{at}:{}", hit.line))
+                        .replace("{lock}", &lock);
+                    let finding = Finding { file: f.path.clone(), line, rule: row.rule, message };
+                    out.push((finding, at.clone(), hit.line));
+                }
+            }
+        }
+        out
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::model::FileModel;
     use crate::scan::scan;
@@ -522,8 +672,128 @@ mod tests {
     fn run(c: CrateModel) -> Vec<Finding> {
         let ws = Workspace { crates: vec![c] };
         let mut out = Vec::new();
-        check_transitive(&ws, &mut out);
+        check(&ws, &mut out);
         out
+    }
+
+    /// A timed loop calling `step_one`, which calls `$callee`, whose body
+    /// starts on line 11.
+    macro_rules! deep {
+        ($callee:literal, $body:literal) => {
+            concat!(
+                "pub fn kernel(rec: &mut Recorder) {\n    loop {\n        step_one();\n        ",
+                "rec.iteration(0);\n    }\n}\nfn step_one() {\n    ",
+                $callee,
+                "();\n}\nfn ",
+                $callee,
+                "() {\n    ",
+                $body,
+                "\n}\n"
+            )
+        };
+    }
+
+    pub(crate) const GAP: &str = "epg-engine-gap";
+    pub(crate) const SERVE: &str = "epg-serve";
+    pub(crate) const CLOCK: &str =
+        "pub fn f() {\n    let t = std::time::Instant::now();\n    drop(t);\n}\n";
+    /// A query under a held guard.
+    const QUERY: &str = "pub struct Reg {\n    inner: Mutex<u32>,\n}\nimpl Reg {\n    pub fn refresh(&self, engine: &dyn QueryEngine) {\n        let mut inner = self.inner.lock();\n        *inner = engine.query(Algorithm::Bfs);\n    }\n}\n";
+
+    /// A crate, whether its one file is test-role, the file, and every
+    /// `(line, rule, message fragment)` reported on it.
+    pub(crate) type Case =
+        (&'static str, bool, &'static str, &'static [(usize, &'static str, &'static str)]);
+
+    /// The row table's cases. Per row: a token in the region (depth 0), a
+    /// token two calls deep (its chain at the call site), a callee token
+    /// already in its own region (once, at the token), and the exemptions —
+    /// test spans, test-role files, out-of-scope crates. The named tests
+    /// below, `crate::phases`, `crate::panics` and `crate::locking` hold the
+    /// rest of each row's cases.
+    #[rustfmt::skip]
+    const ROW_CASES: &[Case] = &[
+        // phase-purity
+        (GAP, false, deep!("step_two", "let _ = std::fs::read(\"x\");"), &[(11, RULE_PHASE, "outside `load_file`")]),
+        (GAP, true, deep!("load_file", "std::fs::read(\"x\");"), &[]),
+        // timing-discipline: the clock is banned everywhere in scope, so a
+        // read is reported where it sits and never at its callers.
+        (GAP, false, deep!("step_two", "let t = std::time::Instant::now();"), &[(11, RULE_TIMING, "`Instant::now`")]),
+        ("epg-graph", false, "pub fn f() {}\n#[cfg(test)]\nmod tests {\n    fn t() {\n        let _ = std::time::Instant::now();\n    }\n}\n", &[]),
+        // panic-discipline
+        (GAP, false, deep!("step_two", "opt().unwrap();"), &[(3, RULE_PANIC, "via `step_one → step_two` (crates/epg-engine-gap/src/lib.rs:11)")]),
+        (GAP, true, deep!("step_two", "opt().unwrap();"), &[]),
+        // hot-loop-alloc (token half)
+        (GAP, false, "fn run(rec: &mut R, n: usize) {\n    while n > 0 {\n        let prev: Vec<u32> = (0..n).collect();\n        rec.iteration(0);\n    }\n}\n", &[(3, RULE_ALLOC, "`.collect` allocates inside a timed engine loop")]),
+        (GAP, false, deep!("step_two", "let v: Vec<u32> = Vec::new();"), &[(3, RULE_ALLOC, "via `step_one → step_two` (crates/epg-engine-gap/src/lib.rs:11): the helper allocates")]),
+        (GAP, false, deep!("step_two", "pool().parallel_for(8, s, |v| {\n        let x = vec![v];\n    });"), &[(12, RULE_ALLOC, "`vec![` allocates")]),
+        (GAP, false, "impl E {\n    fn load_file(&mut self, pool: &P) {\n        pool.parallel_for(8, s, |v| {\n            let chunk: Vec<u32> = Vec::new();\n        });\n    }\n}\n", &[]),
+        (GAP, false, "fn kernel() {}\n#[cfg(test)]\nmod tests {\n    fn t(rec: &mut R) {\n        loop {\n            let v = vec![1];\n            rec.iteration(0);\n        }\n    }\n}\n", &[]),
+        (SERVE, false, deep!("step_two", "let v: Vec<u32> = Vec::new();"), &[]),
+        (GAP, true, deep!("step_two", "let v: Vec<u32> = Vec::new();"), &[]),
+        // blocking-while-locked
+        (SERVE, false, "pub struct Reg {\n    inner: Mutex<u32>,\n}\nimpl Reg {\n    pub fn refresh(&self) {\n        let mut inner = self.inner.lock();\n        *inner = self.step_one();\n    }\n    fn step_one(&self) -> u32 {\n        self.step_two()\n    }\n    fn step_two(&self) -> u32 {\n        let _ = std::fs::read(\"x\");\n        0\n    }\n}\n", &[(7, RULE_BLOCKING, "`std::fs` is reachable via `step_one → step_two` while the `Reg.inner` guard")]),
+        (SERVE, false, "pub struct Reg {\n    inner: Mutex<u32>,\n    log: Mutex<u32>,\n}\nimpl Reg {\n    pub fn refresh(&self, engine: &dyn QueryEngine) {\n        let mut log = self.log.lock();\n        *log = self.recompute(engine);\n    }\n    fn recompute(&self, engine: &dyn QueryEngine) -> u32 {\n        let inner = self.inner.lock();\n        engine.query(*inner)\n    }\n}\n", &[(12, RULE_BLOCKING, "`.query(` while the `Reg.inner` guard")]),
+        // A wait that releases its own guard still parks a caller holding
+        // another lock.
+        (SERVE, false, "pub struct Reg {\n    inner: Mutex<u32>,\n    state: Mutex<u32>,\n    cv: Condvar,\n}\nimpl Reg {\n    pub fn sweep(&self) {\n        let inner = self.inner.lock();\n        self.pause();\n    }\n    fn pause(&self) {\n        let mut state = self.state.lock();\n        while *state == 0 {\n            self.cv.wait(&mut state);\n        }\n    }\n}\n", &[(9, RULE_BLOCKING, "`.wait(` is reachable via `pause`")]),
+        (SERVE, false, "pub struct Reg {\n    inner: Mutex<u32>,\n}\n#[cfg(test)]\nmod tests {\n    impl Reg {\n        fn t(&self, e: &E) {\n            let g = self.inner.lock();\n            e.query(1);\n        }\n    }\n}\n", &[]),
+        ("parking_lot", false, QUERY, &[]),
+        (SERVE, true, QUERY, &[]),
+    ];
+
+    /// Lints each case's one file as crate `name` and checks the `(line,
+    /// rule)` list it reports, in order, and each message's fragment.
+    pub(crate) fn check_cases(cases: &[Case]) {
+        for (i, &(name, test_role, src, want)) in cases.iter().enumerate() {
+            let mut c = krate(name, &[]);
+            c.files.push(FileModel::build(
+                format!("crates/{name}/src/lib.rs"),
+                scan(src),
+                test_role,
+            ));
+            let mut got = run(c);
+            got.sort_by(|a, b| a.line.cmp(&b.line).then(a.rule.cmp(b.rule)));
+            got.dedup_by(|a, b| a.line == b.line && a.rule == b.rule);
+            let lines: Vec<(usize, &str)> = got.iter().map(|f| (f.line, f.rule)).collect();
+            let expected: Vec<(usize, &str)> = want.iter().map(|&(l, r, _)| (l, r)).collect();
+            assert_eq!(lines, expected, "case {i} ({name}): {got:#?}");
+            for (f, &(_, _, fragment)) in got.iter().zip(want) {
+                assert!(f.message.contains(fragment), "case {i}: {}", f.message);
+            }
+        }
+    }
+
+    #[test]
+    fn rows_report_each_token_once() {
+        check_cases(ROW_CASES);
+    }
+
+    #[test]
+    fn io_inside_load_file_reached_from_a_loop_is_a_phase_hole() {
+        check_cases(&[(
+            GAP,
+            false,
+            deep!("load_file", "std::fs::read(\"x\");"),
+            &[(3, RULE_PHASE, "via `step_one → load_file` (crates/epg-engine-gap/src/lib.rs:11)")],
+        )]);
+    }
+
+    /// The helper's unwrap sits in its own loop: reported there, never
+    /// again at the timed call site.
+    #[test]
+    fn lexically_covered_tokens_are_not_doubled() {
+        check_cases(&[(
+            GAP,
+            false,
+            deep!("step_two", "for x in [1] {\n        x_opt(x).unwrap();\n    }"),
+            &[(12, RULE_PANIC, "`.unwrap()` inside")],
+        )]);
+    }
+
+    #[test]
+    fn non_engine_crates_are_out_of_scope() {
+        check_cases(&[(SERVE, false, deep!("step_two", "opt().unwrap();"), &[])]);
     }
 
     #[test]
@@ -565,30 +835,6 @@ mod tests {
         assert_eq!((hit.file.as_str(), hit.line), ("crates/epg-engine-gap/src/a.rs", 7));
         assert!(hit.message.contains("step_one → step_two"), "{}", hit.message);
         assert!(hit.message.contains("b.rs:5"), "{}", hit.message);
-    }
-
-    #[test]
-    fn lexically_covered_tokens_are_not_doubled() {
-        // The helper's unwrap sits in its own loop, so the line-local rule
-        // already reports it — the transitive pass must stay silent.
-        let a = "pub fn kernel(rec: &mut Recorder) {\n    loop {\n        helper_lp();\n        rec.iteration(0);\n    }\n}\nfn helper_lp() {\n    for x in [1] {\n        x_opt(x).unwrap();\n    }\n}\n";
-        let f = run(krate("epg-engine-gap", &[("a.rs", a)]));
-        assert!(f.iter().all(|x| x.rule != RULE_PANIC), "{f:?}");
-    }
-
-    #[test]
-    fn io_inside_load_file_reached_from_a_loop_is_a_phase_hole() {
-        let a = "pub fn kernel(rec: &mut Recorder) {\n    loop {\n        let _ = load_file(\"x\");\n        rec.iteration(0);\n    }\n}\npub fn load_file(p: &str) -> String {\n    std::fs::read_to_string(p).unwrap_or_default()\n}\n";
-        let f = run(krate("epg-engine-gap", &[("a.rs", a)]));
-        let hit = f.iter().find(|x| x.rule == RULE_PHASE).expect("transitive phase finding");
-        assert_eq!(hit.line, 3);
-        assert!(hit.message.contains("load_file"), "{}", hit.message);
-    }
-
-    #[test]
-    fn non_engine_crates_are_out_of_scope() {
-        let a = "pub fn kernel(rec: &mut Recorder) {\n    loop {\n        helper_hx();\n        rec.iteration(0);\n    }\n}\nfn helper_hx() {\n    opt().unwrap();\n}\n";
-        assert!(run(krate("epg-serve", &[("a.rs", a)])).is_empty());
     }
 
     #[test]

@@ -16,10 +16,12 @@
 //!   `epg-parallel` substrate, which must audit every use), and `Relaxed`
 //!   loads of cross-thread *flags* outside the audited `CancelToken` fast
 //!   path.
-//! * `hot-loop-alloc` — no `Vec::new`/`vec!`/`collect`/`format!`/`to_vec`
-//!   and no push-growth of captured vectors inside timed loop bodies or
-//!   worker closures: allocation inside the measured region skews the
-//!   engine comparison (the SoK's "hidden work" fault class).
+//! * `hot-loop-alloc` — no push-growth of captured vectors inside timed
+//!   loop bodies or worker closures: allocation inside the measured region
+//!   skews the engine comparison (the SoK's "hidden work" fault class).
+//!   The rule's token half (`Vec::new`/`vec!`/`collect`/…) is a row of
+//!   the call-graph table ([`crate::callgraph`]), since it needs no
+//!   bindings.
 //!
 //! The def/use analysis is deliberately token-level and line-local, like
 //! the rest of the linter: **defs** are closure parameters, `let` pattern
@@ -46,10 +48,6 @@ pub const RULE_ALLOC: &str = "hot-loop-alloc";
 /// anchor; see the module docs of `epg-parallel/src/cancel.rs`).
 const AUDITED_RELAXED_FILES: &[&str] = &["crates/epg-parallel/src/cancel.rs"];
 
-/// Allocation tokens forbidden in timed spans (DESIGN.md §11).
-pub(crate) const ALLOC_TOKENS: &[&str] =
-    &["Vec::new()", "vec![", ".collect", "format!(", ".to_vec()"];
-
 /// Methods that grow their receiver — flagged when the receiver is a
 /// captured (non-span-local) place.
 const GROWTH_TOKENS: &[&str] = &[".push(", ".extend(", ".append("];
@@ -72,32 +70,10 @@ pub fn check(ws: &Workspace, out: &mut Vec<Finding>) {
             }
             check_ordering(f, &c.name, out);
             if engine {
-                check_alloc(f, out);
+                check_growth(f, out);
             }
         }
     }
-}
-
-/// Timed spans of an engine file: iteration loops, loops that directly
-/// invoke an `epg-parallel` entry point, and every worker-closure
-/// argument span. An iteration loop is a loop containing a `.iteration(`
-/// call — `RunLog::iteration`, the one way a kernel reports a round — so a
-/// loop that delegates its parallel work to a helper is still covered
-/// through that marker; the helper's own worker spans are covered directly.
-pub(crate) fn hot_spans(f: &FileModel) -> Vec<(usize, usize)> {
-    let marks = f.token_lines(".iteration(");
-    let par_lines = f.par_entry_lines();
-    let within = |s: usize, e: usize, lines: &[usize]| lines.iter().any(|&l| s <= l && l <= e);
-    let mut spans: Vec<(usize, usize)> = f
-        .loops
-        .iter()
-        .copied()
-        .filter(|&(s, e)| within(s, e, &marks) || within(s, e, &par_lines))
-        .collect();
-    spans.extend(f.par_calls.iter().copied());
-    spans.sort_unstable();
-    spans.dedup();
-    spans
 }
 
 fn check_ordering(f: &FileModel, crate_name: &str, out: &mut Vec<Finding>) {
@@ -163,38 +139,13 @@ fn check_ordering(f: &FileModel, crate_name: &str, out: &mut Vec<Finding>) {
     }
 }
 
-fn check_alloc(f: &FileModel, out: &mut Vec<Finding>) {
-    let spans = hot_spans(f);
-    if spans.is_empty() {
-        return;
-    }
-    let hot = |line: usize| spans.iter().any(|&(s, e)| s <= line && line <= e);
+/// The binding half of `hot-loop-alloc` (its token half is a row of the
+/// call-graph table): a grow-method call whose receiver is a plain place
+/// rooted at a captured identifier — the vector outlives the span, so
+/// every iteration pays its reallocation inside the measured region.
+fn check_growth(f: &FileModel, out: &mut Vec<Finding>) {
     let mut flagged: Vec<usize> = Vec::new();
-    for tok in ALLOC_TOKENS {
-        for line in f.token_lines(tok) {
-            if f.in_test(line) || f.in_fn_named(line, "load_file") || !hot(line) {
-                continue;
-            }
-            if flagged.contains(&line) {
-                continue;
-            }
-            flagged.push(line);
-            out.push(Finding {
-                file: f.path.clone(),
-                line,
-                rule: RULE_ALLOC,
-                message: format!(
-                    "`{tok}` allocates inside a timed engine loop or worker closure; hoist the \
-                     buffer out of the measured region (reuse scratch across iterations) or \
-                     record a reasoned epg-lint.toml entry"
-                ),
-            });
-        }
-    }
-    // Push-growth: a grow-method call whose receiver is a plain place
-    // rooted at a captured identifier — the vector outlives the span, so
-    // every iteration pays its reallocation inside the measured region.
-    for &(s, e) in &spans {
+    for &(s, e) in &f.hot {
         if f.in_test(s) {
             continue;
         }
@@ -481,9 +432,12 @@ mod tests {
         }
     }
 
+    /// Both halves of `hot-loop-alloc` (the token row, then the growth
+    /// pass), in the order `lint_workspace` runs them.
     fn run(c: CrateModel) -> Vec<Finding> {
         let ws = Workspace { crates: vec![c] };
         let mut out = Vec::new();
+        crate::callgraph::check(&ws, &mut out);
         check(&ws, &mut out);
         out
     }

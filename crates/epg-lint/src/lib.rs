@@ -10,16 +10,17 @@
 //!   compare-exchange failure orderings no stronger than their success
 //!   orderings, and no `static mut`.
 //! * **Model families** over the member crates' workspace model
-//!   ([`model`]): crate-DAG `layering` ([`arch`]), `phase-purity` and
-//!   `timing-discipline` ([`phases`]), `panic-discipline` ([`panics`]), the
-//!   `concurrency` dataflow family ([`flow`]) — `atomic-ordering`,
-//!   `hot-loop-alloc` — and
-//!   the `locking` family ([`locking`]) — `lock-order-cycle`,
-//!   `blocking-while-locked`, `condvar-wait-loop`, `guard-across-span` —
-//!   over an intra-crate call graph ([`callgraph`]) that also upgrades
-//!   the phase/timing/panic/alloc families to **transitive** reachability
-//!   from engine loops and worker closures, with findings printed as call
-//!   chains. These enforce the measurement-fairness invariants of
+//!   ([`model`]): crate-DAG `layering` ([`arch`]); one table of "banned
+//!   token in a region, directly or through calls" rules over an
+//!   intra-crate call graph ([`callgraph`]) — `phase-purity`,
+//!   `timing-discipline`, `panic-discipline`, the token half of
+//!   `hot-loop-alloc` and `blocking-while-locked`, whose reachable tokens
+//!   are reported at timed call sites and held-guard lines as call
+//!   chains; the binding-aware `concurrency` dataflow ([`flow`]) —
+//!   `atomic-ordering` and `hot-loop-alloc`'s push-growth; and the rest
+//!   of the `locking` family ([`locking`]) — `lock-order-cycle`,
+//!   `condvar-wait-loop`, `guard-across-span`, and the foreign condvar
+//!   wait. These enforce the measurement-fairness invariants of
 //!   DESIGN.md §10–§11 and the serving-path lock discipline of §15:
 //!   engines are interchangeable behind `epg-engine-api`, file I/O stays
 //!   in the read phase, the harness owns the clock, engine hot paths fail
@@ -44,10 +45,15 @@ pub mod callgraph;
 pub mod flow;
 pub mod locking;
 pub mod model;
-pub mod panics;
-pub mod phases;
 pub mod rules;
 pub mod scan;
+
+#[cfg(test)]
+#[path = "panics_tests.rs"]
+mod panics;
+#[cfg(test)]
+#[path = "phases_tests.rs"]
+mod phases;
 
 pub use allowlist::Allow;
 pub use rules::Finding;
@@ -127,11 +133,8 @@ pub fn lint_workspace(root: &Path) -> Result<LintReport, String> {
     // `others` for the allowlist's line lookup.
     let (ws, others) = Workspace::load(root, scanned);
     arch::check(&ws, &mut raw);
-    phases::check(&ws, &mut raw);
-    panics::check(&ws, &mut raw);
+    callgraph::check(&ws, &mut raw);
     flow::check(&ws, &mut raw);
-    locking::check(&ws, &mut raw);
-    callgraph::check_transitive(&ws, &mut raw);
 
     // One finding per (file, line, rule): several tokens on one line
     // collapse to the first message.

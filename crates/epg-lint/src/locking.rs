@@ -16,9 +16,11 @@
 //!   same field, so self-edges are not reported.
 //! * `blocking-while-locked` — no `QueryEngine::query` call, file I/O, or
 //!   foreign `Condvar` wait may be reachable (directly or through calls)
-//!   while a lock guard is held. Waiting on a condvar with the *held*
-//!   guard itself is the condvar protocol and is exempt — when it is the
-//!   only lock held.
+//!   while a lock guard is held. Its tokens are a row of the call-graph
+//!   table ([`crate::callgraph`]), with this module's guard intervals as
+//!   the row's region; the wait *on the line holding the guard* stays
+//!   here, because waiting on a condvar with the held guard itself is the
+//!   condvar protocol and is exempt — when it is the only lock held.
 //! * `condvar-wait-loop` — every wait on a named `Condvar` field must sit
 //!   inside a loop: condvars wake spuriously, and a missed predicate
 //!   re-check sleeps forever.
@@ -36,11 +38,9 @@
 //! (`self.field`) or fan out to every struct with that field name.
 //! Test-role files and `#[cfg(test)]` spans are exempt.
 
-use crate::arch::layer_of;
-use crate::callgraph::{enclosing_impl, find_cycle, CallGraph};
+use crate::callgraph::{enclosing_impl, find_cycle, CrateGraph};
 use crate::flow::{last_ident, let_bindings, place_chain};
-use crate::model::{CrateModel, FileModel, Workspace, PAR_ENTRY_POINTS};
-use crate::phases::IO_TOKENS;
+use crate::model::{par_entries, CrateModel, FileModel};
 use crate::rules::Finding;
 
 /// Stable rule id: cycle in the global lock-acquisition graph.
@@ -57,10 +57,6 @@ pub const RULE_GUARD_SPAN: &str = "guard-across-span";
 
 /// Tokens that acquire a guard from a lock field.
 const ACQUIRE_TOKENS: &[&str] = &[".lock()", ".read()", ".write()"];
-
-/// Tokens that block by themselves (beyond condvar waits, handled with
-/// receiver resolution): engine compute and file I/O.
-const BLOCKING_TOKENS: &[&str] = &[".query("];
 
 /// Tokens a live guard must not span: pool dispatch, telemetry emission,
 /// and condvar notification.
@@ -81,16 +77,23 @@ impl LockKey {
 }
 
 /// One guard-liveness interval inside a fn.
-struct Held {
+pub(crate) struct Held {
     keys: Vec<LockKey>,
     /// Binding name for `let` guards; `None` for one-line temporaries.
     guard: Option<String>,
-    from: usize,
-    to: usize,
+    pub(crate) from: usize,
+    pub(crate) to: usize,
+}
+
+impl Held {
+    /// The guarded lock(s), as `Struct.field` joined with `/`.
+    pub(crate) fn lock(&self) -> String {
+        self.keys.iter().map(LockKey::display).collect::<Vec<_>>().join("/")
+    }
 }
 
 /// One acquisition-graph edge with the site that creates it.
-struct LockEdge {
+pub(crate) struct LockEdge {
     from: LockKey,
     to: LockKey,
     file: String,
@@ -99,51 +102,60 @@ struct LockEdge {
     via: String,
 }
 
-/// Runs the locking family over every policy crate.
-pub fn check(ws: &Workspace, out: &mut Vec<Finding>) {
-    let mut edges: Vec<LockEdge> = Vec::new();
-    for c in &ws.crates {
-        if layer_of(&c.name).is_none() {
-            continue;
-        }
-        check_crate(c, out, &mut edges);
-    }
-    check_cycles(&edges, out);
+/// One crate's named locks and condvars, and the guard intervals of each
+/// of its files.
+pub(crate) struct Locks {
+    fields: Vec<(String, String)>,
+    pub(crate) cvs: Vec<String>,
+    /// Per file: every guard interval, in line order. Empty for test-role
+    /// files.
+    pub(crate) guards: Vec<Vec<Held>>,
 }
 
-fn check_crate(c: &CrateModel, out: &mut Vec<Finding>, edges: &mut Vec<LockEdge>) {
-    let locks = lock_fields(c);
-    let cvs = condvar_fields(c);
-    if locks.is_empty() && cvs.is_empty() {
+impl Locks {
+    /// Collects the crate's lock fields, condvar fields and guards.
+    pub(crate) fn build(c: &CrateModel) -> Locks {
+        let fields = lock_fields(c);
+        let live = |f: &FileModel| !f.test_role && !fields.is_empty();
+        let guards =
+            c.files
+                .iter()
+                .map(|f| if live(f) { held_intervals(c, f, &fields) } else { Vec::new() });
+        let guards = guards.collect();
+        Locks { fields, cvs: condvar_fields(c), guards }
+    }
+}
+
+/// Runs the locking family over one policy crate; lock-order edges
+/// accumulate in `edges` for [`check_cycles`] across crates.
+pub(crate) fn check_crate(cx: &CrateGraph, out: &mut Vec<Finding>, edges: &mut Vec<LockEdge>) {
+    let (c, locks) = (cx.c, &cx.locks);
+    if !locks.cvs.is_empty() {
+        for f in c.files.iter().filter(|f| !f.test_role) {
+            check_cv_loops(f, &locks.cvs, out);
+        }
+    }
+    if locks.fields.is_empty() {
         return;
     }
-    let g = CallGraph::build(c);
     // Acquisitions per call-graph node, for transitive lock-order edges.
-    let node_acqs: Vec<Vec<LockKey>> = g
-        .nodes
-        .iter()
-        .map(|n| {
-            let f = &c.files[n.file];
-            (n.start..=n.end)
-                .filter(|&l| !f.in_test(l))
-                .flat_map(|l| acquisitions(c, f, l, &locks))
-                .flat_map(|a| a.keys)
-                .collect()
-        })
-        .collect();
-    for (fi, f) in c.files.iter().enumerate() {
-        if f.test_role {
-            continue;
-        }
-        check_cv_loops(f, &cvs, out);
-        for span in &f.fns {
-            let held = held_intervals(c, f, span, &locks);
-            for h in &held {
-                for line in h.from..=h.to {
-                    if f.in_test(line) {
-                        continue;
-                    }
-                    check_line(c, f, fi, &g, &node_acqs, &locks, &cvs, &held, h, line, out, edges);
+    let node_acqs: Vec<Vec<LockKey>> =
+        cx.g.nodes
+            .iter()
+            .map(|n| {
+                let f = &c.files[n.file];
+                (n.start..=n.end)
+                    .filter(|&l| !f.in_test(l))
+                    .flat_map(|l| acquisitions(c, f, l, &locks.fields))
+                    .flat_map(|a| a.keys)
+                    .collect()
+            })
+            .collect();
+    for (fi, held) in locks.guards.iter().enumerate() {
+        for h in held {
+            for line in h.from..=h.to {
+                if !c.files[fi].in_test(line) {
+                    check_line(cx, fi, &node_acqs, held, h, line, out, edges);
                 }
             }
         }
@@ -245,15 +257,13 @@ fn resolve_receiver(
         .collect()
 }
 
-/// Guard-liveness intervals of one fn span.
-fn held_intervals(
-    c: &CrateModel,
-    f: &FileModel,
-    span: &crate::model::FnSpan,
-    locks: &[(String, String)],
-) -> Vec<Held> {
+/// Guard-liveness intervals of one file, each bounded by the innermost fn
+/// holding its acquisition.
+fn held_intervals(c: &CrateModel, f: &FileModel, locks: &[(String, String)]) -> Vec<Held> {
     let mut out = Vec::new();
-    for line in span.start..=span.end {
+    for line in 1..=f.lines.len() {
+        let within = f.fns.iter().filter(|s| s.start <= line && line <= s.end);
+        let Some(span_end) = within.map(|s| s.end).min() else { continue };
         if f.in_test(line) {
             continue;
         }
@@ -263,7 +273,7 @@ fn held_intervals(
             let_bindings(code, &mut names);
             if acq.statement_final && !names.is_empty() {
                 let guard = names.last().unwrap().clone();
-                let mut to = f.block_end(line).min(span.end);
+                let mut to = f.block_end(line).min(span_end);
                 for l in line + 1..=to {
                     let lc = f.lines.get(l - 1).map(|x| x.code.as_str()).unwrap_or("");
                     if lc.contains(&format!("drop({guard})")) {
@@ -304,7 +314,7 @@ fn check_cv_loops(f: &FileModel, cvs: &[String], out: &mut Vec<Finding>) {
 }
 
 /// The condvar field name a `.wait(` on `line` is called on, if any.
-fn cv_wait_receiver(f: &FileModel, line: usize, cvs: &[String]) -> Option<String> {
+pub(crate) fn cv_wait_receiver(f: &FileModel, line: usize, cvs: &[String]) -> Option<String> {
     let code = f.lines.get(line - 1).map(|l| l.code.as_str())?;
     let mut from = 0;
     while let Some(pos) = code[from..].find(".wait(") {
@@ -321,47 +331,27 @@ fn cv_wait_receiver(f: &FileModel, line: usize, cvs: &[String]) -> Option<String
     None
 }
 
-/// Checks one held line for blocking calls, boundary tokens, and new
-/// acquisitions (lock-order edges).
+/// Checks one held line for a foreign condvar wait, boundary tokens, and
+/// new acquisitions (lock-order edges).
 #[allow(clippy::too_many_arguments)]
 fn check_line(
-    c: &CrateModel,
-    f: &FileModel,
+    cx: &CrateGraph,
     fi: usize,
-    g: &CallGraph,
     node_acqs: &[Vec<LockKey>],
-    locks: &[(String, String)],
-    cvs: &[String],
     held: &[Held],
     h: &Held,
     line: usize,
     out: &mut Vec<Finding>,
     edges: &mut Vec<LockEdge>,
 ) {
+    let (c, g, f) = (cx.c, &cx.g, &cx.c.files[fi]);
     let code = f.lines.get(line - 1).map(|l| l.code.as_str()).unwrap_or("");
     let held_now: Vec<&Held> = held.iter().filter(|x| x.from <= line && line <= x.to).collect();
-    let lock_disp = h.keys.iter().map(LockKey::display).collect::<Vec<_>>().join("/");
-
-    // Direct blocking tokens under the guard.
-    for tok in BLOCKING_TOKENS.iter().chain(IO_TOKENS) {
-        if !code.contains(*tok) {
-            continue;
-        }
-        out.push(Finding {
-            file: f.path.clone(),
-            line,
-            rule: RULE_BLOCKING,
-            message: format!(
-                "`{tok}` while the `{lock_disp}` guard is held: the lock is pinned for the whole \
-                 blocking operation and every contender stalls behind it — compute first, then \
-                 take the lock to publish"
-            ),
-        });
-    }
+    let lock_disp = h.lock();
 
     // Condvar waits: the own-guard wait is the condvar protocol; waiting
     // on a foreign condvar (or with a second lock held) blocks contenders.
-    if let Some(field) = cv_wait_receiver(f, line, cvs) {
+    if let Some(field) = cv_wait_receiver(f, line, &cx.locks.cvs) {
         let args = wait_args(code);
         let own = h.guard.as_deref().is_some_and(|gd| args.contains(gd));
         let sole = held_now.len() == 1;
@@ -379,11 +369,9 @@ fn check_line(
         }
     }
 
-    // Boundary tokens: dispatch, telemetry, notify.
-    for tok in BOUNDARY_TOKENS.iter().chain(PAR_ENTRY_POINTS) {
-        if !code.contains(*tok) {
-            continue;
-        }
+    // Boundary tokens: telemetry, notify, dispatch.
+    let dispatch = par_entries(code).into_iter().map(|(_, _, tok)| tok);
+    for tok in BOUNDARY_TOKENS.iter().copied().filter(|tok| code.contains(tok)).chain(dispatch) {
         out.push(Finding {
             file: f.path.clone(),
             line,
@@ -397,7 +385,7 @@ fn check_line(
     }
 
     // New acquisitions under the guard: direct lock-order edges.
-    for acq in acquisitions(c, f, line, locks) {
+    for acq in acquisitions(c, f, line, &cx.locks.fields) {
         if line == h.from {
             continue; // the interval's own acquisition
         }
@@ -423,28 +411,10 @@ fn check_line(
     if starts.is_empty() {
         return;
     }
-    let parents = g.bfs_parents(&starts);
-    for (ni, node) in g.nodes.iter().enumerate() {
+    let (parents, _) = g.bfs(&starts, |_| false);
+    for ni in 0..g.nodes.len() {
         if parents[ni].is_none() || ni == caller {
             continue;
-        }
-        let nf = &c.files[node.file];
-        if nf.test_role {
-            continue;
-        }
-        // Reached blocking operation → blocking-while-locked with chain.
-        if let Some(tok) = node_blocking_token(nf, node.start, node.end, cvs) {
-            out.push(Finding {
-                file: f.path.clone(),
-                line,
-                rule: RULE_BLOCKING,
-                message: format!(
-                    "`{tok}` is reachable via `{}` while the `{lock_disp}` guard is held: the \
-                     callee blocks with the lock still taken — compute first, then take the lock \
-                     to publish",
-                    g.chain_names(&parents, ni),
-                ),
-            });
         }
         // Reached acquisitions → transitive lock-order edges.
         for to_key in &node_acqs[ni] {
@@ -470,30 +440,9 @@ fn wait_args(code: &str) -> &str {
     &rest[..rest.find(')').unwrap_or(rest.len())]
 }
 
-/// First blocking token inside a reached fn span (condvar waits count
-/// regardless of predicate-loop shape: they still park the caller).
-fn node_blocking_token(
-    f: &FileModel,
-    start: usize,
-    end: usize,
-    cvs: &[String],
-) -> Option<&'static str> {
-    for tok in BLOCKING_TOKENS.iter().chain(IO_TOKENS) {
-        if f.token_lines(tok).iter().any(|&l| start <= l && l <= end && !f.in_test(l)) {
-            return Some(tok);
-        }
-    }
-    for l in f.token_lines(".wait(") {
-        if start <= l && l <= end && !f.in_test(l) && cv_wait_receiver(f, l, cvs).is_some() {
-            return Some("Condvar::wait");
-        }
-    }
-    None
-}
-
 /// Detects cycles in the accumulated acquisition graph and reports one
 /// finding per cycle, anchored at the lexically first edge site.
-fn check_cycles(edges: &[LockEdge], out: &mut Vec<Finding>) {
+pub(crate) fn check_cycles(edges: &[LockEdge], out: &mut Vec<Finding>) {
     let mut keys: Vec<&LockKey> = Vec::new();
     for e in edges {
         for k in [&e.from, &e.to] {
@@ -564,7 +513,7 @@ fn check_cycles(edges: &[LockEdge], out: &mut Vec<Finding>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::FileModel;
+    use crate::model::Workspace;
     use crate::scan::scan;
 
     fn krate(name: &str, src: &str) -> CrateModel {
@@ -579,10 +528,12 @@ mod tests {
         }
     }
 
+    /// The call-graph families: this module's rules plus the
+    /// `blocking-while-locked` row.
     fn run(c: CrateModel) -> Vec<Finding> {
         let ws = Workspace { crates: vec![c] };
         let mut out = Vec::new();
-        check(&ws, &mut out);
+        crate::callgraph::check(&ws, &mut out);
         out
     }
 

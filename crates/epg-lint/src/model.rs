@@ -148,6 +148,10 @@ pub struct FileModel {
     /// Spans of complete argument lists passed to `epg-parallel` entry
     /// points (`.parallel_for(…)` etc.) — the worker-closure context.
     pub par_calls: Vec<(usize, usize)>,
+    /// Timed spans: worker-closure argument spans, and loops that call
+    /// `.iteration(` (`RunLog::iteration`, how a kernel reports a round)
+    /// or invoke an `epg-parallel` entry point directly.
+    pub hot: Vec<(usize, usize)>,
     /// Every `epg_*::` path-root occurrence outside comments/strings.
     pub epg_refs: Vec<PathRef>,
     /// Every call site (`name(`, `.name(`, `Type::name(`) in code text.
@@ -168,6 +172,7 @@ impl FileModel {
         let test_spans = parse_test_spans(&code, &fns);
         let loops = parse_loops(&code);
         let par_calls = parse_par_calls(&code);
+        let hot = hot_spans(&code, &loops, &par_calls);
         let epg_refs = parse_epg_refs(&code);
         let calls = parse_calls(&code);
         let structs = parse_structs(&code);
@@ -180,6 +185,7 @@ impl FileModel {
             test_spans,
             loops,
             par_calls,
+            hot,
             epg_refs,
             calls,
             structs,
@@ -202,16 +208,9 @@ impl FileModel {
         out
     }
 
-    /// 1-based lines invoking any `epg-parallel` entry point
-    /// ([`PAR_ENTRY_POINTS`]), sorted and deduplicated. The flow pass uses
-    /// these to classify loops that directly dispatch parallel work as
-    /// timed spans even when the call's own arg span is short.
-    pub fn par_entry_lines(&self) -> Vec<usize> {
-        let mut out: Vec<usize> =
-            PAR_ENTRY_POINTS.iter().flat_map(|tok| self.token_lines(tok)).collect();
-        out.sort_unstable();
-        out.dedup();
-        out
+    /// Whether `line` falls inside a timed span ([`FileModel::hot`]).
+    pub fn in_hot(&self, line: usize) -> bool {
+        self.hot.iter().any(|&(s, e)| s <= line && line <= e)
     }
 
     /// Whether `line` falls inside test-only code (`#[cfg(test)]` item or
@@ -552,22 +551,73 @@ pub(crate) const PAR_ENTRY_POINTS: &[&str] = &[
     ".parallel_max_f64(",
 ];
 
-fn parse_par_calls(code: &Code) -> Vec<(usize, usize)> {
-    let text = &code.text;
+/// Every entry-point call in `text` as `(start offset, offset of its
+/// '(', entry point)`. A turbofish may follow any segment of the path, so
+/// `Partial::<()>::collect(` and `.parallel_for::<F>(` match too.
+pub(crate) fn par_entries(text: &str) -> Vec<(usize, usize, &'static str)> {
     let bytes = text.as_bytes();
     let mut out = Vec::new();
-    for tok in PAR_ENTRY_POINTS {
+    for &tok in PAR_ENTRY_POINTS {
+        // The first path segment is literal; matching resumes from it.
+        let head = &tok[..1 + tok[1..].find([':', '(']).unwrap_or(tok.len() - 1)];
         let mut from = 0;
-        while let Some(pos) = text[from..].find(tok) {
+        while let Some(pos) = text[from..].find(head) {
             let start = from + pos;
-            from = start + tok.len();
-            let open = start + tok.len() - 1;
-            let close = match_paren(bytes, open);
-            out.push((code.line_of(start), code.line_of(close)));
+            from = start + head.len();
+            if let Some(open) = match_entry(bytes, start, tok.as_bytes()) {
+                out.push((start, open, tok));
+            }
         }
     }
+    out
+}
+
+/// Offset of the `(` ending entry point `tok` matched at `i`; a `::<…>`
+/// turbofish may sit before any `::` or `(` of the path.
+fn match_entry(b: &[u8], mut i: usize, tok: &[u8]) -> Option<usize> {
+    for &t in tok {
+        if matches!(t, b':' | b'(') && b[i..].starts_with(b"::<") {
+            let mut depth = 0;
+            let close = b[i + 2..].iter().position(|&c| {
+                depth += i32::from(c == b'<') - i32::from(c == b'>');
+                depth == 0
+            })?;
+            i += close + 3;
+        }
+        if b.get(i) != Some(&t) {
+            return None;
+        }
+        i += 1;
+    }
+    Some(i - 1)
+}
+
+fn parse_par_calls(code: &Code) -> Vec<(usize, usize)> {
+    let bytes = code.text.as_bytes();
+    let mut out: Vec<(usize, usize)> = par_entries(&code.text)
+        .into_iter()
+        .map(|(start, open, _)| (code.line_of(start), code.line_of(match_paren(bytes, open))))
+        .collect();
     out.sort_unstable();
     out
+}
+
+fn hot_spans(
+    code: &Code,
+    loops: &[(usize, usize)],
+    par_calls: &[(usize, usize)],
+) -> Vec<(usize, usize)> {
+    let marks: Vec<usize> =
+        code.token_offsets(".iteration(").into_iter().map(|off| code.line_of(off)).collect();
+    let marked = |s: usize, e: usize| {
+        marks.iter().copied().chain(par_calls.iter().map(|&(l, _)| l)).any(|l| s <= l && l <= e)
+    };
+    let mut spans: Vec<(usize, usize)> =
+        loops.iter().copied().filter(|&(s, e)| marked(s, e)).collect();
+    spans.extend_from_slice(par_calls);
+    spans.sort_unstable();
+    spans.dedup();
+    spans
 }
 
 fn parse_epg_refs(code: &Code) -> Vec<PathRef> {
@@ -1109,6 +1159,12 @@ mod tests {
         assert_eq!(f.par_calls, vec![(2, 4)]);
         assert!(f.in_loop_or_worker(3));
         assert!(!f.in_loop_or_worker(5));
+        // A turbofish after any path segment is still the entry point.
+        let src = "fn f(pool: &ThreadPool) {\n    let p = Partial::<()>::collect(pool, n, s, |lo, hi| {\n        send(lo, hi)\n    });\n    pool.parallel_for::<F>(n, s, |v| {\n        out[v] = 1;\n    });\n    plain();\n}\n";
+        let f = file(src);
+        assert_eq!(f.par_calls, vec![(2, 4), (5, 7)]);
+        assert!(f.in_loop_or_worker(3) && f.in_loop_or_worker(6) && f.in_hot(3));
+        assert!(!f.in_loop_or_worker(8));
     }
 
     #[test]
@@ -1119,7 +1175,6 @@ mod tests {
         let src = "fn f(pool: &ThreadPool) {\n    let a = pool.parallel_reduce_ranges(n, s, id, |lo, hi| {\n        work(lo, hi)\n    }, add);\n    let b = Partial::collect(pool, n, s, |lo, hi| {\n        expand(lo, hi)\n    });\n    plain();\n}\n";
         let f = file(src);
         assert_eq!(f.par_calls, vec![(2, 4), (5, 7)]);
-        assert_eq!(f.par_entry_lines(), vec![2, 5]);
         assert!(f.in_loop_or_worker(3) && f.in_loop_or_worker(6));
         assert!(!f.in_loop_or_worker(8));
     }

@@ -1,14 +1,15 @@
-//! Property tests for the PR 10 call-graph layer: `CallGraph::build` is
-//! a total function on arbitrary line soup and every node span and edge
-//! call-line it extracts is a well-formed 1-based location inside the
-//! file; the locking and transitive passes never panic on generated
-//! input and anchor every finding at an in-bounds line of a real file;
-//! and `find_cycle` agrees with a naive O(V·E) reachability oracle on
-//! random digraphs.
+//! Property tests for the call-graph layer: `CallGraph::build` is a total
+//! function on arbitrary line soup and every node span and edge call-line
+//! it extracts is a well-formed 1-based location inside the file; the
+//! call-graph rules never panic on generated input and anchor every
+//! finding at an in-bounds line of a real file; no row reports one token
+//! both where it sits and through a call site; and `find_cycle` agrees
+//! with a naive O(V·E) reachability oracle on random digraphs.
 
 use epg_lint::callgraph::{find_cycle, CallGraph};
 use epg_lint::model::{CrateModel, FileModel, Workspace};
 use epg_lint::scan::scan;
+use epg_lint::Finding;
 use proptest::prelude::*;
 
 /// Rust-shaped fragments biased toward what the call-graph and locking
@@ -29,6 +30,12 @@ fn fragment() -> impl Strategy<Value = String> {
         ident.prop_map(|n| format!("    self.{n}(x);")),
         ident.prop_map(|n| format!("    Reg::{n}(x);")),
         ident.prop_map(|n| format!("    engine.query({n});")),
+        ident.prop_map(|n| format!("    let _ = {n}().unwrap();")),
+        ident.prop_map(|n| format!("    let v: Vec<u32> = Vec::new(); {n}(v);")),
+        Just("    let _ = std::fs::read(p);".to_string()),
+        Just("    let t = std::time::Instant::now();".to_string()),
+        Just("fn load_file(p: &str) {".to_string()),
+        Just("    for x in xs {".to_string()),
         Just("    rec.iteration(0);".to_string()),
         Just("    if pool.is_cancelled() { break; }".to_string()),
         Just("    while x > 0 {".to_string()),
@@ -86,9 +93,10 @@ fn assert_graph_well_formed(c: &CrateModel) {
     }
 }
 
-/// Runs the locking family and the transitive upgrades over generated
+/// Runs every call-graph rule (the row table and locking) over generated
 /// files in both a serving crate and an engine crate, and asserts every
-/// finding anchors at an in-bounds 1-based line of a file that exists.
+/// finding anchors at an in-bounds 1-based line of a file that exists and
+/// no row reports one token both where it sits and through a call site.
 fn passes_never_panic_and_anchor_in_bounds(src: &str) {
     for name in ["epg-serve", "epg-engine-gap"] {
         let files = vec![
@@ -99,10 +107,18 @@ fn passes_never_panic_and_anchor_in_bounds(src: &str) {
             files.iter().map(|f| (f.path.clone(), f.lines.len().max(1))).collect();
         let c = krate(name, files);
         assert_graph_well_formed(&c);
+        let reports = epg_lint::callgraph::row_reports(&c);
+        let here = |(f, file, line): &(Finding, String, usize)| f.file == *file && f.line == *line;
+        for (f, file, line) in reports.iter().filter(|r| !here(r)) {
+            let twice = reports
+                .iter()
+                .filter(|r| here(r))
+                .any(|(g, gf, gl)| (g.rule, gf.as_str(), *gl) == (f.rule, file.as_str(), *line));
+            assert!(!twice, "{file}:{line} is reported where it sits and through {f}");
+        }
         let ws = Workspace { crates: vec![c] };
         let mut out = Vec::new();
-        epg_lint::locking::check(&ws, &mut out);
-        epg_lint::callgraph::check_transitive(&ws, &mut out);
+        epg_lint::callgraph::check(&ws, &mut out);
         for f in out {
             let len = lens
                 .iter()

@@ -1,10 +1,10 @@
-//! Transitive-rule seeds: violations visible only through the call
-//! graph — each helper's token sits outside any lexical scope the
-//! line-local rules report, so only the PR 10 reachability pass can
-//! find it. Never compiled.
+//! Reach seeds: violations visible only through the call graph — each
+//! helper's token sits outside its rule's region, so it is reported at
+//! the timed call that reaches it, not where it sits (the clock read
+//! excepted: it is in its region). Never compiled.
 
-/// Drives every helper from one timed loop; each call line below is
-/// the anchor of exactly one transitive finding.
+/// Drives every helper from one timed loop; each call line below but
+/// `stamp`'s is the anchor of exactly one finding through the graph.
 pub fn deep_kernel(pool: &ThreadPool, rec: &mut Recorder, levels: &[Vec<u32>]) {
     let mut rounds = levels.len();
     while rounds > 0 {
@@ -32,7 +32,7 @@ fn widen(levels: &[Vec<u32>], seed: u32) -> usize {
     owned.len() + seed as usize
 }
 
-/// Reads the clock: reported where it sits *and* at the timed call.
+/// Reads the clock: reported where it sits, never at the timed call.
 fn stamp(grown: usize) -> usize {
     let t0 = std::time::Instant::now();
     grown + t0.elapsed().as_nanos() as usize

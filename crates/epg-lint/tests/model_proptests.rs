@@ -70,8 +70,8 @@ fn assert_spans_well_formed(f: &FileModel) {
     for &(s, e) in &f.par_calls {
         check("par-call", s, e);
     }
-    for line in f.par_entry_lines() {
-        assert!(1 <= line && line <= n.max(1), "par-entry line {line} out of bounds");
+    for &(s, e) in &f.hot {
+        check("hot", s, e);
     }
 }
 

@@ -1,11 +1,12 @@
 //! Tier-1 gate: the workspace must be clean under the FULL analysis — the
-//! line rules plus all architectural families (layering, phase-purity,
-//! timing-discipline, panic-discipline, concurrency) — and the allowlist
-//! must carry no stale entries. A new `unsafe` without a SAFETY comment,
-//! an engine reaching into the harness, an engine timing itself, a racy
-//! worker-closure capture, or a paid-off exception left in
-//! `epg-lint.toml` fails `cargo test` here, not just the `epg lint --strict`
-//! pass.
+//! line rules plus every model family (layering, the call-graph table's
+//! phase-purity, timing-discipline, panic-discipline, hot-loop-alloc and
+//! blocking-while-locked rows, the concurrency dataflow, and the locking
+//! family) — and the allowlist must carry no stale entries. A new `unsafe`
+//! without a SAFETY comment, an engine reaching into the harness, an
+//! engine timing itself, a lock held across a dispatch, or a paid-off
+//! exception left in `epg-lint.toml` fails `cargo test` here, not just the
+//! `epg lint --strict` pass.
 
 #[test]
 fn workspace_is_lint_clean() {
