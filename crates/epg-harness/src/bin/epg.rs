@@ -298,8 +298,11 @@ fn real_main() -> Result<(), String> {
             let pipeline = pipeline()?;
             let ds = dataset_for(&args, &pipeline)?;
             let pool = Arc::new(epg_parallel::ThreadPool::new(args.threads));
+            // The symmetrized list, as `run` gives GAP: the landmark stage
+            // reads d(t, s) as d(s, t), which only an undirected graph makes
+            // true.
             let mut engine = epg_engine_gap::GapEngine::new();
-            engine.load_edge_list(&ds.raw);
+            engine.load_edge_list(&ds.symmetric);
             engine.construct(&pool);
             let config = epg_serve::ServeConfig {
                 landmarks: args.landmarks.unwrap_or(0),
@@ -310,7 +313,7 @@ fn real_main() -> Result<(), String> {
             eprintln!(
                 "serving '{}' resident ({} vertices, {} threads); \
                  protocol: bfs S T | sssp S T | pr V | stats | quit",
-                ds.name, ds.raw.num_vertices, args.threads
+                ds.name, ds.symmetric.num_vertices, args.threads
             );
             if let Some(addr) = &args.listen {
                 let listener = std::net::TcpListener::bind(addr)

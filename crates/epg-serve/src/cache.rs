@@ -3,8 +3,8 @@
 //! The unit of caching is a whole per-source result array — the level
 //! array of one BFS, the distance array of one SSSP, the rank array of
 //! one PageRank — because one expansion answers *every* point query
-//! sharing that source (the same amortization the batcher exploits in
-//! time, applied in space). Entries are `Arc`-shared: a hit hands the
+//! sharing that source (the GAP same-source observation, applied across
+//! requests). Entries are `Arc`-shared: a hit hands the
 //! caller a reference to the exact bytes the traversal produced, so
 //! cached answers are byte-identical to uncached recomputation (pinned
 //! by a proptest in `tests/`).
@@ -61,20 +61,6 @@ impl SourceArray {
             SourceArray::Dists(d) => f64::from(d[v as usize]),
             SourceArray::Ranks(r) => r[v as usize],
         }
-    }
-
-    /// Number of vertices the array covers.
-    pub fn len(&self) -> usize {
-        match self {
-            SourceArray::Levels(l) => l.len(),
-            SourceArray::Dists(d) => d.len(),
-            SourceArray::Ranks(r) => r.len(),
-        }
-    }
-
-    /// True when the array is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -297,7 +283,5 @@ mod tests {
         assert!(d.value_at(1).is_infinite());
         let r = SourceArray::Ranks(vec![0.25]);
         assert_eq!(r.value_at(0), 0.25);
-        assert_eq!(r.len(), 1);
-        assert!(!r.is_empty());
     }
 }

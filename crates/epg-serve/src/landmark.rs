@@ -19,15 +19,15 @@
 //!   another sees `s` and `t` at extremal offsets).
 //!
 //! Everything else returns `None` and the service falls through to the
-//! exact cache/batch/kernel pipeline, so enabling landmarks can change
+//! exact cache/kernel pipeline, so enabling landmarks can change
 //! latency but never answers. Landmarks are the highest-out-degree
 //! vertices — on skewed (Kronecker) graphs the hubs most shortest paths
 //! cross.
 //!
 //! **Symmetry requirement**: the `t`-is-a-landmark row lookup and the
 //! different-components rule read `d(t, s)` as `d(s, t)`, which is only
-//! valid on symmetrized graphs — the shape the harness's homogenization
-//! step (and `epg serve`'s loader) produces. Feed a directed graph and
+//! valid on symmetrized graphs — the homogenizer's `Dataset::symmetric`,
+//! which `epg serve` and `bench/` load. Feed a directed graph and
 //! these two rules are unsound; `LandmarkIndex::build` is therefore
 //! explicit opt-in via `ServeConfig::landmarks > 0`.
 

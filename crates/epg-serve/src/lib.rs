@@ -6,18 +6,19 @@
 //! queries* (BFS hop distance, SSSP distance, PageRank rank lookup)
 //! from many concurrent clients, where throughput comes from
 //! amortization rather than raw kernel speed. This crate is that
-//! serving layer, a pipeline of four stages (DESIGN.md §14):
+//! serving layer, a pipeline of three stages in front of the kernel
+//! (DESIGN.md §14):
 //!
 //! ```text
-//! request → admission → landmark → cache → batcher → kernel
-//!             (bounded   (O(1)     (LRU of  (same-   (QueryEngine
-//!              queue,     exact     per-     source    through the
-//!              DNF-aware  estimates source    attach)   pool's
-//!              rejection) or fall   arrays)             exclusive:
-//!                         through)                      a lane per
-//!                                                       request at 1
-//!                                                       thread, else
-//!                                                       one gate)
+//! request → admission → landmark → cache → kernel
+//!             (bounded   (O(1)     (LRU of  (QueryEngine
+//!              queue,     exact     per-     through the
+//!              DNF-aware  estimates source    pool's
+//!              rejection) or fall   arrays)   exclusive:
+//!                         through)            a lane per
+//!                                             request at 1
+//!                                             thread, else
+//!                                             one gate)
 //! ```
 //!
 //! * [`admission::Admission`] bounds the number of requests in flight;
@@ -31,11 +32,8 @@
 //!   through to the exact path, so landmark mode never changes answers.
 //! * [`cache::SourceCache`] is a bounded LRU of whole per-source result
 //!   arrays: one cached BFS from source `s` answers every `(s, *)` hop
-//!   query for free.
-//! * [`batch::Batcher`] implements the GAP same-source trick across
-//!   concurrent clients: requests landing on a source while an
-//!   expansion for it is in flight attach to that flight, and all of
-//!   them resolve from one traversal.
+//!   query for free. A miss runs one traversal, caches its array and
+//!   answers `Exact`; a kernel panic becomes one `Internal` failure.
 //!
 //! [`service::ServeService`] composes the stages over any
 //! [`epg_engine_api::QueryEngine`]; [`session`] speaks a line protocol
@@ -44,7 +42,6 @@
 
 #![warn(missing_docs)]
 pub mod admission;
-pub mod batch;
 pub mod cache;
 pub mod landmark;
 pub mod service;
@@ -77,7 +74,8 @@ pub enum ServeError {
         /// Number of vertices in the resident graph.
         num_vertices: usize,
     },
-    /// The traversal computing this answer failed (leader panicked).
+    /// The traversal computing this answer failed (the kernel panicked,
+    /// or returned a result of the wrong shape).
     Internal,
 }
 

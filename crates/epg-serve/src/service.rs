@@ -1,4 +1,4 @@
-//! The serving pipeline: admission → landmark → cache → batcher → kernel.
+//! The serving pipeline: admission → landmark → cache → kernel.
 //!
 //! [`ServeService`] composes the crate's stages over any
 //! [`QueryEngine`]. Each request flows through the stages in order and
@@ -6,13 +6,12 @@
 //! is stamped on the [`Answer`] (and, when a recorder is attached, on a
 //! [`TraceEvent::Query`]), so the load generator can attribute
 //! throughput to amortization rather than guessing. Every path is
-//! answer-preserving: landmarks answer only when provably exact, the
-//! cache and batcher hand back the very `Arc` a kernel produced, so all
-//! four paths are byte-identical to a fresh sequential traversal
-//! (pinned by differential tests in `tests/`).
+//! answer-preserving: landmarks answer only when provably exact and the
+//! cache hands back the very `Arc` a kernel produced, so all three
+//! paths are byte-identical to a fresh sequential traversal (pinned by
+//! differential tests in `tests/`).
 
 use crate::admission::Admission;
-use crate::batch::{BatchStats, Batcher, FlightError, Role};
 use crate::cache::{CacheStats, SourceArray, SourceCache, SourceKey};
 use crate::landmark::LandmarkIndex;
 use crate::ServeError;
@@ -20,6 +19,7 @@ use epg_engine_api::{Algorithm, AlgorithmResult, QueryEngine, RunParams};
 use epg_graph::VertexId;
 use epg_parallel::{CancelToken, ThreadPool};
 use epg_trace::{Recorder, TraceEvent};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -39,26 +39,18 @@ pub struct ServeConfig {
     /// Per-request SLO: a traversal running past this budget unwinds
     /// cooperatively and the request reports `DeadlineExceeded` (DNF).
     pub request_budget: Option<Duration>,
-    /// Attach same-source requests to an in-flight traversal.
-    pub batching: bool,
 }
 
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
-        ServeConfig {
-            cache_capacity: 32,
-            landmarks: 0,
-            max_pending: 1024,
-            request_budget: None,
-            batching: true,
-        }
+        ServeConfig { cache_capacity: 32, landmarks: 0, max_pending: 1024, request_budget: None }
     }
 }
 
 impl ServeConfig {
     /// The unamortized baseline: every request runs its own traversal.
     pub fn naive() -> ServeConfig {
-        ServeConfig { cache_capacity: 0, landmarks: 0, batching: false, ..ServeConfig::default() }
+        ServeConfig { cache_capacity: 0, landmarks: 0, ..ServeConfig::default() }
     }
 }
 
@@ -96,7 +88,7 @@ impl PointQuery {
         }
     }
 
-    /// Cache/batch key: the traversal that answers this query. PageRank
+    /// Cache key: the traversal that answers this query. PageRank
     /// has no source; its one whole-graph result is keyed at source 0.
     pub fn source_key(&self) -> SourceKey {
         let source = match self {
@@ -138,9 +130,11 @@ impl PointQuery {
 /// Which pipeline stage produced an answer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AnswerPath {
-    /// A fresh traversal ran for this request (it led the flight).
+    /// A fresh traversal ran for this request.
     Exact,
-    /// Attached to another request's in-flight traversal.
+    /// No path produces this any more. It stays only because `bench/`
+    /// names it, and goes once the benchmark stops reporting
+    /// `batched_share` and `batched_p50_ms`.
     Batched,
     /// Served from a resident source array.
     Cached,
@@ -172,7 +166,7 @@ pub struct Answer {
 /// Consistent-at-quiescence snapshot of the service counters. Two exact
 /// invariants hold whenever no request is mid-flight:
 /// `submitted == answered + rejected + dnf + failed` and
-/// `answered == exact + batched + cached + landmark`.
+/// `answered == exact + cached + landmark`.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ServeStats {
     /// Requests received (before admission).
@@ -184,11 +178,12 @@ pub struct ServeStats {
     pub rejected: u64,
     /// Requests whose budget tripped mid-traversal (serving DNFs).
     pub dnf: u64,
-    /// Requests that failed internally (leader unwound).
+    /// Requests whose traversal failed internally (`ServeError::Internal`).
     pub failed: u64,
     /// Answers from a fresh traversal.
     pub exact: u64,
-    /// Answers attached to an in-flight traversal.
+    /// Always 0: no path produces [`AnswerPath::Batched`] any more. It
+    /// stays only because `bench/` names it, and goes with that variant.
     pub batched: u64,
     /// Answers from the source cache.
     pub cached: u64,
@@ -198,8 +193,6 @@ pub struct ServeStats {
     pub landmark_fallthroughs: u64,
     /// Source-cache counters.
     pub cache: CacheStats,
-    /// Batcher counters.
-    pub batch: BatchStats,
     /// Requests holding an admission permit right now.
     pub pending: usize,
 }
@@ -212,7 +205,6 @@ struct PathCounters {
     dnf: AtomicU64,
     failed: AtomicU64,
     exact: AtomicU64,
-    batched: AtomicU64,
     cached: AtomicU64,
     landmark: AtomicU64,
     landmark_fallthroughs: AtomicU64,
@@ -222,17 +214,19 @@ struct PathCounters {
 pub struct ServeService {
     engine: Arc<dyn QueryEngine>,
     pool: Arc<ThreadPool>,
-    config: ServeConfig,
+    request_budget: Option<Duration>,
     admission: Admission,
     cache: SourceCache,
-    batcher: Batcher,
     landmarks: Option<LandmarkIndex>,
     counters: PathCounters,
     recorder: Option<Arc<dyn Recorder>>,
 }
 
 /// One full traversal through the engine's query surface, with an
-/// optional cancellation budget.
+/// optional cancellation budget. A panicking kernel is one
+/// `Internal` failure, not an unwind out of the service: the pool's
+/// lane drops, or its gate and the engine's token guard release, on the
+/// way out, so the next request dispatches normally.
 fn run_source(
     engine: &dyn QueryEngine,
     pool: &ThreadPool,
@@ -242,7 +236,8 @@ fn run_source(
 ) -> Result<Arc<SourceArray>, ServeError> {
     let mut params = RunParams::new(pool, Some(source));
     params.cancel = budget.map(CancelToken::with_deadline);
-    let out = engine.query(algo, &params);
+    let out = catch_unwind(AssertUnwindSafe(|| engine.query(algo, &params)))
+        .map_err(|_| ServeError::Internal)?;
     if out.cancelled {
         return Err(ServeError::DeadlineExceeded);
     }
@@ -276,13 +271,12 @@ impl ServeService {
         ServeService {
             admission: Admission::new(config.max_pending),
             cache: SourceCache::new(config.cache_capacity),
-            batcher: Batcher::new(),
             landmarks,
             counters: PathCounters::default(),
             recorder: None,
             engine,
             pool,
-            config,
+            request_budget: config.request_budget,
         }
     }
 
@@ -297,11 +291,6 @@ impl ServeService {
         self.engine.num_vertices()
     }
 
-    /// The configuration the service was built with.
-    pub fn config(&self) -> &ServeConfig {
-        &self.config
-    }
-
     /// Answers one point query through the pipeline.
     pub fn answer(&self, q: &PointQuery) -> Result<Answer, ServeError> {
         self.counters.submitted.fetch_add(1, Ordering::Relaxed);
@@ -311,7 +300,7 @@ impl ServeService {
             Ok(a) => (
                 match a.path {
                     AnswerPath::Exact => &self.counters.exact,
-                    AnswerPath::Batched => &self.counters.batched,
+                    AnswerPath::Batched => unreachable!("no stage answers Batched"),
                     AnswerPath::Cached => &self.counters.cached,
                     AnswerPath::Landmark => &self.counters.landmark,
                 },
@@ -369,52 +358,9 @@ impl ServeService {
             return Ok(Answer { value: arr.value_at(q.lookup_vertex()), path: AnswerPath::Cached });
         }
 
-        if !self.config.batching {
-            let arr = run_source(
-                &*self.engine,
-                &self.pool,
-                algo,
-                key.source,
-                self.config.request_budget,
-            )?;
-            self.cache.insert(key, Arc::clone(&arr));
-            return Ok(Answer { value: arr.value_at(q.lookup_vertex()), path: AnswerPath::Exact });
-        }
-
-        match self.batcher.join_or_lead(key) {
-            Role::Follower(flight) => match flight.wait() {
-                Ok(arr) => {
-                    Ok(Answer { value: arr.value_at(q.lookup_vertex()), path: AnswerPath::Batched })
-                }
-                Err(FlightError::Cancelled) => Err(ServeError::DeadlineExceeded),
-                Err(FlightError::Failed) => Err(ServeError::Internal),
-            },
-            Role::Leader(guard) => {
-                match run_source(
-                    &*self.engine,
-                    &self.pool,
-                    algo,
-                    key.source,
-                    self.config.request_budget,
-                ) {
-                    Ok(arr) => {
-                        self.cache.insert(key, Arc::clone(&arr));
-                        guard.publish(Ok(Arc::clone(&arr)));
-                        Ok(Answer {
-                            value: arr.value_at(q.lookup_vertex()),
-                            path: AnswerPath::Exact,
-                        })
-                    }
-                    Err(e) => {
-                        guard.publish(Err(match e {
-                            ServeError::DeadlineExceeded => FlightError::Cancelled,
-                            _ => FlightError::Failed,
-                        }));
-                        Err(e)
-                    }
-                }
-            }
-        }
+        let arr = run_source(&*self.engine, &self.pool, algo, key.source, self.request_budget)?;
+        self.cache.insert(key, Arc::clone(&arr));
+        Ok(Answer { value: arr.value_at(q.lookup_vertex()), path: AnswerPath::Exact })
     }
 
     /// Counter snapshot (see [`ServeStats`] for its invariants).
@@ -427,12 +373,11 @@ impl ServeService {
             dnf: c.dnf.load(Ordering::Relaxed),
             failed: c.failed.load(Ordering::Relaxed),
             exact: c.exact.load(Ordering::Relaxed),
-            batched: c.batched.load(Ordering::Relaxed),
+            batched: 0,
             cached: c.cached.load(Ordering::Relaxed),
             landmark: c.landmark.load(Ordering::Relaxed),
             landmark_fallthroughs: c.landmark_fallthroughs.load(Ordering::Relaxed),
             cache: self.cache.stats(),
-            batch: self.batcher.stats(),
             pending: self.admission.pending(),
         }
     }
@@ -447,12 +392,15 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
 
     /// A path graph 0–1–…–(n−1) with closed-form answers, plus a gate
-    /// the tests can hold closed to pin traversals in flight.
+    /// the tests can hold closed to pin traversals in flight. Every
+    /// traversal dispatches one pool region, as the real adapters do;
+    /// that region panics when the source is `panic_on`.
     struct PathEngine {
         n: usize,
         calls: AtomicUsize,
         gate: Mutex<bool>, // true = closed
         cv: Condvar,
+        panic_on: Option<VertexId>,
     }
 
     impl PathEngine {
@@ -462,6 +410,7 @@ mod tests {
                 calls: AtomicUsize::new(0),
                 gate: Mutex::new(false),
                 cv: Condvar::new(),
+                panic_on: None,
             }
         }
 
@@ -522,6 +471,9 @@ mod tests {
                 .cancelled(true);
             }
             let root = params.root.unwrap_or(0);
+            params.pool.exclusive(|pool| {
+                pool.region(|_| assert_ne!(self.panic_on, Some(root), "injected kernel fault"))
+            });
             let result = match algo {
                 Algorithm::Bfs => AlgorithmResult::BfsTree {
                     parent: vec![0; self.n],
@@ -541,8 +493,16 @@ mod tests {
     }
 
     fn service(n: usize, config: ServeConfig) -> (Arc<PathEngine>, ServeService) {
-        let engine = Arc::new(PathEngine::new(n));
-        let pool = Arc::new(ThreadPool::new(1));
+        service_over(PathEngine::new(n), 1, config)
+    }
+
+    fn service_over(
+        engine: PathEngine,
+        threads: usize,
+        config: ServeConfig,
+    ) -> (Arc<PathEngine>, ServeService) {
+        let engine = Arc::new(engine);
+        let pool = Arc::new(ThreadPool::new(threads));
         let svc = ServeService::new(Arc::clone(&engine) as Arc<dyn QueryEngine>, pool, config);
         (engine, svc)
     }
@@ -570,7 +530,7 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_same_source_queries_batch_onto_one_traversal() {
+    fn concurrent_same_source_queries_each_run_a_traversal() {
         let (engine, svc) =
             service(16, ServeConfig { cache_capacity: 0, ..ServeConfig::default() });
         engine.close_gate();
@@ -582,22 +542,37 @@ mod tests {
                     s.spawn(move || svc.answer(&PointQuery::BfsDist { source: 3, target: 3 + i }))
                 })
                 .collect();
-            // Wait until the leader is in the kernel and both followers
-            // have attached to its flight, then let the traversal finish.
-            while svc.stats().batch.joins < 2 {
+            // Wait until all three are in the kernel at once, then let
+            // their traversals finish.
+            while engine.calls() < 3 {
                 std::thread::yield_now();
             }
             engine.open_gate();
             answers.extend(handles.into_iter().map(|h| h.join().unwrap().unwrap()));
         });
-        assert_eq!(engine.calls(), 1, "three requests, one traversal");
-        let mut paths: Vec<_> = answers.iter().map(|a| a.path).collect();
-        paths.sort_by_key(|p| p.label());
-        assert_eq!(paths, [AnswerPath::Batched, AnswerPath::Batched, AnswerPath::Exact]);
-        for a in &answers {
-            assert!(a.value <= 2.0, "hop distances 0/1/2 from source 3");
+        assert_eq!(engine.calls(), 3, "three requests, three traversals");
+        let mut values: Vec<f64> = answers.iter().map(|a| a.value).collect();
+        values.sort_by(f64::total_cmp);
+        assert_eq!(values, [0.0, 1.0, 2.0], "hop distances from source 3");
+        assert!(answers.iter().all(|a| a.path == AnswerPath::Exact));
+        let s = svc.stats();
+        assert_eq!((s.exact, s.batched), (3, 0));
+    }
+
+    #[test]
+    fn a_panicking_kernel_is_one_failed_answer_and_the_pool_stays_usable() {
+        for threads in [1, 2] {
+            let engine = PathEngine { panic_on: Some(5), ..PathEngine::new(8) };
+            let (_engine, svc) = service_over(engine, threads, ServeConfig::default());
+            let bad = svc.answer(&PointQuery::BfsDist { source: 5, target: 1 });
+            assert_eq!(bad, Err(ServeError::Internal), "{threads} thread(s)");
+            let next = svc.answer(&PointQuery::SsspDist { source: 2, target: 7 }).unwrap();
+            assert_eq!((next.value, next.path), (5.0, AnswerPath::Exact), "{threads} thread(s)");
+            let s = svc.stats();
+            assert_eq!((s.failed, s.answered), (1, 1), "{threads} thread(s)");
+            assert_eq!(s.submitted, s.answered + s.rejected + s.dnf + s.failed);
+            assert_eq!(s.pending, 0, "the failed request released its admission permit");
         }
-        assert_eq!(svc.stats().batch, BatchStats { flights: 1, joins: 2 });
     }
 
     #[test]
@@ -658,7 +633,7 @@ mod tests {
         let _ = svc.answer(&PointQuery::PrRank { vertex: 2 }); // exact
         let s = svc.stats();
         assert_eq!(s.submitted, s.answered + s.rejected + s.dnf + s.failed);
-        assert_eq!(s.answered, s.exact + s.batched + s.cached + s.landmark);
+        assert_eq!(s.answered, s.exact + s.cached + s.landmark);
         assert_eq!((s.exact, s.cached, s.rejected), (2, 1, 1));
     }
 

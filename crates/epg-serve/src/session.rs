@@ -15,7 +15,8 @@
 //! for anything else, so a client can drive the service with `nc` or a
 //! pipe. The `epg serve` CLI binds sessions to stdio or to accepted TCP
 //! connections (thread-per-connection; the [`crate::ServeService`] is
-//! shared, so sessions batch against each other's traversals).
+//! shared, so one session's finished traversals answer every other
+//! session's queries from the source cache).
 
 use crate::service::{PointQuery, ServeService};
 use std::io::{self, BufRead, Write};
@@ -95,21 +96,17 @@ pub fn serve_session<R: BufRead, W: Write>(
                 writeln!(
                     output,
                     "ok stats submitted={} answered={} rejected={} dnf={} failed={} \
-                     exact={} batched={} cached={} landmark={} cache_hits={} cache_misses={} \
-                     flights={} joins={}",
+                     exact={} cached={} landmark={} cache_hits={} cache_misses={}",
                     s.submitted,
                     s.answered,
                     s.rejected,
                     s.dnf,
                     s.failed,
                     s.exact,
-                    s.batched,
                     s.cached,
                     s.landmark,
                     s.cache.hits,
                     s.cache.misses,
-                    s.batch.flights,
-                    s.batch.joins,
                 )?;
             }
             Ok(Command::Query(q)) => {

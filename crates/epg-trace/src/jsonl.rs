@@ -419,7 +419,7 @@ mod tests {
             TraceEvent::TrialOutcome { outcome: "timeout".into(), attempts: 2 },
             TraceEvent::Query {
                 algo: "SSSP".into(),
-                path: "batched".into(),
+                path: "landmark".into(),
                 latency_ns: 48_000,
                 ok: true,
             },

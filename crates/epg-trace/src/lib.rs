@@ -157,9 +157,8 @@ pub enum TraceEvent {
     Query {
         /// Algorithm abbreviation (`"BFS"`, `"SSSP"`, `"PR"`).
         algo: String,
-        /// The answer path (`"exact"`, `"batched"`, `"cached"`,
-        /// `"landmark"`) or the rejection label (`"overloaded"`,
-        /// `"dnf"`, ...).
+        /// The answer path (`"exact"`, `"cached"`, `"landmark"`) or the
+        /// rejection label (`"overloaded"`, `"dnf"`, `"failed"`, ...).
         path: String,
         /// Wall-clock latency of the request, admission to answer.
         latency_ns: u64,
