@@ -147,11 +147,6 @@ impl FaultyEngine {
     pub fn new(inner: Box<dyn Engine>, plan: FaultPlan) -> FaultyEngine {
         FaultyEngine { inner, plan, trial: 0 }
     }
-
-    /// Run-calls seen so far (attempts, not supervised trials).
-    pub fn trials_started(&self) -> u64 {
-        self.trial
-    }
 }
 
 impl Engine for FaultyEngine {

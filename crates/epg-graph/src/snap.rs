@@ -193,11 +193,6 @@ pub fn read_binary<R: Read>(reader: R) -> Result<EdgeList, ParseError> {
     Ok(EdgeList { num_vertices: n, edges, weights })
 }
 
-/// Binary file convenience wrappers.
-pub fn write_binary_file(el: &EdgeList, path: &Path) -> io::Result<()> {
-    write_binary(el, std::fs::File::create(path)?)
-}
-
 /// Reads a binary graph file from disk.
 pub fn read_binary_file(path: &Path) -> Result<EdgeList, ParseError> {
     read_binary(std::fs::File::open(path)?)

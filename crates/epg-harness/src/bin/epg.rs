@@ -6,9 +6,7 @@
 //! epg gen   --scale 14 [--weighted] # phase 2: generate + homogenize
 //! epg run   --scale 14 --threads 2  # phase 3 (also runs 2 if needed)
 //! epg run   --sssp-kernel radix     # pick the GAP SSSP kernel (delta|radix|bmssp)
-//! epg all   --scale 14              # phases 2-5
-//! epg graphalytics --scale 12       # the comparator + HTML report
-//! epg granula --scale 12            # Granula-style operation charts, one BFS run per engine
+//! epg all   --scale 14              # phases 2-5 (CSV, plots, out/granula/ charts, report.md)
 //! epg reproduce <id>...|all [--full] # regenerate the paper's tables and figures, then judge its
 //!                                   # claims against them (ledger -> <out>/claims.md)
 //! epg reproduce --list              # the 17 artefact ids
@@ -17,9 +15,13 @@
 //! epg trace summarize --input F     # summarize a *.trace.jsonl file
 //! epg lint [--strict] [--root DIR]  # workspace static analysis (DESIGN.md §10-§11)
 //! ```
+//!
+//! Each artefact has one path: the Graphalytics comparator's tables and
+//! HTML pages come from `epg reproduce table1 table2 fig7`, and the
+//! Granula-style operation charts from `epg all`. `--scale` outside 1..=32
+//! and `--threads 0` are usage errors for every command.
 
 use epg_harness::dataset::{Dataset, PaperDatasets};
-use epg_harness::graphalytics;
 use epg_harness::pipeline::Pipeline;
 use epg_harness::reproduce;
 use epg_harness::runner::ExperimentConfig;
@@ -136,11 +138,17 @@ fn parse_args(argv: std::env::Args) -> Result<Args, String> {
             other => return Err(format!("unknown flag: {other}\n{}", usage())),
         }
     }
+    if a.scale.is_some_and(|scale| !(1..=32).contains(&scale)) {
+        return Err(format!("--scale N asks for 2^N vertices; N is 1..=32\n{}", usage()));
+    }
+    if a.threads == 0 {
+        return Err(format!("--threads: at least 1\n{}", usage()));
+    }
     Ok(a)
 }
 
 fn usage() -> String {
-    "usage: epg <setup|gen|run|all|graphalytics|granula|reproduce|serve|trace summarize|lint> \
+    "usage: epg <setup|gen|run|all|reproduce|serve|trace summarize|lint> \
      [<artefact>...|all] [--list] [--full] [--scale N] [--weighted|--unweighted] [--threads N] [--roots N|--all-roots] \
      [--seed N] [--out DIR] [--snap FILE] [--input FILE] [--trial-budget-ms N] \
      [--strict] [--root DIR] \
@@ -223,56 +231,13 @@ fn real_main() -> Result<(), String> {
                 ds.name,
                 cfg.threads
             );
-            let result = pipeline.run(cfg, &ds);
-            let csv = pipeline.parse(&result).map_err(|e| e.to_string())?;
-            println!("wrote {}", csv.display());
-            if args.cmd == "all" {
-                for p in pipeline.analyze(&result, &ds).map_err(|e| e.to_string())? {
-                    println!("wrote {}", p.display());
-                }
-            }
-        }
-        "granula" => {
-            // Granula-style operation charts for every engine on one BFS run.
-            let pipeline = pipeline()?;
-            let ds = dataset_for(&args, &pipeline)?;
-            let cfg = ExperimentConfig {
-                threads: args.threads,
-                max_roots: Some(1),
-                ..ExperimentConfig::new()
+            let written = if args.cmd == "all" {
+                pipeline.run_all(cfg, &ds)
+            } else {
+                pipeline.parse(&pipeline.run(cfg, &ds)).map(|csv| vec![csv])
             };
-            let result = pipeline.run(cfg, &ds);
-            for p in pipeline.analyze(&result, &ds).map_err(|e| e.to_string())? {
-                if p.to_string_lossy().contains("granula") {
-                    println!("--- {} ---", p.display());
-                    print!("{}", std::fs::read_to_string(&p).map_err(|e| e.to_string())?);
-                }
-            }
-        }
-        "graphalytics" => {
-            let pipeline = pipeline()?;
-            let ds = dataset_for(&args, &pipeline)?;
-            let cells = graphalytics::run_graphalytics(
-                &graphalytics::GRAPHALYTICS_ENGINES,
-                &graphalytics::TABLE1_ALGOS,
-                &ds,
-                args.threads,
-            );
-            print!(
-                "{}",
-                graphalytics::format_table(
-                    &cells,
-                    &graphalytics::GRAPHALYTICS_ENGINES,
-                    std::slice::from_ref(&ds.name)
-                )
-            );
-            let html_dir = pipeline.out_dir.join("graphalytics");
-            std::fs::create_dir_all(&html_dir).map_err(|e| e.to_string())?;
-            for k in graphalytics::GRAPHALYTICS_ENGINES {
-                let path = html_dir.join(format!("{}.html", k.name()));
-                std::fs::write(&path, graphalytics::html_report(k, &cells))
-                    .map_err(|e| e.to_string())?;
-                println!("wrote {}", path.display());
+            for p in written.map_err(|e| e.to_string())? {
+                println!("wrote {}", p.display());
             }
         }
         "reproduce" if args.list => {

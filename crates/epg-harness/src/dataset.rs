@@ -56,38 +56,9 @@ impl Dataset {
         Dataset { name, raw, symmetric, weighted, roots }
     }
 
-    /// Generates and homogenizes a synthetic workload using the pool's
-    /// parallel generators where they exist (Kronecker, Uniform). The
-    /// result is deterministic per seed regardless of thread count but is a
-    /// *different* stream than [`Dataset::from_spec`] — pick one per
-    /// experiment and stay with it.
-    pub fn from_spec_parallel(
-        spec: &GraphSpec,
-        seed: u64,
-        pool: &epg_parallel::ThreadPool,
-    ) -> Dataset {
-        Dataset::from_edge_list(spec.name(), spec.generate_parallel(seed, pool), seed)
-    }
-
     /// Loads and homogenizes a SNAP text file from disk.
     pub fn from_snap_file(path: &Path, seed: u64) -> Result<Dataset, snap::ParseError> {
         let raw = snap::read_snap_file(path)?;
-        let name = path
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "dataset".into());
-        Ok(Dataset::from_edge_list(name, raw, seed))
-    }
-
-    /// Loads and homogenizes a SNAP text file with the parallel zero-copy
-    /// scanner ([`epg_graph::ingest`]); identical results and errors to
-    /// [`Dataset::from_snap_file`].
-    pub fn from_snap_file_parallel(
-        path: &Path,
-        seed: u64,
-        pool: &epg_parallel::ThreadPool,
-    ) -> Result<Dataset, snap::ParseError> {
-        let raw = epg_graph::ingest::read_snap_file_parallel(path, pool)?;
         let name = path
             .file_stem()
             .map(|s| s.to_string_lossy().into_owned())
@@ -108,29 +79,11 @@ impl Dataset {
     /// and binary (serialized fast path), both raw and symmetrized.
     /// Returns the file paths written.
     pub fn write_files(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
-        std::fs::create_dir_all(dir)?;
-        let mut written = Vec::new();
-        let base = dir.join(&self.name);
-        let paths = [
-            (format!("{}.snap", base.display()), Format::SnapText, false),
-            (format!("{}.sym.snap", base.display()), Format::SnapText, true),
-            (format!("{}.bin", base.display()), Format::Binary, false),
-            (format!("{}.sym.bin", base.display()), Format::Binary, true),
-        ];
-        for (path, fmt, sym) in paths {
-            let el = if sym { &self.symmetric } else { &self.raw };
-            let path = PathBuf::from(path);
-            match fmt {
-                Format::SnapText => snap::write_snap_file(el, &self.name, &path)?,
-                Format::Binary => snap::write_binary_file(el, &path)?,
-            }
-            written.push(path);
-        }
-        Ok(written)
+        self.write_files_parallel(dir, &epg_parallel::ThreadPool::new(1))
     }
 
-    /// [`Dataset::write_files`] with the binary copies encoded in parallel
-    /// (byte-identical output). The SNAP text writer stays serial — its
+    /// [`Dataset::write_files`] with the binary copies encoded on `pool`
+    /// (byte-identical at any thread count). The SNAP text writer stays serial — its
     /// cost is formatting-bound and engines never read text on the fast
     /// path (only GraphBIG streams it).
     pub fn write_files_parallel(

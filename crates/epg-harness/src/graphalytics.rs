@@ -94,13 +94,13 @@ pub fn run_graphalytics(
     threads: usize,
 ) -> Vec<Cell> {
     // Each call homogenizes into its own directory: concurrent calls (two
-    // tests, or a test beside `epg graphalytics`) must not overwrite each
+    // tests, or a test beside `epg reproduce`) must not overwrite each
     // other's files between write and load.
     static CALLS: AtomicU64 = AtomicU64::new(0);
     let call = CALLS.fetch_add(1, Ordering::Relaxed);
     let dir = std::env::temp_dir().join(format!("epg-graphalytics-{}-{call}", std::process::id()));
     let pool = ThreadPool::new(threads.max(1));
-    ds.write_files(&dir).expect("failed to write homogenized files");
+    ds.write_files_parallel(&dir, &pool).expect("failed to write homogenized files");
     let mut cells = Vec::new();
     for &kind in engines {
         let mut engine = kind.create();

@@ -15,7 +15,6 @@ use crate::dataset::Dataset;
 use crate::plot::{self, Scale};
 use crate::registry::EngineKind;
 use crate::runner::{run_experiment, ExperimentConfig, ExperimentResult};
-use crate::stats::Summary;
 use epg_engine_api::{Algorithm, Phase};
 use epg_generator::GraphSpec;
 use std::io;
@@ -78,13 +77,7 @@ impl Pipeline {
         let mut summary_txt = String::new();
 
         for algo in [Algorithm::Bfs, Algorithm::Sssp, Algorithm::PageRank] {
-            let groups: Vec<(String, Summary)> = EngineKind::ALL
-                .into_iter()
-                .filter_map(|k| {
-                    let times = result.run_times(k, algo);
-                    (!times.is_empty()).then(|| (k.name().to_string(), Summary::of(&times)))
-                })
-                .collect();
+            let groups = plot::engine_boxes(&EngineKind::ALL, |k| result.run_times(k, algo));
             if groups.is_empty() {
                 continue;
             }
@@ -112,13 +105,7 @@ impl Pipeline {
         }
 
         // Construction-time plot (Figs. 2/3 right panels).
-        let groups: Vec<(String, Summary)> = EngineKind::ALL
-            .into_iter()
-            .filter_map(|k| {
-                let times = result.construct_times(k);
-                (!times.is_empty()).then(|| (k.name().to_string(), Summary::of(&times)))
-            })
-            .collect();
+        let groups = plot::engine_boxes(&EngineKind::ALL, |k| result.construct_times(k));
         if !groups.is_empty() {
             let svg = plot::boxplot(
                 &format!("Data Structure Construction ({})", ds.name),
@@ -132,18 +119,7 @@ impl Pipeline {
         }
 
         // PageRank iteration bars (Fig. 4 right panel).
-        let bars: Vec<(String, f64)> = EngineKind::ALL
-            .into_iter()
-            .filter_map(|k| {
-                let iters = result.pr_iterations(k);
-                (!iters.is_empty()).then(|| {
-                    (
-                        k.name().to_string(),
-                        iters.iter().map(|&x| x as f64).sum::<f64>() / iters.len() as f64,
-                    )
-                })
-            })
-            .collect();
+        let bars = plot::iteration_bars(&EngineKind::ALL, result);
         if !bars.is_empty() {
             let svg = plot::bar_chart("PageRank Iterations", "Iterations", &bars);
             let path = plot_dir.join("pr_iterations.svg");
@@ -189,20 +165,13 @@ impl Pipeline {
         Ok(written)
     }
 
-    /// All five phases with default settings — the "single shell command"
-    /// experience the paper aims for.
-    pub fn run_all(
-        &self,
-        spec: &GraphSpec,
-        seed: u64,
-        threads: usize,
-        max_roots: Option<usize>,
-    ) -> io::Result<Vec<PathBuf>> {
-        let ds = self.homogenize(spec, seed)?;
-        let cfg = ExperimentConfig { threads, max_roots, ..ExperimentConfig::new() };
-        let result = self.run(cfg, &ds);
+    /// Phases 3-5 on a homogenized dataset, what `epg all` runs after
+    /// phase 2. Returns `results.csv`, then the files [`Self::analyze`]
+    /// wrote.
+    pub fn run_all(&self, cfg: ExperimentConfig, ds: &Dataset) -> io::Result<Vec<PathBuf>> {
+        let result = self.run(cfg, ds);
         let mut written = vec![self.parse(&result)?];
-        written.extend(self.analyze(&result, &ds)?);
+        written.extend(self.analyze(&result, ds)?);
         Ok(written)
     }
 
@@ -230,15 +199,6 @@ impl Pipeline {
     }
 }
 
-/// Convenience used by tests and benches: does `records` contain a Run row
-/// for the pair?
-pub fn has_run(result: &ExperimentResult, engine: EngineKind, algo: Algorithm) -> bool {
-    result
-        .records
-        .iter()
-        .any(|r| r.engine == engine && r.algorithm == Some(algo) && r.phase == Phase::Run)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,7 +209,9 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let p = Pipeline::new(dir.clone()).unwrap();
         let spec = GraphSpec::Kronecker { scale: 6, edge_factor: 8, weighted: true };
-        let written = p.run_all(&spec, 7, 1, Some(2)).unwrap();
+        let ds = p.homogenize(&spec, 7).unwrap();
+        let cfg = ExperimentConfig { threads: 1, max_roots: Some(2), ..ExperimentConfig::new() };
+        let written = p.run_all(cfg, &ds).unwrap();
         assert!(written.iter().any(|w| w.ends_with("results.csv")));
         assert!(dir.join("plots").join("bfs_time.svg").exists());
         assert!(dir.join("granula").read_dir().unwrap().count() >= 4);

@@ -2,6 +2,8 @@
 //! original framework), rendering SVG box plots, line charts, and bar
 //! charts that mirror the paper's figures.
 
+use crate::registry::EngineKind;
+use crate::runner::ExperimentResult;
 use crate::stats::Summary;
 use std::fmt::Write as _;
 
@@ -171,6 +173,36 @@ pub fn boxplot(title: &str, y_label: &str, groups: &[(String, Summary)], scale: 
     }
     out.push_str("</svg>\n");
     out
+}
+
+/// The groups of a per-engine [`boxplot`]: one per engine of `engines`
+/// with samples, in that order. Phase 5's plots and `epg reproduce`'s
+/// Figs. 2-4 panels both draw these.
+pub fn engine_boxes(
+    engines: &[EngineKind],
+    samples: impl Fn(EngineKind) -> Vec<f64>,
+) -> Vec<(String, Summary)> {
+    engines
+        .iter()
+        .filter_map(|&kind| {
+            let xs = samples(kind);
+            (!xs.is_empty()).then(|| (kind.name().to_string(), Summary::of(&xs)))
+        })
+        .collect()
+}
+
+/// The bars of a PageRank-iterations [`bar_chart`] (Fig. 4, right): each
+/// engine of `engines` that ran PageRank in `result`, at its mean count.
+/// The markdown report lists the same numbers.
+pub fn iteration_bars(engines: &[EngineKind], result: &ExperimentResult) -> Vec<(String, f64)> {
+    engines
+        .iter()
+        .filter_map(|&kind| {
+            let iters = result.pr_iterations(kind);
+            let mean = iters.iter().map(|&i| i as f64).sum::<f64>() / iters.len() as f64;
+            (!iters.is_empty()).then(|| (kind.name().to_string(), mean))
+        })
+        .collect()
 }
 
 /// Renders a multi-series line chart over shared x positions — the shape

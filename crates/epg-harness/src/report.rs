@@ -189,23 +189,16 @@ pub fn render(result: &ExperimentResult, ds: &Dataset, projected_threads: usize)
     }
 
     // ---- PageRank iterations ----
-    let pr_rows: Vec<(EngineKind, f64)> = EngineKind::ALL
-        .into_iter()
-        .filter_map(|k| {
-            let it = result.pr_iterations(k);
-            (!it.is_empty())
-                .then(|| (k, it.iter().map(|&x| x as f64).sum::<f64>() / it.len() as f64))
-        })
-        .collect();
+    let pr_rows = crate::plot::iteration_bars(&EngineKind::ALL, result);
     if !pr_rows.is_empty() {
         let _ = writeln!(out, "\n## PageRank iterations (native stopping criteria)\n");
-        for (k, iters) in pr_rows {
-            let note = if k == EngineKind::GraphMat {
+        for (name, iters) in pr_rows {
+            let note = if name == EngineKind::GraphMat.name() {
                 " — iterates until no vertex's rank changes (∞-norm)"
             } else {
                 ""
             };
-            let _ = writeln!(out, "- {}: {iters:.0}{note}", k.name());
+            let _ = writeln!(out, "- {name}: {iters:.0}{note}");
         }
     }
 

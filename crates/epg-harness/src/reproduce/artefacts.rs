@@ -6,7 +6,7 @@ use super::{mean, paper_ref, say, shape_row, sig3, Ctx, Panel, SecondPanel};
 use crate::dataset::Dataset;
 use crate::graphalytics::{self, Cell, GRAPHALYTICS_ENGINES, TABLE1_ALGOS};
 use crate::logs;
-use crate::plot::{bar_chart, boxplot, line_chart, Scale};
+use crate::plot::{bar_chart, boxplot, engine_boxes, iteration_bars, line_chart, Scale};
 use crate::registry::EngineKind;
 use crate::runner::{run_experiment, RunInfo};
 use crate::stats::Summary;
@@ -55,22 +55,21 @@ pub(super) fn kernel_panel(ctx: &mut Ctx, id: &str, panel: &Panel) -> io::Result
     }
 
     say!(ctx, "== left: {abbrev} time over {} roots, projected to 32 threads ==", ctx.opts.roots);
-    let mut groups = Vec::new();
-    for &kind in panel.engines {
-        let name = kind.name();
-        let runs: Vec<_> = result.runs.iter().filter(|r| r.engine == kind).collect();
+    let runs_of = |kind: EngineKind| result.runs.iter().filter(move |r| r.engine == kind);
+    let groups = engine_boxes(panel.engines, |kind| {
+        runs_of(kind).map(|r| r.projected(&model, PROJECTED_THREADS).total_s).collect()
+    });
+    // Every engine of a panel runs its algorithm: one group each, in order.
+    for (&kind, (name, projected)) in panel.engines.iter().zip(&groups) {
+        let first = runs_of(kind).next().expect("a panel engine runs the panel's algorithm");
         let local = Summary::of(&result.run_times(kind, algo));
-        let projected: Vec<f64> =
-            runs.iter().map(|r| r.projected(&model, PROJECTED_THREADS).total_s).collect();
-        let projected = Summary::of(&projected);
         say!(ctx, "{}", shape_row(name, (panel.paper_seconds)(name), projected.mean, "s/root"));
         let (median, min, max, n, rsd) =
             (local.median, local.min, local.max, local.n, local.relative_stddev());
         say!(ctx, "    local: median {median:.5}s  [{min:.5}, {max:.5}]  n={n}  rsd={rsd:.4}");
-        groups.push((name.to_string(), projected));
         ctx.fact("seconds", name, median);
-        ctx.fact("edges", name, runs[0].output.counters.edges_traversed as f64);
-        ctx.fact("serial_share", name, runs[0].output.trace.serial_fraction());
+        ctx.fact("edges", name, first.output.counters.edges_traversed as f64);
+        ctx.fact("serial_share", name, first.output.trace.serial_fraction());
     }
     let title = format!("{abbrev} Time (projected, 32 threads)");
     let file = format!("{id}_{}_time.svg", abbrev.to_lowercase());
@@ -88,18 +87,13 @@ pub(super) fn kernel_panel(ctx: &mut Ctx, id: &str, panel: &Panel) -> io::Result
     match panel.second {
         SecondPanel::Construction(paper) => {
             say!(ctx, "\n== right: {abbrev} data structure construction ==");
-            let mut groups = Vec::new();
-            let mut fused = Vec::new();
-            for &kind in panel.engines {
-                let times = result.construct_times(kind);
-                if times.is_empty() {
-                    fused.push(kind.name());
-                    continue;
-                }
-                let paper = paper_ref::lookup(paper, kind.name());
-                say!(ctx, "{}", shape_row(kind.name(), paper, mean(&times), "s"));
-                groups.push((kind.name().to_string(), Summary::of(&times)));
+            let groups = engine_boxes(panel.engines, |kind| result.construct_times(kind));
+            for (name, s) in &groups {
+                say!(ctx, "{}", shape_row(name, paper_ref::lookup(paper, name), s.mean, "s"));
             }
+            let fused: Vec<&str> = (panel.engines.iter().map(|k| k.name()))
+                .filter(|&engine| groups.iter().all(|(name, _)| name != engine))
+                .collect();
             let fused = fused.join(", ");
             say!(ctx, "{fused}: omitted — construction fused with the file read (§III-B)");
             let title = format!("{abbrev} Data Structure Construction");
@@ -108,14 +102,10 @@ pub(super) fn kernel_panel(ctx: &mut Ctx, id: &str, panel: &Panel) -> io::Result
         }
         SecondPanel::Iterations(paper) => {
             say!(ctx, "\n== right: {abbrev} iterations (native stopping criteria) ==");
-            let mut bars = Vec::new();
-            for &kind in panel.engines {
-                let iters: Vec<f64> =
-                    result.pr_iterations(kind).iter().map(|&i| i as f64).collect();
-                let paper = paper_ref::lookup(paper, kind.name());
-                say!(ctx, "{}", shape_row(kind.name(), paper, mean(&iters), "iters"));
-                bars.push((kind.name().to_string(), mean(&iters)));
-                ctx.fact("iterations", kind.name(), mean(&iters));
+            let bars = iteration_bars(panel.engines, &result);
+            for (name, iters) in &bars {
+                say!(ctx, "{}", shape_row(name, paper_ref::lookup(paper, name), *iters, "iters"));
+                ctx.fact("iterations", name, *iters);
             }
             let svg = bar_chart(&format!("{abbrev} Iterations"), "Iterations", &bars);
             ctx.write_artefact(&format!("{id}_{}_iterations.svg", abbrev.to_lowercase()), &svg)?;

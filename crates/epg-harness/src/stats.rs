@@ -61,11 +61,6 @@ impl Summary {
             self.stddev / self.mean
         }
     }
-
-    /// Interquartile range.
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
 }
 
 /// Summary over a right-censored sample: DNF trials (timeout, panic,

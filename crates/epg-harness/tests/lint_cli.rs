@@ -82,18 +82,8 @@ fn malformed_allowlist_is_exit_2() {
 }
 
 /// Every command `epg` dispatches, as the usage string spells them.
-const COMMANDS: [&str; 10] = [
-    "setup",
-    "gen",
-    "run",
-    "all",
-    "graphalytics",
-    "granula",
-    "reproduce",
-    "serve",
-    "trace summarize",
-    "lint",
-];
+const COMMANDS: [&str; 8] =
+    ["setup", "gen", "run", "all", "reproduce", "serve", "trace summarize", "lint"];
 
 #[test]
 fn reproduce_lists_its_17_ids_and_rejects_an_unknown_one_before_creating_anything() {
@@ -128,6 +118,10 @@ fn retired_bench_commands_and_flags_are_rejected_with_usage() {
     for (args, code, why) in [
         (&["bench"][..], 1, "unknown command: bench"),
         (&["serve-bench"][..], 1, "unknown command: serve-bench"),
+        // `reproduce table1 table2 fig7` prints and writes what these did;
+        // `epg all` writes the Granula charts under `out/granula/`.
+        (&["graphalytics"][..], 1, "unknown command: graphalytics"),
+        (&["granula"][..], 1, "unknown command: granula"),
         (&["run", "--gate"][..], 1, "unknown flag: --gate"),
         (&["run", "--quick"][..], 1, "unknown flag: --quick"),
         (&["run", "--check"][..], 1, "unknown flag: --check"),
@@ -142,6 +136,41 @@ fn retired_bench_commands_and_flags_are_rejected_with_usage() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(why) && stderr.contains("usage: epg <"), "{args:?}:\n{stderr}");
     }
+}
+
+#[test]
+fn out_of_range_scale_and_zero_threads_are_usage_errors() {
+    let out_dir = temp_root("cli-ranges").join("x");
+    for (args, why) in [
+        (&["gen", "--scale", "0"][..], "--scale N asks for 2^N vertices"),
+        (&["run", "--scale", "40"][..], "--scale N asks for 2^N vertices"),
+        (&["all", "--scale", "0"][..], "--scale N asks for 2^N vertices"),
+        (&["serve", "--scale", "40"][..], "--scale N asks for 2^N vertices"),
+        (&["reproduce", "fig2", "--scale", "33"][..], "--scale N asks for 2^N vertices"),
+        (&["serve", "--threads", "0"][..], "--threads: at least 1"),
+        (&["reproduce", "ablation_delta", "--scale", "6", "--threads", "0"][..], "--threads"),
+        (&["run", "--threads", "0"][..], "--threads: at least 1"),
+    ] {
+        let out = epg(&[args, &["--out", out_dir.to_str().unwrap()]].concat());
+        assert_eq!(exit_code(&out), 1, "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(why) && stderr.contains("usage: epg <"), "{args:?}:\n{stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}:\n{stderr}");
+        assert!(!out_dir.exists(), "{args:?} created {}", out_dir.display());
+    }
+}
+
+#[test]
+fn all_writes_the_csv_plots_granula_charts_and_report() {
+    // Phases 2-5 in one command; the per-engine Granula charts are among
+    // the files it writes.
+    let dir = temp_root("cli-all");
+    let out = epg(&["all", "--scale", "6", "--roots", "1", "--out", dir.to_str().unwrap()]);
+    assert_eq!(exit_code(&out), 0, "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(dir.join("results.csv").is_file());
+    assert!(dir.join("plots").join("bfs_time.svg").is_file());
+    assert!(dir.join("granula").read_dir().expect("granula/").count() >= 4);
+    assert!(dir.join("report.md").is_file());
 }
 
 #[test]

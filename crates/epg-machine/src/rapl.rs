@@ -14,7 +14,7 @@
 //! construction, while per-engine power differences emerge from each
 //! engine's measured bytes-per-work ratios.
 
-use crate::{MachineModel, MachineSpec};
+use crate::MachineModel;
 use epg_engine_api::Trace;
 
 /// Energy/power summary for one run, the unit of Fig. 9 and Table III.
@@ -141,11 +141,6 @@ impl<'m> PowerRapl<'m> {
             None => "no measurement".to_string(),
         }
     }
-}
-
-/// Convenience: the full machine spec used in reports.
-pub fn paper_spec() -> MachineSpec {
-    MachineSpec::haswell_e5_2699_v3()
 }
 
 #[cfg(test)]

@@ -26,7 +26,9 @@ fn five_phases_produce_csv_plots_and_parsable_logs() {
 
     // Phases 2-5.
     let spec = GraphSpec::Kronecker { scale: 7, edge_factor: 8, weighted: true };
-    let written = p.run_all(&spec, 5, 2, Some(3)).unwrap();
+    let ds = p.homogenize(&spec, 5).unwrap();
+    let cfg = ExperimentConfig { threads: 2, max_roots: Some(3), ..ExperimentConfig::new() };
+    let written = p.run_all(cfg, &ds).unwrap();
     assert!(written.iter().any(|w| w.ends_with("results.csv")));
 
     // The CSV has rows for every engine.

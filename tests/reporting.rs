@@ -1,14 +1,13 @@
 #![allow(clippy::needless_range_loop)]
 
 //! Reporting-stack integration: Granula operation charts, the markdown
-//! report, the Graph500 official output block, the thread-sweep runner,
-//! and the power-sensor backends — all through the public API.
+//! report, the Graph500 official output block and the thread-sweep
+//! runner — all through the public API.
 
 use epg::graph500::teps::TepsStats;
 use epg::harness::granula::OperationChart;
 use epg::harness::report;
 use epg::harness::runner::run_thread_sweep;
-use epg::machine::sensor::{PowerSensor, RaplSensor, WattProfSensor};
 use epg::prelude::*;
 
 fn dataset() -> Dataset {
@@ -110,26 +109,4 @@ fn thread_sweep_keeps_results_deterministic() {
             );
         }
     }
-}
-
-#[test]
-fn power_sensors_agree_and_wattprof_adds_resolution() {
-    let ds = dataset();
-    let cfg = ExperimentConfig {
-        engines: vec![EngineKind::GraphMat],
-        algorithms: vec![Algorithm::PageRank],
-        max_roots: Some(1),
-        ..ExperimentConfig::new()
-    };
-    let result = run_experiment(&cfg, &ds);
-    let run = &result.runs[0];
-    let model = MachineModel::paper_machine();
-    let rate = run.calibrated_rate(&model);
-    let rapl = RaplSensor.measure(&model, &run.output.trace, rate, 32);
-    let wp = WattProfSensor { sample_hz: 1e8 };
-    let wp_rep = wp.measure(&model, &run.output.trace, rate, 32);
-    assert!((rapl.total_j() - wp_rep.total_j()).abs() / rapl.total_j() < 0.1);
-    let series = wp.sample_series(&model, &run.output.trace, rate, 32);
-    // Fine-grained series has at least one sample per trace region.
-    assert!(series.len() >= run.output.trace.records.len());
 }
