@@ -104,15 +104,15 @@ impl<T: Send> Partial<T> {
 /// The run record of one kernel invocation: the work [`Counters`], the
 /// region [`Trace`], the counter-delta stream and the cancelled flag, kept
 /// in one place so that every kernel reports the same way. A kernel step
-/// bumps [`RunLog::counters`], records its regions with
+/// bumps [`RunLog::counters`], records its regions on the [`Trace`] with
 /// [`RunLog::parallel`] / [`RunLog::serial`] and closes with
 /// [`RunLog::iteration`]; the run closes with [`RunLog::finish`].
 ///
-/// The recorder therefore sees, per step, `Region` events, then one
-/// `CountersDelta` (region `"iteration"`), then the `Iteration` event, and
-/// at the end one `"finalize"` delta — which makes *sum of deltas == final
-/// counters* hold by construction for every kernel. With no recorder
-/// attached the delta arithmetic is skipped.
+/// The recorder therefore sees, per step, one `CountersDelta` (region
+/// `"iteration"`), then the `Iteration` event, and at the end one
+/// `"finalize"` delta — which makes *sum of deltas == final counters* hold
+/// by construction for every kernel. With no recorder attached the delta
+/// arithmetic is skipped.
 pub struct RunLog<'a> {
     /// Aggregate work counters; kernels add to them directly.
     pub counters: Counters,
@@ -140,15 +140,12 @@ impl<'a> RunLog<'a> {
     #[inline]
     pub fn parallel(&mut self, work: u64, span: u64, bytes: u64) {
         self.trace.parallel(work, span, bytes);
-        let span = span.min(work);
-        self.rec.emit(|| TraceEvent::Region { work, span, bytes, parallel: true });
     }
 
     /// Records a serial section.
     #[inline]
     pub fn serial(&mut self, work: u64, bytes: u64) {
         self.trace.serial(work, bytes);
-        self.rec.emit(|| TraceEvent::Region { work, span: work, bytes, parallel: false });
     }
 
     /// Closes one kernel step: flushes the counter delta, emits the
@@ -303,9 +300,9 @@ mod tests {
 
         #[test]
         fn events_reach_the_recorder() {
-            // One step: Region, then the "iteration" delta, then the
-            // Iteration event; `finish` flushes what came after as
-            // "finalize".
+            // One step: the "iteration" delta, then the Iteration event
+            // (the region goes on the Trace only); `finish` flushes what
+            // came after as "finalize".
             let pool = ThreadPool::new(1);
             let rec = RunRecorder::new();
             let ctx = RecorderCtx::new(&rec);
@@ -320,13 +317,13 @@ mod tests {
             assert_eq!(
                 rec.events(),
                 vec![
-                    TraceEvent::Region { work: 10, span: 10, bytes: 80, parallel: true },
                     delta("iteration", 10, 0, 1),
                     TraceEvent::Iteration { iter: 2, frontier: 7, dir: Dir::Pull },
                     delta("finalize", 0, 80, 0),
                 ]
             );
             assert_eq!(sum_counter_deltas(&rec.events()), out.counters);
+            assert_eq!(out.trace.records.len(), 1);
         }
 
         #[test]

@@ -19,7 +19,12 @@
 //! Each artefact has one path: the Graphalytics comparator's tables and
 //! HTML pages come from `epg reproduce table1 table2 fig7`, and the
 //! Granula-style operation charts from `epg all`. `--scale` outside 1..=32
-//! and `--threads 0` are usage errors for every command.
+//! and `--threads 0` are usage errors for every command, and so is a flag
+//! the command does not read ([`FLAGS`]).
+//!
+//! `gen`, `run`, `all` and `serve` build the dataset and write its
+//! homogenized files once (phase 2); `run` and `all` then load the engines
+//! from those files and never rewrite them.
 
 use epg_harness::dataset::{Dataset, PaperDatasets};
 use epg_harness::pipeline::Pipeline;
@@ -27,6 +32,25 @@ use epg_harness::reproduce;
 use epg_harness::runner::ExperimentConfig;
 use std::path::PathBuf;
 use std::process::ExitCode;
+
+/// The flags each command reads. Any other flag is a usage error, so a
+/// flag never parses and is then silently ignored.
+const FLAGS: [(&str, &str); 10] = [
+    ("setup", ""),
+    ("gen", "--scale --weighted --unweighted --seed --out --snap"),
+    ("run", RUN_FLAGS),
+    ("all", RUN_FLAGS),
+    ("reproduce", "--list --full --scale --threads --roots --all-roots --seed --out"),
+    ("serve", "--scale --weighted --unweighted --threads --seed --out --snap --landmarks --listen"),
+    ("trace", "--input"),
+    ("lint", "--strict --root"),
+    ("help", ""),
+    ("--help", ""),
+];
+
+/// What `run` and `all` read: the dataset, the sweep and its supervision.
+const RUN_FLAGS: &str = "--scale --weighted --unweighted --threads --roots --all-roots --seed \
+                         --out --snap --trial-budget-ms --sssp-kernel";
 
 struct Args {
     cmd: String,
@@ -81,10 +105,14 @@ fn parse_args(argv: std::env::Args) -> Result<Args, String> {
         landmarks: None,
         listen: None,
     };
+    let Some(&(_, reads)) = FLAGS.iter().find(|(cmd, _)| *cmd == a.cmd) else {
+        return Err(format!("unknown command: {}\n{}", a.cmd, usage()));
+    };
     let mut it = argv.peekable();
     while let Some(flag) = it.next() {
-        if a.cmd == "lint" && !matches!(flag.as_str(), "--strict" | "--root") {
-            return Err(format!("unknown flag: {flag}\n{}", usage()));
+        if flag.starts_with("--") && !reads.split_whitespace().any(|f| f == flag) {
+            let reads = if reads.is_empty() { "no flags" } else { reads };
+            return Err(format!("unknown flag: {flag} (epg {} reads {reads})\n{}", a.cmd, usage()));
         }
         let mut val = |name: &str| -> Result<String, String> {
             it.next().ok_or(format!("missing value for {name}"))
@@ -110,16 +138,13 @@ fn parse_args(argv: std::env::Args) -> Result<Args, String> {
             "--strict" => a.strict = true,
             "--root" => a.root = Some(PathBuf::from(val("--root")?)),
             "--sssp-kernel" => {
+                use epg_engine_api::SsspKernel;
                 let name = val("--sssp-kernel")?;
+                let names: Vec<&str> = SsspKernel::ALL.iter().map(|k| k.name()).collect();
+                let unknown = format!("unknown kernel `{name}` (one of: {})", names.join(", "));
+                let kernel = SsspKernel::from_name(&name);
                 a.sssp_kernel =
-                    Some(epg_engine_api::SsspKernel::from_name(&name).ok_or_else(|| {
-                        let names: Vec<&str> =
-                            epg_engine_api::SsspKernel::ALL.iter().map(|k| k.name()).collect();
-                        format!(
-                            "--sssp-kernel: unknown kernel `{name}` (one of: {})",
-                            names.join(", ")
-                        )
-                    })?);
+                    Some(kernel.ok_or(format!("--sssp-kernel: {unknown}\n{}", usage()))?);
             }
             "--landmarks" => {
                 a.landmarks =
@@ -156,15 +181,18 @@ fn usage() -> String {
         .to_string()
 }
 
+/// Phase 2: builds the dataset from `--snap` or `--scale`, then writes its
+/// homogenized files through the pipeline's one writer.
 fn dataset_for(args: &Args, pipeline: &Pipeline) -> Result<Dataset, String> {
-    if let Some(path) = &args.snap_file {
-        let ds = Dataset::from_snap_file(path, args.seed).map_err(|e| e.to_string())?;
-        ds.write_files(&pipeline.out_dir.join("datasets")).map_err(|e| e.to_string())?;
-        Ok(ds)
-    } else {
-        let spec = PaperDatasets::kronecker(args.scale.unwrap_or(12), args.weighted);
-        pipeline.homogenize(&spec, args.seed).map_err(|e| e.to_string())
-    }
+    let ds = match &args.snap_file {
+        Some(path) => Dataset::from_snap_file(path, args.seed).map_err(|e| e.to_string())?,
+        None => Dataset::from_spec(
+            &PaperDatasets::kronecker(args.scale.unwrap_or(12), args.weighted),
+            args.seed,
+        ),
+    };
+    pipeline.homogenize(&ds).map_err(|e| e.to_string())?;
+    Ok(ds)
 }
 
 fn main() -> ExitCode {
@@ -334,7 +362,7 @@ fn real_main() -> Result<(), String> {
             }
         },
         "--help" | "help" => println!("{}", usage()),
-        other => return Err(format!("unknown command: {other}\n{}", usage())),
+        other => unreachable!("parse_args admits only the commands in FLAGS, not {other}"),
     }
     Ok(())
 }

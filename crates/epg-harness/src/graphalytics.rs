@@ -13,13 +13,23 @@
 //!    would complete nearly twice as quickly. To call this a fair
 //!    comparison is dubious at best."
 //!
+//! The comparator has no timing loop of its own. Table I is a view of the
+//! framework's phase records: [`run_graphalytics`] makes one
+//! [`run_experiment`](crate::runner::run_experiment) call (one root, one
+//! trial) through the five-phase [`Pipeline`], then sums each system's
+//! read, construct and run records the way its platform driver does. The
+//! cells therefore get the runner's supervision and BFS/SSSP
+//! verification: a trial that panics or fails its check is a missing
+//! cell.
+//!
 //! The [`html_report`] function renders the per-system HTML page
 //! Graphalytics outputs (Fig. 7).
 
 use crate::dataset::Dataset;
+use crate::pipeline::Pipeline;
 use crate::registry::EngineKind;
-use epg_engine_api::{Algorithm, RunParams};
-use epg_parallel::ThreadPool;
+use crate::runner::ExperimentConfig;
+use epg_engine_api::{Algorithm, Phase};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -99,110 +109,78 @@ pub fn run_graphalytics(
     static CALLS: AtomicU64 = AtomicU64::new(0);
     let call = CALLS.fetch_add(1, Ordering::Relaxed);
     let dir = std::env::temp_dir().join(format!("epg-graphalytics-{}-{call}", std::process::id()));
-    let pool = ThreadPool::new(threads.max(1));
-    ds.write_files_parallel(&dir, &pool).expect("failed to write homogenized files");
+    let pipeline = Pipeline::new(dir).expect("failed to create the comparator's directory");
+    pipeline.homogenize(ds).expect("failed to write homogenized files");
+    let cfg = ExperimentConfig {
+        engines: engines.to_vec(),
+        // "Graphalytics by default does not perform SSSP on unweighted,
+        // undirected graphs" (§IV-A): those are N/A cells.
+        algorithms: algorithms
+            .iter()
+            .copied()
+            .filter(|a| ds.weighted || !a.needs_weights())
+            .collect(),
+        threads,
+        trials: 1,
+        max_roots: Some(1),
+        ..ExperimentConfig::new()
+    };
+    let result = pipeline.run(cfg, ds);
+    let _ = std::fs::remove_dir_all(&pipeline.out_dir);
+    let phase_s = |engine, phase| {
+        let row = result.records.iter().find(|r| r.engine == engine && r.phase == phase);
+        row.map_or(0.0, |r| r.seconds)
+    };
     let mut cells = Vec::new();
-    for &kind in engines {
-        let mut engine = kind.create();
-        let t0 = Instant::now();
-        engine
-            .load_file(&ds.input_path_for(&dir, kind), &pool)
-            .expect("engine failed to load input");
-        let read_s = t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        engine.construct(&pool);
-        let construct_s = t0.elapsed().as_secs_f64();
-        for &algo in algorithms {
-            if !engine.supports(algo) {
-                cells.push(Cell {
-                    engine: kind,
-                    algorithm: algo,
-                    dataset: ds.name.clone(),
-                    reported_seconds: None,
-                    true_phases: None,
-                });
-                continue;
-            }
-            if algo.needs_weights() && !ds.weighted {
-                // "Graphalytics by default does not perform SSSP on
-                // unweighted, undirected graphs" (§IV-A) — the N/A cells.
-                cells.push(Cell {
-                    engine: kind,
-                    algorithm: algo,
-                    dataset: ds.name.clone(),
-                    reported_seconds: None,
-                    true_phases: None,
-                });
-                continue;
-            }
-            let root = algo.is_rooted().then(|| ds.roots[0]);
-            let params = RunParams::new(&pool, root);
-            let t0 = Instant::now();
-            let output = engine.run(algo, &params);
-            let run_s = t0.elapsed().as_secs_f64();
-            // Graphalytics requires each system to write its results out.
-            let t0 = Instant::now();
-            let rendered = render_output_like_system(&output.result);
-            let output_s = t0.elapsed().as_secs_f64();
-            std::hint::black_box(rendered);
-            let phases = PhaseBreakdown { read_s, construct_s, run_s, output_s };
+    for &engine in engines {
+        for &algorithm in algorithms {
+            // N/A when the pair has no completed run: unsupported,
+            // dropped above, or a trial that failed.
+            let run = result.runs.iter().find(|r| r.engine == engine && r.algorithm == algorithm);
+            let true_phases = run.map(|run| {
+                // Graphalytics requires each system to write its results out.
+                let t0 = Instant::now();
+                std::hint::black_box(render_output_like_system(&run.output.result));
+                PhaseBreakdown {
+                    read_s: phase_s(engine, Phase::ReadFile),
+                    construct_s: phase_s(engine, Phase::Construct),
+                    run_s: run.seconds,
+                    output_s: t0.elapsed().as_secs_f64(),
+                }
+            });
             cells.push(Cell {
-                engine: kind,
-                algorithm: algo,
+                engine,
+                algorithm,
                 dataset: ds.name.clone(),
-                reported_seconds: Some(phases.graphalytics_reported(kind)),
-                true_phases: Some(phases),
+                reported_seconds: true_phases.map(|p| p.graphalytics_reported(engine)),
+                true_phases,
             });
         }
     }
-    let _ = std::fs::remove_dir_all(&dir);
     cells
 }
 
 fn render_output_like_system(result: &epg_engine_api::AlgorithmResult) -> String {
     use epg_engine_api::AlgorithmResult as R;
-    let mut s = String::new();
-    match result {
-        R::BfsTree { level, .. } => {
-            for (v, l) in level.iter().enumerate() {
-                let _ = writeln!(s, "{v} {l}");
-            }
+    /// One `vertex value` line per entry, `value` writing the value.
+    fn per_vertex<T>(xs: &[T], value: impl Fn(&mut String, &T) -> std::fmt::Result) -> String {
+        let mut s = String::new();
+        for (v, x) in xs.iter().enumerate() {
+            let _ = write!(s, "{v} ");
+            let _ = value(&mut s, x);
+            s.push('\n');
         }
-        R::Distances(d) => {
-            for (v, x) in d.iter().enumerate() {
-                let _ = writeln!(s, "{v} {x}");
-            }
-        }
-        R::Ranks { ranks, .. } => {
-            for (v, x) in ranks.iter().enumerate() {
-                let _ = writeln!(s, "{v} {x:.6e}");
-            }
-        }
-        R::Labels(l) => {
-            for (v, x) in l.iter().enumerate() {
-                let _ = writeln!(s, "{v} {x}");
-            }
-        }
-        R::Coefficients(c) => {
-            for (v, x) in c.iter().enumerate() {
-                let _ = writeln!(s, "{v} {x:.6}");
-            }
-        }
-        R::Components(c) => {
-            for (v, x) in c.iter().enumerate() {
-                let _ = writeln!(s, "{v} {x}");
-            }
-        }
-        R::Centrality(c) => {
-            for (v, x) in c.iter().enumerate() {
-                let _ = writeln!(s, "{v} {x:.6}");
-            }
-        }
-        R::Triangles(t) => {
-            let _ = writeln!(s, "triangles: {t}");
-        }
+        s
     }
-    s
+    match result {
+        R::BfsTree { level, .. } => per_vertex(level, |s, x| write!(s, "{x}")),
+        R::Distances(d) => per_vertex(d, |s, x| write!(s, "{x}")),
+        R::Ranks { ranks, .. } => per_vertex(ranks, |s, x| write!(s, "{x:.6e}")),
+        R::Labels(l) => per_vertex(l, |s, x| write!(s, "{x}")),
+        R::Coefficients(c) | R::Centrality(c) => per_vertex(c, |s, x| write!(s, "{x:.6}")),
+        R::Components(c) => per_vertex(c, |s, x| write!(s, "{x}")),
+        R::Triangles(t) => format!("triangles: {t}\n"),
+    }
 }
 
 /// Formats cells as the paper's Table I layout: one block per system, one

@@ -10,13 +10,18 @@
 //!   results.csv                                   (phase 4)
 //!   plots/*.svg, summary.txt                      (phase 5)
 //! ```
+//!
+//! Phase 2 is the only writer of the homogenized files
+//! ([`Pipeline::homogenize`]) and phase 3 only reads them, through the one
+//! timing loop ([`run_experiment`]). The Graphalytics comparator's Tables
+//! I-II are the same loop's records, summed per system the way each
+//! platform driver reports them ([`crate::graphalytics`]).
 
 use crate::dataset::Dataset;
 use crate::plot::{self, Scale};
 use crate::registry::EngineKind;
 use crate::runner::{run_experiment, ExperimentConfig, ExperimentResult};
 use epg_engine_api::{Algorithm, Phase};
-use epg_generator::GraphSpec;
 use std::io;
 use std::path::PathBuf;
 
@@ -47,17 +52,21 @@ impl Pipeline {
         out
     }
 
-    /// Phase 2: generate + homogenize a dataset into `out/datasets/`.
-    pub fn homogenize(&self, spec: &GraphSpec, seed: u64) -> io::Result<Dataset> {
-        let ds = Dataset::from_spec(spec, seed);
-        ds.write_files(&self.out_dir.join("datasets"))?;
-        Ok(ds)
+    /// Where phase 2 writes the homogenized files and phase 3 its logs.
+    pub fn datasets_dir(&self) -> PathBuf {
+        self.out_dir.join("datasets")
     }
 
-    /// Phase 3: run the experiment (file-based, logs emitted).
+    /// Phase 2: writes a built (generated or parsed, then homogenized)
+    /// dataset's files into `out/datasets/`. Returns the paths written.
+    pub fn homogenize(&self, ds: &Dataset) -> io::Result<Vec<PathBuf>> {
+        ds.write_files(&self.datasets_dir())
+    }
+
+    /// Phase 3: run the experiment on the files [`Self::homogenize`] wrote
+    /// (logs emitted next to them).
     pub fn run(&self, mut cfg: ExperimentConfig, ds: &Dataset) -> ExperimentResult {
-        cfg.use_files = true;
-        cfg.work_dir = Some(self.out_dir.join("datasets"));
+        cfg.input_dir = Some(self.datasets_dir());
         run_experiment(&cfg, ds)
     }
 
@@ -178,7 +187,7 @@ impl Pipeline {
     /// Re-parses the phase-3 logs on disk (the AWK step) — used to verify
     /// the CSV against independently parsed logs.
     pub fn reparse_logs(&self) -> io::Result<Vec<(String, Vec<crate::logs::LogEntry>)>> {
-        let log_dir = self.out_dir.join("datasets").join("logs");
+        let log_dir = self.datasets_dir().join("logs");
         let mut out = Vec::new();
         for entry in std::fs::read_dir(log_dir)? {
             let entry = entry?;
@@ -202,6 +211,7 @@ impl Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use epg_generator::GraphSpec;
 
     #[test]
     fn end_to_end_pipeline_writes_everything() {
@@ -209,7 +219,8 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let p = Pipeline::new(dir.clone()).unwrap();
         let spec = GraphSpec::Kronecker { scale: 6, edge_factor: 8, weighted: true };
-        let ds = p.homogenize(&spec, 7).unwrap();
+        let ds = Dataset::from_spec(&spec, 7);
+        p.homogenize(&ds).unwrap();
         let cfg = ExperimentConfig { threads: 1, max_roots: Some(2), ..ExperimentConfig::new() };
         let written = p.run_all(cfg, &ds).unwrap();
         assert!(written.iter().any(|w| w.ends_with("results.csv")));

@@ -12,6 +12,12 @@
 //! stops, against one CSR of the symmetric graph built before any engine
 //! runs: results are checked on every engine, and no timer or trace holds
 //! the check.
+//!
+//! This is the only phase-3 timing loop. It reads the files phase 2 wrote
+//! ([`ExperimentConfig::input_dir`]) and never writes them. The
+//! Graphalytics comparator of Tables I-II is a view of its records: one
+//! trial per cell, with each system's phases summed its own way
+//! ([`crate::graphalytics`]).
 
 use crate::dataset::Dataset;
 use crate::registry::EngineKind;
@@ -41,11 +47,11 @@ pub struct ExperimentConfig {
     pub trials: u32,
     /// Cap on roots / PageRank repetitions (None = the dataset's 32).
     pub max_roots: Option<usize>,
-    /// Load inputs through the homogenized files in `work_dir` (the real
-    /// phase-1 path) instead of in-memory edge lists.
-    pub use_files: bool,
-    /// Where homogenized files and logs go.
-    pub work_dir: Option<PathBuf>,
+    /// The directory phase 2 homogenized the dataset into: engines load
+    /// its files (the real read path), and the dialect logs and traces go
+    /// to its `logs/`. `None` loads the in-memory edge lists and writes
+    /// nothing.
+    pub input_dir: Option<PathBuf>,
     /// Trial supervision policy: per-trial budget, retries, quarantine.
     pub supervisor: SupervisorConfig,
     /// SSSP kernel override for engines exposing the raw-speed tier
@@ -66,8 +72,7 @@ impl ExperimentConfig {
             threads: 1,
             trials: 1,
             max_roots: None,
-            use_files: false,
-            work_dir: None,
+            input_dir: None,
             supervisor: SupervisorConfig::default(),
             sssp_kernel: None,
             fault_plans: Vec::new(),
@@ -309,13 +314,8 @@ pub fn run_experiment(cfg: &ExperimentConfig, ds: &Dataset) -> ExperimentResult 
     // recorder would put the validator's regions in the trace.
     let untraced = ThreadPool::new(1);
 
-    // Homogenized files, if the file path is requested.
-    let file_dir = cfg.use_files.then(|| {
-        let dir = cfg.work_dir.clone().unwrap_or_else(|| std::env::temp_dir().join("epg-work"));
-        ds.write_files_parallel(&dir, &pool).expect("failed to write homogenized files");
-        dir
-    });
-    let log_dir = file_dir.as_ref().map(|dir| {
+    let file_dir = cfg.input_dir.as_ref();
+    let log_dir = file_dir.map(|dir| {
         let logs = dir.join("logs");
         std::fs::create_dir_all(&logs).ok();
         logs
@@ -329,38 +329,32 @@ pub fn run_experiment(cfg: &ExperimentConfig, ds: &Dataset) -> ExperimentResult 
         let row = |phase| RunRecord::new(kind, &ds.name, cfg.threads, phase);
         // ---- Phase 1: read input ----
         let t0 = Instant::now();
-        if let Some(dir) = &file_dir {
+        if let Some(dir) = file_dir {
             engine
                 .load_file(&ds.input_path_for(dir, kind), &pool)
-                .expect("engine failed to load homogenized file");
+                .expect("phase 2 wrote no homogenized file for this engine");
         } else {
             engine.load_edge_list(ds.edges_for(kind));
         }
         let read_s = t0.elapsed().as_secs_f64();
-        records.push(RunRecord { seconds: read_s, ..row(Phase::ReadFile) });
 
-        // ---- Phase 2: construct (recorded only when separable) ----
+        // ---- Phase 2: construct (its own row only when separable) ----
         let t0 = Instant::now();
         engine.construct(&pool);
         let construct_s = t0.elapsed().as_secs_f64();
-        if engine.separable_construction() {
-            records.push(RunRecord { seconds: construct_s, ..row(Phase::Construct) });
+        // The phases the records, a trace and a dialect log open with.
+        // Fused engines build during the read: inside load_file in
+        // file-based runs, inside construct() in in-memory runs, which is
+        // folded into the read (one combined number, §III-B).
+        let setup = if engine.separable_construction() {
+            vec![
+                logs::LogEntry { phase: Phase::ReadFile, seconds: read_s },
+                logs::LogEntry { phase: Phase::Construct, seconds: construct_s },
+            ]
         } else {
-            // Fused engines build during the read. In file-based runs that
-            // happens inside load_file; in in-memory runs the build work
-            // lands in construct(), so fold it into the ReadFile row to
-            // keep the fused semantics (one combined number, §III-B).
-            if let Some(read_row) =
-                records.iter_mut().rev().find(|r| r.engine == kind && r.phase == Phase::ReadFile)
-            {
-                read_row.seconds += construct_s;
-            }
-        }
-        // The phases a trace and a dialect log open with.
-        let mut setup = vec![logs::LogEntry { phase: Phase::ReadFile, seconds: read_s }];
-        if engine.separable_construction() {
-            setup.push(logs::LogEntry { phase: Phase::Construct, seconds: construct_s });
-        }
+            vec![logs::LogEntry { phase: Phase::ReadFile, seconds: read_s + construct_s }]
+        };
+        records.extend(setup.iter().map(|e| RunRecord { seconds: e.seconds, ..row(e.phase) }));
 
         // ---- Phase 3: run kernels ----
         for &algo in &cfg.algorithms {
@@ -490,6 +484,16 @@ mod tests {
         Dataset::from_spec(&GraphSpec::Kronecker { scale: 7, edge_factor: 8, weighted: true }, 11)
     }
 
+    /// Phase 2 for `ds` under a fresh temp directory `name`; returns the
+    /// directory holding the homogenized files.
+    pub(super) fn homogenized(ds: &Dataset, name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(name);
+        std::fs::remove_dir_all(&dir).ok();
+        let pipeline = crate::pipeline::Pipeline::new(dir).unwrap();
+        pipeline.homogenize(ds).unwrap();
+        pipeline.datasets_dir()
+    }
+
     #[test]
     fn runs_cover_support_matrix() {
         let ds = tiny_dataset();
@@ -554,12 +558,10 @@ mod tests {
     #[test]
     fn file_based_pipeline_writes_logs_and_csv() {
         let ds = tiny_dataset();
-        let dir = std::env::temp_dir().join("epg_runner_files_test");
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = homogenized(&ds, "epg_runner_files_test");
         let mut cfg = ExperimentConfig::new();
         cfg.max_roots = Some(1);
-        cfg.use_files = true;
-        cfg.work_dir = Some(dir.clone());
+        cfg.input_dir = Some(dir.clone());
         cfg.engines = vec![EngineKind::Gap, EngineKind::GraphMat];
         cfg.algorithms = vec![Algorithm::Bfs];
         let res = run_experiment(&cfg, &ds);
@@ -568,7 +570,7 @@ mod tests {
         let rows = crate::csvio::read_all(csv.as_bytes()).unwrap();
         assert!(rows.len() > 3);
         assert_eq!(rows[0][0], "engine");
-        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(dir.parent().unwrap()).ok();
     }
 
     #[test]
@@ -596,14 +598,12 @@ mod trace_tests {
             &GraphSpec::Kronecker { scale: 6, edge_factor: 8, weighted: false },
             5,
         );
-        let dir = std::env::temp_dir().join("epg_runner_trace_test");
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = super::tests::homogenized(&ds, "epg_runner_trace_test");
         let mut cfg = ExperimentConfig::new();
         cfg.max_roots = Some(2);
         cfg.threads = 2;
         cfg.trials = 2;
-        cfg.use_files = true;
-        cfg.work_dir = Some(dir.clone());
+        cfg.input_dir = Some(dir.clone());
         cfg.engines = vec![EngineKind::Gap];
         cfg.algorithms = vec![Algorithm::Bfs];
         let res = run_experiment(&cfg, &ds);
@@ -625,7 +625,7 @@ mod trace_tests {
         let parsed = epg_trace::jsonl::parse_jsonl(&std::fs::read_to_string(trace_file).unwrap());
         assert_eq!(parsed.skipped, 0);
         assert_eq!(parsed.events.len(), b.events.len());
-        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(dir.parent().unwrap()).ok();
     }
 }
 

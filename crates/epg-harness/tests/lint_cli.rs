@@ -208,18 +208,46 @@ fn usage_and_doc_header_list_exactly_the_commands_that_exist() {
     documented.dedup();
     assert_eq!(documented, COMMANDS);
 
-    // And each one dispatches: a missing --snap file (or --input) is the
-    // error, never "unknown command"; `lint` analyses the empty tmp tree.
+    // And each one dispatches and reads the flags it is given: a missing
+    // --snap or --input file is the error, never an unknown command or
+    // flag; `lint` analyses the empty tmp tree.
     let tmp = temp_root("cli-commands");
     let (snap, out_dir) = (tmp.join("missing.snap"), tmp.join("out"));
+    let (snap, out_dir) = (snap.to_str().unwrap(), out_dir.to_str().unwrap());
     for cmd in COMMANDS {
         let mut args: Vec<&str> = cmd.split(' ').collect();
-        if cmd == "lint" {
-            args.extend(["--root", tmp.to_str().unwrap()]);
-        } else {
-            args.extend(["--snap", snap.to_str().unwrap(), "--out", out_dir.to_str().unwrap()]);
+        match cmd {
+            "setup" => {}
+            "reproduce" => args.push("--list"),
+            "trace summarize" => args.extend(["--input", snap]),
+            "lint" => args.extend(["--root", tmp.to_str().unwrap()]),
+            _ => args.extend(["--snap", snap, "--out", out_dir]),
         }
         let stderr = String::from_utf8_lossy(&epg(&args).stderr).into_owned();
-        assert!(!stderr.contains("unknown command"), "`epg {cmd}`:\n{stderr}");
+        assert!(!stderr.contains("unknown"), "`epg {cmd}`:\n{stderr}");
+    }
+}
+
+#[test]
+fn a_flag_the_command_does_not_read_is_a_usage_error() {
+    // Each of these used to parse and then be ignored: `serve` builds GAP
+    // with its default SSSP kernel, and `run` has no landmark stage.
+    let out_dir = temp_root("cli-unread-flags").join("x");
+    let out = out_dir.to_str().unwrap();
+    for (args, why) in [
+        (&["serve", "--sssp-kernel", "radix", "--out", out][..], "unknown flag: --sssp-kernel"),
+        (&["run", "--landmarks", "4", "--out", out][..], "unknown flag: --landmarks"),
+        (&["gen", "--threads", "4", "--out", out][..], "unknown flag: --threads"),
+        (&["reproduce", "fig2", "--trial-budget-ms", "5"][..], "unknown flag: --trial-budget-ms"),
+        (&["all", "--input", "x.jsonl", "--out", out][..], "unknown flag: --input"),
+        (&["setup", "--scale", "8"][..], "unknown flag: --scale"),
+        (&["trace", "summarize", "--out", out][..], "unknown flag: --out"),
+        (&["run", "--sssp-kernel", "dijkstra", "--out", out][..], "unknown kernel `dijkstra`"),
+    ] {
+        let result = epg(args);
+        assert_eq!(exit_code(&result), 1, "{args:?}");
+        let stderr = String::from_utf8_lossy(&result.stderr);
+        assert!(stderr.contains(why) && stderr.contains("usage: epg <"), "{args:?}:\n{stderr}");
+        assert!(!out_dir.exists(), "{args:?} created {}", out_dir.display());
     }
 }

@@ -21,7 +21,6 @@
 
 #![warn(missing_docs)]
 pub mod rapl;
-pub mod trace_replay;
 
 use epg_engine_api::Trace;
 

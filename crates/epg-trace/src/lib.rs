@@ -78,9 +78,8 @@ pub enum TraceEvent {
         at_ns: u64,
     },
     /// One kernel iteration completed. Emitted *after* the iteration's
-    /// [`TraceEvent::Region`] and [`TraceEvent::CountersDelta`] events,
-    /// closing the iteration group (the grouping rule `epg trace
-    /// summarize` and `epg-machine`'s replay rely on).
+    /// [`TraceEvent::CountersDelta`], closing the iteration group (the
+    /// grouping rule `epg trace summarize` relies on).
     Iteration {
         /// 1-based iteration (BFS depth, PR round, SSSP relaxation wave).
         iter: u32,
@@ -89,8 +88,10 @@ pub enum TraceEvent {
         /// Traversal direction of this iteration.
         dir: Dir,
     },
-    /// One parallel or serial region, mirroring an
-    /// `epg_engine_api::RegionRecord` the engine pushed onto its `Trace`.
+    /// One parallel or serial cost-model region, shaped like an
+    /// `epg_engine_api::RegionRecord`. No engine emits it (the regions
+    /// live on the run's `Trace`); `bench/`'s `epg-trace.record_ns` probe
+    /// records it.
     Region {
         /// Total work (operations) in the region.
         work: u64,

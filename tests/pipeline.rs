@@ -26,7 +26,8 @@ fn five_phases_produce_csv_plots_and_parsable_logs() {
 
     // Phases 2-5.
     let spec = GraphSpec::Kronecker { scale: 7, edge_factor: 8, weighted: true };
-    let ds = p.homogenize(&spec, 5).unwrap();
+    let ds = Dataset::from_spec(&spec, 5);
+    p.homogenize(&ds).unwrap();
     let cfg = ExperimentConfig { threads: 2, max_roots: Some(3), ..ExperimentConfig::new() };
     let written = p.run_all(cfg, &ds).unwrap();
     assert!(written.iter().any(|w| w.ends_with("results.csv")));
@@ -52,6 +53,32 @@ fn five_phases_produce_csv_plots_and_parsable_logs() {
     for (name, entries) in &logs {
         assert!(entries.iter().any(|e| e.phase == Phase::Run), "log {name} has no run time");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn phase_3_only_reads_the_files_phase_2_wrote() {
+    let dir = temp("read_only_phase3");
+    let p = Pipeline::new(dir.clone()).unwrap();
+    let ds =
+        Dataset::from_spec(&GraphSpec::Kronecker { scale: 6, edge_factor: 8, weighted: true }, 3);
+    let written = p.homogenize(&ds).unwrap();
+    assert_eq!(written.len(), 4);
+    // Back-date every file, so that a rewrite shows in its modification
+    // time even on a coarse filesystem clock.
+    let past = std::time::SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(1 << 30);
+    for path in &written {
+        std::fs::File::options().write(true).open(path).unwrap().set_modified(past).unwrap();
+    }
+    let snapshot = || -> Vec<_> {
+        let modified = |path| std::fs::metadata(path).unwrap().modified().unwrap();
+        written.iter().map(|path| (std::fs::read(path).unwrap(), modified(path))).collect()
+    };
+    let before = snapshot();
+    let cfg = ExperimentConfig { max_roots: Some(1), ..ExperimentConfig::new() };
+    let result = p.run(cfg, &ds);
+    assert!(!result.run_times(EngineKind::Gap, Algorithm::Bfs).is_empty());
+    assert!(snapshot() == before, "phase 3 rewrote a homogenized file");
     std::fs::remove_dir_all(&dir).ok();
 }
 
