@@ -5,22 +5,22 @@
 //!
 //! 1. **Gather** — every partition computes, in parallel, a *partial*
 //!    gather for each active vertex it hosts (only its local edges);
-//! 2. **Merge** — partials travel to the master, which merges them (this is
-//!    where the replication factor turns into synchronization work);
-//! 3. **Apply** — masters fold the gathered value into vertex data;
+//! 2. **Merge** — each master folds its replicas' partials (this is where
+//!    the replication factor turns into synchronization work);
+//! 3. **Apply** — the master folds the merged value into vertex data;
 //! 4. **Sync** — changed masters broadcast the new value to their mirrors
 //!    (charged as memory/communication traffic in the trace);
 //! 5. **Scatter** — partitions scan the local edges of changed vertices and
 //!    activate neighbors.
 //!
-//! The step's buffers are dense: each partition emits one list of
-//! `(position in the active set, partial)`, the master folds those lists
-//! **in partition order** into one slot per active vertex (so a float
-//! merge does not depend on which worker finished first), apply takes its
-//! slot, and scatter marks activations in one bitmap over the vertices.
+//! The step's buffers are dense: a partial lands in its replica's slot,
+//! keyed like the CSR/CSC ([`Partition::base`] + local id); merge and apply
+//! share one region over the active set, where a master takes its slots
+//! **in partition order** (so a float merge does not depend on which worker
+//! ran what); scatter marks activations in one bitmap over the vertices.
 
-use crate::partition::{Partition, PartitionedGraph};
-use epg_engine_api::{Partial, RunLog};
+use crate::partition::{bits, Partition, PartitionedGraph};
+use epg_engine_api::RunLog;
 use epg_graph::{VertexId, Weight};
 use epg_parallel::{DisjointWriter, Schedule, ThreadPool};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -99,86 +99,89 @@ pub fn superstep<P: VertexProgram>(
     let per_partition = Schedule::Dynamic { chunk: 1 };
 
     // ---- Gather (parallel over partitions) ----
-    // One slot per active vertex, indexed by its position in `active`.
-    let mut edge_work = 0u64;
-    let mut merged: Vec<Option<P::Gather>> = vec![None; active.len()];
     let dir = prog.gather_dir();
-    if dir != EdgeDir::None {
+    let gathers = dir != EdgeDir::None;
+    let mut partials: Vec<Option<P::Gather>> =
+        vec![None; if gathers { g.num_replicas() } else { 0 }];
+    let slots = DisjointWriter::new(&mut partials);
+    let (mut edge_work, mut max_degree) = (0u64, 0u64);
+    if gathers {
         let data_ref: &[P::Data] = data;
-        let gathered = Partial::collect(pool, nparts, per_partition, |lo, hi| {
-            let mut found = Vec::with_capacity(hi - lo);
-            let (mut edges, mut max_degree) = (0u64, 0u64);
-            for pi in lo..hi {
-                let part = &g.partitions[pi];
-                // This replica set's partials: (index into `active`, value).
-                let mut local: Vec<(u32, P::Gather)> =
-                    Vec::with_capacity(part.vertices().len().min(active.len()));
-                for (ai, &v) in active.iter().enumerate() {
-                    let Some(l) = g.local_id(v, pi) else { continue };
-                    let (ins, outs) = covered(part, l, dir);
-                    let mut acc: Option<P::Gather> = None;
-                    for &(other, w) in ins.iter().chain(outs) {
-                        let gval = prog.gather(v, &data_ref[other as usize], w);
-                        acc = Some(match acc {
-                            Some(a) => prog.merge(a, gval),
-                            None => gval,
-                        });
-                    }
-                    let vwork = (ins.len() + outs.len()) as u64;
-                    edges += vwork;
-                    max_degree = max_degree.max(vwork);
-                    if let Some(a) = acc {
-                        local.push((ai as u32, a));
+        let all_active = active.len() == g.num_vertices;
+        (edge_work, max_degree) = pool.parallel_reduce_ranges(
+            nparts,
+            per_partition,
+            || (0, 0),
+            |lo, hi| {
+                let (mut edges, mut max_degree) = (0u64, 0u64);
+                for pi in lo..hi {
+                    let part = &g.partitions[pi];
+                    let mut gather = |(l, v): (usize, VertexId)| {
+                        let (ins, outs) = covered(part, l, dir);
+                        let vwork = (ins.len() + outs.len()) as u64;
+                        (edges, max_degree) = (edges + vwork, max_degree.max(vwork));
+                        let gvals = ins.iter().chain(outs);
+                        let gvals = gvals.map(|&(u, w)| prog.gather(v, &data_ref[u as usize], w));
+                        let acc = gvals.reduce(|a, b| prog.merge(a, b));
+                        // SAFETY: a partition's slots are its own and one
+                        // worker takes the partition; `active` is
+                        // deduplicated, so each local id comes up once.
+                        unsafe { slots.write(part.base() + l, acc) };
+                    };
+                    if all_active {
+                        part.vertices().iter().copied().enumerate().for_each(&mut gather);
+                    } else {
+                        active
+                            .iter()
+                            .filter_map(|&v| Some((g.local_id(v, pi)?, v)))
+                            .for_each(gather);
                     }
                 }
-                found.push((pi, local));
+                (edges, max_degree)
+            },
+            |a, b| (a.0 + b.0, a.1.max(b.1)),
+        );
+    }
+
+    // ---- Merge and apply at masters (parallel over active) ----
+    // A master takes its replicas' partials in partition order, so a float
+    // merge is independent of the schedule.
+    let cell = DisjointWriter::new(data);
+    let (mut changed, nmerged) = pool.parallel_reduce_ranges(
+        active.len(),
+        Schedule::Static { chunk: None },
+        <(Vec<VertexId>, u64)>::default,
+        |lo, hi| {
+            let (mut changed, mut nmerged) = (Vec::with_capacity(hi - lo), 0u64);
+            for &v in &active[lo..hi] {
+                let partials = g.replicas_of(v).filter(|_| gathers).filter_map(|(pi, l)| {
+                    // SAFETY: a replica belongs to one vertex and `active` is
+                    // deduplicated, so each slot is taken by one worker.
+                    unsafe { slots.get_raw(g.partitions[pi].base() + l) }.take()
+                });
+                let acc = partials.reduce(|a, b| prog.merge(a, b));
+                nmerged += acc.is_some() as u64;
+                // SAFETY: one worker per vertex of the deduplicated `active`.
+                if prog.apply(v, unsafe { cell.get_raw(v as usize) }, acc) {
+                    changed.push(v);
+                }
             }
-            Partial { found, edges, max_degree }
-        });
-        // ---- Merge at masters (the replication synchronization) ----
-        // Partials arrive in worker-completion order; folding them in
-        // partition order makes a float merge independent of the schedule.
-        edge_work = gathered.edges;
-        let mut partials = gathered.found;
-        partials.sort_unstable_by_key(|&(pi, _)| pi);
-        let mut nmerged = 0u64;
-        for (ai, acc) in partials.into_iter().flat_map(|(_, local)| local) {
-            let slot = &mut merged[ai as usize];
-            *slot = Some(match slot.take() {
-                Some(prev) => prog.merge(prev, acc),
-                None => {
-                    nmerged += 1;
-                    acc
-                }
-            });
-        }
-        log.parallel(edge_work.max(1), gathered.max_degree.max(1), edge_work * 16);
+            (changed, nmerged)
+        },
+        |(mut a, na), (mut b, nb)| {
+            a.append(&mut b);
+            (a, na + nb)
+        },
+    );
+    changed.sort_unstable();
+    // Booked in step order: the gather region, then the merge as the master's serial work.
+    if gathers {
+        log.parallel(edge_work.max(1), max_degree.max(1), edge_work * 16);
         log.serial(nmerged + 1, nmerged * 16);
     }
 
-    // ---- Apply at masters (parallel over active) ----
-    let cell = DisjointWriter::new(data);
-    let slots = DisjointWriter::new(&mut merged);
-    let applied =
-        Partial::collect(pool, active.len(), Schedule::Static { chunk: None }, |lo, hi| {
-            let mut found = Vec::with_capacity(hi - lo);
-            for ai in lo..hi {
-                let v = active[ai];
-                // SAFETY: one thread per index of `active`, which is
-                // deduplicated, so `ai` and `v` are each touched once.
-                let (d, acc) = unsafe { (cell.get_raw(v as usize), slots.get_raw(ai).take()) };
-                if prog.apply(v, d, acc) {
-                    found.push(v);
-                }
-            }
-            Partial { found, edges: 0, max_degree: 0 }
-        });
-    let mut changed = applied.found;
-    changed.sort_unstable();
-
     // ---- Sync to mirrors ----
-    let sync_messages: u64 =
-        changed.iter().map(|&v| g.replicas[v as usize].len().saturating_sub(1) as u64).sum();
+    let sync_messages: u64 = changed.iter().map(|&v| g.num_mirrors_of(v)).sum();
     log.counters.bytes_written += sync_messages * 16;
     log.serial(sync_messages.max(1), sync_messages * 16);
 
@@ -212,14 +215,10 @@ pub fn superstep<P: VertexProgram>(
             edges
         };
         let work = pool.parallel_reduce_ranges(nparts, per_partition, || 0, scatter, |a, b| a + b);
-        let mut next: Vec<VertexId> = Vec::new();
-        for (wi, word) in activated.into_iter().enumerate() {
-            let mut bits = word.into_inner();
-            while bits != 0 {
-                next.push((wi * 64) as VertexId + bits.trailing_zeros());
-                bits &= bits - 1;
-            }
-        }
+        let words = activated.into_iter().enumerate();
+        let next =
+            words.flat_map(|(wi, w)| bits(w.into_inner()).map(move |b| (wi * 64 + b) as VertexId));
+        let next: Vec<VertexId> = next.collect();
         log.parallel(work.max(1), 1, work * 8);
         (next, work)
     } else {
@@ -236,6 +235,7 @@ pub fn superstep<P: VertexProgram>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::place;
     use epg_engine_api::RecorderCtx;
     use epg_graph::EdgeList;
     use proptest::prelude::*;
@@ -322,6 +322,33 @@ mod tests {
         }
     }
 
+    /// A float sum over both directions. `f64` addition is not associative,
+    /// so only a step that folds every vertex's partials in the promised
+    /// order matches the reference bit for bit.
+    struct FloatSum;
+    impl VertexProgram for FloatSum {
+        type Data = f64;
+        type Gather = f64;
+        fn gather_dir(&self) -> EdgeDir {
+            EdgeDir::Both
+        }
+        fn gather(&self, _v: VertexId, other: &f64, w: Weight) -> f64 {
+            other / w as f64
+        }
+        fn merge(&self, a: f64, b: f64) -> f64 {
+            a + b
+        }
+        fn apply(&self, _v: VertexId, data: &mut f64, acc: Option<f64>) -> bool {
+            let new = acc.unwrap_or(0.5);
+            let changed = new != *data;
+            *data = new;
+            changed
+        }
+        fn scatter_dir(&self) -> EdgeDir {
+            EdgeDir::Out
+        }
+    }
+
     /// What a superstep returns and leaves behind.
     #[derive(Debug, PartialEq)]
     struct Outcome<D> {
@@ -332,47 +359,65 @@ mod tests {
         sync_messages: u64,
     }
 
-    /// One GAS superstep straight off the edge list — no partitions, no
-    /// threads; only the sync count needs the replica table. Valid for
-    /// programs whose merge is exactly associative and commutative.
+    /// One GAS superstep straight off the edge list and its placement into
+    /// `p` partitions — no local ids, no CSR, no threads. A partition's
+    /// partial for `v` folds `v`'s in-edges there, then its out-edges, each
+    /// in input order; a vertex's partials fold in ascending partition
+    /// order. That is the association the engine promises, so even a float
+    /// merge must match bit for bit.
     fn reference_step<P: VertexProgram>(
         prog: &P,
         el: &EdgeList,
-        replicas: &[Vec<u16>],
+        p: usize,
         active: &[VertexId],
         data: &[P::Data],
     ) -> Outcome<P::Data> {
+        let (edge_part, _) = place(el, p);
+        let n = el.num_vertices;
         let covers = |dir: EdgeDir, side: EdgeDir| dir == side || dir == EdgeDir::Both;
-        let mut is_active = vec![false; el.num_vertices];
+        let mut is_active = vec![false; n];
         active.iter().for_each(|&v| is_active[v as usize] = true);
-        let mut acc: Vec<Option<P::Gather>> = vec![None; el.num_vertices];
-        let mut edge_work = 0;
-        let mut gather = |v: VertexId, other: VertexId, w: Weight| {
-            let gval = prog.gather(v, &data[other as usize], w);
-            let slot = &mut acc[v as usize];
+        let fold = |slot: &mut Option<P::Gather>, x: P::Gather| {
             *slot = Some(match slot.take() {
-                Some(a) => prog.merge(a, gval),
-                None => gval,
+                Some(a) => prog.merge(a, x),
+                None => x,
             });
-            edge_work += 1;
         };
-        for (u, v, w) in el.iter() {
-            if covers(prog.gather_dir(), EdgeDir::In) && is_active[v as usize] {
-                gather(v, u, w);
+        let mut acc: Vec<Option<P::Gather>> = vec![None; n];
+        let mut presence = vec![0u64; n];
+        let mut edge_work = 0;
+        for pi in 0..p {
+            let here = || el.iter().zip(&edge_part).filter(|&(_, &e)| e as usize == pi);
+            let mut partial: Vec<Option<P::Gather>> = vec![None; n];
+            for ((u, v, w), _) in here() {
+                presence[u as usize] |= 1 << pi;
+                presence[v as usize] |= 1 << pi;
+                if covers(prog.gather_dir(), EdgeDir::In) && is_active[v as usize] {
+                    fold(&mut partial[v as usize], prog.gather(v, &data[u as usize], w));
+                    edge_work += 1;
+                }
             }
-            if covers(prog.gather_dir(), EdgeDir::Out) && is_active[u as usize] {
-                gather(u, v, w);
+            for ((u, v, w), _) in here() {
+                if covers(prog.gather_dir(), EdgeDir::Out) && is_active[u as usize] {
+                    fold(&mut partial[u as usize], prog.gather(u, &data[v as usize], w));
+                    edge_work += 1;
+                }
+            }
+            for (slot, x) in acc.iter_mut().zip(partial) {
+                x.into_iter().for_each(|x| fold(slot, x));
             }
         }
         let mut data = data.to_vec();
-        let mut is_changed = vec![false; el.num_vertices];
+        let mut is_changed = vec![false; n];
         for &v in active {
             is_changed[v as usize] = prog.apply(v, &mut data[v as usize], acc[v as usize].take());
         }
         let changed: Vec<VertexId> =
-            (0..el.num_vertices as VertexId).filter(|&v| is_changed[v as usize]).collect();
-        let sync_messages =
-            changed.iter().map(|&v| replicas[v as usize].len().saturating_sub(1) as u64).sum();
+            (0..n as VertexId).filter(|&v| is_changed[v as usize]).collect();
+        let sync_messages = changed
+            .iter()
+            .map(|&v| presence[v as usize].count_ones().saturating_sub(1) as u64)
+            .sum();
         let mut next = Vec::new();
         for &(u, v) in &el.edges {
             if covers(prog.scatter_dir(), EdgeDir::Out) && is_changed[u as usize] {
@@ -419,7 +464,9 @@ mod tests {
 
     proptest! {
         #[test]
-        fn superstep_matches_a_partition_free_sequential_step((el, per) in arb_case()) {
+        fn superstep_matches_a_sequential_step_that_merges_in_partition_order(
+            (el, per) in arb_case()
+        ) {
             let pool = ThreadPool::new(3);
             let n = el.num_vertices as VertexId;
             let sparse: Vec<VertexId> = (0..n).filter(|&v| per[v as usize].1).collect();
@@ -428,20 +475,28 @@ mod tests {
             let dist: Vec<f32> =
                 per.iter().map(|&(x, _)| if x % 3 == 0 { f32::INFINITY } else { x as f32 }).collect();
             let labels: Vec<u64> = per.iter().map(|&(x, _)| x as u64 % 16).collect();
+            // Magnitudes 1e-4..1e4 apart, so partial sums round differently
+            // in any other order.
+            let floats: Vec<f64> =
+                per.iter().map(|&(x, _)| (x as f64 + 0.1) * 10f64.powi(x as i32 % 9 - 4)).collect();
             for p in [1, 3, 8, 64] {
                 let g = PartitionedGraph::build(&el, p);
                 for active in [&sparse, &all] {
                     prop_assert_eq!(
                         engine_step(&MinDist, &g, active, &dist, &pool),
-                        reference_step(&MinDist, &el, &g.replicas, active, &dist)
+                        reference_step(&MinDist, &el, p, active, &dist)
                     );
                     prop_assert_eq!(
                         engine_step(&MinLabel, &g, active, &labels, &pool),
-                        reference_step(&MinLabel, &el, &g.replicas, active, &labels)
+                        reference_step(&MinLabel, &el, p, active, &labels)
                     );
                     prop_assert_eq!(
                         engine_step(&IntSum, &g, active, &labels, &pool),
-                        reference_step(&IntSum, &el, &g.replicas, active, &labels)
+                        reference_step(&IntSum, &el, p, active, &labels)
+                    );
+                    prop_assert_eq!(
+                        engine_step(&FloatSum, &g, active, &floats, &pool),
+                        reference_step(&FloatSum, &el, p, active, &floats)
                     );
                 }
             }
@@ -509,7 +564,7 @@ mod tests {
         assert_eq!(stats.changed, vec![0]);
         assert_eq!(
             stats.sync_messages,
-            g.replicas[0].len() as u64 - 1,
+            g.replicas_of(0).count() as u64 - 1,
             "hub sync must touch every mirror"
         );
     }

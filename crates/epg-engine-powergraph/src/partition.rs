@@ -19,7 +19,8 @@
 //! sort ([`group_by_key`]), keyed by partition then local id, so the
 //! adjacency of every `(partition, vertex)` is in input-edge order.
 //! [`PartitionedGraph::local_id`] maps a global id to a partition's local
-//! id in O(1).
+//! id in O(1); [`PartitionedGraph::replicas_of`] walks the same table to
+//! list a vertex's replicas in partition order.
 
 use epg_graph::csr::group_by_key;
 use epg_graph::{EdgeList, VertexId, Weight};
@@ -92,6 +93,14 @@ impl Partition {
         self.ins.of(self.base + l)
     }
 
+    /// Key of local vertex 0: local vertex `l` here is replica
+    /// `base() + l` of the graph's [`PartitionedGraph::num_replicas`], the
+    /// key its CSR/CSC lists are grouped under.
+    #[inline]
+    pub fn base(&self) -> usize {
+        self.base
+    }
+
     /// Number of edges assigned here.
     #[inline]
     pub fn num_edges(&self) -> usize {
@@ -132,17 +141,25 @@ pub struct PartitionedGraph {
     pub num_edges: usize,
     /// The partitions.
     pub partitions: Vec<Partition>,
-    /// For each vertex, the partitions hosting a replica (sorted).
-    pub replicas: Vec<Vec<u16>>,
     /// For each vertex, the master partition (meaningless for isolated
     /// vertices, which have no replicas).
     pub master: Vec<u16>,
     ids: LocalIds,
 }
 
+/// The set bits of `b`, ascending (for a presence word, the partitions it
+/// names).
+pub(crate) fn bits(mut b: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let i = b.trailing_zeros() as usize;
+        b &= b.wrapping_sub(1);
+        (i < 64).then_some(i)
+    })
+}
+
 /// Greedy oblivious placement: the partition of every edge (by input
 /// index) and, per vertex, the bitset of partitions hosting it.
-fn place(el: &EdgeList, p: usize) -> (Vec<u8>, Vec<u64>) {
+pub(crate) fn place(el: &EdgeList, p: usize) -> (Vec<u8>, Vec<u64>) {
     // Bitsets of partitions per vertex (p <= 64 supported; the paper
     // runs a single node, so partition counts stay small).
     assert!(p <= 64, "at most 64 partitions supported");
@@ -175,18 +192,8 @@ fn place(el: &EdgeList, p: usize) -> (Vec<u8>, Vec<u64>) {
         } else {
             all_mask
         };
-        // Least-loaded among candidates.
-        let mut best = usize::MAX;
-        let mut best_load = usize::MAX;
-        let mut bits = candidates;
-        while bits != 0 {
-            let i = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            if load[i] < best_load {
-                best_load = load[i];
-                best = i;
-            }
-        }
+        // Least-loaded among the (never zero) candidates, lowest index on a tie.
+        let best = bits(candidates).min_by_key(|&i| load[i]).unwrap_or_default();
         edge_part.push(best as u8);
         load[best] += 1;
         if load[best] >= capacity {
@@ -206,34 +213,24 @@ impl PartitionedGraph {
         let p = num_partitions;
         let (edge_part, presence) = place(el, p);
 
-        let replicas: Vec<Vec<u16>> = presence
-            .iter()
-            .map(|&bits| {
-                let mut v = Vec::with_capacity(bits.count_ones() as usize);
-                let mut b = bits;
-                while b != 0 {
-                    v.push(b.trailing_zeros() as u16);
-                    b &= b - 1;
-                }
-                v
-            })
-            .collect();
         // Master: hashed choice among replicas (PowerGraph hashes vertex id).
-        let master: Vec<u16> = replicas
+        let master: Vec<u16> = presence
             .iter()
             .enumerate()
-            .map(|(v, reps)| if reps.is_empty() { 0 } else { reps[(v * 2654435761) % reps.len()] })
+            .map(|(v, &b)| bits(b).nth((v * 2654435761) % b.count_ones().max(1) as usize))
+            .map(|pi| pi.unwrap_or(0) as u16)
             .collect();
 
         // Local ids: scanning vertices in ascending order hands each
         // partition its replicas ascending too.
         let mut vertices: Vec<Vec<VertexId>> = vec![Vec::new(); p];
         let mut off = Vec::with_capacity(n + 1);
-        let mut lvid: Vec<u32> = Vec::with_capacity(replicas.iter().map(Vec::len).sum());
-        for (v, reps) in replicas.iter().enumerate() {
+        let mut lvid: Vec<u32> =
+            Vec::with_capacity(presence.iter().map(|b| b.count_ones() as usize).sum());
+        for (v, &b) in presence.iter().enumerate() {
             off.push(lvid.len());
-            for &pi in reps {
-                let hosted = &mut vertices[pi as usize];
+            for pi in bits(b) {
+                let hosted = &mut vertices[pi];
                 lvid.push(hosted.len() as u32);
                 hosted.push(v as VertexId);
             }
@@ -259,14 +256,7 @@ impl PartitionedGraph {
         let part =
             |(vertices, &base)| Partition { vertices, base, outs: outs.clone(), ins: ins.clone() };
         let partitions = vertices.into_iter().zip(&base).map(part).collect();
-        PartitionedGraph {
-            num_vertices: n,
-            num_edges: el.num_edges(),
-            partitions,
-            replicas,
-            master,
-            ids,
-        }
+        PartitionedGraph { num_vertices: n, num_edges: el.num_edges(), partitions, master, ids }
     }
 
     /// Local id of `v` in partition `pi` (its index in that partition's
@@ -276,15 +266,32 @@ impl PartitionedGraph {
         self.ids.get(v, pi)
     }
 
+    /// `v`'s replicas as (partition, local id there), ascending by
+    /// partition; none for an isolated vertex.
+    #[inline]
+    pub fn replicas_of(&self, v: VertexId) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let (v, ids) = (v as usize, &self.ids);
+        bits(ids.presence[v]).zip(ids.lvid[ids.off[v]..ids.off[v + 1]].iter().map(|&l| l as usize))
+    }
+
+    /// Replicas of all vertices together; [`Partition::base`] numbers them.
+    pub fn num_replicas(&self) -> usize {
+        self.ids.lvid.len()
+    }
+
+    /// `v`'s mirrors (replicas beyond the master) — one value-sync message
+    /// each whenever `v`'s apply changes it.
+    #[inline]
+    pub fn num_mirrors_of(&self, v: VertexId) -> u64 {
+        self.ids.presence[v as usize].count_ones().saturating_sub(1) as u64
+    }
+
     /// `v`'s out-neighbors across all partitions, sorted and deduplicated —
     /// the set a root signals before the first superstep.
     pub fn out_neighbors(&self, v: VertexId) -> Vec<VertexId> {
-        let mut out: Vec<VertexId> = self.replicas[v as usize]
-            .iter()
-            .flat_map(|&pi| {
-                let l = self.ids.get(v, pi as usize).expect("a replica has a local id");
-                self.partitions[pi as usize].out_edges(l).iter().map(|&(d, _)| d)
-            })
+        let mut out: Vec<VertexId> = self
+            .replicas_of(v)
+            .flat_map(|(pi, l)| self.partitions[pi].out_edges(l).iter().map(|&(d, _)| d))
             .collect();
         out.sort_unstable();
         out.dedup();
@@ -294,22 +301,16 @@ impl PartitionedGraph {
     /// Average number of replicas per non-isolated vertex — PowerGraph's
     /// replication factor, the driver of its synchronization overhead.
     pub fn replication_factor(&self) -> f64 {
-        let (sum, cnt) = self
-            .replicas
-            .iter()
-            .filter(|r| !r.is_empty())
-            .fold((0usize, 0usize), |(s, c), r| (s + r.len(), c + 1));
-        if cnt == 0 {
-            0.0
-        } else {
-            sum as f64 / cnt as f64
+        match self.ids.presence.iter().filter(|&&b| b != 0).count() {
+            0 => 0.0,
+            hosted => self.num_replicas() as f64 / hosted as f64,
         }
     }
 
-    /// Total mirror count (replicas beyond the master) — each is one
-    /// value-synchronization message per apply.
+    /// Total mirror count — each is one value-synchronization message per
+    /// apply.
     pub fn num_mirrors(&self) -> u64 {
-        self.replicas.iter().map(|r| (r.len().saturating_sub(1)) as u64).sum()
+        (0..self.num_vertices as VertexId).map(|v| self.num_mirrors_of(v)).sum()
     }
 }
 
@@ -364,9 +365,9 @@ mod tests {
         let el = sample();
         let pg = PartitionedGraph::build(&el, 8);
         for (pi, part) in pg.partitions.iter().enumerate() {
-            for &u in part.vertices() {
+            for (l, &u) in part.vertices().iter().enumerate() {
                 assert!(
-                    pg.replicas[u as usize].contains(&(pi as u16)),
+                    pg.replicas_of(u).any(|r| r == (pi, l)),
                     "vertex {u} present in partition {pi} but not registered"
                 );
             }
@@ -377,9 +378,9 @@ mod tests {
     fn master_is_one_of_the_replicas() {
         let el = sample();
         let pg = PartitionedGraph::build(&el, 8);
-        for v in 0..pg.num_vertices {
-            if !pg.replicas[v].is_empty() {
-                assert!(pg.replicas[v].contains(&pg.master[v]));
+        for v in 0..pg.num_vertices as VertexId {
+            if pg.replicas_of(v).next().is_some() {
+                assert!(pg.replicas_of(v).any(|(pi, _)| pi == pg.master[v as usize] as usize));
             }
         }
     }
@@ -390,8 +391,9 @@ mod tests {
         let edges: Vec<_> = (1..200u32).map(|v| (0, v)).collect();
         let el = EdgeList::new(200, edges);
         let pg = PartitionedGraph::build(&el, 8);
-        assert!(pg.replicas[0].len() > 1, "hub not cut");
-        let leaf_avg: f64 = (1..200).map(|v| pg.replicas[v].len()).sum::<usize>() as f64 / 199.0;
+        assert!(pg.replicas_of(0).count() > 1, "hub not cut");
+        let leaf_avg: f64 =
+            (1..200).map(|v| pg.replicas_of(v).count()).sum::<usize>() as f64 / 199.0;
         assert!(leaf_avg < 1.5);
         assert!(pg.replication_factor() > 1.0);
     }
@@ -449,17 +451,17 @@ mod tests {
             for pi in 0..p {
                 let part = &pg.partitions[pi];
                 match pg.local_id(v, pi) {
-                    Some(l) => {
-                        assert!(pg.replicas[v as usize].contains(&(pi as u16)));
-                        assert_eq!(part.vertices()[l], v);
-                    }
-                    None => {
-                        assert!(!pg.replicas[v as usize].contains(&(pi as u16)));
-                        assert!(!part.vertices().contains(&v));
-                    }
+                    Some(l) => assert_eq!(part.vertices()[l], v),
+                    None => assert!(!part.vertices().contains(&v)),
                 }
             }
+            // The replica table agrees with the probe, ascending by partition.
+            let probed: Vec<(usize, usize)> =
+                (0..p).filter_map(|pi| Some((pi, pg.local_id(v, pi)?))).collect();
+            assert_eq!(pg.replicas_of(v).collect::<Vec<_>>(), probed);
+            assert_eq!(pg.num_mirrors_of(v), probed.len().saturating_sub(1) as u64);
         }
+        assert_eq!(pg.num_replicas(), pg.partitions.iter().map(|p| p.vertices().len()).sum());
         let (edge_part, _) = place(el, p);
         let n = el.num_vertices;
         let mut want_out = vec![vec![Vec::new(); n]; p];
@@ -503,7 +505,7 @@ mod tests {
         // 64 ways; the hub's rank in partition 63 counts all 63 bits below.
         let el = EdgeList::new(40_001, (1..40_001u32).map(|v| (0, v)).collect());
         let pg = PartitionedGraph::build(&el, 64);
-        assert_eq!(pg.replicas[0].len(), 64);
+        assert_eq!(pg.replicas_of(0).count(), 64);
         let l = pg.local_id(0, 63).expect("hub hosted by the last partition");
         assert_eq!(pg.partitions[63].vertices()[l], 0);
         assert_eq!(pg.partitions[63].out_edges(l).len(), pg.partitions[63].num_edges());

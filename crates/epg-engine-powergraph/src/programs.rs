@@ -303,21 +303,31 @@ mod tests {
     }
 
     #[test]
-    fn pagerank_ranks_are_bit_identical_across_thread_counts() {
-        // Partials reach the master in worker-completion order; the merge
-        // must not let that order into the f64 sums.
+    fn toolkit_results_are_bit_identical_across_thread_counts() {
+        // Whichever worker gathers a partition or merges a master, no
+        // schedule may reach a float sum, a min or a label vote. `{:?}`
+        // prints every f64 exactly, so equal strings are equal bits.
         let cfg = epg_generator::kronecker::KroneckerConfig { scale: 9, ..Default::default() };
         let el = epg_generator::kronecker::generate(&cfg, 5).symmetrized().deduplicated();
-        let g = PartitionedGraph::build(&el, 8);
-        let run = |threads: usize| {
-            let pool = ThreadPool::new(threads);
-            let out = pagerank(&g, &RunParams::new(&pool, None));
-            let AlgorithmResult::Ranks { ranks, iterations } = out.result else { panic!() };
-            (ranks.iter().map(|r| r.to_bits()).collect::<Vec<u64>>(), iterations)
-        };
-        let want = run(1);
-        for threads in [1, 2, 3, 1, 2, 3] {
-            assert_eq!(run(threads), want, "{threads} threads");
+        let root = epg_graph::degree::sample_roots(&el, 1, 2)[0];
+        for p in [1, 8, 64] {
+            let g = PartitionedGraph::build(&el, p);
+            let run = |threads: usize| {
+                let pool = ThreadPool::new(threads);
+                let (params, rooted) =
+                    (RunParams::new(&pool, None), RunParams::new(&pool, Some(root)));
+                let outs = [
+                    pagerank(&g, &params),
+                    sssp(&g, &rooted),
+                    wcc(&g, &params),
+                    cdlp(&g, &params, 10),
+                ];
+                outs.map(|out| format!("{:?}", out.result))
+            };
+            let want = run(1);
+            for threads in [1, 2, 3, 1, 2, 3] {
+                assert_eq!(run(threads), want, "{p} partitions, {threads} threads");
+            }
         }
     }
 

@@ -8,10 +8,10 @@
 //! PageRank "is simply run 32 times" (§III-B); the Graphalytics-only
 //! kernels run once.
 //!
-//! Every BFS and SSSP trial is verified ([`verify_output`]) after its clock
-//! stops, against one CSR of the symmetric graph built before any engine
-//! runs: results are checked on every engine, and no timer or trace holds
-//! the check.
+//! Every BFS, SSSP and WCC trial is verified ([`verify_output`]) after its
+//! clock stops, against one CSR of the symmetric graph built before any
+//! engine runs: results are checked on every engine, and no timer or trace
+//! holds the check.
 //!
 //! This is the only phase-3 timing loop. It reads the files phase 2 wrote
 //! ([`ExperimentConfig::input_dir`]) and never writes them. The

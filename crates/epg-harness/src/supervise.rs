@@ -13,8 +13,9 @@
 //!   classified [`TrialOutcome::Panicked`] instead of aborting the sweep;
 //! - **result verification** — a completed output goes to a verifier
 //!   after the trial's clock has stopped; the runner's is
-//!   [`verify_output`], the Graph500 rules for BFS trees and a
-//!   shortest-path check for SSSP distances, on every engine;
+//!   [`verify_output`], the Graph500 rules for BFS trees, a
+//!   shortest-path check for SSSP distances and a partition check for WCC
+//!   labels, on every engine;
 //! - **bounded retry** — transient failures (panics, wrong results caught
 //!   by the verifier) are retried with doubling backoff up to `max_retries`;
 //! - **quarantine** — the runner counts consecutive failures per
@@ -27,8 +28,9 @@
 //! censored statistics in [`crate::stats`] know how to use them).
 
 use epg_engine_api::{Algorithm, AlgorithmResult, RunOutput};
-use epg_graph::{validate, Csr, VertexId};
+use epg_graph::{oracle, validate, Csr, VertexId};
 use epg_parallel::{CancelToken, ThreadPool};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
@@ -199,9 +201,9 @@ pub fn supervise_trial(
 /// `root` against `g`, the symmetric graph every engine runs on. A BFS
 /// tree must pass the Graph500 rules and carry the levels its parents
 /// imply ([`validate::validate_bfs_tree_parallel`], its edge scan on
-/// `pool`); SSSP distances must pass [`validate::validate_sssp_distances`].
-/// Every other algorithm passes. A malformed output is an `Err`, never a
-/// panic.
+/// `pool`); SSSP distances must pass [`validate::validate_sssp_distances`];
+/// WCC labels must induce [`oracle::wcc`]'s partition. Every other
+/// algorithm passes. A malformed output is an `Err`, never a panic.
 pub fn verify_output(
     g: &Csr,
     algo: Algorithm,
@@ -225,11 +227,41 @@ pub fn verify_output(
         (Algorithm::Sssp, Some(root), AlgorithmResult::Distances(dist)) => {
             validate::validate_sssp_distances(g, root, dist)
         }
-        (Algorithm::Bfs | Algorithm::Sssp, ..) => {
+        (Algorithm::Wcc, _, AlgorithmResult::Components(comp)) => same_components(g, comp),
+        (Algorithm::Bfs | Algorithm::Sssp | Algorithm::Wcc, ..) => {
             Err(format!("{} from root {root:?}: result of the wrong kind", algo.abbrev()))
         }
         _ => Ok(()),
     }
+}
+
+/// Whether `comp` and [`oracle::wcc`] induce the same partition — a
+/// bijection between their labels, so an engine may name a component by
+/// any vertex. Linear: every vertex carries its oracle representative's
+/// label, and no two representatives share one.
+fn same_components(g: &Csr, comp: &[VertexId]) -> Result<(), String> {
+    let n = g.num_vertices();
+    if comp.len() != n {
+        return Err(format!("{} labels for {n} vertices", comp.len()));
+    }
+    let want = oracle::wcc(g);
+    let mut owner: HashMap<VertexId, VertexId> = HashMap::new();
+    for (v, (&got, &rep)) in (0..).zip(comp.iter().zip(&want)) {
+        let label = comp[rep as usize];
+        if got != label {
+            return Err(format!(
+                "vertices {rep} and {v} are weakly connected, but labelled {label} and {got}"
+            ));
+        }
+        if rep == v {
+            if let Some(other) = owner.insert(got, v) {
+                return Err(format!(
+                    "vertices {other} and {v} are not connected, but share label {got}"
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -405,6 +437,30 @@ mod tests {
         assert!(verify_output(&g, Algorithm::Bfs, Some(0), &sssp, &pool).is_err());
         // Algorithms without a checker pass whatever they return.
         assert_eq!(verify_output(&g, Algorithm::TriangleCount, None, &ok_output(), &pool), Ok(()));
+    }
+
+    #[test]
+    fn verify_output_checks_wcc_labels_up_to_renaming() {
+        use epg_graph::EdgeList;
+        let pool = ThreadPool::new(1);
+        // A 0-1-2 path, a 3-4 pair and an isolated 5.
+        let g = Csr::from_edge_list(&EdgeList::new(6, vec![(0, 1), (1, 2), (3, 4)]).symmetrized());
+        let check = |labels: Vec<VertexId>| {
+            let out = RunOutput::new(
+                AlgorithmResult::Components(labels),
+                Counters::default(),
+                Trace::default(),
+            );
+            verify_output(&g, Algorithm::Wcc, None, &out, &pool)
+        };
+        assert_eq!(check(vec![0, 0, 0, 3, 3, 5]), Ok(()));
+        assert_eq!(check(vec![9, 9, 9, 1, 1, 0]), Ok(()), "any one name per component");
+        let split = "vertices 0 and 2 are weakly connected, but labelled 0 and 1";
+        assert_eq!(check(vec![0, 0, 1, 3, 3, 5]), Err(split.to_string()));
+        let merged = "vertices 3 and 5 are not connected, but share label 3";
+        assert_eq!(check(vec![0, 0, 0, 3, 3, 3]), Err(merged.to_string()));
+        assert!(check(vec![0; 5]).is_err());
+        assert!(verify_output(&g, Algorithm::Wcc, None, &ok_output(), &pool).is_err());
     }
 
     #[test]

@@ -165,19 +165,22 @@ fn always_wrong() -> FaultPlan {
 
 #[test]
 fn wrong_results_fail_verification_on_every_engine() {
-    // Every engine × {BFS, SSSP} it supports. The injector bumps entry 0 of
-    // the result: a BFS level always changes, a distance only where the
-    // root reaches vertex 0 (an infinite one stays infinite).
+    // Every engine × {BFS, SSSP, WCC} it supports. The injector bumps entry
+    // 0 of the result: a BFS level always changes, a distance only where
+    // the root reaches vertex 0 (an infinite one stays infinite), and a
+    // component label splits vertex 0 from the rest of its component.
     let spec = GraphSpec::Kronecker { scale: 7, edge_factor: 8, weighted: true };
     let ds = Dataset::from_spec(&spec, 9);
     let csr = Csr::from_edge_list(&ds.symmetric);
     let reaches_0 = |r: VertexId| epg::graph::oracle::bfs(&csr, r).level[0] != u32::MAX;
+    assert!(!csr.neighbors(0).is_empty(), "a visible WCC fault needs vertex 0 to have a neighbour");
     let pool = ThreadPool::new(2);
     let mut covered = 0;
     for kind in EngineKind::ALL {
         for (algo, rule) in [
             (Algorithm::Bfs, "but the parent tree puts it at"),
             (Algorithm::Sssp, "relaxes dist[0]"),
+            (Algorithm::Wcc, "are weakly connected, but labelled"),
         ] {
             if !kind.create().supports(algo) {
                 continue;
@@ -200,10 +203,15 @@ fn wrong_results_fail_verification_on_every_engine() {
                 .filter(|r| r.phase == Phase::Run)
                 .map(|r| r.outcome)
                 .collect();
-            let want: Vec<TrialOutcome> = ds.roots[..4]
+            // A rooted kernel runs once per root, WCC once.
+            let roots: Vec<Option<VertexId>> = match algo.is_rooted() {
+                true => ds.roots[..4].iter().map(|&r| Some(r)).collect(),
+                false => vec![None],
+            };
+            let want: Vec<TrialOutcome> = roots
                 .iter()
                 .map(|&r| {
-                    let visible = algo == Algorithm::Bfs || reaches_0(r);
+                    let visible = algo != Algorithm::Sssp || r.is_some_and(reaches_0);
                     if visible {
                         TrialOutcome::Panicked
                     } else {
@@ -214,12 +222,12 @@ fn wrong_results_fail_verification_on_every_engine() {
             assert!(want.contains(&TrialOutcome::Panicked), "{name}: no visible corruption");
             assert_eq!(outcomes, want, "{name}");
             // The verifier's reason reaches the report and names the rule.
-            let root = ds.roots.iter().copied().find(|&r| r != 0 && reaches_0(r)).unwrap();
+            let root = roots.iter().flatten().copied().find(|&r| r != 0 && reaches_0(r));
             let mut engine = FaultyEngine::new(kind.create(), always_wrong());
             engine.load_edge_list(ds.edges_for(kind));
             engine.construct(&pool);
-            let params = RunParams::new(&pool, Some(root));
-            let verify = |out: &RunOutput| verify_output(&csr, algo, Some(root), out, &pool);
+            let params = RunParams::new(&pool, root);
+            let verify = |out: &RunOutput| verify_output(&csr, algo, root, out, &pool);
             let strict = SupervisorConfig { max_retries: 0, ..Default::default() };
             let report =
                 supervise_trial(&pool, &strict, || engine.run(algo, &params), Some(&verify));
@@ -229,7 +237,7 @@ fn wrong_results_fail_verification_on_every_engine() {
             assert!(error.contains(rule), "{name}: {error}");
         }
     }
-    assert_eq!(covered, 8, "four BFS engines and four SSSP engines");
+    assert_eq!(covered, 11, "four BFS, four SSSP and three WCC engines");
 }
 
 #[test]
