@@ -13,6 +13,8 @@ use epg_engine_api::{AlgorithmResult, Dir, RunLog, RunOutput, RunParams, SsspKer
 use epg_graph::{Csr, VertexId, Weight, INF_DIST};
 use epg_parallel::{AtomicF32, Schedule, ThreadPool};
 use parking_lot::Mutex;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::atomic::Ordering;
 
 /// [`dispatch_kernel`] with default run parameters (no telemetry sink).
@@ -52,10 +54,41 @@ fn bucket_of(d: f32, delta: f32) -> usize {
 struct Worker {
     /// `bins[b]` holds the vertices this worker improved into bin `b`.
     bins: Vec<Vec<VertexId>>,
+    /// A min-heap with an entry for every non-empty bin, pushed when a bin
+    /// stops being empty. Entries of bins drained since are dropped when a
+    /// search meets them, so no search walks the empty bins between the
+    /// current bin and a far one.
+    filled: BinaryHeap<Reverse<usize>>,
     /// Tallies of the step in flight; the dispatcher takes them at the join.
     relaxed: u64,
     edges: u64,
     max_degree: u64,
+}
+
+impl Worker {
+    /// Files `v` in bin `b`.
+    fn push(&mut self, b: usize, v: VertexId) {
+        if b >= self.bins.len() {
+            self.bins.resize_with(b + 1, Vec::new);
+        }
+        if self.bins[b].is_empty() {
+            self.filled.push(Reverse(b));
+        }
+        self.bins[b].push(v);
+    }
+
+    /// This worker's lowest non-empty bin at or above `current`, the bin a
+    /// scan of `current..` finds. Bins below `current` are never refilled
+    /// (a relaxation only raises a distance's bin), so entries there go.
+    fn next_bin(&mut self, current: usize) -> Option<usize> {
+        while let Some(&Reverse(b)) = self.filled.peek() {
+            if b >= current && !self.bins[b].is_empty() {
+                return Some(b);
+            }
+            self.filled.pop();
+        }
+        None
+    }
 }
 
 /// Runs Δ-stepping from `params.root`. Unweighted graphs behave as unit
@@ -109,11 +142,7 @@ fn delta_stepping_with(
                 for (v, wt) in g.neighbors_weighted(u) {
                     let nd = du + wt;
                     if dist[v as usize].fetch_min(nd, Ordering::Relaxed) {
-                        let b = bucket_of(nd, delta);
-                        if b >= w.bins.len() {
-                            w.bins.resize_with(b + 1, Vec::new);
-                        }
-                        w.bins[b].push(v);
+                        w.push(bucket_of(nd, delta), v);
                     }
                 }
             }
@@ -125,8 +154,7 @@ fn delta_stepping_with(
             log.counters.vertices_touched += std::mem::take(&mut w.relaxed);
             edges += std::mem::take(&mut w.edges);
             max_degree = max_degree.max(std::mem::take(&mut w.max_degree));
-            let first = (current..w.bins.len()).find(|&b| !w.bins[b].is_empty());
-            next = next.into_iter().chain(first).min();
+            next = next.into_iter().chain(w.next_bin(current)).min();
         }
         let popped = frontier.len() as u64;
         log.counters.edges_traversed += edges;
@@ -255,6 +283,38 @@ mod tests {
                 assert_eq!((w.relaxed, w.edges, w.max_degree), (0, 0, 0), "tallies left behind");
             }
         }
+    }
+
+    #[test]
+    fn next_bin_search_visits_filled_bins_not_the_gap_to_a_far_one() {
+        // A search visits the heap entries it drops plus the one it returns.
+        let search = |w: &mut Worker, current: usize| {
+            let before = w.filled.len();
+            let found = w.next_bin(current);
+            (found, before - w.filled.len() + found.is_some() as usize)
+        };
+        // A far improvement (a chord's end) and a near one.
+        let mut w = Worker::default();
+        w.push(65_536, 1);
+        w.push(3, 2);
+        w.push(3, 3);
+        assert_eq!(search(&mut w, 0), (Some(3), 1));
+        // The dispatcher drains bin 3: the search goes straight to the far
+        // bin, where scanning from `current` visited 65 534 bins.
+        w.bins[3].clear();
+        assert_eq!(search(&mut w, 3), (Some(65_536), 2));
+        // Rounds that file one vertex just ahead, as on a long path, then
+        // drain it: every search visits at most the drained bin and the next.
+        for b in 4..1000 {
+            w.push(b, 9);
+            let (found, visits) = search(&mut w, b);
+            assert_eq!(found, Some(b));
+            assert!(visits <= 2, "round {b}: {visits} bins visited");
+            w.bins[b].clear();
+        }
+        assert_eq!(search(&mut w, 1000), (Some(65_536), 2));
+        w.bins[65_536].clear();
+        assert_eq!(search(&mut w, 65_536), (None, 1));
     }
 
     #[test]

@@ -3,11 +3,11 @@
 use epg_engine_api::{AlgorithmResult, Dir, Partial, RunLog, RunOutput, RunParams};
 use epg_graph::adjacency::PropertyGraph;
 use epg_graph::{INF_DIST, NO_VERTEX};
-use epg_parallel::{AtomicF32, Schedule};
+use epg_parallel::{AtomicF32, Schedule, WorkerBitmaps};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Level-synchronous top-down BFS over the property graph, dynamic
-/// scheduling (openG's `bfs` kernel).
+/// scheduling (openG's `bfs` kernel); CAS claims keep its frontier lists distinct.
 pub fn bfs(g: &PropertyGraph, params: &RunParams<'_>) -> RunOutput {
     let (pool, rec) = (params.pool, params.recorder);
     let root = params.root.expect("BFS needs a root");
@@ -76,6 +76,7 @@ pub fn bfs(g: &PropertyGraph, params: &RunParams<'_>) -> RunOutput {
 /// Frontier-based Bellman-Ford SSSP (openG's `sssp` kernel): no Δ buckets,
 /// just repeated relaxation of an active set — simpler and slower than
 /// GAP's Δ-stepping, which is the architectural contrast the paper draws.
+/// Improved vertices go to per-worker bitmaps, drained into the next set.
 pub fn sssp(g: &PropertyGraph, params: &RunParams<'_>) -> RunOutput {
     let (pool, rec) = (params.pool, params.recorder);
     let root = params.root.expect("SSSP needs a root");
@@ -85,40 +86,39 @@ pub fn sssp(g: &PropertyGraph, params: &RunParams<'_>) -> RunOutput {
     rec.alloc_hwm("graphbig.sssp.dist", n as u64 * 4);
 
     let mut log = RunLog::new(rec);
-    let mut round = 0u32;
-    let mut active = vec![root];
+    let mut improved = WorkerBitmaps::new(pool.num_threads(), n);
+    let (mut active, mut next) = (vec![root], Vec::new());
     while !active.is_empty() {
-        round += 1;
-        let step = Partial::collect(pool, active.len(), Schedule::graphbig_default(), |lo, hi| {
-            let mut found = Vec::with_capacity(hi - lo);
-            let (mut edges, mut max_degree) = (0u64, 0u64);
-            for &u in &active[lo..hi] {
-                let du = dist[u as usize].load(Ordering::Relaxed);
-                max_degree = max_degree.max(g.out_degree(u) as u64);
-                for (v, w) in g.neighbors(u) {
-                    edges += 1;
-                    if dist[v as usize].fetch_min(du + w, Ordering::Relaxed) {
-                        found.push(v);
+        let (edges, max_degree) = improved.reduce_ranges(
+            pool,
+            active.len(),
+            Schedule::graphbig_default(),
+            || (0, 0),
+            |mine, lo, hi| {
+                let (mut edges, mut max_degree) = (0u64, 0u64);
+                for &u in &active[lo..hi] {
+                    let du = dist[u as usize].load(Ordering::Relaxed);
+                    max_degree = max_degree.max(g.out_degree(u) as u64);
+                    for (v, w) in g.neighbors(u) {
+                        edges += 1;
+                        if dist[v as usize].fetch_min(du + w, Ordering::Relaxed) {
+                            mine.set(v as usize);
+                        }
                     }
                 }
-            }
-            Partial { found, edges, max_degree }
-        });
-        let mut next = step.found;
-        next.sort_unstable();
-        next.dedup();
-        log.counters.edges_traversed += step.edges;
+                (edges, max_degree)
+            },
+            |a, b| (a.0 + b.0, a.1.max(b.1)),
+        );
+        improved.drain_into(&mut next);
+        log.counters.edges_traversed += edges;
         log.counters.vertices_touched += next.len() as u64;
         log.counters.iterations += 1;
-        log.parallel(
-            step.edges.max(1),
-            step.max_degree.max(1),
-            step.edges * 20 + next.len() as u64 * 8,
-        );
-        if log.iteration(pool, round, active.len() as u64, Dir::Push).is_break() {
+        log.parallel(edges.max(1), max_degree.max(1), edges * 20 + next.len() as u64 * 8);
+        if log.iteration(pool, log.counters.iterations, active.len() as u64, Dir::Push).is_break() {
             break;
         }
-        active = next;
+        std::mem::swap(&mut active, &mut next);
     }
     log.counters.bytes_read = log.counters.edges_traversed * 20;
     log.counters.bytes_written = log.counters.vertices_touched * 8;
@@ -128,6 +128,7 @@ pub fn sssp(g: &PropertyGraph, params: &RunParams<'_>) -> RunOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use epg_generator::GraphSpec;
     use epg_graph::{oracle, Csr, EdgeList, VertexId};
     use epg_parallel::ThreadPool;
 
@@ -141,6 +142,30 @@ mod tests {
         let AlgorithmResult::Distances(d) = out.result else { panic!() };
         assert_eq!(d[1], 3.0);
         assert_eq!(d[3], 4.0);
+    }
+
+    #[test]
+    fn sssp_distances_are_bit_identical_across_thread_counts() {
+        // Whichever worker's `fetch_min` lands first, the fixpoint is the
+        // minimum over paths of left-to-right f32 sums: Dijkstra's bits.
+        let kron = GraphSpec::Kronecker { scale: 9, edge_factor: 16, weighted: true }.generate(5);
+        let kron_root = epg_graph::degree::sample_roots(&kron, 1, 2)[0];
+        let corpus = GraphSpec::test_corpus();
+        let adversarial = corpus
+            .iter()
+            .filter(|s| ["grid_swirl", "spfa_killer"].contains(&s.family()))
+            .map(|s| (s.generate(42), 0));
+        let bits = |d: &[f32]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (el, root) in std::iter::once((kron, kron_root)).chain(adversarial) {
+            let g = PropertyGraph::from_edge_list(&el);
+            let want = bits(&oracle::dijkstra(&Csr::from_edge_list(&el), root));
+            for threads in [1, 2, 3, 1, 2, 3] {
+                let pool = ThreadPool::new(threads);
+                let out = sssp(&g, &RunParams::new(&pool, Some(root)));
+                let AlgorithmResult::Distances(d) = out.result else { panic!() };
+                assert_eq!(bits(&d), want, "{} vertices, {threads} threads", el.num_vertices);
+            }
+        }
     }
 
     #[test]

@@ -17,13 +17,14 @@
 //! keyed like the CSR/CSC ([`Partition::base`] + local id); merge and apply
 //! share one region over the active set, where a master takes its slots
 //! **in partition order** (so a float merge does not depend on which worker
-//! ran what); scatter marks activations in one bitmap over the vertices.
+//! ran what); scatter marks activations in the scattering worker's own
+//! bitmap over the vertices, and one serial drain ORs the workers' bitmaps
+//! into the next active set.
 
-use crate::partition::{bits, Partition, PartitionedGraph};
+use crate::partition::{Partition, PartitionedGraph};
 use epg_engine_api::RunLog;
 use epg_graph::{VertexId, Weight};
-use epg_parallel::{DisjointWriter, Schedule, ThreadPool};
-use std::sync::atomic::{AtomicU64, Ordering};
+use epg_parallel::{DisjointWriter, Marks, Schedule, ThreadPool, WorkerBitmaps};
 
 /// A stored edge: (global id of the far end, weight).
 type Edge = (VertexId, Weight);
@@ -188,20 +189,10 @@ pub fn superstep<P: VertexProgram>(
     // ---- Scatter (parallel over partitions) ----
     let dir = prog.scatter_dir();
     let (next, scatter_work) = if dir != EdgeDir::None && !changed.is_empty() {
-        // Activations from every partition land in one bitmap over the
-        // vertices; reading it back yields them sorted and deduplicated.
-        let activated: Vec<AtomicU64> =
-            (0..g.num_vertices.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
-        let activate = |u: VertexId| {
-            let (word, bit) = (&activated[u as usize / 64], 1u64 << (u % 64));
-            // Relaxed: the bits publish nothing, and the region's join
-            // orders them before the read-back. Hubs are signalled many
-            // times over; the load spares them the repeated RMW.
-            if word.load(Ordering::Relaxed) & bit == 0 {
-                word.fetch_or(bit, Ordering::Relaxed);
-            }
-        };
-        let scatter = |lo: usize, hi: usize| {
+        // Each worker marks activations in its own bitmap over the vertices;
+        // the drain ORs them into the next active set, sorted and distinct.
+        let mut activated = WorkerBitmaps::new(pool.num_threads(), g.num_vertices);
+        let scatter = |mine: &mut Marks<'_>, lo: usize, hi: usize| {
             let mut edges = 0u64;
             for pi in lo..hi {
                 let part = &g.partitions[pi];
@@ -209,16 +200,15 @@ pub fn superstep<P: VertexProgram>(
                     let Some(l) = g.local_id(v, pi) else { continue };
                     let (ins, outs) = covered(part, l, dir);
                     edges += (outs.len() + ins.len()) as u64;
-                    ins.iter().chain(outs).for_each(|&(u, _)| activate(u));
+                    ins.iter().chain(outs).for_each(|&(u, _)| mine.set(u as usize));
                 }
             }
             edges
         };
-        let work = pool.parallel_reduce_ranges(nparts, per_partition, || 0, scatter, |a, b| a + b);
-        let words = activated.into_iter().enumerate();
-        let next =
-            words.flat_map(|(wi, w)| bits(w.into_inner()).map(move |b| (wi * 64 + b) as VertexId));
-        let next: Vec<VertexId> = next.collect();
+        let work =
+            activated.reduce_ranges(pool, nparts, per_partition, || 0, scatter, |a, b| a + b);
+        let mut next = Vec::new();
+        activated.drain_into(&mut next);
         log.parallel(work.max(1), 1, work * 8);
         (next, work)
     } else {

@@ -149,7 +149,7 @@ pub struct PartitionedGraph {
 
 /// The set bits of `b`, ascending (for a presence word, the partitions it
 /// names).
-pub(crate) fn bits(mut b: u64) -> impl Iterator<Item = usize> {
+fn bits(mut b: u64) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
         let i = b.trailing_zeros() as usize;
         b &= b.wrapping_sub(1);

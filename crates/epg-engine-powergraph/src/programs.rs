@@ -304,8 +304,9 @@ mod tests {
 
     #[test]
     fn toolkit_results_are_bit_identical_across_thread_counts() {
-        // Whichever worker gathers a partition or merges a master, no
-        // schedule may reach a float sum, a min or a label vote. `{:?}`
+        // Whichever worker gathers a partition, merges a master or marks an
+        // activation, no schedule may reach a float sum, a min, a label
+        // vote, the next active set or the work booked for it. `{:?}`
         // prints every f64 exactly, so equal strings are equal bits.
         let cfg = epg_generator::kronecker::KroneckerConfig { scale: 9, ..Default::default() };
         let el = epg_generator::kronecker::generate(&cfg, 5).symmetrized().deduplicated();
@@ -322,7 +323,7 @@ mod tests {
                     wcc(&g, &params),
                     cdlp(&g, &params, 10),
                 ];
-                outs.map(|out| format!("{:?}", out.result))
+                outs.map(|out| format!("{:?}", (out.result, out.counters, out.trace)))
             };
             let want = run(1);
             for threads in [1, 2, 3, 1, 2, 3] {

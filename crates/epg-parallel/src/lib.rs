@@ -28,6 +28,7 @@
 
 #![warn(missing_docs)]
 mod atomics;
+mod bitmaps;
 mod cancel;
 mod check;
 mod pool;
@@ -37,6 +38,7 @@ mod schedule;
 mod writer;
 
 pub use atomics::{atomic_min_u32, AtomicF32, AtomicF64};
+pub use bitmaps::{Marks, WorkerBitmaps};
 pub use cancel::CancelToken;
 pub use check::current_worker_id;
 pub use pool::{PoolStats, ThreadPool};

@@ -26,10 +26,29 @@ impl ThreadPool {
         M: Fn(usize, usize) -> T + Sync,
         C: Fn(T, T) -> T + Sync,
     {
+        self.reduce_worker_ranges(n, sched, identity, |_tid, lo, hi| map(lo, hi), combine)
+    }
+
+    /// [`ThreadPool::parallel_reduce_ranges`] whose `map` also receives the
+    /// executing thread id, as [`ThreadPool::parallel_for_ranges`]' body does.
+    pub(crate) fn reduce_worker_ranges<T, I, M, C>(
+        &self,
+        n: usize,
+        sched: Schedule,
+        identity: I,
+        map: M,
+        combine: C,
+    ) -> T
+    where
+        T: Send,
+        I: FnOnce() -> T,
+        M: Fn(usize, usize, usize) -> T + Sync,
+        C: Fn(T, T) -> T + Sync,
+    {
         let slots: Vec<Mutex<Option<T>>> =
             (0..self.num_threads()).map(|_| Mutex::new(None)).collect();
         self.parallel_for_ranges(n, sched, |tid, lo, hi| {
-            let part = map(lo, hi);
+            let part = map(tid, lo, hi);
             // Only worker `tid` touches slot `tid`: the lock is never
             // contended, it just makes the per-worker cell `Sync`.
             let mut slot = slots[tid].lock();

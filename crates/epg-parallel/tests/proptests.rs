@@ -3,7 +3,7 @@
 //! Property tests: the parallel runtime must agree with sequential folds
 //! for every schedule and thread count.
 
-use epg_parallel::{Schedule, ThreadPool};
+use epg_parallel::{Schedule, ThreadPool, WorkerBitmaps};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -65,5 +65,59 @@ proptest! {
             }
         });
         prop_assert!(covered.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+    }
+}
+
+/// A bitmap length (one of the word and summary-word boundary sizes, or any
+/// other) and two rounds of marks in it, each round including the last index.
+fn arb_marks() -> impl Strategy<Value = (usize, Vec<usize>, Vec<usize>)> {
+    let boundary = prop_oneof![Just(0usize), Just(1), Just(63), Just(64), Just(65), Just(4097)];
+    let len = prop_oneof![boundary, 2usize..700, 700usize..20_000];
+    len.prop_flat_map(|len| {
+        let round = || {
+            collection::vec(0..len.max(1), 0..400).prop_map(move |mut marks| {
+                marks.retain(|&i| i < len);
+                marks.extend(len.checked_sub(1));
+                marks
+            })
+        };
+        (Just(len), round(), round())
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 64 }))]
+
+    #[test]
+    fn worker_bitmaps_drain_what_sort_and_dedup_give(
+        (len, first, second) in arb_marks(),
+        sched in arb_schedule(),
+        nthreads in prop_oneof![Just(1usize), Just(2), Just(4)],
+    ) {
+        let pool = ThreadPool::new(nthreads);
+        let mut bitmaps = WorkerBitmaps::new(nthreads, len);
+        let mut out = Vec::new();
+        // The same bitmaps serve both rounds: a drain must leave them clear.
+        for marks in [&first, &second] {
+            let set = bitmaps.reduce_ranges(
+                &pool,
+                marks.len(),
+                sched,
+                || 0,
+                |mine, lo, hi| {
+                    marks[lo..hi].iter().for_each(|&i| mine.set(i));
+                    hi - lo
+                },
+                |a, b| a + b,
+            );
+            prop_assert_eq!(set, marks.len());
+            bitmaps.drain_into(&mut out);
+            let mut want: Vec<u32> = marks.iter().map(|&i| i as u32).collect();
+            want.sort_unstable();
+            want.dedup();
+            prop_assert_eq!(&out, &want);
+        }
+        bitmaps.drain_into(&mut out);
+        prop_assert!(out.is_empty(), "drained bitmaps hold marks");
     }
 }
