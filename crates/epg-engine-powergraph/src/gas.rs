@@ -4,22 +4,28 @@
 //! partitioning:
 //!
 //! 1. **Gather** — every partition computes, in parallel, a *partial*
-//!    gather for each active vertex it hosts (only its local edges);
-//! 2. **Merge** — each master folds its replicas' partials (this is where
-//!    the replication factor turns into synchronization work);
+//!    gather for each active vertex it hosts (only its local edges). A
+//!    program that signals with messages does not gather: the messages the
+//!    previous step's scatter left in the vertex's replica slots take the
+//!    partials' place;
+//! 2. **Merge** — each master folds its replicas' partials or messages (this
+//!    is where the replication factor turns into synchronization work);
 //! 3. **Apply** — the master folds the merged value into vertex data;
 //! 4. **Sync** — changed masters broadcast the new value to their mirrors
 //!    (charged as memory/communication traffic in the trace);
 //! 5. **Scatter** — partitions scan the local edges of changed vertices and
-//!    activate neighbors.
+//!    activate neighbors, or signal them: a message is merged into the
+//!    neighbour's replica slot in the scanning partition, where the next
+//!    step's merge finds it.
 //!
-//! The step's buffers are dense: a partial lands in its replica's slot,
-//! keyed like the CSR/CSC ([`Partition::base`] + local id); merge and apply
-//! share one region over the active set, where a master takes its slots
-//! **in partition order** (so a float merge does not depend on which worker
-//! ran what); scatter marks activations in the scattering worker's own
-//! bitmap over the vertices, and one serial drain ORs the workers' bitmaps
-//! into the next active set.
+//! The step's buffers are dense and live for the run ([`Scratch`]): a
+//! partial or a message lands in its replica's slot, keyed like the CSR/CSC
+//! ([`Partition::base`] + local id); merge and apply share one region over
+//! the active set, where a master takes its slots **in partition order**
+//! (so a float merge does not depend on which worker ran what); scatter
+//! marks activations in the scattering worker's own bitmap over the
+//! vertices, and one serial drain ORs the workers' bitmaps into the next
+//! active set.
 
 use crate::partition::{Partition, PartitionedGraph};
 use epg_engine_api::RunLog;
@@ -42,11 +48,23 @@ pub enum EdgeDir {
     None,
 }
 
+/// What scatter does for one neighbour of a changed vertex.
+pub enum Signal<G> {
+    /// Leave the neighbour alone.
+    Skip,
+    /// Activate the neighbour: it gathers in the next step.
+    Activate,
+    /// Activate the neighbour and send it a message. A vertex's messages
+    /// merge, and the merged message reaches its next apply in place of a
+    /// gather, so only a program that does not gather may send one.
+    Message(G),
+}
+
 /// A PowerGraph-style vertex program.
 pub trait VertexProgram: Sync {
     /// Per-vertex state.
     type Data: Clone + Send + Sync;
-    /// Gather accumulator.
+    /// Gather accumulator, and the message type of a program that signals.
     type Gather: Clone + Send + Sync;
 
     /// Edges covered by gather.
@@ -54,14 +72,55 @@ pub trait VertexProgram: Sync {
     /// Gather along one edge: `other` is the data of the neighbor on the
     /// far side, `w` the edge weight.
     fn gather(&self, v: VertexId, other: &Self::Data, w: Weight) -> Self::Gather;
-    /// Merge two gather partials (associative, commutative).
+    /// Merge two gather partials or two messages (associative,
+    /// commutative).
     fn merge(&self, a: Self::Gather, b: Self::Gather) -> Self::Gather;
     /// Apply at the master. Returns true if the vertex value changed (which
     /// triggers mirror sync and scatter).
     fn apply(&self, v: VertexId, data: &mut Self::Data, acc: Option<Self::Gather>) -> bool;
-    /// Edges covered by scatter (neighbors along them activate when the
-    /// vertex changed).
+    /// Edges covered by scatter.
     fn scatter_dir(&self) -> EdgeDir;
+    /// Scatter along one covered edge of a changed vertex: `data` is the
+    /// vertex's new data, `other` the data of the neighbour on the far side,
+    /// `w` the edge weight. The default activates every neighbour.
+    fn scatter(&self, _data: &Self::Data, _other: &Self::Data, _w: Weight) -> Signal<Self::Gather> {
+        Signal::Activate
+    }
+}
+
+/// A run's superstep buffers, allocated once and handed to every
+/// [`superstep`]: one slot per replica for a gather partial or the messages
+/// scatter sent it, one activation bitmap per pool worker, and the next
+/// active set drained from them.
+pub struct Scratch<G> {
+    slots: Vec<Option<G>>,
+    marks: WorkerBitmaps,
+    /// The next superstep's active set, ascending and distinct, as the last
+    /// [`superstep`] left it.
+    pub next: Vec<VertexId>,
+}
+
+impl<G: Clone> Scratch<G> {
+    /// Empty buffers for supersteps over `g` on `pool`.
+    pub fn new(g: &PartitionedGraph, pool: &ThreadPool) -> Scratch<G> {
+        Scratch {
+            slots: vec![None; g.num_replicas()],
+            marks: WorkerBitmaps::new(pool.num_threads(), g.num_vertices),
+            next: Vec::new(),
+        }
+    }
+
+    /// Signals `v` with `msg` before a run's first superstep, as the
+    /// toolkit's `engine.signal` does: the message waits in the slot of
+    /// `v`'s master replica, and the caller puts `v` in the first active
+    /// set. False, with nothing signalled, when `v` is isolated (no replica
+    /// can hold a message).
+    pub fn signal(&mut self, g: &PartitionedGraph, v: VertexId, msg: G) -> bool {
+        let master = g.master[v as usize] as usize;
+        let Some(l) = g.local_id(v, master) else { return false };
+        self.slots[g.partitions[master].base() + l] = Some(msg);
+        true
+    }
 }
 
 /// Result of one superstep.
@@ -84,32 +143,35 @@ fn covered(part: &Partition, l: usize, dir: EdgeDir) -> (&[Edge], &[Edge]) {
     (ins, outs)
 }
 
-/// Runs one synchronous GAS superstep over `active` (deduplicated),
-/// updating `data` in place and returning the next active set (sorted,
-/// deduplicated) plus step statistics. Work, sync costs and regions are
-/// booked on `log`.
+/// Runs one synchronous GAS superstep over `active` (deduplicated; for a
+/// signalling program, the vertices holding messages), updating `data` in
+/// place and leaving the next active set (sorted, deduplicated) in
+/// [`Scratch::next`]. Work, sync costs and regions are booked on `log`.
+///
+/// # Panics
+/// If a program that gathers sends a message.
 pub fn superstep<P: VertexProgram>(
     prog: &P,
     g: &PartitionedGraph,
     active: &[VertexId],
     data: &mut [P::Data],
+    scratch: &mut Scratch<P::Gather>,
     pool: &ThreadPool,
     log: &mut RunLog<'_>,
-) -> (Vec<VertexId>, StepStats) {
+) -> StepStats {
     let nparts = g.partitions.len();
     let per_partition = Schedule::Dynamic { chunk: 1 };
+    let Scratch { slots, marks, next } = scratch;
+    let slots = DisjointWriter::new(slots);
 
     // ---- Gather (parallel over partitions) ----
     let dir = prog.gather_dir();
     let gathers = dir != EdgeDir::None;
-    let mut partials: Vec<Option<P::Gather>> =
-        vec![None; if gathers { g.num_replicas() } else { 0 }];
-    let slots = DisjointWriter::new(&mut partials);
-    let (mut edge_work, mut max_degree) = (0u64, 0u64);
+    let (mut gather_work, mut max_degree) = (0u64, 0u64);
     if gathers {
         let data_ref: &[P::Data] = data;
         let all_active = active.len() == g.num_vertices;
-        (edge_work, max_degree) = pool.parallel_reduce_ranges(
+        (gather_work, max_degree) = pool.parallel_reduce_ranges(
             nparts,
             per_partition,
             || (0, 0),
@@ -145,8 +207,8 @@ pub fn superstep<P: VertexProgram>(
     }
 
     // ---- Merge and apply at masters (parallel over active) ----
-    // A master takes its replicas' partials in partition order, so a float
-    // merge is independent of the schedule.
+    // A master takes its replicas' partials or messages in partition order,
+    // so a float merge is independent of the schedule.
     let cell = DisjointWriter::new(data);
     let (mut changed, nmerged) = pool.parallel_reduce_ranges(
         active.len(),
@@ -155,7 +217,7 @@ pub fn superstep<P: VertexProgram>(
         |lo, hi| {
             let (mut changed, mut nmerged) = (Vec::with_capacity(hi - lo), 0u64);
             for &v in &active[lo..hi] {
-                let partials = g.replicas_of(v).filter(|_| gathers).filter_map(|(pi, l)| {
+                let partials = g.replicas_of(v).filter_map(|(pi, l)| {
                     // SAFETY: a replica belongs to one vertex and `active` is
                     // deduplicated, so each slot is taken by one worker.
                     unsafe { slots.get_raw(g.partitions[pi].base() + l) }.take()
@@ -177,9 +239,9 @@ pub fn superstep<P: VertexProgram>(
     changed.sort_unstable();
     // Booked in step order: the gather region, then the merge as the master's serial work.
     if gathers {
-        log.parallel(edge_work.max(1), max_degree.max(1), edge_work * 16);
-        log.serial(nmerged + 1, nmerged * 16);
+        log.parallel(gather_work.max(1), max_degree.max(1), gather_work * 16);
     }
+    log.serial(nmerged + 1, nmerged * 16);
 
     // ---- Sync to mirrors ----
     let sync_messages: u64 = changed.iter().map(|&v| g.num_mirrors_of(v)).sum();
@@ -187,11 +249,14 @@ pub fn superstep<P: VertexProgram>(
     log.serial(sync_messages.max(1), sync_messages * 16);
 
     // ---- Scatter (parallel over partitions) ----
+    // Each worker marks the neighbours it activates or signals in its own
+    // bitmap over the vertices; the drain ORs them into the next active
+    // set, sorted and distinct. A message merges into the neighbour's slot
+    // in the scanning partition, and the next step's merge takes it.
     let dir = prog.scatter_dir();
-    let (next, scatter_work) = if dir != EdgeDir::None && !changed.is_empty() {
-        // Each worker marks activations in its own bitmap over the vertices;
-        // the drain ORs them into the next active set, sorted and distinct.
-        let mut activated = WorkerBitmaps::new(pool.num_threads(), g.num_vertices);
+    let mut scatter_work = 0;
+    if dir != EdgeDir::None && !changed.is_empty() {
+        let data: &[P::Data] = data;
         let scatter = |mine: &mut Marks<'_>, lo: usize, hi: usize| {
             let mut edges = 0u64;
             for pi in lo..hi {
@@ -200,26 +265,44 @@ pub fn superstep<P: VertexProgram>(
                     let Some(l) = g.local_id(v, pi) else { continue };
                     let (ins, outs) = covered(part, l, dir);
                     edges += (outs.len() + ins.len()) as u64;
-                    ins.iter().chain(outs).for_each(|&(u, _)| mine.set(u as usize));
+                    let dv = &data[v as usize];
+                    for &(u, w) in ins.iter().chain(outs) {
+                        match prog.scatter(dv, &data[u as usize], w) {
+                            Signal::Skip => continue,
+                            Signal::Activate => {}
+                            Signal::Message(m) => {
+                                assert!(!gathers, "a program that gathers cannot send messages");
+                                // An edge's partition hosts both its ends,
+                                // so `u` has a slot here.
+                                if let Some(lu) = g.local_id(u, pi) {
+                                    // SAFETY: a partition's slots are its own
+                                    // and one worker takes the partition.
+                                    let slot = unsafe { slots.get_raw(part.base() + lu) };
+                                    *slot = Some(match slot.take() {
+                                        Some(a) => prog.merge(a, m),
+                                        None => m,
+                                    });
+                                }
+                            }
+                        }
+                        mine.set(u as usize);
+                    }
                 }
             }
             edges
         };
-        let work =
-            activated.reduce_ranges(pool, nparts, per_partition, || 0, scatter, |a, b| a + b);
-        let mut next = Vec::new();
-        activated.drain_into(&mut next);
-        log.parallel(work.max(1), 1, work * 8);
-        (next, work)
-    } else {
-        (Vec::new(), 0)
-    };
+        scatter_work =
+            marks.reduce_ranges(pool, nparts, per_partition, || 0, scatter, |a, b| a + b);
+        log.parallel(scatter_work.max(1), 1, scatter_work * 8);
+    }
+    marks.drain_into(next);
 
-    log.counters.edges_traversed += edge_work + scatter_work;
+    let edge_work = gather_work + scatter_work;
+    log.counters.edges_traversed += edge_work;
     log.counters.vertices_touched += active.len() as u64;
     log.counters.iterations += 1;
 
-    (next, StepStats { changed, edge_work, sync_messages })
+    StepStats { changed, edge_work, sync_messages }
 }
 
 #[cfg(test)]
@@ -230,7 +313,7 @@ mod tests {
     use epg_graph::EdgeList;
     use proptest::prelude::*;
 
-    /// Min-distance program (SSSP step).
+    /// Min-distance gather over in-edges.
     struct MinDist;
     impl VertexProgram for MinDist {
         type Data = f32;
@@ -255,6 +338,38 @@ mod tests {
         }
         fn scatter_dir(&self) -> EdgeDir {
             EdgeDir::Out
+        }
+    }
+
+    /// Min-distance messages (the toolkit's SSSP step): no gather, and a
+    /// changed vertex signals an out-neighbour only with a distance that
+    /// improves it.
+    struct MinMsg;
+    impl VertexProgram for MinMsg {
+        type Data = f32;
+        type Gather = f32;
+        fn gather_dir(&self) -> EdgeDir {
+            EdgeDir::None
+        }
+        fn gather(&self, _v: VertexId, _other: &f32, _w: Weight) -> f32 {
+            unreachable!("MinMsg does not gather")
+        }
+        fn merge(&self, a: f32, b: f32) -> f32 {
+            a.min(b)
+        }
+        fn apply(&self, v: VertexId, data: &mut f32, acc: Option<f32>) -> bool {
+            MinDist.apply(v, data, acc)
+        }
+        fn scatter_dir(&self) -> EdgeDir {
+            EdgeDir::Out
+        }
+        fn scatter(&self, data: &f32, other: &f32, w: Weight) -> Signal<f32> {
+            let candidate = data + w;
+            if candidate < *other {
+                Signal::Message(candidate)
+            } else {
+                Signal::Skip
+            }
         }
     }
 
@@ -339,10 +454,49 @@ mod tests {
         }
     }
 
+    /// Float-sum messages over both directions, sent only to neighbours
+    /// holding no more than the sender: the order in which a partition
+    /// merges messages, and a master its slots, shows in the sum's bits.
+    struct FloatMsg;
+    impl VertexProgram for FloatMsg {
+        type Data = f64;
+        type Gather = f64;
+        fn gather_dir(&self) -> EdgeDir {
+            EdgeDir::None
+        }
+        fn gather(&self, _v: VertexId, _other: &f64, _w: Weight) -> f64 {
+            unreachable!("FloatMsg does not gather")
+        }
+        fn merge(&self, a: f64, b: f64) -> f64 {
+            a + b
+        }
+        fn apply(&self, _v: VertexId, data: &mut f64, acc: Option<f64>) -> bool {
+            let Some(new) = acc else { return false };
+            let changed = new != *data;
+            *data = new;
+            changed
+        }
+        fn scatter_dir(&self) -> EdgeDir {
+            EdgeDir::Both
+        }
+        fn scatter(&self, data: &f64, other: &f64, w: Weight) -> Signal<f64> {
+            if other <= data {
+                Signal::Message(data / w as f64)
+            } else {
+                Signal::Skip
+            }
+        }
+    }
+
+    /// Messages waiting in the replica slots, by partition then vertex:
+    /// `None` where the partition hosts no replica of the vertex.
+    type Pending<G> = Vec<Vec<Option<G>>>;
+
     /// What a superstep returns and leaves behind.
     #[derive(Debug, PartialEq)]
-    struct Outcome<D> {
+    struct Outcome<D, G> {
         data: Vec<D>,
+        pending: Pending<G>,
         next: Vec<VertexId>,
         changed: Vec<VertexId>,
         edge_work: u64,
@@ -351,17 +505,21 @@ mod tests {
 
     /// One GAS superstep straight off the edge list and its placement into
     /// `p` partitions — no local ids, no CSR, no threads. A partition's
-    /// partial for `v` folds `v`'s in-edges there, then its out-edges, each
-    /// in input order; a vertex's partials fold in ascending partition
-    /// order. That is the association the engine promises, so even a float
-    /// merge must match bit for bit.
+    /// partial for `v` is the message waiting there, or folds `v`'s
+    /// in-edges there, then its out-edges, each in input order; a vertex's
+    /// partials fold in ascending partition order. Scatter walks each
+    /// partition's changed vertices in ascending order, each one's in-edges
+    /// there and then its out-edges, in input order, and merges a message
+    /// into the neighbour's slot in that partition. That is the association
+    /// the engine promises, so even a float merge must match bit for bit.
     fn reference_step<P: VertexProgram>(
         prog: &P,
         el: &EdgeList,
         p: usize,
         active: &[VertexId],
         data: &[P::Data],
-    ) -> Outcome<P::Data> {
+        pending: &Pending<P::Gather>,
+    ) -> Outcome<P::Data, P::Gather> {
         let (edge_part, _) = place(el, p);
         let n = el.num_vertices;
         let covers = |dir: EdgeDir, side: EdgeDir| dir == side || dir == EdgeDir::Both;
@@ -373,28 +531,29 @@ mod tests {
                 None => x,
             });
         };
+        // Per partition, every vertex's local (far end, weight) lists.
+        let mut ins = vec![vec![Vec::new(); n]; p];
+        let mut outs = vec![vec![Vec::new(); n]; p];
+        for ((u, v, w), &pi) in el.iter().zip(&edge_part) {
+            outs[pi as usize][u as usize].push((v, w));
+            ins[pi as usize][v as usize].push((u, w));
+        }
+        let hosted = |pi: usize, v: usize| !ins[pi][v].is_empty() || !outs[pi][v].is_empty();
+        let mut pending = pending.clone();
         let mut acc: Vec<Option<P::Gather>> = vec![None; n];
-        let mut presence = vec![0u64; n];
         let mut edge_work = 0;
         for pi in 0..p {
-            let here = || el.iter().zip(&edge_part).filter(|&(_, &e)| e as usize == pi);
-            let mut partial: Vec<Option<P::Gather>> = vec![None; n];
-            for ((u, v, w), _) in here() {
-                presence[u as usize] |= 1 << pi;
-                presence[v as usize] |= 1 << pi;
-                if covers(prog.gather_dir(), EdgeDir::In) && is_active[v as usize] {
-                    fold(&mut partial[v as usize], prog.gather(v, &data[u as usize], w));
-                    edge_work += 1;
+            for v in (0..n).filter(|&v| is_active[v]) {
+                let mut partial = pending[pi][v].take();
+                let gather = prog.gather_dir();
+                let sides = [(EdgeDir::In, &ins[pi][v]), (EdgeDir::Out, &outs[pi][v])];
+                for (side, edges) in sides {
+                    for &(u, w) in edges.iter().filter(|_| covers(gather, side)) {
+                        fold(&mut partial, prog.gather(v as VertexId, &data[u as usize], w));
+                        edge_work += 1;
+                    }
                 }
-            }
-            for ((u, v, w), _) in here() {
-                if covers(prog.gather_dir(), EdgeDir::Out) && is_active[u as usize] {
-                    fold(&mut partial[u as usize], prog.gather(u, &data[v as usize], w));
-                    edge_work += 1;
-                }
-            }
-            for (slot, x) in acc.iter_mut().zip(partial) {
-                x.into_iter().for_each(|x| fold(slot, x));
+                partial.into_iter().for_each(|x| fold(&mut acc[v], x));
             }
         }
         let mut data = data.to_vec();
@@ -406,20 +565,29 @@ mod tests {
             (0..n as VertexId).filter(|&v| is_changed[v as usize]).collect();
         let sync_messages = changed
             .iter()
-            .map(|&v| presence[v as usize].count_ones().saturating_sub(1) as u64)
+            .map(|&v| (0..p).filter(|&pi| hosted(pi, v as usize)).count().saturating_sub(1) as u64)
             .sum();
         let mut next = Vec::new();
-        for &(u, v) in &el.edges {
-            if covers(prog.scatter_dir(), EdgeDir::Out) && is_changed[u as usize] {
-                next.push(v);
-            }
-            if covers(prog.scatter_dir(), EdgeDir::In) && is_changed[v as usize] {
-                next.push(u);
+        for pi in 0..p {
+            for &v in &changed {
+                let v = v as usize;
+                let sides = [(EdgeDir::In, &ins[pi][v]), (EdgeDir::Out, &outs[pi][v])];
+                for (side, edges) in sides {
+                    for &(u, w) in edges.iter().filter(|_| covers(prog.scatter_dir(), side)) {
+                        edge_work += 1;
+                        match prog.scatter(&data[v], &data[u as usize], w) {
+                            Signal::Skip => continue,
+                            Signal::Activate => {}
+                            Signal::Message(m) => fold(&mut pending[pi][u as usize], m),
+                        }
+                        next.push(u);
+                    }
+                }
             }
         }
         next.sort_unstable();
         next.dedup();
-        Outcome { data, next, changed, edge_work, sync_messages }
+        Outcome { data, pending, next, changed, edge_work, sync_messages }
     }
 
     fn engine_step<P: VertexProgram>(
@@ -427,13 +595,30 @@ mod tests {
         g: &PartitionedGraph,
         active: &[VertexId],
         data: &[P::Data],
+        pending: &Pending<P::Gather>,
         pool: &ThreadPool,
-    ) -> Outcome<P::Data> {
+    ) -> Outcome<P::Data, P::Gather> {
+        let mut scratch = Scratch::new(g, pool);
+        let replicas = |pi: usize| {
+            let part = &g.partitions[pi];
+            (part.base()..).zip(part.vertices().iter().map(|&v| v as usize))
+        };
+        for pi in 0..g.partitions.len() {
+            for (slot, v) in replicas(pi) {
+                scratch.slots[slot] = pending[pi][v].clone();
+            }
+        }
         let mut data = data.to_vec();
         let mut log = RunLog::new(RecorderCtx::none());
-        let (next, stats) = superstep(prog, g, active, &mut data, pool, &mut log);
+        let stats = superstep(prog, g, active, &mut data, &mut scratch, pool, &mut log);
+        let mut pending = vec![vec![None; g.num_vertices]; g.partitions.len()];
+        for (pi, row) in pending.iter_mut().enumerate() {
+            for (slot, v) in replicas(pi) {
+                row[v] = scratch.slots[slot].take();
+            }
+        }
         let StepStats { changed, edge_work, sync_messages } = stats;
-        Outcome { data, next, changed, edge_work, sync_messages }
+        Outcome { data, pending, next: scratch.next, changed, edge_work, sync_messages }
     }
 
     /// A small weighted multigraph (self-loops and parallel edges
@@ -452,6 +637,48 @@ mod tests {
         })
     }
 
+    /// No message anywhere: the state a gathering program runs in.
+    fn no_messages<G: Clone>(g: &PartitionedGraph) -> Pending<G> {
+        vec![vec![None; g.num_vertices]; g.partitions.len()]
+    }
+
+    /// `msg(v, pi)` waiting at every replica of every vertex of `active`.
+    fn messages<G: Clone>(
+        g: &PartitionedGraph,
+        active: &[VertexId],
+        msg: impl Fn(VertexId, usize) -> G,
+    ) -> Pending<G> {
+        let mut pending = no_messages(g);
+        for &v in active {
+            for (pi, _) in g.replicas_of(v) {
+                pending[pi][v as usize] = Some(msg(v, pi));
+            }
+        }
+        pending
+    }
+
+    /// The engine's step and the reference's agree on `g`'s partitioning.
+    fn agrees<P: VertexProgram>(
+        prog: &P,
+        el: &EdgeList,
+        g: &PartitionedGraph,
+        active: &[VertexId],
+        data: &[P::Data],
+        pending: &Pending<P::Gather>,
+        pool: &ThreadPool,
+    ) -> Result<(), TestCaseError>
+    where
+        P::Data: std::fmt::Debug + PartialEq,
+        P::Gather: std::fmt::Debug + PartialEq,
+    {
+        let p = g.partitions.len();
+        prop_assert_eq!(
+            engine_step(prog, g, active, data, pending, pool),
+            reference_step(prog, el, p, active, data, pending)
+        );
+        Ok(())
+    }
+
     proptest! {
         #[test]
         fn superstep_matches_a_sequential_step_that_merges_in_partition_order(
@@ -467,30 +694,43 @@ mod tests {
             let labels: Vec<u64> = per.iter().map(|&(x, _)| x as u64 % 16).collect();
             // Magnitudes 1e-4..1e4 apart, so partial sums round differently
             // in any other order.
-            let floats: Vec<f64> =
-                per.iter().map(|&(x, _)| (x as f64 + 0.1) * 10f64.powi(x as i32 % 9 - 4)).collect();
+            let float = |x: u8| (x as f64 + 0.1) * 10f64.powi(x as i32 % 9 - 4);
+            let floats: Vec<f64> = per.iter().map(|&(x, _)| float(x)).collect();
             for p in [1, 3, 8, 64] {
                 let g = PartitionedGraph::build(&el, p);
                 for active in [&sparse, &all] {
-                    prop_assert_eq!(
-                        engine_step(&MinDist, &g, active, &dist, &pool),
-                        reference_step(&MinDist, &el, p, active, &dist)
-                    );
-                    prop_assert_eq!(
-                        engine_step(&MinLabel, &g, active, &labels, &pool),
-                        reference_step(&MinLabel, &el, p, active, &labels)
-                    );
-                    prop_assert_eq!(
-                        engine_step(&IntSum, &g, active, &labels, &pool),
-                        reference_step(&IntSum, &el, p, active, &labels)
-                    );
-                    prop_assert_eq!(
-                        engine_step(&FloatSum, &g, active, &floats, &pool),
-                        reference_step(&FloatSum, &el, p, active, &floats)
-                    );
+                    agrees(&MinDist, &el, &g, active, &dist, &no_messages(&g), &pool)?;
+                    agrees(&MinLabel, &el, &g, active, &labels, &no_messages(&g), &pool)?;
+                    agrees(&IntSum, &el, &g, active, &labels, &no_messages(&g), &pool)?;
+                    agrees(&FloatSum, &el, &g, active, &floats, &no_messages(&g), &pool)?;
+                    // Every replica of an active vertex holds a message; a
+                    // distance may or may not improve its vertex's.
+                    let x = |v: VertexId| per[v as usize].0 as usize;
+                    let min = messages(&g, active, |v, pi| ((x(v) * 7 + pi * 13) % 300) as f32);
+                    agrees(&MinMsg, &el, &g, active, &dist, &min, &pool)?;
+                    let sums = messages(&g, active, |v, pi| float((x(v) + pi) as u8));
+                    agrees(&FloatMsg, &el, &g, active, &floats, &sums, &pool)?;
                 }
             }
         }
+    }
+
+    /// Runs `MinMsg` from `root` to its fixpoint; the steps' stats, in order.
+    fn min_msg_run(
+        g: &PartitionedGraph,
+        root: VertexId,
+        dist: &mut [f32],
+        pool: &ThreadPool,
+        log: &mut RunLog<'_>,
+    ) -> Vec<StepStats> {
+        let mut scratch = Scratch::new(g, pool);
+        assert!(scratch.signal(g, root, 0.0), "root {root} is isolated");
+        let (mut active, mut steps) = (vec![root], Vec::new());
+        while !active.is_empty() {
+            steps.push(superstep(&MinMsg, g, &active, dist, &mut scratch, pool, log));
+            std::mem::swap(&mut active, &mut scratch.next);
+        }
+        steps
     }
 
     #[test]
@@ -498,16 +738,22 @@ mod tests {
         let el = EdgeList::weighted(4, vec![(0, 1), (1, 2), (0, 3)], vec![1.0, 1.0, 5.0]);
         let g = PartitionedGraph::build(&el, 2);
         let pool = ThreadPool::new(2);
-        let mut dist = vec![0.0f32, f32::INFINITY, f32::INFINITY, f32::INFINITY];
+        let mut dist = vec![f32::INFINITY; 4];
         let mut log = RunLog::new(RecorderCtx::none());
-        // Activate 1 and 3 (the root's out-neighbors, as a scatter would).
-        let (next, stats) = superstep(&MinDist, &g, &[1, 3], &mut dist, &pool, &mut log);
-        assert_eq!(dist[1], 1.0);
-        assert_eq!(dist[3], 5.0);
+        let mut scratch = Scratch::new(&g, &pool);
+        assert!(scratch.signal(&g, 0, 0.0));
+        // The root takes its message and signals both out-neighbours.
+        let stats = superstep(&MinMsg, &g, &[0], &mut dist, &mut scratch, &pool, &mut log);
+        assert_eq!((dist[0], &stats.changed, &scratch.next), (0.0, &vec![0], &vec![1, 3]));
+        let active = std::mem::take(&mut scratch.next);
+        let stats = superstep(&MinMsg, &g, &active, &mut dist, &mut scratch, &pool, &mut log);
+        assert_eq!((dist[1], dist[3]), (1.0, 5.0));
         assert_eq!(stats.changed, vec![1, 3]);
-        // 1 changed -> activates its out-neighbor 2.
-        assert_eq!(next, vec![2]);
-        assert!(log.counters.edges_traversed > 0);
+        // 1 changed -> signals its out-neighbor 2; 3 has no out-edge.
+        assert_eq!(scratch.next, vec![2]);
+        // The root scanned two out-edges, 1 and 3 one between them, and
+        // nothing was gathered.
+        assert_eq!((stats.edge_work, log.counters.edges_traversed), (1, 3));
     }
 
     #[test]
@@ -517,18 +763,8 @@ mod tests {
         let pool = ThreadPool::new(3);
         let n = el.num_vertices;
         let mut dist = vec![f32::INFINITY; n];
-        dist[0] = 0.0;
         let mut log = RunLog::new(RecorderCtx::none());
-        // Seed with the root's out-neighbors: applying at the root itself
-        // changes nothing (no gather can improve distance 0), so the engine
-        // signals its neighbors first.
-        let mut active = g.out_neighbors(0);
-        let mut rounds = 0;
-        while !active.is_empty() && rounds < 10_000 {
-            rounds += 1;
-            let (next, _) = superstep(&MinDist, &g, &active, &mut dist, &pool, &mut log);
-            active = next;
-        }
+        min_msg_run(&g, 0, &mut dist, &pool, &mut log);
         let csr = epg_graph::Csr::from_edge_list(&el);
         let want = epg_graph::oracle::dijkstra(&csr, 0);
         for v in 0..n {
@@ -547,15 +783,54 @@ mod tests {
         let g = PartitionedGraph::build(&el, 8);
         let pool = ThreadPool::new(2);
         let mut dist = vec![f32::INFINITY; 64];
-        dist[1] = 0.0;
         let mut log = RunLog::new(RecorderCtx::none());
-        // Hub 0 gathers from vertex 1 and changes; it has many mirrors.
-        let (_, stats) = superstep(&MinDist, &g, &[0], &mut dist, &pool, &mut log);
-        assert_eq!(stats.changed, vec![0]);
+        // Leaf 1 signals hub 0, which changes; it has many mirrors. The
+        // hub's own messages then reach every other leaf.
+        let steps = min_msg_run(&g, 1, &mut dist, &pool, &mut log);
+        assert_eq!(steps.len(), 3);
+        assert_eq!(steps[1].changed, vec![0]);
         assert_eq!(
-            stats.sync_messages,
+            steps[1].sync_messages,
             g.replicas_of(0).count() as u64 - 1,
             "hub sync must touch every mirror"
         );
+    }
+
+    /// A program that both gathers and signals.
+    struct GatherAndSignal;
+    impl VertexProgram for GatherAndSignal {
+        type Data = f32;
+        type Gather = f32;
+        fn gather_dir(&self) -> EdgeDir {
+            EdgeDir::In
+        }
+        fn gather(&self, v: VertexId, other: &f32, w: Weight) -> f32 {
+            MinDist.gather(v, other, w)
+        }
+        fn merge(&self, a: f32, b: f32) -> f32 {
+            a.min(b)
+        }
+        fn apply(&self, v: VertexId, data: &mut f32, acc: Option<f32>) -> bool {
+            MinDist.apply(v, data, acc)
+        }
+        fn scatter_dir(&self) -> EdgeDir {
+            EdgeDir::Out
+        }
+        fn scatter(&self, data: &f32, other: &f32, w: Weight) -> Signal<f32> {
+            MinMsg.scatter(data, other, w)
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a program that gathers cannot send messages")]
+    fn a_program_that_gathers_and_signals_is_refused() {
+        let el = EdgeList::weighted(3, vec![(0, 1), (1, 2)], vec![1.0, 1.0]);
+        let g = PartitionedGraph::build(&el, 1);
+        let pool = ThreadPool::new(1);
+        let mut dist = vec![0.0, f32::INFINITY, f32::INFINITY];
+        let mut log = RunLog::new(RecorderCtx::none());
+        let mut scratch = Scratch::new(&g, &pool);
+        // Vertex 1 gathers distance 1 and changes; its scatter improves 2.
+        superstep(&GatherAndSignal, &g, &[1], &mut dist, &mut scratch, &pool, &mut log);
     }
 }

@@ -11,8 +11,9 @@
 //! - a **synchronous Gather-Apply-Scatter engine** ([`gas`]) whose every
 //!   superstep pays gather-merge and mirror-synchronization costs
 //!   proportional to the replication factor;
-//! - toolkit algorithms ([`programs`]): SSSP, PageRank, CDLP, WCC, and LCC
-//!   — **but no BFS**, matching the toolkit gap the paper reports (§III-D);
+//! - toolkit algorithms ([`programs`]): SSSP (message-driven, as the
+//!   toolkit's `sssp.cpp`), PageRank, CDLP, WCC, and LCC — **but no BFS**,
+//!   matching the toolkit gap the paper reports (§III-D);
 //! - file loading and graph construction are fused (the loader partitions
 //!   while it parses, §III-B).
 

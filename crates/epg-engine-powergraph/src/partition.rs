@@ -286,18 +286,6 @@ impl PartitionedGraph {
         self.ids.presence[v as usize].count_ones().saturating_sub(1) as u64
     }
 
-    /// `v`'s out-neighbors across all partitions, sorted and deduplicated —
-    /// the set a root signals before the first superstep.
-    pub fn out_neighbors(&self, v: VertexId) -> Vec<VertexId> {
-        let mut out: Vec<VertexId> = self
-            .replicas_of(v)
-            .flat_map(|(pi, l)| self.partitions[pi].out_edges(l).iter().map(|&(d, _)| d))
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
     /// Average number of replicas per non-isolated vertex — PowerGraph's
     /// replication factor, the driver of its synchronization overhead.
     pub fn replication_factor(&self) -> f64 {
@@ -531,7 +519,7 @@ mod tests {
             assert_eq!(pg.num_mirrors(), 0);
             assert!(pg.partitions.iter().all(|p| p.vertices().is_empty() && p.num_edges() == 0));
             assert!((0..n as VertexId).all(|v| pg.local_id(v, 0).is_none()));
-            assert!((0..n as VertexId).all(|v| pg.out_neighbors(v).is_empty()));
+            assert!((0..n as VertexId).all(|v| pg.replicas_of(v).next().is_none()));
             check_layout(&el, 4);
         }
     }

@@ -5,23 +5,26 @@
 //! which is why PowerGraph is absent from Figs. 2, 5, 6 and the BFS panel
 //! of Fig. 8.
 
-use crate::gas::{superstep, EdgeDir, VertexProgram};
+use crate::gas::{superstep, EdgeDir, Scratch, Signal, VertexProgram};
 use crate::partition::PartitionedGraph;
 use epg_engine_api::{AlgorithmResult, Dir, RunLog, RunOutput, RunParams, StoppingCriterion};
 use epg_graph::{VertexId, Weight, INF_DIST};
 
 // --------------------------------------------------------------- SSSP ----
 
+/// The toolkit's SSSP (`sssp.cpp`): no gather; a vertex whose distance
+/// changed signals an out-neighbour with `dist + w` only when that improves
+/// the neighbour, and a vertex's messages combine by min.
 struct SsspProgram;
 
 impl VertexProgram for SsspProgram {
     type Data = f32;
     type Gather = f32;
     fn gather_dir(&self) -> EdgeDir {
-        EdgeDir::In
+        EdgeDir::None
     }
-    fn gather(&self, _v: VertexId, other: &f32, w: Weight) -> f32 {
-        other + w
+    fn gather(&self, _v: VertexId, _other: &f32, _w: Weight) -> f32 {
+        unreachable!("the toolkit's SSSP does not gather")
     }
     fn merge(&self, a: f32, b: f32) -> f32 {
         a.min(b)
@@ -38,29 +41,45 @@ impl VertexProgram for SsspProgram {
     fn scatter_dir(&self) -> EdgeDir {
         EdgeDir::Out
     }
+    fn scatter(&self, dist: &f32, other: &f32, w: Weight) -> Signal<f32> {
+        let candidate = dist + w;
+        if candidate < *other {
+            Signal::Message(candidate)
+        } else {
+            Signal::Skip
+        }
+    }
 }
 
-/// SSSP: gather-min over in-edges, scatter-activate over out-edges, until
-/// no vertex changes.
+/// SSSP: the root is signalled with distance 0, and every superstep applies
+/// the vertices holding messages and scatters from those that changed,
+/// until no message is sent.
 pub fn sssp(g: &PartitionedGraph, params: &RunParams<'_>) -> RunOutput {
     let (pool, rec) = (params.pool, params.recorder);
     let root = params.root.expect("SSSP needs a root");
     let n = g.num_vertices;
     let mut dist = vec![INF_DIST; n];
-    dist[root as usize] = 0.0;
     let mut log = RunLog::new(rec);
     rec.alloc_hwm("powergraph.sssp.dist", n as u64 * 4);
-    // Signal the root's out-neighbors, as the toolkit's init scatter does.
-    let mut active = g.out_neighbors(root);
+    let mut scratch = Scratch::new(g, pool);
+    // The toolkit signals the root with distance 0. An isolated root has no
+    // replica to hold the message and no edge to scatter along: it takes
+    // the distance directly.
+    let mut active = if scratch.signal(g, root, 0.0) {
+        vec![root]
+    } else {
+        dist[root as usize] = 0.0;
+        Vec::new()
+    };
     let mut round = 0u32;
     while !active.is_empty() {
         round += 1;
-        let (next, _) = superstep(&SsspProgram, g, &active, &mut dist, pool, &mut log);
-        // Activation-driven superstep: the active set pushes work forward.
+        superstep(&SsspProgram, g, &active, &mut dist, &mut scratch, pool, &mut log);
+        // Message-driven superstep: the signalled set pushes work forward.
         if log.iteration(pool, round, active.len() as u64, Dir::Push).is_break() {
             break;
         }
-        active = next;
+        std::mem::swap(&mut active, &mut scratch.next);
     }
     log.counters.bytes_read = log.counters.edges_traversed * 16;
     log.finish(AlgorithmResult::Distances(dist))
@@ -131,6 +150,7 @@ pub fn pagerank(g: &PartitionedGraph, params: &RunParams<'_>) -> RunOutput {
     // Prev-rank snapshot for the L1 convergence delta, reused across
     // iterations so the timed loop never reallocates it.
     let mut prev = vec![0.0f64; n];
+    let mut scratch = Scratch::new(g, pool);
     loop {
         iterations += 1;
         let sink_mass: f64 =
@@ -139,7 +159,7 @@ pub fn pagerank(g: &PartitionedGraph, params: &RunParams<'_>) -> RunOutput {
             *p = d.rank;
         }
         let prog = PrProgram { base, sink_mass };
-        let (_, stats) = superstep(&prog, g, &all, &mut data, pool, &mut log);
+        let stats = superstep(&prog, g, &all, &mut data, &mut scratch, pool, &mut log);
         let l1: f64 = data.iter().zip(&prev).map(|(d, &p)| (d.rank - p).abs()).sum();
         // Gather over in-edges with every vertex active: a pull round.
         let stop = log.iteration(pool, iterations, n as u64, Dir::Pull);
@@ -200,8 +220,9 @@ pub fn cdlp(g: &PartitionedGraph, params: &RunParams<'_>, iterations: u32) -> Ru
     let all: Vec<VertexId> = (0..n as VertexId).collect();
     let mut log = RunLog::new(rec);
     rec.alloc_hwm("powergraph.cdlp.labels", n as u64 * 8);
+    let mut scratch = Scratch::new(g, pool);
     for round in 0..iterations {
-        let _ = superstep(&CdlpProgram, g, &all, &mut labels, pool, &mut log);
+        superstep(&CdlpProgram, g, &all, &mut labels, &mut scratch, pool, &mut log);
         if log.iteration(pool, round + 1, n as u64, Dir::Push).is_break() {
             break;
         }
@@ -249,13 +270,14 @@ pub fn wcc(g: &PartitionedGraph, params: &RunParams<'_>) -> RunOutput {
     let mut log = RunLog::new(rec);
     let mut round = 0u32;
     rec.alloc_hwm("powergraph.wcc.comp", n as u64 * 8);
+    let mut scratch = Scratch::new(g, pool);
     while !active.is_empty() {
         round += 1;
-        let (next, _) = superstep(&WccProgram, g, &active, &mut comp, pool, &mut log);
+        superstep(&WccProgram, g, &active, &mut comp, &mut scratch, pool, &mut log);
         if log.iteration(pool, round, active.len() as u64, Dir::Push).is_break() {
             break;
         }
-        active = next;
+        std::mem::swap(&mut active, &mut scratch.next);
     }
     log.counters.bytes_read = log.counters.edges_traversed * 16;
     log.finish(AlgorithmResult::Components(comp.into_iter().map(|c| c as VertexId).collect()))
@@ -367,6 +389,55 @@ mod tests {
         let out = wcc(&g, &RunParams::new(&pool, None));
         let AlgorithmResult::Components(c) = out.result else { panic!() };
         assert_eq!(c, oracle::wcc(&Csr::from_edge_list(&el)));
+    }
+
+    #[test]
+    fn sssp_work_is_pinned_on_a_path_and_a_star() {
+        // Every vertex changes once, so each of its out-edges is scanned
+        // once. A step is one merge/apply region over the vertices holding
+        // messages (a static chunk per thread at most) and one scatter
+        // region (a chunk per partition); there is no gather region.
+        let (pool, p) = (ThreadPool::new(2), 4u64);
+        let run = |el: &EdgeList, root| {
+            let g = PartitionedGraph::build(el, p as usize);
+            let before = pool.stats();
+            let out = sssp(&g, &RunParams::new(&pool, Some(root)));
+            let after = pool.stats();
+            let AlgorithmResult::Distances(d) = out.result else { panic!() };
+            let c = out.counters;
+            (
+                d,
+                c.edges_traversed,
+                c.iterations,
+                after.regions - before.regions,
+                after.chunks - before.chunks,
+            )
+        };
+        // A weighted path 0 - 1 - ... - 9 (edge i-1 - i weighs i): one
+        // vertex per step, and no vertex signals back.
+        let k = 10u64;
+        let path = EdgeList::weighted(
+            k as usize,
+            (1..k as VertexId).map(|v| (v - 1, v)).collect(),
+            (1..k).map(|w| w as f32).collect(),
+        );
+        let (d, edges, iterations, regions, chunks) = run(&path.symmetrized(), 0);
+        assert_eq!(d, (0..k).map(|v| (v * (v + 1) / 2) as f32).collect::<Vec<_>>());
+        assert_eq!((edges, iterations), (2 * (k - 1), k as u32));
+        assert_eq!((regions, chunks), (2 * k, k * (1 + p)));
+        // A star rooted at its hub: the hub scans its k out-edges and
+        // signals every leaf; each leaf scans its edge back and signals
+        // nothing.
+        let k = 50u64;
+        let star = EdgeList::weighted(
+            k as usize + 1,
+            (1..=k as VertexId).map(|v| (0, v)).collect(),
+            (1..=k).map(|w| w as f32).collect(),
+        );
+        let (d, edges, iterations, regions, chunks) = run(&star.symmetrized(), 0);
+        assert_eq!(d, (0..=k).map(|v| v as f32).collect::<Vec<_>>());
+        assert_eq!((edges, iterations), (2 * k, 2));
+        assert_eq!((regions, chunks), (4, (1 + p) + (2 + p)));
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! - **result verification** — a completed output goes to a verifier
 //!   after the trial's clock has stopped; the runner's is
 //!   [`verify_output`], the Graph500 rules for BFS trees, a
-//!   shortest-path check for SSSP distances and a partition check for WCC
-//!   labels, on every engine;
+//!   shortest-path check for SSSP distances, a partition check for WCC
+//!   labels and a convergence check for PageRank ranks, on every engine;
 //! - **bounded retry** — transient failures (panics, wrong results caught
 //!   by the verifier) are retried with doubling backoff up to `max_retries`;
 //! - **quarantine** — the runner counts consecutive failures per
@@ -29,7 +29,7 @@
 
 use epg_engine_api::{Algorithm, AlgorithmResult, RunOutput};
 use epg_graph::{oracle, validate, Csr, VertexId};
-use epg_parallel::{CancelToken, ThreadPool};
+use epg_parallel::{CancelToken, Schedule, ThreadPool};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -202,8 +202,9 @@ pub fn supervise_trial(
 /// tree must pass the Graph500 rules and carry the levels its parents
 /// imply ([`validate::validate_bfs_tree_parallel`], its edge scan on
 /// `pool`); SSSP distances must pass [`validate::validate_sssp_distances`];
-/// WCC labels must induce [`oracle::wcc`]'s partition. Every other
-/// algorithm passes. A malformed output is an `Err`, never a panic.
+/// WCC labels must induce [`oracle::wcc`]'s partition; PageRank ranks must
+/// be converged ([`pagerank_converged`]). Every other algorithm passes. A
+/// malformed output is an `Err`, never a panic.
 pub fn verify_output(
     g: &Csr,
     algo: Algorithm,
@@ -228,10 +229,52 @@ pub fn verify_output(
             validate::validate_sssp_distances(g, root, dist)
         }
         (Algorithm::Wcc, _, AlgorithmResult::Components(comp)) => same_components(g, comp),
-        (Algorithm::Bfs | Algorithm::Sssp | Algorithm::Wcc, ..) => {
+        (Algorithm::PageRank, _, AlgorithmResult::Ranks { ranks, .. }) => {
+            pagerank_converged(g, ranks, pool)
+        }
+        (Algorithm::Bfs | Algorithm::Sssp | Algorithm::Wcc | Algorithm::PageRank, ..) => {
             Err(format!("{} from root {root:?}: result of the wrong kind", algo.abbrev()))
         }
         _ => Ok(()),
+    }
+}
+
+/// Whether `ranks` is a converged PageRank of the symmetric `g`: one more
+/// power-iteration sweep (damping [`oracle::PR_DAMPING`], sink rank spread
+/// evenly, as every engine computes it) must move them, in L1, by less than
+/// a run's stopping rule lets its last sweep move them. The homogenized
+/// rule stops below [`oracle::PR_EPSILON`]; GraphMat's native rule stops
+/// when no rank changes at `f32` precision, which leaves each rank within
+/// one `f32` ulp. The larger of the two is the bound. A sweep shrinks the
+/// change by the damping factor, so a run that stopped by either rule
+/// passes, and one that stopped early or returns other ranks does not.
+fn pagerank_converged(g: &Csr, ranks: &[f64], pool: &ThreadPool) -> Result<(), String> {
+    let n = g.num_vertices();
+    if ranks.len() != n {
+        return Err(format!("{} ranks for {n} vertices", ranks.len()));
+    }
+    let sched = Schedule::Static { chunk: None };
+    let degree = |v: usize| g.out_degree(v as VertexId);
+    let sink = pool.parallel_sum_f64(n, sched, |v| if degree(v) == 0 { ranks[v] } else { 0.0 });
+    let fill = (1.0 - oracle::PR_DAMPING) / n as f64 + oracle::PR_DAMPING * sink / n as f64;
+    // `g` is symmetric, so a vertex's neighbours are its in-neighbours.
+    let moved = pool.parallel_sum_f64(n, sched, |v| {
+        let neighbors = g.neighbors(v as VertexId).iter().map(|&u| u as usize);
+        let incoming: f64 = neighbors.map(|u| ranks[u] / degree(u) as f64).sum();
+        (fill + oracle::PR_DAMPING * incoming - ranks[v]).abs()
+    });
+    let ulp = |r: f64| {
+        let x = (r as f32).abs();
+        (f32::from_bits(x.to_bits() + 1) - x) as f64
+    };
+    let bound = oracle::PR_EPSILON.max(ranks.iter().map(|&r| ulp(r)).sum());
+    if moved < bound {
+        Ok(())
+    } else {
+        Err(format!(
+            "one more PageRank sweep moves the ranks by {moved:.3e} in L1, \
+             not under the {bound:.3e} a converged run allows"
+        ))
     }
 }
 
@@ -437,6 +480,35 @@ mod tests {
         assert!(verify_output(&g, Algorithm::Bfs, Some(0), &sssp, &pool).is_err());
         // Algorithms without a checker pass whatever they return.
         assert_eq!(verify_output(&g, Algorithm::TriangleCount, None, &ok_output(), &pool), Ok(()));
+    }
+
+    #[test]
+    fn verify_output_checks_pagerank_convergence() {
+        use epg_graph::{oracle, EdgeList};
+        let pool = ThreadPool::new(2);
+        // A path, a triangle hanging off it, and two isolated sinks.
+        let edges = vec![(0, 1), (1, 2), (2, 3), (3, 4), (4, 2)];
+        let g = Csr::from_edge_list(&EdgeList::new(7, edges).symmetrized());
+        let check = |ranks: Vec<f64>| {
+            let out = RunOutput::new(
+                AlgorithmResult::Ranks { ranks, iterations: 1 },
+                Counters::default(),
+                Trace::default(),
+            );
+            verify_output(&g, Algorithm::PageRank, None, &out, &pool)
+        };
+        let (ranks, _) = oracle::pagerank(&g, oracle::PR_EPSILON, 300);
+        assert_eq!(check(ranks.clone()), Ok(()));
+        // Stopped after a few sweeps, the ranks still move.
+        let (early, _) = oracle::pagerank(&g, oracle::PR_EPSILON, 5);
+        let err = check(early).expect_err("five sweeps do not converge");
+        assert!(err.starts_with("one more PageRank sweep moves the ranks by"), "{err}");
+        let mut bumped = ranks.clone();
+        bumped[0] += 0.5;
+        assert!(check(bumped).is_err());
+        assert!(check(vec![f64::NAN; 7]).is_err());
+        assert!(check(ranks[..6].to_vec()).is_err());
+        assert!(verify_output(&g, Algorithm::PageRank, None, &ok_output(), &pool).is_err());
     }
 
     #[test]

@@ -165,10 +165,11 @@ fn always_wrong() -> FaultPlan {
 
 #[test]
 fn wrong_results_fail_verification_on_every_engine() {
-    // Every engine × {BFS, SSSP, WCC} it supports. The injector bumps entry
-    // 0 of the result: a BFS level always changes, a distance only where
-    // the root reaches vertex 0 (an infinite one stays infinite), and a
-    // component label splits vertex 0 from the rest of its component.
+    // Every engine × {BFS, SSSP, WCC, PageRank} it supports. The injector
+    // bumps entry 0 of the result: a BFS level always changes, a distance
+    // only where the root reaches vertex 0 (an infinite one stays
+    // infinite), a component label splits vertex 0 from the rest of its
+    // component, and rank 0 grows by 0.5, which one more sweep undoes.
     let spec = GraphSpec::Kronecker { scale: 7, edge_factor: 8, weighted: true };
     let ds = Dataset::from_spec(&spec, 9);
     let csr = Csr::from_edge_list(&ds.symmetric);
@@ -181,6 +182,7 @@ fn wrong_results_fail_verification_on_every_engine() {
             (Algorithm::Bfs, "but the parent tree puts it at"),
             (Algorithm::Sssp, "relaxes dist[0]"),
             (Algorithm::Wcc, "are weakly connected, but labelled"),
+            (Algorithm::PageRank, "one more PageRank sweep moves the ranks by"),
         ] {
             if !kind.create().supports(algo) {
                 continue;
@@ -203,10 +205,12 @@ fn wrong_results_fail_verification_on_every_engine() {
                 .filter(|r| r.phase == Phase::Run)
                 .map(|r| r.outcome)
                 .collect();
-            // A rooted kernel runs once per root, WCC once.
-            let roots: Vec<Option<VertexId>> = match algo.is_rooted() {
-                true => ds.roots[..4].iter().map(|&r| Some(r)).collect(),
-                false => vec![None],
+            // A rooted kernel runs once per root, PageRank as many times,
+            // WCC once.
+            let roots: Vec<Option<VertexId>> = match algo {
+                _ if algo.is_rooted() => ds.roots[..4].iter().map(|&r| Some(r)).collect(),
+                Algorithm::PageRank => vec![None; 4],
+                _ => vec![None],
             };
             let want: Vec<TrialOutcome> = roots
                 .iter()
@@ -237,7 +241,7 @@ fn wrong_results_fail_verification_on_every_engine() {
             assert!(error.contains(rule), "{name}: {error}");
         }
     }
-    assert_eq!(covered, 11, "four BFS, four SSSP and three WCC engines");
+    assert_eq!(covered, 15, "four BFS, four SSSP, three WCC and four PageRank engines");
 }
 
 #[test]
