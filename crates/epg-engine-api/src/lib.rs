@@ -130,6 +130,10 @@ impl Algorithm {
     }
 }
 
+/// CDLP's fixed round count: Graphalytics' CDLP iteration parameter,
+/// which every engine's CDLP runs and the oracle tests compare against.
+pub const CDLP_ROUNDS: u32 = 10;
+
 /// Selectable SSSP kernel for engines that ship more than one (currently
 /// GAP). The paper's engines each run a single Δ-stepping variant; the
 /// raw-speed tier adds two sequential priority-queue kernels so the

@@ -122,6 +122,7 @@ pub fn wcc(g: &PropertyGraph, params: &RunParams<'_>) -> RunOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use epg_engine_api::CDLP_ROUNDS;
     use epg_graph::{oracle, Csr, EdgeList};
     use epg_parallel::ThreadPool;
 
@@ -131,9 +132,9 @@ mod tests {
             EdgeList::new(6, vec![(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]).symmetrized();
         let g = PropertyGraph::from_edge_list(&el);
         let pool = ThreadPool::new(2);
-        let out = cdlp(&g, &RunParams::new(&pool, None), 10);
+        let out = cdlp(&g, &RunParams::new(&pool, None), CDLP_ROUNDS);
         let AlgorithmResult::Labels(l) = out.result else { panic!() };
-        assert_eq!(l, oracle::cdlp(&Csr::from_edge_list(&el), 10));
+        assert_eq!(l, oracle::cdlp(&Csr::from_edge_list(&el), CDLP_ROUNDS));
     }
 
     #[test]

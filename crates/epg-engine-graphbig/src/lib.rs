@@ -29,7 +29,9 @@ mod traversal;
 #[cfg(test)]
 mod build_parity;
 
-use epg_engine_api::{logfmt::LogStyle, Algorithm, Engine, EngineInfo, RunOutput, RunParams};
+use epg_engine_api::{
+    logfmt::LogStyle, Algorithm, Engine, EngineInfo, RunOutput, RunParams, CDLP_ROUNDS,
+};
 use epg_graph::adjacency::PropertyGraph;
 use epg_graph::{ingest, EdgeList};
 use epg_parallel::ThreadPool;
@@ -107,7 +109,7 @@ impl Engine for GraphBigEngine {
             Algorithm::Bfs => traversal::bfs(g, params),
             Algorithm::Sssp => traversal::sssp(g, params),
             Algorithm::PageRank => ranking::pagerank(g, params),
-            Algorithm::Cdlp => community::cdlp(g, params, 10),
+            Algorithm::Cdlp => community::cdlp(g, params, CDLP_ROUNDS),
             Algorithm::Wcc => community::wcc(g, params),
             Algorithm::Lcc => topology::lcc(g, params),
             Algorithm::Bc => extensions::betweenness(g, params, 0x6b16),
@@ -223,7 +225,7 @@ mod tests {
         let g = Csr::from_edge_list(&el);
         let out = e.run(Algorithm::Cdlp, &RunParams::new(&pool, None));
         let AlgorithmResult::Labels(l) = out.result else { panic!() };
-        assert_eq!(l, oracle::cdlp(&g, 10));
+        assert_eq!(l, oracle::cdlp(&g, CDLP_ROUNDS));
     }
 
     #[test]

@@ -30,7 +30,9 @@ pub mod spmv;
 
 mod lcc;
 
-use epg_engine_api::{logfmt::LogStyle, Algorithm, Engine, EngineInfo, RunOutput, RunParams};
+use epg_engine_api::{
+    logfmt::LogStyle, Algorithm, Engine, EngineInfo, RunOutput, RunParams, CDLP_ROUNDS,
+};
 use epg_graph::{ingest, Dcsc, EdgeList};
 use epg_parallel::ThreadPool;
 use std::path::Path;
@@ -113,7 +115,7 @@ impl Engine for GraphMatEngine {
             Algorithm::Bfs => programs::bfs(a, n, params),
             Algorithm::Sssp => programs::sssp(a, n, params),
             Algorithm::PageRank => programs::pagerank(a, at, n, params),
-            Algorithm::Cdlp => programs::cdlp(a, at, n, params, 10),
+            Algorithm::Cdlp => programs::cdlp(a, at, n, params, CDLP_ROUNDS),
             Algorithm::Wcc => programs::wcc(a, at, n, params),
             Algorithm::Lcc => lcc::lcc(a, at, n, params),
             Algorithm::TriangleCount => lcc::triangle_count(a, at, n, params),
@@ -200,7 +202,7 @@ mod tests {
         let mut e = build(&el, &pool);
         let out = e.run(Algorithm::Cdlp, &RunParams::new(&pool, None));
         let AlgorithmResult::Labels(l) = out.result else { panic!() };
-        assert_eq!(l, oracle::cdlp(&Csr::from_edge_list(&el), 10));
+        assert_eq!(l, oracle::cdlp(&Csr::from_edge_list(&el), CDLP_ROUNDS));
     }
 
     #[test]

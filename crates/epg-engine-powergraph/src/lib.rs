@@ -25,7 +25,9 @@ pub mod programs;
 
 mod lcc;
 
-use epg_engine_api::{logfmt::LogStyle, Algorithm, Engine, EngineInfo, RunOutput, RunParams};
+use epg_engine_api::{
+    logfmt::LogStyle, Algorithm, Engine, EngineInfo, RunOutput, RunParams, CDLP_ROUNDS,
+};
 use epg_graph::{ingest, EdgeList};
 use epg_parallel::ThreadPool;
 use partition::PartitionedGraph;
@@ -129,7 +131,7 @@ impl Engine for PowerGraphEngine {
         match algo {
             Algorithm::Sssp => programs::sssp(g, params),
             Algorithm::PageRank => programs::pagerank(g, params),
-            Algorithm::Cdlp => programs::cdlp(g, params, 10),
+            Algorithm::Cdlp => programs::cdlp(g, params, CDLP_ROUNDS),
             Algorithm::Wcc => programs::wcc(g, params),
             Algorithm::Lcc => lcc::lcc(g, params),
             Algorithm::TriangleCount => lcc::triangle_count(g, params),

@@ -286,6 +286,7 @@ pub fn wcc(g: &PartitionedGraph, params: &RunParams<'_>) -> RunOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use epg_engine_api::CDLP_ROUNDS;
     use epg_graph::{oracle, Csr, EdgeList};
     use epg_parallel::ThreadPool;
 
@@ -343,7 +344,7 @@ mod tests {
                     pagerank(&g, &params),
                     sssp(&g, &rooted),
                     wcc(&g, &params),
-                    cdlp(&g, &params, 10),
+                    cdlp(&g, &params, CDLP_ROUNDS),
                 ];
                 outs.map(|out| format!("{:?}", (out.result, out.counters, out.trace)))
             };
@@ -376,9 +377,9 @@ mod tests {
         let el = graph(3);
         let g = PartitionedGraph::build(&el, 4);
         let pool = ThreadPool::new(2);
-        let out = cdlp(&g, &RunParams::new(&pool, None), 10);
+        let out = cdlp(&g, &RunParams::new(&pool, None), CDLP_ROUNDS);
         let AlgorithmResult::Labels(l) = out.result else { panic!() };
-        assert_eq!(l, oracle::cdlp(&Csr::from_edge_list(&el), 10));
+        assert_eq!(l, oracle::cdlp(&Csr::from_edge_list(&el), CDLP_ROUNDS));
     }
 
     #[test]

@@ -39,7 +39,6 @@ fn findings_exit_1_with_report_on_stdout() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     for rule in [
         "layering",
-        "hot-loop-alloc",
         "lock-order-cycle",
         "blocking-while-locked",
         "condvar-wait-loop",

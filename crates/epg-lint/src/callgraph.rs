@@ -1,17 +1,17 @@
 //! Intra-crate call graphs, the one reach query over them, and the rules
 //! that are rows of one table.
 //!
-//! Five rules ask the same question — is a banned token in a region,
+//! Four rules ask the same question — is a banned token in a region,
 //! directly or through calls? — so they are rows of [`ROWS`]: rule id,
 //! crate scope, token class, region, and two message templates.
 //! `phase-purity` (file I/O outside `load_file`), `timing-discipline`
 //! (clock reads outside the measurement owners), `panic-discipline`
-//! (aborts in engine loops and worker closures), the token half of
-//! `hot-loop-alloc` (allocation in timed spans), and
+//! (aborts in engine loops and worker closures), and
 //! `blocking-while-locked` (engine queries, file I/O and condvar waits
-//! under a held guard). One loop checks every row under one rule: **a
-//! token is reported once — at its own line when that line is in the
-//! row's region, otherwise at every timed call site (hot span) or
+//! under a held guard). Allocation in timed spans is measured instead
+//! (the `steady_state_alloc` test). One loop checks every row under one
+//! rule: **a token is reported once — at its own line when that line is
+//! in the row's region, otherwise at every timed call site (hot span) or
 //! held-guard line that reaches it**, with the call chain and the token's
 //! location in the message. Test-role files and `#[cfg(test)]`/`#[test]`
 //! spans are exempt throughout.
@@ -44,7 +44,6 @@
 //! crate that must fix them.
 
 use crate::arch::{is_engine_crate, layer_of};
-use crate::flow::RULE_ALLOC;
 use crate::locking::{self, cv_wait_receiver, Held, Locks, RULE_BLOCKING};
 use crate::model::{CallKind, CrateModel, FileModel, Workspace};
 use crate::rules::Finding;
@@ -395,8 +394,6 @@ enum Region {
     OutsideLoadFile,
     /// Inside an iteration loop or a worker closure.
     LoopOrWorker,
-    /// Inside a timed span ([`FileModel::hot`]), outside `load_file`.
-    Timed,
     /// Where a lock guard is held, except a condvar wait: the locking
     /// family checks that against the one guard the wait releases.
     Guarded,
@@ -456,20 +453,6 @@ const ROWS: &[Row] = &[
             "`{tok}` is reachable from this timed span via `{chain}` ({at}): a panic below a \
              timed span aborts the trial exactly like an inline one — surface the failure \
              through the supervised TrialOutcome path",
-        ),
-    },
-    Row {
-        rule: RULE_ALLOC,
-        scope: is_engine_crate,
-        tokens: &[&["Vec::new()", "vec![", ".collect", "format!(", ".to_vec()"]],
-        region: Region::Timed,
-        direct: "`{tok}` allocates inside a timed engine loop or worker closure; hoist the buffer \
-                 out of the measured region (reuse scratch across iterations) or record a \
-                 reasoned epg-lint.toml entry",
-        through: Some(
-            "`{tok}` is reachable from this timed span via `{chain}` ({at}): the helper allocates \
-             inside the measured region; hoist the buffer out or record a reasoned epg-lint.toml \
-             entry",
         ),
     },
     Row {
@@ -580,7 +563,6 @@ impl<'a> CrateGraph<'a> {
             Region::Anywhere => true,
             Region::OutsideLoadFile => !f.in_fn_named(line, "load_file"),
             Region::LoopOrWorker => f.in_loop_or_worker(line),
-            Region::Timed => f.in_hot(line) && !f.in_fn_named(line, "load_file"),
             Region::Guarded => tok != CV_WAIT && self.guard_at(fi, line).is_some(),
         }
     }
@@ -720,17 +702,15 @@ pub(crate) mod tests {
         // read is reported where it sits and never at its callers.
         (GAP, false, deep!("step_two", "let t = std::time::Instant::now();"), &[(11, RULE_TIMING, "`Instant::now`")]),
         ("epg-graph", false, "pub fn f() {}\n#[cfg(test)]\nmod tests {\n    fn t() {\n        let _ = std::time::Instant::now();\n    }\n}\n", &[]),
-        // panic-discipline
+        // panic-discipline: in the region, two calls deep (its chain at
+        // the call site), in a helper's own worker closure (once, there),
+        // and the exemptions.
+        (GAP, false, "fn run(rec: &mut R, n: usize) {\n    while n > 0 {\n        let prev = opt(n).unwrap();\n        rec.iteration(0);\n    }\n}\n", &[(3, RULE_PANIC, "`.unwrap()` inside an engine worker closure or iteration loop")]),
         (GAP, false, deep!("step_two", "opt().unwrap();"), &[(3, RULE_PANIC, "via `step_one → step_two` (crates/epg-engine-gap/src/lib.rs:11)")]),
+        (GAP, false, deep!("step_two", "let v = opt().expect(\"some\");"), &[(3, RULE_PANIC, "`.expect(` is reachable from this timed span via `step_one → step_two` (crates/epg-engine-gap/src/lib.rs:11)")]),
+        (GAP, false, deep!("step_two", "pool().parallel_for(8, s, |v| {\n        let x = opt(v).unwrap();\n    });"), &[(12, RULE_PANIC, "`.unwrap()` inside")]),
+        (GAP, false, "fn kernel() {}\n#[cfg(test)]\nmod tests {\n    fn t(rec: &mut R) {\n        loop {\n            let v = opt().unwrap();\n            rec.iteration(0);\n        }\n    }\n}\n", &[]),
         (GAP, true, deep!("step_two", "opt().unwrap();"), &[]),
-        // hot-loop-alloc (token half)
-        (GAP, false, "fn run(rec: &mut R, n: usize) {\n    while n > 0 {\n        let prev: Vec<u32> = (0..n).collect();\n        rec.iteration(0);\n    }\n}\n", &[(3, RULE_ALLOC, "`.collect` allocates inside a timed engine loop")]),
-        (GAP, false, deep!("step_two", "let v: Vec<u32> = Vec::new();"), &[(3, RULE_ALLOC, "via `step_one → step_two` (crates/epg-engine-gap/src/lib.rs:11): the helper allocates")]),
-        (GAP, false, deep!("step_two", "pool().parallel_for(8, s, |v| {\n        let x = vec![v];\n    });"), &[(12, RULE_ALLOC, "`vec![` allocates")]),
-        (GAP, false, "impl E {\n    fn load_file(&mut self, pool: &P) {\n        pool.parallel_for(8, s, |v| {\n            let chunk: Vec<u32> = Vec::new();\n        });\n    }\n}\n", &[]),
-        (GAP, false, "fn kernel() {}\n#[cfg(test)]\nmod tests {\n    fn t(rec: &mut R) {\n        loop {\n            let v = vec![1];\n            rec.iteration(0);\n        }\n    }\n}\n", &[]),
-        (SERVE, false, deep!("step_two", "let v: Vec<u32> = Vec::new();"), &[]),
-        (GAP, true, deep!("step_two", "let v: Vec<u32> = Vec::new();"), &[]),
         // blocking-while-locked
         (SERVE, false, "pub struct Reg {\n    inner: Mutex<u32>,\n}\nimpl Reg {\n    pub fn refresh(&self) {\n        let mut inner = self.inner.lock();\n        *inner = self.step_one();\n    }\n    fn step_one(&self) -> u32 {\n        self.step_two()\n    }\n    fn step_two(&self) -> u32 {\n        let _ = std::fs::read(\"x\");\n        0\n    }\n}\n", &[(7, RULE_BLOCKING, "`std::fs` is reachable via `step_one → step_two` while the `Reg.inner` guard")]),
         (SERVE, false, "pub struct Reg {\n    inner: Mutex<u32>,\n    log: Mutex<u32>,\n}\nimpl Reg {\n    pub fn refresh(&self, engine: &dyn QueryEngine) {\n        let mut log = self.log.lock();\n        *log = self.recompute(engine);\n    }\n    fn recompute(&self, engine: &dyn QueryEngine) -> u32 {\n        let inner = self.inner.lock();\n        engine.query(*inner)\n    }\n}\n", &[(12, RULE_BLOCKING, "`.query(` while the `Reg.inner` guard")]),

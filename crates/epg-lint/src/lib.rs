@@ -13,20 +13,22 @@
 //!   ([`model`]): crate-DAG `layering` ([`arch`]); one table of "banned
 //!   token in a region, directly or through calls" rules over an
 //!   intra-crate call graph ([`callgraph`]) — `phase-purity`,
-//!   `timing-discipline`, `panic-discipline`, the token half of
-//!   `hot-loop-alloc` and `blocking-while-locked`, whose reachable tokens
-//!   are reported at timed call sites and held-guard lines as call
-//!   chains; the binding-aware `concurrency` dataflow ([`flow`]) —
-//!   `atomic-ordering` and `hot-loop-alloc`'s push-growth; and the rest
-//!   of the `locking` family ([`locking`]) — `lock-order-cycle`,
-//!   `condvar-wait-loop`, `guard-across-span`, and the foreign condvar
-//!   wait. These enforce the measurement-fairness invariants of
-//!   DESIGN.md §10–§11 and the serving-path lock discipline of §15:
-//!   engines are interchangeable behind `epg-engine-api`, file I/O stays
-//!   in the read phase, the harness owns the clock, engine hot paths fail
-//!   through the supervised `TrialOutcome` path, timed parallel regions
-//!   do not allocate, and no lock guard pins a blocking operation or a
-//!   wake boundary.
+//!   `timing-discipline`, `panic-discipline` and `blocking-while-locked`,
+//!   whose reachable tokens are reported at timed call sites and
+//!   held-guard lines as call chains; the `concurrency` pass ([`flow`]) —
+//!   `atomic-ordering`; and the rest of the `locking` family
+//!   ([`locking`]) — `lock-order-cycle`, `condvar-wait-loop`,
+//!   `guard-across-span`, and the foreign condvar wait. These enforce the
+//!   measurement-fairness invariants of DESIGN.md §10–§11 and the
+//!   serving-path lock discipline of §15: engines are interchangeable
+//!   behind `epg-engine-api`, file I/O stays in the read phase, the
+//!   harness owns the clock, engine hot paths fail through the supervised
+//!   `TrialOutcome` path, and no lock guard pins a blocking operation or
+//!   a wake boundary.
+//!
+//! What a timed loop allocates is measured, not linted: the
+//! `steady_state_alloc` integration test of the `epg` facade pins every
+//! engine × algorithm cell's allocator calls per extra round.
 //!
 //! Runs as `epg lint [--strict] [--root DIR]` ([`run_lint`], nonzero exit
 //! on findings) and as a tier-1 test (`tests/workspace_clean.rs`), so

@@ -12,8 +12,7 @@ pub fn deep_kernel(pool: &ThreadPool, rec: &mut Recorder, levels: &[Vec<u32>]) {
             break;
         }
         let seed = pick_first(levels);
-        let grown = widen(levels, seed);
-        let mark = stamp(grown);
+        let mark = stamp(seed as usize);
         let text = fetch_labels("labels.txt");
         rounds -= 1;
         rec.iteration((mark + text.len()) as u64);
@@ -26,16 +25,10 @@ fn pick_first(levels: &[Vec<u32>]) -> u32 {
     levels.first().and_then(|l| l.first()).copied().unwrap()
 }
 
-/// Allocates outside any hot span: same.
-fn widen(levels: &[Vec<u32>], seed: u32) -> usize {
-    let owned = levels.first().map(|l| l.to_vec()).unwrap_or_default();
-    owned.len() + seed as usize
-}
-
 /// Reads the clock: reported where it sits, never at the timed call.
-fn stamp(grown: usize) -> usize {
+fn stamp(seed: usize) -> usize {
     let t0 = std::time::Instant::now();
-    grown + t0.elapsed().as_nanos() as usize
+    seed + t0.elapsed().as_nanos() as usize
 }
 
 /// Re-enters the read phase from the timed loop through `load_file`.

@@ -1,6 +1,6 @@
 //! Tier-1 gate: the workspace must be clean under the FULL analysis — the
 //! line rules plus every model family (layering, the call-graph table's
-//! phase-purity, timing-discipline, panic-discipline, hot-loop-alloc and
+//! phase-purity, timing-discipline, panic-discipline and
 //! blocking-while-locked rows, the concurrency dataflow, and the locking
 //! family) — and the allowlist must carry no stale entries. A new `unsafe`
 //! without a SAFETY comment, an engine reaching into the harness, an

@@ -11,7 +11,8 @@ impl ThreadPool {
     /// on the caller — both in unspecified order. `identity` is the result
     /// when no range ran (`n == 0`, or a tripped cancel token abandoned
     /// them all). This is the one way a kernel step hands what it found
-    /// out of a parallel region.
+    /// out of a parallel region. Each call allocates one per-worker slot
+    /// vector.
     pub fn parallel_reduce_ranges<T, I, M, C>(
         &self,
         n: usize,

@@ -4,6 +4,7 @@
 //! trees must pass Graph500-style validation; ranks must agree within
 //! floating-point tolerance.
 
+use epg::engine_api::CDLP_ROUNDS;
 use epg::graph::{oracle, validate};
 use epg::prelude::*;
 
@@ -103,7 +104,7 @@ fn graphalytics_kernels_agree_across_the_three_systems() {
     );
     let pool = ThreadPool::new(2);
     let csr = Csr::from_edge_list(&ds.symmetric);
-    let want_cdlp = oracle::cdlp(&csr, 10);
+    let want_cdlp = oracle::cdlp(&csr, CDLP_ROUNDS);
     let want_wcc = oracle::wcc(&csr);
     let want_lcc = oracle::lcc(&csr);
     for kind in [EngineKind::GraphBig, EngineKind::GraphMat, EngineKind::PowerGraph] {

@@ -1,0 +1,403 @@
+//! Steady-state allocation, measured: how many allocator calls one more
+//! round of an engine's timed loop costs, for every engine × algorithm
+//! cell and every GAP SSSP kernel.
+//!
+//! A counting `#[global_allocator]` counts `alloc`, `alloc_zeroed` and
+//! `realloc` calls. Each cell is constructed on a 1-thread pool (counts
+//! vary run to run with more workers), run once untraced to warm up, and
+//! then counted inside [`Engine::run`] at two input sizes that differ only
+//! in how many rounds the kernel takes. A 1-thread pool runs every region
+//! on the calling thread, so only that thread's calls are counted: the
+//! test harness's own threads allocate at times of their own.
+//!
+//! * PageRank: `max_iterations` k and 2k, with a criterion that never holds;
+//! * BFS, SSSP and WCC: a path, a grid and a broom (a clique whose members
+//!   each start a path, so GAP's BFS goes bottom-up and stays there) of
+//!   diameter L and 2L from vertex 0, with ids that descend away from it;
+//! * CDLP, LCC and TC: a chain of L and 2L 4-cliques (CDLP's round count
+//!   is [`CDLP_ROUNDS`] at both sizes);
+//! * BC: one sampled source on a path of L and 2L edges.
+//!
+//! [`ROWS`] pins the difference of the two counts exactly, per profile:
+//! the release column is the program the benchmark runs, the debug column
+//! what `cargo test` runs. Every nonzero row says where its allocations
+//! come from, in four recurring terms:
+//!
+//! * *slots*: the per-worker slot vector every
+//!   `ThreadPool::parallel_reduce_ranges` call allocates; `Partial::collect`,
+//!   `parallel_reduce` and `WorkerBitmaps::reduce_ranges` all reach it;
+//! * *found*: a step's `Partial` found list, one per range the schedule
+//!   hands out, so one per step on one thread;
+//! * *trace*: the run's `Trace` pushes one record per region, so its
+//!   vector's doubling adds a call per doubling, not per round;
+//! * *shadow*: debug builds only. `DisjointWriter::new` allocates the race
+//!   detector's shadow table, one per writer. Shadows are the whole
+//!   difference between the two columns.
+//!
+//! On a mismatch, or a supported cell without a row, the test prints the
+//! whole measured table in [`ROWS`]' syntax, ready to paste.
+//!
+//! One `#[test]` fn, so the table is measured in one pass.
+
+use epg::engine_api::CDLP_ROUNDS;
+use epg::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+
+/// Counts every allocating call made on the thread that owns the count,
+/// then defers to the system allocator.
+struct Counting;
+
+thread_local! {
+    /// Allocator calls on this thread; `None` while nothing is counted.
+    static CALLS: std::cell::Cell<Option<u64>> = const { std::cell::Cell::new(None) };
+}
+
+fn note() {
+    // `try_with`: the slot is gone while the thread tears down.
+    let _ = CALLS.try_with(|c| c.set(c.get().map(|n| n + 1)));
+}
+
+// SAFETY: counting touches only a const-initialized thread-local cell,
+// which never allocates; the rest is `System`'s.
+unsafe impl GlobalAlloc for Counting {
+    // SAFETY: the caller's `GlobalAlloc` contract is passed on to
+    // `System` with the arguments unchanged, here and below.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        System.alloc(layout)
+    }
+
+    // SAFETY: as `alloc`.
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note();
+        System.alloc_zeroed(layout)
+    }
+
+    // SAFETY: as `alloc`.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    // SAFETY: as `alloc`; a free is not counted.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// The small size of every pair: diameter, iteration count, or clique
+/// count; the large size is twice it.
+const L: usize = 24;
+
+/// The input pair a cell is measured on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Shape {
+    /// PageRank at `max_iterations` L and 2L on a 4 × 8 grid.
+    Iters,
+    /// A path of L and 2L edges.
+    Path,
+    /// A 4-wide grid of diameter L and 2L.
+    Grid,
+    /// A 16-clique whose 15 non-root members each start a path, diameter
+    /// L and 2L.
+    Broom,
+    /// A chain of L and 2L 4-cliques.
+    Cliques,
+}
+
+impl Shape {
+    /// The shapes an algorithm is measured on.
+    fn of(algo: Algorithm) -> &'static [Shape] {
+        match algo {
+            Algorithm::PageRank => &[Shape::Iters],
+            Algorithm::Bfs | Algorithm::Sssp | Algorithm::Wcc => {
+                &[Shape::Path, Shape::Grid, Shape::Broom]
+            }
+            Algorithm::Cdlp | Algorithm::Lcc | Algorithm::TriangleCount => &[Shape::Cliques],
+            Algorithm::Bc => &[Shape::Path],
+        }
+    }
+
+    /// The undirected edge list at size `k` (PageRank's graph is fixed).
+    fn graph(self, k: usize) -> EdgeList {
+        let mut edges = Vec::new();
+        let n = match self {
+            Shape::Iters => grid(4, 8, &mut edges),
+            Shape::Path => {
+                edges.extend((0..k as u32).map(|v| (v, v + 1)));
+                k + 1
+            }
+            Shape::Grid => grid(4, k - 2, &mut edges),
+            Shape::Broom => {
+                const C: u32 = 16;
+                for a in 0..C {
+                    edges.extend((a + 1..C).map(|b| (a, b)));
+                }
+                // Path j starts at clique member j and descends through
+                // k - 1 more vertices, so the far end sits at depth k.
+                let mut next = C;
+                for j in 1..C {
+                    let mut prev = j;
+                    for _ in 1..k {
+                        edges.push((prev, next));
+                        prev = next;
+                        next += 1;
+                    }
+                }
+                next as usize
+            }
+            Shape::Cliques => {
+                for c in 0..k as u32 {
+                    let b = 4 * c;
+                    for a in 0..4 {
+                        edges.extend((a + 1..4).map(|x| (b + a, b + x)));
+                    }
+                    if c > 0 {
+                        edges.push((b - 1, b));
+                    }
+                }
+                4 * k
+            }
+        };
+        // Vertex 0 stays; every other id counts down from the far end, so a
+        // label swept in id order (GraphBIG's in-place WCC) still moves one
+        // hop per round instead of crossing the graph in one sweep.
+        let id = |v: VertexId| if v == 0 { 0 } else { n as VertexId - v };
+        let edges: Vec<_> = edges.into_iter().map(|(u, v)| (id(u), id(v))).collect();
+        let m = edges.len();
+        EdgeList::weighted(n, edges, vec![1.0; m])
+    }
+}
+
+/// Pushes a `w × h` grid's edges; returns its vertex count. From the
+/// corner vertex 0 its diameter is `w + h - 2`.
+fn grid(w: usize, h: usize, edges: &mut Vec<(VertexId, VertexId)>) -> usize {
+    let id = |x: usize, y: usize| (y * w + x) as VertexId;
+    for y in 0..h {
+        for x in 0..w {
+            if x + 1 < w {
+                edges.push((id(x, y), id(x + 1, y)));
+            }
+            if y + 1 < h {
+                edges.push((id(x, y), id(x, y + 1)));
+            }
+        }
+    }
+    w * h
+}
+
+/// One measured cell: the engine, the algorithm, GAP's SSSP kernel when
+/// the cell is a GAP SSSP cell, and the shape.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Cell {
+    engine: EngineKind,
+    algo: Algorithm,
+    kernel: Option<SsspKernel>,
+    shape: Shape,
+}
+
+/// A pinned row: the cell, the extra allocator calls at the doubled size
+/// in a release and a debug build, and where they come from.
+struct Row {
+    cell: Cell,
+    release: i64,
+    debug: i64,
+    reason: &'static str,
+}
+
+/// Every cell the registry supports, each GAP SSSP kernel its own cell.
+fn cells() -> Vec<Cell> {
+    let mut out = Vec::new();
+    for engine in EngineKind::ALL {
+        for algo in Algorithm::ALL.into_iter().filter(|&a| engine.create().supports(a)) {
+            let kernels = match (engine, algo) {
+                (EngineKind::Gap, Algorithm::Sssp) => SsspKernel::ALL.map(Some).to_vec(),
+                _ => vec![None],
+            };
+            for kernel in kernels {
+                for &shape in Shape::of(algo) {
+                    out.push(Cell { engine, algo, kernel, shape });
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Allocator calls inside the counted `run` of `cell` at size `k`.
+fn count(cell: Cell, k: usize, pool: &ThreadPool) -> u64 {
+    let el = cell.shape.graph(k);
+    let ds = Dataset::from_edge_list(format!("{:?}", cell.shape), el, 1);
+    let mut engine = cell.engine.create_with_sssp_kernel(cell.kernel);
+    engine.load_edge_list(ds.edges_for(cell.engine));
+    engine.construct(pool);
+    let mut params = RunParams::new(pool, cell.algo.is_rooted().then_some(0));
+    params.bc_sources = Some(1);
+    if cell.shape == Shape::Iters {
+        params.stopping = Some(StoppingCriterion::L1Norm(0.0));
+        params.max_iterations = k as u32;
+    }
+    drop(engine.run(cell.algo, &params));
+    CALLS.with(|c| c.set(Some(0)));
+    let out = engine.run(cell.algo, &params);
+    let calls = CALLS.with(|c| c.take()).unwrap_or(0);
+    // The pair differs in rounds only if the round count is what it says.
+    match cell.algo {
+        Algorithm::PageRank => assert_eq!(out.result.iterations(), Some(k as u32), "{cell:?}"),
+        Algorithm::Cdlp => assert_eq!(out.counters.iterations, CDLP_ROUNDS, "{cell:?}"),
+        _ => {}
+    }
+    calls
+}
+
+#[test]
+fn steady_state_allocations_match_the_pinned_table() {
+    let pool = ThreadPool::new(1);
+    let release = !cfg!(debug_assertions);
+    let (cells, mut table, mut bad) = (cells(), Vec::new(), Vec::new());
+    for &cell in &cells {
+        let got = count(cell, 2 * L, &pool) as i64 - count(cell, L, &pool) as i64;
+        let row = ROWS.iter().find(|r| r.cell == cell);
+        let want = row.map(|r| if release { r.release } else { r.debug });
+        if want != Some(got) {
+            bad.push(format!("{cell:?}: pinned {want:?}, measured {got}"));
+        }
+        let (rel, dbg, reason) = match row {
+            Some(r) if release => (got, r.debug, r.reason),
+            Some(r) => (r.release, got, r.reason),
+            None => (got, got, ""),
+        };
+        let Cell { engine, algo, kernel, shape } = cell;
+        let kernel = kernel.map_or("None".to_string(), |k| format!("Some({k:?})"));
+        table.push(format!(
+            "    row({engine:?}, {algo:?}, {kernel}, {shape:?}, {rel}, {dbg}, {reason:?}),"
+        ));
+    }
+    for r in ROWS {
+        if !cells.contains(&r.cell) {
+            bad.push(format!("{:?}: pinned, but the cell is not supported", r.cell));
+        }
+        if (r.release, r.debug) != (0, 0) && r.reason.is_empty() {
+            bad.push(format!("{:?}: a nonzero row needs a reason", r.cell));
+        }
+    }
+    assert!(
+        bad.is_empty(),
+        "steady-state allocations moved:\n{}\n\nmeasured table:\n{}",
+        bad.join("\n"),
+        table.join("\n")
+    );
+}
+
+const fn row(
+    engine: EngineKind,
+    algo: Algorithm,
+    kernel: Option<SsspKernel>,
+    shape: Shape,
+    release: i64,
+    debug: i64,
+    reason: &'static str,
+) -> Row {
+    Row { cell: Cell { engine, algo, kernel, shape }, release, debug, reason }
+}
+
+use Algorithm::*;
+use EngineKind::*;
+use Shape::*;
+use SsspKernel::*;
+
+/// BFS in Graph500 and GraphBIG: one `Partial::collect` per level.
+const LEVEL_SYNC_BFS: &str = "per level: found + slots (`Partial::collect`); +1 trace";
+
+/// Δ-stepping on the path and the grid: one vertex per bucket.
+const DELTA_THIN: &str = "per bucket: the new bin's vector (`Worker::push`, `bins[b].push`); \
+    +1 `bins.resize_with` growth, +1 trace. `frontier.append` reallocates only while a bin \
+    outgrows every earlier one: 0 here";
+
+/// The radix heap on the path and the grid: one vertex per distance.
+const RADIX_THIN: &str = "per settled vertex: `heap.push` refills the radix bucket the last \
+    redistribution emptied (`RadixHeap::push`); the heap is the sequential kernel's priority \
+    queue";
+
+const BMSSP: &str = "per recursive call: the partial-order queue's blocks \
+    (`PullQueue::insert`/`pull`/`batch_prepend`), the base case's heap and found set, \
+    `find_pivots`' sets, and the call's `si` list and its `clone` for the recursion. Calls grow \
+    with the settled vertices, so the count is superlinear in L on the grid and the broom";
+
+/// GraphMat's SpMV iteration, the part every program pays.
+const SPMV: &str = "per iteration (`run_iteration`): the `sent` message slots, the per-block \
+    `activated` lists and their `concat`, the block's row list (`run_block`'s `rows.push`), \
+    2 slots (the send `Partial::collect` and the block reduction); +1 trace; debug: + 4 \
+    shadows (sent, acc, values, activated)";
+
+const POWERGRAPH_SSSP: &str = "per superstep (`superstep(`): the merge/apply worker's changed \
+    list + 2 slots (the merge and the scatter's `WorkerBitmaps::reduce_ranges`); +1 trace; \
+    debug: + 4 shadows (replica slots, vertex data, the bitmaps' two writers). Replica slots, \
+    bitmaps and the next active set come from the run's `gas::Scratch`";
+
+const POWERGRAPH_WCC: &str = "per superstep (`superstep(`): changed list + 3 slots (gather, \
+    merge, scatter); +1 trace, +1 `WorkerBitmaps::drain_into` growth; debug: + 4 shadows, as \
+    SSSP";
+
+/// The extra allocator calls one more round costs, cell by cell.
+#[rustfmt::skip]
+const ROWS: &[Row] = &[
+    row(Graph500, Bfs, None, Path, 49, 49, LEVEL_SYNC_BFS),
+    row(Graph500, Bfs, None, Grid, 49, 49, LEVEL_SYNC_BFS),
+    row(Graph500, Bfs, None, Broom, 49, 49, LEVEL_SYNC_BFS),
+    row(Gap, Bfs, None, Path, 51, 51, "per top-down step: found + slots (`top_down_step`); +2 `SlidingQueue::push_all` growth, +1 trace (net). The bottom-up tail is the same 14 steps at both sizes"),
+    row(Gap, Bfs, None, Grid, 51, 51, "as on the path; the bottom-up tail is the same 12 steps at both sizes"),
+    row(Gap, Bfs, None, Broom, 49, 49, "per bottom-up step: the next-frontier bitmap (`next = Bitmap::new`) + slots (`bottom_up_step`); +1 trace. The switch bitmap (`front = Bitmap::new`) is one per switch, and the run switches once at both sizes (23 and 47 pull steps)"),
+    row(Gap, PageRank, None, Iters, 49, 73, "per iteration: 2 slots (the sink-mass and L1 `parallel_reduce`s); +1 trace; debug: + shadow (`next_cell`)"),
+    row(Gap, Sssp, Some(DeltaStepping), Path, 26, 26, DELTA_THIN),
+    row(Gap, Sssp, Some(DeltaStepping), Grid, 26, 26, DELTA_THIN),
+    row(Gap, Sssp, Some(DeltaStepping), Broom, 74, 74, "per bucket: the new bin's vector grows to 15 vertices (3 calls, `Worker::push`); +1 `bins.resize_with` growth, +1 trace. `frontier.append` reallocates only while a bin outgrows every earlier one: 0 here"),
+    row(Gap, Sssp, Some(RadixHeap), Path, 24, 24, RADIX_THIN),
+    row(Gap, Sssp, Some(RadixHeap), Grid, 24, 24, RADIX_THIN),
+    row(Gap, Sssp, Some(RadixHeap), Broom, 72, 72, "per distance: `heap.push` refills one radix bucket with 15 vertices (3 calls, `RadixHeap::push`)"),
+    row(Gap, Sssp, Some(Bmssp), Path, 73, 73, BMSSP),
+    row(Gap, Sssp, Some(Bmssp), Grid, 1093, 1093, BMSSP),
+    row(Gap, Sssp, Some(Bmssp), Broom, 3589, 3589, BMSSP),
+    row(Gap, Bc, None, Path, 65, 65, "per forward level: found + slots (`Partial::collect`); per backward level: slots; +1 growth of Brandes' level stack (`levels.push(step.found)` keeps every found list for the backward pass), +1 trace. The sampled source sits 21 levels deeper"),
+    row(Gap, TriangleCount, None, Cliques, 120, 120, "per vertex: the pruned higher-neighbour set (`tc.rs`'s `.collect()`, stored through `DisjointWriter`), 5 calls per 4-clique"),
+    row(GraphBig, Bfs, None, Path, 49, 49, LEVEL_SYNC_BFS),
+    row(GraphBig, Bfs, None, Grid, 49, 49, LEVEL_SYNC_BFS),
+    row(GraphBig, Bfs, None, Broom, 49, 49, LEVEL_SYNC_BFS),
+    row(GraphBig, Cdlp, None, Cliques, 0, 0, ""),
+    row(GraphBig, Lcc, None, Cliques, 288, 288, "per vertex: the sorted out-neighbourhood (`topology.rs`'s `.collect()`), its `clone` and the `extend` that merges in the in-neighbours, 3 calls"),
+    row(GraphBig, PageRank, None, Iters, 49, 73, "per iteration: 2 slots (the sink-mass and L1 `parallel_reduce`s); +1 trace; debug: + shadow (the rank writer)"),
+    row(GraphBig, Sssp, None, Path, 25, 73, "per round: slots (`WorkerBitmaps::reduce_ranges` over the active list); +1 trace; debug: + 2 shadows (the bitmaps' word and summary writers). The bitmaps are allocated once per run"),
+    row(GraphBig, Sssp, None, Grid, 25, 73, "as on the path"),
+    row(GraphBig, Sssp, None, Broom, 25, 73, "as on the path"),
+    row(GraphBig, Wcc, None, Path, 25, 25, "per round: slots (`wcc`'s `parallel_reduce_ranges`); +1 trace"),
+    row(GraphBig, Wcc, None, Grid, 25, 25, "as on the path"),
+    row(GraphBig, Wcc, None, Broom, 25, 25, "as on the path"),
+    row(GraphBig, Bc, None, Path, 22, 22, "per forward level: found + slots (`Partial::collect`); the backward pass allocates nothing. Brandes' level stack (`levels`) keeps every found list; its doubling lands in the same power of two at both sizes. The sampled source sits 11 levels deeper"),
+    row(GraphBig, TriangleCount, None, Cliques, 120, 120, "per vertex: the pruned higher-neighbour set (`extensions.rs`'s `.collect()`), 5 calls per 4-clique"),
+    row(GraphMat, Bfs, None, Path, 145, 241, SPMV),
+    row(GraphMat, Bfs, None, Grid, 169, 265, "as on the path, and the block's row list outgrows 4 rows (+1 per iteration)"),
+    row(GraphMat, Bfs, None, Broom, 217, 313, "as on the path, and the block's row list grows to 15 rows (+3 per iteration)"),
+    row(GraphMat, Cdlp, None, Cliques, 9658, 9658, "per edge per round: CDLP's label multiset `vec![*msg]` (`CdlpProgram::process`, the program's Accum under the GraphMat API, reached through `run_iteration` and `run_block`) and its `append` growth (`reduce`); per vertex per round the mode's `HashMap` (`apply`)"),
+    row(GraphMat, Lcc, None, Cliques, 192, 192, "per vertex: the merged neighbourhood (`lcc.rs`'s `.to_vec()`) and its `extend_from_slice` growth, 2 calls"),
+    row(GraphMat, PageRank, None, Iters, 73, 145, "per iteration: 3 slots (`parallel_reduce`); +1 trace; debug: + 3 shadows (the pagerank writers)"),
+    row(GraphMat, Sssp, None, Path, 145, 241, SPMV),
+    row(GraphMat, Sssp, None, Grid, 169, 265, "as on the path, and the block's row list outgrows 4 rows (+1 per iteration)"),
+    row(GraphMat, Sssp, None, Broom, 217, 313, "as on the path, and the block's row list grows to 15 rows (+3 per iteration)"),
+    row(GraphMat, Wcc, None, Path, 191, 287, "as BFS on the path, and the block's row list grows with WCC's larger active sets (`rows.push`)"),
+    row(GraphMat, Wcc, None, Grid, 227, 323, "as BFS on the path, and the block's row list grows with WCC's larger active sets (`rows.push`)"),
+    row(GraphMat, Wcc, None, Broom, 274, 370, "as BFS on the path, and the block's row list grows with WCC's larger active sets (`rows.push`)"),
+    row(GraphMat, TriangleCount, None, Cliques, 120, 120, "per vertex: the pruned higher-neighbour set (`lcc.rs`'s `.collect()`), 5 calls per 4-clique"),
+    row(PowerGraph, Cdlp, None, Cliques, 9638, 9638, "per edge per round: CDLP's collecting gather `vec![*other]` (`prog.gather` in `superstep`, the GAS abstraction's per-edge accumulator) and its `merge` growth; per vertex per round the mode's `HashMap` (`apply`)"),
+    row(PowerGraph, Lcc, None, Cliques, 288, 288, "per vertex: three neighbour lists grown by `lcc`'s gather callback (`extend_from_slice`)"),
+    row(PowerGraph, PageRank, None, Iters, 73, 121, "per superstep (`superstep(`): the merge/apply worker's changed list + 2 slots (gather and merge); +1 trace; debug: + 2 shadows (replica slots, vertex data)"),
+    row(PowerGraph, Sssp, None, Path, 73, 169, POWERGRAPH_SSSP),
+    row(PowerGraph, Sssp, None, Grid, 73, 169, POWERGRAPH_SSSP),
+    row(PowerGraph, Sssp, None, Broom, 73, 169, POWERGRAPH_SSSP),
+    row(PowerGraph, Wcc, None, Path, 98, 194, POWERGRAPH_WCC),
+    row(PowerGraph, Wcc, None, Grid, 98, 194, POWERGRAPH_WCC),
+    row(PowerGraph, Wcc, None, Broom, 98, 194, POWERGRAPH_WCC),
+    row(PowerGraph, TriangleCount, None, Cliques, 192, 192, "per vertex: the neighbour list grown twice by `triangle_count`'s gather callback (`extend_from_slice`)"),
+];
