@@ -98,7 +98,7 @@ fn check_ordering(f: &FileModel, crate_name: &str, out: &mut Vec<Finding>) {
             while let Some(pos) = code[from..].find(tok) {
                 let dot = from + pos;
                 from = dot + tok.len();
-                let Some((chain, _)) = place_chain(code, dot) else { continue };
+                let Some(chain) = place_chain(code, dot) else { continue };
                 let Some(name) = last_ident(chain) else { continue };
                 if is_flag_name(name) {
                     out.push(Finding {
@@ -191,22 +191,16 @@ fn binding_idents(pat: &str, out: &mut Vec<String>) {
 }
 
 /// The place chain ending at byte `end` (exclusive): identifiers, `.`
-/// separators, and balanced `[…]`/`(…)` groups, walked backwards. The
-/// bool reports whether the chain passes through a call (any paren
-/// group), which marks it API-mediated.
-pub(crate) fn place_chain(code: &str, end: usize) -> Option<(&str, bool)> {
+/// separators, and balanced `[…]`/`(…)` groups, walked backwards.
+pub(crate) fn place_chain(code: &str, end: usize) -> Option<&str> {
     let b = code.as_bytes();
     let mut i = end;
-    let mut has_call = false;
     while i > 0 {
         let c = b[i - 1];
         if is_ident_byte(c) || c == b'.' {
             i -= 1;
         } else if c == b']' || c == b')' {
             let (open, close) = if c == b']' { (b'[', b']') } else { (b'(', b')') };
-            if c == b')' {
-                has_call = true;
-            }
             let mut depth = 0i32;
             let mut j = i;
             loop {
@@ -233,7 +227,7 @@ pub(crate) fn place_chain(code: &str, end: usize) -> Option<(&str, bool)> {
     if i == end {
         None
     } else {
-        Some((&code[i..end], has_call))
+        Some(&code[i..end])
     }
 }
 
@@ -364,12 +358,8 @@ mod tests {
 
     #[test]
     fn place_chains_resolve_bases_and_calls() {
-        let code = "dist[v] = 1";
-        let (chain, call) = place_chain(code, 7).unwrap();
-        assert_eq!((chain, call), ("dist[v]", false));
-        let code = "q.lock().append(x)";
-        let (chain, call) = place_chain(code, 8).unwrap();
-        assert_eq!((chain, call), ("q.lock()", true));
+        assert_eq!(place_chain("dist[v] = 1", 7), Some("dist[v]"));
+        assert_eq!(place_chain("q.lock().append(x)", 8), Some("q.lock()"));
         assert_eq!(last_ident("self.inner.cancelled"), Some("cancelled"));
     }
 

@@ -236,7 +236,7 @@ fn resolve_receiver(
     at: usize,
     locks: &[(String, String)],
 ) -> Vec<LockKey> {
-    let Some((chain, _)) = place_chain(code, at) else { return Vec::new() };
+    let Some(chain) = place_chain(code, at) else { return Vec::new() };
     let Some(field) = last_ident(chain) else { return Vec::new() };
     let mut cands: Vec<&(String, String)> = locks.iter().filter(|(_, fl)| fl == field).collect();
     if cands.is_empty() {
@@ -320,7 +320,7 @@ pub(crate) fn cv_wait_receiver(f: &FileModel, line: usize, cvs: &[String]) -> Op
     while let Some(pos) = code[from..].find(".wait(") {
         let at = from + pos;
         from = at + 6;
-        if let Some((chain, _)) = place_chain(code, at) {
+        if let Some(chain) = place_chain(code, at) {
             if let Some(field) = last_ident(chain) {
                 if cvs.iter().any(|c| c == field) {
                     return Some(field.to_string());
