@@ -697,7 +697,7 @@ mod tests {
             let float = |x: u8| (x as f64 + 0.1) * 10f64.powi(x as i32 % 9 - 4);
             let floats: Vec<f64> = per.iter().map(|&(x, _)| float(x)).collect();
             for p in [1, 3, 8, 64] {
-                let g = PartitionedGraph::build(&el, p);
+                let g = PartitionedGraph::build(&el, p, &pool);
                 for active in [&sparse, &all] {
                     agrees(&MinDist, &el, &g, active, &dist, &no_messages(&g), &pool)?;
                     agrees(&MinLabel, &el, &g, active, &labels, &no_messages(&g), &pool)?;
@@ -736,8 +736,8 @@ mod tests {
     #[test]
     fn superstep_relaxes_and_activates() {
         let el = EdgeList::weighted(4, vec![(0, 1), (1, 2), (0, 3)], vec![1.0, 1.0, 5.0]);
-        let g = PartitionedGraph::build(&el, 2);
         let pool = ThreadPool::new(2);
+        let g = PartitionedGraph::build(&el, 2, &pool);
         let mut dist = vec![f32::INFINITY; 4];
         let mut log = RunLog::new(RecorderCtx::none());
         let mut scratch = Scratch::new(&g, &pool);
@@ -759,8 +759,8 @@ mod tests {
     #[test]
     fn fixpoint_reaches_shortest_paths() {
         let el = epg_generator::uniform::generate(120, 900, true, 7).symmetrized().deduplicated();
-        let g = PartitionedGraph::build(&el, 4);
         let pool = ThreadPool::new(3);
+        let g = PartitionedGraph::build(&el, 4, &pool);
         let n = el.num_vertices;
         let mut dist = vec![f32::INFINITY; n];
         let mut log = RunLog::new(RecorderCtx::none());
@@ -780,8 +780,8 @@ mod tests {
     fn sync_messages_track_mirrors_of_changed() {
         let edges: Vec<_> = (1..64u32).map(|v| (0, v)).collect();
         let el = EdgeList::new(64, edges).symmetrized();
-        let g = PartitionedGraph::build(&el, 8);
         let pool = ThreadPool::new(2);
+        let g = PartitionedGraph::build(&el, 8, &pool);
         let mut dist = vec![f32::INFINITY; 64];
         let mut log = RunLog::new(RecorderCtx::none());
         // Leaf 1 signals hub 0, which changes; it has many mirrors. The
@@ -825,8 +825,8 @@ mod tests {
     #[should_panic(expected = "a program that gathers cannot send messages")]
     fn a_program_that_gathers_and_signals_is_refused() {
         let el = EdgeList::weighted(3, vec![(0, 1), (1, 2)], vec![1.0, 1.0]);
-        let g = PartitionedGraph::build(&el, 1);
         let pool = ThreadPool::new(1);
+        let g = PartitionedGraph::build(&el, 1, &pool);
         let mut dist = vec![0.0, f32::INFINITY, f32::INFINITY];
         let mut log = RunLog::new(RecorderCtx::none());
         let mut scratch = Scratch::new(&g, &pool);

@@ -164,8 +164,8 @@ mod tests {
     #[test]
     fn matches_oracle_on_random_directed_graph() {
         let el = epg_generator::uniform::generate(70, 500, false, 17).deduplicated();
-        let g = PartitionedGraph::build(&el, 4);
         let pool = ThreadPool::new(3);
+        let g = PartitionedGraph::build(&el, 4, &pool);
         let out = lcc(&g, &RunParams::new(&pool, None));
         let AlgorithmResult::Coefficients(c) = out.result else { panic!() };
         let want = oracle::lcc(&Csr::from_edge_list(&el));
@@ -177,8 +177,8 @@ mod tests {
     #[test]
     fn triangle_is_one_across_partitions() {
         let el = EdgeList::new(3, vec![(0, 1), (1, 2), (2, 0)]).symmetrized();
-        let g = PartitionedGraph::build(&el, 3);
         let pool = ThreadPool::new(2);
+        let g = PartitionedGraph::build(&el, 3, &pool);
         let out = lcc(&g, &RunParams::new(&pool, None));
         let AlgorithmResult::Coefficients(c) = out.result else { panic!() };
         assert!(c.iter().all(|&x| (x - 1.0).abs() < 1e-12), "{c:?}");
@@ -253,8 +253,8 @@ mod tc_tests {
     #[test]
     fn tc_matches_oracle_across_partitions() {
         let el = epg_generator::uniform::generate(140, 1800, false, 15);
-        let g = PartitionedGraph::build(&el, 6);
         let pool = ThreadPool::new(3);
+        let g = PartitionedGraph::build(&el, 6, &pool);
         let out = triangle_count(&g, &RunParams::new(&pool, None));
         let AlgorithmResult::Triangles(t) = out.result else { panic!() };
         assert_eq!(t, oracle::triangle_count(&Csr::from_edge_list(&el)));

@@ -108,7 +108,7 @@ impl Engine for PowerGraphEngine {
         let el = ingest::read_binary_file_parallel(path, pool)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
         // Fused: partition while "loading".
-        self.graph = Some(PartitionedGraph::build(&el, self.config.num_partitions));
+        self.graph = Some(PartitionedGraph::build(&el, self.config.num_partitions, pool));
         self.staged = None;
         Ok(())
     }
@@ -118,10 +118,10 @@ impl Engine for PowerGraphEngine {
         self.graph = None;
     }
 
-    fn construct(&mut self, _pool: &ThreadPool) {
+    fn construct(&mut self, pool: &ThreadPool) {
         if self.graph.is_none() {
             let el = self.staged.as_ref().expect("no input loaded");
-            self.graph = Some(PartitionedGraph::build(el, self.config.num_partitions));
+            self.graph = Some(PartitionedGraph::build(el, self.config.num_partitions, pool));
         }
     }
 

@@ -17,13 +17,17 @@
 //! and the edges sit in a CSR (by local source) and a CSC (by local
 //! destination) over them. Both are filled by `epg-graph`'s stable counting
 //! sort ([`group_by_key`]), keyed by partition then local id, so the
-//! adjacency of every `(partition, vertex)` is in input-edge order.
+//! adjacency of every `(partition, vertex)` is in input-edge order. The
+//! greedy placement is one sequential pass, as PowerGraph's oblivious
+//! ingress is per loader; the per-edge keys and the grouping run on the
+//! pool, and give the same partitions at every thread count.
 //! [`PartitionedGraph::local_id`] maps a global id to a partition's local
 //! id in O(1); [`PartitionedGraph::replicas_of`] walks the same table to
 //! list a vertex's replicas in partition order.
 
 use epg_graph::csr::group_by_key;
 use epg_graph::{EdgeList, VertexId, Weight};
+use epg_parallel::{DisjointWriter, Schedule, ThreadPool};
 use std::sync::Arc;
 
 /// Adjacency lists of every partition's local vertices, CSR-style: a
@@ -44,16 +48,25 @@ impl Adjacency {
     }
 
     /// Groups the input edges by key with `epg-graph`'s stable counting
-    /// sort, so every list keeps input order: `keys` holds one key per
-    /// edge, `neighbors` yields that edge's (neighbor, weight).
+    /// sort on `pool`, so every list keeps input order: `keys` holds one key
+    /// per edge, and `end(i)` is edge `i`'s (neighbor, weight).
     fn group(
         nkeys: usize,
         keys: &[u32],
-        neighbors: impl Iterator<Item = (VertexId, Weight)>,
+        end: impl Fn(usize) -> (VertexId, Weight) + Sync,
+        pool: &ThreadPool,
     ) -> Arc<Self> {
-        let keys = keys.iter().map(|&k| k as usize);
-        let mut adj = vec![(0, 0.0); keys.len()];
-        let off = group_by_key(nkeys, keys.clone(), keys.zip(neighbors), |slot, e| adj[slot] = e);
+        let m = keys.len();
+        let mut adj = vec![(0, 0.0); m];
+        let off = {
+            let aw = DisjointWriter::new(&mut adj);
+            let keys_of = |lo: usize, hi: usize| keys[lo..hi].iter().map(|&k| k as usize);
+            let items = |lo: usize, hi: usize| (lo..hi).map(|i| (keys[i] as usize, end(i)));
+            // SAFETY: `group_by_key` places every slot in `0..m` once.
+            group_by_key((nkeys, m), Some(pool), keys_of, items, |slot, e| unsafe {
+                aw.write_unchecked(slot, e)
+            })
+        };
         Arc::new(Adjacency { off, adj })
     }
 }
@@ -122,13 +135,16 @@ struct LocalIds {
 impl LocalIds {
     #[inline]
     fn get(&self, v: VertexId, pi: usize) -> Option<usize> {
+        (self.presence[v as usize] >> pi & 1 == 1).then(|| self.hosted(v, pi))
+    }
+
+    /// `v`'s local id in partition `pi`, which must host it.
+    #[inline]
+    fn hosted(&self, v: VertexId, pi: usize) -> usize {
         let bits = self.presence[v as usize];
-        let bit = 1u64 << pi;
-        if bits & bit == 0 {
-            return None;
-        }
-        let rank = (bits & (bit - 1)).count_ones() as usize;
-        Some(self.lvid[self.off[v as usize] + rank] as usize)
+        debug_assert!(bits >> pi & 1 == 1, "partition {pi} hosts no replica of {v}");
+        let rank = (bits & ((1u64 << pi) - 1)).count_ones() as usize;
+        self.lvid[self.off[v as usize] + rank] as usize
     }
 }
 
@@ -206,8 +222,9 @@ pub(crate) fn place(el: &EdgeList, p: usize) -> (Vec<u8>, Vec<u64>) {
 }
 
 impl PartitionedGraph {
-    /// Partitions an edge list into `num_partitions` vertex-cut partitions.
-    pub fn build(el: &EdgeList, num_partitions: usize) -> PartitionedGraph {
+    /// Partitions an edge list into `num_partitions` vertex-cut partitions,
+    /// the same ones at every size of `pool`.
+    pub fn build(el: &EdgeList, num_partitions: usize, pool: &ThreadPool) -> PartitionedGraph {
         assert!(num_partitions >= 1, "need at least one partition");
         let n = el.num_vertices;
         let p = num_partitions;
@@ -245,14 +262,23 @@ impl PartitionedGraph {
             base[pi + 1] = base[pi] + hosted.len();
         }
         assert!(base[p] <= u32::MAX as usize, "keys are kept in 32 bits");
-        let key = |x, pi: u8| {
-            let pi = pi as usize;
-            (base[pi] + ids.get(x, pi).expect("an edge's partition hosts its ends")) as u32
-        };
-        let keys = el.edges.iter().zip(&edge_part).map(|(&(u, v), &pi)| (key(u, pi), key(v, pi)));
-        let (by_src, by_dst): (Vec<u32>, Vec<u32>) = keys.unzip();
-        let outs = Adjacency::group(base[p], &by_src, el.iter().map(|(_, v, w)| (v, w)));
-        let ins = Adjacency::group(base[p], &by_dst, el.iter().map(|(u, _, w)| (u, w)));
+        // An edge's partition hosts both its ends.
+        let key = |x, pi: u8| (base[pi as usize] + ids.hosted(x, pi as usize)) as u32;
+        let m = el.num_edges();
+        let (mut by_src, mut by_dst) = (vec![0u32; m], vec![0u32; m]);
+        {
+            let (sw, dw) = (DisjointWriter::new(&mut by_src), DisjointWriter::new(&mut by_dst));
+            pool.parallel_for_ranges(m, Schedule::Static { chunk: None }, |_, lo, hi| {
+                // SAFETY: the ranges handed out are disjoint.
+                let (src, dst) = unsafe { (sw.range_mut(lo, hi), dw.range_mut(lo, hi)) };
+                for (k, i) in (lo..hi).enumerate() {
+                    let ((u, v), pi) = (el.edges[i], edge_part[i]);
+                    (src[k], dst[k]) = (key(u, pi), key(v, pi));
+                }
+            });
+        }
+        let outs = Adjacency::group(base[p], &by_src, |i| (el.edges[i].1, el.weight(i)), pool);
+        let ins = Adjacency::group(base[p], &by_dst, |i| (el.edges[i].0, el.weight(i)), pool);
         let part =
             |(vertices, &base)| Partition { vertices, base, outs: outs.clone(), ins: ins.clone() };
         let partitions = vertices.into_iter().zip(&base).map(part).collect();
@@ -305,6 +331,7 @@ impl PartitionedGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> EdgeList {
         epg_generator::uniform::generate(100, 1200, true, 3).symmetrized().deduplicated()
@@ -322,7 +349,7 @@ mod tests {
     #[test]
     fn every_edge_lands_in_exactly_one_partition() {
         let el = sample();
-        let pg = PartitionedGraph::build(&el, 8);
+        let pg = PartitionedGraph::build(&el, 8, &ThreadPool::new(2));
         let total: usize = pg.partitions.iter().map(|p| p.num_edges()).sum();
         assert_eq!(total, el.num_edges());
         // Recover the multiset of edges.
@@ -338,7 +365,7 @@ mod tests {
     #[test]
     fn in_and_out_adjacency_agree() {
         let el = sample();
-        let pg = PartitionedGraph::build(&el, 4);
+        let pg = PartitionedGraph::build(&el, 4, &ThreadPool::new(2));
         for part in &pg.partitions {
             let locals = 0..part.vertices().len();
             let outs: usize = locals.clone().map(|l| part.out_edges(l).len()).sum();
@@ -351,7 +378,7 @@ mod tests {
     #[test]
     fn replicas_cover_all_edge_endpoints() {
         let el = sample();
-        let pg = PartitionedGraph::build(&el, 8);
+        let pg = PartitionedGraph::build(&el, 8, &ThreadPool::new(2));
         for (pi, part) in pg.partitions.iter().enumerate() {
             for (l, &u) in part.vertices().iter().enumerate() {
                 assert!(
@@ -365,7 +392,7 @@ mod tests {
     #[test]
     fn master_is_one_of_the_replicas() {
         let el = sample();
-        let pg = PartitionedGraph::build(&el, 8);
+        let pg = PartitionedGraph::build(&el, 8, &ThreadPool::new(2));
         for v in 0..pg.num_vertices as VertexId {
             if pg.replicas_of(v).next().is_some() {
                 assert!(pg.replicas_of(v).any(|(pi, _)| pi == pg.master[v as usize] as usize));
@@ -378,7 +405,7 @@ mod tests {
         // A star graph: the hub must appear in many partitions, leaves in 1.
         let edges: Vec<_> = (1..200u32).map(|v| (0, v)).collect();
         let el = EdgeList::new(200, edges);
-        let pg = PartitionedGraph::build(&el, 8);
+        let pg = PartitionedGraph::build(&el, 8, &ThreadPool::new(2));
         assert!(pg.replicas_of(0).count() > 1, "hub not cut");
         let leaf_avg: f64 =
             (1..200).map(|v| pg.replicas_of(v).count()).sum::<usize>() as f64 / 199.0;
@@ -389,7 +416,7 @@ mod tests {
     #[test]
     fn single_partition_degenerates_gracefully() {
         let el = sample();
-        let pg = PartitionedGraph::build(&el, 1);
+        let pg = PartitionedGraph::build(&el, 1, &ThreadPool::new(2));
         assert_eq!(pg.partitions.len(), 1);
         assert!((pg.replication_factor() - 1.0).abs() < 1e-12);
         assert_eq!(pg.num_mirrors(), 0);
@@ -398,7 +425,7 @@ mod tests {
     #[test]
     fn load_is_roughly_balanced() {
         let el = sample();
-        let pg = PartitionedGraph::build(&el, 8);
+        let pg = PartitionedGraph::build(&el, 8, &ThreadPool::new(2));
         let loads: Vec<usize> = pg.partitions.iter().map(|p| p.num_edges()).collect();
         let max = *loads.iter().max().unwrap();
         let min = *loads.iter().min().unwrap();
@@ -422,7 +449,7 @@ mod tests {
                 .iter()
                 .fold(0xcbf29ce484222325u64, |h, &b| (h ^ b as u64).wrapping_mul(0x100000001b3));
             assert_eq!(fp, fingerprint, "p = {p}");
-            let pg = PartitionedGraph::build(&el, p);
+            let pg = PartitionedGraph::build(&el, p, &ThreadPool::new(2));
             let got: Vec<usize> = pg.partitions.iter().map(|p| p.num_edges()).collect();
             assert_eq!(got, loads, "p = {p}");
             assert_eq!(pg.num_mirrors(), mirrors, "p = {p}");
@@ -433,7 +460,7 @@ mod tests {
     /// exactly for the replicas, and each `(partition, vertex)` adjacency
     /// is that partition's share of the input, in input order.
     fn check_layout(el: &EdgeList, p: usize) {
-        let pg = PartitionedGraph::build(el, p);
+        let pg = PartitionedGraph::build(el, p, &ThreadPool::new(2));
         assert_eq!(pg.partitions.len(), p);
         for v in 0..el.num_vertices as VertexId {
             for pi in 0..p {
@@ -486,13 +513,13 @@ mod tests {
         // Disjoint edges have no affinity: least-loaded placement spreads
         // them over all 64 partitions.
         let el = EdgeList::new(1280, (0..640u32).map(|i| (2 * i, 2 * i + 1)).collect());
-        let pg = PartitionedGraph::build(&el, 64);
+        let pg = PartitionedGraph::build(&el, 64, &ThreadPool::new(2));
         assert!(pg.partitions.iter().all(|p| p.num_edges() == 10));
         check_layout(&el, 64);
         // A star big enough to fill 63 partitions to the cap cuts its hub
         // 64 ways; the hub's rank in partition 63 counts all 63 bits below.
         let el = EdgeList::new(40_001, (1..40_001u32).map(|v| (0, v)).collect());
-        let pg = PartitionedGraph::build(&el, 64);
+        let pg = PartitionedGraph::build(&el, 64, &ThreadPool::new(2));
         assert_eq!(pg.replicas_of(0).count(), 64);
         let l = pg.local_id(0, 63).expect("hub hosted by the last partition");
         assert_eq!(pg.partitions[63].vertices()[l], 0);
@@ -503,7 +530,7 @@ mod tests {
     #[test]
     fn more_partitions_than_edges_leaves_some_empty() {
         let el = EdgeList::weighted(5, vec![(0, 1), (1, 2), (3, 3)], vec![1.0, 2.0, 3.0]);
-        let pg = PartitionedGraph::build(&el, 8);
+        let pg = PartitionedGraph::build(&el, 8, &ThreadPool::new(2));
         assert!(pg.partitions.iter().any(|p| p.vertices().is_empty() && p.num_edges() == 0));
         assert_eq!(pg.partitions.iter().map(|p| p.num_edges()).sum::<usize>(), 3);
         check_layout(&el, 8);
@@ -513,7 +540,7 @@ mod tests {
     fn edgeless_and_empty_graphs_build() {
         for n in [0usize, 5] {
             let el = EdgeList::new(n, Vec::new());
-            let pg = PartitionedGraph::build(&el, 4);
+            let pg = PartitionedGraph::build(&el, 4, &ThreadPool::new(2));
             assert_eq!(pg.num_vertices, n);
             assert_eq!(pg.replication_factor(), 0.0);
             assert_eq!(pg.num_mirrors(), 0);
@@ -521,6 +548,79 @@ mod tests {
             assert!((0..n as VertexId).all(|v| pg.local_id(v, 0).is_none()));
             assert!((0..n as VertexId).all(|v| pg.replicas_of(v).next().is_none()));
             check_layout(&el, 4);
+        }
+    }
+
+    /// A partition's adjacency lists by local id, weights as bits.
+    type Lists = Vec<Vec<(VertexId, u32)>>;
+
+    /// Everything a build decides: masters, every vertex's replicas (the
+    /// local-id table), each partition's vertices, base, CSR and CSC (order
+    /// and weight bits), and the replication factor's bits.
+    #[allow(clippy::type_complexity)]
+    fn layout(
+        pg: &PartitionedGraph,
+    ) -> (Vec<u16>, Vec<Vec<(usize, usize)>>, Vec<(Vec<VertexId>, usize, Lists, Lists)>, u64) {
+        let lists = |part: &Partition, of: fn(&Partition, usize) -> &[(VertexId, Weight)]| {
+            let locals = 0..part.vertices().len();
+            locals.map(|l| of(part, l).iter().map(|&(v, w)| (v, w.to_bits())).collect()).collect()
+        };
+        let replicas = (0..pg.num_vertices as VertexId).map(|v| pg.replicas_of(v).collect());
+        let parts = pg.partitions.iter().map(|part| {
+            let (outs, ins) = (lists(part, Partition::out_edges), lists(part, Partition::in_edges));
+            (part.vertices().to_vec(), part.base(), outs, ins)
+        });
+        (pg.master.clone(), replicas.collect(), parts.collect(), pg.replication_factor().to_bits())
+    }
+
+    /// The build on one thread and on 2, 3 and 4 decides the same layout.
+    fn assert_thread_count_invariant(el: &EdgeList, p: usize) {
+        let want = layout(&PartitionedGraph::build(el, p, &ThreadPool::new(1)));
+        for threads in 2..=4 {
+            let got = layout(&PartitionedGraph::build(el, p, &ThreadPool::new(threads)));
+            assert!(got == want, "p = {p}: {threads} threads differ from one");
+        }
+    }
+
+    #[test]
+    fn build_is_identical_at_every_thread_count() {
+        let star = EdgeList::weighted(
+            301,
+            (1..301u32).map(|v| (0, v)).collect(),
+            (1..301).map(|i| i as f32 * 0.25).collect(),
+        );
+        let cfg = epg_generator::kronecker::KroneckerConfig {
+            scale: 10,
+            weighted: true,
+            ..Default::default()
+        };
+        let kron = epg_generator::kronecker::generate(&cfg, 7);
+        let empty = EdgeList::new(0, Vec::new());
+        // Edges among the low ids only: vertices 40.. are an isolated tail.
+        let tail = EdgeList::new(100, (0..200u32).map(|i| (i % 40, (i * 7 + 3) % 40)).collect());
+        for el in [&star, &kron, &empty, &tail] {
+            for p in [1, 3, 8, 64] {
+                assert_thread_count_invariant(el, p);
+            }
+        }
+    }
+
+    fn arb_weighted_graph() -> impl Strategy<Value = EdgeList> {
+        (1usize..=40).prop_flat_map(|n| {
+            let edge = ((0..n as VertexId, 0..n as VertexId), -4.0f32..4.0);
+            proptest::collection::vec(edge, 0..300).prop_map(move |ews| {
+                let (edges, weights) = ews.into_iter().unzip();
+                EdgeList::weighted(n, edges, weights)
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn build_ignores_the_thread_count(el in arb_weighted_graph(), p in 1usize..=9) {
+            assert_thread_count_invariant(&el, p);
         }
     }
 }

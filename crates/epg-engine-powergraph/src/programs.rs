@@ -297,8 +297,8 @@ mod tests {
     #[test]
     fn sssp_matches_dijkstra() {
         let el = graph(1);
-        let g = PartitionedGraph::build(&el, 4);
         let pool = ThreadPool::new(3);
+        let g = PartitionedGraph::build(&el, 4, &pool);
         let out = sssp(&g, &RunParams::new(&pool, Some(2)));
         let AlgorithmResult::Distances(d) = out.result else { panic!() };
         let want = oracle::dijkstra(&Csr::from_edge_list(&el), 2);
@@ -314,8 +314,8 @@ mod tests {
     #[test]
     fn pagerank_matches_oracle() {
         let el = graph(2);
-        let g = PartitionedGraph::build(&el, 4);
         let pool = ThreadPool::new(2);
+        let g = PartitionedGraph::build(&el, 4, &pool);
         let out = pagerank(&g, &RunParams::new(&pool, None));
         let AlgorithmResult::Ranks { ranks, iterations } = out.result else { panic!() };
         assert!(iterations > 1);
@@ -335,7 +335,7 @@ mod tests {
         let el = epg_generator::kronecker::generate(&cfg, 5).symmetrized().deduplicated();
         let root = epg_graph::degree::sample_roots(&el, 1, 2)[0];
         for p in [1, 8, 64] {
-            let g = PartitionedGraph::build(&el, p);
+            let g = PartitionedGraph::build(&el, p, &ThreadPool::new(2));
             let run = |threads: usize| {
                 let pool = ThreadPool::new(threads);
                 let (params, rooted) =
@@ -359,7 +359,7 @@ mod tests {
     fn toolkits_run_on_edgeless_and_empty_graphs() {
         let pool = ThreadPool::new(2);
         for n in [0usize, 4] {
-            let g = PartitionedGraph::build(&EdgeList::new(n, Vec::new()), 4);
+            let g = PartitionedGraph::build(&EdgeList::new(n, Vec::new()), 4, &pool);
             let params = RunParams::new(&pool, None);
             let AlgorithmResult::Ranks { ranks, .. } = pagerank(&g, &params).result else {
                 panic!()
@@ -375,8 +375,8 @@ mod tests {
     #[test]
     fn cdlp_matches_oracle() {
         let el = graph(3);
-        let g = PartitionedGraph::build(&el, 4);
         let pool = ThreadPool::new(2);
+        let g = PartitionedGraph::build(&el, 4, &pool);
         let out = cdlp(&g, &RunParams::new(&pool, None), CDLP_ROUNDS);
         let AlgorithmResult::Labels(l) = out.result else { panic!() };
         assert_eq!(l, oracle::cdlp(&Csr::from_edge_list(&el), CDLP_ROUNDS));
@@ -385,8 +385,8 @@ mod tests {
     #[test]
     fn wcc_matches_oracle() {
         let el = epg_generator::uniform::generate(200, 260, false, 4);
-        let g = PartitionedGraph::build(&el, 4);
         let pool = ThreadPool::new(3);
+        let g = PartitionedGraph::build(&el, 4, &pool);
         let out = wcc(&g, &RunParams::new(&pool, None));
         let AlgorithmResult::Components(c) = out.result else { panic!() };
         assert_eq!(c, oracle::wcc(&Csr::from_edge_list(&el)));
@@ -400,7 +400,7 @@ mod tests {
         // region (a chunk per partition); there is no gather region.
         let (pool, p) = (ThreadPool::new(2), 4u64);
         let run = |el: &EdgeList, root| {
-            let g = PartitionedGraph::build(el, p as usize);
+            let g = PartitionedGraph::build(el, p as usize, &pool);
             let before = pool.stats();
             let out = sssp(&g, &RunParams::new(&pool, Some(root)));
             let after = pool.stats();
@@ -444,8 +444,8 @@ mod tests {
     #[test]
     fn sssp_from_isolated_root_terminates() {
         let el = EdgeList::weighted(3, vec![(1, 2)], vec![1.0]);
-        let g = PartitionedGraph::build(&el, 2);
         let pool = ThreadPool::new(1);
+        let g = PartitionedGraph::build(&el, 2, &pool);
         let out = sssp(&g, &RunParams::new(&pool, Some(0)));
         let AlgorithmResult::Distances(d) = out.result else { panic!() };
         assert_eq!(d[0], 0.0);

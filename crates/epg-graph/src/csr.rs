@@ -4,9 +4,10 @@
 //! paper notes in §V) by Graph500, GAP, and GraphBIG. Construction uses the
 //! counting-sort scheme of the Graph500 reference code so that the engines'
 //! "data structure construction" phase does real, representative work.
-//! [`group_by_key`] is that scheme, once: CSR build and transpose here, and
-//! through them [`crate::Dcsc`] and [`EdgeList::deduplicated`]; PowerGraph's
-//! per-partition adjacency calls it directly.
+//! [`group_by_key`] is that scheme, once, serial or on a pool: CSR build and
+//! transpose here, and through them [`crate::Dcsc`] and
+//! [`EdgeList::deduplicated`]; PowerGraph's per-partition adjacency calls it
+//! directly.
 
 use crate::{EdgeList, VertexId, Weight};
 use epg_parallel::{DisjointWriter, ThreadPool};
@@ -87,47 +88,41 @@ fn scan_count_matrix(counts: &mut [u64], n: usize, m: usize, pool: &ThreadPool) 
     offsets
 }
 
-/// Stable counting sort by a key in `0..nkeys` — count, prefix-sum, scatter:
-/// `items` yields `(key, payload)` in input order and `keys` those keys (in
-/// any order; counting wants nothing else). `place(slot, payload)` is called
-/// once per item, and slots `offsets[k]..offsets[k + 1]` of the returned
-/// array (length `nkeys + 1`) take key `k`'s items in input order.
-pub fn group_by_key<T>(
-    nkeys: usize,
-    keys: impl Iterator<Item = usize>,
-    items: impl Iterator<Item = (usize, T)>,
-    mut place: impl FnMut(usize, T),
-) -> Vec<usize> {
-    let mut cursor = vec![0usize; nkeys + 1];
-    keys.for_each(|k| cursor[k + 1] += 1);
-    for k in 0..nkeys {
-        cursor[k + 1] += cursor[k];
-    }
-    let offsets = cursor.clone();
-    items.for_each(|(k, payload)| {
-        place(cursor[k], payload);
-        cursor[k] += 1;
-    });
-    offsets
-}
-
-/// [`group_by_key`] on a pool of two or more threads (the GBBS scheme), with
-/// no shared atomics anywhere: `keys(lo, hi)` and `items(lo, hi)` cover the
-/// items `lo..hi` of `m`, each worker counts a fixed contiguous range into
-/// its own row of a count matrix, a scan turns the rows into disjoint
-/// cursors laid out in worker order, and the same ranges are scattered
-/// through them, `place` running concurrently — **exactly once for every
-/// slot in `0..m`**, which is what the callers' `DisjointWriter` writes rest
-/// on. The result is identical at every thread count, and to the serial
-/// routine.
-fn group_by_key_parallel<T, K: Iterator<Item = usize>, I: Iterator<Item = (usize, T)>>(
-    nkeys: usize,
-    m: usize,
-    pool: &ThreadPool,
+/// Stable counting sort by a key in `0..nkeys` — count, prefix-sum,
+/// scatter — of `m` items: `items(lo, hi)` yields `(key, payload)` for the
+/// items `lo..hi` in input order and `keys(lo, hi)` those keys alone (in
+/// any order; counting wants nothing else). `place(slot, payload)` runs
+/// **exactly once for every slot in `0..m`**, which is what the callers'
+/// `DisjointWriter` writes rest on, and slots `offsets[k]..offsets[k + 1]`
+/// of the returned array (length `nkeys + 1`) take key `k`'s items in
+/// input order.
+///
+/// Without a pool of two or more threads this is one serial pass. With one
+/// it is the GBBS scheme, with no shared atomics anywhere: each worker
+/// counts a fixed contiguous range of items into its own row of a count
+/// matrix, a scan turns the rows into disjoint cursors laid out in worker
+/// order, and the same ranges are scattered through them, `place` running
+/// concurrently. The result is identical at every thread count.
+pub fn group_by_key<T, K: Iterator<Item = usize>, I: Iterator<Item = (usize, T)>>(
+    (nkeys, m): (usize, usize),
+    pool: Option<&ThreadPool>,
     keys: impl Fn(usize, usize) -> K + Sync,
     items: impl Fn(usize, usize) -> I + Sync,
     place: impl Fn(usize, T) + Sync,
 ) -> Vec<usize> {
+    let Some(pool) = pool.filter(|p| p.num_threads() > 1 && m > 0) else {
+        let mut cursor = vec![0usize; nkeys + 1];
+        keys(0, m).for_each(|k| cursor[k + 1] += 1);
+        for k in 0..nkeys {
+            cursor[k + 1] += cursor[k];
+        }
+        let offsets = cursor.clone();
+        items(0, m).for_each(|(k, payload)| {
+            place(cursor[k], payload);
+            cursor[k] += 1;
+        });
+        return offsets;
+    };
     let nworkers = pool.num_threads();
     // Pass 1: private histograms, one count-matrix row per worker.
     let mut counts = vec![0u64; nworkers * nkeys];
@@ -163,8 +158,7 @@ impl Csr {
     /// The CSR that groups `m` edges by one end: `items(lo, hi)` yields
     /// `(that end, (the other end, index))` for the edges `lo..hi`,
     /// `keys(lo, hi)` the first of these alone, and an edge's weight is
-    /// `from[index]`. One worker scatters with plain stores, a pool through
-    /// `DisjointWriter`s.
+    /// `from[index]`.
     fn grouped<K: Iterator<Item = usize>, I: Iterator<Item = (usize, (VertexId, usize))>>(
         (n, m): (usize, usize),
         from: Option<&[Weight]>,
@@ -174,22 +168,15 @@ impl Csr {
     ) -> Csr {
         let mut targets = vec![0 as VertexId; m];
         let mut weights = from.map(|_| vec![0.0 as Weight; m]);
-        let offsets = if let Some(pool) = pool.filter(|p| p.num_threads() > 1 && m > 0) {
+        let offsets = {
             let tw = DisjointWriter::new(&mut targets);
             let ww = weights.as_mut().map(|w| DisjointWriter::new(w.as_mut_slice()));
-            // SAFETY: `group_by_key_parallel` hands out every slot in `0..m`
-            // once: the callers' `keys` and `items` agree on every range.
-            group_by_key_parallel(n, m, pool, keys, items, |slot, (t, i)| unsafe {
+            // SAFETY: `group_by_key` hands out every slot in `0..m` once:
+            // the callers' `keys` and `items` agree on every range.
+            group_by_key((n, m), pool, keys, items, |slot, (t, i)| unsafe {
                 tw.write_unchecked(slot, t);
                 if let (Some(ww), Some(from)) = (&ww, from) {
                     ww.write_unchecked(slot, from[i]);
-                }
-            })
-        } else {
-            group_by_key(n, keys(0, m), items(0, m), |slot, (t, i)| {
-                targets[slot] = t;
-                if let (Some(ws), Some(from)) = (weights.as_mut(), from) {
-                    ws[slot] = from[i];
                 }
             })
         };

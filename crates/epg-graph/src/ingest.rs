@@ -8,18 +8,28 @@
 //!
 //! 1. read the whole file into one byte buffer,
 //! 2. split the buffer at newline boundaries into per-thread chunks,
-//! 3. scan each chunk with a no-alloc integer/float tokenizer (no per-line
-//!    `String`, no UTF-8 validation on the hot path),
+//! 3. scan each chunk in one pass (no per-line `String`, no UTF-8
+//!    validation on the hot path): a fast path reads the line shape the
+//!    writer emits, ids and an exactly rounded weight straight off the
+//!    bytes, and hands any other line to a token scanner whose fallback is
+//!    `str::parse`,
 //! 4. stitch the per-chunk edge vectors with the pool's `exclusive_scan`
 //!    into one [`EdgeList`].
+//!
+//! The writers go the other way on the pool: the binary codec fills
+//! fixed-width records in parallel, and the SNAP text writer formats fixed
+//! edge blocks in parallel and writes them in order.
 //!
 //! Error parity: the parallel parser reports the *same* [`ParseError`]
 //! (reason string and 1-based physical line number) as the serial parser
 //! for any malformed input, including the cross-chunk "mixed weighted and
 //! unweighted lines" case — each chunk records its first data line's
 //! weightedness and the stitch step replays the serial parser's check
-//! order. The serial parser remains an independent implementation so the
-//! differential proptests in `tests/proptests.rs` are a real oracle.
+//! order. The fast path never reports an error: a line it cannot take
+//! whole, malformed or not, goes to the token scanner, so parity rests on
+//! that scanner alone. The serial parser remains an independent
+//! implementation so the differential proptests in `tests/proptests.rs`
+//! are a real oracle.
 //!
 //! Known divergence (documented in DESIGN.md §9): on non-UTF-8 *input
 //! bytes* the serial parser fails with `ParseError::Io` (from
@@ -30,7 +40,7 @@
 use crate::snap::ParseError;
 use crate::{EdgeList, VertexId, Weight};
 use epg_parallel::{DisjointWriter, Schedule, ThreadPool};
-use std::io;
+use std::io::{self, Write};
 use std::path::Path;
 
 /// ASCII whitespace as `str::split_whitespace` sees it (the `\n` terminator
@@ -59,13 +69,143 @@ fn parse_u64_token(tok: &[u8]) -> Result<u64, String> {
     }
 }
 
-/// Parses a float token via `str::parse` (weights are one token in three —
-/// never the bottleneck — and std's grammar/error strings are the contract).
+/// Parses a float token via `str::parse`: the fallback for any weight the
+/// exact fast path in [`fast_line`] declines, so std's grammar and error
+/// strings stay the contract.
 fn parse_f32_token(tok: &[u8]) -> Result<f32, String> {
     match std::str::from_utf8(tok) {
         Ok(s) => s.parse::<f32>().map_err(|e| e.to_string()),
         Err(_) => Err("invalid float literal".to_string()),
     }
+}
+
+/// `10^k` for `k <= 22`: every one is exact in `f64` (`5^22 < 2^53`).
+const POW10: [f64; 23] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+];
+
+/// Largest mantissa the fast float path accepts: every integer up to it is
+/// exact in `f64`.
+const MAX_EXACT_MANTISSA: u64 = 1 << 53;
+
+/// Longest vertex id the fast path reads: nine digits never reach
+/// `VertexId::MAX`, so no range check is needed.
+const FAST_ID_DIGITS: usize = 9;
+
+/// The digit at `bytes[p]`, if there is one.
+#[inline]
+fn digit_at(bytes: &[u8], p: usize) -> Option<u8> {
+    bytes.get(p).map(|b| b.wrapping_sub(b'0')).filter(|&d| d < 10)
+}
+
+/// A vertex id of 1 to [`FAST_ID_DIGITS`] digits at `p`, and the position
+/// past it.
+#[inline]
+fn fast_id(bytes: &[u8], mut p: usize) -> Option<(VertexId, usize)> {
+    let start = p;
+    let mut x: VertexId = 0;
+    while let Some(d) = digit_at(bytes, p) {
+        if p - start == FAST_ID_DIGITS {
+            return None;
+        }
+        x = x * 10 + d as VertexId;
+        p += 1;
+    }
+    (p > start).then_some((x, p))
+}
+
+/// Skips a separator of one or more spaces or tabs at `p`.
+#[inline]
+fn skip_sep(bytes: &[u8], mut p: usize) -> Option<usize> {
+    let start = p;
+    while matches!(bytes.get(p), Some(b' ' | b'\t')) {
+        p += 1;
+    }
+    (p > start).then_some(p)
+}
+
+/// A weight `digits[.digits]` at `p`, parsed exactly by Clinger's method:
+/// with a mantissa `m <= 2^53` and `f <= 22` fraction digits, `m` and
+/// `10^f` are exact `f64`s, so `q = m / 10^f` is the decimal value rounded
+/// once to `f64`, and a nonzero `q` lies in `[1e-22, 2^53]`, inside the
+/// normal `f32` range. Rounding `q` on to `f32` gives std's correctly
+/// rounded result unless `q` sits exactly on an `f32` midpoint — the only
+/// place a second rounding can differ from one — so that case and every
+/// other shape decline (`None`) to [`parse_f32_token`].
+#[inline]
+fn fast_weight(bytes: &[u8], mut p: usize) -> Option<(Weight, usize)> {
+    let start = p;
+    let mut m = 0u64;
+    while let Some(d) = digit_at(bytes, p) {
+        m = m * 10 + d as u64;
+        p += 1;
+        if m > MAX_EXACT_MANTISSA {
+            return None;
+        }
+    }
+    if p == start {
+        return None;
+    }
+    let mut frac = 0;
+    if bytes.get(p) == Some(&b'.') {
+        p += 1;
+        let fstart = p;
+        while let Some(d) = digit_at(bytes, p) {
+            m = m * 10 + d as u64;
+            p += 1;
+            if m > MAX_EXACT_MANTISSA {
+                return None;
+            }
+        }
+        frac = p - fstart;
+        if frac == 0 || frac >= POW10.len() {
+            return None;
+        }
+    }
+    if m == 0 {
+        return Some((0.0, p));
+    }
+    let q = m as f64 / POW10[frac];
+    // The low 29 of the 52 fraction bits are those an `f32` drops; exactly
+    // their top bit set is a midpoint between two adjacent `f32`s.
+    let midpoint = q.to_bits() & ((1 << 29) - 1) == 1 << 28;
+    (!midpoint).then_some((q as Weight, p))
+}
+
+/// The one-pass fast path for the line shape [`crate::snap::write_snap`]
+/// emits, `digits SEP digits [SEP decimal]` ending at `\n` or the chunk's
+/// end (`SEP` is spaces or tabs), starting at `pos`. On success it records
+/// the edge and returns the position past the line; any other shape — or a
+/// line whose weightedness differs from the chunk's first, which is an
+/// error — declines with `None` before recording anything, and the caller
+/// hands the line to [`scan_line`].
+#[inline]
+fn fast_line(bytes: &[u8], pos: usize, out: &mut ChunkOut) -> Option<usize> {
+    let (u, p) = fast_id(bytes, pos)?;
+    let (v, mut p) = fast_id(bytes, skip_sep(bytes, p)?)?;
+    let mut w = None;
+    if !matches!(bytes.get(p), None | Some(b'\n')) {
+        let (x, q) = fast_weight(bytes, skip_sep(bytes, p)?)?;
+        if !matches!(bytes.get(q), None | Some(b'\n')) {
+            return None;
+        }
+        (w, p) = (Some(x), q);
+    }
+    match out.first_flag {
+        None => {
+            out.first_flag = Some((out.nlines, w.is_some()));
+            if w.is_some() {
+                out.weights.reserve(out.edges.capacity());
+            }
+        }
+        Some((_, prev)) if prev != w.is_some() => return None,
+        _ => {}
+    }
+    out.weights.extend(w);
+    out.max_id = out.max_id.max(u.max(v) as u64);
+    out.edges.push((u, v));
+    Some(p + 1)
 }
 
 /// What one chunk scan produced. Line numbers are 1-based *within the
@@ -133,18 +273,32 @@ fn scan_line(line: &[u8], lineno: usize, out: &mut ChunkOut) -> Result<(), Strin
     Ok(())
 }
 
-/// Scans one byte chunk. After a defect the scanner stops parsing but keeps
-/// counting newlines so every chunk reports its true physical line span.
+/// Scans one byte chunk in one pass: each line tries [`fast_line`] first,
+/// and only a declined line is delimited and given to [`scan_line`]. After a
+/// defect the scanner stops parsing but still counts the chunk's lines, so
+/// every chunk reports its true physical line span.
 fn scan_chunk(bytes: &[u8]) -> ChunkOut {
     let mut out = ChunkOut::default();
+    // One edge per 12 bytes is an unweighted line of two five-digit ids;
+    // longer lines over-reserve capacity that is never written, so never
+    // resident, and shorter ones regrow.
+    out.edges.reserve(bytes.len() / 12);
     let mut pos = 0;
     while pos < bytes.len() {
-        let end = bytes[pos..].iter().position(|&b| b == b'\n').map_or(bytes.len(), |k| pos + k);
         out.nlines += 1;
-        if out.defect.is_none() {
-            if let Err(reason) = scan_line(&bytes[pos..end], out.nlines, &mut out) {
-                out.defect = Some((out.nlines, reason));
-            }
+        if let Some(next) = fast_line(bytes, pos, &mut out) {
+            pos = next;
+            continue;
+        }
+        let end = bytes[pos..].iter().position(|&b| b == b'\n').map_or(bytes.len(), |k| pos + k);
+        if let Err(reason) = scan_line(&bytes[pos..end], out.nlines, &mut out) {
+            out.defect = Some((out.nlines, reason));
+            // The lines after this one: one per newline, plus an
+            // unterminated last line.
+            let rest = bytes.get(end + 1..).unwrap_or_default();
+            out.nlines += rest.iter().filter(|&&b| b == b'\n').count();
+            out.nlines += usize::from(rest.last().is_some_and(|&b| b != b'\n'));
+            return out;
         }
         pos = end + 1;
     }
@@ -265,6 +419,90 @@ pub fn parse_snap_parallel(bytes: &[u8], pool: &ThreadPool) -> Result<EdgeList, 
 pub fn read_snap_file_parallel(path: &Path, pool: &ThreadPool) -> Result<EdgeList, ParseError> {
     let bytes = std::fs::read(path)?;
     parse_snap_parallel(&bytes, pool)
+}
+
+/// Edges per block of the parallel SNAP text writer: under a megabyte of
+/// text each.
+const TEXT_BLOCK_EDGES: usize = 1 << 15;
+
+/// Appends `x` in decimal, as `{x}` formats it.
+fn push_decimal(buf: &mut Vec<u8>, mut x: VertexId) {
+    let mut digits = [0u8; 10];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (x % 10) as u8;
+        x /= 10;
+        if x == 0 {
+            break;
+        }
+    }
+    buf.extend_from_slice(&digits[i..]);
+}
+
+/// The SNAP text lines of edges `lo..hi` into `buf`, each as
+/// [`crate::snap::write_snap`] formats it (weights through std's `{}`).
+fn format_snap_block(el: &EdgeList, lo: usize, hi: usize, buf: &mut Vec<u8>) {
+    buf.clear();
+    for (i, &(u, v)) in el.edges[lo..hi].iter().enumerate() {
+        push_decimal(buf, u);
+        buf.push(b'\t');
+        push_decimal(buf, v);
+        if let Some(ws) = &el.weights {
+            // Writing into a `Vec` cannot fail.
+            let _ = write!(buf, "\t{}", ws[lo + i]);
+        }
+        buf.push(b'\n');
+    }
+}
+
+/// Writes SNAP text byte-identical to [`crate::snap::write_snap`],
+/// formatted on the pool: the edges are cut into fixed blocks of
+/// [`TEXT_BLOCK_EDGES`], a wave of two blocks per worker is formatted in
+/// parallel, and the wave is written in order before the next one starts —
+/// so a few blocks are in memory at a time, never the whole file.
+fn write_snap_parallel<W: Write>(
+    el: &EdgeList,
+    name: &str,
+    mut out: W,
+    pool: &ThreadPool,
+) -> io::Result<()> {
+    let m = el.num_edges();
+    let header = format!("# {name}\n# Nodes: {} Edges: {m}\n", el.num_vertices);
+    out.write_all(header.as_bytes())?;
+    let nblocks = m.div_ceil(TEXT_BLOCK_EDGES);
+    let wave = (2 * pool.num_threads()).min(nblocks).max(1);
+    let mut bufs: Vec<Vec<u8>> = vec![Vec::new(); wave];
+    for first in (0..nblocks).step_by(wave) {
+        let k = wave.min(nblocks - first);
+        {
+            let bw = DisjointWriter::new(&mut bufs[..k]);
+            pool.parallel_for(k, Schedule::Dynamic { chunk: 1 }, |j| {
+                let lo = (first + j) * TEXT_BLOCK_EDGES;
+                // SAFETY: each block of the wave is handed to one worker.
+                let slot = unsafe { bw.get_raw(j) };
+                // Format into a local: the neighbouring buffers' headers
+                // share a cache line with this one's length.
+                let mut buf = std::mem::take(slot);
+                format_snap_block(el, lo, (lo + TEXT_BLOCK_EDGES).min(m), &mut buf);
+                *slot = buf;
+            });
+        }
+        for buf in &bufs[..k] {
+            out.write_all(buf)?;
+        }
+    }
+    out.flush()
+}
+
+/// Writes a SNAP text file with [`write_snap_parallel`].
+pub fn write_snap_file_parallel(
+    el: &EdgeList,
+    name: &str,
+    path: &Path,
+    pool: &ThreadPool,
+) -> io::Result<()> {
+    write_snap_parallel(el, name, std::fs::File::create(path)?, pool)
 }
 
 const BIN_HEADER: usize = 8 + 8 + 8 + 1; // magic, nvertices, nedges, weighted
@@ -426,12 +664,86 @@ mod tests {
             "18446744073709551616 0\n", // u64 overflow
             "+3 4\n",   // sign accepted by std parse
             "0 1\n# c\n1 2 0.5\n", // mixed after comment: line 3
+            // The fast path's edges, on either side:
+            "0 1 \n",         // trailing separator: declined
+            "0  \t 1\n",      // separator run: taken
+            "1234567890 1\n", // ten-digit id: declined (nine are taken)
+            "123456789 1\n",
+            "0 1 0.5 \n",    // trailing separator after a weight: declined
+            "0 1 0.5x\n",    // junk glued to a weight: declined
+            "01 002 0.50\n", // leading zeros: taken
+            "0 1 0.5",       // no final newline: taken
         ];
         for text in cases {
             for nchunks in [1, 2, 3, 5, 8] {
                 assert_parity(text, nchunks);
             }
         }
+    }
+
+    /// Weight tokens at the edges of the fast path's grammar and range:
+    /// every one parses to std's bits through both parsers, and the
+    /// fast path takes exactly the ones it should.
+    #[test]
+    fn weight_tokens_parse_to_std_bits() {
+        let mantissa25 = "1234567890123456789012345";
+        let cases = [
+            ("0.1", true),
+            ("0.5", true),
+            ("1", true),
+            ("0.0", true),
+            ("0.47623932", true),
+            ("9007199254740992", true), // 2^53: the largest mantissa taken
+            ("9007199254740993", false),
+            ("0.0000000000000000000125", true), // 22 fraction digits
+            ("0.00000000000000000001255", false),
+            ("0.123456789012345678", false), // mantissa above 2^53
+            (".5", false),
+            ("5.", false),
+            ("1e-45", false),
+            ("1.17549435e-38", false),
+            ("0.0000000000000000000001", true), // 1e-22: normal, 22 digits
+            ("3.4028235e38", false),
+            ("340282350000000000000000000000000000000", false),
+            ("1E3", false),
+            ("-0.0", false),
+            ("+1", false),
+            ("inf", false),
+            ("NaN", false),
+            (mantissa25, false),
+            ("16777217", false), // an f32 midpoint: ties to even
+            ("16777216", true),
+        ];
+        for (tok, fast) in cases {
+            let want: f32 = tok.parse().unwrap();
+            // A prefix read (`1` of `1e-45`) is a decline: the line's end
+            // check follows.
+            let got = fast_weight(tok.as_bytes(), 0).filter(|&(_, end)| end == tok.len());
+            assert_eq!(got.is_some(), fast, "{tok}: fast path taken = {}", got.is_some());
+            if let Some((w, _)) = got {
+                assert_eq!(w.to_bits(), want.to_bits(), "{tok}");
+            }
+            let text = format!("0 1 {tok}\n2\t3\t{tok}\n");
+            for nchunks in [1, 2] {
+                let el = parse_snap_chunked(text.as_bytes(), &pool(), nchunks).unwrap();
+                let bits: Vec<u32> = el.weights.unwrap().iter().map(|w| w.to_bits()).collect();
+                assert_eq!(bits, [want.to_bits(); 2], "{tok} (nchunks={nchunks})");
+                assert_parity(&text, nchunks);
+            }
+        }
+    }
+
+    #[test]
+    fn f32_midpoint_declines_to_std_ties_to_even() {
+        // 2^24 + 1 lies halfway between the f32s 2^24 and 2^24 + 2: its
+        // f64 quotient is the midpoint itself, so the fast path must
+        // decline, and std rounds to the even neighbour.
+        assert_eq!(fast_weight(b"16777217", 0), None);
+        assert_eq!(fast_weight(b"16777217.0", 0), None);
+        let el = parse_snap_chunked(b"0 1 16777217\n", &pool(), 1).unwrap();
+        assert_eq!(el.weights.unwrap()[0].to_bits(), 16_777_216f32.to_bits());
+        // Off the midpoint the fast path keeps the value.
+        assert_eq!(fast_weight(b"16777218", 0), Some((16_777_218.0, 8)));
     }
 
     #[test]
@@ -482,6 +794,43 @@ mod tests {
             for &cut in &b[1..b.len() - 1] {
                 assert_eq!(text[cut - 1], b'\n', "cut {cut} not after newline");
             }
+        }
+    }
+
+    #[test]
+    fn text_writer_matches_serial_bytes_and_round_trips() {
+        // Past two waves of blocks at every thread count, plus a ragged
+        // tail; ten-digit ids and every finite f32 class take the line
+        // parser's path on the way back.
+        let m = 5 * TEXT_BLOCK_EDGES + 123;
+        let edges: Vec<_> =
+            (0..m as u32).map(|i| (i % 1000, i.wrapping_mul(2654435761) >> 1)).collect();
+        let weights = (0..m as u32).map(|i| f32::from_bits(i.wrapping_mul(7919) % 0xff00_0000));
+        let n = 1 + edges.iter().map(|&(u, v)| u.max(v) as usize).max().unwrap();
+        for el in [
+            EdgeList::weighted(n, edges.clone(), weights.filter(|w| w.is_finite()).collect()),
+            EdgeList::new(n + 5, edges),
+            EdgeList::new(0, vec![]),
+            EdgeList::new(7, vec![]),
+            EdgeList::weighted(3, vec![(2, 0)], vec![-0.0]),
+        ] {
+            let mut serial = Vec::new();
+            crate::snap::write_snap(&el, "g", &mut serial).unwrap();
+            for threads in [1, 2, 4] {
+                let mut par = Vec::new();
+                write_snap_parallel(&el, "g", &mut par, &ThreadPool::new(threads)).unwrap();
+                assert!(par == serial, "{threads} threads, {} edges", el.num_edges());
+            }
+            // Text carries no vertex count: readers size the graph by id.
+            let max_id = el.edges.iter().map(|&(u, v)| u.max(v) as usize + 1).max();
+            let fields = |g: &EdgeList| {
+                let bits: Option<Vec<u32>> =
+                    g.weights.as_ref().map(|w| w.iter().map(|w| w.to_bits()).collect());
+                (g.num_vertices, g.edges.clone(), bits)
+            };
+            let want = (max_id.unwrap_or(0), el.edges.clone(), fields(&el).2);
+            assert!(fields(&parse_snap(serial.as_slice()).unwrap()) == want);
+            assert!(fields(&parse_snap_parallel(&serial, &pool()).unwrap()) == want);
         }
     }
 

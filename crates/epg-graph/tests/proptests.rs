@@ -330,6 +330,17 @@ fn assert_parse_parity(text: &str, pool: &ThreadPool, nchunks: usize) -> Result<
     Ok(())
 }
 
+/// Strategy: the bits of an arbitrary `f32` — any pattern at all, or one
+/// of the moderate magnitudes generated weights take.
+fn arb_f32_bits() -> impl Strategy<Value = u32> {
+    prop_oneof![
+        0..=u32::MAX,
+        (0.0f32..1.0).prop_map(f32::to_bits),
+        (1.0f32..1e9).prop_map(f32::to_bits),
+        (0u32..1 << 25).prop_map(|i| (i as f32).to_bits()),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -381,6 +392,37 @@ proptest! {
                     false, "parallel ({} chunks): expected Malformed, got {:?}", nchunks, other
                 ),
             }
+        }
+    }
+
+    #[test]
+    fn parallel_parse_matches_serial_on_any_f32_weight(
+        ews in proptest::collection::vec(((0..50 as VertexId, 0..50 as VertexId), arb_f32_bits()), 1..120),
+    ) {
+        // Whatever `{}` prints for an f32 — subnormals, huge, negative,
+        // NaN, infinities — the scanner's fast path or its std fallback
+        // reads back the serial parser's bits, in the serial order.
+        let (edges, weights): (Vec<_>, Vec<u32>) = ews.into_iter().unzip();
+        let el = EdgeList::weighted(50, edges, weights.into_iter().map(f32::from_bits).collect());
+        let mut text = Vec::new();
+        snap::write_snap(&el, "w", &mut text).unwrap();
+        let serial = snap::parse_snap(text.as_slice()).unwrap();
+        let bits = |g: &EdgeList| -> Vec<u32> {
+            g.weights.as_ref().unwrap().iter().map(|w| w.to_bits()).collect()
+        };
+        for threads in [1, 2, 4] {
+            let pool = ThreadPool::new(threads);
+            for nchunks in [1, 2, 3, 7] {
+                let par = ingest::parse_snap_chunked(&text, &pool, nchunks).unwrap();
+                prop_assert_eq!(&par.edges, &serial.edges);
+                prop_assert_eq!(bits(&par), bits(&serial));
+                prop_assert_eq!(par.num_vertices, serial.num_vertices);
+            }
+        }
+        // Display round-trips, so the bits are the written ones too (NaN
+        // reads back as the one NaN std parses).
+        for (w, back) in el.weights.as_ref().unwrap().iter().zip(serial.weights.unwrap()) {
+            prop_assert!(w.to_bits() == back.to_bits() || (w.is_nan() && back.is_nan()));
         }
     }
 

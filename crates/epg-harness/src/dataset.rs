@@ -17,7 +17,7 @@
 
 use crate::registry::EngineKind;
 use epg_generator::GraphSpec;
-use epg_graph::{degree, snap, EdgeList, VertexId};
+use epg_graph::{degree, ingest, snap, EdgeList, VertexId};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -82,10 +82,10 @@ impl Dataset {
         self.write_files_parallel(dir, &epg_parallel::ThreadPool::new(1))
     }
 
-    /// [`Dataset::write_files`] with the binary copies encoded on `pool`
-    /// (byte-identical at any thread count). The SNAP text writer stays serial — its
-    /// cost is formatting-bound and engines never read text on the fast
-    /// path (only GraphBIG streams it).
+    /// [`Dataset::write_files`] with every copy formatted on `pool`: the
+    /// binary ones record-parallel, the SNAP text in fixed edge blocks
+    /// written in order. Every file is byte-identical at any thread count
+    /// to the serial writers' ([`snap::write_snap`], [`snap::write_binary`]).
     pub fn write_files_parallel(
         &self,
         dir: &Path,
@@ -104,8 +104,8 @@ impl Dataset {
             let el = if sym { &self.symmetric } else { &self.raw };
             let path = PathBuf::from(path);
             match fmt {
-                Format::SnapText => snap::write_snap_file(el, &self.name, &path)?,
-                Format::Binary => epg_graph::ingest::write_binary_file_parallel(el, &path, pool)?,
+                Format::SnapText => ingest::write_snap_file_parallel(el, &self.name, &path, pool)?,
+                Format::Binary => ingest::write_binary_file_parallel(el, &path, pool)?,
             }
             written.push(path);
         }
@@ -275,6 +275,40 @@ mod tests {
         assert_eq!(raw_back, ds.raw);
         // GraphBIG streams text.
         assert!(ds.input_path_for(&dir, EngineKind::GraphBig).extension().unwrap() == "snap");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn text_files_are_the_serial_writers_bytes() {
+        let weighted = Dataset::from_spec(&small_spec(), 6);
+        let unweighted = Dataset::from_spec(&PaperDatasets::kronecker(8, false), 6);
+        let empty = EdgeList::new(0, vec![]);
+        let empty = Dataset {
+            name: "empty".into(),
+            raw: empty.clone(),
+            symmetric: empty,
+            weighted: false,
+            roots: vec![],
+        };
+        let dir = std::env::temp_dir().join("epg_dataset_text_test");
+        for ds in [&weighted, &unweighted, &empty] {
+            for threads in [1, 2, 4] {
+                let pool = epg_parallel::ThreadPool::new(threads);
+                ds.write_files_parallel(&dir, &pool).unwrap();
+                for (file, el) in [("snap", &ds.raw), ("sym.snap", &ds.symmetric)] {
+                    let path = dir.join(format!("{}.{file}", ds.name));
+                    let bytes = std::fs::read(&path).unwrap();
+                    let mut want = Vec::new();
+                    snap::write_snap(el, &ds.name, &mut want).unwrap();
+                    assert!(bytes == want, "{} {file} at {threads} threads", ds.name);
+                    // Both readers take back the edges and weights; the
+                    // vertex count is `max id + 1`, text carrying no other.
+                    let serial = snap::read_snap_file(&path).unwrap();
+                    assert_eq!(ingest::read_snap_file_parallel(&path, &pool).unwrap(), serial);
+                    assert_eq!((&serial.edges, &serial.weights), (&el.edges, &el.weights));
+                }
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -623,7 +623,7 @@ pub(super) fn ablation_partitions(ctx: &mut Ctx) -> io::Result<()> {
         say!(ctx, "== {} ==", ds.name);
         say!(ctx, " partitions  repl factor      mirrors     SSSP edges    SSSP time");
         for p in [1usize, 2, 4, 8, 16, 32] {
-            let pg = PartitionedGraph::build(&ds.symmetric, p);
+            let pg = PartitionedGraph::build(&ds.symmetric, p, &pool);
             let mut e = PowerGraphEngine::with_config(PowerGraphConfig { num_partitions: p });
             construct(&mut e, EngineKind::PowerGraph, ds, &pool);
             let params = RunParams::new(&pool, Some(ds.roots[0]));
