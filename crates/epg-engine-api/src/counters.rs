@@ -32,11 +32,6 @@ impl Counters {
         self.iterations += other.iterations;
     }
 
-    /// Total estimated memory traffic.
-    pub fn bytes_total(&self) -> u64 {
-        self.bytes_read + self.bytes_written
-    }
-
     /// Componentwise `self - earlier` (saturating; counters are
     /// monotonic within a run, so a nonzero saturation indicates a
     /// stale snapshot). Used by the telemetry layer to attribute
@@ -91,11 +86,6 @@ impl Trace {
         self.records.iter().map(|r| r.work).sum()
     }
 
-    /// Total estimated memory traffic.
-    pub fn total_bytes(&self) -> u64 {
-        self.records.iter().map(|r| r.bytes).sum()
-    }
-
     /// Number of synchronization points (each parallel region joins once).
     pub fn sync_points(&self) -> u64 {
         self.records.iter().filter(|r| r.parallel).count() as u64
@@ -130,7 +120,6 @@ mod tests {
         assert_eq!(a.edges_traversed, 13);
         assert_eq!(a.vertices_touched, 5);
         assert_eq!(a.iterations, 2);
-        assert_eq!(a.bytes_total(), 100);
     }
 
     #[test]
@@ -140,7 +129,6 @@ mod tests {
         t.serial(100, 800);
         t.parallel(500, 600, 4000); // span clamped to work
         assert_eq!(t.total_work(), 1600);
-        assert_eq!(t.total_bytes(), 12_800);
         assert_eq!(t.sync_points(), 2);
         assert_eq!(t.records[2].span, 500);
         assert!((t.serial_fraction() - 100.0 / 1600.0).abs() < 1e-12);

@@ -107,6 +107,13 @@ impl GapEngine {
         GapEngine::with_config(GapConfig::default())
     }
 
+    /// Stages `el` for [`Engine::construct`], dropping any built graph.
+    fn stage(&mut self, el: EdgeList) {
+        self.edge_list = Some(el);
+        self.csr = None;
+        self.csr_t = None;
+    }
+
     fn csr(&self) -> &Csr {
         self.csr.as_ref().expect("graph not constructed; call construct()")
     }
@@ -158,14 +165,12 @@ impl Engine for GapEngine {
     fn load_file(&mut self, path: &Path, pool: &ThreadPool) -> std::io::Result<()> {
         let el = ingest::read_binary_file_parallel(path, pool)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        self.load_edge_list(&el);
+        self.stage(el);
         Ok(())
     }
 
     fn load_edge_list(&mut self, el: &EdgeList) {
-        self.edge_list = Some(el.clone());
-        self.csr = None;
-        self.csr_t = None;
+        self.stage(el.clone());
     }
 
     fn construct(&mut self, pool: &ThreadPool) {

@@ -53,6 +53,14 @@ impl GraphMatEngine {
         GraphMatEngine { edge_list: None, matrix: None, matrix_t: None, num_vertices: 0 }
     }
 
+    /// Stages `el` for [`Engine::construct`], dropping any built matrices.
+    fn stage(&mut self, el: EdgeList) {
+        self.num_vertices = el.num_vertices;
+        self.edge_list = Some(el);
+        self.matrix = None;
+        self.matrix_t = None;
+    }
+
     /// The push-direction matrix (columns = out-edges).
     pub fn matrix(&self) -> &Dcsc {
         self.matrix.as_ref().expect("graph not constructed")
@@ -90,15 +98,12 @@ impl Engine for GraphMatEngine {
     fn load_file(&mut self, path: &Path, pool: &ThreadPool) -> std::io::Result<()> {
         let el = ingest::read_binary_file_parallel(path, pool)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        self.load_edge_list(&el);
+        self.stage(el);
         Ok(())
     }
 
     fn load_edge_list(&mut self, el: &EdgeList) {
-        self.edge_list = Some(el.clone());
-        self.matrix = None;
-        self.matrix_t = None;
-        self.num_vertices = el.num_vertices;
+        self.stage(el.clone());
     }
 
     fn construct(&mut self, pool: &ThreadPool) {

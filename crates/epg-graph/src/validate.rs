@@ -31,7 +31,7 @@
 //! the lowest vertex; else the first `EdgeSpansLevels` / `Unreached` in
 //! ascending `(u, position in u's adjacency)`.
 
-use crate::{Csr, EdgeList, VertexId, Weight, INF_DIST, NO_VERTEX};
+use crate::{Csr, VertexId, Weight, INF_DIST, NO_VERTEX};
 use epg_parallel::{Schedule, ThreadPool};
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -325,22 +325,10 @@ pub fn validate_sssp_distances(g: &Csr, root: VertexId, dist: &[Weight]) -> Resu
     }
 }
 
-/// Converts a parent array into the edge list of the BFS tree; useful for
-/// diagnostics and tested as part of the validation module.
-pub fn tree_edges(parent: &[VertexId], root: VertexId) -> EdgeList {
-    let edges: Vec<(VertexId, VertexId)> = parent
-        .iter()
-        .enumerate()
-        .filter(|&(v, &p)| p != NO_VERTEX && v as VertexId != root)
-        .map(|(v, &p)| (p, v as VertexId))
-        .collect();
-    EdgeList::new(parent.len(), edges)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle;
+    use crate::{oracle, EdgeList};
 
     fn ring(n: usize) -> Csr {
         let edges: Vec<_> = (0..n as VertexId).map(|v| (v, (v + 1) % n as VertexId)).collect();
@@ -513,13 +501,5 @@ mod tests {
         let mut d = oracle::dijkstra(&g, 0);
         d.push(0.0);
         assert!(validate_sssp_distances(&g, 0, &d).is_err());
-    }
-
-    #[test]
-    fn tree_edges_extraction() {
-        let g = ring(4);
-        let r = oracle::bfs(&g, 0);
-        let te = tree_edges(&r.parent, 0);
-        assert_eq!(te.num_edges(), 3); // spanning tree of 4 reached vertices
     }
 }

@@ -652,7 +652,7 @@ pub(crate) mod tests {
     }
 
     fn run(c: CrateModel) -> Vec<Finding> {
-        let ws = Workspace { crates: vec![c] };
+        let ws = Workspace { crates: vec![c], loose: Vec::new() };
         let mut out = Vec::new();
         check(&ws, &mut out);
         out

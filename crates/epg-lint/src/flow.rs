@@ -28,7 +28,7 @@
 use crate::arch::layer_of;
 use crate::model::{FileModel, Workspace};
 use crate::rules::Finding;
-use crate::scan::{find_word_from, is_ident_byte};
+use crate::scan::{is_ident_byte, token_offsets};
 
 /// Stable rule id: over- or under-strong atomic orderings on hot paths.
 pub const RULE_ORDERING: &str = "atomic-ordering";
@@ -126,9 +126,7 @@ fn check_ordering(f: &FileModel, crate_name: &str, out: &mut Vec<Finding>) {
 /// Extracts `let` pattern bindings from one line (covers `if let` /
 /// `while let` / `let … else` heads too).
 pub(crate) fn let_bindings(code: &str, out: &mut Vec<String>) {
-    let mut from = 0;
-    while let Some(pos) = find_word_from(code, from, "let") {
-        from = pos + 3;
+    for pos in token_offsets(code, "let") {
         let rest = &code[pos + 3..];
         let cut = rest.find(['=', ';']).unwrap_or(rest.len());
         let pat = &rest[..cut];
@@ -267,7 +265,7 @@ mod tests {
     /// The call-graph rules, then this family, in the order
     /// `lint_workspace` runs them.
     fn run(c: CrateModel) -> Vec<Finding> {
-        let ws = Workspace { crates: vec![c] };
+        let ws = Workspace { crates: vec![c], loose: Vec::new() };
         let mut out = Vec::new();
         crate::callgraph::check(&ws, &mut out);
         check(&ws, &mut out);

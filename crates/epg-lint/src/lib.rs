@@ -1,23 +1,25 @@
 //! Workspace static analysis.
 //!
 //! A purpose-built analysis pass over the whole workspace — no `syn`, no
-//! external parsers. [`lint_workspace`] walks the tree once and scans each
-//! `.rs` file once ([`scan`]); two kinds of rule read those scans:
+//! external parsers. [`lint_workspace`] walks the tree once, scans each
+//! `.rs` file once ([`scan`]) and builds one [`model::FileModel`] per file
+//! into the workspace model ([`model`]): the member crates' files under
+//! their crate, every other file (root `tests/`, `examples/`, `bench/`) in
+//! one loose list. Every rule family reads that model:
 //!
-//! * **Line rules** ([`rules`]) over every scanned file, member crate or
-//!   not: SAFETY comments on `unsafe`, `unsafe impl Send/Sync` and
+//! * **Line rules** ([`rules`]) over every file, member crate or loose:
+//!   SAFETY comments on `unsafe`, `unsafe impl Send/Sync` and
 //!   raw-pointer struct fields contained to `epg-parallel`,
 //!   compare-exchange failure orderings no stronger than their success
 //!   orderings, and no `static mut`.
-//! * **Model families** over the member crates' workspace model
-//!   ([`model`]): crate-DAG `layering` ([`arch`]); one table of "banned
-//!   token in a region, directly or through calls" rules over an
-//!   intra-crate call graph ([`callgraph`]) — `phase-purity`,
-//!   `timing-discipline`, `panic-discipline` and `blocking-while-locked`,
-//!   whose reachable tokens are reported at timed call sites and
-//!   held-guard lines as call chains; the `concurrency` pass ([`flow`]) —
-//!   `atomic-ordering`; and the rest of the `locking` family
-//!   ([`locking`]) — `lock-order-cycle`, `condvar-wait-loop`,
+//! * **Crate families** over the member crates only: crate-DAG `layering`
+//!   ([`arch`]); one table of "banned token in a region, directly or
+//!   through calls" rules over an intra-crate call graph ([`callgraph`]) —
+//!   `phase-purity`, `timing-discipline`, `panic-discipline` and
+//!   `blocking-while-locked`, whose reachable tokens are reported at timed
+//!   call sites and held-guard lines as call chains; the `concurrency`
+//!   pass ([`flow`]) — `atomic-ordering`; and the rest of the `locking`
+//!   family ([`locking`]) — `lock-order-cycle`, `condvar-wait-loop`,
 //!   `guard-across-span`, and the foreign condvar wait. These enforce the
 //!   measurement-fairness invariants of DESIGN.md §10–§11 and the
 //!   serving-path lock discipline of §15: engines are interchangeable
@@ -60,7 +62,7 @@ mod phases;
 pub use allowlist::Allow;
 pub use rules::Finding;
 
-use model::{Scanned, Workspace};
+use model::Workspace;
 use std::path::{Path, PathBuf};
 
 /// The workspace root, located relative to this crate's manifest.
@@ -109,7 +111,7 @@ pub struct LintReport {
 }
 
 /// Runs the full analysis — line rules over every `.rs` file under
-/// `root`, the model families over its member crates — applying
+/// `root`, the crate families over its member crates — applying
 /// `root/epg-lint.toml` with per-entry usage tracking.
 ///
 /// # Errors
@@ -119,21 +121,16 @@ pub struct LintReport {
 pub fn lint_workspace(root: &Path) -> Result<LintReport, String> {
     let allows = read_allowlist(root)?;
 
-    // One walk, one scan per file.
-    let scanned: Vec<Scanned> = rust_files(root)
-        .iter()
-        .filter_map(|path| {
-            let src = std::fs::read_to_string(path).ok()?;
-            let rel = path.strip_prefix(root).unwrap_or(path).to_string_lossy().replace('\\', "/");
-            Some((rel, scan::scan(&src)))
-        })
-        .collect();
-    let mut raw: Vec<Finding> =
-        scanned.iter().flat_map(|(rel, lines)| rules::check_file(rel, lines)).collect();
-
-    // The member crates' file models take their scans; the rest stay in
-    // `others` for the allowlist's line lookup.
-    let (ws, others) = Workspace::load(root, scanned);
+    // One walk, one scan and one model per file.
+    let files = rust_files(root);
+    let scanned = files.iter().filter_map(|path| {
+        let src = std::fs::read_to_string(path).ok()?;
+        let rel = path.strip_prefix(root).unwrap_or(path).to_string_lossy().replace('\\', "/");
+        Some((rel, scan::scan(&src)))
+    });
+    let ws = Workspace::load(root, scanned);
+    let mut raw = Vec::new();
+    rules::check(&ws, &mut raw);
     arch::check(&ws, &mut raw);
     callgraph::check(&ws, &mut raw);
     flow::check(&ws, &mut raw);
@@ -146,7 +143,7 @@ pub fn lint_workspace(root: &Path) -> Result<LintReport, String> {
     let mut used = vec![false; allows.len()];
     let mut findings = Vec::new();
     for finding in raw {
-        match allowlist::match_allow(&allows, &finding, &line_text(&ws, &others, &finding)) {
+        match allowlist::match_allow(&allows, &finding, &line_text(&ws, &finding)) {
             Some(i) => used[i] = true,
             None => findings.push(finding),
         }
@@ -162,16 +159,14 @@ fn read_allowlist(root: &Path) -> Result<Vec<Allow>, String> {
 }
 
 /// The raw text of the line a finding points at — a manifest line for
-/// declared-DAG findings, a scanned source line otherwise.
-fn line_text(ws: &Workspace, others: &[Scanned], f: &Finding) -> String {
+/// declared-DAG findings, a modeled source line otherwise.
+fn line_text(ws: &Workspace, f: &Finding) -> String {
     if let Some(c) = ws.crates.iter().find(|c| c.manifest_path == f.file) {
         return c.manifest_lines.get(f.line - 1).cloned().unwrap_or_default();
     }
-    let members = ws.crates.iter().flat_map(|c| &c.files).map(|m| (&m.path, &m.lines));
-    let mut files = members.chain(others.iter().map(|(path, lines)| (path, lines)));
-    files
-        .find(|(path, _)| **path == f.file)
-        .and_then(|(_, lines)| lines.get(f.line - 1))
+    ws.files()
+        .find(|m| m.path == f.file)
+        .and_then(|m| m.lines.get(f.line - 1))
         .map(|l| format!("{}{}", l.code, l.comment))
         .unwrap_or_default()
 }

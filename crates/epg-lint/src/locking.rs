@@ -531,7 +531,7 @@ mod tests {
     /// The call-graph families: this module's rules plus the
     /// `blocking-while-locked` row.
     fn run(c: CrateModel) -> Vec<Finding> {
-        let ws = Workspace { crates: vec![c] };
+        let ws = Workspace { crates: vec![c], loose: Vec::new() };
         let mut out = Vec::new();
         crate::callgraph::check(&ws, &mut out);
         out

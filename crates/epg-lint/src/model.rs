@@ -1,14 +1,15 @@
 //! The workspace model: crate DAG plus a lightweight per-file item model.
 //!
-//! This is the substrate the architectural rule families run on. It is
-//! deliberately token-level — no `syn`, no full parse — built on the same
-//! comment/string-aware scanner as the line rules:
+//! This is the substrate every rule family runs on. It is deliberately
+//! token-level — no `syn`, no full parse — built on the comment/string-aware
+//! scanner ([`crate::scan`]):
 //!
 //! * **Crate DAG** — every workspace member's `Cargo.toml` parsed into its
 //!   package name and `[dependencies]`/`[dev-dependencies]` lists, with the
 //!   manifest line of each declaration (findings point at the declaration).
-//! * **Per-file item model** — for every `src/**/*.rs` (and `tests/`,
-//!   `benches/`, `examples/`, which are marked as test-role): `fn` spans
+//! * **Per-file item model** — for every scanned `.rs` file, in a member
+//!   crate or loose (files under `tests/`, `benches/`, `examples/` are
+//!   marked as test-role): `fn` spans
 //!   (signature through closing brace, or through `;` for trait method
 //!   declarations), `#[cfg(test)]`/`#[test]` spans, iteration-loop body
 //!   spans (`loop`/`while`/`for … in`), spans of arguments passed to the
@@ -19,14 +20,19 @@
 //! string and char-literal contents, brace/paren matching over the code
 //! text cannot be derailed by delimiters inside literals.
 
-use crate::scan::{find_word_from, is_ident_byte, Line};
+use crate::scan::{is_ident_byte, token_offsets, Line};
 use std::path::Path;
 
-/// The whole workspace: one entry per discovered member crate.
+/// The whole workspace: one entry per discovered member crate, plus the
+/// files outside every member.
 #[derive(Debug, Default)]
 pub struct Workspace {
     /// Member crates, in discovery order (manifest `members` order).
     pub crates: Vec<CrateModel>,
+    /// Files outside every member crate (root `tests/`, `examples/`, a
+    /// nested workspace such as `bench/`), in scan order. Only the line
+    /// rules read them.
+    pub loose: Vec<FileModel>,
 }
 
 /// One crate: manifest facts plus a model of every `.rs` file under it.
@@ -125,6 +131,9 @@ pub struct StructModel {
     pub start: usize,
     /// Last line (closing brace or `;`).
     pub end: usize,
+    /// Byte offsets in the file's joined code text of the delimiters of
+    /// the `{…}` or `(…)` body; `None` for a unit struct.
+    pub(crate) body: Option<(usize, usize)>,
 }
 
 /// The item model of one source file.
@@ -161,7 +170,7 @@ pub struct FileModel {
     /// `impl` block spans; `name` is the self type (`impl T` and
     /// `impl Trait for T` both yield `T`).
     pub impls: Vec<FnSpan>,
-    code: Code,
+    pub(crate) code: Code,
 }
 
 impl FileModel {
@@ -198,14 +207,27 @@ impl FileModel {
     /// with identifier boundaries at whichever ends of the token are
     /// identifier characters). Each line appears once.
     pub fn token_lines(&self, token: &str) -> Vec<usize> {
-        let mut out = Vec::new();
-        for off in self.code.token_offsets(token) {
-            let line = self.code.line_of(off);
-            if out.last() != Some(&line) {
-                out.push(line);
+        self.first_token_per_line(token).map(|(line, _)| line).collect()
+    }
+
+    /// Each line's first occurrence of `token` (boundaries as in
+    /// [`FileModel::token_lines`]): its 1-based line and the code text
+    /// after it on that line.
+    pub(crate) fn first_token_per_line<'a>(
+        &'a self,
+        token: &'a str,
+    ) -> impl Iterator<Item = (usize, &'a str)> + 'a {
+        let code = &self.code;
+        let mut last = 0;
+        token_offsets(&code.text, token).filter_map(move |off| {
+            let line = code.line_of(off);
+            if line == last {
+                return None;
             }
-        }
-        out
+            last = line;
+            let rest = &code.text[off + token.len()..];
+            Some((line, &rest[..rest.find('\n').unwrap_or(rest.len())]))
+        })
     }
 
     /// Whether `line` falls inside a timed span ([`FileModel::hot`]).
@@ -259,10 +281,11 @@ impl FileModel {
 
 /// Joined code text with per-line byte offsets, for cross-line matching.
 #[derive(Debug)]
-struct Code {
-    text: String,
+pub(crate) struct Code {
+    /// Every line's code text, each followed by `\n`.
+    pub(crate) text: String,
     /// Byte offset in `text` where each line starts.
-    starts: Vec<usize>,
+    pub(crate) starts: Vec<usize>,
 }
 
 impl Code {
@@ -278,34 +301,11 @@ impl Code {
     }
 
     /// 1-based line holding byte offset `off`.
-    fn line_of(&self, off: usize) -> usize {
+    pub(crate) fn line_of(&self, off: usize) -> usize {
         match self.starts.binary_search(&off) {
             Ok(i) => i + 1,
             Err(i) => i, // insertion point; the line starting before `off`
         }
-    }
-
-    /// Byte offsets of every boundary-respecting occurrence of `token`.
-    fn token_offsets(&self, token: &str) -> Vec<usize> {
-        let bytes = self.text.as_bytes();
-        let first_ident = token.bytes().next().is_some_and(is_ident_byte);
-        let last_ident = token.bytes().last().is_some_and(is_ident_byte);
-        let mut out = Vec::new();
-        let mut from = 0;
-        while let Some(pos) = self.text[from..].find(token) {
-            let start = from + pos;
-            let end = start + token.len();
-            // Plain identifier boundary only: a preceding `:` must stay
-            // legal so `std::time::Instant::now` matches `Instant::now`
-            // and absolute `::std::fs` paths match `std::fs`.
-            let before_ok = !first_ident || start == 0 || !is_ident_byte(bytes[start - 1]);
-            let after_ok = !last_ident || end == bytes.len() || !is_ident_byte(bytes[end]);
-            if before_ok && after_ok {
-                out.push(start);
-            }
-            from = start + 1;
-        }
-        out
     }
 }
 
@@ -335,7 +335,7 @@ fn match_brace(bytes: &[u8], open: usize) -> usize {
 }
 
 /// Offset of the `)` closing the `(` at `open`.
-fn match_paren(bytes: &[u8], open: usize) -> usize {
+pub(crate) fn match_paren(bytes: &[u8], open: usize) -> usize {
     let mut depth = 0i64;
     for (j, &b) in bytes.iter().enumerate().skip(open) {
         match b {
@@ -356,9 +356,7 @@ fn parse_fns(code: &Code) -> Vec<FnSpan> {
     let text = &code.text;
     let bytes = text.as_bytes();
     let mut out = Vec::new();
-    let mut from = 0;
-    while let Some(pos) = find_word_from(text, from, "fn") {
-        from = pos + 2;
+    for pos in token_offsets(text, "fn") {
         let mut i = pos + 2;
         while i < bytes.len() && bytes[i].is_ascii_whitespace() {
             i += 1;
@@ -482,9 +480,7 @@ fn parse_loops(code: &Code) -> Vec<(usize, usize)> {
     let bytes = text.as_bytes();
     let mut out = Vec::new();
     for kw in ["loop", "while", "for"] {
-        let mut from = 0;
-        while let Some(pos) = find_word_from(text, from, kw) {
-            from = pos + kw.len();
+        for pos in token_offsets(text, kw) {
             let mut i = pos + kw.len();
             // `for<'a>` (higher-ranked bounds) is not a loop.
             if kw == "for" {
@@ -545,6 +541,7 @@ pub(crate) const PAR_ENTRY_POINTS: &[&str] = &[
     ".parallel_for_ranges(",
     ".parallel_reduce(",
     ".parallel_reduce_ranges(",
+    ".reduce_ranges(",
     "Partial::collect(",
     ".parallel_sum_f64(",
     ".parallel_any(",
@@ -608,7 +605,7 @@ fn hot_spans(
     par_calls: &[(usize, usize)],
 ) -> Vec<(usize, usize)> {
     let marks: Vec<usize> =
-        code.token_offsets(".iteration(").into_iter().map(|off| code.line_of(off)).collect();
+        token_offsets(&code.text, ".iteration(").map(|off| code.line_of(off)).collect();
     let marked = |s: usize, e: usize| {
         marks.iter().copied().chain(par_calls.iter().map(|&(l, _)| l)).any(|l| s <= l && l <= e)
     };
@@ -733,9 +730,7 @@ fn parse_structs(code: &Code) -> Vec<StructModel> {
     let text = &code.text;
     let bytes = text.as_bytes();
     let mut out = Vec::new();
-    let mut from = 0;
-    while let Some(pos) = find_word_from(text, from, "struct") {
-        from = pos + 6;
+    for pos in token_offsets(text, "struct") {
         let mut i = pos + 6;
         while i < bytes.len() && bytes[i].is_ascii_whitespace() {
             i += 1;
@@ -765,18 +760,17 @@ fn parse_structs(code: &Code) -> Vec<StructModel> {
             }
             i += 1;
         }
+        let start = code.line_of(pos);
         let Some(open) = open else {
-            out.push(StructModel {
-                name,
-                fields: Vec::new(),
-                start: code.line_of(pos),
-                end: code.line_of(i.min(bytes.len().saturating_sub(1))),
-            });
+            let body = (bytes.get(i) == Some(&b'(')).then(|| (i, match_paren(bytes, i)));
+            let end = code.line_of(i.min(bytes.len().saturating_sub(1)));
+            out.push(StructModel { name, fields: Vec::new(), start, end, body });
             continue;
         };
         let close = match_brace(bytes, open);
         let fields = parse_fields(code, open + 1, close);
-        out.push(StructModel { name, fields, start: code.line_of(pos), end: code.line_of(close) });
+        let end = code.line_of(close);
+        out.push(StructModel { name, fields, start, end, body: Some((open, close)) });
     }
     out
 }
@@ -849,9 +843,7 @@ fn parse_impls(code: &Code) -> Vec<FnSpan> {
     let text = &code.text;
     let bytes = text.as_bytes();
     let mut out = Vec::new();
-    let mut from = 0;
-    while let Some(pos) = find_word_from(text, from, "impl") {
-        from = pos + 4;
+    for pos in token_offsets(text, "impl") {
         // `-> impl Trait` / `(impl Trait` are types, not items.
         let mut p = pos;
         while p > 0 && bytes[p - 1].is_ascii_whitespace() {
@@ -920,22 +912,20 @@ fn parse_impls(code: &Code) -> Vec<FnSpan> {
 // Manifest parsing and crate discovery
 // ---------------------------------------------------------------------------
 
-/// One scanned `.rs` file: workspace-relative path, `/`-separated, and
-/// the scanner's lines.
-pub type Scanned = (String, Vec<Line>);
-
 impl Workspace {
-    /// Discovers every member crate under `root` and models it from
-    /// `scanned`, the tree's files as `lint_workspace` scanned them once.
+    /// Discovers every member crate under `root` and models every file of
+    /// `scanned` — the tree's `.rs` files as `lint_workspace` scanned them
+    /// once, each a workspace-relative `/`-separated path and its lines.
     ///
     /// Reads `root/Cargo.toml`: a `[workspace]` `members` list (literal
     /// paths and trailing-`/*` globs) yields one crate per member with a
     /// `Cargo.toml`; a bare `[package]` manifest yields the root itself
-    /// as the only crate. A missing or memberless manifest yields an
-    /// empty model. Each scanned file moves into the model of the
-    /// innermost member crate holding it; the files outside every member
-    /// are returned as they came.
-    pub fn load(root: &Path, scanned: Vec<Scanned>) -> (Workspace, Vec<Scanned>) {
+    /// as the only crate. A missing or memberless manifest yields no
+    /// crates. Each file's model goes to the innermost member crate
+    /// holding it, or to [`Workspace::loose`] when no member does. A file
+    /// under a `tests/`, `benches/` or `examples/` directory of its crate
+    /// (of the root, for a loose file) is test-role.
+    pub fn load(root: &Path, scanned: impl IntoIterator<Item = (String, Vec<Line>)>) -> Workspace {
         let mut ws = Workspace::default();
         if let Ok(top) = std::fs::read_to_string(root.join("Cargo.toml")) {
             let mut dirs = member_dirs(&top, root);
@@ -944,23 +934,28 @@ impl Workspace {
             }
             ws.crates = dirs.iter().filter_map(|dir| load_crate(root, dir)).collect();
         }
-        let mut others = Vec::new();
         for (path, lines) in scanned {
-            let owner = ws
+            // The innermost owner leaves the shortest crate-relative path.
+            let (owner, rel) = ws
                 .crates
-                .iter_mut()
-                .filter_map(|c| Some((crate_relative(&c.dir, &path)?.to_string(), c)))
-                .max_by_key(|(_, c)| c.dir.len());
-            let Some((rel_crate, c)) = owner else {
-                others.push((path, lines));
-                continue;
-            };
+                .iter()
+                .enumerate()
+                .filter_map(|(i, c)| Some((Some(i), crate_relative(&c.dir, &path)?)))
+                .min_by_key(|&(_, rel)| rel.len())
+                .unwrap_or((None, &path));
             let test_role = ["tests/", "benches/", "examples/"]
                 .iter()
-                .any(|p| rel_crate.starts_with(p) || rel_crate.contains(&format!("/{p}")));
-            c.files.push(FileModel::build(path, lines, test_role));
+                .any(|p| rel.starts_with(p) || rel.contains(&format!("/{p}")));
+            let model = FileModel::build(path, lines, test_role);
+            owner.map_or(&mut ws.loose, |i| &mut ws.crates[i].files).push(model);
         }
-        (ws, others)
+        ws
+    }
+
+    /// Every modeled file: the member crates' in crate order, then the
+    /// loose ones.
+    pub fn files(&self) -> impl Iterator<Item = &FileModel> {
+        self.crates.iter().flat_map(|c| &c.files).chain(&self.loose)
     }
 }
 
@@ -1170,13 +1165,14 @@ mod tests {
     #[test]
     fn reduce_entry_points_are_worker_spans_too() {
         // The step protocol's way out of a region: closures passed to
-        // `parallel_reduce_ranges` and to `Partial::collect` (its
-        // `(found, edges, max_degree)` form) are worker code.
-        let src = "fn f(pool: &ThreadPool) {\n    let a = pool.parallel_reduce_ranges(n, s, id, |lo, hi| {\n        work(lo, hi)\n    }, add);\n    let b = Partial::collect(pool, n, s, |lo, hi| {\n        expand(lo, hi)\n    });\n    plain();\n}\n";
+        // `parallel_reduce_ranges`, to `Partial::collect` (its
+        // `(found, edges, max_degree)` form) and to
+        // `WorkerBitmaps::reduce_ranges` are worker code.
+        let src = "fn f(pool: &ThreadPool) {\n    let a = pool.parallel_reduce_ranges(n, s, id, |lo, hi| {\n        work(lo, hi)\n    }, add);\n    let b = Partial::collect(pool, n, s, |lo, hi| {\n        expand(lo, hi)\n    });\n    let c = marks.reduce_ranges(pool, n, s, id, |lo, hi| {\n        scatter(lo, hi)\n    }, add);\n    plain();\n}\n";
         let f = file(src);
-        assert_eq!(f.par_calls, vec![(2, 4), (5, 7)]);
-        assert!(f.in_loop_or_worker(3) && f.in_loop_or_worker(6));
-        assert!(!f.in_loop_or_worker(8));
+        assert_eq!(f.par_calls, vec![(2, 4), (5, 7), (8, 10)]);
+        assert!(f.in_loop_or_worker(3) && f.in_loop_or_worker(6) && f.in_loop_or_worker(9));
+        assert!(!f.in_loop_or_worker(11));
     }
 
     #[test]
@@ -1280,12 +1276,11 @@ mod tests {
             "[package]\nname = \"solo\"\n\n[dependencies]\na = { path = \"../crates/a\" }\n\n[dev-dependencies]\nproptest.workspace = true\n",
         )
         .unwrap();
-        let scanned: Vec<Scanned> =
+        let scanned =
             ["crates/a/src/lib.rs", "examples/e.rs", "solo/src/lib.rs", "solo/tests/t.rs"]
                 .iter()
-                .map(|p| (p.to_string(), scan("pub fn f() {}\n")))
-                .collect();
-        let (ws, others) = Workspace::load(&dir, scanned);
+                .map(|p| (p.to_string(), scan("pub fn f() {}\n")));
+        let ws = Workspace::load(&dir, scanned);
         let names: Vec<&str> = ws.crates.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(names, ["a", "solo"]);
         let solo = &ws.crates[1];
@@ -1295,8 +1290,10 @@ mod tests {
             solo.files.iter().map(|f| (f.path.as_str(), f.test_role)).collect();
         assert_eq!(files, [("solo/src/lib.rs", false), ("solo/tests/t.rs", true)]);
         assert_eq!(ws.crates[0].files.len(), 1);
-        let others: Vec<&str> = others.iter().map(|(p, _)| p.as_str()).collect();
-        assert_eq!(others, ["examples/e.rs"], "non-members come back for the line rules");
+        let loose: Vec<(&str, bool)> =
+            ws.loose.iter().map(|f| (f.path.as_str(), f.test_role)).collect();
+        assert_eq!(loose, [("examples/e.rs", true)], "non-members are modeled for the line rules");
+        assert_eq!(ws.files().count(), 4);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

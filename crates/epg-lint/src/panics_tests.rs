@@ -22,6 +22,14 @@ mod tests {
     }
 
     #[test]
+    fn unwrap_in_bitmap_reduce_closure_is_flagged() {
+        // `WorkerBitmaps::reduce_ranges` runs its closure on the workers,
+        // like `parallel_reduce_ranges`, even outside any loop.
+        let src = "fn kernel(pool: &ThreadPool, marks: &WorkerBitmaps) {\n    let n = marks.reduce_ranges(pool, parts, per, || 0, |lo, hi| {\n        slot(lo).unwrap() + hi\n    }, add);\n    drop(n);\n}\n";
+        check_cases(&[(GAP, false, src, &[(3, RULE_PANIC, "`.unwrap()`")])]);
+    }
+
+    #[test]
     fn precondition_expect_outside_loops_is_in_scope_elsewhere() {
         let src = "fn run(params: &RunParams) {\n    let root = params.root.expect(\"BFS needs a root\");\n    drop(root);\n}\n";
         check_cases(&[(GAP, false, src, &[])]);

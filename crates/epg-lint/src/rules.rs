@@ -1,7 +1,7 @@
-//! The concurrency-safety rules.
+//! The concurrency-safety line rules.
 //!
-//! Each rule walks the scanner's per-line code/comment split for one file
-//! and yields [`Finding`]s. The rules encode the workspace's safety policy
+//! One family over every modeled file, member crate or loose
+//! ([`Workspace::files`]). The rules encode the workspace's safety policy
 //! (see DESIGN.md "Safety & static analysis"):
 //!
 //! 1. `safety-comment` — every `unsafe` occurrence in code is preceded by a
@@ -17,7 +17,8 @@
 //!    computed orderings are skipped).
 //! 5. `static-mut` — no `static mut` anywhere.
 
-use crate::scan::{find_word, has_word, Line};
+use crate::model::{match_paren, Code, FileModel, Workspace};
+use crate::scan::{token_offsets, Line};
 
 /// One rule violation at a source location.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -38,297 +39,173 @@ impl std::fmt::Display for Finding {
     }
 }
 
-/// Whether `file` (workspace-relative, `/`-separated) belongs to the crate
-/// allowed to contain `unsafe impl Send/Sync` and raw-pointer fields.
-fn in_parallel_crate(file: &str) -> bool {
-    file.replace('\\', "/").contains("crates/epg-parallel/")
+/// Runs every line rule over every file of the workspace.
+pub fn check(ws: &Workspace, out: &mut Vec<Finding>) {
+    out.extend(ws.files().flat_map(check_file));
 }
 
-/// Runs every rule over one scanned file.
-pub fn check_file(file: &str, lines: &[Line]) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    safety_comments(file, lines, &mut findings);
-    unsafe_impls(file, lines, &mut findings);
-    raw_ptr_fields(file, lines, &mut findings);
-    cas_orderings(file, lines, &mut findings);
-    static_muts(file, lines, &mut findings);
-    findings
-}
-
-fn comment_satisfies(comment: &str) -> bool {
-    comment.contains("SAFETY:") || comment.contains("# Safety")
-}
-
-/// A line an upward SAFETY search may walk through: blank, comment-only,
-/// or an attribute.
-fn is_skippable(line: &Line) -> bool {
-    let code = line.code.trim();
-    code.is_empty() || code.starts_with('#') || code == ")]"
-}
-
-fn safety_comments(file: &str, lines: &[Line], out: &mut Vec<Finding>) {
-    for (idx, line) in lines.iter().enumerate() {
-        if !has_word(&line.code, "unsafe") {
-            continue;
-        }
-        // Same-line comment counts (e.g. `unsafe { … } // SAFETY: …`).
-        let mut ok = comment_satisfies(&line.comment);
-        // Walk upward through comments, attributes, and blank lines.
-        let mut j = idx;
-        while !ok && j > 0 {
-            j -= 1;
-            let above = &lines[j];
-            if comment_satisfies(&above.comment) {
-                ok = true;
-            } else if is_skippable(above) {
-                continue;
-            } else {
-                break;
-            }
-        }
-        if !ok {
-            out.push(Finding {
-                file: file.to_string(),
-                line: idx + 1,
-                rule: "safety-comment",
-                message: "`unsafe` without a `// SAFETY:` comment (or `# Safety` doc section) \
-                          on or above it"
-                    .to_string(),
-            });
-        }
-    }
-}
-
-fn unsafe_impls(file: &str, lines: &[Line], out: &mut Vec<Finding>) {
-    if in_parallel_crate(file) {
-        return;
-    }
-    for (idx, line) in lines.iter().enumerate() {
-        let code = &line.code;
-        let Some(pos) = find_word(code, "unsafe") else { continue };
-        let rest = &code[pos + "unsafe".len()..];
-        if !rest.trim_start().starts_with("impl") {
-            continue;
+/// Runs every line rule over one modeled file.
+pub fn check_file(f: &FileModel) -> Vec<Finding> {
+    let mut out = Vec::new();
+    let mut push = |line, rule, message: &str| {
+        out.push(Finding { file: f.path.clone(), line, rule, message: message.to_string() });
+    };
+    // The crate allowed `unsafe impl Send/Sync` and raw-pointer fields.
+    let parallel = f.path.contains("crates/epg-parallel/");
+    for (line, rest) in f.first_token_per_line("unsafe") {
+        if !safety_documented(&f.lines, line - 1) {
+            push(
+                line,
+                "safety-comment",
+                "`unsafe` without a `// SAFETY:` comment (or `# Safety` doc section) on or \
+                 above it",
+            );
         }
         // The implemented trait is on this line in every rustfmt layout;
         // flag conservatively if Send/Sync appears anywhere after `impl`.
-        if has_word(rest, "Send") || has_word(rest, "Sync") {
-            out.push(Finding {
-                file: file.to_string(),
-                line: idx + 1,
-                rule: "unsafe-impl",
-                message: "`unsafe impl Send/Sync` outside epg-parallel; use \
-                          `epg_parallel::DisjointWriter` or move the audited type into the \
-                          parallel crate"
-                    .to_string(),
-            });
+        if !parallel && rest.trim_start().starts_with("impl") && has_any(rest, &["Send", "Sync"]) {
+            push(
+                line,
+                "unsafe-impl",
+                "`unsafe impl Send/Sync` outside epg-parallel; use \
+                 `epg_parallel::DisjointWriter` or move the audited type into the parallel crate",
+            );
         }
     }
-}
-
-fn raw_ptr_fields(file: &str, lines: &[Line], out: &mut Vec<Finding>) {
-    if in_parallel_crate(file) {
-        return;
-    }
-    let mut i = 0;
-    while i < lines.len() {
-        let Some(pos) = find_word(&lines[i].code, "struct") else {
-            i += 1;
-            continue;
-        };
-        // Walk from the keyword to the end of the definition — `{…}` for
-        // named fields, `(…);` for tuple structs, a bare `;` for unit
-        // structs — collecting per line the text inside the body. Any
-        // raw-pointer type in the body is a finding.
-        let mut depth = 0i32;
-        let mut entered = false;
-        let mut done = false;
-        let mut j = i;
-        let mut col = pos + "struct".len();
-        while j < lines.len() && !done {
-            let mut body = String::new();
-            for c in lines[j].code.chars().skip(col) {
-                match c {
-                    '{' | '(' => {
-                        if depth >= 1 {
-                            body.push(c);
-                        }
-                        depth += 1;
-                        entered = true;
-                    }
-                    '}' | ')' => {
-                        depth -= 1;
-                        if depth >= 1 {
-                            body.push(c);
-                        }
-                        if entered && depth <= 0 {
-                            done = true;
-                            break;
-                        }
-                    }
-                    ';' if !entered => {
-                        done = true; // unit struct
-                        break;
-                    }
-                    _ => {
-                        if depth >= 1 {
-                            body.push(c);
-                        }
-                    }
-                }
-            }
-            if body.contains("*mut ") || body.contains("*const ") {
-                out.push(Finding {
-                    file: file.to_string(),
-                    line: j + 1,
-                    rule: "raw-ptr-field",
-                    message: "raw-pointer struct field outside epg-parallel; hold a \
-                              `DisjointWriter` (or indices) instead"
-                        .to_string(),
-                });
-            }
-            j += 1;
-            col = 0;
+    if !parallel {
+        for line in raw_ptr_field_lines(f) {
+            push(
+                line,
+                "raw-ptr-field",
+                "raw-pointer struct field outside epg-parallel; hold a `DisjointWriter` (or \
+                 indices) instead",
+            );
         }
-        i = j.max(i + 1);
     }
+    for (line, s, fail) in cas_inversions(&f.code) {
+        push(
+            line,
+            "cas-ordering",
+            &format!(
+                "compare_exchange failure ordering {fail} is stronger than success ordering \
+                 {s}; derive it from the success ordering instead"
+            ),
+        );
+    }
+    for (line, rest) in f.first_token_per_line("static") {
+        if rest.trim_start().starts_with("mut") && has_any(rest, &["mut"]) {
+            push(
+                line,
+                "static-mut",
+                "`static mut` is forbidden; use an atomic, a lock, or `OnceLock`",
+            );
+        }
+    }
+    out
 }
 
-/// Ordering strength for the failure-vs-success comparison. `Acquire` is
-/// ranked above `Release` deliberately: a failure load may not carry more
-/// acquire power than the success ordering grants.
-fn strength(name: &str) -> Option<u8> {
-    Some(match name {
-        "Relaxed" => 0,
-        "Release" => 1,
-        "Acquire" => 2,
-        "AcqRel" => 3,
-        "SeqCst" => 4,
-        _ => return None,
-    })
+/// Whether any of `words` occurs in `text` as a whole token.
+fn has_any(text: &str, words: &[&str]) -> bool {
+    words.iter().any(|w| token_offsets(text, w).next().is_some())
 }
 
-/// Extracts the single ordering name an argument mentions, or None when
+/// Whether the `unsafe` on line index `idx` has a SAFETY comment on its
+/// line or above it, walking up through blank, comment-only and attribute
+/// lines.
+fn safety_documented(lines: &[Line], idx: usize) -> bool {
+    let satisfies = |l: &Line| l.comment.contains("SAFETY:") || l.comment.contains("# Safety");
+    let skippable = |l: &Line| {
+        let code = l.code.trim();
+        code.is_empty() || code.starts_with('#') || code == ")]"
+    };
+    satisfies(&lines[idx])
+        || lines[..idx].iter().rev().find(|l| satisfies(l) || !skippable(l)).is_some_and(satisfies)
+}
+
+/// Lines holding a raw-pointer type inside a struct's `{…}` or `(…)`
+/// body, each once.
+fn raw_ptr_field_lines(f: &FileModel) -> Vec<usize> {
+    let code = &f.code;
+    let mut out = Vec::new();
+    for &(open, close) in f.structs.iter().filter_map(|s| s.body.as_ref()) {
+        for line in code.line_of(open)..=code.line_of(close) {
+            let start = code.starts[line - 1];
+            let lo = start.max(open + 1);
+            let hi = (start + f.lines[line - 1].code.len()).min(close);
+            let body = code.text.get(lo..hi).unwrap_or("");
+            if (body.contains("*mut ") || body.contains("*const ")) && out.last() != Some(&line) {
+                out.push(line);
+            }
+        }
+    }
+    out
+}
+
+/// The orderings from weakest to strongest, for the failure-vs-success
+/// comparison. `Acquire` is ranked above `Release` deliberately: a failure
+/// load may not carry more acquire power than the success ordering grants.
+const ORDERINGS: [&str; 5] = ["Relaxed", "Release", "Acquire", "AcqRel", "SeqCst"];
+
+/// The single ordering an argument names and its strength, or None when
 /// the argument is computed (identifier, function call) or ambiguous.
-fn literal_ordering(arg: &str) -> Option<&'static str> {
-    let mut found: Option<&'static str> = None;
-    for name in ["Relaxed", "Release", "Acquire", "AcqRel", "SeqCst"] {
-        if has_word(arg, name) {
-            if found.is_some() {
-                return None;
-            }
-            found = Some(name);
-        }
-    }
+fn literal_ordering(arg: &str) -> Option<(&'static str, usize)> {
+    let mut named = ORDERINGS.iter().enumerate().filter(|(_, o)| has_any(arg, &[o]));
+    let (rank, name) = named.next()?;
     // `cas_failure_order(order)`-style computed arguments contain `(`.
-    if arg.contains('(') {
-        return None;
-    }
-    found
+    (named.next().is_none() && !arg.contains('(')).then_some((name, rank))
 }
 
-fn cas_orderings(file: &str, lines: &[Line], out: &mut Vec<Finding>) {
-    let code: String = lines.iter().map(|l| l.code.as_str()).collect::<Vec<_>>().join("\n");
-    let mut from = 0;
-    while let Some(rel) = code[from..].find("compare_exchange") {
-        let start = from + rel;
-        let mut end = start + "compare_exchange".len();
-        if code[end..].starts_with("_weak") {
-            end += "_weak".len();
-        }
-        from = end;
-        // Identifier boundaries: reject `.compare_exchange_weaker` etc.
-        let bytes = code.as_bytes();
-        if start > 0 && (bytes[start - 1].is_ascii_alphanumeric() || bytes[start - 1] == b'_') {
-            continue;
-        }
-        if bytes.get(end).is_some_and(|&b| b.is_ascii_alphanumeric() || b == b'_') {
-            continue;
-        }
-        let after = code[end..].trim_start();
+/// Every `compare_exchange(_weak)` call whose literal failure ordering is
+/// stronger than its literal success ordering, as `(line, success,
+/// failure)`, in source order.
+fn cas_inversions(code: &Code) -> Vec<(usize, &'static str, &'static str)> {
+    let text = &code.text;
+    let mut calls: Vec<(usize, usize)> = ["compare_exchange", "compare_exchange_weak"]
+        .iter()
+        .flat_map(|name| token_offsets(text, name).map(|off| (off, off + name.len())))
+        .collect();
+    calls.sort_unstable();
+    let mut out = Vec::new();
+    for (start, end) in calls {
+        let after = text[end..].trim_start();
         if !after.starts_with('(') {
             continue;
         }
-        let open = end + (code[end..].len() - after.len());
-        let Some((args, _close)) = split_call_args(&code, open) else { continue };
-        if args.len() < 2 {
+        let open = text.len() - after.len();
+        let args = top_level_args(&text[open + 1..match_paren(text.as_bytes(), open)]);
+        let [.., success, failure] = args[..] else { continue };
+        let (Some((s, sr)), Some((f, fr))) = (literal_ordering(success), literal_ordering(failure))
+        else {
             continue;
-        }
-        let success = literal_ordering(&args[args.len() - 2]);
-        let failure = literal_ordering(&args[args.len() - 1]);
-        let (Some(s), Some(f)) = (success, failure) else { continue };
-        let (Some(sr), Some(fr)) = (strength(s), strength(f)) else { continue };
+        };
         if fr > sr {
-            let line = code[..start].matches('\n').count() + 1;
-            out.push(Finding {
-                file: file.to_string(),
-                line,
-                rule: "cas-ordering",
-                message: format!(
-                    "compare_exchange failure ordering {f} is stronger than success \
-                     ordering {s}; derive it from the success ordering instead"
-                ),
-            });
+            out.push((code.line_of(start), s, f));
         }
     }
+    out
 }
 
-/// Splits a call's arguments at top-level commas. `open` indexes the `(`.
-/// Returns the arguments and the index of the matching `)`.
-fn split_call_args(code: &str, open: usize) -> Option<(Vec<String>, usize)> {
-    let bytes = code.as_bytes();
-    debug_assert_eq!(bytes[open], b'(');
+/// A call's arguments split at top-level commas, trimmed; a trailing
+/// comma adds no empty argument.
+fn top_level_args(args: &str) -> Vec<&str> {
     let mut depth = 0i32;
-    let mut args = Vec::new();
-    let mut cur = String::new();
-    for (off, c) in code[open..].char_indices() {
-        match c {
-            '(' | '[' | '{' => {
-                depth += 1;
-                if depth > 1 {
-                    cur.push(c);
-                }
+    let mut piece = 0;
+    let mut out = Vec::new();
+    for (i, b) in args.bytes().enumerate() {
+        match b {
+            b'(' | b'[' | b'{' => depth += 1,
+            b')' | b']' | b'}' => depth -= 1,
+            b',' if depth == 0 => {
+                out.push(args[piece..i].trim());
+                piece = i + 1;
             }
-            ')' | ']' | '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    if !cur.trim().is_empty() {
-                        args.push(cur.trim().to_string());
-                    }
-                    return Some((args, open + off));
-                }
-                cur.push(c);
-            }
-            ',' if depth == 1 => {
-                args.push(cur.trim().to_string());
-                cur.clear();
-            }
-            _ => {
-                if depth >= 1 {
-                    cur.push(c);
-                }
-            }
+            _ => {}
         }
     }
-    None
-}
-
-fn static_muts(file: &str, lines: &[Line], out: &mut Vec<Finding>) {
-    for (idx, line) in lines.iter().enumerate() {
-        if let Some(pos) = find_word(&line.code, "static") {
-            let rest = &line.code[pos + "static".len()..];
-            if rest.trim_start().starts_with("mut") && has_word(rest, "mut") {
-                out.push(Finding {
-                    file: file.to_string(),
-                    line: idx + 1,
-                    rule: "static-mut",
-                    message: "`static mut` is forbidden; use an atomic, a lock, or \
-                              `OnceLock`"
-                        .to_string(),
-                });
-            }
-        }
+    if !args[piece..].trim().is_empty() {
+        out.push(args[piece..].trim());
     }
+    out
 }
 
 #[cfg(test)]
@@ -337,11 +214,11 @@ mod tests {
     use crate::scan::scan;
 
     fn run(src: &str) -> Vec<Finding> {
-        check_file("crates/epg-engine-x/src/lib.rs", &scan(src))
+        check_file(&FileModel::build("crates/epg-engine-x/src/lib.rs".into(), scan(src), false))
     }
 
     fn run_in_parallel(src: &str) -> Vec<Finding> {
-        check_file("crates/epg-parallel/src/x.rs", &scan(src))
+        check_file(&FileModel::build("crates/epg-parallel/src/x.rs".into(), scan(src), false))
     }
 
     fn rules_of(findings: &[Finding]) -> Vec<&'static str> {

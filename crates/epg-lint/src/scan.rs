@@ -203,30 +203,29 @@ pub fn scan(src: &str) -> Vec<Line> {
     lines
 }
 
-/// Whether `word` appears in `text` delimited by non-identifier characters.
-pub fn has_word(text: &str, word: &str) -> bool {
-    find_word(text, word).is_some()
-}
-
-/// Byte offset of the first identifier-boundary occurrence of `word`.
-pub fn find_word(text: &str, word: &str) -> Option<usize> {
-    find_word_from(text, 0, word)
-}
-
-/// Like [`find_word`], starting the search at byte offset `from`.
-pub fn find_word_from(text: &str, mut from: usize, word: &str) -> Option<usize> {
+/// Byte offsets of every occurrence of `token` in `text` with an
+/// identifier boundary at whichever ends of the token are identifier
+/// characters: `unsafe` skips `unsafe_op` and `not_unsafe`, while
+/// `.unwrap()` matches wherever it appears. A preceding `:` is no
+/// boundary, so `Instant::now` matches inside `std::time::Instant::now`.
+pub fn token_offsets<'a>(text: &'a str, token: &'a str) -> impl Iterator<Item = usize> + 'a {
     let bytes = text.as_bytes();
-    while let Some(pos) = text[from..].find(word) {
-        let start = from + pos;
-        let end = start + word.len();
-        let before_ok = start == 0 || !is_ident_byte(bytes[start - 1]);
-        let after_ok = end == bytes.len() || !is_ident_byte(bytes[end]);
-        if before_ok && after_ok {
-            return Some(start);
+    let first_ident = token.bytes().next().is_some_and(is_ident_byte);
+    let last_ident = token.bytes().last().is_some_and(is_ident_byte);
+    let mut from = 0;
+    std::iter::from_fn(move || {
+        while let Some(pos) = text.get(from..)?.find(token) {
+            let start = from + pos;
+            let end = start + token.len();
+            from = start + 1;
+            let before_ok = !first_ident || start == 0 || !is_ident_byte(bytes[start - 1]);
+            let after_ok = !last_ident || end == bytes.len() || !is_ident_byte(bytes[end]);
+            if before_ok && after_ok {
+                return Some(start);
+            }
         }
-        from = start + 1;
-    }
-    None
+        None
+    })
 }
 
 /// Whether `b` can continue a Rust identifier (ASCII subset).
@@ -237,6 +236,10 @@ pub(crate) fn is_ident_byte(b: u8) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn has_word(text: &str, word: &str) -> bool {
+        token_offsets(text, word).next().is_some()
+    }
 
     fn code_of(src: &str) -> Vec<String> {
         scan(src).into_iter().map(|l| l.code).collect()

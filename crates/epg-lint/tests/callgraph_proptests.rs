@@ -116,7 +116,7 @@ fn passes_never_panic_and_anchor_in_bounds(src: &str) {
                 .any(|(g, gf, gl)| (g.rule, gf.as_str(), *gl) == (f.rule, file.as_str(), *line));
             assert!(!twice, "{file}:{line} is reported where it sits and through {f}");
         }
-        let ws = Workspace { crates: vec![c] };
+        let ws = Workspace { crates: vec![c], loose: Vec::new() };
         let mut out = Vec::new();
         epg_lint::callgraph::check(&ws, &mut out);
         for f in out {

@@ -87,7 +87,7 @@ fn flow_never_panics(f: FileModel) {
         dev_deps: Vec::new(),
         files: vec![f],
     };
-    let ws = epg_lint::model::Workspace { crates: vec![c] };
+    let ws = epg_lint::model::Workspace { crates: vec![c], loose: Vec::new() };
     let mut out = Vec::new();
     flow::check(&ws, &mut out);
     for finding in out {

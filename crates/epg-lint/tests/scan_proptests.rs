@@ -6,9 +6,19 @@
 //! block stays flaggable no matter how much comment/string noise
 //! surrounds it.
 
-use epg_lint::rules::check_file;
-use epg_lint::scan::{has_word, scan};
+use epg_lint::model::FileModel;
+use epg_lint::rules::{check_file, Finding};
+use epg_lint::scan::{scan, token_offsets, Line};
 use proptest::prelude::*;
+
+/// The line rules over one file's scan.
+fn lint(path: &str, lines: &[Line]) -> Vec<Finding> {
+    check_file(&FileModel::build(path.to_string(), lines.to_vec(), false))
+}
+
+fn has_word(text: &str, word: &str) -> bool {
+    token_offsets(text, word).next().is_some()
+}
 
 /// Keywords every rule keys on; planting any of them in a non-code
 /// position must be invisible to the rules.
@@ -81,8 +91,8 @@ proptest! {
             prop_assert!(!line.comment.contains("totally fine") || line.code.trim_end().ends_with("0;"),
                 "string payload leaked into comment channel: {:?}", line);
         }
-        prop_assert!(check_file("noise.rs", &scanned).is_empty(),
-            "noise-only file produced findings: {:?}", check_file("noise.rs", &scanned));
+        prop_assert!(lint("noise.rs", &scanned).is_empty(),
+            "noise-only file produced findings: {:?}", lint("noise.rs", &scanned));
     }
 
     #[test]
@@ -93,7 +103,7 @@ proptest! {
             prop_assert!(!has_word(&line.code, "unsafe"), "unsafe leaked out of a block comment: {:?}", line);
             prop_assert!(!has_word(&line.code, "static"), "static leaked out of a block comment: {:?}", line);
         }
-        prop_assert!(check_file("blocks.rs", &scanned).is_empty());
+        prop_assert!(lint("blocks.rs", &scanned).is_empty());
     }
 
     #[test]
@@ -103,7 +113,7 @@ proptest! {
         prop_assert!(!has_word(&scanned[0].code, "unsafe"));
         prop_assert!(!has_word(&scanned[1].code, "unsafe"));
         prop_assert!(scanned[0].comment.contains(payload) || scanned[1].comment.contains(payload));
-        prop_assert!(check_file("docs.rs", &scanned).is_empty());
+        prop_assert!(lint("docs.rs", &scanned).is_empty());
     }
 
     #[test]
@@ -116,7 +126,7 @@ proptest! {
         lines.push("fn f(p: *mut u8) { unsafe { *p = 1 } }".to_string());
         lines.extend(after.clone());
         let src = lines.join("\n");
-        let findings = check_file("mixed.rs", &scan(&src));
+        let findings = lint("mixed.rs", &scan(&src));
         prop_assert_eq!(findings.len(), 1, "exactly the planted unsafe must fire: {:?}", findings);
         prop_assert_eq!(findings[0].rule, "safety-comment");
         prop_assert_eq!(findings[0].line, before.len() + 1);
@@ -128,7 +138,7 @@ proptest! {
         lines.push("// SAFETY: p is valid for writes by construction.".to_string());
         lines.push("fn f(p: *mut u8) { unsafe { *p = 1 } }".to_string());
         let src = lines.join("\n");
-        let findings = check_file("ok.rs", &scan(&src));
+        let findings = lint("ok.rs", &scan(&src));
         prop_assert!(findings.is_empty(), "SAFETY comment must silence the rule: {:?}", findings);
     }
 
@@ -139,6 +149,6 @@ proptest! {
         // preserves the line count.
         let scanned = scan(&s);
         prop_assert_eq!(scanned.len(), s.matches('\n').count() + 1);
-        let _ = check_file("soup.rs", &scanned);
+        let _ = lint("soup.rs", &scanned);
     }
 }

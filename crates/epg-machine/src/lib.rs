@@ -176,19 +176,6 @@ impl MachineModel {
         let t1 = self.project(trace, rate, 1).total_s;
         threads.iter().map(|&n| (n, t1 / self.project(trace, rate, n).total_s)).collect()
     }
-
-    /// Parallel efficiency T1/(n·Tn) for the given thread counts.
-    pub fn efficiency_curve(
-        &self,
-        trace: &Trace,
-        rate: f64,
-        threads: &[usize],
-    ) -> Vec<(usize, f64)> {
-        self.speedup_curve(trace, rate, threads)
-            .into_iter()
-            .map(|(n, s)| (n, s / n as f64))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -278,14 +265,5 @@ mod tests {
         assert_eq!(spec.barrier_s(1), 0.0);
         assert!(spec.barrier_s(2) > 0.0);
         assert!(spec.barrier_s(72) > spec.barrier_s(2));
-    }
-
-    #[test]
-    fn efficiency_is_speedup_over_n() {
-        let m = MachineModel::paper_machine();
-        let t = toy_trace(5, 1_000_000, 100, 0);
-        let s = m.speedup_curve(&t, 1e8, &[4]);
-        let e = m.efficiency_curve(&t, 1e8, &[4]);
-        assert!((e[0].1 - s[0].1 / 4.0).abs() < 1e-12);
     }
 }

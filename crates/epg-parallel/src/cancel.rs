@@ -73,11 +73,6 @@ impl CancelToken {
         self.inner.deadline_ns.store(ns, Ordering::Relaxed);
     }
 
-    /// Disarms the deadline (does not clear an already-latched cancel).
-    pub fn clear_deadline(&self) {
-        self.inner.deadline_ns.store(NO_DEADLINE, Ordering::Relaxed);
-    }
-
     /// Latches the cancel flag.
     pub fn cancel(&self) {
         self.inner.cancelled.store(true, Ordering::Release);
@@ -147,9 +142,6 @@ mod tests {
         let t = CancelToken::with_deadline(Duration::from_millis(5));
         assert!(!t.is_cancelled(), "deadline must not fire early");
         thread::sleep(Duration::from_millis(20));
-        assert!(t.is_cancelled());
-        // Latched: even after the deadline is disarmed, the flag holds.
-        t.clear_deadline();
         assert!(t.is_cancelled());
     }
 
