@@ -7,9 +7,9 @@
 //! either fully (returning `B` itself) or partially (returning a smaller
 //! bound `B'` under which everything is complete). Each level finds pivot
 //! sources via `k` rounds of Bellman-Ford-style relaxation
-//! ([`Ctx::find_pivots`]), feeds them to a partial-order block queue
-//! ([`PullQueue`]), and repeatedly pulls the smallest batch for the level
-//! below; level 0 is a truncated Dijkstra ([`Ctx::base_case`]).
+//! (`Ctx::find_pivots`), feeds them to a partial-order block queue
+//! (`PullQueue`), and repeatedly pulls the smallest batch for the level
+//! below; level 0 is a truncated Dijkstra (`Ctx::base_case`).
 //!
 //! Two ports from the paper's real-weight setting to f32 matter here:
 //!
@@ -28,7 +28,7 @@
 //! The adaptive constant-degree preprocessing of the paper (§2) is
 //! applied when the graph's maximum out-degree exceeds a small cap: each
 //! vertex becomes a zero-weight cycle of slots carrying at most
-//! [`CD_FAN`] original out-edges each, with all in-edges retargeted to
+//! `CD_FAN` original out-edges each, with all in-edges retargeted to
 //! the head slot; distances map back through the head.
 
 use crate::radix::dist_to_key;

@@ -21,7 +21,7 @@
 //!   tie at zero, stressing tie-breaking and monotone-queue edge cases.
 //!
 //! Every generator is a pure function of the edge *index* (hashed through
-//! [`crate::kronecker::mix64`]), so the serial and parallel paths produce
+//! `kronecker::mix64`), so the serial and parallel paths produce
 //! byte-identical edge lists regardless of thread count — unlike the
 //! stream-split RNG generators, which document a serial/parallel
 //! divergence. All families are weighted (they exist for SSSP).

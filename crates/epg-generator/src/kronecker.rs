@@ -147,7 +147,7 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
 }
 
 /// Parallel Kronecker generation. Edges are drawn in fixed blocks of
-/// [`GEN_BLOCK`], each from its own `StdRng` seeded by `mix64(seed, block)`,
+/// `GEN_BLOCK`, each from its own `StdRng` seeded by `mix64(seed, block)`,
 /// so the result is deterministic per seed *regardless of thread count* —
 /// though it is a different (equally distributed) stream than the serial
 /// [`generate`], whose single-RNG sequence cannot be split.

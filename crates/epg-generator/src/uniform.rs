@@ -25,7 +25,7 @@ pub fn generate(num_vertices: usize, num_edges: usize, weighted: bool, seed: u64
 }
 
 /// Parallel uniform generation: fixed blocks of
-/// [`crate::kronecker::GEN_BLOCK`] edges, each from its own block-seeded
+/// `kronecker::GEN_BLOCK` edges, each from its own block-seeded
 /// `StdRng` — deterministic per seed regardless of thread count (a
 /// different stream than the serial [`generate`]).
 pub fn generate_parallel(

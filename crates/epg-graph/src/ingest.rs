@@ -495,7 +495,7 @@ fn write_snap_parallel<W: Write>(
     out.flush()
 }
 
-/// Writes a SNAP text file with [`write_snap_parallel`].
+/// Writes a SNAP text file with `write_snap_parallel`.
 pub fn write_snap_file_parallel(
     el: &EdgeList,
     name: &str,

@@ -8,10 +8,11 @@
 //! PageRank "is simply run 32 times" (§III-B); the Graphalytics-only
 //! kernels run once.
 //!
-//! Every BFS, SSSP, WCC and PageRank trial is verified ([`verify_output`])
-//! after its clock stops, against one CSR of the symmetric graph built
-//! before any engine runs: results are checked on every engine, and no
-//! timer or trace holds the check.
+//! Every trial but betweenness's is verified ([`verify_output`]) after
+//! its clock stops, against one CSR of the symmetric graph built before
+//! any engine runs and the sequential oracle's answers for it
+//! ([`Expected`]), each computed at most once per dataset: results are
+//! checked on every engine, and no timer or trace holds the check.
 //!
 //! This is the only phase-3 timing loop. It reads the files phase 2 wrote
 //! ([`ExperimentConfig::input_dir`]) and never writes them. The
@@ -22,7 +23,7 @@
 use crate::dataset::Dataset;
 use crate::registry::EngineKind;
 use crate::supervise::{
-    supervise_trial, verify_output, QuarantineBook, SupervisorConfig, TrialOutcome,
+    supervise_trial, verify_output, Expected, QuarantineBook, SupervisorConfig, TrialOutcome,
 };
 use crate::tracefile::{Capture, TraceBundle};
 use crate::{csvio, logs};
@@ -310,6 +311,7 @@ pub fn run_experiment(cfg: &ExperimentConfig, ds: &Dataset) -> ExperimentResult 
     // What verification checks against: every engine runs on these edges
     // (Graph500 symmetrizes the raw list to the same ones).
     let checked = Csr::from_edge_list_parallel(&ds.symmetric, &pool);
+    let expected = Expected::new(&checked);
     // A captured trial's check runs here instead of on `pool`, whose
     // recorder would put the validator's regions in the trace.
     let untraced = ThreadPool::new(1);
@@ -414,7 +416,7 @@ pub fn run_experiment(cfg: &ExperimentConfig, ds: &Dataset) -> ExperimentResult 
                     }
                     let check_pool = if capture.is_some() { &untraced } else { &pool };
                     let verify =
-                        |out: &RunOutput| verify_output(&checked, algo, root, out, check_pool);
+                        |out: &RunOutput| verify_output(&expected, algo, root, out, check_pool);
                     let report = supervise_trial(
                         &pool,
                         &cfg.supervisor,

@@ -15,7 +15,9 @@
 //!   after the trial's clock has stopped; the runner's is
 //!   [`verify_output`], the Graph500 rules for BFS trees, a
 //!   shortest-path check for SSSP distances, a partition check for WCC
-//!   labels and a convergence check for PageRank ranks, on every engine;
+//!   labels, a convergence check for PageRank ranks, and the sequential
+//!   oracle's answers for CDLP labels, LCC coefficients and triangle
+//!   counts, on every engine. Only betweenness goes unchecked;
 //! - **bounded retry** — transient failures (panics, wrong results caught
 //!   by the verifier) are retried with doubling backoff up to `max_retries`;
 //! - **quarantine** — the runner counts consecutive failures per
@@ -27,9 +29,10 @@
 //! blow it again, and the partial counters are themselves a result (the
 //! censored statistics in [`crate::stats`] know how to use them).
 
-use epg_engine_api::{Algorithm, AlgorithmResult, RunOutput};
+use epg_engine_api::{Algorithm, AlgorithmResult, RunOutput, CDLP_ROUNDS};
 use epg_graph::{oracle, validate, Csr, VertexId};
 use epg_parallel::{CancelToken, Schedule, ThreadPool};
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -197,21 +200,50 @@ pub fn supervise_trial(
     unreachable!("loop always returns on its final attempt")
 }
 
+/// What [`verify_output`] checks results against: the symmetric graph
+/// every engine runs on, and the sequential oracle's answers for its
+/// root-less kernels. Each answer is computed on first use and kept, so a
+/// dataset pays for it once however many engines and trials are checked.
+pub struct Expected<'g> {
+    g: &'g Csr,
+    wcc: OnceCell<Vec<VertexId>>,
+    cdlp: OnceCell<Vec<u64>>,
+    lcc: OnceCell<Vec<f64>>,
+    triangles: OnceCell<u64>,
+}
+
+impl<'g> Expected<'g> {
+    /// Nothing computed yet: the answers for `g` as they are first needed.
+    pub fn new(g: &'g Csr) -> Expected<'g> {
+        let (wcc, cdlp, lcc, triangles) =
+            (OnceCell::new(), OnceCell::new(), OnceCell::new(), OnceCell::new());
+        Expected { g, wcc, cdlp, lcc, triangles }
+    }
+}
+
+/// How far an LCC coefficient may sit from the oracle's: the engines sum
+/// in other orders and some in `f32`.
+const LCC_TOLERANCE: f64 = 1e-6;
+
 /// The runner's verifier: checks one completed output of `algo` from
-/// `root` against `g`, the symmetric graph every engine runs on. A BFS
-/// tree must pass the Graph500 rules and carry the levels its parents
-/// imply ([`validate::validate_bfs_tree_parallel`], its edge scan on
-/// `pool`); SSSP distances must pass [`validate::validate_sssp_distances`];
-/// WCC labels must induce [`oracle::wcc`]'s partition; PageRank ranks must
-/// be converged ([`pagerank_converged`]). Every other algorithm passes. A
-/// malformed output is an `Err`, never a panic.
+/// `root` against `want`. A BFS tree must pass the Graph500 rules and
+/// carry the levels its parents imply
+/// ([`validate::validate_bfs_tree_parallel`], its edge scan on `pool`);
+/// SSSP distances must pass [`validate::validate_sssp_distances`]; WCC
+/// labels must induce [`oracle::wcc`]'s partition; PageRank ranks must be
+/// converged (`pagerank_converged`). CDLP labels must equal
+/// [`oracle::cdlp`] after [`CDLP_ROUNDS`] rounds, every LCC coefficient
+/// must be within `1e-6` of [`oracle::lcc`]'s, and a triangle count must
+/// equal [`oracle::triangle_count`]. Betweenness passes whatever it
+/// returns. A malformed output is an `Err`, never a panic.
 pub fn verify_output(
-    g: &Csr,
+    want: &Expected<'_>,
     algo: Algorithm,
     root: Option<VertexId>,
     out: &RunOutput,
     pool: &ThreadPool,
 ) -> Result<(), String> {
+    let g = want.g;
     let n = g.num_vertices();
     match (algo, root, &out.result) {
         (Algorithm::Bfs, Some(root), AlgorithmResult::BfsTree { parent, level }) => {
@@ -228,14 +260,53 @@ pub fn verify_output(
         (Algorithm::Sssp, Some(root), AlgorithmResult::Distances(dist)) => {
             validate::validate_sssp_distances(g, root, dist)
         }
-        (Algorithm::Wcc, _, AlgorithmResult::Components(comp)) => same_components(g, comp),
+        (Algorithm::Wcc, _, AlgorithmResult::Components(comp)) => {
+            same_components(comp, want.wcc.get_or_init(|| oracle::wcc(g)))
+        }
         (Algorithm::PageRank, _, AlgorithmResult::Ranks { ranks, .. }) => {
             pagerank_converged(g, ranks, pool)
         }
-        (Algorithm::Bfs | Algorithm::Sssp | Algorithm::Wcc | Algorithm::PageRank, ..) => {
-            Err(format!("{} from root {root:?}: result of the wrong kind", algo.abbrev()))
+        (Algorithm::Cdlp, _, AlgorithmResult::Labels(labels)) => {
+            let expect = want.cdlp.get_or_init(|| oracle::cdlp(g, CDLP_ROUNDS));
+            let differ = |v, got: &u64, label: &u64| {
+                format!("vertex {v} has label {got}, but label propagation gives it {label}")
+            };
+            agree(labels, expect, "labels", |a, b| a == b, differ)
         }
-        _ => Ok(()),
+        (Algorithm::Lcc, _, AlgorithmResult::Coefficients(coefs)) => {
+            let expect = want.lcc.get_or_init(|| oracle::lcc(g));
+            let close = |a: &f64, b: &f64| (a - b).abs() <= LCC_TOLERANCE;
+            agree(coefs, expect, "coefficients", close, |v, got, lcc| {
+                format!("vertex {v} has clustering coefficient {got}, but the oracle's is {lcc}")
+            })
+        }
+        (Algorithm::TriangleCount, _, AlgorithmResult::Triangles(got)) => {
+            match *want.triangles.get_or_init(|| oracle::triangle_count(g)) {
+                count if count == *got => Ok(()),
+                count => Err(format!("{got} triangles, but the graph has {count}")),
+            }
+        }
+        (Algorithm::Bc, ..) => Ok(()),
+        _ => Err(format!("{} from root {root:?}: result of the wrong kind", algo.abbrev())),
+    }
+}
+
+/// Whether per-vertex `got` agrees with the oracle's `want` everywhere
+/// (`same`); the first vertex that does not is described by `differ`, and
+/// a length mismatch is an `Err` too.
+fn agree<T>(
+    got: &[T],
+    want: &[T],
+    what: &str,
+    same: impl Fn(&T, &T) -> bool,
+    differ: impl Fn(usize, &T, &T) -> String,
+) -> Result<(), String> {
+    if got.len() != want.len() {
+        return Err(format!("{} {what} for {} vertices", got.len(), want.len()));
+    }
+    match got.iter().zip(want).position(|(a, b)| !same(a, b)) {
+        None => Ok(()),
+        Some(v) => Err(differ(v, &got[v], &want[v])),
     }
 }
 
@@ -278,18 +349,17 @@ fn pagerank_converged(g: &Csr, ranks: &[f64], pool: &ThreadPool) -> Result<(), S
     }
 }
 
-/// Whether `comp` and [`oracle::wcc`] induce the same partition — a
-/// bijection between their labels, so an engine may name a component by
-/// any vertex. Linear: every vertex carries its oracle representative's
-/// label, and no two representatives share one.
-fn same_components(g: &Csr, comp: &[VertexId]) -> Result<(), String> {
-    let n = g.num_vertices();
+/// Whether `comp` and `want` (the labels of [`oracle::wcc`]) induce the
+/// same partition — a bijection between their labels, so an engine may
+/// name a component by any vertex. Linear: every vertex carries its
+/// oracle representative's label, and no two representatives share one.
+fn same_components(comp: &[VertexId], want: &[VertexId]) -> Result<(), String> {
+    let n = want.len();
     if comp.len() != n {
         return Err(format!("{} labels for {n} vertices", comp.len()));
     }
-    let want = oracle::wcc(g);
     let mut owner: HashMap<VertexId, VertexId> = HashMap::new();
-    for (v, (&got, &rep)) in (0..).zip(comp.iter().zip(&want)) {
+    for (v, (&got, &rep)) in (0..).zip(comp.iter().zip(want)) {
         let label = comp[rep as usize];
         if got != label {
             return Err(format!(
@@ -457,29 +527,31 @@ mod tests {
         let pool = ThreadPool::new(2);
         let el = EdgeList::weighted(4, vec![(0, 1), (1, 2), (2, 3)], vec![1.0, 2.0, 0.5]);
         let g = Csr::from_edge_list(&el.symmetrized());
+        let want = Expected::new(&g);
         let run = |result| RunOutput::new(result, Counters::default(), Trace::default());
         let oracle::BfsResult { parent, mut level } = oracle::bfs(&g, 0);
         let bfs = |parent: &Vec<u32>, level: &Vec<u32>| {
             run(AlgorithmResult::BfsTree { parent: parent.clone(), level: level.clone() })
         };
         assert_eq!(
-            verify_output(&g, Algorithm::Bfs, Some(0), &bfs(&parent, &level), &pool),
+            verify_output(&want, Algorithm::Bfs, Some(0), &bfs(&parent, &level), &pool),
             Ok(())
         );
         level[3] = 2;
-        let err = verify_output(&g, Algorithm::Bfs, Some(0), &bfs(&parent, &level), &pool);
+        let err = verify_output(&want, Algorithm::Bfs, Some(0), &bfs(&parent, &level), &pool);
         assert_eq!(err, Err("level[3] = 2, but the parent tree puts it at 3".to_string()));
         let short = bfs(&parent, &level[..3].to_vec());
-        assert!(verify_output(&g, Algorithm::Bfs, Some(0), &short, &pool).is_err());
+        assert!(verify_output(&want, Algorithm::Bfs, Some(0), &short, &pool).is_err());
 
         let dist = oracle::dijkstra(&g, 0);
         let sssp = run(AlgorithmResult::Distances(dist));
-        assert_eq!(verify_output(&g, Algorithm::Sssp, Some(0), &sssp, &pool), Ok(()));
+        assert_eq!(verify_output(&want, Algorithm::Sssp, Some(0), &sssp, &pool), Ok(()));
         let zeros = run(AlgorithmResult::Distances(vec![0.0; 4]));
-        assert!(verify_output(&g, Algorithm::Sssp, Some(0), &zeros, &pool).is_err());
-        assert!(verify_output(&g, Algorithm::Bfs, Some(0), &sssp, &pool).is_err());
-        // Algorithms without a checker pass whatever they return.
-        assert_eq!(verify_output(&g, Algorithm::TriangleCount, None, &ok_output(), &pool), Ok(()));
+        assert!(verify_output(&want, Algorithm::Sssp, Some(0), &zeros, &pool).is_err());
+        assert!(verify_output(&want, Algorithm::Bfs, Some(0), &sssp, &pool).is_err());
+        // Betweenness, the one algorithm without a checker, passes whatever
+        // it returns.
+        assert_eq!(verify_output(&want, Algorithm::Bc, None, &ok_output(), &pool), Ok(()));
     }
 
     #[test]
@@ -489,13 +561,14 @@ mod tests {
         // A path, a triangle hanging off it, and two isolated sinks.
         let edges = vec![(0, 1), (1, 2), (2, 3), (3, 4), (4, 2)];
         let g = Csr::from_edge_list(&EdgeList::new(7, edges).symmetrized());
+        let want = Expected::new(&g);
         let check = |ranks: Vec<f64>| {
             let out = RunOutput::new(
                 AlgorithmResult::Ranks { ranks, iterations: 1 },
                 Counters::default(),
                 Trace::default(),
             );
-            verify_output(&g, Algorithm::PageRank, None, &out, &pool)
+            verify_output(&want, Algorithm::PageRank, None, &out, &pool)
         };
         let (ranks, _) = oracle::pagerank(&g, oracle::PR_EPSILON, 300);
         assert_eq!(check(ranks.clone()), Ok(()));
@@ -508,7 +581,7 @@ mod tests {
         assert!(check(bumped).is_err());
         assert!(check(vec![f64::NAN; 7]).is_err());
         assert!(check(ranks[..6].to_vec()).is_err());
-        assert!(verify_output(&g, Algorithm::PageRank, None, &ok_output(), &pool).is_err());
+        assert!(verify_output(&want, Algorithm::PageRank, None, &ok_output(), &pool).is_err());
     }
 
     #[test]
@@ -517,13 +590,14 @@ mod tests {
         let pool = ThreadPool::new(1);
         // A 0-1-2 path, a 3-4 pair and an isolated 5.
         let g = Csr::from_edge_list(&EdgeList::new(6, vec![(0, 1), (1, 2), (3, 4)]).symmetrized());
+        let want = Expected::new(&g);
         let check = |labels: Vec<VertexId>| {
             let out = RunOutput::new(
                 AlgorithmResult::Components(labels),
                 Counters::default(),
                 Trace::default(),
             );
-            verify_output(&g, Algorithm::Wcc, None, &out, &pool)
+            verify_output(&want, Algorithm::Wcc, None, &out, &pool)
         };
         assert_eq!(check(vec![0, 0, 0, 3, 3, 5]), Ok(()));
         assert_eq!(check(vec![9, 9, 9, 1, 1, 0]), Ok(()), "any one name per component");
@@ -532,7 +606,49 @@ mod tests {
         let merged = "vertices 3 and 5 are not connected, but share label 3";
         assert_eq!(check(vec![0, 0, 0, 3, 3, 3]), Err(merged.to_string()));
         assert!(check(vec![0; 5]).is_err());
-        assert!(verify_output(&g, Algorithm::Wcc, None, &ok_output(), &pool).is_err());
+        assert!(verify_output(&want, Algorithm::Wcc, None, &ok_output(), &pool).is_err());
+    }
+
+    #[test]
+    fn verify_output_checks_cdlp_lcc_and_triangles_against_the_oracle() {
+        use epg_graph::{oracle, EdgeList};
+        let pool = ThreadPool::new(1);
+        // A triangle 0-1-2 with a tail 2-3.
+        let g = Csr::from_edge_list(
+            &EdgeList::new(4, vec![(0, 1), (1, 2), (2, 0), (2, 3)]).symmetrized(),
+        );
+        let want = Expected::new(&g);
+        let check = |algo, result| {
+            let out = RunOutput::new(result, Counters::default(), Trace::default());
+            verify_output(&want, algo, None, &out, &pool)
+        };
+        let labels = oracle::cdlp(&g, CDLP_ROUNDS);
+        assert_eq!(check(Algorithm::Cdlp, AlgorithmResult::Labels(labels.clone())), Ok(()));
+        let mut off = labels.clone();
+        off[3] += 1;
+        let err = check(Algorithm::Cdlp, AlgorithmResult::Labels(off)).unwrap_err();
+        assert!(err.starts_with("vertex 3 has label"), "{err}");
+        assert!(check(Algorithm::Cdlp, AlgorithmResult::Labels(labels[..3].to_vec())).is_err());
+
+        let lcc = oracle::lcc(&g);
+        let mut near = lcc.clone();
+        near[2] += 1e-9;
+        assert_eq!(check(Algorithm::Lcc, AlgorithmResult::Coefficients(near)), Ok(()));
+        let mut far = lcc.clone();
+        far[2] += 1e-3;
+        let err = check(Algorithm::Lcc, AlgorithmResult::Coefficients(far)).unwrap_err();
+        assert!(err.contains("but the oracle's is"), "{err}");
+        let mut nan = lcc;
+        nan[0] = f64::NAN;
+        assert!(check(Algorithm::Lcc, AlgorithmResult::Coefficients(nan)).is_err());
+
+        assert_eq!(check(Algorithm::TriangleCount, AlgorithmResult::Triangles(1)), Ok(()));
+        let err = check(Algorithm::TriangleCount, AlgorithmResult::Triangles(2)).unwrap_err();
+        assert_eq!(err, "2 triangles, but the graph has 1");
+        assert!(check(Algorithm::TriangleCount, AlgorithmResult::Labels(vec![0; 4])).is_err());
+        // Each answer was computed once and kept for the next check.
+        assert!(want.cdlp.get().is_some() && want.lcc.get().is_some());
+        assert_eq!(want.triangles.get(), Some(&1));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Run telemetry files: capturing `*.trace.jsonl` and summarizing it.
 //!
 //! The runner captures the first observation of every engine × algorithm
-//! pair ([`Capture`]) and drops its JSONL event stream next to the dialect
+//! pair (`Capture`) and drops its JSONL event stream next to the dialect
 //! logs. [`summarize`] is the pure renderer behind `epg trace summarize
 //! --input FILE`: it parses the stream with the same chatter-tolerant
 //! parser the log pipeline uses and prints phase timings, the

@@ -2,7 +2,7 @@
 //! that are rows of one table.
 //!
 //! Four rules ask the same question — is a banned token in a region,
-//! directly or through calls? — so they are rows of [`ROWS`]: rule id,
+//! directly or through calls? — so they are rows of `ROWS`: rule id,
 //! crate scope, token class, region, and two message templates.
 //! `phase-purity` (file I/O outside `load_file`), `timing-discipline`
 //! (clock reads outside the measurement owners), `panic-discipline`
@@ -27,7 +27,7 @@
 //!   every same-named `fn` in the crate.
 //! * **Method calls** (`.name(…)`) fan out to every same-named `fn` in the
 //!   crate (all impls — this is how trait calls reach every implementor),
-//!   except names on the [`AMBIENT_METHODS`] denylist: collection/option/
+//!   except names on the `AMBIENT_METHODS` denylist: collection/option/
 //!   primitive vocabulary that would conflate `map.insert` with a crate's
 //!   own `insert` and flood the graph with false edges.
 //! * Calls are attributed to the **innermost** enclosing `fn` span, which
@@ -471,7 +471,7 @@ const ROWS: &[Row] = &[
 ];
 
 /// Runs the call-graph rules over every policy crate on one graph per
-/// crate: the [`ROWS`] table, then the locking family.
+/// crate: the `ROWS` table, then the locking family.
 pub fn check(ws: &Workspace, out: &mut Vec<Finding>) {
     let mut edges = Vec::new();
     for c in ws.crates.iter().filter(|c| layer_of(&c.name).is_some()) {

@@ -262,13 +262,14 @@ fn resolve_receiver(
 fn held_intervals(c: &CrateModel, f: &FileModel, locks: &[(String, String)]) -> Vec<Held> {
     let mut out = Vec::new();
     for line in 1..=f.lines.len() {
-        let within = f.fns.iter().filter(|s| s.start <= line && line <= s.end);
-        let Some(span_end) = within.map(|s| s.end).min() else { continue };
-        if f.in_test(line) {
+        let acqs = acquisitions(c, f, line, locks);
+        if acqs.is_empty() || f.in_test(line) {
             continue;
         }
+        let within = f.fns.iter().filter(|s| s.start <= line && line <= s.end);
+        let Some(span_end) = within.map(|s| s.end).min() else { continue };
         let code = f.lines.get(line - 1).map(|l| l.code.as_str()).unwrap_or("");
-        for acq in acquisitions(c, f, line, locks) {
+        for acq in acqs {
             let mut names = Vec::new();
             let_bindings(code, &mut names);
             if acq.statement_final && !names.is_empty() {

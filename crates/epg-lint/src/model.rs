@@ -13,8 +13,11 @@
 //!   (signature through closing brace, or through `;` for trait method
 //!   declarations), `#[cfg(test)]`/`#[test]` spans, iteration-loop body
 //!   spans (`loop`/`while`/`for … in`), spans of arguments passed to the
-//!   `epg-parallel` entry points (worker closures), and every
-//!   `epg_*::`-rooted path occurrence.
+//!   `epg-parallel` entry points (worker closures), structs with their
+//!   fields, impls, call sites, and every `epg_*::`-rooted path occurrence.
+//!   One left-to-right walk over the file's code text builds all of it
+//!   ([`FileModel::build`]) and records every brace and paren pair on the
+//!   way, which later queries ([`FileModel::block_end`]) read.
 //!
 //! Spans are 1-based inclusive line ranges. Because the scanner blanks
 //! string and char-literal contents, brace/paren matching over the code
@@ -174,31 +177,44 @@ pub struct FileModel {
 }
 
 impl FileModel {
-    /// Builds the model for one scanned file.
+    /// Builds the model for one scanned file: one walk over its code text,
+    /// then the spans that read the delimiter pairs the walk recorded.
     pub fn build(path: String, lines: Vec<Line>, test_role: bool) -> FileModel {
-        let code = Code::new(&lines);
-        let fns = parse_fns(&code);
-        let test_spans = parse_test_spans(&code, &fns);
-        let loops = parse_loops(&code);
-        let par_calls = parse_par_calls(&code);
-        let hot = hot_spans(&code, &loops, &par_calls);
-        let epg_refs = parse_epg_refs(&code);
-        let calls = parse_calls(&code);
-        let structs = parse_structs(&code);
-        let impls = parse_impls(&code);
+        let mut code = Code::new(&lines);
+        let w = walk(&code);
+        (code.pairs, code.innermost) = (w.pairs, w.innermost);
+        let mut loops = w.loops;
+        loops.sort_unstable();
+        let mut par_calls: Vec<(usize, usize)> =
+            w.par.iter().map(|&(line, open)| (line, code.line_of(code.close_of(open)))).collect();
+        par_calls.sort_unstable();
+        let mut test_spans: Vec<(usize, usize)> =
+            w.attrs.iter().filter_map(|&(at, len)| test_span(&code, &w.fns, at, len)).collect();
+        test_spans.sort_unstable();
+        // Timed spans: the entry-point argument spans, and the loops
+        // holding a `.iteration(` mark or the start of an entry-point call.
+        let marks: Vec<usize> = w.marks.into_iter().chain(par_calls.iter().map(|p| p.0)).collect();
+        let mut hot: Vec<(usize, usize)> = loops
+            .iter()
+            .copied()
+            .filter(|&(s, e)| marks.iter().any(|&l| s <= l && l <= e))
+            .collect();
+        hot.extend_from_slice(&par_calls);
+        hot.sort_unstable();
+        hot.dedup();
         FileModel {
             path,
             lines,
             test_role,
-            fns,
+            fns: w.fns,
             test_spans,
             loops,
             par_calls,
             hot,
-            epg_refs,
-            calls,
-            structs,
-            impls,
+            epg_refs: w.epg_refs,
+            calls: w.calls,
+            structs: w.structs,
+            impls: w.impls.into_iter().flatten().collect(),
             code,
         }
     }
@@ -259,33 +275,28 @@ impl FileModel {
     /// when the position sits at top level. The locking rules use this to
     /// bound a lock guard's lexical scope.
     pub fn block_end(&self, line: usize) -> usize {
-        let last = self.lines.len().max(1);
-        let Some(&off) = self.code.starts.get(line.saturating_sub(1)) else { return last };
-        let bytes = self.code.text.as_bytes();
-        let mut stack: Vec<usize> = Vec::new();
-        for (i, &b) in bytes.iter().enumerate().take(off) {
-            match b {
-                b'{' => stack.push(i),
-                b'}' => {
-                    stack.pop();
-                }
-                _ => {}
-            }
-        }
-        match stack.last() {
-            Some(&open) => self.code.line_of(match_brace(bytes, open)),
-            None => last,
+        match self.code.innermost.get(line.saturating_sub(1)) {
+            Some(&Some(pair)) => self.code.line_of(self.code.pairs[pair].1),
+            _ => self.lines.len().max(1),
         }
     }
 }
 
-/// Joined code text with per-line byte offsets, for cross-line matching.
+/// Joined code text with per-line byte offsets, for cross-line matching,
+/// and the delimiter structure the model's walk recorded over it.
 #[derive(Debug)]
 pub(crate) struct Code {
     /// Every line's code text, each followed by `\n`.
     pub(crate) text: String,
     /// Byte offset in `text` where each line starts.
     pub(crate) starts: Vec<usize>,
+    /// Every `{…}` and `(…)` as `(open, close)` offsets, in opener order.
+    /// Braces and parens are counted apart, as two stacks; an opener left
+    /// unclosed closes at the last byte.
+    pairs: Vec<(usize, usize)>,
+    /// Per line: the index in `pairs` of the innermost `{` open at the
+    /// line's start.
+    innermost: Vec<Option<usize>>,
 }
 
 impl Code {
@@ -297,7 +308,7 @@ impl Code {
             text.push_str(&line.code);
             text.push('\n');
         }
-        Code { text, starts }
+        Code { text, starts, pairs: Vec::new(), innermost: Vec::new() }
     }
 
     /// 1-based line holding byte offset `off`.
@@ -307,228 +318,431 @@ impl Code {
             Err(i) => i, // insertion point; the line starting before `off`
         }
     }
+
+    /// Offset of the `}` or `)` closing the opener at `open`.
+    pub(crate) fn close_of(&self, open: usize) -> usize {
+        match self.pairs.binary_search_by_key(&open, |&(o, _)| o) {
+            Ok(i) => self.pairs[i].1,
+            Err(_) => self.text.len().saturating_sub(1),
+        }
+    }
 }
 
-/// Path tokens like `std::fs` must not match inside `my::std::fs` — treat
-/// a preceding `:` as an identifier continuation too.
-fn is_ident_byte_or_colon(b: u8) -> bool {
-    is_ident_byte(b) || b == b':'
+fn skip_ws(b: &[u8], mut i: usize) -> usize {
+    while i < b.len() && b[i].is_ascii_whitespace() {
+        i += 1;
+    }
+    i
 }
 
-/// Offset of the `}` closing the `{` at `open` (balanced count; literals
-/// are already blanked). Falls back to the end of text.
-fn match_brace(bytes: &[u8], open: usize) -> usize {
-    let mut depth = 0i64;
-    for (j, &b) in bytes.iter().enumerate().skip(open) {
-        match b {
-            b'{' => depth += 1,
+/// End of the identifier run starting at `i` (`i` itself when none does).
+fn ident_end(b: &[u8], mut i: usize) -> usize {
+    while i < b.len() && is_ident_byte(b[i]) {
+        i += 1;
+    }
+    i
+}
+
+/// An item head the walk has read whose body opener it has not reached.
+/// Depths are the walk's running counts at the head; a head's body opener
+/// is the first one at the same depth (`fn`, loops: parens and brackets)
+/// or at no deeper angle-bracket depth (`struct`, `impl`).
+enum Head {
+    /// `fn name`: the body `{`, or the `;` of a bodiless declaration.
+    Fn { slot: usize, at: (i64, i64) },
+    /// `loop`/`while`/`for`: the body `{`; a `;` or `}` first means no
+    /// loop, and a `for` must pass an `in` first (`impl Trait for T`).
+    Loop { line: usize, at: (i64, i64), saw_in: bool },
+    /// `struct Name`: a `{…}` or `(…)` body, or the `;` of a unit struct.
+    Struct { slot: usize, angle: i64 },
+    /// `impl`: the body `{`; `head`, where the self-type text starts, is
+    /// unset until the impl's own generics close.
+    Impl { slot: usize, line: usize, angle: i64, head: Option<usize> },
+}
+
+/// A model entry whose end the closer of its body sets.
+#[derive(Clone, Copy)]
+enum Slot {
+    Fn(usize),
+    Loop(usize),
+    Struct(usize),
+    Impl(usize),
+}
+
+/// The state and output of [`walk`].
+#[derive(Default)]
+struct Walk {
+    /// 1-based line of the byte being read.
+    line: usize,
+    paren: i64,
+    brack: i64,
+    angle: i64,
+    /// Depth over all of `( [ { <`, which the struct-field split reads.
+    nest: i64,
+    /// Indices in `pairs` of the open `{` and the open `(`.
+    braces: Vec<usize>,
+    parens: Vec<usize>,
+    heads: Vec<Head>,
+    /// Each open body an entry waits on, by index in `pairs`.
+    waiting: Vec<(usize, Slot)>,
+    /// Braced struct bodies being split into fields: the struct's slot, the
+    /// body's `nest`, and where the current field starts.
+    splits: Vec<(usize, i64, usize)>,
+    /// The identifier run read last, as offsets.
+    last: (usize, usize),
+    pairs: Vec<(usize, usize)>,
+    innermost: Vec<Option<usize>>,
+    fns: Vec<FnSpan>,
+    loops: Vec<(usize, usize)>,
+    structs: Vec<StructModel>,
+    /// One per `impl` head; `None` when it turns out to be no impl item.
+    impls: Vec<Option<FnSpan>>,
+    epg_refs: Vec<PathRef>,
+    calls: Vec<CallSite>,
+    /// Entry-point calls: their line and the offset of their `(`.
+    par: Vec<(usize, usize)>,
+    /// Lines of `.iteration(` calls.
+    marks: Vec<usize>,
+    /// `#[cfg(test)]`/`#[test]` attributes: offset and length.
+    attrs: Vec<(usize, usize)>,
+}
+
+/// The one left-to-right walk over a file's code text. It pairs every
+/// `{`/`(` with its closer on a stack per kind and keeps running depths.
+/// An item head marks the next body opener at its depth, and the item
+/// ends on the line where that opener's closer pops. Call sites,
+/// `epg_*::` paths, entry-point calls and `.iteration(` marks come off the
+/// same identifier stream. Literals are already blanked, so no delimiter
+/// inside one is counted.
+fn walk(code: &Code) -> Walk {
+    let b = code.text.as_bytes();
+    let mut w = Walk { line: 1, innermost: vec![None], ..Walk::default() };
+    let mut i = 0;
+    while i < b.len() {
+        let e = ident_end(b, i);
+        if e > i {
+            w.word(code, i, e);
+            i = e;
+            continue;
+        }
+        match b[i] {
+            b'\n' => {
+                w.innermost.push(w.braces.last().copied());
+                w.line += 1;
+            }
+            b'{' => {
+                let pair = w.open(i);
+                w.braces.push(pair);
+                w.nest += 1;
+                w.settle(code, i, pair);
+            }
+            b'(' => {
+                let pair = w.open(i);
+                w.parens.push(pair);
+                (w.paren, w.nest) = (w.paren + 1, w.nest + 1);
+                w.call(code, i);
+                w.settle(code, i, pair);
+            }
             b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return j;
-                }
+                w.settle(code, i, 0);
+                w.close(code, i, true);
+                w.nest -= 1;
             }
-            _ => {}
-        }
-    }
-    bytes.len().saturating_sub(1)
-}
-
-/// Offset of the `)` closing the `(` at `open`.
-pub(crate) fn match_paren(bytes: &[u8], open: usize) -> usize {
-    let mut depth = 0i64;
-    for (j, &b) in bytes.iter().enumerate().skip(open) {
-        match b {
-            b'(' => depth += 1,
             b')' => {
-                depth -= 1;
-                if depth == 0 {
-                    return j;
+                w.close(code, i, false);
+                (w.paren, w.nest) = (w.paren - 1, w.nest - 1);
+            }
+            b'[' => (w.brack, w.nest) = (w.brack + 1, w.nest + 1),
+            b']' => (w.brack, w.nest) = (w.brack - 1, w.nest - 1),
+            b'<' => (w.angle, w.nest) = (w.angle + 1, w.nest + 1),
+            b'>' => {
+                (w.angle, w.nest) = (w.angle - 1, w.nest - 1);
+                w.settle(code, i, 0);
+            }
+            b';' => w.settle(code, i, 0),
+            b',' => {
+                for k in 0..w.splits.len() {
+                    let (slot, depth, from) = w.splits[k];
+                    if w.nest <= depth {
+                        w.field(code, slot, from, i);
+                        w.splits[k].2 = i + 1;
+                    }
+                }
+            }
+            b'#' => {
+                for attr in ["#[cfg(test)]", "#[test]"] {
+                    if code.text[i..].starts_with(attr) {
+                        w.attrs.push((i, attr.len()));
+                    }
                 }
             }
             _ => {}
         }
+        i += 1;
     }
-    bytes.len().saturating_sub(1)
+    // Unclosed bodies and unresolved heads run to the last byte.
+    let end = b.len().saturating_sub(1);
+    w.line = code.line_of(end);
+    while !w.braces.is_empty() || !w.parens.is_empty() {
+        w.close(code, end, !w.braces.is_empty());
+    }
+    for head in std::mem::take(&mut w.heads) {
+        match head {
+            Head::Fn { slot, .. } => w.fns[slot].end = w.line,
+            Head::Struct { slot, .. } => w.structs[slot].end = w.line,
+            Head::Loop { .. } | Head::Impl { .. } => {}
+        }
+    }
+    w.innermost.truncate(code.starts.len());
+    w
 }
 
-fn parse_fns(code: &Code) -> Vec<FnSpan> {
-    let text = &code.text;
-    let bytes = text.as_bytes();
-    let mut out = Vec::new();
-    for pos in token_offsets(text, "fn") {
-        let mut i = pos + 2;
-        while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        let ident_start = i;
-        while i < bytes.len() && is_ident_byte(bytes[i]) {
-            i += 1;
-        }
-        if i == ident_start {
-            continue; // `fn(...)` pointer type — not an item
-        }
-        let name = text[ident_start..i].to_string();
-        // Scan past generics/params/return type for the body `{` or the
-        // `;` of a bodiless declaration, at bracket depth 0.
-        let mut paren = 0i64;
-        let mut brack = 0i64;
-        let mut j = i;
-        let mut end = None;
-        while j < bytes.len() {
-            match bytes[j] {
-                b'(' => paren += 1,
-                b')' => paren -= 1,
-                b'[' => brack += 1,
-                b']' => brack -= 1,
-                b'{' if paren == 0 && brack == 0 => {
-                    end = Some(match_brace(bytes, j));
-                    break;
-                }
-                b';' if paren == 0 && brack == 0 => {
-                    end = Some(j);
-                    break;
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        let end = end.unwrap_or(bytes.len().saturating_sub(1));
-        out.push(FnSpan { name, start: code.line_of(pos), end: code.line_of(end) });
+impl Walk {
+    fn open(&mut self, at: usize) -> usize {
+        self.pairs.push((at, usize::MAX));
+        self.pairs.len() - 1
     }
-    out
-}
 
-fn parse_test_spans(code: &Code, fns: &[FnSpan]) -> Vec<(usize, usize)> {
-    let text = &code.text;
-    let bytes = text.as_bytes();
-    let mut out = Vec::new();
-    for attr in ["#[cfg(test)]", "#[test]"] {
-        let mut from = 0;
-        while let Some(pos) = text[from..].find(attr) {
-            let start = from + pos;
-            from = start + attr.len();
-            let attr_line = code.line_of(start);
-            // Skip whitespace, further attributes, and visibility to find
-            // the annotated item.
-            let mut i = start + attr.len();
-            loop {
-                while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-                    i += 1;
-                }
-                if i + 1 < bytes.len() && bytes[i] == b'#' && bytes[i + 1] == b'[' {
-                    // Another attribute: skip to its closing bracket.
-                    let mut depth = 0i64;
-                    while i < bytes.len() {
-                        match bytes[i] {
-                            b'[' => depth += 1,
-                            b']' => {
-                                depth -= 1;
-                                if depth == 0 {
-                                    i += 1;
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                        i += 1;
+    /// The closer at `j` pops its opener and ends every entry waiting on it.
+    fn close(&mut self, code: &Code, j: usize, brace: bool) {
+        let Some(pair) = (if brace { &mut self.braces } else { &mut self.parens }).pop() else {
+            return;
+        };
+        self.pairs[pair].1 = j;
+        while let Some(k) = self.waiting.iter().rposition(|w| w.0 == pair) {
+            let slot = self.waiting.remove(k).1;
+            self.end(code, slot, j);
+        }
+    }
+
+    fn end(&mut self, code: &Code, slot: Slot, close: usize) {
+        let line = self.line;
+        match slot {
+            Slot::Fn(k) => self.fns[k].end = line,
+            Slot::Loop(k) => self.loops[k].1 = line,
+            Slot::Impl(k) => self.impls[k].iter_mut().for_each(|i| i.end = line),
+            Slot::Struct(k) => {
+                self.structs[k].body.iter_mut().for_each(|body| body.1 = close);
+                // A tuple body ends on its `(` line; a braced one splits.
+                if let Some(p) = self.splits.iter().rposition(|s| s.0 == k) {
+                    let (_, depth, from) = self.splits.remove(p);
+                    if self.nest <= depth {
+                        self.field(code, k, from, close);
                     }
-                    continue;
+                    self.structs[k].end = line;
                 }
+            }
+        }
+    }
+
+    fn field(&mut self, code: &Code, slot: usize, from: usize, to: usize) {
+        if let Some(f) = parse_field(code, &code.text[from..to], from) {
+            self.structs[slot].fields.push(f);
+        }
+    }
+
+    /// Offers the delimiter at `j` (opening `pair`, for `{` and `(`) to
+    /// every waiting head; a head it opens or ends leaves the list.
+    fn settle(&mut self, code: &Code, j: usize, pair: usize) {
+        if self.heads.is_empty() {
+            return;
+        }
+        let mut heads = std::mem::take(&mut self.heads);
+        heads.retain_mut(|h| !self.reach(code, h, j, pair));
+        self.heads = heads;
+    }
+
+    /// Whether the delimiter at `j` resolves `head`.
+    fn reach(&mut self, code: &Code, head: &mut Head, j: usize, pair: usize) -> bool {
+        let c = code.text.as_bytes()[j];
+        let at = (self.paren, self.brack);
+        match *head {
+            Head::Fn { slot, at: depth } if depth == at => match c {
+                b'{' => self.waiting.push((pair, Slot::Fn(slot))),
+                b';' => self.fns[slot].end = self.line,
+                _ => return false,
+            },
+            Head::Loop { line, at: depth, saw_in } if depth == at => match c {
+                b'{' if saw_in => {
+                    self.loops.push((line, 0));
+                    self.waiting.push((pair, Slot::Loop(self.loops.len() - 1)));
+                }
+                b'{' | b';' | b'}' => {}
+                _ => return false,
+            },
+            Head::Struct { slot, angle } if self.angle <= angle => match c {
+                b'{' | b'(' => {
+                    if c == b'{' {
+                        self.splits.push((slot, self.nest, j + 1));
+                    } else {
+                        self.structs[slot].end = self.line;
+                    }
+                    self.structs[slot].body = Some((j, 0));
+                    self.waiting.push((pair, Slot::Struct(slot)));
+                }
+                b';' => self.structs[slot].end = self.line,
+                _ => return false,
+            },
+            Head::Impl { slot, line, angle, head: Some(h) } if self.angle <= angle => match c {
+                b'{' => {
+                    let name = impl_self_type(&code.text[h..j]);
+                    if !name.is_empty() {
+                        self.impls[slot] = Some(FnSpan { name, start: line, end: 0 });
+                        self.waiting.push((pair, Slot::Impl(slot)));
+                    }
+                }
+                b';' => {}
+                _ => return false,
+            },
+            Head::Impl { angle, ref mut head, .. } if c == b'>' && self.angle == angle => {
+                head.get_or_insert(j + 1);
+                return false;
+            }
+            _ => return false,
+        }
+        true
+    }
+
+    /// Reads the identifier run `s..e`: item heads, a `for` head's `in`,
+    /// `.iteration(` marks, `epg_*::` paths and entry-point calls.
+    fn word(&mut self, code: &Code, s: usize, e: usize) {
+        let (text, b) = (code.text.as_str(), code.text.as_bytes());
+        let word = &text[s..e];
+        self.last = (s, e);
+        let at = (self.paren, self.brack);
+        let name = || {
+            let from = skip_ws(b, e);
+            let to = ident_end(b, from);
+            (to > from).then(|| text[from..to].to_string())
+        };
+        match word {
+            "fn" => {
+                if let Some(name) = name() {
+                    self.heads.push(Head::Fn { slot: self.fns.len(), at });
+                    self.fns.push(FnSpan { name, start: self.line, end: 0 });
+                }
+            }
+            "loop" | "while" => self.heads.push(Head::Loop { line: self.line, at, saw_in: true }),
+            // `for<'a>` (higher-ranked bounds) is not a loop.
+            "for" if b.get(skip_ws(b, e)) != Some(&b'<') => {
+                self.heads.push(Head::Loop { line: self.line, at, saw_in: false });
+            }
+            "in" => {
+                for head in &mut self.heads {
+                    if let Head::Loop { at: depth, saw_in, .. } = head {
+                        *saw_in |= *depth == at;
+                    }
+                }
+            }
+            "struct" => {
+                if let Some(name) = name() {
+                    self.heads.push(Head::Struct { slot: self.structs.len(), angle: self.angle });
+                    let (start, fields) = (self.line, Vec::new());
+                    self.structs.push(StructModel { name, fields, start, end: 0, body: None });
+                }
+            }
+            // `-> impl Trait` / `(impl Trait` are types, not items.
+            "impl"
+                if !matches!(
+                    b[..s].iter().rev().find(|c| !c.is_ascii_whitespace()),
+                    Some(b'>' | b'(' | b',' | b'=' | b'+' | b':' | b'&')
+                ) =>
+            {
+                let from = skip_ws(b, e);
+                let head = (b.get(from) != Some(&b'<')).then_some(from);
+                let (slot, line, angle) = (self.impls.len(), self.line, self.angle);
+                self.heads.push(Head::Impl { slot, line, angle, head });
+                self.impls.push(None);
+            }
+            "iteration" if s > 0 && b[s - 1] == b'.' && b.get(e) == Some(&b'(') => {
+                self.marks.push(self.line);
+            }
+            _ => {}
+        }
+        // `my::epg_x::` is no crate root: a preceding `:` continues a path.
+        let rooted = s == 0 || !(is_ident_byte(b[s - 1]) || b[s - 1] == b':');
+        if rooted && word.starts_with("epg_") && text[e..].starts_with("::") {
+            self.epg_refs.push(PathRef { krate: word.replace('_', "-"), line: self.line });
+        }
+        if let Some((_, open, _)) = entry_at(b, s, e) {
+            self.par.push((self.line, open));
+        }
+    }
+
+    /// Records the call site, if any, whose `(` is at `j`.
+    fn call(&mut self, code: &Code, j: usize) {
+        let (text, b) = (code.text.as_str(), code.text.as_bytes());
+        let (s, e) = self.last;
+        if e != j || s == e {
+            return; // `(` not preceded by an identifier
+        }
+        let name = &text[s..j];
+        if CALL_KEYWORDS.contains(&name) {
+            return;
+        }
+        let prev = if s > 0 { b[s - 1] } else { b'\n' };
+        if prev == b'!' {
+            return; // macro invocation
+        }
+        // `fn name(` is a definition, not a call.
+        let k = b[..s].iter().rposition(|c| !c.is_ascii_whitespace()).map_or(0, |p| p + 1);
+        if text[..k].ends_with("fn") && (k < 3 || !is_ident_byte(b[k - 3])) {
+            return;
+        }
+        let kind = if prev == b'.' {
+            CallKind::Method
+        } else if s >= 2 && b[s - 1] == b':' && b[s - 2] == b':' {
+            let q = b[..s - 2].iter().rposition(|&c| !is_ident_byte(c)).map_or(0, |p| p + 1);
+            let qual = &text[q..s - 2];
+            // Capitalized qualifier = a type (`Flight::new`); lowercase =
+            // a module path (`check::next_id`), resolved like a free call.
+            if qual.starts_with(|c: char| c.is_ascii_uppercase()) || qual == "Self" {
+                CallKind::Qualified(qual.to_string())
+            } else {
+                CallKind::Free
+            }
+        } else {
+            CallKind::Free
+        };
+        self.calls.push(CallSite { name: name.to_string(), kind, line: self.line });
+    }
+}
+
+/// The span of the item a `#[cfg(test)]`/`#[test]` attribute of `len`
+/// bytes at `at` annotates, past further attributes and a visibility: a
+/// `mod` to its closing brace, a `fn` through the first fn starting on or
+/// after the attribute's line, anything else (`#[cfg(test)] use …;`) to
+/// the item's line.
+fn test_span(code: &Code, fns: &[FnSpan], at: usize, len: usize) -> Option<(usize, usize)> {
+    let (text, b) = (code.text.as_str(), code.text.as_bytes());
+    let attr_line = code.line_of(at);
+    let mut i = skip_ws(b, at + len);
+    while b[i..].starts_with(b"#[") {
+        let mut depth = 0;
+        while i < b.len() {
+            depth += i32::from(b[i] == b'[') - i32::from(b[i] == b']');
+            i += 1;
+            if depth == 0 && b[i - 1] == b']' {
                 break;
             }
-            // Optional `pub` / `pub(crate)`.
-            if text[i..].starts_with("pub") {
-                i += 3;
-                while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-                    i += 1;
-                }
-                if i < bytes.len() && bytes[i] == b'(' {
-                    i = match_paren(bytes, i) + 1;
-                    while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-                        i += 1;
-                    }
-                }
-            }
-            let word_end =
-                (i..bytes.len()).find(|&k| !is_ident_byte(bytes[k])).unwrap_or(bytes.len());
-            match &text[i..word_end] {
-                "mod" => {
-                    if let Some(open) = text[word_end..].find('{') {
-                        let close = match_brace(bytes, word_end + open);
-                        out.push((attr_line, code.line_of(close)));
-                    }
-                }
-                "fn" => {
-                    if let Some(f) = fns.iter().find(|f| f.start >= attr_line) {
-                        out.push((attr_line, f.end));
-                    }
-                }
-                _ => {
-                    // `#[cfg(test)] use …;` and the like: the item's line.
-                    out.push((attr_line, code.line_of(i.min(bytes.len() - 1))));
-                }
-            }
+        }
+        i = skip_ws(b, i);
+    }
+    if text[i..].starts_with("pub") {
+        i = skip_ws(b, i + 3);
+        if b.get(i) == Some(&b'(') {
+            i = skip_ws(b, code.close_of(i) + 1);
         }
     }
-    out.sort_unstable();
-    out
-}
-
-fn parse_loops(code: &Code) -> Vec<(usize, usize)> {
-    let text = &code.text;
-    let bytes = text.as_bytes();
-    let mut out = Vec::new();
-    for kw in ["loop", "while", "for"] {
-        for pos in token_offsets(text, kw) {
-            let mut i = pos + kw.len();
-            // `for<'a>` (higher-ranked bounds) is not a loop.
-            if kw == "for" {
-                let mut k = i;
-                while k < bytes.len() && bytes[k].is_ascii_whitespace() {
-                    k += 1;
-                }
-                if k < bytes.len() && bytes[k] == b'<' {
-                    continue;
-                }
-            }
-            // Find the body `{` at paren/bracket depth 0; a `for` must
-            // pass a top-level `in` first (rules out `impl Trait for T`).
-            let mut paren = 0i64;
-            let mut brack = 0i64;
-            let mut saw_in = kw != "for";
-            let mut open = None;
-            while i < bytes.len() {
-                match bytes[i] {
-                    b'(' => paren += 1,
-                    b')' => paren -= 1,
-                    b'[' => brack += 1,
-                    b']' => brack -= 1,
-                    b'{' if paren == 0 && brack == 0 => {
-                        open = Some(i);
-                        break;
-                    }
-                    b';' | b'}' if paren == 0 && brack == 0 => break,
-                    b'i' if paren == 0
-                        && brack == 0
-                        && text[i..].starts_with("in")
-                        && !is_ident_byte(*bytes.get(i + 2).unwrap_or(&b' '))
-                        && (i == 0 || !is_ident_byte(bytes[i - 1])) =>
-                    {
-                        saw_in = true;
-                    }
-                    _ => {}
-                }
-                i += 1;
-            }
-            if let (Some(open), true) = (open, saw_in) {
-                let close = match_brace(bytes, open);
-                out.push((code.line_of(pos), code.line_of(close)));
-            }
+    let word_end = ident_end(b, i);
+    match &text[i..word_end] {
+        "mod" => {
+            let open = word_end + text[word_end..].find('{')?;
+            Some((attr_line, code.line_of(code.close_of(open))))
         }
+        "fn" => Some((attr_line, fns.get(fns.partition_point(|f| f.start < attr_line))?.end)),
+        _ => Some((attr_line, code.line_of(i.min(b.len() - 1)))),
     }
-    out.sort_unstable();
-    out
 }
 
 /// The `epg-parallel` entry points whose closure arguments are worker
@@ -549,24 +763,35 @@ pub(crate) const PAR_ENTRY_POINTS: &[&str] = &[
 ];
 
 /// Every entry-point call in `text` as `(start offset, offset of its
-/// '(', entry point)`. A turbofish may follow any segment of the path, so
-/// `Partial::<()>::collect(` and `.parallel_for::<F>(` match too.
+/// '(', entry point)`, in [`PAR_ENTRY_POINTS`] order. A turbofish may
+/// follow any segment of the path, so `Partial::<()>::collect(` and
+/// `.parallel_for::<F>(` match too.
 pub(crate) fn par_entries(text: &str) -> Vec<(usize, usize, &'static str)> {
-    let bytes = text.as_bytes();
-    let mut out = Vec::new();
-    for &tok in PAR_ENTRY_POINTS {
-        // The first path segment is literal; matching resumes from it.
-        let head = &tok[..1 + tok[1..].find([':', '(']).unwrap_or(tok.len() - 1)];
-        let mut from = 0;
-        while let Some(pos) = text[from..].find(head) {
-            let start = from + pos;
-            from = start + head.len();
-            if let Some(open) = match_entry(bytes, start, tok.as_bytes()) {
-                out.push((start, open, tok));
-            }
-        }
-    }
+    let b = text.as_bytes();
+    let starts =
+        (0..b.len()).filter(|&i| is_ident_byte(b[i]) && (i == 0 || !is_ident_byte(b[i - 1])));
+    let mut out: Vec<_> = starts.filter_map(|i| entry_at(b, i, ident_end(b, i))).collect();
+    out.sort_by_key(|&(start, _, tok)| (PAR_ENTRY_POINTS.iter().position(|&t| t == tok), start));
     out
+}
+
+/// The entry-point call the identifier run `b[s..e]` belongs to: its first
+/// path segment for a `.method(` entry point, the end of it for a
+/// `Type::method(` one.
+fn entry_at(b: &[u8], s: usize, e: usize) -> Option<(usize, usize, &'static str)> {
+    if !matches!(b.get(e), Some(b'(' | b':')) {
+        return None; // no path segment of an entry point ends here
+    }
+    let word = &b[s..e];
+    let dotted = s > 0 && b[s - 1] == b'.';
+    PAR_ENTRY_POINTS.iter().find_map(|&tok| {
+        let seg = tok.trim_start_matches('.').split([':', '(']).next()?.as_bytes();
+        let start = match tok.starts_with('.') {
+            true => (dotted && word == seg).then(|| s - 1)?,
+            false => word.ends_with(seg).then(|| e - seg.len())?,
+        };
+        Some((start, match_entry(b, start, tok.as_bytes())?, tok))
+    })
 }
 
 /// Offset of the `(` ending entry point `tok` matched at `i`; a `::<…>`
@@ -589,117 +814,12 @@ fn match_entry(b: &[u8], mut i: usize, tok: &[u8]) -> Option<usize> {
     Some(i - 1)
 }
 
-fn parse_par_calls(code: &Code) -> Vec<(usize, usize)> {
-    let bytes = code.text.as_bytes();
-    let mut out: Vec<(usize, usize)> = par_entries(&code.text)
-        .into_iter()
-        .map(|(start, open, _)| (code.line_of(start), code.line_of(match_paren(bytes, open))))
-        .collect();
-    out.sort_unstable();
-    out
-}
-
-fn hot_spans(
-    code: &Code,
-    loops: &[(usize, usize)],
-    par_calls: &[(usize, usize)],
-) -> Vec<(usize, usize)> {
-    let marks: Vec<usize> =
-        token_offsets(&code.text, ".iteration(").map(|off| code.line_of(off)).collect();
-    let marked = |s: usize, e: usize| {
-        marks.iter().copied().chain(par_calls.iter().map(|&(l, _)| l)).any(|l| s <= l && l <= e)
-    };
-    let mut spans: Vec<(usize, usize)> =
-        loops.iter().copied().filter(|&(s, e)| marked(s, e)).collect();
-    spans.extend_from_slice(par_calls);
-    spans.sort_unstable();
-    spans.dedup();
-    spans
-}
-
-fn parse_epg_refs(code: &Code) -> Vec<PathRef> {
-    let text = &code.text;
-    let bytes = text.as_bytes();
-    let mut out = Vec::new();
-    let mut from = 0;
-    while let Some(pos) = text[from..].find("epg_") {
-        let start = from + pos;
-        from = start + 4;
-        if start > 0 && is_ident_byte_or_colon(bytes[start - 1]) {
-            continue;
-        }
-        let mut end = start + 4;
-        while end < bytes.len() && is_ident_byte(bytes[end]) {
-            end += 1;
-        }
-        if !text[end..].starts_with("::") {
-            continue; // a local identifier that merely starts with epg_
-        }
-        out.push(PathRef { krate: text[start..end].replace('_', "-"), line: code.line_of(start) });
-    }
-    out
-}
-
 /// Words that can directly precede `(` without being a call.
 const CALL_KEYWORDS: &[&str] = &[
     "if", "else", "while", "for", "loop", "match", "return", "break", "continue", "in", "as",
     "move", "unsafe", "let", "pub", "fn", "impl", "use", "mod", "where", "struct", "enum", "trait",
     "type", "dyn", "ref", "mut", "crate", "super", "self", "Self",
 ];
-
-fn parse_calls(code: &Code) -> Vec<CallSite> {
-    let text = &code.text;
-    let bytes = text.as_bytes();
-    let mut out = Vec::new();
-    for (j, &b) in bytes.iter().enumerate() {
-        if b != b'(' {
-            continue;
-        }
-        let mut s = j;
-        while s > 0 && is_ident_byte(bytes[s - 1]) {
-            s -= 1;
-        }
-        if s == j {
-            continue; // `(` not preceded by an identifier
-        }
-        let name = &text[s..j];
-        if CALL_KEYWORDS.contains(&name) {
-            continue;
-        }
-        let prev = if s > 0 { bytes[s - 1] } else { b'\n' };
-        if prev == b'!' {
-            continue; // macro invocation
-        }
-        // `fn name(` is a definition, not a call.
-        let mut k = s;
-        while k > 0 && bytes[k - 1].is_ascii_whitespace() {
-            k -= 1;
-        }
-        if text[..k].ends_with("fn") && (k < 3 || !is_ident_byte(bytes[k - 3])) {
-            continue;
-        }
-        let kind = if prev == b'.' {
-            CallKind::Method
-        } else if s >= 2 && bytes[s - 1] == b':' && bytes[s - 2] == b':' {
-            let mut q = s - 2;
-            while q > 0 && is_ident_byte(bytes[q - 1]) {
-                q -= 1;
-            }
-            let qual = &text[q..s - 2];
-            // Capitalized qualifier = a type (`Flight::new`); lowercase =
-            // a module path (`check::next_id`), resolved like a free call.
-            if qual.starts_with(|c: char| c.is_ascii_uppercase()) || qual == "Self" {
-                CallKind::Qualified(qual.to_string())
-            } else {
-                CallKind::Free
-            }
-        } else {
-            CallKind::Free
-        };
-        out.push(CallSite { name: name.to_string(), kind, line: code.line_of(s) });
-    }
-    out
-}
 
 /// Smart-pointer wrappers stripped when reading a field's type head.
 const TYPE_WRAPPERS: &[&str] = &["Arc", "Box", "Rc", "Cell", "RefCell"];
@@ -726,82 +846,16 @@ fn type_head(mut ty: &str) -> String {
     }
 }
 
-fn parse_structs(code: &Code) -> Vec<StructModel> {
-    let text = &code.text;
-    let bytes = text.as_bytes();
-    let mut out = Vec::new();
-    for pos in token_offsets(text, "struct") {
-        let mut i = pos + 6;
-        while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        let name_start = i;
-        while i < bytes.len() && is_ident_byte(bytes[i]) {
-            i += 1;
-        }
-        if i == name_start {
-            continue;
-        }
-        let name = text[name_start..i].to_string();
-        // Walk to the body `{` at angle-bracket depth 0; `(` (tuple) and
-        // `;` (unit) end the item without named fields.
-        let mut angle = 0i64;
-        let mut open = None;
-        while i < bytes.len() {
-            match bytes[i] {
-                b'<' => angle += 1,
-                b'>' => angle -= 1,
-                b'{' if angle <= 0 => {
-                    open = Some(i);
-                    break;
-                }
-                b'(' | b';' if angle <= 0 => break,
-                _ => {}
-            }
-            i += 1;
-        }
-        let start = code.line_of(pos);
-        let Some(open) = open else {
-            let body = (bytes.get(i) == Some(&b'(')).then(|| (i, match_paren(bytes, i)));
-            let end = code.line_of(i.min(bytes.len().saturating_sub(1)));
-            out.push(StructModel { name, fields: Vec::new(), start, end, body });
-            continue;
-        };
-        let close = match_brace(bytes, open);
-        let fields = parse_fields(code, open + 1, close);
-        let end = code.line_of(close);
-        out.push(StructModel { name, fields, start, end, body: Some((open, close)) });
-    }
-    out
+/// The self type an impl head (the text after its generics) names: `impl
+/// T` and `impl Trait for T … where …` both give `T`.
+fn impl_self_type(head: &str) -> String {
+    let ty = head.split(" for ").nth(1).unwrap_or(head);
+    let ty = ty.split("where").next().unwrap_or(ty);
+    type_head(ty.rsplit("::").next().unwrap_or(ty))
 }
 
-/// Parses `name: Type` declarations between `lo` and `hi` byte offsets
-/// (a struct body), splitting on top-level commas.
-fn parse_fields(code: &Code, lo: usize, hi: usize) -> Vec<FieldModel> {
-    let text = &code.text;
-    let bytes = text.as_bytes();
-    let mut out = Vec::new();
-    let mut depth = 0i64;
-    let mut piece_start = lo;
-    let mut i = lo;
-    while i <= hi {
-        let b = if i < hi { bytes[i] } else { b',' };
-        match b {
-            b'(' | b'[' | b'{' | b'<' => depth += 1,
-            b')' | b']' | b'}' | b'>' => depth -= 1,
-            b',' if depth <= 0 => {
-                if let Some(f) = parse_field(code, &text[piece_start..i], piece_start) {
-                    out.push(f);
-                }
-                piece_start = i + 1;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    out
-}
-
+/// Parses one `name: Type` field declaration (a piece of a struct body
+/// between top-level commas) starting at byte offset `off`.
 fn parse_field(code: &Code, piece: &str, off: usize) -> Option<FieldModel> {
     let mut rest = piece;
     // Skip attributes and visibility.
@@ -837,75 +891,6 @@ fn parse_field(code: &Code, piece: &str, off: usize) -> Option<FieldModel> {
         ty_head: type_head(ty),
         line: code.line_of(line_off),
     })
-}
-
-fn parse_impls(code: &Code) -> Vec<FnSpan> {
-    let text = &code.text;
-    let bytes = text.as_bytes();
-    let mut out = Vec::new();
-    for pos in token_offsets(text, "impl") {
-        // `-> impl Trait` / `(impl Trait` are types, not items.
-        let mut p = pos;
-        while p > 0 && bytes[p - 1].is_ascii_whitespace() {
-            p -= 1;
-        }
-        if p > 0 && matches!(bytes[p - 1], b'>' | b'(' | b',' | b'=' | b'+' | b':' | b'&') {
-            continue;
-        }
-        let mut i = pos + 4;
-        while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        // Skip the impl's own generics.
-        if i < bytes.len() && bytes[i] == b'<' {
-            let mut angle = 0i64;
-            while i < bytes.len() {
-                match bytes[i] {
-                    b'<' => angle += 1,
-                    b'>' => {
-                        angle -= 1;
-                        if angle == 0 {
-                            i += 1;
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                i += 1;
-            }
-        }
-        // Head text runs to the body `{` at angle depth 0.
-        let head_start = i;
-        let mut angle = 0i64;
-        let mut open = None;
-        while i < bytes.len() {
-            match bytes[i] {
-                b'<' => angle += 1,
-                b'>' => angle -= 1,
-                b'{' if angle <= 0 => {
-                    open = Some(i);
-                    break;
-                }
-                b';' if angle <= 0 => break,
-                _ => {}
-            }
-            i += 1;
-        }
-        let Some(open) = open else { continue };
-        let head = &text[head_start..open];
-        let ty_text = match head.split(" for ").nth(1) {
-            Some(after_for) => after_for,
-            None => head,
-        };
-        let ty_text = ty_text.split("where").next().unwrap_or(ty_text);
-        let name = type_head(ty_text.rsplit("::").next().unwrap_or(ty_text));
-        if name.is_empty() {
-            continue;
-        }
-        let close = match_brace(bytes, open);
-        out.push(FnSpan { name, start: code.line_of(pos), end: code.line_of(close) });
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@
 //!    computed orderings are skipped).
 //! 5. `static-mut` — no `static mut` anywhere.
 
-use crate::model::{match_paren, Code, FileModel, Workspace};
+use crate::model::{Code, FileModel, Workspace};
 use crate::scan::{token_offsets, Line};
 
 /// One rule violation at a source location.
@@ -172,7 +172,7 @@ fn cas_inversions(code: &Code) -> Vec<(usize, &'static str, &'static str)> {
             continue;
         }
         let open = text.len() - after.len();
-        let args = top_level_args(&text[open + 1..match_paren(text.as_bytes(), open)]);
+        let args = top_level_args(&text[open + 1..code.close_of(open)]);
         let [.., success, failure] = args[..] else { continue };
         let (Some((s, sr)), Some((f, fr))) = (literal_ordering(success), literal_ordering(failure))
         else {

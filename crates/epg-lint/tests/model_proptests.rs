@@ -2,8 +2,10 @@
 //! line soup — both structured Rust-shaped fragments and arbitrary
 //! printable noise with unbalanced delimiters — `FileModel::build` is a
 //! total function, and every span it extracts (fn bodies, `#[cfg(test)]`
-//! regions, loop bodies, worker-closure arg lists) is a well-formed
-//! 1-based inclusive range inside the file. The flow pass is span
+//! regions, loop bodies, worker-closure arg lists, structs and their
+//! fields, impls) and every line it records (call sites, `epg_*::` paths)
+//! is a well-formed 1-based inclusive range inside the file, with each
+//! braced item ending on a line that holds its `}`. The flow pass is span
 //! arithmetic over this model, so these bounds are what keep the
 //! concurrency rules panic-free on any input tree.
 
@@ -38,6 +40,12 @@ fn fragment() -> impl Strategy<Value = String> {
         Just("{{{".to_string()),
         Just("    });".to_string()),
         Just("impl Iterator for X {".to_string()),
+        ident.prop_map(|n| format!("impl<T: Fn() -> u32> {n}<T> {{")),
+        ident.prop_map(|n| format!("pub struct {n}<T> {{")),
+        ident.prop_map(|n| format!("    {n}: Arc<Mutex<Vec<u32>>>,")),
+        ident.prop_map(|n| format!("struct {n}(u32, fn(u32) -> bool);")),
+        ident.prop_map(|n| format!("    fn {n}(&self) -> u32;")),
+        ident.prop_map(|n| format!("    epg_graph::oracle::bfs({n});")),
         Just("    let f = |a: (u32, u32), b| a.0 | b;".to_string()),
         Just("".to_string()),
     ]
@@ -73,6 +81,50 @@ fn assert_spans_well_formed(f: &FileModel) {
     for &(s, e) in &f.hot {
         check("hot", s, e);
     }
+    for st in &f.structs {
+        check("struct", st.start, st.end);
+        for field in &st.fields {
+            let inside = st.start <= field.line && field.line <= st.end;
+            assert!(inside, "field {} outside struct {} ({:?})", field.name, st.name, f.path);
+        }
+    }
+    for i in &f.impls {
+        check("impl", i.start, i.end);
+    }
+    for call in &f.calls {
+        check("call", call.line, call.line);
+    }
+    for r in &f.epg_refs {
+        check("epg ref", r.line, r.line);
+    }
+}
+
+/// Asserts every braced item span ends on a line holding a `}`, unless it
+/// is clamped to the end of the file. Loops and impls are always braced;
+/// a fn without a `}` on its last line must be a bodiless declaration
+/// ending in `;`, and a struct there a unit (`;`) or tuple (`(`) struct.
+fn assert_braced_spans_end_on_a_brace(f: &FileModel) {
+    let n = f.lines.len();
+    let holds = |line: usize, c: char| f.lines[line - 1].code.contains(c);
+    let ends_ok = |what: &str, e: usize, others: &[char]| {
+        assert!(
+            e == n || holds(e, '}') || others.iter().any(|&c| holds(e, c)),
+            "{what} span ends on line {e} of {n}, which holds no `}}`"
+        );
+    };
+    for fun in &f.fns {
+        ends_ok("fn", fun.end, &[';']);
+    }
+    for &(_, e) in &f.loops {
+        ends_ok("loop", e, &[]);
+    }
+    for st in &f.structs {
+        let others: &[char] = if st.fields.is_empty() { &[';', '('] } else { &[] };
+        ends_ok("struct", st.end, others);
+    }
+    for i in &f.impls {
+        ends_ok("impl", i.end, &[]);
+    }
 }
 
 /// Runs the full concurrency family over one in-memory file in an engine
@@ -106,6 +158,7 @@ proptest! {
         let f = FileModel::build("crates/epg-engine-gap/src/x.rs".to_string(), scan(&src), false);
         prop_assert_eq!(f.lines.len(), lines.len());
         assert_spans_well_formed(&f);
+        assert_braced_spans_end_on_a_brace(&f);
         flow_never_panics(f);
     }
 
@@ -117,6 +170,7 @@ proptest! {
         let f = FileModel::build("crates/epg-engine-gap/src/x.rs".to_string(), scan(&src), false);
         prop_assert_eq!(f.lines.len(), lines.len());
         assert_spans_well_formed(&f);
+        assert_braced_spans_end_on_a_brace(&f);
         flow_never_panics(f);
     }
 
@@ -131,6 +185,7 @@ proptest! {
         ] {
             let f = FileModel::build("crates/epg-engine-gap/src/x.rs".to_string(), scan(&src), false);
             assert_spans_well_formed(&f);
+            assert_braced_spans_end_on_a_brace(&f);
             flow_never_panics(f);
         }
     }

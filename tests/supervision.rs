@@ -2,7 +2,9 @@
 //! through the runner and come out as classified, DNF-aware results.
 
 use epg::engine_api::{FaultKind, FaultPlan, FaultyEngine};
-use epg::harness::supervise::{supervise_trial, verify_output, SupervisorConfig, TrialOutcome};
+use epg::harness::supervise::{
+    supervise_trial, verify_output, Expected, SupervisorConfig, TrialOutcome,
+};
 use epg::prelude::*;
 use std::time::Duration;
 
@@ -149,7 +151,8 @@ fn wrong_result_injection_is_caught_by_a_verifier() {
     engine.construct(&pool);
     let root = ds.roots[0];
     let csr = Csr::from_edge_list(&ds.symmetric);
-    let verify = |out: &RunOutput| verify_output(&csr, Algorithm::Bfs, Some(root), out, &pool);
+    let want = Expected::new(&csr);
+    let verify = |out: &RunOutput| verify_output(&want, Algorithm::Bfs, Some(root), out, &pool);
     let cfg = SupervisorConfig { backoff: Duration::from_micros(50), ..Default::default() };
     let params = RunParams::new(&pool, Some(root));
     let report =
@@ -165,17 +168,20 @@ fn always_wrong() -> FaultPlan {
 
 #[test]
 fn wrong_results_fail_verification_on_every_engine() {
-    // Every engine × {BFS, SSSP, WCC, PageRank} it supports. The injector
-    // bumps entry 0 of the result: a BFS level always changes, a distance
-    // only where the root reaches vertex 0 (an infinite one stays
-    // infinite), a component label splits vertex 0 from the rest of its
-    // component, and rank 0 grows by 0.5, which one more sweep undoes.
+    // Every engine × algorithm it supports but betweenness: 25 of the 27
+    // cells. The injector bumps entry 0 of the result: a BFS level always
+    // changes, a distance only where the root reaches vertex 0 (an
+    // infinite one stays infinite), a component label splits vertex 0 from
+    // the rest of its component, rank 0 grows by 0.5, which one more sweep
+    // undoes, and a CDLP label, an LCC coefficient and a triangle count
+    // each move off the oracle's answer.
     let spec = GraphSpec::Kronecker { scale: 7, edge_factor: 8, weighted: true };
     let ds = Dataset::from_spec(&spec, 9);
     let csr = Csr::from_edge_list(&ds.symmetric);
     let reaches_0 = |r: VertexId| epg::graph::oracle::bfs(&csr, r).level[0] != u32::MAX;
     assert!(!csr.neighbors(0).is_empty(), "a visible WCC fault needs vertex 0 to have a neighbour");
     let pool = ThreadPool::new(2);
+    let expected = Expected::new(&csr);
     let mut covered = 0;
     for kind in EngineKind::ALL {
         for (algo, rule) in [
@@ -183,6 +189,9 @@ fn wrong_results_fail_verification_on_every_engine() {
             (Algorithm::Sssp, "relaxes dist[0]"),
             (Algorithm::Wcc, "are weakly connected, but labelled"),
             (Algorithm::PageRank, "one more PageRank sweep moves the ranks by"),
+            (Algorithm::Cdlp, "but label propagation gives it"),
+            (Algorithm::Lcc, "but the oracle's is"),
+            (Algorithm::TriangleCount, "triangles, but the graph has"),
         ] {
             if !kind.create().supports(algo) {
                 continue;
@@ -206,7 +215,7 @@ fn wrong_results_fail_verification_on_every_engine() {
                 .map(|r| r.outcome)
                 .collect();
             // A rooted kernel runs once per root, PageRank as many times,
-            // WCC once.
+            // the other root-less kernels once.
             let roots: Vec<Option<VertexId>> = match algo {
                 _ if algo.is_rooted() => ds.roots[..4].iter().map(|&r| Some(r)).collect(),
                 Algorithm::PageRank => vec![None; 4],
@@ -231,7 +240,7 @@ fn wrong_results_fail_verification_on_every_engine() {
             engine.load_edge_list(ds.edges_for(kind));
             engine.construct(&pool);
             let params = RunParams::new(&pool, root);
-            let verify = |out: &RunOutput| verify_output(&csr, algo, root, out, &pool);
+            let verify = |out: &RunOutput| verify_output(&expected, algo, root, out, &pool);
             let strict = SupervisorConfig { max_retries: 0, ..Default::default() };
             let report =
                 supervise_trial(&pool, &strict, || engine.run(algo, &params), Some(&verify));
@@ -241,7 +250,10 @@ fn wrong_results_fail_verification_on_every_engine() {
             assert!(error.contains(rule), "{name}: {error}");
         }
     }
-    assert_eq!(covered, 15, "four BFS, four SSSP, three WCC and four PageRank engines");
+    assert_eq!(
+        covered, 25,
+        "four BFS, four SSSP, three WCC, four PageRank, three CDLP, three LCC and four TC engines"
+    );
 }
 
 #[test]
