@@ -29,7 +29,7 @@ pub mod stopping;
 pub use counters::{Counters, RegionRecord, Trace};
 pub use fault::{FaultKind, FaultPlan, FaultyEngine};
 pub use query::QueryEngine;
-pub use record::{sum_counter_deltas, Partial, RecorderCtx, RunLog};
+pub use record::{sum_counter_deltas, Found, RecorderCtx, RunLog};
 pub use result::{AlgorithmResult, RunOutput};
 pub use stopping::StoppingCriterion;
 // Re-exported so engine crates and tests use telemetry types without

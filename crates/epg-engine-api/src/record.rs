@@ -9,7 +9,7 @@
 
 use crate::counters::{Counters, Trace};
 use crate::result::{AlgorithmResult, RunOutput};
-use epg_parallel::{Schedule, ThreadPool};
+use epg_parallel::{PerWorker, ThreadPool};
 use epg_trace::{Dir, Recorder, TraceEvent};
 use std::ops::ControlFlow;
 
@@ -62,42 +62,30 @@ impl std::fmt::Debug for RecorderCtx<'_> {
     }
 }
 
-/// What one index range of a kernel step found, handed out of the parallel
-/// region through
-/// [`parallel_reduce_ranges`](epg_parallel::ThreadPool::parallel_reduce_ranges):
-/// `Partial::default` is its identity and [`Partial::merge`] its combine.
-#[derive(Debug)]
-pub struct Partial<T> {
-    /// What the range discovered (next-frontier vertices, bucket inserts,
-    /// per-partition gather maps, ...), in no particular order.
-    pub found: Vec<T>,
-    /// Edges the range examined.
+/// One worker's share of a kernel step, kept for the run in a
+/// [`PerWorker`]: what its ranges found, in the order they ran, the edges
+/// they examined and their largest indivisible task (the span bound).
+#[derive(Debug, Default)]
+pub struct Found<T> {
+    /// What the ranges discovered (next-frontier vertices, per-partition
+    /// gather lists, ...).
+    pub list: Vec<T>,
+    /// Edges the ranges examined.
     pub edges: u64,
-    /// Largest single indivisible task in the range (the span bound).
+    /// Largest single indivisible task in the ranges.
     pub max_degree: u64,
 }
 
-impl<T> Default for Partial<T> {
-    fn default() -> Self {
-        Partial { found: Vec::new(), edges: 0, max_degree: 0 }
-    }
-}
-
-impl<T: Send> Partial<T> {
-    /// Reduces `map` over `0..n` into one `Partial` — one parallel region.
-    pub fn collect<M>(pool: &ThreadPool, n: usize, sched: Schedule, map: M) -> Partial<T>
-    where
-        M: Fn(usize, usize) -> Partial<T> + Sync,
-    {
-        pool.parallel_reduce_ranges(n, sched, Partial::default, map, Partial::merge)
-    }
-
-    /// Concatenates the finds, sums the edges, keeps the larger span.
-    pub fn merge(mut self, mut other: Partial<T>) -> Partial<T> {
-        self.found.append(&mut other.found);
-        self.edges += other.edges;
-        self.max_degree = self.max_degree.max(other.max_degree);
-        self
+impl<T: Send> Found<T> {
+    /// Appends every worker's list to `out` in worker order and returns the
+    /// step's edges and largest task, leaving every state empty for the
+    /// next step; the lists keep their capacity.
+    pub fn drain(workers: &mut PerWorker<Found<T>>, out: &mut Vec<T>) -> (u64, u64) {
+        workers.iter_mut().fold((0, 0), |(edges, max_degree), w| {
+            out.append(&mut w.list);
+            let (e, m) = (std::mem::take(&mut w.edges), std::mem::take(&mut w.max_degree));
+            (edges + e, max_degree.max(m))
+        })
     }
 }
 

@@ -6,9 +6,9 @@
 //! source (exact Brandes); `Some(k)` samples `k` sources and scales the
 //! estimate by `n / k`, as approximate BC implementations do.
 
-use epg_engine_api::{AlgorithmResult, Dir, Partial, RunLog, RunOutput, RunParams};
+use epg_engine_api::{AlgorithmResult, Dir, Found, RunLog, RunOutput, RunParams};
 use epg_graph::{Csr, VertexId};
-use epg_parallel::{AtomicF64, Schedule};
+use epg_parallel::{AtomicF64, PerWorker, Schedule};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -38,6 +38,9 @@ pub fn betweenness(g: &Csr, params: &RunParams<'_>, seed: u64) -> RunOutput {
     let dist: Vec<AtomicI64> = (0..n).map(|_| AtomicI64::new(-1)).collect();
     let delta: Vec<AtomicF64> = (0..n).map(|_| AtomicF64::new(0.0)).collect();
 
+    let mut found = PerWorker::new(pool.num_threads(), Found::default);
+    // A source's BFS levels, at most n vertices: level d is `order[starts[d]..starts[d + 1]]`.
+    let (mut order, mut starts) = (Vec::with_capacity(n), Vec::new());
     for &s in &source_list {
         pool.parallel_for(n, Schedule::Static { chunk: None }, |v| {
             sigma[v].store(0.0, Ordering::Relaxed);
@@ -48,21 +51,19 @@ pub fn betweenness(g: &Csr, params: &RunParams<'_>, seed: u64) -> RunOutput {
         dist[s as usize].store(0, Ordering::Relaxed);
 
         // ---- forward phase: level-synchronous BFS counting paths ----
-        let mut levels: Vec<Vec<VertexId>> = vec![vec![s]];
-        let mut depth: i64 = 0;
-        while let Some(frontier) = levels.last() {
-            if frontier.is_empty() {
-                levels.pop();
-                break;
-            }
+        order.clear();
+        order.push(s);
+        starts.clear();
+        starts.push(0);
+        while starts[starts.len() - 1] < order.len() {
+            let depth = starts.len() as i64 - 1;
+            let frontier = &order[starts[starts.len() - 1]..];
             let sched = Schedule::Guided { min_chunk: 16 };
-            let step = Partial::collect(pool, frontier.len(), sched, |lo, hi| {
-                let mut found = Vec::with_capacity(hi - lo);
-                let mut edges = 0u64;
+            found.for_ranges(pool, frontier.len(), sched, |mine, lo, hi| {
                 for &u in &frontier[lo..hi] {
                     let su = sigma[u as usize].load(Ordering::Relaxed);
                     for &v in g.neighbors(u) {
-                        edges += 1;
+                        mine.edges += 1;
                         let dv = dist[v as usize].load(Ordering::Relaxed);
                         if dv < 0
                             && dist[v as usize]
@@ -74,23 +75,23 @@ pub fn betweenness(g: &Csr, params: &RunParams<'_>, seed: u64) -> RunOutput {
                                 )
                                 .is_ok()
                         {
-                            found.push(v);
+                            mine.list.push(v);
                         }
                         if dist[v as usize].load(Ordering::Relaxed) == depth + 1 {
                             sigma[v as usize].fetch_add(su, Ordering::Relaxed);
                         }
                     }
                 }
-                Partial { found, edges, max_degree: 0 }
             });
-            log.counters.edges_traversed += step.edges;
-            log.parallel(step.edges.max(1), 1, step.edges * 12);
-            depth += 1;
-            levels.push(step.found);
+            starts.push(order.len());
+            let (edges, _) = Found::drain(&mut found, &mut order);
+            log.counters.edges_traversed += edges;
+            log.parallel(edges.max(1), 1, edges * 12);
         }
 
         // ---- backward phase: dependency accumulation per level ----
-        for (d, level) in levels.iter().enumerate().rev() {
+        for d in (0..starts.len() - 1).rev() {
+            let level = &order[starts[d]..starts[d + 1]];
             let d = d as i64;
             // Writes touch only level-d vertices (one worker each); reads
             // touch only level-(d+1) vertices, finalized by the previous
@@ -125,7 +126,10 @@ pub fn betweenness(g: &Csr, params: &RunParams<'_>, seed: u64) -> RunOutput {
         log.counters.iterations += 1;
         log.counters.vertices_touched += n as u64;
         // One iteration per source: `frontier` is that source's depth.
-        if log.iteration(pool, log.counters.iterations, levels.len() as u64, Dir::Push).is_break() {
+        if log
+            .iteration(pool, log.counters.iterations, (starts.len() - 1) as u64, Dir::Push)
+            .is_break()
+        {
             break;
         }
     }

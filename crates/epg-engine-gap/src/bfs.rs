@@ -9,9 +9,9 @@
 
 use crate::structures::{Bitmap, SlidingQueue};
 use crate::GapConfig;
-use epg_engine_api::{AlgorithmResult, Dir, Partial, RunLog, RunOutput, RunParams};
+use epg_engine_api::{AlgorithmResult, Dir, Found, RunLog, RunOutput, RunParams};
 use epg_graph::{Csr, VertexId, NO_VERTEX};
-use epg_parallel::{Schedule, ThreadPool};
+use epg_parallel::{PerWorker, Schedule, ThreadPool};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Runs direction-optimizing BFS from `params.root`. `g` holds out-edges,
@@ -37,6 +37,10 @@ pub fn direction_optimizing_bfs(
     let mut queue = SlidingQueue::new();
     queue.push(root);
     queue.slide_window();
+    // Each worker's claims and scout count, flushed into the queue per step.
+    let mut found = PerWorker::new(pool.num_threads(), Default::default);
+    // The bottom-up frontier and the one its step marks, swapped per step.
+    let (mut front, mut next) = (Bitmap::new(n), Bitmap::new(n));
 
     let mut log = RunLog::new(rec);
     let mut depth = 0u32;
@@ -47,7 +51,7 @@ pub fn direction_optimizing_bfs(
     'run: while !queue.window_is_empty() {
         if cfg.direction_optimizing && scout > edges_to_check / cfg.alpha.max(1) {
             // ---- bottom-up phase ----
-            let mut front = Bitmap::new(n);
+            front.clear();
             for &v in queue.window() {
                 front.set(v as usize);
             }
@@ -60,7 +64,7 @@ pub fn direction_optimizing_bfs(
             loop {
                 depth += 1;
                 let old_awake = awake;
-                let next = Bitmap::new(n);
+                next.clear();
                 let (new_awake, scanned, max_scan) =
                     bottom_up_step(gt, &parent, &level, &front, &next, depth, pool);
                 awake = new_awake;
@@ -78,7 +82,7 @@ pub fn direction_optimizing_bfs(
                     break 'run;
                 }
                 switched = false;
-                front = next;
+                std::mem::swap(&mut front, &mut next);
                 // GAP keeps going bottom-up while the frontier still grows
                 // or remains above n / β.
                 if awake == 0 || !(awake >= old_awake || awake > n as u64 / cfg.beta.max(1)) {
@@ -93,17 +97,13 @@ pub fn direction_optimizing_bfs(
             // ---- top-down step ----
             depth += 1;
             let frontier = queue.window_len() as u64;
-            let (step, new_scout) = top_down_step(g, &parent, &level, &mut queue, depth, pool);
-            let discovered = step.found.len() as u64;
-            log.counters.edges_traversed += step.edges;
+            let (discovered, edges, max_degree, new_scout) =
+                top_down_step(g, &parent, &level, &mut queue, &mut found, depth, pool);
+            log.counters.edges_traversed += edges;
             log.counters.vertices_touched += discovered;
-            edges_to_check = edges_to_check.saturating_sub(step.edges);
+            edges_to_check = edges_to_check.saturating_sub(edges);
             scout = new_scout;
-            log.parallel(
-                step.edges.max(1),
-                step.max_degree.max(1),
-                step.edges * 8 + discovered * 12,
-            );
+            log.parallel(edges.max(1), max_degree.max(1), edges * 8 + discovered * 12);
             if log.iteration(pool, depth, frontier, Dir::Push).is_break() {
                 break;
             }
@@ -120,47 +120,48 @@ pub fn direction_optimizing_bfs(
     log.finish(AlgorithmResult::BfsTree { parent, level })
 }
 
-/// One top-down step: claims the window's unvisited out-neighbors, pushes
-/// them onto the queue and returns them (with edges checked and max
-/// frontier degree) plus the scout count — their out-degrees summed.
+/// One top-down step: claims the window's unvisited out-neighbors and
+/// flushes every worker's claims onto the queue, in worker order. Returns
+/// (vertices claimed, edges checked, max frontier degree, scout count —
+/// the claimed vertices' out-degrees summed).
 fn top_down_step(
     g: &Csr,
     parent: &[AtomicU32],
     level: &[AtomicU32],
     queue: &mut SlidingQueue,
+    found: &mut PerWorker<(Found<VertexId>, u64)>,
     depth: u32,
     pool: &ThreadPool,
-) -> (Partial<VertexId>, u64) {
+) -> (u64, u64, u64, u64) {
     let window = queue.window();
-    let expand = |lo: usize, hi: usize| {
-        let mut found: Vec<VertexId> = Vec::with_capacity(hi - lo);
-        let (mut edges, mut scout, mut max_degree) = (0u64, 0u64, 0u64);
+    let sched = Schedule::Guided { min_chunk: 16 };
+    found.for_ranges(pool, window.len(), sched, |(mine, scout), lo, hi| {
         for &u in &window[lo..hi] {
-            max_degree = max_degree.max(g.out_degree(u) as u64);
+            mine.max_degree = mine.max_degree.max(g.out_degree(u) as u64);
             for &v in g.neighbors(u) {
-                edges += 1;
+                mine.edges += 1;
                 if parent[v as usize].load(Ordering::Relaxed) == NO_VERTEX
                     && parent[v as usize]
                         .compare_exchange(NO_VERTEX, u, Ordering::Relaxed, Ordering::Relaxed)
                         .is_ok()
                 {
                     level[v as usize].store(depth, Ordering::Relaxed);
-                    scout += g.out_degree(v) as u64;
-                    found.push(v);
+                    *scout += g.out_degree(v) as u64;
+                    mine.list.push(v);
                 }
             }
         }
-        (Partial { found, edges, max_degree }, scout)
-    };
-    let (step, scout) = pool.parallel_reduce_ranges(
-        window.len(),
-        Schedule::Guided { min_chunk: 16 },
-        Default::default,
-        expand,
-        |a, b| (a.0.merge(b.0), a.1 + b.1),
-    );
-    queue.push_all(&step.found);
-    (step, scout)
+    });
+    let (mut claimed, mut edges, mut max_degree, mut scout) = (0, 0, 0, 0);
+    for (mine, s) in found.iter_mut() {
+        queue.push_all(&mine.list);
+        claimed += mine.list.len() as u64;
+        mine.list.clear();
+        edges += std::mem::take(&mut mine.edges);
+        max_degree = max_degree.max(std::mem::take(&mut mine.max_degree));
+        scout += std::mem::take(s);
+    }
+    (claimed, edges, max_degree, scout)
 }
 
 /// One bottom-up step. Returns (vertices awakened, edges scanned, largest

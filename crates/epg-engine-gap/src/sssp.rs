@@ -11,8 +11,7 @@
 
 use epg_engine_api::{AlgorithmResult, Dir, RunLog, RunOutput, RunParams, SsspKernel};
 use epg_graph::{Csr, VertexId, Weight, INF_DIST};
-use epg_parallel::{AtomicF32, Schedule, ThreadPool};
-use parking_lot::Mutex;
+use epg_parallel::{AtomicF32, PerWorker, Schedule, ThreadPool};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::Ordering;
@@ -100,9 +99,12 @@ impl Worker {
 /// check and `edges_traversed` their out-degrees: a vertex popped again
 /// after an improvement relaxes all its edges again.
 pub fn delta_stepping(g: &Csr, delta: f32, params: &RunParams<'_>) -> RunOutput {
-    let workers: Vec<Mutex<Worker>> =
-        (0..params.pool.num_threads()).map(|_| Mutex::default()).collect();
-    delta_stepping_with(g, delta, params, &workers)
+    delta_stepping_with(
+        g,
+        delta,
+        params,
+        &mut PerWorker::new(params.pool.num_threads(), Worker::default),
+    )
 }
 
 /// [`delta_stepping`] over the caller's per-worker state, one per pool thread.
@@ -110,7 +112,7 @@ fn delta_stepping_with(
     g: &Csr,
     delta: f32,
     params: &RunParams<'_>,
-    workers: &[Mutex<Worker>],
+    workers: &mut PerWorker<Worker>,
 ) -> RunOutput {
     assert!(delta > 0.0, "delta must be positive");
     let pool = params.pool;
@@ -124,9 +126,7 @@ fn delta_stepping_with(
     let mut frontier = vec![root];
     let mut current = 0usize;
     loop {
-        pool.parallel_for_ranges(frontier.len(), Schedule::Dynamic { chunk: 64 }, |tid, lo, hi| {
-            // Only worker `tid` locks slot `tid` inside a region.
-            let mut w = workers[tid].lock();
+        workers.for_ranges(pool, frontier.len(), Schedule::Dynamic { chunk: 64 }, |w, lo, hi| {
             for &u in &frontier[lo..hi] {
                 let du = dist[u as usize].load(Ordering::Relaxed);
                 // Stale: u was improved into, and relaxed from, an earlier
@@ -149,8 +149,7 @@ fn delta_stepping_with(
         });
         // The join: fold the step's tallies and find the next bin to drain.
         let (mut edges, mut max_degree, mut next) = (0u64, 1u64, None::<usize>);
-        for w in workers {
-            let mut w = w.lock();
+        for w in workers.iter_mut() {
             log.counters.vertices_touched += std::mem::take(&mut w.relaxed);
             edges += std::mem::take(&mut w.edges);
             max_degree = max_degree.max(std::mem::take(&mut w.max_degree));
@@ -166,15 +165,14 @@ fn delta_stepping_with(
         let Some(bin) = next else { break };
         current = bin;
         frontier.clear();
-        for w in workers {
-            if let Some(b) = w.lock().bins.get_mut(bin) {
+        for w in workers.iter_mut() {
+            if let Some(b) = w.bins.get_mut(bin) {
                 frontier.append(b);
             }
         }
     }
 
-    let bins: usize =
-        workers.iter().map(|w| w.lock().bins.iter().map(Vec::capacity).sum::<usize>()).sum();
+    let bins: usize = workers.iter_mut().flat_map(|w| w.bins.iter().map(Vec::capacity)).sum();
     params.recorder.alloc_hwm("gap.sssp.bins", 4 * (frontier.capacity() + bins) as u64);
     log.counters.bytes_read = log.counters.edges_traversed * 12;
     log.counters.bytes_written = log.counters.vertices_touched * 8;
@@ -273,12 +271,11 @@ mod tests {
         );
         for threads in [1, 2, 4] {
             let pool = ThreadPool::new(threads);
-            let workers: Vec<Mutex<Worker>> = (0..threads).map(|_| Mutex::default()).collect();
-            let out = delta_stepping_with(&g, 0.05, &RunParams::new(&pool, Some(0)), &workers);
+            let mut workers = PerWorker::new(threads, Worker::default);
+            let out = delta_stepping_with(&g, 0.05, &RunParams::new(&pool, Some(0)), &mut workers);
             assert!(out.counters.vertices_touched >= n as u64, "every vertex is popped");
             assert_eq!(out.counters.edges_traversed, 4 * out.counters.vertices_touched);
-            for w in &workers {
-                let w = w.lock();
+            for w in workers.iter_mut() {
                 assert!(w.bins.iter().all(Vec::is_empty), "t={threads}: a bin kept entries");
                 assert_eq!((w.relaxed, w.edges, w.max_degree), (0, 0, 0), "tallies left behind");
             }

@@ -6,23 +6,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// A concurrent bitmap over vertex ids, as used for bottom-up BFS frontiers.
 pub struct Bitmap {
     words: Vec<AtomicU64>,
-    len: usize,
 }
 
 impl Bitmap {
     /// Creates an all-zero bitmap covering `len` bits.
     pub fn new(len: usize) -> Bitmap {
-        Bitmap { words: (0..len.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(), len }
-    }
-
-    /// Number of bits.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the bitmap covers zero bits.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+        Bitmap { words: (0..len.div_ceil(64)).map(|_| AtomicU64::new(0)).collect() }
     }
 
     /// Sets bit `i` (concurrent-safe).
@@ -42,11 +31,6 @@ impl Bitmap {
         for w in &self.words {
             w.store(0, Ordering::Relaxed);
         }
-    }
-
-    /// Number of set bits.
-    pub fn count_ones(&self) -> usize {
-        self.words.iter().map(|w| w.load(Ordering::Relaxed).count_ones() as usize).sum()
     }
 
     /// Iterates the indices of set bits.
@@ -113,13 +97,6 @@ impl SlidingQueue {
         self.head == self.tail
     }
 
-    /// Drops all contents and resets the window.
-    pub fn reset(&mut self) {
-        self.items.clear();
-        self.head = 0;
-        self.tail = 0;
-    }
-
     /// Replaces the *next* window's pending contents with `vs` (used when
     /// converting a bitmap frontier back to a queue).
     pub fn refill_pending(&mut self, vs: impl IntoIterator<Item = VertexId>) {
@@ -135,13 +112,12 @@ mod tests {
     #[test]
     fn bitmap_set_get_count() {
         let bm = Bitmap::new(130);
-        assert_eq!(bm.len(), 130);
         bm.set(0);
         bm.set(64);
         bm.set(129);
         assert!(bm.get(0) && bm.get(64) && bm.get(129));
         assert!(!bm.get(1) && !bm.get(128));
-        assert_eq!(bm.count_ones(), 3);
+        assert_eq!(bm.iter_ones().count(), 3);
         let ones: Vec<usize> = bm.iter_ones().collect();
         assert_eq!(ones, vec![0, 64, 129]);
     }
@@ -152,7 +128,7 @@ mod tests {
         bm.set(3);
         bm.set(69);
         bm.clear();
-        assert_eq!(bm.count_ones(), 0);
+        assert_eq!(bm.iter_ones().count(), 0);
     }
 
     #[test]
@@ -168,7 +144,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(bm.count_ones(), 1024);
+        assert_eq!(bm.iter_ones().count(), 1024);
     }
 
     #[test]

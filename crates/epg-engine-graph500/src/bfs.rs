@@ -4,9 +4,9 @@
 //! vertices with compare-and-swap on the parent array. Scheduling is plain
 //! static worksharing, as in the reference's `#pragma omp parallel for`.
 
-use epg_engine_api::{AlgorithmResult, Dir, Partial, RunLog, RunOutput, RunParams};
+use epg_engine_api::{AlgorithmResult, Dir, Found, RunLog, RunOutput, RunParams};
 use epg_graph::{Csr, NO_VERTEX};
-use epg_parallel::Schedule;
+use epg_parallel::{PerWorker, Schedule};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Runs top-down BFS from `params.root`.
@@ -21,49 +21,38 @@ pub fn top_down_bfs(g: &Csr, params: &RunParams<'_>) -> RunOutput {
     rec.alloc_hwm("graph500.bfs.parent+level", n as u64 * 8);
 
     let mut log = RunLog::new(rec);
-    let mut frontier = vec![root];
+    let mut found = PerWorker::new(pool.num_threads(), Found::default);
+    let (mut frontier, mut next) = (vec![root], Vec::new());
     let mut depth = 0u32;
 
     while !frontier.is_empty() {
         depth += 1;
-        let step =
-            Partial::collect(pool, frontier.len(), Schedule::Static { chunk: None }, |lo, hi| {
-                let mut found = Vec::with_capacity(hi - lo);
-                let (mut edges, mut max_degree) = (0u64, 0u64);
-                for &u in &frontier[lo..hi] {
-                    max_degree = max_degree.max(g.out_degree(u) as u64);
-                    for &v in g.neighbors(u) {
-                        edges += 1;
-                        if parent[v as usize].load(Ordering::Relaxed) == NO_VERTEX
-                            && parent[v as usize]
-                                .compare_exchange(
-                                    NO_VERTEX,
-                                    u,
-                                    Ordering::Relaxed,
-                                    Ordering::Relaxed,
-                                )
-                                .is_ok()
-                        {
-                            level[v as usize].store(depth, Ordering::Relaxed);
-                            found.push(v);
-                        }
+        found.for_ranges(pool, frontier.len(), Schedule::Static { chunk: None }, |mine, lo, hi| {
+            for &u in &frontier[lo..hi] {
+                mine.max_degree = mine.max_degree.max(g.out_degree(u) as u64);
+                for &v in g.neighbors(u) {
+                    mine.edges += 1;
+                    if parent[v as usize].load(Ordering::Relaxed) == NO_VERTEX
+                        && parent[v as usize]
+                            .compare_exchange(NO_VERTEX, u, Ordering::Relaxed, Ordering::Relaxed)
+                            .is_ok()
+                    {
+                        level[v as usize].store(depth, Ordering::Relaxed);
+                        mine.list.push(v);
                     }
                 }
-                Partial { found, edges, max_degree }
-            });
-        let next = step.found;
-        log.counters.edges_traversed += step.edges;
+            }
+        });
+        next.clear();
+        let (edges, max_degree) = Found::drain(&mut found, &mut next);
+        log.counters.edges_traversed += edges;
         log.counters.vertices_touched += next.len() as u64;
         log.counters.iterations += 1;
-        log.parallel(
-            step.edges.max(1),
-            step.max_degree.max(1),
-            step.edges * 8 + next.len() as u64 * 12,
-        );
+        log.parallel(edges.max(1), max_degree.max(1), edges * 8 + next.len() as u64 * 12);
         if log.iteration(pool, depth, frontier.len() as u64, Dir::Push).is_break() {
             break;
         }
-        frontier = next;
+        std::mem::swap(&mut frontier, &mut next);
     }
 
     log.counters.bytes_read = log.counters.edges_traversed * 8;

@@ -2,10 +2,10 @@
 //! workload) and triangle counting (its `TC` workload), vertex-centric
 //! over the openG property graph with dynamic scheduling.
 
-use epg_engine_api::{AlgorithmResult, Dir, Partial, RunLog, RunOutput, RunParams};
+use epg_engine_api::{AlgorithmResult, Dir, Found, RunLog, RunOutput, RunParams};
 use epg_graph::adjacency::PropertyGraph;
 use epg_graph::VertexId;
-use epg_parallel::{AtomicF64, DisjointWriter, Schedule};
+use epg_parallel::{AtomicF64, DisjointWriter, PerWorker, Schedule};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -32,6 +32,9 @@ pub fn betweenness(g: &PropertyGraph, params: &RunParams<'_>, seed: u64) -> RunO
     let sigma: Vec<AtomicF64> = (0..n).map(|_| AtomicF64::new(0.0)).collect();
     let dist: Vec<AtomicI64> = (0..n).map(|_| AtomicI64::new(-1)).collect();
     let delta: Vec<AtomicF64> = (0..n).map(|_| AtomicF64::new(0.0)).collect();
+    let mut found = PerWorker::new(pool.num_threads(), Found::default);
+    // A source's BFS levels, at most n vertices: level d is `order[starts[d]..starts[d + 1]]`.
+    let (mut order, mut starts) = (Vec::with_capacity(n), Vec::new());
     for &s in &source_list {
         pool.parallel_for(n, Schedule::graphbig_default(), |v| {
             sigma[v].store(0.0, Ordering::Relaxed);
@@ -41,46 +44,43 @@ pub fn betweenness(g: &PropertyGraph, params: &RunParams<'_>, seed: u64) -> RunO
         sigma[s as usize].store(1.0, Ordering::Relaxed);
         dist[s as usize].store(0, Ordering::Relaxed);
 
-        let mut levels: Vec<Vec<VertexId>> = vec![vec![s]];
-        let mut depth: i64 = 0;
-        while let Some(frontier) = levels.last() {
-            if frontier.is_empty() {
-                levels.pop();
-                break;
-            }
-            let step =
-                Partial::collect(pool, frontier.len(), Schedule::graphbig_default(), |lo, hi| {
-                    let mut found = Vec::with_capacity(hi - lo);
-                    let mut edges = 0u64;
-                    for &u in &frontier[lo..hi] {
-                        let su = sigma[u as usize].load(Ordering::Relaxed);
-                        for (v, _) in g.neighbors(u) {
-                            edges += 1;
-                            if dist[v as usize].load(Ordering::Relaxed) < 0
-                                && dist[v as usize]
-                                    .compare_exchange(
-                                        -1,
-                                        depth + 1,
-                                        Ordering::Relaxed,
-                                        Ordering::Relaxed,
-                                    )
-                                    .is_ok()
-                            {
-                                found.push(v);
-                            }
-                            if dist[v as usize].load(Ordering::Relaxed) == depth + 1 {
-                                sigma[v as usize].fetch_add(su, Ordering::Relaxed);
-                            }
+        order.clear();
+        order.push(s);
+        starts.clear();
+        starts.push(0);
+        while starts[starts.len() - 1] < order.len() {
+            let depth = starts.len() as i64 - 1;
+            let frontier = &order[starts[starts.len() - 1]..];
+            found.for_ranges(pool, frontier.len(), Schedule::graphbig_default(), |mine, lo, hi| {
+                for &u in &frontier[lo..hi] {
+                    let su = sigma[u as usize].load(Ordering::Relaxed);
+                    for (v, _) in g.neighbors(u) {
+                        mine.edges += 1;
+                        if dist[v as usize].load(Ordering::Relaxed) < 0
+                            && dist[v as usize]
+                                .compare_exchange(
+                                    -1,
+                                    depth + 1,
+                                    Ordering::Relaxed,
+                                    Ordering::Relaxed,
+                                )
+                                .is_ok()
+                        {
+                            mine.list.push(v);
+                        }
+                        if dist[v as usize].load(Ordering::Relaxed) == depth + 1 {
+                            sigma[v as usize].fetch_add(su, Ordering::Relaxed);
                         }
                     }
-                    Partial { found, edges, max_degree: 0 }
-                });
-            log.counters.edges_traversed += step.edges;
-            log.parallel(step.edges.max(1), 1, 1);
-            depth += 1;
-            levels.push(step.found);
+                }
+            });
+            starts.push(order.len());
+            let (edges, _) = Found::drain(&mut found, &mut order);
+            log.counters.edges_traversed += edges;
+            log.parallel(edges.max(1), 1, 1);
         }
-        for (d, level) in levels.iter().enumerate().rev() {
+        for d in (0..starts.len() - 1).rev() {
+            let level = &order[starts[d]..starts[d + 1]];
             let d = d as i64;
             // Writes touch only level-d vertices (one worker each); reads
             // touch only level-(d+1) vertices, finalized by the previous
@@ -106,7 +106,10 @@ pub fn betweenness(g: &PropertyGraph, params: &RunParams<'_>, seed: u64) -> RunO
         }
         log.counters.iterations += 1;
         // One iteration per source: `frontier` is that source's depth.
-        if log.iteration(pool, log.counters.iterations, levels.len() as u64, Dir::Push).is_break() {
+        if log
+            .iteration(pool, log.counters.iterations, (starts.len() - 1) as u64, Dir::Push)
+            .is_break()
+        {
             break;
         }
     }

@@ -1,9 +1,9 @@
 //! openG-style traversal kernels: BFS and SSSP.
 
-use epg_engine_api::{AlgorithmResult, Dir, Partial, RunLog, RunOutput, RunParams};
+use epg_engine_api::{AlgorithmResult, Dir, Found, RunLog, RunOutput, RunParams};
 use epg_graph::adjacency::PropertyGraph;
 use epg_graph::{INF_DIST, NO_VERTEX};
-use epg_parallel::{AtomicF32, Schedule, WorkerBitmaps};
+use epg_parallel::{AtomicF32, PerWorker, Schedule, WorkerBitmaps};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Level-synchronous top-down BFS over the property graph, dynamic
@@ -19,50 +19,39 @@ pub fn bfs(g: &PropertyGraph, params: &RunParams<'_>) -> RunOutput {
     rec.alloc_hwm("graphbig.bfs.parent+level", n as u64 * 8);
 
     let mut log = RunLog::new(rec);
-    let mut frontier = vec![root];
+    let mut found = PerWorker::new(pool.num_threads(), Found::default);
+    let (mut frontier, mut next) = (vec![root], Vec::new());
     let mut depth = 0u32;
     while !frontier.is_empty() {
         depth += 1;
-        let step =
-            Partial::collect(pool, frontier.len(), Schedule::graphbig_default(), |lo, hi| {
-                let mut found = Vec::with_capacity(hi - lo);
-                let (mut edges, mut max_degree) = (0u64, 0u64);
-                for &u in &frontier[lo..hi] {
-                    max_degree = max_degree.max(g.out_degree(u) as u64);
-                    for (v, _) in g.neighbors(u) {
-                        edges += 1;
-                        if parent[v as usize].load(Ordering::Relaxed) == NO_VERTEX
-                            && parent[v as usize]
-                                .compare_exchange(
-                                    NO_VERTEX,
-                                    u,
-                                    Ordering::Relaxed,
-                                    Ordering::Relaxed,
-                                )
-                                .is_ok()
-                        {
-                            level[v as usize].store(depth, Ordering::Relaxed);
-                            found.push(v);
-                        }
+        found.for_ranges(pool, frontier.len(), Schedule::graphbig_default(), |mine, lo, hi| {
+            for &u in &frontier[lo..hi] {
+                mine.max_degree = mine.max_degree.max(g.out_degree(u) as u64);
+                for (v, _) in g.neighbors(u) {
+                    mine.edges += 1;
+                    if parent[v as usize].load(Ordering::Relaxed) == NO_VERTEX
+                        && parent[v as usize]
+                            .compare_exchange(NO_VERTEX, u, Ordering::Relaxed, Ordering::Relaxed)
+                            .is_ok()
+                    {
+                        level[v as usize].store(depth, Ordering::Relaxed);
+                        mine.list.push(v);
                     }
                 }
-                Partial { found, edges, max_degree }
-            });
-        let scanned = frontier.len() as u64;
-        frontier = step.found;
-        log.counters.edges_traversed += step.edges;
-        log.counters.vertices_touched += frontier.len() as u64;
+            }
+        });
+        next.clear();
+        let (edges, max_degree) = Found::drain(&mut found, &mut next);
+        log.counters.edges_traversed += edges;
+        log.counters.vertices_touched += next.len() as u64;
         log.counters.iterations += 1;
         // The property-graph layout costs an extra pointer dereference per
         // vertex object relative to CSR — reflected in the bytes estimate.
-        log.parallel(
-            step.edges.max(1),
-            step.max_degree.max(1),
-            step.edges * 16 + frontier.len() as u64 * 24,
-        );
-        if log.iteration(pool, depth, scanned, Dir::Push).is_break() {
+        log.parallel(edges.max(1), max_degree.max(1), edges * 16 + next.len() as u64 * 24);
+        if log.iteration(pool, depth, frontier.len() as u64, Dir::Push).is_break() {
             break;
         }
+        std::mem::swap(&mut frontier, &mut next);
     }
     log.counters.bytes_read = log.counters.edges_traversed * 16;
     log.counters.bytes_written = log.counters.vertices_touched * 24;

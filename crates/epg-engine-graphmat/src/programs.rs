@@ -1,10 +1,8 @@
 //! The standard algorithms written as GraphMat vertex programs.
 
 use crate::program::GraphProgram;
-use crate::spmv::{run_iteration, SpmvStats};
-use epg_engine_api::{
-    AlgorithmResult, Dir, RecorderCtx, RunLog, RunOutput, RunParams, StoppingCriterion,
-};
+use crate::spmv::{run_iteration, Scratch, SpmvStats};
+use epg_engine_api::{AlgorithmResult, Dir, RunLog, RunOutput, RunParams, StoppingCriterion};
 use epg_graph::{Dcsc, VertexId, Weight, INF_DIST, NO_VERTEX};
 use epg_parallel::{DisjointWriter, Schedule};
 
@@ -21,17 +19,14 @@ fn charge(log: &mut RunLog<'_>, stats: &SpmvStats) {
     log.serial(stats.touched.max(1), stats.touched * 16);
 }
 
-/// Allocates a run's dense accumulator — one REDUCE slot per vertex, which
-/// [`run_iteration`] fills and empties every iteration — and reports it
-/// together with the vertex values as the run's allocation high-water mark.
-fn accumulator<P: GraphProgram>(
-    rec: RecorderCtx<'_>,
-    label: &str,
-    n: usize,
-) -> Vec<Option<P::Accum>> {
+/// Allocates a run's [`Scratch`] — its dense accumulator is one REDUCE
+/// slot per vertex, which [`run_iteration`] fills and empties every
+/// iteration — and reports the accumulator together with the vertex values
+/// as the run's allocation high-water mark.
+fn scratch<P: GraphProgram>(params: &RunParams<'_>, label: &str, n: usize) -> Scratch<P::Accum> {
     let per_vertex = size_of::<P::VertexValue>() + size_of::<Option<P::Accum>>();
-    rec.alloc_hwm(label, (n * per_vertex) as u64);
-    vec![None; n]
+    params.recorder.alloc_hwm(label, (n * per_vertex) as u64);
+    Scratch::new(n, params.pool)
 }
 
 // ---------------------------------------------------------------- BFS ----
@@ -79,17 +74,17 @@ pub fn bfs(a: &Dcsc, n: usize, params: &RunParams<'_>) -> RunOutput {
     let mut active = vec![root];
     let mut log = RunLog::new(rec);
     let mut depth = 0;
-    let mut acc = accumulator::<BfsProgram>(rec, "graphmat.bfs.values+accum", n);
+    let mut scratch = scratch::<BfsProgram>(params, "graphmat.bfs.values+accum", n);
     while !active.is_empty() {
         depth += 1;
         let prog = BfsProgram { depth };
-        let (next, stats) = run_iteration(&prog, &[a], &active, &mut values, &mut acc, pool);
+        let stats = run_iteration(&prog, &[a], &active, &mut values, &mut scratch, pool);
         charge(&mut log, &stats);
         // SpMSpV pushes along out-edge columns of the active set.
         if log.iteration(pool, depth, active.len() as u64, Dir::Push).is_break() {
             break;
         }
-        active = next;
+        std::mem::swap(&mut active, &mut scratch.next);
     }
     log.counters.bytes_read = log.counters.edges_traversed * 12;
     log.counters.bytes_written = log.counters.vertices_touched * 8;
@@ -135,15 +130,15 @@ pub fn sssp(a: &Dcsc, n: usize, params: &RunParams<'_>) -> RunOutput {
     let mut active = vec![root];
     let mut log = RunLog::new(rec);
     let mut round = 0u32;
-    let mut acc = accumulator::<SsspProgram>(rec, "graphmat.sssp.dist+accum", n);
+    let mut scratch = scratch::<SsspProgram>(params, "graphmat.sssp.dist+accum", n);
     while !active.is_empty() {
         round += 1;
-        let (next, stats) = run_iteration(&SsspProgram, &[a], &active, &mut dist, &mut acc, pool);
+        let stats = run_iteration(&SsspProgram, &[a], &active, &mut dist, &mut scratch, pool);
         charge(&mut log, &stats);
         if log.iteration(pool, round, active.len() as u64, Dir::Push).is_break() {
             break;
         }
-        active = next;
+        std::mem::swap(&mut active, &mut scratch.next);
     }
     log.counters.bytes_read = log.counters.edges_traversed * 12;
     log.counters.bytes_written = log.counters.vertices_touched * 4;
@@ -304,10 +299,10 @@ pub fn cdlp(a: &Dcsc, at: &Dcsc, n: usize, params: &RunParams<'_>, iterations: u
     let pool = params.pool;
     let mut labels: Vec<u64> = (0..n as u64).collect();
     let all: Vec<VertexId> = (0..n as VertexId).collect();
-    let mut acc = accumulator::<CdlpProgram>(params.recorder, "graphmat.cdlp.labels+accum", n);
+    let mut scratch = scratch::<CdlpProgram>(params, "graphmat.cdlp.labels+accum", n);
     let mut log = RunLog::new(params.recorder);
     for round in 0..iterations {
-        let (_, stats) = run_iteration(&CdlpProgram, &[a, at], &all, &mut labels, &mut acc, pool);
+        let stats = run_iteration(&CdlpProgram, &[a, at], &all, &mut labels, &mut scratch, pool);
         charge(&mut log, &stats);
         if log.iteration(pool, round + 1, n as u64, Dir::Push).is_break() {
             break;
@@ -350,18 +345,17 @@ pub fn wcc(a: &Dcsc, at: &Dcsc, n: usize, params: &RunParams<'_>) -> RunOutput {
     let pool = params.pool;
     let mut comp: Vec<u64> = (0..n as u64).collect();
     let mut active: Vec<VertexId> = (0..n as VertexId).collect();
-    let mut acc = accumulator::<WccProgram>(params.recorder, "graphmat.wcc.comp+accum", n);
+    let mut scratch = scratch::<WccProgram>(params, "graphmat.wcc.comp+accum", n);
     let mut log = RunLog::new(params.recorder);
     let mut round = 0u32;
     while !active.is_empty() {
         round += 1;
-        let (next, stats) =
-            run_iteration(&WccProgram, &[a, at], &active, &mut comp, &mut acc, pool);
+        let stats = run_iteration(&WccProgram, &[a, at], &active, &mut comp, &mut scratch, pool);
         charge(&mut log, &stats);
         if log.iteration(pool, round, active.len() as u64, Dir::Push).is_break() {
             break;
         }
-        active = next;
+        std::mem::swap(&mut active, &mut scratch.next);
     }
     log.counters.bytes_read = log.counters.edges_traversed * 16;
     log.counters.bytes_written = log.counters.vertices_touched * 8;

@@ -28,17 +28,16 @@
 //!
 //! A block sees the vector in order, so a destination's contributions are
 //! REDUCEd in the order of the active list (then of `matrices`) at every
-//! thread count. The accumulator is allocated once per run by the caller;
-//! APPLY `take()`s every slot it filled, so no step is O(rows) per
-//! iteration. What stays is GraphMat's real per-iteration bookkeeping —
-//! building the sparse vector, the per-block touched lists, two fork/joins
-//! — the constant overhead the paper sees in the small-graph results
-//! (§IV-C).
+//! thread count. The accumulator and each block's list of touched rows are
+//! allocated once per run ([`Scratch`]); APPLY `take()`s every slot it
+//! filled, so no step is O(rows) per iteration. What stays is GraphMat's
+//! real per-iteration bookkeeping — building the sparse vector, the
+//! per-block touched lists, two fork/joins — the constant overhead the
+//! paper sees in the small-graph results (§IV-C).
 
 use crate::program::GraphProgram;
-use epg_engine_api::Partial;
 use epg_graph::{Dcsc, VertexId};
-use epg_parallel::{DisjointWriter, Schedule, ThreadPool};
+use epg_parallel::{DisjointWriter, PerWorker, Schedule, ThreadPool};
 
 /// Work accounting for one iteration.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -51,86 +50,99 @@ pub struct SpmvStats {
     pub touched: u64,
 }
 
+/// A run's iteration buffers, allocated once: the dense accumulator (one
+/// REDUCE slot per vertex), each worker's block rows and tallies, and the
+/// next active set drained from them.
+pub struct Scratch<A> {
+    acc: Vec<Option<A>>,
+    blocks: PerWorker<(Vec<VertexId>, SpmvStats)>,
+    /// The next iteration's active set, ascending and distinct, as the last
+    /// [`run_iteration`] left it.
+    pub next: Vec<VertexId>,
+}
+
+impl<A: Clone + Send> Scratch<A> {
+    /// Empty buffers for iterations over `n` vertices on `pool`.
+    pub fn new(n: usize, pool: &ThreadPool) -> Scratch<A> {
+        let blocks = PerWorker::new(pool.num_threads(), Default::default);
+        Scratch { acc: vec![None; n], blocks, next: Vec::new() }
+    }
+}
+
 /// Runs one program iteration.
 ///
 /// `matrices` lists the orientations to push along — `[A]` for pure
 /// out-edge propagation, `[A, Aᵀ]` for programs whose semantics cover both
-/// neighborhoods (CDLP, WCC) — each with one row per vertex. Returns the next
-/// active set (sorted, deduplicated) and the iteration's work stats.
-/// `values` is updated in place by APPLY; all SENDs observe pre-iteration
-/// values (synchronous semantics). `acc` is the caller's per-run
-/// accumulator, one slot per vertex, all `None` on entry and on return.
+/// neighborhoods (CDLP, WCC) — each with one row per vertex. Leaves the
+/// next active set (sorted, deduplicated) in [`Scratch::next`] and returns
+/// the iteration's work stats. `values` is updated in place by APPLY; all
+/// SENDs observe pre-iteration values (synchronous semantics).
 pub fn run_iteration<P: GraphProgram>(
     prog: &P,
     matrices: &[&Dcsc],
     active: &[VertexId],
     values: &mut [P::VertexValue],
-    acc: &mut [Option<P::Accum>],
+    scratch: &mut Scratch<P::Accum>,
     pool: &ThreadPool,
-) -> (Vec<VertexId>, SpmvStats) {
+) -> SpmvStats {
     let (n, k) = (values.len(), matrices.len());
+    let Scratch { acc, blocks, next } = scratch;
     assert_eq!(acc.len(), n, "one accumulator slot per vertex");
     assert!(k > 0 && matrices.iter().all(|m| m.dim == n), "one matrix row per vertex");
+    next.clear();
 
     // --- SEND: slot `i * k + j` is active[i]'s message along matrices[j] ---
     let mut sent: Vec<Option<(usize, P::Message)>> = vec![None; active.len() * k];
-    let Partial { edges, max_degree: max_column, .. } = {
+    {
         let values: &[P::VertexValue] = values;
         let slots = DisjointWriter::new(&mut sent);
-        Partial::<()>::collect(pool, active.len(), Schedule::Static { chunk: None }, |lo, hi| {
+        let sched = Schedule::Static { chunk: None };
+        blocks.for_ranges(pool, active.len(), sched, |(_, mine), lo, hi| {
             // SAFETY: the schedule's ranges are pairwise disjoint, and so
             // are their images `lo * k .. hi * k`.
             let out = unsafe { slots.range_mut(lo * k, hi * k) };
-            let mut part = Partial::default();
             for (&u, out) in active[lo..hi].iter().zip(out.chunks_exact_mut(k)) {
                 let msg = prog.send(u, &values[u as usize]);
                 for (m, slot) in matrices.iter().zip(out) {
                     let Some(ci) = m.col_index(u) else { continue };
                     let len = (m.col_ptr[ci + 1] - m.col_ptr[ci]) as u64;
-                    part.edges += len;
-                    part.max_degree = part.max_degree.max(len);
+                    mine.edges += len;
+                    mine.max_column = mine.max_column.max(len);
                     *slot = Some((ci, msg.clone()));
                 }
             }
-            part
-        })
-    };
-    if edges == 0 {
-        return (Vec::new(), SpmvStats { edges, max_column, touched: 0 });
+        });
+    }
+    // No active column: nothing to process, and every tally is still zero.
+    if blocks.iter_mut().all(|(_, mine)| mine.edges == 0) {
+        return SpmvStats::default();
     }
 
     // --- PROCESS + REDUCE + APPLY: block `b` runs on worker `b` ---
     let nblocks = pool.num_threads();
     let rows_per_block = n.div_ceil(nblocks);
-    let mut activated: Vec<Vec<VertexId>> = vec![Vec::new(); nblocks];
-    let touched = {
+    {
         let acc = DisjointWriter::new(acc);
         let values = DisjointWriter::new(values);
-        let activated = DisjointWriter::new(&mut activated);
-        pool.parallel_reduce_ranges(
-            nblocks,
-            Schedule::Static { chunk: Some(1) },
-            || 0u64,
-            |blo, bhi| {
-                let mut touched = 0u64;
-                for b in blo..bhi {
-                    let (rlo, rhi) =
-                        ((b * rows_per_block).min(n), ((b + 1) * rows_per_block).min(n));
-                    // SAFETY: a row lies in exactly one block and the
-                    // schedule hands a block to exactly one worker, so the
-                    // three ranges are this worker's alone for the region.
-                    let (acc, values, rows) = unsafe {
-                        (acc.range_mut(rlo, rhi), values.range_mut(rlo, rhi), activated.get_raw(b))
-                    };
-                    touched += run_block(prog, matrices, &sent, rlo, acc, values, rows);
-                }
-                touched
-            },
-            |a, b| a + b,
-        )
-    };
-    let next = activated.concat();
-    (next, SpmvStats { edges, max_column, touched })
+        let sched = Schedule::Static { chunk: Some(1) };
+        blocks.for_ranges(pool, nblocks, sched, |(rows, mine), b, _| {
+            let (rlo, rhi) = ((b * rows_per_block).min(n), ((b + 1) * rows_per_block).min(n));
+            // SAFETY: a row lies in exactly one block and the schedule hands
+            // a block to exactly one worker, so both ranges are this
+            // worker's alone for the region.
+            let (acc, values) = unsafe { (acc.range_mut(rlo, rhi), values.range_mut(rlo, rhi)) };
+            mine.touched += run_block(prog, matrices, &sent, rlo, acc, values, rows);
+        });
+    }
+    // Worker `b` holds block `b`'s rows, so worker order is row order.
+    let mut stats = SpmvStats::default();
+    for (rows, mine) in blocks.iter_mut() {
+        next.append(rows);
+        let SpmvStats { edges, max_column, touched } = std::mem::take(mine);
+        (stats.edges, stats.touched) = (stats.edges + edges, stats.touched + touched);
+        stats.max_column = stats.max_column.max(max_column);
+    }
+    stats
 }
 
 /// One row block's share of the iteration: rows `rlo .. rlo + acc.len()`,
@@ -183,6 +195,20 @@ mod tests {
     use epg_graph::EdgeList;
     use proptest::prelude::*;
 
+    /// One iteration on fresh buffers: the next active set and the stats.
+    fn step<P: GraphProgram>(
+        prog: &P,
+        matrices: &[&Dcsc],
+        active: &[VertexId],
+        values: &mut [P::VertexValue],
+        pool: &ThreadPool,
+    ) -> (Vec<VertexId>, SpmvStats) {
+        let mut scratch = Scratch::new(values.len(), pool);
+        let stats = run_iteration(prog, matrices, active, values, &mut scratch, pool);
+        assert!(scratch.acc.iter().all(Option::is_none), "APPLY left an accumulator slot filled");
+        (scratch.next, stats)
+    }
+
     /// Min-plus program = Bellman-Ford step.
     struct MinPlus;
     impl GraphProgram for MinPlus {
@@ -215,7 +241,7 @@ mod tests {
         let m = Dcsc::from_edge_list(&el, &pool);
         let mut dist = vec![f32::INFINITY; 4];
         dist[0] = 0.0;
-        let (next, stats) = run_iteration(&MinPlus, &[&m], &[0], &mut dist, &mut [None; 4], &pool);
+        let (next, stats) = step(&MinPlus, &[&m], &[0], &mut dist, &pool);
         assert_eq!(next, vec![1, 2]);
         assert_eq!(dist, vec![0.0, 1.0, 4.0, f32::INFINITY]);
         assert_eq!(stats.edges, 2);
@@ -231,10 +257,10 @@ mod tests {
         let mut dist = vec![f32::INFINITY; 4];
         dist[0] = 0.0;
         let mut active = vec![0];
-        let mut acc = vec![None; 4];
+        let mut scratch = Scratch::new(4, &pool);
         while !active.is_empty() {
-            let (next, _) = run_iteration(&MinPlus, &[&m], &active, &mut dist, &mut acc, &pool);
-            active = next;
+            run_iteration(&MinPlus, &[&m], &active, &mut dist, &mut scratch, &pool);
+            std::mem::swap(&mut active, &mut scratch.next);
         }
         assert_eq!(dist, vec![0.0, 1.0, 2.0, 3.0]);
     }
@@ -247,8 +273,7 @@ mod tests {
         let pool = ThreadPool::new(4);
         let m = Dcsc::from_edge_list(&el, &pool);
         let mut dist = vec![0.0, 0.0, f32::INFINITY];
-        let (next, stats) =
-            run_iteration(&MinPlus, &[&m], &[0, 1], &mut dist, &mut [None; 3], &pool);
+        let (next, stats) = step(&MinPlus, &[&m], &[0, 1], &mut dist, &pool);
         assert_eq!(next, vec![2]);
         assert_eq!(dist[2], 3.0);
         assert_eq!(stats.touched, 1);
@@ -263,7 +288,7 @@ mod tests {
         // Activate vertex 0; pushing along A alone reaches nothing (0 has
         // no out-edges), along [A, Aᵀ] it reaches 1.
         let mut dist = vec![0.0, f32::INFINITY, f32::INFINITY];
-        let (next, _) = run_iteration(&MinPlus, &[&m, &mt], &[0], &mut dist, &mut [None; 3], &pool);
+        let (next, _) = step(&MinPlus, &[&m, &mt], &[0], &mut dist, &pool);
         assert_eq!(next, vec![1]);
     }
 
@@ -273,7 +298,7 @@ mod tests {
         let pool = ThreadPool::new(1);
         let m = Dcsc::from_edge_list(&el, &pool);
         let mut vals = vec![1.0f32, 2.0];
-        let (next, stats) = run_iteration(&MinPlus, &[&m], &[], &mut vals, &mut [None; 2], &pool);
+        let (next, stats) = step(&MinPlus, &[&m], &[], &mut vals, &pool);
         assert!(next.is_empty());
         assert_eq!(stats, SpmvStats::default());
         assert_eq!(vals, vec![1.0, 2.0]);
@@ -340,9 +365,7 @@ mod tests {
         pool: &ThreadPool,
     ) -> Outcome<P::VertexValue> {
         let mut values = values.to_vec();
-        let mut acc = vec![None; values.len()];
-        let (next, stats) = run_iteration(prog, matrices, active, &mut values, &mut acc, pool);
-        assert!(acc.iter().all(Option::is_none), "APPLY left an accumulator slot filled");
+        let (next, stats) = step(prog, matrices, active, &mut values, pool);
         Outcome { values, next, stats }
     }
 

@@ -30,7 +30,7 @@
 use crate::partition::{Partition, PartitionedGraph};
 use epg_engine_api::RunLog;
 use epg_graph::{VertexId, Weight};
-use epg_parallel::{DisjointWriter, Marks, Schedule, ThreadPool, WorkerBitmaps};
+use epg_parallel::{DisjointWriter, Marks, PerWorker, Schedule, ThreadPool, WorkerBitmaps};
 
 /// A stored edge: (global id of the far end, weight).
 type Edge = (VertexId, Weight);
@@ -90,11 +90,16 @@ pub trait VertexProgram: Sync {
 
 /// A run's superstep buffers, allocated once and handed to every
 /// [`superstep`]: one slot per replica for a gather partial or the messages
-/// scatter sent it, one activation bitmap per pool worker, and the next
-/// active set drained from them.
+/// scatter sent it, each pool worker's changed list and merge count, one
+/// activation bitmap per pool worker, and the changed list and next active
+/// set drained from them.
 pub struct Scratch<G> {
     slots: Vec<Option<G>>,
+    applied: PerWorker<(Vec<VertexId>, u64)>,
     marks: WorkerBitmaps,
+    /// The vertices whose apply changed their value in the last
+    /// [`superstep`], ascending.
+    pub changed: Vec<VertexId>,
     /// The next superstep's active set, ascending and distinct, as the last
     /// [`superstep`] left it.
     pub next: Vec<VertexId>,
@@ -105,7 +110,9 @@ impl<G: Clone> Scratch<G> {
     pub fn new(g: &PartitionedGraph, pool: &ThreadPool) -> Scratch<G> {
         Scratch {
             slots: vec![None; g.num_replicas()],
+            applied: PerWorker::new(pool.num_threads(), Default::default),
             marks: WorkerBitmaps::new(pool.num_threads(), g.num_vertices),
+            changed: Vec::new(),
             next: Vec::new(),
         }
     }
@@ -125,8 +132,6 @@ impl<G: Clone> Scratch<G> {
 
 /// Result of one superstep.
 pub struct StepStats {
-    /// Vertices whose apply changed their value.
-    pub changed: Vec<VertexId>,
     /// Edges gathered + scattered.
     pub edge_work: u64,
     /// Mirror synchronization messages sent.
@@ -143,10 +148,11 @@ fn covered(part: &Partition, l: usize, dir: EdgeDir) -> (&[Edge], &[Edge]) {
     (ins, outs)
 }
 
-/// Runs one synchronous GAS superstep over `active` (deduplicated; for a
-/// signalling program, the vertices holding messages), updating `data` in
-/// place and leaving the next active set (sorted, deduplicated) in
-/// [`Scratch::next`]. Work, sync costs and regions are booked on `log`.
+/// Runs one synchronous GAS superstep over `active` (ascending and
+/// distinct; for a signalling program, the vertices holding messages),
+/// updating `data` in place and leaving the vertices it changed and the
+/// next active set (both ascending and distinct) in [`Scratch::changed`]
+/// and [`Scratch::next`]. Work, sync costs and regions are booked on `log`.
 ///
 /// # Panics
 /// If a program that gathers sends a message.
@@ -161,7 +167,8 @@ pub fn superstep<P: VertexProgram>(
 ) -> StepStats {
     let nparts = g.partitions.len();
     let per_partition = Schedule::Dynamic { chunk: 1 };
-    let Scratch { slots, marks, next } = scratch;
+    debug_assert!(active.is_sorted(), "the active set ascends");
+    let Scratch { slots, applied, marks, changed, next } = scratch;
     let slots = DisjointWriter::new(slots);
 
     // ---- Gather (parallel over partitions) ----
@@ -210,33 +217,29 @@ pub fn superstep<P: VertexProgram>(
     // A master takes its replicas' partials or messages in partition order,
     // so a float merge is independent of the schedule.
     let cell = DisjointWriter::new(data);
-    let (mut changed, nmerged) = pool.parallel_reduce_ranges(
-        active.len(),
-        Schedule::Static { chunk: None },
-        <(Vec<VertexId>, u64)>::default,
-        |lo, hi| {
-            let (mut changed, mut nmerged) = (Vec::with_capacity(hi - lo), 0u64);
-            for &v in &active[lo..hi] {
-                let partials = g.replicas_of(v).filter_map(|(pi, l)| {
-                    // SAFETY: a replica belongs to one vertex and `active` is
-                    // deduplicated, so each slot is taken by one worker.
-                    unsafe { slots.get_raw(g.partitions[pi].base() + l) }.take()
-                });
-                let acc = partials.reduce(|a, b| prog.merge(a, b));
-                nmerged += acc.is_some() as u64;
-                // SAFETY: one worker per vertex of the deduplicated `active`.
-                if prog.apply(v, unsafe { cell.get_raw(v as usize) }, acc) {
-                    changed.push(v);
-                }
+    let sched = Schedule::Static { chunk: None };
+    applied.for_ranges(pool, active.len(), sched, |(changed, nmerged), lo, hi| {
+        for &v in &active[lo..hi] {
+            let partials = g.replicas_of(v).filter_map(|(pi, l)| {
+                // SAFETY: a replica belongs to one vertex and `active` is
+                // deduplicated, so each slot is taken by one worker.
+                unsafe { slots.get_raw(g.partitions[pi].base() + l) }.take()
+            });
+            let acc = partials.reduce(|a, b| prog.merge(a, b));
+            *nmerged += acc.is_some() as u64;
+            // SAFETY: one worker per vertex of the deduplicated `active`.
+            if prog.apply(v, unsafe { cell.get_raw(v as usize) }, acc) {
+                changed.push(v);
             }
-            (changed, nmerged)
-        },
-        |(mut a, na), (mut b, nb)| {
-            a.append(&mut b);
-            (a, na + nb)
-        },
-    );
-    changed.sort_unstable();
+        }
+    });
+    // Static blocks drained in worker order: `changed` ascends as `active` does.
+    changed.clear();
+    let mut nmerged = 0;
+    for (mine, n) in applied.iter_mut() {
+        changed.append(mine);
+        nmerged += std::mem::take(n);
+    }
     // Booked in step order: the gather region, then the merge as the master's serial work.
     if gathers {
         log.parallel(gather_work.max(1), max_degree.max(1), gather_work * 16);
@@ -261,7 +264,7 @@ pub fn superstep<P: VertexProgram>(
             let mut edges = 0u64;
             for pi in lo..hi {
                 let part = &g.partitions[pi];
-                for &v in &changed {
+                for &v in changed.iter() {
                     let Some(l) = g.local_id(v, pi) else { continue };
                     let (ins, outs) = covered(part, l, dir);
                     edges += (outs.len() + ins.len()) as u64;
@@ -302,7 +305,7 @@ pub fn superstep<P: VertexProgram>(
     log.counters.vertices_touched += active.len() as u64;
     log.counters.iterations += 1;
 
-    StepStats { changed, edge_work, sync_messages }
+    StepStats { edge_work, sync_messages }
 }
 
 #[cfg(test)]
@@ -617,8 +620,9 @@ mod tests {
                 row[v] = scratch.slots[slot].take();
             }
         }
-        let StepStats { changed, edge_work, sync_messages } = stats;
-        Outcome { data, pending, next: scratch.next, changed, edge_work, sync_messages }
+        let StepStats { edge_work, sync_messages } = stats;
+        let (next, changed) = (scratch.next, scratch.changed);
+        Outcome { data, pending, next, changed, edge_work, sync_messages }
     }
 
     /// A small weighted multigraph (self-loops and parallel edges
@@ -715,19 +719,21 @@ mod tests {
         }
     }
 
-    /// Runs `MinMsg` from `root` to its fixpoint; the steps' stats, in order.
+    /// Runs `MinMsg` from `root` to its fixpoint; the steps' stats and
+    /// changed lists, in order.
     fn min_msg_run(
         g: &PartitionedGraph,
         root: VertexId,
         dist: &mut [f32],
         pool: &ThreadPool,
         log: &mut RunLog<'_>,
-    ) -> Vec<StepStats> {
+    ) -> Vec<(StepStats, Vec<VertexId>)> {
         let mut scratch = Scratch::new(g, pool);
         assert!(scratch.signal(g, root, 0.0), "root {root} is isolated");
         let (mut active, mut steps) = (vec![root], Vec::new());
         while !active.is_empty() {
-            steps.push(superstep(&MinMsg, g, &active, dist, &mut scratch, pool, log));
+            let stats = superstep(&MinMsg, g, &active, dist, &mut scratch, pool, log);
+            steps.push((stats, scratch.changed.clone()));
             std::mem::swap(&mut active, &mut scratch.next);
         }
         steps
@@ -743,12 +749,12 @@ mod tests {
         let mut scratch = Scratch::new(&g, &pool);
         assert!(scratch.signal(&g, 0, 0.0));
         // The root takes its message and signals both out-neighbours.
-        let stats = superstep(&MinMsg, &g, &[0], &mut dist, &mut scratch, &pool, &mut log);
-        assert_eq!((dist[0], &stats.changed, &scratch.next), (0.0, &vec![0], &vec![1, 3]));
+        superstep(&MinMsg, &g, &[0], &mut dist, &mut scratch, &pool, &mut log);
+        assert_eq!((dist[0], &scratch.changed, &scratch.next), (0.0, &vec![0], &vec![1, 3]));
         let active = std::mem::take(&mut scratch.next);
         let stats = superstep(&MinMsg, &g, &active, &mut dist, &mut scratch, &pool, &mut log);
         assert_eq!((dist[1], dist[3]), (1.0, 5.0));
-        assert_eq!(stats.changed, vec![1, 3]);
+        assert_eq!(scratch.changed, vec![1, 3]);
         // 1 changed -> signals its out-neighbor 2; 3 has no out-edge.
         assert_eq!(scratch.next, vec![2]);
         // The root scanned two out-edges, 1 and 3 one between them, and
@@ -788,9 +794,9 @@ mod tests {
         // hub's own messages then reach every other leaf.
         let steps = min_msg_run(&g, 1, &mut dist, &pool, &mut log);
         assert_eq!(steps.len(), 3);
-        assert_eq!(steps[1].changed, vec![0]);
+        assert_eq!(steps[1].1, vec![0]);
         assert_eq!(
-            steps[1].sync_messages,
+            steps[1].0.sync_messages,
             g.replicas_of(0).count() as u64 - 1,
             "hub sync must touch every mirror"
         );

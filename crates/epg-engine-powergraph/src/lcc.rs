@@ -5,9 +5,9 @@
 //! cost again), then count closures by set intersection.
 
 use crate::partition::PartitionedGraph;
-use epg_engine_api::{AlgorithmResult, Dir, Partial, RunLog, RunOutput, RunParams};
+use epg_engine_api::{AlgorithmResult, Dir, Found, RunLog, RunOutput, RunParams};
 use epg_graph::VertexId;
-use epg_parallel::{DisjointWriter, Schedule};
+use epg_parallel::{DisjointWriter, PerWorker, Schedule};
 
 /// Computes per-vertex local clustering coefficients.
 pub fn lcc(g: &PartitionedGraph, params: &RunParams<'_>) -> RunOutput {
@@ -109,21 +109,22 @@ fn gather_neighbors(
     params: &RunParams<'_>,
     mut merge: impl FnMut(VertexId, &[VertexId], &[VertexId]),
 ) -> u64 {
-    let gathered = Partial::collect(params.pool, g.partitions.len(), PER_PARTITION, |lo, hi| {
-        let mut found = Vec::with_capacity(hi - lo);
-        let mut edges = 0u64;
+    let pool = params.pool;
+    let mut found = PerWorker::new(pool.num_threads(), Found::default);
+    found.for_ranges(pool, g.partitions.len(), PER_PARTITION, |mine, lo, hi| {
         for pi in lo..hi {
             let part = &g.partitions[pi];
             let mut nb: Vec<VertexId> = Vec::with_capacity(2 * part.num_edges());
             for l in 0..part.vertices().len() {
                 nb.extend(part.out_edges(l).iter().chain(part.in_edges(l)).map(|&(u, _)| u));
             }
-            edges += nb.len() as u64;
-            found.push((pi, nb));
+            mine.edges += nb.len() as u64;
+            mine.list.push((pi, nb));
         }
-        Partial { found, edges, max_degree: 0 }
     });
-    for (pi, nb) in &gathered.found {
+    let mut gathered = Vec::new();
+    let (edges, _) = Found::drain(&mut found, &mut gathered);
+    for (pi, nb) in &gathered {
         let part = &g.partitions[*pi];
         let mut rest = nb.as_slice();
         for (l, &v) in part.vertices().iter().enumerate() {
@@ -133,7 +134,7 @@ fn gather_neighbors(
             rest = tail;
         }
     }
-    gathered.edges
+    edges
 }
 
 /// One partition per chunk: partitions are few and uneven.

@@ -159,12 +159,12 @@ pub fn pagerank(g: &PartitionedGraph, params: &RunParams<'_>) -> RunOutput {
             *p = d.rank;
         }
         let prog = PrProgram { base, sink_mass };
-        let stats = superstep(&prog, g, &all, &mut data, &mut scratch, pool, &mut log);
+        superstep(&prog, g, &all, &mut data, &mut scratch, pool, &mut log);
         let l1: f64 = data.iter().zip(&prev).map(|(d, &p)| (d.rank - p).abs()).sum();
         // Gather over in-edges with every vertex active: a pull round.
         let stop = log.iteration(pool, iterations, n as u64, Dir::Pull);
         if stop.is_break()
-            || stopping.is_converged(l1, stats.changed.len() as u64)
+            || stopping.is_converged(l1, scratch.changed.len() as u64)
             || iterations >= params.max_iterations
         {
             break;

@@ -8,7 +8,7 @@
 //! PageRank "is simply run 32 times" (§III-B); the Graphalytics-only
 //! kernels run once.
 //!
-//! Every trial but betweenness's is verified ([`verify_output`]) after
+//! Every trial is verified ([`verify_output`]) after
 //! its clock stops, against one CSR of the symmetric graph built before
 //! any engine runs and the sequential oracle's answers for it
 //! ([`Expected`]), each computed at most once per dataset: results are

@@ -16,8 +16,8 @@
 //!   [`verify_output`], the Graph500 rules for BFS trees, a
 //!   shortest-path check for SSSP distances, a partition check for WCC
 //!   labels, a convergence check for PageRank ranks, and the sequential
-//!   oracle's answers for CDLP labels, LCC coefficients and triangle
-//!   counts, on every engine. Only betweenness goes unchecked;
+//!   oracle's answers for CDLP labels, LCC coefficients, triangle counts
+//!   and exact betweenness, on every engine;
 //! - **bounded retry** — transient failures (panics, wrong results caught
 //!   by the verifier) are retried with doubling backoff up to `max_retries`;
 //! - **quarantine** — the runner counts consecutive failures per
@@ -210,20 +210,29 @@ pub struct Expected<'g> {
     cdlp: OnceCell<Vec<u64>>,
     lcc: OnceCell<Vec<f64>>,
     triangles: OnceCell<u64>,
+    bc: OnceCell<Vec<f64>>,
 }
 
 impl<'g> Expected<'g> {
     /// Nothing computed yet: the answers for `g` as they are first needed.
     pub fn new(g: &'g Csr) -> Expected<'g> {
-        let (wcc, cdlp, lcc, triangles) =
-            (OnceCell::new(), OnceCell::new(), OnceCell::new(), OnceCell::new());
-        Expected { g, wcc, cdlp, lcc, triangles }
+        let (wcc, cdlp, lcc) = (OnceCell::new(), OnceCell::new(), OnceCell::new());
+        Expected { g, wcc, cdlp, lcc, triangles: OnceCell::new(), bc: OnceCell::new() }
     }
 }
 
 /// How far an LCC coefficient may sit from the oracle's: the engines sum
 /// in other orders and some in `f32`.
 const LCC_TOLERANCE: f64 = 1e-6;
+
+/// How far a betweenness score may sit from the oracle's, relative to the
+/// larger of the two. Path counts are whole numbers, exact in `f64` in any
+/// order, and both engines sum a vertex's dependencies in adjacency order
+/// as the oracle does: they match it bit for bit on Kronecker scales 7–10
+/// at 1 and 2 threads. The slack is for a sum in another neighbour order,
+/// a few ulps per source; a wrong path count or dependency moves a score
+/// by far more.
+const BC_TOLERANCE: f64 = 1e-9;
 
 /// The runner's verifier: checks one completed output of `algo` from
 /// `root` against `want`. A BFS tree must pass the Graph500 rules and
@@ -233,9 +242,10 @@ const LCC_TOLERANCE: f64 = 1e-6;
 /// labels must induce [`oracle::wcc`]'s partition; PageRank ranks must be
 /// converged (`pagerank_converged`). CDLP labels must equal
 /// [`oracle::cdlp`] after [`CDLP_ROUNDS`] rounds, every LCC coefficient
-/// must be within `1e-6` of [`oracle::lcc`]'s, and a triangle count must
-/// equal [`oracle::triangle_count`]. Betweenness passes whatever it
-/// returns. A malformed output is an `Err`, never a panic.
+/// must be within `1e-6` of [`oracle::lcc`]'s, a triangle count must equal
+/// [`oracle::triangle_count`], and betweenness, run from every source as
+/// the runner's trials run it, must agree with [`oracle::betweenness`]
+/// within `1e-9` relative. A malformed output is an `Err`, never a panic.
 pub fn verify_output(
     want: &Expected<'_>,
     algo: Algorithm,
@@ -286,7 +296,13 @@ pub fn verify_output(
                 count => Err(format!("{got} triangles, but the graph has {count}")),
             }
         }
-        (Algorithm::Bc, ..) => Ok(()),
+        (Algorithm::Bc, _, AlgorithmResult::Centrality(scores)) => {
+            let expect = want.bc.get_or_init(|| oracle::betweenness(g));
+            let close = |a: &f64, b: &f64| (a - b).abs() <= BC_TOLERANCE * a.abs().max(b.abs());
+            agree(scores, expect, "scores", close, |v, got, bc| {
+                format!("vertex {v} has betweenness {got}, but Brandes' algorithm gives {bc}")
+            })
+        }
         _ => Err(format!("{} from root {root:?}: result of the wrong kind", algo.abbrev())),
     }
 }
@@ -549,9 +565,42 @@ mod tests {
         let zeros = run(AlgorithmResult::Distances(vec![0.0; 4]));
         assert!(verify_output(&want, Algorithm::Sssp, Some(0), &zeros, &pool).is_err());
         assert!(verify_output(&want, Algorithm::Bfs, Some(0), &sssp, &pool).is_err());
-        // Betweenness, the one algorithm without a checker, passes whatever
-        // it returns.
-        assert_eq!(verify_output(&want, Algorithm::Bc, None, &ok_output(), &pool), Ok(()));
+    }
+
+    #[test]
+    fn verify_output_checks_betweenness_against_brandes() {
+        use epg_graph::{oracle, EdgeList};
+        let pool = ThreadPool::new(1);
+        // A path 0-1-2-3 with a chord 1-3: only vertex 1 lies inside a shortest path.
+        let g = Csr::from_edge_list(
+            &EdgeList::new(4, vec![(0, 1), (1, 2), (2, 3), (1, 3)]).symmetrized(),
+        );
+        let want = Expected::new(&g);
+        let check = |scores| {
+            let out = RunOutput::new(
+                AlgorithmResult::Centrality(scores),
+                Counters::default(),
+                Trace::default(),
+            );
+            verify_output(&want, Algorithm::Bc, None, &out, &pool)
+        };
+        let bc = oracle::betweenness(&g);
+        assert!(bc[1] > 0.0);
+        assert_eq!(check(bc.clone()), Ok(()));
+        let mut near = bc.clone();
+        near[1] *= 1.0 + 1e-12;
+        assert_eq!(check(near), Ok(()));
+        let mut far = bc.clone();
+        far[1] *= 1.0 + 1e-6;
+        let err = check(far).unwrap_err();
+        assert!(err.starts_with("vertex 1 has betweenness"), "{err}");
+        assert!(err.contains("but Brandes' algorithm gives"), "{err}");
+        let mut off = bc.clone();
+        off[0] = 1.0;
+        assert!(check(off).is_err(), "a score where the oracle's is zero");
+        assert!(check(bc[..3].to_vec()).is_err());
+        assert!(verify_output(&want, Algorithm::Bc, None, &ok_output(), &pool).is_err());
+        assert!(want.bc.get().is_some(), "the oracle's scores are kept for the next check");
     }
 
     #[test]

@@ -746,8 +746,8 @@ fn test_span(code: &Code, fns: &[FnSpan], at: usize, len: usize) -> Option<(usiz
 }
 
 /// The `epg-parallel` entry points whose closure arguments are worker
-/// code (plus `Partial::collect`, epg-engine-api's fixed-shape form of
-/// `parallel_reduce_ranges`). Token-level: a call to any method with one
+/// code: the pool's loops and reductions, `WorkerBitmaps::reduce_ranges`
+/// and `PerWorker::for_ranges`. Token-level: a call to any method with one
 /// of these names counts.
 pub(crate) const PAR_ENTRY_POINTS: &[&str] = &[
     ".region(",
@@ -756,16 +756,13 @@ pub(crate) const PAR_ENTRY_POINTS: &[&str] = &[
     ".parallel_reduce(",
     ".parallel_reduce_ranges(",
     ".reduce_ranges(",
-    "Partial::collect(",
+    ".for_ranges(",
     ".parallel_sum_f64(",
-    ".parallel_any(",
-    ".parallel_max_f64(",
 ];
 
 /// Every entry-point call in `text` as `(start offset, offset of its
 /// '(', entry point)`, in [`PAR_ENTRY_POINTS`] order. A turbofish may
-/// follow any segment of the path, so `Partial::<()>::collect(` and
-/// `.parallel_for::<F>(` match too.
+/// follow the method name, so `.parallel_for::<F>(` matches too.
 pub(crate) fn par_entries(text: &str) -> Vec<(usize, usize, &'static str)> {
     let b = text.as_bytes();
     let starts =
@@ -775,43 +772,23 @@ pub(crate) fn par_entries(text: &str) -> Vec<(usize, usize, &'static str)> {
     out
 }
 
-/// The entry-point call the identifier run `b[s..e]` belongs to: its first
-/// path segment for a `.method(` entry point, the end of it for a
-/// `Type::method(` one.
+/// The entry-point call whose method name is the identifier run `b[s..e]`:
+/// `.name`, then an optional `::<…>` turbofish, then `(`.
 fn entry_at(b: &[u8], s: usize, e: usize) -> Option<(usize, usize, &'static str)> {
-    if !matches!(b.get(e), Some(b'(' | b':')) {
-        return None; // no path segment of an entry point ends here
+    if s == 0 || b[s - 1] != b'.' {
+        return None;
     }
-    let word = &b[s..e];
-    let dotted = s > 0 && b[s - 1] == b'.';
-    PAR_ENTRY_POINTS.iter().find_map(|&tok| {
-        let seg = tok.trim_start_matches('.').split([':', '(']).next()?.as_bytes();
-        let start = match tok.starts_with('.') {
-            true => (dotted && word == seg).then(|| s - 1)?,
-            false => word.ends_with(seg).then(|| e - seg.len())?,
-        };
-        Some((start, match_entry(b, start, tok.as_bytes())?, tok))
-    })
-}
-
-/// Offset of the `(` ending entry point `tok` matched at `i`; a `::<…>`
-/// turbofish may sit before any `::` or `(` of the path.
-fn match_entry(b: &[u8], mut i: usize, tok: &[u8]) -> Option<usize> {
-    for &t in tok {
-        if matches!(t, b':' | b'(') && b[i..].starts_with(b"::<") {
-            let mut depth = 0;
-            let close = b[i + 2..].iter().position(|&c| {
-                depth += i32::from(c == b'<') - i32::from(c == b'>');
-                depth == 0
-            })?;
-            i += close + 3;
-        }
-        if b.get(i) != Some(&t) {
-            return None;
-        }
-        i += 1;
+    let tok = *PAR_ENTRY_POINTS.iter().find(|t| t.as_bytes()[1..t.len() - 1] == b[s..e])?;
+    let mut i = e;
+    if b[i..].starts_with(b"::<") {
+        let mut depth = 0;
+        let close = b[i + 2..].iter().position(|&c| {
+            depth += i32::from(c == b'<') - i32::from(c == b'>');
+            depth == 0
+        })?;
+        i += close + 3;
     }
-    Some(i - 1)
+    (b.get(i) == Some(&b'(')).then_some((s - 1, i, tok))
 }
 
 /// Words that can directly precede `(` without being a call.
@@ -1139,8 +1116,8 @@ mod tests {
         assert_eq!(f.par_calls, vec![(2, 4)]);
         assert!(f.in_loop_or_worker(3));
         assert!(!f.in_loop_or_worker(5));
-        // A turbofish after any path segment is still the entry point.
-        let src = "fn f(pool: &ThreadPool) {\n    let p = Partial::<()>::collect(pool, n, s, |lo, hi| {\n        send(lo, hi)\n    });\n    pool.parallel_for::<F>(n, s, |v| {\n        out[v] = 1;\n    });\n    plain();\n}\n";
+        // A turbofish, nested generics included, is still the entry point.
+        let src = "fn f(pool: &ThreadPool) {\n    let p = pool.parallel_reduce::<Vec<u32>, _, _, _>(n, s, id, |acc, i| {\n        send(acc, i)\n    }, add);\n    pool.parallel_for::<F>(n, s, |v| {\n        out[v] = 1;\n    });\n    plain();\n}\n";
         let f = file(src);
         assert_eq!(f.par_calls, vec![(2, 4), (5, 7)]);
         assert!(f.in_loop_or_worker(3) && f.in_loop_or_worker(6) && f.in_hot(3));
@@ -1149,15 +1126,25 @@ mod tests {
 
     #[test]
     fn reduce_entry_points_are_worker_spans_too() {
-        // The step protocol's way out of a region: closures passed to
-        // `parallel_reduce_ranges`, to `Partial::collect` (its
-        // `(found, edges, max_degree)` form) and to
+        // Closures passed to `parallel_reduce_ranges` and to
         // `WorkerBitmaps::reduce_ranges` are worker code.
-        let src = "fn f(pool: &ThreadPool) {\n    let a = pool.parallel_reduce_ranges(n, s, id, |lo, hi| {\n        work(lo, hi)\n    }, add);\n    let b = Partial::collect(pool, n, s, |lo, hi| {\n        expand(lo, hi)\n    });\n    let c = marks.reduce_ranges(pool, n, s, id, |lo, hi| {\n        scatter(lo, hi)\n    }, add);\n    plain();\n}\n";
+        let src = "fn f(pool: &ThreadPool) {\n    let a = pool.parallel_reduce_ranges(n, s, id, |lo, hi| {\n        work(lo, hi)\n    }, add);\n    let c = marks.reduce_ranges(pool, n, s, id, |lo, hi| {\n        scatter(lo, hi)\n    }, add);\n    plain();\n}\n";
         let f = file(src);
-        assert_eq!(f.par_calls, vec![(2, 4), (5, 7), (8, 10)]);
-        assert!(f.in_loop_or_worker(3) && f.in_loop_or_worker(6) && f.in_loop_or_worker(9));
-        assert!(!f.in_loop_or_worker(11));
+        assert_eq!(f.par_calls, vec![(2, 4), (5, 7)]);
+        assert!(f.in_loop_or_worker(3) && f.in_loop_or_worker(6));
+        assert!(!f.in_loop_or_worker(8));
+    }
+
+    #[test]
+    fn per_worker_for_ranges_closures_are_worker_spans() {
+        // The step protocol's way out of a region: a body handed its
+        // worker's `PerWorker` state is worker code, and the drain after
+        // the region is not.
+        let src = "fn f(pool: &ThreadPool) {\n    found.for_ranges(pool, n, s, |mine, lo, hi| {\n        mine.list.push(lo)\n    });\n    Found::drain(&mut found, &mut next);\n}\n";
+        let f = file(src);
+        assert_eq!(f.par_calls, vec![(2, 4)]);
+        assert!(f.in_loop_or_worker(3) && f.in_hot(3));
+        assert!(!f.in_loop_or_worker(5));
     }
 
     #[test]

@@ -45,7 +45,7 @@ where
     for<'b> F: Fn() -> u32 + 'b,
 {
     fn run(&self, pool: &ThreadPool) -> u32 {
-        let total = Partial::<()>::collect(pool, 8, Schedule::Static { chunk: None }, |lo, hi| {
+        let total = found.for_ranges(pool, 8, Schedule::Static { chunk: None }, |mine, lo, hi| {
             for i in lo..hi {
                 (self.f)();
                 consume(i);

@@ -16,30 +16,30 @@
 //! marks a few vertices of a long path (65 536 rounds on `almost_line`)
 //! then drains in O(threads × len / 4096) instead of re-reading every word.
 //!
-//! The marking loop is [`WorkerBitmaps::reduce_ranges`]. It borrows the
-//! bitmaps mutably for one region and hands every range its worker's words
-//! through [`DisjointWriter::range_mut`], so call sites need no `unsafe` and
-//! the debug race detector sees every hand-out.
+//! The bitmaps are a [`PerWorker`] state, so the marking loop,
+//! [`WorkerBitmaps::reduce_ranges`], hands every range its worker's bitmap
+//! the way every per-worker state is handed out, and call sites need no
+//! `unsafe`.
 
-use crate::{DisjointWriter, Schedule, ThreadPool};
+use crate::{PerWorker, Schedule, ThreadPool};
 
 /// One bitmap over `0..len` per pool thread, allocated once and reused
 /// across rounds.
 pub struct WorkerBitmaps {
-    /// Worker `t`'s bitmap is `words[t * stride..(t + 1) * stride]`.
-    words: Vec<u64>,
-    /// One bit per word of `words`, set when the word is non-zero: worker
-    /// `t`'s are `summary[t * sstride..(t + 1) * sstride]`.
-    summary: Vec<u64>,
-    stride: usize,
-    sstride: usize,
+    bitmaps: PerWorker<Bitmap>,
     len: usize,
+}
+
+/// One worker's bitmap and its summary: one bit per word of `words`, set
+/// when the word is non-zero.
+struct Bitmap {
+    words: Vec<u64>,
+    summary: Vec<u64>,
 }
 
 /// The bitmap of the worker running the current range.
 pub struct Marks<'a> {
-    words: &'a mut [u64],
-    summary: &'a mut [u64],
+    bitmap: &'a mut Bitmap,
     len: usize,
 }
 
@@ -48,13 +48,14 @@ impl Marks<'_> {
     #[inline]
     pub fn set(&mut self, i: usize) {
         debug_assert!(i < self.len, "mark {i} out of bounds ({})", self.len);
+        let Bitmap { words, summary } = &mut *self.bitmap;
         let w = i / 64;
         // A word's first mark since the drain flags it in the summary; the
         // later ones (most, on a dense round) only OR the word they load.
-        if self.words[w] == 0 {
-            self.summary[w / 64] |= 1 << (w % 64);
+        if words[w] == 0 {
+            summary[w / 64] |= 1 << (w % 64);
         }
-        self.words[w] |= 1 << (i % 64);
+        words[w] |= 1 << (i % 64);
     }
 }
 
@@ -64,9 +65,9 @@ impl WorkerBitmaps {
     pub fn new(workers: usize, len: usize) -> WorkerBitmaps {
         let last = len.saturating_sub(1);
         assert!(u32::try_from(last).is_ok(), "WorkerBitmaps over {len} indices outgrow u32 ids");
-        let (stride, sstride) = (len.div_ceil(64), len.div_ceil(64 * 64));
-        let (words, summary) = (vec![0; workers * stride], vec![0; workers * sstride]);
-        WorkerBitmaps { words, summary, stride, sstride, len }
+        let bitmap =
+            || Bitmap { words: vec![0; len.div_ceil(64)], summary: vec![0; len.div_ceil(64 * 64)] };
+        WorkerBitmaps { bitmaps: PerWorker::new(workers, bitmap), len }
     }
 
     /// [`ThreadPool::parallel_reduce_ranges`] whose `map` also receives the
@@ -88,24 +89,8 @@ impl WorkerBitmaps {
         M: Fn(&mut Marks<'_>, usize, usize) -> T + Sync,
         C: Fn(T, T) -> T + Sync,
     {
-        let (stride, sstride, len) = (self.stride, self.sstride, self.len);
-        assert!(
-            pool.num_threads() * stride <= self.words.len(),
-            "WorkerBitmaps sized for fewer than the pool's {} threads",
-            pool.num_threads()
-        );
-        let words = DisjointWriter::new(&mut self.words);
-        let summary = DisjointWriter::new(&mut self.summary);
-        let map = |t: usize, lo, hi| {
-            // SAFETY: a region runs each thread id on one thread, so worker
-            // `t`'s words go to that thread alone, one range at a time, and
-            // the slices die with the range.
-            let (words, summary) = unsafe {
-                let words = words.range_mut(t * stride, (t + 1) * stride);
-                (words, summary.range_mut(t * sstride, (t + 1) * sstride))
-            };
-            map(&mut Marks { words, summary, len }, lo, hi)
-        };
+        let (mine, len) = (self.bitmaps.hand_out(pool), self.len);
+        let map = |tid, lo, hi| map(&mut Marks { bitmap: &mut mine(tid), len }, lo, hi);
         pool.reduce_worker_ranges(n, sched, identity, map, combine)
     }
 
@@ -115,18 +100,17 @@ impl WorkerBitmaps {
     /// range drains in O(threads × len / 4096), not O(threads × len / 64).
     pub fn drain_into(&mut self, out: &mut Vec<u32>) {
         out.clear();
-        let (stride, sstride) = (self.stride, self.sstride);
-        for si in 0..sstride {
+        for si in 0..self.len.div_ceil(64 * 64) {
             let mut dirty = 0;
-            for slot in self.summary[si..].iter_mut().step_by(sstride) {
-                dirty |= std::mem::take(slot);
+            for bitmap in self.bitmaps.iter_mut() {
+                dirty |= std::mem::take(&mut bitmap.summary[si]);
             }
             while dirty != 0 {
                 let wi = si * 64 + dirty.trailing_zeros() as usize;
                 dirty &= dirty - 1;
                 let mut word = 0;
-                for slot in self.words[wi..].iter_mut().step_by(stride) {
-                    word |= std::mem::take(slot);
+                for bitmap in self.bitmaps.iter_mut() {
+                    word |= std::mem::take(&mut bitmap.words[wi]);
                 }
                 while word != 0 {
                     out.push((wi * 64) as u32 + word.trailing_zeros());

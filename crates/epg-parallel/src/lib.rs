@@ -31,6 +31,7 @@ mod atomics;
 mod bitmaps;
 mod cancel;
 mod check;
+mod per_worker;
 mod pool;
 mod reduce;
 mod scan;
@@ -41,6 +42,7 @@ pub use atomics::{atomic_min_u32, AtomicF32, AtomicF64};
 pub use bitmaps::{Marks, WorkerBitmaps};
 pub use cancel::CancelToken;
 pub use check::current_worker_id;
+pub use per_worker::PerWorker;
 pub use pool::{PoolStats, ThreadPool};
 pub use schedule::Schedule;
 pub use writer::DisjointWriter;

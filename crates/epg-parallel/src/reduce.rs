@@ -10,9 +10,10 @@ impl ThreadPool {
     /// worker outlives the region), and the per-worker results are combined
     /// on the caller — both in unspecified order. `identity` is the result
     /// when no range ran (`n == 0`, or a tripped cancel token abandoned
-    /// them all). This is the one way a kernel step hands what it found
-    /// out of a parallel region. Each call allocates one per-worker slot
-    /// vector.
+    /// them all). Each call allocates one per-worker slot vector, so it
+    /// suits numbers; a step that hands found vertices out of a region
+    /// keeps them, and the numbers that travel with them, in a
+    /// [`crate::PerWorker`] state for the run instead.
     pub fn parallel_reduce_ranges<T, I, M, C>(
         &self,
         n: usize,
@@ -96,33 +97,6 @@ impl ThreadPool {
     ) -> f64 {
         self.parallel_reduce(n, sched, || 0.0f64, |acc, i| *acc += f(i), |a, b| a + b)
     }
-
-    /// Logical OR of `f(i)` over `0..n` — used for "did any vertex change"
-    /// convergence checks (GraphMat's ∞-norm criterion).
-    pub fn parallel_any<F: Fn(usize) -> bool + Sync>(
-        &self,
-        n: usize,
-        sched: Schedule,
-        f: F,
-    ) -> bool {
-        self.parallel_reduce(n, sched, || false, |acc, i| *acc |= f(i), |a, b| a || b)
-    }
-
-    /// Maximum of `f(i)` over `0..n` in `f64`.
-    pub fn parallel_max_f64<F: Fn(usize) -> f64 + Sync>(
-        &self,
-        n: usize,
-        sched: Schedule,
-        f: F,
-    ) -> f64 {
-        self.parallel_reduce(
-            n,
-            sched,
-            || f64::NEG_INFINITY,
-            |acc, i| *acc = acc.max(f(i)),
-            f64::max,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -142,8 +116,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        // The (found, edges, max_degree) shape the engines reduce: a
-        // collected list, a sum and a max, against the serial fold.
+        // A collected list, a sum and a max against the serial fold: a
+        // list through the combine, as a per-worker state drains one.
         #[test]
         fn reduce_ranges_matches_the_serial_fold(
             data in proptest::collection::vec(0u64..1000, 0..2000),
@@ -195,21 +169,5 @@ mod tests {
             |a, b| a + b,
         );
         assert_eq!(r, 7);
-    }
-
-    #[test]
-    fn any_detects_single_hit() {
-        let pool = ThreadPool::new(4);
-        assert!(pool.parallel_any(1000, Schedule::Guided { min_chunk: 16 }, |i| i == 777));
-        assert!(!pool.parallel_any(1000, Schedule::Guided { min_chunk: 16 }, |_| false));
-    }
-
-    #[test]
-    fn max_finds_the_peak() {
-        let pool = ThreadPool::new(2);
-        let m = pool.parallel_max_f64(513, Schedule::Static { chunk: Some(10) }, |i| {
-            -((i as f64) - 400.0).powi(2)
-        });
-        assert_eq!(m, 0.0);
     }
 }

@@ -3,7 +3,7 @@
 //! Property tests: the parallel runtime must agree with sequential folds
 //! for every schedule and thread count.
 
-use epg_parallel::{Schedule, ThreadPool, WorkerBitmaps};
+use epg_parallel::{CancelToken, PerWorker, Schedule, ThreadPool, WorkerBitmaps};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -119,5 +119,84 @@ proptest! {
         }
         bitmaps.drain_into(&mut out);
         prop_assert!(out.is_empty(), "drained bitmaps hold marks");
+    }
+}
+
+/// Each odd value of `data[lo..hi]`, tagged with the worker that found it.
+fn odd_tagged(data: &[u64], lo: usize, hi: usize) -> Vec<(usize, u64)> {
+    let tid = epg_parallel::current_worker_id().expect("inside a region");
+    data[lo..hi].iter().filter(|&&x| x % 2 == 1).map(|&x| (tid, x)).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn per_worker_fold_is_reduce_ranges_with_an_append_combine(
+        data in prop_oneof![Just(Vec::new()), collection::vec(0u64..1000, 0..2000)],
+        sched in arb_schedule(),
+        nthreads in 1usize..5,
+        cut in 0usize..2000,
+    ) {
+        let pool = ThreadPool::new(nthreads);
+        // A worker's finds and how many ranges it ran this step.
+        let mut found = PerWorker::new(nthreads, || (Vec::new(), 0usize));
+        let fold = |found: &mut PerWorker<(Vec<(usize, u64)>, usize)>| {
+            found.iter_mut().fold(Vec::new(), |mut all, (list, ranges)| {
+                all.append(list);
+                *ranges = 0;
+                all
+            })
+        };
+        // A step whose token trips at the first range starting at `cut`:
+        // the pool abandons the rest, and the drain takes what ran.
+        let token = CancelToken::new();
+        pool.set_cancel_token(Some(token.clone()));
+        found.for_ranges(&pool, data.len(), sched, |(list, ranges), lo, hi| {
+            if lo >= cut {
+                token.cancel();
+            }
+            list.extend(odd_tagged(&data, lo, hi));
+            *ranges += 1;
+        });
+        pool.set_cancel_token(None);
+        let partial = fold(&mut found);
+        prop_assert!(partial.iter().all(|&(t, x)| t < nthreads && x % 2 == 1));
+
+        // The next step starts with every worker's state empty.
+        found.for_ranges(&pool, data.len(), sched, |(list, ranges), lo, hi| {
+            assert!(*ranges > 0 || list.is_empty(), "a worker's state outlived the drain");
+            list.extend(odd_tagged(&data, lo, hi));
+            *ranges += 1;
+        });
+        let got = fold(&mut found);
+        let append = |mut a: Vec<_>, mut b: Vec<_>| {
+            a.append(&mut b);
+            a
+        };
+        let want = pool.parallel_reduce_ranges(
+            data.len(),
+            sched,
+            Vec::new,
+            |lo, hi| odd_tagged(&data, lo, hi),
+            append,
+        );
+        // Both come out in worker order; under a static schedule, or on one
+        // thread, the same ranges go to the same workers, so they are equal.
+        prop_assert!(got.windows(2).all(|w| w[0].0 <= w[1].0), "fold out of worker order");
+        prop_assert!(want.windows(2).all(|w| w[0].0 <= w[1].0), "reduce out of worker order");
+        if nthreads == 1 || matches!(sched, Schedule::Static { .. }) {
+            prop_assert_eq!(&got, &want);
+        }
+        let values = |v: &[(usize, u64)]| {
+            let mut v: Vec<u64> = v.iter().map(|&(_, x)| x).collect();
+            v.sort_unstable();
+            v
+        };
+        prop_assert_eq!(values(&got), values(&want));
+
+        // An empty step runs no range and leaves nothing to drain.
+        found.for_ranges(&pool, 0, sched, |_, _, _| panic!("a range of an empty step"));
+        prop_assert!(fold(&mut found).is_empty());
     }
 }

@@ -24,10 +24,13 @@
 //! come from, in four recurring terms:
 //!
 //! * *slots*: the per-worker slot vector every
-//!   `ThreadPool::parallel_reduce_ranges` call allocates; `Partial::collect`,
-//!   `parallel_reduce` and `WorkerBitmaps::reduce_ranges` all reach it;
-//! * *found*: a step's `Partial` found list, one per range the schedule
-//!   hands out, so one per step on one thread;
+//!   `ThreadPool::parallel_reduce_ranges` call allocates; `parallel_reduce`
+//!   and `WorkerBitmaps::reduce_ranges` reach it too. A step that hands
+//!   found vertices out of a region keeps them, and the numbers that travel
+//!   with them, in its run's `PerWorker` state instead: no slots, no list;
+//! * *growth*: a buffer kept for the run (a `PerWorker` list, the set it
+//!   drains into, a level stack) reallocates only when it doubles, so it
+//!   adds a call per doubling the larger input needs, not per round;
 //! * *trace*: the run's `Trace` pushes one record per region, so its
 //!   vector's doubling adds a call per doubling, not per round;
 //! * *shadow*: debug builds only. `DisjointWriter::new` allocates the race
@@ -309,8 +312,9 @@ use EngineKind::*;
 use Shape::*;
 use SsspKernel::*;
 
-/// BFS in Graph500 and GraphBIG: one `Partial::collect` per level.
-const LEVEL_SYNC_BFS: &str = "per level: found + slots (`Partial::collect`); +1 trace";
+/// BFS in Graph500 and GraphBIG: one `PerWorker::for_ranges` per level.
+const LEVEL_SYNC_BFS: &str = "per level: nothing, the level's finds are the run's `PerWorker` \
+    lists, drained into the run's next frontier; +1 trace";
 
 /// Δ-stepping on the path and the grid: one vertex per bucket.
 const DELTA_THIN: &str = "per bucket: the new bin's vector (`Worker::push`, `bins[b].push`); \
@@ -328,29 +332,28 @@ const BMSSP: &str = "per recursive call: the partial-order queue's blocks \
     with the settled vertices, so the count is superlinear in L on the grid and the broom";
 
 /// GraphMat's SpMV iteration, the part every program pays.
-const SPMV: &str = "per iteration (`run_iteration`): the `sent` message slots, the per-block \
-    `activated` lists and their `concat`, the block's row list (`run_block`'s `rows.push`), \
-    2 slots (the send `Partial::collect` and the block reduction); +1 trace; debug: + 4 \
-    shadows (sent, acc, values, activated)";
+const SPMV: &str = "per iteration (`run_iteration`): the `sent` message slots; +1 trace; \
+    debug: + 3 shadows (sent, acc, values). The accumulator, the blocks' row lists and tallies \
+    and the next active set come from the run's `spmv::Scratch`";
 
-const POWERGRAPH_SSSP: &str = "per superstep (`superstep(`): the merge/apply worker's changed \
-    list + 2 slots (the merge and the scatter's `WorkerBitmaps::reduce_ranges`); +1 trace; \
-    debug: + 4 shadows (replica slots, vertex data, the bitmaps' two writers). Replica slots, \
-    bitmaps and the next active set come from the run's `gas::Scratch`";
+const POWERGRAPH_SSSP: &str = "per superstep (`superstep(`): slots (the scatter's \
+    `WorkerBitmaps::reduce_ranges`); +1 trace; debug: + 2 shadows (replica slots, vertex data). \
+    Replica slots, the merge workers' changed lists, the bitmaps and the changed and next \
+    active sets come from the run's `gas::Scratch`";
 
-const POWERGRAPH_WCC: &str = "per superstep (`superstep(`): changed list + 3 slots (gather, \
-    merge, scatter); +1 trace, +1 `WorkerBitmaps::drain_into` growth; debug: + 4 shadows, as \
-    SSSP";
+const POWERGRAPH_WCC: &str = "per superstep (`superstep(`): 2 slots (gather, scatter); +1 \
+    trace, +1 `WorkerBitmaps::drain_into` growth, +1 growth of the merge worker's changed list; \
+    debug: + 2 shadows, as SSSP";
 
 /// The extra allocator calls one more round costs, cell by cell.
 #[rustfmt::skip]
 const ROWS: &[Row] = &[
-    row(Graph500, Bfs, None, Path, 49, 49, LEVEL_SYNC_BFS),
-    row(Graph500, Bfs, None, Grid, 49, 49, LEVEL_SYNC_BFS),
-    row(Graph500, Bfs, None, Broom, 49, 49, LEVEL_SYNC_BFS),
-    row(Gap, Bfs, None, Path, 51, 51, "per top-down step: found + slots (`top_down_step`); +2 `SlidingQueue::push_all` growth, +1 trace (net). The bottom-up tail is the same 14 steps at both sizes"),
-    row(Gap, Bfs, None, Grid, 51, 51, "as on the path; the bottom-up tail is the same 12 steps at both sizes"),
-    row(Gap, Bfs, None, Broom, 49, 49, "per bottom-up step: the next-frontier bitmap (`next = Bitmap::new`) + slots (`bottom_up_step`); +1 trace. The switch bitmap (`front = Bitmap::new`) is one per switch, and the run switches once at both sizes (23 and 47 pull steps)"),
+    row(Graph500, Bfs, None, Path, 1, 1, LEVEL_SYNC_BFS),
+    row(Graph500, Bfs, None, Grid, 1, 1, LEVEL_SYNC_BFS),
+    row(Graph500, Bfs, None, Broom, 1, 1, LEVEL_SYNC_BFS),
+    row(Gap, Bfs, None, Path, 3, 3, "per top-down step: nothing, the claims are the run's `PerWorker` lists, flushed into the `SlidingQueue` (`top_down_step`); +2 `SlidingQueue::push_all` growth, +1 trace (net). The bottom-up tail is the same 14 steps at both sizes"),
+    row(Gap, Bfs, None, Grid, 3, 3, "as on the path; the bottom-up tail is the same 12 steps at both sizes"),
+    row(Gap, Bfs, None, Broom, 25, 25, "per bottom-up step: slots (`bottom_up_step`); +1 trace. The two frontier bitmaps (`front`, `next`) are the run's, cleared and swapped per step (23 and 47 pull steps)"),
     row(Gap, PageRank, None, Iters, 49, 73, "per iteration: 2 slots (the sink-mass and L1 `parallel_reduce`s); +1 trace; debug: + shadow (`next_cell`)"),
     row(Gap, Sssp, Some(DeltaStepping), Path, 26, 26, DELTA_THIN),
     row(Gap, Sssp, Some(DeltaStepping), Grid, 26, 26, DELTA_THIN),
@@ -361,43 +364,43 @@ const ROWS: &[Row] = &[
     row(Gap, Sssp, Some(Bmssp), Path, 73, 73, BMSSP),
     row(Gap, Sssp, Some(Bmssp), Grid, 1093, 1093, BMSSP),
     row(Gap, Sssp, Some(Bmssp), Broom, 3589, 3589, BMSSP),
-    row(Gap, Bc, None, Path, 65, 65, "per forward level: found + slots (`Partial::collect`); per backward level: slots; +1 growth of Brandes' level stack (`levels.push(step.found)` keeps every found list for the backward pass), +1 trace. The sampled source sits 21 levels deeper"),
+    row(Gap, Bc, None, Path, 23, 23, "per backward level: slots; +1 growth of the level starts (`starts.push`), +1 trace. A forward level's finds are the run's `PerWorker` lists, drained into the run's flat level stack (`order`, sized for every vertex). The sampled source sits 21 levels deeper"),
     row(Gap, TriangleCount, None, Cliques, 120, 120, "per vertex: the pruned higher-neighbour set (`tc.rs`'s `.collect()`, stored through `DisjointWriter`), 5 calls per 4-clique"),
-    row(GraphBig, Bfs, None, Path, 49, 49, LEVEL_SYNC_BFS),
-    row(GraphBig, Bfs, None, Grid, 49, 49, LEVEL_SYNC_BFS),
-    row(GraphBig, Bfs, None, Broom, 49, 49, LEVEL_SYNC_BFS),
+    row(GraphBig, Bfs, None, Path, 1, 1, LEVEL_SYNC_BFS),
+    row(GraphBig, Bfs, None, Grid, 1, 1, LEVEL_SYNC_BFS),
+    row(GraphBig, Bfs, None, Broom, 1, 1, LEVEL_SYNC_BFS),
     row(GraphBig, Cdlp, None, Cliques, 0, 0, ""),
     row(GraphBig, Lcc, None, Cliques, 288, 288, "per vertex: the sorted out-neighbourhood (`topology.rs`'s `.collect()`), its `clone` and the `extend` that merges in the in-neighbours, 3 calls"),
     row(GraphBig, PageRank, None, Iters, 49, 73, "per iteration: 2 slots (the sink-mass and L1 `parallel_reduce`s); +1 trace; debug: + shadow (the rank writer)"),
-    row(GraphBig, Sssp, None, Path, 25, 73, "per round: slots (`WorkerBitmaps::reduce_ranges` over the active list); +1 trace; debug: + 2 shadows (the bitmaps' word and summary writers). The bitmaps are allocated once per run"),
-    row(GraphBig, Sssp, None, Grid, 25, 73, "as on the path"),
-    row(GraphBig, Sssp, None, Broom, 25, 73, "as on the path"),
+    row(GraphBig, Sssp, None, Path, 25, 25, "per round: slots (`WorkerBitmaps::reduce_ranges` over the active list); +1 trace. The bitmaps are allocated once per run"),
+    row(GraphBig, Sssp, None, Grid, 25, 25, "as on the path"),
+    row(GraphBig, Sssp, None, Broom, 25, 25, "as on the path"),
     row(GraphBig, Wcc, None, Path, 25, 25, "per round: slots (`wcc`'s `parallel_reduce_ranges`); +1 trace"),
     row(GraphBig, Wcc, None, Grid, 25, 25, "as on the path"),
     row(GraphBig, Wcc, None, Broom, 25, 25, "as on the path"),
-    row(GraphBig, Bc, None, Path, 22, 22, "per forward level: found + slots (`Partial::collect`); the backward pass allocates nothing. Brandes' level stack (`levels`) keeps every found list; its doubling lands in the same power of two at both sizes. The sampled source sits 11 levels deeper"),
+    row(GraphBig, Bc, None, Path, 0, 0, "a forward level's finds are the run's `PerWorker` lists, drained into the run's flat level stack (`order`, sized for every vertex); the level starts' doubling lands in the same power of two at both sizes, and the backward pass allocates nothing. The sampled source sits 11 levels deeper"),
     row(GraphBig, TriangleCount, None, Cliques, 120, 120, "per vertex: the pruned higher-neighbour set (`extensions.rs`'s `.collect()`), 5 calls per 4-clique"),
-    row(GraphMat, Bfs, None, Path, 145, 241, SPMV),
-    row(GraphMat, Bfs, None, Grid, 169, 265, "as on the path, and the block's row list outgrows 4 rows (+1 per iteration)"),
-    row(GraphMat, Bfs, None, Broom, 217, 313, "as on the path, and the block's row list grows to 15 rows (+3 per iteration)"),
-    row(GraphMat, Cdlp, None, Cliques, 9658, 9658, "per edge per round: CDLP's label multiset `vec![*msg]` (`CdlpProgram::process`, the program's Accum under the GraphMat API, reached through `run_iteration` and `run_block`) and its `append` growth (`reduce`); per vertex per round the mode's `HashMap` (`apply`)"),
+    row(GraphMat, Bfs, None, Path, 25, 97, SPMV),
+    row(GraphMat, Bfs, None, Grid, 25, 97, SPMV),
+    row(GraphMat, Bfs, None, Broom, 25, 97, SPMV),
+    row(GraphMat, Cdlp, None, Cliques, 9649, 9649, "per edge per round: CDLP's label multiset `vec![*msg]` (`CdlpProgram::process`, the program's Accum under the GraphMat API, reached through `run_iteration` and `run_block`) and its `append` growth (`reduce`); per vertex per round the mode's `HashMap` (`apply`). The block's row list is the run's, so it doubles once more per run at the larger size, not once more per round"),
     row(GraphMat, Lcc, None, Cliques, 192, 192, "per vertex: the merged neighbourhood (`lcc.rs`'s `.to_vec()`) and its `extend_from_slice` growth, 2 calls"),
     row(GraphMat, PageRank, None, Iters, 73, 145, "per iteration: 3 slots (`parallel_reduce`); +1 trace; debug: + 3 shadows (the pagerank writers)"),
-    row(GraphMat, Sssp, None, Path, 145, 241, SPMV),
-    row(GraphMat, Sssp, None, Grid, 169, 265, "as on the path, and the block's row list outgrows 4 rows (+1 per iteration)"),
-    row(GraphMat, Sssp, None, Broom, 217, 313, "as on the path, and the block's row list grows to 15 rows (+3 per iteration)"),
-    row(GraphMat, Wcc, None, Path, 191, 287, "as BFS on the path, and the block's row list grows with WCC's larger active sets (`rows.push`)"),
-    row(GraphMat, Wcc, None, Grid, 227, 323, "as BFS on the path, and the block's row list grows with WCC's larger active sets (`rows.push`)"),
-    row(GraphMat, Wcc, None, Broom, 274, 370, "as BFS on the path, and the block's row list grows with WCC's larger active sets (`rows.push`)"),
+    row(GraphMat, Sssp, None, Path, 25, 97, SPMV),
+    row(GraphMat, Sssp, None, Grid, 25, 97, SPMV),
+    row(GraphMat, Sssp, None, Broom, 25, 97, SPMV),
+    row(GraphMat, Wcc, None, Path, 26, 98, "as BFS, +1 growth of the block's row list, which WCC's all-active first iteration doubles once more at the larger size (`rows.push`)"),
+    row(GraphMat, Wcc, None, Grid, 26, 98, "as on the path"),
+    row(GraphMat, Wcc, None, Broom, 26, 98, "as on the path"),
     row(GraphMat, TriangleCount, None, Cliques, 120, 120, "per vertex: the pruned higher-neighbour set (`lcc.rs`'s `.collect()`), 5 calls per 4-clique"),
-    row(PowerGraph, Cdlp, None, Cliques, 9638, 9638, "per edge per round: CDLP's collecting gather `vec![*other]` (`prog.gather` in `superstep`, the GAS abstraction's per-edge accumulator) and its `merge` growth; per vertex per round the mode's `HashMap` (`apply`)"),
+    row(PowerGraph, Cdlp, None, Cliques, 9639, 9639, "per edge per round: CDLP's collecting gather `vec![*other]` (`prog.gather` in `superstep`, the GAS abstraction's per-edge accumulator) and its `merge` growth; per vertex per round the mode's `HashMap` (`apply`); +1 growth of the merge worker's changed list, kept for the run"),
     row(PowerGraph, Lcc, None, Cliques, 288, 288, "per vertex: three neighbour lists grown by `lcc`'s gather callback (`extend_from_slice`)"),
-    row(PowerGraph, PageRank, None, Iters, 73, 121, "per superstep (`superstep(`): the merge/apply worker's changed list + 2 slots (gather and merge); +1 trace; debug: + 2 shadows (replica slots, vertex data)"),
-    row(PowerGraph, Sssp, None, Path, 73, 169, POWERGRAPH_SSSP),
-    row(PowerGraph, Sssp, None, Grid, 73, 169, POWERGRAPH_SSSP),
-    row(PowerGraph, Sssp, None, Broom, 73, 169, POWERGRAPH_SSSP),
-    row(PowerGraph, Wcc, None, Path, 98, 194, POWERGRAPH_WCC),
-    row(PowerGraph, Wcc, None, Grid, 98, 194, POWERGRAPH_WCC),
-    row(PowerGraph, Wcc, None, Broom, 98, 194, POWERGRAPH_WCC),
+    row(PowerGraph, PageRank, None, Iters, 25, 73, "per superstep (`superstep(`): slots (the gather); +1 trace; debug: + 2 shadows (replica slots, vertex data)"),
+    row(PowerGraph, Sssp, None, Path, 25, 73, POWERGRAPH_SSSP),
+    row(PowerGraph, Sssp, None, Grid, 25, 73, POWERGRAPH_SSSP),
+    row(PowerGraph, Sssp, None, Broom, 25, 73, POWERGRAPH_SSSP),
+    row(PowerGraph, Wcc, None, Path, 51, 99, POWERGRAPH_WCC),
+    row(PowerGraph, Wcc, None, Grid, 51, 99, POWERGRAPH_WCC),
+    row(PowerGraph, Wcc, None, Broom, 51, 99, POWERGRAPH_WCC),
     row(PowerGraph, TriangleCount, None, Cliques, 192, 192, "per vertex: the neighbour list grown twice by `triangle_count`'s gather callback (`extend_from_slice`)"),
 ];

@@ -168,13 +168,13 @@ fn always_wrong() -> FaultPlan {
 
 #[test]
 fn wrong_results_fail_verification_on_every_engine() {
-    // Every engine × algorithm it supports but betweenness: 25 of the 27
-    // cells. The injector bumps entry 0 of the result: a BFS level always
-    // changes, a distance only where the root reaches vertex 0 (an
-    // infinite one stays infinite), a component label splits vertex 0 from
-    // the rest of its component, rank 0 grows by 0.5, which one more sweep
-    // undoes, and a CDLP label, an LCC coefficient and a triangle count
-    // each move off the oracle's answer.
+    // Every engine × algorithm it supports: all 27 cells. The injector
+    // bumps entry 0 of the result: a BFS level always changes, a distance
+    // only where the root reaches vertex 0 (an infinite one stays
+    // infinite), a component label splits vertex 0 from the rest of its
+    // component, rank 0 grows by 0.5, which one more sweep undoes, and a
+    // CDLP label, an LCC coefficient, a triangle count and a betweenness
+    // score each move off the oracle's answer.
     let spec = GraphSpec::Kronecker { scale: 7, edge_factor: 8, weighted: true };
     let ds = Dataset::from_spec(&spec, 9);
     let csr = Csr::from_edge_list(&ds.symmetric);
@@ -192,6 +192,7 @@ fn wrong_results_fail_verification_on_every_engine() {
             (Algorithm::Cdlp, "but label propagation gives it"),
             (Algorithm::Lcc, "but the oracle's is"),
             (Algorithm::TriangleCount, "triangles, but the graph has"),
+            (Algorithm::Bc, "but Brandes' algorithm gives"),
         ] {
             if !kind.create().supports(algo) {
                 continue;
@@ -251,8 +252,9 @@ fn wrong_results_fail_verification_on_every_engine() {
         }
     }
     assert_eq!(
-        covered, 25,
-        "four BFS, four SSSP, three WCC, four PageRank, three CDLP, three LCC and four TC engines"
+        covered, 27,
+        "four BFS, four SSSP, three WCC, four PageRank, three CDLP, three LCC, four TC and two BC \
+         engines"
     );
 }
 
