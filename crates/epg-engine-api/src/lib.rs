@@ -31,7 +31,7 @@ pub use fault::{FaultKind, FaultPlan, FaultyEngine};
 pub use query::QueryEngine;
 pub use record::{sum_counter_deltas, Found, RecorderCtx, RunLog};
 pub use result::{AlgorithmResult, RunOutput};
-pub use stopping::StoppingCriterion;
+pub use stopping::{Convergence, StoppingCriterion};
 // Re-exported so engine crates and tests use telemetry types without
 // depending on epg-trace themselves.
 pub use epg_trace::{Dir, Recorder, RunRecorder, TraceEvent};

@@ -6,6 +6,8 @@
 //! effectively its stopping criterion requires the ∞-norm be less than
 //! machine epsilon", which is why Fig. 4 shows it iterating far longer.
 
+use epg_parallel::{PerWorker, Schedule, ThreadPool};
+
 /// PageRank stopping criterion.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum StoppingCriterion {
@@ -30,6 +32,45 @@ impl StoppingCriterion {
             StoppingCriterion::L1Norm(eps) => l1_delta < eps,
             StoppingCriterion::NoChange => changed_vertices == 0,
         }
+    }
+}
+
+/// The two numbers a [`StoppingCriterion`] reads, reduced once per
+/// PageRank iteration on per-worker partials kept for the run.
+pub struct Convergence {
+    l1: PerWorker<Option<f64>>,
+    changed: PerWorker<Option<u64>>,
+}
+
+impl Convergence {
+    /// Empty partials for a run on `pool`.
+    pub fn new(pool: &ThreadPool) -> Convergence {
+        let workers = pool.num_threads();
+        Convergence {
+            l1: PerWorker::new(workers, || None),
+            changed: PerWorker::new(workers, || None),
+        }
+    }
+
+    /// The L1 change from `rank` to `next` and the count of vertices whose
+    /// rank changed at `f32` precision: two reductions under `sched`, one
+    /// region each, each range summed in index order.
+    pub fn measure(
+        &mut self,
+        pool: &ThreadPool,
+        sched: Schedule,
+        rank: &[f64],
+        next: &[f64],
+    ) -> (f64, u64) {
+        let n = rank.len();
+        let l1 =
+            |lo: usize, hi: usize| (lo..hi).fold(0.0, |acc, v| acc + (rank[v] - next[v]).abs());
+        let changed =
+            |lo, hi| (lo..hi).filter(|&v| rank[v] as f32 != next[v] as f32).count() as u64;
+        (
+            self.l1.reduce_ranges(pool, n, sched, || 0.0, l1, |a, b| a + b),
+            self.changed.reduce_ranges(pool, n, sched, || 0, changed, |a, b| a + b),
+        )
     }
 }
 

@@ -39,6 +39,7 @@ pub fn betweenness(g: &Csr, params: &RunParams<'_>, seed: u64) -> RunOutput {
     let delta: Vec<AtomicF64> = (0..n).map(|_| AtomicF64::new(0.0)).collect();
 
     let mut found = PerWorker::new(pool.num_threads(), Found::default);
+    let mut scans = PerWorker::new(pool.num_threads(), || None);
     // A source's BFS levels, at most n vertices: level d is `order[starts[d]..starts[d + 1]]`.
     let (mut order, mut starts) = (Vec::with_capacity(n), Vec::new());
     for &s in &source_list {
@@ -114,7 +115,7 @@ pub fn betweenness(g: &Csr, params: &RunParams<'_>, seed: u64) -> RunOutput {
             };
             let sched = Schedule::Guided { min_chunk: 16 };
             let scanned =
-                pool.parallel_reduce_ranges(level.len(), sched, || 0, accumulate, |a, b| a + b);
+                scans.reduce_ranges(pool, level.len(), sched, || 0, accumulate, |a, b| a + b);
             log.counters.edges_traversed += scanned;
             log.parallel(scanned.max(1), 1, scanned * 16);
         }

@@ -37,8 +37,10 @@ pub fn direction_optimizing_bfs(
     let mut queue = SlidingQueue::new();
     queue.push(root);
     queue.slide_window();
-    // Each worker's claims and scout count, flushed into the queue per step.
+    // Each worker's claims and scout count, flushed into the queue per
+    // step, and its bottom-up partials.
     let mut found = PerWorker::new(pool.num_threads(), Default::default);
+    let mut scans = PerWorker::new(pool.num_threads(), || None);
     // The bottom-up frontier and the one its step marks, swapped per step.
     let (mut front, mut next) = (Bitmap::new(n), Bitmap::new(n));
 
@@ -66,7 +68,7 @@ pub fn direction_optimizing_bfs(
                 let old_awake = awake;
                 next.clear();
                 let (new_awake, scanned, max_scan) =
-                    bottom_up_step(gt, &parent, &level, &front, &next, depth, pool);
+                    bottom_up_step(gt, &parent, &level, (&front, &next), depth, &mut scans, pool);
                 awake = new_awake;
                 log.counters.edges_traversed += scanned;
                 log.counters.vertices_touched += awake;
@@ -164,15 +166,16 @@ fn top_down_step(
     (claimed, edges, max_degree, scout)
 }
 
-/// One bottom-up step. Returns (vertices awakened, edges scanned, largest
+/// One bottom-up step from `front`, marking `next`, reduced on the run's
+/// `scans`. Returns (vertices awakened, edges scanned, largest
 /// single-vertex scan).
 fn bottom_up_step(
     gt: &Csr,
     parent: &[AtomicU32],
     level: &[AtomicU32],
-    front: &Bitmap,
-    next: &Bitmap,
+    (front, next): (&Bitmap, &Bitmap),
     depth: u32,
+    scans: &mut PerWorker<Option<(u64, u64, u64)>>,
     pool: &ThreadPool,
 ) -> (u64, u64, u64) {
     let scan = |lo: usize, hi: usize| {
@@ -198,7 +201,8 @@ fn bottom_up_step(
         }
         (awake, scanned, max_scan)
     };
-    pool.parallel_reduce_ranges(
+    scans.reduce_ranges(
+        pool,
         gt.num_vertices(),
         Schedule::Guided { min_chunk: 64 },
         || (0, 0, 0),

@@ -1,6 +1,7 @@
 //! Pull-mode PageRank with the homogenized L1 stopping criterion (§IV-A).
 
-use epg_engine_api::{AlgorithmResult, Dir, RunLog, RunOutput, RunParams, StoppingCriterion};
+use epg_engine_api::StoppingCriterion;
+use epg_engine_api::{AlgorithmResult, Convergence, Dir, RunLog, RunOutput, RunParams};
 use epg_graph::{Csr, VertexId};
 use epg_parallel::{DisjointWriter, Schedule};
 
@@ -28,6 +29,7 @@ pub fn pagerank(g: &Csr, gt: &Csr, params: &RunParams<'_>) -> RunOutput {
     let base = (1.0 - DAMPING) / n as f64;
     let m = g.num_edges() as u64;
     let max_in_deg = (0..n as VertexId).map(|v| gt.out_degree(v)).max().unwrap_or(0) as u64;
+    let mut convergence = Convergence::new(pool);
 
     let mut iterations = 0u32;
     loop {
@@ -52,17 +54,7 @@ pub fn pagerank(g: &Csr, gt: &Csr, params: &RunParams<'_>) -> RunOutput {
                 }
             });
         }
-        let rank_ref = &rank;
-        let next_ref = &next;
-        let l1 = pool
-            .parallel_sum_f64(n, Schedule::gap_default(), |v| (rank_ref[v] - next_ref[v]).abs());
-        let changed = pool.parallel_reduce(
-            n,
-            Schedule::gap_default(),
-            || 0u64,
-            |acc, v| *acc += ((rank_ref[v] as f32) != (next_ref[v] as f32)) as u64,
-            |a, b| a + b,
-        );
+        let (l1, changed) = convergence.measure(pool, Schedule::gap_default(), &rank, &next);
         std::mem::swap(&mut rank, &mut next);
         log.counters.edges_traversed += m;
         log.counters.vertices_touched += n as u64;

@@ -3,7 +3,7 @@
 use epg_engine_api::{AlgorithmResult, Dir, RunLog, RunOutput, RunParams};
 use epg_graph::adjacency::PropertyGraph;
 use epg_graph::VertexId;
-use epg_parallel::{DisjointWriter, Schedule};
+use epg_parallel::{DisjointWriter, PerWorker, Schedule};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -66,8 +66,10 @@ pub fn wcc(g: &PropertyGraph, params: &RunParams<'_>) -> RunOutput {
     let comp: Vec<AtomicU64> = (0..n as u64).map(AtomicU64::new).collect();
     let mut log = RunLog::new(params.recorder);
     let m2 = (0..n as VertexId).map(|v| (g.out_degree(v) + g.in_degree(v)) as u64).sum::<u64>();
+    let mut changes = PerWorker::new(pool.num_threads(), || None);
     loop {
-        let changed = pool.parallel_reduce_ranges(
+        let changed = changes.reduce_ranges(
+            pool,
             n,
             Schedule::graphbig_default(),
             || 0usize,

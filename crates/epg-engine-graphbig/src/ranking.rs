@@ -1,6 +1,7 @@
 //! openG-style PageRank.
 
-use epg_engine_api::{AlgorithmResult, Dir, RunLog, RunOutput, RunParams, StoppingCriterion};
+use epg_engine_api::StoppingCriterion;
+use epg_engine_api::{AlgorithmResult, Convergence, Dir, RunLog, RunOutput, RunParams};
 use epg_graph::adjacency::PropertyGraph;
 use epg_graph::VertexId;
 use epg_parallel::{DisjointWriter, Schedule};
@@ -25,6 +26,7 @@ pub fn pagerank(g: &PropertyGraph, params: &RunParams<'_>) -> RunOutput {
     let base = (1.0 - DAMPING) / n as f64;
     let mut rank = vec![1.0 / n as f64; n];
     let mut next = vec![0.0f64; n];
+    let mut convergence = Convergence::new(pool);
     let mut iterations = 0u32;
     loop {
         iterations += 1;
@@ -44,17 +46,7 @@ pub fn pagerank(g: &PropertyGraph, params: &RunParams<'_>) -> RunOutput {
                 }
             });
         }
-        let (rank_ref, next_ref) = (&rank, &next);
-        let l1 = pool.parallel_sum_f64(n, Schedule::graphbig_default(), |v| {
-            (rank_ref[v] - next_ref[v]).abs()
-        });
-        let changed = pool.parallel_reduce(
-            n,
-            Schedule::graphbig_default(),
-            || 0u64,
-            |acc, v| *acc += ((rank_ref[v] as f32) != (next_ref[v] as f32)) as u64,
-            |a, b| a + b,
-        );
+        let (l1, changed) = convergence.measure(pool, Schedule::graphbig_default(), &rank, &next);
         std::mem::swap(&mut rank, &mut next);
         log.counters.edges_traversed += m;
         log.counters.vertices_touched += n as u64;

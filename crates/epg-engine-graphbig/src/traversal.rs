@@ -75,31 +75,24 @@ pub fn sssp(g: &PropertyGraph, params: &RunParams<'_>) -> RunOutput {
     rec.alloc_hwm("graphbig.sssp.dist", n as u64 * 4);
 
     let mut log = RunLog::new(rec);
-    let mut improved = WorkerBitmaps::new(pool.num_threads(), n);
+    // Each worker's improved vertices and its (edges, max degree) tally.
+    let mut improved = WorkerBitmaps::<(u64, u64)>::new(pool.num_threads(), n);
     let (mut active, mut next) = (vec![root], Vec::new());
     while !active.is_empty() {
-        let (edges, max_degree) = improved.reduce_ranges(
-            pool,
-            active.len(),
-            Schedule::graphbig_default(),
-            || (0, 0),
-            |mine, lo, hi| {
-                let (mut edges, mut max_degree) = (0u64, 0u64);
-                for &u in &active[lo..hi] {
-                    let du = dist[u as usize].load(Ordering::Relaxed);
-                    max_degree = max_degree.max(g.out_degree(u) as u64);
-                    for (v, w) in g.neighbors(u) {
-                        edges += 1;
-                        if dist[v as usize].fetch_min(du + w, Ordering::Relaxed) {
-                            mine.set(v as usize);
-                        }
+        let sched = Schedule::graphbig_default();
+        improved.for_ranges(pool, active.len(), sched, |mine, (edges, max_degree), lo, hi| {
+            for &u in &active[lo..hi] {
+                let du = dist[u as usize].load(Ordering::Relaxed);
+                *max_degree = (*max_degree).max(g.out_degree(u) as u64);
+                for (v, w) in g.neighbors(u) {
+                    *edges += 1;
+                    if dist[v as usize].fetch_min(du + w, Ordering::Relaxed) {
+                        mine.set(v as usize);
                     }
                 }
-                (edges, max_degree)
-            },
-            |a, b| (a.0 + b.0, a.1.max(b.1)),
-        );
-        improved.drain_into(&mut next);
+            }
+        });
+        let (edges, max_degree) = improved.drain_into(&mut next, |a, b| (a.0 + b.0, a.1.max(b.1)));
         log.counters.edges_traversed += edges;
         log.counters.vertices_touched += next.len() as u64;
         log.counters.iterations += 1;

@@ -2,9 +2,10 @@
 
 use crate::program::GraphProgram;
 use crate::spmv::{run_iteration, Scratch, SpmvStats};
-use epg_engine_api::{AlgorithmResult, Dir, RunLog, RunOutput, RunParams, StoppingCriterion};
+use epg_engine_api::StoppingCriterion;
+use epg_engine_api::{AlgorithmResult, Convergence, Dir, RunLog, RunOutput, RunParams};
 use epg_graph::{Dcsc, VertexId, Weight, INF_DIST, NO_VERTEX};
-use epg_parallel::{DisjointWriter, Schedule};
+use epg_parallel::{DisjointWriter, PerWorker, Schedule};
 
 /// Books one SpMSpV iteration: its work, its two regions, one iteration.
 fn charge(log: &mut RunLog<'_>, stats: &SpmvStats) {
@@ -23,7 +24,7 @@ fn charge(log: &mut RunLog<'_>, stats: &SpmvStats) {
 /// slot per vertex, which [`run_iteration`] fills and empties every
 /// iteration — and reports the accumulator together with the vertex values
 /// as the run's allocation high-water mark.
-fn scratch<P: GraphProgram>(params: &RunParams<'_>, label: &str, n: usize) -> Scratch<P::Accum> {
+fn scratch<P: GraphProgram>(params: &RunParams<'_>, label: &str, n: usize) -> Scratch<P> {
     let per_vertex = size_of::<P::VertexValue>() + size_of::<Option<P::Accum>>();
     params.recorder.alloc_hwm(label, (n * per_vertex) as u64);
     Scratch::new(n, params.pool)
@@ -182,24 +183,20 @@ pub fn pagerank(a: &Dcsc, at: &Dcsc, n: usize, params: &RunParams<'_>) -> RunOut
     let max_col =
         (0..at.num_nonempty_cols()).map(|i| at.col_ptr[i + 1] - at.col_ptr[i]).max().unwrap_or(0)
             as u64;
+    let (mut sinks, mut convergence) =
+        (PerWorker::new(pool.num_threads(), || None), Convergence::new(pool));
+    let sched = Schedule::Static { chunk: None };
     let mut iterations = 0u32;
     loop {
         iterations += 1;
-        let sink_mass = {
-            let (rank_ref, deg_ref) = (&rank, &out_deg);
-            pool.parallel_sum_f64(n, Schedule::Static { chunk: None }, |v| {
-                if deg_ref[v] == 0 {
-                    rank_ref[v]
-                } else {
-                    0.0
-                }
-            }) / n as f64
-        };
+        let sink =
+            |lo, hi| (lo..hi).fold(0.0, |acc, v| acc + if out_deg[v] == 0 { rank[v] } else { 0.0 });
+        let sink_mass = sinks.reduce_ranges(pool, n, sched, || 0.0, sink, |a, b| a + b) / n as f64;
         {
             let w = DisjointWriter::new(&mut contrib);
             let (rank_ref, deg_ref) = (&rank, &out_deg);
             // SAFETY: parallel_for hands each index v to exactly one worker.
-            pool.parallel_for(n, Schedule::Static { chunk: None }, |v| unsafe {
+            pool.parallel_for(n, sched, |v| unsafe {
                 w.write(v, if deg_ref[v] > 0 { rank_ref[v] / deg_ref[v] as f64 } else { 0.0 });
             });
         }
@@ -207,7 +204,7 @@ pub fn pagerank(a: &Dcsc, at: &Dcsc, n: usize, params: &RunParams<'_>) -> RunOut
         {
             let w = DisjointWriter::new(&mut next);
             // SAFETY: parallel_for hands each index v to exactly one worker.
-            pool.parallel_for(n, Schedule::Static { chunk: None }, |v| unsafe {
+            pool.parallel_for(n, sched, |v| unsafe {
                 w.write(v, fill);
             });
         }
@@ -231,17 +228,7 @@ pub fn pagerank(a: &Dcsc, at: &Dcsc, n: usize, params: &RunParams<'_>) -> RunOut
                 },
             );
         }
-        let (rank_ref, next_ref) = (&rank, &next);
-        let l1 = pool.parallel_sum_f64(n, Schedule::Static { chunk: None }, |v| {
-            (rank_ref[v] - next_ref[v]).abs()
-        });
-        let changed = pool.parallel_reduce(
-            n,
-            Schedule::Static { chunk: None },
-            || 0u64,
-            |acc, v| *acc += ((rank_ref[v] as f32) != (next_ref[v] as f32)) as u64,
-            |x, y| x + y,
-        );
+        let (l1, changed) = convergence.measure(pool, sched, &rank, &next);
         std::mem::swap(&mut rank, &mut next);
         log.counters.edges_traversed += m;
         log.counters.vertices_touched += n as u64;

@@ -28,12 +28,12 @@
 //!
 //! A block sees the vector in order, so a destination's contributions are
 //! REDUCEd in the order of the active list (then of `matrices`) at every
-//! thread count. The accumulator and each block's list of touched rows are
-//! allocated once per run ([`Scratch`]); APPLY `take()`s every slot it
-//! filled, so no step is O(rows) per iteration. What stays is GraphMat's
-//! real per-iteration bookkeeping — building the sparse vector, the
-//! per-block touched lists, two fork/joins — the constant overhead the
-//! paper sees in the small-graph results (§IV-C).
+//! thread count. The sparse vector, the accumulator and each block's list
+//! of touched rows are allocated once per run ([`Scratch`]); APPLY
+//! `take()`s every slot it filled, so no step is O(rows) per iteration.
+//! What stays is GraphMat's real per-iteration bookkeeping — filling the
+//! sparse vector, the per-block touched lists, two fork/joins — the
+//! constant overhead the paper sees in the small-graph results (§IV-C).
 
 use crate::program::GraphProgram;
 use epg_graph::{Dcsc, VertexId};
@@ -50,22 +50,23 @@ pub struct SpmvStats {
     pub touched: u64,
 }
 
-/// A run's iteration buffers, allocated once: the dense accumulator (one
-/// REDUCE slot per vertex), each worker's block rows and tallies, and the
-/// next active set drained from them.
-pub struct Scratch<A> {
-    acc: Vec<Option<A>>,
+/// A run's iteration buffers, allocated once: the sparse message vector,
+/// the dense accumulator (one REDUCE slot per vertex), each worker's block
+/// rows and tallies, and the next active set drained from them.
+pub struct Scratch<P: GraphProgram> {
+    sent: Vec<Option<(usize, P::Message)>>,
+    acc: Vec<Option<P::Accum>>,
     blocks: PerWorker<(Vec<VertexId>, SpmvStats)>,
     /// The next iteration's active set, ascending and distinct, as the last
     /// [`run_iteration`] left it.
     pub next: Vec<VertexId>,
 }
 
-impl<A: Clone + Send> Scratch<A> {
+impl<P: GraphProgram> Scratch<P> {
     /// Empty buffers for iterations over `n` vertices on `pool`.
-    pub fn new(n: usize, pool: &ThreadPool) -> Scratch<A> {
+    pub fn new(n: usize, pool: &ThreadPool) -> Scratch<P> {
         let blocks = PerWorker::new(pool.num_threads(), Default::default);
-        Scratch { acc: vec![None; n], blocks, next: Vec::new() }
+        Scratch { sent: Vec::new(), acc: vec![None; n], blocks, next: Vec::new() }
     }
 }
 
@@ -82,20 +83,21 @@ pub fn run_iteration<P: GraphProgram>(
     matrices: &[&Dcsc],
     active: &[VertexId],
     values: &mut [P::VertexValue],
-    scratch: &mut Scratch<P::Accum>,
+    scratch: &mut Scratch<P>,
     pool: &ThreadPool,
 ) -> SpmvStats {
     let (n, k) = (values.len(), matrices.len());
-    let Scratch { acc, blocks, next } = scratch;
+    let Scratch { sent, acc, blocks, next } = scratch;
     assert_eq!(acc.len(), n, "one accumulator slot per vertex");
     assert!(k > 0 && matrices.iter().all(|m| m.dim == n), "one matrix row per vertex");
     next.clear();
 
     // --- SEND: slot `i * k + j` is active[i]'s message along matrices[j] ---
-    let mut sent: Vec<Option<(usize, P::Message)>> = vec![None; active.len() * k];
+    sent.clear();
+    sent.resize(active.len() * k, None);
     {
         let values: &[P::VertexValue] = values;
-        let slots = DisjointWriter::new(&mut sent);
+        let slots = DisjointWriter::new(sent);
         let sched = Schedule::Static { chunk: None };
         blocks.for_ranges(pool, active.len(), sched, |(_, mine), lo, hi| {
             // SAFETY: the schedule's ranges are pairwise disjoint, and so
@@ -131,7 +133,7 @@ pub fn run_iteration<P: GraphProgram>(
             // a block to exactly one worker, so both ranges are this
             // worker's alone for the region.
             let (acc, values) = unsafe { (acc.range_mut(rlo, rhi), values.range_mut(rlo, rhi)) };
-            mine.touched += run_block(prog, matrices, &sent, rlo, acc, values, rows);
+            mine.touched += run_block(prog, matrices, sent, rlo, acc, values, rows);
         });
     }
     // Worker `b` holds block `b`'s rows, so worker order is row order.

@@ -90,13 +90,15 @@ pub trait VertexProgram: Sync {
 
 /// A run's superstep buffers, allocated once and handed to every
 /// [`superstep`]: one slot per replica for a gather partial or the messages
-/// scatter sent it, each pool worker's changed list and merge count, one
-/// activation bitmap per pool worker, and the changed list and next active
-/// set drained from them.
+/// scatter sent it, each pool worker's gather (work, max degree) partial,
+/// changed list and merge count, one activation bitmap and scatter edge
+/// count per pool worker, and the changed list and next active set drained
+/// from them.
 pub struct Scratch<G> {
     slots: Vec<Option<G>>,
+    gathered: PerWorker<Option<(u64, u64)>>,
     applied: PerWorker<(Vec<VertexId>, u64)>,
-    marks: WorkerBitmaps,
+    marks: WorkerBitmaps<u64>,
     /// The vertices whose apply changed their value in the last
     /// [`superstep`], ascending.
     pub changed: Vec<VertexId>,
@@ -110,6 +112,7 @@ impl<G: Clone> Scratch<G> {
     pub fn new(g: &PartitionedGraph, pool: &ThreadPool) -> Scratch<G> {
         Scratch {
             slots: vec![None; g.num_replicas()],
+            gathered: PerWorker::new(pool.num_threads(), || None),
             applied: PerWorker::new(pool.num_threads(), Default::default),
             marks: WorkerBitmaps::new(pool.num_threads(), g.num_vertices),
             changed: Vec::new(),
@@ -168,7 +171,7 @@ pub fn superstep<P: VertexProgram>(
     let nparts = g.partitions.len();
     let per_partition = Schedule::Dynamic { chunk: 1 };
     debug_assert!(active.is_sorted(), "the active set ascends");
-    let Scratch { slots, applied, marks, changed, next } = scratch;
+    let Scratch { slots, gathered, applied, marks, changed, next } = scratch;
     let slots = DisjointWriter::new(slots);
 
     // ---- Gather (parallel over partitions) ----
@@ -178,7 +181,8 @@ pub fn superstep<P: VertexProgram>(
     if gathers {
         let data_ref: &[P::Data] = data;
         let all_active = active.len() == g.num_vertices;
-        (gather_work, max_degree) = pool.parallel_reduce_ranges(
+        (gather_work, max_degree) = gathered.reduce_ranges(
+            pool,
             nparts,
             per_partition,
             || (0, 0),
@@ -260,14 +264,13 @@ pub fn superstep<P: VertexProgram>(
     let mut scatter_work = 0;
     if dir != EdgeDir::None && !changed.is_empty() {
         let data: &[P::Data] = data;
-        let scatter = |mine: &mut Marks<'_>, lo: usize, hi: usize| {
-            let mut edges = 0u64;
+        let scatter = |mine: &mut Marks<'_>, edges: &mut u64, lo: usize, hi: usize| {
             for pi in lo..hi {
                 let part = &g.partitions[pi];
                 for &v in changed.iter() {
                     let Some(l) = g.local_id(v, pi) else { continue };
                     let (ins, outs) = covered(part, l, dir);
-                    edges += (outs.len() + ins.len()) as u64;
+                    *edges += (outs.len() + ins.len()) as u64;
                     let dv = &data[v as usize];
                     for &(u, w) in ins.iter().chain(outs) {
                         match prog.scatter(dv, &data[u as usize], w) {
@@ -292,13 +295,13 @@ pub fn superstep<P: VertexProgram>(
                     }
                 }
             }
-            edges
         };
-        scatter_work =
-            marks.reduce_ranges(pool, nparts, per_partition, || 0, scatter, |a, b| a + b);
+        marks.for_ranges(pool, nparts, per_partition, scatter);
+        scatter_work = marks.drain_into(next, |a, b| a + b);
         log.parallel(scatter_work.max(1), 1, scatter_work * 8);
+    } else {
+        next.clear();
     }
-    marks.drain_into(next);
 
     let edge_work = gather_work + scatter_work;
     log.counters.edges_traversed += edge_work;

@@ -342,14 +342,18 @@ fn pagerank_converged(g: &Csr, ranks: &[f64], pool: &ThreadPool) -> Result<(), S
     }
     let sched = Schedule::Static { chunk: None };
     let degree = |v: usize| g.out_degree(v as VertexId);
-    let sink = pool.parallel_sum_f64(n, sched, |v| if degree(v) == 0 { ranks[v] } else { 0.0 });
+    let sink =
+        |lo, hi| (lo..hi).fold(0.0, |acc, v| acc + if degree(v) == 0 { ranks[v] } else { 0.0 });
+    let sink = pool.parallel_reduce_ranges(n, sched, || 0.0, sink, |a, b| a + b);
     let fill = (1.0 - oracle::PR_DAMPING) / n as f64 + oracle::PR_DAMPING * sink / n as f64;
     // `g` is symmetric, so a vertex's neighbours are its in-neighbours.
-    let moved = pool.parallel_sum_f64(n, sched, |v| {
+    let moved_by = |v: usize| {
         let neighbors = g.neighbors(v as VertexId).iter().map(|&u| u as usize);
         let incoming: f64 = neighbors.map(|u| ranks[u] / degree(u) as f64).sum();
         (fill + oracle::PR_DAMPING * incoming - ranks[v]).abs()
-    });
+    };
+    let moved = |lo, hi| (lo..hi).fold(0.0, |acc, v| acc + moved_by(v));
+    let moved = pool.parallel_reduce_ranges(n, sched, || 0.0, moved, |a, b| a + b);
     let ulp = |r: f64| {
         let x = (r as f32).abs();
         (f32::from_bits(x.to_bits() + 1) - x) as f64

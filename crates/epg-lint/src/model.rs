@@ -746,18 +746,16 @@ fn test_span(code: &Code, fns: &[FnSpan], at: usize, len: usize) -> Option<(usiz
 }
 
 /// The `epg-parallel` entry points whose closure arguments are worker
-/// code: the pool's loops and reductions, `WorkerBitmaps::reduce_ranges`
-/// and `PerWorker::for_ranges`. Token-level: a call to any method with one
-/// of these names counts.
+/// code: the pool's loops and its reduction, `PerWorker::for_ranges` and
+/// `PerWorker::reduce_ranges`, and `WorkerBitmaps::for_ranges`.
+/// Token-level: a call to any method with one of these names counts.
 pub(crate) const PAR_ENTRY_POINTS: &[&str] = &[
     ".region(",
     ".parallel_for(",
     ".parallel_for_ranges(",
-    ".parallel_reduce(",
     ".parallel_reduce_ranges(",
     ".reduce_ranges(",
     ".for_ranges(",
-    ".parallel_sum_f64(",
 ];
 
 /// Every entry-point call in `text` as `(start offset, offset of its
@@ -1117,7 +1115,7 @@ mod tests {
         assert!(f.in_loop_or_worker(3));
         assert!(!f.in_loop_or_worker(5));
         // A turbofish, nested generics included, is still the entry point.
-        let src = "fn f(pool: &ThreadPool) {\n    let p = pool.parallel_reduce::<Vec<u32>, _, _, _>(n, s, id, |acc, i| {\n        send(acc, i)\n    }, add);\n    pool.parallel_for::<F>(n, s, |v| {\n        out[v] = 1;\n    });\n    plain();\n}\n";
+        let src = "fn f(pool: &ThreadPool) {\n    let p = pool.parallel_reduce_ranges::<Vec<u32>, _, _, _>(n, s, id, |lo, hi| {\n        send(lo, hi)\n    }, add);\n    pool.parallel_for::<F>(n, s, |v| {\n        out[v] = 1;\n    });\n    plain();\n}\n";
         let f = file(src);
         assert_eq!(f.par_calls, vec![(2, 4), (5, 7)]);
         assert!(f.in_loop_or_worker(3) && f.in_loop_or_worker(6) && f.in_hot(3));
@@ -1127,8 +1125,8 @@ mod tests {
     #[test]
     fn reduce_entry_points_are_worker_spans_too() {
         // Closures passed to `parallel_reduce_ranges` and to
-        // `WorkerBitmaps::reduce_ranges` are worker code.
-        let src = "fn f(pool: &ThreadPool) {\n    let a = pool.parallel_reduce_ranges(n, s, id, |lo, hi| {\n        work(lo, hi)\n    }, add);\n    let c = marks.reduce_ranges(pool, n, s, id, |lo, hi| {\n        scatter(lo, hi)\n    }, add);\n    plain();\n}\n";
+        // `PerWorker::reduce_ranges` are worker code.
+        let src = "fn f(pool: &ThreadPool) {\n    let a = pool.parallel_reduce_ranges(n, s, id, |lo, hi| {\n        work(lo, hi)\n    }, add);\n    let c = parts.reduce_ranges(pool, n, s, id, |lo, hi| {\n        scatter(lo, hi)\n    }, add);\n    plain();\n}\n";
         let f = file(src);
         assert_eq!(f.par_calls, vec![(2, 4), (5, 7)]);
         assert!(f.in_loop_or_worker(3) && f.in_loop_or_worker(6));
@@ -1141,6 +1139,17 @@ mod tests {
         // worker's `PerWorker` state is worker code, and the drain after
         // the region is not.
         let src = "fn f(pool: &ThreadPool) {\n    found.for_ranges(pool, n, s, |mine, lo, hi| {\n        mine.list.push(lo)\n    });\n    Found::drain(&mut found, &mut next);\n}\n";
+        let f = file(src);
+        assert_eq!(f.par_calls, vec![(2, 4)]);
+        assert!(f.in_loop_or_worker(3) && f.in_hot(3));
+        assert!(!f.in_loop_or_worker(5));
+    }
+
+    #[test]
+    fn worker_bitmaps_for_ranges_closures_are_worker_spans() {
+        // A body handed its worker's bitmap and numbers is worker code, and
+        // the drain after the region is not.
+        let src = "fn f(pool: &ThreadPool) {\n    marks.for_ranges(pool, n, s, |mine, edges, lo, hi| {\n        mine.set(lo)\n    });\n    let edges = marks.drain_into(&mut next, add);\n}\n";
         let f = file(src);
         assert_eq!(f.par_calls, vec![(2, 4)]);
         assert!(f.in_loop_or_worker(3) && f.in_hot(3));

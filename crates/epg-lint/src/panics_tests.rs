@@ -23,9 +23,9 @@ mod tests {
 
     #[test]
     fn unwrap_in_bitmap_reduce_closure_is_flagged() {
-        // `WorkerBitmaps::reduce_ranges` runs its closure on the workers,
+        // `WorkerBitmaps::for_ranges` runs its closure on the workers,
         // like `parallel_reduce_ranges`, even outside any loop.
-        let src = "fn kernel(pool: &ThreadPool, marks: &WorkerBitmaps) {\n    let n = marks.reduce_ranges(pool, parts, per, || 0, |lo, hi| {\n        slot(lo).unwrap() + hi\n    }, add);\n    drop(n);\n}\n";
+        let src = "fn kernel(pool: &ThreadPool, marks: &mut WorkerBitmaps<u64>) {\n    marks.for_ranges(pool, parts, per, |mine, n, lo, hi| {\n        *n += slot(lo).unwrap() + hi\n    });\n    drop(marks);\n}\n";
         check_cases(&[(GAP, false, src, &[(3, RULE_PANIC, "`.unwrap()`")])]);
     }
 

@@ -17,16 +17,18 @@
 //! then drains in O(threads × len / 4096) instead of re-reading every word.
 //!
 //! The bitmaps are a [`PerWorker`] state, so the marking loop,
-//! [`WorkerBitmaps::reduce_ranges`], hands every range its worker's bitmap
+//! [`WorkerBitmaps::for_ranges`], hands every range its worker's bitmap
 //! the way every per-worker state is handed out, and call sites need no
-//! `unsafe`.
+//! `unsafe`. The numbers a round counts as it marks (edges scanned, the
+//! largest degree) sit beside each worker's bitmap, and the drain hands
+//! them back with the marks: the round allocates nothing.
 
 use crate::{PerWorker, Schedule, ThreadPool};
 
 /// One bitmap over `0..len` per pool thread, allocated once and reused
-/// across rounds.
-pub struct WorkerBitmaps {
-    bitmaps: PerWorker<Bitmap>,
+/// across rounds, and beside each the numbers `T` its worker counts.
+pub struct WorkerBitmaps<T> {
+    bitmaps: PerWorker<(Bitmap, T)>,
     len: usize,
 }
 
@@ -59,57 +61,50 @@ impl Marks<'_> {
     }
 }
 
-impl WorkerBitmaps {
-    /// Clear bitmaps over `0..len` for a pool of up to `workers` threads.
-    /// Indices come back as `u32` (a `VertexId`), so `len` must fit.
-    pub fn new(workers: usize, len: usize) -> WorkerBitmaps {
+impl<T: Default + Send> WorkerBitmaps<T> {
+    /// Clear bitmaps over `0..len`, and `T::default()` numbers, for a pool
+    /// of up to `workers` threads. Indices come back as `u32` (a
+    /// `VertexId`), so `len` must fit.
+    pub fn new(workers: usize, len: usize) -> WorkerBitmaps<T> {
         let last = len.saturating_sub(1);
         assert!(u32::try_from(last).is_ok(), "WorkerBitmaps over {len} indices outgrow u32 ids");
         let bitmap =
             || Bitmap { words: vec![0; len.div_ceil(64)], summary: vec![0; len.div_ceil(64 * 64)] };
-        WorkerBitmaps { bitmaps: PerWorker::new(workers, bitmap), len }
+        WorkerBitmaps { bitmaps: PerWorker::new(workers, || (bitmap(), T::default())), len }
     }
 
-    /// [`ThreadPool::parallel_reduce_ranges`] whose `map` also receives the
-    /// executing worker's bitmap: one region, the same ranges and the same
-    /// chunk count. Marks accumulate until the next
+    /// [`PerWorker::for_ranges`] whose body receives the executing worker's
+    /// bitmap and numbers: one region, the same ranges and the same chunk
+    /// count. Marks and numbers accumulate until the next
     /// [`WorkerBitmaps::drain_into`].
-    pub fn reduce_ranges<T, I, M, C>(
-        &mut self,
-        pool: &ThreadPool,
-        n: usize,
-        sched: Schedule,
-        identity: I,
-        map: M,
-        combine: C,
-    ) -> T
+    pub fn for_ranges<B>(&mut self, pool: &ThreadPool, n: usize, sched: Schedule, body: B)
     where
-        T: Send,
-        I: FnOnce() -> T,
-        M: Fn(&mut Marks<'_>, usize, usize) -> T + Sync,
-        C: Fn(T, T) -> T + Sync,
+        B: Fn(&mut Marks<'_>, &mut T, usize, usize) + Sync,
     {
-        let (mine, len) = (self.bitmaps.hand_out(pool), self.len);
-        let map = |tid, lo, hi| map(&mut Marks { bitmap: &mut mine(tid), len }, lo, hi);
-        pool.reduce_worker_ranges(n, sched, identity, map, combine)
+        let len = self.len;
+        self.bitmaps.for_ranges(pool, n, sched, |(bitmap, numbers), lo, hi| {
+            body(&mut Marks { bitmap, len }, numbers, lo, hi)
+        });
     }
 
     /// Replaces `out`'s contents with every marked index, ascending and
-    /// distinct, and clears every bitmap. The summary bits lead it to the
-    /// words that hold marks, so a round that marks few indices of a long
-    /// range drains in O(threads × len / 4096), not O(threads × len / 64).
-    pub fn drain_into(&mut self, out: &mut Vec<u32>) {
+    /// distinct, clears every bitmap, and returns the workers' numbers
+    /// folded with `combine` in worker order, leaving each at its default.
+    /// The summary bits lead it to the words that hold marks, so a round
+    /// that marks few indices of a long range drains in
+    /// O(threads × len / 4096), not O(threads × len / 64).
+    pub fn drain_into(&mut self, out: &mut Vec<u32>, combine: impl FnMut(T, T) -> T) -> T {
         out.clear();
         for si in 0..self.len.div_ceil(64 * 64) {
             let mut dirty = 0;
-            for bitmap in self.bitmaps.iter_mut() {
+            for (bitmap, _) in self.bitmaps.iter_mut() {
                 dirty |= std::mem::take(&mut bitmap.summary[si]);
             }
             while dirty != 0 {
                 let wi = si * 64 + dirty.trailing_zeros() as usize;
                 dirty &= dirty - 1;
                 let mut word = 0;
-                for bitmap in self.bitmaps.iter_mut() {
+                for (bitmap, _) in self.bitmaps.iter_mut() {
                     word |= std::mem::take(&mut bitmap.words[wi]);
                 }
                 while word != 0 {
@@ -118,6 +113,7 @@ impl WorkerBitmaps {
                 }
             }
         }
+        self.bitmaps.iter_mut().map(|(_, t)| std::mem::take(t)).reduce(combine).unwrap_or_default()
     }
 }
 
@@ -128,25 +124,17 @@ mod tests {
     #[test]
     fn marks_from_every_worker_drain_once_in_order() {
         let pool = ThreadPool::new(3);
-        let mut bitmaps = WorkerBitmaps::new(3, 1000);
+        let mut bitmaps = WorkerBitmaps::<usize>::new(3, 1000);
         let sched = Schedule::Dynamic { chunk: 7 };
         // Every index is marked by two different ranges, most by two workers.
-        let marked = bitmaps.reduce_ranges(
-            &pool,
-            2000,
-            sched,
-            || 0,
-            |marks, lo, hi| {
-                (lo..hi).for_each(|i| marks.set((i * 7) % 1000));
-                hi - lo
-            },
-            |a, b| a + b,
-        );
-        assert_eq!(marked, 2000);
+        bitmaps.for_ranges(&pool, 2000, sched, |marks, marked, lo, hi| {
+            (lo..hi).for_each(|i| marks.set((i * 7) % 1000));
+            *marked += hi - lo;
+        });
         let mut out = vec![42];
-        bitmaps.drain_into(&mut out);
+        assert_eq!(bitmaps.drain_into(&mut out, |a, b| a + b), 2000);
         assert_eq!(out, (0..1000).collect::<Vec<u32>>());
-        bitmaps.drain_into(&mut out);
+        assert_eq!(bitmaps.drain_into(&mut out, |a, b| a + b), 0);
         assert!(out.is_empty(), "a drain leaves every bitmap clear");
     }
 
@@ -154,13 +142,11 @@ mod tests {
     #[should_panic(expected = "fewer than the pool's")]
     fn a_pool_wider_than_the_bitmaps_is_refused() {
         let pool = ThreadPool::new(2);
-        WorkerBitmaps::new(1, 64).reduce_ranges(
+        WorkerBitmaps::<()>::new(1, 64).for_ranges(
             &pool,
             1,
             Schedule::Static { chunk: None },
-            || (),
-            |_, _, _| (),
-            |_, _| (),
+            |_, _, _, _| (),
         );
     }
 }

@@ -1,19 +1,20 @@
-//! Parallel reductions (`#pragma omp parallel for reduction(...)`).
+//! Parallel reductions (`#pragma omp parallel for reduction(...)`) run
+//! once. A reduction that runs every round keeps its partials in the run's
+//! [`PerWorker`] state, and this entry point is that reduction on a fresh
+//! state: one combine order for both.
 
-use crate::{Schedule, ThreadPool};
-use parking_lot::Mutex;
+use crate::{PerWorker, Schedule, ThreadPool};
 
 impl ThreadPool {
-    /// Parallel reduction over index ranges: `map(lo, hi)` turns each range
-    /// the schedule hands out into a partial, each worker folds its own
-    /// partials with `combine` as it goes (so at most one partial per
-    /// worker outlives the region), and the per-worker results are combined
-    /// on the caller — both in unspecified order. `identity` is the result
-    /// when no range ran (`n == 0`, or a tripped cancel token abandoned
-    /// them all). Each call allocates one per-worker slot vector, so it
-    /// suits numbers; a step that hands found vertices out of a region
-    /// keeps them, and the numbers that travel with them, in a
-    /// [`crate::PerWorker`] state for the run instead.
+    /// Parallel reduction over index ranges, for a reduction run once:
+    /// [`PerWorker::reduce_ranges`] on a fresh state, so each call allocates
+    /// one `Option<T>` per worker. `map(lo, hi)` turns each range the
+    /// schedule hands out into a partial, a worker combines its partials in
+    /// the order it ran them, and the workers' results are combined in
+    /// worker order; `identity` is the result when no range ran. A step
+    /// that reduces every round keeps a `PerWorker<Option<T>>` for the run
+    /// and calls [`PerWorker::reduce_ranges`] on it instead: same ranges,
+    /// same combine order, no allocation.
     pub fn parallel_reduce_ranges<T, I, M, C>(
         &self,
         n: usize,
@@ -28,74 +29,8 @@ impl ThreadPool {
         M: Fn(usize, usize) -> T + Sync,
         C: Fn(T, T) -> T + Sync,
     {
-        self.reduce_worker_ranges(n, sched, identity, |_tid, lo, hi| map(lo, hi), combine)
-    }
-
-    /// [`ThreadPool::parallel_reduce_ranges`] whose `map` also receives the
-    /// executing thread id, as [`ThreadPool::parallel_for_ranges`]' body does.
-    pub(crate) fn reduce_worker_ranges<T, I, M, C>(
-        &self,
-        n: usize,
-        sched: Schedule,
-        identity: I,
-        map: M,
-        combine: C,
-    ) -> T
-    where
-        T: Send,
-        I: FnOnce() -> T,
-        M: Fn(usize, usize, usize) -> T + Sync,
-        C: Fn(T, T) -> T + Sync,
-    {
-        let slots: Vec<Mutex<Option<T>>> =
-            (0..self.num_threads()).map(|_| Mutex::new(None)).collect();
-        self.parallel_for_ranges(n, sched, |tid, lo, hi| {
-            let part = map(tid, lo, hi);
-            // Only worker `tid` touches slot `tid`: the lock is never
-            // contended, it just makes the per-worker cell `Sync`.
-            let mut slot = slots[tid].lock();
-            *slot = Some(match slot.take() {
-                Some(acc) => combine(acc, part),
-                None => part,
-            });
-        });
-        slots.into_iter().filter_map(Mutex::into_inner).reduce(combine).unwrap_or_else(identity)
-    }
-
-    /// Parallel reduction over `0..n`: every range folds its indices into an
-    /// accumulator created by `identity`, and the accumulators are combined
-    /// (in unspecified order) with `combine`.
-    pub fn parallel_reduce<T, I, F, C>(
-        &self,
-        n: usize,
-        sched: Schedule,
-        identity: I,
-        fold: F,
-        combine: C,
-    ) -> T
-    where
-        T: Send,
-        I: Fn() -> T + Sync,
-        F: Fn(&mut T, usize) + Sync,
-        C: Fn(T, T) -> T + Sync,
-    {
-        let map = |lo, hi| {
-            let mut acc = identity();
-            (lo..hi).for_each(|i| fold(&mut acc, i));
-            acc
-        };
-        self.parallel_reduce_ranges(n, sched, &identity, map, combine)
-    }
-
-    /// Sum of `f(i)` over `0..n` in `f64`. The workhorse for PageRank's L1
-    /// convergence check.
-    pub fn parallel_sum_f64<F: Fn(usize) -> f64 + Sync>(
-        &self,
-        n: usize,
-        sched: Schedule,
-        f: F,
-    ) -> f64 {
-        self.parallel_reduce(n, sched, || 0.0f64, |acc, i| *acc += f(i), |a, b| a + b)
+        let mut parts = PerWorker::new(self.num_threads(), || None);
+        parts.reduce_ranges(self, n, sched, identity, map, combine)
     }
 }
 
@@ -152,7 +87,14 @@ mod tests {
     fn sum_matches_sequential_fold() {
         let pool = ThreadPool::new(4);
         let data: Vec<f64> = (0..10_000).map(|i| (i % 97) as f64 * 0.25).collect();
-        let par = pool.parallel_sum_f64(data.len(), Schedule::Dynamic { chunk: 33 }, |i| data[i]);
+        let sum = |lo, hi| data[lo..hi].iter().fold(0.0, |acc, x| acc + x);
+        let par = pool.parallel_reduce_ranges(
+            data.len(),
+            Schedule::Dynamic { chunk: 33 },
+            || 0.0,
+            sum,
+            |a, b| a + b,
+        );
         let seq: f64 = data.iter().sum();
         // Summation order differs; allow tiny fp slack.
         assert!((par - seq).abs() < 1e-6, "{par} vs {seq}");
@@ -161,7 +103,7 @@ mod tests {
     #[test]
     fn reduce_on_empty_range_is_identity() {
         let pool = ThreadPool::new(3);
-        let r = pool.parallel_reduce(
+        let r = pool.parallel_reduce_ranges(
             0,
             Schedule::Static { chunk: None },
             || 7u64,

@@ -40,11 +40,11 @@ proptest! {
         nthreads in 1usize..5,
     ) {
         let pool = ThreadPool::new(nthreads);
-        let par = pool.parallel_reduce(
+        let par = pool.parallel_reduce_ranges(
             data.len(),
             sched,
             || 0i64,
-            |acc, i| *acc += data[i],
+            |lo, hi| data[lo..hi].iter().sum::<i64>(),
             |a, b| a + b,
         );
         prop_assert_eq!(par, data.iter().sum::<i64>());
@@ -95,29 +95,21 @@ proptest! {
         nthreads in prop_oneof![Just(1usize), Just(2), Just(4)],
     ) {
         let pool = ThreadPool::new(nthreads);
-        let mut bitmaps = WorkerBitmaps::new(nthreads, len);
+        let mut bitmaps = WorkerBitmaps::<usize>::new(nthreads, len);
         let mut out = Vec::new();
         // The same bitmaps serve both rounds: a drain must leave them clear.
         for marks in [&first, &second] {
-            let set = bitmaps.reduce_ranges(
-                &pool,
-                marks.len(),
-                sched,
-                || 0,
-                |mine, lo, hi| {
-                    marks[lo..hi].iter().for_each(|&i| mine.set(i));
-                    hi - lo
-                },
-                |a, b| a + b,
-            );
-            prop_assert_eq!(set, marks.len());
-            bitmaps.drain_into(&mut out);
+            bitmaps.for_ranges(&pool, marks.len(), sched, |mine, set, lo, hi| {
+                marks[lo..hi].iter().for_each(|&i| mine.set(i));
+                *set += hi - lo;
+            });
+            prop_assert_eq!(bitmaps.drain_into(&mut out, |a, b| a + b), marks.len());
             let mut want: Vec<u32> = marks.iter().map(|&i| i as u32).collect();
             want.sort_unstable();
             want.dedup();
             prop_assert_eq!(&out, &want);
         }
-        bitmaps.drain_into(&mut out);
+        prop_assert_eq!(bitmaps.drain_into(&mut out, |a, b| a + b), 0, "drained numbers");
         prop_assert!(out.is_empty(), "drained bitmaps hold marks");
     }
 }
@@ -198,5 +190,73 @@ proptest! {
         // An empty step runs no range and leaves nothing to drain.
         found.for_ranges(&pool, 0, sched, |_, _, _| panic!("a range of an empty step"));
         prop_assert!(fold(&mut found).is_empty());
+    }
+}
+
+fn arb_static() -> impl Strategy<Value = Schedule> {
+    prop_oneof![
+        Just(Schedule::Static { chunk: None }),
+        (1usize..50).prop_map(|c| Schedule::Static { chunk: Some(c) }),
+    ]
+}
+
+/// The sum of `data[lo..hi]`, folded from `0.0` in index order.
+fn range_sum(data: &[f64], lo: usize, hi: usize) -> f64 {
+    data[lo..hi].iter().fold(0.0, |acc, x| acc + x)
+}
+
+/// The documented combine order, serially, for a static schedule: worker
+/// `t` runs chunks `t, t + nthreads, …` and combines their sums in that
+/// order, and the workers that ran a chunk are combined in worker order.
+fn static_order_sum(data: &[f64], chunk: Option<usize>, nthreads: usize) -> f64 {
+    let n = data.len();
+    let chunk = chunk.unwrap_or(n.div_ceil(nthreads).max(1));
+    let worker = |t: usize| {
+        let chunks = (t..n.div_ceil(chunk)).step_by(nthreads);
+        chunks.map(|c| range_sum(data, c * chunk, (c * chunk + chunk).min(n))).reduce(|a, b| a + b)
+    };
+    (0..nthreads).filter_map(worker).reduce(|a, b| a + b).unwrap_or(0.0)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn run_kept_f64_sums_are_the_one_shot_sums_bit_for_bit(
+        data in prop_oneof![
+            Just(Vec::new()),
+            collection::vec((-1.0f64..1.0, 0i32..24).prop_map(|(m, e)| m * 10f64.powi(e - 12)), 0..2000),
+        ],
+        sched in arb_static(),
+        nthreads in 1usize..5,
+        cut in 0usize..2000,
+    ) {
+        let pool = ThreadPool::new(nthreads);
+        let add = |a: f64, b: f64| a + b;
+        let sum = |lo, hi| range_sum(&data, lo, hi);
+        let mut parts = PerWorker::new(nthreads, || None);
+        // A step whose token trips at the first range starting at `cut`:
+        // the pool abandons the rest, and the reduction takes what ran.
+        let token = CancelToken::new();
+        pool.set_cancel_token(Some(token.clone()));
+        let cancelled = parts.reduce_ranges(&pool, data.len(), sched, || 0.0, |lo, hi| {
+            if lo >= cut {
+                token.cancel();
+            }
+            sum(lo, hi)
+        }, add);
+        pool.set_cancel_token(None);
+        prop_assert!(cancelled.is_finite());
+
+        // The next two steps on the same state: each is the one-shot sum,
+        // and both are the documented order's, bit for bit.
+        let Schedule::Static { chunk } = sched else { unreachable!() };
+        let want = static_order_sum(&data, chunk, nthreads);
+        let once = pool.parallel_reduce_ranges(data.len(), sched, || 0.0, sum, add);
+        prop_assert_eq!(once.to_bits(), want.to_bits());
+        for _ in 0..2 {
+            let kept = parts.reduce_ranges(&pool, data.len(), sched, || 0.0, sum, add);
+            prop_assert_eq!(kept.to_bits(), want.to_bits());
+        }
     }
 }

@@ -23,11 +23,13 @@
 //! what `cargo test` runs. Every nonzero row says where its allocations
 //! come from, in four recurring terms:
 //!
-//! * *slots*: the per-worker slot vector every
-//!   `ThreadPool::parallel_reduce_ranges` call allocates; `parallel_reduce`
-//!   and `WorkerBitmaps::reduce_ranges` reach it too. A step that hands
-//!   found vertices out of a region keeps them, and the numbers that travel
-//!   with them, in its run's `PerWorker` state instead: no slots, no list;
+//! * *partials*: a reduction's per-worker partials. A reduction that runs
+//!   every round keeps them in its run's `PerWorker` state
+//!   (`PerWorker::reduce_ranges`), as a step that hands found vertices out
+//!   of a region keeps them, and the numbers that travel with them: a
+//!   round allocates neither. Only a one-shot
+//!   `ThreadPool::parallel_reduce_ranges` allocates its partials, once per
+//!   call;
 //! * *growth*: a buffer kept for the run (a `PerWorker` list, the set it
 //!   drains into, a level stack) reallocates only when it doubles, so it
 //!   adds a call per doubling the larger input needs, not per round;
@@ -332,17 +334,17 @@ const BMSSP: &str = "per recursive call: the partial-order queue's blocks \
     with the settled vertices, so the count is superlinear in L on the grid and the broom";
 
 /// GraphMat's SpMV iteration, the part every program pays.
-const SPMV: &str = "per iteration (`run_iteration`): the `sent` message slots; +1 trace; \
-    debug: + 3 shadows (sent, acc, values). The accumulator, the blocks' row lists and tallies \
-    and the next active set come from the run's `spmv::Scratch`";
+const SPMV: &str = "per iteration (`run_iteration`): nothing, the `sent` message vector, the \
+    accumulator, the blocks' row lists and tallies and the next active set come from the run's \
+    `spmv::Scratch`; +1 trace; debug: + 3 shadows (sent, acc, values)";
 
-const POWERGRAPH_SSSP: &str = "per superstep (`superstep(`): slots (the scatter's \
-    `WorkerBitmaps::reduce_ranges`); +1 trace; debug: + 2 shadows (replica slots, vertex data). \
-    Replica slots, the merge workers' changed lists, the bitmaps and the changed and next \
-    active sets come from the run's `gas::Scratch`";
+const POWERGRAPH_SSSP: &str = "per superstep (`superstep(`): nothing, the scatter's edge counts \
+    sit beside the run's bitmaps (`WorkerBitmaps::for_ranges`); +1 trace; debug: + 2 shadows \
+    (replica slots, vertex data). Replica slots, the gather's partials, the merge workers' \
+    changed lists, the bitmaps and the changed and next active sets come from the run's \
+    `gas::Scratch`";
 
-const POWERGRAPH_WCC: &str = "per superstep (`superstep(`): 2 slots (gather, scatter); +1 \
-    trace, +1 `WorkerBitmaps::drain_into` growth, +1 growth of the merge worker's changed list; \
+const POWERGRAPH_WCC: &str = "per superstep (`superstep(`): nothing, as SSSP; +1 trace, +1 `WorkerBitmaps::drain_into` growth, +1 growth of the merge worker's changed list; \
     debug: + 2 shadows, as SSSP";
 
 /// The extra allocator calls one more round costs, cell by cell.
@@ -353,8 +355,8 @@ const ROWS: &[Row] = &[
     row(Graph500, Bfs, None, Broom, 1, 1, LEVEL_SYNC_BFS),
     row(Gap, Bfs, None, Path, 3, 3, "per top-down step: nothing, the claims are the run's `PerWorker` lists, flushed into the `SlidingQueue` (`top_down_step`); +2 `SlidingQueue::push_all` growth, +1 trace (net). The bottom-up tail is the same 14 steps at both sizes"),
     row(Gap, Bfs, None, Grid, 3, 3, "as on the path; the bottom-up tail is the same 12 steps at both sizes"),
-    row(Gap, Bfs, None, Broom, 25, 25, "per bottom-up step: slots (`bottom_up_step`); +1 trace. The two frontier bitmaps (`front`, `next`) are the run's, cleared and swapped per step (23 and 47 pull steps)"),
-    row(Gap, PageRank, None, Iters, 49, 73, "per iteration: 2 slots (the sink-mass and L1 `parallel_reduce`s); +1 trace; debug: + shadow (`next_cell`)"),
+    row(Gap, Bfs, None, Broom, 1, 1, "per bottom-up step: nothing, its partials are the run's `PerWorker` (`bottom_up_step`); +1 trace. The two frontier bitmaps (`front`, `next`) are the run's, cleared and swapped per step (23 and 47 pull steps)"),
+    row(Gap, PageRank, None, Iters, 1, 25, "per iteration: nothing, the L1 and `changed` partials are the run's `Convergence` and the sink mass is a serial sum; +1 trace; debug: + shadow (`next_cell`)"),
     row(Gap, Sssp, Some(DeltaStepping), Path, 26, 26, DELTA_THIN),
     row(Gap, Sssp, Some(DeltaStepping), Grid, 26, 26, DELTA_THIN),
     row(Gap, Sssp, Some(DeltaStepping), Broom, 74, 74, "per bucket: the new bin's vector grows to 15 vertices (3 calls, `Worker::push`); +1 `bins.resize_with` growth, +1 trace. `frontier.append` reallocates only while a bin outgrows every earlier one: 0 here"),
@@ -364,43 +366,43 @@ const ROWS: &[Row] = &[
     row(Gap, Sssp, Some(Bmssp), Path, 73, 73, BMSSP),
     row(Gap, Sssp, Some(Bmssp), Grid, 1093, 1093, BMSSP),
     row(Gap, Sssp, Some(Bmssp), Broom, 3589, 3589, BMSSP),
-    row(Gap, Bc, None, Path, 23, 23, "per backward level: slots; +1 growth of the level starts (`starts.push`), +1 trace. A forward level's finds are the run's `PerWorker` lists, drained into the run's flat level stack (`order`, sized for every vertex). The sampled source sits 21 levels deeper"),
+    row(Gap, Bc, None, Path, 2, 2, "per backward level: nothing, its scan counts are the run's `PerWorker` partials; +1 growth of the level starts (`starts.push`), +1 trace. A forward level's finds are the run's `PerWorker` lists, drained into the run's flat level stack (`order`, sized for every vertex). The sampled source sits 21 levels deeper"),
     row(Gap, TriangleCount, None, Cliques, 120, 120, "per vertex: the pruned higher-neighbour set (`tc.rs`'s `.collect()`, stored through `DisjointWriter`), 5 calls per 4-clique"),
     row(GraphBig, Bfs, None, Path, 1, 1, LEVEL_SYNC_BFS),
     row(GraphBig, Bfs, None, Grid, 1, 1, LEVEL_SYNC_BFS),
     row(GraphBig, Bfs, None, Broom, 1, 1, LEVEL_SYNC_BFS),
     row(GraphBig, Cdlp, None, Cliques, 0, 0, ""),
     row(GraphBig, Lcc, None, Cliques, 288, 288, "per vertex: the sorted out-neighbourhood (`topology.rs`'s `.collect()`), its `clone` and the `extend` that merges in the in-neighbours, 3 calls"),
-    row(GraphBig, PageRank, None, Iters, 49, 73, "per iteration: 2 slots (the sink-mass and L1 `parallel_reduce`s); +1 trace; debug: + shadow (the rank writer)"),
-    row(GraphBig, Sssp, None, Path, 25, 25, "per round: slots (`WorkerBitmaps::reduce_ranges` over the active list); +1 trace. The bitmaps are allocated once per run"),
-    row(GraphBig, Sssp, None, Grid, 25, 25, "as on the path"),
-    row(GraphBig, Sssp, None, Broom, 25, 25, "as on the path"),
-    row(GraphBig, Wcc, None, Path, 25, 25, "per round: slots (`wcc`'s `parallel_reduce_ranges`); +1 trace"),
-    row(GraphBig, Wcc, None, Grid, 25, 25, "as on the path"),
-    row(GraphBig, Wcc, None, Broom, 25, 25, "as on the path"),
+    row(GraphBig, PageRank, None, Iters, 1, 25, "per iteration: nothing, the L1 and `changed` partials are the run's `Convergence` and the sink mass is a serial sum; +1 trace; debug: + shadow (the rank writer)"),
+    row(GraphBig, Sssp, None, Path, 1, 1, "per round: nothing, the improved vertices and the (edges, max degree) tallies are the run's `WorkerBitmaps`, allocated once per run; +1 trace"),
+    row(GraphBig, Sssp, None, Grid, 1, 1, "as on the path"),
+    row(GraphBig, Sssp, None, Broom, 1, 1, "as on the path"),
+    row(GraphBig, Wcc, None, Path, 1, 1, "per round: nothing, `wcc`'s `changed` partials are the run's `PerWorker`; +1 trace"),
+    row(GraphBig, Wcc, None, Grid, 1, 1, "as on the path"),
+    row(GraphBig, Wcc, None, Broom, 1, 1, "as on the path"),
     row(GraphBig, Bc, None, Path, 0, 0, "a forward level's finds are the run's `PerWorker` lists, drained into the run's flat level stack (`order`, sized for every vertex); the level starts' doubling lands in the same power of two at both sizes, and the backward pass allocates nothing. The sampled source sits 11 levels deeper"),
     row(GraphBig, TriangleCount, None, Cliques, 120, 120, "per vertex: the pruned higher-neighbour set (`extensions.rs`'s `.collect()`), 5 calls per 4-clique"),
-    row(GraphMat, Bfs, None, Path, 25, 97, SPMV),
-    row(GraphMat, Bfs, None, Grid, 25, 97, SPMV),
-    row(GraphMat, Bfs, None, Broom, 25, 97, SPMV),
+    row(GraphMat, Bfs, None, Path, 1, 73, SPMV),
+    row(GraphMat, Bfs, None, Grid, 1, 73, SPMV),
+    row(GraphMat, Bfs, None, Broom, 1, 73, SPMV),
     row(GraphMat, Cdlp, None, Cliques, 9649, 9649, "per edge per round: CDLP's label multiset `vec![*msg]` (`CdlpProgram::process`, the program's Accum under the GraphMat API, reached through `run_iteration` and `run_block`) and its `append` growth (`reduce`); per vertex per round the mode's `HashMap` (`apply`). The block's row list is the run's, so it doubles once more per run at the larger size, not once more per round"),
     row(GraphMat, Lcc, None, Cliques, 192, 192, "per vertex: the merged neighbourhood (`lcc.rs`'s `.to_vec()`) and its `extend_from_slice` growth, 2 calls"),
-    row(GraphMat, PageRank, None, Iters, 73, 145, "per iteration: 3 slots (`parallel_reduce`); +1 trace; debug: + 3 shadows (the pagerank writers)"),
-    row(GraphMat, Sssp, None, Path, 25, 97, SPMV),
-    row(GraphMat, Sssp, None, Grid, 25, 97, SPMV),
-    row(GraphMat, Sssp, None, Broom, 25, 97, SPMV),
-    row(GraphMat, Wcc, None, Path, 26, 98, "as BFS, +1 growth of the block's row list, which WCC's all-active first iteration doubles once more at the larger size (`rows.push`)"),
-    row(GraphMat, Wcc, None, Grid, 26, 98, "as on the path"),
-    row(GraphMat, Wcc, None, Broom, 26, 98, "as on the path"),
+    row(GraphMat, PageRank, None, Iters, 1, 73, "per iteration: nothing, the sink-mass, L1 and `changed` partials are the run's (`sinks`, `Convergence`); +1 trace; debug: + 3 shadows (the pagerank writers)"),
+    row(GraphMat, Sssp, None, Path, 1, 73, SPMV),
+    row(GraphMat, Sssp, None, Grid, 1, 73, SPMV),
+    row(GraphMat, Sssp, None, Broom, 1, 73, SPMV),
+    row(GraphMat, Wcc, None, Path, 2, 74, "as BFS, +1 growth of the block's row list, which WCC's all-active first iteration doubles once more at the larger size (`rows.push`). That iteration also sizes the kept `sent` vector, in one call at both sizes"),
+    row(GraphMat, Wcc, None, Grid, 2, 74, "as on the path"),
+    row(GraphMat, Wcc, None, Broom, 2, 74, "as on the path"),
     row(GraphMat, TriangleCount, None, Cliques, 120, 120, "per vertex: the pruned higher-neighbour set (`lcc.rs`'s `.collect()`), 5 calls per 4-clique"),
     row(PowerGraph, Cdlp, None, Cliques, 9639, 9639, "per edge per round: CDLP's collecting gather `vec![*other]` (`prog.gather` in `superstep`, the GAS abstraction's per-edge accumulator) and its `merge` growth; per vertex per round the mode's `HashMap` (`apply`); +1 growth of the merge worker's changed list, kept for the run"),
     row(PowerGraph, Lcc, None, Cliques, 288, 288, "per vertex: three neighbour lists grown by `lcc`'s gather callback (`extend_from_slice`)"),
-    row(PowerGraph, PageRank, None, Iters, 25, 73, "per superstep (`superstep(`): slots (the gather); +1 trace; debug: + 2 shadows (replica slots, vertex data)"),
-    row(PowerGraph, Sssp, None, Path, 25, 73, POWERGRAPH_SSSP),
-    row(PowerGraph, Sssp, None, Grid, 25, 73, POWERGRAPH_SSSP),
-    row(PowerGraph, Sssp, None, Broom, 25, 73, POWERGRAPH_SSSP),
-    row(PowerGraph, Wcc, None, Path, 51, 99, POWERGRAPH_WCC),
-    row(PowerGraph, Wcc, None, Grid, 51, 99, POWERGRAPH_WCC),
-    row(PowerGraph, Wcc, None, Broom, 51, 99, POWERGRAPH_WCC),
+    row(PowerGraph, PageRank, None, Iters, 1, 49, "per superstep (`superstep(`): nothing, the gather's partials are the run's `gas::Scratch`; +1 trace; debug: + 2 shadows (replica slots, vertex data)"),
+    row(PowerGraph, Sssp, None, Path, 1, 49, POWERGRAPH_SSSP),
+    row(PowerGraph, Sssp, None, Grid, 1, 49, POWERGRAPH_SSSP),
+    row(PowerGraph, Sssp, None, Broom, 1, 49, POWERGRAPH_SSSP),
+    row(PowerGraph, Wcc, None, Path, 3, 51, POWERGRAPH_WCC),
+    row(PowerGraph, Wcc, None, Grid, 3, 51, POWERGRAPH_WCC),
+    row(PowerGraph, Wcc, None, Broom, 3, 51, POWERGRAPH_WCC),
     row(PowerGraph, TriangleCount, None, Cliques, 192, 192, "per vertex: the neighbour list grown twice by `triangle_count`'s gather callback (`extend_from_slice`)"),
 ];
