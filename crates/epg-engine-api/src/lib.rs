@@ -18,6 +18,7 @@
 //! 3. [`Engine::run`] — the algorithm kernel, timed per root.
 
 #![warn(missing_docs)]
+pub mod cdlp;
 pub mod counters;
 pub mod fault;
 pub mod logfmt;

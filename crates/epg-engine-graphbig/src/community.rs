@@ -1,10 +1,9 @@
 //! Community-structure kernels: CDLP and WCC.
 
-use epg_engine_api::{AlgorithmResult, Dir, RunLog, RunOutput, RunParams};
+use epg_engine_api::{cdlp::mode, AlgorithmResult, Dir, RunLog, RunOutput, RunParams};
 use epg_graph::adjacency::PropertyGraph;
 use epg_graph::VertexId;
 use epg_parallel::{DisjointWriter, PerWorker, Schedule};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Synchronous label propagation for `iterations` rounds, Graphalytics
@@ -17,29 +16,20 @@ pub fn cdlp(g: &PropertyGraph, params: &RunParams<'_>, iterations: u32) -> RunOu
     let mut next: Vec<u64> = label.clone();
     let mut log = RunLog::new(params.recorder);
     let m2 = (0..n as VertexId).map(|v| (g.out_degree(v) + g.in_degree(v)) as u64).sum::<u64>();
+    // Each worker's neighbour labels, refilled per vertex.
+    let mut gathered = PerWorker::new(pool.num_threads(), Vec::new);
     for round in 0..iterations {
         {
             let writer = DisjointWriter::new(&mut next);
-            let label_ref = &label;
-            pool.parallel_for_ranges(n, Schedule::graphbig_default(), |_tid, lo, hi| {
-                let mut freq: HashMap<u64, u32> = HashMap::new();
+            gathered.for_ranges(pool, n, Schedule::graphbig_default(), |labels, lo, hi| {
                 for v in lo..hi {
-                    freq.clear();
                     let vid = v as VertexId;
-                    for (u, _) in g.neighbors(vid) {
-                        *freq.entry(label_ref[u as usize]).or_insert(0) += 1;
-                    }
-                    for u in g.in_neighbors(vid) {
-                        *freq.entry(label_ref[u as usize]).or_insert(0) += 1;
-                    }
-                    let new = freq
-                        .iter()
-                        .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0)))
-                        .map(|(&l, _)| l)
-                        .unwrap_or(label_ref[v]);
+                    labels.clear();
+                    labels.extend(g.neighbors(vid).map(|(u, _)| label[u as usize]));
+                    labels.extend(g.in_neighbors(vid).map(|u| label[u as usize]));
                     // SAFETY: ranges are disjoint — one writer per index
                     // per region, `v < n`.
-                    unsafe { writer.write_unchecked(v, new) };
+                    unsafe { writer.write_unchecked(v, mode(labels).unwrap_or(label[v])) };
                 }
             });
         }

@@ -2,7 +2,7 @@
 
 use crate::program::GraphProgram;
 use crate::spmv::{run_iteration, Scratch, SpmvStats};
-use epg_engine_api::StoppingCriterion;
+use epg_engine_api::{cdlp::LabelBag, StoppingCriterion};
 use epg_engine_api::{AlgorithmResult, Convergence, Dir, RunLog, RunOutput, RunParams};
 use epg_graph::{Dcsc, VertexId, Weight, INF_DIST, NO_VERTEX};
 use epg_parallel::{DisjointWriter, PerWorker, Schedule};
@@ -256,26 +256,18 @@ struct CdlpProgram;
 impl GraphProgram for CdlpProgram {
     type VertexValue = u64;
     type Message = u64;
-    type Accum = Vec<u64>;
+    type Accum = LabelBag;
     fn send(&self, _v: VertexId, value: &u64) -> u64 {
         *value
     }
-    fn process(&self, msg: &u64, _w: Weight, _dst: VertexId) -> Vec<u64> {
-        vec![*msg]
+    fn process(&self, msg: &u64, _w: Weight, _dst: VertexId) -> LabelBag {
+        LabelBag::one(*msg)
     }
-    fn reduce(&self, mut a: Vec<u64>, mut b: Vec<u64>) -> Vec<u64> {
-        a.append(&mut b);
-        a
+    fn reduce(&self, a: LabelBag, b: LabelBag) -> LabelBag {
+        a.merge(b)
     }
-    fn apply(&self, acc: Vec<u64>, _v: VertexId, value: &mut u64) -> bool {
-        // Most frequent label; ties broken toward the smallest label.
-        let mut freq: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
-        for l in acc {
-            *freq.entry(l).or_insert(0) += 1;
-        }
-        if let Some((&l, _)) = freq.iter().max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0))) {
-            *value = l;
-        }
+    fn apply(&self, acc: LabelBag, _v: VertexId, value: &mut u64) -> bool {
+        *value = acc.mode();
         true
     }
 }

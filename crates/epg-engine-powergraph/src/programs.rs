@@ -7,6 +7,7 @@
 
 use crate::gas::{superstep, EdgeDir, Scratch, Signal, VertexProgram};
 use crate::partition::PartitionedGraph;
+use epg_engine_api::cdlp::LabelBag;
 use epg_engine_api::{AlgorithmResult, Dir, RunLog, RunOutput, RunParams, StoppingCriterion};
 use epg_graph::{VertexId, Weight, INF_DIST};
 
@@ -181,30 +182,18 @@ struct CdlpProgram;
 
 impl VertexProgram for CdlpProgram {
     type Data = u64;
-    type Gather = Vec<u64>;
+    type Gather = LabelBag;
     fn gather_dir(&self) -> EdgeDir {
         EdgeDir::Both
     }
-    fn gather(&self, _v: VertexId, other: &u64, _w: Weight) -> Vec<u64> {
-        vec![*other]
+    fn gather(&self, _v: VertexId, other: &u64, _w: Weight) -> LabelBag {
+        LabelBag::one(*other)
     }
-    fn merge(&self, mut a: Vec<u64>, mut b: Vec<u64>) -> Vec<u64> {
-        a.append(&mut b);
-        a
+    fn merge(&self, a: LabelBag, b: LabelBag) -> LabelBag {
+        a.merge(b)
     }
-    fn apply(&self, _v: VertexId, data: &mut u64, acc: Option<Vec<u64>>) -> bool {
-        let Some(labels) = acc else { return false };
-        let mut freq: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
-        for l in labels {
-            *freq.entry(l).or_insert(0) += 1;
-        }
-        if let Some((&l, _)) = freq.iter().max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0))) {
-            let changed = *data != l;
-            *data = l;
-            changed
-        } else {
-            false
-        }
+    fn apply(&self, _v: VertexId, data: &mut u64, acc: Option<LabelBag>) -> bool {
+        acc.map(LabelBag::mode).is_some_and(|l| std::mem::replace(data, l) != l)
     }
     fn scatter_dir(&self) -> EdgeDir {
         EdgeDir::None
@@ -330,12 +319,19 @@ mod tests {
         // Whichever worker gathers a partition, merges a master or marks an
         // activation, no schedule may reach a float sum, a min, a label
         // vote, the next active set or the work booked for it. `{:?}`
-        // prints every f64 exactly, so equal strings are equal bits.
+        // prints every f64 exactly, so equal strings are equal bits. On the
+        // dense dota-league stand-in, CDLP's first rounds are nearly all ties.
         let cfg = epg_generator::kronecker::KroneckerConfig { scale: 9, ..Default::default() };
-        let el = epg_generator::kronecker::generate(&cfg, 5).symmetrized().deduplicated();
-        let root = epg_graph::degree::sample_roots(&el, 1, 2)[0];
-        for p in [1, 8, 64] {
-            let g = PartitionedGraph::build(&el, p, &ThreadPool::new(2));
+        let kron = epg_generator::kronecker::generate(&cfg, 5).symmetrized().deduplicated();
+        let cfg = epg_generator::dota_league::DotaLeagueConfig {
+            num_vertices: 300,
+            avg_degree: 40,
+            ..Default::default()
+        };
+        let dota = epg_generator::dota_league::generate(&cfg, 5);
+        for (el, p) in [&kron, &dota].into_iter().flat_map(|el| [1, 8, 64].map(|p| (el, p))) {
+            let root = epg_graph::degree::sample_roots(el, 1, 2)[0];
+            let g = PartitionedGraph::build(el, p, &ThreadPool::new(2));
             let run = |threads: usize| {
                 let pool = ThreadPool::new(threads);
                 let (params, rooted) =

@@ -385,7 +385,7 @@ const ROWS: &[Row] = &[
     row(GraphMat, Bfs, None, Path, 1, 73, SPMV),
     row(GraphMat, Bfs, None, Grid, 1, 73, SPMV),
     row(GraphMat, Bfs, None, Broom, 1, 73, SPMV),
-    row(GraphMat, Cdlp, None, Cliques, 9649, 9649, "per edge per round: CDLP's label multiset `vec![*msg]` (`CdlpProgram::process`, the program's Accum under the GraphMat API, reached through `run_iteration` and `run_block`) and its `append` growth (`reduce`); per vertex per round the mode's `HashMap` (`apply`). The block's row list is the run's, so it doubles once more per run at the larger size, not once more per round"),
+    row(GraphMat, Cdlp, None, Cliques, 577, 577, "per round, per vertex whose messages carry different labels: one `LabelBag::Many` (`CdlpProgram::reduce`, the program's Accum under the GraphMat API), sized so the round's later messages fit; messages of one label merge into a `Run` and allocate nothing. Here: every vertex in the first two rounds, then the 2 bridge ends of each 4-clique (96 + 96 + 8 × 48 = 576 extra). The block's row list is the run's, so it doubles once more per run at the larger size, not once more per round"),
     row(GraphMat, Lcc, None, Cliques, 192, 192, "per vertex: the merged neighbourhood (`lcc.rs`'s `.to_vec()`) and its `extend_from_slice` growth, 2 calls"),
     row(GraphMat, PageRank, None, Iters, 1, 73, "per iteration: nothing, the sink-mass, L1 and `changed` partials are the run's (`sinks`, `Convergence`); +1 trace; debug: + 3 shadows (the pagerank writers)"),
     row(GraphMat, Sssp, None, Path, 1, 73, SPMV),
@@ -395,7 +395,7 @@ const ROWS: &[Row] = &[
     row(GraphMat, Wcc, None, Grid, 2, 74, "as on the path"),
     row(GraphMat, Wcc, None, Broom, 2, 74, "as on the path"),
     row(GraphMat, TriangleCount, None, Cliques, 120, 120, "per vertex: the pruned higher-neighbour set (`lcc.rs`'s `.collect()`), 5 calls per 4-clique"),
-    row(PowerGraph, Cdlp, None, Cliques, 9639, 9639, "per edge per round: CDLP's collecting gather `vec![*other]` (`prog.gather` in `superstep`, the GAS abstraction's per-edge accumulator) and its `merge` growth; per vertex per round the mode's `HashMap` (`apply`); +1 growth of the merge worker's changed list, kept for the run"),
+    row(PowerGraph, Cdlp, None, Cliques, 577, 577, "per round, per vertex whose gathered labels differ: one `LabelBag::Many` (`CdlpProgram::merge`, the GAS abstraction's per-edge accumulator), sized so the rest of the gather fits; gathers of one label merge into a `Run` and allocate nothing. Here: every vertex in the first two rounds, then the 2 bridge ends of each 4-clique (96 + 96 + 8 × 48 = 576 extra); +1 growth of the merge worker's changed list, kept for the run"),
     row(PowerGraph, Lcc, None, Cliques, 288, 288, "per vertex: three neighbour lists grown by `lcc`'s gather callback (`extend_from_slice`)"),
     row(PowerGraph, PageRank, None, Iters, 1, 49, "per superstep (`superstep(`): nothing, the gather's partials are the run's `gas::Scratch`; +1 trace; debug: + 2 shadows (replica slots, vertex data)"),
     row(PowerGraph, Sssp, None, Path, 1, 49, POWERGRAPH_SSSP),

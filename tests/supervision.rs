@@ -6,7 +6,7 @@ use epg::harness::supervise::{
     supervise_trial, verify_output, Expected, SupervisorConfig, TrialOutcome,
 };
 use epg::prelude::*;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn dataset() -> Dataset {
     Dataset::from_spec(&GraphSpec::Kronecker { scale: 7, edge_factor: 8, weighted: false }, 9)
@@ -272,15 +272,27 @@ fn over_budget_betweenness_stops_at_the_next_source() {
     let mut engine = EngineKind::Gap.create();
     engine.load_edge_list(ds.edges_for(EngineKind::Gap));
     engine.construct(&pool);
-    let cfg =
-        SupervisorConfig { trial_budget: Some(Duration::from_millis(10)), ..Default::default() };
+    // The budget is 4 times the same run on 16 sampled sources, set-up
+    // included, timed on the same pool. A fixed budget can run out before
+    // the first source's first region claims a range on a loaded host;
+    // this one scales with the host's speed, holds dozens of sources, and
+    // stays a small share of the exact run's 2048.
+    let mut sampled = RunParams::new(&pool, None);
+    sampled.bc_sources = Some(16);
+    let start = Instant::now();
+    drop(engine.run(Algorithm::Bc, &sampled));
+    let budget = 4 * start.elapsed();
+    let cfg = SupervisorConfig { trial_budget: Some(budget), ..Default::default() };
     let params = RunParams::new(&pool, None);
     let report = supervise_trial(&pool, &cfg, || engine.run(Algorithm::Bc, &params), None);
     assert_eq!(report.outcome, TrialOutcome::Timeout);
     let out = report.output.expect("a timeout keeps the partial output");
     assert!(out.cancelled, "the kernel itself must notice the tripped budget");
     let done = out.counters.iterations;
-    assert!(0 < done && done < sources, "{done} of {sources} sources ran under a 10 ms budget");
+    assert!(
+        0 < done && done < sources,
+        "{done} of {sources} sources ran under a {budget:?} budget"
+    );
     assert!(out.counters.edges_traversed > 0, "partial counters survive the timeout");
 }
 
