@@ -289,12 +289,22 @@ pub trait Engine {
     /// end-to-end time for several systems.
     fn load_file(&mut self, path: &Path, pool: &ThreadPool) -> std::io::Result<()>;
 
-    /// In-memory variant of phase 1 for tests and benches.
+    /// In-memory variant of phase 1 for tests and benches: stages a copy of
+    /// `el` and drops any structure built before.
     fn load_edge_list(&mut self, el: &EdgeList);
 
     /// Phase 2: build the engine's graph structure from the loaded data.
-    /// No-op when `separable_construction()` is false and the file path was
-    /// used. Engines may use the pool to parallelize construction.
+    /// Engines may use the pool to parallelize construction.
+    ///
+    /// One rule holds for every engine, so that after construction an
+    /// engine holds its graph structure and nothing else:
+    /// - `load_*` stages the input (a fused engine's `load_file` builds
+    ///   the structure itself and stages nothing);
+    /// - `construct` builds from the staged input and releases it;
+    /// - `construct` with nothing staged keeps the structure already
+    ///   built, so calling it twice is one build;
+    /// - `construct` panics only when there is neither a staged input nor
+    ///   a built structure.
     fn construct(&mut self, pool: &ThreadPool);
 
     /// Phase 3: run an algorithm kernel. Panics if `supports(algo)` is

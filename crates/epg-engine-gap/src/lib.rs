@@ -38,7 +38,6 @@ pub use structures::{Bitmap, SlidingQueue};
 use epg_engine_api::{logfmt::LogStyle, Algorithm, Engine, EngineInfo, RunOutput, RunParams};
 use epg_graph::{ingest, Csr, EdgeList};
 use epg_parallel::ThreadPool;
-use std::borrow::Cow;
 use std::path::Path;
 
 /// How edge weights are stored (the GAP compile-time switch).
@@ -174,10 +173,12 @@ impl Engine for GapEngine {
     }
 
     fn construct(&mut self, pool: &ThreadPool) {
-        // Only the integer cast mutates the weights, so only it pays a copy.
-        let mut el = Cow::Borrowed(self.edge_list.as_ref().expect("no edge list loaded"));
+        let Some(mut el) = self.edge_list.take() else {
+            assert!(self.csr.is_some(), "no edge list loaded");
+            return;
+        };
         if self.config.weight_repr == WeightRepr::Int {
-            for w in el.to_mut().weights.iter_mut().flatten() {
+            for w in el.weights.iter_mut().flatten() {
                 *w = w.trunc();
             }
         }

@@ -84,12 +84,17 @@ impl Engine for Graph500Engine {
     }
 
     fn construct(&mut self, pool: &ThreadPool) {
+        let Some(mut el) = self.edge_list.take() else {
+            assert!(self.csr.is_some(), "no edge list loaded");
+            return;
+        };
         // Kernel 1: unsorted edge list -> adjacency. The spec treats edges
-        // as undirected, so construction symmetrizes. The two-pass parallel
-        // build is byte-identical to the serial counting sort, so using the
-        // pool changes timing only, never the adjacency.
-        let el = self.edge_list.as_ref().expect("no edge list loaded");
-        self.csr = Some(Csr::from_edge_list_parallel(&el.symmetrized(), pool));
+        // as undirected, so construction symmetrizes, in the list it was
+        // handed. The two-pass parallel build is byte-identical to the
+        // serial counting sort, so using the pool changes timing only,
+        // never the adjacency.
+        el.symmetrize();
+        self.csr = Some(Csr::from_edge_list_parallel(&el, pool));
     }
 
     fn run(&mut self, algo: Algorithm, params: &RunParams<'_>) -> RunOutput {
@@ -215,6 +220,36 @@ mod tests {
         e.load_edge_list(&el);
         e.construct(&pool);
         let _ = e.run(Algorithm::PageRank, &RunParams::new(&pool, None));
+    }
+
+    #[test]
+    fn construction_builds_the_csr_of_the_symmetrized_list() {
+        // Symmetrized in place, the list must give the CSR the copy gives:
+        // self-loops once, duplicates kept, weights beside their edge.
+        let weighted_kron = epg_generator::kronecker::generate(
+            &epg_generator::kronecker::KroneckerConfig {
+                scale: 7,
+                edge_factor: 8,
+                weighted: true,
+                ..Default::default()
+            },
+            22,
+        );
+        let loops_and_duplicates = EdgeList::weighted(
+            5,
+            vec![(0, 0), (0, 1), (0, 1), (1, 0), (4, 2), (3, 3), (2, 4), (3, 3)],
+            vec![0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0],
+        );
+        for el in [kron(7), weighted_kron, loops_and_duplicates] {
+            for threads in 1..=3 {
+                let pool = ThreadPool::new(threads);
+                let mut e = Graph500Engine::new();
+                e.load_edge_list(&el);
+                e.construct(&pool);
+                let want = Csr::from_edge_list_parallel(&el.symmetrized(), &pool);
+                assert_eq!(e.csr(), &want, "{threads} threads");
+            }
+        }
     }
 
     #[test]

@@ -97,10 +97,11 @@ impl Engine for GraphBigEngine {
     }
 
     fn construct(&mut self, _pool: &ThreadPool) {
-        if self.graph.is_none() {
-            let el = self.staged.as_ref().expect("no input loaded");
-            self.graph = Some(PropertyGraph::from_edge_list(el));
-        }
+        let Some(el) = self.staged.take() else {
+            assert!(self.graph.is_some(), "no input loaded");
+            return;
+        };
+        self.graph = Some(PropertyGraph::from_edge_list(&el));
     }
 
     fn run(&mut self, algo: Algorithm, params: &RunParams<'_>) -> RunOutput {

@@ -107,8 +107,11 @@ impl Engine for GraphMatEngine {
     }
 
     fn construct(&mut self, pool: &ThreadPool) {
-        let el = self.edge_list.as_ref().expect("no edge list loaded");
-        let m = Dcsc::from_edge_list(el, pool);
+        let Some(el) = self.edge_list.take() else {
+            assert!(self.matrix.is_some(), "no edge list loaded");
+            return;
+        };
+        let m = Dcsc::from_edge_list(&el, pool);
         self.matrix_t = Some(m.transpose(pool));
         self.matrix = Some(m);
     }

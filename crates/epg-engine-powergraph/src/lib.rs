@@ -119,10 +119,11 @@ impl Engine for PowerGraphEngine {
     }
 
     fn construct(&mut self, pool: &ThreadPool) {
-        if self.graph.is_none() {
-            let el = self.staged.as_ref().expect("no input loaded");
-            self.graph = Some(PartitionedGraph::build(el, self.config.num_partitions, pool));
-        }
+        let Some(el) = self.staged.take() else {
+            assert!(self.graph.is_some(), "no input loaded");
+            return;
+        };
+        self.graph = Some(PartitionedGraph::build(&el, self.config.num_partitions, pool));
     }
 
     fn run(&mut self, algo: Algorithm, params: &RunParams<'_>) -> RunOutput {

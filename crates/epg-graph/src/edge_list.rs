@@ -62,23 +62,41 @@ impl EdgeList {
     /// Returns a copy with every edge also present reversed, making the
     /// graph symmetric (undirected). Self-loops are not duplicated.
     pub fn symmetrized(&self) -> EdgeList {
-        let extra = self.iter().filter(|&(u, v, _)| u != v).count();
-        let mut edges = Vec::with_capacity(self.edges.len() + extra);
-        let mut weights =
-            self.weights.as_ref().map(|_| Vec::with_capacity(self.edges.len() + extra));
-        for (u, v, w) in self.iter() {
-            edges.push((u, v));
-            if let Some(ws) = weights.as_mut() {
-                ws.push(w);
-            }
-            if u != v {
-                edges.push((v, u));
-                if let Some(ws) = weights.as_mut() {
-                    ws.push(w);
-                }
-            }
+        let mut el = self.clone();
+        el.symmetrize();
+        el
+    }
+
+    /// Adds every non-loop edge's reverse in place: edge `(u, v)` becomes
+    /// `(u, v), (v, u)` at its position, a self-loop stays once, and weights
+    /// follow their edge. The list grows to its final length first and is
+    /// filled back to front, so no second list is allocated: the write
+    /// position never falls behind the edge being read.
+    pub fn symmetrize(&mut self) {
+        let m = self.edges.len();
+        let len = m + self.edges.iter().filter(|&&(u, v)| u != v).count();
+        let EdgeList { edges, weights, .. } = self;
+        edges.resize(len, (0, 0));
+        if let Some(ws) = weights.as_mut() {
+            ws.resize(len, 0.0);
         }
-        EdgeList { num_vertices: self.num_vertices, edges, weights }
+        let mut j = len;
+        for i in (0..m).rev() {
+            let (u, v) = edges[i];
+            let w = weights.as_ref().map(|ws| ws[i]);
+            let mut put = |e| {
+                j -= 1;
+                edges[j] = e;
+                if let (Some(ws), Some(w)) = (weights.as_mut(), w) {
+                    ws[j] = w;
+                }
+            };
+            if u != v {
+                put((v, u));
+            }
+            put((u, v));
+        }
+        debug_assert_eq!(j, 0);
     }
 
     /// True if the list is what [`EdgeList::deduplicated`] returns: edges
@@ -205,6 +223,20 @@ mod tests {
         // Weights follow their edge.
         let idx = sym.edges.iter().position(|&e| e == (2, 1)).unwrap();
         assert_eq!(sym.weight(idx), 1.5);
+        // Each reverse sits right after its edge, in input order.
+        assert_eq!(
+            sym.edges,
+            [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2), (0, 1), (1, 0), (3, 3)]
+        );
+        assert_eq!(sym.weights, Some(vec![0.5, 0.5, 1.5, 1.5, 2.5, 2.5, 9.0, 9.0, 4.0]));
+        // Loops first, loops only, unweighted, empty: in place as well.
+        let mut loops_first = EdgeList::new(3, vec![(2, 2), (0, 0), (0, 2), (1, 1)]);
+        loops_first.symmetrize();
+        assert_eq!(loops_first.edges, [(2, 2), (0, 0), (0, 2), (2, 0), (1, 1)]);
+        assert_eq!(loops_first.weights, None);
+        let mut empty = EdgeList::weighted(2, vec![], vec![]);
+        empty.symmetrize();
+        assert_eq!(empty, EdgeList::weighted(2, vec![], vec![]));
     }
 
     #[test]

@@ -179,3 +179,66 @@ fn two_pools_sharing_the_cpus_finish_interleaved_runs() {
         }
     });
 }
+
+/// What `engine` answers on the graph it holds and what the oracle answers
+/// on `ds`: BFS levels from `ds`'s first root, or WCC labels for the one
+/// engine with no BFS.
+fn answer_and_oracle(
+    engine: &mut dyn Engine,
+    ds: &Dataset,
+    pool: &ThreadPool,
+) -> (Vec<u32>, Vec<u32>) {
+    use epg::graph::oracle;
+    let csr = Csr::from_edge_list(&ds.symmetric);
+    if engine.supports(Algorithm::Bfs) {
+        let root = ds.roots[0];
+        let out = engine.run(Algorithm::Bfs, &RunParams::new(pool, Some(root)));
+        let AlgorithmResult::BfsTree { level, .. } = out.result else { panic!() };
+        (level, oracle::bfs(&csr, root).level)
+    } else {
+        let out = engine.run(Algorithm::Wcc, &RunParams::new(pool, None));
+        let AlgorithmResult::Components(c) = out.result else { panic!() };
+        (c, oracle::wcc(&csr))
+    }
+}
+
+#[test]
+fn construct_builds_from_the_last_load_and_keeps_only_what_it_built() {
+    // The rule `Engine::construct` states for every engine: a second
+    // construct with nothing staged keeps the first's structure, a load
+    // after construct replaces it at the next construct, and with nothing
+    // ever loaded construct panics with the engine's own message.
+    let pool = ThreadPool::new(1);
+    let kron =
+        Dataset::from_spec(&GraphSpec::Kronecker { scale: 8, edge_factor: 8, weighted: true }, 45);
+    let uniform = Dataset::from_spec(
+        &GraphSpec::Uniform { num_vertices: 300, num_edges: 1200, weighted: true },
+        46,
+    );
+    for kind in EngineKind::ALL {
+        let mut engine = kind.create();
+        engine.load_edge_list(kron.edges_for(kind));
+        engine.construct(&pool);
+        let once = answer_and_oracle(engine.as_mut(), &kron, &pool);
+        engine.construct(&pool);
+        let twice = answer_and_oracle(engine.as_mut(), &kron, &pool);
+        assert_eq!(once.0, once.1, "{}: construct once", kind.name());
+        assert_eq!(twice.0, once.0, "{}: construct twice", kind.name());
+
+        engine.load_edge_list(uniform.edges_for(kind));
+        engine.construct(&pool);
+        let (got, want) = answer_and_oracle(engine.as_mut(), &uniform, &pool);
+        assert_eq!(got, want, "{}: construct after a second load", kind.name());
+
+        let mut empty = kind.create();
+        let payload =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| empty.construct(&pool)))
+                .expect_err("construct with nothing loaded must panic");
+        let want = match kind {
+            EngineKind::GraphBig | EngineKind::PowerGraph => "no input loaded",
+            _ => "no edge list loaded",
+        };
+        let message = payload.downcast_ref::<&str>().copied();
+        assert_eq!(message, Some(want), "{}: construct with nothing loaded", kind.name());
+    }
+}

@@ -42,50 +42,65 @@
 //! On a mismatch, or a supported cell without a row, the test prints the
 //! whole measured table in [`ROWS`]' syntax, ready to paste.
 //!
-//! One `#[test]` fn, so the table is measured in one pass.
+//! One `#[test]` fn, so the table is measured in one pass. A second one
+//! weighs what a constructed engine keeps resident against its graph
+//! structure alone, with the same allocator's net live bytes.
 
 use epg::engine_api::CDLP_ROUNDS;
+use epg::generator::kronecker::{self, KroneckerConfig};
+use epg::graph::{adjacency::PropertyGraph, Dcsc};
+use epg::powergraph::{partition::PartitionedGraph, PowerGraphConfig};
 use epg::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 
 /// Counts every allocating call made on the thread that owns the count,
-/// then defers to the system allocator.
+/// and the bytes it holds, then defers to the system allocator.
 struct Counting;
 
 thread_local! {
     /// Allocator calls on this thread; `None` while nothing is counted.
     static CALLS: std::cell::Cell<Option<u64>> = const { std::cell::Cell::new(None) };
+    /// Bytes allocated minus bytes freed on this thread, always counted.
+    static NET: std::cell::Cell<i64> = const { std::cell::Cell::new(0) };
 }
 
-fn note() {
-    // `try_with`: the slot is gone while the thread tears down.
+/// Books one allocating call that changed the thread's live bytes by
+/// `bytes`.
+fn note(bytes: i64) {
+    // `try_with`: the slots are gone while the thread tears down.
     let _ = CALLS.try_with(|c| c.set(c.get().map(|n| n + 1)));
+    grow(bytes);
 }
 
-// SAFETY: counting touches only a const-initialized thread-local cell,
-// which never allocates; the rest is `System`'s.
+fn grow(bytes: i64) {
+    let _ = NET.try_with(|c| c.set(c.get() + bytes));
+}
+
+// SAFETY: counting touches only const-initialized thread-local cells,
+// which never allocate; the rest is `System`'s.
 unsafe impl GlobalAlloc for Counting {
     // SAFETY: the caller's `GlobalAlloc` contract is passed on to
     // `System` with the arguments unchanged, here and below.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size() as i64);
         System.alloc(layout)
     }
 
     // SAFETY: as `alloc`.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     // SAFETY: as `alloc`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
+        note(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
-    // SAFETY: as `alloc`; a free is not counted.
+    // SAFETY: as `alloc`; a free is not a call, but it frees bytes.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        grow(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -295,6 +310,63 @@ fn steady_state_allocations_match_the_pinned_table() {
         bad.join("\n"),
         table.join("\n")
     );
+}
+
+/// The live bytes on this thread that dropping `make`'s result frees.
+fn held<T>(make: impl FnOnce() -> T) -> i64 {
+    let kept = make();
+    let with = NET.with(|c| c.get());
+    drop(kept);
+    with - NET.with(|c| c.get())
+}
+
+/// What `kind`'s engine frees when dropped after `load_edge_list(el)` and
+/// `construct`, and what its graph structure alone holds, built from `el`
+/// by the public constructors the engine calls.
+fn resident_and_structure(kind: EngineKind, el: &EdgeList, pool: &ThreadPool) -> (i64, i64) {
+    let engine = held(|| {
+        let mut engine = kind.create();
+        engine.load_edge_list(el);
+        engine.construct(pool);
+        engine
+    });
+    let structure = match kind {
+        EngineKind::Graph500 => held(|| Csr::from_edge_list_parallel(&el.symmetrized(), pool)),
+        EngineKind::Gap => held(|| {
+            let csr = Csr::from_edge_list_parallel(el, pool);
+            (csr.transpose_parallel(pool), csr)
+        }),
+        EngineKind::GraphBig => held(|| PropertyGraph::from_edge_list(el)),
+        EngineKind::GraphMat => held(|| {
+            let m = Dcsc::from_edge_list(el, pool);
+            (m.transpose(pool), m)
+        }),
+        EngineKind::PowerGraph => {
+            held(|| PartitionedGraph::build(el, PowerGraphConfig::default().num_partitions, pool))
+        }
+    };
+    (engine, structure)
+}
+
+/// After `construct` an engine holds its graph structure and not the input
+/// it was built from: what it frees when dropped is within 1 % of the
+/// input's size of the structure alone.
+#[test]
+fn constructed_engines_hold_only_their_graph_structure() {
+    let pool = ThreadPool::new(1);
+    let cfg = KroneckerConfig { scale: 12, edge_factor: 16, weighted: true, ..Default::default() };
+    let el = kronecker::generate(&cfg, 45);
+    let slack = el.size_bytes() as i64 / 100;
+    for kind in EngineKind::ALL {
+        let (resident, structure) = resident_and_structure(kind, &el, &pool);
+        assert!(
+            resident <= structure + slack,
+            "{}: {resident} bytes resident after construct, {structure} in its structure, \
+             {} in the edge list",
+            kind.name(),
+            el.size_bytes()
+        );
+    }
 }
 
 const fn row(
