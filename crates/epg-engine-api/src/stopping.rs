@@ -38,23 +38,18 @@ impl StoppingCriterion {
 /// The two numbers a [`StoppingCriterion`] reads, reduced once per
 /// PageRank iteration on per-worker partials kept for the run.
 pub struct Convergence {
-    l1: PerWorker<Option<f64>>,
-    changed: PerWorker<Option<u64>>,
+    parts: PerWorker<Option<(f64, u64)>>,
 }
 
 impl Convergence {
     /// Empty partials for a run on `pool`.
     pub fn new(pool: &ThreadPool) -> Convergence {
-        let workers = pool.num_threads();
-        Convergence {
-            l1: PerWorker::new(workers, || None),
-            changed: PerWorker::new(workers, || None),
-        }
+        Convergence { parts: PerWorker::new(pool.num_threads(), || None) }
     }
 
     /// The L1 change from `rank` to `next` and the count of vertices whose
-    /// rank changed at `f32` precision: two reductions under `sched`, one
-    /// region each, each range summed in index order.
+    /// rank changed at `f32` precision: one reduction under `sched`, one
+    /// region, each range folding both in index order.
     pub fn measure(
         &mut self,
         pool: &ThreadPool,
@@ -62,15 +57,25 @@ impl Convergence {
         rank: &[f64],
         next: &[f64],
     ) -> (f64, u64) {
-        let n = rank.len();
-        let l1 =
-            |lo: usize, hi: usize| (lo..hi).fold(0.0, |acc, v| acc + (rank[v] - next[v]).abs());
-        let changed =
-            |lo, hi| (lo..hi).filter(|&v| rank[v] as f32 != next[v] as f32).count() as u64;
-        (
-            self.l1.reduce_ranges(pool, n, sched, || 0.0, l1, |a, b| a + b),
-            self.changed.reduce_ranges(pool, n, sched, || 0, changed, |a, b| a + b),
-        )
+        let range = |lo: usize, hi: usize| {
+            (lo..hi).fold((0.0, 0), |acc, v| {
+                Convergence::add(acc, Convergence::delta(rank[v], next[v]))
+            })
+        };
+        self.parts.reduce_ranges(pool, rank.len(), sched, || (0.0, 0), range, Convergence::add)
+    }
+
+    /// One vertex's share of the two numbers as its rank goes from `old`
+    /// to `new`: `|old − new|`, and 1 if the rank moved at `f32` precision.
+    #[inline]
+    pub fn delta(old: f64, new: f64) -> (f64, u64) {
+        ((old - new).abs(), (old as f32 != new as f32) as u64)
+    }
+
+    /// Two partials of the (L1 change, changed count) pair combined.
+    #[inline]
+    pub fn add(a: (f64, u64), b: (f64, u64)) -> (f64, u64) {
+        (a.0 + b.0, a.1 + b.1)
     }
 }
 
@@ -90,6 +95,33 @@ mod tests {
         let c = StoppingCriterion::NoChange;
         assert!(c.is_converged(1.0, 0));
         assert!(!c.is_converged(0.0, 1));
+    }
+
+    #[test]
+    fn measure_is_one_region_and_matches_each_reduction_alone() {
+        let rank: Vec<f64> = (0..1000).map(|v| 1.0 / (v + 1) as f64).collect();
+        let mut next = rank.clone();
+        for v in (0..1000).step_by(7) {
+            next[v] += 1e-3 / (v + 3) as f64;
+        }
+        next[500] += 1e-12; // moves the f64, not the f32
+        for threads in [1, 2, 3] {
+            let pool = ThreadPool::new(threads);
+            let sched = Schedule::Static { chunk: Some(64) };
+            let mut convergence = Convergence::new(&pool);
+            let before = pool.stats().regions;
+            let (l1, changed) = convergence.measure(&pool, sched, &rank, &next);
+            assert_eq!(pool.stats().regions - before, 1, "{threads} threads");
+            let want_l1 = pool.parallel_reduce_ranges(
+                rank.len(),
+                sched,
+                || 0.0,
+                |lo, hi| (lo..hi).fold(0.0, |acc, v| acc + (rank[v] - next[v]).abs()),
+                |a, b| a + b,
+            );
+            assert_eq!(l1.to_bits(), want_l1.to_bits(), "{threads} threads");
+            assert_eq!(changed, (0..1000).step_by(7).count() as u64);
+        }
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! - **Δ-stepping SSSP** over thread-local bins, every out-edge of a popped
 //!   vertex relaxed by an atomic fetch-min (GAP's `sssp.cc`, before bucket
 //!   fusion);
-//! - pull-mode PageRank with the homogenized L1 stopping criterion.
+//! - pull-mode PageRank as `pr.cc` runs it (one contribution per vertex,
+//!   then a pull that updates scores in place and sums the error), with
+//!   the homogenized L1 stopping criterion.
 //!
 //! Like the real GAP, weights can be stored as floats (default) or cast to
 //! integers at construction (`WeightRepr::Int`) — §IV-A warns that "weights

@@ -428,7 +428,7 @@ const ROWS: &[Row] = &[
     row(Gap, Bfs, None, Path, 3, 3, "per top-down step: nothing, the claims are the run's `PerWorker` lists, flushed into the `SlidingQueue` (`top_down_step`); +2 `SlidingQueue::push_all` growth, +1 trace (net). The bottom-up tail is the same 14 steps at both sizes"),
     row(Gap, Bfs, None, Grid, 3, 3, "as on the path; the bottom-up tail is the same 12 steps at both sizes"),
     row(Gap, Bfs, None, Broom, 1, 1, "per bottom-up step: nothing, its partials are the run's `PerWorker` (`bottom_up_step`); +1 trace. The two frontier bitmaps (`front`, `next`) are the run's, cleared and swapped per step (23 and 47 pull steps)"),
-    row(Gap, PageRank, None, Iters, 1, 25, "per iteration: nothing, the L1 and `changed` partials are the run's `Convergence` and the sink mass is a serial sum; +1 trace; debug: + shadow (`next_cell`)"),
+    row(Gap, PageRank, None, Iters, 1, 49, "per iteration: nothing, scores are updated in place, the pull's (L1, `changed`) error partials are the run's `PerWorker` and the sink mass is a serial sum; +1 trace; debug: + shadow (`scores`) + shadow (`contrib`)"),
     row(Gap, Sssp, Some(DeltaStepping), Path, 26, 26, DELTA_THIN),
     row(Gap, Sssp, Some(DeltaStepping), Grid, 26, 26, DELTA_THIN),
     row(Gap, Sssp, Some(DeltaStepping), Broom, 74, 74, "per bucket: the new bin's vector grows to 15 vertices (3 calls, `Worker::push`); +1 `bins.resize_with` growth, +1 trace. `frontier.append` reallocates only while a bin outgrows every earlier one: 0 here"),
