@@ -80,7 +80,13 @@ impl Default for GapConfig {
             direction_optimizing: true,
             // GAP's shipped default is Δ=2 over integer weights drawn from
             // [0, 255] — about mean/64. Our weighted graphs draw uniform
-            // (0,1] (mean 0.5), so the faithful scaling is ~0.01-0.05.
+            // (0,1] (mean 0.5), where mean/64 is 0.5/64 ≈ 0.0078 (1/128).
+            // 0.05 stays: 1/128 wins on Kronecker and loses on long paths.
+            // Scale 15, 32 roots, one thread: relaxations per root 2.17 M →
+            // 1.09 M, 9.6 → 5.8 ms. The homogenized `grid_swirl` w256, two
+            // threads: rounds 16.6 k → 32.5 k, 31 → 61 ms. `almost_line`
+            // 65 536 + 256, one thread: the same rounds and relaxations,
+            // 77 → 352 ms. Per-graph Δ is `GapEngine::auto_tune`'s job.
             delta: 0.05,
             weight_repr: WeightRepr::Float,
             sssp_kernel: SsspKernel::default(),
@@ -94,6 +100,8 @@ pub struct GapEngine {
     pub config: GapConfig,
     edge_list: Option<EdgeList>,
     csr: Option<Csr>,
+    /// The in-edges; `None` once constructed when `csr` is its own
+    /// transpose and serves both directions.
     csr_t: Option<Csr>,
 }
 
@@ -120,7 +128,7 @@ impl GapEngine {
     }
 
     fn csr_t(&self) -> &Csr {
-        self.csr_t.as_ref().expect("graph not constructed; call construct()")
+        self.csr_t.as_ref().unwrap_or_else(|| self.csr())
     }
 
     /// Mean edge weight of the constructed graph (None when unweighted or
@@ -186,8 +194,11 @@ impl Engine for GapEngine {
         }
         // GAP builds CSR in parallel (histogram + prefix sum + scatter);
         // the pull-direction transpose uses the same parallel structure.
+        // Like GAP's `CSRGraph` on an undirected graph, a CSR that is its
+        // own transpose keeps one set of arrays for both directions.
         let csr = Csr::from_edge_list_parallel(&el, pool);
-        self.csr_t = Some(csr.transpose_parallel(pool));
+        drop(el);
+        self.csr_t = (!csr.is_own_transpose(pool)).then(|| csr.transpose_parallel(pool));
         self.csr = Some(csr);
     }
 
@@ -201,7 +212,8 @@ impl Engine for GapEngine {
     }
 }
 
-/// Runs `algo` on the CSR pair — the one kernel dispatch behind both
+/// Runs `algo` on the out- and in-edge CSRs (one CSR twice when it is its
+/// own transpose) — the one kernel dispatch behind both
 /// [`GapEngine::run`] and [`GapQuery`]'s `query`.
 fn dispatch(
     csr: &Csr,

@@ -1,13 +1,13 @@
 //! Reentrant query adapter over a constructed [`GapEngine`].
 //!
-//! [`GapEngine::into_query`] freezes the engine's CSR pair and config
+//! [`GapEngine::into_query`] freezes the engine's CSRs and config
 //! into an immutable [`GapQuery`] that implements
 //! [`epg_engine_api::QueryEngine`]: point queries through `&self`, safe
 //! to call from many serving threads at once. Concurrency is handled by
 //! the substrate, not here — every kernel runs inside the pool's
 //! [`ThreadPool::exclusive`] on the pool it hands out. On a 1-thread pool
 //! that is the request's own inline lane, so concurrent traversals run at
-//! once over the shared CSR pair; on a wider pool it is the pool itself
+//! once over the shared CSRs; on a wider pool it is the pool itself
 //! behind a gate, so one traversal dispatches at a time while the other
 //! clients wait. Per-request SLO budgets ride in on
 //! [`RunParams::cancel`]: the adapter attaches the token to the handed-out
@@ -24,7 +24,8 @@ use epg_parallel::{CancelToken, ThreadPool};
 pub struct GapQuery {
     config: GapConfig,
     csr: Csr,
-    csr_t: Csr,
+    /// The in-edges, `None` when `csr` is its own transpose.
+    csr_t: Option<Csr>,
 }
 
 impl GapEngine {
@@ -34,8 +35,7 @@ impl GapEngine {
     /// Panics if `construct` has not run.
     pub fn into_query(mut self) -> GapQuery {
         let csr = self.csr.take().expect("graph not constructed; call construct()");
-        let csr_t = self.csr_t.take().expect("graph not constructed; call construct()");
-        GapQuery { config: self.config, csr, csr_t }
+        GapQuery { config: self.config, csr, csr_t: self.csr_t.take() }
     }
 }
 
@@ -105,7 +105,8 @@ impl QueryEngine for GapQuery {
                 recorder: params.recorder,
                 cancel: params.cancel.clone(),
             };
-            let out = dispatch(&self.csr, &self.csr_t, &self.config, algo, &params);
+            let csr_t = self.csr_t.as_ref().unwrap_or(&self.csr);
+            let out = dispatch(&self.csr, csr_t, &self.config, algo, &params);
             drop(guard);
             out
         })

@@ -112,6 +112,7 @@ impl Engine for GraphMatEngine {
             return;
         };
         let m = Dcsc::from_edge_list(&el, pool);
+        drop(el);
         self.matrix_t = Some(m.transpose(pool));
         self.matrix = Some(m);
     }

@@ -257,28 +257,34 @@ impl PartitionedGraph {
 
         // Every edge's ends as keys — its partition's base plus the local id
         // there; the CSR groups the edges by src key, the CSC by dst key.
+        // One key array is alive at a time.
         let mut base = vec![0usize; p + 1];
         for (pi, hosted) in vertices.iter().enumerate() {
             base[pi + 1] = base[pi] + hosted.len();
         }
         assert!(base[p] <= u32::MAX as usize, "keys are kept in 32 bits");
-        // An edge's partition hosts both its ends.
-        let key = |x, pi: u8| (base[pi as usize] + ids.hosted(x, pi as usize)) as u32;
         let m = el.num_edges();
-        let (mut by_src, mut by_dst) = (vec![0u32; m], vec![0u32; m]);
-        {
-            let (sw, dw) = (DisjointWriter::new(&mut by_src), DisjointWriter::new(&mut by_dst));
-            pool.parallel_for_ranges(m, Schedule::Static { chunk: None }, |_, lo, hi| {
-                // SAFETY: the ranges handed out are disjoint.
-                let (src, dst) = unsafe { (sw.range_mut(lo, hi), dw.range_mut(lo, hi)) };
-                for (k, i) in (lo..hi).enumerate() {
-                    let ((u, v), pi) = (el.edges[i], edge_part[i]);
-                    (src[k], dst[k]) = (key(u, pi), key(v, pi));
-                }
-            });
-        }
-        let outs = Adjacency::group(base[p], &by_src, |i| (el.edges[i].1, el.weight(i)), pool);
-        let ins = Adjacency::group(base[p], &by_dst, |i| (el.edges[i].0, el.weight(i)), pool);
+        let keys = |end: fn((VertexId, VertexId)) -> VertexId| {
+            let mut keys = vec![0u32; m];
+            {
+                let kw = DisjointWriter::new(&mut keys);
+                pool.parallel_for_ranges(m, Schedule::Static { chunk: None }, |_, lo, hi| {
+                    // SAFETY: the ranges handed out are disjoint.
+                    let out = unsafe { kw.range_mut(lo, hi) };
+                    for (k, i) in (lo..hi).enumerate() {
+                        // An edge's partition hosts both its ends.
+                        let pi = edge_part[i] as usize;
+                        out[k] = (base[pi] + ids.hosted(end(el.edges[i]), pi)) as u32;
+                    }
+                });
+            }
+            keys
+        };
+        let outs =
+            Adjacency::group(base[p], &keys(|e| e.0), |i| (el.edges[i].1, el.weight(i)), pool);
+        let ins =
+            Adjacency::group(base[p], &keys(|e| e.1), |i| (el.edges[i].0, el.weight(i)), pool);
+        drop(edge_part);
         let part =
             |(vertices, &base)| Partition { vertices, base, outs: outs.clone(), ins: ins.clone() };
         let partitions = vertices.into_iter().zip(&base).map(part).collect();

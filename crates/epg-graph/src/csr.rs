@@ -154,6 +154,43 @@ pub fn group_by_key<T, K: Iterator<Item = usize>, I: Iterator<Item = (usize, T)>
     offsets
 }
 
+/// A compressed row format: row `j` spans `ptr[j]..ptr[j + 1]` of
+/// `targets` and belongs to vertex `ids[j]`, or to vertex `j` itself
+/// without `ids` — a [`Csr`]'s rows, or a [`crate::Dcsc`]'s columns.
+pub(crate) struct Rows<'a> {
+    pub(crate) ptr: &'a [usize],
+    pub(crate) ids: Option<&'a [VertexId]>,
+    pub(crate) targets: &'a [VertexId],
+}
+
+impl Rows<'_> {
+    /// The CSR over `n` vertices of every entry reversed, `weights[i]`
+    /// following entry `i`. Entries scatter in index order, so each
+    /// reversed row lists its sources in row order.
+    pub(crate) fn reversed(
+        self,
+        n: usize,
+        weights: Option<&[Weight]>,
+        pool: Option<&ThreadPool>,
+    ) -> Csr {
+        let Rows { ptr, ids, targets } = self;
+        let items = |lo: usize, hi: usize| {
+            // Row of entry `lo`: the last `j` with `ptr[j] <= lo`
+            // (well-defined since `ptr[0] = 0 <= lo`); later rows are read
+            // off `ptr` as the range is walked.
+            let mut j = ptr.partition_point(|&o| o <= lo) - 1;
+            (lo..hi).zip(&targets[lo..hi]).map(move |(i, &t)| {
+                while ptr[j + 1] <= i {
+                    j += 1;
+                }
+                (t as usize, (ids.map_or(j as VertexId, |ids| ids[j]), i))
+            })
+        };
+        let keys = |lo: usize, hi: usize| targets[lo..hi].iter().map(|&t| t as usize);
+        Csr::grouped((n, targets.len()), weights, pool, keys, items)
+    }
+}
+
 impl Csr {
     /// The CSR that groups `m` edges by one end: `items(lo, hi)` yields
     /// `(that end, (the other end, index))` for the edges `lo..hi`,
@@ -254,21 +291,111 @@ impl Csr {
     }
 
     fn transposed(&self, pool: Option<&ThreadPool>) -> Csr {
-        let items = |lo: usize, hi: usize| {
-            // Source of edge `lo`: the last `u` with `offsets[u] <= lo`
-            // (well-defined since `offsets[0] = 0 <= lo`); later sources
-            // are read off the offsets as the range is walked.
-            let mut u = self.offsets.partition_point(|&o| o <= lo) - 1;
-            (lo..hi).zip(&self.targets[lo..hi]).map(move |(i, &t)| {
-                while self.offsets[u + 1] <= i {
-                    u += 1;
+        Rows { ptr: &self.offsets, ids: None, targets: &self.targets }.reversed(
+            self.num_vertices(),
+            self.weights.as_deref(),
+            pool,
+        )
+    }
+
+    /// True when the CSR is its own transpose: `self.transpose() == *self`,
+    /// weights compared by bit pattern. Then the in-edges of every vertex
+    /// are its out-edges in the order the transpose would list them, and
+    /// one set of arrays serves both directions, as GAP's `CSRGraph` shares
+    /// them for an undirected graph.
+    ///
+    /// One cursor per vertex: every edge `(u, v, w)`, visited in CSR order,
+    /// must be the next unread entry of `v`'s row with the same weight bits.
+    /// `O(V + E)`; a worker's first mismatch ends its share. On the pool
+    /// each worker takes the sources of one edge-balanced cut
+    /// ([`Csr::cut_fills_its_stretch`]), as many cuts as threads while the
+    /// graph has that many edges per vertex; the answer is the same at
+    /// every thread count.
+    pub fn is_own_transpose(&self, pool: &ThreadPool) -> bool {
+        let n = self.num_vertices();
+        // A cut's `n` cursors are paid for by at least `n` edges, so they
+        // never outweigh the transpose they stand in for.
+        let ncuts = pool.num_threads().min(self.num_edges() / n.max(1)).max(1);
+        let cuts = self.edge_balanced_cuts(ncuts);
+        // Every cut's cursors in one allocation, made here: a buffer a
+        // worker allocates lands in its thread's arena, which may keep the
+        // pages after the buffer is freed.
+        let mut cursors = vec![0usize; ncuts * n];
+        let mut holds = vec![false; ncuts];
+        {
+            let (cw, hw) = (DisjointWriter::new(&mut cursors), DisjointWriter::new(&mut holds));
+            pool.region(|w| {
+                if w >= ncuts {
+                    return;
                 }
-                (t as usize, (u as VertexId, i))
-            })
-        };
-        let keys = |lo: usize, hi: usize| self.targets[lo..hi].iter().map(|&t| t as usize);
-        let dims = (self.num_vertices(), self.num_edges());
-        Csr::grouped(dims, self.weights.as_deref(), pool, keys, items)
+                // SAFETY: cursor row `w` and slot `w` are worker `w`'s alone.
+                let cursor = unsafe { cw.range_mut(w * n, (w + 1) * n) };
+                let fills = self.cut_fills_its_stretch((cuts[w], cuts[w + 1]), ncuts > 1, cursor);
+                // SAFETY: as above.
+                unsafe { hw.write_unchecked(w, fills) }
+            });
+        }
+        holds.into_iter().all(|h| h)
+    }
+
+    /// Whether each edge from the sources `lo..hi`, in CSR order, is the
+    /// next unread entry of its target's row with its weight bits, every
+    /// row read from where its entries below `lo` end. With more than one
+    /// cut, that end is only well defined on ascending rows, which every
+    /// row of a CSR equal to its transpose is, so each cut also checks its
+    /// sources' rows ascend.
+    ///
+    /// When every cut passes, each edge has met its own slot: a slot names
+    /// one source, which one cut owns, and a cut's cursors only advance. So
+    /// the `m` edges fill all `m` slots, and every row holds the sources of
+    /// its in-edges in CSR order: the transpose's row.
+    fn cut_fills_its_stretch(
+        &self,
+        (lo, hi): (usize, usize),
+        ascending: bool,
+        cursor: &mut [usize],
+    ) -> bool {
+        let (offsets, targets) = (&self.offsets, &self.targets);
+        let ws = self.weights.as_deref();
+        for (v, at) in cursor.iter_mut().enumerate() {
+            *at = offsets[v];
+            if lo > 0 {
+                *at += self.neighbors(v as VertexId).partition_point(|&t| (t as usize) < lo);
+            }
+        }
+        for u in lo..hi {
+            let row = &targets[offsets[u]..offsets[u + 1]];
+            if ascending && row.windows(2).any(|pair| pair[0] > pair[1]) {
+                return false;
+            }
+            for (i, &v) in (offsets[u]..).zip(row) {
+                let v = v as usize;
+                let at = cursor[v];
+                if at == offsets[v + 1]
+                    || targets[at] != u as VertexId
+                    || ws.is_some_and(|ws| ws[at].to_bits() != ws[i].to_bits())
+                {
+                    return false;
+                }
+                cursor[v] = at + 1;
+            }
+        }
+        true
+    }
+
+    /// `cuts[w]..cuts[w + 1]` is worker `w`'s vertex range of `nworkers`:
+    /// the fixed `worker_range` rule over edge indices, rounded to vertex
+    /// boundaries, each cut landing on the vertex whose adjacency straddles
+    /// an `m / nworkers` boundary.
+    fn edge_balanced_cuts(&self, nworkers: usize) -> Vec<usize> {
+        let m = self.num_edges();
+        let block = m.div_ceil(nworkers).max(1);
+        let mut cuts: Vec<usize> = (0..=nworkers)
+            .map(|w| self.offsets.partition_point(|&o| o < (w * block).min(m)))
+            .collect();
+        cuts[0] = 0;
+        cuts[nworkers] = self.num_vertices(); // sweep zero-degree tail vertices into the last range
+        cuts
     }
 
     /// Calls `f(v, targets of v, weights of v)` once per vertex. With a
@@ -281,17 +408,7 @@ impl Csr {
         pool: Option<&ThreadPool>,
         f: impl Fn(usize, &mut [VertexId], Option<&mut [Weight]>) + Sync,
     ) {
-        let n = self.num_vertices();
-        let m = self.num_edges();
-        let nworkers = pool.map_or(1, ThreadPool::num_threads);
-        // cuts[w]..cuts[w+1] is worker w's vertex range; cut points land on
-        // the vertex whose adjacency straddles each m/nworkers boundary.
-        let block = m.div_ceil(nworkers).max(1);
-        let mut cuts: Vec<usize> = (0..=nworkers)
-            .map(|w| self.offsets.partition_point(|&o| o < (w * block).min(m)))
-            .collect();
-        cuts[0] = 0;
-        cuts[nworkers] = n; // sweep zero-degree tail vertices into the last range
+        let cuts = self.edge_balanced_cuts(pool.map_or(1, ThreadPool::num_threads));
         let Csr { offsets, targets, weights } = self;
         let tw = DisjointWriter::new(targets.as_mut_slice());
         let ww = weights.as_mut().map(|w| DisjointWriter::new(w.as_mut_slice()));

@@ -7,6 +7,7 @@
 //! of our mini-GraphBLAS; the semiring/SpMV half lives in
 //! `epg-engine-graphmat`.
 
+use crate::csr::Rows;
 use crate::{Csr, EdgeList, VertexId, Weight};
 use epg_parallel::ThreadPool;
 
@@ -114,10 +115,12 @@ impl Dcsc {
     }
 
     /// Builds the transpose (edges reversed): a counting scatter of the
-    /// nonzeros by row, then the same compaction — columns ascend here, so
-    /// every transposed column arrives ascending and nothing is sorted.
+    /// nonzeros by row, read straight from the matrix's own arrays, then
+    /// the same compaction — columns ascend here, so every transposed
+    /// column arrives ascending and nothing is sorted.
     pub fn transpose(&self, pool: &ThreadPool) -> Dcsc {
-        Dcsc::compact(self.to_csr().transpose_parallel(pool), pool)
+        let columns = Rows { ptr: &self.col_ptr, ids: Some(&self.col_ids), targets: &self.row_ids };
+        Dcsc::compact(columns.reversed(self.dim, Some(&self.values), Some(pool)), pool)
     }
 
     /// Converts to CSR over out-edges (a column is the adjacency list of

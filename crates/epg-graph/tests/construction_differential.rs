@@ -145,6 +145,50 @@ fn arb_weighted_graph() -> impl Strategy<Value = EdgeList> {
     })
 }
 
+/// Lists around "this CSR is its own transpose": a symmetric multigraph in
+/// stable (src, dst) order — self-loops and parallel edges of unequal
+/// weights included, each copy's reverse carrying its weight — weighted or
+/// not, and three ways to spoil it: one reverse edge removed, one weight
+/// changed, the list reversed (unsorted rows). Zero vertices and zero edges
+/// come up as `n = 0` and an empty draw.
+fn arb_near_symmetric() -> impl Strategy<Value = (EdgeList, &'static str)> {
+    let draw = proptest::collection::vec(((0..16 as VertexId, 0..16 as VertexId), 0u8..4), 0..60);
+    (0usize..=16, draw, 0usize..5, 0usize..1 << 16).prop_map(|(n, ews, variant, pick)| {
+        let ews = if n == 0 { vec![] } else { ews };
+        let (edges, weights) = ews
+            .into_iter()
+            .map(|((u, v), w)| ((u % n as VertexId, v % n as VertexId), w as Weight + 0.5))
+            .unzip();
+        let mut el = EdgeList::weighted(n, edges, weights).symmetrized();
+        let mut order: Vec<usize> = (0..el.num_edges()).collect();
+        order.sort_by_key(|&i| el.edges[i]);
+        el.edges = order.iter().map(|&i| el.edges[i]).collect();
+        let m = el.num_edges();
+        let ws = el.weights.as_mut().expect("weighted");
+        *ws = order.iter().map(|&i| ws[i]).collect();
+        let shape = match variant {
+            0 => "symmetric",
+            1 => "symmetric-unweighted",
+            _ if m == 0 => "empty",
+            2 => {
+                el.edges.remove(pick % m);
+                ws.remove(pick % m);
+                "reverse-removed"
+            }
+            3 => {
+                ws[pick % m] += 1.0;
+                "unequal-weights"
+            }
+            _ => {
+                el.edges.reverse();
+                ws.reverse();
+                "unsorted"
+            }
+        };
+        (if variant == 1 { el.unweighted() } else { el }, shape)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -208,6 +252,20 @@ proptest! {
             prop_assert_eq!(tt.offsets.clone(), sorted.offsets.clone(), "nthreads={}", nthreads);
             tt.sort_adjacency_parallel(&pool);
             prop_assert_eq!(&tt, &sorted, "nthreads={}", nthreads);
+        }
+    }
+
+    #[test]
+    fn own_transpose_check_is_transpose_equality((el, shape) in arb_near_symmetric()) {
+        let g = Csr::from_edge_list(&el);
+        for nthreads in 1..=3 {
+            let pool = ThreadPool::new(nthreads);
+            let own = g.is_own_transpose(&pool);
+            let equal = g.transpose_parallel(&pool) == g;
+            prop_assert_eq!(own, equal, "shape={} nthreads={}", shape, nthreads);
+            if shape.starts_with("symmetric") {
+                prop_assert!(own, "a symmetric list in (src, dst) order is its own transpose");
+            }
         }
     }
 
@@ -314,6 +372,10 @@ fn check_dcsc(el: &EdgeList, shape: &str) {
         assert_eq!(got, want, "from_edge_list: {ctx}");
         let got_t = got.transpose(&pool);
         assert_eq!(got_t, want_t, "transpose: {ctx}");
+        // Scattering from the matrix's own arrays gives what transposing a
+        // CSR copy of it gives.
+        let via_csr = got.to_csr().transpose_parallel(&pool).to_edge_list();
+        assert_eq!(got_t, Dcsc::from_edge_list(&via_csr, &pool), "transpose via CSR: {ctx}");
         assert_eq!(got_t.transpose(&pool), want, "transpose twice: {ctx}");
         if duplicates_agree(el) {
             assert_eq!(got, dcsc_by_sort(el), "the sort-based builder: {ctx}");
@@ -381,6 +443,15 @@ fn unweighted_dedup_is_what_the_sort_gave_at_scale() {
         assert_eq!(simple, dedup_by_sort(&raw), "{shape}");
         assert_eq!(simple.undirected(), dedup_by_sort(&simple.symmetrized()), "{shape}");
         check_dcsc(&simple.undirected(), shape);
+        // The homogenizer's undirected CSR is its own transpose; the
+        // directed one is exactly when its transpose says so.
+        let (und, dir) = (Csr::from_edge_list(&simple.undirected()), Csr::from_edge_list(&simple));
+        for nthreads in 1..=3 {
+            let pool = ThreadPool::new(nthreads);
+            assert!(und.is_own_transpose(&pool), "{shape} undirected, {nthreads} threads");
+            let equal = dir.transpose_parallel(&pool) == dir;
+            assert_eq!(dir.is_own_transpose(&pool), equal, "{shape} directed, {nthreads} threads");
+        }
     }
 }
 

@@ -49,7 +49,10 @@ impl Dataset {
     /// Homogenizes an existing edge list (e.g. parsed from a SNAP file —
     /// "any network in the SNAP data format can be used", §III-B).
     pub fn from_edge_list(name: String, raw: EdgeList, seed: u64) -> Dataset {
-        let raw = raw.deduplicated();
+        // `deduplicated` copies; the input goes before `undirected` runs.
+        let dedup = raw.deduplicated();
+        drop(raw);
+        let raw = dedup;
         let symmetric = raw.undirected();
         let weighted = raw.is_weighted();
         let roots = degree::sample_roots(&symmetric, NUM_ROOTS, seed ^ 0x9e3779b97f4a7c15);

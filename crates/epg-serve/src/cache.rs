@@ -62,6 +62,15 @@ impl SourceArray {
             SourceArray::Ranks(r) => r[v as usize],
         }
     }
+
+    /// Bytes the array's values take.
+    pub fn size_bytes(&self) -> usize {
+        match self {
+            SourceArray::Levels(l) => std::mem::size_of_val(l.as_slice()),
+            SourceArray::Dists(d) => std::mem::size_of_val(d.as_slice()),
+            SourceArray::Ranks(r) => std::mem::size_of_val(r.as_slice()),
+        }
+    }
 }
 
 struct Entry {
@@ -95,6 +104,8 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Arrays resident at snapshot time.
     pub resident: usize,
+    /// Bytes of the resident arrays' values ([`SourceArray::size_bytes`]).
+    pub resident_bytes: usize,
 }
 
 /// A bounded least-recently-used map from traversal source to its whole
@@ -179,6 +190,7 @@ impl SourceCache {
             insertions: lru.insertions,
             evictions: lru.evictions,
             resident: lru.map.len(),
+            resident_bytes: lru.map.values().map(|e| e.value.size_bytes()).sum(),
         }
     }
 }
@@ -209,6 +221,7 @@ mod tests {
         assert!(c.lookup(&d).is_some());
         assert_eq!(c.stats().evictions, 1);
         assert_eq!(c.stats().resident, 2);
+        assert_eq!(c.stats().resident_bytes, 2 * 4, "two one-level arrays");
     }
 
     #[test]
@@ -234,6 +247,7 @@ mod tests {
         assert!(c.lookup(&k).is_none());
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.insertions, s.evictions, s.resident), (0, 1, 1, 0, 0));
+        assert_eq!(s.resident_bytes, 0);
     }
 
     #[test]

@@ -98,6 +98,11 @@ impl LandmarkIndex {
         &self.landmarks
     }
 
+    /// Bytes of the precomputed rows' values, hop and distance rows both.
+    pub fn resident_bytes(&self) -> usize {
+        self.hops.iter().chain(&self.dists).map(|row| row.size_bytes()).sum()
+    }
+
     /// Returns the exact `(s, t)` distance if the precomputed rows pin
     /// it; `None` means "fall through to the exact pipeline".
     pub fn estimate(&self, algo: Algorithm, s: VertexId, t: VertexId) -> Option<f64> {
@@ -168,6 +173,7 @@ mod tests {
     fn picks_highest_degree_vertices_in_order() {
         let idx = path_index(&[2, 0]);
         assert_eq!(idx.landmarks(), &[2, 0]);
+        assert_eq!(idx.resident_bytes(), 2 * 5 * 4, "two rows of five levels");
     }
 
     #[test]

@@ -193,6 +193,8 @@ pub struct ServeStats {
     pub landmark_fallthroughs: u64,
     /// Source-cache counters.
     pub cache: CacheStats,
+    /// Bytes of the landmark index's rows (0 without landmarks).
+    pub landmark_bytes: usize,
     /// Requests holding an admission permit right now.
     pub pending: usize,
 }
@@ -378,6 +380,7 @@ impl ServeService {
             landmark: c.landmark.load(Ordering::Relaxed),
             landmark_fallthroughs: c.landmark_fallthroughs.load(Ordering::Relaxed),
             cache: self.cache.stats(),
+            landmark_bytes: self.landmarks.as_ref().map_or(0, LandmarkIndex::resident_bytes),
             pending: self.admission.pending(),
         }
     }
@@ -592,6 +595,8 @@ mod tests {
         let b = svc.answer(&far).unwrap();
         assert_eq!((b.value, b.path), (7.0, AnswerPath::Exact));
         assert!(svc.stats().landmark_fallthroughs >= 1);
+        // One hop row and one distance row of eight 4-byte values.
+        assert_eq!(svc.stats().landmark_bytes, 2 * 8 * 4);
     }
 
     #[test]
@@ -635,6 +640,8 @@ mod tests {
         assert_eq!(s.submitted, s.answered + s.rejected + s.dnf + s.failed);
         assert_eq!(s.answered, s.exact + s.cached + s.landmark);
         assert_eq!((s.exact, s.cached, s.rejected), (2, 1, 1));
+        // Source 0's eight levels and the eight ranks; no landmark rows.
+        assert_eq!((s.cache.resident_bytes, s.landmark_bytes), (8 * 4 + 8 * 8, 0));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! bfs <source> <target>     hop distance
 //! sssp <source> <target>    weighted shortest-path distance
 //! pr <vertex>               PageRank rank
-//! stats                     one-line counter snapshot
+//! stats                     one-line counter snapshot, resident bytes too
 //! quit                      end the session
 //! ```
 //!
@@ -96,7 +96,8 @@ pub fn serve_session<R: BufRead, W: Write>(
                 writeln!(
                     output,
                     "ok stats submitted={} answered={} rejected={} dnf={} failed={} \
-                     exact={} cached={} landmark={} cache_hits={} cache_misses={}",
+                     exact={} cached={} landmark={} cache_hits={} cache_misses={} \
+                     cache_bytes={} landmark_bytes={}",
                     s.submitted,
                     s.answered,
                     s.rejected,
@@ -107,6 +108,8 @@ pub fn serve_session<R: BufRead, W: Write>(
                     s.landmark,
                     s.cache.hits,
                     s.cache.misses,
+                    s.cache.resident_bytes,
+                    s.landmark_bytes,
                 )?;
             }
             Ok(Command::Query(q)) => {
@@ -237,6 +240,8 @@ mod tests {
         let stats_line = out.lines().nth(2).unwrap();
         assert!(stats_line.starts_with("ok stats submitted=2 answered=2"));
         assert!(stats_line.contains("cached=1"));
+        // Source 0's eight levels are cached; the session runs no landmarks.
+        assert!(stats_line.ends_with(" cache_bytes=32 landmark_bytes=0"), "{stats_line}");
     }
 
     #[test]

@@ -44,7 +44,9 @@
 //!
 //! One `#[test]` fn, so the table is measured in one pass. A second one
 //! weighs what a constructed engine keeps resident against its graph
-//! structure alone, with the same allocator's net live bytes.
+//! structure alone, with the same allocator's net live bytes, and a third
+//! the peak of those bytes during `construct` against the staged list and
+//! the structure together.
 
 use epg::engine_api::CDLP_ROUNDS;
 use epg::generator::kronecker::{self, KroneckerConfig};
@@ -62,6 +64,8 @@ thread_local! {
     static CALLS: std::cell::Cell<Option<u64>> = const { std::cell::Cell::new(None) };
     /// Bytes allocated minus bytes freed on this thread, always counted.
     static NET: std::cell::Cell<i64> = const { std::cell::Cell::new(0) };
+    /// The highest `NET` since [`peak`] last reset it.
+    static PEAK: std::cell::Cell<i64> = const { std::cell::Cell::new(0) };
 }
 
 /// Books one allocating call that changed the thread's live bytes by
@@ -73,7 +77,12 @@ fn note(bytes: i64) {
 }
 
 fn grow(bytes: i64) {
-    let _ = NET.try_with(|c| c.set(c.get() + bytes));
+    if let Ok(net) = NET.try_with(|c| {
+        c.set(c.get() + bytes);
+        c.get()
+    }) {
+        let _ = PEAK.try_with(|c| c.set(c.get().max(net)));
+    }
 }
 
 // SAFETY: counting touches only const-initialized thread-local cells,
@@ -322,16 +331,19 @@ fn held<T>(make: impl FnOnce() -> T) -> i64 {
 
 /// What `kind`'s engine frees when dropped after `load_edge_list(el)` and
 /// `construct`, and what its graph structure alone holds, built from `el`
-/// by the public constructors the engine calls.
-fn resident_and_structure(kind: EngineKind, el: &EdgeList, pool: &ThreadPool) -> (i64, i64) {
-    let engine = held(|| {
-        let mut engine = kind.create();
-        engine.load_edge_list(el);
-        engine.construct(pool);
-        engine
-    });
+/// by the public constructors the engine calls. On an `undirected` list —
+/// the homogenizer's, rows ascending — GAP's structure is one CSR, which
+/// serves as its own transpose.
+fn resident_and_structure(
+    kind: EngineKind,
+    el: &EdgeList,
+    undirected: bool,
+    pool: &ThreadPool,
+) -> (i64, i64) {
+    let engine = held(|| constructed(kind, el, pool));
     let structure = match kind {
         EngineKind::Graph500 => held(|| Csr::from_edge_list_parallel(&el.symmetrized(), pool)),
+        EngineKind::Gap if undirected => held(|| Csr::from_edge_list_parallel(el, pool)),
         EngineKind::Gap => held(|| {
             let csr = Csr::from_edge_list_parallel(el, pool);
             (csr.transpose_parallel(pool), csr)
@@ -348,25 +360,106 @@ fn resident_and_structure(kind: EngineKind, el: &EdgeList, pool: &ThreadPool) ->
     (engine, structure)
 }
 
+fn constructed(kind: EngineKind, el: &EdgeList, pool: &ThreadPool) -> Box<dyn Engine> {
+    let mut engine = kind.create();
+    engine.load_edge_list(el);
+    engine.construct(pool);
+    engine
+}
+
+/// A weighted Kronecker scale-12 list as generated (directed, unsorted,
+/// with duplicates and self-loops), and as the homogenizer hands it to
+/// every engine but Graph500 (deduplicated and undirected).
+fn kronecker_12() -> [(&'static str, EdgeList, bool); 2] {
+    let cfg = KroneckerConfig { scale: 12, edge_factor: 16, weighted: true, ..Default::default() };
+    let el = kronecker::generate(&cfg, 45);
+    let undirected = el.deduplicated().undirected();
+    [("directed", el, false), ("undirected", undirected, true)]
+}
+
 /// After `construct` an engine holds its graph structure and not the input
 /// it was built from: what it frees when dropped is within 1 % of the
 /// input's size of the structure alone.
 #[test]
 fn constructed_engines_hold_only_their_graph_structure() {
     let pool = ThreadPool::new(1);
-    let cfg = KroneckerConfig { scale: 12, edge_factor: 16, weighted: true, ..Default::default() };
-    let el = kronecker::generate(&cfg, 45);
-    let slack = el.size_bytes() as i64 / 100;
-    for kind in EngineKind::ALL {
-        let (resident, structure) = resident_and_structure(kind, &el, &pool);
-        assert!(
-            resident <= structure + slack,
-            "{}: {resident} bytes resident after construct, {structure} in its structure, \
-             {} in the edge list",
-            kind.name(),
-            el.size_bytes()
-        );
+    for (name, el, undirected) in kronecker_12() {
+        let slack = el.size_bytes() as i64 / 100;
+        for kind in EngineKind::ALL {
+            let (resident, structure) = resident_and_structure(kind, &el, undirected, &pool);
+            assert!(
+                resident <= structure + slack,
+                "{} on the {name} list: {resident} bytes resident after construct, {structure} \
+                 in its structure, {} in the edge list",
+                kind.name(),
+                el.size_bytes()
+            );
+        }
     }
+}
+
+/// The live bytes on this thread at the peak of `make`, above those at its
+/// start, and what `make` returned.
+fn peak<T>(make: impl FnOnce() -> T) -> (i64, T) {
+    let start = NET.with(|c| c.get());
+    PEAK.with(|c| c.set(start));
+    let kept = make();
+    (PEAK.with(|c| c.get()) - start, kept)
+}
+
+/// Bytes per vertex a build may hold beside the staged list and the
+/// structure: four `usize` words, for the counting sort's write cursors
+/// (one per key: a vertex, or for PowerGraph a replica, of which the
+/// lists here have 1–2 per vertex), GAP's own-transpose cursors and a
+/// squeeze's kept lengths. At one thread the builds peak 8–19 bytes per
+/// vertex above the two.
+const SCRATCH_PER_VERTEX: i64 = 32;
+
+/// Bytes per edge PowerGraph's build holds beside them: the partition of
+/// every edge (1) and one array of grouping keys (4).
+const POWERGRAPH_SCRATCH_PER_EDGE: i64 = 5;
+
+/// Bytes per staged edge a debug build adds: the race detector's shadow
+/// tables (`DisjointWriter::new`, 8 bytes per element) over the two arrays,
+/// targets and weights, that a counting sort fills at once.
+const SHADOW_PER_EDGE: i64 = if cfg!(debug_assertions) { 16 } else { 0 };
+
+/// No build holds two copies of the graph at once: the live bytes of
+/// `load_edge_list` and `construct` together peak at no more than the
+/// staged list, the structure and a per-vertex scratch bound (PowerGraph
+/// also its per-edge keys). Graph500 symmetrizes its staged copy in place,
+/// so its staged list is the symmetrized one.
+#[test]
+fn construct_peaks_at_the_staged_list_plus_the_structure() {
+    let pool = ThreadPool::new(1);
+    let mut bad = Vec::new();
+    for (name, el, undirected) in kronecker_12() {
+        for kind in EngineKind::ALL {
+            let (_, structure) = resident_and_structure(kind, &el, undirected, &pool);
+            let stage = || match kind {
+                EngineKind::Graph500 => el.symmetrized(),
+                _ => el.clone(),
+            };
+            let staged = held(stage);
+            let per_edge = match kind {
+                EngineKind::PowerGraph => POWERGRAPH_SCRATCH_PER_EDGE + SHADOW_PER_EDGE,
+                _ => SHADOW_PER_EDGE,
+            };
+            let scratch =
+                SCRATCH_PER_VERTEX * el.num_vertices as i64 + per_edge * stage().num_edges() as i64;
+            let (peak, engine) = peak(|| constructed(kind, &el, &pool));
+            drop(engine);
+            if peak > staged + structure + scratch {
+                bad.push(format!(
+                    "{} on the {name} list: construct peaks at {peak} live bytes; the staged \
+                     list holds {staged}, the structure {structure}, the scratch bound is \
+                     {scratch}",
+                    kind.name()
+                ));
+            }
+        }
+    }
+    assert!(bad.is_empty(), "a build held more than one copy of the graph:\n{}", bad.join("\n"));
 }
 
 const fn row(
