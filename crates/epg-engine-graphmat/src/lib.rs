@@ -43,6 +43,8 @@ pub struct GraphMatEngine {
     /// Entry (dst, src): columns hold out-edges, used for push iteration.
     matrix: Option<Dcsc>,
     /// Entry (src, dst): columns hold in-edges, used for pull iteration.
+    /// `None` once constructed when `matrix` is its own transpose, as on
+    /// every undirected list: [`GraphMatEngine::matrix_t`] is then `matrix`.
     matrix_t: Option<Dcsc>,
     num_vertices: usize,
 }
@@ -66,9 +68,11 @@ impl GraphMatEngine {
         self.matrix.as_ref().expect("graph not constructed")
     }
 
-    /// The pull-direction matrix (columns = in-edges).
+    /// The pull-direction matrix (columns = in-edges): `matrix()` itself
+    /// when that is its own transpose, so every program reads the same
+    /// entries in the same order either way.
     pub fn matrix_t(&self) -> &Dcsc {
-        self.matrix_t.as_ref().expect("graph not constructed")
+        self.matrix_t.as_ref().unwrap_or_else(|| self.matrix())
     }
 }
 
@@ -111,9 +115,11 @@ impl Engine for GraphMatEngine {
             assert!(self.matrix.is_some(), "no edge list loaded");
             return;
         };
+        // A matrix equal to its transpose, as the homogenizer's undirected
+        // lists give, serves both orientations: one copy of the graph.
         let m = Dcsc::from_edge_list(&el, pool);
         drop(el);
-        self.matrix_t = Some(m.transpose(pool));
+        self.matrix_t = (!m.is_own_transpose(pool)).then(|| m.transpose(pool));
         self.matrix = Some(m);
     }
 
@@ -261,6 +267,57 @@ mod tests {
             let one = spmspv_dump(&el, 1, 5);
             assert_eq!(spmspv_dump(&el, 2, 5), one);
             assert_eq!(spmspv_dump(&el, 3, 5), one);
+        }
+    }
+
+    #[test]
+    fn construct_keeps_one_matrix_exactly_when_it_is_its_own_transpose() {
+        let pool = ThreadPool::new(2);
+        let undirected = build(&random_graph(9), &pool);
+        assert!(std::ptr::eq(undirected.matrix(), undirected.matrix_t()));
+        let directed = build(&epg_generator::uniform::generate(300, 400, false, 4), &pool);
+        assert!(!std::ptr::eq(directed.matrix(), directed.matrix_t()));
+        assert_eq!(*directed.matrix_t(), directed.matrix().transpose(&pool));
+        // Every edge has its reverse, but 0 -> 1 keeps its last weight, 2,
+        // and 1 -> 0 its only one, 1: the matrix is not symmetric.
+        let el = EdgeList::weighted(
+            3,
+            vec![(0, 1), (1, 0), (0, 1), (1, 2), (2, 1)],
+            vec![1.0, 1.0, 2.0, 3.0, 3.0],
+        );
+        let keep_last = build(&el, &pool);
+        assert!(!std::ptr::eq(keep_last.matrix(), keep_last.matrix_t()));
+        assert_eq!(*keep_last.matrix_t(), keep_last.matrix().transpose(&pool));
+        assert_eq!(keep_last.matrix_t().values, [1.0, 2.0, 3.0, 3.0]);
+    }
+
+    #[test]
+    fn programs_read_a_matrix_as_its_own_transpose_bit_for_bit() {
+        let cfg = epg_generator::kronecker::KroneckerConfig {
+            scale: 7,
+            weighted: true,
+            ..Default::default()
+        };
+        let el = epg_generator::kronecker::generate(&cfg, 17).symmetrized().deduplicated();
+        let n = el.num_vertices;
+        for threads in 1..=3 {
+            let pool = ThreadPool::new(threads);
+            let a = Dcsc::from_edge_list(&el, &pool);
+            let at = a.transpose(&pool);
+            assert!(a.is_own_transpose(&pool));
+            let dump = |at: &Dcsc| {
+                let p = RunParams::new(&pool, None);
+                [
+                    programs::pagerank(&a, at, n, &p),
+                    programs::cdlp(&a, at, n, &p, CDLP_ROUNDS),
+                    programs::wcc(&a, at, n, &p),
+                    lcc::lcc(&a, at, n, &p),
+                    lcc::triangle_count(&a, at, n, &p),
+                ]
+                .map(|out| format!("{:?}\n{:?}\n{:?}\n", out.result, out.counters, out.trace))
+                .concat()
+            };
+            assert_eq!(dump(&a), dump(&at), "{threads} threads");
         }
     }
 

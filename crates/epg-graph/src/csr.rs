@@ -189,6 +189,124 @@ impl Rows<'_> {
         let keys = |lo: usize, hi: usize| targets[lo..hi].iter().map(|&t| t as usize);
         Csr::grouped((n, targets.len()), weights, pool, keys, items)
     }
+
+    /// Vertex id of row `j`.
+    fn id(&self, j: usize) -> usize {
+        self.ids.map_or(j, |ids| ids[j] as usize)
+    }
+
+    /// `cuts[w]..cuts[w + 1]` is worker `w`'s range of rows of `nworkers`:
+    /// the fixed `worker_range` rule over entry indices, rounded to row
+    /// boundaries, each cut landing on the row that straddles an
+    /// `m / nworkers` boundary. Nothing depends on scheduler state.
+    fn edge_balanced_cuts(&self, nworkers: usize) -> Vec<usize> {
+        let (rows, m) = (self.ptr.len() - 1, self.targets.len());
+        let block = m.div_ceil(nworkers).max(1);
+        let mut cuts: Vec<usize> =
+            (0..=nworkers).map(|w| self.ptr.partition_point(|&o| o < (w * block).min(m))).collect();
+        cuts[0] = 0;
+        cuts[nworkers] = rows; // sweep empty tail rows into the last range
+        cuts
+    }
+
+    /// True when the matrix over `n` vertices equals its transpose — the
+    /// rows of the [`Rows::reversed`] entries — `weights[i]` following entry
+    /// `i` and compared by bit pattern: [`Csr::is_own_transpose`] and
+    /// [`crate::Dcsc::is_own_transpose`].
+    ///
+    /// One cursor per vertex: every entry `(u, v, w)`, visited in row
+    /// order, must be the next unread entry of `v`'s row with the same
+    /// weight bits. `O(V + E)`; a worker's first mismatch ends its share.
+    /// On the pool each worker takes the sources of one edge-balanced cut
+    /// ([`Rows::cut_fills_its_stretch`]), as many cuts as threads while the
+    /// matrix has that many entries per vertex.
+    pub(crate) fn is_own_transpose(
+        &self,
+        n: usize,
+        weights: Option<&[Weight]>,
+        pool: &ThreadPool,
+    ) -> bool {
+        // A cut's `n` cursors are paid for by at least `n` entries, so they
+        // never outweigh the transpose they stand in for.
+        let ncuts = pool.num_threads().min(self.targets.len() / n.max(1)).max(1);
+        let cuts = self.edge_balanced_cuts(ncuts);
+        // Every cut's cursors in one allocation, made here: a buffer a
+        // worker allocates lands in its thread's arena, which may keep the
+        // pages after the buffer is freed.
+        let mut cursors = vec![0usize; ncuts * n];
+        let mut holds = vec![false; ncuts];
+        {
+            let (cw, hw) = (DisjointWriter::new(&mut cursors), DisjointWriter::new(&mut holds));
+            pool.region(|w| {
+                if w >= ncuts {
+                    return;
+                }
+                // SAFETY: cursor row `w` and slot `w` are worker `w`'s alone.
+                let cursor = unsafe { cw.range_mut(w * n, (w + 1) * n) };
+                let cut = (cuts[w], cuts[w + 1]);
+                let fills = self.cut_fills_its_stretch(weights, cut, cursor);
+                // SAFETY: as above.
+                unsafe { hw.write_unchecked(w, fills) }
+            });
+        }
+        holds.into_iter().all(|h| h)
+    }
+
+    /// Whether the entries of rows `lo..hi`, in row order, are each the
+    /// next unread entry of their target's row with their weight bits, and
+    /// together read every row exactly across its stretch: from where its
+    /// entries from sources below row `lo`'s id end to where those below
+    /// row `hi`'s end.
+    ///
+    /// When every cut passes, each entry has met its own slot: a cursor
+    /// only advances, one slot per entry, from where its stretch starts to
+    /// where it ends, and the cuts' stretches meet end to start along each
+    /// row. So the `m` entries fill all `m` slots, none through the cursor
+    /// of a vertex without a row (a column [`crate::Dcsc`] does not
+    /// materialize), and every row holds the sources of its in-entries in
+    /// row order: the transpose's row. A stretch ends where a binary search
+    /// says; on a row that does not ascend, which no row of a matrix equal
+    /// to its transpose does, the stretches may not tile the row, and then
+    /// some cursor would have to move back: the check fails, as it should.
+    fn cut_fills_its_stretch(
+        &self,
+        weights: Option<&[Weight]>,
+        (lo, hi): (usize, usize),
+        cursor: &mut [usize],
+    ) -> bool {
+        let (ptr, targets, n) = (self.ptr, self.targets, cursor.len());
+        let rows = ptr.len() - 1;
+        // Where row `j`'s entries from sources below vertex `id` end.
+        let below = |j: usize, id: usize| match id {
+            0 => ptr[j],
+            _ if id >= n => ptr[j + 1],
+            _ => ptr[j] + targets[ptr[j]..ptr[j + 1]].partition_point(|&t| (t as usize) < id),
+        };
+        // The first source id of the cut starting at row `c`: the cuts'
+        // stretches meet, and span each row from its start to its end.
+        let bound = |c: usize| match c {
+            0 => 0,
+            _ if c == rows => n,
+            _ => self.id(c),
+        };
+        let (from, to) = (bound(lo), bound(hi));
+        for j in 0..rows {
+            cursor[self.id(j)] = below(j, from);
+        }
+        for j in lo..hi {
+            let u = self.id(j) as VertexId;
+            for (i, &v) in (ptr[j]..).zip(&targets[ptr[j]..ptr[j + 1]]) {
+                let at = cursor[v as usize];
+                if targets.get(at) != Some(&u)
+                    || weights.is_some_and(|ws| ws[at].to_bits() != ws[i].to_bits())
+                {
+                    return false;
+                }
+                cursor[v as usize] = at + 1;
+            }
+        }
+        (0..rows).all(|j| cursor[self.id(j)] == below(j, to))
+    }
 }
 
 impl Csr {
@@ -291,116 +409,26 @@ impl Csr {
     }
 
     fn transposed(&self, pool: Option<&ThreadPool>) -> Csr {
-        Rows { ptr: &self.offsets, ids: None, targets: &self.targets }.reversed(
-            self.num_vertices(),
-            self.weights.as_deref(),
-            pool,
-        )
+        self.rows().reversed(self.num_vertices(), self.weights.as_deref(), pool)
     }
 
     /// True when the CSR is its own transpose: `self.transpose() == *self`,
     /// weights compared by bit pattern. Then the in-edges of every vertex
     /// are its out-edges in the order the transpose would list them, and
     /// one set of arrays serves both directions, as GAP's `CSRGraph` shares
-    /// them for an undirected graph.
-    ///
-    /// One cursor per vertex: every edge `(u, v, w)`, visited in CSR order,
-    /// must be the next unread entry of `v`'s row with the same weight bits.
-    /// `O(V + E)`; a worker's first mismatch ends its share. On the pool
-    /// each worker takes the sources of one edge-balanced cut
-    /// ([`Csr::cut_fills_its_stretch`]), as many cuts as threads while the
-    /// graph has that many edges per vertex; the answer is the same at
-    /// every thread count.
+    /// them for an undirected graph. `O(V + E)`, the same answer at every
+    /// thread count; the check is `Rows::is_own_transpose`, which
+    /// [`crate::Dcsc::is_own_transpose`] shares.
     pub fn is_own_transpose(&self, pool: &ThreadPool) -> bool {
-        let n = self.num_vertices();
-        // A cut's `n` cursors are paid for by at least `n` edges, so they
-        // never outweigh the transpose they stand in for.
-        let ncuts = pool.num_threads().min(self.num_edges() / n.max(1)).max(1);
-        let cuts = self.edge_balanced_cuts(ncuts);
-        // Every cut's cursors in one allocation, made here: a buffer a
-        // worker allocates lands in its thread's arena, which may keep the
-        // pages after the buffer is freed.
-        let mut cursors = vec![0usize; ncuts * n];
-        let mut holds = vec![false; ncuts];
-        {
-            let (cw, hw) = (DisjointWriter::new(&mut cursors), DisjointWriter::new(&mut holds));
-            pool.region(|w| {
-                if w >= ncuts {
-                    return;
-                }
-                // SAFETY: cursor row `w` and slot `w` are worker `w`'s alone.
-                let cursor = unsafe { cw.range_mut(w * n, (w + 1) * n) };
-                let fills = self.cut_fills_its_stretch((cuts[w], cuts[w + 1]), ncuts > 1, cursor);
-                // SAFETY: as above.
-                unsafe { hw.write_unchecked(w, fills) }
-            });
-        }
-        holds.into_iter().all(|h| h)
+        self.rows().is_own_transpose(self.num_vertices(), self.weights.as_deref(), pool)
     }
 
-    /// Whether each edge from the sources `lo..hi`, in CSR order, is the
-    /// next unread entry of its target's row with its weight bits, every
-    /// row read from where its entries below `lo` end. With more than one
-    /// cut, that end is only well defined on ascending rows, which every
-    /// row of a CSR equal to its transpose is, so each cut also checks its
-    /// sources' rows ascend.
-    ///
-    /// When every cut passes, each edge has met its own slot: a slot names
-    /// one source, which one cut owns, and a cut's cursors only advance. So
-    /// the `m` edges fill all `m` slots, and every row holds the sources of
-    /// its in-edges in CSR order: the transpose's row.
-    fn cut_fills_its_stretch(
-        &self,
-        (lo, hi): (usize, usize),
-        ascending: bool,
-        cursor: &mut [usize],
-    ) -> bool {
-        let (offsets, targets) = (&self.offsets, &self.targets);
-        let ws = self.weights.as_deref();
-        for (v, at) in cursor.iter_mut().enumerate() {
-            *at = offsets[v];
-            if lo > 0 {
-                *at += self.neighbors(v as VertexId).partition_point(|&t| (t as usize) < lo);
-            }
-        }
-        for u in lo..hi {
-            let row = &targets[offsets[u]..offsets[u + 1]];
-            if ascending && row.windows(2).any(|pair| pair[0] > pair[1]) {
-                return false;
-            }
-            for (i, &v) in (offsets[u]..).zip(row) {
-                let v = v as usize;
-                let at = cursor[v];
-                if at == offsets[v + 1]
-                    || targets[at] != u as VertexId
-                    || ws.is_some_and(|ws| ws[at].to_bits() != ws[i].to_bits())
-                {
-                    return false;
-                }
-                cursor[v] = at + 1;
-            }
-        }
-        true
-    }
-
-    /// `cuts[w]..cuts[w + 1]` is worker `w`'s vertex range of `nworkers`:
-    /// the fixed `worker_range` rule over edge indices, rounded to vertex
-    /// boundaries, each cut landing on the vertex whose adjacency straddles
-    /// an `m / nworkers` boundary.
-    fn edge_balanced_cuts(&self, nworkers: usize) -> Vec<usize> {
-        let m = self.num_edges();
-        let block = m.div_ceil(nworkers).max(1);
-        let mut cuts: Vec<usize> = (0..=nworkers)
-            .map(|w| self.offsets.partition_point(|&o| o < (w * block).min(m)))
-            .collect();
-        cuts[0] = 0;
-        cuts[nworkers] = self.num_vertices(); // sweep zero-degree tail vertices into the last range
-        cuts
+    fn rows(&self) -> Rows<'_> {
+        Rows { ptr: &self.offsets, ids: None, targets: &self.targets }
     }
 
     /// Calls `f(v, targets of v, weights of v)` once per vertex. With a
-    /// pool, vertices are split at edge-balanced cuts (the fixed
-    /// `worker_range` rule over edge indices, rounded to vertex boundaries):
+    /// pool, vertices are split at edge-balanced cuts ([`Rows::edge_balanced_cuts`]):
     /// skewed degrees still balance by edges, and — like the construction
     /// kernels — nothing depends on scheduler state or chunk claims.
     fn for_each_row_mut(
@@ -408,7 +436,7 @@ impl Csr {
         pool: Option<&ThreadPool>,
         f: impl Fn(usize, &mut [VertexId], Option<&mut [Weight]>) + Sync,
     ) {
-        let cuts = self.edge_balanced_cuts(pool.map_or(1, ThreadPool::num_threads));
+        let cuts = self.rows().edge_balanced_cuts(pool.map_or(1, ThreadPool::num_threads));
         let Csr { offsets, targets, weights } = self;
         let tw = DisjointWriter::new(targets.as_mut_slice());
         let ww = weights.as_mut().map(|w| DisjointWriter::new(w.as_mut_slice()));
@@ -563,6 +591,19 @@ mod tests {
         tt.sort_adjacency();
         orig.sort_adjacency();
         assert_eq!(tt, orig);
+    }
+
+    #[test]
+    fn own_transpose_cursors_stop_at_their_rows_end() {
+        // Row 0 is empty, so the cursor of 0 starts where row 2 does, at
+        // the entry 2 -> 2: the edge 2 -> 0 must not claim that slot too.
+        let pool = ThreadPool::new(1);
+        let g = Csr::from_edge_list(&EdgeList::new(4, vec![(2, 2), (2, 0)]));
+        assert!(!g.is_own_transpose(&pool));
+        let g = Csr::from_edge_list(&EdgeList::new(4, vec![(2, 2), (2, 0), (0, 2)]));
+        assert!(!g.is_own_transpose(&pool), "row 2 does not ascend");
+        let g = Csr::from_edge_list(&EdgeList::new(4, vec![(0, 2), (2, 0), (2, 2)]));
+        assert!(g.is_own_transpose(&pool));
     }
 
     #[test]

@@ -16,7 +16,8 @@ use epg_parallel::ThreadPool;
 /// Semantics: entry `(r, c)` is an edge `c -> r`, so a column holds the
 /// out-edges of one vertex and SpMV `y = A * x` propagates values along
 /// edge direction (GraphMat's convention for push-style iteration is the
-/// transpose; the engine builds both orientations).
+/// transpose). The engine keeps both orientations, one matrix for both
+/// when it is its own transpose ([`Dcsc::is_own_transpose`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Dcsc {
     /// Matrix dimension (square: num_vertices).
@@ -119,21 +120,21 @@ impl Dcsc {
     /// the same compaction — columns ascend here, so every transposed
     /// column arrives ascending and nothing is sorted.
     pub fn transpose(&self, pool: &ThreadPool) -> Dcsc {
-        let columns = Rows { ptr: &self.col_ptr, ids: Some(&self.col_ids), targets: &self.row_ids };
-        Dcsc::compact(columns.reversed(self.dim, Some(&self.values), Some(pool)), pool)
+        Dcsc::compact(self.columns().reversed(self.dim, Some(&self.values), Some(pool)), pool)
     }
 
-    /// Converts to CSR over out-edges (a column is the adjacency list of
-    /// its *source*): the offsets regain their entries for empty columns.
-    pub fn to_csr(&self) -> Csr {
-        let mut offsets = vec![0usize; self.dim + 1];
-        for (i, &c) in self.col_ids.iter().enumerate() {
-            offsets[c as usize + 1] = self.col_ptr[i + 1] - self.col_ptr[i];
-        }
-        for v in 0..self.dim {
-            offsets[v + 1] += offsets[v];
-        }
-        Csr { offsets, targets: self.row_ids.clone(), weights: Some(self.values.clone()) }
+    /// True when the matrix is its own transpose: `self.transpose(pool) ==
+    /// *self`, values compared by bit pattern. Then every column holds the
+    /// in-edges of its vertex as well as its out-edges, and one matrix
+    /// serves both orientations. `O(V + E)` with one cursor per vertex,
+    /// the same answer at every thread count: the check
+    /// [`Csr::is_own_transpose`] makes, over the columns.
+    pub fn is_own_transpose(&self, pool: &ThreadPool) -> bool {
+        self.columns().is_own_transpose(self.dim, Some(&self.values), pool)
+    }
+
+    fn columns(&self) -> Rows<'_> {
+        Rows { ptr: &self.col_ptr, ids: Some(&self.col_ids), targets: &self.row_ids }
     }
 
     /// Approximate resident size in bytes. DCSC's advantage over CSR — no
@@ -215,13 +216,10 @@ mod tests {
     }
 
     #[test]
-    fn triples_roundtrip_via_csr() {
+    fn triples_are_the_edge_list() {
         let el = sample();
-        let m = build(&el);
-        let csr = m.to_csr();
         let mut a: Vec<_> = el.iter().map(|(u, v, w)| (u, v, w.to_bits())).collect();
-        let mut b: Vec<_> =
-            csr.to_edge_list().iter().map(|(u, v, w)| (u, v, w.to_bits())).collect();
+        let mut b: Vec<_> = build(&el).triples().map(|(r, c, w)| (c, r, w.to_bits())).collect();
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b);

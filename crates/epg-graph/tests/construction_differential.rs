@@ -15,7 +15,9 @@
 //! their documented rules: `Dcsc` (a duplicate keeps its last value) and
 //! `EdgeList::deduplicated` (a duplicate keeps its first weight), each
 //! against a `BTreeMap` that states the rule and against the sort-based
-//! builder it replaced, kept here as a test-only reference.
+//! builder it replaced, kept here as a test-only reference. Both
+//! own-transpose checks, `Csr::is_own_transpose` and
+//! `Dcsc::is_own_transpose`, are held to transpose equality at 1–3 threads.
 
 use epg_graph::{csr::Csr, Dcsc, EdgeList, VertexId, Weight};
 use epg_parallel::ThreadPool;
@@ -148,12 +150,13 @@ fn arb_weighted_graph() -> impl Strategy<Value = EdgeList> {
 /// Lists around "this CSR is its own transpose": a symmetric multigraph in
 /// stable (src, dst) order — self-loops and parallel edges of unequal
 /// weights included, each copy's reverse carrying its weight — weighted or
-/// not, and three ways to spoil it: one reverse edge removed, one weight
-/// changed, the list reversed (unsorted rows). Zero vertices and zero edges
+/// not, and four ways to spoil it: one reverse edge removed, one weight
+/// changed, the list reversed (unsorted rows), the targets of two edges
+/// swapped (every in- and out-degree kept). Zero vertices and zero edges
 /// come up as `n = 0` and an empty draw.
 fn arb_near_symmetric() -> impl Strategy<Value = (EdgeList, &'static str)> {
     let draw = proptest::collection::vec(((0..16 as VertexId, 0..16 as VertexId), 0u8..4), 0..60);
-    (0usize..=16, draw, 0usize..5, 0usize..1 << 16).prop_map(|(n, ews, variant, pick)| {
+    (0usize..=16, draw, 0usize..6, 0usize..1 << 16).prop_map(|(n, ews, variant, pick)| {
         let ews = if n == 0 { vec![] } else { ews };
         let (edges, weights) = ews
             .into_iter()
@@ -179,6 +182,12 @@ fn arb_near_symmetric() -> impl Strategy<Value = (EdgeList, &'static str)> {
                 ws[pick % m] += 1.0;
                 "unequal-weights"
             }
+            4 => {
+                let (i, j) = (pick % m, pick / m % m);
+                let (ti, tj) = (el.edges[i].1, el.edges[j].1);
+                (el.edges[i].1, el.edges[j].1) = (tj, ti);
+                "targets-swapped"
+            }
             _ => {
                 el.edges.reverse();
                 ws.reverse();
@@ -187,6 +196,24 @@ fn arb_near_symmetric() -> impl Strategy<Value = (EdgeList, &'static str)> {
         };
         (if variant == 1 { el.unweighted() } else { el }, shape)
     })
+}
+
+/// `el` as drawn and over three times the ids, vertex `v` renamed
+/// `3v + 1` (empty rows, or columns, at 0, two between every two drawn ids
+/// and in the tail), each also without weights, where only the targets
+/// can tell a spoiled list from its transpose.
+fn as_drawn_and_spread(el: &EdgeList) -> [(EdgeList, &'static str); 4] {
+    let spread = EdgeList {
+        num_vertices: 3 * el.num_vertices + 2,
+        edges: el.edges.iter().map(|&(u, v)| (3 * u + 1, 3 * v + 1)).collect(),
+        weights: el.weights.clone(),
+    };
+    [
+        (el.unweighted(), "drawn-unweighted"),
+        (spread.unweighted(), "spread-unweighted"),
+        (el.clone(), "drawn"),
+        (spread, "spread"),
+    ]
 }
 
 proptest! {
@@ -257,14 +284,16 @@ proptest! {
 
     #[test]
     fn own_transpose_check_is_transpose_equality((el, shape) in arb_near_symmetric()) {
-        let g = Csr::from_edge_list(&el);
-        for nthreads in 1..=3 {
-            let pool = ThreadPool::new(nthreads);
-            let own = g.is_own_transpose(&pool);
-            let equal = g.transpose_parallel(&pool) == g;
-            prop_assert_eq!(own, equal, "shape={} nthreads={}", shape, nthreads);
-            if shape.starts_with("symmetric") {
-                prop_assert!(own, "a symmetric list in (src, dst) order is its own transpose");
+        for (el, ids) in as_drawn_and_spread(&el) {
+            let g = Csr::from_edge_list(&el);
+            for nthreads in 1..=3 {
+                let pool = ThreadPool::new(nthreads);
+                let own = g.is_own_transpose(&pool);
+                let equal = g.transpose_parallel(&pool) == g;
+                prop_assert_eq!(own, equal, "shape={} ids={} nthreads={}", shape, ids, nthreads);
+                if shape.starts_with("symmetric") {
+                    prop_assert!(own, "a symmetric list in (src, dst) order is its own transpose");
+                }
             }
         }
     }
@@ -358,6 +387,13 @@ fn duplicates_agree(el: &EdgeList) -> bool {
     el.iter().all(|(u, v, w)| *seen.entry((u, v)).or_insert(w.to_bits()) == w.to_bits())
 }
 
+/// Equal matrices, values compared by bit pattern.
+fn same_bits(a: &Dcsc, b: &Dcsc) -> bool {
+    let bits = |m: &Dcsc| m.values.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+    (a.dim, &a.col_ids, &a.col_ptr, &a.row_ids) == (b.dim, &b.col_ids, &b.col_ptr, &b.row_ids)
+        && bits(a) == bits(b)
+}
+
 fn check_dcsc(el: &EdgeList, shape: &str) {
     let want = dcsc_by_rule(el);
     let want_t = dcsc_by_rule(&EdgeList {
@@ -372,10 +408,12 @@ fn check_dcsc(el: &EdgeList, shape: &str) {
         assert_eq!(got, want, "from_edge_list: {ctx}");
         let got_t = got.transpose(&pool);
         assert_eq!(got_t, want_t, "transpose: {ctx}");
-        // Scattering from the matrix's own arrays gives what transposing a
-        // CSR copy of it gives.
-        let via_csr = got.to_csr().transpose_parallel(&pool).to_edge_list();
-        assert_eq!(got_t, Dcsc::from_edge_list(&via_csr, &pool), "transpose via CSR: {ctx}");
+        // Scattering from the matrix's own arrays gives what grouping its
+        // reversed nonzeros into a CSR gives.
+        let (edges, weights) = got.triples().map(|(r, c, w)| ((r, c), w)).unzip();
+        let via_csr = Csr::from_edge_list(&EdgeList::weighted(got.dim, edges, weights));
+        let via_csr = Dcsc::from_edge_list(&via_csr.to_edge_list(), &pool);
+        assert_eq!(got_t, via_csr, "transpose via CSR: {ctx}");
         assert_eq!(got_t.transpose(&pool), want, "transpose twice: {ctx}");
         if duplicates_agree(el) {
             assert_eq!(got, dcsc_by_sort(el), "the sort-based builder: {ctx}");
@@ -443,14 +481,20 @@ fn unweighted_dedup_is_what_the_sort_gave_at_scale() {
         assert_eq!(simple, dedup_by_sort(&raw), "{shape}");
         assert_eq!(simple.undirected(), dedup_by_sort(&simple.symmetrized()), "{shape}");
         check_dcsc(&simple.undirected(), shape);
-        // The homogenizer's undirected CSR is its own transpose; the
-        // directed one is exactly when its transpose says so.
+        // The homogenizer's undirected CSR and DCSC are their own
+        // transposes; the directed ones exactly when their transposes say so.
         let (und, dir) = (Csr::from_edge_list(&simple.undirected()), Csr::from_edge_list(&simple));
         for nthreads in 1..=3 {
             let pool = ThreadPool::new(nthreads);
             assert!(und.is_own_transpose(&pool), "{shape} undirected, {nthreads} threads");
             let equal = dir.transpose_parallel(&pool) == dir;
             assert_eq!(dir.is_own_transpose(&pool), equal, "{shape} directed, {nthreads} threads");
+            let und = Dcsc::from_edge_list(&simple.undirected(), &pool);
+            assert!(und.is_own_transpose(&pool), "{shape} undirected DCSC, {nthreads} threads");
+            let dir = Dcsc::from_edge_list(&simple, &pool);
+            let equal = same_bits(&dir.transpose(&pool), &dir);
+            let ctx = format!("{shape} directed DCSC, {nthreads} threads");
+            assert_eq!(dir.is_own_transpose(&pool), equal, "{ctx}");
         }
     }
 }
@@ -475,6 +519,25 @@ proptest! {
     fn dcsc_keeps_the_last_duplicate(el in arb_multigraph()) {
         check_dcsc(&el, "multigraph");
         check_dcsc(&el.unweighted(), "multigraph-unweighted");
+    }
+
+    #[test]
+    fn dcsc_own_transpose_check_is_transpose_equality((el, shape) in arb_near_symmetric()) {
+        for (el, ids) in as_drawn_and_spread(&el) {
+            for nthreads in 1..=3 {
+                let pool = ThreadPool::new(nthreads);
+                let m = Dcsc::from_edge_list(&el, &pool);
+                let own = m.is_own_transpose(&pool);
+                let equal = same_bits(&m.transpose(&pool), &m);
+                prop_assert_eq!(own, equal, "shape={} ids={} nthreads={}", shape, ids, nthreads);
+                if shape.starts_with("symmetric") {
+                    // Of parallel copies the last is kept, and in a
+                    // symmetric list sorted by (src, dst) the last copy of
+                    // an edge and of its reverse carry one weight.
+                    prop_assert!(own, "a symmetric list in (src, dst) order is its own transpose");
+                }
+            }
+        }
     }
 
     #[test]

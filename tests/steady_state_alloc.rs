@@ -332,8 +332,8 @@ fn held<T>(make: impl FnOnce() -> T) -> i64 {
 /// What `kind`'s engine frees when dropped after `load_edge_list(el)` and
 /// `construct`, and what its graph structure alone holds, built from `el`
 /// by the public constructors the engine calls. On an `undirected` list —
-/// the homogenizer's, rows ascending — GAP's structure is one CSR, which
-/// serves as its own transpose.
+/// the homogenizer's, rows ascending — GAP's structure is one CSR and
+/// GraphMat's one DCSC, each serving as its own transpose.
 fn resident_and_structure(
     kind: EngineKind,
     el: &EdgeList,
@@ -349,6 +349,7 @@ fn resident_and_structure(
             (csr.transpose_parallel(pool), csr)
         }),
         EngineKind::GraphBig => held(|| PropertyGraph::from_edge_list(el)),
+        EngineKind::GraphMat if undirected => held(|| Dcsc::from_edge_list(el, pool)),
         EngineKind::GraphMat => held(|| {
             let m = Dcsc::from_edge_list(el, pool);
             (m.transpose(pool), m)
@@ -410,9 +411,10 @@ fn peak<T>(make: impl FnOnce() -> T) -> (i64, T) {
 /// Bytes per vertex a build may hold beside the staged list and the
 /// structure: four `usize` words, for the counting sort's write cursors
 /// (one per key: a vertex, or for PowerGraph a replica, of which the
-/// lists here have 1–2 per vertex), GAP's own-transpose cursors and a
-/// squeeze's kept lengths. At one thread the builds peak 8–19 bytes per
-/// vertex above the two.
+/// lists here have 1–2 per vertex), the own-transpose check's cursors
+/// (GAP's over the CSR, GraphMat's over the DCSC) and a squeeze's kept
+/// lengths. At one thread the builds peak 8–19 bytes per vertex above the
+/// two.
 const SCRATCH_PER_VERTEX: i64 = 32;
 
 /// Bytes per edge PowerGraph's build holds beside them: the partition of
