@@ -26,6 +26,7 @@ pub mod query;
 pub mod record;
 pub mod result;
 pub mod stopping;
+pub mod triangles;
 
 pub use counters::{Counters, RegionRecord, Trace};
 pub use fault::{FaultKind, FaultPlan, FaultyEngine};
@@ -39,6 +40,8 @@ pub use epg_trace::{Dir, Recorder, RunRecorder, TraceEvent};
 
 use epg_graph::{EdgeList, VertexId};
 use epg_parallel::{CancelToken, ThreadPool};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::path::Path;
 
 /// The algorithms the paper measures. BFS/SSSP/PR are the framework's core
@@ -123,11 +126,6 @@ impl Algorithm {
     /// (the N/A cells of Table I).
     pub fn needs_weights(self) -> bool {
         matches!(self, Algorithm::Sssp)
-    }
-
-    /// Parses an abbreviation (case-insensitive).
-    pub fn from_abbrev(s: &str) -> Option<Algorithm> {
-        Algorithm::ALL.into_iter().find(|a| a.abbrev().eq_ignore_ascii_case(s))
     }
 }
 
@@ -246,6 +244,19 @@ impl<'a> RunParams<'a> {
             cancel: None,
         }
     }
+
+    /// The sources a BC run over `n` vertices starts from: every vertex
+    /// when `bc_sources` is `None`, else `k` draws (repeats allowed) from
+    /// one fixed seed, so every engine times the same sources.
+    pub fn bc_source_list(&self, n: usize) -> Vec<VertexId> {
+        match self.bc_sources {
+            None => (0..n as VertexId).collect(),
+            Some(k) => {
+                let mut rng = StdRng::seed_from_u64(0x6a0);
+                (0..k.min(n)).map(|_| rng.gen_range(0..n as VertexId)).collect()
+            }
+        }
+    }
 }
 
 /// Static description of an engine (the §III-C inventory row).
@@ -320,15 +331,6 @@ pub trait Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn abbrevs_roundtrip() {
-        for a in Algorithm::ALL {
-            assert_eq!(Algorithm::from_abbrev(a.abbrev()), Some(a));
-            assert_eq!(Algorithm::from_abbrev(&a.abbrev().to_lowercase()), Some(a));
-        }
-        assert_eq!(Algorithm::from_abbrev("nope"), None);
-    }
 
     #[test]
     fn rooted_and_weighted_sets() {

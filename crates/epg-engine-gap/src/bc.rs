@@ -9,13 +9,12 @@
 use epg_engine_api::{AlgorithmResult, Dir, Found, RunLog, RunOutput, RunParams};
 use epg_graph::{Csr, VertexId};
 use epg_parallel::{AtomicF64, PerWorker, Schedule};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicI64, Ordering};
 
-/// Runs betweenness centrality over out-edges, from every source or from
-/// `params.bc_sources` sources sampled with `seed`.
-pub fn betweenness(g: &Csr, params: &RunParams<'_>, seed: u64) -> RunOutput {
+/// Runs betweenness centrality over out-edges from
+/// [`RunParams::bc_source_list`]'s sources: every vertex, or the sampled
+/// ones every engine shares.
+pub fn betweenness(g: &Csr, params: &RunParams<'_>) -> RunOutput {
     let pool = params.pool;
     let n = g.num_vertices();
     let mut log = RunLog::new(params.recorder);
@@ -24,13 +23,7 @@ pub fn betweenness(g: &Csr, params: &RunParams<'_>, seed: u64) -> RunOutput {
         return log.finish(AlgorithmResult::Centrality(bc));
     }
 
-    let source_list: Vec<VertexId> = match params.bc_sources {
-        None => (0..n as VertexId).collect(),
-        Some(k) => {
-            let mut rng = StdRng::seed_from_u64(seed);
-            (0..k.min(n)).map(|_| rng.gen_range(0..n as VertexId)).collect()
-        }
-    };
+    let source_list = params.bc_source_list(n);
     let scale = n as f64 / source_list.len() as f64;
 
     // Per-source state, reused across sources.
@@ -145,15 +138,15 @@ mod tests {
     use epg_graph::{oracle, EdgeList};
     use epg_parallel::ThreadPool;
 
-    fn run(g: &Csr, pool: &ThreadPool, sources: Option<usize>, seed: u64) -> RunOutput {
+    fn run(g: &Csr, pool: &ThreadPool, sources: Option<usize>) -> RunOutput {
         let params = RunParams { bc_sources: sources, ..RunParams::new(pool, None) };
-        betweenness(g, &params, seed)
+        betweenness(g, &params)
     }
 
     fn exact(el: &EdgeList) -> Vec<f64> {
         let g = Csr::from_edge_list(el);
         let pool = ThreadPool::new(3);
-        let out = run(&g, &pool, None, 0);
+        let out = run(&g, &pool, None);
         let AlgorithmResult::Centrality(bc) = out.result else { panic!() };
         bc
     }
@@ -193,7 +186,7 @@ mod tests {
         let el = EdgeList::new(40, (1..40).map(|v| (0u32, v)).collect::<Vec<_>>()).symmetrized();
         let g = Csr::from_edge_list(&el);
         let pool = ThreadPool::new(2);
-        let out = run(&g, &pool, Some(8), 3);
+        let out = run(&g, &pool, Some(8));
         let AlgorithmResult::Centrality(bc) = out.result else { panic!() };
         assert!(bc[0] > 0.0);
         let hub = bc[0];
@@ -207,8 +200,8 @@ mod tests {
         let el = epg_generator::uniform::generate(60, 300, false, 1).symmetrized();
         let g = Csr::from_edge_list(&el);
         let pool = ThreadPool::new(2);
-        let a = run(&g, &pool, Some(4), 9);
-        let b = run(&g, &pool, Some(4), 9);
+        let a = run(&g, &pool, Some(4));
+        let b = run(&g, &pool, Some(4));
         assert_eq!(a.result, b.result);
     }
 }

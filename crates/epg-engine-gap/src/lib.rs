@@ -232,7 +232,7 @@ fn dispatch(
             sssp::dispatch_kernel(config.sssp_kernel, csr, delta, params)
         }
         Algorithm::PageRank => pr::pagerank(csr, csr_t, params),
-        Algorithm::Bc => bc::betweenness(csr, params, 0x6a0),
+        Algorithm::Bc => bc::betweenness(csr, params),
         Algorithm::TriangleCount => tc::triangle_count(csr, csr_t, params),
         _ => unreachable!("GAP does not implement {algo:?}"),
     }

@@ -4,9 +4,10 @@
 //! neighbors, and counts each triangle once by sorted intersection —
 //! work-efficient and embarrassingly parallel over vertices.
 
+use epg_engine_api::triangles::{count_ordered, vertex_sets};
 use epg_engine_api::{AlgorithmResult, Dir, RunLog, RunOutput, RunParams};
 use epg_graph::{Csr, VertexId};
-use epg_parallel::{DisjointWriter, Schedule};
+use epg_parallel::Schedule;
 
 /// Counts triangles in the undirected simple version of the graph.
 pub fn triangle_count(g: &Csr, gt: &Csr, params: &RunParams<'_>) -> RunOutput {
@@ -14,77 +15,24 @@ pub fn triangle_count(g: &Csr, gt: &Csr, params: &RunParams<'_>) -> RunOutput {
     let n = g.num_vertices();
     let mut log = RunLog::new(params.recorder);
 
-    // Build higher-neighbor lists in parallel.
+    // Higher-neighbour sets from the CSR pair.
     let mut higher: Vec<Vec<VertexId>> = vec![Vec::new(); n];
-    {
-        let w = DisjointWriter::new(&mut higher);
-        pool.parallel_for_ranges(n, Schedule::Guided { min_chunk: 64 }, |_tid, lo, hi| {
-            for v in lo..hi {
-                let vid = v as VertexId;
-                let mut set: Vec<VertexId> = g
-                    .neighbors(vid)
-                    .iter()
-                    .chain(gt.neighbors(vid))
-                    .copied()
-                    .filter(|&u| u > vid)
-                    .collect();
-                set.sort_unstable();
-                set.dedup();
-                // SAFETY: single writer per index.
-                unsafe { w.write(v, set) };
-            }
+    let build_work =
+        vertex_sets(pool, Schedule::Guided { min_chunk: 64 }, [&mut higher], |v, [set]| {
+            *set =
+                g.neighbors(v).iter().chain(gt.neighbors(v)).copied().filter(|&u| u > v).collect();
         });
-    }
-    let build_work: u64 = higher.iter().map(|h| h.len() as u64 + 1).sum();
     log.parallel(build_work.max(1), 1, build_work * 8);
 
-    // Count by intersection, dynamic schedule for degree skew.
-    let higher = &higher;
-    let count = |lo: usize, hi: usize| {
-        let (mut total, mut work, mut max_cost) = (0u64, 0u64, 0u64);
-        for u in lo..hi {
-            let hu = &higher[u];
-            let mut cost = 0u64;
-            for &v in hu {
-                cost += (hu.len() + higher[v as usize].len()) as u64;
-                total += intersect(hu, &higher[v as usize]);
-            }
-            work += cost;
-            max_cost = max_cost.max(cost);
-        }
-        (total, work, max_cost)
-    };
-    let (total, work, max_cost) = pool.parallel_reduce_ranges(
-        n,
-        Schedule::Dynamic { chunk: 32 },
-        || (0, 0, 0),
-        count,
-        |a, b| (a.0 + b.0, a.1 + b.1, a.2.max(b.2)),
-    );
-    log.counters.edges_traversed = work + build_work;
+    let tc = count_ordered(pool, &higher);
+    log.counters.edges_traversed = tc.work + build_work;
     log.counters.vertices_touched = n as u64;
     log.counters.iterations = 1;
-    log.counters.bytes_read = work * 8;
+    log.counters.bytes_read = tc.work * 8;
     log.counters.bytes_written = n as u64 * 8;
-    log.parallel(work.max(1), max_cost.max(1), work * 8);
+    log.parallel(tc.work.max(1), tc.max_cost.max(1), tc.work * 8);
     let _ = log.iteration(pool, 1, n as u64, Dir::Pull);
-    log.finish(AlgorithmResult::Triangles(total))
-}
-
-fn intersect(a: &[VertexId], b: &[VertexId]) -> u64 {
-    let (mut i, mut j, mut c) = (0, 0, 0u64);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                c += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    c
+    log.finish(AlgorithmResult::Triangles(tc.answer))
 }
 
 #[cfg(test)]

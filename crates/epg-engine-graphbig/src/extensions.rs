@@ -2,17 +2,16 @@
 //! workload) and triangle counting (its `TC` workload), vertex-centric
 //! over the openG property graph with dynamic scheduling.
 
+use epg_engine_api::triangles::{count_ordered, vertex_sets};
 use epg_engine_api::{AlgorithmResult, Dir, Found, RunLog, RunOutput, RunParams};
 use epg_graph::adjacency::PropertyGraph;
 use epg_graph::VertexId;
-use epg_parallel::{AtomicF64, DisjointWriter, PerWorker, Schedule};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use epg_parallel::{AtomicF64, PerWorker, Schedule};
 use std::sync::atomic::{AtomicI64, Ordering};
 
-/// Brandes betweenness centrality; `params.bc_sources = None` is exact,
-/// `Some(k)` samples `k` sources with `seed`.
-pub fn betweenness(g: &PropertyGraph, params: &RunParams<'_>, seed: u64) -> RunOutput {
+/// Brandes betweenness centrality from [`RunParams::bc_source_list`]'s
+/// sources: every vertex, or the sampled ones every engine shares.
+pub fn betweenness(g: &PropertyGraph, params: &RunParams<'_>) -> RunOutput {
     let pool = params.pool;
     let n = g.num_vertices();
     let mut log = RunLog::new(params.recorder);
@@ -20,13 +19,7 @@ pub fn betweenness(g: &PropertyGraph, params: &RunParams<'_>, seed: u64) -> RunO
     if n == 0 {
         return log.finish(AlgorithmResult::Centrality(bc));
     }
-    let source_list: Vec<VertexId> = match params.bc_sources {
-        None => (0..n as VertexId).collect(),
-        Some(k) => {
-            let mut rng = StdRng::seed_from_u64(seed);
-            (0..k.min(n)).map(|_| rng.gen_range(0..n as VertexId)).collect()
-        }
-    };
+    let source_list = params.bc_source_list(n);
     let scale = n as f64 / source_list.len() as f64;
 
     let sigma: Vec<AtomicF64> = (0..n).map(|_| AtomicF64::new(0.0)).collect();
@@ -125,65 +118,17 @@ pub fn triangle_count(g: &PropertyGraph, params: &RunParams<'_>) -> RunOutput {
     let n = g.num_vertices();
     let mut log = RunLog::new(params.recorder);
     let mut higher: Vec<Vec<VertexId>> = vec![Vec::new(); n];
-    {
-        let w = DisjointWriter::new(&mut higher);
-        pool.parallel_for_ranges(n, Schedule::graphbig_default(), |_tid, lo, hi| {
-            for v in lo..hi {
-                let vid = v as VertexId;
-                let mut set: Vec<VertexId> = g
-                    .neighbors(vid)
-                    .map(|(t, _)| t)
-                    .chain(g.in_neighbors(vid))
-                    .filter(|&u| u > vid)
-                    .collect();
-                set.sort_unstable();
-                set.dedup();
-                // SAFETY: one writer per index.
-                unsafe { w.write(v, set) };
-            }
-        });
-    }
-    let higher = &higher;
-    let (total, work) = pool.parallel_reduce_ranges(
-        n,
-        Schedule::Dynamic { chunk: 32 },
-        || (0u64, 0u64),
-        |lo, hi| {
-            let (mut total, mut work) = (0u64, 0u64);
-            for u in lo..hi {
-                let hu = &higher[u];
-                for &v in hu {
-                    work += (hu.len() + higher[v as usize].len()) as u64;
-                    total += intersect(hu, &higher[v as usize]);
-                }
-            }
-            (total, work)
-        },
-        |a, b| (a.0 + b.0, a.1 + b.1),
-    );
-    log.counters.edges_traversed = work;
+    vertex_sets(pool, Schedule::graphbig_default(), [&mut higher], |v, [set]| {
+        *set = g.neighbors(v).map(|(t, _)| t).chain(g.in_neighbors(v)).filter(|&u| u > v).collect();
+    });
+    let tc = count_ordered(pool, &higher);
+    log.counters.edges_traversed = tc.work;
     log.counters.vertices_touched = n as u64;
     log.counters.iterations = 1;
-    log.counters.bytes_read = work * 8;
-    log.parallel(work.max(1), 1, work * 8);
+    log.counters.bytes_read = tc.work * 8;
+    log.parallel(tc.work.max(1), 1, tc.work * 8);
     let _ = log.iteration(pool, 1, n as u64, Dir::Pull);
-    log.finish(AlgorithmResult::Triangles(total))
-}
-
-fn intersect(a: &[VertexId], b: &[VertexId]) -> u64 {
-    let (mut i, mut j, mut c) = (0, 0, 0u64);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                c += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    c
+    log.finish(AlgorithmResult::Triangles(tc.answer))
 }
 
 #[cfg(test)]
@@ -197,7 +142,7 @@ mod tests {
         let el = epg_generator::uniform::generate(90, 500, false, 6).symmetrized().deduplicated();
         let g = PropertyGraph::from_edge_list(&el);
         let pool = ThreadPool::new(3);
-        let out = betweenness(&g, &RunParams::new(&pool, None), 0);
+        let out = betweenness(&g, &RunParams::new(&pool, None));
         let AlgorithmResult::Centrality(bc) = out.result else { panic!() };
         let want = oracle::betweenness(&Csr::from_edge_list(&el));
         for v in 0..want.len() {

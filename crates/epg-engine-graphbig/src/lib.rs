@@ -113,7 +113,7 @@ impl Engine for GraphBigEngine {
             Algorithm::Cdlp => community::cdlp(g, params, CDLP_ROUNDS),
             Algorithm::Wcc => community::wcc(g, params),
             Algorithm::Lcc => topology::lcc(g, params),
-            Algorithm::Bc => extensions::betweenness(g, params, 0x6b16),
+            Algorithm::Bc => extensions::betweenness(g, params),
             Algorithm::TriangleCount => extensions::triangle_count(g, params),
         }
     }

@@ -5,9 +5,10 @@
 //! cost again), then count closures by set intersection.
 
 use crate::partition::PartitionedGraph;
+use epg_engine_api::triangles::{close_wedges, count_ordered, vertex_sets};
 use epg_engine_api::{AlgorithmResult, Dir, Found, RunLog, RunOutput, RunParams};
 use epg_graph::VertexId;
-use epg_parallel::{DisjointWriter, PerWorker, Schedule};
+use epg_parallel::{PerWorker, Schedule};
 
 /// Computes per-vertex local clustering coefficients.
 pub fn lcc(g: &PartitionedGraph, params: &RunParams<'_>) -> RunOutput {
@@ -24,30 +25,12 @@ pub fn lcc(g: &PartitionedGraph, params: &RunParams<'_>) -> RunOutput {
         nbrs[v as usize].extend_from_slice(ib);
         outs[v as usize].extend_from_slice(ob);
     });
-    // Finalize sets (sort/dedup/exclude self) in parallel; each index is
-    // owned by exactly one thread, so in-place mutation through the writer
-    // is race-free.
-    {
-        let nw = DisjointWriter::new(&mut nbrs);
-        let ow = DisjointWriter::new(&mut outs);
-        pool.parallel_for_ranges(n, Schedule::Guided { min_chunk: 64 }, |_t, lo, hi| {
-            for v in lo..hi {
-                let vid = v as VertexId;
-                let finalize = |mut set: Vec<VertexId>| {
-                    set.retain(|&u| u != vid);
-                    set.sort_unstable();
-                    set.dedup();
-                    set
-                };
-                // SAFETY: one writer per index per region; the values being
-                // replaced were populated before the region started.
-                unsafe {
-                    nw.write(v, finalize(std::mem::take(nw.get_raw(v))));
-                    ow.write(v, finalize(std::mem::take(ow.get_raw(v))));
-                }
-            }
-        });
-    }
+    // Finalize sets at masters: sorted, deduplicated, without self.
+    vertex_sets(pool, Schedule::Guided { min_chunk: 64 }, [&mut nbrs, &mut outs], |v, sets| {
+        for set in sets {
+            set.retain(|&u| u != v);
+        }
+    });
     log.parallel(gather_work.max(1), 1, gather_work * 16);
     log.serial(n as u64, n as u64 * 8);
     log.counters.edges_traversed = gather_work;
@@ -57,45 +40,15 @@ pub fn lcc(g: &PartitionedGraph, params: &RunParams<'_>) -> RunOutput {
     let _ = log.iteration(pool, 1, n as u64, Dir::Push);
 
     // Pass 2: closure counting by intersection, parallel over vertices.
-    let mut out = vec![0.0f64; n];
-    let w = DisjointWriter::new(&mut out);
-    let (nbrs, outs) = (&nbrs, &outs);
-    let close_wedges = |lo: usize, hi: usize| {
-        let (mut work, mut max_cost) = (0u64, 0u64);
-        for v in lo..hi {
-            let nb = &nbrs[v];
-            let d = nb.len();
-            if d < 2 {
-                continue;
-            }
-            let mut tri = 0u64;
-            let mut cost = 0u64;
-            for &u in nb {
-                cost += (outs[u as usize].len() + d) as u64;
-                tri += intersect(&outs[u as usize], nb);
-            }
-            work += cost;
-            max_cost = max_cost.max(cost);
-            // SAFETY: one writer per index.
-            unsafe { w.write(v, tri as f64 / (d as f64 * (d - 1) as f64)) };
-        }
-        (work, max_cost)
-    };
-    let (work, max_cost) = pool.parallel_reduce_ranges(
-        n,
-        Schedule::Dynamic { chunk: 16 },
-        || (0, 0),
-        close_wedges,
-        |a, b| (a.0 + b.0, a.1.max(b.1)),
-    );
-    log.counters.edges_traversed += work;
+    let lcc = close_wedges(pool, &nbrs, |u| &outs[u as usize]);
+    log.counters.edges_traversed += lcc.work;
     log.counters.vertices_touched = n as u64;
     log.counters.iterations = 2; // two supersteps
-    log.counters.bytes_read = work * 8;
+    log.counters.bytes_read = lcc.work * 8;
     log.counters.bytes_written = n as u64 * 8;
-    log.parallel(work.max(1), max_cost.max(1), work * 8);
+    log.parallel(lcc.work.max(1), lcc.max_cost.max(1), lcc.work * 8);
     let _ = log.iteration(pool, 2, n as u64, Dir::Pull);
-    log.finish(AlgorithmResult::Coefficients(out))
+    log.finish(AlgorithmResult::Coefficients(lcc.answer))
 }
 
 /// Pass 1 of both toolkits, one parallel region: every partition copies
@@ -140,22 +93,6 @@ fn gather_neighbors(
 /// One partition per chunk: partitions are few and uneven.
 const PER_PARTITION: Schedule = Schedule::Dynamic { chunk: 1 };
 
-fn intersect(a: &[VertexId], b: &[VertexId]) -> u64 {
-    let (mut i, mut j, mut c) = (0, 0, 0u64);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                c += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,21 +136,9 @@ pub fn triangle_count(g: &PartitionedGraph, params: &RunParams<'_>) -> RunOutput
         higher[v as usize].extend_from_slice(ob);
         higher[v as usize].extend_from_slice(ib);
     });
-    {
-        let w = DisjointWriter::new(&mut higher);
-        pool.parallel_for_ranges(n, Schedule::Guided { min_chunk: 64 }, |_t, lo, hi| {
-            for v in lo..hi {
-                let vid = v as VertexId;
-                // SAFETY: one writer per index.
-                unsafe {
-                    let set = w.get_raw(v);
-                    set.retain(|&u| u > vid);
-                    set.sort_unstable();
-                    set.dedup();
-                }
-            }
-        });
-    }
+    vertex_sets(pool, Schedule::Guided { min_chunk: 64 }, [&mut higher], |v, [set]| {
+        set.retain(|&u| u > v);
+    });
     log.parallel(gather_work.max(1), 1, gather_work * 16);
     log.serial(n as u64, n as u64 * 8);
     log.counters.edges_traversed = gather_work;
@@ -221,28 +146,14 @@ pub fn triangle_count(g: &PartitionedGraph, params: &RunParams<'_>) -> RunOutput
     let _ = log.iteration(pool, 1, n as u64, Dir::Push);
 
     // Phase 2: count.
-    let higher = &higher;
-    let count = |lo: usize, hi: usize| {
-        let (mut total, mut work) = (0u64, 0u64);
-        for u in lo..hi {
-            let hu = &higher[u];
-            for &v in hu {
-                work += (hu.len() + higher[v as usize].len()) as u64;
-                total += intersect(hu, &higher[v as usize]);
-            }
-        }
-        (total, work)
-    };
-    let sched = Schedule::Dynamic { chunk: 32 };
-    let (total, work) =
-        pool.parallel_reduce_ranges(n, sched, || (0, 0), count, |a, b| (a.0 + b.0, a.1 + b.1));
-    log.counters.edges_traversed += work;
+    let tc = count_ordered(pool, &higher);
+    log.counters.edges_traversed += tc.work;
     log.counters.vertices_touched = n as u64;
     log.counters.iterations = 2;
-    log.counters.bytes_read = work * 8;
-    log.parallel(work.max(1), 1, work * 8);
+    log.counters.bytes_read = tc.work * 8;
+    log.parallel(tc.work.max(1), 1, tc.work * 8);
     let _ = log.iteration(pool, 2, n as u64, Dir::Pull);
-    log.finish(AlgorithmResult::Triangles(total))
+    log.finish(AlgorithmResult::Triangles(tc.answer))
 }
 
 #[cfg(test)]

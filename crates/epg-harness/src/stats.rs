@@ -93,15 +93,6 @@ impl CensoredSummary {
         let median = censored_quantile_type7(&s, n, 0.5);
         CensoredSummary { n, completed: s.len(), dnf, median, min: s.first().copied() }
     }
-
-    /// Fraction of trials that did not finish.
-    pub fn dnf_rate(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.dnf as f64 / self.n as f64
-        }
-    }
 }
 
 /// Type-7 quantile over the censored order statistics: `sorted` holds
@@ -209,7 +200,6 @@ mod tests {
         let times = [1.0, 2.0, 3.0, 4.0, 5.0];
         let c = CensoredSummary::of(&times, 0);
         assert_eq!(c.median, Some(Summary::of(&times).median));
-        assert_eq!(c.dnf_rate(), 0.0);
         assert_eq!(c.min, Some(1.0));
     }
 
@@ -229,7 +219,6 @@ mod tests {
         // 2 completed + 3 DNF: median index is in the infinite tail.
         let c = CensoredSummary::of(&[1.0, 2.0], 3);
         assert_eq!(c.median, None);
-        assert!((c.dnf_rate() - 0.6).abs() < 1e-12);
         assert_eq!(c.min, Some(1.0));
     }
 
@@ -244,9 +233,7 @@ mod tests {
     fn all_dnf_and_empty_samples() {
         let c = CensoredSummary::of(&[], 4);
         assert_eq!((c.n, c.median, c.min), (4, None, None));
-        assert_eq!(c.dnf_rate(), 1.0);
         let c = CensoredSummary::of(&[], 0);
         assert_eq!((c.n, c.median), (0, None));
-        assert_eq!(c.dnf_rate(), 0.0);
     }
 }

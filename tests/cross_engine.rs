@@ -158,3 +158,29 @@ fn engines_are_reusable_across_runs() {
     };
     assert_eq!(a, b);
 }
+
+/// Sampled BC draws its sources once for every engine, so `epg reproduce
+/// extensions`' sampled line times GAP and GraphBIG on the same work.
+#[test]
+fn sampled_bc_runs_every_engine_from_the_same_sources() {
+    let el = epg::generator::uniform::generate(90, 500, false, 6).symmetrized().deduplicated();
+    let pool = ThreadPool::new(3);
+    let scores = |kind: EngineKind| {
+        let mut e = kind.create();
+        e.load_edge_list(&el);
+        e.construct(&pool);
+        let params = RunParams { bc_sources: Some(4), ..RunParams::new(&pool, None) };
+        let AlgorithmResult::Centrality(bc) = e.run(Algorithm::Bc, &params).result else {
+            panic!("{} BC", kind.name())
+        };
+        bc
+    };
+    let (gap, graphbig) = (scores(EngineKind::Gap), scores(EngineKind::GraphBig));
+    assert!(gap.iter().any(|&x| x > 0.0), "the sample reaches no vertex");
+    for (v, (a, b)) in gap.iter().zip(&graphbig).enumerate() {
+        assert!(
+            (a - b).abs() <= 1e-6 * a.abs().max(b.abs()),
+            "vertex {v}: GAP {a} vs GraphBIG {b}"
+        );
+    }
+}

@@ -113,6 +113,54 @@ fn results_match_oracles_even_on_degenerate_graphs() {
     }
 }
 
+/// Lists loaded as given, not through `Dataset` (whose lists drop loops
+/// and repeats): only here does an engine see a self-loop or a parallel
+/// edge.
+#[test]
+fn loops_and_parallel_edges_reach_every_engine_as_given() {
+    use epg::graph::oracle;
+    use epg::harness::registry::engines_supporting;
+    let mut uniform = epg::generator::uniform::generate(40, 400, false, 21);
+    uniform.edges.extend([(5, 5), (7, 7), (3, 8), (3, 8), (8, 3)]);
+    let lists = [
+        ("self_loop_only", EdgeList::new(1, vec![(0, 0)])),
+        ("two_loops", EdgeList::new(2, vec![(0, 0), (1, 1)])),
+        ("duplicate_heavy", EdgeList::new(3, [vec![(0, 1); 20], vec![(1, 2)]].concat())),
+        ("uniform_with_loops_and_repeats", uniform),
+    ];
+    for (name, el) in &lists {
+        let csr = Csr::from_edge_list(el);
+        let (want_lcc, want_tc, want_wcc) =
+            (oracle::lcc(&csr), oracle::triangle_count(&csr), oracle::wcc(&csr));
+        for threads in 1..=3 {
+            let pool = ThreadPool::new(threads);
+            for algo in [Algorithm::Lcc, Algorithm::TriangleCount, Algorithm::Wcc] {
+                for kind in engines_supporting(algo) {
+                    let what =
+                        format!("{} {} on {name} at {threads} threads", kind.name(), algo.abbrev());
+                    let mut engine = kind.create();
+                    engine.load_edge_list(el);
+                    engine.construct(&pool);
+                    match engine.run(algo, &RunParams::new(&pool, None)).result {
+                        AlgorithmResult::Coefficients(c) => {
+                            assert_eq!(c.len(), want_lcc.len(), "{what}");
+                            for (v, (got, want)) in c.iter().zip(&want_lcc).enumerate() {
+                                assert!(
+                                    (got - want).abs() < 1e-12,
+                                    "{what}: vertex {v}: {got} vs {want}"
+                                );
+                            }
+                        }
+                        AlgorithmResult::Triangles(t) => assert_eq!(t, want_tc, "{what}"),
+                        AlgorithmResult::Components(c) => assert_eq!(c, want_wcc, "{what}"),
+                        other => panic!("{what}: unexpected {other:?}"),
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn harness_handles_graphs_with_no_eligible_roots() {
     // Only an edgeless graph has no vertex of total degree > 1 after

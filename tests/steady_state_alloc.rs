@@ -534,12 +534,12 @@ const ROWS: &[Row] = &[
     row(Gap, Sssp, Some(Bmssp), Grid, 1093, 1093, BMSSP),
     row(Gap, Sssp, Some(Bmssp), Broom, 3589, 3589, BMSSP),
     row(Gap, Bc, None, Path, 2, 2, "per backward level: nothing, its scan counts are the run's `PerWorker` partials; +1 growth of the level starts (`starts.push`), +1 trace. A forward level's finds are the run's `PerWorker` lists, drained into the run's flat level stack (`order`, sized for every vertex). The sampled source sits 21 levels deeper"),
-    row(Gap, TriangleCount, None, Cliques, 120, 120, "per vertex: the pruned higher-neighbour set (`tc.rs`'s `.collect()`, stored through `DisjointWriter`), 5 calls per 4-clique"),
+    row(Gap, TriangleCount, None, Cliques, 120, 120, "per vertex: the pruned higher-neighbour set (`tc.rs`'s `.collect()` in `triangles::vertex_sets`), 5 calls per 4-clique"),
     row(GraphBig, Bfs, None, Path, 1, 1, LEVEL_SYNC_BFS),
     row(GraphBig, Bfs, None, Grid, 1, 1, LEVEL_SYNC_BFS),
     row(GraphBig, Bfs, None, Broom, 1, 1, LEVEL_SYNC_BFS),
     row(GraphBig, Cdlp, None, Cliques, 0, 0, ""),
-    row(GraphBig, Lcc, None, Cliques, 288, 288, "per vertex: the sorted out-neighbourhood (`topology.rs`'s `.collect()`), its `clone` and the `extend` that merges in the in-neighbours, 3 calls"),
+    row(GraphBig, Lcc, None, Cliques, 288, 288, "per vertex, in `triangles::vertex_sets`: the out-list (`topology.rs`'s `.collect()`), its `clone` and the `extend` that merges in the in-neighbours, 3 calls"),
     row(GraphBig, PageRank, None, Iters, 1, 25, "per iteration: nothing, the L1 and `changed` partials are the run's `Convergence` and the sink mass is a serial sum; +1 trace; debug: + shadow (the rank writer)"),
     row(GraphBig, Sssp, None, Path, 1, 1, "per round: nothing, the improved vertices and the (edges, max degree) tallies are the run's `WorkerBitmaps`, allocated once per run; +1 trace"),
     row(GraphBig, Sssp, None, Grid, 1, 1, "as on the path"),
@@ -547,13 +547,13 @@ const ROWS: &[Row] = &[
     row(GraphBig, Wcc, None, Path, 1, 1, "per round: nothing, `wcc`'s `changed` partials are the run's `PerWorker`; +1 trace"),
     row(GraphBig, Wcc, None, Grid, 1, 1, "as on the path"),
     row(GraphBig, Wcc, None, Broom, 1, 1, "as on the path"),
-    row(GraphBig, Bc, None, Path, 0, 0, "a forward level's finds are the run's `PerWorker` lists, drained into the run's flat level stack (`order`, sized for every vertex); the level starts' doubling lands in the same power of two at both sizes, and the backward pass allocates nothing. The sampled source sits 11 levels deeper"),
-    row(GraphBig, TriangleCount, None, Cliques, 120, 120, "per vertex: the pruned higher-neighbour set (`extensions.rs`'s `.collect()`), 5 calls per 4-clique"),
+    row(GraphBig, Bc, None, Path, 2, 2, "a forward level's finds are the run's `PerWorker` lists, drained into the run's flat level stack (`order`, sized for every vertex), and the backward pass allocates nothing; +1 growth of the level starts (`starts.push`), +1 trace. The sampled source is GAP's (`RunParams::bc_source_list`), 21 levels deeper; from its own seed's source, 11 levels deeper, the level starts' doubling landed in the same power of two at both sizes and the row read 0"),
+    row(GraphBig, TriangleCount, None, Cliques, 120, 120, "per vertex: the pruned higher-neighbour set (`extensions.rs`'s `.collect()` in `triangles::vertex_sets`), 5 calls per 4-clique"),
     row(GraphMat, Bfs, None, Path, 1, 73, SPMV),
     row(GraphMat, Bfs, None, Grid, 1, 73, SPMV),
     row(GraphMat, Bfs, None, Broom, 1, 73, SPMV),
     row(GraphMat, Cdlp, None, Cliques, 577, 577, "per round, per vertex whose messages carry different labels: one `LabelBag::Many` (`CdlpProgram::reduce`, the program's Accum under the GraphMat API), sized so the round's later messages fit; messages of one label merge into a `Run` and allocate nothing. Here: every vertex in the first two rounds, then the 2 bridge ends of each 4-clique (96 + 96 + 8 × 48 = 576 extra). The block's row list is the run's, so it doubles once more per run at the larger size, not once more per round"),
-    row(GraphMat, Lcc, None, Cliques, 192, 192, "per vertex: the merged neighbourhood (`lcc.rs`'s `.to_vec()`) and its `extend_from_slice` growth, 2 calls"),
+    row(GraphMat, Lcc, None, Cliques, 192, 192, "per vertex, in `triangles::vertex_sets`: the merged neighbourhood (`lcc.rs`'s `.to_vec()`) and its `extend_from_slice` growth, 2 calls"),
     row(GraphMat, PageRank, None, Iters, 1, 73, "per iteration: nothing, the sink-mass, L1 and `changed` partials are the run's (`sinks`, `Convergence`); +1 trace; debug: + 3 shadows (the pagerank writers)"),
     row(GraphMat, Sssp, None, Path, 1, 73, SPMV),
     row(GraphMat, Sssp, None, Grid, 1, 73, SPMV),
@@ -561,7 +561,7 @@ const ROWS: &[Row] = &[
     row(GraphMat, Wcc, None, Path, 2, 74, "as BFS, +1 growth of the block's row list, which WCC's all-active first iteration doubles once more at the larger size (`rows.push`). That iteration also sizes the kept `sent` vector, in one call at both sizes"),
     row(GraphMat, Wcc, None, Grid, 2, 74, "as on the path"),
     row(GraphMat, Wcc, None, Broom, 2, 74, "as on the path"),
-    row(GraphMat, TriangleCount, None, Cliques, 120, 120, "per vertex: the pruned higher-neighbour set (`lcc.rs`'s `.collect()`), 5 calls per 4-clique"),
+    row(GraphMat, TriangleCount, None, Cliques, 120, 120, "per vertex: the pruned higher-neighbour set (`lcc.rs`'s `.collect()` in `triangles::vertex_sets`), 5 calls per 4-clique"),
     row(PowerGraph, Cdlp, None, Cliques, 577, 577, "per round, per vertex whose gathered labels differ: one `LabelBag::Many` (`CdlpProgram::merge`, the GAS abstraction's per-edge accumulator), sized so the rest of the gather fits; gathers of one label merge into a `Run` and allocate nothing. Here: every vertex in the first two rounds, then the 2 bridge ends of each 4-clique (96 + 96 + 8 × 48 = 576 extra); +1 growth of the merge worker's changed list, kept for the run"),
     row(PowerGraph, Lcc, None, Cliques, 288, 288, "per vertex: three neighbour lists grown by `lcc`'s gather callback (`extend_from_slice`)"),
     row(PowerGraph, PageRank, None, Iters, 1, 49, "per superstep (`superstep(`): nothing, the gather's partials are the run's `gas::Scratch`; +1 trace; debug: + 2 shadows (replica slots, vertex data)"),
