@@ -29,11 +29,62 @@ pub struct Csr {
 /// `nworkers` owns `[w·B, (w+1)·B) ∩ [0, len)` with `B = ceil(len/nworkers)`.
 /// The split depends only on `len` and `nworkers` — never on scheduler
 /// state — which is what makes the parallel builds deterministic.
-fn worker_range(len: usize, w: usize, nworkers: usize) -> (usize, usize) {
+pub(crate) fn worker_range(len: usize, w: usize, nworkers: usize) -> (usize, usize) {
     let block = len.div_ceil(nworkers).max(1);
     let lo = (w * block).min(len);
     let hi = (lo + block).min(len);
     (lo, hi)
+}
+
+/// Workers of `pool`; one without a pool.
+pub(crate) fn workers(pool: Option<&ThreadPool>) -> usize {
+    pool.map_or(1, ThreadPool::num_threads)
+}
+
+/// `f(w)` for every worker `w` of `pool` in one region — once, `w = 0`,
+/// inline without a pool — each result in slot `w`.
+pub(crate) fn on_workers<T: Clone + Default + Send>(
+    pool: Option<&ThreadPool>,
+    f: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    let Some(pool) = pool else { return vec![f(0)] };
+    let mut out = vec![T::default(); pool.num_threads()];
+    let ow = DisjointWriter::new(&mut out);
+    // SAFETY: slot `w` is worker `w`'s alone.
+    pool.region(|w| unsafe { ow.write_unchecked(w, f(w)) });
+    out
+}
+
+/// `cuts[w]..cuts[w + 1]` is worker `w`'s range of `rows` rows of
+/// `nworkers`, row `j` starting at entry `ptr(j)` (non-decreasing, `ptr(0)
+/// = 0`, `ptr(rows)` entries in all): the fixed `worker_range` rule over
+/// entry indices, rounded to row boundaries, each cut landing on the row
+/// that straddles an `m / nworkers` boundary. Nothing depends on scheduler
+/// state.
+pub(crate) fn edge_balanced_cuts(
+    rows: usize,
+    ptr: impl Fn(usize) -> usize,
+    nworkers: usize,
+) -> Vec<usize> {
+    let m = ptr(rows);
+    let block = m.div_ceil(nworkers).max(1);
+    // The first row `j` with `ptr(j) >= at`.
+    let first_at = |at: usize| {
+        let (mut lo, mut hi) = (0, rows + 1);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if ptr(mid) < at {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    };
+    let mut cuts: Vec<usize> = (0..=nworkers).map(|w| first_at((w * block).min(m))).collect();
+    cuts[0] = 0;
+    cuts[nworkers] = rows; // sweep empty tail rows into the last range
+    cuts
 }
 
 /// Turns a worker-major count matrix (`counts[w*n + k]` = occurrences of
@@ -195,20 +246,6 @@ impl Rows<'_> {
         self.ids.map_or(j, |ids| ids[j] as usize)
     }
 
-    /// `cuts[w]..cuts[w + 1]` is worker `w`'s range of rows of `nworkers`:
-    /// the fixed `worker_range` rule over entry indices, rounded to row
-    /// boundaries, each cut landing on the row that straddles an
-    /// `m / nworkers` boundary. Nothing depends on scheduler state.
-    fn edge_balanced_cuts(&self, nworkers: usize) -> Vec<usize> {
-        let (rows, m) = (self.ptr.len() - 1, self.targets.len());
-        let block = m.div_ceil(nworkers).max(1);
-        let mut cuts: Vec<usize> =
-            (0..=nworkers).map(|w| self.ptr.partition_point(|&o| o < (w * block).min(m))).collect();
-        cuts[0] = 0;
-        cuts[nworkers] = rows; // sweep empty tail rows into the last range
-        cuts
-    }
-
     /// True when the matrix over `n` vertices equals its transpose — the
     /// rows of the [`Rows::reversed`] entries — `weights[i]` following entry
     /// `i` and compared by bit pattern: [`Csr::is_own_transpose`] and
@@ -229,26 +266,20 @@ impl Rows<'_> {
         // A cut's `n` cursors are paid for by at least `n` entries, so they
         // never outweigh the transpose they stand in for.
         let ncuts = pool.num_threads().min(self.targets.len() / n.max(1)).max(1);
-        let cuts = self.edge_balanced_cuts(ncuts);
+        let cuts = edge_balanced_cuts(self.ptr.len() - 1, |j| self.ptr[j], ncuts);
         // Every cut's cursors in one allocation, made here: a buffer a
         // worker allocates lands in its thread's arena, which may keep the
         // pages after the buffer is freed.
         let mut cursors = vec![0usize; ncuts * n];
-        let mut holds = vec![false; ncuts];
-        {
-            let (cw, hw) = (DisjointWriter::new(&mut cursors), DisjointWriter::new(&mut holds));
-            pool.region(|w| {
-                if w >= ncuts {
-                    return;
-                }
-                // SAFETY: cursor row `w` and slot `w` are worker `w`'s alone.
-                let cursor = unsafe { cw.range_mut(w * n, (w + 1) * n) };
-                let cut = (cuts[w], cuts[w + 1]);
-                let fills = self.cut_fills_its_stretch(weights, cut, cursor);
-                // SAFETY: as above.
-                unsafe { hw.write_unchecked(w, fills) }
-            });
-        }
+        let cw = DisjointWriter::new(&mut cursors);
+        let holds = on_workers(Some(pool), |w| {
+            if w >= ncuts {
+                return true;
+            }
+            // SAFETY: cursor row `w` is worker `w`'s alone.
+            let cursor = unsafe { cw.range_mut(w * n, (w + 1) * n) };
+            self.cut_fills_its_stretch(weights, (cuts[w], cuts[w + 1]), cursor)
+        });
         holds.into_iter().all(|h| h)
     }
 
@@ -352,13 +383,26 @@ impl Csr {
         Csr::build(el, Some(pool))
     }
 
-    fn build(el: &EdgeList, pool: Option<&ThreadPool>) -> Csr {
+    pub(crate) fn build(el: &EdgeList, pool: Option<&ThreadPool>) -> Csr {
         Csr::grouped(
             (el.num_vertices, el.edges.len()),
             el.weights.as_deref(),
             pool,
             |lo, hi| el.edges[lo..hi].iter().map(|e| e.0 as usize),
             |lo, hi| (lo..hi).zip(&el.edges[lo..hi]).map(|(i, &(u, v))| (u as usize, (v, i))),
+        )
+    }
+
+    /// The CSR of `el`'s edges reversed, each `(u, v)` listed at `v` with
+    /// the sources in input order: on a list ascending by `(src, dst)`, the
+    /// transpose of its CSR, without building that CSR first.
+    pub(crate) fn build_reversed(el: &EdgeList, pool: Option<&ThreadPool>) -> Csr {
+        Csr::grouped(
+            (el.num_vertices, el.edges.len()),
+            el.weights.as_deref(),
+            pool,
+            |lo, hi| el.edges[lo..hi].iter().map(|e| e.1 as usize),
+            |lo, hi| (lo..hi).zip(&el.edges[lo..hi]).map(|(i, &(u, v))| (v as usize, (u, i))),
         )
     }
 
@@ -427,31 +471,34 @@ impl Csr {
         Rows { ptr: &self.offsets, ids: None, targets: &self.targets }
     }
 
-    /// Calls `f(v, targets of v, weights of v)` once per vertex. With a
-    /// pool, vertices are split at edge-balanced cuts ([`Rows::edge_balanced_cuts`]):
-    /// skewed degrees still balance by edges, and — like the construction
-    /// kernels — nothing depends on scheduler state or chunk claims.
-    fn for_each_row_mut(
+    /// Calls `f(buffers, v, targets of v, weights of v)` once per vertex.
+    /// With a pool, vertices are split at edge-balanced cuts
+    /// ([`edge_balanced_cuts`]): skewed degrees still balance by edges, and
+    /// — like the construction kernels — nothing depends on scheduler state
+    /// or chunk claims. Each worker hands every one of its rows the same
+    /// `buffers`, empty at the start of the call, so a row that needs
+    /// them reuses what an earlier row grew instead of allocating.
+    fn for_each_row_mut<S: Default>(
         &mut self,
         pool: Option<&ThreadPool>,
-        f: impl Fn(usize, &mut [VertexId], Option<&mut [Weight]>) + Sync,
+        f: impl Fn(&mut S, usize, &mut [VertexId], Option<&mut [Weight]>) + Sync,
     ) {
-        let cuts = self.rows().edge_balanced_cuts(pool.map_or(1, ThreadPool::num_threads));
+        let cuts = edge_balanced_cuts(self.num_vertices(), |v| self.offsets[v], workers(pool));
         let Csr { offsets, targets, weights } = self;
         let tw = DisjointWriter::new(targets.as_mut_slice());
         let ww = weights.as_mut().map(|w| DisjointWriter::new(w.as_mut_slice()));
-        let rows = |t: usize| {
+        on_workers(pool, |t| {
+            let mut buffers = S::default();
             for v in cuts[t]..cuts[t + 1] {
                 let (lo, hi) = (offsets[v], offsets[v + 1]);
                 // SAFETY: per-vertex spans [lo, hi) are disjoint because the
                 // vertex cut ranges handed to workers are disjoint.
-                unsafe { f(v, tw.range_mut(lo, hi), ww.as_ref().map(|ww| ww.range_mut(lo, hi))) }
+                let ts = unsafe { tw.range_mut(lo, hi) };
+                // SAFETY: as above.
+                let ws = ww.as_ref().map(|ww| unsafe { ww.range_mut(lo, hi) });
+                f(&mut buffers, v, ts, ws);
             }
-        };
-        match pool {
-            Some(pool) => pool.region(rows),
-            None => rows(0),
-        }
+        });
     }
 
     /// Sorts each adjacency list (weights permuted alongside). Sorted lists
@@ -478,8 +525,8 @@ impl Csr {
         let mut kept = vec![0usize; self.num_vertices()];
         let kw = DisjointWriter::new(&mut kept);
         // SAFETY: `for_each_row_mut` visits every vertex once.
-        self.for_each_row_mut(pool, |v, ts, ws| unsafe {
-            kw.write_unchecked(v, squeeze_row(ts, ws, keep_last))
+        self.for_each_row_mut(pool, |buffers, v, ts, ws| unsafe {
+            kw.write_unchecked(v, squeeze_row(buffers, ts, ws, keep_last))
         });
         kept
     }
@@ -502,20 +549,36 @@ impl Csr {
 }
 
 /// One adjacency list into ascending order, ties between parallel edges
-/// broken by the weight's bit pattern.
-fn sort_row(_v: usize, ts: &mut [VertexId], ws: Option<&mut [Weight]>) {
+/// broken by the weight's bit pattern; a weighted list is sorted in the
+/// worker's `pairs`.
+fn sort_row(
+    pairs: &mut Vec<(VertexId, Weight)>,
+    _v: usize,
+    ts: &mut [VertexId],
+    ws: Option<&mut [Weight]>,
+) {
     let Some(ws) = ws else { return ts.sort_unstable() };
-    let mut pairs: Vec<(VertexId, Weight)> = ts.iter().copied().zip(ws.iter().copied()).collect();
+    pairs.clear();
+    pairs.extend(ts.iter().copied().zip(ws.iter().copied()));
     pairs.sort_unstable_by_key(|&(t, w)| (t, w.to_bits()));
-    for (k, (t, w)) in pairs.into_iter().enumerate() {
+    for (k, &(t, w)) in pairs.iter().enumerate() {
         ts[k] = t;
         ws[k] = w;
     }
 }
 
 /// One adjacency list for [`Csr::squeeze_rows`]; a list already strictly
-/// ascending — any list of a homogenized graph — is only read.
-fn squeeze_row(ts: &mut [VertexId], ws: Option<&mut [Weight]>, keep_last: bool) -> usize {
+/// ascending — any list of a homogenized graph — is only read. A weighted
+/// list is sorted through the worker's two buffers: `keys`, one `u64` per
+/// entry holding its target above its place in the list, so parallel edges
+/// stay in input order without a stable sort's extra buffer, and a copy of the
+/// list's weights that the places index.
+fn squeeze_row(
+    (keys, weights): &mut (Vec<u64>, Vec<Weight>),
+    ts: &mut [VertexId],
+    ws: Option<&mut [Weight]>,
+    keep_last: bool,
+) -> usize {
     if ts.windows(2).all(|w| w[0] < w[1]) {
         return ts.len();
     }
@@ -530,19 +593,26 @@ fn squeeze_row(ts: &mut [VertexId], ws: Option<&mut [Weight]>, keep_last: bool) 
         }
         return kept;
     };
-    let mut entries: Vec<(VertexId, Weight)> = ts.iter().copied().zip(ws.iter().copied()).collect();
-    entries.sort_by_key(|&(t, _)| t); // stable: parallel edges stay in input order
-    entries.dedup_by(|later, kept| {
-        if later.0 == kept.0 && keep_last {
-            kept.1 = later.1;
+    assert!(u32::try_from(ts.len()).is_ok(), "an adjacency list holds under 2^32 entries");
+    keys.clear();
+    keys.extend(ts.iter().zip(0u64..).map(|(&t, place)| u64::from(t) << 32 | place));
+    keys.sort_unstable();
+    weights.clear();
+    weights.extend_from_slice(ws);
+    let mut kept = 0;
+    for &key in keys.iter() {
+        let (t, w) = ((key >> 32) as VertexId, weights[key as u32 as usize]);
+        if kept > 0 && ts[kept - 1] == t {
+            if keep_last {
+                ws[kept - 1] = w;
+            }
+        } else {
+            ts[kept] = t;
+            ws[kept] = w;
+            kept += 1;
         }
-        later.0 == kept.0
-    });
-    for (k, &(t, w)) in entries.iter().enumerate() {
-        ts[k] = t;
-        ws[k] = w;
     }
-    entries.len()
+    kept
 }
 
 #[cfg(test)]

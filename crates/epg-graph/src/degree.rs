@@ -60,9 +60,15 @@ pub fn degree_stats(el: &EdgeList) -> DegreeStats {
 /// Returns fewer than `count` roots only when the graph does not contain
 /// enough qualifying vertices.
 pub fn sample_roots(el: &EdgeList, count: usize, seed: u64) -> Vec<VertexId> {
-    let deg = el.total_degrees();
+    sample_roots_by_degree(&el.total_degrees(), count, seed)
+}
+
+/// [`sample_roots`] of a list whose total degrees are `total_degrees`,
+/// without reading the list: the same roots for the same degrees and seed.
+/// [`EdgeList::undirected_with_degrees`] hands its degrees over this way.
+pub fn sample_roots_by_degree(total_degrees: &[u32], count: usize, seed: u64) -> Vec<VertexId> {
     let eligible: Vec<VertexId> =
-        (0..el.num_vertices as VertexId).filter(|&v| deg[v as usize] > 1).collect();
+        (0..total_degrees.len() as VertexId).filter(|&v| total_degrees[v as usize] > 1).collect();
     if eligible.is_empty() {
         return Vec::new();
     }

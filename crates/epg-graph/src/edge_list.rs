@@ -5,7 +5,9 @@
 //! interchange format of the dataset homogenizer: generators produce an
 //! `EdgeList`, each engine constructs its own structure from it.
 
+use crate::csr::{edge_balanced_cuts, on_workers, worker_range, workers};
 use crate::{Csr, VertexId, Weight};
+use epg_parallel::{DisjointWriter, ThreadPool};
 
 /// An edge list with optional per-edge weights.
 ///
@@ -100,9 +102,16 @@ impl EdgeList {
     }
 
     /// True if the list is what [`EdgeList::deduplicated`] returns: edges
-    /// strictly ascending by `(src, dst)` and no self-loop.
-    fn is_simple_sorted(&self) -> bool {
-        self.edges.iter().all(|&(u, v)| u != v) && self.edges.windows(2).all(|w| w[0] < w[1])
+    /// strictly ascending by `(src, dst)` and no self-loop. On the pool each
+    /// worker checks a fixed edge range and the pair across its start.
+    fn is_simple_sorted(&self, pool: Option<&ThreadPool>) -> bool {
+        let (m, nworkers) = (self.edges.len(), workers(pool));
+        let ranges_hold = on_workers(pool, |w| {
+            let (lo, hi) = worker_range(m, w, nworkers);
+            self.edges[lo..hi].iter().all(|&(u, v)| u != v)
+                && self.edges[lo.saturating_sub(1)..hi].windows(2).all(|e| e[0] < e[1])
+        });
+        ranges_hold.into_iter().all(|holds| holds)
     }
 
     /// Removes duplicate edges and self-loops, leaving the edges ascending
@@ -112,24 +121,40 @@ impl EdgeList {
     /// check and a copy; any other, [`Csr`]'s counting build and a sort
     /// inside each adjacency list — never a sort over the whole array.
     pub fn deduplicated(&self) -> EdgeList {
-        if self.is_simple_sorted() {
+        self.deduplicated_on(None)
+    }
+
+    /// [`EdgeList::deduplicated`], on `pool` when one is given and
+    /// **byte-identical at every thread count**: the two-pass CSR build,
+    /// the row squeeze [`crate::Dcsc`] shares over edge-balanced vertex
+    /// cuts, then each cut counts the edges it keeps, the counts are
+    /// scanned, and each cut writes its edges at its offset.
+    pub fn deduplicated_on(&self, pool: Option<&ThreadPool>) -> EdgeList {
+        if self.is_simple_sorted(pool) {
             return self.clone();
         }
-        let mut g = Csr::from_edge_list(self);
-        let kept = g.squeeze_rows(None, false);
-        let mut edges = Vec::with_capacity(self.edges.len());
-        let mut weights = self.weights.as_ref().map(|_| Vec::with_capacity(self.edges.len()));
-        for (u, &len) in kept.iter().enumerate() {
-            for k in g.offsets[u]..g.offsets[u] + len {
-                if g.targets[k] != u as VertexId {
-                    edges.push((u as VertexId, g.targets[k]));
-                    if let (Some(ws), Some(from)) = (weights.as_mut(), g.weights.as_ref()) {
-                        ws.push(from[k]);
+        let mut g = Csr::build(self, pool);
+        let kept = g.squeeze_rows(pool, false);
+        // Row `u`'s kept entries ascend strictly, so at most one is `u -> u`.
+        let row = |u: usize| g.offsets[u]..g.offsets[u] + kept[u];
+        let cuts = edge_balanced_cuts(self.num_vertices, |u| g.offsets[u], workers(pool));
+        let count = |lo, hi| {
+            let has_loop = |u: usize| g.targets[row(u)].binary_search(&(u as VertexId)).is_ok();
+            (lo..hi).map(|u| kept[u] - has_loop(u) as usize).sum()
+        };
+        let fill = |lo, hi, edges: &mut [_], mut weights: Option<&mut [Weight]>| {
+            let mut at = 0;
+            for u in lo..hi {
+                for k in row(u).filter(|&k| g.targets[k] != u as VertexId) {
+                    edges[at] = (u as VertexId, g.targets[k]);
+                    if let (Some(ws), Some(from)) = (weights.as_deref_mut(), g.weights.as_ref()) {
+                        ws[at] = from[k];
                     }
+                    at += 1;
                 }
             }
-        }
-        EdgeList { num_vertices: self.num_vertices, edges, weights }
+        };
+        self.emitted(&cuts, pool, count, fill)
     }
 
     /// `self.symmetrized().deduplicated()` for a list `deduplicated`
@@ -138,22 +163,121 @@ impl EdgeList {
     /// and in-neighbors. Of `(u, v)` and `(v, u)` the first in input order is
     /// the one with `src < dst`; the pair carries its weight both ways.
     pub fn undirected(&self) -> EdgeList {
-        assert!(self.is_simple_sorted(), "undirected() takes the output of deduplicated()");
-        let outs = Csr::from_edge_list(self);
-        let ins = outs.transpose();
-        let mut edges = Vec::with_capacity(2 * self.edges.len());
-        let mut weights = self.weights.as_ref().map(|_| Vec::with_capacity(2 * self.edges.len()));
-        for u in 0..self.num_vertices as VertexId {
-            let mut fwd = outs.neighbors_weighted(u).peekable();
-            let mut rev = ins.neighbors_weighted(u).peekable();
-            while let Some(v) = [fwd.peek(), rev.peek()].into_iter().flatten().map(|e| e.0).min() {
-                let (fwd, rev) = (fwd.next_if(|e| e.0 == v), rev.next_if(|e| e.0 == v));
-                let first = if u < v { fwd.or(rev) } else { rev.or(fwd) };
-                edges.push((u, v));
-                if let Some(ws) = weights.as_mut() {
-                    ws.push(first.expect("v was at the head of one of the two").1);
+        self.undirected_with_degrees(None).0
+    }
+
+    /// [`EdgeList::undirected`], on `pool` when one is given and
+    /// **byte-identical at every thread count**, with every vertex's total
+    /// degree in it — twice its list's length, the list holding no loop —
+    /// for [`crate::degree::sample_roots_by_degree`]. The out-lists are read
+    /// off the ascending list itself, the in-lists are its two-pass reversed
+    /// CSR; each edge-balanced cut of vertices counts its merged lists, the
+    /// counts are scanned, and each cut merges its lists again at its offset.
+    pub fn undirected_with_degrees(&self, pool: Option<&ThreadPool>) -> (EdgeList, Vec<u32>) {
+        assert!(self.is_simple_sorted(pool), "undirected() takes the output of deduplicated()");
+        let n = self.num_vertices;
+        let outs = self.source_offsets(pool);
+        let ins = Csr::build_reversed(self, pool);
+        // Vertex `u`'s out-edges and in-neighbors, both ascending.
+        let lists = |u: usize| {
+            (&self.edges[outs[u]..outs[u + 1]], &ins.targets[ins.offsets[u]..ins.offsets[u + 1]])
+        };
+        let cuts = edge_balanced_cuts(n, |u| outs[u] + ins.offsets[u], workers(pool));
+        let mut degrees = vec![0u32; n];
+        let dw = DisjointWriter::new(&mut degrees);
+        let count = |lo, hi| {
+            // SAFETY: the cuts' vertex ranges are disjoint.
+            let degrees = unsafe { dw.range_mut(lo, hi) };
+            let mut total = 0;
+            for u in lo..hi {
+                let (mut len, (fwd, rev)) = (0, lists(u));
+                merge_ascending(fwd, rev, |_, _, _| len += 1);
+                degrees[u - lo] = 2 * len as u32;
+                total += len;
+            }
+            total
+        };
+        let fill = |lo, hi, edges: &mut [_], mut weights: Option<&mut [Weight]>| {
+            let mut at = 0;
+            for u in lo..hi {
+                let (fwd, rev) = lists(u);
+                merge_ascending(fwd, rev, |v, f, r| {
+                    edges[at] = (u as VertexId, v);
+                    if let (Some(ws), Some(out_ws), Some(in_ws)) =
+                        (weights.as_deref_mut(), self.weights.as_ref(), ins.weights.as_ref())
+                    {
+                        let fwd = f.map(|f| out_ws[outs[u] + f]);
+                        let rev = r.map(|r| in_ws[ins.offsets[u] + r]);
+                        let first = if (u as VertexId) < v { fwd.or(rev) } else { rev.or(fwd) };
+                        ws[at] = first.expect("v came from one of the two lists");
+                    }
+                    at += 1;
+                });
+            }
+        };
+        let el = self.emitted(&cuts, pool, count, fill);
+        drop(dw);
+        (el, degrees)
+    }
+
+    /// `offsets[u]..offsets[u + 1]` indexes `u`'s edges in a list ascending
+    /// by source, read off the list in one pass over fixed edge ranges: the
+    /// edge at `i` opens the rows after its predecessor's source up to its
+    /// own, and the last range closes the rows after the last source.
+    fn source_offsets(&self, pool: Option<&ThreadPool>) -> Vec<usize> {
+        let (n, m, nworkers) = (self.num_vertices, self.edges.len(), workers(pool));
+        let mut offsets = vec![0usize; n + 1];
+        let ow = DisjointWriter::new(&mut offsets);
+        on_workers(pool, |w| {
+            let (lo, hi) = worker_range(m, w, nworkers);
+            let tail = (w + 1 == nworkers).then_some(m);
+            for i in (lo..hi).chain(tail) {
+                let from = if i == 0 { 0 } else { self.edges[i - 1].0 as usize + 1 };
+                let to = if i == m { n } else { self.edges[i].0 as usize };
+                for u in from..=to {
+                    // SAFETY: row `u` is opened by the one edge whose
+                    // predecessor's source is below `u` and whose source is
+                    // not, or by the tail: one index `i` of one range.
+                    unsafe { ow.write_unchecked(u, i) };
                 }
             }
+        });
+        drop(ow);
+        offsets
+    }
+
+    /// The list of `self.num_vertices` whose edges the vertex cuts
+    /// `cuts[w]..cuts[w + 1]` emit, in cut order: `count(lo, hi)` is how
+    /// many edges the vertices `lo..hi` emit, and `fill(lo, hi, edges,
+    /// weights)` writes exactly those into slices of that length. Counts,
+    /// a scan of the per-cut totals, then the fill: both arrays are
+    /// allocated once, at their final length, by the caller's thread.
+    fn emitted(
+        &self,
+        cuts: &[usize],
+        pool: Option<&ThreadPool>,
+        count: impl Fn(usize, usize) -> usize + Sync,
+        fill: impl Fn(usize, usize, &mut [(VertexId, VertexId)], Option<&mut [Weight]>) + Sync,
+    ) -> EdgeList {
+        let mut starts = vec![0];
+        for total in on_workers(pool, |w| count(cuts[w], cuts[w + 1])) {
+            starts.push(starts[starts.len() - 1] + total);
+        }
+        let m = starts[starts.len() - 1];
+        let mut edges = vec![(0, 0); m];
+        let mut weights = self.weights.as_ref().map(|_| vec![0.0; m]);
+        {
+            let ew = DisjointWriter::new(edges.as_mut_slice());
+            let ww = weights.as_mut().map(|ws| DisjointWriter::new(ws.as_mut_slice()));
+            on_workers(pool, |w| {
+                let (lo, hi) = (starts[w], starts[w + 1]);
+                // SAFETY: the cuts' slot ranges `starts[w]..starts[w + 1]`
+                // are disjoint.
+                let es = unsafe { ew.range_mut(lo, hi) };
+                // SAFETY: as above.
+                let ws = ww.as_ref().map(|ww| unsafe { ww.range_mut(lo, hi) });
+                fill(cuts[w], cuts[w + 1], es, ws);
+            });
         }
         EdgeList { num_vertices: self.num_vertices, edges, weights }
     }
@@ -186,6 +310,29 @@ impl EdgeList {
     pub fn size_bytes(&self) -> usize {
         self.edges.len() * std::mem::size_of::<(VertexId, VertexId)>()
             + self.weights.as_ref().map_or(0, |w| w.len() * std::mem::size_of::<Weight>())
+    }
+}
+
+/// Merges the targets of `fwd` and the ids of `rev`, both ascending:
+/// `each(v, f, r)` for every id in either, ascending, with its index in
+/// `fwd` and in `rev`, whichever hold it.
+fn merge_ascending(
+    fwd: &[(VertexId, VertexId)],
+    rev: &[VertexId],
+    mut each: impl FnMut(VertexId, Option<usize>, Option<usize>),
+) {
+    let (mut i, mut j) = (0, 0);
+    loop {
+        let (a, b) = (fwd.get(i).map(|e| e.1), rev.get(j).copied());
+        let v = match (a, b) {
+            (Some(a), Some(b)) => a.min(b),
+            (Some(v), None) | (None, Some(v)) => v,
+            (None, None) => return,
+        };
+        let (f, r) = ((a == Some(v)).then_some(i), (b == Some(v)).then_some(j));
+        i += f.is_some() as usize;
+        j += r.is_some() as usize;
+        each(v, f, r);
     }
 }
 

@@ -17,7 +17,9 @@
 //! against a `BTreeMap` that states the rule and against the sort-based
 //! builder it replaced, kept here as a test-only reference. Both
 //! own-transpose checks, `Csr::is_own_transpose` and
-//! `Dcsc::is_own_transpose`, are held to transpose equality at 1–3 threads.
+//! `Dcsc::is_own_transpose`, are held to transpose equality at 1–3 threads,
+//! and homogenization on the pool (`EdgeList::deduplicated_on`,
+//! `EdgeList::undirected_with_degrees`) to the serial path at 1–3 threads.
 
 use epg_graph::{csr::Csr, Dcsc, EdgeList, VertexId, Weight};
 use epg_parallel::ThreadPool;
@@ -544,5 +546,60 @@ proptest! {
     fn dedup_keeps_the_first_duplicate(el in arb_multigraph()) {
         check_dedup(&el, "multigraph");
         check_dedup(&el.unweighted(), "multigraph-unweighted");
+    }
+}
+
+/// Raw lists for homogenization: self-loops, parallel edges of unequal
+/// weights and both orientations of a pair with different weights on up
+/// to 16 drawn ids, as drawn or spread over three times the ids (`v` to
+/// `3v + 1`: isolated vertices at 0, between every two drawn ids and in
+/// the tail), or replaced by what `deduplicated` makes of them — a simple
+/// ascending list, the fast path. `n = 0` draws no edges; so does an
+/// empty draw on any `n`.
+fn arb_homogenization_input() -> impl Strategy<Value = (EdgeList, &'static str)> {
+    let draw = proptest::collection::vec(((0..16 as VertexId, 0..16 as VertexId), 0u8..4), 0..80);
+    (0usize..=16, draw, 0usize..3).prop_map(|(n, ews, variant)| {
+        let ews = if n == 0 { vec![] } else { ews };
+        let (edges, weights) = ews
+            .into_iter()
+            .map(|((u, v), w)| ((u % n as VertexId, v % n as VertexId), w as Weight + 0.5))
+            .unzip();
+        let el = EdgeList::weighted(n, edges, weights);
+        match variant {
+            0 => (el, "drawn"),
+            1 => (
+                EdgeList {
+                    num_vertices: 3 * n + 2,
+                    edges: el.edges.iter().map(|&(u, v)| (3 * u + 1, 3 * v + 1)).collect(),
+                    weights: el.weights,
+                },
+                "spread",
+            ),
+            _ => (dedup_by_rule(&el), "simple"),
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn pooled_homogenization_is_the_serial_one((el, shape) in arb_homogenization_input()) {
+        for el in [el.clone(), el.unweighted()] {
+            let simple = el.deduplicated();
+            prop_assert_eq!(&simple, &dedup_by_rule(&el), "shape={}", shape);
+            let undirected = simple.undirected();
+            prop_assert_eq!(&undirected, &dedup_by_rule(&simple.symmetrized()), "shape={}", shape);
+            let degrees = undirected.total_degrees();
+            for nthreads in 1..=3 {
+                let pool = ThreadPool::new(nthreads);
+                let ctx = format!("shape={shape} weighted={} nthreads={nthreads}", el.is_weighted());
+                prop_assert_eq!(&el.deduplicated_on(Some(&pool)), &simple, "{}", ctx);
+                let (pooled, pooled_degrees) = simple.undirected_with_degrees(Some(&pool));
+                prop_assert_eq!(&pooled, &undirected, "{}", ctx);
+                prop_assert_eq!(&pooled_degrees, &degrees, "{}", ctx);
+            }
+            prop_assert_eq!(simple.undirected_with_degrees(None), (undirected, degrees));
+        }
     }
 }

@@ -18,6 +18,7 @@
 use crate::registry::EngineKind;
 use epg_generator::GraphSpec;
 use epg_graph::{degree, ingest, snap, EdgeList, VertexId};
+use epg_parallel::ThreadPool;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -47,15 +48,30 @@ impl Dataset {
     }
 
     /// Homogenizes an existing edge list (e.g. parsed from a SNAP file —
-    /// "any network in the SNAP data format can be used", §III-B).
+    /// "any network in the SNAP data format can be used", §III-B), on a
+    /// pool of the host's threads built for the call.
     pub fn from_edge_list(name: String, raw: EdgeList, seed: u64) -> Dataset {
-        // `deduplicated` copies; the input goes before `undirected` runs.
-        let dedup = raw.deduplicated();
+        Dataset::from_edge_list_parallel(name, raw, seed, &host_pool())
+    }
+
+    /// [`Dataset::from_edge_list`] on `pool`: `raw`, `symmetric` and
+    /// `roots` are byte-identical at every thread count to
+    /// `raw.deduplicated()`, its `undirected()` and `degree::sample_roots`
+    /// of that. The roots are drawn from the degrees the symmetrization
+    /// counts, not from a pass over the doubled list.
+    pub fn from_edge_list_parallel(
+        name: String,
+        raw: EdgeList,
+        seed: u64,
+        pool: &ThreadPool,
+    ) -> Dataset {
+        // `deduplicated_on` copies; the input goes before `undirected` runs.
+        let dedup = raw.deduplicated_on(Some(pool));
         drop(raw);
         let raw = dedup;
-        let symmetric = raw.undirected();
+        let (symmetric, degrees) = raw.undirected_with_degrees(Some(pool));
         let weighted = raw.is_weighted();
-        let roots = degree::sample_roots(&symmetric, NUM_ROOTS, seed ^ 0x9e3779b97f4a7c15);
+        let roots = degree::sample_roots_by_degree(&degrees, NUM_ROOTS, seed ^ 0x9e3779b97f4a7c15);
         Dataset { name, raw, symmetric, weighted, roots }
     }
 
@@ -79,21 +95,18 @@ impl Dataset {
     }
 
     /// Writes the homogenized files: SNAP text (for the streaming readers)
-    /// and binary (serialized fast path), both raw and symmetrized.
-    /// Returns the file paths written.
+    /// and binary (serialized fast path), both raw and symmetrized, on a
+    /// pool of the host's threads built for the call. Returns the file
+    /// paths written.
     pub fn write_files(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
-        self.write_files_parallel(dir, &epg_parallel::ThreadPool::new(1))
+        self.write_files_parallel(dir, &host_pool())
     }
 
     /// [`Dataset::write_files`] with every copy formatted on `pool`: the
     /// binary ones record-parallel, the SNAP text in fixed edge blocks
     /// written in order. Every file is byte-identical at any thread count
     /// to the serial writers' ([`snap::write_snap`], [`snap::write_binary`]).
-    pub fn write_files_parallel(
-        &self,
-        dir: &Path,
-        pool: &epg_parallel::ThreadPool,
-    ) -> io::Result<Vec<PathBuf>> {
+    pub fn write_files_parallel(&self, dir: &Path, pool: &ThreadPool) -> io::Result<Vec<PathBuf>> {
         std::fs::create_dir_all(dir)?;
         let mut written = Vec::new();
         let base = dir.join(&self.name);
@@ -136,6 +149,12 @@ impl Dataset {
 enum Format {
     SnapText,
     Binary,
+}
+
+/// A pool of every thread the host offers, for a call that is not handed
+/// one: its results are the same at any thread count.
+fn host_pool() -> ThreadPool {
+    ThreadPool::new(std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// The paper's standard workloads. `scale_div = 1` reproduces the
@@ -245,6 +264,63 @@ mod tests {
             assert_eq!(ds.raw, sorted_simple(&generated), "{}", spec.name());
             // The 32 roots are a function of `symmetric` and the seed alone.
             assert_eq!(ds.symmetric, sorted_simple(&generated.symmetrized()), "{}", spec.name());
+        }
+    }
+
+    #[test]
+    fn homogenization_is_the_serial_composition_at_every_thread_count() {
+        // The homogenizer before it took a pool: dedup, undirected, and the
+        // roots sampled from the undirected list's own degrees.
+        let serial = |raw: &EdgeList, seed: u64| {
+            let raw = raw.deduplicated();
+            let symmetric = raw.undirected();
+            let roots = degree::sample_roots(&symmetric, NUM_ROOTS, seed ^ 0x9e3779b97f4a7c15);
+            (raw, symmetric, roots)
+        };
+        let mut with_loops = epg_generator::uniform::generate(400, 3000, true, 5);
+        with_loops.edges.extend((0..400).step_by(7).map(|v| (v, v)));
+        with_loops.weights.as_mut().unwrap().extend((0..400).step_by(7).map(|v| v as f32));
+        let lists = [
+            ("kron-weighted", PaperDatasets::kronecker(9, true).generate(3)),
+            ("kron-unweighted", PaperDatasets::kronecker(9, false).generate(3)),
+            ("grid-swirl", GraphSpec::GridSwirl { width: 24 }.generate(3)),
+            ("uniform-with-loops", with_loops),
+        ];
+        for (name, raw) in lists {
+            for seed in [1, 2] {
+                let want = serial(&raw, seed);
+                let ds = Dataset::from_edge_list(name.into(), raw.clone(), seed);
+                assert_eq!(
+                    (&ds.raw, &ds.symmetric, &ds.roots),
+                    (&want.0, &want.1, &want.2),
+                    "{name}"
+                );
+                for threads in 1..=3 {
+                    let pool = ThreadPool::new(threads);
+                    let ds =
+                        Dataset::from_edge_list_parallel(name.into(), raw.clone(), seed, &pool);
+                    let got = (ds.raw, ds.symmetric, ds.roots);
+                    assert!(got == want, "{name} seed {seed} at {threads} threads");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn written_files_are_the_same_bytes_at_one_and_three_threads() {
+        let ds = Dataset::from_spec(&small_spec(), 8);
+        let dirs = [1, 3].map(|t| std::env::temp_dir().join(format!("epg_dataset_bytes_{t}")));
+        for (dir, threads) in dirs.iter().zip([1, 3]) {
+            ds.write_files_parallel(dir, &ThreadPool::new(threads)).unwrap();
+        }
+        for file in ["snap", "sym.snap", "bin", "sym.bin"] {
+            let [one, three] = dirs
+                .each_ref()
+                .map(|d| std::fs::read(d.join(format!("{}.{file}", ds.name))).unwrap());
+            assert!(one == three, "{file} differs between 1 and 3 threads");
+        }
+        for dir in dirs {
+            std::fs::remove_dir_all(dir).ok();
         }
     }
 

@@ -46,7 +46,8 @@
 //! weighs what a constructed engine keeps resident against its graph
 //! structure alone, with the same allocator's net live bytes, and a third
 //! the peak of those bytes during `construct` against the staged list and
-//! the structure together.
+//! the structure together. A fourth counts on every thread of a pool, not
+//! only the caller's: homogenization on 2 and 3 threads against 1.
 
 use epg::engine_api::CDLP_ROUNDS;
 use epg::generator::kronecker::{self, KroneckerConfig};
@@ -54,6 +55,7 @@ use epg::graph::{adjacency::PropertyGraph, Dcsc};
 use epg::powergraph::{partition::PartitionedGraph, PowerGraphConfig};
 use epg::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
 
 /// Counts every allocating call made on the thread that owns the count,
 /// and the bytes it holds, then defers to the system allocator.
@@ -66,22 +68,68 @@ thread_local! {
     static NET: std::cell::Cell<i64> = const { std::cell::Cell::new(0) };
     /// The highest `NET` since [`peak`] last reset it.
     static PEAK: std::cell::Cell<i64> = const { std::cell::Cell::new(0) };
+    /// Whether this thread also books into [`ALL`]: `None` if not, else
+    /// whether it is a pool worker (also booked into [`WORKERS`]).
+    static ENROLLED: std::cell::Cell<Option<bool>> = const { std::cell::Cell::new(None) };
 }
+
+/// Live bytes, their high-water mark and allocating calls, summed over a
+/// set of threads.
+struct Tally {
+    net: AtomicI64,
+    peak: AtomicI64,
+    calls: AtomicU64,
+}
+
+impl Tally {
+    const fn new() -> Tally {
+        Tally { net: AtomicI64::new(0), peak: AtomicI64::new(0), calls: AtomicU64::new(0) }
+    }
+
+    fn book(&self, call: bool, bytes: i64) {
+        self.calls.fetch_add(call as u64, Relaxed);
+        let net = self.net.fetch_add(bytes, Relaxed) + bytes;
+        self.peak.fetch_max(net, Relaxed);
+    }
+
+    /// Starts a measurement: the peak and the calls from here on.
+    fn restart(&self) -> i64 {
+        let net = self.net.load(Relaxed);
+        self.peak.store(net, Relaxed);
+        self.calls.store(0, Relaxed);
+        net
+    }
+}
+
+/// Every enrolled thread ([`enroll`]): one test's caller and its pool.
+static ALL: Tally = Tally::new();
+/// The enrolled pool workers alone.
+static WORKERS: Tally = Tally::new();
 
 /// Books one allocating call that changed the thread's live bytes by
 /// `bytes`.
 fn note(bytes: i64) {
     // `try_with`: the slots are gone while the thread tears down.
     let _ = CALLS.try_with(|c| c.set(c.get().map(|n| n + 1)));
-    grow(bytes);
+    book(true, bytes);
 }
 
 fn grow(bytes: i64) {
+    book(false, bytes);
+}
+
+fn book(call: bool, bytes: i64) {
     if let Ok(net) = NET.try_with(|c| {
         c.set(c.get() + bytes);
         c.get()
     }) {
         let _ = PEAK.try_with(|c| c.set(c.get().max(net)));
+    }
+    if let Ok(Some(worker)) = ENROLLED.try_with(|e| e.get()) {
+        ALL.book(call, bytes);
+        if worker {
+            WORKERS.book(call, bytes);
+        }
     }
 }
 
@@ -462,6 +510,71 @@ fn construct_peaks_at_the_staged_list_plus_the_structure() {
         }
     }
     assert!(bad.is_empty(), "a build held more than one copy of the graph:\n{}", bad.join("\n"));
+}
+
+/// Books the calling thread and every worker of `pool` into [`ALL`], the
+/// workers also into [`WORKERS`], and nothing else: the tests running
+/// beside this one allocate on threads of their own.
+fn enroll(pool: &ThreadPool) {
+    ENROLLED.with(|e| e.set(Some(false)));
+    pool.region(|w| ENROLLED.with(|e| e.set(Some(w > 0))));
+}
+
+/// Homogenizes `raw` on `pool`, enrolled: the peak of [`ALL`]'s live bytes
+/// above its start, [`WORKERS`]' peak and calls, and what the workers
+/// still hold afterwards.
+fn homogenize(raw: &EdgeList, pool: &ThreadPool) -> (i64, i64, u64, i64) {
+    enroll(pool);
+    let raw = raw.clone();
+    let (all, workers) = (ALL.restart(), WORKERS.restart());
+    let ds = Dataset::from_edge_list_parallel("homogenized".into(), raw, 1, pool);
+    let (peak, worker_peak) = (ALL.peak.load(Relaxed) - all, WORKERS.peak.load(Relaxed) - workers);
+    drop(ds);
+    let held = WORKERS.net.load(Relaxed) - workers;
+    ENROLLED.with(|e| e.set(None));
+    (peak, worker_peak, WORKERS.calls.load(Relaxed), held)
+}
+
+/// Bytes per vertex homogenization on a pool may hold above the serial
+/// path: a worker's count-matrix row of `u64`s for each thread above one,
+/// in the two-pass builds.
+const POOLED_PER_VERTEX: i64 = 16;
+
+/// Homogenization on 2 and 3 threads, counted on every thread of the pool:
+/// its live bytes peak at most [`POOLED_PER_VERTEX`] a vertex above the
+/// serial path's (a 1-thread pool), and the workers allocate nothing but
+/// the row buffers `Csr::squeeze_rows` lends each of them — a key of 8
+/// bytes and a weight of 4 an entry, each at most twice the longest list
+/// it sorts — and free them before the call returns. A buffer
+/// a worker allocates lands in its thread's arena, which may keep the
+/// pages after it is freed, so nothing bigger may come from there.
+#[test]
+fn pooled_homogenization_peaks_at_the_serial_path_plus_a_row_a_thread() {
+    let cfg = KroneckerConfig { scale: 12, edge_factor: 16, weighted: true, ..Default::default() };
+    let weighted = kronecker::generate(&cfg, 45);
+    let longest = *weighted.out_degrees().iter().max().expect("vertices") as i64;
+    let mut bad = Vec::new();
+    for (name, raw) in [("weighted", weighted.clone()), ("unweighted", weighted.unweighted())] {
+        let (serial, ..) = homogenize(&raw, &ThreadPool::new(1));
+        let bound = serial + POOLED_PER_VERTEX * raw.num_vertices as i64;
+        for threads in 2..=3 {
+            let (peak, worker_peak, worker_calls, held) =
+                homogenize(&raw, &ThreadPool::new(threads));
+            let buffers = if raw.is_weighted() { (threads as i64 - 1) * 24 * longest } else { 0 };
+            if peak > bound
+                || worker_peak > buffers
+                || held != 0
+                || (buffers == 0) != (worker_calls == 0)
+            {
+                bad.push(format!(
+                    "{name} Kronecker list at {threads} threads: peak {peak} live bytes (serial \
+                     {serial}, bound {bound}); workers peak at {worker_peak} in {worker_calls} \
+                     calls (row buffers {buffers}) and hold {held} after"
+                ));
+            }
+        }
+    }
+    assert!(bad.is_empty(), "pooled homogenization outgrew the serial path:\n{}", bad.join("\n"));
 }
 
 const fn row(
