@@ -26,9 +26,6 @@ mod ranking;
 mod topology;
 mod traversal;
 
-#[cfg(test)]
-mod build_parity;
-
 use epg_engine_api::{
     logfmt::LogStyle, Algorithm, Engine, EngineInfo, RunOutput, RunParams, CDLP_ROUNDS,
 };

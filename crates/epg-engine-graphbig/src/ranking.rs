@@ -88,7 +88,7 @@ mod tests {
 
     #[test]
     fn empty_graph() {
-        let g = PropertyGraph::with_vertices(0);
+        let g = PropertyGraph::from_edge_list(&EdgeList::new(0, vec![]));
         let pool = ThreadPool::new(1);
         let out = pagerank(&g, &RunParams::new(&pool, None));
         assert_eq!(out.result.len(), 0);

@@ -100,9 +100,9 @@ pub enum GraphSpec {
 impl GraphSpec {
     /// Every family name, in declaration order. Paired with
     /// [`GraphSpec::family`]'s exhaustive match and
-    /// [`GraphSpec::test_corpus`], this is the registry the differential
-    /// suite iterates — adding a variant without extending all three fails
-    /// the registry tests.
+    /// [`GraphSpec::test_corpus`], this is the registry the correctness
+    /// net and the SSSP wall iterate — adding a variant without extending
+    /// all three fails the registry tests.
     pub const FAMILIES: [&'static str; 9] = [
         "kronecker",
         "cit_patents",

@@ -15,9 +15,9 @@
 //! own their edge containers, so neither direction's list is scattered by
 //! the order edges arrived in: [`PropertyGraph::from_edge_list`] places each
 //! vertex's cells in one run of the arena, in list order, for out- and
-//! in-lists alike. [`PropertyGraph::add_edge`] is the dynamic-mutation path:
-//! it appends one cell at the arena's end and links it from the list's tail,
-//! before or after a bulk build, and never moves an existing cell.
+//! in-lists alike. openG also mutates a graph in place; no kernel of the
+//! paper does, so there is no insertion path here: a graph is built once,
+//! from the whole edge list, and read-only after that.
 
 use crate::{EdgeList, VertexId, Weight};
 
@@ -92,50 +92,13 @@ pub struct PropertyGraph {
 }
 
 impl PropertyGraph {
-    /// Creates an empty graph with `n` isolated vertices.
-    pub fn with_vertices(n: usize) -> PropertyGraph {
-        PropertyGraph {
-            vertices: vec![VertexRecord::default(); n],
-            out_arena: Vec::new(),
-            in_arena: Vec::new(),
-        }
-    }
-
-    /// Inserts one directed edge: openG's dynamic-mutation path, usable on
-    /// an empty graph or after a bulk build. The new cells go at the arenas'
-    /// ends and are linked from the two lists' tails, so insertion order is
-    /// preserved per vertex and no existing cell moves.
-    pub fn add_edge(&mut self, src: VertexId, dst: VertexId, w: Weight) {
-        // One edge is one cell in each arena, so both cells share an index.
-        let cell = cell_index(self.out_arena.len());
-        self.out_arena.push(EdgeCell { target: dst, weight: w, next: NIL });
-        let rec = &mut self.vertices[src as usize];
-        if rec.out_tail == NIL {
-            rec.out_head = cell;
-        } else {
-            self.out_arena[rec.out_tail as usize].next = cell;
-        }
-        rec.out_tail = cell;
-        rec.out_degree += 1;
-
-        self.in_arena.push(InCell { source: src, next: NIL });
-        let rec = &mut self.vertices[dst as usize];
-        if rec.in_tail == NIL {
-            rec.in_head = cell;
-        } else {
-            self.in_arena[rec.in_tail as usize].next = cell;
-        }
-        rec.in_tail = cell;
-        rec.in_degree += 1;
-    }
-
     /// Builds the graph from a whole edge list — what the GraphBIG engine
     /// does with its parsed input file, which is why its file read and
     /// construction cannot be timed apart (§III-B). A stable two-pass
     /// counting build: degrees are counted into the vertex records and
     /// prefix-summed into list heads, then every edge's two cells are placed
     /// at their vertices' cursors. Each list is therefore one contiguous run
-    /// of its arena, in the same per-vertex order `add_edge` × m would give.
+    /// of its arena, each list in the edge list's arrival order.
     pub fn from_edge_list(el: &EdgeList) -> PropertyGraph {
         let m = el.num_edges();
         cell_index(m); // the cursors below count up to `m`
@@ -158,7 +121,7 @@ impl PropertyGraph {
         let mut out_arena = vec![EdgeCell { target: 0, weight: 0.0, next: NIL }; m];
         let mut in_arena = vec![InCell { source: 0, next: NIL }; m];
         // `tail` is the cursor: the last cell placed so far, NIL before the
-        // first — the same meaning `add_edge` gives it.
+        // first; once every edge is placed it is the list's last cell.
         for (u, v, w) in el.iter() {
             let rec = &mut vertices[u as usize];
             let at = if rec.out_tail == NIL { rec.out_head } else { rec.out_tail + 1 };
@@ -261,43 +224,6 @@ mod tests {
         assert_eq!(g.in_neighbors(0).count(), 0);
     }
 
-    #[test]
-    fn insertion_order_preserved_per_vertex() {
-        let mut g = PropertyGraph::with_vertices(4);
-        g.add_edge(0, 3, 1.0);
-        g.add_edge(1, 2, 2.0); // interleaved: `add_edge` appends in arrival order
-        g.add_edge(0, 1, 3.0);
-        g.add_edge(0, 2, 4.0);
-        assert_eq!(g.neighbors(0).collect::<Vec<_>>(), vec![(3, 1.0), (1, 3.0), (2, 4.0)]);
-        assert_eq!(g.neighbors(1).collect::<Vec<_>>(), vec![(2, 2.0)]);
-    }
-
-    /// What a graph *is*, wherever its cells sit: every vertex's two list
-    /// walks.
-    type Lists = Vec<(Vec<(VertexId, Weight)>, Vec<VertexId>)>;
-
-    fn lists(g: &PropertyGraph) -> Lists {
-        (0..g.num_vertices() as VertexId)
-            .map(|v| (g.neighbors(v).collect(), g.in_neighbors(v).collect()))
-            .collect()
-    }
-
-    #[test]
-    fn incremental_insertion_matches_bulk() {
-        // Arrival order interleaves the lists, so the two builds place their
-        // cells differently; they must hold the same lists.
-        let el = EdgeList::new(3, vec![(2, 1), (0, 1), (2, 0), (0, 2), (2, 1)]);
-        let bulk = PropertyGraph::from_edge_list(&el);
-        let mut inc = PropertyGraph::with_vertices(3);
-        for (u, v, w) in el.iter() {
-            inc.add_edge(u, v, w);
-        }
-        assert_ne!(bulk.vertices[2].in_head, inc.vertices[2].in_head, "placements differ");
-        assert_eq!(lists(&bulk), lists(&inc));
-        assert_eq!(lists(&bulk)[2].0, vec![(1, 1.0), (0, 1.0), (1, 1.0)]);
-        assert_eq!(lists(&bulk)[1].1, vec![2, 0, 2]);
-    }
-
     /// Every list is `head, head + 1, …, tail` in list order.
     fn assert_runs_contiguous(g: &PropertyGraph) {
         let out_next: Vec<u32> = g.out_arena.iter().map(|c| c.next).collect();
@@ -341,31 +267,9 @@ mod tests {
     }
 
     #[test]
-    fn add_edge_after_bulk_links_from_the_tail_and_moves_nothing() {
-        let el = EdgeList::new(4, vec![(1, 0), (0, 2), (1, 2), (0, 1)]);
-        let mut g = PropertyGraph::from_edge_list(&el);
-        let before = g.clone();
-        g.add_edge(0, 2, 7.0);
-        assert_eq!(g.neighbors(0).collect::<Vec<_>>(), vec![(2, 1.0), (1, 1.0), (2, 7.0)]);
-        assert_eq!(g.in_neighbors(2).collect::<Vec<_>>(), vec![0, 1, 0]);
-        // The new cells are at the arenas' ends; every old cell is where it
-        // was, and only the two tails' links changed.
-        assert_eq!(g.vertices[0].out_tail, 4);
-        assert_eq!(g.vertices[2].in_tail, 4);
-        for at in 0..4 {
-            assert_eq!(g.out_arena[at].target, before.out_arena[at].target);
-            assert_eq!(g.in_arena[at].source, before.in_arena[at].source);
-        }
-        for v in [1, 3] {
-            assert!(g.neighbors(v).eq(before.neighbors(v)));
-            assert!(g.in_neighbors(v).eq(before.in_neighbors(v)));
-        }
-    }
-
-    #[test]
     fn cell_index_stops_short_of_the_sentinel() {
         // Stub lengths stand in for a four-billion-edge arena: this is the
-        // check `from_edge_list` makes on `m` and `add_edge` on each cell.
+        // check `from_edge_list` makes on `m`.
         assert_eq!(cell_index(0), 0);
         assert_eq!(cell_index(NIL as usize - 1), NIL - 1);
         for len in [NIL as usize, usize::MAX] {
@@ -396,8 +300,7 @@ mod tests {
 
     #[test]
     fn self_loops_count_in_both_directions() {
-        let mut g = PropertyGraph::with_vertices(2);
-        g.add_edge(1, 1, 0.5);
+        let g = PropertyGraph::from_edge_list(&EdgeList::weighted(2, vec![(1, 1)], vec![0.5]));
         assert_eq!(g.out_degree(1), 1);
         assert_eq!(g.in_degree(1), 1);
         assert_eq!(g.neighbors(1).collect::<Vec<_>>(), vec![(1, 0.5)]);

@@ -383,6 +383,40 @@ mod tests {
     }
 
     #[test]
+    fn detects_a_parent_outside_the_tree() {
+        let g = ring(4);
+        // Vertex 1 hangs off vertex 2, which the search never reached.
+        let unreached = [0, 2, NO_VERTEX, NO_VERTEX];
+        assert_eq!(
+            validate_bfs_tree(&g, 0, &unreached),
+            Err(ValidationError::BrokenTree { vertex: 2 })
+        );
+        // Vertex 1 hangs off a vertex the graph does not have.
+        let missing = [0, 7, NO_VERTEX, NO_VERTEX];
+        assert_eq!(
+            validate_bfs_tree(&g, 0, &missing),
+            Err(ValidationError::BrokenTree { vertex: 1 })
+        );
+    }
+
+    #[test]
+    fn detects_an_edge_spanning_two_levels() {
+        // A triangle searched depth-first: 0 → 1 → 2 puts 2 at level 2, but
+        // the edge (0, 2) puts it at level 1.
+        let g = Csr::from_edge_list(&EdgeList::new(3, vec![(0, 1), (1, 2), (0, 2)]).symmetrized());
+        let err = validate_bfs_tree(&g, 0, &[0, 0, 1]).unwrap_err();
+        assert_eq!(err, ValidationError::EdgeSpansLevels { src: 0, dst: 2 });
+    }
+
+    #[test]
+    fn a_root_with_another_parent_is_a_bad_root() {
+        let g = ring(4);
+        let mut r = oracle::bfs(&g, 0);
+        r.parent[0] = 1;
+        assert_eq!(validate_bfs_tree(&g, 0, &r.parent), Err(ValidationError::BadRoot));
+    }
+
+    #[test]
     fn unreachable_component_is_fine() {
         let el = EdgeList::new(5, vec![(0, 1), (2, 3)]).symmetrized();
         let g = Csr::from_edge_list(&el);
@@ -401,6 +435,10 @@ mod tests {
         let mut bad = d.clone();
         bad[3] = 100.0;
         assert!(validate_sssp_distances(&g, 0, &bad).is_err());
+        // One vertex long by more than the tolerance is caught too.
+        let mut long = d.clone();
+        long[3] += 0.01;
+        assert!(validate_sssp_distances(&g, 0, &long).unwrap_err().contains("relaxes dist[3]"));
     }
 
     #[test]
@@ -417,6 +455,16 @@ mod tests {
         assert_eq!(d, [0.0, 1.5, 3.5, 4.0]);
         d[3] -= 0.01;
         assert!(validate_sssp_distances(&g, 0, &d).unwrap_err().contains("dist[3]"));
+    }
+
+    #[test]
+    fn sssp_distances_shifted_off_the_root_are_rejected() {
+        // Every distance 0.5 longer still relaxes no edge and keeps a tight
+        // in-edge under each vertex; only `dist[root]` gives it away.
+        let el = EdgeList::weighted(3, vec![(0, 1), (1, 2)], vec![1.0, 2.0]).symmetrized();
+        let g = Csr::from_edge_list(&el);
+        let d: Vec<Weight> = oracle::dijkstra(&g, 0).iter().map(|x| x + 0.5).collect();
+        assert_eq!(validate_sssp_distances(&g, 0, &d), Err("dist[root] = 0.5 != 0".to_string()));
     }
 
     #[test]

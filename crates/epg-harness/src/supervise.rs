@@ -14,10 +14,9 @@
 //! - **result verification** — a completed output goes to a verifier
 //!   after the trial's clock has stopped; the runner's is
 //!   [`verify_output`], the Graph500 rules for BFS trees, a
-//!   shortest-path check for SSSP distances, a partition check for WCC
-//!   labels, a convergence check for PageRank ranks, and the sequential
-//!   oracle's answers for CDLP labels, LCC coefficients, triangle counts
-//!   and exact betweenness, on every engine;
+//!   convergence check for PageRank ranks, and the sequential oracle's
+//!   answers for SSSP distances, WCC and CDLP labels, LCC coefficients,
+//!   triangle counts and exact betweenness, on every engine;
 //! - **bounded retry** — transient failures (panics, wrong results caught
 //!   by the verifier) are retried with doubling backoff up to `max_retries`;
 //! - **quarantine** — the runner counts consecutive failures per
@@ -30,9 +29,9 @@
 //! censored statistics in [`crate::stats`] know how to use them).
 
 use epg_engine_api::{Algorithm, AlgorithmResult, RunOutput, CDLP_ROUNDS};
-use epg_graph::{oracle, validate, Csr, VertexId};
+use epg_graph::{oracle, validate, Csr, VertexId, Weight};
 use epg_parallel::{CancelToken, Schedule, ThreadPool};
-use std::cell::OnceCell;
+use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -201,11 +200,13 @@ pub fn supervise_trial(
 }
 
 /// What [`verify_output`] checks results against: the symmetric graph
-/// every engine runs on, and the sequential oracle's answers for its
-/// root-less kernels. Each answer is computed on first use and kept, so a
-/// dataset pays for it once however many engines and trials are checked.
+/// every engine runs on, and the sequential oracle's answers: Dijkstra's
+/// distances per root, and its root-less kernels'. Each answer is computed
+/// on first use and kept, so a dataset pays for it once however many
+/// engines and trials are checked.
 pub struct Expected<'g> {
     g: &'g Csr,
+    sssp: RefCell<HashMap<VertexId, Vec<Weight>>>,
     wcc: OnceCell<Vec<VertexId>>,
     cdlp: OnceCell<Vec<u64>>,
     lcc: OnceCell<Vec<f64>>,
@@ -217,13 +218,16 @@ impl<'g> Expected<'g> {
     /// Nothing computed yet: the answers for `g` as they are first needed.
     pub fn new(g: &'g Csr) -> Expected<'g> {
         let (wcc, cdlp, lcc) = (OnceCell::new(), OnceCell::new(), OnceCell::new());
-        Expected { g, wcc, cdlp, lcc, triangles: OnceCell::new(), bc: OnceCell::new() }
+        let (sssp, triangles, bc) = (RefCell::default(), OnceCell::new(), OnceCell::new());
+        Expected { g, sssp, wcc, cdlp, lcc, triangles, bc }
     }
 }
 
-/// How far an LCC coefficient may sit from the oracle's: the engines sum
-/// in other orders and some in `f32`.
-const LCC_TOLERANCE: f64 = 1e-6;
+/// How far an LCC coefficient may sit from the oracle's. A coefficient is
+/// a ratio of two whole counts, and every engine's equals the oracle's bit
+/// for bit on the correctness net's corpus at 1–3 threads; the slack is
+/// a few ulps of a number at most 1, for the ratio formed another way.
+const LCC_TOLERANCE: f64 = 1e-12;
 
 /// How far a betweenness score may sit from the oracle's, relative to the
 /// larger of the two. Path counts are whole numbers, exact in `f64` in any
@@ -238,11 +242,14 @@ const BC_TOLERANCE: f64 = 1e-9;
 /// `root` against `want`. A BFS tree must pass the Graph500 rules and
 /// carry the levels its parents imply
 /// ([`validate::validate_bfs_tree_parallel`], its edge scan on `pool`);
-/// SSSP distances must pass [`validate::validate_sssp_distances`]; WCC
-/// labels must induce [`oracle::wcc`]'s partition; PageRank ranks must be
-/// converged (`pagerank_converged`). CDLP labels must equal
-/// [`oracle::cdlp`] after [`CDLP_ROUNDS`] rounds, every LCC coefficient
-/// must be within `1e-6` of [`oracle::lcc`]'s, a triangle count must equal
+/// SSSP distances must equal [`oracle::dijkstra`]'s bit for bit (every
+/// engine adds `dist[u] + w` in `f32`, and any order of relaxations that
+/// stops when none lowers a distance reaches the same least sums); WCC
+/// labels must equal [`oracle::wcc`]'s, the least vertex of each component
+/// (the Graphalytics convention); PageRank ranks must be converged
+/// (`pagerank_converged`). CDLP labels must equal [`oracle::cdlp`] after
+/// [`CDLP_ROUNDS`] rounds, every LCC coefficient must be within `1e-12` of
+/// [`oracle::lcc`]'s, a triangle count must equal
 /// [`oracle::triangle_count`], and betweenness, run from every source as
 /// the runner's trials run it, must agree with [`oracle::betweenness`]
 /// within `1e-9` relative. A malformed output is an `Err`, never a panic.
@@ -268,10 +275,19 @@ pub fn verify_output(
                 .map_err(|e| e.to_string())
         }
         (Algorithm::Sssp, Some(root), AlgorithmResult::Distances(dist)) => {
-            validate::validate_sssp_distances(g, root, dist)
+            let mut by_root = want.sssp.borrow_mut();
+            let expect = by_root.entry(root).or_insert_with(|| oracle::dijkstra(g, root));
+            let exact = |a: &Weight, b: &Weight| a == b;
+            agree(dist, expect, "distances", exact, |v, got, d| {
+                format!("vertex {v} is at distance {got}, but Dijkstra's is {d}")
+            })
         }
         (Algorithm::Wcc, _, AlgorithmResult::Components(comp)) => {
-            same_components(comp, want.wcc.get_or_init(|| oracle::wcc(g)))
+            let expect = want.wcc.get_or_init(|| oracle::wcc(g));
+            let differ = |v, got: &VertexId, least: &VertexId| {
+                format!("vertex {v} is labelled {got}, but its component's least vertex is {least}")
+            };
+            agree(comp, expect, "labels", |a, b| a == b, differ)
         }
         (Algorithm::PageRank, _, AlgorithmResult::Ranks { ranks, .. }) => {
             pagerank_converged(g, ranks, pool)
@@ -367,34 +383,6 @@ fn pagerank_converged(g: &Csr, ranks: &[f64], pool: &ThreadPool) -> Result<(), S
              not under the {bound:.3e} a converged run allows"
         ))
     }
-}
-
-/// Whether `comp` and `want` (the labels of [`oracle::wcc`]) induce the
-/// same partition — a bijection between their labels, so an engine may
-/// name a component by any vertex. Linear: every vertex carries its
-/// oracle representative's label, and no two representatives share one.
-fn same_components(comp: &[VertexId], want: &[VertexId]) -> Result<(), String> {
-    let n = want.len();
-    if comp.len() != n {
-        return Err(format!("{} labels for {n} vertices", comp.len()));
-    }
-    let mut owner: HashMap<VertexId, VertexId> = HashMap::new();
-    for (v, (&got, &rep)) in (0..).zip(comp.iter().zip(want)) {
-        let label = comp[rep as usize];
-        if got != label {
-            return Err(format!(
-                "vertices {rep} and {v} are weakly connected, but labelled {label} and {got}"
-            ));
-        }
-        if rep == v {
-            if let Some(other) = owner.insert(got, v) {
-                return Err(format!(
-                    "vertices {other} and {v} are not connected, but share label {got}"
-                ));
-            }
-        }
-    }
-    Ok(())
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -568,6 +556,21 @@ mod tests {
         assert_eq!(verify_output(&want, Algorithm::Sssp, Some(0), &sssp, &pool), Ok(()));
         let zeros = run(AlgorithmResult::Distances(vec![0.0; 4]));
         assert!(verify_output(&want, Algorithm::Sssp, Some(0), &zeros, &pool).is_err());
+        // A distance one ulp long, well inside any summation-order slack,
+        // is still not Dijkstra's.
+        let mut long = oracle::dijkstra(&g, 0);
+        long[3] = f32::from_bits(long[3].to_bits() + 1);
+        let err = verify_output(
+            &want,
+            Algorithm::Sssp,
+            Some(0),
+            &run(AlgorithmResult::Distances(long)),
+            &pool,
+        );
+        assert_eq!(
+            err,
+            Err("vertex 3 is at distance 3.5000002, but Dijkstra's is 3.5".to_string())
+        );
         assert!(verify_output(&want, Algorithm::Bfs, Some(0), &sssp, &pool).is_err());
     }
 
@@ -629,6 +632,10 @@ mod tests {
         let (early, _) = oracle::pagerank(&g, oracle::PR_EPSILON, 5);
         let err = check(early).expect_err("five sweeps do not converge");
         assert!(err.starts_with("one more PageRank sweep moves the ranks by"), "{err}");
+        // Stopped at an L1 change below 1e-6, well above the homogenized
+        // rule's, the next sweep still moves them by more than it allows.
+        let (loose, _) = oracle::pagerank(&g, 1e-6, 300);
+        assert!(check(loose).is_err());
         let mut bumped = ranks.clone();
         bumped[0] += 0.5;
         assert!(check(bumped).is_err());
@@ -638,7 +645,7 @@ mod tests {
     }
 
     #[test]
-    fn verify_output_checks_wcc_labels_up_to_renaming() {
+    fn verify_output_checks_wcc_labels_against_the_oracle() {
         use epg_graph::EdgeList;
         let pool = ThreadPool::new(1);
         // A 0-1-2 path, a 3-4 pair and an isolated 5.
@@ -653,10 +660,11 @@ mod tests {
             verify_output(&want, Algorithm::Wcc, None, &out, &pool)
         };
         assert_eq!(check(vec![0, 0, 0, 3, 3, 5]), Ok(()));
-        assert_eq!(check(vec![9, 9, 9, 1, 1, 0]), Ok(()), "any one name per component");
-        let split = "vertices 0 and 2 are weakly connected, but labelled 0 and 1";
+        let renamed = "vertex 0 is labelled 9, but its component's least vertex is 0";
+        assert_eq!(check(vec![9, 9, 9, 1, 1, 0]), Err(renamed.to_string()));
+        let split = "vertex 2 is labelled 1, but its component's least vertex is 0";
         assert_eq!(check(vec![0, 0, 1, 3, 3, 5]), Err(split.to_string()));
-        let merged = "vertices 3 and 5 are not connected, but share label 3";
+        let merged = "vertex 5 is labelled 3, but its component's least vertex is 5";
         assert_eq!(check(vec![0, 0, 0, 3, 3, 3]), Err(merged.to_string()));
         assert!(check(vec![0; 5]).is_err());
         assert!(verify_output(&want, Algorithm::Wcc, None, &ok_output(), &pool).is_err());
@@ -685,10 +693,10 @@ mod tests {
 
         let lcc = oracle::lcc(&g);
         let mut near = lcc.clone();
-        near[2] += 1e-9;
+        near[2] += 1e-13;
         assert_eq!(check(Algorithm::Lcc, AlgorithmResult::Coefficients(near)), Ok(()));
         let mut far = lcc.clone();
-        far[2] += 1e-3;
+        far[2] += 1e-10;
         let err = check(Algorithm::Lcc, AlgorithmResult::Coefficients(far)).unwrap_err();
         assert!(err.contains("but the oracle's is"), "{err}");
         let mut nan = lcc;

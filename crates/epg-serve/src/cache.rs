@@ -9,12 +9,11 @@
 //! cached answers are byte-identical to uncached recomputation (pinned
 //! by a proptest in `tests/`).
 //!
-//! Counter discipline follows epg-trace's `DeltaTracker` style: every
-//! lookup increments exactly one of `hits`/`misses`, every insert
-//! increments `insertions` and at most one `evictions`, and all four
-//! live under the same lock as the map so a [`CacheStats`] snapshot is
-//! internally consistent (`hits + misses == lookups` exactly, never
-//! approximately).
+//! The counters are exact, not sampled: every lookup increments exactly
+//! one of `hits`/`misses`, every insert increments `insertions` and at
+//! most one `evictions`, and all four live under the same lock as the map,
+//! so a [`CacheStats`] snapshot is internally consistent (`hits + misses
+//! == lookups` exactly, never approximately).
 
 use epg_engine_api::Algorithm;
 use epg_graph::{VertexId, Weight};
@@ -265,8 +264,8 @@ mod tests {
 
     #[test]
     fn hit_and_miss_counters_sum_to_lookups_exactly() {
-        // DeltaTracker-style exactness, including under concurrency:
-        // every lookup lands in exactly one bucket.
+        // Exact counts, including under concurrency: every lookup lands
+        // in exactly one bucket, under the map's lock.
         let c = SourceCache::new(8);
         for s in 0..8 {
             c.insert(key(Algorithm::Bfs, s), levels(&[s]));

@@ -186,8 +186,8 @@ fn wrong_results_fail_verification_on_every_engine() {
     for kind in EngineKind::ALL {
         for (algo, rule) in [
             (Algorithm::Bfs, "but the parent tree puts it at"),
-            (Algorithm::Sssp, "relaxes dist[0]"),
-            (Algorithm::Wcc, "are weakly connected, but labelled"),
+            (Algorithm::Sssp, "but Dijkstra's is"),
+            (Algorithm::Wcc, "but its component's least vertex is"),
             (Algorithm::PageRank, "one more PageRank sweep moves the ranks by"),
             (Algorithm::Cdlp, "but label propagation gives it"),
             (Algorithm::Lcc, "but the oracle's is"),
