@@ -63,8 +63,10 @@ pub struct GapConfig {
     pub beta: u64,
     /// Enable direction optimization at all (ablation switch).
     pub direction_optimizing: bool,
-    /// Δ-stepping bucket width.
-    pub delta: f32,
+    /// Δ-stepping bucket width: `None` (the default) takes the Δ
+    /// `construct` derives from the graph ([`sssp::WeightStats::delta`]);
+    /// `Some` pins it, as a sweep or the tuner does.
+    pub delta: Option<f32>,
     /// Weight storage.
     pub weight_repr: WeightRepr,
     /// Which SSSP kernel `run` dispatches to (raw-speed tier). The
@@ -78,16 +80,15 @@ impl Default for GapConfig {
             alpha: 15,
             beta: 18,
             direction_optimizing: true,
-            // GAP's shipped default is Δ=2 over integer weights drawn from
-            // [0, 255] — about mean/64. Our weighted graphs draw uniform
-            // (0,1] (mean 0.5), where mean/64 is 0.5/64 ≈ 0.0078 (1/128).
-            // 0.05 stays: 1/128 wins on Kronecker and loses on long paths.
-            // Scale 15, 32 roots, one thread: relaxations per root 2.17 M →
-            // 1.09 M, 9.6 → 5.8 ms. The homogenized `grid_swirl` w256, two
-            // threads: rounds 16.6 k → 32.5 k, 31 → 61 ms. `almost_line`
-            // 65 536 + 256, one thread: the same rounds and relaxations,
-            // 77 → 352 ms. Per-graph Δ is `GapEngine::auto_tune`'s job.
-            delta: 0.05,
+            // Derived per graph, as GAP takes `sssp -d` per graph. No one
+            // constant fits: GAP's shipped Δ=2 over integer weights in
+            // [0, 255] (about mean/64) wins on Kronecker and loses 2–4.6× on
+            // long paths, and a fixed 0.05 (mean/10) relaxes 2.5× the edges
+            // of Kronecker 15. Mean positive weight ÷ mean out-degree lands
+            // at mean/27 there (relaxations per root 2.27 M → 1.38 M) and at
+            // 106 on `almost_line` 65 536 + 256 (~10× faster at one
+            // thread); EXPERIMENTS.md has the per-graph table.
+            delta: None,
             weight_repr: WeightRepr::Float,
             sssp_kernel: SsspKernel::default(),
         }
@@ -103,12 +104,23 @@ pub struct GapEngine {
     /// The in-edges; `None` once constructed when `csr` is its own
     /// transpose and serves both directions.
     csr_t: Option<Csr>,
+    /// The constructed graph's weight statistic.
+    weight_stats: sssp::WeightStats,
+    /// The Δ derived from `weight_stats` at construction.
+    delta: f32,
 }
 
 impl GapEngine {
     /// Creates an engine with the given configuration.
     pub fn with_config(config: GapConfig) -> GapEngine {
-        GapEngine { config, edge_list: None, csr: None, csr_t: None }
+        GapEngine {
+            config,
+            edge_list: None,
+            csr: None,
+            csr_t: None,
+            weight_stats: sssp::WeightStats::default(),
+            delta: 1.0,
+        }
     }
 
     /// Creates an engine with paper-default parameters.
@@ -131,14 +143,17 @@ impl GapEngine {
         self.csr_t.as_ref().unwrap_or_else(|| self.csr())
     }
 
-    /// Mean edge weight of the constructed graph (None when unweighted or
-    /// empty) — the seed statistic for Δ tuning.
+    /// Mean positive edge weight of the constructed graph (None when no
+    /// weight is positive or nothing is constructed) — the statistic Δ is
+    /// derived from and the seed of Δ tuning.
     pub fn average_weight(&self) -> Option<f32> {
-        let ws = self.csr().weights.as_ref()?;
-        if ws.is_empty() {
-            return None;
-        }
-        Some((ws.iter().map(|&w| w as f64).sum::<f64>() / ws.len() as f64) as f32)
+        self.weight_stats.mean()
+    }
+
+    /// The Δ `construct` derived for the graph (1.0 before it), which SSSP
+    /// runs with unless `config.delta` pins another.
+    pub fn derived_delta(&self) -> f32 {
+        self.delta
     }
 }
 
@@ -199,12 +214,14 @@ impl Engine for GapEngine {
         let csr = Csr::from_edge_list_parallel(&el, pool);
         drop(el);
         self.csr_t = (!csr.is_own_transpose(pool)).then(|| csr.transpose_parallel(pool));
+        self.weight_stats = sssp::WeightStats::of(&csr, pool);
+        self.delta = self.weight_stats.delta(csr.num_vertices(), csr.num_edges());
         self.csr = Some(csr);
     }
 
     fn run(&mut self, algo: Algorithm, params: &RunParams<'_>) -> RunOutput {
         assert!(self.supports(algo), "GAP does not implement {algo:?}");
-        dispatch(self.csr(), self.csr_t(), &self.config, algo, params)
+        dispatch(self.csr(), self.csr_t(), &self.config, self.delta, algo, params)
     }
 
     fn log_style(&self) -> LogStyle {
@@ -214,21 +231,20 @@ impl Engine for GapEngine {
 
 /// Runs `algo` on the out- and in-edge CSRs (one CSR twice when it is its
 /// own transpose) — the one kernel dispatch behind both
-/// [`GapEngine::run`] and [`GapQuery`]'s `query`.
+/// [`GapEngine::run`] and [`GapQuery`]'s `query`. SSSP runs with
+/// `config.delta` when it is pinned, else with the graph's `derived_delta`.
 fn dispatch(
     csr: &Csr,
     csr_t: &Csr,
     config: &GapConfig,
+    derived_delta: f32,
     algo: Algorithm,
     params: &RunParams<'_>,
 ) -> RunOutput {
     match algo {
         Algorithm::Bfs => bfs::direction_optimizing_bfs(csr, csr_t, config, params),
         Algorithm::Sssp => {
-            // Unweighted graphs run with unit weights; a sub-unit Δ
-            // would only fragment the (integer) distance range into
-            // empty buckets, so hop-sized buckets are used instead.
-            let delta = if csr.is_weighted() { config.delta } else { 1.0 };
+            let delta = config.delta.unwrap_or(derived_delta);
             sssp::dispatch_kernel(config.sssp_kernel, csr, delta, params)
         }
         Algorithm::PageRank => pr::pagerank(csr, csr_t, params),
@@ -304,14 +320,52 @@ mod tests {
         let root = epg_graph::degree::sample_roots(&el, 1, 9)[0];
         let out = e.run(Algorithm::Sssp, &RunParams::new(&pool, Some(root)));
         let AlgorithmResult::Distances(d) = out.result else { panic!() };
-        let want = oracle::dijkstra(&g, root);
-        for v in 0..want.len() {
-            if want[v].is_infinite() {
-                assert!(d[v].is_infinite(), "vertex {v}");
-            } else {
-                assert!((d[v] - want[v]).abs() < 1e-3, "vertex {v}: {} vs {}", d[v], want[v]);
-            }
+        let bits = |d: &[f32]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&d), bits(&oracle::dijkstra(&g, root)));
+    }
+
+    #[test]
+    fn derived_delta_is_the_same_bits_at_1_2_and_3_construct_threads() {
+        // ~65 000 weights: several blocks of the statistic pass.
+        let el = kron(12, true);
+        let at = |threads| engine_on(&el, &ThreadPool::new(threads));
+        let one = at(1);
+        let delta = one.derived_delta();
+        assert!(delta > 0.0 && delta < 0.05, "Kronecker 12: {delta}");
+        for threads in [2, 3] {
+            let e = at(threads);
+            assert_eq!(e.derived_delta().to_bits(), delta.to_bits(), "t={threads}");
+            assert_eq!(e.average_weight(), one.average_weight(), "t={threads}");
         }
+    }
+
+    #[test]
+    fn unweighted_graph_keeps_unit_delta() {
+        let pool = ThreadPool::new(2);
+        let e = engine_on(&kron(8, false), &pool);
+        assert_eq!((e.derived_delta(), e.average_weight()), (1.0, None));
+    }
+
+    #[test]
+    fn int_weights_derive_delta_from_the_positive_mean() {
+        // Truncation sends every uniform (0,1] weight but one 1.7 to 0: the
+        // mean over all weights would be ~1e-4 and Δ ~1e-5, where the
+        // positive mean keeps 1.0 and Δ = 1 / (m/n).
+        let mut el = kron(9, true);
+        el.weights.as_mut().unwrap()[0] = 1.7;
+        let pool = ThreadPool::new(2);
+        let cfg = GapConfig { weight_repr: WeightRepr::Int, ..Default::default() };
+        let mut e = GapEngine::with_config(cfg);
+        e.load_edge_list(&el);
+        e.construct(&pool);
+        let (n, m) = (e.csr().num_vertices(), e.csr().num_edges());
+        assert_eq!(e.average_weight(), Some(1.0));
+        assert_eq!(e.derived_delta(), (n as f64 / m as f64) as f32);
+        let root = el.edges[0].0;
+        let out = e.run(Algorithm::Sssp, &RunParams::new(&pool, Some(root)));
+        let AlgorithmResult::Distances(d) = out.result else { panic!() };
+        let bits = |d: &[f32]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&d), bits(&oracle::dijkstra(e.csr(), root)));
     }
 
     #[test]

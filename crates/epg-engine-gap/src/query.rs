@@ -23,6 +23,8 @@ use epg_parallel::{CancelToken, ThreadPool};
 /// An immutable, shareable GAP engine answering concurrent point queries.
 pub struct GapQuery {
     config: GapConfig,
+    /// The Δ `construct` derived for the graph.
+    delta: f32,
     csr: Csr,
     /// The in-edges, `None` when `csr` is its own transpose.
     csr_t: Option<Csr>,
@@ -35,7 +37,7 @@ impl GapEngine {
     /// Panics if `construct` has not run.
     pub fn into_query(mut self) -> GapQuery {
         let csr = self.csr.take().expect("graph not constructed; call construct()");
-        GapQuery { config: self.config, csr, csr_t: self.csr_t.take() }
+        GapQuery { config: self.config, delta: self.delta, csr, csr_t: self.csr_t.take() }
     }
 }
 
@@ -106,7 +108,7 @@ impl QueryEngine for GapQuery {
                 cancel: params.cancel.clone(),
             };
             let csr_t = self.csr_t.as_ref().unwrap_or(&self.csr);
-            let out = dispatch(&self.csr, csr_t, &self.config, algo, &params);
+            let out = dispatch(&self.csr, csr_t, &self.config, self.delta, algo, &params);
             drop(guard);
             out
         })

@@ -6,8 +6,15 @@
 //! *every* out-edge relaxed once by an atomic fetch-min on the distance
 //! array, the improved neighbour filed in the relaxing worker's bin. There
 //! is no light/heavy split and no bucket fusion (GAP gained that in 2020,
-//! after the paper). Δ is a tunable (§V); `epg reproduce extensions`
-//! sweeps it.
+//! after the paper).
+//!
+//! Δ is a per-graph input, as GAP's `sssp -d` takes it (§V: Δ "may not be
+//! optimal for all graphs"). `construct` derives it once from the graph by
+//! [`WeightStats::delta`] — Meyer and Sanders' Δ = Θ(1/d) scaled by the
+//! weights: the mean positive weight over the mean out-degree m/n, 1.0 on a
+//! graph with no positive weight, and never below the largest weight
+//! / [`MAX_WEIGHT_BINS`]. `GapConfig::delta` pins it instead;
+//! `epg reproduce ablation_delta` sweeps it beside the derived value.
 
 use epg_engine_api::{AlgorithmResult, Dir, RunLog, RunOutput, RunParams, SsspKernel};
 use epg_graph::{Csr, VertexId, Weight, INF_DIST};
@@ -15,6 +22,107 @@ use epg_parallel::{AtomicF32, PerWorker, Schedule, ThreadPool};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::Ordering;
+
+/// The derived Δ is at least the largest weight over this many bins, so
+/// one outlier edge cannot spread a run over millions of bins.
+pub const MAX_WEIGHT_BINS: f32 = 1024.0;
+
+/// Weights per block of [`WeightStats::of`]'s pass. Blocks are fixed by the
+/// edge count alone and summed in block order, so the statistic, and Δ, are
+/// the same bits at every thread count.
+const STATS_BLOCK: usize = 1 << 14;
+
+/// Accumulators per block of [`WeightStats::of`]'s pass.
+const LANES: usize = 8;
+
+/// The weight statistic Δ is derived from: the sum and count of the
+/// positive weights and the largest weight. Zero weights are left out of
+/// the mean, so a graph whose weights `WeightRepr::Int` truncated mostly to
+/// zero keeps the mean of the weights that still carry a distance.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct WeightStats {
+    /// Sum of the positive weights.
+    positive_sum: f64,
+    /// How many weights are positive.
+    positive: u64,
+    /// The largest weight (0 when there is none).
+    max: f32,
+}
+
+impl WeightStats {
+    /// The statistic of `g`'s weights, one pass on `pool` (all zero when
+    /// `g` is unweighted).
+    pub fn of(g: &Csr, pool: &ThreadPool) -> WeightStats {
+        let Some(ws) = g.weights.as_deref() else { return WeightStats::default() };
+        let mut blocks = pool.parallel_reduce_ranges(
+            ws.len().div_ceil(STATS_BLOCK),
+            Schedule::Dynamic { chunk: 1 },
+            Vec::new,
+            |lo, hi| {
+                let block = |b: usize| &ws[b * STATS_BLOCK..ws.len().min((b + 1) * STATS_BLOCK)];
+                (lo..hi).map(|b| (b, WeightStats::of_slice(block(b)))).collect::<Vec<_>>()
+            },
+            |mut a, mut b| {
+                a.append(&mut b);
+                a
+            },
+        );
+        blocks.sort_unstable_by_key(|&(b, _)| b);
+        blocks.into_iter().map(|(_, s)| s).fold(WeightStats::default(), WeightStats::merge)
+    }
+
+    /// One block's statistic over [`LANES`] independent accumulators, so
+    /// no add waits on the one before; the lanes are folded in lane order.
+    fn of_slice(ws: &[Weight]) -> WeightStats {
+        let (mut sum, mut count, mut max) = ([0f64; LANES], [0u64; LANES], [0f32; LANES]);
+        let (chunks, tail) = ws.as_chunks::<LANES>();
+        let tail = std::array::from_fn::<_, LANES, _>(|i| tail.get(i).copied().unwrap_or(0.0));
+        for chunk in chunks.iter().chain([&tail]) {
+            for i in 0..LANES {
+                let w = chunk[i];
+                let positive = w > 0.0;
+                sum[i] += if positive { w as f64 } else { 0.0 };
+                count[i] += positive as u64;
+                max[i] = if w > max[i] { w } else { max[i] };
+            }
+        }
+        (0..LANES)
+            .map(|i| WeightStats { positive_sum: sum[i], positive: count[i], max: max[i] })
+            .fold(WeightStats::default(), WeightStats::merge)
+    }
+
+    fn merge(self, other: WeightStats) -> WeightStats {
+        WeightStats {
+            positive_sum: self.positive_sum + other.positive_sum,
+            positive: self.positive + other.positive,
+            max: self.max.max(other.max),
+        }
+    }
+
+    /// Mean of the positive weights; `None` when there is none.
+    pub fn mean(&self) -> Option<f32> {
+        (self.positive > 0).then(|| (self.positive_sum / self.positive as f64) as f32)
+    }
+
+    /// Δ for a graph of `n` vertices and `m` edges with these weights: the
+    /// mean positive weight over the mean out-degree m/n, at least
+    /// `max / MAX_WEIGHT_BINS`, and 1.0 (hop-sized bins) when no weight is
+    /// positive, unweighted graphs included.
+    pub fn delta(&self, n: usize, m: usize) -> f32 {
+        match self.mean() {
+            Some(mean) => {
+                let delta = (mean as f64 * n as f64 / m as f64) as f32;
+                delta.max(self.max / MAX_WEIGHT_BINS)
+            }
+            None => 1.0,
+        }
+    }
+}
+
+/// The Δ `construct` derives for `g` ([`WeightStats::delta`]).
+pub fn derived_delta(g: &Csr, pool: &ThreadPool) -> f32 {
+    WeightStats::of(g, pool).delta(g.num_vertices(), g.num_edges())
+}
 
 /// [`dispatch_kernel`] with default run parameters (no telemetry sink).
 pub fn run_kernel(
@@ -185,6 +293,12 @@ mod tests {
     use super::*;
     use epg_graph::{oracle, EdgeList};
 
+    fn bits(d: &[f32]) -> Vec<u32> {
+        d.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Δ-stepping's distances are Dijkstra's, bit for bit: each is the
+    /// least fold-left f32 path sum, whatever order it was found in.
     fn check_against_dijkstra(el: &EdgeList, root: VertexId, delta: f32) {
         let g = Csr::from_edge_list(el);
         let want = oracle::dijkstra(&g, root);
@@ -192,26 +306,82 @@ mod tests {
             let pool = ThreadPool::new(threads);
             let out = delta_stepping(&g, delta, &RunParams::new(&pool, Some(root)));
             let AlgorithmResult::Distances(d) = out.result else { panic!() };
-            for v in 0..want.len() {
-                if want[v].is_infinite() {
-                    assert!(d[v].is_infinite(), "t={threads}: vertex {v} should be unreachable");
-                } else {
-                    assert!(
-                        (d[v] - want[v]).abs() < 1e-3,
-                        "t={threads}: vertex {v}: {} vs {}",
-                        d[v],
-                        want[v]
-                    );
-                }
-            }
+            assert_eq!(bits(&d), bits(&want), "t={threads}, delta={delta}");
         }
     }
 
     #[test]
     fn matches_dijkstra_across_delta_values() {
         let el = epg_generator::uniform::generate(400, 4000, true, 11).symmetrized();
-        for delta in [0.05, 0.5, 2.0, 100.0] {
+        let derived = derived_delta(&Csr::from_edge_list(&el), &ThreadPool::new(1));
+        for delta in [0.05, 0.5, 2.0, 100.0, derived] {
             check_against_dijkstra(&el, 5, delta);
+        }
+    }
+
+    fn stats_of(el: &EdgeList) -> (WeightStats, usize, usize) {
+        let g = Csr::from_edge_list(el);
+        (WeightStats::of(&g, &ThreadPool::new(2)), g.num_vertices(), g.num_edges())
+    }
+
+    #[test]
+    fn delta_is_the_mean_positive_weight_over_the_mean_degree() {
+        // 4 vertices, 6 edges, weights 0, 0, 1, 2, 3, 6: the zeros leave
+        // the mean (3, not 2), and m/n = 1.5, so Δ = 2.
+        let el = EdgeList::weighted(
+            4,
+            vec![(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)],
+            vec![0.0, 0.0, 1.0, 2.0, 3.0, 6.0],
+        );
+        let (s, n, m) = stats_of(&el);
+        assert_eq!((s.positive_sum, s.positive, s.max), (12.0, 4, 6.0));
+        assert_eq!(s.mean(), Some(3.0));
+        assert_eq!(s.delta(n, m), 2.0);
+    }
+
+    #[test]
+    fn graphs_without_a_positive_weight_get_unit_delta() {
+        // All-zero weights, no edge at all (with and without vertices), and
+        // no weights: hop-sized bins.
+        let zero = epg_generator::adversarial::max_dense_zero(12);
+        let no_edges = EdgeList::weighted(5, Vec::new(), Vec::new());
+        let empty = EdgeList::weighted(0, Vec::new(), Vec::new());
+        let unweighted = EdgeList::new(4, vec![(0, 1), (1, 2), (2, 3)]);
+        for (name, el) in
+            [("zero", zero), ("m = 0", no_edges), ("n = 0", empty), ("hops", unweighted)]
+        {
+            let (s, n, m) = stats_of(&el);
+            assert_eq!(s.mean(), None, "{name}");
+            assert_eq!(s.delta(n, m), 1.0, "{name}");
+        }
+    }
+
+    #[test]
+    fn an_outlier_weight_cannot_spread_the_run_over_more_bins_than_the_floor() {
+        // A 64-clique of 1e-3 weights and one edge of weight 100 out of it:
+        // the mean rule alone gives Δ ≈ 8e-4 and ~120 000 bins for the far
+        // vertex; the floor max / MAX_WEIGHT_BINS keeps them at ~1 024.
+        let k = 64u32;
+        let mut edges: Vec<_> =
+            (0..k).flat_map(|u| (0..k).filter(move |&v| v != u).map(move |v| (u, v))).collect();
+        let mut weights = vec![1e-3f32; edges.len()];
+        edges.push((0, k));
+        weights.push(100.0);
+        let el = EdgeList::weighted(k as usize + 1, edges, weights);
+        let (s, n, m) = stats_of(&el);
+        let unfloored = s.mean().unwrap() as f64 * n as f64 / m as f64;
+        assert!(unfloored < 1e-3, "the mean rule alone gives {unfloored}");
+        let delta = s.delta(n, m);
+        assert_eq!(delta, 100.0 / MAX_WEIGHT_BINS);
+        check_against_dijkstra(&el, 0, delta);
+        let g = Csr::from_edge_list(&el);
+        for threads in [1, 2] {
+            let pool = ThreadPool::new(threads);
+            let mut workers = PerWorker::new(threads, Worker::default);
+            delta_stepping_with(&g, delta, &RunParams::new(&pool, Some(0)), &mut workers);
+            for w in workers.iter_mut() {
+                assert!(w.bins.len() <= MAX_WEIGHT_BINS as usize + 2, "{} bins", w.bins.len());
+            }
         }
     }
 

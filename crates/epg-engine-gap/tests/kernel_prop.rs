@@ -1,19 +1,18 @@
 //! Kernel-equality property tests for the raw-speed SSSP tier.
 //!
 //! On arbitrary graphs — random uniform graphs plus the adversarial
-//! families built to break naive shortest-path solvers — the three
-//! label-setting solvers (binary-heap Dijkstra oracle, radix-heap
-//! Dijkstra, BMSSP) must produce *bit-identical* distance arrays: they
-//! all compute `min` over the same fold-left f32 path sums, so there is
-//! no tolerance to hide behind. Δ-stepping may relax edges in a
-//! different order, so it gets a small absolute tolerance instead. All
-//! kernels are exercised across thread counts to catch scheduling
-//! sensitivity. A golden table pins the edges each kernel relaxes on the
-//! adversarial corpus: a noise-free counter, so a change is algorithmic.
+//! families built to break naive shortest-path solvers — every kernel
+//! (the binary-heap Dijkstra oracle, radix-heap Dijkstra, BMSSP and
+//! Δ-stepping at fixed and derived Δ) must produce *bit-identical*
+//! distance arrays: each distance is the least fold-left f32 path sum,
+//! whichever order the kernel finds the paths in, so there is no
+//! tolerance to hide behind. All kernels are exercised across thread
+//! counts to catch scheduling sensitivity. A golden table pins the edges
+//! each kernel relaxes on the adversarial corpus: a noise-free counter,
+//! so a change is algorithmic.
 
 use epg_engine_api::{AlgorithmResult, SsspKernel};
-use epg_engine_gap::sssp::run_kernel;
-use epg_engine_gap::GapConfig;
+use epg_engine_gap::sssp::{derived_delta, run_kernel};
 use epg_graph::{oracle, Csr, EdgeList, VertexId};
 use epg_parallel::ThreadPool;
 use proptest::prelude::*;
@@ -35,8 +34,13 @@ fn arb_graph() -> impl Strategy<Value = EdgeList> {
     ]
 }
 
-fn distances(kernel: SsspKernel, g: &Csr, root: VertexId, pool: &ThreadPool) -> Vec<f32> {
-    let delta = GapConfig::default().delta;
+fn distances(
+    kernel: SsspKernel,
+    g: &Csr,
+    root: VertexId,
+    delta: f32,
+    pool: &ThreadPool,
+) -> Vec<f32> {
     let out = run_kernel(kernel, g, root, pool, delta);
     let AlgorithmResult::Distances(d) = out.result else {
         panic!("{}: wrong result kind", kernel.name())
@@ -45,19 +49,25 @@ fn distances(kernel: SsspKernel, g: &Csr, root: VertexId, pool: &ThreadPool) -> 
 }
 
 /// Edges relaxed from root 0 on each adversarial `test_corpus()` graph
-/// (seed 42, default Δ), as (family, delta, radix, bmssp).
+/// (seed 42, Δ-stepping at the Δ `construct` derives), as (family, delta,
+/// radix, bmssp).
 ///
 /// Δ-stepping relaxes every out-edge of a vertex each time it is popped
 /// non-stale, so its column is Σ out-degree over pops, and a bin-granular
-/// stale check passes every copy of a vertex filed twice in one bin: the
-/// `spfa_killer` spine vertices whose direct edge and detour land less
-/// than Δ apart (180 + 32), and the `wrong_dijkstra_killer` hub, filed in
-/// its final bin 21 times with a fan of 60 (140 + 20 × 60). On
-/// `grid_swirl`, `almost_line` and `max_dense_zero` each vertex is popped
-/// once and the column is m, like radix's.
+/// stale check passes every copy of a vertex filed twice in one bin. Per
+/// row, with the derived Δ (the column read 212, 1340, 528, 231 and 1560
+/// at the fixed 0.05 used before):
+/// - `spfa_killer`, Δ = 0.271 (0.05 before): more spine vertices have
+///   their direct edge and their detour land in one bin, 180 + 130 (was
+///   180 + 32);
+/// - `wrong_dijkstra_killer`, Δ = 8.35: the hub is filed in its final bin
+///   40 times with a fan of 60, 140 + 39 × 60 (was 21 times, 140 + 20 × 60);
+/// - `grid_swirl` (Δ = 0.149) and `almost_line` (Δ = 4.99): each vertex is
+///   still popped once, so the column is m, like radix's;
+/// - `max_dense_zero`: no positive weight, so Δ = 1; one pop per vertex, m.
 const EDGES_RELAXED: [(&str, u64, u64, u64); 5] = [
-    ("spfa_killer", 212, 180, 750),
-    ("wrong_dijkstra_killer", 1340, 140, 725),
+    ("spfa_killer", 310, 180, 750),
+    ("wrong_dijkstra_killer", 2480, 140, 725),
     ("grid_swirl", 528, 528, 2618),
     ("almost_line", 231, 231, 971),
     ("max_dense_zero", 1560, 1560, 8596),
@@ -67,12 +77,12 @@ const EDGES_RELAXED: [(&str, u64, u64, u64); 5] = [
 fn adversarial_corpus_work_matches_the_golden_table() {
     // One thread: Δ-stepping's relaxation count must not depend on scheduling.
     let pool = ThreadPool::new(1);
-    let delta = GapConfig::default().delta;
     let corpus = epg_generator::GraphSpec::test_corpus();
     assert_eq!(EDGES_RELAXED.map(|row| row.0), epg_generator::GraphSpec::ADVERSARIAL_FAMILIES);
     for (family, want_delta, want_radix, want_bmssp) in EDGES_RELAXED {
         let spec = corpus.iter().find(|s| s.family() == family).expect("family in test corpus");
         let g = Csr::from_edge_list(&spec.generate(42));
+        let delta = derived_delta(&g, &pool);
         for (kernel, want) in [
             (SsspKernel::DeltaStepping, want_delta),
             (SsspKernel::RadixHeap, want_radix),
@@ -99,7 +109,7 @@ proptest! {
         let pool = ThreadPool::new(threads);
         let want = oracle::dijkstra(&g, root);
         for kernel in [SsspKernel::RadixHeap, SsspKernel::Bmssp] {
-            let d = distances(kernel, &g, root, &pool);
+            let d = distances(kernel, &g, root, 1.0, &pool);
             prop_assert_eq!(d.len(), want.len());
             for v in 0..want.len() {
                 prop_assert_eq!(
@@ -112,28 +122,27 @@ proptest! {
     }
 
     #[test]
-    fn delta_stepping_matches_within_tolerance(
+    fn delta_stepping_is_bit_identical(
         el in arb_graph(),
         threads in (0usize..4).prop_map(|i| [1usize, 2, 4, 8][i]),
-        delta in (0usize..4).prop_map(|i| [0.05f32, 0.5, 2.0, 1e6][i]),
+        delta_pick in 0usize..5,
         root_pick in 0u32..1000,
     ) {
         let g = Csr::from_edge_list(&el);
         prop_assert!(g.num_vertices() > 0);
         let root = root_pick % g.num_vertices() as u32;
         let pool = ThreadPool::new(threads);
+        // Four fixed widths and the one `construct` derives for the graph.
+        let delta = [0.05f32, 0.5, 2.0, 1e6].get(delta_pick).copied()
+            .unwrap_or_else(|| derived_delta(&g, &pool));
         let want = oracle::dijkstra(&g, root);
-        let out = run_kernel(SsspKernel::DeltaStepping, &g, root, &pool, delta);
-        let AlgorithmResult::Distances(d) = out.result else { panic!() };
+        let d = distances(SsspKernel::DeltaStepping, &g, root, delta, &pool);
+        prop_assert_eq!(d.len(), want.len());
         for v in 0..want.len() {
-            if want[v].is_infinite() {
-                prop_assert!(d[v].is_infinite(), "t={} v{} should be unreachable", threads, v);
-            } else {
-                prop_assert!(
-                    (d[v] - want[v]).abs() < 1e-3,
-                    "t={} delta={} v{}: {} vs {}", threads, delta, v, d[v], want[v]
-                );
-            }
+            prop_assert_eq!(
+                d[v].to_bits(), want[v].to_bits(),
+                "t={} delta={} v{}: {} vs {}", threads, delta, v, d[v], want[v]
+            );
         }
     }
 }

@@ -536,19 +536,24 @@ pub(super) fn fig9_table3(ctx: &mut Ctx) -> io::Result<()> {
     ctx.write_artefact("fig9_ram_power.svg", &svg)
 }
 
+/// A GAP engine with its default configuration, constructed on `ds`.
+fn gap_on(ds: &Dataset, pool: &ThreadPool) -> GapEngine {
+    let mut engine = GapEngine::new();
+    construct(&mut engine, EngineKind::Gap, ds, pool);
+    engine
+}
+
 /// Mean (edges traversed, iterations, seconds) of `algo` on a GAP engine
-/// configured by `cfg`, over the first `max_roots` roots of `ds` — averaged
-/// over the roots that ran, which are fewer than asked for when the
-/// dataset samples fewer.
+/// constructed on `ds`, under its current configuration, over the first
+/// `max_roots` roots of `ds` — averaged over the roots that ran, which are
+/// fewer than asked for when the dataset samples fewer.
 fn gap_root_means(
-    cfg: GapConfig,
+    engine: &mut GapEngine,
     algo: Algorithm,
     ds: &Dataset,
     pool: &ThreadPool,
     max_roots: usize,
 ) -> (u64, u32, f64) {
-    let mut engine = GapEngine::with_config(cfg);
-    construct(&mut engine, EngineKind::Gap, ds, pool);
     let roots = &ds.roots[..max_roots.min(ds.roots.len())];
     let ((edges, iterations), secs) = timed(|| {
         roots.iter().fold((0u64, 0u32), |(edges, iterations), &root| {
@@ -562,21 +567,30 @@ fn gap_root_means(
 
 /// Small Δ approaches Dijkstra (many buckets, little parallelism per
 /// bucket); huge Δ approaches Bellman-Ford (one bucket, wasted
-/// relaxations). The sweet spot depends on the weight distribution.
+/// relaxations). The sweet spot depends on the weight distribution, so the
+/// sweep ends with the Δ `construct` derives from the graph.
 pub(super) fn ablation_delta(ctx: &mut Ctx) -> io::Result<()> {
     let ds = ctx.kron(22, 13, true)?;
     let pool = ThreadPool::new(ctx.opts.threads);
-    say!(ctx, "delta       edge relaxations       buckets    time (s)");
-    for delta in [0.01f32, 0.05, 0.1, 0.25, 0.5, 1.0, 4.0, 1000.0] {
-        let cfg = GapConfig { delta, ..Default::default() };
+    let mut engine = gap_on(&ds, &pool);
+    let derived = format!("derived ({:.4})", engine.derived_delta());
+    let mut row = |ctx: &mut Ctx, label: String, delta| -> io::Result<()> {
+        engine.config.delta = delta;
         let (relaxed, buckets, secs) =
-            gap_root_means(cfg, Algorithm::Sssp, &ds, &pool, ctx.opts.roots);
-        say!(ctx, "{delta:<12}{relaxed:>16}{buckets:>14}{secs:>12.5}");
+            gap_root_means(&mut engine, Algorithm::Sssp, &ds, &pool, ctx.opts.roots);
+        say!(ctx, "{label:<18}{relaxed:>16}{buckets:>14}{secs:>12.5}");
+        Ok(())
+    };
+    say!(ctx, "delta             edge relaxations       buckets    time (s)");
+    for delta in [0.01f32, 0.05, 0.1, 0.25, 0.5, 1.0, 4.0, 1000.0] {
+        row(ctx, delta.to_string(), Some(delta))?;
     }
+    row(ctx, derived, None)?;
     say!(
         ctx,
         "\nsmall delta => many buckets (serial bottleneck); huge delta => few\n\
-         buckets but re-relaxation waste. GAP ships delta tunable per graph (§V)."
+         buckets but re-relaxation waste. GAP takes delta per graph (§V); the\n\
+         derived row is mean positive weight / mean out-degree."
     );
     Ok(())
 }
@@ -588,6 +602,7 @@ pub(super) fn ablation_delta(ctx: &mut Ctx) -> io::Result<()> {
 pub(super) fn ablation_dobfs(ctx: &mut Ctx) -> io::Result<()> {
     let ds = ctx.kron(22, 13, false)?;
     let pool = ThreadPool::new(ctx.opts.threads);
+    let mut engine = gap_on(&ds, &pool);
     let top_down = GapConfig { direction_optimizing: false, ..Default::default() };
     let mut configs = vec![
         ("top-down only".to_string(), top_down),
@@ -600,7 +615,9 @@ pub(super) fn ablation_dobfs(ctx: &mut Ctx) -> io::Result<()> {
     say!(ctx, "configuration                edges traversed    time (s)     steps");
     let mut edges_by_config = Vec::new();
     for (label, cfg) in configs {
-        let (edges, steps, secs) = gap_root_means(cfg, Algorithm::Bfs, &ds, &pool, ctx.opts.roots);
+        engine.config = cfg;
+        let (edges, steps, secs) =
+            gap_root_means(&mut engine, Algorithm::Bfs, &ds, &pool, ctx.opts.roots);
         say!(ctx, "{label:<28}{edges:>16}{secs:>12.5}{steps:>10}");
         edges_by_config.push(edges);
     }
@@ -820,8 +837,8 @@ pub(super) fn extensions(ctx: &mut Ctx) -> io::Result<()> {
     say!(ctx, "\n== GAP heuristic parameter tuning ==");
     let mut e = GapEngine::new();
     construct(&mut e, EngineKind::Gap, &ds, &pool);
-    let (alpha, beta, delta) = (e.config.alpha, e.config.beta, e.config.delta);
-    say!(ctx, "defaults: alpha={alpha}, beta={beta}, delta={delta}");
+    let (alpha, beta, delta) = (e.config.alpha, e.config.beta, e.derived_delta());
+    say!(ctx, "defaults: alpha={alpha}, beta={beta}, delta={delta:.4} (derived)");
     let report = e.auto_tune(&pool, &ds.roots);
     say!(ctx, "tuned:    alpha={}, beta={}, delta={:.4}", report.alpha, report.beta, report.delta);
     say!(ctx, "delta probes (delta, work cost):");
@@ -846,7 +863,8 @@ mod tests {
     fn root_means_divide_by_the_roots_that_ran() {
         let ds = Dataset::from_spec(&PaperDatasets::kronecker(7, false), 3);
         let pool = ThreadPool::new(1);
-        let means = |roots| gap_root_means(GapConfig::default(), Algorithm::Bfs, &ds, &pool, roots);
+        let mut engine = gap_on(&ds, &pool);
+        let mut means = |roots| gap_root_means(&mut engine, Algorithm::Bfs, &ds, &pool, roots);
         let (all, more_than_all) = (means(ds.roots.len()), means(2 * ds.roots.len()));
         assert!(all.0 > 0 && all.1 > 0);
         assert_eq!((all.0, all.1), (more_than_all.0, more_than_all.1));
