@@ -9,7 +9,9 @@
 //!   explicitly notes it ran GAP untuned, §IV-C);
 //! - **Δ-stepping SSSP** over thread-local bins, every out-edge of a popped
 //!   vertex relaxed by an atomic fetch-min (GAP's `sssp.cc`, before bucket
-//!   fusion);
+//!   fusion). Unlike `sssp.cc`, a vertex lowered within a bin that is still
+//!   waiting its turn is not filed there twice: its first entry pops and
+//!   relaxes from the lower distance, so no distance moves;
 //! - pull-mode PageRank as `pr.cc` runs it (one contribution per vertex,
 //!   then a pull that updates scores in place and sums the error), with
 //!   the homogenized L1 stopping criterion.

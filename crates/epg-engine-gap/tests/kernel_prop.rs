@@ -53,21 +53,28 @@ fn distances(
 /// radix, bmssp).
 ///
 /// Δ-stepping relaxes every out-edge of a vertex each time it is popped
-/// non-stale, so its column is Σ out-degree over pops, and a bin-granular
-/// stale check passes every copy of a vertex filed twice in one bin. Per
-/// row, with the derived Δ (the column read 212, 1340, 528, 231 and 1560
-/// at the fixed 0.05 used before):
-/// - `spfa_killer`, Δ = 0.271 (0.05 before): more spine vertices have
-///   their direct edge and their detour land in one bin, 180 + 130 (was
-///   180 + 32);
-/// - `wrong_dijkstra_killer`, Δ = 8.35: the hub is filed in its final bin
-///   40 times with a fan of 60, 140 + 39 × 60 (was 21 times, 140 + 20 × 60);
+/// non-stale, so its column is Σ out-degree over pops. A vertex improved
+/// into a bin that has not been popped yet, where its earlier entry still
+/// waits, is not filed again; one improved into the bin being drained is,
+/// and every copy passes the bin-granular stale check. So the column is m
+/// plus the out-degrees of the vertices re-filed into the bin being
+/// drained. Per row, with the derived Δ (the column read 212, 1340, 528,
+/// 231 and 1560 at the fixed 0.05 used before, and 310 and 2480 on the
+/// first two rows while a vertex was filed at every improvement):
+/// - `spfa_killer`, Δ = 0.271: 180 + 41 (was 180 + 130): a spine vertex
+///   whose direct edge and detour land in one bin ahead is filed there
+///   once, not twice; the 41 are vertices improved again inside the bin
+///   being drained;
+/// - `wrong_dijkstra_killer`, Δ = 8.35: every chain vertex lowers the hub
+///   into bin 4. It is filed there once from bin 0, then again by each of
+///   the 7 chain vertices drained with it in bin 4: 8 pops with a fan of
+///   60, 140 + 7 × 60 (was 40 pops, 140 + 39 × 60);
 /// - `grid_swirl` (Δ = 0.149) and `almost_line` (Δ = 4.99): each vertex is
 ///   still popped once, so the column is m, like radix's;
 /// - `max_dense_zero`: no positive weight, so Δ = 1; one pop per vertex, m.
 const EDGES_RELAXED: [(&str, u64, u64, u64); 5] = [
-    ("spfa_killer", 310, 180, 750),
-    ("wrong_dijkstra_killer", 2480, 140, 725),
+    ("spfa_killer", 221, 180, 750),
+    ("wrong_dijkstra_killer", 560, 140, 725),
     ("grid_swirl", 528, 528, 2618),
     ("almost_line", 231, 231, 971),
     ("max_dense_zero", 1560, 1560, 8596),

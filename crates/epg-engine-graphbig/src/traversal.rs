@@ -86,7 +86,7 @@ pub fn sssp(g: &PropertyGraph, params: &RunParams<'_>) -> RunOutput {
                 *max_degree = (*max_degree).max(g.out_degree(u) as u64);
                 for (v, w) in g.neighbors(u) {
                     *edges += 1;
-                    if dist[v as usize].fetch_min(du + w, Ordering::Relaxed) {
+                    if dist[v as usize].fetch_min(du + w, Ordering::Relaxed).is_some() {
                         mine.set(v as usize);
                     }
                 }

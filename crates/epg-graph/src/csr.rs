@@ -25,6 +25,26 @@ pub struct Csr {
     pub weights: Option<Vec<Weight>>,
 }
 
+/// One row of [`Csr::neighbors_weighted`]: its targets zipped with its
+/// weights, or with 1.0 for every edge of an unweighted graph. The variant
+/// is chosen once per row, so a loop over the row is a loop over slices.
+enum WeightedRow<'a> {
+    Given(std::iter::Zip<std::slice::Iter<'a, VertexId>, std::slice::Iter<'a, Weight>>),
+    Unit(std::slice::Iter<'a, VertexId>),
+}
+
+impl Iterator for WeightedRow<'_> {
+    type Item = (VertexId, Weight);
+
+    #[inline]
+    fn next(&mut self) -> Option<(VertexId, Weight)> {
+        match self {
+            WeightedRow::Given(row) => row.next().map(|(&v, &w)| (v, w)),
+            WeightedRow::Unit(row) => row.next().map(|&v| (v, 1.0)),
+        }
+    }
+}
+
 /// Fixed per-worker partition used by the two-pass kernels: worker `w` of
 /// `nworkers` owns `[w·B, (w+1)·B) ∩ [0, len)` with `B = ceil(len/nworkers)`.
 /// The split depends only on `len` and `nworkers` — never on scheduler
@@ -433,11 +453,18 @@ impl Csr {
         &self.targets[self.offsets[v as usize]..self.offsets[v as usize + 1]]
     }
 
-    /// Neighbors of `v` with weights (1.0 when unweighted).
+    /// Neighbors of `v` with weights (1.0 when unweighted): the row's
+    /// slice of `targets` walked in lockstep with its slice of `weights`,
+    /// so bounds and the weights' presence are checked once per row, not
+    /// once per edge.
+    #[inline]
     pub fn neighbors_weighted(&self, v: VertexId) -> impl Iterator<Item = (VertexId, Weight)> + '_ {
-        let range = self.offsets[v as usize]..self.offsets[v as usize + 1];
-        let ws = self.weights.as_deref();
-        range.map(move |i| (self.targets[i], ws.map_or(1.0, |w| w[i])))
+        let row = self.offsets[v as usize]..self.offsets[v as usize + 1];
+        let targets = self.targets[row.clone()].iter();
+        match self.weights.as_deref() {
+            Some(ws) => WeightedRow::Given(targets.zip(&ws[row])),
+            None => WeightedRow::Unit(targets),
+        }
     }
 
     /// Builds the transposed graph (in-edges become out-edges). `O(V + E)`.

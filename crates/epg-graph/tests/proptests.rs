@@ -45,6 +45,24 @@ proptest! {
     }
 
     #[test]
+    fn neighbors_weighted_zips_each_row_with_its_weights(
+        el in prop_oneof![arb_graph(), arb_weighted_graph()],
+    ) {
+        let g = Csr::from_edge_list(&el);
+        for v in 0..g.num_vertices() as VertexId {
+            let row = g.offsets[v as usize]..g.offsets[v as usize + 1];
+            let targets = g.neighbors(v).iter().copied();
+            let want: Vec<(VertexId, u32)> = match &g.weights {
+                Some(ws) => targets.zip(ws[row].iter().map(|w| w.to_bits())).collect(),
+                None => targets.map(|u| (u, 1f32.to_bits())).collect(),
+            };
+            let got: Vec<(VertexId, u32)> =
+                g.neighbors_weighted(v).map(|(u, w)| (u, w.to_bits())).collect();
+            prop_assert_eq!(got, want, "vertex {}", v);
+        }
+    }
+
+    #[test]
     fn transpose_is_involution(el in arb_weighted_graph()) {
         let g = Csr::from_edge_list(&el);
         let mut tt = g.transpose().transpose();

@@ -59,18 +59,20 @@ impl AtomicF32 {
         }
     }
 
-    /// Atomically lowers the value to `min(self, v)`, returning whether the
-    /// stored value decreased. This is the SSSP relaxation primitive.
+    /// Atomically lowers the value to `min(self, v)`, returning the value
+    /// `v` displaced, or `None` when the stored value did not decrease.
+    /// This is the SSSP relaxation primitive; the displaced value tells
+    /// Δ-stepping which bin the vertex was filed in before.
     #[inline]
-    pub fn fetch_min(&self, v: f32, order: Ordering) -> bool {
+    pub fn fetch_min(&self, v: f32, order: Ordering) -> Option<f32> {
         let mut cur = self.bits.load(Ordering::Relaxed);
         loop {
             if f32::from_bits(cur) <= v {
-                return false;
+                return None;
             }
             match self.bits.compare_exchange_weak(cur, v.to_bits(), order, cas_failure_order(order))
             {
-                Ok(_) => return true,
+                Ok(prev) => return Some(f32::from_bits(prev)),
                 Err(actual) => cur = actual,
             }
         }
@@ -140,9 +142,9 @@ mod tests {
         let a = AtomicF32::new(1.0);
         assert_eq!(a.fetch_add(2.5, Ordering::Relaxed), 1.0);
         assert_eq!(a.load(Ordering::Relaxed), 3.5);
-        assert!(a.fetch_min(2.0, Ordering::Relaxed));
-        assert!(!a.fetch_min(2.0, Ordering::Relaxed));
-        assert!(!a.fetch_min(9.0, Ordering::Relaxed));
+        assert_eq!(a.fetch_min(2.0, Ordering::Relaxed), Some(3.5));
+        assert_eq!(a.fetch_min(2.0, Ordering::Relaxed), None);
+        assert_eq!(a.fetch_min(9.0, Ordering::Relaxed), None);
         assert_eq!(a.load(Ordering::Relaxed), 2.0);
     }
 
@@ -171,7 +173,7 @@ mod tests {
     #[test]
     fn f32_min_from_infinity() {
         let a = AtomicF32::new(f32::INFINITY);
-        assert!(a.fetch_min(7.0, Ordering::Relaxed));
+        assert_eq!(a.fetch_min(7.0, Ordering::Relaxed), Some(f32::INFINITY));
         assert_eq!(a.load(Ordering::Relaxed), 7.0);
     }
 

@@ -2,6 +2,13 @@
 # Scores a test suite by hand-written source mutants.
 #
 # usage: scripts/mutants.sh TREE WORK MUTANTS -- TEST-COMMAND...
+#        scripts/mutants.sh --check TREE MUTANTS
+#
+# With --check nothing is copied, built or run: every mutant of MUTANTS is
+# applied to TREE's file in memory, each one whose text TREE lacks is
+# printed as `id  absent`, and the exit status is 1 when there is one. A
+# refactor that removes a mutant's text would otherwise leave the row
+# reading `absent`, no longer scored.
 #
 # Copies the source tree TREE (without `target/` and `.git/`) to WORK/src,
 # checks that TEST-COMMAND passes there, then applies each mutant of the
@@ -26,29 +33,6 @@
 # the verdicts.
 set -eu
 
-if [ $# -lt 5 ] || [ "$4" != "--" ]; then
-    echo "usage: $0 TREE WORK MUTANTS -- TEST-COMMAND..." >&2
-    exit 2
-fi
-tree=$(cd "$1" && pwd)
-mkdir -p "$2"
-work=$(cd "$2" && pwd)
-mutants=$(cd "$(dirname "$3")" && pwd)/$(basename "$3")
-shift 4
-
-rm -rf "$work/src"
-mkdir -p "$work/src" "$work/logs"
-# `-m` stamps every file now: a target left by an earlier run (a mutant
-# built last) is then rebuilt, not reused as up to date.
-(cd "$tree" && tar --exclude=./target --exclude=./.git -cf - .) | (cd "$work/src" && tar -xmf -)
-cd "$work/src"
-export CARGO_TARGET_DIR="$work/target"
-
-if ! "$@" >"$work/logs/baseline.log" 2>&1; then
-    echo "$0: the tests fail before any mutant; see $work/logs/baseline.log" >&2
-    exit 1
-fi
-
 # The n-th occurrence of ORIGINAL in stdin replaced by REPLACEMENT; exits 1
 # when there are fewer than n. ENVIRON keeps backslashes literal.
 substitute() {
@@ -72,6 +56,44 @@ substitute() {
 }
 
 tab=$(printf '\t')
+
+if [ $# = 3 ] && [ "$1" = "--check" ]; then
+    status=0
+    while IFS="$tab" read -r id file nth original replacement; do
+        case "$id" in '' | '#'*) continue ;; esac
+        if ! NTH=$nth ORIGINAL=$original REPLACEMENT=$replacement substitute \
+            <"$2/$file" >/dev/null; then
+            printf '%s\tabsent\n' "$id"
+            status=1
+        fi
+    done <"$3"
+    exit $status
+fi
+
+if [ $# -lt 5 ] || [ "$4" != "--" ]; then
+    echo "usage: $0 TREE WORK MUTANTS -- TEST-COMMAND..." >&2
+    echo "       $0 --check TREE MUTANTS" >&2
+    exit 2
+fi
+tree=$(cd "$1" && pwd)
+mkdir -p "$2"
+work=$(cd "$2" && pwd)
+mutants=$(cd "$(dirname "$3")" && pwd)/$(basename "$3")
+shift 4
+
+rm -rf "$work/src"
+mkdir -p "$work/src" "$work/logs"
+# `-m` stamps every file now: a target left by an earlier run (a mutant
+# built last) is then rebuilt, not reused as up to date.
+(cd "$tree" && tar --exclude=./target --exclude=./.git -cf - .) | (cd "$work/src" && tar -xmf -)
+cd "$work/src"
+export CARGO_TARGET_DIR="$work/target"
+
+if ! "$@" >"$work/logs/baseline.log" 2>&1; then
+    echo "$0: the tests fail before any mutant; see $work/logs/baseline.log" >&2
+    exit 1
+fi
+
 while IFS="$tab" read -r id file nth original replacement; do
     case "$id" in '' | '#'*) continue ;; esac
     cp "$file" "$work/pristine"
