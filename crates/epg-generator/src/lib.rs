@@ -391,6 +391,39 @@ mod tests {
         }
     }
 
+    /// The block-seeded stream the harness and the benchmark generate
+    /// from is pinned too, at 1 and 2 threads. 9 216 edges are one full
+    /// `GEN_BLOCK` and a 1 024-edge tail.
+    #[test]
+    fn parallel_fingerprints_are_seed_stable() {
+        let golden = [
+            (
+                GraphSpec::Kronecker { scale: 10, edge_factor: 9, weighted: true },
+                0x0e70b260d2a6d001,
+            ),
+            (
+                GraphSpec::Kronecker { scale: 10, edge_factor: 9, weighted: false },
+                0x0dbf523758cd02d4,
+            ),
+            (
+                GraphSpec::Uniform { num_vertices: 1000, num_edges: 9216, weighted: true },
+                0xa0bbfc7867339a29,
+            ),
+        ];
+        for (spec, want) in golden {
+            for nthreads in [1, 2] {
+                let el = spec.generate_parallel(42, &epg_parallel::ThreadPool::new(nthreads));
+                assert_eq!(
+                    fingerprint(&el),
+                    want,
+                    "{} at {nthreads} threads: parallel stream drifted (fingerprint {:#018x})",
+                    spec.name(),
+                    fingerprint(&el)
+                );
+            }
+        }
+    }
+
     #[test]
     fn corpus_names_are_distinct() {
         let corpus = GraphSpec::test_corpus();
