@@ -777,11 +777,7 @@ mod tests {
         let csr = epg_graph::Csr::from_edge_list(&el);
         let want = epg_graph::oracle::dijkstra(&csr, 0);
         for v in 0..n {
-            if want[v].is_infinite() {
-                assert!(dist[v].is_infinite());
-            } else {
-                assert!((dist[v] - want[v]).abs() < 1e-3, "vertex {v}");
-            }
+            assert_eq!(dist[v].to_bits(), want[v].to_bits(), "vertex {v}");
         }
     }
 

@@ -7,10 +7,19 @@
 //! scrambled by a pseudorandom permutation so that vertex id gives no hint
 //! of degree. Weighted variants draw uniform (0,1] weights, as the SSSP
 //! extension of Graph500 does.
+//!
+//! Each level's quadrant choice compares a 53-bit integer draw `k` with an
+//! integer threshold `t = ⌊p·2^53⌋` instead of comparing the float
+//! `k·2^-53` with the probability `p`. Both sides of the float compare are
+//! exact (`k < 2^53`, and scaling by a power of two loses no bits), so
+//! `k·2^-53 > p` holds exactly when `k > p·2^53`, which for an integer `k`
+//! is `k > t`: every level picks the same bit, and every edge and weight
+//! comes out as it did from the float compare, only without the
+//! int-to-float conversion on each of the `2·scale` draws per edge.
 
 use epg_graph::{EdgeList, VertexId, Weight};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 /// Kronecker generator parameters.
 #[derive(Clone, Debug, PartialEq)]
@@ -77,15 +86,40 @@ fn scramble(v: u64, scale: u32, key: u64) -> u64 {
     x & mask
 }
 
-/// Validates the config and precomputes the conditional quadrant
-/// probabilities `(ab, a_norm, c_norm)`.
-fn prepare(cfg: &KroneckerConfig) -> (f64, f64, f64) {
+/// The conditional quadrant probabilities of one recursion level as
+/// 53-bit integer thresholds: the row bit is set when a draw exceeds `ab`,
+/// the column bit when it exceeds `col[row]`.
+#[derive(Clone, Copy)]
+struct Thresholds {
+    ab: u64,
+    col: [u64; 2],
+}
+
+impl Thresholds {
+    /// One level's `(row, column)` bits from two 53-bit draws: the column
+    /// threshold is indexed by the row bit.
+    #[inline]
+    fn quadrant(&self, k_row: u64, k_col: u64) -> (bool, bool) {
+        let row = k_row > self.ab;
+        (row, k_col > self.col[row as usize])
+    }
+}
+
+/// `⌊p·2^53⌋`. For `p` in `[0, 1)` the product is exact in `f64`, so the
+/// cast is exactly the floor.
+fn threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64) as u64
+}
+
+/// Validates the config and precomputes the thresholds of the conditional
+/// quadrant probabilities `a+b`, `a/(a+b)` and `c/(c+d)`.
+fn prepare(cfg: &KroneckerConfig) -> Thresholds {
     assert!(cfg.scale >= 1 && cfg.scale <= 32, "scale out of range");
     let (a, b, c, d) = (cfg.a, cfg.b, cfg.c, cfg.d());
     // D is defined as 1-(A+B+C), so positivity of all four is the whole
     // well-formedness condition.
     assert!(a > 0.0 && b > 0.0 && c > 0.0 && d > 0.0, "initiator must be positive");
-    (a + b, a / (a + b), c / (c + d))
+    Thresholds { ab: threshold(a + b), col: [threshold(a / (a + b)), threshold(c / (c + d))] }
 }
 
 /// Draws one edge from `rng`: `scale` levels of the 2x2 recursion, then the
@@ -96,14 +130,15 @@ fn draw_edge(
     rng: &mut StdRng,
     cfg: &KroneckerConfig,
     seed: u64,
-    (ab, a_norm, c_norm): (f64, f64, f64),
+    t: Thresholds,
 ) -> (VertexId, VertexId) {
     let (mut u, mut v) = (0u64, 0u64);
     for bit in 0..cfg.scale {
         // The Graph500 v2 recursion with per-level noise-free quadrant
-        // choice: pick row bit then column bit conditionally.
-        let row = rng.gen::<f64>() > ab;
-        let col = rng.gen::<f64>() > if row { c_norm } else { a_norm };
+        // choice: pick row bit then column bit conditionally. `>> 11` keeps
+        // the 53 bits `rng.gen::<f64>()` would scale into [0, 1), and the
+        // integer compare picks the same bit as the float one (module doc).
+        let (row, col) = t.quadrant(rng.next_u64() >> 11, rng.next_u64() >> 11);
         u |= (row as u64) << bit;
         v |= (col as u64) << bit;
     }
@@ -121,13 +156,13 @@ fn draw_weight(rng: &mut StdRng) -> Weight {
 
 /// Generates a Kronecker edge list. Deterministic in `seed`.
 pub fn generate(cfg: &KroneckerConfig, seed: u64) -> EdgeList {
-    let probs = prepare(cfg);
+    let thresholds = prepare(cfg);
     let m = cfg.num_edges();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut edges = Vec::with_capacity(m);
     let mut weights = cfg.weighted.then(|| Vec::with_capacity(m));
     for _ in 0..m {
-        edges.push(draw_edge(&mut rng, cfg, seed, probs));
+        edges.push(draw_edge(&mut rng, cfg, seed, thresholds));
         if let Some(ws) = weights.as_mut() {
             ws.push(draw_weight(&mut rng));
         }
@@ -158,7 +193,7 @@ pub fn generate_parallel(
 ) -> EdgeList {
     use epg_parallel::{DisjointWriter, Schedule};
 
-    let probs = prepare(cfg);
+    let thresholds = prepare(cfg);
     let m = cfg.num_edges();
     let nblocks = m.div_ceil(GEN_BLOCK);
     let mut edges = vec![(0 as VertexId, 0 as VertexId); m];
@@ -174,7 +209,7 @@ pub fn generate_parallel(
                 // SAFETY: blocks map 1:1 to disjoint index ranges.
                 unsafe { (ew.range_mut(lo, hi), ww.as_ref().map(|w| w.range_mut(lo, hi))) };
             for k in 0..hi - lo {
-                es[k] = draw_edge(&mut rng, cfg, seed, probs);
+                es[k] = draw_edge(&mut rng, cfg, seed, thresholds);
                 if let Some(ws) = ws.as_deref_mut() {
                     ws[k] = draw_weight(&mut rng);
                 }
@@ -276,6 +311,52 @@ mod tests {
         let deg = el.out_degrees();
         let argmax = deg.iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0;
         assert_ne!(argmax, 0, "hub sat at vertex 0; labels look unscrambled");
+    }
+
+    /// The integer compare picks the bit the float compare
+    /// `k·2^-53 > p` picks, for every draw `k`. The fingerprint goldens
+    /// cannot show an off-by-one threshold: it flips one draw in 2^53.
+    #[test]
+    fn thresholds_decide_exactly_as_the_float_compare() {
+        let unit = 1.0 / (1u64 << 53) as f64;
+        let top = (1u64 << 53) - 1;
+        let mut rng = StdRng::seed_from_u64(55);
+        let mut configs = vec![KroneckerConfig::default()];
+        for _ in 0..20 {
+            let w: [f64; 4] = std::array::from_fn(|_| rng.gen_range(0.01..1.0));
+            let sum: f64 = w.iter().sum();
+            configs.push(KroneckerConfig {
+                a: w[0] / sum,
+                b: w[1] / sum,
+                c: w[2] / sum,
+                ..Default::default()
+            });
+        }
+        let mut fractional = 0;
+        for cfg in &configs {
+            let t = prepare(cfg);
+            let (a, b, c, d) = (cfg.a, cfg.b, cfg.c, cfg.d());
+            // (probability, its threshold, the row draw that selects it as
+            // the column threshold; `None` checks the row bit itself)
+            let cases = [
+                (a + b, t.ab, None),
+                (a / (a + b), t.col[0], Some(0)),
+                (c / (c + d), t.col[1], Some(top)),
+            ];
+            for (p, th, row_draw) in cases {
+                let above = |k| match row_draw {
+                    None => t.quadrant(k, 0).0,
+                    Some(r) => t.quadrant(r, k).1,
+                };
+                fractional += usize::from(th as f64 != p * (1u64 << 53) as f64);
+                let fixed = [0, th.saturating_sub(1), th, th + 1, top];
+                let random = (0..100_000).map(|_| rng.next_u64() >> 11);
+                for k in fixed.into_iter().chain(random) {
+                    assert_eq!(above(k), k as f64 * unit > p, "k {k}, p {p}, threshold {th}");
+                }
+            }
+        }
+        assert!(fractional > 0, "no probability with a fractional p·2^53 was checked");
     }
 
     #[test]
