@@ -155,7 +155,7 @@ mod tests {
     fn exact_matches_brandes_oracle_on_random_graph() {
         let el = epg_generator::uniform::generate(120, 700, false, 4).symmetrized().deduplicated();
         let got = exact(&el);
-        let want = oracle::betweenness(&Csr::from_edge_list(&el));
+        let want = oracle::betweenness(&Csr::from_edge_list(&el), 0..el.num_vertices as VertexId);
         for v in 0..want.len() {
             assert!(
                 (got[v] - want[v]).abs() < 1e-6 * (1.0 + want[v]),
@@ -173,7 +173,7 @@ mod tests {
             7,
         );
         let got = exact(&el);
-        let want = oracle::betweenness(&Csr::from_edge_list(&el));
+        let want = oracle::betweenness(&Csr::from_edge_list(&el), 0..el.num_vertices as VertexId);
         for v in 0..want.len() {
             assert!((got[v] - want[v]).abs() < 1e-6 * (1.0 + want[v]), "vertex {v}");
         }

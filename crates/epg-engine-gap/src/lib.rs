@@ -31,7 +31,6 @@ pub mod query;
 pub mod radix;
 pub mod sssp;
 mod structures;
-pub mod tune;
 
 mod tc;
 
@@ -67,7 +66,7 @@ pub struct GapConfig {
     pub direction_optimizing: bool,
     /// Δ-stepping bucket width: `None` (the default) takes the Δ
     /// `construct` derives from the graph ([`sssp::WeightStats::delta`]);
-    /// `Some` pins it, as a sweep or the tuner does.
+    /// `Some` pins it, as a sweep does.
     pub delta: Option<f32>,
     /// Weight storage.
     pub weight_repr: WeightRepr,
@@ -106,23 +105,14 @@ pub struct GapEngine {
     /// The in-edges; `None` once constructed when `csr` is its own
     /// transpose and serves both directions.
     csr_t: Option<Csr>,
-    /// The constructed graph's weight statistic.
-    weight_stats: sssp::WeightStats,
-    /// The Δ derived from `weight_stats` at construction.
+    /// The Δ derived from the constructed graph's weights.
     delta: f32,
 }
 
 impl GapEngine {
     /// Creates an engine with the given configuration.
     pub fn with_config(config: GapConfig) -> GapEngine {
-        GapEngine {
-            config,
-            edge_list: None,
-            csr: None,
-            csr_t: None,
-            weight_stats: sssp::WeightStats::default(),
-            delta: 1.0,
-        }
+        GapEngine { config, edge_list: None, csr: None, csr_t: None, delta: 1.0 }
     }
 
     /// Creates an engine with paper-default parameters.
@@ -143,13 +133,6 @@ impl GapEngine {
 
     fn csr_t(&self) -> &Csr {
         self.csr_t.as_ref().unwrap_or_else(|| self.csr())
-    }
-
-    /// Mean positive edge weight of the constructed graph (None when no
-    /// weight is positive or nothing is constructed) — the statistic Δ is
-    /// derived from and the seed of Δ tuning.
-    pub fn average_weight(&self) -> Option<f32> {
-        self.weight_stats.mean()
     }
 
     /// The Δ `construct` derived for the graph (1.0 before it), which SSSP
@@ -216,8 +199,7 @@ impl Engine for GapEngine {
         let csr = Csr::from_edge_list_parallel(&el, pool);
         drop(el);
         self.csr_t = (!csr.is_own_transpose(pool)).then(|| csr.transpose_parallel(pool));
-        self.weight_stats = sssp::WeightStats::of(&csr, pool);
-        self.delta = self.weight_stats.delta(csr.num_vertices(), csr.num_edges());
+        self.delta = sssp::derived_delta(&csr, pool);
         self.csr = Some(csr);
     }
 
@@ -337,7 +319,6 @@ mod tests {
         for threads in [2, 3] {
             let e = at(threads);
             assert_eq!(e.derived_delta().to_bits(), delta.to_bits(), "t={threads}");
-            assert_eq!(e.average_weight(), one.average_weight(), "t={threads}");
         }
     }
 
@@ -345,7 +326,7 @@ mod tests {
     fn unweighted_graph_keeps_unit_delta() {
         let pool = ThreadPool::new(2);
         let e = engine_on(&kron(8, false), &pool);
-        assert_eq!((e.derived_delta(), e.average_weight()), (1.0, None));
+        assert_eq!(e.derived_delta(), 1.0);
     }
 
     #[test]
@@ -361,7 +342,6 @@ mod tests {
         e.load_edge_list(&el);
         e.construct(&pool);
         let (n, m) = (e.csr().num_vertices(), e.csr().num_edges());
-        assert_eq!(e.average_weight(), Some(1.0));
         assert_eq!(e.derived_delta(), (n as f64 / m as f64) as f32);
         let root = el.edges[0].0;
         let out = e.run(Algorithm::Sssp, &RunParams::new(&pool, Some(root)));

@@ -144,7 +144,7 @@ mod tests {
         let pool = ThreadPool::new(3);
         let out = betweenness(&g, &RunParams::new(&pool, None));
         let AlgorithmResult::Centrality(bc) = out.result else { panic!() };
-        let want = oracle::betweenness(&Csr::from_edge_list(&el));
+        let want = oracle::betweenness(&Csr::from_edge_list(&el), 0..el.num_vertices as VertexId);
         for v in 0..want.len() {
             assert!((bc[v] - want[v]).abs() < 1e-6 * (1.0 + want[v]), "vertex {v}");
         }

@@ -66,14 +66,10 @@ impl PowerGraphEngine {
         PowerGraphEngine { config, staged: None, graph: None }
     }
 
-    fn graph(&self) -> &PartitionedGraph {
+    /// The loaded graph's vertex-cut partitions: its replication factor
+    /// and mirror count are the harness's §IV-C numbers on dense graphs.
+    pub fn graph(&self) -> &PartitionedGraph {
         self.graph.as_ref().expect("graph not loaded")
-    }
-
-    /// Replication factor of the loaded graph (reported by the harness as
-    /// part of the §IV-C discussion of dense-graph behavior).
-    pub fn replication_factor(&self) -> f64 {
-        self.graph().replication_factor()
     }
 }
 
@@ -186,7 +182,8 @@ mod tests {
         e.load_edge_list(&el);
         e.construct(&pool);
         // Dense graph: hubs replicate across partitions.
-        assert!(e.replication_factor() > 1.2, "rf = {}", e.replication_factor());
+        let rf = e.graph().replication_factor();
+        assert!(rf > 1.2, "rf = {rf}");
         let root = epg_graph::degree::sample_roots(&el, 1, 2)[0];
         let out = e.run(Algorithm::Sssp, &RunParams::new(&pool, Some(root)));
         let AlgorithmResult::Distances(d) = out.result else { panic!() };

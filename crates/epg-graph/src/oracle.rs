@@ -348,18 +348,21 @@ mod tests {
     }
 }
 
-/// Sequential exact betweenness centrality (Brandes' algorithm, unweighted,
-/// over out-edges). Unnormalized; endpoints excluded. This is the oracle
-/// for the §V extension algorithms.
-pub fn betweenness(g: &Csr) -> Vec<f64> {
+/// Sequential betweenness centrality (Brandes' algorithm, unweighted, over
+/// out-edges) from `sources`, each source's dependencies scaled by n / the
+/// source count: exact from every vertex, the sampled estimate from fewer.
+/// Unnormalized; endpoints excluded. This is the oracle for the §V
+/// extension algorithms.
+pub fn betweenness(g: &Csr, sources: impl ExactSizeIterator<Item = VertexId>) -> Vec<f64> {
     let n = g.num_vertices();
+    let scale = n as f64 / sources.len() as f64;
     let mut bc = vec![0.0f64; n];
     let mut sigma = vec![0.0f64; n];
     let mut dist = vec![-1i64; n];
     let mut delta = vec![0.0f64; n];
     let mut stack: Vec<VertexId> = Vec::with_capacity(n);
     let mut queue = VecDeque::new();
-    for s in 0..n as VertexId {
+    for s in sources {
         // Reset per-source state.
         sigma.iter_mut().for_each(|x| *x = 0.0);
         dist.iter_mut().for_each(|x| *x = -1);
@@ -389,7 +392,7 @@ pub fn betweenness(g: &Csr) -> Vec<f64> {
                 }
             }
             if w != s {
-                bc[w as usize] += delta[w as usize];
+                bc[w as usize] += delta[w as usize] * scale;
             }
         }
     }
@@ -430,7 +433,7 @@ mod extension_tests {
     fn bc_path_graph_center_is_highest() {
         // Path 0-1-2-3-4: vertex 2 lies on the most shortest paths.
         let el = EdgeList::new(5, vec![(0, 1), (1, 2), (2, 3), (3, 4)]).symmetrized();
-        let bc = betweenness(&Csr::from_edge_list(&el));
+        let bc = betweenness(&Csr::from_edge_list(&el), 0..5);
         // Exact values for an undirected path (counted per direction):
         // bc(1) = bc(3) = 6, bc(2) = 8, endpoints 0.
         assert_eq!(bc[0], 0.0);
@@ -443,7 +446,7 @@ mod extension_tests {
     #[test]
     fn bc_star_hub_dominates() {
         let el = EdgeList::new(5, vec![(0, 1), (0, 2), (0, 3), (0, 4)]).symmetrized();
-        let bc = betweenness(&Csr::from_edge_list(&el));
+        let bc = betweenness(&Csr::from_edge_list(&el), 0..5);
         // Hub carries all 4*3 = 12 cross-leaf shortest paths.
         assert_eq!(bc[0], 12.0);
         for v in 1..5 {
@@ -462,7 +465,7 @@ mod extension_tests {
                 }
             }
         }
-        let bc = betweenness(&Csr::from_edge_list(&EdgeList::new(5, edges)));
+        let bc = betweenness(&Csr::from_edge_list(&EdgeList::new(5, edges)), 0..5);
         assert!(bc.iter().all(|&x| x == 0.0));
     }
 

@@ -487,7 +487,7 @@ proptest! {
     fn betweenness_is_nonnegative_and_zero_on_leaves(el in arb_graph()) {
         let sym = el.deduplicated().symmetrized();
         let g = Csr::from_edge_list(&sym);
-        let bc = oracle::betweenness(&g);
+        let bc = oracle::betweenness(&g, 0..g.num_vertices() as VertexId);
         let deg = sym.total_degrees();
         for (v, &score) in bc.iter().enumerate() {
             prop_assert!(score >= 0.0);

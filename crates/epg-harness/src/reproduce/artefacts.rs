@@ -10,9 +10,10 @@ use crate::plot::{bar_chart, boxplot, engine_boxes, iteration_bars, line_chart, 
 use crate::registry::EngineKind;
 use crate::runner::{run_experiment, RunInfo};
 use crate::stats::Summary;
-use epg_engine_api::{Algorithm, AlgorithmResult, Engine, Phase, RunParams, StoppingCriterion};
+use crate::supervise::{supervise_trial, verify_output, Expected, SupervisorConfig, TrialOutcome};
+use epg_engine_api::StoppingCriterion;
+use epg_engine_api::{Algorithm, AlgorithmResult, Counters, Engine, Phase, RunOutput, RunParams};
 use epg_engine_gap::{GapConfig, GapEngine, WeightRepr};
-use epg_engine_powergraph::partition::PartitionedGraph;
 use epg_engine_powergraph::{PowerGraphConfig, PowerGraphEngine};
 use epg_graph::{Csr, VertexId};
 use epg_machine::rapl::{EnergyReport, PowerRapl};
@@ -35,12 +36,36 @@ fn construct(engine: &mut dyn Engine, kind: EngineKind, ds: &Dataset, pool: &Thr
     engine.construct(pool);
 }
 
-fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let t0 = Instant::now();
-    let value = f();
-    (value, t0.elapsed().as_secs_f64())
+/// `algo` on `engine` under [`supervise_trial`] from each of the first
+/// `reps` of `roots` (`reps` times for an algorithm without a root), each
+/// output checked by [`verify_output`] against `want`. Returns the passing
+/// outputs and the time column: their seconds' [`Summary`], or the outcome
+/// and reason of the first trial that did not pass in place of a time.
+fn trials(
+    engine: &mut dyn Engine,
+    algo: Algorithm,
+    mut params: RunParams<'_>,
+    roots: &[VertexId],
+    reps: usize,
+    want: &Expected<'_>,
+) -> (Vec<RunOutput>, String) {
+    let rooted = roots.iter().take(reps).map(|&r| Some(r)).collect();
+    let runs: Vec<_> = if algo.is_rooted() { rooted } else { vec![None; reps] };
+    let (mut outputs, mut secs) = (Vec::new(), Vec::new());
+    for root in runs {
+        params.root = root;
+        let verify = |out: &RunOutput| verify_output(want, algo, &params, out, params.pool);
+        let cfg = SupervisorConfig::default();
+        let trial = supervise_trial(params.pool, &cfg, || engine.run(algo, &params), Some(&verify));
+        let Some(out) = trial.output.filter(|_| trial.outcome == TrialOutcome::Ok) else {
+            let why = trial.error.unwrap_or_default();
+            return (outputs, format!("{}: {why}", trial.outcome.label()));
+        };
+        outputs.push(out);
+        secs.push(trial.seconds);
+    }
+    (outputs, Summary::of(&secs).to_string())
 }
-
 /// Figs. 2, 3 and 4: see [`Panel`].
 pub(super) fn kernel_panel(ctx: &mut Ctx, id: &str, panel: &Panel) -> io::Result<()> {
     let (algo, abbrev) = (panel.algo, panel.algo.abbrev());
@@ -64,10 +89,8 @@ pub(super) fn kernel_panel(ctx: &mut Ctx, id: &str, panel: &Panel) -> io::Result
         let first = runs_of(kind).next().expect("a panel engine runs the panel's algorithm");
         let local = Summary::of(&result.run_times(kind, algo));
         say!(ctx, "{}", shape_row(name, (panel.paper_seconds)(name), projected.mean, "s/root"));
-        let (median, min, max, n, rsd) =
-            (local.median, local.min, local.max, local.n, local.relative_stddev());
-        say!(ctx, "    local: median {median:.5}s  [{min:.5}, {max:.5}]  n={n}  rsd={rsd:.4}");
-        ctx.fact("seconds", name, median);
+        say!(ctx, "    local: {local}  rsd={:.4}", local.relative_stddev());
+        ctx.fact("seconds", name, local.median);
         ctx.fact("edges", name, first.output.counters.edges_traversed as f64);
         ctx.fact("serial_share", name, first.output.trace.serial_fraction());
     }
@@ -543,26 +566,12 @@ fn gap_on(ds: &Dataset, pool: &ThreadPool) -> GapEngine {
     engine
 }
 
-/// Mean (edges traversed, iterations, seconds) of `algo` on a GAP engine
-/// constructed on `ds`, under its current configuration, over the first
-/// `max_roots` roots of `ds` — averaged over the roots that ran, which are
-/// fewer than asked for when the dataset samples fewer.
-fn gap_root_means(
-    engine: &mut GapEngine,
-    algo: Algorithm,
-    ds: &Dataset,
-    pool: &ThreadPool,
-    max_roots: usize,
-) -> (u64, u32, f64) {
-    let roots = &ds.roots[..max_roots.min(ds.roots.len())];
-    let ((edges, iterations), secs) = timed(|| {
-        roots.iter().fold((0u64, 0u32), |(edges, iterations), &root| {
-            let out = engine.run(algo, &RunParams::new(pool, Some(root)));
-            (edges + out.counters.edges_traversed, iterations + out.counters.iterations)
-        })
-    });
-    let n = roots.len().max(1);
-    (edges / n as u64, iterations / n as u32, secs / n as f64)
+/// Mean edges traversed and iterations of `outputs`.
+fn mean_counters(outputs: &[RunOutput]) -> (u64, u32) {
+    let mut sum = Counters::default();
+    outputs.iter().for_each(|out| sum.merge(&out.counters));
+    let n = outputs.len().max(1);
+    (sum.edges_traversed / n as u64, sum.iterations / n as u32)
 }
 
 /// Small Δ approaches Dijkstra (many buckets, little parallelism per
@@ -570,22 +579,20 @@ fn gap_root_means(
 /// relaxations). The sweet spot depends on the weight distribution, so the
 /// sweep ends with the Δ `construct` derives from the graph.
 pub(super) fn ablation_delta(ctx: &mut Ctx) -> io::Result<()> {
-    let ds = ctx.kron(22, 13, true)?;
+    let (ds, reps) = (ctx.kron(22, 13, true)?, ctx.opts.roots);
     let pool = ThreadPool::new(ctx.opts.threads);
-    let mut engine = gap_on(&ds, &pool);
-    let derived = format!("derived ({:.4})", engine.derived_delta());
-    let mut row = |ctx: &mut Ctx, label: String, delta| -> io::Result<()> {
-        engine.config.delta = delta;
-        let (relaxed, buckets, secs) =
-            gap_root_means(&mut engine, Algorithm::Sssp, &ds, &pool, ctx.opts.roots);
-        say!(ctx, "{label:<18}{relaxed:>16}{buckets:>14}{secs:>12.5}");
-        Ok(())
-    };
+    let g = Csr::from_edge_list_parallel(&ds.symmetric, &pool);
+    let (want, mut engine) = (Expected::new(&g), gap_on(&ds, &pool));
+    let derived = (format!("derived ({:.4})", engine.derived_delta()), None);
+    let sweep = [0.01f32, 0.05, 0.1, 0.25, 0.5, 1.0, 4.0, 1000.0].map(|d| (d.to_string(), Some(d)));
     say!(ctx, "delta             edge relaxations       buckets    time (s)");
-    for delta in [0.01f32, 0.05, 0.1, 0.25, 0.5, 1.0, 4.0, 1000.0] {
-        row(ctx, delta.to_string(), Some(delta))?;
+    for (label, delta) in sweep.into_iter().chain([derived]) {
+        engine.config.delta = delta;
+        let params = RunParams::new(&pool, None);
+        let (runs, time) = trials(&mut engine, Algorithm::Sssp, params, &ds.roots, reps, &want);
+        let (relaxed, buckets) = mean_counters(&runs);
+        say!(ctx, "{label:<18}{relaxed:>16}{buckets:>14}    {time}");
     }
-    row(ctx, derived, None)?;
     say!(
         ctx,
         "\nsmall delta => many buckets (serial bottleneck); huge delta => few\n\
@@ -600,9 +607,10 @@ pub(super) fn ablation_delta(ctx: &mut Ctx) -> io::Result<()> {
 /// structure. These are provided in GAP." §IV-C notes the paper ran the
 /// default α=15, β=18 untuned.
 pub(super) fn ablation_dobfs(ctx: &mut Ctx) -> io::Result<()> {
-    let ds = ctx.kron(22, 13, false)?;
+    let (ds, reps) = (ctx.kron(22, 13, false)?, ctx.opts.roots);
     let pool = ThreadPool::new(ctx.opts.threads);
-    let mut engine = gap_on(&ds, &pool);
+    let g = Csr::from_edge_list_parallel(&ds.symmetric, &pool);
+    let (want, mut engine) = (Expected::new(&g), gap_on(&ds, &pool));
     let top_down = GapConfig { direction_optimizing: false, ..Default::default() };
     let mut configs = vec![
         ("top-down only".to_string(), top_down),
@@ -612,13 +620,14 @@ pub(super) fn ablation_dobfs(ctx: &mut Ctx) -> io::Result<()> {
         let cfg = GapConfig { alpha, beta, ..Default::default() };
         configs.push((format!("alpha={alpha}, beta={beta}"), cfg));
     }
-    say!(ctx, "configuration                edges traversed    time (s)     steps");
+    say!(ctx, "configuration                edges traversed     steps    time (s)");
     let mut edges_by_config = Vec::new();
     for (label, cfg) in configs {
         engine.config = cfg;
-        let (edges, steps, secs) =
-            gap_root_means(&mut engine, Algorithm::Bfs, &ds, &pool, ctx.opts.roots);
-        say!(ctx, "{label:<28}{edges:>16}{secs:>12.5}{steps:>10}");
+        let params = RunParams::new(&pool, None);
+        let (runs, time) = trials(&mut engine, Algorithm::Bfs, params, &ds.roots, reps, &want);
+        let (edges, steps) = mean_counters(&runs);
+        say!(ctx, "{label:<28}{edges:>16}{steps:>10}    {time}");
         edges_by_config.push(edges);
     }
     say!(
@@ -634,20 +643,21 @@ pub(super) fn ablation_dobfs(ctx: &mut Ctx) -> io::Result<()> {
 /// and its overhead to replication: sweep the partition count on the
 /// sparse and the dense stand-in (default 1/512).
 pub(super) fn ablation_partitions(ctx: &mut Ctx) -> io::Result<()> {
-    let (sparse, dense) = ctx.stand_ins(512)?;
+    let ((sparse, dense), reps) = (ctx.stand_ins(512)?, ctx.opts.roots);
     let pool = ThreadPool::new(ctx.opts.threads);
     for (ds, density) in [(&sparse, "sparse"), (&dense, "dense")] {
+        let g = Csr::from_edge_list_parallel(&ds.symmetric, &pool);
+        let want = Expected::new(&g);
         say!(ctx, "== {} ==", ds.name);
-        say!(ctx, " partitions  repl factor      mirrors     SSSP edges    SSSP time");
+        say!(ctx, " partitions  repl factor      mirrors     SSSP edges    SSSP time (s)");
         for p in [1usize, 2, 4, 8, 16, 32] {
-            let pg = PartitionedGraph::build(&ds.symmetric, p, &pool);
             let mut e = PowerGraphEngine::with_config(PowerGraphConfig { num_partitions: p });
             construct(&mut e, EngineKind::PowerGraph, ds, &pool);
-            let params = RunParams::new(&pool, Some(ds.roots[0]));
-            let (out, secs) = timed(|| e.run(Algorithm::Sssp, &params));
-            let (rf, mirrors, edges) =
-                (pg.replication_factor(), pg.num_mirrors(), out.counters.edges_traversed);
-            say!(ctx, "{p:>11} {rf:>12.3} {mirrors:>12} {edges:>14} {secs:>12.5}");
+            let params = RunParams::new(&pool, None);
+            let (runs, time) = trials(&mut e, Algorithm::Sssp, params, &ds.roots, reps, &want);
+            let (rf, mirrors) = (e.graph().replication_factor(), e.graph().num_mirrors());
+            let edges = runs.first().map_or(0, |out| out.counters.edges_traversed);
+            say!(ctx, "{p:>11} {rf:>12.3} {mirrors:>12} {edges:>14}    {time}");
             ctx.fact("replication", &format!("{density}.{p}"), rf);
         }
         say!(ctx);
@@ -667,7 +677,7 @@ pub(super) fn ablation_partitions(ctx: &mut Ctx) -> io::Result<()> {
 /// degree-weighted work on a Kronecker graph) under each schedule and
 /// chunk size, on a real pool of at least two threads.
 pub(super) fn ablation_sched(ctx: &mut Ctx) -> io::Result<()> {
-    let ds = ctx.kron(20, 12, false)?;
+    let (ds, reps) = (ctx.kron(20, 12, false)?, ctx.opts.roots.max(1));
     let g = Csr::from_edge_list(&ds.symmetric);
     let pool = ThreadPool::new(ctx.opts.threads.max(2));
     let schedules: [(&str, Schedule); 6] = [
@@ -678,26 +688,27 @@ pub(super) fn ablation_sched(ctx: &mut Ctx) -> io::Result<()> {
         ("guided,16", Schedule::Guided { min_chunk: 16 }),
         ("guided,256", Schedule::Guided { min_chunk: 256 }),
     ];
-    say!(ctx, "schedule          time (s)            checksum    chunks");
+    say!(ctx, "schedule                checksum    chunks    time (s)");
     for (name, sched) in schedules {
         let before = pool.stats().chunks;
         let sum = AtomicU64::new(0);
-        let ((), secs) = timed(|| {
-            for _ in 0..3 {
-                pool.parallel_for_ranges(g.num_vertices(), sched, |_tid, lo, hi| {
-                    let mut local = 0u64;
-                    for v in lo..hi {
-                        for &t in g.neighbors(v as VertexId) {
-                            local = local.wrapping_add(t as u64).rotate_left(1);
-                        }
-                    }
-                    sum.fetch_add(local, Ordering::Relaxed);
-                });
-            }
-        });
-        let (secs, sum, chunks) =
-            (secs / 3.0, sum.load(Ordering::Relaxed), (pool.stats().chunks - before) / 3);
-        say!(ctx, "{name:<14}{secs:>12.5}  {sum:>18x}{chunks:>10}");
+        let mut secs = Vec::new();
+        for _ in 0..reps {
+            let t0 = Instant::now();
+            pool.parallel_for_ranges(g.num_vertices(), sched, |_tid, lo, hi| {
+                // A wrapping sum over vertices: the same whatever the split.
+                let mut local = 0u64;
+                for v in lo..hi {
+                    let row = g.neighbors(v as VertexId).iter();
+                    let hash = row.fold(0u64, |h, &t| h.wrapping_add(t as u64).rotate_left(1));
+                    local = local.wrapping_add(hash);
+                }
+                sum.fetch_add(local, Ordering::Relaxed);
+            });
+            secs.push(t0.elapsed().as_secs_f64());
+        }
+        let (sum, chunks) = (sum.load(Ordering::Relaxed), pool.stats().chunks - before);
+        say!(ctx, "{name:<14}{sum:>18x}{:>10}    {}", chunks / reps as u64, Summary::of(&secs));
     }
     say!(
         ctx,
@@ -733,8 +744,7 @@ pub(super) fn ablation_stopping(ctx: &mut Ctx) -> io::Result<()> {
     for (label, stopping) in criteria {
         write!(ctx.out, "{label:<20}")?;
         for (_, engine) in &mut engines {
-            let mut params = RunParams::new(&pool, None);
-            params.stopping = stopping;
+            let params = RunParams { stopping, ..RunParams::new(&pool, None) };
             let out = engine.run(Algorithm::PageRank, &params);
             let iterations = out.result.iterations().expect("PageRank counts iterations");
             write!(ctx.out, "{iterations:>12}")?;
@@ -756,7 +766,7 @@ pub(super) fn ablation_stopping(ctx: &mut Ctx) -> io::Result<()> {
 /// to 0." Both effects: the SSSP result distortion and the timing.
 pub(super) fn ablation_weights(ctx: &mut Ctx) -> io::Result<()> {
     // Kronecker weights are uniform (0,1]: truncation maps almost all to 0.
-    let ds = ctx.kron(22, 13, true)?;
+    let (ds, reps) = (ctx.kron(22, 13, true)?, ctx.opts.roots);
     let pool = ThreadPool::new(ctx.opts.threads);
     let mut distances = Vec::new();
     for (label, weight_repr) in
@@ -764,14 +774,23 @@ pub(super) fn ablation_weights(ctx: &mut Ctx) -> io::Result<()> {
     {
         let mut e = GapEngine::with_config(GapConfig { weight_repr, ..Default::default() });
         construct(&mut e, EngineKind::Gap, &ds, &pool);
-        let params = RunParams::new(&pool, Some(ds.roots[0]));
-        let (out, secs) = timed(|| e.run(Algorithm::Sssp, &params));
-        let AlgorithmResult::Distances(d) = out.result else { unreachable!("SSSP: distances") };
+        // Checked against Dijkstra on the weights the engine stores.
+        let mut g = Csr::from_edge_list_parallel(&ds.symmetric, &pool);
+        if weight_repr == WeightRepr::Int {
+            g.weights.iter_mut().flatten().for_each(|w| *w = w.trunc());
+        }
+        let (params, want) = (RunParams::new(&pool, None), Expected::new(&g));
+        let (runs, time) = trials(&mut e, Algorithm::Sssp, params, &ds.roots, reps, &want);
+        let first = runs.into_iter().next().map(|o| (o.counters.edges_traversed, o.result));
+        let Some((relaxed, AlgorithmResult::Distances(d))) = first else {
+            say!(ctx, "{label:<18} {time}");
+            return Ok(());
+        };
         let finite: Vec<f64> = d.iter().filter(|x| x.is_finite()).map(|&x| x as f64).collect();
-        let (relaxed, mean_d) = (out.counters.edges_traversed, mean(&finite));
+        let mean_d = mean(&finite);
         say!(
             ctx,
-            "{label:<18} time {secs:.5}s, relaxations {relaxed}, mean finite distance {mean_d:.4}"
+            "{label:<18} relaxations {relaxed}, mean finite distance {mean_d:.4}, time {time}"
         );
         distances.push(d);
     }
@@ -793,13 +812,16 @@ pub(super) fn ablation_weights(ctx: &mut Ctx) -> io::Result<()> {
     Ok(())
 }
 
-/// The three concrete items §V lists as future work: "algorithms like
+/// Two of the concrete items §V lists as future work: "algorithms like
 /// triangle counting and betweenness centrality are widely implemented
-/// but not supported by either Graphalytics nor easy-parallel-graph-*";
-/// "we plan to add some level of heuristic parameter tuning".
+/// but not supported by either Graphalytics nor easy-parallel-graph-*".
+/// Its third, "heuristic parameter tuning", is GAP's per-graph Δ and the
+/// `ablation_delta` / `ablation_dobfs` sweeps.
 pub(super) fn extensions(ctx: &mut Ctx) -> io::Result<()> {
-    let ds = ctx.kron(20, 12, true)?;
+    let (ds, reps) = (ctx.kron(20, 12, true)?, ctx.opts.roots);
     let pool = ThreadPool::new(ctx.opts.threads);
+    let g = Csr::from_edge_list_parallel(&ds.symmetric, &pool);
+    let want = Expected::new(&g);
 
     say!(ctx, "== Triangle counting (each triangle once) ==");
     let mut counts = Vec::new();
@@ -811,11 +833,14 @@ pub(super) fn extensions(ctx: &mut Ctx) -> io::Result<()> {
         }
         construct(e.as_mut(), kind, &ds, &pool);
         let params = RunParams::new(&pool, None);
-        let (out, secs) = timed(|| e.run(Algorithm::TriangleCount, &params));
-        let AlgorithmResult::Triangles(t) = out.result else { unreachable!("TC: a count") };
-        say!(ctx, "{:<12} {t:>12} triangles in {secs:.4}s", kind.name());
-        ctx.fact("triangles", kind.name(), t as f64);
-        counts.push(t);
+        let (runs, time) = trials(e.as_mut(), Algorithm::TriangleCount, params, &[], reps, &want);
+        let Some(AlgorithmResult::Triangles(count)) = runs.first().map(|o| o.result.clone()) else {
+            say!(ctx, "{:<12} {time}", kind.name());
+            continue;
+        };
+        say!(ctx, "{:<12} {count:>12} triangles in {time}", kind.name());
+        ctx.fact("triangles", kind.name(), count as f64);
+        counts.push(count);
     }
     let agree = counts.windows(2).all(|w| w[0] == w[1]);
     say!(ctx, "{}\n", if agree { "all supporting engines agree." } else { "ENGINES DISAGREE." });
@@ -824,31 +849,21 @@ pub(super) fn extensions(ctx: &mut Ctx) -> io::Result<()> {
     for kind in [EngineKind::Gap, EngineKind::GraphBig] {
         let mut e = kind.create();
         construct(e.as_mut(), kind, &ds, &pool);
-        let mut params = RunParams::new(&pool, None);
-        params.bc_sources = Some(16);
-        let (out, secs) = timed(|| e.run(Algorithm::Bc, &params));
-        let AlgorithmResult::Centrality(bc) = out.result else { unreachable!("BC: scores") };
+        let params = RunParams { bc_sources: Some(16), ..RunParams::new(&pool, None) };
+        let (runs, time) = trials(e.as_mut(), Algorithm::Bc, params, &[], reps, &want);
+        let Some(AlgorithmResult::Centrality(bc)) = runs.first().map(|out| &out.result) else {
+            say!(ctx, "{:<12} {time}", kind.name());
+            continue;
+        };
         let mut top: Vec<(usize, f64)> = bc.iter().copied().enumerate().collect();
         top.sort_by(|a, b| b.1.total_cmp(&a.1));
         let top: Vec<_> = top.iter().take(3).map(|&(v, s)| (v, s.round())).collect();
-        say!(ctx, "{:<12} 16 sources in {secs:.4}s; top vertices: {top:?}", kind.name());
+        say!(ctx, "{:<12} 16 sources in {time}; top vertices: {top:?}", kind.name());
     }
 
-    say!(ctx, "\n== GAP heuristic parameter tuning ==");
-    let mut e = GapEngine::new();
-    construct(&mut e, EngineKind::Gap, &ds, &pool);
-    let (alpha, beta, delta) = (e.config.alpha, e.config.beta, e.derived_delta());
-    say!(ctx, "defaults: alpha={alpha}, beta={beta}, delta={delta:.4} (derived)");
-    let report = e.auto_tune(&pool, &ds.roots);
-    say!(ctx, "tuned:    alpha={}, beta={}, delta={:.4}", report.alpha, report.beta, report.delta);
-    say!(ctx, "delta probes (delta, work cost):");
-    for (d, c) in &report.delta_probes {
-        say!(ctx, "  {d:>12.4}  {c:>12}");
-    }
-    say!(ctx, "alpha/beta probes ((a,b), work cost):");
-    for ((a, b), c) in &report.bfs_probes {
-        say!(ctx, "  ({a:>3},{b:>4})  {c:>12}");
-    }
+    let gap = gap_on(&ds, &pool);
+    let (alpha, beta, delta) = (gap.config.alpha, gap.config.beta, gap.derived_delta());
+    say!(ctx, "\ndefaults: alpha={alpha}, beta={beta}, delta={delta:.4} (derived)");
     Ok(())
 }
 
@@ -856,17 +871,42 @@ pub(super) fn extensions(ctx: &mut Ctx) -> io::Result<()> {
 mod tests {
     use super::*;
     use crate::dataset::PaperDatasets;
+    use epg_engine_api::{FaultKind::WrongResult, FaultPlan, FaultyEngine};
+
+    fn kron7() -> (Dataset, ThreadPool, Csr) {
+        let ds = Dataset::from_spec(&PaperDatasets::kronecker(7, false), 3);
+        let g = Csr::from_edge_list(&ds.symmetric);
+        (ds, ThreadPool::new(1), g)
+    }
 
     /// `ablation_delta` / `ablation_dobfs` used to divide by `--roots` even
     /// when the dataset had fewer: `--roots 64` halved every average.
     #[test]
     fn root_means_divide_by_the_roots_that_ran() {
-        let ds = Dataset::from_spec(&PaperDatasets::kronecker(7, false), 3);
-        let pool = ThreadPool::new(1);
-        let mut engine = gap_on(&ds, &pool);
-        let mut means = |roots| gap_root_means(&mut engine, Algorithm::Bfs, &ds, &pool, roots);
-        let (all, more_than_all) = (means(ds.roots.len()), means(2 * ds.roots.len()));
-        assert!(all.0 > 0 && all.1 > 0);
-        assert_eq!((all.0, all.1), (more_than_all.0, more_than_all.1));
+        let (ds, pool, g) = kron7();
+        let (want, mut engine) = (Expected::new(&g), gap_on(&ds, &pool));
+        let mut means = |reps| {
+            let params = RunParams::new(&pool, None);
+            trials(&mut engine, Algorithm::Bfs, params, &ds.roots, reps, &want)
+        };
+        let ((all, _), (more_than_all, time)) = (means(ds.roots.len()), means(2 * ds.roots.len()));
+        let counters = mean_counters(&all);
+        assert!(counters.0 > 0 && counters.1 > 0);
+        assert_eq!(counters, mean_counters(&more_than_all));
+        assert!(time.ends_with(&format!("n={}", ds.roots.len())), "{time}");
+    }
+
+    /// A wrong answer is not a time: the row names the verifier's reason.
+    #[test]
+    fn a_wrong_result_prints_its_failure_and_no_time() {
+        let (ds, pool, g) = kron7();
+        let wrong = FaultPlan::new().with_fault(0, WrongResult).with_fault(1, WrongResult);
+        let mut engine = FaultyEngine::new(EngineKind::Gap.create(), wrong);
+        construct(&mut engine, EngineKind::Gap, &ds, &pool);
+        let (params, want) = (RunParams::new(&pool, None), Expected::new(&g));
+        let (runs, time) = trials(&mut engine, Algorithm::TriangleCount, params, &[], 3, &want);
+        assert!(runs.is_empty() && !time.contains("n="), "{time}");
+        assert!(time.starts_with("panicked: result failed verification: "), "{time}");
+        assert!(time.contains(" triangles, but the graph has "), "{time}");
     }
 }

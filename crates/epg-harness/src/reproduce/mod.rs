@@ -255,7 +255,7 @@ pub const ARTEFACTS: [Artefact; 17] = [
     },
     Artefact {
         id: "extensions",
-        title: "§V future work: triangle counting, betweenness centrality, GAP auto-tuning",
+        title: "§V future work: triangle counting and betweenness centrality",
         outputs: &[],
         body: Body::Custom(artefacts::extensions),
     },

@@ -416,7 +416,7 @@ pub fn run_experiment(cfg: &ExperimentConfig, ds: &Dataset) -> ExperimentResult 
                     }
                     let check_pool = if capture.is_some() { &untraced } else { &pool };
                     let verify =
-                        |out: &RunOutput| verify_output(&expected, algo, root, out, check_pool);
+                        |out: &RunOutput| verify_output(&expected, algo, &params, out, check_pool);
                     let report = supervise_trial(
                         &pool,
                         &cfg.supervisor,

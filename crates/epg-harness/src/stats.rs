@@ -63,6 +63,15 @@ impl Summary {
     }
 }
 
+/// `median [min, max] n=N`, to five decimals unless a precision is given:
+/// how `epg reproduce` prints a time.
+impl std::fmt::Display for Summary {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (p, s) = (f.precision().unwrap_or(5), self);
+        write!(f, "{:.p$} [{:.p$}, {:.p$}] n={}", s.median, s.min, s.max, s.n)
+    }
+}
+
 /// Summary over a right-censored sample: DNF trials (timeout, panic,
 /// quarantine) carry no finite time but still count toward the sample,
 /// entering the order statistics as +∞. A quantile whose interpolation

@@ -28,7 +28,7 @@
 //! blow it again, and the partial counters are themselves a result (the
 //! censored statistics in [`crate::stats`] know how to use them).
 
-use epg_engine_api::{Algorithm, AlgorithmResult, RunOutput, CDLP_ROUNDS};
+use epg_engine_api::{Algorithm, AlgorithmResult, RunOutput, RunParams, CDLP_ROUNDS};
 use epg_graph::{oracle, validate, Csr, VertexId, Weight};
 use epg_parallel::{CancelToken, Schedule, ThreadPool};
 use std::cell::{OnceCell, RefCell};
@@ -201,7 +201,8 @@ pub fn supervise_trial(
 
 /// What [`verify_output`] checks results against: the symmetric graph
 /// every engine runs on, and the sequential oracle's answers: Dijkstra's
-/// distances per root, and its root-less kernels'. Each answer is computed
+/// distances per root, betweenness per source sample, and its other
+/// root-less kernels'. Each answer is computed
 /// on first use and kept, so a dataset pays for it once however many
 /// engines and trials are checked.
 pub struct Expected<'g> {
@@ -211,14 +212,14 @@ pub struct Expected<'g> {
     cdlp: OnceCell<Vec<u64>>,
     lcc: OnceCell<Vec<f64>>,
     triangles: OnceCell<u64>,
-    bc: OnceCell<Vec<f64>>,
+    bc: RefCell<HashMap<Option<usize>, Vec<f64>>>,
 }
 
 impl<'g> Expected<'g> {
     /// Nothing computed yet: the answers for `g` as they are first needed.
     pub fn new(g: &'g Csr) -> Expected<'g> {
         let (wcc, cdlp, lcc) = (OnceCell::new(), OnceCell::new(), OnceCell::new());
-        let (sssp, triangles, bc) = (RefCell::default(), OnceCell::new(), OnceCell::new());
+        let (sssp, triangles, bc) = (RefCell::default(), OnceCell::new(), RefCell::default());
         Expected { g, sssp, wcc, cdlp, lcc, triangles, bc }
     }
 }
@@ -238,8 +239,8 @@ const LCC_TOLERANCE: f64 = 1e-12;
 /// by far more.
 const BC_TOLERANCE: f64 = 1e-9;
 
-/// The runner's verifier: checks one completed output of `algo` from
-/// `root` against `want`. A BFS tree must pass the Graph500 rules and
+/// The runner's verifier: checks one completed output of `algo` run with
+/// `params` (its root, its betweenness sources) against `want`. A BFS tree must pass the Graph500 rules and
 /// carry the levels its parents imply
 /// ([`validate::validate_bfs_tree_parallel`], its edge scan on `pool`);
 /// SSSP distances must equal [`oracle::dijkstra`]'s bit for bit (every
@@ -250,17 +251,18 @@ const BC_TOLERANCE: f64 = 1e-9;
 /// (`pagerank_converged`). CDLP labels must equal [`oracle::cdlp`] after
 /// [`CDLP_ROUNDS`] rounds, every LCC coefficient must be within `1e-12` of
 /// [`oracle::lcc`]'s, a triangle count must equal
-/// [`oracle::triangle_count`], and betweenness, run from every source as
-/// the runner's trials run it, must agree with [`oracle::betweenness`]
-/// within `1e-9` relative. A malformed output is an `Err`, never a panic.
+/// [`oracle::triangle_count`], and betweenness must agree within `1e-9`
+/// relative with [`oracle::betweenness`] from the same
+/// [`RunParams::bc_source_list`]. A malformed output is an `Err`, never a
+/// panic.
 pub fn verify_output(
     want: &Expected<'_>,
     algo: Algorithm,
-    root: Option<VertexId>,
+    params: &RunParams<'_>,
     out: &RunOutput,
     pool: &ThreadPool,
 ) -> Result<(), String> {
-    let g = want.g;
+    let (g, root) = (want.g, params.root);
     let n = g.num_vertices();
     match (algo, root, &out.result) {
         (Algorithm::Bfs, Some(root), AlgorithmResult::BfsTree { parent, level }) => {
@@ -313,7 +315,10 @@ pub fn verify_output(
             }
         }
         (Algorithm::Bc, _, AlgorithmResult::Centrality(scores)) => {
-            let expect = want.bc.get_or_init(|| oracle::betweenness(g));
+            let mut by_sample = want.bc.borrow_mut();
+            let expect = by_sample
+                .entry(params.bc_sources)
+                .or_insert_with(|| oracle::betweenness(g, params.bc_source_list(n).into_iter()));
             let close = |a: &f64, b: &f64| (a - b).abs() <= BC_TOLERANCE * a.abs().max(b.abs());
             agree(scores, expect, "scores", close, |v, got, bc| {
                 format!("vertex {v} has betweenness {got}, but Brandes' algorithm gives {bc}")
@@ -436,8 +441,12 @@ mod tests {
     use super::*;
     use epg_engine_api::{AlgorithmResult, Counters, Trace};
 
+    fn output(result: AlgorithmResult) -> RunOutput {
+        RunOutput::new(result, Counters::default(), Trace::default())
+    }
+
     fn ok_output() -> RunOutput {
-        RunOutput::new(AlgorithmResult::Triangles(7), Counters::default(), Trace::default())
+        output(AlgorithmResult::Triangles(7))
     }
 
     #[test]
@@ -536,42 +545,37 @@ mod tests {
         let el = EdgeList::weighted(4, vec![(0, 1), (1, 2), (2, 3)], vec![1.0, 2.0, 0.5]);
         let g = Csr::from_edge_list(&el.symmetrized());
         let want = Expected::new(&g);
-        let run = |result| RunOutput::new(result, Counters::default(), Trace::default());
+        let from0 = RunParams::new(&pool, Some(0));
         let oracle::BfsResult { parent, mut level } = oracle::bfs(&g, 0);
         let bfs = |parent: &Vec<u32>, level: &Vec<u32>| {
-            run(AlgorithmResult::BfsTree { parent: parent.clone(), level: level.clone() })
+            output(AlgorithmResult::BfsTree { parent: parent.clone(), level: level.clone() })
         };
         assert_eq!(
-            verify_output(&want, Algorithm::Bfs, Some(0), &bfs(&parent, &level), &pool),
+            verify_output(&want, Algorithm::Bfs, &from0, &bfs(&parent, &level), &pool),
             Ok(())
         );
         level[3] = 2;
-        let err = verify_output(&want, Algorithm::Bfs, Some(0), &bfs(&parent, &level), &pool);
+        let err = verify_output(&want, Algorithm::Bfs, &from0, &bfs(&parent, &level), &pool);
         assert_eq!(err, Err("level[3] = 2, but the parent tree puts it at 3".to_string()));
         let short = bfs(&parent, &level[..3].to_vec());
-        assert!(verify_output(&want, Algorithm::Bfs, Some(0), &short, &pool).is_err());
+        assert!(verify_output(&want, Algorithm::Bfs, &from0, &short, &pool).is_err());
 
         let dist = oracle::dijkstra(&g, 0);
-        let sssp = run(AlgorithmResult::Distances(dist));
-        assert_eq!(verify_output(&want, Algorithm::Sssp, Some(0), &sssp, &pool), Ok(()));
-        let zeros = run(AlgorithmResult::Distances(vec![0.0; 4]));
-        assert!(verify_output(&want, Algorithm::Sssp, Some(0), &zeros, &pool).is_err());
+        let sssp = output(AlgorithmResult::Distances(dist));
+        assert_eq!(verify_output(&want, Algorithm::Sssp, &from0, &sssp, &pool), Ok(()));
+        let zeros = output(AlgorithmResult::Distances(vec![0.0; 4]));
+        assert!(verify_output(&want, Algorithm::Sssp, &from0, &zeros, &pool).is_err());
         // A distance one ulp long, well inside any summation-order slack,
         // is still not Dijkstra's.
         let mut long = oracle::dijkstra(&g, 0);
         long[3] = f32::from_bits(long[3].to_bits() + 1);
-        let err = verify_output(
-            &want,
-            Algorithm::Sssp,
-            Some(0),
-            &run(AlgorithmResult::Distances(long)),
-            &pool,
-        );
+        let long = output(AlgorithmResult::Distances(long));
+        let err = verify_output(&want, Algorithm::Sssp, &from0, &long, &pool);
         assert_eq!(
             err,
             Err("vertex 3 is at distance 3.5000002, but Dijkstra's is 3.5".to_string())
         );
-        assert!(verify_output(&want, Algorithm::Bfs, Some(0), &sssp, &pool).is_err());
+        assert!(verify_output(&want, Algorithm::Bfs, &from0, &sssp, &pool).is_err());
     }
 
     #[test]
@@ -583,15 +587,14 @@ mod tests {
             &EdgeList::new(4, vec![(0, 1), (1, 2), (2, 3), (1, 3)]).symmetrized(),
         );
         let want = Expected::new(&g);
-        let check = |scores| {
-            let out = RunOutput::new(
-                AlgorithmResult::Centrality(scores),
-                Counters::default(),
-                Trace::default(),
-            );
-            verify_output(&want, Algorithm::Bc, None, &out, &pool)
+        let every = RunParams::new(&pool, None);
+        let sampled = RunParams { bc_sources: Some(1), ..RunParams::new(&pool, None) };
+        let check_from = |params: &RunParams<'_>, scores| {
+            let out = output(AlgorithmResult::Centrality(scores));
+            verify_output(&want, Algorithm::Bc, params, &out, &pool)
         };
-        let bc = oracle::betweenness(&g);
+        let check = |scores| check_from(&every, scores);
+        let bc = oracle::betweenness(&g, 0..4);
         assert!(bc[1] > 0.0);
         assert_eq!(check(bc.clone()), Ok(()));
         let mut near = bc.clone();
@@ -606,8 +609,14 @@ mod tests {
         off[0] = 1.0;
         assert!(check(off).is_err(), "a score where the oracle's is zero");
         assert!(check(bc[..3].to_vec()).is_err());
-        assert!(verify_output(&want, Algorithm::Bc, None, &ok_output(), &pool).is_err());
-        assert!(want.bc.get().is_some(), "the oracle's scores are kept for the next check");
+        assert!(verify_output(&want, Algorithm::Bc, &every, &ok_output(), &pool).is_err());
+        // A sampled run is judged from its own sources, scaled as it scales.
+        let estimate = oracle::betweenness(&g, sampled.bc_source_list(4).into_iter());
+        assert_ne!(estimate, bc);
+        assert_eq!(check_from(&sampled, estimate), Ok(()));
+        assert!(check_from(&sampled, bc).is_err(), "exact scores are not the estimate");
+        let kept = want.bc.borrow();
+        assert_eq!(kept.len(), 2, "the oracle's scores are kept per source sample");
     }
 
     #[test]
@@ -618,13 +627,10 @@ mod tests {
         let edges = vec![(0, 1), (1, 2), (2, 3), (3, 4), (4, 2)];
         let g = Csr::from_edge_list(&EdgeList::new(7, edges).symmetrized());
         let want = Expected::new(&g);
+        let rootless = RunParams::new(&pool, None);
         let check = |ranks: Vec<f64>| {
-            let out = RunOutput::new(
-                AlgorithmResult::Ranks { ranks, iterations: 1 },
-                Counters::default(),
-                Trace::default(),
-            );
-            verify_output(&want, Algorithm::PageRank, None, &out, &pool)
+            let out = output(AlgorithmResult::Ranks { ranks, iterations: 1 });
+            verify_output(&want, Algorithm::PageRank, &rootless, &out, &pool)
         };
         let (ranks, _) = oracle::pagerank(&g, oracle::PR_EPSILON, 300);
         assert_eq!(check(ranks.clone()), Ok(()));
@@ -641,7 +647,7 @@ mod tests {
         assert!(check(bumped).is_err());
         assert!(check(vec![f64::NAN; 7]).is_err());
         assert!(check(ranks[..6].to_vec()).is_err());
-        assert!(verify_output(&want, Algorithm::PageRank, None, &ok_output(), &pool).is_err());
+        assert!(verify_output(&want, Algorithm::PageRank, &rootless, &ok_output(), &pool).is_err());
     }
 
     #[test]
@@ -651,13 +657,10 @@ mod tests {
         // A 0-1-2 path, a 3-4 pair and an isolated 5.
         let g = Csr::from_edge_list(&EdgeList::new(6, vec![(0, 1), (1, 2), (3, 4)]).symmetrized());
         let want = Expected::new(&g);
+        let rootless = RunParams::new(&pool, None);
         let check = |labels: Vec<VertexId>| {
-            let out = RunOutput::new(
-                AlgorithmResult::Components(labels),
-                Counters::default(),
-                Trace::default(),
-            );
-            verify_output(&want, Algorithm::Wcc, None, &out, &pool)
+            let out = output(AlgorithmResult::Components(labels));
+            verify_output(&want, Algorithm::Wcc, &rootless, &out, &pool)
         };
         assert_eq!(check(vec![0, 0, 0, 3, 3, 5]), Ok(()));
         let renamed = "vertex 0 is labelled 9, but its component's least vertex is 0";
@@ -667,7 +670,7 @@ mod tests {
         let merged = "vertex 5 is labelled 3, but its component's least vertex is 5";
         assert_eq!(check(vec![0, 0, 0, 3, 3, 3]), Err(merged.to_string()));
         assert!(check(vec![0; 5]).is_err());
-        assert!(verify_output(&want, Algorithm::Wcc, None, &ok_output(), &pool).is_err());
+        assert!(verify_output(&want, Algorithm::Wcc, &rootless, &ok_output(), &pool).is_err());
     }
 
     #[test]
@@ -679,10 +682,8 @@ mod tests {
             &EdgeList::new(4, vec![(0, 1), (1, 2), (2, 0), (2, 3)]).symmetrized(),
         );
         let want = Expected::new(&g);
-        let check = |algo, result| {
-            let out = RunOutput::new(result, Counters::default(), Trace::default());
-            verify_output(&want, algo, None, &out, &pool)
-        };
+        let rootless = RunParams::new(&pool, None);
+        let check = |algo, result| verify_output(&want, algo, &rootless, &output(result), &pool);
         let labels = oracle::cdlp(&g, CDLP_ROUNDS);
         assert_eq!(check(Algorithm::Cdlp, AlgorithmResult::Labels(labels.clone())), Ok(()));
         let mut off = labels.clone();

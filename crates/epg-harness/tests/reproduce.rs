@@ -5,6 +5,7 @@ use epg_engine_api::Algorithm;
 use epg_harness::graphalytics::{GRAPHALYTICS_ENGINES, TABLE1_ALGOS};
 use epg_harness::reproduce::claims::CLAIMS;
 use epg_harness::reproduce::{self, Options, ARTEFACTS};
+use epg_harness::supervise::TrialOutcome;
 use epg_harness::EngineKind::{self, PowerGraph};
 use std::path::{Path, PathBuf};
 
@@ -48,6 +49,12 @@ fn every_artefact_reproduces_and_every_deterministic_claim_holds() {
         let (facts, lines) = reproduce::reproduce_one(artefact, &opts, &mut printed)
             .unwrap_or_else(|e| panic!("{}: {e}", artefact.id));
         let printed = String::from_utf8(printed).expect("tables are text");
+        // A trial that did not pass prints its outcome and reason in place
+        // of its time: no row of any artefact may.
+        for dnf in [TrialOutcome::Timeout, TrialOutcome::Panicked, TrialOutcome::Quarantined] {
+            let failed = format!("{}: ", dnf.label());
+            assert!(!printed.contains(&failed), "{}: a row failed\n{printed}", artefact.id);
+        }
         match artefact.id {
             // Table I's N/A structure: PowerGraph has no BFS, and nothing
             // runs SSSP on the unweighted cit-Patents.
@@ -81,6 +88,13 @@ fn every_artefact_reproduces_and_every_deterministic_claim_holds() {
                     let trials = facts.get(&format!("trials.{}", engine.name()));
                     assert_eq!(trials, if engine == PowerGraph { 0.0 } else { 4.0 }, "{engine:?}");
                 }
+            }
+            "ablation_sched" => {
+                // The same work under every schedule: one checksum.
+                let rows = printed.lines().skip_while(|l| !l.starts_with("schedule")).skip(1);
+                let sums: Vec<_> =
+                    rows.take(6).filter_map(|r| r.split_whitespace().nth(1)).collect();
+                assert!(sums.len() == 6 && sums.iter().all(|&s| s == sums[0]), "{printed}");
             }
             "extensions" => {
                 let counts = facts.ranked("triangles");

@@ -85,7 +85,7 @@ impl Net {
                         let params = RunParams { stopping, ..RunParams::new(&pool, root) };
                         let verdict = catch_unwind(AssertUnwindSafe(|| {
                             let out = engine.run(algo, &params);
-                            verify_output(&want, algo, root, &out, &pool)
+                            verify_output(&want, algo, &params, &out, &pool)
                         }));
                         match verdict {
                             Ok(Ok(())) => {}

@@ -152,9 +152,9 @@ fn wrong_result_injection_is_caught_by_a_verifier() {
     let root = ds.roots[0];
     let csr = Csr::from_edge_list(&ds.symmetric);
     let want = Expected::new(&csr);
-    let verify = |out: &RunOutput| verify_output(&want, Algorithm::Bfs, Some(root), out, &pool);
-    let cfg = SupervisorConfig { backoff: Duration::from_micros(50), ..Default::default() };
     let params = RunParams::new(&pool, Some(root));
+    let verify = |out: &RunOutput| verify_output(&want, Algorithm::Bfs, &params, out, &pool);
+    let cfg = SupervisorConfig { backoff: Duration::from_micros(50), ..Default::default() };
     let report =
         supervise_trial(&pool, &cfg, || engine.run(Algorithm::Bfs, &params), Some(&verify));
     assert_eq!(report.outcome, TrialOutcome::Ok);
@@ -241,7 +241,7 @@ fn wrong_results_fail_verification_on_every_engine() {
             engine.load_edge_list(ds.edges_for(kind));
             engine.construct(&pool);
             let params = RunParams::new(&pool, root);
-            let verify = |out: &RunOutput| verify_output(&expected, algo, root, out, &pool);
+            let verify = |out: &RunOutput| verify_output(&expected, algo, &params, out, &pool);
             let strict = SupervisorConfig { max_retries: 0, ..Default::default() };
             let report =
                 supervise_trial(&pool, &strict, || engine.run(algo, &params), Some(&verify));
