@@ -102,8 +102,8 @@ pub struct GapEngine {
     pub config: GapConfig,
     edge_list: Option<EdgeList>,
     csr: Option<Csr>,
-    /// The in-edges; `None` once constructed when `csr` is its own
-    /// transpose and serves both directions.
+    /// The in-edges; `None` once constructed when the list was declared
+    /// its own transpose and `csr` serves both directions.
     csr_t: Option<Csr>,
     /// The Δ derived from the constructed graph's weights.
     delta: f32,
@@ -127,11 +127,14 @@ impl GapEngine {
         self.csr_t = None;
     }
 
-    fn csr(&self) -> &Csr {
+    /// The out-edge CSR.
+    pub fn csr(&self) -> &Csr {
         self.csr.as_ref().expect("graph not constructed; call construct()")
     }
 
-    fn csr_t(&self) -> &Csr {
+    /// The in-edge CSR: `csr()` itself when the list was declared its own
+    /// transpose ([`EdgeList::own_transpose`]).
+    pub fn csr_t(&self) -> &Csr {
         self.csr_t.as_ref().unwrap_or_else(|| self.csr())
     }
 
@@ -194,11 +197,14 @@ impl Engine for GapEngine {
         }
         // GAP builds CSR in parallel (histogram + prefix sum + scatter);
         // the pull-direction transpose uses the same parallel structure.
-        // Like GAP's `CSRGraph` on an undirected graph, a CSR that is its
-        // own transpose keeps one set of arrays for both directions.
+        // Like GAP's `CSRGraph` on a graph its input declares undirected,
+        // a list declared its own transpose keeps one set of arrays for
+        // both directions; nothing is scanned to find out.
         let csr = Csr::from_edge_list_parallel(&el, pool);
+        let own_transpose = el.own_transpose;
         drop(el);
-        self.csr_t = (!csr.is_own_transpose(pool)).then(|| csr.transpose_parallel(pool));
+        debug_assert!(!own_transpose || csr.is_own_transpose(pool), "declared, not symmetric");
+        self.csr_t = (!own_transpose).then(|| csr.transpose_parallel(pool));
         self.delta = sssp::derived_delta(&csr, pool);
         self.csr = Some(csr);
     }

@@ -43,8 +43,9 @@ pub struct GraphMatEngine {
     /// Entry (dst, src): columns hold out-edges, used for push iteration.
     matrix: Option<Dcsc>,
     /// Entry (src, dst): columns hold in-edges, used for pull iteration.
-    /// `None` once constructed when `matrix` is its own transpose, as on
-    /// every undirected list: [`GraphMatEngine::matrix_t`] is then `matrix`.
+    /// `None` once constructed when the list was declared its own
+    /// transpose ([`EdgeList::own_transpose`]), as every undirected list the
+    /// homogenizer writes is: [`GraphMatEngine::matrix_t`] is then `matrix`.
     matrix_t: Option<Dcsc>,
     num_vertices: usize,
 }
@@ -69,8 +70,8 @@ impl GraphMatEngine {
     }
 
     /// The pull-direction matrix (columns = in-edges): `matrix()` itself
-    /// when that is its own transpose, so every program reads the same
-    /// entries in the same order either way.
+    /// when the list was declared its own transpose, so every program reads
+    /// the same entries in the same order either way.
     pub fn matrix_t(&self) -> &Dcsc {
         self.matrix_t.as_ref().unwrap_or_else(|| self.matrix())
     }
@@ -115,11 +116,14 @@ impl Engine for GraphMatEngine {
             assert!(self.matrix.is_some(), "no edge list loaded");
             return;
         };
-        // A matrix equal to its transpose, as the homogenizer's undirected
-        // lists give, serves both orientations: one copy of the graph.
+        // A list declared its own transpose, as the homogenizer's
+        // undirected lists are, gives a matrix that serves both
+        // orientations: one copy of the graph, and no scan to find out.
         let m = Dcsc::from_edge_list(&el, pool);
+        let own_transpose = el.own_transpose;
         drop(el);
-        self.matrix_t = (!m.is_own_transpose(pool)).then(|| m.transpose(pool));
+        debug_assert!(!own_transpose || m.is_own_transpose(pool), "declared, not symmetric");
+        self.matrix_t = (!own_transpose).then(|| m.transpose(pool));
         self.matrix = Some(m);
     }
 
@@ -269,8 +273,13 @@ mod tests {
     #[test]
     fn construct_keeps_one_matrix_exactly_when_it_is_its_own_transpose() {
         let pool = ThreadPool::new(2);
-        let undirected = build(&random_graph(9), &pool);
+        let undirected = build(&random_graph(9).undirected(), &pool);
         assert!(std::ptr::eq(undirected.matrix(), undirected.matrix_t()));
+        // The same symmetric list, undeclared: nothing is scanned, so it
+        // keeps a second matrix, equal to the first.
+        let undeclared = build(&random_graph(9), &pool);
+        assert!(!std::ptr::eq(undeclared.matrix(), undeclared.matrix_t()));
+        assert_eq!(undeclared.matrix_t(), undeclared.matrix());
         let directed = build(&epg_generator::uniform::generate(300, 400, false, 4), &pool);
         assert!(!std::ptr::eq(directed.matrix(), directed.matrix_t()));
         assert_eq!(*directed.matrix_t(), directed.matrix().transpose(&pool));

@@ -166,8 +166,18 @@ fn run_block<P: GraphProgram>(
         for (m, slot) in matrices.iter().zip(msgs) {
             let Some((ci, msg)) = slot else { continue };
             let (lo, hi) = (m.col_ptr[*ci], m.col_ptr[*ci + 1]);
-            let from = lo + m.row_ids[lo..hi].partition_point(|&r| (r as usize) < rlo);
-            let to = from + m.row_ids[from..hi].partition_point(|&r| (r as usize) < rhi);
+            // The first block starts at row 0 and the last ends at row `dim`:
+            // their ends of the column need no search.
+            let from = if rlo == 0 {
+                lo
+            } else {
+                lo + m.row_ids[lo..hi].partition_point(|&r| (r as usize) < rlo)
+            };
+            let to = if rhi == m.dim {
+                hi
+            } else {
+                from + m.row_ids[from..hi].partition_point(|&r| (r as usize) < rhi)
+            };
             for (&dst, &w) in m.row_ids[from..to].iter().zip(&m.values[from..to]) {
                 let contrib = prog.process(msg, w, dst);
                 let slot = &mut acc[dst as usize - rlo];

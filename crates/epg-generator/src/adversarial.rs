@@ -49,7 +49,7 @@ fn materialize(
         edges.push((u, v));
         weights.push(w);
     }
-    EdgeList { num_vertices, edges, weights: Some(weights) }
+    EdgeList { num_vertices, edges, weights: Some(weights), own_transpose: false }
 }
 
 /// Materializes the same index-pure family on the pool. Because each edge
@@ -79,7 +79,7 @@ fn materialize_parallel(
             }
         });
     }
-    EdgeList { num_vertices, edges, weights: Some(weights) }
+    EdgeList { num_vertices, edges, weights: Some(weights), own_transpose: false }
 }
 
 // ---------------------------------------------------------------- spfa_killer

@@ -167,7 +167,7 @@ pub fn generate(cfg: &KroneckerConfig, seed: u64) -> EdgeList {
             ws.push(draw_weight(&mut rng));
         }
     }
-    EdgeList { num_vertices: cfg.num_vertices(), edges, weights }
+    EdgeList { num_vertices: cfg.num_vertices(), edges, weights, own_transpose: false }
 }
 
 /// Edges per deterministic generation block. Fixed — never derived from the
@@ -216,7 +216,7 @@ pub fn generate_parallel(
             }
         });
     }
-    EdgeList { num_vertices: cfg.num_vertices(), edges, weights }
+    EdgeList { num_vertices: cfg.num_vertices(), edges, weights, own_transpose: false }
 }
 
 #[cfg(test)]

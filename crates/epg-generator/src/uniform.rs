@@ -21,7 +21,7 @@ pub fn generate(num_vertices: usize, num_edges: usize, weighted: bool, seed: u64
             ws.push((1.0 - rng.gen::<f32>()).max(f32::MIN_POSITIVE) as Weight);
         }
     }
-    EdgeList { num_vertices, edges, weights }
+    EdgeList { num_vertices, edges, weights, own_transpose: false }
 }
 
 /// Parallel uniform generation: fixed blocks of
@@ -62,7 +62,7 @@ pub fn generate_parallel(
             }
         });
     }
-    EdgeList { num_vertices, edges, weights }
+    EdgeList { num_vertices, edges, weights, own_transpose: false }
 }
 
 #[cfg(test)]

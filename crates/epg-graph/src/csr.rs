@@ -489,7 +489,9 @@ impl Csr {
     /// one set of arrays serves both directions, as GAP's `CSRGraph` shares
     /// them for an undirected graph. `O(V + E)`, the same answer at every
     /// thread count; the check is `Rows::is_own_transpose`, which
-    /// [`crate::Dcsc::is_own_transpose`] shares.
+    /// [`crate::Dcsc::is_own_transpose`] shares. The engines take the
+    /// answer from the list's [`EdgeList::own_transpose`] declaration and
+    /// run this only to check it in debug builds.
     pub fn is_own_transpose(&self, pool: &ThreadPool) -> bool {
         self.rows().is_own_transpose(self.num_vertices(), self.weights.as_deref(), pool)
     }
@@ -564,7 +566,7 @@ impl Csr {
         let edges = (0..n as VertexId)
             .flat_map(|u| self.neighbors(u).iter().map(move |&v| (u, v)))
             .collect();
-        EdgeList { num_vertices: n, edges, weights: self.weights.clone() }
+        EdgeList { num_vertices: n, edges, weights: self.weights.clone(), own_transpose: false }
     }
 
     /// Approximate resident size in bytes.

@@ -17,7 +17,9 @@ use epg_parallel::ThreadPool;
 /// out-edges of one vertex and SpMV `y = A * x` propagates values along
 /// edge direction (GraphMat's convention for push-style iteration is the
 /// transpose). The engine keeps both orientations, one matrix for both
-/// when it is its own transpose ([`Dcsc::is_own_transpose`]).
+/// when its list is declared its own transpose
+/// ([`crate::EdgeList::own_transpose`]; [`Dcsc::is_own_transpose`] checks
+/// the declaration in debug builds).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Dcsc {
     /// Matrix dimension (square: num_vertices).

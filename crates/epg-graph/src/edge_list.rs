@@ -20,6 +20,19 @@ pub struct EdgeList {
     pub edges: Vec<(VertexId, VertexId)>,
     /// Optional weights, parallel to `edges`.
     pub weights: Option<Vec<Weight>>,
+    /// Declared by the list's producer: the list's [`Csr`] and
+    /// [`crate::Dcsc`] equal their transposes, entries and weight bits, so
+    /// one structure serves both edge directions. Only
+    /// [`EdgeList::undirected_with_degrees`] sets it (and so `undirected()`
+    /// and every homogenized symmetric list); a clone and the binary format
+    /// keep it, in-place [`EdgeList::symmetrize`] clears it, and it is false
+    /// on every other list. Code that edits `edges` or `weights` in place
+    /// clears it unless the edit keeps the list its own transpose.
+    ///
+    /// Consumers trust it as GAP trusts its `.sg` header's `directed` flag,
+    /// and check it only in debug builds: a file that declares a list
+    /// falsely gives wrong in-edges in a release build.
+    pub own_transpose: bool,
 }
 
 impl EdgeList {
@@ -28,7 +41,7 @@ impl EdgeList {
         debug_assert!(edges
             .iter()
             .all(|&(u, v)| (u as usize) < num_vertices && (v as usize) < num_vertices));
-        EdgeList { num_vertices, edges, weights: None }
+        EdgeList { num_vertices, edges, weights: None, own_transpose: false }
     }
 
     /// Creates a weighted edge list. Panics if lengths differ.
@@ -38,7 +51,7 @@ impl EdgeList {
         weights: Vec<Weight>,
     ) -> Self {
         assert_eq!(edges.len(), weights.len(), "weights must parallel edges");
-        EdgeList { num_vertices, edges, weights: Some(weights) }
+        EdgeList { num_vertices, edges, weights: Some(weights), own_transpose: false }
     }
 
     /// Number of directed edges.
@@ -73,8 +86,10 @@ impl EdgeList {
     /// `(u, v), (v, u)` at its position, a self-loop stays once, and weights
     /// follow their edge. The list grows to its final length first and is
     /// filled back to front, so no second list is allocated: the write
-    /// position never falls behind the edge being read.
+    /// position never falls behind the edge being read. The list's
+    /// [`EdgeList::own_transpose`] declaration is cleared.
     pub fn symmetrize(&mut self) {
+        self.own_transpose = false;
         let m = self.edges.len();
         let len = m + self.edges.iter().filter(|&&(u, v)| u != v).count();
         let EdgeList { edges, weights, .. } = self;
@@ -118,8 +133,9 @@ impl EdgeList {
     /// by `(src, dst)`; a duplicate keeps the weight of its **first
     /// occurrence in input order**. Used by homogenization for engines that
     /// require simple graphs. A list already in that form costs a linear
-    /// check and a copy; any other, [`Csr`]'s counting build and a sort
-    /// inside each adjacency list — never a sort over the whole array.
+    /// check and a copy, which keeps its [`EdgeList::own_transpose`]
+    /// declaration; any other, [`Csr`]'s counting build and a sort inside
+    /// each adjacency list — never a sort over the whole array.
     pub fn deduplicated(&self) -> EdgeList {
         self.deduplicated_on(None)
     }
@@ -161,7 +177,8 @@ impl EdgeList {
     /// returned (checked), without the doubled list or a sort: its transpose
     /// ascends too, so every vertex's list is a two-way merge of its out-
     /// and in-neighbors. Of `(u, v)` and `(v, u)` the first in input order is
-    /// the one with `src < dst`; the pair carries its weight both ways.
+    /// the one with `src < dst`; the pair carries its weight both ways, so
+    /// the list is declared [`EdgeList::own_transpose`].
     pub fn undirected(&self) -> EdgeList {
         self.undirected_with_degrees(None).0
     }
@@ -215,8 +232,9 @@ impl EdgeList {
                 });
             }
         };
-        let el = self.emitted(&cuts, pool, count, fill);
+        let mut el = self.emitted(&cuts, pool, count, fill);
         drop(dw);
+        el.own_transpose = true;
         (el, degrees)
     }
 
@@ -279,7 +297,7 @@ impl EdgeList {
                 fill(cuts[w], cuts[w + 1], es, ws);
             });
         }
-        EdgeList { num_vertices: self.num_vertices, edges, weights }
+        EdgeList { num_vertices: self.num_vertices, edges, weights, own_transpose: false }
     }
 
     /// Out-degree of every vertex.
@@ -303,7 +321,8 @@ impl EdgeList {
 
     /// Strips weights, if any.
     pub fn unweighted(&self) -> EdgeList {
-        EdgeList { num_vertices: self.num_vertices, edges: self.edges.clone(), weights: None }
+        let edges = self.edges.clone();
+        EdgeList { num_vertices: self.num_vertices, edges, weights: None, own_transpose: false }
     }
 
     /// Approximate resident size in bytes (the Graph500 input-kernel sizing).
@@ -423,7 +442,23 @@ mod tests {
         let und = el.undirected();
         assert_eq!(und.edges, vec![(0, 1), (0, 2), (1, 0), (2, 0)]);
         assert_eq!(und.weights, Some(vec![2.0, 1.0, 2.0, 1.0]));
-        assert_eq!(und, el.symmetrized().deduplicated());
+        assert_eq!(und, EdgeList { own_transpose: true, ..el.symmetrized().deduplicated() });
+    }
+
+    #[test]
+    fn only_undirected_declares_and_symmetrize_clears() {
+        let el = EdgeList::weighted(3, vec![(0, 2), (1, 0), (2, 0)], vec![1.0, 2.0, 3.0]);
+        assert!(!el.own_transpose && !el.symmetrized().own_transpose);
+        let und = el.undirected();
+        assert!(und.own_transpose);
+        // A copy of the list, and the already-simple dedup path, keep it.
+        assert!(und.clone().own_transpose && und.deduplicated().own_transpose);
+        // Every other derived list is undeclared, symmetric or not.
+        assert!(!und.unweighted().own_transpose);
+        assert!(!el.symmetrized().deduplicated().own_transpose);
+        let mut doubled = und.clone();
+        doubled.symmetrize();
+        assert!(!doubled.own_transpose);
     }
 
     #[test]

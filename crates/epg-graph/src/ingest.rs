@@ -404,7 +404,7 @@ pub fn parse_snap_chunked(
         });
     }
     let num_vertices = if edges.is_empty() { 0 } else { max_id as usize + 1 };
-    Ok(EdgeList { num_vertices, edges, weights })
+    Ok(EdgeList { num_vertices, edges, weights, own_transpose: false })
 }
 
 /// Parses SNAP text from a byte buffer in parallel. Chunk count scales with
@@ -505,7 +505,7 @@ pub fn write_snap_file_parallel(
     write_snap_parallel(el, name, std::fs::File::create(path)?, pool)
 }
 
-const BIN_HEADER: usize = 8 + 8 + 8 + 1; // magic, nvertices, nedges, weighted
+const BIN_HEADER: usize = 8 + 8 + 8 + 1; // magic, nvertices, nedges, flags
 
 /// Encodes the homogenizer's binary format into one buffer, records filled
 /// in parallel (fixed record stride makes every byte offset computable).
@@ -517,7 +517,7 @@ pub fn encode_binary_parallel(el: &EdgeList, pool: &ThreadPool) -> Vec<u8> {
     buf[0..8].copy_from_slice(crate::snap::BIN_MAGIC);
     buf[8..16].copy_from_slice(&(el.num_vertices as u64).to_le_bytes());
     buf[16..24].copy_from_slice(&(m as u64).to_le_bytes());
-    buf[24] = el.is_weighted() as u8;
+    buf[24] = crate::snap::bin_flags(el);
     {
         let w = DisjointWriter::new(&mut buf[BIN_HEADER..]);
         pool.parallel_for_ranges(m, Schedule::Static { chunk: None }, |_t, lo, hi| {
@@ -552,12 +552,10 @@ pub fn decode_binary_parallel(bytes: &[u8], pool: &ThreadPool) -> Result<EdgeLis
     if bytes.len() < BIN_HEADER {
         return Err(eof());
     }
-    if &bytes[0..8] != crate::snap::BIN_MAGIC {
-        return Err(ParseError::Malformed { line: 0, reason: "bad magic".into() });
-    }
+    crate::snap::check_bin_magic(&bytes[0..8])?;
     let n = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
     let m = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
-    let weighted = bytes[24] != 0;
+    let (weighted, own_transpose) = crate::snap::read_bin_flags(bytes[24])?;
     let rec = if weighted { 12 } else { 8 };
     let body = &bytes[BIN_HEADER..];
     if m.checked_mul(rec).is_none_or(|need| body.len() < need) {
@@ -589,7 +587,7 @@ pub fn decode_binary_parallel(bytes: &[u8], pool: &ThreadPool) -> Result<EdgeLis
             }
         });
     }
-    Ok(EdgeList { num_vertices: n, edges, weights })
+    Ok(EdgeList { num_vertices: n, edges, weights, own_transpose })
 }
 
 /// Reads a binary graph file with the parallel decoder.
@@ -862,6 +860,47 @@ mod tests {
         truncated.truncate(buf.len() - 3);
         assert!(matches!(decode_binary_parallel(&truncated, &p), Err(ParseError::Io(_))));
         assert!(matches!(decode_binary_parallel(&buf[..10], &p), Err(ParseError::Io(_))));
+    }
+
+    #[test]
+    fn both_codecs_carry_the_declaration_and_refuse_what_they_cannot_read() {
+        let p = pool();
+        let edges = vec![(0, 1), (1, 0), (1, 2), (2, 1)];
+        let weighted = EdgeList::weighted(4, edges.clone(), vec![0.5, 0.5, -2.0, -2.0]);
+        let unweighted = EdgeList::new(4, edges);
+        for el in [weighted, unweighted, EdgeList::new(0, vec![])] {
+            for own_transpose in [false, true] {
+                let el = EdgeList { own_transpose, ..el.clone() };
+                let mut serial = Vec::new();
+                write_binary(&el, &mut serial).unwrap();
+                let flags = (el.is_weighted() as u8) | ((own_transpose as u8) << 1);
+                assert_eq!(serial[24], flags, "bit 0 weighted, bit 1 own transpose");
+                assert_eq!(encode_binary_parallel(&el, &p), serial);
+                assert_eq!(crate::snap::read_binary(serial.as_slice()).unwrap(), el);
+                assert_eq!(decode_binary_parallel(&serial, &p).unwrap(), el);
+                // Any other flag bit, and the format before the flag, are
+                // refused by both decoders rather than misread.
+                let mut refused = Vec::new();
+                for bit in 2..8 {
+                    let mut bytes = serial.clone();
+                    bytes[24] |= 1 << bit;
+                    refused.push(bytes);
+                }
+                let mut old = serial.clone();
+                old[0..8].copy_from_slice(b"EPGBIN01");
+                refused.push(old);
+                for bytes in refused {
+                    assert!(matches!(
+                        crate::snap::read_binary(bytes.as_slice()),
+                        Err(ParseError::Malformed { line: 0, .. })
+                    ));
+                    assert!(matches!(
+                        decode_binary_parallel(&bytes, &p),
+                        Err(ParseError::Malformed { line: 0, .. })
+                    ));
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,6 +6,10 @@
 //! edge weight. The dataset homogenizer also writes a compact binary format
 //! (one per engine preference) "to speed up file I/O whenever possible by
 //! using the library designer's serialized data structure file formats".
+//! Like GAP's `.sg` header, whose `directed` flag tells the reader how to
+//! build, the binary header declares whether the list is its own transpose
+//! ([`EdgeList::own_transpose`]), so a reader takes the graph's shape from
+//! the file instead of scanning for it; SNAP text declares nothing.
 
 use crate::{EdgeList, VertexId, Weight};
 use std::fmt::Write as _;
@@ -108,6 +112,7 @@ pub fn parse_snap<R: Read>(reader: R) -> Result<EdgeList, ParseError> {
         num_vertices,
         edges,
         weights: if saw_weighted == Some(true) { Some(weights) } else { None },
+        own_transpose: false,
     })
 }
 
@@ -140,16 +145,52 @@ pub fn write_snap_file(el: &EdgeList, name: &str, path: &Path) -> io::Result<()>
     write_snap(el, name, std::fs::File::create(path)?)
 }
 
-pub(crate) const BIN_MAGIC: &[u8; 8] = b"EPGBIN01";
+/// The binary format's magic. `EPGBIN01` files predate the flag byte's
+/// [`EdgeList::own_transpose`] bit and are refused, not misread.
+pub(crate) const BIN_MAGIC: &[u8; 8] = b"EPGBIN02";
 
-/// Writes the homogenizer's compact binary format: magic, vertex count,
-/// edge count, weighted flag, then little-endian `(u32, u32[, f32])` records.
+/// Flag byte bit 0: the records carry weights.
+const FLAG_WEIGHTED: u8 = 1;
+/// Flag byte bit 1: the list is declared [`EdgeList::own_transpose`].
+const FLAG_OWN_TRANSPOSE: u8 = 2;
+
+/// The header's flag byte for `el`.
+pub(crate) fn bin_flags(el: &EdgeList) -> u8 {
+    (el.is_weighted() as u8 * FLAG_WEIGHTED) | (el.own_transpose as u8 * FLAG_OWN_TRANSPOSE)
+}
+
+/// Refuses any magic but [`BIN_MAGIC`] as `Malformed`.
+pub(crate) fn check_bin_magic(magic: &[u8]) -> Result<(), ParseError> {
+    if magic == BIN_MAGIC {
+        return Ok(());
+    }
+    let reason = match magic {
+        b"EPGBIN01" => "EPGBIN01 predates the own-transpose flag; write the file again",
+        _ => "bad magic",
+    };
+    Err(ParseError::Malformed { line: 0, reason: reason.into() })
+}
+
+/// `(weighted, own_transpose)` of a header's flag byte; a byte with any
+/// other bit set is `Malformed`.
+pub(crate) fn read_bin_flags(flags: u8) -> Result<(bool, bool), ParseError> {
+    if flags & !(FLAG_WEIGHTED | FLAG_OWN_TRANSPOSE) != 0 {
+        let reason = format!("unknown flag bits {flags:#04x}");
+        return Err(ParseError::Malformed { line: 0, reason });
+    }
+    Ok((flags & FLAG_WEIGHTED != 0, flags & FLAG_OWN_TRANSPOSE != 0))
+}
+
+/// Writes the homogenizer's compact binary format: the magic `EPGBIN02`,
+/// vertex count and edge count (`u64`), one flag byte (bit 0 weighted, bit 1
+/// [`EdgeList::own_transpose`], every other bit zero), then little-endian
+/// `(u32, u32[, f32])` records.
 pub fn write_binary<W: Write>(el: &EdgeList, out: W) -> io::Result<()> {
     let mut out = BufWriter::new(out);
     out.write_all(BIN_MAGIC)?;
     out.write_all(&(el.num_vertices as u64).to_le_bytes())?;
     out.write_all(&(el.num_edges() as u64).to_le_bytes())?;
-    out.write_all(&[el.is_weighted() as u8])?;
+    out.write_all(&[bin_flags(el)])?;
     for (i, &(u, v)) in el.edges.iter().enumerate() {
         out.write_all(&u.to_le_bytes())?;
         out.write_all(&v.to_le_bytes())?;
@@ -160,14 +201,13 @@ pub fn write_binary<W: Write>(el: &EdgeList, out: W) -> io::Result<()> {
     out.flush()
 }
 
-/// Reads the binary format written by [`write_binary`].
+/// Reads the binary format written by [`write_binary`], declaration
+/// included.
 pub fn read_binary<R: Read>(reader: R) -> Result<EdgeList, ParseError> {
     let mut r = BufReader::new(reader);
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
-    if &magic != BIN_MAGIC {
-        return Err(ParseError::Malformed { line: 0, reason: "bad magic".into() });
-    }
+    check_bin_magic(&magic)?;
     let mut buf8 = [0u8; 8];
     r.read_exact(&mut buf8)?;
     let n = u64::from_le_bytes(buf8) as usize;
@@ -175,7 +215,7 @@ pub fn read_binary<R: Read>(reader: R) -> Result<EdgeList, ParseError> {
     let m = u64::from_le_bytes(buf8) as usize;
     let mut flag = [0u8; 1];
     r.read_exact(&mut flag)?;
-    let weighted = flag[0] != 0;
+    let (weighted, own_transpose) = read_bin_flags(flag[0])?;
     let mut edges = Vec::with_capacity(m);
     let mut weights = weighted.then(|| Vec::with_capacity(m));
     let mut buf4 = [0u8; 4];
@@ -190,7 +230,7 @@ pub fn read_binary<R: Read>(reader: R) -> Result<EdgeList, ParseError> {
             ws.push(Weight::from_le_bytes(buf4));
         }
     }
-    Ok(EdgeList { num_vertices: n, edges, weights })
+    Ok(EdgeList { num_vertices: n, edges, weights, own_transpose })
 }
 
 /// Reads a binary graph file from disk.

@@ -209,6 +209,7 @@ fn as_drawn_and_spread(el: &EdgeList) -> [(EdgeList, &'static str); 4] {
         num_vertices: 3 * el.num_vertices + 2,
         edges: el.edges.iter().map(|&(u, v)| (3 * u + 1, 3 * v + 1)).collect(),
         weights: el.weights.clone(),
+        own_transpose: false,
     };
     [
         (el.unweighted(), "drawn-unweighted"),
@@ -365,7 +366,13 @@ fn dedup_by_rule(el: &EdgeList) -> EdgeList {
         num_vertices: el.num_vertices,
         edges: first.keys().copied().collect(),
         weights: el.weights.as_ref().map(|_| first.values().copied().collect()),
+        own_transpose: false,
     }
+}
+
+/// `el` declared its own transpose, as `undirected()` declares its output.
+fn declared(el: EdgeList) -> EdgeList {
+    EdgeList { own_transpose: true, ..el }
 }
 
 /// The `deduplicated` this suite's subject replaced: an unstable sort of a
@@ -379,6 +386,7 @@ fn dedup_by_sort(el: &EdgeList) -> EdgeList {
         num_vertices: el.num_vertices,
         edges: order.iter().map(|&i| el.edges[i as usize]).collect(),
         weights: el.weights.as_ref().map(|ws| order.iter().map(|&i| ws[i as usize]).collect()),
+        own_transpose: false,
     }
 }
 
@@ -402,6 +410,7 @@ fn check_dcsc(el: &EdgeList, shape: &str) {
         num_vertices: el.num_vertices,
         edges: want.triples().map(|(r, c, _)| (r, c)).collect(),
         weights: Some(want.values.clone()),
+        own_transpose: false,
     });
     for nthreads in RULE_THREADS {
         let pool = ThreadPool::new(nthreads);
@@ -431,7 +440,8 @@ fn check_dedup(el: &EdgeList, shape: &str) {
     }
     assert_eq!(got.deduplicated(), got, "deduplicated twice: shape={shape}");
     // The undirected closure is the same rule applied to the doubled list.
-    assert_eq!(got.undirected(), dedup_by_rule(&got.symmetrized()), "undirected: shape={shape}");
+    let want = declared(dedup_by_rule(&got.symmetrized()));
+    assert_eq!(got.undirected(), want, "undirected: shape={shape}");
 }
 
 #[test]
@@ -481,7 +491,7 @@ fn unweighted_dedup_is_what_the_sort_gave_at_scale() {
         let simple = raw.deduplicated();
         assert!(simple.num_edges() < raw.num_edges(), "{shape} has duplicates");
         assert_eq!(simple, dedup_by_sort(&raw), "{shape}");
-        assert_eq!(simple.undirected(), dedup_by_sort(&simple.symmetrized()), "{shape}");
+        assert_eq!(simple.undirected(), declared(dedup_by_sort(&simple.symmetrized())), "{shape}");
         check_dcsc(&simple.undirected(), shape);
         // The homogenizer's undirected CSR and DCSC are their own
         // transposes; the directed ones exactly when their transposes say so.
@@ -572,6 +582,7 @@ fn arb_homogenization_input() -> impl Strategy<Value = (EdgeList, &'static str)>
                     num_vertices: 3 * n + 2,
                     edges: el.edges.iter().map(|&(u, v)| (3 * u + 1, 3 * v + 1)).collect(),
                     weights: el.weights,
+                    own_transpose: false,
                 },
                 "spread",
             ),
@@ -589,7 +600,8 @@ proptest! {
             let simple = el.deduplicated();
             prop_assert_eq!(&simple, &dedup_by_rule(&el), "shape={}", shape);
             let undirected = simple.undirected();
-            prop_assert_eq!(&undirected, &dedup_by_rule(&simple.symmetrized()), "shape={}", shape);
+            let want = declared(dedup_by_rule(&simple.symmetrized()));
+            prop_assert_eq!(&undirected, &want, "shape={}", shape);
             let degrees = undirected.total_degrees();
             for nthreads in 1..=3 {
                 let pool = ThreadPool::new(nthreads);

@@ -102,3 +102,52 @@ fn weights_survive_the_full_file_path_into_results() {
     assert_eq!(d[3], 0.375); // 0.125 + 0.25, exactly representable
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn gap_and_graphmat_keep_one_structure_exactly_for_a_declared_list() {
+    use epg::gap::GapEngine;
+    use epg::graphmat::GraphMatEngine;
+    // `.sym.bin` carries the homogenizer's own-transpose declaration and
+    // `.bin` (the raw directed list) does not. Each engine keeps one
+    // structure for both directions on a declared list, read from a file
+    // or handed over in memory, and builds the transpose on any other.
+    let dir = temp("declared");
+    let spec = GraphSpec::Kronecker { scale: 8, edge_factor: 8, weighted: true };
+    let ds = Dataset::from_spec(&spec, 24);
+    let pool = ThreadPool::new(2);
+    ds.write_files_parallel(&dir, &pool).unwrap();
+    let sym_path = dir.join(format!("{}.sym.bin", ds.name));
+    let mut doubled = snap::read_binary_file(&sym_path).unwrap();
+    assert!(doubled.own_transpose, "the symmetric file declares its list");
+    doubled.symmetrize();
+    assert!(!doubled.own_transpose, "symmetrize() in place clears the declaration");
+    let inputs = [
+        ("sym.bin", None, true),
+        ("bin", None, false),
+        ("symmetric in memory", Some(ds.symmetric.clone()), true),
+        ("raw in memory", Some(ds.raw.clone()), false),
+        ("declared, then symmetrized", Some(doubled), false),
+    ];
+    for (name, el, declared) in inputs {
+        let (mut gap, mut graphmat) = (GapEngine::new(), GraphMatEngine::new());
+        match &el {
+            Some(el) => {
+                gap.load_edge_list(el);
+                graphmat.load_edge_list(el);
+            }
+            None => {
+                let path = dir.join(format!("{}.{name}", ds.name));
+                gap.load_file(&path, &pool).unwrap();
+                graphmat.load_file(&path, &pool).unwrap();
+            }
+        }
+        gap.construct(&pool);
+        graphmat.construct(&pool);
+        assert_eq!(std::ptr::eq(gap.csr(), gap.csr_t()), declared, "GAP on {name}");
+        assert_eq!(*gap.csr_t(), gap.csr().transpose_parallel(&pool), "GAP on {name}");
+        let one_matrix = std::ptr::eq(graphmat.matrix(), graphmat.matrix_t());
+        assert_eq!(one_matrix, declared, "GraphMat on {name}");
+        assert_eq!(*graphmat.matrix_t(), graphmat.matrix().transpose(&pool), "GraphMat on {name}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
